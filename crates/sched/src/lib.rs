@@ -471,6 +471,9 @@ pub struct Scheduler {
     attempts: Vec<u32>,
     done: Vec<bool>,
     failed: Vec<bool>,
+    /// Jobs neither done nor failed, maintained by `mark_done` /
+    /// `mark_failed` so the per-event finish check is O(1).
+    unfinished: usize,
     /// `Some(round_of)` when staged rounds are declared.
     round_of: Option<Vec<usize>>,
     /// Unfinished jobs per round (staged mode only).
@@ -582,6 +585,7 @@ impl Scheduler {
             attempts: vec![0; cfg.jobs],
             done: vec![false; cfg.jobs],
             failed: vec![false; cfg.jobs],
+            unfinished: cfg.jobs,
             round_of: cfg.rounds,
             pending_per_round,
             cur_round,
@@ -625,9 +629,7 @@ impl Scheduler {
 
     /// Jobs neither answered nor permanently failed.
     pub fn unfinished(&self) -> usize {
-        (0..self.jobs)
-            .filter(|&j| !self.done[j] && !self.failed[j])
-            .count()
+        self.unfinished
     }
 
     /// Total requeues performed (the retry counter of the old
@@ -811,6 +813,7 @@ impl Scheduler {
     fn mark_done(&mut self, job: usize) {
         if !self.done[job] {
             self.done[job] = true;
+            self.unfinished -= usize::from(!self.failed[job]);
             self.settle_round(job);
         }
     }
@@ -820,6 +823,7 @@ impl Scheduler {
     fn mark_failed(&mut self, job: usize) {
         if !self.failed[job] {
             self.failed[job] = true;
+            self.unfinished -= usize::from(!self.done[job]);
             self.settle_round(job);
         }
     }
@@ -1676,5 +1680,77 @@ mod tests {
         // A deadline tick with nothing expired decides nothing.
         assert_eq!(s.on(Event::Deadline, 1), vec![]);
         assert_eq!(s.trace().unwrap().len(), 1); // just the priming dispatch
+    }
+
+    /// The O(jobs) scan the running `unfinished` counter replaced.
+    fn scan_unfinished(s: &Scheduler) -> usize {
+        (0..s.jobs).filter(|&j| !s.done[j] && !s.failed[j]).count()
+    }
+
+    #[test]
+    fn supervised_fifo_walk_over_20_000_jobs_finishes() {
+        // With a per-event scan this walk is 20 000² / 2 flag reads for
+        // the finish checks alone; with the counter it is linear.
+        let (jobs, slaves) = (20_000, 2);
+        let mut s = Scheduler::new(SchedConfig::plain(jobs, slaves).supervised(sup())).unwrap();
+        let mut work: VecDeque<Action> = prime(&mut s, slaves).into();
+        let mut accepted = 0;
+        while let Some(a) = work.pop_front() {
+            match a {
+                Action::Dispatch { job, slave, .. } => {
+                    work.extend(s.on(Event::Answer { job, slave }, 0));
+                }
+                Action::Accept { .. } => accepted += 1,
+                _ => {}
+            }
+        }
+        assert!(s.finished());
+        assert_eq!(accepted, jobs);
+        assert_eq!(s.unfinished(), 0);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn unfinished_counter_equals_the_scan_at_every_step(
+            jobs in 0usize..24,
+            slaves in 1usize..5,
+            max_attempts in 1u32..4,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut rng = proptest::TestRng::new(seed);
+            let cfg = SchedConfig::plain(jobs, slaves).supervised(Supervision {
+                max_attempts,
+                ..sup()
+            });
+            let mut s = Scheduler::new(cfg).unwrap();
+            // slave -> job of its latest dispatch, read off the actions.
+            let mut busy: Vec<Option<usize>> = vec![None; slaves + 1];
+            let mut now = 0u64;
+            let mut events: Vec<Event> =
+                (1..=slaves).map(|slave| Event::SlaveReady { slave }).collect();
+            events.reverse();
+            for _ in 0..64 * (jobs + 1) * (slaves + 1) {
+                if s.is_terminal() {
+                    break;
+                }
+                let slave = 1 + rng.below(slaves as u64) as usize;
+                let event = events.pop().unwrap_or_else(|| match (rng.below(10), busy[slave]) {
+                    (0..=4, Some(job)) => Event::Answer { job, slave },
+                    (5..=6, Some(job)) => Event::Failure { job, slave },
+                    (7, _) => Event::SlaveDead { slave },
+                    _ => {
+                        now += 250_000_000; // past the deadline and any backoff
+                        Event::Deadline
+                    }
+                });
+                for a in s.on(event, now) {
+                    if let Action::Dispatch { job, slave, .. } = a {
+                        busy[slave] = Some(job);
+                    }
+                }
+                proptest::prop_assert_eq!(s.unfinished(), scan_unfinished(&s));
+            }
+            proptest::prop_assert!(s.is_terminal());
+        }
     }
 }

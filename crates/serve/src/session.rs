@@ -11,17 +11,25 @@
 //! use — supervised, so a slave killed mid-request still leaves every
 //! admitted ticket answered exactly once.
 //!
+//! What travels is a *frame*, not a problem: the batch's unique
+//! problems are packed into job frames (`pack_frames`), the scheduler
+//! schedules frames, and a slave answers once per frame. Closed-form
+//! problems — whose compute is far below one transport round trip —
+//! share frames; every iterative method travels alone, so balancing,
+//! the per-dispatch deadline and retries see the jobs they were sized
+//! for. See "Wire protocol and bundling" in `docs/SERVICE.md`.
+//!
 //! The division of labour with admission control: [`Session::submit`]
 //! runs on the *caller's* thread and only touches atomics (shed
 //! decisions never wait for the farm), while all scheduling, memo and
 //! recording state is owned single-threaded by the front loop.
 
 use crate::config::{ServeConfig, ServeError};
-use farm::wire::Answer;
-use minimpi::{Comm, MpiError, World, ANY_SOURCE};
+use farm::wire::{batch_reply_value, decode_batch_reply, Answer};
+use minimpi::{Comm, MpiBuf, MpiError, World, ANY_SOURCE};
 use nspval::{Serial, Value};
 use obs::{Event, EventKind, Recorder, NO_JOB};
-use pricing::PremiaProblem;
+use pricing::{MethodSpec, PremiaProblem};
 use sched::{Action, DispatchPolicy, Event as SchedEvent, SchedConfig, Scheduler, Supervision};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -36,6 +44,22 @@ const TAG: i32 = 11;
 /// Budget charged per memo entry value: a price, an optional standard
 /// error, and the `Option` discriminant.
 const MEMO_VALUE_BYTES: usize = 24;
+
+/// Largest job frame the front loop builds, in encoded bytes: the size
+/// up to which the measured channel round trip is flat (perf harness:
+/// `transport.channel_rtt_us` 8.4 µs at 64 B, `channel_rtt_64k_us`
+/// 10.0 µs at 64 KiB). A single problem larger than this still travels,
+/// alone.
+const FRAME_CAP_BYTES: usize = 64 << 10;
+
+/// Encoded bytes of a job frame around its members: magic, version,
+/// list tag, list length.
+const FRAME_HEADER_BYTES: usize = 16;
+
+/// Encoded bytes of one frame member around its serialized problem: the
+/// wire-id scalar (tag, rows, cols, f64) and the serial's tag,
+/// compression flag and length word.
+const MEMBER_HEADER_BYTES: usize = 20 + 12;
 
 // ---------------------------------------------------------------------------
 // Public request/response types
@@ -155,7 +179,9 @@ pub struct SessionReport {
     pub computed: u64,
     /// Problems abandoned (retry budget exhausted or slaves dead).
     pub failed: u64,
-    /// Re-dispatches the supervised scheduler performed.
+    /// Re-dispatches the supervised scheduler performed — of whole job
+    /// frames (lost, expired, or orphaned by a slave death); a problem's
+    /// own compute failure is final and is not retried.
     pub retries: u64,
     /// Slave ranks that died during the session.
     pub dead_slaves: Vec<usize>,
@@ -185,11 +211,13 @@ impl Admission {
         }
     }
 
-    /// Reserve a queue slot and `bytes` of budget, or say exactly why
-    /// not. Optimistic increment with rollback: over-admission is
-    /// impossible because every racer that observes an overshoot rolls
-    /// its own reservation back before erring.
-    fn try_admit(&self, priority: u8, limit: usize, bytes: usize) -> Result<(), ServeError> {
+    /// Reserve a queue slot of class `priority`, or say exactly why not
+    /// — one atomic, taken before the request is serialized so a
+    /// refused request costs nothing else. Optimistic increment with
+    /// rollback: over-admission is impossible because every racer that
+    /// observes an overshoot rolls its own reservation back before
+    /// erring.
+    fn reserve_slot(&self, priority: u8, limit: usize) -> Result<(), ServeError> {
         let d = &self.depth[priority as usize];
         let queued = d.fetch_add(1, Ordering::SeqCst) + 1;
         if queued > limit {
@@ -202,10 +230,16 @@ impl Admission {
                 byte_budget: self.byte_budget,
             });
         }
+        Ok(())
+    }
+
+    /// Reserve `bytes` of budget for a request that already holds its
+    /// queue slot; a refusal rolls back both.
+    fn reserve_bytes(&self, priority: u8, limit: usize, bytes: usize) -> Result<(), ServeError> {
         let inflight = self.bytes.fetch_add(bytes, Ordering::SeqCst) + bytes;
         if inflight > self.byte_budget {
             self.bytes.fetch_sub(bytes, Ordering::SeqCst);
-            d.fetch_sub(1, Ordering::SeqCst);
+            let queued = self.depth[priority as usize].fetch_sub(1, Ordering::SeqCst);
             return Err(ServeError::Overloaded {
                 priority,
                 queued: queued - 1,
@@ -234,6 +268,9 @@ impl Admission {
 struct Prepared {
     serial: Vec<u8>,
     key: store::MemoKey,
+    /// [`MethodSpec::ClosedForm`]: compute is far below one round trip,
+    /// so the problem may share a job frame.
+    closed_form: bool,
 }
 
 /// An admitted request travelling to the front loop.
@@ -322,10 +359,12 @@ impl Session {
         })
     }
 
-    /// Submit a request. Serializes and fingerprints the problems on
-    /// the calling thread, runs admission control, and either returns a
-    /// [`Ticket`] (the request *will* be answered exactly once) or
-    /// sheds with a typed [`ServeError`].
+    /// Submit a request. Reserves the queue slot first (an overloaded
+    /// session refuses on one atomic, before paying for anything),
+    /// serializes and fingerprints the problems on the calling thread,
+    /// reserves their bytes, and either returns a [`Ticket`] (the
+    /// request *will* be answered exactly once) or sheds with a typed
+    /// [`ServeError`].
     pub fn submit(&self, req: Request) -> Result<Ticket, ServeError> {
         if req.problems.is_empty() {
             return Err(ServeError::EmptyRequest);
@@ -336,6 +375,10 @@ impl Session {
                 classes: self.limits.len() as u8,
             });
         }
+        let limit = self.limits[req.priority as usize];
+        self.admission
+            .reserve_slot(req.priority, limit)
+            .map_err(|e| self.shed(e, req.problems.len()))?;
         let (chunk, lanes) = self.memo_params;
         let jobs: Vec<Prepared> = req
             .problems
@@ -347,19 +390,17 @@ impl Session {
                     chunk,
                     lanes,
                 };
-                Prepared { serial, key }
+                Prepared {
+                    serial,
+                    key,
+                    closed_form: matches!(p.method, MethodSpec::ClosedForm),
+                }
             })
             .collect();
         let bytes: usize = jobs.iter().map(|j| j.serial.len()).sum();
-        let limit = self.limits[req.priority as usize];
-        if let Err(e) = self.admission.try_admit(req.priority, limit, bytes) {
-            // Note the shed for the front loop's recorder and report.
-            let _ = self.tx.send(Msg::Shed {
-                at_ns: self.recorder.as_ref().map(|r| r.now_ns()),
-                problems: jobs.len() as u64,
-            });
-            return Err(e);
-        }
+        self.admission
+            .reserve_bytes(req.priority, limit, bytes)
+            .map_err(|e| self.shed(e, jobs.len()))?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let (reply, rx) = queue::channel();
         let submitted = Submitted {
@@ -377,6 +418,15 @@ impl Session {
             return Err(ServeError::SessionClosed);
         }
         Ok(Ticket { id, rx })
+    }
+
+    /// Note a shed for the front loop's recorder and report.
+    fn shed(&self, why: ServeError, problems: usize) -> ServeError {
+        let _ = self.tx.send(Msg::Shed {
+            at_ns: self.recorder.as_ref().map(|r| r.now_ns()),
+            problems: problems as u64,
+        });
+        why
     }
 
     /// Stop accepting work, drain the queue, stop the slaves, join the
@@ -433,16 +483,32 @@ fn span(comm: &Comm, kind: EventKind, start_ns: Option<u64>, job: i64, bytes: u6
     }
 }
 
+/// What the front loop owns across batches.
+struct Front {
+    memo: store::ResultCache<(f64, Option<f64>)>,
+    dead: BTreeSet<usize>,
+    /// Next unused wire id: ids are unique across the session, so a
+    /// straggler answer from an earlier batch can never be mistaken for
+    /// a current problem.
+    next_wire: u64,
+    /// Pack buffer of the job frames, recycled across dispatches.
+    frame_buf: MpiBuf,
+    report: SessionReport,
+}
+
 fn front_loop(
     comm: &Comm,
     cfg: &ServeConfig,
     admission: &Admission,
     rx: queue::Receiver<Msg>,
 ) -> SessionReport {
-    let mut report = SessionReport::default();
-    let mut memo: store::ResultCache<(f64, Option<f64>)> = store::ResultCache::new(cfg.memo_bytes);
-    let mut dead: BTreeSet<usize> = BTreeSet::new();
-    let mut next_wire: u64 = 0;
+    let mut front = Front {
+        memo: store::ResultCache::new(cfg.memo_bytes),
+        dead: BTreeSet::new(),
+        next_wire: 0,
+        frame_buf: MpiBuf::with_capacity(0),
+        report: SessionReport::default(),
+    };
     loop {
         // Block for traffic, then drain everything already queued into
         // one batch — the request-coalescing window.
@@ -459,7 +525,7 @@ fn front_loop(
                 Some(Msg::Request(s)) => batch.push(*s),
                 Some(Msg::Shed { at_ns, problems }) => {
                     mark(comm, EventKind::Shed, at_ns, NO_JOB, problems);
-                    report.shed += 1;
+                    front.report.shed += 1;
                 }
                 Some(Msg::Shutdown) => {
                     shutdown = true;
@@ -470,16 +536,7 @@ fn front_loop(
             m = rx.try_recv().ok();
         }
         if !batch.is_empty() {
-            serve_batch(
-                comm,
-                cfg,
-                admission,
-                &mut memo,
-                &mut dead,
-                &mut next_wire,
-                batch,
-                &mut report,
-            );
+            serve_batch(comm, cfg, admission, &mut front, batch);
         }
         if shutdown {
             break;
@@ -490,8 +547,9 @@ fn front_loop(
     for s in 1..=cfg.slaves {
         let _ = comm.send_obj(&Value::empty_matrix(), s as i32, TAG);
     }
-    report.dead_slaves = dead.into_iter().collect();
-    report.memo = memo.stats();
+    let mut report = front.report;
+    report.dead_slaves = front.dead.into_iter().collect();
+    report.memo = front.memo.stats();
     report
 }
 
@@ -499,22 +557,21 @@ fn front_loop(
 /// fanned out to every subscribed `(request, problem)` position.
 struct Slot {
     key: store::MemoKey,
+    /// The serialized problem, moved here from the request and on into
+    /// the slot's job frame — never copied on the front loop.
     serial: Vec<u8>,
+    closed_form: bool,
     class: u8,
     subscribers: Vec<(usize, usize)>,
     outcome: Option<Result<(f64, Option<f64>), String>>,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn serve_batch(
     comm: &Comm,
     cfg: &ServeConfig,
     admission: &Admission,
-    memo: &mut store::ResultCache<(f64, Option<f64>)>,
-    dead: &mut BTreeSet<usize>,
-    next_wire: &mut u64,
+    front: &mut Front,
     batch: Vec<Submitted>,
-    report: &mut SessionReport,
 ) {
     // Queue residency ends now: close every Enqueue span, then expire
     // the requests whose queue deadline already passed.
@@ -535,7 +592,7 @@ fn serve_batch(
                 s.id as i64,
                 s.jobs.len() as u64,
             );
-            report.expired += 1;
+            front.report.expired += 1;
             let waited = s.submitted.elapsed();
             let _ = s.reply.send(Response {
                 id: s.id,
@@ -561,11 +618,11 @@ fn serve_batch(
         live.iter().map(|s| vec![None; s.jobs.len()]).collect();
     let mut slots: Vec<Slot> = Vec::new();
     let mut index: HashMap<store::MemoKey, usize> = HashMap::new();
-    for (ri, s) in live.iter().enumerate() {
-        for (pi, prep) in s.jobs.iter().enumerate() {
-            if let Some((price, std_error)) = memo.get(&prep.key) {
+    for (ri, s) in live.iter_mut().enumerate() {
+        for (pi, prep) in s.jobs.iter_mut().enumerate() {
+            if let Some((price, std_error)) = front.memo.get(&prep.key) {
                 mark(comm, EventKind::MemoHit, None, s.id as i64, 1);
-                report.memo_hits += 1;
+                front.report.memo_hits += 1;
                 answers[ri][pi] = Some(Ok(Priced {
                     price,
                     std_error,
@@ -576,14 +633,15 @@ fn serve_batch(
                 // batch: it shares the compute, so it counts as served
                 // without one.
                 mark(comm, EventKind::MemoHit, None, s.id as i64, 1);
-                report.memo_hits += 1;
+                front.report.memo_hits += 1;
                 slots[slot].class = slots[slot].class.min(s.priority);
                 slots[slot].subscribers.push((ri, pi));
             } else {
                 index.insert(prep.key, slots.len());
                 slots.push(Slot {
                     key: prep.key,
-                    serial: prep.serial.clone(),
+                    serial: std::mem::take(&mut prep.serial),
+                    closed_form: prep.closed_form,
                     class: s.priority,
                     subscribers: vec![(ri, pi)],
                     outcome: None,
@@ -593,17 +651,16 @@ fn serve_batch(
     }
 
     if !slots.is_empty() {
-        drive_batch(comm, cfg, &mut slots, dead, next_wire, report);
-        for slot in &slots {
+        drive_batch(comm, cfg, &mut slots, front);
+        for slot in slots {
             let outcome = slot
                 .outcome
-                .clone()
                 .unwrap_or_else(|| Err("scheduler dropped the job".into()));
             if let Ok(value) = outcome {
-                memo.insert(slot.key, value, MEMO_VALUE_BYTES);
-                report.computed += 1;
+                front.memo.insert(slot.key, value, MEMO_VALUE_BYTES);
+                front.report.computed += 1;
             } else {
-                report.failed += 1;
+                front.report.failed += 1;
             }
             for (order, &(ri, pi)) in slot.subscribers.iter().enumerate() {
                 answers[ri][pi] = Some(match &outcome {
@@ -631,7 +688,7 @@ fn serve_batch(
             s.id as i64,
             s.jobs.len() as u64,
         );
-        report.answered += 1;
+        front.report.answered += 1;
         let _ = s.reply.send(Response {
             id: s.id,
             results,
@@ -641,38 +698,276 @@ fn serve_batch(
     }
 }
 
-/// Drive one batch of unique problems through a supervised
-/// [`Scheduler`] on the resident slaves. Wire job ids are globally
-/// unique across the session so a straggler answer from a previous
-/// batch (a retry raced its original) can never be mistaken for a
-/// current job.
-fn drive_batch(
-    comm: &Comm,
-    cfg: &ServeConfig,
-    slots: &mut [Slot],
-    dead: &mut BTreeSet<usize>,
-    next_wire: &mut u64,
-    report: &mut SessionReport,
-) {
-    let jobs = slots.len();
-    let base = *next_wire;
-    *next_wire += jobs as u64;
-    let wire_of = |job: usize| base + job as u64;
-    let slot_of = |wire: u64| -> Option<usize> {
-        wire.checked_sub(base)
-            .filter(|&j| (j as usize) < jobs)
-            .map(|j| j as usize)
-    };
+// ---------------------------------------------------------------------------
+// Job frames
+// ---------------------------------------------------------------------------
 
-    let class: Vec<u8> = slots.iter().map(|s| s.class).collect();
-    let sc = SchedConfig::plain(jobs, cfg.slaves)
-        .policy(DispatchPolicy::Priority { class })
+/// One job frame: the unit that travels, and the scheduler's job.
+struct Frame {
+    class: u8,
+    /// Member slots, in wire order.
+    members: Vec<usize>,
+    /// Encoded size of the frame on the wire.
+    bytes: usize,
+}
+
+/// Decide which slots travel together, in arrival order (the scheduler's
+/// priority policy orders the frames by class, FIFO within).
+///
+/// The rule reads a property of the problem, never a setting:
+/// closed-form problems of one priority class share frames — split
+/// evenly over the `slaves` alive, each frame capped at
+/// [`FRAME_CAP_BYTES`] — and every iterative problem is a frame of its
+/// own.
+fn pack_frames(slots: &[Slot], slaves: usize) -> Vec<Frame> {
+    let classes = slots
+        .iter()
+        .map(|s| s.class as usize + 1)
+        .max()
+        .unwrap_or(0);
+    // Closed-form members per frame, by class: the even split.
+    let mut share = vec![0usize; classes];
+    for slot in slots.iter().filter(|s| s.closed_form) {
+        share[slot.class as usize] += 1;
+    }
+    for n in &mut share {
+        *n = n.div_ceil(slaves.max(1));
+    }
+    // The frame of each class still taking members.
+    let mut open: Vec<Option<usize>> = vec![None; classes];
+    let mut frames: Vec<Frame> = Vec::new();
+    for (i, slot) in slots.iter().enumerate() {
+        let class = slot.class as usize;
+        let cost = MEMBER_HEADER_BYTES + slot.serial.len().next_multiple_of(4);
+        if slot.closed_form {
+            if let Some(frame) = open[class].map(|f| &mut frames[f]) {
+                if frame.members.len() < share[class] && frame.bytes + cost <= FRAME_CAP_BYTES {
+                    frame.members.push(i);
+                    frame.bytes += cost;
+                    continue;
+                }
+            }
+            open[class] = Some(frames.len());
+        }
+        frames.push(Frame {
+            class: slot.class,
+            members: vec![i],
+            bytes: FRAME_HEADER_BYTES + cost,
+        });
+    }
+    frames
+}
+
+/// Encode a job frame, `[id₀, serial₀, id₁, serial₁, …]`, taking each
+/// member's bytes (a frame of one is `[id, serial]`).
+fn encode_frame(members: impl Iterator<Item = (u64, Vec<u8>)>) -> Value {
+    Value::list(
+        members
+            .flat_map(|(wire, serial)| {
+                [
+                    Value::scalar(wire as f64),
+                    Value::Serial(Serial::new(serial)),
+                ]
+            })
+            .collect(),
+    )
+}
+
+/// Decode a job frame into its `(wire id, serialized problem)` members;
+/// `None` when the value is not one.
+fn decode_frame(v: &Value) -> Option<Vec<(usize, &Serial)>> {
+    let l = v.as_list()?;
+    if l.is_empty() || l.len() % 2 != 0 {
+        return None;
+    }
+    (0..l.len() / 2)
+        .map(|i| {
+            let wire = l.get(2 * i)?.as_scalar()? as usize;
+            Some((wire, l.get(2 * i + 1)?.as_serial()?))
+        })
+        .collect()
+}
+
+// ---------------------------------------------------------------------------
+// Driving one batch
+// ---------------------------------------------------------------------------
+
+/// One batch in flight: its frames, the supervised scheduler deciding
+/// which slave prices which frame, and the slots the answers land in.
+struct Batch<'a> {
+    comm: &'a Comm,
+    sched: Scheduler,
+    frames: Vec<Frame>,
+    /// The wire value of each frame, built once from the slots' own
+    /// bytes; every dispatch — first or retry — packs from it.
+    values: Vec<Value>,
+    /// Slot → the frame it travels in.
+    frame_of: Vec<usize>,
+    slots: &'a mut [Slot],
+    front: &'a mut Front,
+    /// Wire id of slot 0.
+    base: u64,
+    epoch: Instant,
+}
+
+impl Batch<'_> {
+    fn now(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
+    }
+
+    /// The slot behind a wire id, if it belongs to this batch.
+    fn slot_of(&self, wire: usize) -> Option<usize> {
+        (wire as u64)
+            .checked_sub(self.base)
+            .map(|s| s as usize)
+            .filter(|&s| s < self.slots.len())
+    }
+
+    /// The id frame-level events are recorded under: the wire id of the
+    /// frame's first member.
+    fn job_of(&self, frame: usize) -> usize {
+        (self.base + self.frames[frame].members[0] as u64) as usize
+    }
+
+    /// Record a frame-level mark on the front loop's rank.
+    fn mark(&self, kind: EventKind, frame: usize, bytes: u64) {
+        mark(self.comm, kind, None, self.job_of(frame) as i64, bytes);
+    }
+
+    fn send(&mut self, frame: usize, rank: usize) -> Result<(), MpiError> {
+        self.comm.set_job(Some(self.job_of(frame)));
+        self.comm
+            .pack_into(&self.values[frame], &mut self.front.frame_buf);
+        let sent = self
+            .comm
+            .send(self.front.frame_buf.bytes(), rank as i32, TAG);
+        self.comm.set_job(None);
+        sent
+    }
+
+    /// Feed one event to the scheduler and carry out what it decides.
+    /// `reply` is the answer frame behind an `Answer` event, consumed by
+    /// the `Accept` it may produce (a late duplicate leaves it
+    /// unconsumed: first answer per slot wins).
+    fn feed(&mut self, event: SchedEvent, mut reply: Option<Vec<Answer>>) {
+        let mut work: VecDeque<Action> = self.sched.on(event, self.now()).into();
+        while let Some(a) = work.pop_front() {
+            match a {
+                Action::Dispatch {
+                    job: frame, slave, ..
+                } => match self.send(frame, slave) {
+                    Ok(()) => {
+                        let members = self.frames[frame].members.len() as u64;
+                        self.mark(EventKind::Dispatch, frame, members);
+                    }
+                    Err(MpiError::Poisoned(r)) if r == slave => {
+                        let failed = SchedEvent::SendFailed { job: frame, slave };
+                        let rec = self.sched.on(failed, self.now());
+                        for r in rec.into_iter().rev() {
+                            work.push_front(r);
+                        }
+                    }
+                    Err(_) => {
+                        // Any other send failure: treat like a lost
+                        // dispatch; the frame deadline requeues it.
+                    }
+                },
+                // Slaves are resident: the per-batch scheduler's Stop
+                // actions are intercepted, never forwarded. The real
+                // sentinel goes out once, at session shutdown.
+                Action::Stop { .. } => {}
+                Action::Accept { job: frame, .. } => {
+                    if let Some(answers) = reply.take() {
+                        for (&slot, a) in self.frames[frame].members.iter().zip(answers) {
+                            // A member's own failure is final, for that
+                            // member only: the same bytes would fail the
+                            // same way on any slave.
+                            self.slots[slot].outcome = Some(match a {
+                                Answer::Priced {
+                                    price, std_error, ..
+                                } => Ok((price, std_error)),
+                                Answer::Failed { why, .. } => Err(why),
+                            });
+                        }
+                    }
+                }
+                Action::Expire { job: frame, .. } => self.mark(EventKind::Deadline, frame, 0),
+                Action::Requeue { job: frame } => self.mark(EventKind::Retry, frame, 0),
+                Action::Bury { slave } => {
+                    mark(self.comm, EventKind::SlaveDeath, None, NO_JOB, slave as u64);
+                    self.front.dead.insert(slave);
+                }
+                Action::AllSlavesDead | Action::Finish => {}
+            }
+        }
+    }
+
+    /// Take one message off the serve tag. Anything that is not the
+    /// complete answer to one of this batch's frames is dropped — an
+    /// undecodable value (ignored rather than poison a long-lived
+    /// session; the frame deadline covers the loss), or a straggler
+    /// from an earlier batch (a retry raced the original answer, whose
+    /// wire ids lie outside this batch's range).
+    fn on_reply(&mut self, v: &Value, src: usize) {
+        let Ok(answers) = decode_batch_reply(v) else {
+            return;
+        };
+        let Some(frame) = answers
+            .first()
+            .and_then(|a| self.slot_of(a.job()))
+            .map(|slot| self.frame_of[slot])
+        else {
+            return;
+        };
+        let members = &self.frames[frame].members;
+        let complete = answers.len() == members.len()
+            && answers
+                .iter()
+                .zip(members)
+                .all(|(a, &slot)| self.slot_of(a.job()) == Some(slot));
+        if complete {
+            self.feed(
+                SchedEvent::Answer {
+                    job: frame,
+                    slave: src,
+                },
+                Some(answers),
+            );
+        }
+    }
+}
+
+/// Drive one batch of unique problems, as job frames, through a
+/// supervised [`Scheduler`] on the resident slaves. Supervision is per
+/// frame: a frame that is lost, outlives the dispatch deadline, cannot
+/// be sent, or was on a slave that died is re-dispatched whole.
+fn drive_batch(comm: &Comm, cfg: &ServeConfig, slots: &mut [Slot], front: &mut Front) {
+    let base = front.next_wire;
+    front.next_wire += slots.len() as u64;
+
+    let alive = (1..=cfg.slaves).filter(|&s| comm.rank_alive(s)).count();
+    let frames = pack_frames(slots, alive);
+    let mut frame_of = vec![0; slots.len()];
+    let mut values = Vec::with_capacity(frames.len());
+    for (f, frame) in frames.iter().enumerate() {
+        for &slot in &frame.members {
+            frame_of[slot] = f;
+        }
+        values.push(encode_frame(frame.members.iter().map(|&slot| {
+            (base + slot as u64, std::mem::take(&mut slots[slot].serial))
+        })));
+    }
+
+    let sc = SchedConfig::plain(frames.len(), cfg.slaves)
+        .policy(DispatchPolicy::Priority {
+            class: frames.iter().map(|f| f.class).collect(),
+        })
         .supervised(Supervision {
             deadline_ns: cfg.job_deadline.as_nanos() as u64,
             max_attempts: cfg.max_attempts,
             backoff_base_ns: cfg.backoff_base.as_nanos() as u64,
         });
-    let mut sched = match Scheduler::new(sc) {
+    let sched = match Scheduler::new(sc) {
         Ok(s) => s,
         Err(e) => {
             for slot in slots.iter_mut() {
@@ -681,142 +976,43 @@ fn drive_batch(
             return;
         }
     };
-
-    let epoch = Instant::now();
-    let now = || epoch.elapsed().as_nanos() as u64;
-
-    let send = |slot: &Slot, job: usize, rank: usize| -> Result<(), MpiError> {
-        comm.set_job(Some(wire_of(job) as usize));
-        let msg = Value::list(vec![
-            Value::scalar(wire_of(job) as f64),
-            Value::Serial(Serial::new(slot.serial.clone())),
-        ]);
-        let sent = comm.send_obj(&msg, rank as i32, TAG);
-        comm.set_job(None);
-        sent
-    };
-
-    // The priced answer being fed to the scheduler, consumed by the
-    // Accept it may produce (late duplicates leave it unconsumed).
-    let mut pending: Option<(f64, Option<f64>)> = None;
-
-    let run_actions = |sched: &mut Scheduler,
-                       pending: &mut Option<(f64, Option<f64>)>,
-                       slots: &mut [Slot],
-                       dead: &mut BTreeSet<usize>,
-                       actions: Vec<Action>| {
-        let mut work: VecDeque<Action> = actions.into();
-        while let Some(a) = work.pop_front() {
-            match a {
-                Action::Dispatch { job, slave, .. } => match send(&slots[job], job, slave) {
-                    Ok(()) => {
-                        mark(comm, EventKind::Dispatch, None, wire_of(job) as i64, 1);
-                    }
-                    Err(MpiError::Poisoned(r)) if r == slave => {
-                        let rec = sched.on(SchedEvent::SendFailed { job, slave }, now());
-                        for r in rec.into_iter().rev() {
-                            work.push_front(r);
-                        }
-                    }
-                    Err(_) => {
-                        // Any other send failure: treat like a lost
-                        // dispatch; the job deadline requeues it.
-                    }
-                },
-                // Slaves are resident: the per-batch scheduler's Stop
-                // actions are intercepted, never forwarded. The real
-                // sentinel goes out once, at session shutdown.
-                Action::Stop { .. } => {}
-                Action::Accept { job, .. } => {
-                    if let Some(value) = pending.take() {
-                        slots[job].outcome = Some(Ok(value));
-                    }
-                }
-                Action::Expire { job, .. } => {
-                    mark(comm, EventKind::Deadline, None, wire_of(job) as i64, 0);
-                }
-                Action::Requeue { job } => {
-                    mark(comm, EventKind::Retry, None, wire_of(job) as i64, 0);
-                }
-                Action::Bury { slave } => {
-                    mark(comm, EventKind::SlaveDeath, None, NO_JOB, slave as u64);
-                    dead.insert(slave);
-                }
-                Action::AllSlavesDead | Action::Finish => {}
-            }
-        }
+    let mut batch = Batch {
+        comm,
+        sched,
+        frames,
+        values,
+        frame_of,
+        slots,
+        front,
+        base,
+        epoch: Instant::now(),
     };
 
     // Prime every slave; dispatches to already-dead ranks fail fast
     // with Poisoned and the scheduler buries them, exactly like the
     // one-shot supervised master.
     for s in 1..=cfg.slaves {
-        let acts = sched.on(SchedEvent::SlaveReady { slave: s }, now());
-        run_actions(&mut sched, &mut pending, slots, dead, acts);
+        batch.feed(SchedEvent::SlaveReady { slave: s }, None);
     }
 
-    while !sched.is_terminal() {
+    while !batch.sched.is_terminal() {
         // Liveness sweep: notice kills that happened between messages.
         for s in 1..=cfg.slaves {
-            if !sched.is_dead(s) && !comm.rank_alive(s) {
-                let acts = sched.on(SchedEvent::SlaveDead { slave: s }, now());
-                run_actions(&mut sched, &mut pending, slots, dead, acts);
+            if !batch.sched.is_dead(s) && !comm.rank_alive(s) {
+                batch.feed(SchedEvent::SlaveDead { slave: s }, None);
             }
         }
-        if sched.is_terminal() {
+        if batch.sched.is_terminal() {
             break;
         }
         // Deadline/backoff tick.
-        let acts = sched.on(SchedEvent::Deadline, now());
-        run_actions(&mut sched, &mut pending, slots, dead, acts);
-        if sched.is_terminal() {
+        batch.feed(SchedEvent::Deadline, None);
+        if batch.sched.is_terminal() {
             break;
         }
         match comm.recv_obj_timeout(ANY_SOURCE, TAG, cfg.poll) {
             Ok(None) => {}
-            Ok(Some((v, st))) => match Answer::decode(&v) {
-                // A wire id outside this batch is a straggler from an
-                // earlier one (a retry raced the original answer):
-                // its job was already accepted once; drop it.
-                Some(Answer::Priced {
-                    job,
-                    price,
-                    std_error,
-                }) => {
-                    if let Some(slot) = slot_of(job as u64) {
-                        pending = Some((price, std_error));
-                        let acts = sched.on(
-                            SchedEvent::Answer {
-                                job: slot,
-                                slave: st.src,
-                            },
-                            now(),
-                        );
-                        run_actions(&mut sched, &mut pending, slots, dead, acts);
-                        pending = None;
-                    }
-                }
-                Some(Answer::Failed { job, why }) => {
-                    if let Some(slot) = slot_of(job as u64) {
-                        if slots[slot].outcome.is_none() {
-                            slots[slot].outcome = Some(Err(why));
-                        }
-                        let acts = sched.on(
-                            SchedEvent::Failure {
-                                job: slot,
-                                slave: st.src,
-                            },
-                            now(),
-                        );
-                        run_actions(&mut sched, &mut pending, slots, dead, acts);
-                    }
-                }
-                None => {
-                    // An undecodable frame on the serve tag: ignore it
-                    // rather than poison a long-lived session; the job
-                    // deadline covers the loss.
-                }
-            },
+            Ok(Some((v, st))) => batch.on_reply(&v, st.src),
             Err(MpiError::Truncated { .. }) => {
                 let _ = comm.discard(ANY_SOURCE, TAG);
             }
@@ -824,21 +1020,26 @@ fn drive_batch(
         }
     }
 
-    report.retries += sched.retries();
-    for s in sched.dead_slaves() {
-        dead.insert(s);
-    }
-    for job in sched.failed_jobs() {
-        let slot = &mut slots[job];
-        if slot.outcome.is_none() {
-            slot.outcome = Some(Err("retry budget exhausted".into()));
+    let Batch {
+        sched,
+        frames,
+        slots,
+        front,
+        ..
+    } = batch;
+    front.report.retries += sched.retries();
+    front.dead.extend(sched.dead_slaves());
+    for frame in sched.failed_jobs() {
+        for &slot in &frames[frame].members {
+            slots[slot]
+                .outcome
+                .get_or_insert_with(|| Err("retry budget exhausted".into()));
         }
     }
     if sched.aborted() {
         for slot in slots.iter_mut() {
-            if slot.outcome.is_none() {
-                slot.outcome = Some(Err("all slaves dead".into()));
-            }
+            slot.outcome
+                .get_or_insert_with(|| Err("all slaves dead".into()));
         }
     }
 }
@@ -847,9 +1048,9 @@ fn drive_batch(
 // Slave loop
 // ---------------------------------------------------------------------------
 
-/// The resident slave: wait (unbounded — the session is long-lived),
-/// price, answer, repeat, until the shutdown sentinel or the world
-/// dies.
+/// The resident slave: wait (unbounded — the session is long-lived) for
+/// a job frame, price every member, answer once, repeat, until the
+/// shutdown sentinel or the world dies.
 fn slave_loop(comm: &Comm, cfg: &ServeConfig) {
     let exec = cfg.exec_policy();
     loop {
@@ -862,19 +1063,19 @@ fn slave_loop(comm: &Comm, cfg: &ServeConfig) {
         if msg.is_empty_matrix() {
             return;
         }
-        let decoded = msg.as_list().and_then(|l| {
-            let wire = l.get(0)?.as_scalar()? as usize;
-            let serial = l.get(1)?.as_serial()?.clone();
-            Some((wire, serial))
-        });
-        let Some((wire, serial)) = decoded else {
+        let Some(members) = decode_frame(&msg) else {
             // Not a job frame; skip it (the master's deadline requeues).
             continue;
         };
-        comm.set_job(Some(wire));
-        let answer = price_one(comm, &exec, &serial, wire);
+        let answers: Vec<Answer> = members
+            .into_iter()
+            .map(|(wire, serial)| {
+                comm.set_job(Some(wire));
+                price_one(comm, &exec, serial, wire)
+            })
+            .collect();
         comm.set_job(None);
-        if comm.send_obj(&answer.to_value(), 0, TAG).is_err() {
+        if comm.send_obj(&batch_reply_value(&answers), 0, TAG).is_err() {
             return;
         }
     }
@@ -903,5 +1104,156 @@ fn price_one(comm: &Comm, exec: &Option<exec::ExecPolicy>, serial: &Serial, wire
             Answer::priced(wire, &r)
         }
         Err(e) => Answer::failed(wire, format!("compute failed: {e}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn slot(serial_len: usize, closed_form: bool, class: u8) -> Slot {
+        Slot {
+            key: store::MemoKey {
+                fp: store::ContentFingerprint::of_bytes(&[]),
+                chunk: 0,
+                lanes: 0,
+            },
+            serial: vec![7; serial_len],
+            closed_form,
+            class,
+            subscribers: Vec::new(),
+            outcome: None,
+        }
+    }
+
+    fn members(frames: &[Frame]) -> Vec<Vec<usize>> {
+        frames.iter().map(|f| f.members.clone()).collect()
+    }
+
+    #[test]
+    fn depth_refused_request_reserves_no_bytes() {
+        let adm = Admission::new(2, 1000);
+        adm.reserve_slot(1, 1).unwrap();
+        adm.reserve_bytes(1, 1, 400).unwrap();
+        // The class is at its share: refused on the slot alone, before
+        // any byte is counted (or any problem serialized).
+        match adm.reserve_slot(1, 1) {
+            Err(ServeError::Overloaded {
+                priority: 1,
+                queued: 1,
+                depth_limit: 1,
+                inflight_bytes: 400,
+                byte_budget: 1000,
+            }) => {}
+            other => panic!("expected a depth shed, got {other:?}"),
+        }
+        assert_eq!(adm.depth[1].load(Ordering::SeqCst), 1);
+        assert_eq!(adm.bytes.load(Ordering::SeqCst), 400);
+        // Another class is unaffected.
+        adm.reserve_slot(0, 1).unwrap();
+    }
+
+    #[test]
+    fn byte_refused_request_releases_its_slot() {
+        let adm = Admission::new(1, 1000);
+        adm.reserve_slot(0, 4).unwrap();
+        adm.reserve_bytes(0, 4, 700).unwrap();
+        adm.reserve_slot(0, 4).unwrap();
+        match adm.reserve_bytes(0, 4, 301) {
+            Err(ServeError::Overloaded {
+                priority: 0,
+                queued: 1,
+                depth_limit: 4,
+                inflight_bytes: 700,
+                byte_budget: 1000,
+            }) => {}
+            other => panic!("expected a byte shed, got {other:?}"),
+        }
+        assert_eq!(adm.depth[0].load(Ordering::SeqCst), 1, "slot rolled back");
+        assert_eq!(adm.bytes.load(Ordering::SeqCst), 700, "bytes rolled back");
+        // What fits is still admitted, and release returns both gauges.
+        adm.reserve_slot(0, 4).unwrap();
+        adm.reserve_bytes(0, 4, 300).unwrap();
+        adm.release(0, 300);
+        adm.release(0, 700);
+        assert_eq!(adm.depth[0].load(Ordering::SeqCst), 0);
+        assert_eq!(adm.bytes.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn closed_form_slots_split_evenly_and_iterative_slots_travel_alone() {
+        let mut slots: Vec<Slot> = (0..10).map(|_| slot(100, true, 1)).collect();
+        slots.insert(4, slot(100, false, 1));
+        let frames = pack_frames(&slots, 3);
+        // ceil(10 / 3) = 4 closed-form members per frame; the iterative
+        // slot 4 sits between them in a frame of its own.
+        assert_eq!(
+            members(&frames),
+            [vec![0, 1, 2, 3], vec![4], vec![5, 6, 7, 8], vec![9, 10]]
+        );
+        // One slave: every closed-form slot in one frame.
+        assert_eq!(
+            members(&pack_frames(&slots, 1)),
+            [vec![0, 1, 2, 3, 5, 6, 7, 8, 9, 10], vec![4]]
+        );
+        // No slave alive is packed like one (the scheduler aborts the
+        // batch anyway).
+        assert_eq!(pack_frames(&slots, 0).len(), 2);
+    }
+
+    #[test]
+    fn frames_never_mix_priority_classes() {
+        let slots = [
+            slot(40, true, 2),
+            slot(40, true, 0),
+            slot(40, true, 2),
+            slot(40, true, 0),
+        ];
+        let frames = pack_frames(&slots, 1);
+        assert_eq!(members(&frames), [vec![0, 2], vec![1, 3]]);
+        assert_eq!(frames[0].class, 2);
+        assert_eq!(frames[1].class, 0);
+    }
+
+    #[test]
+    fn frame_bytes_are_the_encoded_size_and_respect_the_cap() {
+        // Sizes that exercise the XDR padding of every residue mod 4.
+        let mut slots: Vec<Slot> = (0..400).map(|i| slot(597 + i % 4, true, 0)).collect();
+        // One problem larger than the cap still travels, alone.
+        slots.push(slot(FRAME_CAP_BYTES + 1, true, 0));
+        let frames = pack_frames(&slots, 1);
+        assert!(frames.len() > 4, "{} frames", frames.len());
+        for frame in &frames {
+            let value = encode_frame(
+                frame
+                    .members
+                    .iter()
+                    .map(|&s| (s as u64, slots[s].serial.clone())),
+            );
+            assert_eq!(frame.bytes, xdrser::serialize_to_bytes(&value).len());
+            assert!(frame.bytes <= FRAME_CAP_BYTES || frame.members.len() == 1);
+        }
+        let packed: Vec<usize> = frames.iter().flat_map(|f| f.members.clone()).collect();
+        assert_eq!(packed, (0..slots.len()).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn job_frames_round_trip_and_junk_is_refused() {
+        let value = encode_frame([(7u64, vec![1, 2, 3]), (9, vec![4])].into_iter());
+        let wire = xdrser::unserialize_bytes(&xdrser::serialize_to_bytes(&value)).unwrap();
+        let decoded: Vec<(usize, Vec<u8>)> = decode_frame(&wire)
+            .unwrap()
+            .into_iter()
+            .map(|(id, s)| (id, s.bytes().to_vec()))
+            .collect();
+        assert_eq!(decoded, [(7, vec![1, 2, 3]), (9, vec![4])]);
+        for junk in [
+            Value::scalar(1.0),
+            Value::list(vec![]),
+            Value::list(vec![Value::scalar(1.0)]),
+            Value::list(vec![Value::scalar(1.0), Value::scalar(2.0)]),
+        ] {
+            assert!(decode_frame(&junk).is_none(), "{junk}");
+        }
     }
 }

@@ -4,7 +4,11 @@
 #   1. dependency hygiene: the workspace must resolve entirely from
 #      in-repo path crates, and every shim must be one documented in
 #      shims/README.md (the build environment has no registry access)
-#   2. release build of the whole workspace
+#   2. release build of the whole workspace, then of the benchmark
+#      harness under perf/ (a workspace of its own that `cargo test
+#      --workspace` never compiles) plus its `check` subcommand
+#      (BENCHMARK.json <-> metric tables) — build and check only, no
+#      timed run
 #   3. observability smoke: `table2 --breakdown` self-checks the §4.2
 #      cost decomposition (sload prepare strictly cheapest) and exits
 #      nonzero on any violated invariant; the `--warm` store smoke and
@@ -117,6 +121,14 @@ if [ -n "$rawchan" ]; then
 fi
 
 run cargo build --workspace --release || exit 1
+
+# The benchmark harness is a package outside the workspace, built only
+# by the BENCHMARK.json command: compile it here so a public-API change
+# in a crate it calls (serve, farm, ...) fails tier-1, and let it
+# cross-validate BENCHMARK.json against its own metric and workload
+# tables. Nothing is timed.
+run cargo build --release --offline --manifest-path perf/Cargo.toml || exit 1
+run cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- check || exit 1
 
 # Observability smoke on a small portfolio: the breakdown self-checks
 # (non-empty report, phase seconds within the cpu-seconds budget, no

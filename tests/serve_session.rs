@@ -7,7 +7,11 @@
 //! * a second identical request is served **from the memo** — zero
 //!   fresh `Compute` events on the slaves;
 //! * a slave killed mid-request still leaves **every admitted ticket
-//!   answered exactly once** (the supervised scheduler re-dispatches).
+//!   answered exactly once** (the supervised scheduler re-dispatches);
+//! * problems travel in **job frames**: closed-form problems share
+//!   frames (evenly over the slaves, never above the 64 KiB cap), every
+//!   iterative problem is a frame of its own, and a member's own failure
+//!   is final for that member only.
 
 use riskbench::prelude::*;
 use std::sync::Arc;
@@ -24,6 +28,16 @@ fn toy_problems(count: usize) -> Vec<PremiaProblem> {
     toy_portfolio(count)
         .into_iter()
         .map(|j| j.problem)
+        .collect()
+}
+
+/// Byte sizes of the job frames the front loop has sent so far (its
+/// only sends before the shutdown sentinels), in send order.
+fn job_frame_bytes(rec: &Recorder) -> Vec<u64> {
+    rec.events()
+        .iter()
+        .filter(|e| e.kind == EventKind::Send && e.rank == 0)
+        .map(|e| e.bytes)
         .collect()
 }
 
@@ -130,7 +144,7 @@ fn mixed_class_request_prices_every_workload_class_bit_for_bit() {
 fn identical_request_is_served_from_memo_without_compute() {
     let rec = Arc::new(Recorder::new(4));
     let session = Session::start(quick_config(3).recorder(rec.clone())).unwrap();
-    let problems = toy_problems(8);
+    let problems = toy_problems(48);
 
     let first = session
         .submit(Request::new(problems.clone()))
@@ -143,7 +157,25 @@ fn identical_request_is_served_from_memo_without_compute() {
         .iter()
         .filter(|e| e.kind == EventKind::Compute)
         .count();
-    assert!(computes_after_first > 0, "first wave must compute");
+    assert_eq!(
+        computes_after_first,
+        problems.len(),
+        "one Compute span per problem of the first wave"
+    );
+    // 48 closed-form problems over 3 slaves: three frames of sixteen,
+    // one per slave.
+    assert_eq!(job_frame_bytes(&rec).len(), 3);
+    let computing: std::collections::BTreeSet<u16> = rec
+        .events()
+        .iter()
+        .filter(|e| e.kind == EventKind::Compute)
+        .map(|e| e.rank)
+        .collect();
+    assert_eq!(
+        computing.into_iter().collect::<Vec<_>>(),
+        [1, 2, 3],
+        "closed-form frames must be split over every slave"
+    );
 
     let second = session
         .submit(Request::new(problems.clone()))
@@ -275,13 +307,13 @@ fn slave_killed_mid_request_still_answers_every_ticket_once() {
         .map(|p| p.compute().unwrap().price.to_bits())
         .collect();
 
-    // Kill slave rank 2 a few MPI operations in — mid-portfolio. The
-    // resident slave cycle is exactly 2 ops (recv job, send answer), so
-    // op 5 lands on the answer send of its 3rd job: the job is already
-    // dispatched to the rank when it dies, forcing a deadline requeue,
-    // and the slave cannot die idle at a recv that might otherwise be
-    // the shutdown sentinel.
-    let plan = Arc::new(FaultPlan::new(0xC0FFEE).kill_rank_at_op(2, 5));
+    // Kill slave rank 2 at its first answer send. The resident slave
+    // cycle is exactly 2 ops *per frame* (recv frame, send answers), so
+    // op 1 is the answer send of its first frame: the frame is already
+    // dispatched to the rank when it dies, forcing a re-dispatch, and
+    // the slave cannot die idle at a recv that might otherwise be the
+    // shutdown sentinel.
+    let plan = Arc::new(FaultPlan::new(0xC0FFEE).kill_rank_at_op(2, 1));
     let session = Session::start(
         quick_config(3)
             .fault_plan(plan)
@@ -319,6 +351,174 @@ fn slave_killed_mid_request_still_answers_every_ticket_once() {
         "the killed slave must be reported dead: {:?}",
         report.dead_slaves
     );
+    assert!(
+        report.retries >= 1,
+        "the kill must have landed mid-request and forced a re-dispatch"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Job frames: what shares a frame, what travels alone, what a failure costs
+// ---------------------------------------------------------------------------
+
+#[test]
+fn mixed_request_answers_in_order_with_each_iterative_problem_in_its_own_frame() {
+    let mc = representative_problem(JobClass::LocalVolMc, PortfolioScale::Quick).problem;
+    let lsm = representative_problem(JobClass::AmericanBasketLsm, PortfolioScale::Quick).problem;
+    let mut problems = toy_problems(6);
+    problems.insert(2, mc);
+    problems.insert(5, lsm);
+    let expected: Vec<u64> = problems
+        .iter()
+        .map(|p| p.compute().unwrap().price.to_bits())
+        .collect();
+
+    // One slave, so the six vanillas share one frame and the count
+    // below is exact.
+    let rec = Arc::new(Recorder::new(2));
+    let session = Session::start(
+        quick_config(1)
+            .recorder(rec.clone())
+            .job_deadline(Duration::from_secs(30)),
+    )
+    .unwrap();
+    let response = session
+        .submit(Request::new(problems))
+        .unwrap()
+        .wait()
+        .unwrap();
+    let got: Vec<u64> = response
+        .results
+        .iter()
+        .map(|r| r.as_ref().unwrap().price.to_bits())
+        .collect();
+    assert_eq!(
+        got, expected,
+        "submission order, bit-identical to compute()"
+    );
+    assert_eq!(
+        job_frame_bytes(&rec).len(),
+        3,
+        "one shared closed-form frame + one frame per iterative problem"
+    );
+    let report = session.shutdown().unwrap();
+    assert_eq!((report.computed, report.failed, report.retries), (8, 0, 0));
+}
+
+#[test]
+fn failing_frame_member_fails_alone_and_is_not_retried() {
+    // Black–Scholes American put has no closed form: compute() refuses
+    // it, on any slave, every time.
+    let mut bad = toy_problems(1).remove(0);
+    bad.option = OptionSpec::AmericanPut {
+        strike: 100.0,
+        maturity: 1.0,
+    };
+    assert!(bad.compute().is_err());
+    let mut problems = toy_problems(8);
+    problems.insert(3, bad);
+    let expected: Vec<Option<u64>> = problems
+        .iter()
+        .map(|p| p.compute().ok().map(|r| r.price.to_bits()))
+        .collect();
+
+    let rec = Arc::new(Recorder::new(2));
+    let session = Session::start(quick_config(1).recorder(rec.clone())).unwrap();
+    let response = session
+        .submit(Request::new(problems))
+        .unwrap()
+        .wait()
+        .unwrap();
+    assert_eq!(job_frame_bytes(&rec).len(), 1, "all nine share one frame");
+    let got: Vec<Option<u64>> = response
+        .results
+        .iter()
+        .map(|r| r.as_ref().ok().map(|p| p.price.to_bits()))
+        .collect();
+    assert_eq!(got, expected, "only the failing member is an Err");
+    let why = response.results[3].as_ref().unwrap_err();
+    assert!(why.contains("compute failed"), "{why}");
+
+    let report = session.shutdown().unwrap();
+    assert_eq!(report.answered, 1, "the ticket is answered exactly once");
+    assert_eq!((report.computed, report.failed), (8, 1));
+    assert_eq!(report.retries, 0, "a member failure burns no re-dispatch");
+}
+
+#[test]
+fn thousand_vanilla_request_splits_into_frames_under_the_cap() {
+    let problems = toy_problems(1000);
+    let expected: Vec<u64> = problems
+        .iter()
+        .map(|p| p.compute().unwrap().price.to_bits())
+        .collect();
+    let rec = Arc::new(Recorder::new(2));
+    let session = Session::start(quick_config(1).recorder(rec.clone())).unwrap();
+    let response = session
+        .submit(Request::new(problems))
+        .unwrap()
+        .wait()
+        .unwrap();
+    let got: Vec<u64> = response
+        .results
+        .iter()
+        .map(|r| r.as_ref().unwrap().price.to_bits())
+        .collect();
+    assert_eq!(got, expected);
+
+    let frames = job_frame_bytes(&rec);
+    assert!(
+        frames.len() > 1,
+        "one slave, yet the cap must split: {frames:?}"
+    );
+    assert!(frames.iter().all(|&b| b <= 64 << 10), "{frames:?}");
+    // The cap, not a member count, is what split them: every frame but
+    // the last is within one problem of full.
+    let largest = *frames.iter().max().unwrap();
+    assert!(largest > (64 << 10) - 1024, "{frames:?}");
+    let report = session.shutdown().unwrap();
+    assert_eq!((report.computed, report.retries), (1000, 0));
+}
+
+#[test]
+fn costly_monte_carlo_problems_never_share_a_frame() {
+    let mc = |paths: usize, seed: u64| {
+        let mut p = representative_problem(JobClass::LocalVolMc, PortfolioScale::Quick).problem;
+        p.method = MethodSpec::MonteCarlo {
+            paths,
+            time_steps: 10,
+            antithetic: true,
+            seed,
+        };
+        p
+    };
+    let timed = |p: &PremiaProblem| {
+        let t0 = std::time::Instant::now();
+        p.compute().unwrap();
+        t0.elapsed()
+    };
+    // Size the problems to ~40 ms each on this host and build, then set
+    // the dispatch deadline so each costs more than a quarter of it:
+    // two of them in one frame would already be at risk, four would
+    // certainly expire.
+    let probe = timed(&mc(2_000, 0)).max(Duration::from_micros(50));
+    let paths = (2_000.0 * 0.040 / probe.as_secs_f64()) as usize;
+    let cost = timed(&mc(paths, 0)).max(timed(&mc(paths, 1)));
+    let deadline = cost.mul_f64(3.9);
+
+    let rec = Arc::new(Recorder::new(2));
+    let session =
+        Session::start(quick_config(1).recorder(rec.clone()).job_deadline(deadline)).unwrap();
+    let problems: Vec<PremiaProblem> = (0..8).map(|seed| mc(paths, seed)).collect();
+    let response = session
+        .submit(Request::new(problems))
+        .unwrap()
+        .wait()
+        .unwrap();
+    assert!(response.all_priced(), "{:?}", response.results);
+    assert_eq!(job_frame_bytes(&rec).len(), 8, "one frame per MC problem");
+    let report = session.shutdown().unwrap();
+    assert_eq!(report.retries, 0, "no frame may outlive {deadline:?}");
 }
 
 // ---------------------------------------------------------------------------
