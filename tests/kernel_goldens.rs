@@ -27,6 +27,7 @@
 //! and justify the re-pin in the PR description.
 
 use exec::ExecPolicy;
+use farm::portfolio::{realistic_portfolio, JobClass, PortfolioScale};
 use pricing::methods::bond::mc_zcb_price_exec;
 use pricing::methods::lsm::{lsm_basket_exec, lsm_heston_exec, lsm_vanilla_bs_exec, LsmConfig};
 use pricing::methods::montecarlo::{
@@ -188,6 +189,143 @@ fn path_dependent_lane_goldens_are_distinct_per_lane_count() {
             GOLDEN_LANES4[k], GOLDEN_LANES8[k],
             "{}: lanes=4 and lanes=8 goldens coincide",
             KERNELS[k]
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Sequential `compute()` goldens over the §4.3 mix
+// ---------------------------------------------------------------------------
+
+/// The six §4.3 classes of `realistic_portfolio`, in table order.
+const MIX_CLASSES: [JobClass; 6] = [
+    JobClass::LocalVolMc,
+    JobClass::BasketMc,
+    JobClass::AmericanPde,
+    JobClass::BarrierPde,
+    JobClass::AmericanBasketLsm,
+    JobClass::VanillaClosedForm,
+];
+
+/// One class's pin: the fold over every job of the class plus the raw
+/// `(price, std_error)` bits of its first and last job (so a drifted
+/// fold can be narrowed to "every job" vs "some job" at a glance).
+struct MixGolden {
+    fold: u64,
+    first: (u64, u64),
+    last: (u64, u64),
+}
+
+/// Sequential-path goldens: `PremiaProblem::compute()` (single stream
+/// seeded with the problem's own seed, no chunking, no lanes) over
+/// `realistic_portfolio(Quick, 4)` — the job set of the `table3_mix`
+/// benchmark workload. Per class, in job-id order, from `h = 0`:
+/// `h = (h * 31 + price.to_bits()) ^ std_error.unwrap_or(0.0).to_bits()`
+/// (wrapping). Same re-pin policy as the tables above: `compute()` is
+/// bit-identical to every release since the seed, and a kernel
+/// restructuring that keeps every floating-point operation per result
+/// must not move a bit here. Regenerate with
+/// `cargo test -q --test kernel_goldens -- --ignored --nocapture regen_mix`.
+const GOLDEN_MIX: [MixGolden; 6] = [
+    // LocalVolMc
+    MixGolden {
+        fold: 0x0b80fea73414f845,
+        first: (0x4034d81b9de39422, 0x3f947f8fdcf44cfb),
+        last: (0x4034d2e6cc6836ef, 0x3fe1dc12c83f2c2d),
+    },
+    // BasketMc
+    MixGolden {
+        fold: 0x383a7ae2ba9bd5fb,
+        first: (0x3f9cb0df8e4149d0, 0x3f78c44f74c15bed),
+        last: (0x400f2ba8219a3fe2, 0x3fc2e96151f9a385),
+    },
+    // AmericanPde
+    MixGolden {
+        fold: 0x8329532644de7714,
+        first: (0x3f5fb0e93c375b14, 0x0000000000000000),
+        last: (0x403bb57735d0a1fc, 0x0000000000000000),
+    },
+    // BarrierPde
+    MixGolden {
+        fold: 0x4bcd18e7d6c31768,
+        first: (0x403f28bb57b2f334, 0x0000000000000000),
+        last: (0x4033ba125f9364f5, 0x0000000000000000),
+    },
+    // AmericanBasketLsm
+    MixGolden {
+        fold: 0x393d04361f3e7f97,
+        first: (0x3f9615e29cabcd10, 0x3f838e1816de509a),
+        last: (0x40230ceeaca0a274, 0x3fd6b45dbf94454b),
+    },
+    // VanillaClosedForm
+    MixGolden {
+        fold: 0x8c4626d0e689d708,
+        first: (0x403f2897a8b9db90, 0x0000000000000000),
+        last: (0x403d21a76569fff8, 0x0000000000000000),
+    },
+];
+
+/// Price the mix through the sequential entry point and reduce it to
+/// one [`MixGolden`] per class, in [`MIX_CLASSES`] order.
+fn mix_goldens() -> Vec<MixGolden> {
+    let jobs = realistic_portfolio(PortfolioScale::Quick, 4);
+    assert!(jobs.iter().all(|j| MIX_CLASSES.contains(&j.class)));
+    let bits: Vec<(JobClass, (u64, u64))> = jobs
+        .iter()
+        .map(|j| {
+            let r = j.problem.compute().expect("mix problem prices");
+            let se = r.std_error.unwrap_or(0.0);
+            (j.class, (r.price.to_bits(), se.to_bits()))
+        })
+        .collect();
+    MIX_CLASSES
+        .iter()
+        .map(|&class| {
+            let of_class: Vec<(u64, u64)> = bits
+                .iter()
+                .filter(|(c, _)| *c == class)
+                .map(|&(_, b)| b)
+                .collect();
+            MixGolden {
+                fold: of_class
+                    .iter()
+                    .fold(0u64, |h, &(p, se)| h.wrapping_mul(31).wrapping_add(p) ^ se),
+                first: of_class[0],
+                last: of_class[of_class.len() - 1],
+            }
+        })
+        .collect()
+}
+
+/// One-time regeneration helper for [`GOLDEN_MIX`].
+#[test]
+#[ignore]
+fn regen_mix() {
+    for (class, g) in MIX_CLASSES.iter().zip(mix_goldens()) {
+        println!("    // {class:?}");
+        println!("    MixGolden {{");
+        println!("        fold: 0x{:016x},", g.fold);
+        println!("        first: (0x{:016x}, 0x{:016x}),", g.first.0, g.first.1);
+        println!("        last: (0x{:016x}, 0x{:016x}),", g.last.0, g.last.1);
+        println!("    }},");
+    }
+}
+
+#[test]
+fn sequential_table3_mix_goldens() {
+    for ((class, got), want) in MIX_CLASSES.iter().zip(mix_goldens()).zip(&GOLDEN_MIX) {
+        assert_eq!(
+            got.first, want.first,
+            "{class:?}: first job (price, std_error) bits drifted"
+        );
+        assert_eq!(
+            got.last, want.last,
+            "{class:?}: last job (price, std_error) bits drifted"
+        );
+        assert_eq!(
+            got.fold, want.fold,
+            "{class:?}: sequential compute() fold drifted: got {:#018x}",
+            got.fold
         );
     }
 }
