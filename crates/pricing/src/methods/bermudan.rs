@@ -16,15 +16,14 @@
 
 use crate::models::MultiBlackScholes;
 use crate::options::{Exercise, MaxCall};
-use exec::ExecPolicy;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use exec::{ExecPolicy, PathWorkspace};
 
-use super::lsm::{lsm_backward, lsm_basket_chunk_lanes, lsm_basket_chunk_scalar, scatter_blocks};
 use super::lsm::LsmConfig;
+use super::lsm::{lsm_backward, lsm_basket_block, lsm_basket_blocks_exec, scatter_blocks};
 use super::montecarlo::McResult;
 
-fn assert_bermudan(option: &MaxCall) {
+fn assert_bermudan(option: &MaxCall, cfg: &LsmConfig) {
+    cfg.validate().expect("invalid LSM config");
     option.validate().expect("invalid option");
     assert!(
         option.exercise == Exercise::American,
@@ -32,24 +31,14 @@ fn assert_bermudan(option: &MaxCall) {
     );
 }
 
-/// Bermudan max-call under multi-asset Black–Scholes via LSM,
-/// sequential reference implementation.
-pub fn lsm_max_call(m: &MultiBlackScholes, option: &MaxCall, cfg: &LsmConfig) -> McResult {
-    cfg.validate().expect("invalid LSM config");
-    assert_bermudan(option);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut corr = m.correlator();
+fn max_call_backward(
+    blocks: &[Vec<f64>],
+    m: &MultiBlackScholes,
+    option: &MaxCall,
+    cfg: &LsmConfig,
+) -> McResult {
     let dt = option.maturity / cfg.exercise_dates as f64;
-    let mut states = vec![vec![vec![0.0; m.dim]; cfg.paths]; cfg.exercise_dates];
-    let mut z = vec![0.0; m.dim];
-    for p in 0..cfg.paths {
-        let mut s = vec![m.spot; m.dim];
-        for d in 0..cfg.exercise_dates {
-            corr.sample(&mut rng, &mut z);
-            m.step(&mut s, dt, &z);
-            states[d][p].copy_from_slice(&s);
-        }
-    }
+    let states = scatter_blocks(blocks, cfg.paths, cfg.exercise_dates, m.dim);
     let k = option.strike;
     lsm_backward(
         &states,
@@ -62,6 +51,16 @@ pub fn lsm_max_call(m: &MultiBlackScholes, option: &MaxCall, cfg: &LsmConfig) ->
         m.spot,
         cfg,
     )
+}
+
+/// Bermudan max-call under multi-asset Black–Scholes via LSM, all paths
+/// on the one stream seeded with `cfg.seed`.
+pub fn lsm_max_call(m: &MultiBlackScholes, option: &MaxCall, cfg: &LsmConfig) -> McResult {
+    assert_bermudan(option, cfg);
+    let dt = option.maturity / cfg.exercise_dates as f64;
+    let ws = &mut PathWorkspace::new();
+    let block = lsm_basket_block(m, dt, cfg.exercise_dates, cfg.seed, cfg.paths, ws);
+    max_call_backward(&[block], m, option, cfg)
 }
 
 /// Chunked-deterministic variant of [`lsm_max_call`]: path generation
@@ -74,34 +73,9 @@ pub fn lsm_max_call_exec(
     cfg: &LsmConfig,
     pol: &ExecPolicy,
 ) -> McResult {
-    cfg.validate().expect("invalid LSM config");
-    assert_bermudan(option);
+    assert_bermudan(option, cfg);
     let dt = option.maturity / cfg.exercise_dates as f64;
-    let dates = cfg.exercise_dates;
-    let blocks = match pol.lane_width() {
-        4 => pol.run_ws(cfg.paths, |c, ws| {
-            lsm_basket_chunk_lanes::<4>(m, cfg, dt, dates, c, ws)
-        }),
-        8 => pol.run_ws(cfg.paths, |c, ws| {
-            lsm_basket_chunk_lanes::<8>(m, cfg, dt, dates, c, ws)
-        }),
-        _ => pol.run_ws(cfg.paths, |c, ws| {
-            lsm_basket_chunk_scalar(m, cfg, dt, dates, c, ws)
-        }),
-    };
-    let states = scatter_blocks(&blocks, cfg.paths, dates, m.dim);
-    let k = option.strike;
-    lsm_backward(
-        &states,
-        &move |st: &[f64]| {
-            let best = st.iter().fold(f64::NEG_INFINITY, |a, &s| a.max(s));
-            (best - k).max(0.0)
-        },
-        dt,
-        m.rate,
-        m.spot,
-        cfg,
-    )
+    max_call_backward(&lsm_basket_blocks_exec(m, cfg, dt, pol), m, option, cfg)
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@ use crate::options::{BasketOption, Exercise, OptionRight, Vanilla};
 use exec::{stream_seed, Chunk, ExecPolicy, PathWorkspace};
 use numerics::linalg::lstsq;
 use numerics::poly::{BasisKind, RegressionBasis};
-use numerics::rng::NormalGen;
+use numerics::rng::{CorrelatedNormals, NormalGen};
 use numerics::stats::RunningStats;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -90,7 +90,6 @@ pub(crate) fn lsm_backward(
     cfg: &LsmConfig,
 ) -> McResult {
     let n_dates = states.len();
-    let n_paths = states[0].len();
     let disc = (-rate * dt).exp();
     let basis = RegressionBasis::new(cfg.basis, cfg.basis_degree);
     let nb = basis.len();
@@ -100,21 +99,31 @@ pub(crate) fn lsm_backward(
     let mut cash: Vec<f64> = states[n_dates - 1].iter().map(|s| payoff(s)).collect();
 
     let mut feat = vec![0.0; nb];
+    // In-the-money paths of the current date with their intrinsic value,
+    // and the regression system over them (row `r` of `a` is the basis
+    // at `itm[r]`); reused across dates.
+    let mut itm: Vec<(usize, f64)> = Vec::new();
+    let mut a = Vec::new();
+    let mut b = Vec::new();
     for d in (0..n_dates - 1).rev() {
         // Discount everything one step back.
         for c in cash.iter_mut() {
             *c *= disc;
         }
         // Regress continuation value on ITM paths.
-        let itm: Vec<usize> = (0..n_paths)
-            .filter(|&p| payoff(&states[d][p]) > 0.0)
-            .collect();
+        itm.clear();
+        for (p, state) in states[d].iter().enumerate() {
+            let intrinsic = payoff(state);
+            if intrinsic > 0.0 {
+                itm.push((p, intrinsic));
+            }
+        }
         if itm.len() < nb * 2 {
             continue; // too few ITM paths for a stable regression
         }
-        let mut a = Vec::with_capacity(itm.len() * nb);
-        let mut b = Vec::with_capacity(itm.len());
-        for &p in &itm {
+        a.clear();
+        b.clear();
+        for &(p, _) in &itm {
             basis.eval(&states[d][p], scale, &mut feat);
             a.extend_from_slice(&feat);
             b.push(cash[p]);
@@ -123,10 +132,8 @@ pub(crate) fn lsm_backward(
             Some(c) => c,
             None => continue, // degenerate basis this date; keep holding
         };
-        for &p in &itm {
-            basis.eval(&states[d][p], scale, &mut feat);
+        for (&(p, intrinsic), feat) in itm.iter().zip(a.chunks_exact(nb)) {
             let continuation: f64 = feat.iter().zip(&coeffs).map(|(f, c)| f * c).sum();
-            let intrinsic = payoff(&states[d][p]);
             if intrinsic >= continuation {
                 cash[p] = intrinsic;
             }
@@ -137,11 +144,7 @@ pub(crate) fn lsm_backward(
     for c in &cash {
         stats.push(c * disc);
     }
-    McResult {
-        price: stats.mean(),
-        std_error: stats.std_error(),
-        delta: None,
-    }
+    McResult::from_stats(&stats)
 }
 
 /// Reassemble chunk-generated path blocks into the `states[d][p]` matrix
@@ -171,8 +174,16 @@ pub(crate) fn scatter_blocks(
     states
 }
 
-/// American put under Black–Scholes via LSM.
-pub fn lsm_vanilla_bs(m: &BlackScholes, option: &Vanilla, cfg: &LsmConfig) -> McResult {
+// Path generation, per model: `*_paths` is THE scalar path loop — it
+// fills a paths-major block off a caller-owned stream; `*_block` is that
+// loop on a fresh stream — all paths seeded with `cfg.seed` for the
+// sequential entry point, one chunk seeded with
+// `stream_seed(cfg.seed, chunk)` for the lanes = 1 chunk body; the
+// `*_chunk_lanes` bodies hand their stream to `*_paths` for the
+// `c.len() % L` tail. Either way the blocks go through
+// [`scatter_blocks`] into one [`lsm_backward`].
+
+fn assert_american_put(option: &Vanilla, cfg: &LsmConfig) {
     cfg.validate().expect("invalid LSM config");
     option.validate().expect("invalid option");
     assert!(
@@ -183,63 +194,136 @@ pub fn lsm_vanilla_bs(m: &BlackScholes, option: &Vanilla, cfg: &LsmConfig) -> Mc
         option.right == OptionRight::Put,
         "American calls without dividends are European; benchmark uses puts"
     );
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut gen = NormalGen::new();
+}
+
+/// Backward induction for an American put on the one-dimensional state
+/// `[S]` (the Heston variance is simulated but not regressed on: `S`
+/// alone is the feature, a documented simplification checked against
+/// the European lower bound in the tests).
+fn put_backward(
+    blocks: &[Vec<f64>],
+    option: &Vanilla,
+    rate: f64,
+    spot: f64,
+    cfg: &LsmConfig,
+) -> McResult {
     let dt = option.maturity / cfg.exercise_dates as f64;
-    // states[d][p] = [S] at date d+1.
-    let mut states = vec![vec![vec![0.0; 1]; cfg.paths]; cfg.exercise_dates];
-    for p in 0..cfg.paths {
-        let mut s = m.spot;
-        for d in 0..cfg.exercise_dates {
-            s = m.step(s, dt, gen.sample(&mut rng));
-            states[d][p][0] = s;
-        }
-    }
+    let states = scatter_blocks(blocks, cfg.paths, cfg.exercise_dates, 1);
     let k = option.strike;
     lsm_backward(
         &states,
         &|st: &[f64]| (k - st[0]).max(0.0),
         dt,
-        m.rate,
-        m.spot,
+        rate,
+        spot,
         cfg,
     )
+}
+
+/// American put under Black–Scholes via LSM.
+pub fn lsm_vanilla_bs(m: &BlackScholes, option: &Vanilla, cfg: &LsmConfig) -> McResult {
+    assert_american_put(option, cfg);
+    let dt = option.maturity / cfg.exercise_dates as f64;
+    let block = lsm_vanilla_block(m, dt, cfg.exercise_dates, cfg.seed, cfg.paths);
+    put_backward(&[block], option, m.rate, m.spot, cfg)
+}
+
+/// Chunked-deterministic variant of [`lsm_vanilla_bs`]: path generation
+/// runs on the [`exec`] executor with per-chunk [`stream_seed`]-derived
+/// streams, so the price is bit-identical for any worker count in `pol`.
+pub fn lsm_vanilla_bs_exec(
+    m: &BlackScholes,
+    option: &Vanilla,
+    cfg: &LsmConfig,
+    pol: &ExecPolicy,
+) -> McResult {
+    assert_american_put(option, cfg);
+    let dt = option.maturity / cfg.exercise_dates as f64;
+    let dates = cfg.exercise_dates;
+    let blocks = match pol.lane_width() {
+        4 => pol.run(cfg.paths, |c| {
+            lsm_vanilla_chunk_lanes::<4>(m, cfg, dt, dates, c)
+        }),
+        8 => pol.run(cfg.paths, |c| {
+            lsm_vanilla_chunk_lanes::<8>(m, cfg, dt, dates, c)
+        }),
+        _ => pol.run(cfg.paths, |c| {
+            lsm_vanilla_block(m, dt, dates, stream_seed(cfg.seed, c.index), c.len())
+        }),
+    };
+    put_backward(&blocks, option, m.rate, m.spot, cfg)
+}
+
+fn lsm_vanilla_block(m: &BlackScholes, dt: f64, dates: usize, seed: u64, n: usize) -> Vec<f64> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut gen = NormalGen::new();
+    let mut block = vec![0.0; n * dates];
+    lsm_vanilla_paths(m, dt, dates, &mut rng, &mut gen, &mut block);
+    block
+}
+
+/// The path state is a single `f64`, so no workspace scratch is needed.
+fn lsm_vanilla_paths(
+    m: &BlackScholes,
+    dt: f64,
+    dates: usize,
+    rng: &mut StdRng,
+    gen: &mut NormalGen,
+    block: &mut [f64],
+) {
+    // ALLOC-FREE-BEGIN: per-path loop must not allocate (gated by ci.sh).
+    for row in block.chunks_exact_mut(dates) {
+        let mut s = m.spot;
+        for slot in row.iter_mut() {
+            s = m.step(s, dt, gen.sample(rng));
+            *slot = s;
+        }
+    }
+    // ALLOC-FREE-END
+}
+
+/// `L`-wide vanilla-BS path-generation chunk: `L` paths advance in
+/// lockstep, one normal group per exercise date (`(group, date, lane)`
+/// draw order), exact GBM transitions with fused `mul_add`.
+fn lsm_vanilla_chunk_lanes<const L: usize>(
+    m: &BlackScholes,
+    cfg: &LsmConfig,
+    dt: f64,
+    dates: usize,
+    c: &Chunk,
+) -> Vec<f64> {
+    let mut rng = StdRng::seed_from_u64(stream_seed(cfg.seed, c.index));
+    let mut gen = NormalGen::new();
+    let mut block = vec![0.0; c.len() * dates];
+    let drift = F64s::<L>::splat(m.log_drift() * dt);
+    let volt = F64s::<L>::splat(m.sigma * dt.sqrt());
+    let groups = c.len() / L;
+    // ALLOC-FREE-BEGIN: per-group loop must not allocate (gated by ci.sh).
+    for g in 0..groups {
+        let p0 = g * L;
+        let mut s = F64s::<L>::splat(m.spot);
+        for d in 0..dates {
+            let z = F64s::<L>::from_fn(|_| gen.sample(&mut rng));
+            s = s * z.mul_add(volt, drift).exp();
+            for l in 0..L {
+                block[(p0 + l) * dates + d] = s.0[l];
+            }
+        }
+    }
+    // ALLOC-FREE-END
+    let tail = &mut block[groups * L * dates..];
+    lsm_vanilla_paths(m, dt, dates, &mut rng, &mut gen, tail);
+    block
 }
 
 /// American basket put under multi-asset Black–Scholes via LSM
 /// (the regression feature is the basket average — the payoff variable).
 pub fn lsm_basket(m: &MultiBlackScholes, option: &BasketOption, cfg: &LsmConfig) -> McResult {
-    cfg.validate().expect("invalid LSM config");
-    option.validate().expect("invalid option");
-    assert!(
-        option.exercise == Exercise::American,
-        "LSM prices American claims"
-    );
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut corr = m.correlator();
+    assert_american_basket(option, cfg);
     let dt = option.maturity / cfg.exercise_dates as f64;
-    let mut states = vec![vec![vec![0.0; m.dim]; cfg.paths]; cfg.exercise_dates];
-    let mut z = vec![0.0; m.dim];
-    for p in 0..cfg.paths {
-        let mut s = vec![m.spot; m.dim];
-        for d in 0..cfg.exercise_dates {
-            corr.sample(&mut rng, &mut z);
-            m.step(&mut s, dt, &z);
-            states[d][p].copy_from_slice(&s);
-        }
-    }
-    let k = option.strike;
-    lsm_backward(
-        &states,
-        &move |st: &[f64]| {
-            let avg = st.iter().sum::<f64>() / st.len() as f64;
-            (k - avg).max(0.0)
-        },
-        dt,
-        m.rate,
-        m.spot,
-        cfg,
-    )
+    let ws = &mut PathWorkspace::new();
+    let block = lsm_basket_block(m, dt, cfg.exercise_dates, cfg.seed, cfg.paths, ws);
+    basket_backward(&[block], m, option, cfg)
 }
 
 /// Chunked-deterministic variant of [`lsm_basket`]: per-chunk correlated
@@ -250,27 +334,28 @@ pub fn lsm_basket_exec(
     cfg: &LsmConfig,
     pol: &ExecPolicy,
 ) -> McResult {
+    assert_american_basket(option, cfg);
+    let dt = option.maturity / cfg.exercise_dates as f64;
+    basket_backward(&lsm_basket_blocks_exec(m, cfg, dt, pol), m, option, cfg)
+}
+
+fn assert_american_basket(option: &BasketOption, cfg: &LsmConfig) {
     cfg.validate().expect("invalid LSM config");
     option.validate().expect("invalid option");
     assert!(
         option.exercise == Exercise::American,
         "LSM prices American claims"
     );
+}
+
+fn basket_backward(
+    blocks: &[Vec<f64>],
+    m: &MultiBlackScholes,
+    option: &BasketOption,
+    cfg: &LsmConfig,
+) -> McResult {
     let dt = option.maturity / cfg.exercise_dates as f64;
-    let dates = cfg.exercise_dates;
-    let dim = m.dim;
-    let blocks = match pol.lane_width() {
-        4 => pol.run_ws(cfg.paths, |c, ws| {
-            lsm_basket_chunk_lanes::<4>(m, cfg, dt, dates, c, ws)
-        }),
-        8 => pol.run_ws(cfg.paths, |c, ws| {
-            lsm_basket_chunk_lanes::<8>(m, cfg, dt, dates, c, ws)
-        }),
-        _ => pol.run_ws(cfg.paths, |c, ws| {
-            lsm_basket_chunk_scalar(m, cfg, dt, dates, c, ws)
-        }),
-    };
-    let states = scatter_blocks(&blocks, cfg.paths, dates, dim);
+    let states = scatter_blocks(blocks, cfg.paths, cfg.exercise_dates, m.dim);
     let k = option.strike;
     lsm_backward(
         &states,
@@ -285,41 +370,74 @@ pub fn lsm_basket_exec(
     )
 }
 
-/// Scalar (lanes = 1) basket path-generation chunk. The per-path state
-/// vector and the correlated-draw scratch come from the per-worker
-/// [`PathWorkspace`] pool (the state is re-initialised to `spot` per
-/// path, numerically identical to the old fresh `vec![m.spot; dim]`);
-/// the returned block is the chunk's result, allocated once per chunk.
-pub(crate) fn lsm_basket_chunk_scalar(
+/// The chunked basket path blocks at `pol`'s lane width (the state
+/// simulation is payoff-agnostic: the Bermudan max-call shares it).
+pub(crate) fn lsm_basket_blocks_exec(
     m: &MultiBlackScholes,
     cfg: &LsmConfig,
     dt: f64,
+    pol: &ExecPolicy,
+) -> Vec<Vec<f64>> {
+    let dates = cfg.exercise_dates;
+    match pol.lane_width() {
+        4 => pol.run_ws(cfg.paths, |c, ws| {
+            lsm_basket_chunk_lanes::<4>(m, cfg, dt, dates, c, ws)
+        }),
+        8 => pol.run_ws(cfg.paths, |c, ws| {
+            lsm_basket_chunk_lanes::<8>(m, cfg, dt, dates, c, ws)
+        }),
+        _ => pol.run_ws(cfg.paths, |c, ws| {
+            lsm_basket_block(m, dt, dates, stream_seed(cfg.seed, c.index), c.len(), ws)
+        }),
+    }
+}
+
+/// `n` basket paths on a fresh stream; the returned block is the result,
+/// allocated once.
+pub(crate) fn lsm_basket_block(
+    m: &MultiBlackScholes,
+    dt: f64,
     dates: usize,
-    c: &Chunk,
+    seed: u64,
+    n: usize,
     ws: &mut PathWorkspace,
 ) -> Vec<f64> {
-    let dim = m.dim;
-    let mut rng = StdRng::seed_from_u64(stream_seed(cfg.seed, c.index));
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut corr = m.correlator();
+    let mut block = vec![0.0; n * dates * m.dim];
+    lsm_basket_paths(m, dt, dates, &mut rng, &mut corr, &mut block, ws);
+    block
+}
+
+/// The per-path state vector and the correlated-draw scratch come from
+/// the [`PathWorkspace`] pool; the state is re-initialised to `spot` per
+/// path.
+fn lsm_basket_paths(
+    m: &MultiBlackScholes,
+    dt: f64,
+    dates: usize,
+    rng: &mut StdRng,
+    corr: &mut CorrelatedNormals,
+    block: &mut [f64],
+    ws: &mut PathWorkspace,
+) {
+    let dim = m.dim;
     let mut z = ws.take(dim);
     let mut s = ws.take(dim);
-    let mut block = vec![0.0; c.len() * dates * dim];
     // ALLOC-FREE-BEGIN: per-path loop must not allocate (gated by ci.sh).
-    for pi in 0..c.len() {
-        let row = &mut block[pi * dates * dim..(pi + 1) * dates * dim];
+    for row in block.chunks_exact_mut(dates * dim) {
         for si in s.iter_mut() {
             *si = m.spot;
         }
-        for d in 0..dates {
-            corr.sample(&mut rng, &mut z);
+        for slot in row.chunks_exact_mut(dim) {
+            corr.sample(rng, &mut z);
             m.step(&mut s, dt, &z);
-            row[d * dim..(d + 1) * dim].copy_from_slice(&s);
+            slot.copy_from_slice(&s);
         }
     }
     // ALLOC-FREE-END
     ws.put(s);
     ws.put(z);
-    block
 }
 
 /// `L`-wide basket path-generation chunk: `L` paths advance in lockstep
@@ -327,7 +445,7 @@ pub(crate) fn lsm_basket_chunk_scalar(
 /// `l`), correlated vectors drawn per lane in lane order per date —
 /// `(group, date, lane)` consumption — and the per-asset step vectorised
 /// across lanes with fused `mul_add`.
-pub(crate) fn lsm_basket_chunk_lanes<const L: usize>(
+fn lsm_basket_chunk_lanes<const L: usize>(
     m: &MultiBlackScholes,
     cfg: &LsmConfig,
     dt: f64,
@@ -366,179 +484,21 @@ pub(crate) fn lsm_basket_chunk_lanes<const L: usize>(
             }
         }
     }
-    // Tail: remainder paths continue the same chunk stream scalar-style.
-    for pi in groups * L..c.len() {
-        let row = &mut block[pi * row_len..(pi + 1) * row_len];
-        let z = &mut zbuf[..dim];
-        let s = &mut sbuf[..dim];
-        for si in s.iter_mut() {
-            *si = m.spot;
-        }
-        for d in 0..dates {
-            corr.sample(&mut rng, z);
-            m.step(s, dt, z);
-            row[d * dim..(d + 1) * dim].copy_from_slice(s);
-        }
-    }
     // ALLOC-FREE-END
     ws.put(sbuf);
     ws.put(zbuf);
-    block
-}
-
-/// Chunked-deterministic variant of [`lsm_vanilla_bs`]: path generation
-/// runs on the [`exec`] executor with per-chunk [`stream_seed`]-derived
-/// streams, so the price is bit-identical for any worker count in `pol`.
-pub fn lsm_vanilla_bs_exec(
-    m: &BlackScholes,
-    option: &Vanilla,
-    cfg: &LsmConfig,
-    pol: &ExecPolicy,
-) -> McResult {
-    cfg.validate().expect("invalid LSM config");
-    option.validate().expect("invalid option");
-    assert!(
-        option.exercise == Exercise::American,
-        "LSM prices American claims"
-    );
-    assert!(
-        option.right == OptionRight::Put,
-        "American calls without dividends are European; benchmark uses puts"
-    );
-    let dt = option.maturity / cfg.exercise_dates as f64;
-    let dates = cfg.exercise_dates;
-    let blocks = match pol.lane_width() {
-        4 => pol.run(cfg.paths, |c| {
-            lsm_vanilla_chunk_lanes::<4>(m, cfg, dt, dates, c)
-        }),
-        8 => pol.run(cfg.paths, |c| {
-            lsm_vanilla_chunk_lanes::<8>(m, cfg, dt, dates, c)
-        }),
-        _ => pol.run(cfg.paths, |c| {
-            lsm_vanilla_chunk_scalar(m, cfg, dt, dates, c)
-        }),
-    };
-    let states = scatter_blocks(&blocks, cfg.paths, dates, 1);
-    let k = option.strike;
-    lsm_backward(
-        &states,
-        &|st: &[f64]| (k - st[0]).max(0.0),
-        dt,
-        m.rate,
-        m.spot,
-        cfg,
-    )
-}
-
-/// Scalar (lanes = 1) vanilla-BS path-generation chunk — the pre-lane
-/// kernel, preserved verbatim (the path state is a single `f64`, so no
-/// workspace scratch is needed; the block is the chunk result).
-fn lsm_vanilla_chunk_scalar(
-    m: &BlackScholes,
-    cfg: &LsmConfig,
-    dt: f64,
-    dates: usize,
-    c: &Chunk,
-) -> Vec<f64> {
-    let mut rng = StdRng::seed_from_u64(stream_seed(cfg.seed, c.index));
-    let mut gen = NormalGen::new();
-    let mut block = vec![0.0; c.len() * dates];
-    // ALLOC-FREE-BEGIN: per-path loop must not allocate (gated by ci.sh).
-    for pi in 0..c.len() {
-        let row = &mut block[pi * dates..(pi + 1) * dates];
-        let mut s = m.spot;
-        for slot in row.iter_mut() {
-            s = m.step(s, dt, gen.sample(&mut rng));
-            *slot = s;
-        }
-    }
-    // ALLOC-FREE-END
-    block
-}
-
-/// `L`-wide vanilla-BS path-generation chunk: `L` paths advance in
-/// lockstep, one normal group per exercise date (`(group, date, lane)`
-/// draw order), exact GBM transitions with fused `mul_add`.
-fn lsm_vanilla_chunk_lanes<const L: usize>(
-    m: &BlackScholes,
-    cfg: &LsmConfig,
-    dt: f64,
-    dates: usize,
-    c: &Chunk,
-) -> Vec<f64> {
-    let mut rng = StdRng::seed_from_u64(stream_seed(cfg.seed, c.index));
-    let mut gen = NormalGen::new();
-    let mut block = vec![0.0; c.len() * dates];
-    let drift = F64s::<L>::splat(m.log_drift() * dt);
-    let volt = F64s::<L>::splat(m.sigma * dt.sqrt());
-    let groups = c.len() / L;
-    // ALLOC-FREE-BEGIN: per-group loop must not allocate (gated by ci.sh).
-    for g in 0..groups {
-        let p0 = g * L;
-        let mut s = F64s::<L>::splat(m.spot);
-        for d in 0..dates {
-            let z = F64s::<L>::from_fn(|_| gen.sample(&mut rng));
-            s = s * z.mul_add(volt, drift).exp();
-            for l in 0..L {
-                block[(p0 + l) * dates + d] = s.0[l];
-            }
-        }
-    }
-    // Tail: remainder paths continue the same chunk stream scalar-style.
-    for pi in groups * L..c.len() {
-        let row = &mut block[pi * dates..(pi + 1) * dates];
-        let mut s = m.spot;
-        for slot in row.iter_mut() {
-            s = m.step(s, dt, gen.sample(&mut rng));
-            *slot = s;
-        }
-    }
-    // ALLOC-FREE-END
+    let tail = &mut block[groups * L * row_len..];
+    lsm_basket_paths(m, dt, dates, &mut rng, &mut corr, tail, ws);
     block
 }
 
 /// American put under Heston via LSM — the §3.3 example
-/// (`Heston1dim` + `MC_AM_*_LongstaffSchwartz`). The regression state is
-/// `(S, v)`; we regress on the polynomial basis of `S` augmented with a
-/// linear variance term, the usual low-order choice.
+/// (`Heston1dim` + `MC_AM_*_LongstaffSchwartz`).
 pub fn lsm_heston(m: &Heston, option: &Vanilla, cfg: &LsmConfig) -> McResult {
-    cfg.validate().expect("invalid LSM config");
-    option.validate().expect("invalid option");
-    assert!(
-        option.exercise == Exercise::American,
-        "LSM prices American claims"
-    );
-    assert!(
-        option.right == OptionRight::Put,
-        "benchmark uses American puts"
-    );
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut gen = NormalGen::new();
+    assert_american_put(option, cfg);
     let dt = option.maturity / cfg.exercise_dates as f64;
-    // State per path/date: [S, v]; only S feeds the polynomial basis and v
-    // enters linearly through the mean trick is *not* appropriate here, so
-    // we keep S alone as feature (documented simplification; price checks
-    // against European lower bound and PDE-style upper bound in tests).
-    let mut states = vec![vec![vec![0.0; 1]; cfg.paths]; cfg.exercise_dates];
-    for p in 0..cfg.paths {
-        let mut s = m.spot;
-        let mut v = m.v0;
-        for d in 0..cfg.exercise_dates {
-            let (s2, v2) = m.step(s, v, dt, gen.sample(&mut rng), gen.sample(&mut rng));
-            s = s2;
-            v = v2;
-            states[d][p][0] = s;
-        }
-    }
-    let k = option.strike;
-    lsm_backward(
-        &states,
-        &move |st: &[f64]| (k - st[0]).max(0.0),
-        dt,
-        m.rate,
-        m.spot,
-        cfg,
-    )
+    let block = lsm_heston_block(m, dt, cfg.exercise_dates, cfg.seed, cfg.paths);
+    put_backward(&[block], option, m.rate, m.spot, cfg)
 }
 
 /// Chunked-deterministic variant of [`lsm_heston`]: per-chunk `(S, v)`
@@ -549,16 +509,7 @@ pub fn lsm_heston_exec(
     cfg: &LsmConfig,
     pol: &ExecPolicy,
 ) -> McResult {
-    cfg.validate().expect("invalid LSM config");
-    option.validate().expect("invalid option");
-    assert!(
-        option.exercise == Exercise::American,
-        "LSM prices American claims"
-    );
-    assert!(
-        option.right == OptionRight::Put,
-        "benchmark uses American puts"
-    );
+    assert_american_put(option, cfg);
     let dt = option.maturity / cfg.exercise_dates as f64;
     let dates = cfg.exercise_dates;
     let blocks = match pol.lane_width() {
@@ -568,46 +519,41 @@ pub fn lsm_heston_exec(
         8 => pol.run(cfg.paths, |c| {
             lsm_heston_chunk_lanes::<8>(m, cfg, dt, dates, c)
         }),
-        _ => pol.run(cfg.paths, |c| lsm_heston_chunk_scalar(m, cfg, dt, dates, c)),
+        _ => pol.run(cfg.paths, |c| {
+            lsm_heston_block(m, dt, dates, stream_seed(cfg.seed, c.index), c.len())
+        }),
     };
-    let states = scatter_blocks(&blocks, cfg.paths, dates, 1);
-    let k = option.strike;
-    lsm_backward(
-        &states,
-        &move |st: &[f64]| (k - st[0]).max(0.0),
-        dt,
-        m.rate,
-        m.spot,
-        cfg,
-    )
+    put_backward(&blocks, option, m.rate, m.spot, cfg)
 }
 
-/// Scalar (lanes = 1) Heston path-generation chunk — the pre-lane
-/// kernel, preserved verbatim.
-fn lsm_heston_chunk_scalar(
+fn lsm_heston_block(m: &Heston, dt: f64, dates: usize, seed: u64, n: usize) -> Vec<f64> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut gen = NormalGen::new();
+    let mut block = vec![0.0; n * dates];
+    lsm_heston_paths(m, dt, dates, &mut rng, &mut gen, &mut block);
+    block
+}
+
+fn lsm_heston_paths(
     m: &Heston,
-    cfg: &LsmConfig,
     dt: f64,
     dates: usize,
-    c: &Chunk,
-) -> Vec<f64> {
-    let mut rng = StdRng::seed_from_u64(stream_seed(cfg.seed, c.index));
-    let mut gen = NormalGen::new();
-    let mut block = vec![0.0; c.len() * dates];
+    rng: &mut StdRng,
+    gen: &mut NormalGen,
+    block: &mut [f64],
+) {
     // ALLOC-FREE-BEGIN: per-path loop must not allocate (gated by ci.sh).
-    for pi in 0..c.len() {
-        let row = &mut block[pi * dates..(pi + 1) * dates];
+    for row in block.chunks_exact_mut(dates) {
         let mut s = m.spot;
         let mut v = m.v0;
         for slot in row.iter_mut() {
-            let (s2, v2) = m.step(s, v, dt, gen.sample(&mut rng), gen.sample(&mut rng));
+            let (s2, v2) = m.step(s, v, dt, gen.sample(rng), gen.sample(rng));
             s = s2;
             v = v2;
             *slot = s;
         }
     }
     // ALLOC-FREE-END
-    block
 }
 
 /// `L`-wide Heston path-generation chunk: `L` `(S, v)` pairs advance in
@@ -641,19 +587,9 @@ fn lsm_heston_chunk_lanes<const L: usize>(
             }
         }
     }
-    // Tail: remainder paths continue the same chunk stream scalar-style.
-    for pi in groups * L..c.len() {
-        let row = &mut block[pi * dates..(pi + 1) * dates];
-        let mut s = m.spot;
-        let mut v = m.v0;
-        for slot in row.iter_mut() {
-            let (s2, v2) = m.step(s, v, dt, gen.sample(&mut rng), gen.sample(&mut rng));
-            s = s2;
-            v = v2;
-            *slot = s;
-        }
-    }
     // ALLOC-FREE-END
+    let tail = &mut block[groups * L * dates..];
+    lsm_heston_paths(m, dt, dates, &mut rng, &mut gen, tail);
     block
 }
 

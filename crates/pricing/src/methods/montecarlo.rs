@@ -18,15 +18,17 @@
 //! [`exec::stream_seed`]-derived RNG stream, and chunk partials are
 //! merged in chunk order — so the price is **bit-identical for any
 //! worker count** (see `docs/PARALLEL.md`). The chunked result is a
-//! different (equally valid) sample than the legacy single-stream loop,
-//! which therefore stays as the default path.
+//! different (equally valid) sample than the single stream seeded with
+//! `cfg.seed`, which therefore stays the default — but both run the same
+//! scalar path loop: one body, two seeds.
 
 use crate::lanes::F64s;
+use crate::models::local_vol::EulerGrid;
 use crate::models::{BlackScholes, Heston, LocalVol, MultiBlackScholes};
 use crate::options::{BasketOption, Exercise, Vanilla};
 use exec::{stream_seed, Chunk, ExecPolicy, PathWorkspace};
 use numerics::norm_inv_cdf;
-use numerics::rng::NormalGen;
+use numerics::rng::{CorrelatedNormals, NormalGen};
 use numerics::sobol::{Halton, Sobol};
 use numerics::stats::RunningStats;
 use rand::rngs::StdRng;
@@ -83,6 +85,26 @@ pub struct McResult {
     pub delta: Option<f64>,
 }
 
+impl McResult {
+    /// Price and standard error of an accumulated sample (no delta).
+    pub(crate) fn from_stats(stats: &RunningStats) -> McResult {
+        McResult {
+            price: stats.mean(),
+            std_error: stats.std_error(),
+            delta: None,
+        }
+    }
+}
+
+/// Chunk partials merged in chunk order.
+fn merged<'a>(parts: impl IntoIterator<Item = &'a RunningStats>) -> RunningStats {
+    let mut stats = RunningStats::new();
+    for p in parts {
+        stats.merge(p);
+    }
+    stats
+}
+
 fn assert_european(ex: Exercise) {
     assert!(
         ex == Exercise::European,
@@ -90,34 +112,24 @@ fn assert_european(ex: Exercise) {
     );
 }
 
+// Every plain-MC kernel below is one private struct — the validated
+// problem plus its per-problem constants — with the same three methods:
+//
+// * `paths`: THE scalar path loop, `n` samples off a caller-owned stream
+//   pushed into caller-owned statistics;
+// * `scalar`: `paths` on a fresh stream — the whole sample seeded with
+//   `cfg.seed` is the sequential entry point, one chunk seeded with
+//   `stream_seed(cfg.seed, chunk)` is the lanes = 1 chunk body (one
+//   scalar body, two seeds; see `docs/PARALLEL.md`);
+// * `lanes::<L>`: the `L`-wide chunk body, which hands its stream to
+//   `paths` for the `c.len() % L` tail so the draw order continues.
+
 /// Vanilla European option under Black–Scholes, exact terminal sampling.
 pub fn mc_vanilla_bs(m: &BlackScholes, option: &Vanilla, cfg: &McConfig) -> McResult {
-    cfg.validate().expect("invalid MC config");
-    option.validate().expect("invalid option");
-    assert_european(option.exercise);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut gen = NormalGen::new();
-    let t = option.maturity;
-    let df = m.discount(t);
-    let mut stats = RunningStats::new();
-    let mut delta_stats = RunningStats::new();
-    let sign = option.right.sign();
-    for _ in 0..cfg.paths {
-        let z = gen.sample(&mut rng);
-        let (pay, dlt) = vanilla_sample(m, option, t, z, sign);
-        if cfg.antithetic {
-            let (pay2, dlt2) = vanilla_sample(m, option, t, -z, sign);
-            stats.push(df * 0.5 * (pay + pay2));
-            delta_stats.push(df * 0.5 * (dlt + dlt2));
-        } else {
-            stats.push(df * pay);
-            delta_stats.push(df * dlt);
-        }
-    }
+    let (stats, delta_stats) = VanillaMc::new(m, option, cfg).scalar(cfg.seed, cfg.paths);
     McResult {
-        price: stats.mean(),
-        std_error: stats.std_error(),
         delta: Some(delta_stats.mean()),
+        ..McResult::from_stats(&stats)
     }
 }
 
@@ -131,139 +143,133 @@ pub fn mc_vanilla_bs_exec(
     cfg: &McConfig,
     pol: &ExecPolicy,
 ) -> McResult {
-    cfg.validate().expect("invalid MC config");
-    option.validate().expect("invalid option");
-    assert_european(option.exercise);
-    let t = option.maturity;
-    let df = m.discount(t);
-    let sign = option.right.sign();
+    let k = VanillaMc::new(m, option, cfg);
     let parts = match pol.lane_width() {
-        4 => pol.run(cfg.paths, |c| {
-            vanilla_chunk_lanes::<4>(m, option, cfg, t, df, sign, c)
-        }),
-        8 => pol.run(cfg.paths, |c| {
-            vanilla_chunk_lanes::<8>(m, option, cfg, t, df, sign, c)
-        }),
+        4 => pol.run(cfg.paths, |c| k.lanes::<4>(c)),
+        8 => pol.run(cfg.paths, |c| k.lanes::<8>(c)),
         _ => pol.run(cfg.paths, |c| {
-            vanilla_chunk_scalar(m, option, cfg, t, df, sign, c)
+            k.scalar(stream_seed(cfg.seed, c.index), c.len())
         }),
     };
-    let mut stats = RunningStats::new();
-    let mut delta_stats = RunningStats::new();
-    for (s, d) in &parts {
-        stats.merge(s);
-        delta_stats.merge(d);
-    }
     McResult {
-        price: stats.mean(),
-        std_error: stats.std_error(),
-        delta: Some(delta_stats.mean()),
+        delta: Some(merged(parts.iter().map(|p| &p.1)).mean()),
+        ..McResult::from_stats(&merged(parts.iter().map(|p| &p.0)))
     }
 }
 
-/// Scalar (lanes = 1) chunk body — the pre-lane kernel, preserved
-/// verbatim so lanes-off results never move.
-fn vanilla_chunk_scalar(
-    m: &BlackScholes,
-    option: &Vanilla,
-    cfg: &McConfig,
+struct VanillaMc<'a> {
+    m: &'a BlackScholes,
+    option: &'a Vanilla,
+    cfg: &'a McConfig,
     t: f64,
     df: f64,
     sign: f64,
-    c: &Chunk,
-) -> (RunningStats, RunningStats) {
-    let mut rng = StdRng::seed_from_u64(stream_seed(cfg.seed, c.index));
-    let mut gen = NormalGen::new();
-    let mut stats = RunningStats::new();
-    let mut delta_stats = RunningStats::new();
-    // ALLOC-FREE-BEGIN: per-path loop must not allocate (gated by ci.sh).
-    for _ in c.start..c.end {
-        let z = gen.sample(&mut rng);
-        let (pay, dlt) = vanilla_sample(m, option, t, z, sign);
-        if cfg.antithetic {
-            let (pay2, dlt2) = vanilla_sample(m, option, t, -z, sign);
-            stats.push(df * 0.5 * (pay + pay2));
-            delta_stats.push(df * 0.5 * (dlt + dlt2));
-        } else {
-            stats.push(df * pay);
-            delta_stats.push(df * dlt);
+}
+
+impl<'a> VanillaMc<'a> {
+    fn new(m: &'a BlackScholes, option: &'a Vanilla, cfg: &'a McConfig) -> Self {
+        cfg.validate().expect("invalid MC config");
+        option.validate().expect("invalid option");
+        assert_european(option.exercise);
+        let t = option.maturity;
+        VanillaMc {
+            m,
+            option,
+            cfg,
+            t,
+            df: m.discount(t),
+            sign: option.right.sign(),
         }
     }
-    // ALLOC-FREE-END
-    (stats, delta_stats)
-}
 
-/// `L`-wide chunk body: `L` paths advance per loop iteration, normals
-/// drawn in `(group, lane)` order, terminal levels computed with fused
-/// `mul_add` (so lane prices are a distinct — equally valid — sample
-/// from the scalar kernel even where the draw order coincides). The
-/// remainder `c.len() % L` paths run scalar-style, continuing the same
-/// chunk stream.
-fn vanilla_chunk_lanes<const L: usize>(
-    m: &BlackScholes,
-    option: &Vanilla,
-    cfg: &McConfig,
-    t: f64,
-    df: f64,
-    sign: f64,
-    c: &Chunk,
-) -> (RunningStats, RunningStats) {
-    let mut rng = StdRng::seed_from_u64(stream_seed(cfg.seed, c.index));
-    let mut gen = NormalGen::new();
-    let mut stats = RunningStats::new();
-    let mut delta_stats = RunningStats::new();
-    let drift = F64s::<L>::splat(m.log_drift() * t);
-    let volt = F64s::<L>::splat(m.sigma * t.sqrt());
-    let spot = F64s::<L>::splat(m.spot);
-    let groups = c.len() / L;
-    // ALLOC-FREE-BEGIN: per-group loop must not allocate (gated by ci.sh).
-    for _ in 0..groups {
-        let z = F64s::<L>::from_fn(|_| gen.sample(&mut rng));
-        let st = z.mul_add(volt, drift).exp() * spot;
-        if cfg.antithetic {
-            let st2 = (-z).mul_add(volt, drift).exp() * spot;
-            for l in 0..L {
-                let (pay, dlt) = payoff_delta(st.0[l], option.strike, sign, m.spot);
-                let (pay2, dlt2) = payoff_delta(st2.0[l], option.strike, sign, m.spot);
+    fn scalar(&self, seed: u64, n: usize) -> (RunningStats, RunningStats) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut gen = NormalGen::new();
+        let mut out = (RunningStats::new(), RunningStats::new());
+        self.paths(&mut rng, &mut gen, n, &mut out);
+        out
+    }
+
+    fn paths(
+        &self,
+        rng: &mut StdRng,
+        gen: &mut NormalGen,
+        n: usize,
+        (stats, delta_stats): &mut (RunningStats, RunningStats),
+    ) {
+        let df = self.df;
+        // ALLOC-FREE-BEGIN: per-path loop must not allocate (gated by ci.sh).
+        for _ in 0..n {
+            let z = gen.sample(rng);
+            let (pay, dlt) = self.sample(z);
+            if self.cfg.antithetic {
+                let (pay2, dlt2) = self.sample(-z);
                 stats.push(df * 0.5 * (pay + pay2));
                 delta_stats.push(df * 0.5 * (dlt + dlt2));
-            }
-        } else {
-            for l in 0..L {
-                let (pay, dlt) = payoff_delta(st.0[l], option.strike, sign, m.spot);
+            } else {
                 stats.push(df * pay);
                 delta_stats.push(df * dlt);
             }
         }
+        // ALLOC-FREE-END
     }
-    // Tail: remainder paths continue the same chunk stream scalar-style.
-    for _ in c.start + groups * L..c.end {
-        let z = gen.sample(&mut rng);
-        let (pay, dlt) = vanilla_sample(m, option, t, z, sign);
-        if cfg.antithetic {
-            let (pay2, dlt2) = vanilla_sample(m, option, t, -z, sign);
-            stats.push(df * 0.5 * (pay + pay2));
-            delta_stats.push(df * 0.5 * (dlt + dlt2));
+
+    #[inline]
+    fn sample(&self, z: f64) -> (f64, f64) {
+        self.payoff_delta(self.m.terminal(self.t, z))
+    }
+
+    #[inline]
+    fn payoff_delta(&self, st: f64) -> (f64, f64) {
+        let sign = self.sign;
+        let pay = (sign * (st - self.option.strike)).max(0.0);
+        // Pathwise delta: ∂payoff/∂S₀ = 1{exercised} · sign · S_T/S₀.
+        let dlt = if pay > 0.0 {
+            sign * st / self.m.spot
         } else {
-            stats.push(df * pay);
-            delta_stats.push(df * dlt);
-        }
+            0.0
+        };
+        (pay, dlt)
     }
-    // ALLOC-FREE-END
-    (stats, delta_stats)
-}
 
-#[inline]
-fn vanilla_sample(m: &BlackScholes, option: &Vanilla, t: f64, z: f64, sign: f64) -> (f64, f64) {
-    payoff_delta(m.terminal(t, z), option.strike, sign, m.spot)
-}
-
-#[inline]
-fn payoff_delta(st: f64, strike: f64, sign: f64, spot: f64) -> (f64, f64) {
-    let pay = (sign * (st - strike)).max(0.0);
-    // Pathwise delta: ∂payoff/∂S₀ = 1{exercised} · sign · S_T/S₀.
-    let dlt = if pay > 0.0 { sign * st / spot } else { 0.0 };
-    (pay, dlt)
+    /// `L` paths advance per loop iteration, normals drawn in
+    /// `(group, lane)` order, terminal levels computed with fused
+    /// `mul_add` (so lane prices are a distinct — equally valid — sample
+    /// from the scalar kernel even where the draw order coincides).
+    fn lanes<const L: usize>(&self, c: &Chunk) -> (RunningStats, RunningStats) {
+        let (m, t, df) = (self.m, self.t, self.df);
+        let mut rng = StdRng::seed_from_u64(stream_seed(self.cfg.seed, c.index));
+        let mut gen = NormalGen::new();
+        let mut out = (RunningStats::new(), RunningStats::new());
+        let (stats, delta_stats) = &mut out;
+        let drift = F64s::<L>::splat(m.log_drift() * t);
+        let volt = F64s::<L>::splat(m.sigma * t.sqrt());
+        let spot = F64s::<L>::splat(m.spot);
+        let groups = c.len() / L;
+        // ALLOC-FREE-BEGIN: per-group loop must not allocate (gated by ci.sh).
+        for _ in 0..groups {
+            let z = F64s::<L>::from_fn(|_| gen.sample(&mut rng));
+            let st = z.mul_add(volt, drift).exp() * spot;
+            if self.cfg.antithetic {
+                let st2 = (-z).mul_add(volt, drift).exp() * spot;
+                for l in 0..L {
+                    let (pay, dlt) = self.payoff_delta(st.0[l]);
+                    let (pay2, dlt2) = self.payoff_delta(st2.0[l]);
+                    stats.push(df * 0.5 * (pay + pay2));
+                    delta_stats.push(df * 0.5 * (dlt + dlt2));
+                }
+            } else {
+                for l in 0..L {
+                    let (pay, dlt) = self.payoff_delta(st.0[l]);
+                    stats.push(df * pay);
+                    delta_stats.push(df * dlt);
+                }
+            }
+        }
+        // ALLOC-FREE-END
+        self.paths(&mut rng, &mut gen, c.len() - groups * L, &mut out);
+        out
+    }
 }
 
 /// Quasi-Monte-Carlo variant of [`mc_vanilla_bs`] (Sobol + Moro inverse
@@ -294,35 +300,8 @@ pub fn qmc_vanilla_bs(m: &BlackScholes, option: &Vanilla, paths: usize) -> McRes
 /// European basket option under multi-asset Black–Scholes: exact
 /// one-step correlated terminal sampling (the payoff is path-independent).
 pub fn mc_basket(m: &MultiBlackScholes, option: &BasketOption, cfg: &McConfig) -> McResult {
-    cfg.validate().expect("invalid MC config");
-    option.validate().expect("invalid option");
-    assert_european(option.exercise);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut corr = m.correlator();
-    let t = option.maturity;
-    let df = m.discount(t);
-    let mut z = vec![0.0; m.dim];
-    let mut s = vec![0.0; m.dim];
-    let mut stats = RunningStats::new();
-    for _ in 0..cfg.paths {
-        corr.sample(&mut rng, &mut z);
-        m.terminal(t, &z, &mut s);
-        let pay = option.payoff(&s);
-        if cfg.antithetic {
-            for zi in z.iter_mut() {
-                *zi = -*zi;
-            }
-            m.terminal(t, &z, &mut s);
-            stats.push(df * 0.5 * (pay + option.payoff(&s)));
-        } else {
-            stats.push(df * pay);
-        }
-    }
-    McResult {
-        price: stats.mean(),
-        std_error: stats.std_error(),
-        delta: None,
-    }
+    let k = BasketMc::new(m, option, cfg);
+    McResult::from_stats(&k.scalar(cfg.seed, cfg.paths, &mut PathWorkspace::new()))
 }
 
 /// Chunked-deterministic variant of [`mc_basket`] (per-chunk correlated
@@ -333,147 +312,134 @@ pub fn mc_basket_exec(
     cfg: &McConfig,
     pol: &ExecPolicy,
 ) -> McResult {
-    cfg.validate().expect("invalid MC config");
-    option.validate().expect("invalid option");
-    assert_european(option.exercise);
-    let t = option.maturity;
-    let df = m.discount(t);
+    let k = BasketMc::new(m, option, cfg);
     let parts = match pol.lane_width() {
-        4 => pol.run_ws(cfg.paths, |c, ws| {
-            basket_chunk_lanes::<4>(m, option, cfg, t, df, c, ws)
-        }),
-        8 => pol.run_ws(cfg.paths, |c, ws| {
-            basket_chunk_lanes::<8>(m, option, cfg, t, df, c, ws)
-        }),
+        4 => pol.run_ws(cfg.paths, |c, ws| k.lanes::<4>(c, ws)),
+        8 => pol.run_ws(cfg.paths, |c, ws| k.lanes::<8>(c, ws)),
         _ => pol.run_ws(cfg.paths, |c, ws| {
-            basket_chunk_scalar(m, option, cfg, t, df, c, ws)
+            k.scalar(stream_seed(cfg.seed, c.index), c.len(), ws)
         }),
     };
-    let mut stats = RunningStats::new();
-    for p in &parts {
-        stats.merge(p);
-    }
-    McResult {
-        price: stats.mean(),
-        std_error: stats.std_error(),
-        delta: None,
-    }
+    McResult::from_stats(&merged(&parts))
 }
 
-/// Scalar (lanes = 1) chunk body. The per-chunk `z`/`s` scratch now
-/// comes from the per-worker [`PathWorkspace`] pool instead of fresh
-/// `vec!`s — `take` zero-fills, so the numbers are unchanged and
-/// steady-state pricing stops allocating.
-fn basket_chunk_scalar(
-    m: &MultiBlackScholes,
-    option: &BasketOption,
-    cfg: &McConfig,
+struct BasketMc<'a> {
+    m: &'a MultiBlackScholes,
+    option: &'a BasketOption,
+    cfg: &'a McConfig,
     t: f64,
     df: f64,
-    c: &Chunk,
-    ws: &mut PathWorkspace,
-) -> RunningStats {
-    let mut rng = StdRng::seed_from_u64(stream_seed(cfg.seed, c.index));
-    let mut corr = m.correlator();
-    let mut z = ws.take(m.dim);
-    let mut s = ws.take(m.dim);
-    let mut stats = RunningStats::new();
-    // ALLOC-FREE-BEGIN: per-path loop must not allocate (gated by ci.sh).
-    for _ in c.start..c.end {
-        corr.sample(&mut rng, &mut z);
-        m.terminal(t, &z, &mut s);
-        let pay = option.payoff(&s);
-        if cfg.antithetic {
-            for zi in z.iter_mut() {
-                *zi = -*zi;
-            }
+}
+
+impl<'a> BasketMc<'a> {
+    fn new(m: &'a MultiBlackScholes, option: &'a BasketOption, cfg: &'a McConfig) -> Self {
+        cfg.validate().expect("invalid MC config");
+        option.validate().expect("invalid option");
+        assert_european(option.exercise);
+        let t = option.maturity;
+        BasketMc {
+            m,
+            option,
+            cfg,
+            t,
+            df: m.discount(t),
+        }
+    }
+
+    fn scalar(&self, seed: u64, n: usize, ws: &mut PathWorkspace) -> RunningStats {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut corr = self.m.correlator();
+        let mut stats = RunningStats::new();
+        self.paths(&mut rng, &mut corr, n, ws, &mut stats);
+        stats
+    }
+
+    /// The `z`/`s` scratch comes from the [`PathWorkspace`] pool (`take`
+    /// zero-fills, so it is numerically a fresh `vec!`).
+    fn paths(
+        &self,
+        rng: &mut StdRng,
+        corr: &mut CorrelatedNormals,
+        n: usize,
+        ws: &mut PathWorkspace,
+        stats: &mut RunningStats,
+    ) {
+        let (m, option, t, df) = (self.m, self.option, self.t, self.df);
+        let mut z = ws.take(m.dim);
+        let mut s = ws.take(m.dim);
+        // ALLOC-FREE-BEGIN: per-path loop must not allocate (gated by ci.sh).
+        for _ in 0..n {
+            corr.sample(rng, &mut z);
             m.terminal(t, &z, &mut s);
-            stats.push(df * 0.5 * (pay + option.payoff(&s)));
-        } else {
-            stats.push(df * pay);
-        }
-    }
-    // ALLOC-FREE-END
-    ws.put(s);
-    ws.put(z);
-    stats
-}
-
-/// `L`-wide chunk body: lanes hold `L` paths' correlated draws and
-/// terminal levels in lane-major scratch (`buf[l*dim..][..dim]` is lane
-/// `l`). Correlated vectors are drawn per lane in lane order — the same
-/// consumption order as `L` consecutive scalar paths — and the terminal
-/// map vectorises across lanes per asset with fused `mul_add`.
-fn basket_chunk_lanes<const L: usize>(
-    m: &MultiBlackScholes,
-    option: &BasketOption,
-    cfg: &McConfig,
-    t: f64,
-    df: f64,
-    c: &Chunk,
-    ws: &mut PathWorkspace,
-) -> RunningStats {
-    let dim = m.dim;
-    let mut rng = StdRng::seed_from_u64(stream_seed(cfg.seed, c.index));
-    let mut corr = m.correlator();
-    let mut zbuf = ws.take(L * dim);
-    let mut sbuf = ws.take(L * dim);
-    let mut s2buf = ws.take(L * dim);
-    let mut stats = RunningStats::new();
-    let drift = F64s::<L>::splat(m.log_drift() * t);
-    let volt = F64s::<L>::splat(m.sigma * t.sqrt());
-    let spot = F64s::<L>::splat(m.spot);
-    let groups = c.len() / L;
-    // ALLOC-FREE-BEGIN: per-group loop must not allocate (gated by ci.sh).
-    for _ in 0..groups {
-        for l in 0..L {
-            corr.sample(&mut rng, &mut zbuf[l * dim..(l + 1) * dim]);
-        }
-        for i in 0..dim {
-            let z = F64s::<L>::from_fn(|l| zbuf[l * dim + i]);
-            let st = z.mul_add(volt, drift).exp() * spot;
-            for l in 0..L {
-                sbuf[l * dim + i] = st.0[l];
-            }
-            if cfg.antithetic {
-                let st2 = (-z).mul_add(volt, drift).exp() * spot;
-                for l in 0..L {
-                    s2buf[l * dim + i] = st2.0[l];
+            let pay = option.payoff(&s);
+            if self.cfg.antithetic {
+                for zi in z.iter_mut() {
+                    *zi = -*zi;
                 }
-            }
-        }
-        for l in 0..L {
-            let pay = option.payoff(&sbuf[l * dim..(l + 1) * dim]);
-            if cfg.antithetic {
-                let pay2 = option.payoff(&s2buf[l * dim..(l + 1) * dim]);
-                stats.push(df * 0.5 * (pay + pay2));
+                m.terminal(t, &z, &mut s);
+                stats.push(df * 0.5 * (pay + option.payoff(&s)));
             } else {
                 stats.push(df * pay);
             }
         }
+        // ALLOC-FREE-END
+        ws.put(s);
+        ws.put(z);
     }
-    // Tail: remainder paths continue the same chunk stream scalar-style.
-    for _ in c.start + groups * L..c.end {
-        let z = &mut zbuf[..dim];
-        let s = &mut sbuf[..dim];
-        corr.sample(&mut rng, z);
-        m.terminal(t, z, s);
-        let pay = option.payoff(s);
-        if cfg.antithetic {
-            for zi in z.iter_mut() {
-                *zi = -*zi;
+
+    /// Lanes hold `L` paths' correlated draws and terminal levels in
+    /// lane-major scratch (`buf[l*dim..][..dim]` is lane `l`). Correlated
+    /// vectors are drawn per lane in lane order — the same consumption
+    /// order as `L` consecutive scalar paths — and the terminal map
+    /// vectorises across lanes per asset with fused `mul_add`.
+    fn lanes<const L: usize>(&self, c: &Chunk, ws: &mut PathWorkspace) -> RunningStats {
+        let (m, option, t, df) = (self.m, self.option, self.t, self.df);
+        let dim = m.dim;
+        let mut rng = StdRng::seed_from_u64(stream_seed(self.cfg.seed, c.index));
+        let mut corr = m.correlator();
+        let mut zbuf = ws.take(L * dim);
+        let mut sbuf = ws.take(L * dim);
+        let mut s2buf = ws.take(L * dim);
+        let mut stats = RunningStats::new();
+        let drift = F64s::<L>::splat(m.log_drift() * t);
+        let volt = F64s::<L>::splat(m.sigma * t.sqrt());
+        let spot = F64s::<L>::splat(m.spot);
+        let groups = c.len() / L;
+        // ALLOC-FREE-BEGIN: per-group loop must not allocate (gated by ci.sh).
+        for _ in 0..groups {
+            for l in 0..L {
+                corr.sample(&mut rng, &mut zbuf[l * dim..(l + 1) * dim]);
             }
-            m.terminal(t, z, s);
-            stats.push(df * 0.5 * (pay + option.payoff(s)));
-        } else {
-            stats.push(df * pay);
+            for i in 0..dim {
+                let z = F64s::<L>::from_fn(|l| zbuf[l * dim + i]);
+                let st = z.mul_add(volt, drift).exp() * spot;
+                for l in 0..L {
+                    sbuf[l * dim + i] = st.0[l];
+                }
+                if self.cfg.antithetic {
+                    let st2 = (-z).mul_add(volt, drift).exp() * spot;
+                    for l in 0..L {
+                        s2buf[l * dim + i] = st2.0[l];
+                    }
+                }
+            }
+            for l in 0..L {
+                let pay = option.payoff(&sbuf[l * dim..(l + 1) * dim]);
+                if self.cfg.antithetic {
+                    let pay2 = option.payoff(&s2buf[l * dim..(l + 1) * dim]);
+                    stats.push(df * 0.5 * (pay + pay2));
+                } else {
+                    stats.push(df * pay);
+                }
+            }
         }
+        // ALLOC-FREE-END
+        ws.put(s2buf);
+        ws.put(sbuf);
+        ws.put(zbuf);
+        self.paths(&mut rng, &mut corr, c.len() - groups * L, ws, &mut stats);
+        stats
     }
-    // ALLOC-FREE-END
-    ws.put(s2buf);
-    ws.put(sbuf);
-    ws.put(zbuf);
-    stats
 }
 
 /// Halton-sequence QMC variant of [`mc_basket`] for moderate dimensions
@@ -508,34 +474,8 @@ pub fn qmc_basket(m: &MultiBlackScholes, option: &BasketOption, paths: usize) ->
 /// European vanilla option under the local-volatility model, log-Euler
 /// paths with `cfg.time_steps` steps.
 pub fn mc_local_vol(m: &LocalVol, option: &Vanilla, cfg: &McConfig) -> McResult {
-    cfg.validate().expect("invalid MC config");
-    option.validate().expect("invalid option");
-    assert_european(option.exercise);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut gen = NormalGen::new();
-    let t = option.maturity;
-    let df = m.discount(t);
-    let dt = t / cfg.time_steps as f64;
-    let mut stats = RunningStats::new();
-    let mut zbuf = vec![0.0; cfg.time_steps];
-    for _ in 0..cfg.paths {
-        gen.fill(&mut rng, &mut zbuf);
-        let pay = local_vol_path(m, option, dt, &zbuf);
-        if cfg.antithetic {
-            for z in zbuf.iter_mut() {
-                *z = -*z;
-            }
-            let pay2 = local_vol_path(m, option, dt, &zbuf);
-            stats.push(df * 0.5 * (pay + pay2));
-        } else {
-            stats.push(df * pay);
-        }
-    }
-    McResult {
-        price: stats.mean(),
-        std_error: stats.std_error(),
-        delta: None,
-    }
+    let k = LocalVolMc::new(m, option, cfg);
+    McResult::from_stats(&k.scalar(cfg.seed, cfg.paths, &mut PathWorkspace::new()))
 }
 
 /// Chunked-deterministic variant of [`mc_local_vol`].
@@ -545,130 +485,140 @@ pub fn mc_local_vol_exec(
     cfg: &McConfig,
     pol: &ExecPolicy,
 ) -> McResult {
-    cfg.validate().expect("invalid MC config");
-    option.validate().expect("invalid option");
-    assert_european(option.exercise);
-    let t = option.maturity;
-    let df = m.discount(t);
-    let dt = t / cfg.time_steps as f64;
+    let k = LocalVolMc::new(m, option, cfg);
     let parts = match pol.lane_width() {
-        4 => pol.run_ws(cfg.paths, |c, ws| {
-            local_vol_chunk_lanes::<4>(m, option, cfg, df, dt, c, ws)
-        }),
-        8 => pol.run_ws(cfg.paths, |c, ws| {
-            local_vol_chunk_lanes::<8>(m, option, cfg, df, dt, c, ws)
-        }),
+        4 => pol.run_ws(cfg.paths, |c, ws| k.lanes::<4>(c, ws)),
+        8 => pol.run_ws(cfg.paths, |c, ws| k.lanes::<8>(c, ws)),
         _ => pol.run_ws(cfg.paths, |c, ws| {
-            local_vol_chunk_scalar(m, option, cfg, df, dt, c, ws)
+            k.scalar(stream_seed(cfg.seed, c.index), c.len(), ws)
         }),
     };
-    let mut stats = RunningStats::new();
-    for p in &parts {
-        stats.merge(p);
-    }
-    McResult {
-        price: stats.mean(),
-        std_error: stats.std_error(),
-        delta: None,
-    }
+    McResult::from_stats(&merged(&parts))
 }
 
-/// Scalar (lanes = 1) chunk body; `zbuf` comes from the per-worker
-/// [`PathWorkspace`] pool (zero-filled, numerically identical to the
-/// old `vec!`).
-fn local_vol_chunk_scalar(
-    m: &LocalVol,
-    option: &Vanilla,
-    cfg: &McConfig,
+struct LocalVolMc<'a> {
+    m: &'a LocalVol,
+    option: &'a Vanilla,
+    cfg: &'a McConfig,
     df: f64,
     dt: f64,
-    c: &Chunk,
-    ws: &mut PathWorkspace,
-) -> RunningStats {
-    let mut rng = StdRng::seed_from_u64(stream_seed(cfg.seed, c.index));
-    let mut gen = NormalGen::new();
-    let mut zbuf = ws.take(cfg.time_steps);
-    let mut stats = RunningStats::new();
-    // ALLOC-FREE-BEGIN: per-path loop must not allocate (gated by ci.sh).
-    for _ in c.start..c.end {
-        gen.fill(&mut rng, &mut zbuf);
-        let pay = local_vol_path(m, option, dt, &zbuf);
-        if cfg.antithetic {
-            for z in zbuf.iter_mut() {
-                *z = -*z;
-            }
-            let pay2 = local_vol_path(m, option, dt, &zbuf);
-            stats.push(df * 0.5 * (pay + pay2));
-        } else {
-            stats.push(df * pay);
-        }
-    }
-    // ALLOC-FREE-END
-    ws.put(zbuf);
-    stats
+    /// The Euler scheme's path-independent factors, tabulated once per
+    /// problem and shared by every chunk.
+    grid: EulerGrid,
 }
 
-/// `L`-wide chunk body: `L` Euler paths advance in lockstep, one normal
-/// group per time step, so the draw order is `(group, step, lane)` —
-/// distinct from the scalar per-path `fill`. The time-dependent term
-/// factor of the vol surface is scalar per step (shared by all lanes);
-/// the spot-dependent skew is per-lane `tanh`.
-fn local_vol_chunk_lanes<const L: usize>(
-    m: &LocalVol,
-    option: &Vanilla,
-    cfg: &McConfig,
-    df: f64,
-    dt: f64,
-    c: &Chunk,
-    ws: &mut PathWorkspace,
-) -> RunningStats {
-    let mut rng = StdRng::seed_from_u64(stream_seed(cfg.seed, c.index));
-    let mut gen = NormalGen::new();
-    let mut zbuf = ws.take(cfg.time_steps);
-    let mut stats = RunningStats::new();
-    let spot = F64s::<L>::splat(m.spot);
-    let sqdt = dt.sqrt();
-    let groups = c.len() / L;
-    // ALLOC-FREE-BEGIN: per-group loop must not allocate (gated by ci.sh).
-    for _ in 0..groups {
-        let mut s = spot;
-        let mut s2 = spot;
-        let mut tt = 0.0;
-        for _ in 0..cfg.time_steps {
-            let term = 1.0 + m.term_amp * (-tt / m.term_tau).exp();
-            let z = F64s::<L>::from_fn(|_| gen.sample(&mut rng));
-            s = lv_step_lanes(m, term, dt, sqdt, s, z);
-            if cfg.antithetic {
-                s2 = lv_step_lanes(m, term, dt, sqdt, s2, -z);
-            }
-            tt += dt;
+impl<'a> LocalVolMc<'a> {
+    fn new(m: &'a LocalVol, option: &'a Vanilla, cfg: &'a McConfig) -> Self {
+        cfg.validate().expect("invalid MC config");
+        option.validate().expect("invalid option");
+        assert_european(option.exercise);
+        let t = option.maturity;
+        let dt = t / cfg.time_steps as f64;
+        LocalVolMc {
+            m,
+            option,
+            cfg,
+            df: m.discount(t),
+            dt,
+            grid: m.euler_grid(dt, cfg.time_steps),
         }
-        for l in 0..L {
-            let pay = option.payoff(s.0[l]);
-            if cfg.antithetic {
-                stats.push(df * 0.5 * (pay + option.payoff(s2.0[l])));
+    }
+
+    fn scalar(&self, seed: u64, n: usize, ws: &mut PathWorkspace) -> RunningStats {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut gen = NormalGen::new();
+        let mut stats = RunningStats::new();
+        self.paths(&mut rng, &mut gen, n, ws, &mut stats);
+        stats
+    }
+
+    /// An Euler path is one chain of dependent `tanh → exp` steps, so
+    /// paths advance two at a time, each beside its antithetic twin —
+    /// four independent chains (two without antithetics; the odd last
+    /// path runs with its twin alone). The normals of path `p` are drawn
+    /// before those of `p + 1` and `p` is pushed first, exactly as when
+    /// the paths ran one after the other: same sample, same bits.
+    fn paths(
+        &self,
+        rng: &mut StdRng,
+        gen: &mut NormalGen,
+        n: usize,
+        ws: &mut PathWorkspace,
+        stats: &mut RunningStats,
+    ) {
+        let (grid, df) = (&self.grid, self.df);
+        let pay = |s: f64| self.option.payoff(s);
+        let steps = self.cfg.time_steps;
+        let mut zbuf = ws.take(2 * steps);
+        let (za, zb) = zbuf.split_at_mut(steps);
+        // ALLOC-FREE-BEGIN: per-path loop must not allocate (gated by ci.sh).
+        for _ in 0..n / 2 {
+            gen.fill(rng, za);
+            gen.fill(rng, zb);
+            if self.cfg.antithetic {
+                let s = grid.terminal(|k| [za[k], -za[k], zb[k], -zb[k]]);
+                stats.push(df * 0.5 * (pay(s[0]) + pay(s[1])));
+                stats.push(df * 0.5 * (pay(s[2]) + pay(s[3])));
             } else {
-                stats.push(df * pay);
+                let s = grid.terminal(|k| [za[k], zb[k]]);
+                stats.push(df * pay(s[0]));
+                stats.push(df * pay(s[1]));
             }
         }
-    }
-    // Tail: remainder paths continue the same chunk stream scalar-style.
-    for _ in c.start + groups * L..c.end {
-        gen.fill(&mut rng, &mut zbuf);
-        let pay = local_vol_path(m, option, dt, &zbuf);
-        if cfg.antithetic {
-            for z in zbuf.iter_mut() {
-                *z = -*z;
+        if n % 2 == 1 {
+            gen.fill(rng, za);
+            if self.cfg.antithetic {
+                let s = grid.terminal(|k| [za[k], -za[k]]);
+                stats.push(df * 0.5 * (pay(s[0]) + pay(s[1])));
+            } else {
+                let [s] = grid.terminal(|k| [za[k]]);
+                stats.push(df * pay(s));
             }
-            let pay2 = local_vol_path(m, option, dt, &zbuf);
-            stats.push(df * 0.5 * (pay + pay2));
-        } else {
-            stats.push(df * pay);
         }
+        // ALLOC-FREE-END
+        ws.put(zbuf);
     }
-    // ALLOC-FREE-END
-    ws.put(zbuf);
-    stats
+
+    /// `L` Euler paths advance in lockstep, one normal group per time
+    /// step, so the draw order is `(group, step, lane)` — distinct from
+    /// the scalar per-path `fill`. The time-dependent term factor of the
+    /// vol surface is scalar per step (shared by all lanes); the
+    /// spot-dependent skew is per-lane `tanh`.
+    fn lanes<const L: usize>(&self, c: &Chunk, ws: &mut PathWorkspace) -> RunningStats {
+        let (m, option, df, dt) = (self.m, self.option, self.df, self.dt);
+        let mut rng = StdRng::seed_from_u64(stream_seed(self.cfg.seed, c.index));
+        let mut gen = NormalGen::new();
+        let mut stats = RunningStats::new();
+        let spot = F64s::<L>::splat(m.spot);
+        let sqdt = dt.sqrt();
+        let groups = c.len() / L;
+        // ALLOC-FREE-BEGIN: per-group loop must not allocate (gated by ci.sh).
+        for _ in 0..groups {
+            let mut s = spot;
+            let mut s2 = spot;
+            let mut tt = 0.0;
+            for _ in 0..self.cfg.time_steps {
+                let term = 1.0 + m.term_amp * (-tt / m.term_tau).exp();
+                let z = F64s::<L>::from_fn(|_| gen.sample(&mut rng));
+                s = lv_step_lanes(m, term, dt, sqdt, s, z);
+                if self.cfg.antithetic {
+                    s2 = lv_step_lanes(m, term, dt, sqdt, s2, -z);
+                }
+                tt += dt;
+            }
+            for l in 0..L {
+                let pay = option.payoff(s.0[l]);
+                if self.cfg.antithetic {
+                    stats.push(df * 0.5 * (pay + option.payoff(s2.0[l])));
+                } else {
+                    stats.push(df * pay);
+                }
+            }
+        }
+        // ALLOC-FREE-END
+        self.paths(&mut rng, &mut gen, c.len() - groups * L, ws, &mut stats);
+        stats
+    }
 }
 
 /// One lane-wide log-Euler step of the local-vol model: `term` is the
@@ -696,196 +646,148 @@ fn lv_step_lanes<const L: usize>(
     s * expo.exp()
 }
 
-#[inline]
-fn local_vol_path(m: &LocalVol, option: &Vanilla, dt: f64, zs: &[f64]) -> f64 {
-    let mut s = m.spot;
-    let mut t = 0.0;
-    for &z in zs {
-        s = m.step(t, s, dt, z);
-        t += dt;
-    }
-    option.payoff(s)
-}
-
 /// European vanilla option under Heston, full-truncation Euler paths.
 pub fn mc_heston(m: &Heston, option: &Vanilla, cfg: &McConfig) -> McResult {
-    cfg.validate().expect("invalid MC config");
-    option.validate().expect("invalid option");
-    assert_european(option.exercise);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut gen = NormalGen::new();
-    let t = option.maturity;
-    let df = m.discount(t);
-    let dt = t / cfg.time_steps as f64;
-    let mut stats = RunningStats::new();
-    let mut z1 = vec![0.0; cfg.time_steps];
-    let mut z2 = vec![0.0; cfg.time_steps];
-    for _ in 0..cfg.paths {
-        gen.fill(&mut rng, &mut z1);
-        gen.fill(&mut rng, &mut z2);
-        let pay = heston_path(m, option, dt, &z1, &z2);
-        if cfg.antithetic {
-            for z in z1.iter_mut() {
-                *z = -*z;
-            }
-            for z in z2.iter_mut() {
-                *z = -*z;
-            }
-            let pay2 = heston_path(m, option, dt, &z1, &z2);
-            stats.push(df * 0.5 * (pay + pay2));
-        } else {
-            stats.push(df * pay);
-        }
-    }
-    McResult {
-        price: stats.mean(),
-        std_error: stats.std_error(),
-        delta: None,
-    }
+    let k = HestonMc::new(m, option, cfg);
+    McResult::from_stats(&k.scalar(cfg.seed, cfg.paths, &mut PathWorkspace::new()))
 }
 
 /// Chunked-deterministic variant of [`mc_heston`].
 pub fn mc_heston_exec(m: &Heston, option: &Vanilla, cfg: &McConfig, pol: &ExecPolicy) -> McResult {
-    cfg.validate().expect("invalid MC config");
-    option.validate().expect("invalid option");
-    assert_european(option.exercise);
-    let t = option.maturity;
-    let df = m.discount(t);
-    let dt = t / cfg.time_steps as f64;
+    let k = HestonMc::new(m, option, cfg);
     let parts = match pol.lane_width() {
-        4 => pol.run_ws(cfg.paths, |c, ws| {
-            heston_chunk_lanes::<4>(m, option, cfg, df, dt, c, ws)
-        }),
-        8 => pol.run_ws(cfg.paths, |c, ws| {
-            heston_chunk_lanes::<8>(m, option, cfg, df, dt, c, ws)
-        }),
+        4 => pol.run_ws(cfg.paths, |c, ws| k.lanes::<4>(c, ws)),
+        8 => pol.run_ws(cfg.paths, |c, ws| k.lanes::<8>(c, ws)),
         _ => pol.run_ws(cfg.paths, |c, ws| {
-            heston_chunk_scalar(m, option, cfg, df, dt, c, ws)
+            k.scalar(stream_seed(cfg.seed, c.index), c.len(), ws)
         }),
     };
-    let mut stats = RunningStats::new();
-    for p in &parts {
-        stats.merge(p);
-    }
-    McResult {
-        price: stats.mean(),
-        std_error: stats.std_error(),
-        delta: None,
-    }
+    McResult::from_stats(&merged(&parts))
 }
 
-/// Scalar (lanes = 1) chunk body; `z1`/`z2` come from the per-worker
-/// [`PathWorkspace`] pool.
-fn heston_chunk_scalar(
-    m: &Heston,
-    option: &Vanilla,
-    cfg: &McConfig,
+struct HestonMc<'a> {
+    m: &'a Heston,
+    option: &'a Vanilla,
+    cfg: &'a McConfig,
     df: f64,
     dt: f64,
-    c: &Chunk,
-    ws: &mut PathWorkspace,
-) -> RunningStats {
-    let mut rng = StdRng::seed_from_u64(stream_seed(cfg.seed, c.index));
-    let mut gen = NormalGen::new();
-    let mut z1 = ws.take(cfg.time_steps);
-    let mut z2 = ws.take(cfg.time_steps);
-    let mut stats = RunningStats::new();
-    // ALLOC-FREE-BEGIN: per-path loop must not allocate (gated by ci.sh).
-    for _ in c.start..c.end {
-        gen.fill(&mut rng, &mut z1);
-        gen.fill(&mut rng, &mut z2);
-        let pay = heston_path(m, option, dt, &z1, &z2);
-        if cfg.antithetic {
-            for z in z1.iter_mut() {
-                *z = -*z;
-            }
-            for z in z2.iter_mut() {
-                *z = -*z;
-            }
-            let pay2 = heston_path(m, option, dt, &z1, &z2);
-            stats.push(df * 0.5 * (pay + pay2));
-        } else {
-            stats.push(df * pay);
-        }
-    }
-    // ALLOC-FREE-END
-    ws.put(z2);
-    ws.put(z1);
-    stats
 }
 
-/// `L`-wide chunk body: `L` full-truncation Euler paths advance in
-/// lockstep. Per step the spot normals `z1` are drawn for all lanes,
-/// then the variance normals `z2` — so the draw order is
-/// `(group, step, z1 lanes, z2 lanes)`, distinct from the scalar
-/// per-path double `fill`.
-fn heston_chunk_lanes<const L: usize>(
-    m: &Heston,
-    option: &Vanilla,
-    cfg: &McConfig,
-    df: f64,
-    dt: f64,
-    c: &Chunk,
-    ws: &mut PathWorkspace,
-) -> RunningStats {
-    let mut rng = StdRng::seed_from_u64(stream_seed(cfg.seed, c.index));
-    let mut gen = NormalGen::new();
-    let mut zb1 = ws.take(cfg.time_steps);
-    let mut zb2 = ws.take(cfg.time_steps);
-    let mut stats = RunningStats::new();
-    let spot = F64s::<L>::splat(m.spot);
-    let v0 = F64s::<L>::splat(m.v0);
-    let sqdt = dt.sqrt();
-    let groups = c.len() / L;
-    // ALLOC-FREE-BEGIN: per-group loop must not allocate (gated by ci.sh).
-    for _ in 0..groups {
-        let mut s = spot;
-        let mut v = v0;
-        let mut s2 = spot;
-        let mut v2 = v0;
-        for _ in 0..cfg.time_steps {
-            let z1 = F64s::<L>::from_fn(|_| gen.sample(&mut rng));
-            let z2 = F64s::<L>::from_fn(|_| gen.sample(&mut rng));
-            let (sn, vn) = heston_step_lanes(m, dt, sqdt, s, v, z1, z2);
-            s = sn;
-            v = vn;
-            if cfg.antithetic {
-                let (sn2, vn2) = heston_step_lanes(m, dt, sqdt, s2, v2, -z1, -z2);
-                s2 = sn2;
-                v2 = vn2;
-            }
+impl<'a> HestonMc<'a> {
+    fn new(m: &'a Heston, option: &'a Vanilla, cfg: &'a McConfig) -> Self {
+        cfg.validate().expect("invalid MC config");
+        option.validate().expect("invalid option");
+        assert_european(option.exercise);
+        let t = option.maturity;
+        HestonMc {
+            m,
+            option,
+            cfg,
+            df: m.discount(t),
+            dt: t / cfg.time_steps as f64,
         }
-        for l in 0..L {
-            let pay = option.payoff(s.0[l]);
-            if cfg.antithetic {
-                stats.push(df * 0.5 * (pay + option.payoff(s2.0[l])));
+    }
+
+    fn scalar(&self, seed: u64, n: usize, ws: &mut PathWorkspace) -> RunningStats {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut gen = NormalGen::new();
+        let mut stats = RunningStats::new();
+        self.paths(&mut rng, &mut gen, n, ws, &mut stats);
+        stats
+    }
+
+    fn paths(
+        &self,
+        rng: &mut StdRng,
+        gen: &mut NormalGen,
+        n: usize,
+        ws: &mut PathWorkspace,
+        stats: &mut RunningStats,
+    ) {
+        let df = self.df;
+        let mut z1 = ws.take(self.cfg.time_steps);
+        let mut z2 = ws.take(self.cfg.time_steps);
+        // ALLOC-FREE-BEGIN: per-path loop must not allocate (gated by ci.sh).
+        for _ in 0..n {
+            gen.fill(rng, &mut z1);
+            gen.fill(rng, &mut z2);
+            let pay = self.path(&z1, &z2);
+            if self.cfg.antithetic {
+                for z in z1.iter_mut() {
+                    *z = -*z;
+                }
+                for z in z2.iter_mut() {
+                    *z = -*z;
+                }
+                let pay2 = self.path(&z1, &z2);
+                stats.push(df * 0.5 * (pay + pay2));
             } else {
                 stats.push(df * pay);
             }
         }
+        // ALLOC-FREE-END
+        ws.put(z2);
+        ws.put(z1);
     }
-    // Tail: remainder paths continue the same chunk stream scalar-style.
-    for _ in c.start + groups * L..c.end {
-        gen.fill(&mut rng, &mut zb1);
-        gen.fill(&mut rng, &mut zb2);
-        let pay = heston_path(m, option, dt, &zb1, &zb2);
-        if cfg.antithetic {
-            for z in zb1.iter_mut() {
-                *z = -*z;
-            }
-            for z in zb2.iter_mut() {
-                *z = -*z;
-            }
-            let pay2 = heston_path(m, option, dt, &zb1, &zb2);
-            stats.push(df * 0.5 * (pay + pay2));
-        } else {
-            stats.push(df * pay);
+
+    #[inline]
+    fn path(&self, z1: &[f64], z2: &[f64]) -> f64 {
+        let m = self.m;
+        let mut s = m.spot;
+        let mut v = m.v0;
+        for i in 0..z1.len() {
+            let (s2, v2) = m.step(s, v, self.dt, z1[i], z2[i]);
+            s = s2;
+            v = v2;
         }
+        self.option.payoff(s)
     }
-    // ALLOC-FREE-END
-    ws.put(zb2);
-    ws.put(zb1);
-    stats
+
+    /// `L` full-truncation Euler paths advance in lockstep. Per step the
+    /// spot normals `z1` are drawn for all lanes, then the variance
+    /// normals `z2` — so the draw order is
+    /// `(group, step, z1 lanes, z2 lanes)`, distinct from the scalar
+    /// per-path double `fill`.
+    fn lanes<const L: usize>(&self, c: &Chunk, ws: &mut PathWorkspace) -> RunningStats {
+        let (m, option, df, dt) = (self.m, self.option, self.df, self.dt);
+        let mut rng = StdRng::seed_from_u64(stream_seed(self.cfg.seed, c.index));
+        let mut gen = NormalGen::new();
+        let mut stats = RunningStats::new();
+        let spot = F64s::<L>::splat(m.spot);
+        let v0 = F64s::<L>::splat(m.v0);
+        let sqdt = dt.sqrt();
+        let groups = c.len() / L;
+        // ALLOC-FREE-BEGIN: per-group loop must not allocate (gated by ci.sh).
+        for _ in 0..groups {
+            let mut s = spot;
+            let mut v = v0;
+            let mut s2 = spot;
+            let mut v2 = v0;
+            for _ in 0..self.cfg.time_steps {
+                let z1 = F64s::<L>::from_fn(|_| gen.sample(&mut rng));
+                let z2 = F64s::<L>::from_fn(|_| gen.sample(&mut rng));
+                let (sn, vn) = heston_step_lanes(m, dt, sqdt, s, v, z1, z2);
+                s = sn;
+                v = vn;
+                if self.cfg.antithetic {
+                    let (sn2, vn2) = heston_step_lanes(m, dt, sqdt, s2, v2, -z1, -z2);
+                    s2 = sn2;
+                    v2 = vn2;
+                }
+            }
+            for l in 0..L {
+                let pay = option.payoff(s.0[l]);
+                if self.cfg.antithetic {
+                    stats.push(df * 0.5 * (pay + option.payoff(s2.0[l])));
+                } else {
+                    stats.push(df * pay);
+                }
+            }
+        }
+        // ALLOC-FREE-END
+        self.paths(&mut rng, &mut gen, c.len() - groups * L, ws, &mut stats);
+        stats
+    }
 }
 
 /// One lane-wide full-truncation Euler step of the `(s, v)` pair
@@ -911,18 +813,6 @@ pub(crate) fn heston_step_lanes<const L: usize>(
         F64s::splat((m.rate - m.dividend) * dt),
     ) + sqvp * z1 * F64s::splat(sqdt);
     (s * expo.exp(), v_next)
-}
-
-#[inline]
-fn heston_path(m: &Heston, option: &Vanilla, dt: f64, z1: &[f64], z2: &[f64]) -> f64 {
-    let mut s = m.spot;
-    let mut v = m.v0;
-    for i in 0..z1.len() {
-        let (s2, v2) = m.step(s, v, dt, z1[i], z2[i]);
-        s = s2;
-        v = v2;
-    }
-    option.payoff(s)
 }
 
 #[cfg(test)]
@@ -1149,6 +1039,62 @@ mod tests {
         let ps = mc_local_vol(&skewed, &opt, &cfg).price;
         let pf = mc_local_vol(&flat, &opt, &cfg).price;
         assert!(ps > pf, "skewed {ps} !> flat {pf}");
+    }
+
+    /// The one-path-at-a-time local-vol loop the interleaved one
+    /// replaced, kept as the oracle: `LocalVol::step` along the path,
+    /// then again along the sign-flipped buffer.
+    fn mc_local_vol_naive(m: &LocalVol, option: &Vanilla, cfg: &McConfig) -> McResult {
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut gen = NormalGen::new();
+        let df = m.discount(option.maturity);
+        let dt = option.maturity / cfg.time_steps as f64;
+        let path = |zs: &[f64]| {
+            let (mut s, mut t) = (m.spot, 0.0);
+            for &z in zs {
+                s = m.step(t, s, dt, z);
+                t += dt;
+            }
+            option.payoff(s)
+        };
+        let mut stats = RunningStats::new();
+        let mut zbuf = vec![0.0; cfg.time_steps];
+        for _ in 0..cfg.paths {
+            gen.fill(&mut rng, &mut zbuf);
+            let pay = path(&zbuf);
+            if cfg.antithetic {
+                for z in zbuf.iter_mut() {
+                    *z = -*z;
+                }
+                stats.push(df * 0.5 * (pay + path(&zbuf)));
+            } else {
+                stats.push(df * pay);
+            }
+        }
+        McResult::from_stats(&stats)
+    }
+
+    #[test]
+    fn interleaved_local_vol_is_bit_identical_to_one_path_at_a_time() {
+        let m = LocalVol::standard(100.0, 0.2, 0.05, 0.01);
+        let opt = Vanilla::european_call(95.0, 1.5);
+        let mut seeds = numerics::rng::SplitMix64::new(17);
+        for paths in [1usize, 2, 3, 64, 65] {
+            for time_steps in [1usize, 2, 10, 16] {
+                for antithetic in [true, false] {
+                    let cfg = McConfig {
+                        paths,
+                        time_steps,
+                        antithetic,
+                        seed: seeds.next_u64(),
+                    };
+                    let got = mc_local_vol(&m, &opt, &cfg);
+                    let want = mc_local_vol_naive(&m, &opt, &cfg);
+                    assert_eq!(got.price.to_bits(), want.price.to_bits(), "{cfg:?}");
+                    assert_eq!(got.std_error.to_bits(), want.std_error.to_bits(), "{cfg:?}");
+                }
+            }
+        }
     }
 
     #[test]

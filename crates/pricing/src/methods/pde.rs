@@ -18,7 +18,6 @@
 use crate::models::BlackScholes;
 use crate::options::{Barrier, BarrierKind, Exercise, OptionRight, Vanilla};
 use numerics::interp;
-use numerics::linalg::{solve_tridiagonal, Tridiagonal};
 
 /// Discretisation parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,10 +84,117 @@ struct Solver<'a> {
     upper_bc: Box<dyn Fn(f64) -> f64 + 'a>,
 }
 
+/// The θ-scheme for one `(θ, dt)` pair. The matrix `I − θ·dt·L` is the
+/// same at every time step that shares the pair — a solve has two: the
+/// Rannacher half-steps and the Crank–Nicolson steps — so its bands
+/// and, for the linear solve, the Thomas pivots are worked out once
+/// (with the expressions [`numerics::linalg::solve_tridiagonal`] uses,
+/// hence the same bits).
+struct Scheme {
+    /// Stencil of `L = a·D_xx + b·D_x − r·I` on interior nodes.
+    lo: f64,
+    mid: f64,
+    hi: f64,
+    /// `(1 − θ)·dt`, the explicit side's weight.
+    explicit: f64,
+    /// `θ·dt`, the implicit side's weight.
+    implicit: f64,
+    /// Bands of `I − θ·dt·L`.
+    sub: f64,
+    diag: f64,
+    sup: f64,
+    /// Thomas pivots `denom_i` and ratios `c*_i = sup / denom_i` per
+    /// grid node (the ends are boundary nodes: unused). Left empty
+    /// under an obstacle — PSOR does not factor.
+    denom: Vec<f64>,
+    c_star: Vec<f64>,
+}
+
+/// Sweeps per PSOR wave (see [`psor`]).
+const PSOR_WAVE: usize = 4;
+/// Grid rows a wave works on: its starting iterate and one per sweep.
+const PSOR_ROWS: usize = PSOR_WAVE + 1;
+const PSOR_OMEGA: f64 = 1.3;
+const PSOR_TOL: f64 = 1e-9;
+const PSOR_MAX_ITER: usize = 2000;
+
+/// Projected SOR on the linear complementarity problem
+/// `min(A w − rhs, w − payoff) = 0` over the interior nodes `1..n−1`.
+///
+/// `w` holds [`PSOR_ROWS`] grid rows of `n` nodes, each carrying the
+/// Dirichlet values at both ends; row 0 is the warm start. Returns the
+/// row the sweep-at-a-time iteration would have stopped on: the first
+/// sweep whose largest update is below `tol`, else sweep `max_iter`.
+///
+/// A sweep is a Gauss–Seidel recurrence — node `i` needs the sweep's own
+/// node `i−1` — with a divide on the chain, so one sweep keeps the CPU
+/// waiting. But sweep `j+1` needs from sweep `j` only nodes `i` and
+/// `i+1`: it can start two nodes behind, and [`PSOR_WAVE`] consecutive
+/// sweeps run as one wavefront of independent chains, sweep `j` of the
+/// wave reading row `j` and its own left neighbour and writing row
+/// `j+1`. Every node sees the operands the sequential sweeps would have
+/// given it, in the same order, so rows are bit-identical; sweeps of a
+/// wave past the converged one are speculation, and are discarded.
+fn psor(
+    w: &mut [f64],
+    rhs: &[f64],
+    payoff: &[f64],
+    (dlo, dmid, dhi): (f64, f64, f64),
+    tol: f64,
+    max_iter: usize,
+) -> usize {
+    let n = rhs.len();
+    let m = n - 2;
+    let mut base = 0;
+    let mut done = 0;
+    while done < max_iter {
+        let depth = PSOR_WAVE.min(max_iter - done);
+        // Offset of the row sweep `j` reads (`j + 1`: writes).
+        let row: [usize; PSOR_ROWS] = std::array::from_fn(|j| (base + j) % PSOR_ROWS * n);
+        let mut err = [0.0f64; PSOR_WAVE];
+        let mut relax = |j: usize, i: usize| {
+            let (prev, cur) = (row[j], row[j + 1]);
+            let old = w[prev + i];
+            let gs = (rhs[i] - dlo * w[cur + i - 1] - dhi * w[prev + i + 1]) / dmid;
+            let cand = old + PSOR_OMEGA * (gs - old);
+            let proj = cand.max(payoff[i]);
+            err[j] = err[j].max((proj - old).abs());
+            w[cur + i] = proj;
+        };
+        // At step `t` sweep `j` is on node `t + 1 − 2j`.
+        let lag = 2 * (PSOR_WAVE - 1);
+        for t in 0..m + 2 * (depth - 1) {
+            if depth == PSOR_WAVE && t >= lag && t < m {
+                for j in 0..PSOR_WAVE {
+                    relax(j, t + 1 - 2 * j);
+                }
+            } else {
+                for j in 0..depth {
+                    if t >= 2 * j && t - 2 * j < m {
+                        relax(j, t + 1 - 2 * j);
+                    }
+                }
+            }
+        }
+        if let Some(j) = err[..depth].iter().position(|e| *e < tol) {
+            return (base + j + 1) % PSOR_ROWS;
+        }
+        base = (base + depth) % PSOR_ROWS;
+        done += depth;
+    }
+    base
+}
+
+/// Per-solve scratch of [`Solver::step`], reused across time steps.
+struct Scratch {
+    /// `(I + (1−θ)·dt·L) v` plus boundary terms, per grid node.
+    rhs: Vec<f64>,
+    /// The PSOR wave rows (empty for a linear solve).
+    w: Vec<f64>,
+}
+
 impl<'a> Solver<'a> {
-    /// One backward step with the given θ; `v` holds V(τ) and receives
-    /// V(τ + dt). `obstacle` enables the American projection.
-    fn step(&self, v: &mut [f64], tau_next: f64, theta: f64, dt: f64, obstacle: bool) {
+    fn scheme(&self, theta: f64, dt: f64, obstacle: bool) -> Scheme {
         let n = self.xs.len();
         let m = self.model;
         let a = 0.5 * m.sigma * m.sigma; // diffusion
@@ -101,82 +207,119 @@ impl<'a> Solver<'a> {
         let lo = a / (dx * dx) - b / (2.0 * dx);
         let mid = -2.0 * a / (dx * dx) - r;
         let hi = a / (dx * dx) + b / (2.0 * dx);
+        let sub = -theta * dt * lo;
+        let diag = 1.0 - theta * dt * mid;
+        let sup = -theta * dt * hi;
+
+        let mut denom = Vec::new();
+        let mut c_star = Vec::new();
+        if !obstacle {
+            denom.resize(n, 0.0);
+            c_star.resize(n, 0.0);
+            for i in 1..n - 1 {
+                denom[i] = if i == 1 {
+                    diag
+                } else {
+                    diag - sub * c_star[i - 1]
+                };
+                if denom[i].abs() < 1e-300 {
+                    panic!("θ-scheme system is diagonally dominant");
+                }
+                if i + 1 < n - 1 {
+                    c_star[i] = sup / denom[i];
+                }
+            }
+        }
+        Scheme {
+            lo,
+            mid,
+            hi,
+            explicit: (1.0 - theta) * dt,
+            implicit: theta * dt,
+            sub,
+            diag,
+            sup,
+            denom,
+            c_star,
+        }
+    }
+
+    /// One backward step of scheme `k`; `v` holds V(τ) and receives
+    /// V(τ + dt). `obstacle` enables the American projection.
+    fn step(&self, v: &mut [f64], tau_next: f64, k: &Scheme, obstacle: bool, sc: &mut Scratch) {
+        let n = self.xs.len();
+        let rhs = &mut sc.rhs;
 
         // RHS: (I + (1-θ) dt L) v  on interior nodes.
-        let mut rhs = vec![0.0; n - 2];
         for i in 1..n - 1 {
-            let lv = lo * v[i - 1] + mid * v[i] + hi * v[i + 1];
-            rhs[i - 1] = v[i] + (1.0 - theta) * dt * lv;
+            let lv = k.lo * v[i - 1] + k.mid * v[i] + k.hi * v[i + 1];
+            rhs[i] = v[i] + k.explicit * lv;
         }
         // New boundary values (Dirichlet).
         let vl = (self.lower_bc)(tau_next);
         let vu = (self.upper_bc)(tau_next);
         // Move the boundary terms of the implicit operator to the RHS.
-        rhs[0] += theta * dt * lo * vl;
-        rhs[n - 3] += theta * dt * hi * vu;
-
-        let sub = vec![-theta * dt * lo; n - 3];
-        let diag = vec![1.0 - theta * dt * mid; n - 2];
-        let sup = vec![-theta * dt * hi; n - 3];
+        rhs[1] += k.implicit * k.lo * vl;
+        rhs[n - 2] += k.implicit * k.hi * vu;
 
         if !obstacle {
-            let tri = Tridiagonal::new(sub, diag, sup);
-            let sol =
-                solve_tridiagonal(&tri, &rhs).expect("θ-scheme system is diagonally dominant");
+            // Thomas: forward-eliminate into `v`, back-substitute in place.
             v[0] = vl;
             v[n - 1] = vu;
-            v[1..n - 1].copy_from_slice(&sol);
-        } else {
-            // PSOR: solve the linear complementarity problem
-            // min(A v - rhs, v - payoff) = 0.
-            let omega = 1.3;
-            let tol = 1e-9;
-            let max_iter = 2000;
-            let dlo = -theta * dt * lo;
-            let dmid = 1.0 - theta * dt * mid;
-            let dhi = -theta * dt * hi;
-            // Warm start from the current values projected on the payoff.
-            let mut w: Vec<f64> = (1..n - 1).map(|i| v[i].max(self.payoff[i])).collect();
-            for _ in 0..max_iter {
-                let mut err: f64 = 0.0;
-                for i in 0..n - 2 {
-                    let left = if i == 0 { vl } else { w[i - 1] };
-                    let right = if i == n - 3 { vu } else { w[i + 1] };
-                    let gs = (rhs[i] - dlo * left - dhi * right) / dmid;
-                    let cand = w[i] + omega * (gs - w[i]);
-                    let proj = cand.max(self.payoff[i + 1]);
-                    err = err.max((proj - w[i]).abs());
-                    w[i] = proj;
-                }
-                if err < tol {
-                    break;
-                }
+            v[1] = rhs[1] / k.denom[1];
+            for i in 2..n - 1 {
+                v[i] = (rhs[i] - k.sub * v[i - 1]) / k.denom[i];
             }
+            for i in (1..n - 2).rev() {
+                let next = v[i + 1];
+                v[i] -= k.c_star[i] * next;
+            }
+        } else {
+            // Warm start from the current values projected on the payoff.
+            let w = &mut sc.w;
+            for i in 1..n - 1 {
+                w[i] = v[i].max(self.payoff[i]);
+            }
+            for row in w.chunks_exact_mut(n) {
+                row[0] = vl;
+                row[n - 1] = vu;
+            }
+            let bands = (k.sub, k.diag, k.sup);
+            let at = n * psor(w, rhs, &self.payoff, bands, PSOR_TOL, PSOR_MAX_ITER);
             v[0] = vl.max(self.payoff[0]);
             v[n - 1] = vu.max(self.payoff[n - 1]);
-            v[1..n - 1].copy_from_slice(&w);
+            v[1..n - 1].copy_from_slice(&w[at + 1..at + n - 1]);
         }
     }
 
     /// Run the full backward induction and return the value surface at
     /// τ = T (valuation date).
     fn solve(&self, cfg: &PdeConfig, obstacle: bool) -> Vec<f64> {
+        let n = self.xs.len();
         let mut v = self.payoff.clone();
+        let mut sc = Scratch {
+            rhs: vec![0.0; n],
+            w: vec![0.0; if obstacle { PSOR_ROWS * n } else { 0 }],
+        };
+        let rannacher = cfg.rannacher && cfg.time_steps > 2;
+        let half = rannacher.then(|| self.scheme(1.0, self.dt / 2.0, obstacle));
+        let full = self.scheme(0.5, self.dt, obstacle);
         let mut tau = 0.0;
         let mut steps_left = cfg.time_steps;
-        if cfg.rannacher && cfg.time_steps > 2 {
+        // ALLOC-FREE-BEGIN: time steps must not allocate (gated by ci.sh).
+        if let Some(half) = &half {
             // Four implicit half-steps over the first two step intervals.
             for _ in 0..4 {
-                let dt = self.dt / 2.0;
-                tau += dt;
-                self.step(&mut v, tau, 1.0, dt, obstacle);
+                tau += self.dt / 2.0;
+                self.step(&mut v, tau, half, obstacle, &mut sc);
             }
             steps_left -= 2;
         }
         for _ in 0..steps_left {
             tau += self.dt;
-            self.step(&mut v, tau, 0.5, self.dt, obstacle);
+            self.step(&mut v, tau, &full, obstacle, &mut sc);
         }
+        // ALLOC-FREE-END
         debug_assert!((tau - self.maturity).abs() < 1e-9 * self.maturity.max(1.0));
         v
     }
@@ -201,6 +344,12 @@ fn uniform_grid(x_min: f64, x_max: f64, n: usize) -> (Vec<f64>, f64) {
 
 /// Price a European or American vanilla option by finite differences.
 pub fn pde_vanilla(m: &BlackScholes, option: &Vanilla, cfg: &PdeConfig) -> PdeSolution {
+    let solver = vanilla_solver(m, option, cfg);
+    let v = solver.solve(cfg, option.exercise == Exercise::American);
+    solver.read(&v)
+}
+
+fn vanilla_solver<'a>(m: &'a BlackScholes, option: &Vanilla, cfg: &PdeConfig) -> Solver<'a> {
     cfg.validate().expect("invalid PDE config");
     option.validate().expect("invalid option");
     let t = option.maturity;
@@ -230,7 +379,7 @@ pub fn pde_vanilla(m: &BlackScholes, option: &Vanilla, cfg: &PdeConfig) -> PdeSo
         ),
     };
 
-    let solver = Solver {
+    Solver {
         model: m,
         xs,
         dx,
@@ -239,10 +388,7 @@ pub fn pde_vanilla(m: &BlackScholes, option: &Vanilla, cfg: &PdeConfig) -> PdeSo
         payoff,
         lower_bc,
         upper_bc,
-    };
-    let obstacle = option.exercise == Exercise::American;
-    let v = solver.solve(cfg, obstacle);
-    solver.read(&v)
+    }
 }
 
 /// Price a continuously monitored knock-out barrier option by finite
@@ -256,6 +402,12 @@ pub fn pde_barrier(m: &BlackScholes, option: &Barrier, cfg: &PdeConfig) -> PdeSo
             delta: 0.0,
         };
     }
+    let solver = barrier_solver(m, option, cfg);
+    let v = solver.solve(cfg, false);
+    solver.read(&v)
+}
+
+fn barrier_solver<'a>(m: &'a BlackScholes, option: &'a Barrier, cfg: &PdeConfig) -> Solver<'a> {
     let t = option.maturity;
     let k = option.strike;
     let rebate = option.rebate;
@@ -300,7 +452,7 @@ pub fn pde_barrier(m: &BlackScholes, option: &Barrier, cfg: &PdeConfig) -> PdeSo
         ),
     };
 
-    let solver = Solver {
+    Solver {
         model: m,
         xs,
         dx,
@@ -309,9 +461,7 @@ pub fn pde_barrier(m: &BlackScholes, option: &Barrier, cfg: &PdeConfig) -> PdeSo
         payoff,
         lower_bc,
         upper_bc,
-    };
-    let v = solver.solve(cfg, false);
-    solver.read(&v)
+    }
 }
 
 #[cfg(test)]
@@ -503,5 +653,205 @@ mod tests {
             },
         );
         assert!((pde.price - exact).abs() < 0.05);
+    }
+
+    /// The sweep-at-a-time PSOR the wavefront replaced, kept as the
+    /// oracle: `w` is one grid row (Dirichlet ends in place), relaxed in
+    /// place; returns the number of sweeps run.
+    fn psor_naive(
+        w: &mut [f64],
+        rhs: &[f64],
+        payoff: &[f64],
+        (dlo, dmid, dhi): (f64, f64, f64),
+        tol: f64,
+        max_iter: usize,
+    ) -> usize {
+        let n = rhs.len();
+        for sweep in 1..=max_iter {
+            let mut err: f64 = 0.0;
+            for i in 1..n - 1 {
+                let gs = (rhs[i] - dlo * w[i - 1] - dhi * w[i + 1]) / dmid;
+                let cand = w[i] + PSOR_OMEGA * (gs - w[i]);
+                let proj = cand.max(payoff[i]);
+                err = err.max((proj - w[i]).abs());
+                w[i] = proj;
+            }
+            if err < tol {
+                return sweep;
+            }
+        }
+        max_iter
+    }
+
+    /// The allocate-per-step θ-scheme step the tabulated one replaced,
+    /// kept as the oracle: bands rebuilt and factored by
+    /// `solve_tridiagonal` every step, PSOR sweep at a time.
+    fn step_naive(s: &Solver, v: &mut [f64], tau_next: f64, theta: f64, dt: f64, obstacle: bool) {
+        use numerics::linalg::{solve_tridiagonal, Tridiagonal};
+        let n = s.xs.len();
+        let k = s.scheme(theta, dt, true);
+        let mut rhs = vec![0.0; n];
+        for i in 1..n - 1 {
+            let lv = k.lo * v[i - 1] + k.mid * v[i] + k.hi * v[i + 1];
+            rhs[i] = v[i] + (1.0 - theta) * dt * lv;
+        }
+        let vl = (s.lower_bc)(tau_next);
+        let vu = (s.upper_bc)(tau_next);
+        rhs[1] += theta * dt * k.lo * vl;
+        rhs[n - 2] += theta * dt * k.hi * vu;
+        if !obstacle {
+            let tri = Tridiagonal::new(vec![k.sub; n - 3], vec![k.diag; n - 2], vec![k.sup; n - 3]);
+            let sol = solve_tridiagonal(&tri, &rhs[1..n - 1]).unwrap();
+            v[0] = vl;
+            v[n - 1] = vu;
+            v[1..n - 1].copy_from_slice(&sol);
+        } else {
+            let mut w: Vec<f64> = (0..n).map(|i| v[i].max(s.payoff[i])).collect();
+            w[0] = vl;
+            w[n - 1] = vu;
+            let bands = (k.sub, k.diag, k.sup);
+            psor_naive(&mut w, &rhs, &s.payoff, bands, PSOR_TOL, PSOR_MAX_ITER);
+            v[0] = vl.max(s.payoff[0]);
+            v[n - 1] = vu.max(s.payoff[n - 1]);
+            v[1..n - 1].copy_from_slice(&w[1..n - 1]);
+        }
+    }
+
+    fn solve_naive(s: &Solver, cfg: &PdeConfig, obstacle: bool) -> PdeSolution {
+        let mut v = s.payoff.clone();
+        let mut tau = 0.0;
+        let mut steps_left = cfg.time_steps;
+        if cfg.rannacher && cfg.time_steps > 2 {
+            for _ in 0..4 {
+                tau += s.dt / 2.0;
+                step_naive(s, &mut v, tau, 1.0, s.dt / 2.0, obstacle);
+            }
+            steps_left -= 2;
+        }
+        for _ in 0..steps_left {
+            tau += s.dt;
+            step_naive(s, &mut v, tau, 0.5, s.dt, obstacle);
+        }
+        s.read(&v)
+    }
+
+    fn assert_same_bits(got: PdeSolution, want: PdeSolution, what: &str) {
+        assert_eq!(got.price.to_bits(), want.price.to_bits(), "{what}: price");
+        assert_eq!(got.delta.to_bits(), want.delta.to_bits(), "{what}: delta");
+    }
+
+    #[test]
+    fn solves_are_bit_identical_to_the_step_at_a_time_scheme() {
+        let m = model();
+        let barrier = Barrier::down_out_call(100.0, 85.0, 1.0);
+        // 3 is the smallest legal grid; 4, 5 straddle the wave's fill and
+        // drain; 60 / 61 are the benchmark's size, even and odd.
+        for space_steps in [3usize, 4, 5, 60, 61] {
+            for (time_steps, rannacher) in [(2usize, true), (9, true), (9, false)] {
+                let cfg = PdeConfig {
+                    time_steps,
+                    space_steps,
+                    rannacher,
+                    ..cfg()
+                };
+                let what = format!("{cfg:?}");
+                for opt in [
+                    Vanilla::american_put(105.0, 0.75),
+                    Vanilla::european_put(105.0, 0.75),
+                    Vanilla::european_call(95.0, 0.75),
+                ] {
+                    let obstacle = opt.exercise == Exercise::American;
+                    let want = solve_naive(&vanilla_solver(&m, &opt, &cfg), &cfg, obstacle);
+                    assert_same_bits(pde_vanilla(&m, &opt, &cfg), want, &what);
+                }
+                let want = solve_naive(&barrier_solver(&m, &barrier, &cfg), &cfg, false);
+                assert_same_bits(pde_barrier(&m, &barrier, &cfg), want, &what);
+            }
+        }
+    }
+
+    /// One American-put complementarity system: the first Crank–Nicolson
+    /// step off the payoff.
+    struct PsorCase {
+        start: Vec<f64>,
+        rhs: Vec<f64>,
+        payoff: Vec<f64>,
+        bands: (f64, f64, f64),
+    }
+
+    fn psor_case(space_steps: usize) -> PsorCase {
+        let cfg = PdeConfig {
+            time_steps: 20,
+            space_steps,
+            ..cfg()
+        };
+        let m = model();
+        let s = vanilla_solver(&m, &Vanilla::american_put(100.0, 1.0), &cfg);
+        let n = s.xs.len();
+        let k = s.scheme(0.5, s.dt, true);
+        let mut rhs = vec![0.0; n];
+        for i in 1..n - 1 {
+            let lv = k.lo * s.payoff[i - 1] + k.mid * s.payoff[i] + k.hi * s.payoff[i + 1];
+            rhs[i] = s.payoff[i] + k.explicit * lv;
+        }
+        let mut start = s.payoff.clone();
+        start[0] = (s.lower_bc)(s.dt);
+        start[n - 1] = (s.upper_bc)(s.dt);
+        PsorCase {
+            start,
+            rhs,
+            payoff: s.payoff.clone(),
+            bands: (k.sub, k.diag, k.sup),
+        }
+    }
+
+    /// Run both PSORs from `start`; assert the wavefront stops on the row
+    /// the sweep-at-a-time loop ends with. Returns the sweep count.
+    fn check_psor(space_steps: usize, tol: f64, max_iter: usize) -> usize {
+        let PsorCase {
+            start,
+            rhs,
+            payoff,
+            bands,
+        } = psor_case(space_steps);
+        let n = start.len();
+        let mut want = start.clone();
+        let sweeps = psor_naive(&mut want, &rhs, &payoff, bands, tol, max_iter);
+        let mut w = vec![0.0; PSOR_ROWS * n];
+        for row in w.chunks_exact_mut(n) {
+            row.copy_from_slice(&start);
+        }
+        let at = n * psor(&mut w, &rhs, &payoff, bands, tol, max_iter);
+        for i in 0..n {
+            assert_eq!(
+                w[at + i].to_bits(),
+                want[i].to_bits(),
+                "space_steps {space_steps} tol {tol} max_iter {max_iter} node {i} ({sweeps} sweeps)"
+            );
+        }
+        sweeps
+    }
+
+    #[test]
+    fn wavefront_psor_is_bit_identical_to_sweep_at_a_time() {
+        let mut stopped_at = [false; PSOR_WAVE];
+        for space_steps in [3usize, 4, 5, 60, 61] {
+            // Converges on sweep 1: the rest of the wave is speculation.
+            assert_eq!(check_psor(space_steps, f64::INFINITY, PSOR_MAX_ITER), 1);
+            // Converges wherever the tolerance says, mid-wave included.
+            for tol in [1e-1, 1e-2, 1e-3, 1e-5, 1e-7, PSOR_TOL, 1e-12] {
+                let sweeps = check_psor(space_steps, tol, PSOR_MAX_ITER);
+                assert!(sweeps < PSOR_MAX_ITER, "tol {tol} did not converge");
+                stopped_at[sweeps % PSOR_WAVE] = true;
+            }
+            // Never converges (no error is below zero): exactly `max_iter`
+            // sweeps, whole waves or not.
+            for max_iter in [1usize, 2, 3, 4, 5, 6, 7, 9, 30] {
+                assert_eq!(check_psor(space_steps, 0.0, max_iter), max_iter);
+            }
+        }
+        // The tolerances above stop on every sweep of a wave, so each
+        // count of discarded speculative sweeps (0..=3) is exercised.
+        assert_eq!(stopped_at, [true; PSOR_WAVE]);
     }
 }

@@ -91,6 +91,82 @@ impl LocalVol {
     pub fn discount(&self, t: f64) -> f64 {
         (-self.rate * t).exp()
     }
+
+    /// The log-Euler scheme on the uniform grid `t_k = k·dt`,
+    /// `k < steps`, with everything path-independent tabulated.
+    pub(crate) fn euler_grid(&self, dt: f64, steps: usize) -> EulerGrid {
+        let mut t = 0.0;
+        let vol_t = (0..steps)
+            .map(|_| {
+                let term = 1.0 + self.term_amp * (-t / self.term_tau).exp();
+                t += dt;
+                self.sigma0 * term
+            })
+            .collect();
+        EulerGrid {
+            vol_t,
+            spot: self.spot,
+            skew_amp: self.skew_amp,
+            skew_scale: self.skew_width * self.spot,
+            carry: self.rate - self.dividend,
+            dt,
+            sqrt_dt: dt.sqrt(),
+        }
+    }
+}
+
+/// [`LocalVol::step`] over a fixed time grid, split into what depends on
+/// the path (the `tanh` skew and the `exp`) and what does not: the term
+/// factor `σ₀·(1 + a·e^{-t_k/τ})` — one `exp` per step per *problem*
+/// instead of per path — with `t_k` accumulated by the same `t += dt`
+/// the path loops used, `√dt`, and the two parameter products. Every
+/// operation a path sees keeps its operands and order, so a path
+/// advanced here lands on the bits `LocalVol::step(t_k, s, dt, z)` gives.
+#[derive(Debug, Clone)]
+pub(crate) struct EulerGrid {
+    /// `σ₀ · term(t_k)` per step.
+    vol_t: Vec<f64>,
+    spot: f64,
+    skew_amp: f64,
+    /// `c · S₀`, the skew's length scale.
+    skew_scale: f64,
+    /// `r − q`.
+    carry: f64,
+    dt: f64,
+    sqrt_dt: f64,
+}
+
+impl EulerGrid {
+    /// `σ(t_k, s)`.
+    #[inline]
+    fn sigma(&self, k: usize, s: f64) -> f64 {
+        let skew = 1.0 + self.skew_amp * ((self.spot - s) / self.skew_scale).tanh();
+        self.vol_t[k] * skew
+    }
+
+    /// The step's growth factor `S_{k+1} / S_k` at volatility `sig`.
+    #[inline]
+    fn growth(&self, sig: f64, z: f64) -> f64 {
+        ((self.carry - 0.5 * sig * sig) * self.dt + sig * self.sqrt_dt * z).exp()
+    }
+
+    /// Terminal levels of `N` paths advanced from the spot in lock-step,
+    /// path `c` driven by the normals `z(k)[c]`. A single path is one
+    /// chain of dependent `tanh → exp` calls; `N` independent ones, all
+    /// the `tanh`s of a step before its `exp`s, keep the CPU busy while
+    /// each chain waits on its own last result.
+    #[inline]
+    pub(crate) fn terminal<const N: usize>(&self, z: impl Fn(usize) -> [f64; N]) -> [f64; N] {
+        let mut s = [self.spot; N];
+        for k in 0..self.vol_t.len() {
+            let zk = z(k);
+            let sig: [f64; N] = std::array::from_fn(|c| self.sigma(k, s[c]));
+            for c in 0..N {
+                s[c] *= self.growth(sig[c], zk[c]);
+            }
+        }
+        s
+    }
 }
 
 #[cfg(test)]
@@ -163,6 +239,33 @@ mod tests {
         let s1 = m.step(0.3, 100.0, 0.1, 0.7);
         let s2 = bs.step(100.0, 0.1, 0.7);
         assert!((s1 - s2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn euler_grid_paths_are_bit_identical_to_model_steps() {
+        let m = model();
+        let z = |c: usize, k: usize| 0.37 * k as f64 - 1.9 + 0.61 * c as f64;
+        for (dt, steps) in [(0.02, 10usize), (1.0 / 3.0, 16), (5.0, 1)] {
+            let want: [f64; 4] = std::array::from_fn(|c| {
+                let (mut t, mut s) = (0.0, m.spot);
+                for k in 0..steps {
+                    s = m.step(t, s, dt, z(c, k));
+                    t += dt;
+                }
+                s
+            });
+            let grid = m.euler_grid(dt, steps);
+            let four = grid.terminal(|k| std::array::from_fn::<_, 4, _>(|c| z(c, k)));
+            for c in 0..4 {
+                let [one] = grid.terminal(|k| [z(c, k)]);
+                assert_eq!(one.to_bits(), want[c].to_bits(), "dt {dt} path {c} alone");
+                assert_eq!(
+                    four[c].to_bits(),
+                    want[c].to_bits(),
+                    "dt {dt} path {c} of 4"
+                );
+            }
+        }
     }
 
     #[test]

@@ -484,7 +484,12 @@ impl PremiaProblem {
     /// `P.compute[]`: run the numerical method. Unsupported combinations
     /// return `Err(Unsupported)` — Premia's compatibility matrix.
     ///
-    /// Single-threaded; bit-identical to every release since the seed.
+    /// Single-threaded; bit-identical to every release since the seed —
+    /// pinned over the Table III job mix by
+    /// `tests/kernel_goldens.rs::sequential_table3_mix_goldens`. The
+    /// Monte-Carlo and LSM path loops are the same scalar bodies
+    /// [`Self::compute_with`] runs per chunk at lane width 1, seeded with
+    /// the problem's own seed instead of a chunk stream.
     pub fn compute(&self) -> Result<PricingResult, PricingError> {
         self.compute_inner(None)
     }

@@ -312,6 +312,7 @@ echo "==> allocation gate: no hot-loop allocations in the lane kernels"
 # the markers on purpose). Comment lines are ignored.
 for f in crates/pricing/src/methods/montecarlo.rs \
          crates/pricing/src/methods/lsm.rs \
+         crates/pricing/src/methods/pde.rs \
          crates/pricing/src/methods/bond.rs \
          crates/pricing/src/methods/bsde.rs \
          crates/pricing/src/methods/xva.rs; do

@@ -305,7 +305,10 @@ fn regen_mix() {
         println!("    // {class:?}");
         println!("    MixGolden {{");
         println!("        fold: 0x{:016x},", g.fold);
-        println!("        first: (0x{:016x}, 0x{:016x}),", g.first.0, g.first.1);
+        println!(
+            "        first: (0x{:016x}, 0x{:016x}),",
+            g.first.0, g.first.1
+        );
         println!("        last: (0x{:016x}, 0x{:016x}),", g.last.0, g.last.1);
         println!("    }},");
     }

@@ -2,20 +2,23 @@
 //!
 //! * **decision-trace parity** — with whole-shard leases (`lease == 0`,
 //!   nothing to steal) every peer master drives exactly one
-//!   [`sched::Scheduler`] round over its contiguous partition, so its
-//!   recorded trace must be **byte-identical** to
-//!   `clustersim::simulate_farm_sched` run on that partition — on the
-//!   in-process channel backend *and* on the multi-process socket
+//!   [`sched::Scheduler`] round over its contiguous partition. With two
+//!   slaves per shard the operating system picks which answers first,
+//!   so the claim there is *live ≡ the state machine*: the events the
+//!   shard recorded, replayed into a fresh `Scheduler`, reproduce its
+//!   trace byte for byte. With one slave per shard the order is forced
+//!   and the trace must be **byte-identical** to
+//!   `clustersim::simulate_farm_sched` run on that partition. Both on
+//!   the in-process channel backend *and* on the multi-process socket
 //!   backend;
 //! * **price bit-identity across backends** — the same portfolio priced
 //!   by threads and by spawned child processes (work-stealing enabled)
 //!   must agree with the serial reference bit for bit.
 //!
-//! The workload borrows `tests/sched_parity.rs`'s timing robustness:
-//! per-job costs are integer grains of a runtime-calibrated Monte-Carlo
-//! unit, every pair of competing completion thresholds at least one
-//! grain apart, so fair processor sharing (including the concurrent
-//! peer shard's load) cannot reorder a shard's event sequence.
+//! The two-slave workload borrows `tests/sched_parity.rs`'s grain
+//! ladder: per-job costs are integer grains of a runtime-calibrated
+//! Monte-Carlo unit, so both slaves of a shard stay busy and the trace
+//! interleaves their answers.
 
 use riskbench::clustersim::{simulate_farm_sched, SimCaches, SimConfig, SimJob, SimSchedOpts};
 use riskbench::farm::shard::{
@@ -24,6 +27,7 @@ use riskbench::farm::shard::{
 use riskbench::minimpi::ProcessWorld;
 use riskbench::prelude::*;
 use riskbench::pricing::models::BlackScholes;
+use riskbench::sched::{SchedConfig, Scheduler, Trace};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -73,8 +77,7 @@ fn paths_per_grain() -> usize {
 /// `SHARDS` copies of the grain ladder on disk, plus the matched
 /// simulator jobs for one shard's partition (both shards are
 /// identically shaped, but each gets distinct MC seeds).
-fn matched_workload(dir: &std::path::Path) -> (Vec<PathBuf>, Vec<SimJob>) {
-    let unit = paths_per_grain();
+fn matched_workload(dir: &std::path::Path, unit: usize) -> (Vec<PathBuf>, Vec<SimJob>) {
     let jobs: Vec<PortfolioJob> = (0..SHARDS * COSTS.len())
         .map(|k| PortfolioJob {
             id: k,
@@ -96,11 +99,11 @@ fn matched_workload(dir: &std::path::Path) -> (Vec<PathBuf>, Vec<SimJob>) {
     (files, sim_jobs)
 }
 
-/// One simulated scheduler round over a shard's partition.
+/// One simulated one-slave scheduler round over a shard's partition.
 fn sim_shard_trace(jobs: &[SimJob]) -> String {
     let (out, trace) = simulate_farm_sched(
         jobs,
-        SLAVES_PER_SHARD,
+        1,
         Transmission::SerializedLoad,
         &SimConfig::default(),
         &mut SimCaches::new(),
@@ -115,26 +118,72 @@ fn sim_shard_trace(jobs: &[SimJob]) -> String {
     trace.expect("record_trace was set").render()
 }
 
-fn trace_parity_on(backend: TransportKind, tag: &str) {
-    let dir = std::env::temp_dir().join(format!("it_shard_parity_{tag}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    let (files, sim_jobs) = matched_workload(&dir);
-
-    let mut cfg = ShardConfig::new(SHARDS, SLAVES_PER_SHARD)
+fn live_shard_traces(
+    backend: TransportKind,
+    files: &[PathBuf],
+    slaves_per_shard: usize,
+) -> Vec<Trace> {
+    let mut cfg = ShardConfig::new(SHARDS, slaves_per_shard)
         .backend(backend)
         .record_trace(true);
     if backend == TransportKind::Process {
         cfg.process_bootstrap = Some("process_child_bootstrap".into());
     }
-    let report = run_sharded(&files, &cfg).unwrap();
+    let report = run_sharded(files, &cfg).unwrap();
     assert_eq!(report.completed(), files.len());
     assert!(report.steals.is_empty(), "lease 0 leaves nothing to steal");
+    assert_eq!(report.traces.len(), SHARDS);
+    report
+        .traces
+        .into_iter()
+        .enumerate()
+        .map(|(shard, mut traces)| {
+            assert_eq!(traces.len(), 1, "shard {shard}: one round, one trace");
+            traces.remove(0)
+        })
+        .collect()
+}
 
+fn trace_parity_on(backend: TransportKind, tag: &str) {
+    let dir = std::env::temp_dir().join(format!("it_shard_parity_{tag}"));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Two slaves per shard: whichever order their answers arrived in,
+    // the shard's decisions are the scheduler's on those events
+    // (`now_ns = 0`: a plain round has no deadlines).
+    let (files, _) = matched_workload(&dir, paths_per_grain());
+    for (shard, trace) in live_shard_traces(backend, &files, SLAVES_PER_SHARD)
+        .iter()
+        .enumerate()
+    {
+        let cfg = SchedConfig::plain(COSTS.len(), SLAVES_PER_SHARD).record_trace();
+        let mut sched = Scheduler::new(cfg).unwrap();
+        for entry in &trace.entries {
+            sched.on(entry.event, 0);
+        }
+        assert!(
+            sched.finished(),
+            "{tag} shard {shard}: replay did not finish"
+        );
+        let (live, replayed) = (trace.render(), sched.take_trace().unwrap().render());
+        assert_eq!(
+            live, replayed,
+            "{tag} shard {shard} decisions are not the scheduler's\n\
+             -- live --\n{live}\n-- replayed --\n{replayed}"
+        );
+        assert!(
+            live.starts_with("ready(1) -> dispatch(0->1)\nready(2) -> dispatch(1->2)\n"),
+            "{tag} shard {shard}: unexpected priming: {live}"
+        );
+    }
+
+    // One slave per shard forces the answer order (job cost is
+    // irrelevant, so the jobs are tiny): the tentpole claim, literally —
+    // byte identity with the simulator, per shard.
+    let (files, sim_jobs) = matched_workload(&dir, 200);
     let sim = sim_shard_trace(&sim_jobs);
-    for (shard, traces) in report.traces.iter().enumerate() {
-        assert_eq!(traces.len(), 1, "shard {shard}: one round, one trace");
-        let live = traces[0].render();
-        // The tentpole claim, literally: byte identity, per shard.
+    for (shard, trace) in live_shard_traces(backend, &files, 1).iter().enumerate() {
+        let live = trace.render();
         assert_eq!(
             live, sim,
             "{tag} shard {shard} diverged from its simulated partition\n\
