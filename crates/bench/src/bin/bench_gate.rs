@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! bench_gate <fresh BENCH_6.json> <committed BENCH_4.json> <committed BENCH_3.json> \
-//!            [fresh BENCH_7.json] [fresh BENCH_8.json] [fresh BENCH_9.json] \
-//!            [fresh BENCH_10.json]
+//!            [fresh BENCH_7.json] [fresh BENCH_8.json] [fresh BENCH_10.json]
 //! ```
 //!
 //! `BENCH_6.json` is the freshly written `table2 --breakdown --threads 8
@@ -35,10 +34,6 @@
 //!   makespans not monotone in shard count, an incomplete 512-core sim
 //!   row, or a socket per-message cost measured at or below the
 //!   in-process channel's;
-//! - the `BENCH_9.json` script-dispatch smoke is off: the nsplang bytecode
-//!   VM under the required speedup over the tree-walker, engines not
-//!   bit-identical on the benchmark script, degenerate timings, or a
-//!   lowering pass costing more than half a VM run;
 //! - the `BENCH_10.json` heterogeneous-workload smoke is off: a class of
 //!   the mixed portfolio missing from the per-class compute breakdown,
 //!   class job counts not summing to the portfolio, LPT losing to FIFO
@@ -401,72 +396,17 @@ fn gate_workload(json: &str) -> Result<String, String> {
     ))
 }
 
-/// Required VM-over-tree-walker speedup — must match `vm_smoke`'s.
-const VM_MIN_SPEEDUP: f64 = 5.0;
-/// Lowering-cost budget as a fraction of one VM run — `vm_smoke`'s.
-const VM_LOWER_BUDGET: f64 = 0.5;
-
-/// Structural checks over the `vm_smoke` artifact (`BENCH_9.json`).
-///
-/// Re-validates what the smoke asserted when it wrote the file: both
-/// nsplang engines bit-identical on the Fig. 4-shaped driver script, the
-/// bytecode VM at least [`VM_MIN_SPEEDUP`]x faster than the tree-walker
-/// on best-of-reps wall time, sane positive timings consistent with the
-/// recorded ratio, and a lowering pass cheap enough that compiling a
-/// script can never eat its dispatch win.
-fn gate_vm(json: &str) -> Result<String, String> {
-    let g = |key: &str| field(json, key).map_err(|e| format!("BENCH_9: {e}"));
-    if g("prices_bit_identical")? != 1.0 {
-        return Err("BENCH_9: engines not bit-identical on the benchmark script".into());
-    }
-    let (tree, vm, speedup) = (g("tree_s")?, g("vm_s")?, g("vm_speedup")?);
-    if tree <= 0.0 || vm <= 0.0 || vm >= tree {
-        return Err(format!(
-            "BENCH_9: degenerate engine timings (tree {tree}s, vm {vm}s)"
-        ));
-    }
-    if (tree / vm - speedup).abs() > 0.01 * speedup {
-        return Err(format!(
-            "BENCH_9: recorded speedup x{speedup:.2} inconsistent with timings \
-             ({tree}s / {vm}s = x{:.2})",
-            tree / vm
-        ));
-    }
-    if speedup < VM_MIN_SPEEDUP {
-        return Err(format!(
-            "BENCH_9: vm speedup x{speedup:.2} below the required x{VM_MIN_SPEEDUP}"
-        ));
-    }
-    let lower = g("lower_s")?;
-    if lower <= 0.0 || lower > vm * VM_LOWER_BUDGET {
-        return Err(format!(
-            "BENCH_9: lowering cost {lower}s outside (0, {VM_LOWER_BUDGET} x {vm}s]"
-        ));
-    }
-    if g("jobs")? < 1.0 || g("steps")? < 1.0 {
-        return Err("BENCH_9: empty benchmark workload".into());
-    }
-    Ok(format!(
-        "vm: dispatch x{speedup:.2} over the tree-walker, engines bit-identical, \
-         lowering {:.1}us\n",
-        lower * 1e6
-    ))
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (core, b7, b8, b9, b10) = match args.as_slice() {
-        [fresh, b4, b3] => ([fresh, b4, b3], None, None, None, None),
-        [fresh, b4, b3, b7] => ([fresh, b4, b3], Some(b7), None, None, None),
-        [fresh, b4, b3, b7, b8] => ([fresh, b4, b3], Some(b7), Some(b8), None, None),
-        [fresh, b4, b3, b7, b8, b9] => ([fresh, b4, b3], Some(b7), Some(b8), Some(b9), None),
-        [fresh, b4, b3, b7, b8, b9, b10] => {
-            ([fresh, b4, b3], Some(b7), Some(b8), Some(b9), Some(b10))
-        }
+    let (core, b7, b8, b10) = match args.as_slice() {
+        [fresh, b4, b3] => ([fresh, b4, b3], None, None, None),
+        [fresh, b4, b3, b7] => ([fresh, b4, b3], Some(b7), None, None),
+        [fresh, b4, b3, b7, b8] => ([fresh, b4, b3], Some(b7), Some(b8), None),
+        [fresh, b4, b3, b7, b8, b10] => ([fresh, b4, b3], Some(b7), Some(b8), Some(b10)),
         _ => {
             eprintln!(
                 "usage: bench_gate <BENCH_6.json> <BENCH_4.json> <BENCH_3.json> \
-                 [BENCH_7.json] [BENCH_8.json] [BENCH_9.json] [BENCH_10.json]"
+                 [BENCH_7.json] [BENCH_8.json] [BENCH_10.json]"
             );
             exit(2);
         }
@@ -479,16 +419,12 @@ fn main() {
     };
     let serve = b7.map(|p| gate_serve(&read(p)));
     let shard = b8.map(|p| gate_shard(&read(p)));
-    let vm = b9.map(|p| gate_vm(&read(p)));
     let workload = b10.map(|p| gate_workload(&read(p)));
     match gate(&read(core[0]), &read(core[1]), &read(core[2])).and_then(|mut summary| {
         if let Some(s) = serve {
             summary.push_str(&s?);
         }
         if let Some(s) = shard {
-            summary.push_str(&s?);
-        }
-        if let Some(s) = vm {
             summary.push_str(&s?);
         }
         if let Some(s) = workload {
@@ -720,53 +656,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("per-message"), "{err}");
-    }
-
-    /// A healthy `vm_smoke` artifact in BENCH_9 shape.
-    fn bench9() -> String {
-        "{\"title\":\"Nsp VM dispatch smoke\",\"jobs\":64,\"steps\":400,\
-         \"reps\":5,\"tree_s\":0.030000000,\"vm_s\":0.004300000,\
-         \"vm_speedup\":6.976744,\"lower_s\":0.000009000,\
-         \"prices_bit_identical\":1,\"total\":559.530164139,\"check\":590.238399827}"
-            .into()
-    }
-
-    #[test]
-    fn vm_gate_passes_on_a_healthy_artifact() {
-        let summary = gate_vm(&bench9()).unwrap();
-        assert!(summary.contains("x6.98"), "{summary}");
-    }
-
-    #[test]
-    fn vm_gate_fails_on_a_weak_speedup() {
-        let doctored = bench9()
-            .replace("\"vm_s\":0.004300000", "\"vm_s\":0.009000000")
-            .replace("\"vm_speedup\":6.976744", "\"vm_speedup\":3.333333");
-        let err = gate_vm(&doctored).unwrap_err();
-        assert!(err.contains("below the required x5"), "{err}");
-    }
-
-    #[test]
-    fn vm_gate_fails_when_engines_diverge() {
-        let err = gate_vm(
-            &bench9().replace("\"prices_bit_identical\":1", "\"prices_bit_identical\":0"),
-        )
-        .unwrap_err();
-        assert!(err.contains("bit-identical"), "{err}");
-    }
-
-    #[test]
-    fn vm_gate_fails_on_inconsistent_speedup() {
-        let err = gate_vm(&bench9().replace("\"vm_speedup\":6.976744", "\"vm_speedup\":9.0"))
-            .unwrap_err();
-        assert!(err.contains("inconsistent"), "{err}");
-    }
-
-    #[test]
-    fn vm_gate_fails_on_an_expensive_lowering_pass() {
-        let err = gate_vm(&bench9().replace("\"lower_s\":0.000009000", "\"lower_s\":0.004000000"))
-            .unwrap_err();
-        assert!(err.contains("lowering cost"), "{err}");
     }
 
     /// A healthy `workload_smoke` artifact in BENCH_10 shape.

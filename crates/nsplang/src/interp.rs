@@ -136,6 +136,21 @@ impl NValue {
         }
     }
 
+    /// [`NValue::to_value`] for a value the caller owns: plain data moves
+    /// out instead of being copied.
+    pub fn into_value(self) -> R<Value> {
+        match self {
+            NValue::V(v) => Ok(v),
+            other => other.to_value(),
+        }
+    }
+
+    /// Move the value out, leaving `none` behind: how a builtin consumes an
+    /// argument it owns.
+    pub(crate) fn take(&mut self) -> NValue {
+        std::mem::replace(self, NValue::V(Value::None))
+    }
+
     /// Wrap a decoded value: `PremiaModel` hashes come back to life as
     /// Premia objects (this is what makes `P = unserialize(...);
     /// P.compute[]` work on the slave).
@@ -345,7 +360,9 @@ impl Interp {
     fn exec_stmt_kind(&mut self, stmt: &Stmt) -> R<Flow> {
         match stmt {
             Stmt::Expr(e) => {
-                self.eval(e)?;
+                // `want = 0`: nobody reads the value, so `L.add_last[x]`
+                // does not have to produce a copy of `L`.
+                self.eval_multi(e, 0)?;
                 Ok(Flow::Normal)
             }
             Stmt::Assign(targets, rhs) => {
@@ -430,28 +447,52 @@ impl Interp {
                         Arg::Kw(_, _) => err("keyword in index"),
                     })
                     .collect::<R<Vec<_>>>()?;
-                let current = self
-                    .get(name)
-                    .cloned()
-                    .ok_or_else(|| NspError::new(format!("undefined variable {name}")))?;
-                let updated = index_assign_value(current, &idx_vals, v)?;
-                self.assign(&Target::Ident(name.clone()), updated)
+                self.update_var(
+                    name,
+                    |me| {
+                        me.get(name)
+                            .cloned()
+                            .ok_or_else(|| NspError::new(format!("undefined variable {name}")))
+                    },
+                    |current| index_assign_value(current, &idx_vals, v),
+                )
             }
             Target::Field(base, field) => match base.as_ref() {
-                Target::Ident(name) => {
-                    let mut hash = match self.get(name) {
-                        Some(NValue::V(Value::Hash(h))) => h.clone(),
-                        None => Hash::new(), // auto-create, like Nsp's H.A = ...
-                        Some(other) => {
-                            return err(format!("cannot set field on {}", other.type_name()))
-                        }
-                    };
-                    hash.set(field, v.to_value()?);
-                    self.assign(&Target::Ident(name.clone()), NValue::V(Value::Hash(hash)))
-                }
+                Target::Ident(name) => self.update_var(
+                    name,
+                    // auto-create, like Nsp's H.A = ...
+                    |me| {
+                        Ok(me
+                            .get(name)
+                            .cloned()
+                            .unwrap_or(NValue::V(Value::Hash(Hash::new()))))
+                    },
+                    |hash| field_assign_value(hash, field, v),
+                ),
                 _ => err("nested field assignment not supported"),
             },
         }
+    }
+
+    /// Apply the in-place update `f` to the variable `name`. A binding in
+    /// the current scope is mutated where it lives — no copy, and untouched
+    /// when `f` fails. A name that resolves only further out (or not at
+    /// all) goes through `outer`, whose copy is bound locally once `f`
+    /// succeeds: assignments never reach a caller's bindings.
+    fn update_var<T>(
+        &mut self,
+        name: &str,
+        outer: impl FnOnce(&mut Self) -> R<NValue>,
+        f: impl FnOnce(&mut NValue) -> R<T>,
+    ) -> R<T> {
+        let scope = self.scopes.last_mut().expect("at least the global scope");
+        if let Some(v) = scope.get_mut(name) {
+            return f(v);
+        }
+        let mut v = outer(self)?;
+        let out = f(&mut v)?;
+        self.set(name, v);
+        Ok(out)
     }
 
     // ---- expressions ---------------------------------------------------------
@@ -524,18 +565,19 @@ impl Interp {
                 Ok(vec![field_value(&b, name)?])
             }
             Expr::MethodCall(base, name, args) => {
+                // `L.add_last[x]` on a plain variable appends in place.
+                // The arguments come first: they may read `L` itself.
+                if let ("add_last", Expr::Ident(var)) = (name.as_str(), base.as_ref()) {
+                    let (pos, _kw) = self.eval_args(args)?;
+                    return self.update_var(
+                        var,
+                        |me| me.eval(base),
+                        |list| add_last_value(list, pos, want),
+                    );
+                }
                 let b = self.eval(base)?;
                 let (pos, kw) = self.eval_args(args)?;
-                let result = self.method(b, name, pos, kw)?;
-                // Value-semantics mutating methods (add_last) return the
-                // updated container; write it back when the receiver is a
-                // plain variable so `res.add_last[...]` behaves like Nsp.
-                if name == "add_last" {
-                    if let Expr::Ident(var) = base.as_ref() {
-                        self.assign(&Target::Ident(var.clone()), result[0].clone())?;
-                    }
-                }
-                Ok(result)
+                self.method(b, name, pos, kw)
             }
             Expr::Transpose(inner) => {
                 let v = self.eval(inner)?;
@@ -637,56 +679,51 @@ impl Interp {
             v.as_scalar()
                 .ok_or_else(|| NspError::new(format!("{what} must be a scalar")))
         };
-        let need_str = |v: &NValue, what: &str| -> R<String> {
+        fn need_str<'a>(v: &'a NValue, what: &str) -> R<&'a str> {
             v.as_str()
-                .map(|s| s.to_string())
                 .ok_or_else(|| NspError::new(format!("{what} must be a string")))
-        };
+        }
+        let mpi_err = |e: minimpi::MpiError| NspError::new(e.to_string());
+        let xdr_err = |e: xdrser::XdrError| NspError::new(e.to_string());
         match name {
             // ---- core -------------------------------------------------------
             "list" => {
                 let mut l = List::new();
                 for v in pos {
-                    l.add_last(v.to_value()?);
+                    l.add_last(v.into_value()?);
                 }
                 one(NValue::V(Value::List(l)))
             }
             "hash_create" => {
                 let mut h = Hash::new();
                 for (k, v) in kw {
-                    h.set(&k, v.to_value()?);
+                    h.set(&k, v.into_value()?);
                 }
                 one(NValue::V(Value::Hash(h)))
             }
             "rand" => {
-                let (r, c) = match pos.len() {
-                    0 => (1, 1),
-                    1 => {
-                        let n = need_scalar(&pos[0], "rand size")? as usize;
+                let (r, c) = match pos.as_slice() {
+                    [] => (1, 1),
+                    [n] => {
+                        let n = need_scalar(n, "rand size")? as usize;
                         (n, n)
                     }
-                    _ => (
-                        need_scalar(&pos[0], "rand rows")? as usize,
-                        need_scalar(&pos[1], "rand cols")? as usize,
+                    [r, c, ..] => (
+                        need_scalar(r, "rand rows")? as usize,
+                        need_scalar(c, "rand cols")? as usize,
                     ),
                 };
                 let data: Vec<f64> = (0..r * c).map(|_| self.rand()).collect();
                 one(NValue::V(Value::Real(Matrix::from_col_major(r, c, data))))
             }
             "reseed" => {
-                let s = need_scalar(
-                    pos.first()
-                        .ok_or_else(|| NspError::new("reseed needs a seed"))?,
-                    "reseed seed",
-                )?;
-                self.reseed(s as u64);
+                let [seed] = args(name, &mut pos)?;
+                self.reseed(need_scalar(seed, "reseed seed")? as u64);
                 one(NValue::V(Value::None))
             }
             "size" => {
-                let v = pos
-                    .first()
-                    .ok_or_else(|| NspError::new("size needs an argument"))?;
                 let star = pos.get(1).and_then(|a| a.as_str()) == Some("*");
+                let [v] = args(name, &mut pos)?;
                 match v {
                     NValue::V(Value::List(l)) => one(NValue::scalar(l.len() as f64)),
                     NValue::V(Value::Real(m)) => {
@@ -704,9 +741,7 @@ impl Interp {
                 }
             }
             "length" => {
-                let v = pos
-                    .first()
-                    .ok_or_else(|| NspError::new("length needs an argument"))?;
+                let [v] = args(name, &mut pos)?;
                 match v {
                     NValue::V(Value::List(l)) => one(NValue::scalar(l.len() as f64)),
                     NValue::V(Value::Real(m)) => one(NValue::scalar(m.len() as f64)),
@@ -717,11 +752,8 @@ impl Interp {
                 }
             }
             "floor" | "ceil" | "abs" | "sqrt" | "exp" | "log" => {
-                let x = need_scalar(
-                    pos.first()
-                        .ok_or_else(|| NspError::new(format!("{name} needs an argument")))?,
-                    name,
-                )?;
+                let [x] = args(name, &mut pos)?;
+                let x = need_scalar(x, name)?;
                 let y = match name {
                     "floor" => x.floor(),
                     "ceil" => x.ceil(),
@@ -733,8 +765,9 @@ impl Interp {
                 one(NValue::scalar(y))
             }
             "min" | "max" => {
-                let a = need_scalar(&pos[0], name)?;
-                let b = need_scalar(&pos[1], name)?;
+                let [a, b] = args(name, &mut pos)?;
+                let a = need_scalar(a, name)?;
+                let b = need_scalar(b, name)?;
                 one(NValue::scalar(if name == "min" {
                     a.min(b)
                 } else {
@@ -742,9 +775,7 @@ impl Interp {
                 }))
             }
             "string" => {
-                let v = pos
-                    .first()
-                    .ok_or_else(|| NspError::new("string needs an argument"))?;
+                let [v] = args(name, &mut pos)?;
                 let s = match v {
                     NValue::V(Value::Str(s)) => {
                         s.as_scalar().map(|x| x.to_string()).unwrap_or_default()
@@ -779,15 +810,14 @@ impl Interp {
             "exec" => {
                 // Fig. 1: exec('src/loader.sce') — run a script file in
                 // the current interpreter.
-                let path = need_str(&pos[0], "exec path")?;
-                let src = std::fs::read_to_string(&path)
-                    .map_err(|e| NspError::new(format!("exec {path}: {e}")))?;
+                let src = read_exec_source(pos)?;
                 self.run(&src)?;
                 one(NValue::V(Value::None))
             }
             "getenv" => {
-                let var = need_str(&pos[0], "getenv variable")?;
-                one(NValue::string(std::env::var(&var).unwrap_or_default()))
+                let [var] = args(name, &mut pos)?;
+                let var = need_str(var, "getenv variable")?;
+                one(NValue::string(std::env::var(var).unwrap_or_default()))
             }
             "error" => {
                 let msg = pos
@@ -798,9 +828,7 @@ impl Interp {
                 err(msg)
             }
             "isempty" => {
-                let v = pos
-                    .first()
-                    .ok_or_else(|| NspError::new("isempty needs an argument"))?;
+                let [v] = args(name, &mut pos)?;
                 let empty = match v {
                     NValue::V(Value::Real(m)) => m.is_empty(),
                     NValue::V(Value::List(l)) => l.is_empty(),
@@ -811,40 +839,34 @@ impl Interp {
             }
             // ---- serialization toolbox (§3.2 / Fig. 2) ----------------------
             "serialize" => {
-                let v = pos
-                    .first()
-                    .ok_or_else(|| NspError::new("serialize needs a value"))?;
-                one(NValue::V(Value::Serial(xdrser::serialize(&v.to_value()?))))
+                let [v] = args(name, &mut pos)?;
+                one(NValue::V(Value::Serial(xdrser::serialize(
+                    &v.take().into_value()?,
+                ))))
             }
             "unserialize" => {
-                let v = pos
-                    .first()
-                    .ok_or_else(|| NspError::new("unserialize needs a serial"))?;
+                let [v] = args(name, &mut pos)?;
                 match v {
                     NValue::V(Value::Serial(s)) => {
-                        let val =
-                            xdrser::unserialize(s).map_err(|e| NspError::new(e.to_string()))?;
-                        one(NValue::wrap(val))
+                        one(NValue::wrap(xdrser::unserialize(s).map_err(xdr_err)?))
                     }
                     other => err(format!("unserialize of {}", other.type_name())),
                 }
             }
             "save" => {
-                let path = need_str(&pos[0], "save path")?;
-                let v = pos
-                    .get(1)
-                    .ok_or_else(|| NspError::new("save needs a value"))?;
-                xdrser::save(&path, &v.to_value()?).map_err(|e| NspError::new(e.to_string()))?;
+                let [path, v] = args(name, &mut pos)?;
+                let path = need_str(path, "save path")?;
+                xdrser::save(path, &v.take().into_value()?).map_err(xdr_err)?;
                 one(NValue::V(Value::None))
             }
             "load" => {
-                let path = need_str(&pos[0], "load path")?;
-                let v = xdrser::load(&path).map_err(|e| NspError::new(e.to_string()))?;
+                let [path] = args(name, &mut pos)?;
+                let v = xdrser::load(need_str(path, "load path")?).map_err(xdr_err)?;
                 one(NValue::wrap(v))
             }
             "sload" => {
-                let path = need_str(&pos[0], "sload path")?;
-                let s = xdrser::sload(&path).map_err(|e| NspError::new(e.to_string()))?;
+                let [path] = args(name, &mut pos)?;
+                let s = xdrser::sload(need_str(path, "sload path")?).map_err(xdr_err)?;
                 one(NValue::V(Value::Serial(s)))
             }
             // ---- Premia toolbox (§3.3) ---------------------------------------
@@ -864,37 +886,29 @@ impl Interp {
             "MPI_Comm_rank" => one(NValue::scalar(self.comm()?.rank() as f64)),
             "MPI_Comm_size" => one(NValue::scalar(self.comm()?.size() as f64)),
             "MPI_Send_Obj" => {
-                let v = pos
-                    .first()
-                    .ok_or_else(|| NspError::new("MPI_Send_Obj needs a value"))?
-                    .to_value()?;
-                let dest = need_scalar(&pos[1], "destination")? as i32;
-                let tag = need_scalar(&pos[2], "tag")? as i32;
-                self.comm()?
-                    .send_obj(&v, dest, tag)
-                    .map_err(|e| NspError::new(e.to_string()))?;
+                let [v, dest, tag] = args(name, &mut pos)?;
+                let v = v.take().into_value()?;
+                let dest = need_scalar(dest, "destination")? as i32;
+                let tag = need_scalar(tag, "tag")? as i32;
+                self.comm()?.send_obj(&v, dest, tag).map_err(mpi_err)?;
                 one(NValue::V(Value::None))
             }
             "MPI_Recv_Obj" => {
-                let src = need_scalar(&pos[0], "source")? as i32;
-                let tag = need_scalar(&pos[1], "tag")? as i32;
-                let (v, _st) = self
-                    .comm()?
-                    .recv_obj(src, tag)
-                    .map_err(|e| NspError::new(e.to_string()))?;
+                let [src, tag] = args(name, &mut pos)?;
+                let src = need_scalar(src, "source")? as i32;
+                let tag = need_scalar(tag, "tag")? as i32;
+                let (v, _st) = self.comm()?.recv_obj(src, tag).map_err(mpi_err)?;
                 one(NValue::wrap(v))
             }
             "MPI_Probe" => {
-                let src = need_scalar(&pos[0], "source")? as i32;
-                let tag = need_scalar(&pos[1], "tag")? as i32;
-                let st = self
-                    .comm()?
-                    .probe(src, tag)
-                    .map_err(|e| NspError::new(e.to_string()))?;
+                let [src, tag] = args(name, &mut pos)?;
+                let src = need_scalar(src, "source")? as i32;
+                let tag = need_scalar(tag, "tag")? as i32;
+                let st = self.comm()?.probe(src, tag).map_err(mpi_err)?;
                 one(status_value(st))
             }
             "MPI_Get_count" | "MPI_Get_elements" => {
-                let stat = pos.first().ok_or_else(|| NspError::new("needs a status"))?;
+                let [stat] = args(name, &mut pos)?;
                 match stat {
                     NValue::V(Value::Hash(h)) => {
                         let count = h
@@ -907,53 +921,48 @@ impl Interp {
                 }
             }
             "mpibuf_create" => {
-                let n = need_scalar(&pos[0], "buffer size")? as usize;
+                let [n] = args(name, &mut pos)?;
+                let n = need_scalar(n, "buffer size")? as usize;
                 one(NValue::Buf(Rc::new(RefCell::new(MpiBuf::with_capacity(n)))))
             }
             "MPI_Recv" => {
-                let buf = match pos.first() {
-                    Some(NValue::Buf(b)) => Rc::clone(b),
-                    _ => return err("MPI_Recv needs an mpibuf"),
+                let [buf, src, tag] = args(name, &mut pos)?;
+                let NValue::Buf(buf) = buf else {
+                    return err("MPI_Recv needs an mpibuf");
                 };
-                let src = need_scalar(&pos[1], "source")? as i32;
-                let tag = need_scalar(&pos[2], "tag")? as i32;
+                let src = need_scalar(src, "source")? as i32;
+                let tag = need_scalar(tag, "tag")? as i32;
                 let st = self
                     .comm()?
                     .recv_into(&mut buf.borrow_mut(), src, tag)
-                    .map_err(|e| NspError::new(e.to_string()))?;
+                    .map_err(mpi_err)?;
                 one(status_value(st))
             }
             "MPI_Unpack" => {
-                let buf = match pos.first() {
-                    Some(NValue::Buf(b)) => Rc::clone(b),
-                    _ => return err("MPI_Unpack needs an mpibuf"),
+                let [buf] = args(name, &mut pos)?;
+                let NValue::Buf(buf) = buf else {
+                    return err("MPI_Unpack needs an mpibuf");
                 };
-                let v = self
-                    .comm()?
-                    .unpack(&buf.borrow())
-                    .map_err(|e| NspError::new(e.to_string()))?;
+                let v = self.comm()?.unpack(&buf.borrow()).map_err(mpi_err)?;
                 // Keep the raw value (a Serial stays a Serial), matching
                 // the Fig. 4 slave that unserializes explicitly.
                 one(NValue::V(v))
             }
             "MPI_Pack" => {
-                let v = pos
-                    .first()
-                    .ok_or_else(|| NspError::new("MPI_Pack needs a value"))?
-                    .to_value()?;
-                let buf = self.comm()?.pack(&v);
+                let [v] = args(name, &mut pos)?;
+                let buf = self.comm()?.pack(&v.take().into_value()?);
                 one(NValue::Buf(Rc::new(RefCell::new(buf))))
             }
             "MPI_Send" => {
-                let bytes: Vec<u8> = match pos.first() {
-                    Some(NValue::Buf(b)) => b.borrow().bytes().to_vec(),
-                    _ => return err("MPI_Send needs an mpibuf (use MPI_Pack first)"),
+                let [buf, dest, tag] = args(name, &mut pos)?;
+                let NValue::Buf(buf) = buf else {
+                    return err("MPI_Send needs an mpibuf (use MPI_Pack first)");
                 };
-                let dest = need_scalar(&pos[1], "destination")? as i32;
-                let tag = need_scalar(&pos[2], "tag")? as i32;
+                let dest = need_scalar(dest, "destination")? as i32;
+                let tag = need_scalar(tag, "tag")? as i32;
                 self.comm()?
-                    .send(&bytes, dest, tag)
-                    .map_err(|e| NspError::new(e.to_string()))?;
+                    .send(buf.borrow().bytes(), dest, tag)
+                    .map_err(mpi_err)?;
                 one(NValue::V(Value::None))
             }
             "MPI_Barrier" => {
@@ -961,10 +970,7 @@ impl Interp {
                 one(NValue::V(Value::None))
             }
             "MPI_Wtime" => one(NValue::scalar(self.comm()?.wtime())),
-            _ => {
-                let _ = &mut pos;
-                err(format!("unknown function {name}"))
-            }
+            _ => err(format!("unknown function {name}")),
         }
     }
 
@@ -1022,22 +1028,12 @@ impl Interp {
                 one(NValue::V(Value::list(vec![inner])))
             }
             // ---- generic value methods -------------------------------------
-            (NValue::V(Value::List(_)), "add_last") => {
-                // Lists are value types in our bridge: mutate through
-                // reassignment is handled by the caller pattern
-                // `res.add_last[...]` — we mutate a clone and write it
-                // back is impossible here, so add_last returns the new
-                // list; statement form updates the variable via special
-                // handling in eval (see MethodCall on Ident below).
-                let mut l = match base {
-                    NValue::V(Value::List(l)) => l,
-                    _ => unreachable!(),
-                };
-                let v = pos
-                    .first()
-                    .ok_or_else(|| NspError::new("add_last needs a value"))?;
-                l.add_last(v.to_value()?);
-                one(NValue::V(Value::List(l)))
+            // A receiver that is not a plain variable (`f().add_last[x]`):
+            // nothing to write back to, the grown list is the result.
+            (_, "add_last") => {
+                let mut list = base;
+                add_last_value(&mut list, pos, 0)?;
+                one(list)
             }
             (NValue::V(_), "equal") => {
                 let other = pos
@@ -1244,32 +1240,40 @@ pub(crate) fn index_value(base: &NValue, idx: &[NValue]) -> R<NValue> {
     }
 }
 
-/// `base(idx...) = v` write indexing; takes the current container by value
-/// and returns the updated one.
-pub(crate) fn index_assign_value(current: NValue, idx: &[NValue], v: NValue) -> R<NValue> {
+/// `base(idx...) = v` write indexing, in place. `current` is left untouched
+/// when the assignment fails.
+pub(crate) fn index_assign_value(current: &mut NValue, idx: &[NValue], v: NValue) -> R<()> {
     match current {
-        NValue::V(Value::List(mut l)) => {
+        NValue::V(Value::List(l)) => {
             if idx.len() != 1 {
                 return err("lists take one index");
             }
             // Range deletion: Lpb(1:k) = []
             if let NValue::V(Value::Real(m)) = &idx[0] {
                 if m.len() > 1 {
-                    if let NValue::V(val) = &v {
-                        if val.is_empty_matrix() {
-                            let mut positions: Vec<usize> =
-                                m.data().iter().map(|&x| x as usize).collect();
-                            positions.sort_unstable();
-                            positions.dedup();
+                    if !matches!(&v, NValue::V(val) if val.is_empty_matrix()) {
+                        return err("list range assignment only supports deletion with []");
+                    }
+                    let mut positions: Vec<usize> = m
+                        .data()
+                        .iter()
+                        .map(|&x| x as usize)
+                        .filter(|p| (1..=l.len()).contains(p))
+                        .collect();
+                    positions.sort_unstable();
+                    positions.dedup();
+                    match (positions.first(), positions.last()) {
+                        // One contiguous run (the Fig. 4 `Lpb(1:sent) = []`).
+                        (Some(&lo), Some(&hi)) if hi - lo + 1 == positions.len() => {
+                            l.remove_range(lo - 1, positions.len())
+                        }
+                        _ => {
                             for p in positions.into_iter().rev() {
-                                if p >= 1 && p <= l.len() {
-                                    l.remove_range(p - 1, 1);
-                                }
+                                l.remove_range(p - 1, 1);
                             }
-                            return Ok(NValue::V(Value::List(l)));
                         }
                     }
-                    return err("list range assignment only supports deletion with []");
+                    return Ok(());
                 }
             }
             let i = idx[0]
@@ -1279,20 +1283,19 @@ pub(crate) fn index_assign_value(current: NValue, idx: &[NValue], v: NValue) -> 
             if i < 1 {
                 return err("list indices are 1-based");
             }
+            let val = v.into_value()?;
             // Deletion of a single element.
-            if let NValue::V(val) = &v {
-                if val.is_empty_matrix() && i <= l.len() {
-                    l.remove_range(i - 1, 1);
-                    return Ok(NValue::V(Value::List(l)));
-                }
+            if val.is_empty_matrix() && i <= l.len() {
+                l.remove_range(i - 1, 1);
+                return Ok(());
             }
             while l.len() < i {
                 l.add_last(Value::None);
             }
-            *l.get_mut(i - 1).expect("extended above") = v.to_value()?;
-            Ok(NValue::V(Value::List(l)))
+            *l.get_mut(i - 1).expect("extended above") = val;
+            Ok(())
         }
-        NValue::V(Value::Real(mut m)) => {
+        NValue::V(Value::Real(m)) => {
             let x = v
                 .as_scalar()
                 .ok_or_else(|| NspError::new("matrix assignment needs a scalar"))?;
@@ -1317,10 +1320,67 @@ pub(crate) fn index_assign_value(current: NValue, idx: &[NValue], v: NValue) -> 
                 }
                 _ => return err("matrices take 1 or 2 indices"),
             }
-            Ok(NValue::V(Value::Real(m)))
+            Ok(())
         }
         other => err(format!("cannot index-assign into {}", other.type_name())),
     }
+}
+
+/// `base.field = v` in place; `base` is left untouched on error.
+pub(crate) fn field_assign_value(base: &mut NValue, field: &str, v: NValue) -> R<()> {
+    match base {
+        NValue::V(Value::Hash(h)) => {
+            h.set(field, v.into_value()?);
+            Ok(())
+        }
+        other => err(format!("cannot set field on {}", other.type_name())),
+    }
+}
+
+/// `list.add_last[x]` in place; `list` is left untouched on error. The
+/// call's value is the grown list: a caller that reads it (`want > 0`) gets
+/// the one copy, the statement form (`want == 0`) none.
+pub(crate) fn add_last_value(
+    list: &mut NValue,
+    mut pos: Vec<NValue>,
+    want: usize,
+) -> R<Vec<NValue>> {
+    match list {
+        NValue::V(Value::List(l)) => {
+            let [v] = args("add_last", &mut pos)?;
+            l.add_last(v.take().into_value()?);
+            Ok(if want == 0 {
+                Vec::new()
+            } else {
+                vec![list.clone()]
+            })
+        }
+        other => err(format!("{} has no method add_last", other.type_name())),
+    }
+}
+
+/// The one checked read of a call's positional arguments: the first `N`,
+/// in place. A callee that consumes one [`NValue::take`]s it. Trailing
+/// extras (the scripts' `MCW` handles) are ignored.
+pub(crate) fn args<'a, const N: usize>(
+    name: &str,
+    pos: &'a mut [NValue],
+) -> R<&'a mut [NValue; N]> {
+    let got = pos.len();
+    pos.first_chunk_mut().ok_or_else(|| {
+        let s = if N == 1 { "" } else { "s" };
+        NspError::new(format!("{name} needs {N} argument{s}, got {got}"))
+    })
+}
+
+/// The front half of `exec(path)`, shared by both engines: check the
+/// argument and read the script file.
+pub(crate) fn read_exec_source(mut pos: Vec<NValue>) -> R<String> {
+    let [path] = args("exec", &mut pos)?;
+    let path = path
+        .as_str()
+        .ok_or_else(|| NspError::new("exec path must be a string"))?;
+    std::fs::read_to_string(path).map_err(|e| NspError::new(format!("exec {path}: {e}")))
 }
 
 /// `base.name` field read.

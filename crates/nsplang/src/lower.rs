@@ -242,7 +242,14 @@ impl Lowerer {
         match &s.kind {
             Stmt::Expr(e) => {
                 let t = self.alloc();
-                self.expr_at(e, t);
+                match e {
+                    // `want = 0`: nobody reads the value, so `L.add_last[x]`
+                    // does not have to produce a copy of `L`.
+                    Expr::MethodCall(base, name, args) => {
+                        self.method_call(base, name, args, t, 0);
+                    }
+                    _ => self.expr_at(e, t),
+                }
             }
             Stmt::Assign(targets, rhs) => {
                 if targets.len() == 1 {
@@ -731,17 +738,18 @@ impl Lowerer {
         dst: Reg,
         want: u16,
     ) -> bool {
-        let tb = self.alloc();
-        self.expr_at(base, tb);
-        let (abase, argc, kwt) = self.call_args(args);
-        let wb = if name == "add_last" {
-            match base {
-                Expr::Ident(v) => self.slot_of(v).unwrap_or(NO_REG),
-                _ => NO_REG,
+        // `L.add_last[x]` on a plain variable appends in `L`'s slot: the VM
+        // takes the receiver from `wb` after the arguments, so no operand
+        // register (and no copy of the list) is made for it here.
+        let (tb, wb) = match base {
+            Expr::Ident(v) if name == "add_last" => (NO_REG, self.local(v)),
+            _ => {
+                let tb = self.alloc();
+                self.expr_at(base, tb);
+                (tb, NO_REG)
             }
-        } else {
-            NO_REG
         };
+        let (abase, argc, kwt) = self.call_args(args);
         let name_id = self.name(name);
         self.emit(Op::Method {
             dst,
@@ -760,8 +768,8 @@ impl Lowerer {
 // ---- local scan -------------------------------------------------------------
 
 /// Visit, in source order, every name a block binds: assignment target
-/// roots, `for` variables, and `add_last` receivers (written back by the
-/// method-call rule). Nested function bodies compile separately and are
+/// roots, `for` variables, and `add_last` receivers (updated in their slot
+/// by the method-call rule). Nested function bodies compile separately and are
 /// skipped.
 fn scan_stmts(stmts: &[Spanned], f: &mut impl FnMut(&str)) {
     for s in stmts {
@@ -842,7 +850,7 @@ fn scan_expr(e: &Expr, f: &mut impl FnMut(&str)) {
         }
         Expr::Field(base, _) => scan_expr(base, f),
         Expr::MethodCall(base, name, args) => {
-            // `L.add_last[x]` writes the result back into `L`.
+            // `L.add_last[x]` updates `L` in its slot.
             if name == "add_last" {
                 if let Expr::Ident(v) = base.as_ref() {
                     f(v);

@@ -72,8 +72,9 @@ pub enum Op {
         kwt: u16,
         want: u16,
     },
-    /// `obj.name[args]` bracket-method call; `wb != NO_REG` writes the first
-    /// result back to that slot (the `add_last` receiver pattern).
+    /// `obj.name[args]` bracket-method call. `wb != NO_REG` is `L.add_last[x]`
+    /// on a plain variable: `obj` is unused and the receiver is slot `wb`,
+    /// taken after the arguments and updated in place.
     Method {
         dst: Reg,
         name: u32,

@@ -22,9 +22,9 @@
 
 use crate::ast::{BinOp, UnOp};
 use crate::interp::{
-    binary_value, build_matrix, builtin_id, builtin_name, field_value, for_items_of,
-    index_assign_value, index_value, range_value, transpose_value, unary_value, Interp, NValue,
-    NspError, BUILTIN_EXEC,
+    add_last_value, binary_value, build_matrix, builtin_id, builtin_name, field_assign_value,
+    field_value, for_items_of, index_assign_value, index_value, range_value, read_exec_source,
+    transpose_value, unary_value, Interp, NValue, NspError, BUILTIN_EXEC,
 };
 use crate::lower::{lower_function, lower_program, lower_seeded};
 use crate::opcodes::{Chunk, Op, Proto, Reg, NO_REG, NO_TABLE};
@@ -381,7 +381,7 @@ fn run_frame(interp: &mut Interp, chunk: &Chunk, frame: &mut Frame, parents: &[&
                 want,
                 wb,
             } => method_op(
-                interp, chunk, frame, dst, name, obj, base, argc, kwt, want, wb,
+                interp, chunk, frame, parents, dst, name, obj, base, argc, kwt, want, wb,
             )
             .map(|_| pc + 1),
             Op::IndexAsg {
@@ -704,13 +704,7 @@ fn exec_in_frame(
     parents: &[&Frame],
     pos: Vec<NValue>,
 ) -> R<Vec<NValue>> {
-    let path = pos[0]
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| NspError::new("exec path must be a string"))?;
-    let src = std::fs::read_to_string(&path)
-        .map_err(|e| NspError::new(format!("exec {path}: {e}")))?;
-    let prog = parse_program(&src)?;
+    let prog = parse_program(&read_exec_source(pos)?)?;
     let seeds: Vec<(Rc<str>, Reg)> = frame
         .names
         .iter()
@@ -723,11 +717,35 @@ fn exec_in_frame(
     Ok(vec![NValue::V(Value::None)])
 }
 
+/// Run the in-place update `f` on the value bound to local `slot`: the value
+/// is taken out of the register, mutated and put back — also when `f` fails,
+/// since the shared helpers leave it untouched on error. An unbound slot
+/// means the name lives in an enclosing frame or scope (or nowhere): `outer`
+/// fetches a copy, bound locally only once `f` succeeds, so assignments
+/// never reach a caller's bindings.
+fn update_slot<T>(
+    frame: &mut Frame,
+    slot: Reg,
+    outer: impl FnOnce(&Frame) -> R<NValue>,
+    f: impl FnOnce(&mut NValue) -> R<T>,
+) -> R<T> {
+    let (mut v, own) = match frame.regs[slot as usize].take() {
+        Some(v) => (v.nv(), true),
+        None => (outer(frame)?, false),
+    };
+    let out = f(&mut v);
+    if own || out.is_ok() {
+        frame.regs[slot as usize] = Some(RVal::from_nv(v));
+    }
+    out
+}
+
 #[allow(clippy::too_many_arguments)]
 fn method_op(
     interp: &mut Interp,
     chunk: &Chunk,
     frame: &mut Frame,
+    parents: &[&Frame],
     dst: Reg,
     name: u32,
     obj: Reg,
@@ -737,14 +755,21 @@ fn method_op(
     want: u16,
     wb: Reg,
 ) -> R<()> {
-    let b = take_nv(frame, obj);
-    let (pos, kw) = gather_args(chunk, frame, base, argc, kwt);
-    let nm = chunk.names[name as usize].clone();
-    let results = interp.method(b, &nm, pos, kw)?;
-    if wb != NO_REG {
-        // Value-semantics mutators (add_last) write back to the receiver.
-        frame.regs[wb as usize] = Some(RVal::from_nv(results[0].clone()));
-    }
+    let results = if wb != NO_REG {
+        // `L.add_last[x]` on a plain variable: append in slot `wb`, after the
+        // arguments (which may read `L`).
+        let (pos, _kw) = gather_args(chunk, frame, base, argc, kwt);
+        update_slot(
+            frame,
+            wb,
+            |frame| load_slow(interp, frame, parents, frame.names[wb as usize].clone()),
+            |list| add_last_value(list, pos, want as usize),
+        )?
+    } else {
+        let b = take_nv(frame, obj);
+        let (pos, kw) = gather_args(chunk, frame, base, argc, kwt);
+        interp.method(b, &chunk.names[name as usize], pos, kw)?
+    };
     write_results(frame, dst, want, results)
 }
 
@@ -788,16 +813,17 @@ fn index_asg(
     for i in 0..n {
         iv.push(take_nv(frame, idx + i));
     }
-    let nm = chunk.names[name as usize].clone();
-    let current = match frame.regs[slot as usize] {
-        Some(ref v) => v.to_nv(),
-        None => resolve_var(interp, frame, parents, &nm)
-            .ok_or_else(|| NspError::new(format!("undefined variable {nm}")))?,
-    };
     let v = take_nv(frame, src);
-    let updated = index_assign_value(current, &iv, v)?;
-    frame.regs[slot as usize] = Some(RVal::from_nv(updated));
-    Ok(())
+    let nm = &chunk.names[name as usize];
+    update_slot(
+        frame,
+        slot,
+        |frame| {
+            resolve_var(interp, frame, parents, nm)
+                .ok_or_else(|| NspError::new(format!("undefined variable {nm}")))
+        },
+        |current| index_assign_value(current, &iv, v),
+    )
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -811,22 +837,19 @@ fn field_asg(
     field: u32,
     src: Reg,
 ) -> R<()> {
-    let nm = chunk.names[name as usize].clone();
-    let current = match frame.regs[slot as usize] {
-        Some(ref v) => Some(v.to_nv()),
-        None => resolve_var(interp, frame, parents, &nm),
-    };
-    let mut hash = match current {
-        Some(NValue::V(Value::Hash(h))) => h,
-        None => Hash::new(), // auto-create, like Nsp's H.A = ...
-        Some(other) => {
-            return err(format!("cannot set field on {}", other.type_name()));
-        }
-    };
     let v = take_nv(frame, src);
-    hash.set(&chunk.names[field as usize], v.to_value()?);
-    frame.regs[slot as usize] = Some(RVal::N(NValue::V(Value::Hash(hash))));
-    Ok(())
+    update_slot(
+        frame,
+        slot,
+        |frame| {
+            // auto-create, like Nsp's H.A = ...
+            Ok(
+                resolve_var(interp, frame, parents, &chunk.names[name as usize])
+                    .unwrap_or(NValue::V(Value::Hash(Hash::new()))),
+            )
+        },
+        |hash| field_assign_value(hash, &chunk.names[field as usize], v),
+    )
 }
 
 fn def_func(interp: &mut Interp, chunk: &Chunk, def: u16) {

@@ -23,12 +23,8 @@
 #      BENCH_8.json (bit-identical prices across shard counts and
 #      transport backends, steals present, calibrated transport costs,
 #      monotone simulated makespans up to 512 cores) and bench_gate
-#      re-validates its structure; the `vm_smoke` script-dispatch smoke
-#      writes BENCH_9.json (nsplang bytecode VM >= 5x faster than the
-#      tree-walker on a Fig. 4-shaped driver script, engines
-#      bit-identical, cheap lowering) and bench_gate re-validates it;
-#      the `workload_smoke` heterogeneous-workload smoke writes
-#      BENCH_10.json (per-class compute present for every class of the
+#      re-validates its structure; the `workload_smoke`
+#      heterogeneous-workload smoke writes BENCH_10.json (per-class compute present for every class of the
 #      mixed portfolio, LPT makespan <= FIFO under calibrated costs,
 #      staged BSDE live trace byte-identical to the staged simulator)
 #      and bench_gate re-validates it; the `--calibrate-classes` smoke
@@ -228,23 +224,6 @@ if ! grep -q '"sim_512_jobs"' BENCH_8.json; then
     echo "error: BENCH_8.json missing sim_512_jobs column"
     exit 1
 fi
-# Script-dispatch smoke: both nsplang engines run the same Fig. 4-shaped
-# portfolio driver script; the bin self-checks bit-identical bindings,
-# price lists and RNG streams across engines, a >= 5x VM speedup over the
-# tree-walker (best-of-reps), and a lowering pass under half a VM run
-# (the checks live in vm_smoke and fail the process). The JSON line is
-# the PR 9 artifact; bench_gate re-validates its structure.
-echo "==> cargo run -p bench --bin vm_smoke --release -q (script-dispatch smoke -> BENCH_9.json)"
-vm_out=$(cargo run -p bench --bin vm_smoke --release -q) || exit 1
-if ! printf '%s\n' "$vm_out" | grep -q 'vm speedup'; then
-    echo "error: vm smoke reported no speedup line"
-    exit 1
-fi
-printf '%s\n' "$vm_out" | sed -n 's/^JSON: //p' > BENCH_9.json
-if ! grep -q '"vm_speedup"' BENCH_9.json; then
-    echo "error: BENCH_9.json missing vm_speedup column"
-    exit 1
-fi
 # Heterogeneous-workload smoke: a mixed-class portfolio (vanillas through
 # Bermudan-max LSM, BSDE Picard, XVA/CVA) priced live on 8 slaves with a
 # recorder attached — every class must surface in the per-class compute
@@ -265,7 +244,7 @@ if ! grep -q '"staged_trace_identical"' BENCH_10.json; then
     echo "error: BENCH_10.json missing staged_trace_identical column"
     exit 1
 fi
-run cargo run -p bench --bin bench_gate --release -q -- BENCH_6.json BENCH_4.json BENCH_3.json BENCH_7.json BENCH_8.json BENCH_9.json BENCH_10.json || exit 1
+run cargo run -p bench --bin bench_gate --release -q -- BENCH_6.json BENCH_4.json BENCH_3.json BENCH_7.json BENCH_8.json BENCH_10.json || exit 1
 
 # Per-class calibration smoke: the cost table every LPT dispatch consumes,
 # plus the self-check that one BSDE Picard round dominates a vanilla

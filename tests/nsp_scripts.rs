@@ -292,6 +292,13 @@ mod engine_equivalence {
 
     #[track_caller]
     fn assert_agree(src: &str) {
+        let _ = agree(src);
+    }
+
+    /// Assert both engines agree on `src`; the tree-walker's interpreter
+    /// and result come back for assertions on values.
+    #[track_caller]
+    fn agree(src: &str) -> (Interp, Result<(), NspError>) {
         let (t, rt, v, rv) = run_both(src);
         match (&rt, &rv) {
             (Ok(()), Ok(())) => {}
@@ -303,6 +310,7 @@ mod engine_equivalence {
         assert_eq!(t.output, v.output, "disp output mismatch on:\n{src}");
         assert_eq!(t.rng_state(), v.rng_state(), "rng divergence on:\n{src}");
         assert_eq!(snapshot(&t), snapshot(&v), "binding mismatch on:\n{src}");
+        (t, rt)
     }
 
     #[test]
@@ -445,6 +453,126 @@ mod engine_equivalence {
         assert_agree("x = 1\ny = 2\nz = [1,2](3)");
         assert_agree("for k = 1:3 do\n  y = k(2)\nend");
         assert_agree("H.A.B = 1");
+    }
+
+    #[test]
+    fn builtins_report_missing_arguments() {
+        // A builtin called with too few arguments is an NspError with the
+        // same text and span on both engines, never a panic.
+        for src in [
+            "x = min(1)",
+            "sload()",
+            "MPI_Send_Obj(1)",
+            "mpibuf_create()",
+            "exec()",
+        ] {
+            assert_agree(src);
+        }
+        let (_, rt, _, _) = run_both("y = 0\nx = min(1)");
+        assert_eq!(
+            rt.unwrap_err().to_string(),
+            "nsp error at 2:1: min needs 2 arguments, got 1"
+        );
+    }
+
+    /// The named scalar variables of `i`.
+    fn scalars<const N: usize>(i: &Interp, names: [&str; N]) -> [f64; N] {
+        names.map(|n| i.get_scalar(n).unwrap_or_else(|| panic!("no scalar {n}")))
+    }
+
+    /// [`agree`] on a script that must succeed.
+    #[track_caller]
+    fn agree_ok(src: &str) -> Interp {
+        let (t, rt) = agree(src);
+        rt.unwrap_or_else(|e| panic!("{e} on:\n{src}"));
+        t
+    }
+
+    #[test]
+    fn in_place_mutators_keep_value_semantics() {
+        // A copy made before the append does not see it.
+        let i = agree_ok("L = list(1, 2)\nM = L\nL.add_last[3]\nnl = length(L)\nnm = length(M)");
+        assert_eq!(scalars(&i, ["nl", "nm"]), [3.0, 2.0]);
+        // The receiver read in its own arguments is the value before the update.
+        let i = agree_ok("L = list(1, 2)\nL.add_last[L]\nn = length(L)\ninner = length(L(3))");
+        assert_eq!(scalars(&i, ["n", "inner"]), [3.0, 2.0]);
+        let i = agree_ok("L = list(1, 2, 3)\nL(2) = L\nn = length(L)\ninner = length(L(2))");
+        assert_eq!(scalars(&i, ["n", "inner"]), [3.0, 3.0]);
+        // Expression form: the result is the grown list, and a copy of it.
+        let i = agree_ok(
+            "L = list(1)\nx = L.add_last[2]\nx.add_last[3]\nnx = length(x)\nnl = length(L)",
+        );
+        assert_eq!(scalars(&i, ["nx", "nl"]), [3.0, 2.0]);
+        // A receiver that is not a plain variable has nothing to write back to.
+        let i =
+            agree_ok("L = list(list(1))\nx = L(1).add_last[2]\nnx = length(x)\nn1 = length(L(1))");
+        assert_eq!(scalars(&i, ["nx", "n1"]), [2.0, 1.0]);
+    }
+
+    #[test]
+    fn failed_mutation_leaves_the_binding_as_it_was() {
+        for (src, var) in [
+            ("L = list(1, 2)\nL.add_last[]", "L"),
+            // The value is rejected before the list is extended to index 5.
+            ("L = list(1, 2)\nb = mpibuf_create(4)\nL(5) = b", "L"),
+            ("L = list(1, 2)\nL(1:2) = 7", "L"),
+            ("m = [1, 2]\nm(9) = 0", "m"),
+            ("H.a = 1\nb = mpibuf_create(4)\nH.b = b", "H"),
+        ] {
+            let intact = src.lines().next().unwrap();
+            let mut want = Interp::new();
+            want.run(intact).unwrap();
+            let (t, rt, v, rv) = run_both(src);
+            assert_eq!(
+                rt.unwrap_err().to_string(),
+                rv.unwrap_err().to_string(),
+                "on:\n{src}"
+            );
+            for engine in [&t, &v] {
+                assert_eq!(engine.get_value(var), want.get_value(var), "on:\n{src}");
+            }
+        }
+    }
+
+    #[test]
+    fn mutators_in_a_function_bind_locally() {
+        // `L`, `A` and `H` live in the caller's frame: the function updates
+        // its own copies and the caller's stay as they were.
+        let i = agree_ok(
+            "L = list(1)\nA = [1, 2, 3]\nH.a = 1\n\
+             function [n, a, h] = f()\n  L.add_last[2]\n  A(1) = 9\n  H.b = 2\n  n = length(L)\n  a = A(1)\n  h = H.b\nendfunction\n\
+             [n, a, h] = f()\nnl = length(L)\na1 = A(1)",
+        );
+        assert_eq!(scalars(&i, ["n", "a", "h"]), [2.0, 9.0, 2.0]);
+        assert_eq!(scalars(&i, ["nl", "a1"]), [1.0, 1.0]);
+        assert_eq!(i.get_value("H").unwrap().as_hash().unwrap().len(), 1);
+        // An undefined receiver errors identically (arguments first).
+        assert_agree("function f()\n  L.add_last[1]\nendfunction\nf()");
+        assert_agree("L.add_last[undefined_thing]");
+    }
+
+    #[test]
+    fn range_deletion_contiguous_and_scattered() {
+        let i = agree_ok("L = list(1, 2, 3, 4, 5, 6)\nL(2:4) = []\nn = length(L)\na = L(2)");
+        assert_eq!(scalars(&i, ["n", "a"]), [3.0, 5.0]);
+        // Unsorted with a repeat: one contiguous run once sorted and de-duplicated.
+        let i =
+            agree_ok("L = list(1, 2, 3, 4, 5, 6)\nL([3, 1, 2, 2]) = []\nn = length(L)\na = L(1)");
+        assert_eq!(scalars(&i, ["n", "a"]), [3.0, 4.0]);
+        let i = agree_ok(
+            "L = list(1, 2, 3, 4, 5, 6)\nL([5, 1, 3]) = []\nn = length(L)\na = L(1)\nb = L(3)",
+        );
+        assert_eq!(scalars(&i, ["n", "a", "b"]), [3.0, 2.0, 6.0]);
+        // Positions past the end are ignored.
+        let i = agree_ok("L = list(1, 2, 3, 4, 5, 6)\nL(5:9) = []\nn = length(L)");
+        assert_eq!(scalars(&i, ["n"]), [4.0]);
+    }
+
+    #[test]
+    fn two_thousand_entry_list_build_agrees() {
+        // The gated `fig4_script` workload's result list, at its length.
+        let i = agree_ok("res = list()\nfor k = 1:2000 do\n  res.add_last[list(k, k * 0.5)]\nend\nn = length(res)");
+        assert_eq!(scalars(&i, ["n"]), [2000.0]);
     }
 
     #[test]
