@@ -183,15 +183,20 @@ fn send_job_span(
     strategy: Transmission,
     scratch: &mut MpiBuf,
 ) -> Result<(), FarmError> {
-    // Name message: [name, job index].
+    // Fetch and pack the payload first, so that the name message
+    // ([name, job index]) and the packed object go out back to back
+    // through one pair guard: the slave is woken once, with both queued,
+    // rather than woken for the name only to block on the payload.
+    let packed = prepare_payload_recorded(comm, ctx, strategy, path)?
+        .map(|payload| comm.pack_into(&payload, scratch));
     let name = Value::list(vec![
         Value::string(path.to_string_lossy().to_string()),
         Value::scalar(idx as f64),
     ]);
-    comm.send_obj(&name, slave as i32, TAG)?;
-    if let Some(payload) = prepare_payload_recorded(comm, ctx, strategy, path)? {
-        comm.pack_into(&payload, scratch);
-        comm.send(scratch.bytes(), slave as i32, TAG)?;
+    let pair = comm.pair(slave as i32)?;
+    pair.send_obj(&name, TAG)?;
+    if packed.is_some() {
+        pair.send(scratch.bytes(), TAG)?;
     }
     Ok(())
 }

@@ -88,11 +88,6 @@ impl Frame {
         }
     }
 
-    /// Whether the frame is visible to the receiver at `now`.
-    pub fn visible(&self, now: Instant) -> bool {
-        self.visible_at.is_none_or(|t| t <= now)
-    }
-
     /// Whether the payload was cut short of its advertised length.
     pub fn truncated(&self) -> bool {
         self.payload.len() < self.full_len

@@ -10,19 +10,17 @@
 use crate::error::TransportError;
 use crate::frame::Frame;
 use crate::selector_matches;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
-use std::time::Instant;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
 
 #[derive(Default)]
 struct MailboxState {
     queue: VecDeque<Frame>,
-    /// Set when the group is torn down (a peer panicked); wakes blockers.
-    poisoned: bool,
-    /// Set when this rank is dead (fault-plan kill or an administrative
-    /// sever): sends to it and operations by it fail with
-    /// [`TransportError::Dead`].
-    dead: bool,
+    /// Receivers parked in `cond.wait*` right now; while this is zero a
+    /// push notifies nobody (no futex call for a rank busy computing).
+    waiters: usize,
 }
 
 /// One rank's delivery queue.
@@ -31,6 +29,31 @@ pub(crate) struct Mailbox {
     owner: usize,
     state: Mutex<MailboxState>,
     cond: Condvar,
+    /// Set when the group is torn down (a peer panicked); wakes blockers.
+    /// Like `dead`, stored only with `state` locked (a receiver that read
+    /// it under the lock and then parked cannot miss the wake-up) and
+    /// loaded without it: every `Comm` operation polls both flags.
+    poisoned: AtomicBool,
+    /// Set when this rank is dead (fault-plan kill or an administrative
+    /// sever): sends to it and operations by it fail with
+    /// [`TransportError::Dead`].
+    dead: AtomicBool,
+    /// Condvar notifications issued (wake-accounting tests).
+    #[cfg(test)]
+    notifies: std::sync::atomic::AtomicUsize,
+}
+
+impl MailboxState {
+    /// Index of the first visible queued frame matching `(src, tag)`.
+    /// `now` caches the clock, which is read only when a matching frame
+    /// is fault-delayed: an un-faulted scan never touches it.
+    fn find_match(&self, src: i32, tag: i32, now: &mut Option<Instant>) -> Option<usize> {
+        self.queue.iter().position(|m| {
+            selector_matches(m.src, m.tag, src, tag)
+                && m.visible_at
+                    .is_none_or(|t| t <= *now.get_or_insert_with(Instant::now))
+        })
+    }
 }
 
 impl Mailbox {
@@ -39,23 +62,55 @@ impl Mailbox {
             owner,
             state: Mutex::new(MailboxState::default()),
             cond: Condvar::new(),
+            poisoned: AtomicBool::new(false),
+            dead: AtomicBool::new(false),
+            #[cfg(test)]
+            notifies: Default::default(),
+        }
+    }
+
+    /// Release the lock, then notify if a receiver is parked — in that
+    /// order, so the woken thread finds the mutex free instead of going
+    /// back to sleep on it and needing a second wake-up.
+    fn unlock_and_wake(&self, st: MutexGuard<'_, MailboxState>) {
+        let parked = st.waiters > 0;
+        drop(st);
+        if parked {
+            #[cfg(test)]
+            self.notifies.fetch_add(1, Ordering::SeqCst);
+            self.cond.notify_all();
         }
     }
 
     /// Queue a frame for the owner, failing fast if the owner is dead or
-    /// the group is poisoned.
-    pub(crate) fn push(&self, frame: Frame) -> Result<(), TransportError> {
+    /// the group is poisoned; the caller decides whether to wake.
+    fn enqueue(&self, frame: Frame) -> Result<MutexGuard<'_, MailboxState>, TransportError> {
         let mut st = self.state.lock();
-        if st.dead {
-            // Fail fast instead of queueing into a mailbox nobody drains.
+        if self.is_dead() {
             return Err(TransportError::Dead(self.owner));
         }
-        if st.poisoned {
+        if self.is_poisoned() {
             return Err(TransportError::Disconnected);
         }
         st.queue.push_back(frame);
-        self.cond.notify_all();
+        Ok(st)
+    }
+
+    /// Queue a frame and wake the owner if it is parked.
+    pub(crate) fn push(&self, frame: Frame) -> Result<(), TransportError> {
+        self.unlock_and_wake(self.enqueue(frame)?);
         Ok(())
+    }
+
+    /// Queue a frame without waking the owner: the caller owes one
+    /// [`Mailbox::wake`] after the frames that belong together.
+    pub(crate) fn push_quiet(&self, frame: Frame) -> Result<(), TransportError> {
+        self.enqueue(frame).map(drop)
+    }
+
+    /// Wake the owner if it is parked (settles any quiet pushes).
+    pub(crate) fn wake(&self) {
+        self.unlock_and_wake(self.state.lock());
     }
 
     /// Mark the owner dead: pending messages are discarded and every
@@ -63,24 +118,25 @@ impl Mailbox {
     /// instead of hanging forever.
     pub(crate) fn kill(&self) {
         let mut st = self.state.lock();
-        st.dead = true;
+        self.dead.store(true, Ordering::SeqCst);
         st.queue.clear();
-        self.cond.notify_all();
+        self.unlock_and_wake(st);
     }
 
     /// Wake every blocked waiter with a poison flag; used when a peer
     /// panics so the rest don't deadlock.
     pub(crate) fn poison(&self) {
-        self.state.lock().poisoned = true;
-        self.cond.notify_all();
+        let st = self.state.lock();
+        self.poisoned.store(true, Ordering::SeqCst);
+        self.unlock_and_wake(st);
     }
 
     pub(crate) fn is_dead(&self) -> bool {
-        self.state.lock().dead
+        self.dead.load(Ordering::SeqCst)
     }
 
     pub(crate) fn is_poisoned(&self) -> bool {
-        self.state.lock().poisoned
+        self.poisoned.load(Ordering::SeqCst)
     }
 
     /// Wait-loop core shared by probe and receive — see
@@ -94,90 +150,47 @@ impl Mailbox {
     ) -> Result<Option<Frame>, TransportError> {
         let mut st = self.state.lock();
         loop {
-            if st.dead {
+            if self.is_dead() {
                 return Err(TransportError::Dead(self.owner));
             }
-            let now = Instant::now();
-            if let Some(pos) = st
-                .queue
-                .iter()
-                .position(|m| selector_matches(m.src, m.tag, src, tag) && m.visible(now))
-            {
-                if consume {
-                    if st.queue[pos].truncated() {
-                        let m = &st.queue[pos];
-                        return Err(TransportError::Truncated {
-                            needed: m.full_len,
-                            capacity: m.payload.len(),
-                        });
-                    }
-                    return Ok(Some(st.queue.remove(pos).expect("position just found")));
+            let mut now = None;
+            if let Some(pos) = st.find_match(src, tag, &mut now) {
+                let m = &st.queue[pos];
+                if !consume {
+                    // Probe: clone the metadata, leave the payload queued.
+                    return Ok(Some(m.meta()));
                 }
-                // Probe: clone the metadata, leave the payload queued.
-                return Ok(Some(st.queue[pos].meta()));
+                if m.truncated() {
+                    return Err(TransportError::Truncated {
+                        needed: m.full_len,
+                        capacity: m.payload.len(),
+                    });
+                }
+                return Ok(st.queue.remove(pos));
             }
-            if st.poisoned {
+            if self.is_poisoned() {
                 return Err(TransportError::Disconnected);
             }
             // Next wake-up: the earliest fault-delayed matching message, or
             // the caller's deadline, whichever comes first.
-            let next_visible = st
+            let matching = st
                 .queue
                 .iter()
-                .filter(|m| selector_matches(m.src, m.tag, src, tag))
-                .filter_map(|m| m.visible_at)
-                .min();
-            let wake_at = match (next_visible, deadline) {
-                (Some(v), Some(d)) => Some(v.min(d)),
-                (Some(v), None) => Some(v),
-                (None, Some(d)) => Some(d),
-                (None, None) => None,
-            };
-            match wake_at {
-                Some(t) => {
-                    let now = Instant::now();
-                    if t <= now {
-                        if deadline.is_some_and(|d| d <= now)
-                            && next_visible.is_none_or(|v| v > now)
-                        {
-                            return Ok(None);
-                        }
-                        // A delayed message just became visible: loop.
-                        continue;
-                    }
-                    self.cond.wait_for(&mut st, t - now);
-                    if let Some(d) = deadline {
-                        if Instant::now() >= d {
-                            // One last scan before giving up.
-                            let now = Instant::now();
-                            if let Some(pos) = st
-                                .queue
-                                .iter()
-                                .position(|m| selector_matches(m.src, m.tag, src, tag) && m.visible(now))
-                            {
-                                if !consume {
-                                    return Ok(Some(st.queue[pos].meta()));
-                                }
-                                if st.queue[pos].truncated() {
-                                    let m = &st.queue[pos];
-                                    return Err(TransportError::Truncated {
-                                        needed: m.full_len,
-                                        capacity: m.payload.len(),
-                                    });
-                                }
-                                return Ok(Some(
-                                    st.queue.remove(pos).expect("position just found"),
-                                ));
-                            }
-                            if st.dead {
-                                return Err(TransportError::Dead(self.owner));
-                            }
-                            return Ok(None);
-                        }
-                    }
-                }
+                .filter(|m| selector_matches(m.src, m.tag, src, tag));
+            let wake_at = matching.filter_map(|m| m.visible_at).chain(deadline).min();
+            // A delayed frame due by now would have matched above, so a
+            // zero wait is the deadline: that scan was the last one.
+            let clock = || now.unwrap_or_else(Instant::now);
+            let wait = wake_at.map(|t| t.saturating_duration_since(clock()));
+            if wait == Some(Duration::ZERO) {
+                return Ok(None);
+            }
+            st.waiters += 1;
+            match wait {
+                Some(d) => drop(self.cond.wait_for(&mut st, d)),
                 None => self.cond.wait(&mut st),
             }
+            st.waiters -= 1;
         }
     }
 
@@ -187,37 +200,165 @@ impl Mailbox {
     /// `minimpi` semantics).
     pub(crate) fn try_match(&self, src: i32, tag: i32) -> Result<Option<Frame>, TransportError> {
         let st = self.state.lock();
-        if st.dead {
+        if self.is_dead() {
             return Err(TransportError::Dead(self.owner));
         }
-        if st.poisoned {
+        if self.is_poisoned() {
             return Err(TransportError::Disconnected);
         }
-        let now = Instant::now();
-        Ok(st
-            .queue
-            .iter()
-            .find(|m| selector_matches(m.src, m.tag, src, tag) && m.visible(now))
-            .map(|m| m.meta()))
+        let pos = st.find_match(src, tag, &mut None);
+        Ok(pos.map(|pos| st.queue[pos].meta()))
     }
 
     /// Remove the next visible matching frame (even a truncated one).
     pub(crate) fn discard(&self, src: i32, tag: i32) -> Result<bool, TransportError> {
         let mut st = self.state.lock();
-        if st.dead {
+        if self.is_dead() {
             return Err(TransportError::Dead(self.owner));
         }
-        let now = Instant::now();
-        match st
-            .queue
-            .iter()
-            .position(|m| selector_matches(m.src, m.tag, src, tag) && m.visible(now))
-        {
-            Some(pos) => {
-                st.queue.remove(pos);
-                Ok(true)
-            }
-            None => Ok(false),
+        let pos = st.find_match(src, tag, &mut None);
+        Ok(pos.and_then(|pos| st.queue.remove(pos)).is_some())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Payload;
+    use std::thread;
+
+    fn frame(tag: i32, byte: u8) -> Frame {
+        Frame::new(0, tag, Payload::Owned(vec![byte]))
+    }
+
+    fn notifies(mb: &Mailbox) -> usize {
+        mb.notifies.load(Ordering::SeqCst)
+    }
+
+    /// Spin until the owner is parked in the wait loop: forces the
+    /// interleaving the wake accounting is about, without a sleep.
+    fn until_parked(mb: &Mailbox) {
+        while mb.state.lock().waiters == 0 {
+            thread::yield_now();
         }
+    }
+
+    fn recv(mb: &Mailbox, tag: i32) -> u8 {
+        let f = mb.match_deadline(0, tag, None, true).expect("recv");
+        f.expect("no deadline, so never None").payload.as_slice()[0]
+    }
+
+    #[test]
+    fn push_with_nobody_parked_notifies_nobody() {
+        let mb = Mailbox::new(0);
+        for i in 0..10 {
+            mb.push(frame(1, i)).unwrap();
+        }
+        mb.wake();
+        assert_eq!(notifies(&mb), 0);
+        // Nothing was lost for want of a notification.
+        assert_eq!((0..10).map(|_| recv(&mb, 1)).collect::<Vec<_>>(), (0..10).collect::<Vec<_>>());
+        assert_eq!(notifies(&mb), 0);
+    }
+
+    #[test]
+    fn ping_pong_notifies_at_most_once_per_message() {
+        const N: usize = 2_000;
+        let (ping, pong) = (Mailbox::new(0), Mailbox::new(1));
+        thread::scope(|s| {
+            s.spawn(|| {
+                for _ in 0..N {
+                    let b = recv(&pong, 2);
+                    ping.push(frame(2, b)).unwrap();
+                }
+            });
+            for i in 0..N {
+                pong.push(frame(2, i as u8)).unwrap();
+                assert_eq!(recv(&ping, 2), i as u8);
+            }
+        });
+        assert!(notifies(&ping) <= N, "{} notifies for {N} messages", notifies(&ping));
+        assert!(notifies(&pong) <= N, "{} notifies for {N} messages", notifies(&pong));
+    }
+
+    #[test]
+    fn quiet_pair_wakes_a_parked_receiver_exactly_once() {
+        let mb = Mailbox::new(0);
+        thread::scope(|s| {
+            let receiver = s.spawn(|| (recv(&mb, 3), recv(&mb, 3)));
+            until_parked(&mb);
+            mb.push_quiet(frame(3, 10)).unwrap(); // the name
+            mb.push_quiet(frame(3, 20)).unwrap(); // the payload
+            assert_eq!(notifies(&mb), 0, "a quiet push must not notify");
+            mb.wake();
+            assert_eq!(receiver.join().unwrap(), (10, 20));
+        });
+        assert_eq!(notifies(&mb), 1);
+    }
+
+    #[test]
+    fn wake_after_only_the_first_quiet_push_still_delivers_it() {
+        // The pair guard's error path: the name went out quietly, the
+        // payload never did, and the guard's drop issues the wake anyway.
+        let mb = Mailbox::new(0);
+        thread::scope(|s| {
+            let receiver = s.spawn(|| recv(&mb, 3));
+            until_parked(&mb);
+            mb.push_quiet(frame(3, 10)).unwrap();
+            mb.wake();
+            assert_eq!(receiver.join().unwrap(), 10);
+        });
+        assert_eq!(notifies(&mb), 1);
+    }
+
+    #[test]
+    fn unwoken_quiet_push_is_found_at_the_deadline() {
+        let mb = Mailbox::new(0);
+        let deadline = Instant::now() + Duration::from_millis(100);
+        thread::scope(|s| {
+            let receiver = s.spawn(|| {
+                let f = mb.match_deadline(0, 3, Some(deadline), true).expect("recv");
+                (f.map(|f| f.payload.as_slice()[0]), Instant::now())
+            });
+            until_parked(&mb);
+            mb.push_quiet(frame(3, 7)).unwrap();
+            let (got, at) = receiver.join().unwrap();
+            assert_eq!(got, Some(7), "the scan at the deadline must see the frame");
+            assert!(at >= deadline, "nobody woke it, so it slept to the deadline");
+        });
+        assert_eq!(notifies(&mb), 0);
+    }
+
+    #[test]
+    fn kill_and_poison_notify_only_a_parked_owner() {
+        for kill in [true, false] {
+            let mb = Mailbox::new(0);
+            let end = |mb: &Mailbox| if kill { mb.kill() } else { mb.poison() };
+            thread::scope(|s| {
+                let receiver = s.spawn(|| mb.match_deadline(0, 9, None, true));
+                until_parked(&mb);
+                mb.push_quiet(frame(3, 1)).unwrap(); // queued, not matching
+                end(&mb);
+                let woke = receiver.join().unwrap();
+                match (kill, woke) {
+                    (true, Err(TransportError::Dead(0))) => {}
+                    (false, Err(TransportError::Disconnected)) => {}
+                    (_, other) => panic!("kill={kill}: woke with {other:?}"),
+                }
+            });
+            end(&mb); // idempotent, and nobody is parked now
+            assert_eq!(notifies(&mb), 1, "kill={kill}");
+        }
+    }
+
+    #[test]
+    fn liveness_flags_are_read_without_the_lock() {
+        let mb = Mailbox::new(0);
+        mb.kill();
+        mb.poison();
+        let held = mb.state.lock();
+        // Would deadlock if either took the mailbox lock.
+        assert!(mb.is_dead() && mb.is_poisoned());
+        drop(held);
     }
 }

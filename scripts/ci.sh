@@ -7,8 +7,8 @@
 #   2. release build of the whole workspace, then of the benchmark
 #      harness under perf/ (a workspace of its own that `cargo test
 #      --workspace` never compiles) plus its `check` subcommand
-#      (BENCHMARK.json <-> metric tables) — build and check only, no
-#      timed run
+#      (BENCHMARK.json <-> metric tables) and its own unit tests —
+#      build, check and test only, no timed run
 #   3. observability smoke: `table2 --breakdown` self-checks the §4.2
 #      cost decomposition (sload prepare strictly cheapest) and exits
 #      nonzero on any violated invariant; the `--warm` store smoke and
@@ -125,6 +125,10 @@ run cargo build --workspace --release || exit 1
 # tables. Nothing is timed.
 run cargo build --release --offline --manifest-path perf/Cargo.toml || exit 1
 run cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- check || exit 1
+# The harness's own unit tests: its layer replays drive Transport and Comm
+# directly, so a change to that surface must keep them green as well as
+# compiling (~13 s; still nothing timed).
+run cargo test -q --offline --manifest-path perf/Cargo.toml || exit 1
 
 # Observability smoke on a small portfolio: the breakdown self-checks
 # (non-empty report, phase seconds within the cpu-seconds budget, no
