@@ -2,15 +2,14 @@
 //!
 //! ```text
 //! bench_gate <fresh BENCH_6.json> <committed BENCH_4.json> <committed BENCH_3.json> \
-//!            [fresh BENCH_7.json] [fresh BENCH_8.json] [fresh BENCH_10.json]
+//!            [fresh BENCH_8.json] [fresh BENCH_10.json]
 //! ```
 //!
 //! `BENCH_6.json` is the freshly written `table2 --breakdown --threads 8
 //! --lanes 8` report; `BENCH_4.json` / `BENCH_3.json` are the committed
-//! baselines from earlier PRs; the optional `BENCH_7.json` is the fresh
-//! `serve_smoke` artifact for the long-lived service, the optional
-//! `BENCH_8.json` the fresh `shard_smoke` artifact for the sharded
-//! peer masters. The gate fails (exit 1) when:
+//! baselines from earlier PRs; the optional `BENCH_8.json` is the fresh
+//! `shard_smoke` artifact for the sharded peer masters. The gate fails
+//! (exit 1) when:
 //!
 //! - any fresh sequential or `(x8 threads)` compute bucket drifts from
 //!   the committed `BENCH_4.json` bucket by more than 1e-9 — the
@@ -23,11 +22,6 @@
 //!   the compute phase;
 //! - the committed `BENCH_3.json` sanity anchors are gone (nonzero
 //!   compute, warm rows with a ~perfect cache hit-rate);
-//! - the `BENCH_7.json` service structure is off: request accounting
-//!   that does not balance (`answered != cold + warm`, sheds, failures),
-//!   a warm wave not fully served from the memo, zero computes, or a
-//!   warm p99 above the cold p99 (the one claim memoisation exists to
-//!   buy);
 //! - the `BENCH_8.json` shard structure is off: prices not bit-identical
 //!   across backends, a multi-shard run without steals, a multi-shard
 //!   makespan degrading the 1-shard run beyond the allowance, simulated
@@ -188,67 +182,6 @@ fn gate(fresh: &str, bench4: &str, bench3: &str) -> Result<String, String> {
     Ok(out)
 }
 
-/// Structural checks over the `serve_smoke` artifact (`BENCH_7.json`).
-///
-/// Every check is a counting identity the live session must satisfy by
-/// construction — the single timing assertion (warm p99 at or below
-/// cold p99) is the claim the result memo exists to deliver, with the
-/// whole cold wave's compute time as margin.
-fn gate_serve(json: &str) -> Result<String, String> {
-    let g = |key: &str| field(json, key).map_err(|e| format!("BENCH_7: {e}"));
-    let (cold, warm, per) = (
-        g("cold_count")?,
-        g("warm_count")?,
-        g("problems_per_request")?,
-    );
-    let (answered, failed, shed) = (g("answered")?, g("failed")?, g("shed")?);
-    if answered != cold + warm || failed != 0.0 || shed != 0.0 {
-        return Err(format!(
-            "BENCH_7: request accounting off (answered {answered} of {} waves, \
-             failed {failed}, shed {shed})",
-            cold + warm
-        ));
-    }
-    let requests = g("request_count")?;
-    if requests != answered {
-        return Err(format!(
-            "BENCH_7: breakdown saw {requests} requests but the session answered {answered}"
-        ));
-    }
-    let (memo_hits, computed) = (g("memo_hits")?, g("computed")?);
-    if memo_hits < warm * per {
-        return Err(format!(
-            "BENCH_7: memo hits {memo_hits} below the warm wave's {} problems",
-            warm * per
-        ));
-    }
-    if computed <= 0.0 || computed > cold * per {
-        return Err(format!(
-            "BENCH_7: computed {computed} outside (0, {}] — the cold wave's problem count",
-            cold * per
-        ));
-    }
-    if g("memo_hit_rate")? <= 0.0 {
-        return Err("BENCH_7: memo hit-rate is zero".into());
-    }
-    let (p50, p99) = (g("request_p50_s")?, g("request_p99_s")?);
-    if p50 <= 0.0 || p99 < p50 {
-        return Err(format!(
-            "BENCH_7: degenerate request percentiles (p50 {p50}s, p99 {p99}s)"
-        ));
-    }
-    let (cold_p99, warm_p99) = (g("cold_p99_s")?, g("warm_p99_s")?);
-    if warm_p99 > cold_p99 {
-        return Err(format!(
-            "BENCH_7: warm p99 {warm_p99}s above cold p99 {cold_p99}s"
-        ));
-    }
-    Ok(format!(
-        "serve: {answered} requests balanced, {memo_hits} memo hits, \
-         warm p99 {warm_p99:.6}s <= cold p99 {cold_p99:.6}s\n"
-    ))
-}
-
 /// Structural checks over the `shard_smoke` artifact (`BENCH_8.json`).
 ///
 /// Re-validates what the smoke asserted when it wrote the file, so a
@@ -398,15 +331,14 @@ fn gate_workload(json: &str) -> Result<String, String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (core, b7, b8, b10) = match args.as_slice() {
-        [fresh, b4, b3] => ([fresh, b4, b3], None, None, None),
-        [fresh, b4, b3, b7] => ([fresh, b4, b3], Some(b7), None, None),
-        [fresh, b4, b3, b7, b8] => ([fresh, b4, b3], Some(b7), Some(b8), None),
-        [fresh, b4, b3, b7, b8, b10] => ([fresh, b4, b3], Some(b7), Some(b8), Some(b10)),
+    let (core, b8, b10) = match args.as_slice() {
+        [fresh, b4, b3] => ([fresh, b4, b3], None, None),
+        [fresh, b4, b3, b8] => ([fresh, b4, b3], Some(b8), None),
+        [fresh, b4, b3, b8, b10] => ([fresh, b4, b3], Some(b8), Some(b10)),
         _ => {
             eprintln!(
                 "usage: bench_gate <BENCH_6.json> <BENCH_4.json> <BENCH_3.json> \
-                 [BENCH_7.json] [BENCH_8.json] [BENCH_10.json]"
+                 [BENCH_8.json] [BENCH_10.json]"
             );
             exit(2);
         }
@@ -417,13 +349,9 @@ fn main() {
             exit(2);
         })
     };
-    let serve = b7.map(|p| gate_serve(&read(p)));
     let shard = b8.map(|p| gate_shard(&read(p)));
     let workload = b10.map(|p| gate_workload(&read(p)));
     match gate(&read(core[0]), &read(core[1]), &read(core[2])).and_then(|mut summary| {
-        if let Some(s) = serve {
-            summary.push_str(&s?);
-        }
         if let Some(s) = shard {
             summary.push_str(&s?);
         }
@@ -555,44 +483,6 @@ mod tests {
         let b3 = bench3().replace("\"cache_hit_rate\":1", "\"cache_hit_rate\":0");
         let err = gate(&bench6(0.0926), &bench4(), &b3).unwrap_err();
         assert!(err.contains("hit-rate"), "{err}");
-    }
-
-    /// A healthy `serve_smoke` artifact in BENCH_7 shape.
-    fn bench7() -> String {
-        "{\"title\":\"Serve session smoke\",\"slaves\":3,\
-         \"cold_count\":6,\"warm_count\":6,\"problems_per_request\":16,\
-         \"cold_p50_s\":0.004,\"cold_p99_s\":0.009,\
-         \"warm_p50_s\":0.0002,\"warm_p99_s\":0.0008,\
-         \"request_count\":12,\"request_p50_s\":0.002,\"request_p99_s\":0.009,\
-         \"memo_hits\":96,\"memo_hit_rate\":0.5,\"shed\":0,\"computed\":96,\
-         \"answered\":12,\"failed\":0}"
-            .into()
-    }
-
-    #[test]
-    fn serve_gate_passes_on_a_balanced_session() {
-        let summary = gate_serve(&bench7()).unwrap();
-        assert!(summary.contains("12 requests balanced"), "{summary}");
-    }
-
-    #[test]
-    fn serve_gate_fails_on_unbalanced_accounting() {
-        let err = gate_serve(&bench7().replace("\"answered\":12", "\"answered\":11")).unwrap_err();
-        assert!(err.contains("accounting off"), "{err}");
-    }
-
-    #[test]
-    fn serve_gate_fails_when_the_warm_wave_missed_the_memo() {
-        let err =
-            gate_serve(&bench7().replace("\"memo_hits\":96", "\"memo_hits\":90")).unwrap_err();
-        assert!(err.contains("memo hits"), "{err}");
-    }
-
-    #[test]
-    fn serve_gate_fails_when_warm_tail_exceeds_cold() {
-        let err = gate_serve(&bench7().replace("\"warm_p99_s\":0.0008", "\"warm_p99_s\":0.02"))
-            .unwrap_err();
-        assert!(err.contains("warm p99"), "{err}");
     }
 
     /// A healthy `shard_smoke` artifact in BENCH_8 shape.

@@ -241,13 +241,66 @@ pub(crate) fn prepare_payload_recorded(
     Ok(Some(Value::Serial(serial)))
 }
 
-/// [`recover_problem`] with phase attribution: under NFS the slave's
-/// store fetch (the dominant slave-side acquisition cost) is timed as
-/// [`EventKind::NfsRead`] with the cache disposition marked alongside;
-/// a compressed loaded payload's inflation is timed as
-/// [`EventKind::Decompress`]. The uncompressed loaded path records
-/// nothing here — its slave-side decode is already captured by the
-/// `Recv`/`Unpack` comm events.
+/// Slave-side decode of a serialized problem, straight from its bytes —
+/// no value tree in between. The one place a shipped or fetched problem
+/// becomes a [`PremiaProblem`]: the farm slaves come through
+/// [`recover_problem`], `serve`'s resident slaves call it on each member
+/// of a job frame, borrowed. A compressed serial is inflated first —
+/// timed as [`EventKind::Decompress`] when `comm` carries a recorder.
+pub fn decode_problem(
+    comm: Option<&Comm>,
+    bytes: &[u8],
+    compressed: bool,
+) -> Result<PremiaProblem, xdrser::XdrError> {
+    if !compressed {
+        return PremiaProblem::from_xdr_bytes(bytes);
+    }
+    let t0 = comm.and_then(instrument::t0);
+    let plain = xdrser::compress::decompress_bytes(bytes)?;
+    if let Some(comm) = comm {
+        instrument::span(comm, EventKind::Decompress, t0, plain.len() as u64);
+    }
+    PremiaProblem::from_xdr_bytes(&plain)
+}
+
+/// Slave-side recovery of the problem from what arrived; all filesystem
+/// access (the NFS read) goes through `store`. With a recording `comm`,
+/// the NFS fetch — the dominant slave-side acquisition cost — is timed as
+/// [`EventKind::NfsRead`] with the cache disposition marked alongside.
+/// The uncompressed loaded path records nothing here: its slave-side
+/// receive is already captured by the `Recv`/`Unpack` comm events.
+fn recover(
+    comm: Option<&Comm>,
+    store: &dyn ProblemStore,
+    strategy: Transmission,
+    name: &str,
+    payload: Option<&Value>,
+) -> Result<PremiaProblem, xdrser::XdrError> {
+    let fetched;
+    let serial: &Serial = match strategy {
+        Transmission::Nfs => {
+            // The slave reads the shared filesystem itself — through the
+            // store, so a warm cache serves repeated reads.
+            let t0 = comm.and_then(instrument::t0);
+            fetched = store.fetch(Path::new(name))?;
+            if let Some(comm) = comm {
+                let bytes = fetched.serial.len() as u64;
+                instrument::span(comm, EventKind::NfsRead, t0, bytes);
+                mark_cache(comm, &fetched);
+            }
+            &fetched.serial
+        }
+        Transmission::FullLoad | Transmission::SerializedLoad => payload
+            .ok_or_else(|| {
+                xdrser::XdrError::Corrupt("missing payload for loaded transmission".into())
+            })?
+            .as_serial()
+            .ok_or_else(|| xdrser::XdrError::Corrupt("payload is not a Serial".into()))?,
+    };
+    decode_problem(comm, serial.bytes(), serial.is_compressed())
+}
+
+/// [`recover_problem`] with phase attribution on `comm`'s recorder.
 pub(crate) fn recover_problem_recorded(
     comm: &Comm,
     ctx: &crate::config::RunCtx,
@@ -255,59 +308,7 @@ pub(crate) fn recover_problem_recorded(
     name: &str,
     payload: Option<&Value>,
 ) -> Result<PremiaProblem, xdrser::XdrError> {
-    let Some(rec) = comm.recorder() else {
-        return recover_problem(ctx.store.as_ref(), strategy, name, payload);
-    };
-    let rec = rec.clone();
-    match strategy {
-        Transmission::Nfs => {
-            let t0 = rec.now_ns();
-            let fetched = ctx.store.fetch(Path::new(name))?;
-            rec.record_span(
-                comm.rank(),
-                EventKind::NfsRead,
-                comm.current_job(),
-                t0,
-                fetched.serial.len() as u64,
-            );
-            mark_cache(comm, &fetched);
-            let value = xdrser::unserialize(&fetched.serial)?;
-            PremiaProblem::from_value(&value).map_err(|e| xdrser::XdrError::Corrupt(e.to_string()))
-        }
-        Transmission::FullLoad | Transmission::SerializedLoad => {
-            let serial = payload_serial(payload)?;
-            if serial.is_compressed() {
-                let t0 = rec.now_ns();
-                let plain = xdrser::decompress_serial(serial)?;
-                rec.record_span(
-                    comm.rank(),
-                    EventKind::Decompress,
-                    comm.current_job(),
-                    t0,
-                    plain.len() as u64,
-                );
-                let value = xdrser::unserialize(&plain)?;
-                PremiaProblem::from_value(&value)
-                    .map_err(|e| xdrser::XdrError::Corrupt(e.to_string()))
-            } else {
-                decode_problem(serial)
-            }
-        }
-    }
-}
-
-fn payload_serial(payload: Option<&Value>) -> Result<&Serial, xdrser::XdrError> {
-    let v = payload.ok_or_else(|| {
-        xdrser::XdrError::Corrupt("missing payload for loaded transmission".into())
-    })?;
-    v.as_serial()
-        .ok_or_else(|| xdrser::XdrError::Corrupt("payload is not a Serial".into()))
-}
-
-fn decode_problem(serial: &Serial) -> Result<PremiaProblem, xdrser::XdrError> {
-    // `unserialize` transparently decompresses a compressed serial.
-    let value = xdrser::unserialize(serial)?;
-    PremiaProblem::from_value(&value).map_err(|e| xdrser::XdrError::Corrupt(e.to_string()))
+    recover(Some(comm), ctx.store.as_ref(), strategy, name, payload)
 }
 
 /// Slave-side recovery of the problem from what arrived. All filesystem
@@ -318,18 +319,7 @@ pub fn recover_problem(
     name: &str,
     payload: Option<&Value>,
 ) -> Result<PremiaProblem, xdrser::XdrError> {
-    match strategy {
-        Transmission::Nfs => {
-            // The slave reads the shared filesystem itself — through the
-            // store, so a warm cache serves repeated reads.
-            let fetched = store.fetch(Path::new(name))?;
-            let value = xdrser::unserialize(&fetched.serial)?;
-            PremiaProblem::from_value(&value).map_err(|e| xdrser::XdrError::Corrupt(e.to_string()))
-        }
-        Transmission::FullLoad | Transmission::SerializedLoad => {
-            decode_problem(payload_serial(payload)?)
-        }
-    }
+    recover(None, store, strategy, name, payload)
 }
 
 #[cfg(test)]

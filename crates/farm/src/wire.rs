@@ -5,16 +5,20 @@
 //! to be encoded and decoded ad hoc inside each master loop
 //! (`robin_hood::result_value`, `supervisor::failure_value`, batching's
 //! per-batch variants). This module is now the single typed codec both
-//! sides share; the encodings are bit-for-bit the legacy ones, so old
-//! and new farms interoperate and recorded payload sizes are unchanged.
+//! sides share. The per-job encodings are bit-for-bit the legacy ones
+//! (Fig. 4's `{job, price}` hash), so old and new farms interoperate and
+//! recorded payload sizes are unchanged; a *batch* of answers — one
+//! reply to a `farm::batching` batch or to a `serve` job frame —
+//! travels as columns ([`batch_reply_value`]), not as one hash per
+//! answer.
 //!
-//! Decoding is total: [`decode_answer`] never silently drops an
-//! undecodable message — it returns [`FarmError::Protocol`] with the
-//! offending value rendered, which the supervised master surfaces
-//! instead of the old silent drop.
+//! Decoding is total: [`decode_answer`] and [`decode_batch_reply`] never
+//! silently drop an undecodable message — they return
+//! [`FarmError::Protocol`] with the offending value rendered, which the
+//! supervised master surfaces instead of the old silent drop.
 
 use crate::robin_hood::FarmError;
-use nspval::{Hash, List, Value};
+use nspval::{BoolMatrix, Hash, Matrix, Value};
 use pricing::PricingResult;
 
 // ---------------------------------------------------------------------------
@@ -187,23 +191,73 @@ pub fn decode_answer(v: &Value) -> Result<Answer, FarmError> {
     Answer::decode(v).ok_or_else(|| FarmError::Protocol(format!("undecodable answer: {v}")))
 }
 
-/// Encode a whole batch reply (one [`Answer::Priced`] item per job, in
-/// compute order) with the legacy list-of-hashes layout.
+/// Encode a whole batch reply — one answer per member, in compute order
+/// — as columns: `[ids, prices, std_errors, has_std_error, failures]`,
+/// three 1×n real matrices, a 1×n boolean mask saying which members
+/// report a standard error, and one `[member, reason]` pair per failed
+/// member (its price column is a placeholder). A frame of n answers is
+/// five values, not n string-keyed hashes.
 pub fn batch_reply_value(answers: &[Answer]) -> Value {
-    let mut list = List::new();
-    for a in answers {
-        list.add_last(a.to_value());
-    }
-    Value::List(list)
+    let priced = |a: &Answer| match a {
+        Answer::Priced {
+            price, std_error, ..
+        } => (*price, *std_error),
+        Answer::Failed { .. } => (0.0, None),
+    };
+    let column =
+        |of: &dyn Fn(&Answer) -> f64| Value::Real(Matrix::row(answers.iter().map(of).collect()));
+    let failure = |(i, a): (usize, &Answer)| match a {
+        Answer::Failed { why, .. } => Some(Value::list(vec![
+            Value::scalar(i as f64),
+            Value::string(why.clone()),
+        ])),
+        Answer::Priced { .. } => None,
+    };
+    Value::list(vec![
+        column(&|a| a.job() as f64),
+        column(&|a| priced(a).0),
+        column(&|a| priced(a).1.unwrap_or(0.0)),
+        Value::Bool(BoolMatrix::row(
+            answers.iter().map(|a| priced(a).1.is_some()).collect(),
+        )),
+        Value::list(answers.iter().enumerate().filter_map(failure).collect()),
+    ])
 }
 
-/// Decode a whole batch reply; any malformed item is a
+/// Decode a whole batch reply; columns of unequal length or a failure
+/// naming a member the frame does not have are a
 /// [`FarmError::Protocol`].
 pub fn decode_batch_reply(v: &Value) -> Result<Vec<Answer>, FarmError> {
-    let list = v
-        .as_list()
-        .ok_or_else(|| FarmError::Protocol(format!("undecodable batch reply: {v}")))?;
-    list.iter().map(decode_answer).collect()
+    let parse = || -> Option<Vec<Answer>> {
+        let l = v.as_list().filter(|l| l.len() == 5)?;
+        let ids = l.get(0)?.as_matrix()?.data();
+        let prices = l.get(1)?.as_matrix()?.data();
+        let errors = l.get(2)?.as_matrix()?.data();
+        let has_error = match l.get(3)? {
+            Value::Bool(b) => b.data(),
+            _ => return None,
+        };
+        let n = ids.len();
+        if prices.len() != n || errors.len() != n || has_error.len() != n {
+            return None;
+        }
+        let mut answers: Vec<Answer> = (0..n)
+            .map(|i| Answer::Priced {
+                job: ids[i] as usize,
+                price: prices[i],
+                std_error: has_error[i].then_some(errors[i]),
+            })
+            .collect();
+        for f in l.get(4)?.as_list()?.iter() {
+            let f = f.as_list().filter(|f| f.len() == 2)?;
+            let member = f.get(0)?.as_scalar()?;
+            let exact = member >= 0.0 && member.fract() == 0.0;
+            let slot = answers.get_mut(member as usize).filter(|_| exact)?;
+            *slot = Answer::failed(slot.job(), f.get(1)?.as_str()?);
+        }
+        Some(answers)
+    };
+    parse().ok_or_else(|| FarmError::Protocol(format!("undecodable batch reply: {v}")))
 }
 
 #[cfg(test)]
@@ -295,14 +349,154 @@ mod tests {
 
         #[test]
         fn batch_replies_round_trip(
-            jobs in proptest::collection::vec((0usize..1000, -1e6f64..1e6), 0..20),
+            members in proptest::collection::vec(
+                (0usize..1000, any::<f64>(), any::<f64>(), 0u8..3, "[a-z ]{0,20}"),
+                0..20,
+            ),
         ) {
-            let answers: Vec<Answer> = jobs
+            // Priced with and without a standard error and failed
+            // members, mixed in one frame.
+            let answers: Vec<Answer> = members
                 .iter()
-                .map(|&(j, p)| Answer::Priced { job: j, price: p, std_error: None })
+                .map(|(job, price, se, kind, why)| match kind {
+                    0 => Answer::Priced { job: *job, price: *price, std_error: None },
+                    1 => Answer::Priced { job: *job, price: *price, std_error: Some(*se) },
+                    _ => Answer::failed(*job, why.clone()),
+                })
                 .collect();
-            let back = decode_batch_reply(&batch_reply_value(&answers)).unwrap();
-            prop_assert_eq!(back, answers);
+            // Through the bytes that actually cross minimpi.
+            let bytes = xdrser::serialize_to_bytes(&batch_reply_value(&answers));
+            let back = decode_batch_reply(&xdrser::unserialize_bytes(&bytes).unwrap()).unwrap();
+            prop_assert_eq!(back.len(), answers.len());
+            for (b, a) in back.iter().zip(&answers) {
+                match (b, a) {
+                    (
+                        Answer::Priced { job: jb, price: pb, std_error: sb },
+                        Answer::Priced { job: ja, price: pa, std_error: sa },
+                    ) => {
+                        prop_assert_eq!(jb, ja);
+                        prop_assert_eq!(pb.to_bits(), pa.to_bits());
+                        prop_assert_eq!(sb.map(f64::to_bits), sa.map(f64::to_bits));
+                    }
+                    _ => prop_assert_eq!(b, a),
+                }
+            }
+        }
+    }
+
+    /// `[ids, prices, std_errors, has_std_error, failures]` by hand.
+    fn reply(
+        ids: &[f64],
+        prices: &[f64],
+        errors: &[f64],
+        mask: &[bool],
+        failures: Vec<Value>,
+    ) -> Value {
+        Value::list(vec![
+            Value::Real(Matrix::row(ids.to_vec())),
+            Value::Real(Matrix::row(prices.to_vec())),
+            Value::Real(Matrix::row(errors.to_vec())),
+            Value::Bool(BoolMatrix::row(mask.to_vec())),
+            Value::list(failures),
+        ])
+    }
+
+    #[test]
+    fn inconsistent_batch_replies_are_protocol_errors() {
+        let failure = |member: f64| Value::list(vec![Value::scalar(member), Value::string("why")]);
+        let two = [1.0, 2.0];
+        let ok = reply(&two, &two, &two, &[true, false], vec![failure(1.0)]);
+        assert_eq!(
+            decode_batch_reply(&ok).unwrap(),
+            [
+                Answer::Priced {
+                    job: 1,
+                    price: 1.0,
+                    std_error: Some(1.0)
+                },
+                Answer::failed(2, "why"),
+            ]
+        );
+        for bad in [
+            // Columns that disagree in length.
+            reply(&two, &[1.0], &two, &[true, false], vec![]),
+            reply(&two, &two, &[1.0, 2.0, 3.0], &[true, false], vec![]),
+            reply(&two, &two, &two, &[true], vec![]),
+            // A failure naming a member the frame does not have.
+            reply(&two, &two, &two, &[true, false], vec![failure(2.0)]),
+            reply(&two, &two, &two, &[true, false], vec![failure(-1.0)]),
+            reply(&two, &two, &two, &[true, false], vec![failure(0.5)]),
+            reply(&two, &two, &two, &[true, false], vec![failure(f64::NAN)]),
+            reply(&two, &two, &two, &[true, false], vec![Value::scalar(0.0)]),
+            // Not a five-column frame at all — the old list of hashes.
+            Value::list(vec![Answer::failed(1, "x").to_value()]),
+            Value::scalar(1.0),
+        ] {
+            assert!(
+                matches!(decode_batch_reply(&bad), Err(FarmError::Protocol(_))),
+                "{bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn batch_reply_decoder_survives_a_mutation_corpus() {
+        let answers = [
+            Answer::Priced {
+                job: 40,
+                price: 1.5,
+                std_error: None,
+            },
+            Answer::failed(41, "compute failed: unsupported"),
+            Answer::Priced {
+                job: 42,
+                price: -2.5,
+                std_error: Some(0.125),
+            },
+        ];
+        let bytes = xdrser::serialize_to_bytes(&batch_reply_value(&answers));
+        // Never a panic: a typed error from either layer, or answers.
+        let decode = |b: &[u8]| {
+            xdrser::unserialize_bytes(b)
+                .ok()
+                .map(|v| decode_batch_reply(&v))
+        };
+        assert_eq!(decode(&bytes).unwrap().unwrap(), answers);
+        for cut in 0..bytes.len() {
+            assert!(decode(&bytes[..cut]).is_none(), "prefix {cut} decoded");
+        }
+        let mut rng = 0xD1B5_4A32_D192_ED03u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        for _ in 0..4_000 {
+            let mut m = bytes.clone();
+            let at = next() as usize % m.len();
+            m[at] = next() as u8;
+            if let Some(Ok(back)) = decode(&m) {
+                assert_eq!(back.len(), answers.len());
+            }
+            // A whole word, the way a wrong tag, shape or length reads.
+            let mut m = bytes.clone();
+            let at = (next() as usize % (m.len() / 4)) * 4;
+            let word = [0, 1, 2, 4, u32::MAX, next() as u32 % 8][next() as usize % 6];
+            m[at..at + 4].copy_from_slice(&word.to_be_bytes());
+            if let Some(Ok(back)) = decode(&m) {
+                // Whatever decodes has one answer per id column entry.
+                let ids = xdrser::unserialize_bytes(&m).unwrap();
+                let n = ids
+                    .as_list()
+                    .unwrap()
+                    .get(0)
+                    .unwrap()
+                    .as_matrix()
+                    .unwrap()
+                    .len();
+                assert_eq!(back.len(), n);
+            }
         }
     }
 }

@@ -152,7 +152,8 @@ impl Matrix {
 impl fmt::Display for Matrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "r ({}x{})", self.rows, self.cols)?;
-        for r in 0..self.rows {
+        // A decoded n×0 matrix holds nothing however large n claims to be.
+        for r in 0..self.rows.min(self.data.len()) {
             write!(f, "|")?;
             for c in 0..self.cols {
                 write!(f, " {:>10.5}", self.get(r, c))?;
@@ -231,7 +232,8 @@ impl BoolMatrix {
 impl fmt::Display for BoolMatrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "b ({}x{})", self.rows, self.cols)?;
-        for r in 0..self.rows {
+        // A decoded n×0 matrix holds nothing however large n claims to be.
+        for r in 0..self.rows.min(self.data.len()) {
             write!(f, "|")?;
             for c in 0..self.cols {
                 write!(f, " {}", if self.get(r, c) { "T" } else { "F" })?;
@@ -314,7 +316,8 @@ impl StrMatrix {
 impl fmt::Display for StrMatrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "s ({}x{})", self.rows, self.cols)?;
-        for r in 0..self.rows {
+        // A decoded n×0 matrix holds nothing however large n claims to be.
+        for r in 0..self.rows.min(self.data.len()) {
             for c in 0..self.cols {
                 write!(f, " {}", self.get(r, c))?;
             }

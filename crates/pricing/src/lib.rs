@@ -29,6 +29,7 @@
 #![warn(missing_docs)]
 #![allow(clippy::neg_cmp_op_on_partial_ord, clippy::needless_range_loop)]
 
+mod fields;
 pub mod lanes;
 pub mod methods;
 pub mod models;

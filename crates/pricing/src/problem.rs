@@ -21,6 +21,7 @@
 //! [`PremiaProblem::compute`] runs the actual numerical method
 //! (`P.compute[]`).
 
+use crate::fields::{get_bool, get_f64, get_str, get_table, get_usize, Fields, Tree};
 use crate::methods::bermudan::{lsm_max_call, lsm_max_call_exec};
 use crate::methods::bond::{bond_option_price, mc_zcb_price, mc_zcb_price_exec};
 use crate::methods::bsde::{bsde_picard, BsdeConfig};
@@ -43,6 +44,7 @@ use exec::ExecPolicy;
 use nspval::{Hash, Value};
 use numerics::poly::BasisKind;
 use std::fmt;
+use xdrser::{Encoder, FieldSink, XdrError};
 
 /// Model choice plus parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -1053,130 +1055,97 @@ impl PremiaProblem {
 }
 
 // ---------------------------------------------------------------------------
-// Value (XDR) encoding
+// Value / XDR encoding — one field list per direction (see `fields.rs`)
 // ---------------------------------------------------------------------------
 
-fn hash_get_f64(h: &Hash, key: &str) -> Result<f64, PricingError> {
-    h.get(key)
-        .and_then(|v| v.as_scalar())
-        .ok_or_else(|| PricingError::Malformed(format!("missing scalar field {key}")))
-}
-
-fn hash_get_str<'a>(h: &'a Hash, key: &str) -> Result<&'a str, PricingError> {
-    h.get(key)
-        .and_then(|v| v.as_str())
-        .ok_or_else(|| PricingError::Malformed(format!("missing string field {key}")))
-}
-
-fn hash_get_usize(h: &Hash, key: &str) -> Result<usize, PricingError> {
-    let x = hash_get_f64(h, key)?;
-    if x < 0.0 || x.fract() != 0.0 {
-        return Err(PricingError::Malformed(format!(
-            "field {key} is not a count: {x}"
-        )));
-    }
-    Ok(x as usize)
-}
-
-fn hash_get_bool(h: &Hash, key: &str) -> Result<bool, PricingError> {
-    h.get(key)
-        .and_then(|v| v.as_bool())
-        .ok_or_else(|| PricingError::Malformed(format!("missing boolean field {key}")))
-}
-
 impl ModelSpec {
-    fn to_value(&self) -> Value {
-        let mut h = Hash::new();
-        h.set("name", Value::string(self.name()));
+    fn write_fields(&self, h: &mut impl FieldSink) {
+        h.string("name", self.name());
         match self {
             ModelSpec::BlackScholes(m) => {
-                h.set("spot", Value::scalar(m.spot));
-                h.set("sigma", Value::scalar(m.sigma));
-                h.set("rate", Value::scalar(m.rate));
-                h.set("dividend", Value::scalar(m.dividend));
+                h.scalar("spot", m.spot);
+                h.scalar("sigma", m.sigma);
+                h.scalar("rate", m.rate);
+                h.scalar("dividend", m.dividend);
             }
             ModelSpec::MultiBlackScholes(m) => {
-                h.set("dim", Value::scalar(m.dim as f64));
-                h.set("spot", Value::scalar(m.spot));
-                h.set("sigma", Value::scalar(m.sigma));
-                h.set("rho", Value::scalar(m.rho));
-                h.set("rate", Value::scalar(m.rate));
-                h.set("dividend", Value::scalar(m.dividend));
+                h.scalar("dim", m.dim as f64);
+                h.scalar("spot", m.spot);
+                h.scalar("sigma", m.sigma);
+                h.scalar("rho", m.rho);
+                h.scalar("rate", m.rate);
+                h.scalar("dividend", m.dividend);
             }
             ModelSpec::LocalVol(m) => {
-                h.set("spot", Value::scalar(m.spot));
-                h.set("sigma0", Value::scalar(m.sigma0));
-                h.set("term_amp", Value::scalar(m.term_amp));
-                h.set("term_tau", Value::scalar(m.term_tau));
-                h.set("skew_amp", Value::scalar(m.skew_amp));
-                h.set("skew_width", Value::scalar(m.skew_width));
-                h.set("rate", Value::scalar(m.rate));
-                h.set("dividend", Value::scalar(m.dividend));
+                h.scalar("spot", m.spot);
+                h.scalar("sigma0", m.sigma0);
+                h.scalar("term_amp", m.term_amp);
+                h.scalar("term_tau", m.term_tau);
+                h.scalar("skew_amp", m.skew_amp);
+                h.scalar("skew_width", m.skew_width);
+                h.scalar("rate", m.rate);
+                h.scalar("dividend", m.dividend);
             }
             ModelSpec::Heston(m) => {
-                h.set("spot", Value::scalar(m.spot));
-                h.set("v0", Value::scalar(m.v0));
-                h.set("kappa", Value::scalar(m.kappa));
-                h.set("theta", Value::scalar(m.theta));
-                h.set("xi", Value::scalar(m.xi));
-                h.set("rho", Value::scalar(m.rho));
-                h.set("rate", Value::scalar(m.rate));
-                h.set("dividend", Value::scalar(m.dividend));
+                h.scalar("spot", m.spot);
+                h.scalar("v0", m.v0);
+                h.scalar("kappa", m.kappa);
+                h.scalar("theta", m.theta);
+                h.scalar("xi", m.xi);
+                h.scalar("rho", m.rho);
+                h.scalar("rate", m.rate);
+                h.scalar("dividend", m.dividend);
             }
             ModelSpec::Vasicek(m) => {
-                h.set("r0", Value::scalar(m.r0));
-                h.set("kappa", Value::scalar(m.kappa));
-                h.set("theta", Value::scalar(m.theta));
-                h.set("sigma", Value::scalar(m.sigma));
+                h.scalar("r0", m.r0);
+                h.scalar("kappa", m.kappa);
+                h.scalar("theta", m.theta);
+                h.scalar("sigma", m.sigma);
             }
         }
-        Value::Hash(h)
     }
 
-    fn from_value(v: &Value) -> Result<ModelSpec, PricingError> {
-        let h = v
-            .as_hash()
-            .ok_or_else(|| PricingError::Malformed("model is not a hash".into()))?;
-        match hash_get_str(h, "name")? {
+    fn from_fields<'s>(h: impl Fields<'s>) -> Result<ModelSpec, PricingError> {
+        match get_str(h, "name")? {
             "BlackScholes1dim" => Ok(ModelSpec::BlackScholes(BlackScholes {
-                spot: hash_get_f64(h, "spot")?,
-                sigma: hash_get_f64(h, "sigma")?,
-                rate: hash_get_f64(h, "rate")?,
-                dividend: hash_get_f64(h, "dividend")?,
+                spot: get_f64(h, "spot")?,
+                sigma: get_f64(h, "sigma")?,
+                rate: get_f64(h, "rate")?,
+                dividend: get_f64(h, "dividend")?,
             })),
             "BlackScholesNdim" => Ok(ModelSpec::MultiBlackScholes(MultiBlackScholes {
-                dim: hash_get_usize(h, "dim")?,
-                spot: hash_get_f64(h, "spot")?,
-                sigma: hash_get_f64(h, "sigma")?,
-                rho: hash_get_f64(h, "rho")?,
-                rate: hash_get_f64(h, "rate")?,
-                dividend: hash_get_f64(h, "dividend")?,
+                dim: get_usize(h, "dim")?,
+                spot: get_f64(h, "spot")?,
+                sigma: get_f64(h, "sigma")?,
+                rho: get_f64(h, "rho")?,
+                rate: get_f64(h, "rate")?,
+                dividend: get_f64(h, "dividend")?,
             })),
             "LocalVol1dim" => Ok(ModelSpec::LocalVol(LocalVol {
-                spot: hash_get_f64(h, "spot")?,
-                sigma0: hash_get_f64(h, "sigma0")?,
-                term_amp: hash_get_f64(h, "term_amp")?,
-                term_tau: hash_get_f64(h, "term_tau")?,
-                skew_amp: hash_get_f64(h, "skew_amp")?,
-                skew_width: hash_get_f64(h, "skew_width")?,
-                rate: hash_get_f64(h, "rate")?,
-                dividend: hash_get_f64(h, "dividend")?,
+                spot: get_f64(h, "spot")?,
+                sigma0: get_f64(h, "sigma0")?,
+                term_amp: get_f64(h, "term_amp")?,
+                term_tau: get_f64(h, "term_tau")?,
+                skew_amp: get_f64(h, "skew_amp")?,
+                skew_width: get_f64(h, "skew_width")?,
+                rate: get_f64(h, "rate")?,
+                dividend: get_f64(h, "dividend")?,
             })),
             "Heston1dim" => Ok(ModelSpec::Heston(Heston {
-                spot: hash_get_f64(h, "spot")?,
-                v0: hash_get_f64(h, "v0")?,
-                kappa: hash_get_f64(h, "kappa")?,
-                theta: hash_get_f64(h, "theta")?,
-                xi: hash_get_f64(h, "xi")?,
-                rho: hash_get_f64(h, "rho")?,
-                rate: hash_get_f64(h, "rate")?,
-                dividend: hash_get_f64(h, "dividend")?,
+                spot: get_f64(h, "spot")?,
+                v0: get_f64(h, "v0")?,
+                kappa: get_f64(h, "kappa")?,
+                theta: get_f64(h, "theta")?,
+                xi: get_f64(h, "xi")?,
+                rho: get_f64(h, "rho")?,
+                rate: get_f64(h, "rate")?,
+                dividend: get_f64(h, "dividend")?,
             })),
             "Vasicek1dim" => Ok(ModelSpec::Vasicek(Vasicek {
-                r0: hash_get_f64(h, "r0")?,
-                kappa: hash_get_f64(h, "kappa")?,
-                theta: hash_get_f64(h, "theta")?,
-                sigma: hash_get_f64(h, "sigma")?,
+                r0: get_f64(h, "r0")?,
+                kappa: get_f64(h, "kappa")?,
+                theta: get_f64(h, "theta")?,
+                sigma: get_f64(h, "sigma")?,
             })),
             other => Err(PricingError::Malformed(format!("unknown model {other}"))),
         }
@@ -1184,35 +1153,30 @@ impl ModelSpec {
 }
 
 impl OptionSpec {
-    fn to_value(&self) -> Value {
-        let mut h = Hash::new();
-        h.set("name", Value::string(self.name()));
-        h.set("strike", Value::scalar(self.strike()));
-        h.set("maturity", Value::scalar(self.maturity()));
+    fn write_fields(&self, h: &mut impl FieldSink) {
+        h.string("name", self.name());
+        h.scalar("strike", self.strike());
+        h.scalar("maturity", self.maturity());
         if let OptionSpec::DownOutCall { barrier, .. } = self {
-            h.set("barrier", Value::scalar(*barrier));
+            h.scalar("barrier", *barrier);
         }
         if let OptionSpec::BondCall { bond_maturity, .. } = self {
-            h.set("bond_maturity", Value::scalar(*bond_maturity));
+            h.scalar("bond_maturity", *bond_maturity);
         }
         if let OptionSpec::NettingSet { trades, .. } = self {
-            h.set("trades", Value::scalar(*trades as f64));
+            h.scalar("trades", *trades as f64);
         }
-        Value::Hash(h)
     }
 
-    fn from_value(v: &Value) -> Result<OptionSpec, PricingError> {
-        let h = v
-            .as_hash()
-            .ok_or_else(|| PricingError::Malformed("option is not a hash".into()))?;
-        let strike = hash_get_f64(h, "strike")?;
-        let maturity = hash_get_f64(h, "maturity")?;
-        match hash_get_str(h, "name")? {
+    fn from_fields<'s>(h: impl Fields<'s>) -> Result<OptionSpec, PricingError> {
+        let strike = get_f64(h, "strike")?;
+        let maturity = get_f64(h, "maturity")?;
+        match get_str(h, "name")? {
             "CallEuro" => Ok(OptionSpec::Call { strike, maturity }),
             "PutEuro" => Ok(OptionSpec::Put { strike, maturity }),
             "CallDownOut" => Ok(OptionSpec::DownOutCall {
                 strike,
-                barrier: hash_get_f64(h, "barrier")?,
+                barrier: get_f64(h, "barrier")?,
                 maturity,
             }),
             "PutAmer" => Ok(OptionSpec::AmericanPut { strike, maturity }),
@@ -1222,11 +1186,11 @@ impl OptionSpec {
             "CallBond" => Ok(OptionSpec::BondCall {
                 strike,
                 maturity,
-                bond_maturity: hash_get_f64(h, "bond_maturity")?,
+                bond_maturity: get_f64(h, "bond_maturity")?,
             }),
             "CallMaxBermuda" => Ok(OptionSpec::BermudanMaxCall { strike, maturity }),
             "NettingSetForward" => Ok(OptionSpec::NettingSet {
-                trades: hash_get_usize(h, "trades")?,
+                trades: get_usize(h, "trades")?,
                 maturity,
             }),
             other => Err(PricingError::Malformed(format!("unknown option {other}"))),
@@ -1235,20 +1199,19 @@ impl OptionSpec {
 }
 
 impl MethodSpec {
-    fn to_value(&self) -> Value {
-        let mut h = Hash::new();
-        h.set("name", Value::string(self.name()));
+    fn write_fields(&self, h: &mut impl FieldSink) {
+        h.string("name", self.name());
         match self {
             MethodSpec::ClosedForm => {}
             MethodSpec::Pde {
                 time_steps,
                 space_steps,
             } => {
-                h.set("time_steps", Value::scalar(*time_steps as f64));
-                h.set("space_steps", Value::scalar(*space_steps as f64));
+                h.scalar("time_steps", *time_steps as f64);
+                h.scalar("space_steps", *space_steps as f64);
             }
             MethodSpec::Tree { steps } => {
-                h.set("steps", Value::scalar(*steps as f64));
+                h.scalar("steps", *steps as f64);
             }
             MethodSpec::MonteCarlo {
                 paths,
@@ -1256,13 +1219,13 @@ impl MethodSpec {
                 antithetic,
                 seed,
             } => {
-                h.set("paths", Value::scalar(*paths as f64));
-                h.set("time_steps", Value::scalar(*time_steps as f64));
-                h.set("antithetic", Value::boolean(*antithetic));
-                h.set("seed", Value::scalar(*seed as f64));
+                h.scalar("paths", *paths as f64);
+                h.scalar("time_steps", *time_steps as f64);
+                h.boolean("antithetic", *antithetic);
+                h.scalar("seed", *seed as f64);
             }
             MethodSpec::QuasiMonteCarlo { paths } => {
-                h.set("paths", Value::scalar(*paths as f64));
+                h.scalar("paths", *paths as f64);
             }
             MethodSpec::Lsm {
                 paths,
@@ -1270,10 +1233,10 @@ impl MethodSpec {
                 basis_degree,
                 seed,
             } => {
-                h.set("paths", Value::scalar(*paths as f64));
-                h.set("exercise_dates", Value::scalar(*exercise_dates as f64));
-                h.set("basis_degree", Value::scalar(*basis_degree as f64));
-                h.set("seed", Value::scalar(*seed as f64));
+                h.scalar("paths", *paths as f64);
+                h.scalar("exercise_dates", *exercise_dates as f64);
+                h.scalar("basis_degree", *basis_degree as f64);
+                h.scalar("seed", *seed as f64);
             }
             MethodSpec::Bsde {
                 paths,
@@ -1283,12 +1246,12 @@ impl MethodSpec {
                 y_prev,
                 seed,
             } => {
-                h.set("paths", Value::scalar(*paths as f64));
-                h.set("time_steps", Value::scalar(*time_steps as f64));
-                h.set("rate_spread", Value::scalar(*rate_spread));
-                h.set("picard_rounds", Value::scalar(*picard_rounds as f64));
-                h.set("y_prev", Value::scalar(*y_prev));
-                h.set("seed", Value::scalar(*seed as f64));
+                h.scalar("paths", *paths as f64);
+                h.scalar("time_steps", *time_steps as f64);
+                h.scalar("rate_spread", *rate_spread);
+                h.scalar("picard_rounds", *picard_rounds as f64);
+                h.scalar("y_prev", *y_prev);
+                h.scalar("seed", *seed as f64);
             }
             MethodSpec::Xva {
                 paths,
@@ -1297,58 +1260,54 @@ impl MethodSpec {
                 lgd,
                 seed,
             } => {
-                h.set("paths", Value::scalar(*paths as f64));
-                h.set("time_steps", Value::scalar(*time_steps as f64));
-                h.set("hazard", Value::scalar(*hazard));
-                h.set("lgd", Value::scalar(*lgd));
-                h.set("seed", Value::scalar(*seed as f64));
+                h.scalar("paths", *paths as f64);
+                h.scalar("time_steps", *time_steps as f64);
+                h.scalar("hazard", *hazard);
+                h.scalar("lgd", *lgd);
+                h.scalar("seed", *seed as f64);
             }
         }
-        Value::Hash(h)
     }
 
-    fn from_value(v: &Value) -> Result<MethodSpec, PricingError> {
-        let h = v
-            .as_hash()
-            .ok_or_else(|| PricingError::Malformed("method is not a hash".into()))?;
-        match hash_get_str(h, "name")? {
+    fn from_fields<'s>(h: impl Fields<'s>) -> Result<MethodSpec, PricingError> {
+        match get_str(h, "name")? {
             "CF" => Ok(MethodSpec::ClosedForm),
             "FD_CrankNicolson" => Ok(MethodSpec::Pde {
-                time_steps: hash_get_usize(h, "time_steps")?,
-                space_steps: hash_get_usize(h, "space_steps")?,
+                time_steps: get_usize(h, "time_steps")?,
+                space_steps: get_usize(h, "space_steps")?,
             }),
             "TR_CoxRossRubinstein" => Ok(MethodSpec::Tree {
-                steps: hash_get_usize(h, "steps")?,
+                steps: get_usize(h, "steps")?,
             }),
             "MC_Standard" => Ok(MethodSpec::MonteCarlo {
-                paths: hash_get_usize(h, "paths")?,
-                time_steps: hash_get_usize(h, "time_steps")?,
-                antithetic: hash_get_bool(h, "antithetic")?,
-                seed: hash_get_usize(h, "seed")? as u64,
+                paths: get_usize(h, "paths")?,
+                time_steps: get_usize(h, "time_steps")?,
+                antithetic: get_bool(h, "antithetic")?,
+                seed: get_usize(h, "seed")? as u64,
             }),
             "MC_Quasi" => Ok(MethodSpec::QuasiMonteCarlo {
-                paths: hash_get_usize(h, "paths")?,
+                paths: get_usize(h, "paths")?,
             }),
             "MC_AM_LongstaffSchwartz" | "MC_AM_Alfonsi_LongstaffSchwartz" => Ok(MethodSpec::Lsm {
-                paths: hash_get_usize(h, "paths")?,
-                exercise_dates: hash_get_usize(h, "exercise_dates")?,
-                basis_degree: hash_get_usize(h, "basis_degree")?,
-                seed: hash_get_usize(h, "seed")? as u64,
+                paths: get_usize(h, "paths")?,
+                exercise_dates: get_usize(h, "exercise_dates")?,
+                basis_degree: get_usize(h, "basis_degree")?,
+                seed: get_usize(h, "seed")? as u64,
             }),
             "MC_BSDE_LabartLelong" => Ok(MethodSpec::Bsde {
-                paths: hash_get_usize(h, "paths")?,
-                time_steps: hash_get_usize(h, "time_steps")?,
-                rate_spread: hash_get_f64(h, "rate_spread")?,
-                picard_rounds: hash_get_usize(h, "picard_rounds")?,
-                y_prev: hash_get_f64(h, "y_prev")?,
-                seed: hash_get_usize(h, "seed")? as u64,
+                paths: get_usize(h, "paths")?,
+                time_steps: get_usize(h, "time_steps")?,
+                rate_spread: get_f64(h, "rate_spread")?,
+                picard_rounds: get_usize(h, "picard_rounds")?,
+                y_prev: get_f64(h, "y_prev")?,
+                seed: get_usize(h, "seed")? as u64,
             }),
             "MC_XVA_CVA" => Ok(MethodSpec::Xva {
-                paths: hash_get_usize(h, "paths")?,
-                time_steps: hash_get_usize(h, "time_steps")?,
-                hazard: hash_get_f64(h, "hazard")?,
-                lgd: hash_get_f64(h, "lgd")?,
-                seed: hash_get_usize(h, "seed")? as u64,
+                paths: get_usize(h, "paths")?,
+                time_steps: get_usize(h, "time_steps")?,
+                hazard: get_f64(h, "hazard")?,
+                lgd: get_f64(h, "lgd")?,
+                seed: get_usize(h, "seed")? as u64,
             }),
             other => Err(PricingError::Malformed(format!("unknown method {other}"))),
         }
@@ -1356,14 +1315,30 @@ impl MethodSpec {
 }
 
 impl PremiaProblem {
+    fn write_fields(&self, h: &mut impl FieldSink) {
+        h.string("class", "PremiaModel");
+        h.string("asset", &self.asset);
+        h.table("model", |t| self.model.write_fields(t));
+        h.table("option", |t| self.option.write_fields(t));
+        h.table("method", |t| self.method.write_fields(t));
+    }
+
+    fn from_fields<'s>(h: impl Fields<'s>) -> Result<Self, PricingError> {
+        if get_str(h, "class")? != "PremiaModel" {
+            return Err(PricingError::Malformed("not a PremiaModel".into()));
+        }
+        Ok(PremiaProblem {
+            asset: get_str(h, "asset")?.to_string(),
+            model: ModelSpec::from_fields(get_table(h, "model")?)?,
+            option: OptionSpec::from_fields(get_table(h, "option")?)?,
+            method: MethodSpec::from_fields(get_table(h, "method")?)?,
+        })
+    }
+
     /// Encode as an Nsp hash value, ready for `save`/`serialize`.
     pub fn to_value(&self) -> Value {
         let mut h = Hash::new();
-        h.set("class", Value::string("PremiaModel"));
-        h.set("asset", Value::string(self.asset.clone()));
-        h.set("model", self.model.to_value());
-        h.set("option", self.option.to_value());
-        h.set("method", self.method.to_value());
+        self.write_fields(&mut h);
         Value::Hash(h)
     }
 
@@ -1372,24 +1347,29 @@ impl PremiaProblem {
         let h = v
             .as_hash()
             .ok_or_else(|| PricingError::Malformed("problem is not a hash".into()))?;
-        if hash_get_str(h, "class")? != "PremiaModel" {
-            return Err(PricingError::Malformed("not a PremiaModel".into()));
-        }
-        Ok(PremiaProblem {
-            asset: hash_get_str(h, "asset")?.to_string(),
-            model: ModelSpec::from_value(
-                h.get("model")
-                    .ok_or_else(|| PricingError::Malformed("missing model".into()))?,
-            )?,
-            option: OptionSpec::from_value(
-                h.get("option")
-                    .ok_or_else(|| PricingError::Malformed("missing option".into()))?,
-            )?,
-            method: MethodSpec::from_value(
-                h.get("method")
-                    .ok_or_else(|| PricingError::Malformed("missing method".into()))?,
-            )?,
-        })
+        Self::from_fields(h)
+    }
+
+    /// The serialized problem — byte for byte
+    /// `xdrser::serialize_to_bytes(&self.to_value())`, the file `save`
+    /// writes and the `Serial` a master ships — written without building
+    /// the value.
+    pub fn to_xdr_bytes(&self) -> Vec<u8> {
+        Encoder::hash(512, |e| self.write_fields(e))
+    }
+
+    /// Decode serialized bytes in place: what
+    /// `from_value(&xdrser::unserialize_bytes(bytes)?)` returns — any key
+    /// order, unknown keys passed over, a later duplicate key winning,
+    /// every check of the format kept — without building the value. A
+    /// well-formed value that is not a problem is reported as
+    /// [`XdrError::Corrupt`] carrying the [`PricingError`] text.
+    pub fn from_xdr_bytes(bytes: &[u8]) -> Result<Self, XdrError> {
+        let problem = match Tree::read(bytes)? {
+            Some(tree) => Self::from_fields(tree.root()),
+            None => Err(PricingError::Malformed("problem is not a hash".into())),
+        };
+        problem.map_err(|e| XdrError::Corrupt(e.to_string()))
     }
 }
 

@@ -17,7 +17,10 @@
 //! problems — whose compute is far below one transport round trip —
 //! share frames; every iterative method travels alone, so balancing,
 //! the per-dispatch deadline and retries see the jobs they were sized
-//! for. See "Wire protocol and bundling" in `docs/SERVICE.md`.
+//! for. No rank builds a value tree for a problem: the submitter writes
+//! each problem's serialized bytes directly, and a slave reads its frame
+//! and every member's problem in place, borrowed from the message. See
+//! "Wire protocol and bundling" in `docs/SERVICE.md`.
 //!
 //! The division of labour with admission control: [`Session::submit`]
 //! runs on the *caller's* thread and only touches atomics (shed
@@ -25,6 +28,7 @@
 //! recording state is owned single-threaded by the front loop.
 
 use crate::config::{ServeConfig, ServeError};
+use farm::strategy::decode_problem;
 use farm::wire::{batch_reply_value, decode_batch_reply, Answer};
 use minimpi::{Comm, MpiBuf, MpiError, World, ANY_SOURCE};
 use nspval::{Serial, Value};
@@ -34,9 +38,10 @@ use sched::{Action, DispatchPolicy, Event as SchedEvent, SchedConfig, Scheduler,
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use transport::queue;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use transport::queue;
+use xdrser::{Node, Walker};
 
 /// The session wire tag (the farm protocols use 7 and 9).
 const TAG: i32 = 11;
@@ -46,10 +51,10 @@ const TAG: i32 = 11;
 const MEMO_VALUE_BYTES: usize = 24;
 
 /// Largest job frame the front loop builds, in encoded bytes: the size
-/// up to which the measured channel round trip is flat (perf harness:
-/// `transport.channel_rtt_us` 8.4 µs at 64 B, `channel_rtt_64k_us`
-/// 10.0 µs at 64 KiB). A single problem larger than this still travels,
-/// alone.
+/// up to which the measured channel round trip is nearly flat (perf
+/// harness: `transport.channel_rtt_us` 2.1 µs at 64 B,
+/// `channel_rtt_64k_us` 4.0–4.5 µs at 64 KiB). A single problem larger
+/// than this still travels, alone.
 const FRAME_CAP_BYTES: usize = 64 << 10;
 
 /// Encoded bytes of a job frame around its members: magic, version,
@@ -320,6 +325,12 @@ impl Session {
     /// Validate `cfg`, spin up the world, and hold it resident until
     /// [`shutdown`](Session::shutdown) (or drop).
     pub fn start(cfg: ServeConfig) -> Result<Session, ServeError> {
+        Self::start_with(cfg, slave_loop)
+    }
+
+    /// [`Self::start`] with the body every slave rank runs, so a test can
+    /// put a misbehaving slave behind a real front loop.
+    fn start_with(cfg: ServeConfig, slave: fn(&Comm, &ServeConfig)) -> Result<Session, ServeError> {
         cfg.validate().map_err(ServeError::Config)?;
         let admission = Arc::new(Admission::new(cfg.priorities, cfg.inflight_bytes));
         let (tx, rx) = queue::channel::<Msg>();
@@ -341,7 +352,7 @@ impl Session {
                         let rx = rx_slot.lock().unwrap().take().expect("rank 0 runs once");
                         Some(front_loop(&comm, &cfg, &front_admission, rx))
                     } else {
-                        slave_loop(&comm, &cfg);
+                        slave(&comm, &cfg);
                         None
                     }
                 },
@@ -384,7 +395,7 @@ impl Session {
             .problems
             .iter()
             .map(|p| {
-                let serial = xdrser::serialize_to_bytes(&p.to_value());
+                let serial = p.to_xdr_bytes();
                 let key = store::MemoKey {
                     fp: store::ContentFingerprint::of_bytes(&serial),
                     chunk,
@@ -773,19 +784,29 @@ fn encode_frame(members: impl Iterator<Item = (u64, Vec<u8>)>) -> Value {
     )
 }
 
-/// Decode a job frame into its `(wire id, serialized problem)` members;
-/// `None` when the value is not one.
-fn decode_frame(v: &Value) -> Option<Vec<(usize, &Serial)>> {
-    let l = v.as_list()?;
-    if l.is_empty() || l.len() % 2 != 0 {
-        return None;
+/// Read a job frame in place: each member's wire id and its serial —
+/// compression flag and bytes — borrowed from the message. `None` when
+/// the message is not a well-formed job frame; the whole of it is
+/// checked before any member is priced.
+fn decode_frame(bytes: &[u8]) -> Option<Vec<(usize, bool, &[u8])>> {
+    let mut w = Walker::open(bytes).ok()?;
+    let n = match w.node().ok()? {
+        Node::List(n) if n > 0 && n % 2 == 0 => n / 2,
+        _ => return None,
+    };
+    // Sized by what the bytes can hold, not by what they claim.
+    let mut members = Vec::with_capacity(n.min(bytes.len() / MEMBER_HEADER_BYTES));
+    for _ in 0..n {
+        let Node::Scalar(wire) = w.node().ok()? else {
+            return None;
+        };
+        let Node::Serial { compressed, bytes } = w.node().ok()? else {
+            return None;
+        };
+        members.push((wire as usize, compressed, bytes));
     }
-    (0..l.len() / 2)
-        .map(|i| {
-            let wire = l.get(2 * i)?.as_scalar()? as usize;
-            Some((wire, l.get(2 * i + 1)?.as_serial()?))
-        })
-        .collect()
+    w.close().ok()?;
+    Some(members)
 }
 
 // ---------------------------------------------------------------------------
@@ -1053,14 +1074,21 @@ fn drive_batch(comm: &Comm, cfg: &ServeConfig, slots: &mut [Slot], front: &mut F
 /// shutdown sentinel or the world dies.
 fn slave_loop(comm: &Comm, cfg: &ServeConfig) {
     let exec = cfg.exec_policy();
+    let stop = xdrser::serialize_to_bytes(&Value::empty_matrix());
     loop {
-        let msg = match comm.recv_obj(0, TAG) {
-            Ok((v, _st)) => v,
+        let msg = match comm.recv(0, TAG) {
+            Ok((bytes, _st)) => bytes,
+            // A fault-mangled frame is refused, not consumed: clear it
+            // and keep serving (the master's deadline requeues).
+            Err(MpiError::Truncated { .. }) => match comm.discard(0, TAG) {
+                Ok(_) => continue,
+                Err(_) => return,
+            },
             // Poisoned / disconnected / killed: the session is over for
             // this rank.
             Err(_) => return,
         };
-        if msg.is_empty_matrix() {
+        if msg == stop {
             return;
         }
         let Some(members) = decode_frame(&msg) else {
@@ -1069,9 +1097,9 @@ fn slave_loop(comm: &Comm, cfg: &ServeConfig) {
         };
         let answers: Vec<Answer> = members
             .into_iter()
-            .map(|(wire, serial)| {
+            .map(|(wire, compressed, serial)| {
                 comm.set_job(Some(wire));
-                price_one(comm, &exec, serial, wire)
+                price_one(comm, &exec, serial, compressed, wire)
             })
             .collect();
         comm.set_job(None);
@@ -1081,16 +1109,19 @@ fn slave_loop(comm: &Comm, cfg: &ServeConfig) {
     }
 }
 
-/// Unserialize and price one problem, recording the `Compute` span on
-/// this rank (the memo-hit-rate denominator).
-fn price_one(comm: &Comm, exec: &Option<exec::ExecPolicy>, serial: &Serial, wire: usize) -> Answer {
+/// Decode — in place, from the frame's own bytes — and price one
+/// problem, recording the `Compute` span on this rank (the
+/// memo-hit-rate denominator).
+fn price_one(
+    comm: &Comm,
+    exec: &Option<exec::ExecPolicy>,
+    serial: &[u8],
+    compressed: bool,
+    wire: usize,
+) -> Answer {
     let start = comm.recorder().map(|r| r.now_ns());
-    let problem = match xdrser::unserialize(serial)
-        .ok()
-        .and_then(|v| PremiaProblem::from_value(&v).ok())
-    {
-        Some(p) => p,
-        None => return Answer::failed(wire, "undecodable problem payload"),
+    let Ok(problem) = decode_problem(Some(comm), serial, compressed) else {
+        return Answer::failed(wire, "undecodable problem payload");
     };
     let result = match exec {
         None => problem.compute(),
@@ -1237,23 +1268,145 @@ mod tests {
         assert_eq!(packed, (0..slots.len()).collect::<Vec<_>>());
     }
 
+    /// What the slave used to do: materialise the message, then read
+    /// the frame out of the tree.
+    fn decode_frame_via_tree(bytes: &[u8]) -> Option<Vec<(usize, bool, Vec<u8>)>> {
+        let v = xdrser::unserialize_bytes(bytes).ok()?;
+        let l = v.as_list().filter(|l| !l.is_empty() && l.len() % 2 == 0)?;
+        let members = (0..l.len() / 2).map(|i| {
+            let s = l.get(2 * i + 1)?.as_serial()?;
+            let wire = l.get(2 * i)?.as_scalar()? as usize;
+            Some((wire, s.is_compressed(), s.bytes().to_vec()))
+        });
+        members.collect()
+    }
+
     #[test]
     fn job_frames_round_trip_and_junk_is_refused() {
         let value = encode_frame([(7u64, vec![1, 2, 3]), (9, vec![4])].into_iter());
-        let wire = xdrser::unserialize_bytes(&xdrser::serialize_to_bytes(&value)).unwrap();
-        let decoded: Vec<(usize, Vec<u8>)> = decode_frame(&wire)
-            .unwrap()
-            .into_iter()
-            .map(|(id, s)| (id, s.bytes().to_vec()))
-            .collect();
-        assert_eq!(decoded, [(7, vec![1, 2, 3]), (9, vec![4])]);
+        let wire = xdrser::serialize_to_bytes(&value);
+        assert_eq!(
+            decode_frame(&wire),
+            Some(vec![(7, false, &[1u8, 2, 3][..]), (9, false, &[4][..])])
+        );
         for junk in [
             Value::scalar(1.0),
+            Value::empty_matrix(),
             Value::list(vec![]),
             Value::list(vec![Value::scalar(1.0)]),
             Value::list(vec![Value::scalar(1.0), Value::scalar(2.0)]),
         ] {
-            assert!(decode_frame(&junk).is_none(), "{junk}");
+            assert_eq!(
+                decode_frame(&xdrser::serialize_to_bytes(&junk)),
+                None,
+                "{junk}"
+            );
         }
+    }
+
+    #[test]
+    fn job_frame_walker_agrees_with_the_tree_on_a_mutation_corpus() {
+        let serial = |i: u8| vec![i; 5 + i as usize];
+        let value = encode_frame((0..6u8).map(|i| (i as u64 + 40, serial(i))));
+        let bytes = xdrser::serialize_to_bytes(&value);
+        let check = |b: &[u8]| {
+            let walked = decode_frame(b).map(|m| {
+                m.into_iter()
+                    .map(|(w, c, s)| (w, c, s.to_vec()))
+                    .collect::<Vec<_>>()
+            });
+            assert_eq!(walked, decode_frame_via_tree(b), "{b:?}");
+        };
+        check(&bytes);
+        for cut in 0..bytes.len() {
+            check(&bytes[..cut]);
+        }
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        for _ in 0..2_000 {
+            let mut m = bytes.clone();
+            let at = next() as usize % m.len();
+            m[at] = next() as u8;
+            check(&m);
+            // A whole word, the way a wrong tag or length would read.
+            let mut m = bytes.clone();
+            let at = (next() as usize % (m.len() / 4)) * 4;
+            let word = [0, 1, 6, u32::MAX, next() as u32 % 64][next() as usize % 5];
+            m[at..at + 4].copy_from_slice(&word.to_be_bytes());
+            check(&m);
+        }
+    }
+
+    /// Answers its first two frames with replies no honest slave sends,
+    /// then serves honestly.
+    fn rogue_slave(comm: &Comm, cfg: &ServeConfig) {
+        for round in 0..2 {
+            let (msg, _) = comm.recv(0, TAG).unwrap();
+            let members = decode_frame(&msg).expect("a job frame");
+            let wrong: Vec<Answer> = members
+                .iter()
+                .map(|&(wire, ..)| Answer::Priced {
+                    job: wire,
+                    price: 666.0,
+                    std_error: None,
+                })
+                .collect();
+            let Value::List(columns) = batch_reply_value(&wrong) else {
+                panic!("a reply is a list of columns");
+            };
+            let mut columns: Vec<Value> = columns.into_iter().collect();
+            if round == 0 {
+                // A price column one short of the ids.
+                columns[1] = Value::Real(nspval::Matrix::row(vec![666.0; members.len() - 1]));
+            } else {
+                // A failure naming a member the frame does not have.
+                columns[4] = Value::list(vec![Value::list(vec![
+                    Value::scalar(members.len() as f64),
+                    Value::string("no such member"),
+                ])]);
+            }
+            comm.send_obj(&Value::list(columns), 0, TAG).unwrap();
+        }
+        slave_loop(comm, cfg);
+    }
+
+    #[test]
+    fn inconsistent_answer_frames_are_dropped_and_the_deadline_redispatches() {
+        let problems: Vec<PremiaProblem> = (0..4)
+            .map(|i| {
+                let mut p = PremiaProblem::create("BlackScholes1dim", "CallEuro", "CF").unwrap();
+                p.option = pricing::OptionSpec::Call {
+                    strike: 90.0 + i as f64,
+                    maturity: 1.0,
+                };
+                p
+            })
+            .collect();
+        let expected: Vec<u64> = problems
+            .iter()
+            .map(|p| p.compute().unwrap().price.to_bits())
+            .collect();
+        let cfg = ServeConfig::new(1)
+            .job_deadline(Duration::from_millis(50))
+            .poll(Duration::from_millis(2));
+        let session = Session::start_with(cfg, rogue_slave).unwrap();
+        let response = session
+            .submit(Request::new(problems))
+            .unwrap()
+            .wait()
+            .unwrap();
+        let got: Vec<u64> = response
+            .results
+            .iter()
+            .map(|r| r.as_ref().unwrap().price.to_bits())
+            .collect();
+        assert_eq!(got, expected, "neither bad reply was believed");
+        let report = session.shutdown().unwrap();
+        assert_eq!((report.computed, report.failed, report.retries), (4, 0, 2));
     }
 }

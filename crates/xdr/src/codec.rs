@@ -71,6 +71,12 @@ impl XdrWriter {
         self.buf.extend_from_slice(&v.to_bits().to_be_bytes());
     }
 
+    /// Overwrite the big-endian u32 written at byte offset `at` — how a
+    /// count that is only known after its items is filled in.
+    pub fn set_u32(&mut self, at: usize, v: u32) {
+        self.buf[at..at + 4].copy_from_slice(&v.to_be_bytes());
+    }
+
     /// Append an XDR boolean (4-byte 0/1).
     pub fn put_bool(&mut self, v: bool) {
         // XDR booleans are 4-byte integers 0/1.
@@ -123,7 +129,7 @@ impl<'a> XdrReader<'a> {
         self.remaining() == 0
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], XdrError> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], XdrError> {
         if self.remaining() < n {
             return Err(XdrError::UnexpectedEof);
         }
@@ -174,11 +180,15 @@ impl<'a> XdrReader<'a> {
         Ok(payload)
     }
 
+    /// Read an XDR string (UTF-8 opaque) borrowed from the buffer.
+    pub fn get_str(&mut self) -> Result<&'a str, XdrError> {
+        std::str::from_utf8(self.get_opaque()?)
+            .map_err(|_| XdrError::Corrupt("invalid UTF-8 in string".into()))
+    }
+
     /// Read an XDR string (UTF-8 opaque).
     pub fn get_string(&mut self) -> Result<String, XdrError> {
-        let bytes = self.get_opaque()?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| XdrError::Corrupt("invalid UTF-8 in string".into()))
+        self.get_str().map(str::to_owned)
     }
 
     /// Read a length-prefixed array of doubles.

@@ -16,6 +16,9 @@
 //! * [`sload`] — load a file **directly into a `Serial` object** without
 //!   materialising the value (Fig. 2); this is the "serialized load"
 //!   transmission strategy of Tables II/III;
+//! * [`FieldSink`] / [`Encoder`] / [`Walker`] — the same bytes written and
+//!   read without the value tree in between, for ranks that know what
+//!   they hold;
 //! * [`compress`] — LZSS compression of serial buffers (§3.2's
 //!   compressed-serialization extension, left as future work in the paper
 //!   and implemented here as an ablation).
@@ -23,11 +26,13 @@
 #![warn(missing_docs)]
 pub mod codec;
 pub mod compress;
+mod direct;
 mod error;
 mod ser;
 
 pub use codec::{XdrReader, XdrWriter};
 pub use compress::{compress_serial, decompress_serial};
+pub use direct::{Encoder, FieldSink, Node, Walker};
 pub use error::XdrError;
 pub use ser::{
     load, save, serialize, serialize_into, serialize_to_bytes, sload, unserialize,

@@ -18,50 +18,94 @@ const MAGIC: &[u8; 4] = b"NSPS";
 const VERSION: u32 = 1;
 
 // Type tags on the wire.
-const TAG_REAL: u32 = 1;
-const TAG_BOOL: u32 = 2;
-const TAG_STR: u32 = 3;
-const TAG_LIST: u32 = 4;
-const TAG_HASH: u32 = 5;
-const TAG_SERIAL: u32 = 6;
-const TAG_NONE: u32 = 7;
+pub(crate) const TAG_REAL: u32 = 1;
+pub(crate) const TAG_BOOL: u32 = 2;
+pub(crate) const TAG_STR: u32 = 3;
+pub(crate) const TAG_LIST: u32 = 4;
+pub(crate) const TAG_HASH: u32 = 5;
+pub(crate) const TAG_SERIAL: u32 = 6;
+pub(crate) const TAG_NONE: u32 = 7;
+
+/// Magic and format version: what every serialized value starts with.
+pub(crate) fn put_header(w: &mut XdrWriter) {
+    w.put_u32(u32::from_be_bytes(*MAGIC));
+    w.put_u32(VERSION);
+}
+
+/// Check magic and format version at the head of serialized bytes.
+pub(crate) fn get_header(r: &mut XdrReader) -> Result<(), XdrError> {
+    if r.get_u32()? != u32::from_be_bytes(*MAGIC) {
+        return Err(XdrError::BadMagic);
+    }
+    match r.get_u32()? {
+        VERSION => Ok(()),
+        other => Err(XdrError::BadVersion(other)),
+    }
+}
+
+/// A serialized value ends where its bytes end.
+pub(crate) fn expect_end(r: &XdrReader) -> Result<(), XdrError> {
+    if r.is_exhausted() {
+        Ok(())
+    } else {
+        Err(XdrError::Corrupt("trailing bytes after value".into()))
+    }
+}
+
+// One writer per matrix kind, shared by the tree encoder below and the
+// tree-less [`crate::Encoder`]: whichever way a value is written, these
+// are its bytes.
+
+pub(crate) fn put_real(w: &mut XdrWriter, rows: usize, cols: usize, data: &[f64]) {
+    w.put_u32(TAG_REAL);
+    w.put_u32(rows as u32);
+    w.put_u32(cols as u32);
+    for &x in data {
+        w.put_f64(x);
+    }
+}
+
+pub(crate) fn put_bools(w: &mut XdrWriter, rows: usize, cols: usize, data: &[bool]) {
+    w.put_u32(TAG_BOOL);
+    w.put_u32(rows as u32);
+    w.put_u32(cols as u32);
+    // Pack the booleans as bytes inside one opaque (XDR-aligned).
+    let bytes: Vec<u8> = data.iter().map(|&x| x as u8).collect();
+    w.put_opaque(&bytes);
+}
+
+pub(crate) fn put_strs<'s>(
+    w: &mut XdrWriter,
+    rows: usize,
+    cols: usize,
+    data: impl Iterator<Item = &'s str>,
+) {
+    w.put_u32(TAG_STR);
+    w.put_u32(rows as u32);
+    w.put_u32(cols as u32);
+    for item in data {
+        w.put_string(item);
+    }
+}
+
+pub(crate) fn put_count(w: &mut XdrWriter, tag: u32, n: usize) {
+    w.put_u32(tag);
+    w.put_u32(n as u32);
+}
 
 fn encode_value(w: &mut XdrWriter, v: &Value) {
     match v {
-        Value::Real(m) => {
-            w.put_u32(TAG_REAL);
-            w.put_u32(m.rows() as u32);
-            w.put_u32(m.cols() as u32);
-            for &x in m.data() {
-                w.put_f64(x);
-            }
-        }
-        Value::Bool(b) => {
-            w.put_u32(TAG_BOOL);
-            w.put_u32(b.rows() as u32);
-            w.put_u32(b.cols() as u32);
-            // Pack the booleans as bytes inside one opaque (XDR-aligned).
-            let bytes: Vec<u8> = b.data().iter().map(|&x| x as u8).collect();
-            w.put_opaque(&bytes);
-        }
-        Value::Str(s) => {
-            w.put_u32(TAG_STR);
-            w.put_u32(s.rows() as u32);
-            w.put_u32(s.cols() as u32);
-            for item in s.data() {
-                w.put_string(item);
-            }
-        }
+        Value::Real(m) => put_real(w, m.rows(), m.cols(), m.data()),
+        Value::Bool(b) => put_bools(w, b.rows(), b.cols(), b.data()),
+        Value::Str(s) => put_strs(w, s.rows(), s.cols(), s.data().iter().map(String::as_str)),
         Value::List(l) => {
-            w.put_u32(TAG_LIST);
-            w.put_u32(l.len() as u32);
+            put_count(w, TAG_LIST, l.len());
             for item in l.iter() {
                 encode_value(w, item);
             }
         }
         Value::Hash(h) => {
-            w.put_u32(TAG_HASH);
-            w.put_u32(h.len() as u32);
+            put_count(w, TAG_HASH, h.len());
             for (k, item) in h.iter() {
                 w.put_string(k);
                 encode_value(w, item);
@@ -140,9 +184,9 @@ fn decode_value(r: &mut XdrReader) -> Result<Value, XdrError> {
             }
             let mut h = Hash::new();
             for _ in 0..n {
-                let k = r.get_string()?;
+                let k = r.get_str()?;
                 let v = decode_value(r)?;
-                h.set(&k, v);
+                h.set(k, v);
             }
             Ok(Value::Hash(h))
         }
@@ -163,8 +207,7 @@ fn decode_value(r: &mut XdrReader) -> Result<Value, XdrError> {
 /// Serialize a value to raw bytes (magic + version + encoded tree).
 pub fn serialize_to_bytes(v: &Value) -> Vec<u8> {
     let mut w = XdrWriter::with_capacity(64);
-    w.put_u32(u32::from_be_bytes(*MAGIC));
-    w.put_u32(VERSION);
+    put_header(&mut w);
     encode_value(&mut w, v);
     w.into_bytes()
 }
@@ -174,8 +217,7 @@ pub fn serialize_to_bytes(v: &Value) -> Vec<u8> {
 /// written is returned. Byte-for-byte identical to [`serialize_to_bytes`].
 pub fn serialize_into(v: &Value, out: &mut Vec<u8>) -> usize {
     let mut w = XdrWriter::from_vec(std::mem::take(out));
-    w.put_u32(u32::from_be_bytes(*MAGIC));
-    w.put_u32(VERSION);
+    put_header(&mut w);
     encode_value(&mut w, v);
     *out = w.into_bytes();
     out.len()
@@ -189,18 +231,9 @@ pub fn serialize(v: &Value) -> Serial {
 /// Decode raw serialized bytes back into a value.
 pub fn unserialize_bytes(bytes: &[u8]) -> Result<Value, XdrError> {
     let mut r = XdrReader::new(bytes);
-    let magic = r.get_u32()?;
-    if magic != u32::from_be_bytes(*MAGIC) {
-        return Err(XdrError::BadMagic);
-    }
-    let version = r.get_u32()?;
-    if version != VERSION {
-        return Err(XdrError::BadVersion(version));
-    }
+    get_header(&mut r)?;
     let v = decode_value(&mut r)?;
-    if !r.is_exhausted() {
-        return Err(XdrError::Corrupt("trailing bytes after value".into()));
-    }
+    expect_end(&r)?;
     Ok(v)
 }
 

@@ -16,10 +16,7 @@
 #      knobs and commit BENCH_3.json / BENCH_4.json; the
 #      `--threads 8 --lanes 8` SIMD-lane smoke writes BENCH_6.json and
 #      bench_gate fails on any compute-bucket regression against the
-#      committed artifacts; the `serve_smoke` service smoke writes
-#      BENCH_7.json (cold wave computes, warm wave fully memoised,
-#      warm p99 <= cold p99) and bench_gate re-validates its request
-#      accounting; the `shard_smoke` sharded-masters smoke writes
+#      committed artifacts; the `shard_smoke` sharded-masters smoke writes
 #      BENCH_8.json (bit-identical prices across shard counts and
 #      transport backends, steals present, calibrated transport costs,
 #      monotone simulated makespans up to 512 cores) and bench_gate
@@ -190,24 +187,6 @@ if ! grep -q '"lanes"' BENCH_6.json; then
     exit 1
 fi
 
-# Service smoke: one live serve::Session prices a cold wave of distinct
-# portfolios, then a warm wave of duplicates. The bin self-checks that
-# every ticket is answered, the warm wave is fully memoised and
-# bit-identical, nothing sheds, and the warm p99 sits at or below the
-# cold p99 (the checks live in serve_smoke and fail the process). The
-# JSON line is the PR 7 artifact; bench_gate re-validates its request
-# accounting and memo structure alongside the committed baselines.
-echo "==> cargo run -p bench --bin serve_smoke --release -q (service smoke -> BENCH_7.json)"
-serve_out=$(cargo run -p bench --bin serve_smoke --release -q) || exit 1
-if ! printf '%s\n' "$serve_out" | grep -q 'memo hit-rate'; then
-    echo "error: serve smoke reported no memo hit-rate line"
-    exit 1
-fi
-printf '%s\n' "$serve_out" | sed -n 's/^JSON: //p' > BENCH_7.json
-if ! grep -q '"memo_hits"' BENCH_7.json; then
-    echo "error: BENCH_7.json missing memo_hits column"
-    exit 1
-fi
 # Sharded peer-master smoke: live 1/2/4-shard runs over a heavy-tailed
 # portfolio on the channel backend plus a 2-shard run on the
 # multi-process socket backend. The bin self-checks bit-identical
@@ -248,7 +227,7 @@ if ! grep -q '"staged_trace_identical"' BENCH_10.json; then
     echo "error: BENCH_10.json missing staged_trace_identical column"
     exit 1
 fi
-run cargo run -p bench --bin bench_gate --release -q -- BENCH_6.json BENCH_4.json BENCH_3.json BENCH_7.json BENCH_8.json BENCH_10.json || exit 1
+run cargo run -p bench --bin bench_gate --release -q -- BENCH_6.json BENCH_4.json BENCH_3.json BENCH_8.json BENCH_10.json || exit 1
 
 # Per-class calibration smoke: the cost table every LPT dispatch consumes,
 # plus the self-check that one BSDE Picard round dominates a vanilla

@@ -7,7 +7,8 @@
 //! * a second identical request is served **from the memo** — zero
 //!   fresh `Compute` events on the slaves;
 //! * a slave killed mid-request still leaves **every admitted ticket
-//!   answered exactly once** (the supervised scheduler re-dispatches);
+//!   answered exactly once** (the supervised scheduler re-dispatches),
+//!   and a fault-mangled job frame costs one re-dispatch, not the slave;
 //! * problems travel in **job frames**: closed-form problems share
 //!   frames (evenly over the slaves, never above the 64 KiB cap), every
 //!   iterative problem is a frame of its own, and a member's own failure
@@ -355,6 +356,54 @@ fn slave_killed_mid_request_still_answers_every_ticket_once() {
         report.retries >= 1,
         "the kill must have landed mid-request and forced a re-dispatch"
     );
+}
+
+#[test]
+fn fault_truncated_job_frame_is_discarded_and_the_slave_keeps_serving() {
+    let problems = toy_problems(8);
+    let expected: Vec<u64> = problems
+        .iter()
+        .map(|p| p.compute().unwrap().price.to_bits())
+        .collect();
+
+    // The front loop's first send — the first request's only job frame —
+    // arrives mangled. The one resident slave must clear it and stay in
+    // its loop: the frame deadline re-dispatches, and the second request
+    // finds a live slave.
+    let plan = Arc::new(FaultPlan::new(7).force_send(0, 0, SendFault::Truncate(10)));
+    let session = Session::start(
+        quick_config(1)
+            .fault_plan(plan)
+            .job_deadline(Duration::from_millis(100)),
+    )
+    .unwrap();
+    let mut got = Vec::new();
+    for chunk in problems.chunks(4) {
+        let response = session
+            .submit(Request::new(chunk.to_vec()))
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert!(response.all_priced(), "{:?}", response.results);
+        got.extend(
+            response
+                .results
+                .iter()
+                .map(|r| r.as_ref().unwrap().price.to_bits()),
+        );
+    }
+    assert_eq!(
+        got, expected,
+        "bit-identical to serial after the re-dispatch"
+    );
+
+    let report = session.shutdown().unwrap();
+    assert_eq!((report.answered, report.computed, report.failed), (2, 8, 0));
+    assert!(
+        report.retries >= 1,
+        "the mangled frame must be re-dispatched"
+    );
+    assert!(report.dead_slaves.is_empty(), "{:?}", report.dead_slaves);
 }
 
 // ---------------------------------------------------------------------------
