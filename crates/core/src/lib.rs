@@ -36,8 +36,9 @@
 //!   the farm through its `ProblemStore` trait (directory backend,
 //!   byte-budgeted LRU cache, master-side prefetch).
 //! * [`farm`] — portfolio generators (§4.1–§4.3 workloads), the three
-//!   transmission strategies, and the Robin-Hood / batched / hierarchical
-//!   farms.
+//!   transmission strategies, and the Robin-Hood farm: one slave loop and
+//!   one master driver behind the plain / batched / supervised
+//!   (`farm::run`), hierarchical and sharded front-ends.
 //! * [`serve`] — the long-lived pricing service: a resident `Session`
 //!   over the same scheduler, with request coalescing, result
 //!   memoisation, priority backpressure and p50/p99 SLO reporting.
@@ -87,7 +88,6 @@ pub mod prelude {
         ServeSimOutcome, SimConfig, SimJob, SimRequest, TableRow,
     };
     pub use exec::{ExecPolicy, ExecStats, StatsSink};
-    pub use farm::batching::run_batched_farm;
     pub use farm::hierarchy::run_hierarchical_farm;
     pub use farm::calibrate::{measured_costs, paper_costs, CostModel};
     pub use farm::portfolio::{

@@ -3,183 +3,49 @@
 //! latency … it is always advisable to send a single large message rather
 //! [than] several smaller messages."
 //!
-//! The batched farm keeps the Robin-Hood refeed discipline but ships
-//! `batch_size` problems per message; slaves answer with one result list
-//! per batch.
+//! The batched farm is the flat farm with [`crate::FarmConfig::batch_size`]
+//! above 1: the same driver hands out contiguous FIFO batches, the same
+//! slave loop prices each member, and only the framing differs — one
+//! packed message of `batch_size` problems out ([`send_batch`]), one
+//! columnar result list back per batch.
 
-use crate::config::{RunCtx, SchedKnobs};
-use crate::driver::{self, JobMap, RecvStyle};
-use crate::instrument;
-use crate::robin_hood::{FarmError, FarmReport};
-use crate::strategy::{prepare_payload_recorded, recover_problem_recorded, Transmission};
-use crate::wire::{batch_reply_value, Answer, BatchItem};
-use minimpi::{Comm, MpiBuf, World};
+use crate::driver::Farm;
+use crate::robin_hood::FarmError;
+use crate::slave::{Framing, Link};
+use crate::strategy::prepare_payload_recorded;
+use crate::wire::BatchItem;
 use nspval::{List, Value};
-use obs::Recorder;
-use sched::SchedConfig;
 use std::path::PathBuf;
-use std::sync::Arc;
-use std::time::Instant;
 
-const TAG: i32 = 9;
+/// The batched link between rank 0 and its slaves.
+pub(crate) const LINK: Link = Link {
+    master: 0,
+    tag: 9,
+    framing: Framing::Batch,
+};
 
-/// Run the Robin-Hood farm shipping `batch_size` problems per message.
-/// `batch_size == 1` degenerates to the plain farm protocol.
-pub fn run_batched_farm(
-    files: &[PathBuf],
-    slaves: usize,
-    strategy: Transmission,
-    batch_size: usize,
-) -> Result<FarmReport, FarmError> {
-    if slaves == 0 {
-        return Err(FarmError::NoSlaves);
-    }
-    if batch_size == 0 {
-        return Err(FarmError::Config(exec::ConfigIssues::one(
-            "batch_size",
-            "must be at least 1",
-        )));
-    }
-    run_batched_inner(
-        files,
-        slaves,
-        strategy,
-        batch_size,
-        None,
-        &RunCtx::default_ctx(),
-        &SchedKnobs::default(),
-    )
-}
-
-/// The batched route behind [`crate::run`]: the validated entry point
-/// with phase-level observability threaded through.
-pub(crate) fn run_batched_inner(
-    files: &[PathBuf],
-    slaves: usize,
-    strategy: Transmission,
-    batch_size: usize,
-    recorder: Option<Arc<Recorder>>,
-    ctx: &RunCtx,
-    knobs: &SchedKnobs,
-) -> Result<FarmReport, FarmError> {
-    let results = World::run_instrumented(slaves + 1, None, recorder, |comm| {
-        if comm.rank() == 0 {
-            Some(master(&comm, ctx, files, strategy, batch_size, knobs))
-        } else {
-            slave(&comm, ctx, strategy).expect("batched slave failed");
-            None
-        }
-    });
-    results
-        .into_iter()
-        .next()
-        .flatten()
-        .expect("master produces the report")
-}
-
-/// Send jobs `range` as one batch message.
-fn send_batch(
-    comm: &Comm,
-    ctx: &RunCtx,
+/// Send jobs `range` to `slave` as one batch message.
+pub(crate) fn send_batch(
+    farm: &Farm<'_>,
     slave: usize,
     files: &[PathBuf],
     range: std::ops::Range<usize>,
-    strategy: Transmission,
 ) -> Result<(), FarmError> {
+    let comm = farm.comm;
     let mut batch = List::new();
     for idx in range {
         let path = &files[idx];
         comm.set_job(Some(idx));
-        let item = BatchItem {
-            idx,
-            name: path.to_string_lossy().to_string(),
-            payload: prepare_payload_recorded(comm, ctx, strategy, path)?,
-        };
-        batch.add_last(item.to_value());
+        let payload = prepare_payload_recorded(comm, farm.ctx, farm.strategy, path)
+            .map_err(|e| FarmError::job_failed(idx, e))?;
+        let name = path.to_string_lossy().to_string();
+        batch.add_last(BatchItem { idx, name, payload }.to_value());
     }
     comm.set_job(None);
     // One packed message for the whole batch.
     let packed = comm.pack(&Value::List(batch));
-    comm.send(packed.bytes(), slave as i32, TAG)?;
+    comm.send(packed.bytes(), slave as i32, farm.link.tag)?;
     Ok(())
-}
-
-/// Batched master, as a thin [`driver`] of the shared scheduler: the
-/// state machine hands out contiguous FIFO batches; this function only
-/// packs and ships them.
-fn master(
-    comm: &Comm,
-    ctx: &RunCtx,
-    files: &[PathBuf],
-    strategy: Transmission,
-    batch_size: usize,
-    knobs: &SchedKnobs,
-) -> Result<FarmReport, FarmError> {
-    let slaves = comm.size() - 1;
-    let start = Instant::now();
-    let ranks: Vec<usize> = (0..=slaves).collect();
-    // Batching is FIFO-only (contiguous index ranges); `FarmConfig`
-    // rejects an LPT order with batch_size > 1 before we get here.
-    let mut cfg = SchedConfig::plain(files.len(), slaves)
-        .policy(knobs.policy.clone())
-        .batch(batch_size);
-    if knobs.record_trace {
-        cfg = cfg.record_trace();
-    }
-    let run = driver::drive_plain(
-        comm,
-        TAG,
-        cfg,
-        &ranks,
-        RecvStyle::Packed,
-        JobMap::Identity,
-        None,
-        |job, rank, batch| {
-            send_batch(comm, ctx, rank, files, job..job + batch, strategy)?;
-            ctx.advance(job + batch);
-            Ok(())
-        },
-        |rank| Ok(comm.send(&[], rank as i32, TAG)?), // empty stop message
-    )?;
-    Ok(FarmReport {
-        outcomes: run.outcomes,
-        elapsed: start.elapsed(),
-        per_slave: run.per_slave,
-        failed_jobs: Vec::new(),
-        retries: 0,
-        dead_slaves: Vec::new(),
-        strategy,
-        trace: run.trace,
-    })
-}
-
-fn slave(comm: &Comm, ctx: &RunCtx, strategy: Transmission) -> Result<(), FarmError> {
-    loop {
-        let st = comm.probe(0, TAG)?;
-        if st.count() == 0 {
-            // Stop message.
-            let (_, _) = comm.recv(0, TAG)?;
-            return Ok(());
-        }
-        let mut buf = MpiBuf::with_capacity(st.count());
-        comm.recv_into(&mut buf, 0, TAG)?;
-        let v = comm.unpack(&buf)?;
-        let list = v
-            .as_list()
-            .ok_or_else(|| FarmError::Protocol(format!("undecodable batch message: {v}")))?;
-        let mut answers = Vec::new();
-        for item in list.iter() {
-            let BatchItem { idx, name, payload } = BatchItem::decode(item)?;
-            comm.set_job(Some(idx));
-            let problem = recover_problem_recorded(comm, ctx, strategy, &name, payload.as_ref())?;
-            let r = instrument::compute_recorded(comm, ctx, &problem)
-                .map_err(|e| FarmError::Io(format!("compute failed: {e}")))?;
-            answers.push(Answer::priced(idx, &r));
-        }
-        comm.set_job(None);
-        let packed = comm.pack(&batch_reply_value(&answers));
-        comm.send(packed.bytes(), 0, TAG)?;
-    }
 }
 
 #[cfg(test)]
@@ -187,14 +53,17 @@ mod tests {
     use super::*;
     use crate::config::{run, FarmConfig};
     use crate::portfolio::{save_portfolio, toy_portfolio};
+    use crate::robin_hood::FarmReport;
+    use crate::strategy::Transmission;
 
-    /// The plain farm via the unified entry point.
-    fn run_plain_farm(
+    /// `batch` problems per message via the unified entry point.
+    fn run_batched_farm(
         files: &[PathBuf],
         slaves: usize,
         strategy: Transmission,
+        batch: usize,
     ) -> Result<FarmReport, FarmError> {
-        run(files, &FarmConfig::new(slaves, strategy))
+        run(files, &FarmConfig::new(slaves, strategy).batch_size(batch))
     }
 
     fn setup(count: usize, tag: &str) -> (Vec<PathBuf>, std::path::PathBuf) {
@@ -221,8 +90,11 @@ mod tests {
     #[test]
     fn batch_one_matches_plain_farm_prices() {
         let (paths, dir) = setup(12, "vs_plain");
-        let plain = run_plain_farm(&paths, 2, Transmission::SerializedLoad).unwrap();
+        // `batch_size(1)` *is* the plain per-job protocol; 2 is the
+        // smallest batch that travels as one.
+        let plain = run(&paths, &FarmConfig::new(2, Transmission::SerializedLoad)).unwrap();
         let batched = run_batched_farm(&paths, 2, Transmission::SerializedLoad, 1).unwrap();
+        let pairs = run_batched_farm(&paths, 2, Transmission::SerializedLoad, 2).unwrap();
         let by_job = |r: &FarmReport| {
             let mut v: Vec<(usize, u64)> = r
                 .outcomes
@@ -233,6 +105,7 @@ mod tests {
             v
         };
         assert_eq!(by_job(&plain), by_job(&batched));
+        assert_eq!(by_job(&plain), by_job(&pairs));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,12 +1,12 @@
-//! The unified farm entry point: one [`FarmConfig`] builder routing to
-//! the plain, batched or supervised master, with optional fault
-//! injection and phase-level observability.
+//! The unified farm entry point: one [`FarmConfig`] builder saying
+//! whether the flat farm runs plain, batched or supervised, with
+//! optional fault injection and phase-level observability.
 //!
 //! Historically the crate exposed one free function per master variant,
 //! each with its own positional-argument spelling and its own error
-//! habits. [`run`] replaced them — and the last deprecated shims are now
-//! deleted: build a [`FarmConfig`], pass the portfolio, get a
-//! `Result<FarmReport, FarmError>`.
+//! habits. [`run`] replaced them all: build a [`FarmConfig`], pass the
+//! portfolio, get a `Result<FarmReport, FarmError>`. The config is data
+//! for one runner (`robin_hood::run_flat`), not a switch between three.
 //!
 //! ```
 //! use farm::{run, FarmConfig, Transmission};
@@ -20,46 +20,16 @@
 //! # std::fs::remove_dir_all(&dir).ok();
 //! ```
 
-use crate::batching::run_batched_inner;
-use crate::robin_hood::{run_farm_inner, FarmError, FarmReport};
+use crate::robin_hood::{run_flat, FarmError, FarmReport};
 use crate::strategy::{Transmission, WirePolicy};
-use crate::supervisor::{run_supervised_inner, SupervisorConfig};
+use crate::supervisor::SupervisorConfig;
 use exec::ExecPolicy;
 use minimpi::FaultPlan;
 use obs::Recorder;
-use sched::DispatchPolicy;
+use sched::{DispatchPolicy, SchedConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
 use store::{CachingStore, DirStore, Prefetcher, ProblemStore};
-
-/// The scheduler-facing knobs every master loop threads through to the
-/// shared [`sched::Scheduler`]: dispatch order, trace recording, and —
-/// for staged workloads — the round structure plus the pre-dispatch
-/// answer-patch.
-#[derive(Debug, Clone)]
-pub(crate) struct SchedKnobs {
-    /// Dispatch order ([`DispatchPolicy::Fifo`] unless overridden).
-    pub(crate) policy: DispatchPolicy,
-    /// Record the decision trace into [`crate::FarmReport::trace`].
-    pub(crate) record_trace: bool,
-    /// `Some(r)` declares staged rounds (`r[job]` = the job's round);
-    /// threaded into [`sched::SchedConfig::rounds`] by the plain master.
-    pub(crate) rounds: Option<Vec<usize>>,
-    /// Cross-round data flow: rewrite a round-dependent job's problem
-    /// file from earlier answers just before its dispatch.
-    pub(crate) patch: Option<crate::workload::StagedPatch>,
-}
-
-impl Default for SchedKnobs {
-    fn default() -> Self {
-        SchedKnobs {
-            policy: DispatchPolicy::Fifo,
-            record_trace: false,
-            rounds: None,
-            patch: None,
-        }
-    }
-}
 
 /// The per-run context every master/slave loop threads through: the one
 /// [`ProblemStore`] all byte-paths fetch from, the wire encoding policy,
@@ -108,13 +78,12 @@ impl RunCtx {
 /// plan, no recorder — i.e. exactly the plain Robin-Hood farm.
 #[derive(Debug, Clone)]
 pub struct FarmConfig {
-    slaves: usize,
-    strategy: Transmission,
-    batch_size: usize,
-    supervised: bool,
-    supervisor: SupervisorConfig,
-    fault_plan: Option<Arc<FaultPlan>>,
-    recorder: Option<Arc<Recorder>>,
+    pub(crate) slaves: usize,
+    pub(crate) strategy: Transmission,
+    pub(crate) batch_size: usize,
+    pub(crate) supervisor: Option<SupervisorConfig>,
+    pub(crate) fault_plan: Option<Arc<FaultPlan>>,
+    pub(crate) recorder: Option<Arc<Recorder>>,
     store: Option<Arc<dyn ProblemStore>>,
     cache_bytes: Option<u64>,
     compress_threshold: Option<usize>,
@@ -135,8 +104,7 @@ impl FarmConfig {
             slaves,
             strategy,
             batch_size: 1,
-            supervised: false,
-            supervisor: SupervisorConfig::default(),
+            supervisor: None,
             fault_plan: None,
             recorder: None,
             store: None,
@@ -232,14 +200,13 @@ impl FarmConfig {
     /// Enable the supervised master (deadlines, bounded retries,
     /// dead-slave burial) with its default test-scale timings.
     pub fn supervised(mut self, on: bool) -> Self {
-        self.supervised = on;
+        self.supervisor = on.then(|| self.supervisor.take().unwrap_or_default());
         self
     }
 
     /// Enable supervision with explicit [`SupervisorConfig`] timings.
     pub fn supervisor(mut self, cfg: SupervisorConfig) -> Self {
-        self.supervised = true;
-        self.supervisor = cfg;
+        self.supervisor = Some(cfg);
         self
     }
 
@@ -314,6 +281,20 @@ impl FarmConfig {
         self.strategy
     }
 
+    /// The scheduler's view of this config over `jobs` jobs: dispatch
+    /// order, batch size, staged rounds and tracing are all data for the
+    /// one driver (which adds `supervisor`'s deadlines and retry budget
+    /// itself, next to the poll interval it takes from the same value).
+    pub(crate) fn sched_config(&self, jobs: usize) -> SchedConfig {
+        SchedConfig {
+            batch: self.batch_size,
+            policy: self.policy.clone(),
+            rounds: self.rounds.clone(),
+            record_trace: self.record_trace,
+            ..SchedConfig::plain(jobs, self.slaves)
+        }
+    }
+
     /// Validate cross-field invariants, collecting *every* invalid
     /// field into one [`exec::ConfigIssues`] instead of stopping at the
     /// first failure — a caller fixing a rejected config sees the
@@ -328,16 +309,21 @@ impl FarmConfig {
         if self.batch_size == 0 {
             issues.reject("batch_size", "must be at least 1");
         }
-        if self.supervised && self.batch_size > 1 {
+        let supervised = self.supervisor.is_some();
+        if supervised && self.batch_size > 1 {
             issues.reject("batch_size", "batching is not supported under supervision");
         }
-        if self.fault_plan.is_some() && !self.supervised {
+        if self.fault_plan.is_some() && !supervised {
             issues.reject(
                 "fault_plan",
                 "fault injection requires the supervised master",
             );
         }
-        if self.supervised && self.supervisor.max_attempts == 0 {
+        if self
+            .supervisor
+            .as_ref()
+            .is_some_and(|s| s.max_attempts == 0)
+        {
             issues.reject("supervisor", "max_attempts must be at least 1");
         }
         if let Some(rec) = &self.recorder {
@@ -383,7 +369,7 @@ impl FarmConfig {
                     "staged rounds are incompatible with batching (a batch could span a round barrier)",
                 );
             }
-            if self.supervised {
+            if supervised {
                 issues.reject(
                     "rounds",
                     "staged rounds run on the plain master (supervision is not staged yet)",
@@ -479,44 +465,7 @@ pub(crate) fn run_with(
         }
         _ => {}
     }
-    let ctx = cfg.build_ctx(files);
-    let knobs = SchedKnobs {
-        policy: cfg.policy.clone(),
-        record_trace: cfg.record_trace,
-        rounds: cfg.rounds.clone(),
-        patch,
-    };
-    if cfg.supervised {
-        run_supervised_inner(
-            files,
-            cfg.slaves,
-            cfg.strategy,
-            &cfg.supervisor,
-            cfg.fault_plan.clone(),
-            cfg.recorder.clone(),
-            &ctx,
-            &knobs,
-        )
-    } else if cfg.batch_size > 1 {
-        run_batched_inner(
-            files,
-            cfg.slaves,
-            cfg.strategy,
-            cfg.batch_size,
-            cfg.recorder.clone(),
-            &ctx,
-            &knobs,
-        )
-    } else {
-        run_farm_inner(
-            files,
-            cfg.slaves,
-            cfg.strategy,
-            cfg.recorder.clone(),
-            &ctx,
-            &knobs,
-        )
-    }
+    run_flat(files, cfg, &cfg.build_ctx(files), patch.as_ref())
 }
 
 #[cfg(test)]
@@ -658,6 +607,22 @@ mod tests {
             .order(DispatchPolicy::Priority { class: vec![0, 1] });
         let issues = rejected_for(&paths, &cfg);
         assert!(issues.has("policy"), "{issues}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A config only the scheduler rejects (batches need FIFO order) is
+    /// found with the slaves already parked in `recv`: the driver must
+    /// stop them before it reports, or `run` would never return.
+    #[test]
+    fn scheduler_rejection_stops_the_slaves_it_found_parked() {
+        let (paths, dir) = setup(4, "sched_reject");
+        let cfg = FarmConfig::new(2, Transmission::SerializedLoad)
+            .batch_size(2)
+            .order(DispatchPolicy::Priority {
+                class: vec![0, 1, 0, 1],
+            });
+        let issues = rejected_for(&paths, &cfg);
+        assert!(issues.has("scheduler"), "{issues}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

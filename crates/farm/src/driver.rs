@@ -1,392 +1,396 @@
-//! The live-side drivers of the [`sched`] state machine.
+//! The farm's one master driver — Fig. 4's `else` branch over the
+//! [`sched`] state machine.
 //!
-//! Every farm master in this crate — plain, batched, supervised, and
-//! each hierarchy sub-master — used to carry its own copy of the
-//! Robin-Hood refeed loop. They are now thin *drivers*: they translate
-//! wire messages into [`sched::Event`]s, feed the pure scheduler, and
-//! execute the returned [`sched::Action`]s as sends. All scheduling
-//! *decisions* (who gets which job next, when a job is presumed lost,
-//! when a slave is buried, when the run is finished) live in
-//! `crates/sched`, where the cluster simulator drives the identical
+//! Every master in this crate (flat, supervised, batched, each
+//! hierarchy sub-master, each shard lease round) calls [`drive`]: it
+//! translates wire messages into [`sched::Event`]s, feeds the pure
+//! scheduler, and executes the returned [`sched::Action`]s as sends. All
+//! scheduling *decisions* (who gets which job next, when a job is
+//! presumed lost, when a slave is buried, when the run is finished) live
+//! in `crates/sched`, where the cluster simulator drives the identical
 //! state machine with simulated time — the parity property locked down
-//! by `tests/sched_parity.rs`.
+//! by `tests/sched_parity.rs`. Supervision is one value
+//! ([`Farm::supervisor`]): data the scheduler config already carries,
+//! plus what it adds here — a clock, a poll interval and a liveness
+//! sweep.
 //!
-//! This module is also the only place in the crate allowed to receive
-//! from `ANY_SOURCE` (enforced by a grep gate in `scripts/ci.sh`): the
-//! master's gather point is a driver concern, not a protocol one.
+//! [`drive`] also owns shutdown: on every exit path, error included,
+//! each slave not known dead has been sent its stop sentinel before the
+//! function returns, so no front-end can leave a slave parked in `recv`.
+//!
+//! This module is the only place in the crate allowed to receive from
+//! `ANY_SOURCE` (a grep gate in `scripts/ci.sh`): the master's gather
+//! point is a driver concern, not a protocol one.
 
+use crate::config::RunCtx;
 use crate::instrument;
-use crate::robin_hood::{FarmError, JobOutcome};
-use crate::wire::{self, Answer};
+use crate::robin_hood::{FarmError, FarmReport, JobOutcome};
+use crate::slave::{recv_packed, Framing, Link};
+use crate::strategy::{prepare_payload_recorded, Transmission};
+use crate::supervisor::SupervisorConfig;
+use crate::wire::{self, Answer, JobMsg};
 use minimpi::{Comm, MpiBuf, MpiError, Status, ANY_SOURCE};
 use nspval::Value;
 use obs::{EventKind, NO_JOB};
-use sched::{Action, Event, SchedConfig, Scheduler, Trace};
+use sched::{Action, Event, SchedConfig, Scheduler};
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
+use std::path::Path;
+use std::time::Instant;
 
-/// How a master's gather point receives slave answers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RecvStyle {
-    /// One `recv_obj` per answer (plain and hierarchy protocols).
-    Obj,
-    /// Probe → sized buffer → unpack; one packed message carries a whole
-    /// batch reply (the §5 batching protocol).
-    Packed,
+/// The live side of one scheduler run: where the slaves are and how to
+/// talk to them.
+pub(crate) struct Farm<'a> {
+    /// The master's endpoint.
+    pub(crate) comm: &'a Comm,
+    /// The protocol spoken with the slaves. Scheduler slave `s` is MPI
+    /// rank `link.master + s` in every topology this crate builds.
+    pub(crate) link: Link,
+    /// Wire id of scheduler job 0: a hierarchy sub-master's chunk starts
+    /// at its offset in the global file list; everyone else is 0.
+    pub(crate) base: usize,
+    /// `Some` supervises the run: [`drive`] takes the scheduler's
+    /// deadlines and retry budget *and* its own poll interval (the
+    /// longest it blocks in one receive before re-checking deadlines and
+    /// liveness) from this one value, so the two cannot disagree. `None`
+    /// blocks in `recv` exactly as Fig. 4 does — no clock is ever read.
+    pub(crate) supervisor: Option<&'a SupervisorConfig>,
+    /// The slaves outlive this run (a shard's lease rounds share one
+    /// slave world): the scheduler's `Stop`s are not sent. A failed run
+    /// still stops them.
+    pub(crate) resident: bool,
+    /// Where problem bytes come from and how they are encoded.
+    pub(crate) ctx: &'a RunCtx,
+    /// How a problem travels — and what the report says ran.
+    pub(crate) strategy: Transmission,
 }
 
-/// Mapping between the scheduler's dense job ids (`0..jobs`) and the job
-/// indices that travel on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum JobMap {
-    /// Wire ids are scheduler ids (flat farms).
-    Identity,
-    /// Wire ids are `base + sched_id` (a hierarchy sub-master's
-    /// contiguous chunk of the global file list).
-    Offset(usize),
-}
+impl Farm<'_> {
+    /// MPI rank of scheduler slave `slave`.
+    fn rank(&self, slave: usize) -> usize {
+        self.link.master + slave
+    }
 
-impl JobMap {
-    fn to_wire(self, job: usize) -> usize {
-        match self {
-            JobMap::Identity => job,
-            JobMap::Offset(base) => base + job,
+    /// Send the stop sentinel to each of `slaves`. Best effort: a rank
+    /// that cannot be reached is not parked.
+    fn stop(&self, slaves: impl Iterator<Item = usize>) {
+        for s in slaves {
+            let _ = self.link.stop(self.comm, self.rank(s));
         }
     }
 
-    fn sched_of_wire(self, wire_job: usize) -> Option<usize> {
-        match self {
-            JobMap::Identity => Some(wire_job),
-            JobMap::Offset(base) => wire_job.checked_sub(base),
-        }
+    /// Send job `idx` (file `path`) to rank `slave` — the one per-job
+    /// sender behind every master (flat, supervised, hierarchy
+    /// sub-master, shard).
+    ///
+    /// `scratch` is a pack buffer hoisted out of the dispatch loop: loaded
+    /// strategies recycle one allocation across the whole run
+    /// ([`Comm::pack_into`]), and each reuse shows up as an
+    /// [`minimpi::obs::EventKind::CopySaved`] mark when recording.
+    pub(crate) fn send_job(
+        &self,
+        slave: usize,
+        idx: usize,
+        path: &Path,
+        scratch: &mut MpiBuf,
+    ) -> Result<(), FarmError> {
+        let (comm, tag) = (self.comm, self.link.tag);
+        comm.set_job(Some(idx));
+        let sent = (|| {
+            // Fetch and pack the payload first. A job whose bytes cannot
+            // be prepared fails before anything is on the wire, and the
+            // name message ([name, job index]) and the packed object go
+            // out back to back through one pair guard: the slave is woken
+            // once, with both queued, rather than woken for the name only
+            // to block on the payload.
+            let packed = prepare_payload_recorded(comm, self.ctx, self.strategy, path)
+                .map_err(|e| FarmError::job_failed(idx, e))?
+                .map(|payload| comm.pack_into(&payload, scratch));
+            let name = path.to_string_lossy().to_string();
+            let pair = comm.pair(slave as i32)?;
+            pair.send_obj(&JobMsg { idx, name }.to_value(), tag)?;
+            if packed.is_some() {
+                pair.send(scratch.bytes(), tag)?;
+            }
+            Ok(())
+        })();
+        comm.set_job(None);
+        sent
     }
 }
 
-/// What [`drive_plain`] hands back to its master.
-#[derive(Debug)]
-pub(crate) struct PlainRun {
-    /// Priced jobs in completion order, `job` in *wire* ids.
-    pub(crate) outcomes: Vec<JobOutcome>,
-    /// Jobs completed per MPI rank (index 0, the master, stays 0).
-    pub(crate) per_slave: Vec<usize>,
-    /// The decision trace, when the config asked for one.
-    pub(crate) trace: Option<Trace>,
-}
-
-/// What [`drive_supervised`] hands back to its master.
-#[derive(Debug)]
-pub(crate) struct SupRun {
-    /// Priced jobs in acceptance order.
-    pub(crate) outcomes: Vec<JobOutcome>,
-    /// Jobs completed per MPI rank.
-    pub(crate) per_slave: Vec<usize>,
-    /// Jobs abandoned after exhausting their attempt budget.
-    pub(crate) failed_jobs: Vec<usize>,
-    /// Total re-dispatches performed.
-    pub(crate) retries: usize,
-    /// Slave ranks buried during the run.
-    pub(crate) dead_slaves: Vec<usize>,
-    /// The decision trace, when the config asked for one.
-    pub(crate) trace: Option<Trace>,
-}
-
-/// Receive one object from any source — the gather point shared by the
-/// plain drivers and the hierarchy's global master.
+/// Receive one object from any source — the gather point shared by
+/// [`drive`] and the hierarchy's global master.
 pub(crate) fn recv_any(comm: &Comm, tag: i32) -> Result<(Value, Status), FarmError> {
     Ok(comm.recv_obj(ANY_SOURCE, tag)?)
 }
 
-/// Map a sender rank to its scheduler slave id via the driver's rank
-/// table (`ranks[s]` = MPI rank of slave `s`; `ranks[0]` is the master).
-fn slave_of(ranks: &[usize], src: usize) -> Result<usize, FarmError> {
-    ranks[1..]
-        .iter()
-        .position(|&r| r == src)
-        .map(|i| i + 1)
-        .ok_or_else(|| FarmError::Protocol(format!("answer from unknown rank {src}")))
-}
-
-/// A staged workload's pre-dispatch hook: called with the scheduler job
-/// id and the outcomes gathered so far, *before* the job's bytes are
-/// sent — the one moment a round-dependent job (a BSDE Picard sweep
-/// consuming the previous round's iterate) may rewrite its problem file.
-/// Scheduling decisions never read payloads, so patching is invisible to
-/// the decision trace — live/sim parity is preserved for free.
-pub(crate) type DispatchPatch<'a> =
-    &'a mut dyn FnMut(usize, &[JobOutcome]) -> Result<(), FarmError>;
-
-/// Drive an unsupervised (plain or batched) farm master to completion.
+/// Drive one farm run to completion and report it (outcomes in
+/// acceptance order with `job` in *wire* ids, `per_slave` by MPI rank).
 ///
-/// `ranks[s]` is the MPI rank of scheduler slave `s` (`ranks[0]` = this
-/// master's own rank, unused). `send(job, rank, batch)` ships jobs
-/// `job..job+batch` (scheduler ids) to `rank`; `stop(rank)` sends the
-/// protocol's stop sentinel. The driver owns the gather point and the
-/// per-dispatch [`EventKind::Dispatch`] diagnostic mark. A staged
-/// workload passes `patch` to feed earlier rounds' answers into later
-/// rounds' problem files.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn drive_plain(
-    comm: &Comm,
-    tag: i32,
+/// `send(job, rank, batch, outcomes)` ships scheduler jobs
+/// `job..job + batch` to `rank`; it sees the outcomes gathered so far
+/// because a staged workload rewrites a round-dependent job's problem
+/// file from them just before its bytes go out (scheduling decisions
+/// never read payloads, so the decision trace cannot tell). A `send`
+/// that fails with [`FarmError::JobFailed`] — the job's bytes could not
+/// be prepared — is treated exactly like a slave answering
+/// [`Answer::Failed`] for it: retried with backoff under supervision,
+/// the end of the run otherwise.
+///
+/// `cfg.supervision` is set here, from [`Farm::supervisor`]; whatever
+/// the caller put there is ignored.
+pub(crate) fn drive(
+    farm: &Farm<'_>,
     cfg: SchedConfig,
-    ranks: &[usize],
-    style: RecvStyle,
-    map: JobMap,
-    mut patch: Option<DispatchPatch<'_>>,
-    mut send: impl FnMut(usize, usize, usize) -> Result<(), FarmError>,
-    mut stop: impl FnMut(usize) -> Result<(), FarmError>,
-) -> Result<PlainRun, FarmError> {
-    debug_assert!(cfg.supervision.is_none(), "use drive_supervised");
-    debug_assert_eq!(ranks.len(), cfg.slaves + 1);
-    let slaves = cfg.slaves;
-    let jobs = cfg.jobs;
-    let mut sched = Scheduler::new(cfg)
-        .map_err(|e| FarmError::Config(exec::ConfigIssues::one("scheduler", e.to_string())))?;
-    let mut outcomes: Vec<JobOutcome> = Vec::with_capacity(jobs);
-    let mut per_slave = vec![0usize; comm.size()];
-
-    let mut apply = |actions: Vec<Action>, outcomes: &[JobOutcome]| -> Result<(), FarmError> {
-        for a in actions {
-            match a {
-                Action::Dispatch { job, slave, batch } => {
-                    if let Some(p) = patch.as_deref_mut() {
-                        p(job, outcomes)?;
-                    }
-                    send(job, ranks[slave], batch)?;
-                    instrument::mark(
-                        comm,
-                        EventKind::Dispatch,
-                        map.to_wire(job) as i64,
-                        batch as u64,
-                    );
-                }
-                Action::Stop { slave } => stop(ranks[slave])?,
-                Action::Accept { .. } | Action::Finish => {}
-                _ => unreachable!("plain scheduler emits no supervision actions"),
-            }
-        }
-        Ok(())
+    send: impl FnMut(usize, usize, usize, &[JobOutcome]) -> Result<(), FarmError>,
+) -> Result<FarmReport, FarmError> {
+    let cfg = SchedConfig {
+        supervision: farm.supervisor.map(SupervisorConfig::supervision),
+        ..cfg
     };
-
-    // Priming: one SlaveReady per slave, in rank order (Fig. 4).
-    for s in 1..=slaves {
-        let actions = sched.on(Event::SlaveReady { slave: s }, 0);
-        apply(actions, &outcomes)?;
+    let (jobs, slaves, start) = (cfg.jobs, cfg.slaves, Instant::now());
+    let sched = Scheduler::new(cfg).map_err(|e| {
+        farm.stop(1..=slaves);
+        FarmError::Config(exec::ConfigIssues::one("scheduler", e.to_string()))
+    })?;
+    let mut d = Driver {
+        farm,
+        sched,
+        send,
+        jobs,
+        epoch: farm.supervisor.map(|_| start),
+        outcomes: Vec::with_capacity(jobs),
+        per_slave: vec![0; farm.comm.size()],
+        pending: Vec::new(),
+        stopped: vec![false; slaves + 1],
+    };
+    let ran = d.gather_all(slaves);
+    if ran.is_err() || !farm.resident {
+        farm.stop((1..=slaves).filter(|&s| !d.stopped[s] && !d.sched.is_dead(s)));
     }
-
-    // Gather/refeed loop.
-    while !sched.is_terminal() {
-        let (answers, src) = match style {
-            RecvStyle::Obj => {
-                let (v, st) = recv_any(comm, tag)?;
-                (vec![wire::decode_answer(&v)?], st.src)
-            }
-            RecvStyle::Packed => {
-                let st = comm.probe(ANY_SOURCE, tag)?;
-                let mut buf = MpiBuf::with_capacity(st.count());
-                comm.recv_into(&mut buf, st.src as i32, tag)?;
-                let v = comm.unpack(&buf)?;
-                (wire::decode_batch_reply(&v)?, st.src)
-            }
-        };
-        let slave = slave_of(ranks, src)?;
-        let head = answers
-            .first()
-            .map(|a| a.job())
-            .ok_or_else(|| FarmError::Protocol(format!("empty batch reply from rank {src}")))?;
-        for a in answers {
-            match a {
-                Answer::Priced {
-                    job,
-                    price,
-                    std_error,
-                } => {
-                    outcomes.push(JobOutcome {
-                        job,
-                        slave: src,
-                        price,
-                        std_error,
-                    });
-                    per_slave[src] += 1;
-                }
-                Answer::Failed { job, why } => {
-                    return Err(FarmError::Protocol(format!(
-                        "unsupervised slave {src} reported failure for job {job}: {why}"
-                    )));
-                }
-            }
-        }
-        let sched_job = map
-            .sched_of_wire(head)
-            .filter(|&j| j < jobs)
-            .ok_or_else(|| FarmError::Protocol(format!("answer for unknown job {head}")))?;
-        let actions = sched.on(
-            Event::Answer {
-                job: sched_job,
-                slave,
-            },
-            0,
-        );
-        apply(actions, &outcomes)?;
+    ran?;
+    if d.sched.aborted() {
+        return Err(FarmError::AllSlavesDead {
+            completed: d.outcomes.len(),
+            remaining: d.sched.unfinished(),
+        });
     }
-
-    Ok(PlainRun {
-        outcomes,
-        per_slave,
-        trace: sched.take_trace(),
+    let dead = d.sched.dead_slaves();
+    Ok(FarmReport {
+        outcomes: d.outcomes,
+        elapsed: start.elapsed(),
+        per_slave: d.per_slave,
+        strategy: farm.strategy,
+        failed_jobs: d.sched.failed_jobs(),
+        retries: d.sched.retries() as usize,
+        dead_slaves: dead.into_iter().map(|s| farm.rank(s)).collect(),
+        trace: d.sched.take_trace(),
     })
 }
 
-/// Drive the supervised farm master to completion.
-///
-/// Slave ids are MPI ranks (`1..=slaves`); `send(job, rank)` ships one
-/// job. A send that fails fast with [`MpiError::Poisoned`] for the
-/// target rank is reported back as [`Event::SendFailed`] — the scheduler
-/// reverses the attempt and buries the slave — and the recovery actions
-/// run *before* the rest of the current batch, keeping the live driver
-/// in lock-step with the simulator. Undecodable replies surface as
-/// [`FarmError::Protocol`] instead of being dropped.
-pub(crate) fn drive_supervised(
-    comm: &Comm,
-    tag: i32,
-    cfg: SchedConfig,
-    poll: Duration,
-    mut send: impl FnMut(usize, usize) -> Result<(), FarmError>,
-) -> Result<SupRun, FarmError> {
-    debug_assert!(cfg.supervision.is_some(), "use drive_plain");
-    let slaves = cfg.slaves;
-    let jobs = cfg.jobs;
-    let mut sched = Scheduler::new(cfg)
-        .map_err(|e| FarmError::Config(exec::ConfigIssues::one("scheduler", e.to_string())))?;
-    let mut outcomes: Vec<JobOutcome> = Vec::with_capacity(jobs);
-    let mut per_slave = vec![0usize; comm.size()];
-    // The priced answer currently being fed to the scheduler; consumed
-    // by the Accept action it may produce (dedup leaves it unconsumed).
-    let mut pending: Option<(f64, Option<f64>)> = None;
+struct Driver<'a, S> {
+    farm: &'a Farm<'a>,
+    sched: Scheduler,
+    send: S,
+    jobs: usize,
+    /// When the run began; read only under supervision.
+    epoch: Option<Instant>,
+    /// Priced jobs in acceptance order, `job` in *wire* ids.
+    outcomes: Vec<JobOutcome>,
+    /// Jobs completed per MPI rank (index 0, the master, stays 0).
+    per_slave: Vec<usize>,
+    /// The answers of the message being fed to the scheduler; the priced
+    /// ones are recorded by the `Accept` it may produce. A duplicate
+    /// answer produces none and is dropped.
+    pending: Vec<Answer>,
+    /// Slaves that have been sent their stop sentinel.
+    stopped: Vec<bool>,
+}
 
-    let epoch = Instant::now();
-    let now = |epoch: &Instant| epoch.elapsed().as_nanos() as u64;
+impl<S> Driver<'_, S>
+where
+    S: FnMut(usize, usize, usize, &[JobOutcome]) -> Result<(), FarmError>,
+{
+    /// Feed one event — at nanoseconds since the run began under
+    /// supervision, at a constant 0 (and no clock read) without — and
+    /// return what the scheduler decides.
+    fn on(&mut self, event: Event) -> Vec<Action> {
+        let now = self.epoch.map_or(0, |e| e.elapsed().as_nanos() as u64);
+        self.sched.on(event, now)
+    }
 
-    // Execute an action batch; a failed dispatch send feeds SendFailed
-    // and front-splices the recovery actions before the remainder.
-    let mut run_actions = |sched: &mut Scheduler,
-                           pending: &mut Option<(f64, Option<f64>)>,
-                           actions: Vec<Action>|
-     -> Result<(), FarmError> {
+    /// Feed one event and execute what the scheduler decides.
+    fn feed(&mut self, event: Event) -> Result<(), FarmError> {
+        let actions = self.on(event);
+        self.execute(actions)
+    }
+
+    /// Prime every slave, then gather and refeed until the scheduler is
+    /// done.
+    fn gather_all(&mut self, slaves: usize) -> Result<(), FarmError> {
+        let Farm { comm, link, .. } = *self.farm;
+        let supervised = self.farm.supervisor.is_some();
+        // Priming: one SlaveReady per slave, in rank order (Fig. 4).
+        for slave in 1..=slaves {
+            self.feed(Event::SlaveReady { slave })?;
+        }
+        while !self.sched.is_terminal() {
+            if supervised {
+                // Liveness sweep (notice kills even without trying to
+                // send), then the deadline / backoff tick.
+                for slave in 1..=slaves {
+                    if !self.sched.is_dead(slave) && !comm.rank_alive(self.farm.rank(slave)) {
+                        self.feed(Event::SlaveDead { slave })?;
+                    }
+                }
+                self.feed(Event::Deadline)?;
+                if self.sched.is_terminal() {
+                    break;
+                }
+            }
+            let Some((answers, src)) = self.gather()? else {
+                continue;
+            };
+            let slave = src
+                .checked_sub(link.master)
+                .filter(|s| (1..=slaves).contains(s))
+                .ok_or_else(|| FarmError::Protocol(format!("answer from unknown rank {src}")))?;
+            // The first answer names the dispatch (a whole batch answers
+            // together); the first failure, if any, decides its fate.
+            let failed = answers.iter().find(|a| matches!(a, Answer::Failed { .. }));
+            let event = match (failed, answers.first()) {
+                (Some(Answer::Failed { job, why }), _) if !supervised => {
+                    self.sched_job(*job)?;
+                    return Err(FarmError::JobFailed {
+                        job: *job,
+                        why: why.clone(),
+                    });
+                }
+                (Some(a), _) => Event::Failure {
+                    job: self.sched_job(a.job())?,
+                    slave,
+                },
+                (None, Some(head)) => Event::Answer {
+                    job: self.sched_job(head.job())?,
+                    slave,
+                },
+                (None, None) => {
+                    let why = format!("empty batch reply from rank {src}");
+                    return Err(FarmError::Protocol(why));
+                }
+            };
+            self.pending = answers;
+            self.feed(event)?;
+            self.pending.clear();
+        }
+        Ok(())
+    }
+
+    /// The scheduler's id for wire job `wire`.
+    fn sched_job(&self, wire: usize) -> Result<usize, FarmError> {
+        wire.checked_sub(self.farm.base)
+            .filter(|&j| j < self.jobs)
+            .ok_or_else(|| FarmError::Protocol(format!("answer for unknown job {wire}")))
+    }
+
+    /// Collect one slave message: its answers and the rank that sent it.
+    /// `None` when a supervised poll ran out (or cleared a truncated
+    /// frame, whose job the deadline requeues).
+    fn gather(&self) -> Result<Option<(Vec<Answer>, usize)>, FarmError> {
+        let Farm { comm, link, .. } = *self.farm;
+        let tag = link.tag;
+        let (v, src) = match (link.framing, self.farm.supervisor.map(|s| s.poll)) {
+            (Framing::PerJob, None) => {
+                let (v, st) = recv_any(comm, tag)?;
+                (v, st.src)
+            }
+            (Framing::PerJob, Some(poll)) => match comm.recv_obj_timeout(ANY_SOURCE, tag, poll) {
+                Ok(Some((v, st))) => (v, st.src),
+                Ok(None) => return Ok(None),
+                Err(MpiError::Truncated { .. }) => {
+                    let _ = comm.discard(ANY_SOURCE, tag);
+                    return Ok(None);
+                }
+                Err(e) => return Err(e.into()),
+            },
+            (Framing::Batch, _) => {
+                // One packed message carries a whole batch reply.
+                let (buf, st) = recv_packed(comm, ANY_SOURCE, tag)?;
+                let answers = wire::decode_batch_reply(&comm.unpack(&buf)?)?;
+                return Ok(Some((answers, st.src)));
+            }
+        };
+        Ok(Some((vec![wire::decode_answer(&v)?], src)))
+    }
+
+    /// Execute an action batch in order. A dispatch the scheduler can
+    /// take back (supervised only) is reported to it at once and the
+    /// recovery actions run *before* the rest of the batch, keeping the
+    /// live driver in lock-step with the simulator.
+    fn execute(&mut self, actions: Vec<Action>) -> Result<(), FarmError> {
+        let farm = self.farm;
+        let (comm, rank_of) = (farm.comm, |slave| farm.rank(slave));
+        let mark = |kind, job: usize, n| instrument::mark(comm, kind, (farm.base + job) as i64, n);
         let mut work: VecDeque<Action> = actions.into();
         while let Some(a) = work.pop_front() {
             match a {
-                Action::Dispatch { job, slave, .. } => match send(job, slave) {
-                    Ok(()) => {
-                        instrument::mark(comm, EventKind::Dispatch, job as i64, 1);
-                    }
-                    Err(FarmError::Mpi(MpiError::Poisoned(dead))) if dead == slave => {
-                        let recovery = sched.on(Event::SendFailed { job, slave }, now(&epoch));
-                        for r in recovery.into_iter().rev() {
-                            work.push_front(r);
+                Action::Dispatch { job, slave, batch } => {
+                    let undelivered = match (self.send)(job, rank_of(slave), batch, &self.outcomes)
+                    {
+                        Ok(()) => {
+                            mark(EventKind::Dispatch, job, batch as u64);
+                            continue;
                         }
+                        Err(e) if farm.supervisor.is_none() => return Err(e),
+                        // The slave is gone: the attempt is reversed and
+                        // the slave buried.
+                        Err(FarmError::Mpi(MpiError::Poisoned(dead))) if dead == rank_of(slave) => {
+                            Event::SendFailed { job, slave }
+                        }
+                        // The job's bytes could not be prepared: the
+                        // attempt counts, like a slave-side failure.
+                        Err(FarmError::JobFailed { .. }) => Event::Failure { job, slave },
+                        Err(e) => return Err(e),
+                    };
+                    for r in self.on(undelivered).into_iter().rev() {
+                        work.push_front(r);
                     }
-                    Err(e) => return Err(e),
-                },
+                }
+                Action::Stop { .. } if farm.resident => {}
                 Action::Stop { slave } => {
-                    match comm.send_obj(&Value::empty_matrix(), slave as i32, tag) {
+                    self.stopped[slave] = true;
+                    match farm.link.stop(comm, rank_of(slave)) {
                         Ok(()) | Err(MpiError::Poisoned(_)) => {}
                         Err(e) => return Err(e.into()),
                     }
                 }
-                Action::Accept { job, slave } => {
-                    let (price, std_error) =
-                        pending.take().expect("Accept follows a priced answer");
-                    outcomes.push(JobOutcome {
-                        job,
-                        slave,
-                        price,
-                        std_error,
-                    });
-                    per_slave[slave] += 1;
+                Action::Accept { slave, .. } => {
+                    let slave = rank_of(slave);
+                    for a in self.pending.drain(..) {
+                        if let Answer::Priced {
+                            job,
+                            price,
+                            std_error,
+                        } = a
+                        {
+                            self.per_slave[slave] += 1;
+                            self.outcomes.push(JobOutcome {
+                                job,
+                                slave,
+                                price,
+                                std_error,
+                            });
+                        }
+                    }
                 }
-                Action::Expire { job, .. } => {
-                    instrument::mark(comm, EventKind::Deadline, job as i64, 0);
-                }
-                Action::Requeue { job } => {
-                    instrument::mark(comm, EventKind::Retry, job as i64, 0);
-                }
+                Action::Expire { job, .. } => mark(EventKind::Deadline, job, 0),
+                Action::Requeue { job } => mark(EventKind::Retry, job, 0),
                 Action::Bury { slave } => {
-                    instrument::mark(comm, EventKind::SlaveDeath, NO_JOB, slave as u64);
+                    instrument::mark(comm, EventKind::SlaveDeath, NO_JOB, rank_of(slave) as u64)
                 }
                 Action::AllSlavesDead | Action::Finish => {}
             }
         }
         Ok(())
-    };
-
-    // Priming.
-    for s in 1..=slaves {
-        let acts = sched.on(Event::SlaveReady { slave: s }, now(&epoch));
-        run_actions(&mut sched, &mut pending, acts)?;
     }
-
-    while !sched.is_terminal() {
-        // 1. Liveness sweep: notice kills even without trying to send.
-        for s in 1..=slaves {
-            if !sched.is_dead(s) && !comm.rank_alive(s) {
-                let acts = sched.on(Event::SlaveDead { slave: s }, now(&epoch));
-                run_actions(&mut sched, &mut pending, acts)?;
-            }
-        }
-        if sched.is_terminal() {
-            break;
-        }
-        // 2. Deadline/backoff tick.
-        let acts = sched.on(Event::Deadline, now(&epoch));
-        run_actions(&mut sched, &mut pending, acts)?;
-        if sched.is_terminal() {
-            break;
-        }
-        // 3. Collect one answer (or poll out and sweep again).
-        match comm.recv_obj_timeout(ANY_SOURCE, tag, poll) {
-            Ok(None) => {}
-            Ok(Some((v, st))) => {
-                // An undecodable reply is a protocol violation, surfaced
-                // with the offending value rendered — never dropped.
-                let answer = wire::decode_answer(&v)?;
-                match answer {
-                    Answer::Priced {
-                        job,
-                        price,
-                        std_error,
-                    } => {
-                        pending = Some((price, std_error));
-                        let acts = sched.on(Event::Answer { job, slave: st.src }, now(&epoch));
-                        run_actions(&mut sched, &mut pending, acts)?;
-                        pending = None; // duplicate answers never accept
-                    }
-                    Answer::Failed { job, .. } => {
-                        let acts = sched.on(Event::Failure { job, slave: st.src }, now(&epoch));
-                        run_actions(&mut sched, &mut pending, acts)?;
-                    }
-                }
-            }
-            // A truncated result: clear it; the job deadline requeues it.
-            Err(MpiError::Truncated { .. }) => {
-                let _ = comm.discard(ANY_SOURCE, tag);
-            }
-            Err(e) => return Err(e.into()),
-        }
-    }
-
-    if sched.aborted() {
-        return Err(FarmError::AllSlavesDead {
-            completed: outcomes.len(),
-            remaining: sched.unfinished(),
-        });
-    }
-    Ok(SupRun {
-        outcomes,
-        per_slave,
-        failed_jobs: sched.failed_jobs(),
-        retries: sched.retries() as usize,
-        dead_slaves: sched.dead_slaves(),
-        trace: sched.take_trace(),
-    })
 }

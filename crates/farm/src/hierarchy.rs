@@ -9,16 +9,16 @@
 //! back to the global master when its chunk is drained.
 
 use crate::config::RunCtx;
-use crate::driver::{self, JobMap, RecvStyle};
-use crate::instrument;
-use crate::robin_hood::{FarmError, FarmReport, JobOutcome};
-use crate::strategy::{prepare_payload_recorded, recover_problem_recorded, Transmission};
-use crate::wire::{Answer, JobMsg};
+use crate::driver::{self, Farm};
+use crate::robin_hood::{FarmError, FarmReport};
+use crate::slave::{self, Link};
+use crate::strategy::Transmission;
+use crate::wire::{self, Answer, BatchItem};
 use minimpi::{Comm, MpiBuf, World};
-use nspval::{Hash, List, Value};
+use nspval::Value;
 use obs::Recorder;
 use sched::SchedConfig;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -52,21 +52,15 @@ impl Topology {
 }
 
 /// Run the hierarchical farm: `groups` sub-masters, each with
-/// `slaves_per_group` compute slaves.
-pub fn run_hierarchical_farm(
-    files: &[PathBuf],
-    groups: usize,
-    slaves_per_group: usize,
-    strategy: Transmission,
-) -> Result<FarmReport, FarmError> {
-    run_hierarchical_farm_recorded(files, groups, slaves_per_group, strategy, None)
-}
-
-/// [`run_hierarchical_farm`] with phase-level observability: every rank's
+/// `slaves_per_group` compute slaves. With a `recorder`, every rank's
 /// comm traffic plus sub-master prepare and slave compute phases land in
-/// `recorder` (size it with at least the world size:
+/// it (size it with at least the world size:
 /// `1 + groups * (slaves_per_group + 1)` ranks).
-pub fn run_hierarchical_farm_recorded(
+///
+/// The groups are unsupervised: a job that cannot be prepared, read or
+/// priced ends the run with [`FarmError::JobFailed`] once every group
+/// has reported, with every rank stopped.
+pub fn run_hierarchical_farm(
     files: &[PathBuf],
     groups: usize,
     slaves_per_group: usize,
@@ -80,32 +74,30 @@ pub fn run_hierarchical_farm_recorded(
         groups,
         slaves_per_group,
     };
-    if let Some(rec) = &recorder {
-        if rec.ranks() < topo.world_size() {
-            return Err(FarmError::Config(exec::ConfigIssues::one(
-                "recorder",
-                format!(
-                    "covers {} ranks but the hierarchy needs {}",
-                    rec.ranks(),
-                    topo.world_size()
-                ),
-            )));
-        }
+    let needs = topo.world_size();
+    if let Some(covers) = recorder.as_ref().map(|r| r.ranks()).filter(|&c| c < needs) {
+        let problem = format!("covers {covers} ranks but the hierarchy needs {needs}");
+        return Err(FarmError::Config(exec::ConfigIssues::one(
+            "recorder", problem,
+        )));
     }
     let ctx = RunCtx::default_ctx();
-    let results = World::run_instrumented(topo.world_size(), None, recorder, |comm| {
+    let results = World::run_instrumented(needs, None, recorder, |comm| {
         let rank = comm.rank();
         if rank == 0 {
-            Some(global_master(&comm, files, topo))
-        } else {
-            let (g, is_sub) = topo.classify(rank);
-            if is_sub {
-                sub_master(&comm, &ctx, topo, g, strategy).expect("sub-master failed");
-            } else {
-                slave(&comm, &ctx, topo.sub_master_rank(g), strategy).expect("slave failed");
-            }
-            None
+            return Some(global_master(&comm, files, topo, strategy));
         }
+        let (g, is_sub) = topo.classify(rank);
+        let link = Link::per_job(topo.sub_master_rank(g), TAG);
+        if !is_sub {
+            slave::serve_jobs(&comm, &ctx, link, strategy, None);
+        } else if let Err(e) = sub_master(&comm, &ctx, topo, link, strategy) {
+            // A failed job was reported upstream; what is left is a
+            // failed link, which has nobody to tell (see
+            // `slave::serve_jobs`).
+            panic!("sub-master {rank}: {e}");
+        }
+        None
     });
     results
         .into_iter()
@@ -116,7 +108,12 @@ pub fn run_hierarchical_farm_recorded(
 
 /// Global master: chunk the portfolio, send one chunk (as a name list) to
 /// each sub-master, gather their result lists.
-fn global_master(comm: &Comm, files: &[PathBuf], topo: Topology) -> Result<FarmReport, FarmError> {
+fn global_master(
+    comm: &Comm,
+    files: &[PathBuf],
+    topo: Topology,
+    strategy: Transmission,
+) -> Result<FarmReport, FarmError> {
     let start = Instant::now();
     // Contiguous chunking, remainder spread over the first groups.
     let base = files.len() / topo.groups;
@@ -124,45 +121,42 @@ fn global_master(comm: &Comm, files: &[PathBuf], topo: Topology) -> Result<FarmR
     let mut begin = 0;
     for g in 0..topo.groups {
         let len = base + usize::from(g < rem);
-        let mut chunk = List::new();
-        for (idx, file) in files.iter().enumerate().take(begin + len).skip(begin) {
-            let mut h = Hash::new();
-            h.set("idx", Value::scalar(idx as f64));
-            h.set("name", Value::string(file.to_string_lossy().to_string()));
-            chunk.add_last(Value::Hash(h));
-        }
+        let chunk = (begin..begin + len).map(|idx| {
+            let name = files[idx].to_string_lossy().to_string();
+            BatchItem {
+                idx,
+                name,
+                payload: None,
+            }
+            .to_value()
+        });
         begin += len;
-        comm.send_obj(&Value::List(chunk), topo.sub_master_rank(g) as i32, TAG)?;
+        comm.send_obj(
+            &Value::list(chunk.collect()),
+            topo.sub_master_rank(g) as i32,
+            TAG,
+        )?;
     }
-    // Gather per-group reports.
+    // Gather one report per group — all of them, so that a failed group
+    // does not leave the others' reports unread — and keep the first
+    // failure.
     let mut outcomes = Vec::with_capacity(files.len());
-    let mut per_slave = vec![0usize; comm.size()];
+    let mut failure = None;
     for _ in 0..topo.groups {
         let (v, _st) = driver::recv_any(comm, TAG)?;
-        let list = v
-            .as_list()
-            .ok_or_else(|| FarmError::Io("bad group report".into()))?;
-        for item in list.iter() {
-            let h = item
-                .as_hash()
-                .ok_or_else(|| FarmError::Io("bad group report item".into()))?;
-            let job = h.get("job").and_then(|x| x.as_scalar()).unwrap_or(-1.0) as usize;
-            let price = h
-                .get("price")
-                .and_then(|x| x.as_scalar())
-                .ok_or_else(|| FarmError::Io("missing price".into()))?;
-            let slave =
-                h.get("slave")
-                    .and_then(|x| x.as_scalar())
-                    .ok_or_else(|| FarmError::Io("missing slave".into()))? as usize;
-            outcomes.push(JobOutcome {
-                job,
-                slave,
-                price,
-                std_error: h.get("std_error").and_then(|x| x.as_scalar()),
-            });
-            per_slave[slave] += 1;
+        match wire::decode_group_report(&v) {
+            Ok(group) => outcomes.extend(group),
+            Err(e) => failure = failure.or(Some(e)),
         }
+    }
+    if let Some(e) = failure {
+        return Err(e);
+    }
+    let mut per_slave = vec![0usize; comm.size()];
+    for o in &outcomes {
+        *per_slave.get_mut(o.slave).ok_or_else(|| {
+            FarmError::Protocol(format!("outcome from unknown rank {}", o.slave))
+        })? += 1;
     }
     Ok(FarmReport {
         outcomes,
@@ -171,120 +165,45 @@ fn global_master(comm: &Comm, files: &[PathBuf], topo: Topology) -> Result<FarmR
         failed_jobs: Vec::new(),
         retries: 0,
         dead_slaves: Vec::new(),
-        strategy: Transmission::SerializedLoad,
+        strategy,
         trace: None,
     })
 }
 
 /// Sub-master: Robin-Hood over its own slaves for its chunk, then one
-/// aggregated report to the global master.
+/// aggregated report to the global master — its outcomes in completion
+/// order or, when a job failed, that job's failure.
 fn sub_master(
     comm: &Comm,
     ctx: &RunCtx,
     topo: Topology,
-    group: usize,
+    link: Link,
     strategy: Transmission,
 ) -> Result<(), FarmError> {
     let (chunk, _) = comm.recv_obj(0, TAG)?;
-    let list = chunk
-        .as_list()
-        .ok_or_else(|| FarmError::Io("bad chunk".into()))?;
-    let jobs: Vec<(usize, PathBuf)> = list
-        .iter()
-        .map(|item| {
-            let h = item.as_hash().expect("chunk item is a hash");
-            (
-                h.get("idx").and_then(|x| x.as_scalar()).expect("idx") as usize,
-                PathBuf::from(h.get("name").and_then(|x| x.as_str()).expect("name")),
-            )
-        })
-        .collect();
-
-    let my_rank = comm.rank();
-    // Scheduler slave `s` is MPI rank `my_rank + s`; sched job `j` is
-    // global job `base + j` (chunks are contiguous).
-    let mut ranks = vec![my_rank];
-    ranks.extend((1..=topo.slaves_per_group).map(|k| my_rank + k));
-    let base = jobs.first().map(|&(g, _)| g).unwrap_or(0);
-
-    let send_one =
-        |comm: &Comm, slave: usize, (idx, path): &(usize, PathBuf)| -> Result<(), FarmError> {
-            comm.set_job(Some(*idx));
-            let msg = JobMsg {
-                idx: *idx,
-                name: path.to_string_lossy().to_string(),
-            };
-            comm.send_obj(&msg.to_value(), slave as i32, TAG)?;
-            if let Some(payload) = prepare_payload_recorded(comm, ctx, strategy, path)? {
-                let packed = comm.pack(&payload);
-                comm.send(packed.bytes(), slave as i32, TAG)?;
-            }
-            comm.set_job(None);
-            Ok(())
-        };
-
-    let cfg = SchedConfig::plain(jobs.len(), topo.slaves_per_group);
-    let run = driver::drive_plain(
+    let jobs = wire::decode_batch(&chunk)?;
+    // Sched job `j` is global job `base + j` (chunks are contiguous).
+    let farm = Farm {
         comm,
-        TAG,
-        cfg,
-        &ranks,
-        RecvStyle::Obj,
-        JobMap::Offset(base),
-        None,
-        |job, rank, _batch| send_one(comm, rank, &jobs[job]),
-        |rank| Ok(comm.send_obj(&Value::empty_matrix(), rank as i32, TAG)?),
-    )?;
-
-    // Aggregate report for the global master, in completion order, with
-    // the legacy `{job, price, std_error?, slave}` item layout.
-    let mut results = List::new();
-    for o in &run.outcomes {
-        let mut out = Hash::new();
-        out.set("job", Value::scalar(o.job as f64));
-        out.set("price", Value::scalar(o.price));
-        if let Some(se) = o.std_error {
-            out.set("std_error", Value::scalar(se));
-        }
-        out.set("slave", Value::scalar(o.slave as f64));
-        results.add_last(Value::Hash(out));
-    }
-    comm.send_obj(&Value::List(results), 0, TAG)?;
-    let _ = group;
-    Ok(())
-}
-
-/// Compute slave of one group: identical protocol to the flat farm but
-/// pointed at its sub-master.
-fn slave(
-    comm: &Comm,
-    ctx: &RunCtx,
-    master_rank: usize,
-    strategy: Transmission,
-) -> Result<(), FarmError> {
-    loop {
-        let (msg, _) = comm.recv_obj(master_rank as i32, TAG)?;
-        if msg.is_empty_matrix() {
-            return Ok(());
-        }
-        let JobMsg { idx, name } = JobMsg::decode(&msg)
-            .ok_or_else(|| FarmError::Protocol(format!("undecodable job request: {msg}")))?;
-        comm.set_job(Some(idx));
-        let payload = match strategy {
-            Transmission::Nfs => None,
-            _ => {
-                let st = comm.probe(master_rank as i32, TAG)?;
-                let mut buf = MpiBuf::with_capacity(st.count());
-                comm.recv_into(&mut buf, master_rank as i32, TAG)?;
-                Some(comm.unpack(&buf)?)
-            }
-        };
-        let problem = recover_problem_recorded(comm, ctx, strategy, &name, payload.as_ref())?;
-        let r = instrument::compute_recorded(comm, ctx, &problem)
-            .map_err(|e| FarmError::Io(format!("compute failed: {e}")))?;
-        comm.send_obj(&Answer::priced(idx, &r).to_value(), master_rank as i32, TAG)?;
-        comm.set_job(None);
-    }
+        link,
+        base: jobs.first().map_or(0, |j| j.idx),
+        supervisor: None,
+        resident: false,
+        ctx,
+        strategy,
+    };
+    let mut scratch = MpiBuf::with_capacity(0);
+    let cfg = SchedConfig::plain(jobs.len(), topo.slaves_per_group);
+    let run = driver::drive(&farm, cfg, |job, rank, _batch, _outcomes| {
+        let BatchItem { idx, name, .. } = &jobs[job];
+        farm.send_job(rank, *idx, Path::new(name), &mut scratch)
+    });
+    let report = match run {
+        Ok(run) => wire::group_report_value(&run.outcomes),
+        Err(FarmError::JobFailed { job, why }) => Answer::failed(job, why).to_value(),
+        Err(e) => return Err(e),
+    };
+    Ok(comm.send_obj(&report, 0, TAG)?)
 }
 
 #[cfg(test)]
@@ -307,7 +226,8 @@ mod tests {
     #[test]
     fn hierarchical_farm_completes_portfolio() {
         let (paths, expected, dir) = setup(30, "complete");
-        let report = run_hierarchical_farm(&paths, 2, 3, Transmission::SerializedLoad).unwrap();
+        let report =
+            run_hierarchical_farm(&paths, 2, 3, Transmission::SerializedLoad, None).unwrap();
         assert_eq!(report.completed(), 30);
         let mut seen = [false; 30];
         for o in &report.outcomes {
@@ -322,7 +242,7 @@ mod tests {
     #[test]
     fn work_spreads_across_groups() {
         let (paths, _, dir) = setup(40, "spread");
-        let report = run_hierarchical_farm(&paths, 2, 2, Transmission::Nfs).unwrap();
+        let report = run_hierarchical_farm(&paths, 2, 2, Transmission::Nfs, None).unwrap();
         // Topology: rank 0 global, 1 sub, 2-3 slaves, 4 sub, 5-6 slaves.
         let g1: usize = report.per_slave[2] + report.per_slave[3];
         let g2: usize = report.per_slave[5] + report.per_slave[6];
@@ -332,9 +252,19 @@ mod tests {
     }
 
     #[test]
+    fn reports_the_strategy_that_ran() {
+        let (paths, _, dir) = setup(6, "strategy");
+        for strategy in Transmission::ALL {
+            let report = run_hierarchical_farm(&paths, 2, 1, strategy, None).unwrap();
+            assert_eq!(report.strategy, strategy);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn single_group_matches_flat_farm_semantics() {
         let (paths, expected, dir) = setup(12, "flat_equiv");
-        let report = run_hierarchical_farm(&paths, 1, 2, Transmission::FullLoad).unwrap();
+        let report = run_hierarchical_farm(&paths, 1, 2, Transmission::FullLoad, None).unwrap();
         assert_eq!(report.completed(), 12);
         for o in &report.outcomes {
             assert!((o.price - expected[o.job]).abs() < 1e-12);
@@ -344,14 +274,15 @@ mod tests {
 
     #[test]
     fn rejects_empty_topology() {
-        assert!(run_hierarchical_farm(&[], 0, 3, Transmission::Nfs).is_err());
-        assert!(run_hierarchical_farm(&[], 3, 0, Transmission::Nfs).is_err());
+        assert!(run_hierarchical_farm(&[], 0, 3, Transmission::Nfs, None).is_err());
+        assert!(run_hierarchical_farm(&[], 3, 0, Transmission::Nfs, None).is_err());
     }
 
     #[test]
     fn more_groups_than_jobs() {
         let (paths, _, dir) = setup(3, "sparse");
-        let report = run_hierarchical_farm(&paths, 4, 2, Transmission::SerializedLoad).unwrap();
+        let report =
+            run_hierarchical_farm(&paths, 4, 2, Transmission::SerializedLoad, None).unwrap();
         assert_eq!(report.completed(), 3);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -11,28 +11,35 @@
 //! * [`strategy`] — the three transmission strategies compared in
 //!   Tables II/III: **full load**, **NFS**, **serialized load**.
 //! * [`robin_hood`] — the master/slave "Robbin Hood" load balancer of
-//!   Figs. 4–5, running live over `minimpi` threads.
-//! * [`batching`] — the §5 "gather several pricing problems and send them
-//!   all together" improvement.
+//!   Figs. 4–5, running live over `minimpi` threads: the flat farm
+//!   behind [`run`], plain, batched or supervised as its [`FarmConfig`]
+//!   says, and the report / error types every front-end shares.
+//! * `slave` and `driver` (private) — Fig. 4's two branches, once each:
+//!   the one slave loop (every job is answered, priced or failed —
+//!   `docs/FAULTS.md`) and the one master driver (feeds the pure
+//!   [`sched::Scheduler`] the simulator also runs — `docs/SCHEDULER.md`
+//!   — and owns shutdown). `batching` (private) is the §5 "send them
+//!   all together" framing behind [`FarmConfig::batch_size`].
 //! * [`hierarchy`] — the §5 sub-master improvement ("divide the nodes
-//!   into sub-groups, each group having its own master").
+//!   into sub-groups, each group having its own master"): topology,
+//!   chunking and the group gather around the same driver and slave.
 //! * [`shard`] — peer masters without a global root: each owns a
 //!   portfolio shard and a private slave farm (threads or real child
 //!   processes, via the pluggable `transport` backends), with
 //!   inter-shard work-stealing when a pool drains early.
-//! * [`supervisor`] — the fault-tolerant Robin-Hood master: per-job
-//!   deadlines, bounded retries with exponential backoff, dead-slave
-//!   detection and graceful degradation, exercised against
+//! * [`supervisor`] — the fault-tolerance knobs ([`SupervisorConfig`]):
+//!   per-job deadlines, bounded retries with exponential backoff,
+//!   dead-slave detection and graceful degradation, exercised against
 //!   `minimpi`'s deterministic fault injection.
 //! * [`calibrate`] — single-problem cost measurements feeding the
 //!   `clustersim` cost model.
 //! * [`risk`] — the §1 risk-evaluation scenario: bump-and-revalue
 //!   parameter sweeps (delta/gamma/vega/rho per claim) that multiply the
 //!   portfolio into the paper's "around 10⁶ atomic computations".
-
 //! * [`wire`] — the typed wire codec every master/slave pair shares:
-//!   job requests, batch items, and priced/failed answers, with total
-//!   decoding ([`FarmError::Protocol`] instead of silent drops).
+//!   job requests, batch items, priced/failed answers and the
+//!   hierarchy's chunk and group-report messages, with total decoding
+//!   ([`FarmError::Protocol`] instead of silent drops).
 //! * [`config`] — the unified entry point: build a [`FarmConfig`]
 //!   (strategy, batching, supervision, fault plan, [`obs::Recorder`],
 //!   problem store / cache / wire-compression / prefetch) and call
@@ -42,13 +49,9 @@
 //!
 //! Since the `store` crate landed, every byte of problem data reaches the
 //! farm through a [`store::ProblemStore`] — see `docs/STORE.md`.
-//!
-//! Since the `sched` crate landed, every master loop above is a thin
-//! *driver* of the same pure scheduler state machine ([`sched::Scheduler`])
-//! that also powers the cluster simulator — see `docs/SCHEDULER.md`.
 
 #![warn(missing_docs)]
-pub mod batching;
+mod batching;
 pub mod calibrate;
 pub mod config;
 mod driver;
@@ -58,6 +61,7 @@ pub mod portfolio;
 pub mod risk;
 pub mod robin_hood;
 pub mod shard;
+mod slave;
 pub mod strategy;
 pub mod supervisor;
 pub mod wire;
@@ -70,8 +74,8 @@ pub use portfolio::{
     toy_portfolio, JobClass, PortfolioJob, PortfolioScale,
 };
 pub use robin_hood::{FarmError, FarmReport, JobOutcome};
-pub use shard::{run_sharded, ShardConfig, ShardReport, StealEvent, TransportKind};
 pub use sched::{DispatchPolicy, Trace};
+pub use shard::{run_sharded, ShardConfig, ShardReport, StealEvent, TransportKind};
 pub use strategy::{Transmission, WirePolicy};
 pub use supervisor::SupervisorConfig;
 pub use workload::{class_indices, class_name, per_class_compute, run_workload, Workload};

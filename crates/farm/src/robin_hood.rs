@@ -12,21 +12,26 @@
 //! `MPI_Send`); the slave probes, sizes a buffer with `MPI_Get_count`,
 //! receives, unpacks, unserializes, computes and replies with a result
 //! object.
+//!
+//! This module is the *flat* farm — one master, rank 0, over ranks
+//! `1..=slaves` — in all three of its configurations: plain, supervised
+//! (`crate::supervisor`) and batched (`crate::batching`). They are one
+//! runner: [`crate::driver::drive`] on rank 0, [`crate::slave::serve_jobs`]
+//! on every other rank, and a [`crate::FarmConfig`] saying which
+//! scheduler config, which framing and how much patience. The report and
+//! error types every front-end shares live here too.
 
-use crate::config::{RunCtx, SchedKnobs};
-use crate::driver::{self, JobMap, RecvStyle};
-use crate::instrument;
-use crate::strategy::{prepare_payload_recorded, recover_problem_recorded, Transmission};
-use crate::wire::{Answer, JobMsg};
+use crate::batching::{self, send_batch};
+use crate::config::{FarmConfig, RunCtx};
+use crate::driver::{self, Farm};
+use crate::slave::{self, Framing, Link};
+use crate::strategy::Transmission;
+use crate::workload::StagedPatch;
 use exec::ConfigIssues;
 use minimpi::{Comm, MpiBuf, MpiError, World};
-use nspval::Value;
-use obs::Recorder;
-use sched::SchedConfig;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 pub(crate) const TAG: i32 = 7;
 
@@ -55,7 +60,8 @@ pub struct FarmReport {
     /// Transmission strategy used.
     pub strategy: Transmission,
     /// Jobs abandoned after exhausting their retry budget (supervised
-    /// runs only; always empty for the plain Robin-Hood master).
+    /// runs only: without supervision the first failed job ends the run
+    /// with [`FarmError::JobFailed`]).
     pub failed_jobs: Vec<usize>,
     /// Number of job re-dispatches the supervisor performed (deadline
     /// expiries and explicit slave failure reports).
@@ -79,14 +85,18 @@ impl FarmReport {
     /// independent view used to compare runs (live vs simulated, faulty
     /// vs fault-free).
     pub fn by_job(&self) -> Vec<(usize, f64, Option<f64>)> {
-        let mut v: Vec<_> = self
-            .outcomes
-            .iter()
-            .map(|o| (o.job, o.price, o.std_error))
-            .collect();
-        v.sort_by_key(|&(j, _, _)| j);
-        v
+        sorted_by_job(&self.outcomes)
     }
+}
+
+/// `(job, price, std_error)` triples sorted by job.
+pub(crate) fn sorted_by_job(outcomes: &[JobOutcome]) -> Vec<(usize, f64, Option<f64>)> {
+    let mut v: Vec<_> = outcomes
+        .iter()
+        .map(|o| (o.job, o.price, o.std_error))
+        .collect();
+    v.sort_by_key(|&(j, _, _)| j);
+    v
 }
 
 /// Farm-level failures.
@@ -109,6 +119,16 @@ pub enum FarmError {
     /// violation, surfaced with the offending value rendered instead of
     /// silently dropped.
     Protocol(String),
+    /// A job could not be priced — its bytes could not be prepared on
+    /// the master, or its slave could not read, decode or compute it —
+    /// and the run is not supervised, so nothing retries it. The slaves
+    /// have been stopped.
+    JobFailed {
+        /// Index of the job in the submitted file list.
+        job: usize,
+        /// The cause, as reported by whichever side hit it.
+        why: String,
+    },
     /// Every slave died before the portfolio was drained; the supervised
     /// master aborts cleanly instead of spinning on retries forever.
     AllSlavesDead {
@@ -128,6 +148,7 @@ impl fmt::Display for FarmError {
             FarmError::Xdr(e) => write!(f, "serialization error: {e}"),
             FarmError::Config(m) => write!(f, "{m}"),
             FarmError::Protocol(m) => write!(f, "protocol violation: {m}"),
+            FarmError::JobFailed { job, why } => write!(f, "job {job} failed: {why}"),
             FarmError::AllSlavesDead {
                 completed,
                 remaining,
@@ -141,6 +162,16 @@ impl fmt::Display for FarmError {
 
 impl std::error::Error for FarmError {}
 
+impl FarmError {
+    /// [`FarmError::JobFailed`] for `job`, caused by `why`.
+    pub(crate) fn job_failed(job: usize, why: impl fmt::Display) -> Self {
+        FarmError::JobFailed {
+            job,
+            why: why.to_string(),
+        }
+    }
+}
+
 impl From<MpiError> for FarmError {
     fn from(e: MpiError) -> Self {
         FarmError::Mpi(e)
@@ -153,171 +184,74 @@ impl From<xdrser::XdrError> for FarmError {
     }
 }
 
-/// Master-side: send job `idx` (file `path`) to `slave`.
-///
-/// `scratch` is a pack buffer hoisted out of the dispatch loop: loaded
-/// strategies recycle one allocation across the whole run
-/// ([`Comm::pack_into`]), and each reuse shows up as an
-/// [`minimpi::obs::EventKind::CopySaved`] mark when recording.
-pub(crate) fn send_job(
-    comm: &Comm,
-    ctx: &RunCtx,
-    slave: usize,
-    idx: usize,
-    path: &std::path::Path,
-    strategy: Transmission,
-    scratch: &mut MpiBuf,
-) -> Result<(), FarmError> {
-    comm.set_job(Some(idx));
-    let sent = send_job_span(comm, ctx, slave, idx, path, strategy, scratch);
-    comm.set_job(None);
-    sent
-}
-
-fn send_job_span(
-    comm: &Comm,
-    ctx: &RunCtx,
-    slave: usize,
-    idx: usize,
-    path: &std::path::Path,
-    strategy: Transmission,
-    scratch: &mut MpiBuf,
-) -> Result<(), FarmError> {
-    // Fetch and pack the payload first, so that the name message
-    // ([name, job index]) and the packed object go out back to back
-    // through one pair guard: the slave is woken once, with both queued,
-    // rather than woken for the name only to block on the payload.
-    let packed = prepare_payload_recorded(comm, ctx, strategy, path)?
-        .map(|payload| comm.pack_into(&payload, scratch));
-    let name = Value::list(vec![
-        Value::string(path.to_string_lossy().to_string()),
-        Value::scalar(idx as f64),
-    ]);
-    let pair = comm.pair(slave as i32)?;
-    pair.send_obj(&name, TAG)?;
-    if packed.is_some() {
-        pair.send(scratch.bytes(), TAG)?;
-    }
-    Ok(())
-}
-
-/// Slave loop — Fig. 4's `if mpi_rank <> 0` branch.
-fn slave_loop(comm: &Comm, ctx: &RunCtx, strategy: Transmission) -> Result<usize, FarmError> {
-    let mut done = 0;
-    loop {
-        let (msg, _st) = comm.recv_obj(0, TAG)?;
-        if msg.is_empty_matrix() {
-            // Stop sentinel.
-            return Ok(done);
-        }
-        let JobMsg { idx, name } = JobMsg::decode(&msg)
-            .ok_or_else(|| FarmError::Protocol(format!("undecodable job request: {msg}")))?;
-        comm.set_job(Some(idx));
-
-        let payload = match strategy {
-            Transmission::Nfs => None,
-            _ => {
-                // Probe → size buffer → receive → unpack (Fig. 4).
-                let st = comm.probe(0, TAG)?;
-                let mut buf = MpiBuf::with_capacity(st.count());
-                comm.recv_into(&mut buf, 0, TAG)?;
-                Some(comm.unpack(&buf)?)
-            }
-        };
-        let problem = recover_problem_recorded(comm, ctx, strategy, &name, payload.as_ref())?;
-        let result = instrument::compute_recorded(comm, ctx, &problem)
-            .map_err(|e| FarmError::Io(format!("compute failed: {e}")))?;
-        comm.send_obj(&Answer::priced(idx, &result).to_value(), 0, TAG)?;
-        comm.set_job(None);
-        done += 1;
-    }
-}
-
-/// Master loop — Fig. 4's `else` branch, as a thin [`driver`] of the
-/// [`sched::Scheduler`]: prime every slave, refeed on every answer,
-/// stop with the empty-name sentinel. The dispatch *decisions* all come
-/// from the shared state machine; this function only moves bytes.
-fn master_loop(
-    comm: &Comm,
-    ctx: &RunCtx,
+/// The flat farm behind [`crate::run`]: plain, supervised or batched as
+/// `cfg` says. With no recorder and the default context it is
+/// byte-for-byte the PR-1 behaviour (`tests/obs_overhead.rs`).
+pub(crate) fn run_flat(
     files: &[PathBuf],
-    strategy: Transmission,
-    knobs: &SchedKnobs,
-) -> Result<FarmReport, FarmError> {
-    let slaves = comm.size() - 1;
-    let start = Instant::now();
-    let mut scratch = MpiBuf::with_capacity(0);
-    // Flat farm: scheduler slave `s` is MPI rank `s`.
-    let ranks: Vec<usize> = (0..=slaves).collect();
-    let mut cfg = SchedConfig::plain(files.len(), slaves).policy(knobs.policy.clone());
-    if knobs.record_trace {
-        cfg = cfg.record_trace();
-    }
-    if let Some(rounds) = &knobs.rounds {
-        cfg = cfg.rounds(rounds.clone());
-    }
-    // Staged workloads rewrite a round-dependent job's problem file from
-    // earlier answers just before its dispatch (payloads are invisible
-    // to the scheduler, so the decision trace is unaffected).
-    let mut patch_fn = knobs
-        .patch
-        .as_ref()
-        .map(|p| move |job: usize, outcomes: &[JobOutcome]| p.apply(job, outcomes, files));
-    let run = driver::drive_plain(
-        comm,
-        TAG,
-        cfg,
-        &ranks,
-        RecvStyle::Obj,
-        JobMap::Identity,
-        patch_fn
-            .as_mut()
-            .map(|f| f as &mut dyn FnMut(usize, &[JobOutcome]) -> Result<(), FarmError>),
-        |job, rank, _batch| {
-            send_job(comm, ctx, rank, job, &files[job], strategy, &mut scratch)?;
-            ctx.advance(job + 1);
-            Ok(())
-        },
-        |rank| Ok(comm.send_obj(&Value::empty_matrix(), rank as i32, TAG)?),
-    )?;
-    Ok(FarmReport {
-        outcomes: run.outcomes,
-        elapsed: start.elapsed(),
-        per_slave: run.per_slave,
-        strategy,
-        failed_jobs: Vec::new(),
-        retries: 0,
-        dead_slaves: Vec::new(),
-        trace: run.trace,
-    })
-}
-
-/// The plain-farm runner behind [`crate::run`]: `recorder == None` with
-/// the default context is byte-for-byte the PR-1 behaviour (guarded by
-/// `tests/obs_overhead.rs`).
-pub(crate) fn run_farm_inner(
-    files: &[PathBuf],
-    slaves: usize,
-    strategy: Transmission,
-    recorder: Option<Arc<Recorder>>,
+    cfg: &FarmConfig,
     ctx: &RunCtx,
-    knobs: &SchedKnobs,
+    patch: Option<&StagedPatch>,
 ) -> Result<FarmReport, FarmError> {
-    let results = World::run_instrumented(slaves + 1, None, recorder, |comm| {
+    let link = match cfg.batch_size {
+        1 => Link::per_job(0, TAG),
+        _ => batching::LINK,
+    };
+    let body = |comm: Comm| {
         if comm.rank() == 0 {
-            Some(master_loop(&comm, ctx, files, strategy, knobs))
-        } else {
-            // A slave failure must not silently drop a job: panic and let
-            // World poison the group (surfaces as an error at the master).
-            slave_loop(&comm, ctx, strategy).expect("slave failed");
-            None
+            return Some(master(&comm, ctx, files, cfg, link, patch));
         }
-    });
-    results
-        .into_iter()
-        .next()
-        .flatten()
-        .expect("master produces the report")
+        slave::serve_jobs(&comm, ctx, link, cfg.strategy, cfg.supervisor.as_ref());
+        None
+    };
+    World::run_instrumented(
+        cfg.slaves + 1,
+        cfg.fault_plan.clone(),
+        cfg.recorder.clone(),
+        body,
+    )
+    .into_iter()
+    .next()
+    .flatten()
+    .expect("master produces the report")
+}
+
+/// Fig. 4's `else` branch: [`driver::drive`] makes every decision and
+/// owns shutdown; this function only says how a dispatch becomes bytes.
+fn master(
+    comm: &Comm,
+    ctx: &RunCtx,
+    files: &[PathBuf],
+    cfg: &FarmConfig,
+    link: Link,
+    patch: Option<&StagedPatch>,
+) -> Result<FarmReport, FarmError> {
+    let mut scratch = MpiBuf::with_capacity(0);
+    let farm = Farm {
+        comm,
+        link,
+        base: 0,
+        supervisor: cfg.supervisor.as_ref(),
+        resident: false,
+        ctx,
+        strategy: cfg.strategy,
+    };
+    let sched = cfg.sched_config(files.len());
+    driver::drive(&farm, sched, |job, rank, batch, outcomes| {
+        // Staged workloads rewrite a round-dependent job's problem file
+        // from earlier answers just before its dispatch.
+        if let Some(p) = patch {
+            p.apply(job, outcomes, files)?;
+        }
+        match link.framing {
+            Framing::PerJob => farm.send_job(rank, job, &files[job], &mut scratch)?,
+            Framing::Batch => send_batch(&farm, rank, files, job..job + batch)?,
+        }
+        // Slide the prefetch window past this dispatch (monotonic:
+        // retries of earlier jobs don't pull it back).
+        ctx.advance(job + batch);
+        Ok(())
+    })
 }
 
 #[cfg(test)]

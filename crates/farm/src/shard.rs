@@ -27,11 +27,10 @@
 //! fixed chunk/lanes.
 
 use crate::config::RunCtx;
-use crate::driver::{self, JobMap, RecvStyle};
-use crate::instrument;
-use crate::robin_hood::{FarmError, FarmReport, JobOutcome};
-use crate::strategy::{prepare_payload_recorded, recover_problem_recorded, Transmission};
-use crate::wire::{Answer, JobMsg};
+use crate::driver::{self, Farm};
+use crate::robin_hood::{sorted_by_job, FarmError, FarmReport, JobOutcome};
+use crate::slave::{self, Link};
+use crate::strategy::Transmission;
 use minimpi::{Comm, MpiBuf, ProcessWorld, SpawnedWorld};
 use nspval::{Hash, Value};
 use sched::{SchedConfig, Trace};
@@ -41,6 +40,9 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 const TAG: i32 = 11;
+
+/// Every shard world has the same shape: the master is rank 0.
+const LINK: Link = Link::per_job(0, TAG);
 
 /// Which transport the shard farms run their slaves on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,13 +156,7 @@ impl ShardReport {
 
     /// Outcomes sorted by global job index.
     pub fn by_job(&self) -> Vec<(usize, f64, Option<f64>)> {
-        let mut v: Vec<(usize, f64, Option<f64>)> = self
-            .outcomes
-            .iter()
-            .map(|o| (o.job, o.price, o.std_error))
-            .collect();
-        v.sort_by_key(|&(j, _, _)| j);
-        v
+        sorted_by_job(&self.outcomes)
     }
 
     /// Fold into the flat farm's report shape (shard structure erased;
@@ -185,48 +181,25 @@ impl ShardReport {
 pub const SHARD_SLAVE_ENTRY: &str = "farm_shard_slave";
 
 /// Process-world entry point for a shard compute slave; see
-/// [`SHARD_SLAVE_ENTRY`].
+/// [`SHARD_SLAVE_ENTRY`]. The protocol is shared verbatim by both
+/// backends: receive the config frame, then serve jobs until the stop
+/// sentinel.
 pub fn shard_slave_entry(comm: Comm) {
-    shard_slave_body(&comm).expect("shard slave failed");
-}
-
-/// The slave protocol shared verbatim by both backends: receive the
-/// config frame, then farm jobs until the stop sentinel.
-fn shard_slave_body(comm: &Comm) -> Result<(), FarmError> {
     // Config frame: {strategy} from the shard master (rank 0). The
     // compute context is the default one — bit-identity across backends
     // needs both sides on the same (single-threaded) compute path.
-    let (cfg_v, _) = comm.recv_obj(0, TAG)?;
-    let strategy = cfg_v
-        .as_hash()
-        .and_then(|h| h.get("strategy"))
-        .and_then(|s| s.as_str().map(str::to_string))
-        .and_then(|l| transmission_of_label(&l))
-        .ok_or_else(|| FarmError::Protocol(format!("bad shard config frame: {cfg_v}")))?;
-    let ctx = RunCtx::default_ctx();
-    loop {
-        let (msg, _) = comm.recv_obj(0, TAG)?;
-        if msg.is_empty_matrix() {
-            return Ok(());
-        }
-        let JobMsg { idx, name } = JobMsg::decode(&msg)
-            .ok_or_else(|| FarmError::Protocol(format!("undecodable job request: {msg}")))?;
-        comm.set_job(Some(idx));
-        let payload = match strategy {
-            Transmission::Nfs => None,
-            _ => {
-                let st = comm.probe(0, TAG)?;
-                let mut buf = MpiBuf::with_capacity(st.count());
-                comm.recv_into(&mut buf, 0, TAG)?;
-                Some(comm.unpack(&buf)?)
-            }
-        };
-        let problem = recover_problem_recorded(comm, &ctx, strategy, &name, payload.as_ref())?;
-        let r = instrument::compute_recorded(comm, &ctx, &problem)
-            .map_err(|e| FarmError::Io(format!("compute failed: {e}")))?;
-        comm.send_obj(&Answer::priced(idx, &r).to_value(), 0, TAG)?;
-        comm.set_job(None);
-    }
+    let strategy = comm
+        .recv_obj(0, TAG)
+        .map_err(FarmError::from)
+        .and_then(|(cfg_v, _)| {
+            cfg_v
+                .as_hash()
+                .and_then(|h| h.get("strategy")?.as_str())
+                .and_then(transmission_of_label)
+                .ok_or_else(|| FarmError::Protocol(format!("bad shard config frame: {cfg_v}")))
+        })
+        .unwrap_or_else(|e| panic!("shard slave {}: {e}", comm.rank()));
+    slave::serve_jobs(&comm, &RunCtx::default_ctx(), LINK, strategy, None);
 }
 
 fn transmission_of_label(label: &str) -> Option<Transmission> {
@@ -382,11 +355,14 @@ fn shard_master(
 ) -> Result<(Vec<JobOutcome>, Vec<Trace>), FarmError> {
     match cfg.backend {
         TransportKind::Channel => {
-            let spawned = SpawnedWorld::spawn(cfg.slaves_per_shard, |c: Comm| {
-                shard_slave_body(&c).expect("shard slave failed");
-            });
+            let spawned = SpawnedWorld::spawn(cfg.slaves_per_shard, shard_slave_entry);
             let out = master_loop(spawned.comm(), shard, files, cfg, pools, steals);
-            if out.is_ok() {
+            // A failed job ends its round with every slave sent the stop
+            // sentinel (`drive` owns shutdown): they finish what they
+            // hold and leave, so the world joins as after a good run.
+            // Any other error is a broken world, left to `Drop` to
+            // poison and reap.
+            if matches!(out, Ok(_) | Err(FarmError::JobFailed { .. })) {
                 spawned.join();
             }
             out
@@ -407,7 +383,7 @@ fn shard_master(
 }
 
 /// The backend-independent master loop: config frames, lease rounds
-/// through [`driver::drive_plain`], stop sentinels.
+/// through [`driver::drive`], stop sentinels.
 fn master_loop(
     comm: &Comm,
     shard: usize,
@@ -425,14 +401,25 @@ fn master_loop(
         comm.send_obj(&Value::Hash(config.clone()), s as i32, TAG)?;
     }
 
-    // Scheduler slave `s` is shard-world rank `s` (master is rank 0).
-    let ranks: Vec<usize> = (0..=slaves).collect();
+    // Rounds share the slave world: each round's scheduler finishes
+    // without stopping it, the sentinels go out after the last one (or
+    // from `drive`, the moment a round fails).
+    let farm = Farm {
+        comm,
+        link: LINK,
+        base: 0,
+        supervisor: None,
+        resident: true,
+        ctx: &ctx,
+        strategy: cfg.strategy,
+    };
     let want = if cfg.lease == 0 {
         files.len().max(1)
     } else {
         cfg.lease
     };
 
+    let mut scratch = MpiBuf::with_capacity(0);
     let mut outcomes: Vec<JobOutcome> = Vec::new();
     let mut traces: Vec<Trace> = Vec::new();
     loop {
@@ -445,56 +432,30 @@ fn master_loop(
             }
             break;
         }
-
-        let send_one = |local: usize, rank: usize| -> Result<(), FarmError> {
-            let global = round[local];
-            let path = &files[global];
-            comm.set_job(Some(global));
-            // Wire ids are round-local so the scheduler's dense id
-            // space maps through `JobMap::Identity` even for stolen
-            // (non-contiguous) rounds; outcomes are re-mapped below.
-            let msg = JobMsg {
-                idx: local,
-                name: path.to_string_lossy().to_string(),
-            };
-            comm.send_obj(&msg.to_value(), rank as i32, TAG)?;
-            if let Some(payload) = prepare_payload_recorded(comm, &ctx, cfg.strategy, path)? {
-                let packed = comm.pack(&payload);
-                comm.send(packed.bytes(), rank as i32, TAG)?;
-            }
-            comm.set_job(None);
-            Ok(())
+        let sc = SchedConfig {
+            record_trace: cfg.record_trace,
+            ..SchedConfig::plain(round.len(), slaves)
         };
-
-        let mut sc = SchedConfig::plain(round.len(), slaves);
-        if cfg.record_trace {
-            sc = sc.record_trace();
-        }
-        let run = driver::drive_plain(
-            comm,
-            TAG,
-            sc,
-            &ranks,
-            RecvStyle::Obj,
-            JobMap::Identity,
-            None,
-            |job, rank, _batch| send_one(job, rank),
-            // Rounds share the slave world: the per-round scheduler's
-            // stop is a no-op, the real sentinel goes out after the
-            // last round.
-            |_rank| Ok(()),
-        )?;
-        for mut o in run.outcomes {
-            o.job = round[o.job];
-            outcomes.push(o);
-        }
-        if let Some(t) = run.trace {
-            traces.push(t);
-        }
+        // Wire ids are round-local so the scheduler's dense id space
+        // covers stolen (non-contiguous) rounds too; outcomes — and a
+        // failed job's index — are mapped back to portfolio ids below.
+        let run = driver::drive(&farm, sc, |local, rank, _batch, _outcomes| {
+            let path = &files[round[local]];
+            farm.send_job(rank, local, path, &mut scratch)
+        })
+        .map_err(|e| match e {
+            FarmError::JobFailed { job, why } => FarmError::job_failed(round[job], why),
+            e => e,
+        })?;
+        outcomes.extend(run.outcomes.into_iter().map(|o| JobOutcome {
+            job: round[o.job],
+            ..o
+        }));
+        traces.extend(run.trace);
     }
 
-    for s in 1..=slaves {
-        comm.send_obj(&Value::empty_matrix(), s as i32, TAG)?;
+    for rank in 1..=slaves {
+        LINK.stop(comm, rank)?;
     }
     Ok((outcomes, traces))
 }

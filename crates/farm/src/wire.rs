@@ -1,25 +1,32 @@
 //! The farm's wire codec, in one place.
 //!
 //! Every master/slave message of the Robin Hood protocol — job
-//! requests, batched requests, priced results, failure reports — used
-//! to be encoded and decoded ad hoc inside each master loop
-//! (`robin_hood::result_value`, `supervisor::failure_value`, batching's
-//! per-batch variants). This module is now the single typed codec both
-//! sides share. The per-job encodings are bit-for-bit the legacy ones
-//! (Fig. 4's `{job, price}` hash), so old and new farms interoperate and
-//! recorded payload sizes are unchanged; a *batch* of answers — one
-//! reply to a `farm::batching` batch or to a `serve` job frame —
-//! travels as columns ([`batch_reply_value`]), not as one hash per
-//! answer.
+//! requests, batched requests, priced results, failure reports — goes
+//! through this one typed codec, shared by both sides. The per-job
+//! encodings are bit-for-bit the legacy ones (Fig. 4's `{job, price}`
+//! hash), so recorded payload sizes are unchanged; a *batch* of answers
+//! — one reply to a batched request or to a `serve` job frame — travels
+//! as columns ([`batch_reply_value`]), not as one hash per answer.
 //!
-//! Decoding is total: [`decode_answer`] and [`decode_batch_reply`] never
-//! silently drop an undecodable message — they return
-//! [`FarmError::Protocol`] with the offending value rendered, which the
-//! supervised master surfaces instead of the old silent drop.
+//! The hierarchy's two private messages live here too: a sub-master's
+//! chunk is a list of payload-less [`BatchItem`]s ([`decode_batch`]) and
+//! its report back is [`group_report_value`] / [`decode_group_report`].
+//!
+//! Decoding is total: [`decode_answer`], [`decode_batch`],
+//! [`decode_batch_reply`] and [`decode_group_report`] never silently
+//! drop or repair an undecodable message — they return
+//! [`FarmError::Protocol`] with the offending value rendered.
 
-use crate::robin_hood::FarmError;
+use crate::robin_hood::{FarmError, JobOutcome};
 use nspval::{BoolMatrix, Hash, Matrix, Value};
 use pricing::PricingResult;
+
+/// A job or rank index off the wire: a finite, non-negative integer.
+/// (`as usize` alone would turn a missing or mangled field into 0.)
+fn index_of(v: &Value) -> Option<usize> {
+    let x = v.as_scalar()?;
+    (x >= 0.0 && x.fract() == 0.0 && x < usize::MAX as f64).then_some(x as usize)
+}
 
 // ---------------------------------------------------------------------------
 // Job requests (master → slave)
@@ -50,7 +57,7 @@ impl JobMsg {
         let l = v.as_list()?;
         Some(JobMsg {
             name: l.get(0)?.as_str()?.to_string(),
-            idx: l.get(1)?.as_scalar()? as usize,
+            idx: index_of(l.get(1)?)?,
         })
     }
 }
@@ -83,13 +90,23 @@ impl BatchItem {
         let parse = |v: &Value| -> Option<BatchItem> {
             let h = v.as_hash()?;
             Some(BatchItem {
-                idx: h.get("idx")?.as_scalar()? as usize,
+                idx: index_of(h.get("idx")?)?,
                 name: h.get("name")?.as_str()?.to_string(),
                 payload: h.get("payload").cloned(),
             })
         };
         parse(v).ok_or_else(|| FarmError::Protocol(format!("undecodable batch item: {v}")))
     }
+}
+
+/// Decode a list of [`BatchItem`]s: a batched request, or — without
+/// payloads — the chunk a hierarchy sub-master is handed.
+pub fn decode_batch(v: &Value) -> Result<Vec<BatchItem>, FarmError> {
+    v.as_list()
+        .ok_or_else(|| FarmError::Protocol(format!("undecodable batch message: {v}")))?
+        .iter()
+        .map(BatchItem::decode)
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -147,6 +164,10 @@ impl Answer {
     /// Encode with the legacy layouts (`result_value` /
     /// `failure_value`), bit-for-bit.
     pub fn to_value(&self) -> Value {
+        Value::Hash(self.to_hash())
+    }
+
+    fn to_hash(&self) -> Hash {
         let mut h = Hash::new();
         match self {
             Answer::Priced {
@@ -165,18 +186,22 @@ impl Answer {
                 h.set("failed", Value::string(why.clone()));
             }
         }
-        Value::Hash(h)
+        h
     }
 
     /// Decode either answer shape; `None` when the value is neither.
     pub fn decode(v: &Value) -> Option<Answer> {
         let h = v.as_hash()?;
-        let job = h.get("job")?.as_scalar()? as usize;
+        let job = index_of(h.get("job")?)?;
         if let Some(price) = h.get("price").and_then(|x| x.as_scalar()) {
+            let std_error = match h.get("std_error") {
+                Some(se) => Some(se.as_scalar()?),
+                None => None,
+            };
             return Some(Answer::Priced {
                 job,
                 price,
-                std_error: h.get("std_error").and_then(|x| x.as_scalar()),
+                std_error,
             });
         }
         let why = h.get("failed")?.as_str()?.to_string();
@@ -260,10 +285,132 @@ pub fn decode_batch_reply(v: &Value) -> Result<Vec<Answer>, FarmError> {
     parse().ok_or_else(|| FarmError::Protocol(format!("undecodable batch reply: {v}")))
 }
 
+/// Encode a hierarchy sub-master's report to the global master: its
+/// outcomes in completion order, one legacy
+/// `{job, price, std_error?, slave}` hash each — a priced answer plus
+/// the rank that gave it.
+pub fn group_report_value(outcomes: &[JobOutcome]) -> Value {
+    let item = |o: &JobOutcome| {
+        let (job, price, std_error) = (o.job, o.price, o.std_error);
+        let mut h = Answer::Priced {
+            job,
+            price,
+            std_error,
+        }
+        .to_hash();
+        h.set("slave", Value::scalar(o.slave as f64));
+        Value::Hash(h)
+    };
+    Value::list(outcomes.iter().map(item).collect())
+}
+
+/// Decode a group report. A sub-master whose chunk hit a failed job
+/// sends that job's [`Answer::Failed`] in place of the list; it decodes
+/// to [`FarmError::JobFailed`].
+pub fn decode_group_report(v: &Value) -> Result<Vec<JobOutcome>, FarmError> {
+    let item = |v: &Value| match Answer::decode(v)? {
+        Answer::Priced {
+            job,
+            price,
+            std_error,
+        } => Some(JobOutcome {
+            job,
+            slave: index_of(v.as_hash()?.get("slave")?)?,
+            price,
+            std_error,
+        }),
+        Answer::Failed { .. } => None,
+    };
+    if let Some(Answer::Failed { job, why }) = Answer::decode(v) {
+        return Err(FarmError::JobFailed { job, why });
+    }
+    v.as_list()
+        .and_then(|l| l.iter().map(item).collect())
+        .ok_or_else(|| FarmError::Protocol(format!("undecodable group report: {v}")))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn chunks_decode_strictly() {
+        let item = |idx: f64| {
+            let mut h = Hash::new();
+            h.set("idx", Value::scalar(idx));
+            h.set("name", Value::string("pb-00007.bin"));
+            Value::Hash(h)
+        };
+        let chunk = decode_batch(&Value::list(vec![item(7.0), item(8.0)])).unwrap();
+        assert_eq!(chunk.iter().map(|i| i.idx).collect::<Vec<_>>(), [7, 8]);
+        assert!(chunk.iter().all(|i| i.payload.is_none()));
+        let mut nameless = Hash::new();
+        nameless.set("idx", Value::scalar(1.0));
+        for bad in [
+            Value::scalar(1.0),                       // not a list
+            Value::list(vec![Value::scalar(1.0)]),    // item is not a hash
+            Value::list(vec![Value::Hash(nameless)]), // no name
+            Value::list(vec![item(-1.0)]),            // `as usize` would say 0
+            Value::list(vec![item(0.5)]),
+            Value::list(vec![item(f64::NAN)]),
+        ] {
+            assert!(
+                matches!(decode_batch(&bad), Err(FarmError::Protocol(_))),
+                "{bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn group_reports_round_trip_and_decode_strictly() {
+        let outcomes = vec![
+            JobOutcome {
+                job: 31,
+                slave: 5,
+                price: 1.25,
+                std_error: None,
+            },
+            JobOutcome {
+                job: 30,
+                slave: 6,
+                price: -0.5,
+                std_error: Some(0.125),
+            },
+        ];
+        let v = group_report_value(&outcomes);
+        assert_eq!(decode_group_report(&v).unwrap(), outcomes);
+        assert_eq!(decode_group_report(&Value::list(vec![])).unwrap(), []);
+        // A failed chunk travels as the failed job's answer.
+        match decode_group_report(&Answer::failed(3, "no such file").to_value()) {
+            Err(FarmError::JobFailed { job: 3, why }) => assert_eq!(why, "no such file"),
+            other => panic!("expected JobFailed, got {other:?}"),
+        }
+        // Drop one field at a time: nothing is defaulted (a missing
+        // `job` used to become job 0).
+        for field in ["job", "price", "slave"] {
+            let mut h = v
+                .as_list()
+                .unwrap()
+                .get(0)
+                .unwrap()
+                .as_hash()
+                .unwrap()
+                .clone();
+            h.remove(field);
+            let bad = Value::list(vec![Value::Hash(h)]);
+            assert!(
+                matches!(decode_group_report(&bad), Err(FarmError::Protocol(_))),
+                "missing {field}"
+            );
+        }
+        for bad in [Value::scalar(1.0), Value::list(vec![Value::scalar(1.0)])] {
+            assert!(matches!(
+                decode_group_report(&bad),
+                Err(FarmError::Protocol(_))
+            ));
+        }
+    }
 
     #[test]
     fn answer_layouts_match_the_legacy_encodings() {

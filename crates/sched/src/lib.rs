@@ -170,8 +170,8 @@ pub enum DispatchPolicy {
     },
 }
 
-/// Supervision parameters, lifted verbatim from the former
-/// `farm::supervisor::MasterState`.
+/// Supervision parameters; the live farm fills them from
+/// `farm::SupervisorConfig`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Supervision {
     /// Per-dispatch deadline: a job in flight longer than this is

@@ -75,14 +75,16 @@ fn main() {
 
     // The §5 extensions on the same workload.
     println!("\n§5 extensions:");
-    let batched =
-        farm::batching::run_batched_farm(&files, 4, Transmission::SerializedLoad, 8).unwrap();
+    let batched = run(
+        &files,
+        &FarmConfig::new(4, Transmission::SerializedLoad).batch_size(8),
+    )
+    .unwrap();
     println!(
         "  batched farm (batch=8, 4 slaves):      {:?}",
         batched.elapsed
     );
-    let hier =
-        farm::hierarchy::run_hierarchical_farm(&files, 2, 2, Transmission::SerializedLoad).unwrap();
+    let hier = run_hierarchical_farm(&files, 2, 2, Transmission::SerializedLoad, None).unwrap();
     println!(
         "  hierarchical farm (2 groups × 2 slaves): {:?}",
         hier.elapsed

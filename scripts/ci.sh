@@ -68,31 +68,16 @@ if [ -n "$external" ]; then
     exit 1
 fi
 
-echo "==> deprecation gate: run_farm / run_supervised_farm / recv_obj_raw symbols are gone"
-# The store-backed entry points (FarmConfig::run / run_supervised) are the
-# only surface; the deprecated raw helpers were deleted outright, so any
-# reappearance — definition or caller, in any module — fails the gate.
-# Comment lines are ignored.
-stragglers=$(grep -rnE '\b(run_farm|run_supervised_farm|recv_obj_raw)\s*\(' \
-    --include='*.rs' crates tests benches 2>/dev/null \
-    | grep -v -E '^[^:]*:[0-9]+:\s*(//|//!|///)')
-if [ -n "$stragglers" ]; then
-    echo "error: deleted farm/comm entry points have reappeared:"
-    echo "$stragglers"
-    exit 1
-fi
-
 echo "==> scheduler gate: no ANY_SOURCE receives in crates/farm outside the sched driver"
-# Every master decision must flow through the sched state machine: the
-# one place the farm crate is allowed to receive from ANY_SOURCE is the
-# driver module that feeds scheduler events (drive_plain /
-# drive_supervised / recv_any). Comment lines are ignored.
+# Every master decision flows through the sched state machine: the farm
+# crate receives from ANY_SOURCE only in driver.rs, at the one `drive`
+# gather point and `recv_any`. Comment lines are ignored.
 anysrc=$(grep -rnE 'recv_obj(_timeout)?\(ANY_SOURCE|probe\(ANY_SOURCE|discard\(ANY_SOURCE' \
     --include='*.rs' crates/farm 2>/dev/null \
     | grep -v -E '^[^:]*:[0-9]+:\s*(//|//!|///)' \
     | grep -v -E '^crates/farm/src/driver\.rs:')
 if [ -n "$anysrc" ]; then
-    echo "error: ANY_SOURCE receive outside crates/farm/src/driver.rs (route it through the sched driver):"
+    echo "error: ANY_SOURCE receive outside crates/farm/src/driver.rs (route it through driver::drive):"
     echo "$anysrc"
     exit 1
 fi

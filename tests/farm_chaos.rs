@@ -22,9 +22,10 @@ use farm::{run, FarmConfig, FarmError, FarmReport, Transmission};
 use minimpi::{FaultPlan, SendFault};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::thread;
 use std::time::Duration;
-use transport::queue;
+
+mod common;
+use common::with_watchdog;
 
 /// Plain farm via the unified [`farm::run`] entry point.
 fn run_plain_farm(
@@ -53,33 +54,6 @@ fn run_supervised(
 // ---------------------------------------------------------------------------
 // Harness
 // ---------------------------------------------------------------------------
-
-/// Run `f` under a hard wall-clock bound. A chaos scenario that hangs is
-/// itself the bug this suite exists to catch, so the watchdog fails the
-/// test instead of letting the harness time out opaquely.
-fn with_watchdog<T, F>(secs: u64, f: F) -> T
-where
-    T: Send + 'static,
-    F: FnOnce() -> T + Send + 'static,
-{
-    let (tx, rx) = queue::channel();
-    let h = thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    match rx.recv_timeout(Duration::from_secs(secs)) {
-        Ok(Some(v)) => {
-            h.join().expect("scenario thread panicked");
-            v
-        }
-        Ok(None) => panic!("chaos scenario exceeded the {secs}s watchdog (hang)"),
-        // Disconnected without a value: the scenario thread panicked
-        // before sending — join to surface its panic message.
-        Err(_) => {
-            h.join().expect("scenario thread panicked");
-            unreachable!("sender dropped without sending or panicking")
-        }
-    }
-}
 
 /// A portfolio on disk plus its serially computed reference prices.
 fn setup(count: usize, tag: &str) -> (Vec<PathBuf>, Vec<f64>, PathBuf) {

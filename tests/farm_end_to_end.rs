@@ -4,6 +4,9 @@
 
 use riskbench::prelude::*;
 
+mod common;
+use common::with_watchdog;
+
 /// Plain farm via the unified [`farm::run`] entry point.
 fn run_plain_farm(
     files: &[std::path::PathBuf],
@@ -84,10 +87,12 @@ fn regression_suite_through_the_farm_like_table1() {
 #[test]
 fn batched_and_hierarchical_agree_with_flat_farm() {
     let (files, expected, dir) = setup("variants", 24);
-    let batched =
-        farm::batching::run_batched_farm(&files, 3, Transmission::SerializedLoad, 5).unwrap();
-    let hier =
-        farm::hierarchy::run_hierarchical_farm(&files, 2, 2, Transmission::SerializedLoad).unwrap();
+    let batched = run(
+        &files,
+        &FarmConfig::new(3, Transmission::SerializedLoad).batch_size(5),
+    )
+    .unwrap();
+    let hier = run_hierarchical_farm(&files, 2, 2, Transmission::SerializedLoad, None).unwrap();
     for report in [batched, hier] {
         assert_eq!(report.completed(), 24);
         for o in &report.outcomes {
@@ -171,4 +176,97 @@ fn risk_sweep_through_the_farm() {
         assert!(r.vega >= 0.0, "vega {}", r.vega);
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// What a failed job does, defined once for every front-end
+/// (`docs/FAULTS.md`): whether its bytes cannot be *prepared* on the
+/// master or its slave cannot *read or price* them, an unsupervised run
+/// stops its slaves and returns a typed error naming the job; a
+/// supervised run retries it, abandons it into `failed_jobs` and prices
+/// the rest. Nothing panics, nothing hangs, nothing waits out a timeout.
+#[test]
+fn a_failed_job_means_the_same_thing_on_every_front_end() {
+    use riskbench::farm::{run_sharded, ShardConfig};
+    use std::path::PathBuf;
+    use std::time::{Duration, Instant};
+
+    const JOBS: usize = 8;
+    const BAD: usize = 3;
+
+    type FrontEnd = fn(&[PathBuf], Transmission) -> Result<FarmReport, FarmError>;
+    let front_ends: [(&str, FrontEnd); 5] = [
+        ("plain", |f, s| run(f, &FarmConfig::new(2, s))),
+        ("batched x3", |f, s| {
+            run(f, &FarmConfig::new(2, s).batch_size(3))
+        }),
+        ("supervised", |f, s| {
+            run(f, &FarmConfig::new(2, s).supervised(true))
+        }),
+        ("hierarchical 2x2", |f, s| {
+            run_hierarchical_farm(f, 2, 2, s, None)
+        }),
+        ("sharded 2x2", |f, s| {
+            let cfg = ShardConfig {
+                strategy: s,
+                ..ShardConfig::new(2, 2)
+            };
+            run_sharded(f, &cfg).map(|r| r.into_farm_report(s))
+        }),
+    ];
+    // `true`: job 3's file is renamed away; `false`: it holds a problem
+    // that decodes but has no method (an American put in closed form).
+    let cases = [
+        ("missing file, NFS (slave-side)", Transmission::Nfs, true),
+        (
+            "missing file, serialized load (master-side)",
+            Transmission::SerializedLoad,
+            true,
+        ),
+        (
+            "missing file, full load (master-side)",
+            Transmission::FullLoad,
+            true,
+        ),
+        (
+            "compute fails (slave-side)",
+            Transmission::SerializedLoad,
+            false,
+        ),
+    ];
+
+    for (c, (case, strategy, missing)) in cases.into_iter().enumerate() {
+        for (name, front_end) in front_ends {
+            let (files, _, dir) = setup(&format!("failed_job_{c}_{}", &name[..4]), JOBS);
+            if missing {
+                std::fs::rename(&files[BAD], dir.join("gone")).unwrap();
+            } else {
+                let put = PremiaProblem::create("BlackScholes1dim", "PutAmer", "CF").unwrap();
+                assert!(put.compute().is_err());
+                riskbench::xdrser::save(&files[BAD], &put.to_value()).unwrap();
+            }
+            let (out, took) = with_watchdog(10, move || {
+                let t = Instant::now();
+                let out = front_end(&files, strategy);
+                (out, t.elapsed())
+            });
+            match out {
+                Ok(report) if name == "supervised" => {
+                    assert_eq!(report.completed(), JOBS - 1, "{name}, {case}");
+                    assert_eq!(report.failed_jobs, [BAD], "{name}, {case}");
+                    // Four attempts: three retries, then abandoned.
+                    assert_eq!(report.retries, 3, "{name}, {case}");
+                }
+                Err(FarmError::JobFailed { job, why }) if name != "supervised" => {
+                    assert_eq!(job, BAD, "{name}, {case}: {why}");
+                    assert!(!why.is_empty(), "{name}, {case}");
+                }
+                other => panic!("{name}, {case}: unexpected {other:?}"),
+            }
+            assert!(
+                took < Duration::from_secs(1),
+                "{name}, {case}: took {took:?}"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
 }
