@@ -22,10 +22,14 @@ use nspval::{BoolMatrix, Hash, Matrix, Value};
 use pricing::PricingResult;
 
 /// A job or rank index off the wire: a finite, non-negative integer.
-/// (`as usize` alone would turn a missing or mangled field into 0.)
-fn index_of(v: &Value) -> Option<usize> {
-    let x = v.as_scalar()?;
+/// (`as usize` alone would turn a NaN, negative or mangled number into
+/// 0 and drop a fraction.)
+pub fn index_of_f64(x: f64) -> Option<usize> {
     (x >= 0.0 && x.fract() == 0.0 && x < usize::MAX as f64).then_some(x as usize)
+}
+
+fn index_of(v: &Value) -> Option<usize> {
+    index_of_f64(v.as_scalar()?)
 }
 
 // ---------------------------------------------------------------------------
@@ -249,9 +253,9 @@ pub fn batch_reply_value(answers: &[Answer]) -> Value {
     ])
 }
 
-/// Decode a whole batch reply; columns of unequal length or a failure
-/// naming a member the frame does not have are a
-/// [`FarmError::Protocol`].
+/// Decode a whole batch reply; columns of unequal length, an id that is
+/// not an index or a failure naming a member the frame does not have are
+/// a [`FarmError::Protocol`].
 pub fn decode_batch_reply(v: &Value) -> Result<Vec<Answer>, FarmError> {
     let parse = || -> Option<Vec<Answer>> {
         let l = v.as_list().filter(|l| l.len() == 5)?;
@@ -266,18 +270,18 @@ pub fn decode_batch_reply(v: &Value) -> Result<Vec<Answer>, FarmError> {
         if prices.len() != n || errors.len() != n || has_error.len() != n {
             return None;
         }
-        let mut answers: Vec<Answer> = (0..n)
-            .map(|i| Answer::Priced {
-                job: ids[i] as usize,
-                price: prices[i],
-                std_error: has_error[i].then_some(errors[i]),
+        let mut answers = (0..n)
+            .map(|i| {
+                Some(Answer::Priced {
+                    job: index_of_f64(ids[i])?,
+                    price: prices[i],
+                    std_error: has_error[i].then_some(errors[i]),
+                })
             })
-            .collect();
+            .collect::<Option<Vec<Answer>>>()?;
         for f in l.get(4)?.as_list()?.iter() {
             let f = f.as_list().filter(|f| f.len() == 2)?;
-            let member = f.get(0)?.as_scalar()?;
-            let exact = member >= 0.0 && member.fract() == 0.0;
-            let slot = answers.get_mut(member as usize).filter(|_| exact)?;
+            let slot = answers.get_mut(index_of(f.get(0)?)?)?;
             *slot = Answer::failed(slot.job(), f.get(1)?.as_str()?);
         }
         Some(answers)
@@ -569,6 +573,12 @@ mod tests {
             reply(&two, &[1.0], &two, &[true, false], vec![]),
             reply(&two, &two, &[1.0, 2.0, 3.0], &[true, false], vec![]),
             reply(&two, &two, &two, &[true], vec![]),
+            // An id that is no job's index (and must not read as job 0).
+            reply(&[1.0, f64::NAN], &two, &two, &[true, false], vec![]),
+            reply(&[-1.0, 2.0], &two, &two, &[true, false], vec![]),
+            reply(&[1.0, 2.5], &two, &two, &[true, false], vec![]),
+            reply(&[f64::INFINITY, 2.0], &two, &two, &[true, false], vec![]),
+            reply(&[1.0, -0.5], &two, &two, &[true, false], vec![failure(1.0)]),
             // A failure naming a member the frame does not have.
             reply(&two, &two, &two, &[true, false], vec![failure(2.0)]),
             reply(&two, &two, &two, &[true, false], vec![failure(-1.0)]),

@@ -3,12 +3,15 @@
 //! `problem.rs` lists each spec's fields once per direction. Writing goes
 //! through [`xdrser::FieldSink`] — into a [`Hash`], or straight into
 //! serialized bytes; reading through [`Fields`] here — from a [`Hash`]
-//! (what `nsplang` and `save`/`load` handle), or from a [`Tree`] over
-//! the serialized bytes themselves. Either way it is one field list, so
-//! the two representations cannot drift apart.
+//! (what `nsplang` and `save`/`load` handle), or from the serialized
+//! bytes themselves: straight through when they are in the order the
+//! field list writes them ([`read_in_order`]), from a [`Tree`] over them
+//! when they are anything else. Either way it is one field list, so the
+//! two representations cannot drift apart.
 
 use crate::problem::PricingError;
 use nspval::{Hash, Value};
+use std::cell::RefCell;
 use xdrser::{Node, Walker, XdrError};
 
 /// A string-keyed table being read. A getter answers `None` when the key
@@ -186,4 +189,130 @@ impl<'a> Fields<'a> for TableRef<'_, 'a> {
             _ => None,
         })
     }
+}
+
+// ---------------------------------------------------------------------------
+// Reading serialized bytes in the order they were written
+// ---------------------------------------------------------------------------
+
+/// A cursor over a serialized hash whose reader asks for the entries in
+/// the order they sit in the bytes.
+struct InOrder<'a> {
+    w: Walker<'a>,
+    /// Entries not yet read: of the root, of the nested table now open.
+    left: [usize; 2],
+    /// Root entries read so far; an entry holding a table numbers it.
+    read: usize,
+    /// The table now open (0: the root).
+    open: usize,
+    /// Some getter went unanswered: the cursor answers nothing more.
+    missed: bool,
+}
+
+impl<'a> InOrder<'a> {
+    /// The next entry of `table`, if `key` is its key.
+    fn next(&mut self, table: usize, key: &str) -> Option<Node<'a>> {
+        if self.missed {
+            return None;
+        }
+        if table != self.open {
+            // Only back to the root, and only from a table read out.
+            if table != 0 || self.left[1] != 0 {
+                return None;
+            }
+            self.open = 0;
+        }
+        let left = &mut self.left[usize::from(table != 0)];
+        *left = left.checked_sub(1)?;
+        self.read += usize::from(table == 0);
+        if !self.w.key_is(key).ok()? {
+            return None;
+        }
+        self.w.node().ok()
+    }
+}
+
+/// One table of an [`InOrder`] read. A getter is answered from the
+/// *next* entry of its table or not at all, and the first one not
+/// answered — another key there, another type, no entry left — is the
+/// last one asked: the read as a whole then fails.
+#[derive(Clone, Copy)]
+pub(crate) struct InOrderRef<'c, 'a> {
+    cursor: &'c RefCell<InOrder<'a>>,
+    table: usize,
+}
+
+impl<'a> InOrderRef<'_, 'a> {
+    fn entry<T>(self, key: &str, pick: impl FnOnce(Node<'a>) -> Option<T>) -> Option<T> {
+        let mut cursor = self.cursor.borrow_mut();
+        let found = cursor.next(self.table, key).and_then(pick);
+        cursor.missed |= found.is_none();
+        found
+    }
+}
+
+impl<'a> Fields<'a> for InOrderRef<'_, 'a> {
+    fn scalar(self, key: &str) -> Option<f64> {
+        self.entry(key, |node| match node {
+            Node::Scalar(x) => Some(x),
+            _ => None,
+        })
+    }
+    fn string(self, key: &str) -> Option<&'a str> {
+        self.entry(key, |node| match node {
+            Node::Str(s) => Some(s),
+            _ => None,
+        })
+    }
+    fn boolean(self, key: &str) -> Option<bool> {
+        self.entry(key, |node| match node {
+            Node::Bool(b) => Some(b),
+            _ => None,
+        })
+    }
+    fn table(self, key: &str) -> Option<Option<Self>> {
+        let entries = self.entry(key, |node| match node {
+            // As in a `Tree`, only the root's hashes are tables.
+            Node::Hash(n) if self.table == 0 => Some(n),
+            _ => None,
+        })?;
+        let mut cursor = self.cursor.borrow_mut();
+        cursor.left[1] = entries;
+        cursor.open = cursor.read;
+        Some(Some(InOrderRef {
+            cursor: self.cursor,
+            table: cursor.open,
+        }))
+    }
+}
+
+/// Read serialized bytes whose entries sit exactly where `read` asks for
+/// them — the bytes a field list wrote, read by the same list. `None`
+/// when they are anything else (another order, an entry never asked
+/// for, a duplicate, a wrong type, any fault of the format), or when
+/// `read` itself gives up: what is and is not a problem is for the
+/// [`Tree`] path to say, from the start of the bytes.
+pub(crate) fn read_in_order<'a, T>(
+    bytes: &'a [u8],
+    read: impl FnOnce(InOrderRef<'_, 'a>) -> Option<T>,
+) -> Option<T> {
+    let mut w = Walker::open(bytes).ok()?;
+    let Node::Hash(entries) = w.node().ok()? else {
+        return None;
+    };
+    let cursor = RefCell::new(InOrder {
+        w,
+        left: [entries, 0],
+        read: 0,
+        open: 0,
+        missed: false,
+    });
+    let found = read(InOrderRef {
+        cursor: &cursor,
+        table: 0,
+    })?;
+    let InOrder {
+        w, left, missed, ..
+    } = cursor.into_inner();
+    (!missed && left == [0, 0] && w.close().is_ok()).then_some(found)
 }

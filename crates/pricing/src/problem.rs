@@ -21,7 +21,9 @@
 //! [`PremiaProblem::compute`] runs the actual numerical method
 //! (`P.compute[]`).
 
-use crate::fields::{get_bool, get_f64, get_str, get_table, get_usize, Fields, Tree};
+use crate::fields::{
+    get_bool, get_f64, get_str, get_table, get_usize, read_in_order, Fields, Tree,
+};
 use crate::methods::bermudan::{lsm_max_call, lsm_max_call_exec};
 use crate::methods::bond::{bond_option_price, mc_zcb_price, mc_zcb_price_exec};
 use crate::methods::bsde::{bsde_picard, BsdeConfig};
@@ -1169,9 +1171,12 @@ impl OptionSpec {
     }
 
     fn from_fields<'s>(h: impl Fields<'s>) -> Result<OptionSpec, PricingError> {
+        // In `write_fields` order, like every other list here: bytes
+        // are read straight through when asked for in their own order.
+        let name = get_str(h, "name")?;
         let strike = get_f64(h, "strike")?;
         let maturity = get_f64(h, "maturity")?;
-        match get_str(h, "name")? {
+        match name {
             "CallEuro" => Ok(OptionSpec::Call { strike, maturity }),
             "PutEuro" => Ok(OptionSpec::Put { strike, maturity }),
             "CallDownOut" => Ok(OptionSpec::DownOutCall {
@@ -1364,7 +1369,19 @@ impl PremiaProblem {
     /// every check of the format kept — without building the value. A
     /// well-formed value that is not a problem is reported as
     /// [`XdrError::Corrupt`] carrying the [`PricingError`] text.
+    ///
+    /// What [`Self::to_xdr_bytes`] wrote is read in one pass, each field
+    /// found where it was written; any other bytes are read again, in
+    /// full, the general way.
     pub fn from_xdr_bytes(bytes: &[u8]) -> Result<Self, XdrError> {
+        match read_in_order(bytes, |h| Self::from_fields(h).ok()) {
+            Some(problem) => Ok(problem),
+            None => Self::from_tree(bytes),
+        }
+    }
+
+    /// [`Self::from_xdr_bytes`] of any serialized bytes.
+    fn from_tree(bytes: &[u8]) -> Result<Self, XdrError> {
         let problem = match Tree::read(bytes)? {
             Some(tree) => Self::from_fields(tree.root()),
             None => Err(PricingError::Malformed("problem is not a hash".into())),
@@ -1537,6 +1554,88 @@ mod tests {
         let v = xdrser::unserialize(&s).unwrap();
         assert_eq!(PremiaProblem::from_value(&v).unwrap(), p);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The hash `v` with its entries — nested hashes' too — reordered.
+    fn reordered(v: &Value, order: fn(&mut Vec<(String, Value)>)) -> Value {
+        let mut entries: Vec<(String, Value)> = v.as_hash().unwrap().iter().cloned().collect();
+        for (_, nested) in &mut entries {
+            if nested.as_hash().is_some() {
+                *nested = reordered(nested, order);
+            }
+        }
+        order(&mut entries);
+        let mut h = Hash::new();
+        for (k, v) in entries {
+            h.set(&k, v);
+        }
+        Value::Hash(h)
+    }
+
+    #[test]
+    fn canonical_bytes_are_read_in_order_and_everything_else_by_the_tree() {
+        let in_order = |b: &[u8]| read_in_order(b, |h| PremiaProblem::from_fields(h).ok());
+        for (m, o, me) in [
+            ("BlackScholes1dim", "CallEuro", "CF"),
+            ("BlackScholesNdim", "PutBasketAmer", "MC_Quasi"),
+            ("LocalVol1dim", "CallDownOut", "MC_Standard"),
+            ("Heston1dim", "PutAmer", "MC_AM_LongstaffSchwartz"),
+            ("Heston1dim", "PutEuro", "FD_CrankNicolson"),
+            ("Vasicek1dim", "CallBond", "MC_BSDE_LabartLelong"),
+            ("BlackScholes1dim", "NettingSetForward", "MC_XVA_CVA"),
+            ("BlackScholes1dim", "ZCBond", "TR_CoxRossRubinstein"),
+            ("BlackScholes1dim", "CallMaxBermuda", "MC_Quasi"),
+        ] {
+            let p = PremiaProblem::create(m, o, me).unwrap();
+            let bytes = p.to_xdr_bytes();
+            assert_eq!(in_order(&bytes).as_ref(), Some(&p), "{m}/{o}/{me}");
+            assert_eq!(PremiaProblem::from_tree(&bytes).unwrap(), p);
+
+            // The same entries in another order, at either level; one
+            // more entry; one fewer; one of another type; bytes after
+            // the value: never in order, and the tree's to judge.
+            let v = p.to_value();
+            let mut others = vec![
+                reordered(&v, |e| e.reverse()),
+                reordered(&v, |e| e.rotate_right(1)),
+                reordered(&v, |e| e.rotate_left(1)),
+            ];
+            for table in ["model", "option", "method"] {
+                let mut extra = v.clone();
+                let Value::Hash(h) = &mut extra else {
+                    unreachable!()
+                };
+                let Some(Value::Hash(t)) = h.get_mut(table) else {
+                    unreachable!()
+                };
+                t.set("zz_unknown", Value::scalar(1.0));
+                others.push(extra.clone());
+                let Value::Hash(h) = &mut extra else {
+                    unreachable!()
+                };
+                h.set("zz_unknown", Value::Hash(Hash::new()));
+                others.push(extra);
+            }
+            for other in &others {
+                let bytes = xdrser::serialize_to_bytes(other);
+                assert_eq!(in_order(&bytes), None, "{other}");
+                assert_eq!(PremiaProblem::from_tree(&bytes).unwrap(), p, "{other}");
+                assert_eq!(PremiaProblem::from_xdr_bytes(&bytes).unwrap(), p);
+            }
+            let mut wrong = v.clone();
+            let Value::Hash(h) = &mut wrong else {
+                unreachable!()
+            };
+            h.set("asset", Value::scalar(1.0));
+            let mut trailing = bytes.clone();
+            trailing.extend_from_slice(&[0; 4]);
+            for bad in [xdrser::serialize_to_bytes(&wrong), trailing] {
+                assert_eq!(in_order(&bad), None);
+                let general = PremiaProblem::from_tree(&bad).unwrap_err().to_string();
+                let entry = PremiaProblem::from_xdr_bytes(&bad).unwrap_err().to_string();
+                assert_eq!(general, entry);
+            }
+        }
     }
 
     #[test]

@@ -29,13 +29,13 @@
 
 use crate::config::{ServeConfig, ServeError};
 use farm::strategy::decode_problem;
-use farm::wire::{batch_reply_value, decode_batch_reply, Answer};
+use farm::wire::{batch_reply_value, decode_batch_reply, index_of_f64, Answer};
 use minimpi::{Comm, MpiBuf, MpiError, World, ANY_SOURCE};
 use nspval::{Serial, Value};
 use obs::{Event, EventKind, Recorder, NO_JOB};
 use pricing::{MethodSpec, PremiaProblem};
 use sched::{Action, DispatchPolicy, Event as SchedEvent, SchedConfig, Scheduler, Supervision};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -628,7 +628,7 @@ fn serve_batch(
     let mut answers: Vec<Vec<Option<Result<Priced, String>>>> =
         live.iter().map(|s| vec![None; s.jobs.len()]).collect();
     let mut slots: Vec<Slot> = Vec::new();
-    let mut index: HashMap<store::MemoKey, usize> = HashMap::new();
+    let mut index: store::MemoMap<usize> = store::MemoMap::default();
     for (ri, s) in live.iter_mut().enumerate() {
         for (pi, prep) in s.jobs.iter_mut().enumerate() {
             if let Some((price, std_error)) = front.memo.get(&prep.key) {
@@ -786,8 +786,9 @@ fn encode_frame(members: impl Iterator<Item = (u64, Vec<u8>)>) -> Value {
 
 /// Read a job frame in place: each member's wire id and its serial —
 /// compression flag and bytes — borrowed from the message. `None` when
-/// the message is not a well-formed job frame; the whole of it is
-/// checked before any member is priced.
+/// the message is not a well-formed job frame — a wire id that is not an
+/// index included; the whole of it is checked before any member is
+/// priced.
 fn decode_frame(bytes: &[u8]) -> Option<Vec<(usize, bool, &[u8])>> {
     let mut w = Walker::open(bytes).ok()?;
     let n = match w.node().ok()? {
@@ -803,7 +804,7 @@ fn decode_frame(bytes: &[u8]) -> Option<Vec<(usize, bool, &[u8])>> {
         let Node::Serial { compressed, bytes } = w.node().ok()? else {
             return None;
         };
-        members.push((wire as usize, compressed, bytes));
+        members.push((index_of_f64(wire)?, compressed, bytes));
     }
     w.close().ok()?;
     Some(members)
@@ -1275,10 +1276,21 @@ mod tests {
         let l = v.as_list().filter(|l| !l.is_empty() && l.len() % 2 == 0)?;
         let members = (0..l.len() / 2).map(|i| {
             let s = l.get(2 * i + 1)?.as_serial()?;
-            let wire = l.get(2 * i)?.as_scalar()? as usize;
+            let wire = index_of_f64(l.get(2 * i)?.as_scalar()?)?;
             Some((wire, s.is_compressed(), s.bytes().to_vec()))
         });
         members.collect()
+    }
+
+    /// A two-member frame whose second member carries wire id `id`.
+    fn encode_frame_with_id(id: f64) -> Value {
+        let serial = |b: u8| Value::Serial(Serial::new(vec![b; 3]));
+        Value::list(vec![
+            Value::scalar(7.0),
+            serial(1),
+            Value::scalar(id),
+            serial(2),
+        ])
     }
 
     #[test]
@@ -1295,6 +1307,11 @@ mod tests {
             Value::list(vec![]),
             Value::list(vec![Value::scalar(1.0)]),
             Value::list(vec![Value::scalar(1.0), Value::scalar(2.0)]),
+            // A wire id that is no index (and must not read as id 0).
+            encode_frame_with_id(f64::NAN),
+            encode_frame_with_id(-1.0),
+            encode_frame_with_id(7.5),
+            encode_frame_with_id(f64::INFINITY),
         ] {
             assert_eq!(
                 decode_frame(&xdrser::serialize_to_bytes(&junk)),

@@ -36,5 +36,5 @@ mod prefetch;
 
 pub use backend::{DirStore, Fetched, ProblemStore, StoreStats};
 pub use cache::CachingStore;
-pub use memo::{ContentFingerprint, MemoKey, MemoStats, ResultCache};
+pub use memo::{ContentFingerprint, MemoHasher, MemoKey, MemoMap, MemoStats, ResultCache};
 pub use prefetch::Prefetcher;

@@ -12,37 +12,70 @@
 //! is deliberately *not* part of the key — results are bit-identical
 //! across worker counts by the executor's contract.
 //!
+//! The identity is therefore: 64-bit mixed hash × exact byte length ×
+//! chunk × lanes ([`ContentFingerprint`], [`MemoKey`]). It lives and
+//! dies with the process — never persisted, never on the wire.
+//!
 //! [`ResultCache`] is value-generic (the store crate stays ignorant of
 //! pricing types); the serving layer instantiates it with its answer
 //! type and a per-entry byte estimate, and the same byte-budgeted LRU
 //! discipline as the path cache keeps memory bounded.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
-/// A content fingerprint of a serialized problem: FNV-1a 64 over the
-/// bytes plus the exact length. Two problems with equal fingerprints are
-/// treated as the same problem for coalescing and memoisation.
+/// A content fingerprint of a serialized problem: a 64-bit mixed hash
+/// of the bytes plus the exact length. Two problems with equal
+/// fingerprints are treated as the same problem for coalescing and
+/// memoisation.
+///
+/// The hash is fast, unkeyed and not cryptographic: among honest
+/// problems a collision is a 2⁻⁶⁴-per-pair accident (~3·10⁻⁸ over a
+/// million live entries), but colliding bytes can be crafted, so it may
+/// only name problems this process serialized itself. It is
+/// process-local — never persisted, never on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ContentFingerprint {
-    /// FNV-1a 64-bit hash of the serialized bytes.
+    /// Mixed 64-bit hash of the serialized bytes and their length.
     pub hash: u64,
     /// Exact byte length (cheap second factor against collisions).
     pub len: u64,
 }
 
+/// The 64×64→128-bit product, its halves folded together.
+fn fold(a: u64, b: u64) -> u64 {
+    let m = u128::from(a) * u128::from(b);
+    (m as u64) ^ ((m >> 64) as u64)
+}
+
 impl ContentFingerprint {
-    /// Fingerprint a byte slice.
+    /// Fingerprint a byte slice, sixteen bytes per multiply. The length
+    /// seeds the state (it alone tells `[1]` from `[1, 0]`: the last
+    /// block is zero-padded) and a final fold mixes all 64 bits.
     pub fn of_bytes(bytes: &[u8]) -> Self {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = OFFSET;
-        for &b in bytes {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(PRIME);
+        // wyhash's default secret: odd words, half their bits set.
+        const K: [u64; 3] = [
+            0xa076_1d64_78bd_642f,
+            0xe703_7ed1_a0b4_28db,
+            0x8ebc_6af0_9c88_c6e3,
+        ];
+        let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("eight bytes"));
+        let mix = |hash: u64, b: &[u8]| fold(word(&b[..8]) ^ K[1], word(&b[8..16]) ^ hash);
+        let len = bytes.len() as u64;
+        let mut hash = K[0] ^ len.wrapping_mul(K[2]);
+        let mut blocks = bytes.chunks_exact(16);
+        for b in &mut blocks {
+            hash = mix(hash, b);
+        }
+        let tail = blocks.remainder();
+        if !tail.is_empty() {
+            let mut b = [0u8; 16];
+            b[..tail.len()].copy_from_slice(tail);
+            hash = mix(hash, &b);
         }
         ContentFingerprint {
-            hash,
-            len: bytes.len() as u64,
+            hash: fold(hash ^ K[2], K[1] ^ len),
+            len,
         }
     }
 }
@@ -52,7 +85,7 @@ impl ContentFingerprint {
 /// legacy sequential kernel (no executor policy), which produces
 /// different bits from any chunked run and must never share entries
 /// with one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct MemoKey {
     /// Content fingerprint of the serialized problem.
     pub fp: ContentFingerprint,
@@ -62,6 +95,36 @@ pub struct MemoKey {
     /// chunked, 4/8 = lane-batched).
     pub lanes: u32,
 }
+
+impl Hash for MemoKey {
+    /// One word: `fp.hash` is already mixed, so the execution
+    /// parameters are folded into it (`fp.len` only confirms a match).
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let params = u64::from(self.chunk) << 32 | u64::from(self.lanes);
+        state.write_u64(self.fp.hash ^ params.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    }
+}
+
+/// The hasher of a [`MemoMap`]: the word a [`MemoKey`] writes *is* the
+/// hash — mixing it again would pay twice for the same bits.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MemoHasher(u64);
+
+impl Hasher for MemoHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a MemoKey hashes as one u64");
+    }
+    fn write_u64(&mut self, word: u64) {
+        self.0 = word;
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A hash map keyed by [`MemoKey`] that trusts the fingerprint's own
+/// mixing: the memo's index, and a serving batch's coalescing index.
+pub type MemoMap<V> = HashMap<MemoKey, V, BuildHasherDefault<MemoHasher>>;
 
 /// Overhead charged per entry on top of the caller-supplied value size:
 /// the key itself plus map bookkeeping.
@@ -95,10 +158,18 @@ impl MemoStats {
     }
 }
 
+/// "No entry": the end of the recency list or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One slab cell: a live entry on the recency list (`prev` towards the
+/// most recent), or a vacated one on the free list (through `next`; its
+/// stale value is dropped when the cell is reused).
 struct Entry<V> {
+    key: MemoKey,
     value: V,
     bytes: usize,
-    tick: u64,
+    prev: u32,
+    next: u32,
 }
 
 /// A byte-budgeted LRU memo from [`MemoKey`] to computed answers.
@@ -109,13 +180,19 @@ struct Entry<V> {
 /// least-recently-used entries until the new entry fits. A value larger
 /// than the whole budget is simply not cached.
 ///
+/// Every operation is O(1): the entries live in one slab, doubly linked
+/// in recency order by index, and a [`MemoMap`] finds a key's cell.
+///
 /// Unlike the path cache the memo is single-owner (the serving front
 /// loop), so it is not internally locked.
 pub struct ResultCache<V> {
     budget: usize,
-    entries: HashMap<MemoKey, Entry<V>>,
-    lru: BTreeMap<u64, MemoKey>,
-    tick: u64,
+    index: MemoMap<u32>,
+    slab: Vec<Entry<V>>,
+    /// Most and least recently used, and the first vacated cell.
+    head: u32,
+    tail: u32,
+    free: u32,
     stats: MemoStats,
 }
 
@@ -125,29 +202,49 @@ impl<V: Clone> ResultCache<V> {
     pub fn new(budget: usize) -> Self {
         ResultCache {
             budget,
-            entries: HashMap::new(),
-            lru: BTreeMap::new(),
-            tick: 0,
+            index: MemoMap::default(),
+            slab: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            free: NIL,
             stats: MemoStats::default(),
+        }
+    }
+
+    /// Take cell `at` out of the recency list.
+    fn unlink(&mut self, at: u32) {
+        let Entry { prev, next, .. } = self.slab[at as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.slab[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slab[n as usize].prev = prev,
+        }
+    }
+
+    /// Put cell `at` at the most-recent end of the recency list.
+    fn push_front(&mut self, at: u32) {
+        let old = std::mem::replace(&mut self.head, at);
+        self.slab[at as usize].prev = NIL;
+        self.slab[at as usize].next = old;
+        match old {
+            NIL => self.tail = at,
+            o => self.slab[o as usize].prev = at,
         }
     }
 
     /// Look up a memoised answer, refreshing its recency on hit.
     pub fn get(&mut self, key: &MemoKey) -> Option<V> {
-        self.tick += 1;
-        match self.entries.get_mut(key) {
-            Some(e) => {
-                self.lru.remove(&e.tick);
-                e.tick = self.tick;
-                self.lru.insert(self.tick, *key);
-                self.stats.hits += 1;
-                Some(e.value.clone())
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+        let Some(&at) = self.index.get(key) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        self.unlink(at);
+        self.push_front(at);
+        self.stats.hits += 1;
+        Some(self.slab[at as usize].value.clone())
     }
 
     /// Insert an answer, charging `value_bytes` (plus a fixed per-entry
@@ -159,39 +256,55 @@ impl<V: Clone> ResultCache<V> {
         if cost > self.budget {
             return;
         }
-        self.tick += 1;
-        if let Some(old) = self.entries.remove(&key) {
-            self.lru.remove(&old.tick);
-            self.stats.bytes_used -= old.bytes;
+        if let Some(at) = self.index.remove(&key) {
+            self.vacate(at);
         }
         while self.stats.bytes_used + cost > self.budget {
-            let (&oldest, &victim) = self.lru.iter().next().expect("budget accounting broke");
-            let gone = self.entries.remove(&victim).expect("lru points at entry");
-            self.lru.remove(&oldest);
-            self.stats.bytes_used -= gone.bytes;
+            let victim = self.tail;
+            assert_ne!(victim, NIL, "budget accounting broke");
+            self.index.remove(&self.slab[victim as usize].key);
+            self.vacate(victim);
             self.stats.evictions += 1;
         }
-        self.entries.insert(
+        let entry = Entry {
             key,
-            Entry {
-                value,
-                bytes: cost,
-                tick: self.tick,
-            },
-        );
-        self.lru.insert(self.tick, key);
+            value,
+            bytes: cost,
+            prev: NIL,
+            next: NIL,
+        };
+        let at = match self.free {
+            NIL => {
+                self.slab.push(entry);
+                u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 memo entries")
+            }
+            at => {
+                self.free = self.slab[at as usize].next;
+                self.slab[at as usize] = entry;
+                at
+            }
+        };
+        self.push_front(at);
+        self.index.insert(key, at);
         self.stats.bytes_used += cost;
         self.stats.insertions += 1;
     }
 
+    /// Move live cell `at` (already out of the index) to the free list.
+    fn vacate(&mut self, at: u32) {
+        self.unlink(at);
+        self.stats.bytes_used -= self.slab[at as usize].bytes;
+        self.slab[at as usize].next = std::mem::replace(&mut self.free, at);
+    }
+
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.index.len()
     }
 
     /// True when the memo holds nothing.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.index.is_empty()
     }
 
     /// Traffic counters.
@@ -295,5 +408,142 @@ mod tests {
         let s = memo.stats();
         assert_eq!((s.hits, s.misses), (2, 1));
         assert!((s.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn fingerprint_sees_the_last_byte_of_every_length_and_the_length_itself() {
+        for len in 0..=64usize {
+            let bytes: Vec<u8> = (0..len as u8).map(|i| i.wrapping_mul(37) ^ 0x5a).collect();
+            let fp = ContentFingerprint::of_bytes(&bytes);
+            assert_eq!(fp.len, len as u64);
+            if let Some(last) = bytes.len().checked_sub(1) {
+                for bit in 0..8 {
+                    let mut flipped = bytes.clone();
+                    flipped[last] ^= 1 << bit;
+                    let other = ContentFingerprint::of_bytes(&flipped);
+                    assert_ne!(fp.hash, other.hash, "len {len}, bit {bit}");
+                }
+            }
+            // The tail is zero-padded, so only the length tells the
+            // bytes from the same bytes with zeros appended.
+            let mut longer = bytes.clone();
+            for _ in 0..33 {
+                longer.push(0);
+                let other = ContentFingerprint::of_bytes(&longer);
+                assert_ne!(fp.hash, other.hash, "len {len} + {}", longer.len() - len);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one u64")]
+    fn memo_hasher_refuses_keys_that_do_not_hash_as_one_word() {
+        let mut map: HashMap<&str, u32, BuildHasherDefault<MemoHasher>> = HashMap::default();
+        map.insert("not a memo key", 1);
+    }
+
+    /// The obvious LRU: a `Vec` in recency order, least recent first.
+    struct NaiveLru {
+        budget: usize,
+        order: Vec<(MemoKey, u32, usize)>,
+        stats: MemoStats,
+    }
+
+    impl NaiveLru {
+        fn get(&mut self, key: &MemoKey) -> Option<u32> {
+            let Some(at) = self.order.iter().position(|e| e.0 == *key) else {
+                self.stats.misses += 1;
+                return None;
+            };
+            let e = self.order.remove(at);
+            self.order.push(e);
+            self.stats.hits += 1;
+            Some(e.1)
+        }
+
+        /// Inserts, returning the keys evicted, oldest first.
+        fn insert(&mut self, key: MemoKey, value: u32, value_bytes: usize) -> Vec<MemoKey> {
+            let cost = value_bytes + ENTRY_OVERHEAD;
+            if cost > self.budget {
+                return Vec::new();
+            }
+            if let Some(at) = self.order.iter().position(|e| e.0 == key) {
+                self.stats.bytes_used -= self.order.remove(at).2;
+            }
+            let mut victims = Vec::new();
+            while self.stats.bytes_used + cost > self.budget {
+                let gone = self.order.remove(0);
+                self.stats.bytes_used -= gone.2;
+                self.stats.evictions += 1;
+                victims.push(gone.0);
+            }
+            self.order.push((key, value, cost));
+            self.stats.bytes_used += cost;
+            self.stats.insertions += 1;
+            victims
+        }
+    }
+
+    #[test]
+    fn slab_lru_and_naive_lru_agree_step_for_step() {
+        const KEYS: u64 = 48;
+        let keys: Vec<MemoKey> = (0..KEYS).map(|k| key(k as u8, k as u32 % 3, 1)).collect();
+        // Room for about twenty entries, for exactly one, and for none.
+        for budget in [20 * (ENTRY_OVERHEAD + 24), ENTRY_OVERHEAD + 40, 0] {
+            let mut memo: ResultCache<u32> = ResultCache::new(budget);
+            let mut naive = NaiveLru {
+                budget,
+                order: Vec::new(),
+                stats: MemoStats::default(),
+            };
+            let mut high_water = 0;
+            let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ budget as u64;
+            let mut next = move || {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng
+            };
+            for step in 0..100_000u32 {
+                let k = keys[(next() % KEYS) as usize];
+                if next() % 3 == 0 {
+                    assert_eq!(memo.get(&k), naive.get(&k), "step {step}");
+                } else {
+                    // Sizes vary, so one insert may evict several, and
+                    // a re-insert may change what its key is charged.
+                    let bytes = (next() % 41) as usize;
+                    let before: Vec<MemoKey> = naive.order.iter().map(|e| e.0).collect();
+                    let victims = naive.insert(k, step, bytes);
+                    memo.insert(k, step, bytes);
+                    for gone in &before {
+                        let evicted = victims.contains(gone);
+                        assert_eq!(memo.index.contains_key(gone), !evicted, "step {step}");
+                    }
+                }
+                assert_eq!(memo.stats(), naive.stats, "step {step}");
+                assert_eq!(memo.len(), naive.order.len());
+                assert!(memo.stats().bytes_used <= budget);
+                high_water = high_water.max(memo.len());
+                assert!(memo.slab.len() <= high_water, "slab grew past its entries");
+            }
+            // The recency list itself, end to end, both ways.
+            let mut walked = Vec::new();
+            let mut at = memo.tail;
+            while at != NIL {
+                walked.push(memo.slab[at as usize].key);
+                at = memo.slab[at as usize].prev;
+            }
+            let order: Vec<MemoKey> = naive.order.iter().map(|e| e.0).collect();
+            assert_eq!(walked, order);
+            walked.clear();
+            let mut at = memo.head;
+            while at != NIL {
+                walked.push(memo.slab[at as usize].key);
+                at = memo.slab[at as usize].next;
+            }
+            walked.reverse();
+            assert_eq!(walked, order);
+            assert!(budget == 0 || memo.stats().evictions > 1_000);
+        }
     }
 }

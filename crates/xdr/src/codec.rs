@@ -182,8 +182,15 @@ impl<'a> XdrReader<'a> {
 
     /// Read an XDR string (UTF-8 opaque) borrowed from the buffer.
     pub fn get_str(&mut self) -> Result<&'a str, XdrError> {
-        std::str::from_utf8(self.get_opaque()?)
-            .map_err(|_| XdrError::Corrupt("invalid UTF-8 in string".into()))
+        let bytes = self.get_opaque()?;
+        // Keys and names are short and ASCII: one pass over the bytes,
+        // where the general validator decodes sequence by sequence.
+        if bytes.is_ascii() {
+            // SAFETY: every byte is below 0x80, and each such byte is a
+            // complete one-byte UTF-8 sequence.
+            return Ok(unsafe { std::str::from_utf8_unchecked(bytes) });
+        }
+        std::str::from_utf8(bytes).map_err(|_| XdrError::Corrupt("invalid UTF-8 in string".into()))
     }
 
     /// Read an XDR string (UTF-8 opaque).
@@ -283,6 +290,39 @@ mod tests {
         let mut r = XdrReader::new(&bytes);
         assert_eq!(r.get_string().unwrap(), "héllo wörld ∂");
         assert_eq!(r.get_string().unwrap(), "");
+    }
+
+    #[test]
+    fn ascii_fast_path_stops_exactly_at_0x80() {
+        let read = |payload: &[u8]| {
+            let mut w = XdrWriter::new();
+            w.put_opaque(payload);
+            let bytes = w.into_bytes();
+            XdrReader::new(&bytes).get_str().map(str::to_owned)
+        };
+        // Short and long, so a word-at-a-time scan sees the byte in its
+        // head, its body and its tail.
+        for len in [1usize, 3, 8, 9, 16, 31, 64, 200] {
+            for at in [0, len / 2, len - 1] {
+                let mut payload = vec![b'a'; len];
+                payload[at] = 0x7F;
+                let want = String::from_utf8(payload.clone()).unwrap();
+                assert_eq!(read(&payload).unwrap(), want, "0x7F at {at} of {len}");
+                // 0x80 is a continuation byte with nothing to continue.
+                payload[at] = 0x80;
+                assert!(
+                    matches!(read(&payload), Err(XdrError::Corrupt(_))),
+                    "0x80 at {at} of {len}"
+                );
+                // Non-ASCII but valid: the general validator's call.
+                if at + 1 < len {
+                    payload[at..at + 2].copy_from_slice("é".as_bytes());
+                    let want = String::from_utf8(payload.clone()).unwrap();
+                    assert_eq!(read(&payload).unwrap(), want, "é at {at} of {len}");
+                }
+            }
+        }
+        assert_eq!(read(&[]).unwrap(), "");
     }
 
     #[test]

@@ -213,6 +213,12 @@ impl<'a> Walker<'a> {
         self.r.get_str()
     }
 
+    /// Read the key of the next hash entry and say whether it is `key`.
+    /// Nothing is validated: bytes equal to a `str`'s are UTF-8.
+    pub fn key_is(&mut self, key: &str) -> Result<bool, XdrError> {
+        Ok(self.r.get_opaque()? == key.as_bytes())
+    }
+
     /// Skip the rest of the value whose head [`Self::node`] just returned:
     /// nothing for a leaf, every item of a list or hash — checked as
     /// thoroughly as if it were read. Nesting costs heap, not stack.

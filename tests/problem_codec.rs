@@ -512,6 +512,177 @@ fn a_compressed_serial_decodes_through_the_strategy_entry_point() {
 }
 
 // ---------------------------------------------------------------------------
+// One step away from canonical: where the in-order read hands over
+// ---------------------------------------------------------------------------
+
+/// Where occurrence `nth` of `needle` starts in `bytes`.
+fn find(bytes: &[u8], needle: &[u8], nth: usize) -> usize {
+    (0..=bytes.len() - needle.len())
+        .filter(|&at| bytes[at..].starts_with(needle))
+        .nth(nth)
+        .expect("needle present")
+}
+
+/// `bytes` with occurrence `nth` of `needle` overwritten by `with`.
+fn patched(bytes: &[u8], needle: &[u8], nth: usize, with: &[u8]) -> Vec<u8> {
+    assert_eq!(needle.len(), with.len());
+    let at = find(bytes, needle, nth);
+    let mut out = bytes.to_vec();
+    out[at..at + with.len()].copy_from_slice(with);
+    out
+}
+
+/// The key of a nested table as it sits in the bytes, up to the count of
+/// the hash it holds: length word, padded key, hash tag.
+fn table_head(key: &str) -> Vec<u8> {
+    let mut w = XdrWriter::new();
+    w.put_string(key);
+    w.put_u32(5);
+    w.into_bytes()
+}
+
+#[test]
+fn every_registry_triple_one_edit_from_canonical_decodes_like_the_value_path() {
+    let scalar = |x: f64| body(&Value::scalar(x));
+    for p in registry() {
+        // (i) Canonical: what the in-order read takes in one pass.
+        let canonical = p.to_xdr_bytes();
+        assert_eq!(assert_decoders_agree(&canonical), Ok(p.clone()));
+        assert_eq!(canonical, rebuilt(&p, |_| {}, |_, _| {}));
+
+        // (ii) Two entries swapped, at either level.
+        let swapped = rebuilt(&p, |top| top.swap(0, 1), |_, _| {});
+        assert_eq!(assert_decoders_agree(&swapped), Ok(p.clone()));
+        let swapped = rebuilt(
+            &p,
+            |_| {},
+            |_, nested| {
+                let last = nested.len() - 1;
+                nested.swap(0, last)
+            },
+        );
+        assert_eq!(assert_decoders_agree(&swapped), Ok(p.clone()));
+
+        // One entry duplicated: an earlier copy is shadowed, a later
+        // copy wins.
+        let shadowed = rebuilt(
+            &p,
+            |top| top.insert(0, ("asset".into(), body(&Value::string("shadowed")))),
+            |key, nested| {
+                if key == "option" {
+                    nested.insert(0, ("maturity".into(), scalar(77.0)));
+                }
+            },
+        );
+        assert_eq!(assert_decoders_agree(&shadowed), Ok(p.clone()));
+        let overridden = rebuilt(
+            &p,
+            |top| top.push(("asset".into(), body(&Value::string("later")))),
+            |key, nested| {
+                if key == "option" {
+                    nested.push(("maturity".into(), scalar(77.0)));
+                }
+            },
+        );
+        let later = assert_decoders_agree(&overridden).unwrap();
+        assert_eq!(
+            (later.asset.as_str(), later.option.maturity()),
+            ("later", 77.0)
+        );
+
+        // One unknown key, first, in the middle and last.
+        for at in [0usize, 1, usize::MAX] {
+            let extra = rebuilt(
+                &p,
+                |top| top.insert(at.min(top.len()), ("zz".into(), scalar(1.0))),
+                |_, nested| nested.insert(at.min(nested.len()), ("zz".into(), scalar(1.0))),
+            );
+            assert_eq!(assert_decoders_agree(&extra), Ok(p.clone()));
+        }
+
+        // One count off by one, either way: the root's, a table's.
+        for delta in [-1i32, 1] {
+            let root = 5u32.to_be_bytes();
+            let mut miscounted = canonical.clone();
+            assert_eq!(miscounted[12..16], root);
+            miscounted[12..16].copy_from_slice(&(5 + delta).to_be_bytes());
+            assert!(assert_decoders_agree(&miscounted).is_err());
+            for table in ["model", "option", "method"] {
+                let head = table_head(table);
+                let at = find(&canonical, &head, 0) + head.len();
+                let count = i32::from_be_bytes(canonical[at..at + 4].try_into().unwrap());
+                let mut miscounted = canonical.clone();
+                miscounted[at..at + 4].copy_from_slice(&(count + delta).to_be_bytes());
+                assert!(
+                    assert_decoders_agree(&miscounted).is_err(),
+                    "{table} {delta}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn utf8_in_keys_and_names_short_and_long_is_judged_like_the_value_path() {
+    // Shorter than a machine word, and longer than any vector register.
+    let short = "clé";
+    let long = "une_clé_bien_plus_longue_que_soixante_quatre_octets_pour_dépasser_tout_seuil";
+    assert!(short.len() < 8 && long.len() > 64);
+    for mut p in samples() {
+        for text in [short, long] {
+            // Non-ASCII, valid: a name the in-order read must hand to
+            // the general validator, and take back.
+            p.asset = text.into();
+            let canonical = p.to_xdr_bytes();
+            assert_eq!(assert_decoders_agree(&canonical), Ok(p.clone()));
+            // An unknown non-ASCII key is passed over; a known key
+            // spelt with one is a missing field.
+            let extra = rebuilt(
+                &p,
+                |top| top.insert(2, (text.into(), body(&Value::scalar(1.0)))),
+                |_, nested| nested.insert(1, (text.into(), body(&Value::string(text)))),
+            );
+            assert_eq!(assert_decoders_agree(&extra), Ok(p.clone()));
+            let renamed = rebuilt(&p, |_| {}, |_, nested| nested[0].0 = text.into());
+            let err = assert_decoders_agree(&renamed).unwrap_err();
+            assert!(err.contains("missing string field name"), "{err}");
+
+            // Invalid UTF-8 — a lone continuation byte, a truncated
+            // sequence, an overlong form — in that name, in a canonical
+            // key, in an unknown key and in a nested string: the same
+            // refusal from both decoders.
+            let ascii = "x".repeat(text.len());
+            p.asset = ascii.clone();
+            let canonical = p.to_xdr_bytes();
+            let extra = rebuilt(
+                &p,
+                |top| top.push((ascii.clone(), body(&Value::scalar(1.0)))),
+                |_, nested| nested.push((ascii.clone(), body(&Value::string(&ascii)))),
+            );
+            for bad in [&[0x80u8][..], &[0xC3], &[0xC0, 0xAF], &[0xFF]] {
+                for at in [0, ascii.len() - bad.len()] {
+                    let mut mangled = ascii.clone().into_bytes();
+                    mangled[at..at + bad.len()].copy_from_slice(bad);
+                    // The asset; then a nested unknown key, the nested
+                    // string under it, and the unknown key at the top.
+                    for (bytes, nth) in [(&canonical, 0), (&extra, 1), (&extra, 2), (&extra, 7)] {
+                        let bytes = patched(bytes, ascii.as_bytes(), nth, &mangled);
+                        let err = assert_decoders_agree(&bytes).unwrap_err();
+                        assert!(err.contains("invalid UTF-8"), "{err}");
+                    }
+                }
+                let key = patched(&canonical, b"model", 0, &[b'm', b'o', bad[0], b'e', b'l']);
+                let err = assert_decoders_agree(&key).unwrap_err();
+                assert!(err.contains("invalid UTF-8"), "{err}");
+            }
+            // The boundary itself: 0x7F is ASCII, and a name like any.
+            p.asset = ascii.replace('x', "\u{7f}");
+            assert_eq!(assert_decoders_agree(&p.to_xdr_bytes()), Ok(p.clone()));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Hostile input
 // ---------------------------------------------------------------------------
 
