@@ -9,7 +9,7 @@
 //! serialized load pays the least problem-acquisition time), and prints
 //! both the fixed-width table and the machine-readable JSON form.
 
-use clustersim::{simulate_farm_sched, DispatchPolicy, SimCaches, SimConfig, SimJob, SimSchedOpts};
+use clustersim::{simulate_farm_config, DispatchPolicy, SchedConfig, SimCaches, SimConfig, SimJob};
 use farm::Transmission;
 use obs::{Breakdown, BreakdownReport, EventKind, Recorder, StrategyBreakdown};
 
@@ -52,11 +52,13 @@ pub struct BreakdownOpts {
     /// untouched and a `LaneBatch` mark per compute carrying the width.
     pub lanes: usize,
     /// `--order lpt`: model the [`DispatchPolicy::Lpt`] dispatch order
-    /// (`FarmConfig::order`) — each strategy runs a second time with the
-    /// queue sorted longest-cost-first, reported as an extra
-    /// `"<strategy> (lpt)"` row and self-checked: per-job wait seconds
-    /// must not regress against FIFO, compute is untouched, and the
-    /// makespan must not degrade beyond noise.
+    /// (`FarmConfig::order`) — each strategy runs twice more on the
+    /// per-job protocol an LPT run speaks, in FIFO order and with the
+    /// queue sorted longest-cost-first, reported as extra
+    /// `"<strategy> (fifo, per job)"` and `"<strategy> (lpt)"` rows and
+    /// self-checked: wait seconds must not regress against that FIFO,
+    /// compute is untouched, and the makespan must not degrade beyond
+    /// noise.
     pub order_lpt: bool,
 }
 
@@ -196,30 +198,30 @@ pub fn breakdown_report(
         // One cache state per strategy: the cold run fills it, the
         // optional warm run reuses it.
         let mut caches = SimCaches::new();
-        let fifo = SimSchedOpts::default();
-        let one_run = |label: String,
-                       run_cfg: &SimConfig,
-                       caches: &mut SimCaches,
-                       sched_opts: &SimSchedOpts| {
-            let rec = Recorder::with_capacity(slaves + 1, RING_CAPACITY);
-            let (out, _) = simulate_farm_sched(
-                jobs,
-                slaves,
-                strategy,
-                run_cfg,
-                caches,
-                Some(&rec),
-                sched_opts,
-            )
-            .expect("breakdown scheduling options are always self-consistent");
-            StrategyBreakdown {
-                strategy: label,
-                cpus: opts.cpus,
-                wall_s: out.makespan,
-                breakdown: Breakdown::from_events(&rec.events()),
-                dropped: rec.dropped(),
-            }
-        };
+        // What `farm::run` drives for a plain FIFO run: job frames.
+        let flat = |policy| SchedConfig::farm(jobs.len(), slaves, policy, None, None);
+        let fifo = flat(DispatchPolicy::Fifo);
+        let one_run =
+            |label: String, run_cfg: &SimConfig, caches: &mut SimCaches, sched: &SchedConfig| {
+                let rec = Recorder::with_capacity(slaves + 1, RING_CAPACITY);
+                let (out, _) = simulate_farm_config(
+                    jobs,
+                    strategy,
+                    run_cfg,
+                    caches,
+                    Some(&rec),
+                    sched.clone(),
+                    &[],
+                )
+                .expect("breakdown scheduling options are always self-consistent");
+                StrategyBreakdown {
+                    strategy: label,
+                    cpus: opts.cpus,
+                    wall_s: out.makespan,
+                    breakdown: Breakdown::from_events(&rec.events()),
+                    dropped: rec.dropped(),
+                }
+            };
         report.runs.push(one_run(
             strategy.label().to_string(),
             &cfg,
@@ -255,15 +257,20 @@ pub fn breakdown_report(
             ));
         }
         if opts.order_lpt {
-            // LPT run from cold caches: the only variable is the queue
-            // order, fed with the jobs' own (here: exact) costs, the way
-            // `FarmConfig::order` feeds a calibrated CostModel estimate.
-            let lpt = SimSchedOpts {
-                policy: DispatchPolicy::Lpt {
-                    costs: jobs.iter().map(|j| j.compute).collect(),
-                },
-                ..SimSchedOpts::default()
-            };
+            // LPT run from cold caches, fed with the jobs' own (here:
+            // exact) costs, the way `FarmConfig::order` feeds a calibrated
+            // CostModel estimate. Any order but FIFO goes out one job a
+            // message, so its baseline is FIFO on that protocol: the only
+            // variable between the two rows is the queue order.
+            report.runs.push(one_run(
+                format!("{} (fifo, per job)", strategy.label()),
+                &cfg,
+                &mut SimCaches::new(),
+                &SchedConfig::plain(jobs.len(), slaves),
+            ));
+            let lpt = flat(DispatchPolicy::Lpt {
+                costs: jobs.iter().map(|j| j.compute).collect(),
+            });
             report.runs.push(one_run(
                 format!("{} (lpt)", strategy.label()),
                 &cfg,
@@ -376,14 +383,15 @@ pub fn check_lane_scaling(report: &BreakdownReport, opts: &BreakdownOpts) -> Res
 /// The `--order lpt` acceptance check: for every strategy, the LPT run
 /// must price the same portfolio (identical compute seconds), its
 /// cumulative wait seconds (`Probe + Recv + Unpack`) must not regress
-/// against FIFO, and its makespan must not degrade beyond scheduling
-/// noise — LPT exists to shave the end-of-run straggler tail, never to
-/// add communication.
+/// against FIFO on the same per-job protocol, and its makespan must not
+/// degrade beyond scheduling noise — LPT exists to shave the end-of-run
+/// straggler tail, never to add communication.
 pub fn check_lpt_order(report: &BreakdownReport) -> Result<(), String> {
     for strategy in Transmission::ALL {
+        let fifo_label = format!("{} (fifo, per job)", strategy.label());
         let fifo = report
-            .run(strategy.label())
-            .ok_or_else(|| format!("missing {strategy} FIFO run"))?;
+            .run(&fifo_label)
+            .ok_or_else(|| format!("missing {fifo_label:?} run"))?;
         let lpt_label = format!("{} (lpt)", strategy.label());
         let lpt = report
             .run(&lpt_label)
@@ -905,7 +913,7 @@ mod tests {
             ..opts(4)
         };
         let report = breakdown_report("test lpt", &jobs, &o, &SimConfig::default()).unwrap();
-        assert_eq!(report.runs.len(), 6);
+        assert_eq!(report.runs.len(), 9);
         check_lpt_order(&report).unwrap();
         let json = report.to_json();
         assert!(json.contains("(lpt)"));
@@ -926,7 +934,8 @@ mod tests {
         let report = breakdown_report("test lpt tail", &jobs, &o, &SimConfig::default()).unwrap();
         check_lpt_order(&report).unwrap();
         for strategy in Transmission::ALL {
-            let fifo = report.run(strategy.label()).unwrap();
+            let fifo = format!("{} (fifo, per job)", strategy.label());
+            let fifo = report.run(&fifo).unwrap();
             let lpt = report.run(&format!("{} (lpt)", strategy.label())).unwrap();
             assert!(
                 lpt.wall_s < fifo.wall_s,

@@ -41,11 +41,12 @@ pub use params::{
     ExecParams, MasterCosts, NetworkParams, NfsParams, SimConfig, SlaveCosts, StoreParams,
     TransportParams,
 };
-pub use sched::{DispatchPolicy, SchedError, Supervision, Trace};
+pub use sched::{DispatchPolicy, SchedConfig, SchedError, Supervision, Trace};
 pub use sim::{
-    simulate_farm, simulate_farm_cached, simulate_farm_recorded, simulate_farm_sched,
-    simulate_serve, simulate_sharded, ClientCache, NfsCache, ServeSimOutcome, ShardSimConfig,
-    ShardSimOutcome, SimCaches, SimFault, SimJob, SimOutcome, SimRequest, SimSchedOpts,
+    simulate_farm, simulate_farm_cached, simulate_farm_config, simulate_farm_recorded,
+    simulate_farm_sched, simulate_serve, simulate_sharded, ClientCache, NfsCache, ServeSimOutcome,
+    ShardSimConfig, ShardSimOutcome, SimCaches, SimFault, SimJob, SimOutcome, SimRequest,
+    SimSchedOpts,
 };
 pub use tables::{
     format_table, speedup_ratio, table1_rows, table1_sim_jobs, table2_rows, table2_sim_jobs,

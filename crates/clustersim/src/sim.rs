@@ -16,8 +16,8 @@ use farm::strategy::Transmission;
 use farm::JobClass;
 use obs::{Event, EventKind, Recorder, NO_JOB};
 use sched::{
-    Action, DispatchPolicy, Event as SchedEvent, SchedConfig, SchedError, Scheduler, Supervision,
-    Trace,
+    Action, Batch, DispatchPolicy, Event as SchedEvent, SchedConfig, SchedError, Scheduler,
+    Supervision, Trace,
 };
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
@@ -152,8 +152,8 @@ pub struct SimFault {
 /// [`DispatchPolicy`] orders the queue, whether the supervised master
 /// (deadlines, retries, burial) runs, whether the decision [`Trace`] is
 /// recorded, and any scripted [`SimFault`]s. The default — FIFO,
-/// unsupervised, untraced, fault-free — is the plain Fig. 4 master that
-/// [`simulate_farm_cached`] and friends replay.
+/// unsupervised, untraced, fault-free — is the plain `farm::run` master
+/// (job frames) that [`simulate_farm_cached`] and friends replay.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimSchedOpts {
     /// Dispatch order for queued jobs.
@@ -282,6 +282,10 @@ pub fn simulate_farm_cached(
 /// scheduler's timestamp-free decision [`Trace`] is returned alongside
 /// the outcome when `opts.record_trace` is set. With the default
 /// options this is bit-identical to [`simulate_farm_cached`].
+///
+/// The scheduler config is built through [`SchedConfig::farm`], the
+/// constructor `farm::run` uses: a FIFO, unsupervised, unstaged run
+/// dispatches job frames here exactly when it does live.
 pub fn simulate_farm_sched(
     jobs: &[SimJob],
     slaves: usize,
@@ -292,8 +296,47 @@ pub fn simulate_farm_sched(
     opts: &SimSchedOpts,
 ) -> Result<(SimOutcome, Option<Trace>), SchedError> {
     assert!(slaves >= 1, "need at least one slave");
+    let sched = SchedConfig {
+        record_trace: opts.record_trace,
+        ..SchedConfig::farm(
+            jobs.len(),
+            slaves,
+            opts.policy.clone(),
+            opts.supervision,
+            opts.rounds.clone(),
+        )
+    };
+    simulate_farm_config(jobs, strategy, cfg, caches, recorder, sched, &opts.faults)
+}
+
+/// The replay itself, under whatever scheduler config the front-end
+/// being simulated drives live: [`simulate_farm_sched`] hands it the
+/// flat farm's, [`simulate_sharded`] and the paper's table generators a
+/// [`SchedConfig::plain`] one, and a caller comparing protocols whichever
+/// it wants to hold fixed. `faults` script slave deaths (supervised
+/// configs only).
+///
+/// A [`Batch::Guided`] run speaks the job-frame protocol, a
+/// `Dispatch { batch: n }` costing what the live frame does: n prepares
+/// on the master, one message of the summed bytes, n × (unpack +
+/// compute) on the slave, one reply. Per-member phases are recorded
+/// under the member's job, the frame's send under its first job and the
+/// slave's receive and reply under no job — as the live ranks record
+/// them. A [`Batch::One`] run speaks Fig. 4's per-job protocol.
+pub fn simulate_farm_config(
+    jobs: &[SimJob],
+    strategy: Transmission,
+    cfg: &SimConfig,
+    caches: &mut SimCaches,
+    recorder: Option<&Recorder>,
+    sched: SchedConfig,
+    faults: &[SimFault],
+) -> Result<(SimOutcome, Option<Trace>), SchedError> {
+    let slaves = sched.slaves;
+    let framed = sched.batch == Batch::Guided;
+    let supervised = sched.supervision.is_some();
     assert!(
-        opts.faults.is_empty() || opts.supervision.is_some(),
+        faults.is_empty() || supervised,
         "scripted slave deaths require supervision (the plain master would hang)"
     );
     // Simulated-seconds → event-record adapter. All events funnel through
@@ -310,166 +353,189 @@ pub fn simulate_farm_sched(
             });
         }
     };
-    let mut master = Resource::new();
-    let mut nfs = Resource::new();
-    let mut slave_res: Vec<Resource> = (0..slaves).map(|_| Resource::new()).collect();
-    let mut per_slave = vec![0usize; slaves];
-
-    // (arrival-at-master, slave, ANSWER/DEAD, job) min-heap. The slave
-    // index is the tie-breaker for simultaneous arrivals, exactly as in
-    // the pre-scheduler replay loop.
+    /// Everything a dispatch or an arrival moves.
+    struct State {
+        master: Resource,
+        nfs: Resource,
+        slaves: Vec<Resource>,
+        /// (time, slave, what, job) min-heap. The slave index is the
+        /// tie-breaker for simultaneous arrivals, exactly as in the
+        /// pre-scheduler replay loop.
+        heap: BinaryHeap<Reverse<(Time, usize, u8, usize)>>,
+        per_slave: Vec<usize>,
+        /// Per slave: dispatches so far (for matching scripted faults)
+        /// and the jobs of the latest one (what its answer covers).
+        sent: Vec<(usize, std::ops::Range<usize>)>,
+    }
+    // What a heap entry is: a reply landing at the master, a scripted
+    // death being noticed, or a slave turning to member `job` of the
+    // NFS frame it holds.
     const ANSWER: u8 = 0;
     const DEAD: u8 = 1;
-    let mut heap: BinaryHeap<Reverse<(Time, usize, u8, usize)>> = BinaryHeap::new();
+    const MEMBER: u8 = 2;
+    let mut st = State {
+        master: Resource::new(),
+        nfs: Resource::new(),
+        slaves: (0..slaves).map(|_| Resource::new()).collect(),
+        heap: BinaryHeap::new(),
+        per_slave: vec![0; slaves],
+        sent: vec![(0, 0..0); slaves],
+    };
 
-    let master_prep = |strategy: Transmission| -> f64 {
-        match strategy {
-            Transmission::FullLoad => cfg.master.full_load_prep,
-            Transmission::SerializedLoad => cfg.master.sload_prep,
-            Transmission::Nfs => cfg.master.nfs_prep,
-        }
+    let base_prep = match strategy {
+        Transmission::FullLoad => cfg.master.full_load_prep,
+        Transmission::SerializedLoad => cfg.master.sload_prep,
+        Transmission::Nfs => cfg.master.nfs_prep,
     };
-    // Name messages are tiny; loaded strategies ship the file bytes too.
-    let wire_bytes = |strategy: Transmission, job: &SimJob| -> usize {
-        match strategy {
-            Transmission::Nfs => 64,
-            Transmission::FullLoad | Transmission::SerializedLoad => 96 + job.bytes,
-        }
-    };
-    // Result messages are small fixed-size records.
+    let loaded = strategy != Transmission::Nfs;
+    // What a message carries around its members' bodies (a loaded
+    // member's body is its file bytes, an NFS member's a tiny name).
+    let envelope = if loaded { 96 } else { 0 };
+    const NAME_BYTES: usize = 64;
+    // A result message is a small fixed-size record; a frame's reply
+    // adds a row of columns (id, price, error, mask) per further member.
     const RESULT_BYTES: usize = 96;
-    // Transport-backend overhead on top of the raw network time; zero
-    // with the default [`crate::params::TransportParams`], keeping the
-    // baseline model bit-identical.
-    let result_wire = cfg.network.transfer_time(RESULT_BYTES) + cfg.transport.cost(RESULT_BYTES);
-
+    let reply_bytes = |members: usize| RESULT_BYTES + 25 * (members - 1);
     let store = cfg.store;
-    // Dispatch job to slave starting from master-ready time; returns the
-    // time the result lands back at the master.
-    let dispatch = |job: &SimJob,
-                    s: usize,
-                    ready: f64,
-                    master: &mut Resource,
-                    nfs: &mut Resource,
-                    slave_res: &mut [Resource],
-                    caches: &mut SimCaches|
-     -> f64 {
-        let jid = job.id as i64;
-        let srank = s + 1;
-        let base_prep = master_prep(strategy);
-        let name_prep = cfg.master.nfs_prep.min(base_prep);
-        // The strategy-specific fetch+materialise span beyond the tiny
-        // name-message build.
-        let uncached_span = base_prep - name_prep;
-        // Client cache (loaded strategies, master side): a warm hit
-        // shrinks the *fetch* part of the span to `hit_fetch`; full
-        // load's materialisation (unserialize + rebuild + reserialize)
-        // is CPU work the cache cannot skip and is paid either way.
-        let (fetch_span, master_hit) = if store.client_cache && strategy != Transmission::Nfs {
-            let hit = caches.client.access(job.id);
-            let materialise = match strategy {
-                Transmission::FullLoad => {
-                    (cfg.master.full_load_prep - cfg.master.sload_prep).max(0.0)
-                }
-                _ => 0.0,
-            };
-            let fetch = if hit {
-                store.hit_fetch
-            } else {
-                (uncached_span - materialise).max(0.0)
-            };
-            (materialise + fetch, Some(hit))
-        } else {
-            (uncached_span, None)
-        };
-        let prep = name_prep + fetch_span;
-        // Wire compression (loaded strategies, payload over threshold):
-        // the payload shrinks by `compress_ratio`, the master pays
-        // per-byte compression CPU, the slave pays decompression.
-        let raw_wire = wire_bytes(strategy, job);
-        let (wire, compress_cpu, decompress_cpu) = if store.compress
-            && strategy != Transmission::Nfs
-            && job.bytes >= store.compress_threshold
-        {
-            let compressed = 96 + (job.bytes as f64 * store.compress_ratio).ceil() as usize;
+    // Wire compression (loaded strategies, payload over threshold): the
+    // payload shrinks by `compress_ratio`, the master pays per-byte
+    // compression CPU, the slave pays decompression. Returns the bytes
+    // the member adds to its message and the two CPU costs.
+    let member_wire = |job: &SimJob| -> (usize, f64, f64) {
+        if !loaded {
+            (NAME_BYTES, 0.0, 0.0)
+        } else if store.compress && job.bytes >= store.compress_threshold {
+            let compressed = (job.bytes as f64 * store.compress_ratio).ceil() as usize;
             (
-                compressed.min(raw_wire),
+                compressed.min(job.bytes),
                 store.compress_cpu * job.bytes as f64,
                 store.decompress_cpu * job.bytes as f64,
             )
         } else {
-            (raw_wire, 0.0, 0.0)
-        };
+            (job.bytes, 0.0, 0.0)
+        }
+    };
+
+    // Master side of a dispatch: prepare every member, then send them to
+    // slave `s` as one message, starting from master-ready time. Returns
+    // when the message has left and its size.
+    let send = |members: &[SimJob],
+                ready: f64,
+                st: &mut State,
+                caches: &mut SimCaches|
+     -> (f64, usize) {
+        let name_prep = cfg.master.nfs_prep.min(base_prep);
+        // The strategy-specific fetch+materialise span beyond the tiny
+        // name-message build.
+        let uncached_span = base_prep - name_prep;
+        let mut plan = Vec::with_capacity(members.len());
+        let (mut busy, mut wire) = (0.0, envelope);
+        for job in members {
+            // Client cache (loaded strategies, master side): a warm hit
+            // shrinks the *fetch* part of the span to `hit_fetch`; full
+            // load's materialisation (unserialize + rebuild + reserialize)
+            // is CPU work the cache cannot skip and is paid either way.
+            let (fetch_span, master_hit) = if store.client_cache && loaded {
+                let hit = caches.client.access(job.id);
+                let materialise = match strategy {
+                    Transmission::FullLoad => {
+                        (cfg.master.full_load_prep - cfg.master.sload_prep).max(0.0)
+                    }
+                    _ => 0.0,
+                };
+                let fetch = if hit {
+                    store.hit_fetch
+                } else {
+                    (uncached_span - materialise).max(0.0)
+                };
+                (materialise + fetch, Some(hit))
+            } else {
+                (uncached_span, None)
+            };
+            let (body, compress_cpu, _) = member_wire(job);
+            busy += name_prep + fetch_span + compress_cpu;
+            wire += body;
+            plan.push((fetch_span, master_hit, compress_cpu, body));
+        }
         let transfer = cfg.network.transfer_time(wire) + cfg.transport.cost(wire);
         // Master: prep (+ compression) + NIC occupancy (serialised on
         // the master).
-        let send_done = master.acquire(ready, prep + compress_cpu + transfer);
+        let send_done = st.master.acquire(ready, busy + transfer);
         // Master-side phases, mirroring the live farm's event stream:
-        // strategy prep (Serialize / Sload), then the tiny name-message
-        // Serialize, Pack (free: the payload is already serial bytes),
-        // and the NIC occupancy as Send.
-        let t0 = send_done - prep - compress_cpu - transfer;
-        match strategy {
-            Transmission::FullLoad => {
-                emit(EventKind::Serialize, 0, jid, t0, fetch_span, job.bytes);
-            }
-            Transmission::SerializedLoad => {
-                emit(EventKind::Sload, 0, jid, t0, fetch_span, job.bytes);
-            }
-            Transmission::Nfs => {}
-        }
-        if let Some(hit) = master_hit {
-            let kind = if hit {
-                EventKind::CacheHit
+        // per member the strategy prep (Serialize / Sload) — plus, per
+        // job, the tiny name-message Serialize a frame does not have —
+        // and Pack (free: the payload is already serial bytes); then the
+        // NIC occupancy as Send, under the message's first job.
+        let mut t = send_done - busy - transfer;
+        for (job, (fetch_span, master_hit, compress_cpu, body)) in members.iter().zip(plan) {
+            let jid = job.id as i64;
+            let span = if framed {
+                fetch_span + name_prep
             } else {
-                EventKind::CacheMiss
+                fetch_span
             };
-            emit(kind, 0, jid, t0 + fetch_span, 0.0, job.bytes);
+            match strategy {
+                Transmission::FullLoad => emit(EventKind::Serialize, 0, jid, t, span, job.bytes),
+                Transmission::SerializedLoad => emit(EventKind::Sload, 0, jid, t, span, job.bytes),
+                Transmission::Nfs => {}
+            }
+            t += fetch_span;
+            if let Some(hit) = master_hit {
+                let kind = if hit {
+                    EventKind::CacheHit
+                } else {
+                    EventKind::CacheMiss
+                };
+                emit(kind, 0, jid, t, 0.0, job.bytes);
+            }
+            if !framed {
+                emit(EventKind::Serialize, 0, jid, t, name_prep, NAME_BYTES);
+            }
+            t += name_prep;
+            if compress_cpu > 0.0 {
+                emit(
+                    EventKind::Compress,
+                    0,
+                    jid,
+                    t,
+                    compress_cpu,
+                    job.bytes - body,
+                );
+                t += compress_cpu;
+            }
+            if loaded {
+                emit(EventKind::Pack, 0, jid, t, 0.0, job.bytes);
+            }
         }
-        emit(EventKind::Serialize, 0, jid, t0 + fetch_span, name_prep, 64);
-        if compress_cpu > 0.0 {
-            emit(
-                EventKind::Compress,
-                0,
-                jid,
-                t0 + prep,
-                compress_cpu,
-                raw_wire - wire,
-            );
-        }
-        if strategy != Transmission::Nfs {
-            emit(
-                EventKind::Pack,
-                0,
-                jid,
-                t0 + prep + compress_cpu,
-                0.0,
-                job.bytes,
-            );
-        }
-        emit(
-            EventKind::Send,
-            0,
-            jid,
-            t0 + prep + compress_cpu,
-            transfer,
-            wire,
-        );
-        // Slave receives and recovers the problem.
-        let mut t = slave_res[s].acquire(send_done, 0.0);
-        if strategy == Transmission::Nfs {
+        emit(EventKind::Send, 0, members[0].id as i64, t, transfer, wire);
+        (send_done, wire)
+    };
+
+    // Slave `s`, free at `t`, recovers and prices one member of the
+    // message it holds; `tail` is slave time spent straight after the
+    // compute (the reply's preparation, behind the last member). Returns
+    // when the slave is free again.
+    let price = |job: &SimJob,
+                 s: usize,
+                 mut t: f64,
+                 tail: f64,
+                 st: &mut State,
+                 caches: &mut SimCaches|
+     -> f64 {
+        let (srank, jid) = (s + 1, job.id as i64);
+        if !loaded {
             if store.client_cache && caches.client.access(job.id) {
                 // Warm client cache: the slave's fetch never leaves the
                 // node — no NFS server trip, no FIFO queueing.
-                t += store.hit_fetch;
                 emit(
                     EventKind::NfsRead,
                     srank,
                     jid,
-                    t - store.hit_fetch,
+                    t,
                     store.hit_fetch,
                     job.bytes,
                 );
+                t += store.hit_fetch;
                 emit(EventKind::CacheHit, srank, jid, t, 0.0, job.bytes);
             } else {
                 // Slave reads the file from the NFS server (FIFO + cache).
@@ -478,7 +544,7 @@ pub fn simulate_farm_sched(
                 } else {
                     cfg.nfs.cold_read
                 };
-                t = nfs.acquire(t, service);
+                t = st.nfs.acquire(t, service);
                 emit(
                     EventKind::NfsRead,
                     srank,
@@ -492,8 +558,7 @@ pub fn simulate_farm_sched(
                 }
             }
         } else {
-            emit(EventKind::Probe, srank, jid, t, 0.0, wire);
-            emit(EventKind::Recv, srank, jid, t, 0.0, wire);
+            let (_, _, decompress_cpu) = member_wire(job);
             if decompress_cpu > 0.0 {
                 emit(
                     EventKind::Decompress,
@@ -515,18 +580,18 @@ pub fn simulate_farm_sched(
             );
             t += cfg.slave.unpack;
         }
-        // Compute + result send. With `cfg.exec.threads >= 2` the drawn
-        // compute cost shrinks by the intra-slave executor's Amdahl
-        // speedup. A `SimJob` carries a pre-drawn duration, not a pricing
-        // method, so the model applies uniformly — the *live* farm only
-        // routes the path-chunked Monte-Carlo/LSM kernels through the
-        // executor (`JobClass::chunked_kernel`), which is exactly the
-        // compute the simulator's per-class costs stand in for.
+        // Compute. With `cfg.exec.threads >= 2` the drawn compute cost
+        // shrinks by the intra-slave executor's Amdahl speedup. A
+        // `SimJob` carries a pre-drawn duration, not a pricing method, so
+        // the model applies uniformly — the *live* farm only routes the
+        // path-chunked Monte-Carlo/LSM kernels through the executor
+        // (`JobClass::chunked_kernel`), which is exactly the compute the
+        // simulator's per-class costs stand in for.
         let (compute_wall, chunk_cpu) = cfg
             .exec
             .apply_classed(job.class.chunked_kernel(), job.compute);
-        let done = slave_res[s].acquire(t, compute_wall + cfg.slave.result_prep);
-        let compute_start = done - compute_wall - cfg.slave.result_prep;
+        let free = st.slaves[s].acquire(t, compute_wall + tail);
+        let compute_start = free - compute_wall - tail;
         emit(
             EventKind::Compute,
             srank,
@@ -565,71 +630,94 @@ pub fn simulate_farm_sched(
                 cfg.exec.lanes,
             );
         }
+        free
+    };
+
+    // Slave `s` has priced all of `members` — its reply prepared by
+    // `done` — and answers: the reply lands at the master, or the slave
+    // dies sending it if a scripted fault says so.
+    let answer = |members: std::ops::Range<usize>, s: usize, done: f64, st: &mut State| {
+        let n = members.len();
+        // A per-job reply is its job's; a frame's is no one job's.
+        let jid = if framed {
+            NO_JOB
+        } else {
+            jobs[members.start].id as i64
+        };
+        let prep = cfg.slave.result_prep;
         emit(
             EventKind::Serialize,
-            srank,
+            s + 1,
             jid,
-            compute_start + compute_wall,
-            cfg.slave.result_prep,
-            RESULT_BYTES,
+            done - prep,
+            prep,
+            reply_bytes(n),
         );
-        emit(EventKind::Send, srank, jid, done, result_wire, RESULT_BYTES);
-        done + result_wire
+        // Transport-backend overhead on top of the raw network time; zero
+        // with the default [`crate::params::TransportParams`], keeping
+        // the baseline model bit-identical.
+        let wire = cfg.network.transfer_time(reply_bytes(n)) + cfg.transport.cost(reply_bytes(n));
+        emit(EventKind::Send, s + 1, jid, done, wire, reply_bytes(n));
+        let nth = st.sent[s].0 - 1;
+        let entry = match faults
+            .iter()
+            .find(|f| f.slave == s && f.fatal_dispatch == nth)
+        {
+            // The slave dies *sending* this result: the answer never
+            // arrives, and the master's liveness sweep notices
+            // `detect_delay_s` after the fatal send began.
+            Some(f) => (Time(done + f.detect_delay_s), s, DEAD, members.start),
+            None => (Time(done + wire), s, ANSWER, members.start),
+        };
+        st.heap.push(Reverse(entry));
     };
 
     // The scheduler: the same pure state machine the live masters drive.
-    let mut sched = Scheduler::new(SchedConfig {
-        jobs: jobs.len(),
-        slaves,
-        batch: 1,
-        policy: opts.policy.clone(),
-        supervision: opts.supervision,
-        rounds: opts.rounds.clone(),
-        record_trace: opts.record_trace,
-    })?;
-    // Per-slave dispatch counter, for matching scripted faults.
-    let mut dispatched = vec![0usize; slaves];
+    let mut sched = Scheduler::new(sched)?;
     let ns = |t: f64| -> u64 { (t * 1e9) as u64 };
 
     // Execute one action batch: dispatches run the performance model and
-    // push their arrival (or scripted death) onto the heap; supervision
-    // actions mirror the live driver's master-side marks.
-    let run_actions = |actions: Vec<Action>,
-                       now: f64,
-                       master: &mut Resource,
-                       nfs: &mut Resource,
-                       slave_res: &mut [Resource],
-                       caches: &mut SimCaches,
-                       heap: &mut BinaryHeap<Reverse<(Time, usize, u8, usize)>>,
-                       per_slave: &mut [usize],
-                       dispatched: &mut [usize]| {
+    // push what follows onto the heap; supervision actions mirror the
+    // live driver's master-side marks.
+    let run_actions = |actions: Vec<Action>, now: f64, st: &mut State, caches: &mut SimCaches| {
         for a in actions {
             match a {
-                Action::Dispatch { job, slave, .. } => {
+                Action::Dispatch { job, slave, batch } => {
                     let s = slave - 1;
-                    let nth = dispatched[s];
-                    dispatched[s] += 1;
-                    let arrival = dispatch(&jobs[job], s, now, master, nfs, slave_res, caches);
-                    let fault = opts
-                        .faults
-                        .iter()
-                        .find(|f| f.slave == s && f.fatal_dispatch == nth);
-                    match fault {
-                        Some(f) => {
-                            // The slave dies *sending* this result: the
-                            // answer never arrives, and the master's
-                            // liveness sweep notices `detect_delay_s`
-                            // after the fatal send began.
-                            let death = arrival - result_wire;
-                            heap.push(Reverse((Time(death + f.detect_delay_s), s, DEAD, job)));
-                        }
-                        None => heap.push(Reverse((Time(arrival), s, ANSWER, job))),
+                    let members = job..job + batch;
+                    st.sent[s] = (st.sent[s].0 + 1, members.clone());
+                    let (sent, wire) = send(&jobs[members.clone()], now, st, caches);
+                    let mut t = st.slaves[s].acquire(sent, 0.0);
+                    if framed {
+                        emit(EventKind::Recv, slave, NO_JOB, t, 0.0, wire);
+                    } else if loaded {
+                        let jid = jobs[job].id as i64;
+                        emit(EventKind::Probe, slave, jid, t, 0.0, wire);
+                        emit(EventKind::Recv, slave, jid, t, 0.0, wire);
                     }
+                    if framed && !loaded {
+                        // The members' reads queue at a server other
+                        // slaves are reading from meanwhile: each is an
+                        // event of its own, taken in time order.
+                        st.heap.push(Reverse((Time(t), s, MEMBER, job)));
+                        continue;
+                    }
+                    for m in members.clone() {
+                        let tail = if m + 1 == members.end {
+                            cfg.slave.result_prep
+                        } else {
+                            0.0
+                        };
+                        t = price(&jobs[m], s, t, tail, st, caches);
+                    }
+                    answer(members, s, t, st);
                 }
                 // Stop sentinels and terminal markers are free in the
                 // performance model.
                 Action::Stop { .. } | Action::AllSlavesDead | Action::Finish => {}
-                Action::Accept { slave, .. } => per_slave[slave - 1] += 1,
+                Action::Accept { slave, .. } => {
+                    st.per_slave[slave - 1] += st.sent[slave - 1].1.len()
+                }
                 // The live supervised driver's master-side marks.
                 Action::Expire { job, .. } => {
                     emit(EventKind::Deadline, 0, jobs[job].id as i64, now, 0.0, 0)
@@ -645,17 +733,7 @@ pub fn simulate_farm_sched(
     // Priming: one SlaveReady per slave, in rank order (Fig. 4).
     for s in 1..=slaves {
         let acts = sched.on(SchedEvent::SlaveReady { slave: s }, 0);
-        run_actions(
-            acts,
-            0.0,
-            &mut master,
-            &mut nfs,
-            &mut slave_res,
-            caches,
-            &mut heap,
-            &mut per_slave,
-            &mut dispatched,
-        );
+        run_actions(acts, 0.0, &mut st, caches);
     }
 
     // Drain: pop arrivals and deaths, feed the scheduler, execute its
@@ -667,41 +745,33 @@ pub fn simulate_farm_sched(
     let mut now: f64 = 0.0;
     let mut idle_step = 1e-3;
     while !sched.is_terminal() {
-        let Some(Reverse((Time(t), s, kind, job))) = heap.pop() else {
-            if opts.supervision.is_none() {
+        let Some(Reverse((Time(t), s, kind, job))) = st.heap.pop() else {
+            if !supervised {
                 break; // plain runs finish through the answer stream alone
             }
             now += idle_step;
             idle_step *= 2.0;
             let acts = sched.on(SchedEvent::Deadline, ns(now));
-            run_actions(
-                acts,
-                now,
-                &mut master,
-                &mut nfs,
-                &mut slave_res,
-                caches,
-                &mut heap,
-                &mut per_slave,
-                &mut dispatched,
-            );
+            run_actions(acts, now, &mut st, caches);
             continue;
         };
+        if kind == MEMBER {
+            // Slave-side progress the master does not see.
+            let members = st.sent[s].1.clone();
+            if job + 1 < members.end {
+                let free = price(&jobs[job], s, t, 0.0, &mut st, caches);
+                st.heap.push(Reverse((Time(free), s, MEMBER, job + 1)));
+            } else {
+                let done = price(&jobs[job], s, t, cfg.slave.result_prep, &mut st, caches);
+                answer(members, s, done, &mut st);
+            }
+            continue;
+        }
         idle_step = 1e-3;
         now = now.max(t);
-        if opts.supervision.is_some() {
+        if supervised {
             let acts = sched.on(SchedEvent::Deadline, ns(now));
-            run_actions(
-                acts,
-                now,
-                &mut master,
-                &mut nfs,
-                &mut slave_res,
-                caches,
-                &mut heap,
-                &mut per_slave,
-                &mut dispatched,
-            );
+            run_actions(acts, now, &mut st, caches);
             if sched.is_terminal() {
                 break;
             }
@@ -710,54 +780,34 @@ pub fn simulate_farm_sched(
             // Master takes the result off the wire. Like the live
             // master's ANY_SOURCE result receive, this is not attributed
             // to a job.
-            let handled = master.acquire(t, cfg.master.result_handle);
+            let handled = st.master.acquire(t, cfg.master.result_handle);
             emit(
                 EventKind::Recv,
                 0,
                 NO_JOB,
                 handled - cfg.master.result_handle,
                 cfg.master.result_handle,
-                RESULT_BYTES,
+                reply_bytes(st.sent[s].1.len()),
             );
             makespan = makespan.max(handled);
             now = now.max(handled);
             let acts = sched.on(SchedEvent::Answer { job, slave: s + 1 }, ns(handled));
-            run_actions(
-                acts,
-                handled,
-                &mut master,
-                &mut nfs,
-                &mut slave_res,
-                caches,
-                &mut heap,
-                &mut per_slave,
-                &mut dispatched,
-            );
+            run_actions(acts, handled, &mut st, caches);
         } else {
             let acts = sched.on(SchedEvent::SlaveDead { slave: s + 1 }, ns(t));
-            run_actions(
-                acts,
-                t,
-                &mut master,
-                &mut nfs,
-                &mut slave_res,
-                caches,
-                &mut heap,
-                &mut per_slave,
-                &mut dispatched,
-            );
+            run_actions(acts, t, &mut st, caches);
         }
     }
 
     let util = if makespan > 0.0 {
-        master.busy_total() / makespan
+        st.master.busy_total() / makespan
     } else {
         0.0
     };
     Ok((
         SimOutcome {
             makespan,
-            per_slave,
+            per_slave: st.per_slave,
             master_utilisation: util,
         },
         sched.take_trace(),
@@ -805,9 +855,9 @@ pub struct ShardSimOutcome {
 /// steal from the richest peer's back once dry. Deterministic — ties
 /// break on the lowest shard index — so sweep tables are reproducible.
 ///
-/// With `shards == 1` and `lease == 0` this is one plain farm run: the
-/// outcome is bit-identical to [`simulate_farm_cached`] on the same
-/// jobs. This is how Tables I–III extend to 512-core sharded runs (64
+/// With `shards == 1` and `lease == 0` this is one per-job farm run:
+/// the outcome is bit-identical to [`simulate_farm_config`] on the same
+/// jobs under [`SchedConfig::plain`]. This is how Tables I–III extend to 512-core sharded runs (64
 /// peer masters × 8 slaves) without a global master in the model.
 pub fn simulate_sharded(
     jobs: &[SimJob],
@@ -865,14 +915,11 @@ pub fn simulate_sharded(
             pools[victim].drain(at..).collect()
         };
         let round_jobs: Vec<SimJob> = round.iter().map(|&i| jobs[i]).collect();
-        let run = simulate_farm_cached(
-            &round_jobs,
-            cfg.slaves_per_shard,
-            strategy,
-            sim,
-            &mut caches[s],
-            None,
-        );
+        // A shard's lease round is a per-job farm, live and here.
+        let plain = SchedConfig::plain(round_jobs.len(), cfg.slaves_per_shard);
+        let (run, _) =
+            simulate_farm_config(&round_jobs, strategy, sim, &mut caches[s], None, plain, &[])
+                .expect("a plain scheduler config is always valid");
         t[s] += run.makespan;
         out.per_shard_jobs[s] += round.len();
         out.per_shard_time[s] = t[s];
@@ -1277,39 +1324,25 @@ mod tests {
             assert_eq!(plain, recorded, "{strategy}");
             let events = rec.events();
             assert_eq!(rec.dropped(), 0);
-            // Per-job kind sets match the live instrumented farm schema.
-            let expect: BTreeSet<EventKind> = match strategy {
-                Transmission::FullLoad => [
+            // Per-job kind sets match the live instrumented farm schema:
+            // what each member of a job frame goes through, plus the
+            // frame's one send under its first job. Twelve jobs on two
+            // slaves travel as 3 + 3 + 2 + 1 + 1 + 1 + 1.
+            let heads = [0, 3, 6, 8, 9, 10, 11];
+            let member: &[EventKind] = match strategy {
+                Transmission::FullLoad => &[
                     EventKind::Serialize,
                     EventKind::Pack,
-                    EventKind::Send,
-                    EventKind::Probe,
-                    EventKind::Recv,
                     EventKind::Unpack,
                     EventKind::Compute,
-                ]
-                .into_iter()
-                .collect(),
-                Transmission::SerializedLoad => [
+                ],
+                Transmission::SerializedLoad => &[
                     EventKind::Sload,
-                    EventKind::Serialize,
                     EventKind::Pack,
-                    EventKind::Send,
-                    EventKind::Probe,
-                    EventKind::Recv,
                     EventKind::Unpack,
                     EventKind::Compute,
-                ]
-                .into_iter()
-                .collect(),
-                Transmission::Nfs => [
-                    EventKind::Serialize,
-                    EventKind::Send,
-                    EventKind::NfsRead,
-                    EventKind::Compute,
-                ]
-                .into_iter()
-                .collect(),
+                ],
+                Transmission::Nfs => &[EventKind::NfsRead, EventKind::Compute],
             };
             for job in 0..jobs.len() as i64 {
                 let kinds: BTreeSet<EventKind> = events
@@ -1317,8 +1350,35 @@ mod tests {
                     .filter(|e| e.job == job)
                     .map(|e| e.kind)
                     .collect();
+                let mut expect: BTreeSet<EventKind> = member.iter().copied().collect();
+                if heads.contains(&job) {
+                    expect.insert(EventKind::Send);
+                }
                 assert_eq!(kinds, expect, "{strategy} job {job}");
             }
+            // One receive and one reply per frame on the slaves, one
+            // receive per reply on the master, under no job.
+            let frame_level = |kind, on_master: bool| {
+                events
+                    .iter()
+                    .filter(|e| e.job == NO_JOB && e.kind == kind && (e.rank == 0) == on_master)
+                    .count()
+            };
+            assert_eq!(
+                frame_level(EventKind::Recv, false),
+                heads.len(),
+                "{strategy}"
+            );
+            assert_eq!(
+                frame_level(EventKind::Send, false),
+                heads.len(),
+                "{strategy}"
+            );
+            assert_eq!(
+                frame_level(EventKind::Recv, true),
+                heads.len(),
+                "{strategy}"
+            );
             // Compute seconds aggregate exactly to the drawn costs.
             let compute_s: f64 = events
                 .iter()
@@ -1628,14 +1688,18 @@ mod tests {
     #[test]
     fn one_shard_whole_lease_is_bit_identical_to_the_plain_farm() {
         let jobs = cheap_jobs(200, 2e-3);
-        let plain = simulate_farm_cached(
+        // Plain as in `SchedConfig::plain`: the flat farm dispatches
+        // frames, a shard's lease round does not.
+        let (plain, _) = simulate_farm_config(
             &jobs,
-            4,
             Transmission::SerializedLoad,
             &cfg(),
             &mut SimCaches::new(),
             None,
-        );
+            SchedConfig::plain(jobs.len(), 4),
+            &[],
+        )
+        .unwrap();
         let sharded = simulate_sharded(
             &jobs,
             &ShardSimConfig {

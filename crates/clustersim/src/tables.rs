@@ -7,7 +7,7 @@
 //! simulator.
 
 use crate::params::SimConfig;
-use crate::sim::{simulate_farm, NfsCache, SimJob};
+use crate::sim::{simulate_farm_config, ClientCache, NfsCache, SimCaches, SimJob};
 use farm::portfolio::{
     realistic_portfolio, regression_portfolio, toy_portfolio, PortfolioJob, PortfolioScale,
 };
@@ -224,7 +224,16 @@ fn sweep(
         if !shared_cache {
             cache = NfsCache::new();
         }
-        let out = simulate_farm(jobs, n - 1, strategy, cfg, &mut cache);
+        let mut caches = SimCaches {
+            nfs: cache,
+            client: ClientCache::new(),
+        };
+        // The paper's tables time Fig. 4's protocol, one job a message
+        // (frames are its §5 outlook, and what `farm::run` ships now).
+        let per_job = sched::SchedConfig::plain(jobs.len(), n - 1);
+        let (out, _) = simulate_farm_config(jobs, strategy, cfg, &mut caches, None, per_job, &[])
+            .expect("a plain scheduler config is always valid");
+        cache = caches.nfs;
         let t2v = *t2.get_or_insert(out.makespan);
         rows.push(TableRow {
             cpus: n,

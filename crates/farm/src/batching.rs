@@ -1,69 +1,43 @@
-//! Job batching — the first §5 improvement: "gather several pricing
-//! problems and send them all together to reduce the communication
-//! latency … it is always advisable to send a single large message rather
-//! [than] several smaller messages."
+//! Job frames on the flat farm — the first §5 improvement: "gather
+//! several pricing problems and send them all together to reduce the
+//! communication latency … it is always advisable to send a single large
+//! message rather [than] several smaller messages."
 //!
-//! The batched farm is the flat farm with [`crate::FarmConfig::batch_size`]
-//! above 1: the same driver hands out contiguous FIFO batches, the same
-//! slave loop prices each member, and only the framing differs — one
-//! packed message of `batch_size` problems out ([`send_batch`]), one
-//! columnar result list back per batch.
-
-use crate::driver::Farm;
-use crate::robin_hood::FarmError;
-use crate::slave::{Framing, Link};
-use crate::strategy::prepare_payload_recorded;
-use crate::wire::BatchItem;
-use nspval::{List, Value};
-use std::path::PathBuf;
-
-/// The batched link between rank 0 and its slaves.
-pub(crate) const LINK: Link = Link {
-    master: 0,
-    tag: 9,
-    framing: Framing::Batch,
-};
-
-/// Send jobs `range` to `slave` as one batch message.
-pub(crate) fn send_batch(
-    farm: &Farm<'_>,
-    slave: usize,
-    files: &[PathBuf],
-    range: std::ops::Range<usize>,
-) -> Result<(), FarmError> {
-    let comm = farm.comm;
-    let mut batch = List::new();
-    for idx in range {
-        let path = &files[idx];
-        comm.set_job(Some(idx));
-        let payload = prepare_payload_recorded(comm, farm.ctx, farm.strategy, path)
-            .map_err(|e| FarmError::job_failed(idx, e))?;
-        let name = path.to_string_lossy().to_string();
-        batch.add_last(BatchItem { idx, name, payload }.to_value());
-    }
-    comm.set_job(None);
-    // One packed message for the whole batch.
-    let packed = comm.pack(&Value::List(batch));
-    comm.send(packed.bytes(), slave as i32, farm.link.tag)?;
-    Ok(())
-}
+//! The frame is what the flat farm dispatches whenever nothing needs jobs
+//! one at a time (a FIFO, unsupervised, unstaged run), sized by
+//! [`sched::Batch::Guided`]'s rule: `Farm::send_frame` out, the same slave
+//! loop pricing each member, one columnar reply back.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::config::{run, FarmConfig};
+    use crate::driver::Farm;
     use crate::portfolio::{save_portfolio, toy_portfolio};
-    use crate::robin_hood::FarmReport;
+    use crate::robin_hood::{FarmError, FarmReport};
     use crate::strategy::Transmission;
+    use std::path::PathBuf;
 
-    /// `batch` problems per message via the unified entry point.
+    /// The framed farm: what the unified entry point runs by default.
     fn run_batched_farm(
         files: &[PathBuf],
         slaves: usize,
         strategy: Transmission,
-        batch: usize,
     ) -> Result<FarmReport, FarmError> {
-        run(files, &FarmConfig::new(slaves, strategy).batch_size(batch))
+        run(files, &FarmConfig::new(slaves, strategy).record_trace(true))
+    }
+
+    /// The sizes of the frames a run dispatched, in order.
+    fn frames(report: &FarmReport) -> Vec<usize> {
+        let trace = report.trace.as_ref().expect("trace was recorded");
+        trace
+            .entries
+            .iter()
+            .flat_map(|e| &e.actions)
+            .filter_map(|a| match a {
+                sched::Action::Dispatch { batch, .. } => Some(*batch),
+                _ => None,
+            })
+            .collect()
     }
 
     fn setup(count: usize, tag: &str) -> (Vec<PathBuf>, std::path::PathBuf) {
@@ -77,12 +51,15 @@ mod tests {
     #[test]
     fn batched_farm_completes_everything() {
         let (paths, dir) = setup(37, "complete");
-        for batch in [1, 4, 10, 100] {
-            let report = run_batched_farm(&paths, 3, Transmission::SerializedLoad, batch).unwrap();
-            assert_eq!(report.completed(), 37, "batch {batch}");
+        for slaves in [1, 2, 3, 5] {
+            let report = run_batched_farm(&paths, slaves, Transmission::SerializedLoad).unwrap();
+            assert_eq!(report.completed(), 37, "{slaves} slaves");
             let mut jobs: Vec<usize> = report.outcomes.iter().map(|o| o.job).collect();
             jobs.sort();
-            assert_eq!(jobs, (0..37).collect::<Vec<_>>(), "batch {batch}");
+            assert_eq!(jobs, (0..37).collect::<Vec<_>>(), "{slaves} slaves");
+            let frames = frames(&report);
+            assert_eq!(frames[0], 37usize.div_ceil(2 * slaves), "{slaves} slaves");
+            assert_eq!(frames.iter().sum::<usize>(), 37, "{slaves} slaves");
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -90,11 +67,12 @@ mod tests {
     #[test]
     fn batch_one_matches_plain_farm_prices() {
         let (paths, dir) = setup(12, "vs_plain");
-        // `batch_size(1)` *is* the plain per-job protocol; 2 is the
-        // smallest batch that travels as one.
-        let plain = run(&paths, &FarmConfig::new(2, Transmission::SerializedLoad)).unwrap();
-        let batched = run_batched_farm(&paths, 2, Transmission::SerializedLoad, 1).unwrap();
-        let pairs = run_batched_farm(&paths, 2, Transmission::SerializedLoad, 2).unwrap();
+        // A supervised run keeps Fig. 4's per-job protocol: the same
+        // prices, bit for bit, whichever way the problems travelled.
+        let per_job = FarmConfig::new(2, Transmission::SerializedLoad).supervised(true);
+        let per_job = run(&paths, &per_job).unwrap();
+        let framed = run_batched_farm(&paths, 2, Transmission::SerializedLoad).unwrap();
+        assert!(frames(&framed)[0] > 1);
         let by_job = |r: &FarmReport| {
             let mut v: Vec<(usize, u64)> = r
                 .outcomes
@@ -104,26 +82,118 @@ mod tests {
             v.sort();
             v
         };
-        assert_eq!(by_job(&plain), by_job(&batched));
-        assert_eq!(by_job(&plain), by_job(&pairs));
+        assert_eq!(by_job(&per_job), by_job(&framed));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn batched_nfs_works() {
         let (paths, dir) = setup(9, "nfs");
-        let report = run_batched_farm(&paths, 2, Transmission::Nfs, 4).unwrap();
+        let report = run_batched_farm(&paths, 2, Transmission::Nfs).unwrap();
         assert_eq!(report.completed(), 9);
+        // ceil(9 / 4), ceil(6 / 4), then one at a time.
+        assert_eq!(frames(&report), [3, 2, 1, 1, 1, 1]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn oversize_batch_clamps() {
-        let (paths, dir) = setup(5, "oversize");
-        let report = run_batched_farm(&paths, 3, Transmission::FullLoad, 1000).unwrap();
-        assert_eq!(report.completed(), 5);
-        // All jobs went to the first slave as one batch.
-        assert_eq!(report.per_slave.iter().sum::<usize>(), 5);
+        let (paths, dir) = setup(600, "oversize");
+        let report = run_batched_farm(&paths, 1, Transmission::FullLoad).unwrap();
+        assert_eq!(report.completed(), 600);
+        // Half of what is queued, capped: 256 of 600, then 172 of 344.
+        assert_eq!(frames(&report)[..2], [sched::MAX_FRAME, 172]);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Rewrites the job ids of an honest reply.
+    type Mangle = fn(Vec<usize>) -> Vec<usize>;
+
+    /// A slave whose reply covers something other than the frame it was
+    /// sent: `mangle` rewrites the honest reply's job ids.
+    fn run_with_rogue_slave(tag: &str, mangle: Mangle) -> FarmError {
+        use crate::config::RunCtx;
+        use crate::slave::{Framing, Link};
+        use crate::wire::{batch_reply_value, decode_frame, Answer};
+        const LINK: Link = Link {
+            master: 0,
+            tag: 7,
+            framing: Framing::Frame,
+        };
+        let (paths, dir) = setup(8, tag);
+        let ctx = RunCtx::default_ctx();
+        let scenario = move || {
+            let ran = minimpi::World::run(2, |comm| {
+                if comm.rank() == 1 {
+                    let (frame, _) = comm.recv(0, LINK.tag).unwrap();
+                    let ids = decode_frame(&frame).unwrap().iter().map(|m| m.0).collect();
+                    let answers: Vec<Answer> = mangle(ids)
+                        .into_iter()
+                        .map(|job| Answer::Priced {
+                            job,
+                            price: 666.0,
+                            std_error: None,
+                        })
+                        .collect();
+                    comm.send_obj(&batch_reply_value(&answers), 0, LINK.tag)
+                        .unwrap();
+                    // The master must stop this rank, not leave it parked.
+                    let (stop, _) = comm.recv(0, LINK.tag).unwrap();
+                    assert!(stop.is_empty());
+                    return None;
+                }
+                let farm = Farm {
+                    comm: &comm,
+                    link: LINK,
+                    base: 0,
+                    supervisor: None,
+                    resident: false,
+                    ctx: &ctx,
+                    strategy: Transmission::SerializedLoad,
+                };
+                let (cfg, mut scratch) = (FarmConfig::new(1, farm.strategy), Vec::new());
+                let run = crate::driver::drive(&farm, cfg.sched_config(8), |job, rank, n, _| {
+                    farm.send_frame(rank, &paths, job..job + n, &mut scratch)
+                });
+                Some(run.expect_err("a rogue reply was believed"))
+            });
+            ran.into_iter().next().flatten().expect("master reports")
+        };
+        // Watchdog: a master that waits for the rest of the frame hangs.
+        let (run, t0) = (std::thread::spawn(scenario), std::time::Instant::now());
+        while !run.is_finished() {
+            assert!(t0.elapsed().as_secs() < 10, "{tag}: hang");
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+        run.join().unwrap()
+    }
+
+    #[test]
+    fn a_reply_must_answer_exactly_the_frame_that_was_sent() {
+        // One slave, eight jobs: the first frame is jobs 0..4.
+        let cases: [(&str, Mangle, &str); 4] = [
+            ("fewer", |ids| ids[..2].to_vec(), "stops after 2 answers"),
+            ("extra", |ids| [ids, vec![4]].concat(), "names job 4 there"),
+            (
+                "reordered",
+                |ids| vec![ids[0], ids[2], ids[1], ids[3]],
+                "names job 2 there",
+            ),
+            (
+                "foreign",
+                |ids| vec![ids[0], 7, ids[2], ids[3]],
+                "names job 7 there",
+            ),
+        ];
+        for (tag, mangle, what) in cases {
+            match run_with_rogue_slave(tag, mangle) {
+                FarmError::Protocol(why) => {
+                    assert!(why.contains("rank 1 was sent jobs 0..4"), "{tag}: {why}");
+                    assert!(why.contains(what), "{tag}: {why}");
+                }
+                other => panic!("{tag}: expected a protocol error, got {other:?}"),
+            }
+        }
     }
 }

@@ -1,12 +1,12 @@
 //! The unified farm entry point: one [`FarmConfig`] builder saying
-//! whether the flat farm runs plain, batched or supervised, with
-//! optional fault injection and phase-level observability.
+//! whether the flat farm runs plain or supervised, with optional fault
+//! injection and phase-level observability.
 //!
 //! Historically the crate exposed one free function per master variant,
 //! each with its own positional-argument spelling and its own error
 //! habits. [`run`] replaced them all: build a [`FarmConfig`], pass the
 //! portfolio, get a `Result<FarmReport, FarmError>`. The config is data
-//! for one runner (`robin_hood::run_flat`), not a switch between three.
+//! for one runner (`robin_hood::run_flat`), not a switch between several.
 //!
 //! ```
 //! use farm::{run, FarmConfig, Transmission};
@@ -74,13 +74,13 @@ impl RunCtx {
 
 /// Everything a farm run needs, behind one builder.
 ///
-/// Defaults: no batching (`batch_size == 1`), no supervision, no fault
-/// plan, no recorder — i.e. exactly the plain Robin-Hood farm.
+/// Defaults: no supervision, no fault plan, no recorder, FIFO order —
+/// the plain Robin-Hood farm, shipping job frames sized by the
+/// scheduler's own rule ([`sched::Batch::Guided`]).
 #[derive(Debug, Clone)]
 pub struct FarmConfig {
     pub(crate) slaves: usize,
     pub(crate) strategy: Transmission,
-    pub(crate) batch_size: usize,
     pub(crate) supervisor: Option<SupervisorConfig>,
     pub(crate) fault_plan: Option<Arc<FaultPlan>>,
     pub(crate) recorder: Option<Arc<Recorder>>,
@@ -103,7 +103,6 @@ impl FarmConfig {
         FarmConfig {
             slaves,
             strategy,
-            batch_size: 1,
             supervisor: None,
             fault_plan: None,
             recorder: None,
@@ -125,7 +124,7 @@ impl FarmConfig {
     /// [`DispatchPolicy::Lpt`] (longest-predicted-cost-first, the
     /// classic makespan heuristic for the end-of-run straggler tail —
     /// costs come from a calibrated [`crate::calibrate::CostModel`]).
-    /// LPT is incompatible with [`Self::batch_size`] `> 1` (batches are
+    /// Any order but FIFO dispatches one job per message (frames are
     /// contiguous index ranges).
     pub fn order(mut self, policy: DispatchPolicy) -> Self {
         self.policy = policy;
@@ -147,7 +146,8 @@ impl FarmConfig {
     /// iterated BSDE workloads (built most conveniently through
     /// [`crate::workload::Workload`] + [`crate::workload::run_workload`],
     /// which also wires the answer-patching between rounds). Incompatible
-    /// with batching and supervision.
+    /// with supervision; a staged run dispatches one job per message (a
+    /// frame could span a round barrier).
     pub fn rounds(mut self, rounds: Vec<usize>) -> Self {
         self.rounds = Some(rounds);
         self
@@ -190,15 +190,9 @@ impl FarmConfig {
         self
     }
 
-    /// Ship `batch_size` problems per message (§5 batching improvement).
-    /// `1` is the plain per-job protocol. Incompatible with supervision.
-    pub fn batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size;
-        self
-    }
-
     /// Enable the supervised master (deadlines, bounded retries,
-    /// dead-slave burial) with its default test-scale timings.
+    /// dead-slave burial — per job, so one job per message) with its
+    /// default test-scale timings.
     pub fn supervised(mut self, on: bool) -> Self {
         self.supervisor = on.then(|| self.supervisor.take().unwrap_or_default());
         self
@@ -282,16 +276,21 @@ impl FarmConfig {
     }
 
     /// The scheduler's view of this config over `jobs` jobs: dispatch
-    /// order, batch size, staged rounds and tracing are all data for the
-    /// one driver (which adds `supervisor`'s deadlines and retry budget
-    /// itself, next to the poll interval it takes from the same value).
+    /// order, supervision, staged rounds and tracing are all data for
+    /// the one driver — and together they decide whether dispatches are
+    /// job frames ([`SchedConfig::farm`], the constructor the simulator
+    /// builds its own config through).
     pub(crate) fn sched_config(&self, jobs: usize) -> SchedConfig {
+        let supervision = self.supervisor.as_ref().map(SupervisorConfig::supervision);
         SchedConfig {
-            batch: self.batch_size,
-            policy: self.policy.clone(),
-            rounds: self.rounds.clone(),
             record_trace: self.record_trace,
-            ..SchedConfig::plain(jobs, self.slaves)
+            ..SchedConfig::farm(
+                jobs,
+                self.slaves,
+                self.policy.clone(),
+                supervision,
+                self.rounds.clone(),
+            )
         }
     }
 
@@ -306,13 +305,7 @@ impl FarmConfig {
             return Err(FarmError::NoSlaves);
         }
         let mut issues = exec::ConfigIssues::collect();
-        if self.batch_size == 0 {
-            issues.reject("batch_size", "must be at least 1");
-        }
         let supervised = self.supervisor.is_some();
-        if supervised && self.batch_size > 1 {
-            issues.reject("batch_size", "batching is not supported under supervision");
-        }
         if self.fault_plan.is_some() && !supervised {
             issues.reject(
                 "fault_plan",
@@ -356,25 +349,11 @@ impl FarmConfig {
         if let Err(e) = exec::LaneConfig::from_width(self.lanes) {
             issues.reject("lanes", e);
         }
-        if matches!(self.policy, DispatchPolicy::Lpt { .. }) && self.batch_size > 1 {
+        if self.rounds.is_some() && supervised {
             issues.reject(
-                "policy",
-                "LPT order is incompatible with batching (batches are contiguous index ranges)",
+                "rounds",
+                "staged rounds run on the plain master (supervision is not staged yet)",
             );
-        }
-        if self.rounds.is_some() {
-            if self.batch_size > 1 {
-                issues.reject(
-                    "rounds",
-                    "staged rounds are incompatible with batching (a batch could span a round barrier)",
-                );
-            }
-            if supervised {
-                issues.reject(
-                    "rounds",
-                    "staged rounds run on the plain master (supervision is not staged yet)",
-                );
-            }
         }
         issues.into_result().map_err(FarmError::Config)
     }
@@ -430,40 +409,21 @@ pub(crate) fn run_with(
     patch: Option<crate::workload::StagedPatch>,
 ) -> Result<FarmReport, FarmError> {
     cfg.validate()?;
-    if let Some(rounds) = &cfg.rounds {
-        if rounds.len() != files.len() {
-            return Err(FarmError::Config(exec::ConfigIssues::one(
-                "rounds",
-                format!(
-                    "rounds vector covers {} jobs but the portfolio has {}",
-                    rounds.len(),
-                    files.len()
-                ),
-            )));
+    // Per-job vectors must cover the portfolio.
+    let per_job = [
+        ("rounds", "rounds", cfg.rounds.as_ref().map(Vec::len)),
+        match &cfg.policy {
+            DispatchPolicy::Lpt { costs } => ("policy", "LPT cost", Some(costs.len())),
+            DispatchPolicy::Priority { class } => ("policy", "priority class", Some(class.len())),
+            DispatchPolicy::Fifo => ("policy", "", None),
+        },
+    ];
+    for (field, what, len) in per_job {
+        if let Some(len) = len.filter(|&len| len != files.len()) {
+            let jobs = files.len();
+            let why = format!("{what} vector covers {len} jobs but the portfolio has {jobs}");
+            return Err(FarmError::Config(exec::ConfigIssues::one(field, why)));
         }
-    }
-    match &cfg.policy {
-        DispatchPolicy::Lpt { costs } if costs.len() != files.len() => {
-            return Err(FarmError::Config(exec::ConfigIssues::one(
-                "policy",
-                format!(
-                    "LPT cost vector covers {} jobs but the portfolio has {}",
-                    costs.len(),
-                    files.len()
-                ),
-            )));
-        }
-        DispatchPolicy::Priority { class } if class.len() != files.len() => {
-            return Err(FarmError::Config(exec::ConfigIssues::one(
-                "policy",
-                format!(
-                    "priority class vector covers {} jobs but the portfolio has {}",
-                    class.len(),
-                    files.len()
-                ),
-            )));
-        }
-        _ => {}
     }
     run_flat(files, cfg, &cfg.build_ctx(files), patch.as_ref())
 }
@@ -496,17 +456,18 @@ mod tests {
     }
 
     #[test]
-    fn zero_batch_rejected() {
-        let cfg = FarmConfig::new(2, Transmission::Nfs).batch_size(0);
-        assert!(rejected(&cfg).has("batch_size"));
-    }
-
-    #[test]
-    fn supervised_batching_rejected() {
-        let cfg = FarmConfig::new(2, Transmission::Nfs)
-            .batch_size(4)
-            .supervised(true);
-        assert!(rejected(&cfg).has("batch_size"));
+    fn frames_are_the_scheduler_configs_call() {
+        use sched::Batch;
+        let plain = FarmConfig::new(2, Transmission::Nfs);
+        assert_eq!(plain.sched_config(8).batch, Batch::Guided);
+        let costs = vec![1.0; 8];
+        for per_job in [
+            plain.clone().supervised(true),
+            plain.clone().order(DispatchPolicy::Lpt { costs }),
+            plain.clone().rounds(vec![0; 8]),
+        ] {
+            assert_eq!(per_job.sched_config(8).batch, Batch::One);
+        }
     }
 
     #[test]
@@ -571,7 +532,7 @@ mod tests {
         // Five independent mistakes in one config: validation reports
         // all of them, in field order, instead of the first one found.
         let cfg = FarmConfig::new(2, Transmission::Nfs)
-            .batch_size(0)
+            .compute_chunk(16)
             .cache_bytes(0)
             .threads(0)
             .lanes(3)
@@ -579,7 +540,7 @@ mod tests {
         let issues = rejected(&cfg);
         assert_eq!(issues.issues.len(), 5, "all five fields reported: {issues}");
         for field in [
-            "batch_size",
+            "compute_chunk",
             "fault_plan",
             "cache_bytes",
             "threads",
@@ -590,7 +551,7 @@ mod tests {
         // The rendered message names every field for the human reader.
         let msg = FarmError::Config(issues).to_string();
         for field in [
-            "batch_size",
+            "compute_chunk",
             "fault_plan",
             "cache_bytes",
             "threads",
@@ -610,20 +571,45 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A config only the scheduler rejects (batches need FIFO order) is
-    /// found with the slaves already parked in `recv`: the driver must
-    /// stop them before it reports, or `run` would never return.
+    /// A config only the scheduler rejects (frames need FIFO order; no
+    /// `FarmConfig` builds one any more, a front-end's own `SchedConfig`
+    /// still could) is found with the slaves already parked in `recv`:
+    /// the driver must stop them before it reports, or the run would
+    /// never return.
     #[test]
     fn scheduler_rejection_stops_the_slaves_it_found_parked() {
-        let (paths, dir) = setup(4, "sched_reject");
-        let cfg = FarmConfig::new(2, Transmission::SerializedLoad)
-            .batch_size(2)
-            .order(DispatchPolicy::Priority {
+        use crate::driver::{drive, Farm};
+        use crate::slave::{serve_jobs, Link};
+        let (ctx, link) = (RunCtx::default_ctx(), Link::per_job(0, 7));
+        let strategy = Transmission::SerializedLoad;
+        let bad = SchedConfig {
+            batch: sched::Batch::Guided,
+            ..SchedConfig::plain(4, 2).policy(DispatchPolicy::Priority {
                 class: vec![0, 1, 0, 1],
-            });
-        let issues = rejected_for(&paths, &cfg);
-        assert!(issues.has("scheduler"), "{issues}");
-        std::fs::remove_dir_all(&dir).ok();
+            })
+        };
+        let ran = minimpi::World::run(3, |comm| {
+            if comm.rank() != 0 {
+                serve_jobs(&comm, &ctx, link, strategy, None);
+                return None;
+            }
+            let farm = Farm {
+                comm: &comm,
+                link,
+                base: 0,
+                supervisor: None,
+                resident: false,
+                ctx: &ctx,
+                strategy,
+            };
+            Some(drive(&farm, bad.clone(), |_, _, _, _| {
+                unreachable!("nothing is dispatched")
+            }))
+        });
+        match ran.into_iter().next().flatten() {
+            Some(Err(FarmError::Config(issues))) => assert!(issues.has("scheduler"), "{issues}"),
+            other => panic!("expected a config rejection, got {other:?}"),
+        }
     }
 
     /// Like [`rejected`] but against a real portfolio (for the checks
@@ -903,10 +889,13 @@ mod tests {
     #[test]
     fn plain_batched_and_supervised_routes_agree() {
         let (paths, dir) = setup(18, "routes");
+        // Plain is the framed route, LPT order keeps it on the
+        // unsupervised per-job one.
         let plain = run(&paths, &FarmConfig::new(2, Transmission::SerializedLoad)).unwrap();
+        let costs = vec![1.0; 18];
         let batched = run(
             &paths,
-            &FarmConfig::new(2, Transmission::SerializedLoad).batch_size(5),
+            &FarmConfig::new(2, Transmission::SerializedLoad).order(DispatchPolicy::Lpt { costs }),
         )
         .unwrap();
         let supervised = run(

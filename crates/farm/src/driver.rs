@@ -1,8 +1,8 @@
 //! The farm's one master driver — Fig. 4's `else` branch over the
 //! [`sched`] state machine.
 //!
-//! Every master in this crate (flat, supervised, batched, each
-//! hierarchy sub-master, each shard lease round) calls [`drive`]: it
+//! Every master in this crate (flat, supervised, each hierarchy
+//! sub-master, each shard lease round) calls [`drive`]: it
 //! translates wire messages into [`sched::Event`]s, feeds the pure
 //! scheduler, and executes the returned [`sched::Action`]s as sends. All
 //! scheduling *decisions* (who gets which job next, when a job is
@@ -25,16 +25,17 @@
 use crate::config::RunCtx;
 use crate::instrument;
 use crate::robin_hood::{FarmError, FarmReport, JobOutcome};
-use crate::slave::{recv_packed, Framing, Link};
-use crate::strategy::{prepare_payload_recorded, Transmission};
+use crate::slave::{Framing, Link};
+use crate::strategy::{prepare_serial_recorded, Transmission};
 use crate::supervisor::SupervisorConfig;
-use crate::wire::{self, Answer, JobMsg};
+use crate::wire::{self, Answer, Body, JobFrame, JobMsg};
 use minimpi::{Comm, MpiBuf, MpiError, Status, ANY_SOURCE};
 use nspval::Value;
 use obs::{EventKind, NO_JOB};
 use sched::{Action, Event, SchedConfig, Scheduler};
 use std::collections::VecDeque;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The live side of one scheduler run: where the slaves are and how to
@@ -102,9 +103,9 @@ impl Farm<'_> {
             // out back to back through one pair guard: the slave is woken
             // once, with both queued, rather than woken for the name only
             // to block on the payload.
-            let packed = prepare_payload_recorded(comm, self.ctx, self.strategy, path)
+            let packed = prepare_serial_recorded(comm, self.ctx, self.strategy, path)
                 .map_err(|e| FarmError::job_failed(idx, e))?
-                .map(|payload| comm.pack_into(&payload, scratch));
+                .map(|s| comm.pack_into(&Value::Serial(Arc::unwrap_or_clone(s)), scratch));
             let name = path.to_string_lossy().to_string();
             let pair = comm.pair(slave as i32)?;
             pair.send_obj(&JobMsg { idx, name }.to_value(), tag)?;
@@ -115,6 +116,41 @@ impl Farm<'_> {
         })();
         comm.set_job(None);
         sent
+    }
+
+    /// Send jobs `range` to rank `slave` as one job frame, written into
+    /// `scratch` (recycled across the run): each problem's bytes go from
+    /// where the store fetched them straight into the message ([`EventKind::Pack`]).
+    pub(crate) fn send_frame(
+        &self,
+        slave: usize,
+        files: &[PathBuf],
+        range: std::ops::Range<usize>,
+        scratch: &mut Vec<u8>,
+    ) -> Result<(), FarmError> {
+        let (comm, head) = (self.comm, range.start);
+        let mut frame = JobFrame::new(std::mem::take(scratch));
+        for idx in range {
+            let path = &files[idx];
+            comm.set_job(Some(idx));
+            let serial = prepare_serial_recorded(comm, self.ctx, self.strategy, path)
+                .map_err(|e| FarmError::job_failed(idx, e))?;
+            match &serial {
+                Some(serial) => {
+                    let t0 = instrument::t0(comm);
+                    let (compressed, bytes) = (serial.is_compressed(), serial.bytes());
+                    frame.push(idx, Body::Serial { compressed, bytes });
+                    instrument::span(comm, EventKind::Pack, t0, bytes.len() as u64);
+                }
+                None => frame.push(idx, Body::Name(&path.to_string_lossy())),
+            }
+        }
+        *scratch = frame.finish();
+        // The message as a whole is recorded under its first job.
+        comm.set_job(Some(head));
+        let sent = comm.send(scratch, slave as i32, self.link.tag);
+        comm.set_job(None);
+        Ok(sent?)
     }
 }
 
@@ -255,16 +291,15 @@ where
                 .checked_sub(link.master)
                 .filter(|s| (1..=slaves).contains(s))
                 .ok_or_else(|| FarmError::Protocol(format!("answer from unknown rank {src}")))?;
-            // The first answer names the dispatch (a whole batch answers
+            if !supervised {
+                self.check_reply(&answers, slave)?;
+            }
+            // The first answer names the dispatch (a whole frame answers
             // together); the first failure, if any, decides its fate.
             let failed = answers.iter().find(|a| matches!(a, Answer::Failed { .. }));
             let event = match (failed, answers.first()) {
                 (Some(Answer::Failed { job, why }), _) if !supervised => {
-                    self.sched_job(*job)?;
-                    return Err(FarmError::JobFailed {
-                        job: *job,
-                        why: why.clone(),
-                    });
+                    return Err(FarmError::job_failed(*job, why));
                 }
                 (Some(a), _) => Event::Failure {
                     job: self.sched_job(a.job())?,
@@ -275,8 +310,7 @@ where
                     slave,
                 },
                 (None, None) => {
-                    let why = format!("empty batch reply from rank {src}");
-                    return Err(FarmError::Protocol(why));
+                    return Err(FarmError::Protocol(format!("empty reply from rank {src}")));
                 }
             };
             self.pending = answers;
@@ -284,6 +318,28 @@ where
             self.pending.clear();
         }
         Ok(())
+    }
+
+    /// An unsupervised master takes a reply at its word — the scheduler
+    /// marks the whole dispatched range done on it — so the reply must
+    /// answer exactly what `slave` was sent: the same jobs, in order.
+    /// (Under supervision a late answer is legitimate, and deduplicated.)
+    fn check_reply(&self, answers: &[Answer], slave: usize) -> Result<(), FarmError> {
+        let sent = self.sched.in_flight(slave).unwrap_or(0..0);
+        let sent = self.farm.base + sent.start..self.farm.base + sent.end;
+        let got = answers.iter().map(|a| Some(a.job())).chain([None]);
+        let expected = sent.clone().map(Some).chain([None]);
+        match got.zip(expected).find(|(got, expected)| got != expected) {
+            None => Ok(()),
+            Some((got, _)) => Err(FarmError::Protocol(format!(
+                "rank {} was sent jobs {sent:?} but its reply {}",
+                self.farm.rank(slave),
+                match got {
+                    Some(job) => format!("names job {job} there"),
+                    None => format!("stops after {} answers", answers.len()),
+                },
+            ))),
+        }
     }
 
     /// The scheduler's id for wire job `wire`.
@@ -299,12 +355,12 @@ where
     fn gather(&self) -> Result<Option<(Vec<Answer>, usize)>, FarmError> {
         let Farm { comm, link, .. } = *self.farm;
         let tag = link.tag;
-        let (v, src) = match (link.framing, self.farm.supervisor.map(|s| s.poll)) {
-            (Framing::PerJob, None) => {
+        let (v, src) = match self.farm.supervisor.map(|s| s.poll) {
+            None => {
                 let (v, st) = recv_any(comm, tag)?;
                 (v, st.src)
             }
-            (Framing::PerJob, Some(poll)) => match comm.recv_obj_timeout(ANY_SOURCE, tag, poll) {
+            Some(poll) => match comm.recv_obj_timeout(ANY_SOURCE, tag, poll) {
                 Ok(Some((v, st))) => (v, st.src),
                 Ok(None) => return Ok(None),
                 Err(MpiError::Truncated { .. }) => {
@@ -313,14 +369,13 @@ where
                 }
                 Err(e) => return Err(e.into()),
             },
-            (Framing::Batch, _) => {
-                // One packed message carries a whole batch reply.
-                let (buf, st) = recv_packed(comm, ANY_SOURCE, tag)?;
-                let answers = wire::decode_batch_reply(&comm.unpack(&buf)?)?;
-                return Ok(Some((answers, st.src)));
-            }
         };
-        Ok(Some((vec![wire::decode_answer(&v)?], src)))
+        let answers = match link.framing {
+            Framing::PerJob => vec![wire::decode_answer(&v)?],
+            // One message carries a whole frame's answers.
+            Framing::Frame => wire::decode_batch_reply(&v)?,
+        };
+        Ok(Some((answers, src)))
     }
 
     /// Execute an action batch in order. A dispatch the scheduler can

@@ -123,12 +123,7 @@ fn global_master(
         let len = base + usize::from(g < rem);
         let chunk = (begin..begin + len).map(|idx| {
             let name = files[idx].to_string_lossy().to_string();
-            BatchItem {
-                idx,
-                name,
-                payload: None,
-            }
-            .to_value()
+            BatchItem { idx, name }.to_value()
         });
         begin += len;
         comm.send_obj(
@@ -195,7 +190,7 @@ fn sub_master(
     let mut scratch = MpiBuf::with_capacity(0);
     let cfg = SchedConfig::plain(jobs.len(), topo.slaves_per_group);
     let run = driver::drive(&farm, cfg, |job, rank, _batch, _outcomes| {
-        let BatchItem { idx, name, .. } = &jobs[job];
+        let BatchItem { idx, name } = &jobs[job];
         farm.send_job(rank, *idx, Path::new(name), &mut scratch)
     });
     let report = match run {

@@ -12,14 +12,14 @@
 //!   Tables II/III: **full load**, **NFS**, **serialized load**.
 //! * [`robin_hood`] — the master/slave "Robbin Hood" load balancer of
 //!   Figs. 4–5, running live over `minimpi` threads: the flat farm
-//!   behind [`run`], plain, batched or supervised as its [`FarmConfig`]
-//!   says, and the report / error types every front-end shares.
+//!   behind [`run`], plain or supervised as its [`FarmConfig`] says, and
+//!   the report / error types every front-end shares.
 //! * `slave` and `driver` (private) — Fig. 4's two branches, once each:
 //!   the one slave loop (every job is answered, priced or failed —
 //!   `docs/FAULTS.md`) and the one master driver (feeds the pure
 //!   [`sched::Scheduler`] the simulator also runs — `docs/SCHEDULER.md`
-//!   — and owns shutdown). `batching` (private) is the §5 "send them
-//!   all together" framing behind [`FarmConfig::batch_size`].
+//!   — and owns shutdown). A plain run ships §5's "send them all
+//!   together" job frames, sized by the scheduler (`batching`, private).
 //! * [`hierarchy`] — the §5 sub-master improvement ("divide the nodes
 //!   into sub-groups, each group having its own master"): topology,
 //!   chunking and the group gather around the same driver and slave.
@@ -37,11 +37,11 @@
 //!   parameter sweeps (delta/gamma/vega/rho per claim) that multiply the
 //!   portfolio into the paper's "around 10⁶ atomic computations".
 //! * [`wire`] — the typed wire codec every master/slave pair shares:
-//!   job requests, batch items, priced/failed answers and the
+//!   job requests, job frames, priced/failed answers and the
 //!   hierarchy's chunk and group-report messages, with total decoding
 //!   ([`FarmError::Protocol`] instead of silent drops).
 //! * [`config`] — the unified entry point: build a [`FarmConfig`]
-//!   (strategy, batching, supervision, fault plan, [`obs::Recorder`],
+//!   (strategy, supervision, fault plan, [`obs::Recorder`],
 //!   problem store / cache / wire-compression / prefetch) and call
 //!   [`run`]. The historical per-variant free functions are gone; the
 //!   other way in is a long-lived `serve::Session` over the same

@@ -11,17 +11,16 @@
 //! the loaded strategies, by a *packed object* message (`MPI_Pack` +
 //! `MPI_Send`); the slave probes, sizes a buffer with `MPI_Get_count`,
 //! receives, unpacks, unserializes, computes and replies with a result
-//! object.
+//! object. (A supervised, LPT-ordered or staged run speaks exactly that;
+//! any other gathers the same problems into job frames, `crate::batching`.)
 //!
 //! This module is the *flat* farm — one master, rank 0, over ranks
-//! `1..=slaves` — in all three of its configurations: plain, supervised
-//! (`crate::supervisor`) and batched (`crate::batching`). They are one
+//! `1..=slaves` — plain or supervised (`crate::supervisor`). They are one
 //! runner: [`crate::driver::drive`] on rank 0, [`crate::slave::serve_jobs`]
 //! on every other rank, and a [`crate::FarmConfig`] saying which
-//! scheduler config, which framing and how much patience. The report and
-//! error types every front-end shares live here too.
+//! scheduler config — and so which framing — and how much patience. The
+//! report and error types every front-end shares live here too.
 
-use crate::batching::{self, send_batch};
 use crate::config::{FarmConfig, RunCtx};
 use crate::driver::{self, Farm};
 use crate::slave::{self, Framing, Link};
@@ -29,6 +28,7 @@ use crate::strategy::Transmission;
 use crate::workload::StagedPatch;
 use exec::ConfigIssues;
 use minimpi::{Comm, MpiBuf, MpiError, World};
+use sched::Batch;
 use std::fmt;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -111,8 +111,8 @@ pub enum FarmError {
     /// A serialization / XDR decode failure (bad problem file, corrupt
     /// payload).
     Xdr(xdrser::XdrError),
-    /// The [`crate::FarmConfig`] combination is invalid (e.g. batching
-    /// under supervision, a zero retry budget, an undersized recorder).
+    /// The [`crate::FarmConfig`] combination is invalid (e.g. a fault
+    /// plan without supervision, a zero retry budget, an undersized recorder).
     /// Carries *every* rejected field, not just the first one found.
     Config(ConfigIssues),
     /// A peer sent a message the wire codec cannot decode: a protocol
@@ -184,18 +184,21 @@ impl From<xdrser::XdrError> for FarmError {
     }
 }
 
-/// The flat farm behind [`crate::run`]: plain, supervised or batched as
-/// `cfg` says. With no recorder and the default context it is
-/// byte-for-byte the PR-1 behaviour (`tests/obs_overhead.rs`).
+/// The flat farm behind [`crate::run`]: plain or supervised as `cfg`
+/// says, framed whenever its scheduler config dispatches frames.
 pub(crate) fn run_flat(
     files: &[PathBuf],
     cfg: &FarmConfig,
     ctx: &RunCtx,
     patch: Option<&StagedPatch>,
 ) -> Result<FarmReport, FarmError> {
-    let link = match cfg.batch_size {
-        1 => Link::per_job(0, TAG),
-        _ => batching::LINK,
+    let framing = match cfg.sched_config(files.len()).batch {
+        Batch::One => Framing::PerJob,
+        Batch::Guided => Framing::Frame,
+    };
+    let link = Link {
+        framing,
+        ..Link::per_job(0, TAG)
     };
     let body = |comm: Comm| {
         if comm.rank() == 0 {
@@ -227,6 +230,7 @@ fn master(
     patch: Option<&StagedPatch>,
 ) -> Result<FarmReport, FarmError> {
     let mut scratch = MpiBuf::with_capacity(0);
+    let mut frame = Vec::new();
     let farm = Farm {
         comm,
         link,
@@ -245,7 +249,7 @@ fn master(
         }
         match link.framing {
             Framing::PerJob => farm.send_job(rank, job, &files[job], &mut scratch)?,
-            Framing::Batch => send_batch(&farm, rank, files, job..job + batch)?,
+            Framing::Frame => farm.send_frame(rank, files, job..job + batch, &mut frame)?,
         }
         // Slide the prefetch window past this dispatch (monotonic:
         // retries of earlier jobs don't pull it back).

@@ -15,7 +15,7 @@
 //! round through the same pure [`sched::Scheduler`] the flat farm and
 //! the simulator use, so decision-trace parity holds *per shard*: with
 //! stealing disabled and one round per shard (`lease == 0`), a shard's
-//! trace is byte-identical to `clustersim::simulate_farm_sched` on its
+//! trace is byte-identical to `clustersim::simulate_farm_config` on its
 //! partition — locked down by `tests/shard_parity.rs`.
 //!
 //! The slave farms run on either [`Transport`](transport::Transport)

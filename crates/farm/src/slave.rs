@@ -1,7 +1,7 @@
 //! The farm's one slave loop — Fig. 4's `if mpi_rank <> 0` branch.
 //!
-//! Every front-end (flat, supervised, batched, each hierarchy group,
-//! each shard) runs [`serve_jobs`] on its compute ranks; what differs
+//! Every front-end (flat, supervised, each hierarchy group, each
+//! shard) runs [`serve_jobs`] on its compute ranks; what differs
 //! between them is data: the [`Link`] to the master being served and,
 //! under supervision, the patience that bounds every wait. A job the
 //! slave cannot read, decode or price is *answered* — [`Answer::Failed`]
@@ -12,11 +12,12 @@
 use crate::config::RunCtx;
 use crate::instrument;
 use crate::robin_hood::FarmError;
-use crate::strategy::{recover_problem_recorded, Transmission};
+use crate::strategy::{recover, recover_member, Transmission};
 use crate::supervisor::SupervisorConfig;
-use crate::wire::{batch_reply_value, decode_batch, Answer, BatchItem, JobMsg};
-use minimpi::{Comm, MpiBuf, MpiError, Status};
+use crate::wire::{batch_reply_value, decode_frame, Answer, JobMsg};
+use minimpi::{Comm, MpiBuf, MpiError};
 use nspval::Value;
+use pricing::PremiaProblem;
 
 /// How jobs are framed on a [`Link`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,9 +26,9 @@ pub(crate) enum Framing {
     /// packed payload; one answer object back; the stop sentinel is an
     /// empty matrix.
     PerJob,
-    /// §5 batching: one packed list of `{idx, name, payload?}` items,
-    /// one packed columnar reply; the stop sentinel is an empty message.
-    Batch,
+    /// §5's "send them all together": one [`crate::wire::JobFrame`] of
+    /// problems or names, one columnar reply; the stop is an empty message.
+    Frame,
 }
 
 /// One master ↔ slaves protocol instance, shared by both ends: the
@@ -56,7 +57,7 @@ impl Link {
     pub(crate) fn stop(&self, comm: &Comm, rank: usize) -> Result<(), MpiError> {
         match self.framing {
             Framing::PerJob => comm.send_obj(&Value::empty_matrix(), rank as i32, self.tag),
-            Framing::Batch => comm.send(&[], rank as i32, self.tag),
+            Framing::Frame => comm.send(&[], rank as i32, self.tag),
         }
     }
 }
@@ -71,7 +72,7 @@ enum Turn {
     /// A job whose payload never arrived intact: answered as failed.
     Lost(usize, &'static str),
     /// A job and, for the loaded strategies, its payload.
-    Job(BatchItem),
+    Job(JobMsg, Option<Value>),
 }
 
 /// Serve jobs from `link.master` until its stop sentinel — the whole body
@@ -92,7 +93,7 @@ pub(crate) fn serve_jobs(
     strategy: Transmission,
     patience: Option<&SupervisorConfig>,
 ) {
-    let master = link.master as i32;
+    let (master, store) = (link.master as i32, ctx.store.as_ref());
     let serve = || -> Result<(), FarmError> {
         loop {
             comm.set_job(None);
@@ -102,19 +103,27 @@ pub(crate) fn serve_jobs(
                         Turn::Stop => return Ok(()),
                         Turn::Again => continue,
                         Turn::Lost(idx, why) => Answer::failed(idx, why),
-                        Turn::Job(job) => price_one(comm, ctx, strategy, &job),
+                        Turn::Job(JobMsg { idx, name }, payload) => {
+                            price_one(comm, ctx, idx, || {
+                                recover(Some(comm), store, strategy, &name, payload.as_ref())
+                            })
+                        }
                     };
                     comm.send_obj(&answer.to_value(), master, link.tag)?;
                 }
-                Framing::Batch => {
-                    let Some(jobs) = recv_batch(comm, link)? else {
+                Framing::Frame => {
+                    let (frame, _) = comm.recv(master, link.tag)?;
+                    if frame.is_empty() {
                         return Ok(());
+                    }
+                    // Every member is priced from the frame's own bytes.
+                    let price = |(idx, body)| {
+                        price_one(comm, ctx, idx, || recover_member(comm, store, body))
                     };
-                    let price = |job| price_one(comm, ctx, strategy, job);
-                    let answers: Vec<Answer> = jobs.iter().map(price).collect();
+                    let answers: Vec<Answer> =
+                        decode_frame(&frame)?.into_iter().map(price).collect();
                     comm.set_job(None);
-                    let packed = comm.pack(&batch_reply_value(&answers));
-                    comm.send(packed.bytes(), master, link.tag)?;
+                    comm.send_obj(&batch_reply_value(&answers), master, link.tag)?;
                 }
             }
         }
@@ -133,15 +142,17 @@ pub(crate) fn serve_jobs(
 /// Recover and price one job. Every local failure — an unreadable file,
 /// an undecodable problem, a method that rejects its inputs — becomes
 /// the answer.
-fn price_one(comm: &Comm, ctx: &RunCtx, strategy: Transmission, job: &BatchItem) -> Answer {
-    let idx = job.idx;
+fn price_one(
+    comm: &Comm,
+    ctx: &RunCtx,
+    idx: usize,
+    recover: impl FnOnce() -> Result<PremiaProblem, xdrser::XdrError>,
+) -> Answer {
     comm.set_job(Some(idx));
-    let priced = recover_problem_recorded(comm, ctx, strategy, &job.name, job.payload.as_ref())
-        .map_err(|e| e.to_string())
-        .and_then(|problem| {
-            instrument::compute_recorded(comm, ctx, &problem)
-                .map_err(|e| format!("compute failed: {e}"))
-        });
+    let priced = recover().map_err(|e| e.to_string()).and_then(|problem| {
+        instrument::compute_recorded(comm, ctx, &problem)
+            .map_err(|e| format!("compute failed: {e}"))
+    });
     match priced {
         Ok(result) => Answer::priced(idx, &result),
         Err(why) => Answer::failed(idx, why),
@@ -183,12 +194,17 @@ fn recv_job(
         };
     };
     comm.set_job(Some(idx));
-    let job = |payload| Turn::Job(BatchItem { idx, name, payload });
+    let job = |payload| Turn::Job(JobMsg { idx, name }, payload);
     if strategy == Transmission::Nfs {
         return Ok(job(None));
     }
     let buf = match patience {
-        None => recv_packed(comm, master, tag)?.0,
+        // Fig. 4: probe, size a buffer, receive.
+        None => {
+            let mut buf = MpiBuf::with_capacity(comm.probe(master, tag)?.count());
+            comm.recv_into(&mut buf, master, tag)?;
+            buf
+        }
         Some(p) => match comm.recv_timeout(master, tag, p.payload_timeout) {
             Ok(Some((bytes, _))) => MpiBuf::from_bytes(bytes),
             Ok(None) => return Ok(Turn::Lost(idx, "payload timeout")),
@@ -206,24 +222,4 @@ fn recv_job(
         Ok(v) => job(Some(v)),
         Err(_) => Turn::Lost(idx, "payload undecodable"),
     })
-}
-
-/// Probe → size a buffer → receive: Fig. 4's receive of a packed message.
-pub(crate) fn recv_packed(comm: &Comm, src: i32, tag: i32) -> Result<(MpiBuf, Status), MpiError> {
-    let st = comm.probe(src, tag)?;
-    let mut buf = MpiBuf::with_capacity(st.count());
-    comm.recv_into(&mut buf, st.src as i32, tag)?;
-    Ok((buf, st))
-}
-
-/// Receive one batch request; `None` is the empty stop message.
-fn recv_batch(comm: &Comm, link: Link) -> Result<Option<Vec<BatchItem>>, FarmError> {
-    let (master, tag) = (link.master as i32, link.tag);
-    let st = comm.probe(master, tag)?;
-    if st.count() == 0 {
-        comm.recv(master, tag)?;
-        return Ok(None);
-    }
-    let (buf, _) = recv_packed(comm, master, tag)?;
-    decode_batch(&comm.unpack(&buf)?).map(Some)
 }

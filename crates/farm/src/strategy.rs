@@ -11,12 +11,14 @@
 //! compressed.
 
 use crate::instrument;
+use crate::wire::Body;
 use minimpi::Comm;
 use nspval::{Serial, Value};
 use obs::EventKind;
 use pricing::PremiaProblem;
 use std::fmt;
 use std::path::Path;
+use std::sync::Arc;
 use store::{Fetched, ProblemStore};
 
 /// The three ways of shipping a problem, labelled exactly as in the
@@ -96,9 +98,9 @@ impl Default for WirePolicy {
 }
 
 /// Apply `wire` to a prepared serial: returns the serial to actually
-/// send plus the bytes *saved* (0 when sent raw — below threshold,
-/// incompressible, or compression disabled).
-pub fn compress_for_wire(serial: Serial, wire: &WirePolicy) -> (Serial, u64) {
+/// send — the same one, uncopied, when sent raw (below threshold,
+/// incompressible, or compression disabled) — plus the bytes *saved*.
+pub fn compress_for_wire(serial: Arc<Serial>, wire: &WirePolicy) -> (Arc<Serial>, u64) {
     let Some(threshold) = wire.compress_threshold else {
         return (serial, 0);
     };
@@ -108,7 +110,7 @@ pub fn compress_for_wire(serial: Serial, wire: &WirePolicy) -> (Serial, u64) {
     match xdrser::compress_serial(&serial) {
         Ok(compressed) if compressed.len() < serial.len() => {
             let saved = (serial.len() - compressed.len()) as u64;
-            (compressed, saved)
+            (Arc::new(compressed), saved)
         }
         _ => (serial, 0),
     }
@@ -122,7 +124,7 @@ fn prepare_serial(
     store: &dyn ProblemStore,
     strategy: Transmission,
     path: &Path,
-) -> Result<Option<(Fetched, Serial)>, xdrser::XdrError> {
+) -> Result<Option<(Fetched, Arc<Serial>)>, xdrser::XdrError> {
     match strategy {
         Transmission::FullLoad => {
             // fetch → materialise → re-serialize (the deliberately
@@ -132,7 +134,7 @@ fn prepare_serial(
             let value = xdrser::unserialize(&fetched.serial)?;
             let problem = PremiaProblem::from_value(&value)
                 .map_err(|e| xdrser::XdrError::Corrupt(e.to_string()))?;
-            let serial = xdrser::serialize(&problem.to_value());
+            let serial = Arc::new(xdrser::serialize(&problem.to_value()));
             Ok(Some((fetched, serial)))
         }
         Transmission::Nfs => Ok(None),
@@ -140,7 +142,7 @@ fn prepare_serial(
             // sload semantics: the store hands back the raw file image
             // as an unmaterialised Serial; ship it as-is.
             let fetched = store.fetch(path)?;
-            let serial = (*fetched.serial).clone();
+            let serial = fetched.serial.clone();
             Ok(Some((fetched, serial)))
         }
     }
@@ -154,11 +156,9 @@ pub fn prepare_payload(
     path: &Path,
     wire: &WirePolicy,
 ) -> Result<Option<Value>, xdrser::XdrError> {
-    let Some((_, serial)) = prepare_serial(store, strategy, path)? else {
-        return Ok(None);
-    };
-    let (serial, _) = compress_for_wire(serial, wire);
-    Ok(Some(Value::Serial(serial)))
+    let prepared = prepare_serial(store, strategy, path)?;
+    Ok(prepared
+        .map(|(_, serial)| Value::Serial(Arc::unwrap_or_clone(compress_for_wire(serial, wire).0))))
 }
 
 /// Emit the store-cache marks for one fetch (hit/miss disposition and
@@ -190,22 +190,23 @@ fn mark_cache(comm: &Comm, fetched: &Fetched) {
     }
 }
 
-/// [`prepare_payload`] with phase attribution: the store fetch +
-/// materialisation is timed as [`EventKind::Serialize`] (full load) or
-/// [`EventKind::Sload`] (serialized load), the store's disposition lands
-/// as `CacheHit`/`CacheMiss`/`Evict` marks, and a beneficial wire
-/// compression is timed as [`EventKind::Compress`] with `bytes` = bytes
-/// saved. NFS prepares nothing and records nothing. Byte volume of the
-/// prepare span is the *uncompressed* serial size, so phase totals stay
-/// comparable across wire policies.
-pub(crate) fn prepare_payload_recorded(
+/// [`prepare_payload`] with phase attribution, as a shared serial (a job
+/// frame copies it once): the store fetch + materialisation is timed as
+/// [`EventKind::Serialize`] (full load) or [`EventKind::Sload`]
+/// (serialized load), the store's disposition lands as `CacheHit` /
+/// `CacheMiss` / `Evict` marks, and a beneficial wire compression is timed
+/// as [`EventKind::Compress`] with `bytes` = bytes saved. NFS prepares and
+/// records nothing. Byte volume of the prepare span is the *uncompressed*
+/// serial size, so phase totals stay comparable across wire policies.
+pub(crate) fn prepare_serial_recorded(
     comm: &Comm,
     ctx: &crate::config::RunCtx,
     strategy: Transmission,
     path: &Path,
-) -> Result<Option<Value>, xdrser::XdrError> {
+) -> Result<Option<Arc<Serial>>, xdrser::XdrError> {
     let Some(rec) = comm.recorder() else {
-        return prepare_payload(ctx.store.as_ref(), strategy, path, &ctx.wire);
+        let prepared = prepare_serial(ctx.store.as_ref(), strategy, path)?;
+        return Ok(prepared.map(|(_, serial)| compress_for_wire(serial, &ctx.wire).0));
     };
     let kind = match strategy {
         Transmission::FullLoad => EventKind::Serialize,
@@ -238,7 +239,7 @@ pub(crate) fn prepare_payload_recorded(
             saved,
         );
     }
-    Ok(Some(Value::Serial(serial)))
+    Ok(Some(serial))
 }
 
 /// Slave-side decode of a serialized problem, straight from its bytes —
@@ -269,7 +270,7 @@ pub fn decode_problem(
 /// [`EventKind::NfsRead`] with the cache disposition marked alongside.
 /// The uncompressed loaded path records nothing here: its slave-side
 /// receive is already captured by the `Recv`/`Unpack` comm events.
-fn recover(
+pub(crate) fn recover(
     comm: Option<&Comm>,
     store: &dyn ProblemStore,
     strategy: Transmission,
@@ -300,15 +301,23 @@ fn recover(
     decode_problem(comm, serial.bytes(), serial.is_compressed())
 }
 
-/// [`recover_problem`] with phase attribution on `comm`'s recorder.
-pub(crate) fn recover_problem_recorded(
+/// Slave-side recovery of one job-frame member: a serial is decoded in
+/// place, from the frame's own bytes, timed as [`EventKind::Unpack`]; a
+/// name is fetched as NFS does.
+pub(crate) fn recover_member(
     comm: &Comm,
-    ctx: &crate::config::RunCtx,
-    strategy: Transmission,
-    name: &str,
-    payload: Option<&Value>,
+    store: &dyn ProblemStore,
+    body: Body<'_>,
 ) -> Result<PremiaProblem, xdrser::XdrError> {
-    recover(Some(comm), ctx.store.as_ref(), strategy, name, payload)
+    match body {
+        Body::Name(name) => recover(Some(comm), store, Transmission::Nfs, name, None),
+        Body::Serial { compressed, bytes } => {
+            let t0 = instrument::t0(comm);
+            let problem = decode_problem(Some(comm), bytes, compressed);
+            instrument::span(comm, EventKind::Unpack, t0, bytes.len() as u64);
+            problem
+        }
+    }
 }
 
 /// Slave-side recovery of the problem from what arrived. All filesystem
@@ -414,22 +423,23 @@ mod tests {
     #[test]
     fn wire_threshold_gates_small_payloads() {
         let small = xdrser::serialize(&Value::scalar(1.0));
+        let small = Arc::new(small);
         let (kept, saved) = compress_for_wire(small.clone(), &WirePolicy::compressed(1 << 20));
         assert!(!kept.is_compressed());
         assert_eq!(saved, 0);
-        assert_eq!(kept, small);
+        assert!(Arc::ptr_eq(&kept, &small), "sent raw is sent uncopied");
         // RAW never compresses regardless of size.
         let big = xdrser::serialize(&Value::string("a".repeat(4096)));
-        let (kept, saved) = compress_for_wire(big.clone(), &WirePolicy::RAW);
+        let (kept, saved) = compress_for_wire(Arc::new(big.clone()), &WirePolicy::RAW);
         assert!(!kept.is_compressed());
         assert_eq!(saved, 0);
-        assert_eq!(kept, big);
+        assert_eq!(*kept, big);
     }
 
     #[test]
     fn wire_compression_saves_what_it_claims() {
         let big = xdrser::serialize(&Value::string("ab".repeat(4096)));
-        let (sent, saved) = compress_for_wire(big.clone(), &WirePolicy::compressed(64));
+        let (sent, saved) = compress_for_wire(Arc::new(big.clone()), &WirePolicy::compressed(64));
         assert!(sent.is_compressed());
         assert!(saved > 0);
         assert_eq!(sent.len() as u64 + saved, big.len() as u64);

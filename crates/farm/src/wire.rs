@@ -1,25 +1,27 @@
 //! The farm's wire codec, in one place.
 //!
 //! Every master/slave message of the Robin Hood protocol — job
-//! requests, batched requests, priced results, failure reports — goes
+//! requests, job frames, priced results, failure reports — goes
 //! through this one typed codec, shared by both sides. The per-job
 //! encodings are bit-for-bit the legacy ones (Fig. 4's `{job, price}`
-//! hash), so recorded payload sizes are unchanged; a *batch* of answers
-//! — one reply to a batched request or to a `serve` job frame — travels
-//! as columns ([`batch_reply_value`]), not as one hash per answer.
+//! hash), so recorded payload sizes are unchanged. What the flat farm and
+//! `serve` dispatch is the *job frame* ([`JobFrame`] / [`decode_frame`]):
+//! many problems in one message, written and read as bytes, never a value
+//! tree; its answers come back as columns ([`batch_reply_value`]).
 //!
 //! The hierarchy's two private messages live here too: a sub-master's
-//! chunk is a list of payload-less [`BatchItem`]s ([`decode_batch`]) and
-//! its report back is [`group_report_value`] / [`decode_group_report`].
+//! chunk is a list of [`BatchItem`]s ([`decode_batch`]) and its report
+//! back is [`group_report_value`] / [`decode_group_report`].
 //!
-//! Decoding is total: [`decode_answer`], [`decode_batch`],
-//! [`decode_batch_reply`] and [`decode_group_report`] never silently
-//! drop or repair an undecodable message — they return
-//! [`FarmError::Protocol`] with the offending value rendered.
+//! Decoding is total: [`decode_frame`], [`decode_answer`],
+//! [`decode_batch`], [`decode_batch_reply`] and [`decode_group_report`]
+//! never silently drop or repair an undecodable message — they return
+//! [`FarmError::Protocol`].
 
 use crate::robin_hood::{FarmError, JobOutcome};
 use nspval::{BoolMatrix, Hash, Matrix, Value};
 use pricing::PricingResult;
+use xdrser::{ListEncoder, Node, Walker};
 
 /// A job or rank index off the wire: a finite, non-negative integer.
 /// (`as usize` alone would turn a NaN, negative or mangled number into
@@ -66,51 +68,122 @@ impl JobMsg {
     }
 }
 
-/// One item of a batched request: `{idx, name, payload?}`.
-#[derive(Debug, Clone, PartialEq)]
+/// One `{idx, name}` item of the chunk a hierarchy sub-master is handed.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchItem {
     /// Index of the job in the submitted file list.
     pub idx: usize,
     /// Problem file path, as sent.
     pub name: String,
-    /// The materialised problem, for the loaded strategies.
-    pub payload: Option<Value>,
 }
 
 impl BatchItem {
-    /// Encode as the legacy batch-request item.
+    /// Encode as the legacy chunk item.
     pub fn to_value(&self) -> Value {
         let mut h = Hash::new();
         h.set("idx", Value::scalar(self.idx as f64));
         h.set("name", Value::string(self.name.clone()));
-        if let Some(payload) = &self.payload {
-            h.set("payload", payload.clone());
-        }
         Value::Hash(h)
-    }
-
-    /// Decode one batch-request item, or [`FarmError::Protocol`].
-    pub fn decode(v: &Value) -> Result<BatchItem, FarmError> {
-        let parse = |v: &Value| -> Option<BatchItem> {
-            let h = v.as_hash()?;
-            Some(BatchItem {
-                idx: index_of(h.get("idx")?)?,
-                name: h.get("name")?.as_str()?.to_string(),
-                payload: h.get("payload").cloned(),
-            })
-        };
-        parse(v).ok_or_else(|| FarmError::Protocol(format!("undecodable batch item: {v}")))
     }
 }
 
-/// Decode a list of [`BatchItem`]s: a batched request, or — without
-/// payloads — the chunk a hierarchy sub-master is handed.
+/// Decode the chunk a hierarchy sub-master is handed.
 pub fn decode_batch(v: &Value) -> Result<Vec<BatchItem>, FarmError> {
+    let item = |v: &Value| {
+        let h = v.as_hash()?;
+        Some(BatchItem {
+            idx: index_of(h.get("idx")?)?,
+            name: h.get("name")?.as_str()?.to_string(),
+        })
+    };
     v.as_list()
-        .ok_or_else(|| FarmError::Protocol(format!("undecodable batch message: {v}")))?
-        .iter()
-        .map(BatchItem::decode)
-        .collect()
+        .and_then(|l| l.iter().map(item).collect())
+        .ok_or_else(|| FarmError::Protocol(format!("undecodable batch message: {v}")))
+}
+
+// ---------------------------------------------------------------------------
+// Job frames (master → slave)
+// ---------------------------------------------------------------------------
+
+/// Encoded bytes of a job frame around its members: magic, version,
+/// list tag, list length.
+pub const FRAME_HEADER_BYTES: usize = 16;
+
+/// Encoded bytes of a serial frame member around its (4-byte padded)
+/// problem: the wire id (tag, rows, cols, f64) and the serial's tag,
+/// compression flag and length word.
+pub const MEMBER_HEADER_BYTES: usize = 20 + 12;
+
+/// What one member of a job frame carries behind its wire id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Body<'a> {
+    /// The serialized problem itself (the loaded strategies, `serve`).
+    Serial {
+        /// Whether the bytes are LZSS-compressed.
+        compressed: bool,
+        /// The serialized problem.
+        bytes: &'a [u8],
+    },
+    /// The problem's file name, for the slave to read itself (NFS).
+    Name(&'a str),
+}
+
+/// A job frame being written, `[id₀, body₀, id₁, body₁, …]`, member by
+/// member and straight into the bytes that travel: a problem's bytes
+/// are copied once, from where they were fetched into the message.
+#[derive(Debug)]
+pub struct JobFrame(ListEncoder);
+
+impl JobFrame {
+    /// Start an empty frame in `buf`, recycling its allocation.
+    pub fn new(buf: Vec<u8>) -> Self {
+        JobFrame(ListEncoder::new(buf))
+    }
+
+    /// Append one member.
+    pub fn push(&mut self, id: usize, body: Body<'_>) {
+        self.0.scalar(id as f64);
+        match body {
+            Body::Serial { compressed, bytes } => self.0.serial(compressed, bytes),
+            Body::Name(name) => self.0.string(name),
+        }
+    }
+
+    /// The frame's bytes.
+    pub fn finish(self) -> Vec<u8> {
+        self.0.finish()
+    }
+}
+
+/// Read a job frame in place, bodies borrowed from the message. The
+/// whole of it is checked before any member is priced: a frame that is
+/// not well formed — a wire id that is no index included — is a
+/// [`FarmError::Protocol`].
+pub fn decode_frame(bytes: &[u8]) -> Result<Vec<(usize, Body<'_>)>, FarmError> {
+    let walk = || -> Option<Vec<(usize, Body<'_>)>> {
+        let mut w = Walker::open(bytes).ok()?;
+        let n = match w.node().ok()? {
+            Node::List(n) if n > 0 && n % 2 == 0 => n / 2,
+            _ => return None,
+        };
+        // Sized by what the bytes can hold, not by what they claim.
+        let mut members = Vec::with_capacity(n.min(bytes.len() / MEMBER_HEADER_BYTES));
+        for _ in 0..n {
+            let Node::Scalar(id) = w.node().ok()? else {
+                return None;
+            };
+            let body = match w.node().ok()? {
+                Node::Serial { compressed, bytes } => Body::Serial { compressed, bytes },
+                Node::Str(name) => Body::Name(name),
+                _ => return None,
+            };
+            members.push((index_of_f64(id)?, body));
+        }
+        w.close().ok()?;
+        Some(members)
+    };
+    let n = bytes.len();
+    walk().ok_or_else(|| FarmError::Protocol(format!("undecodable job frame ({n} bytes)")))
 }
 
 // ---------------------------------------------------------------------------
@@ -336,6 +409,7 @@ pub fn decode_group_report(v: &Value) -> Result<Vec<JobOutcome>, FarmError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nspval::Serial;
     use proptest::prelude::*;
 
     #[test]
@@ -348,7 +422,6 @@ mod tests {
         };
         let chunk = decode_batch(&Value::list(vec![item(7.0), item(8.0)])).unwrap();
         assert_eq!(chunk.iter().map(|i| i.idx).collect::<Vec<_>>(), [7, 8]);
-        assert!(chunk.iter().all(|i| i.payload.is_none()));
         let mut nameless = Hash::new();
         nameless.set("idx", Value::scalar(1.0));
         for bad in [
@@ -484,18 +557,21 @@ mod tests {
         fn job_and_batch_requests_round_trip(
             idx in 0usize..10_000,
             name in "[a-z0-9/_.-]{1,40}",
-            with_payload in any::<bool>(),
+            compressed in any::<bool>(),
         ) {
             let m = JobMsg { idx, name: name.clone() };
             let decoded = JobMsg::decode(&m.to_value());
             prop_assert_eq!(decoded, Some(m));
-            let item = BatchItem {
-                idx,
-                name: name.clone(),
-                payload: with_payload.then(|| Value::scalar(idx as f64)),
-            };
-            let back = BatchItem::decode(&item.to_value()).unwrap();
-            prop_assert_eq!(back, item);
+            let item = BatchItem { idx, name: name.clone() };
+            let back = decode_batch(&Value::list(vec![item.to_value()])).unwrap();
+            prop_assert_eq!(back, [item]);
+            // The same job as the two kinds of frame member.
+            let bytes = name.as_bytes();
+            let members = [(idx, Body::Serial { compressed, bytes }), (idx + 1, Body::Name(&name))];
+            let mut frame = JobFrame::new(Vec::new());
+            members.iter().for_each(|&(id, body)| frame.push(id, body));
+            let wire = frame.finish();
+            prop_assert_eq!(decode_frame(&wire).unwrap(), members);
         }
 
         #[test]
@@ -532,6 +608,161 @@ mod tests {
                     _ => prop_assert_eq!(b, a),
                 }
             }
+        }
+    }
+
+    /// Write a frame of `members`.
+    fn frame_of(members: &[(usize, Body<'_>)]) -> Vec<u8> {
+        let mut frame = JobFrame::new(Vec::new());
+        members.iter().for_each(|&(id, body)| frame.push(id, body));
+        frame.finish()
+    }
+
+    /// The reference reader: materialise the message, then read the
+    /// frame out of the tree.
+    fn decode_frame_via_tree(bytes: &[u8]) -> Option<Vec<(usize, Value)>> {
+        let v = xdrser::unserialize_bytes(bytes).ok()?;
+        let l = v.as_list().filter(|l| !l.is_empty() && l.len() % 2 == 0)?;
+        let members = (0..l.len() / 2).map(|i| {
+            let body = l.get(2 * i + 1)?;
+            let leaf = body.as_serial().is_some() || body.as_str().is_some();
+            Some((index_of(l.get(2 * i)?)?, body.clone())).filter(|_| leaf)
+        });
+        members.collect()
+    }
+
+    /// A frame member as the value the tree reader sees.
+    fn body_value(body: Body<'_>) -> Value {
+        match body {
+            Body::Serial {
+                compressed: false,
+                bytes,
+            } => Value::Serial(Serial::new(bytes.to_vec())),
+            Body::Serial { bytes, .. } => Value::Serial(Serial::new_compressed(bytes.to_vec())),
+            Body::Name(name) => Value::string(name),
+        }
+    }
+
+    /// A two-member frame whose second member carries wire id `id`.
+    fn frame_with_id(id: f64) -> Value {
+        let serial = |b: u8| Value::Serial(Serial::new(vec![b; 3]));
+        Value::list(vec![
+            Value::scalar(7.0),
+            serial(1),
+            Value::scalar(id),
+            Value::string("pb-00009.bin"),
+        ])
+    }
+
+    #[test]
+    fn job_frames_round_trip_and_junk_is_refused() {
+        let members = [
+            (
+                7,
+                Body::Serial {
+                    compressed: false,
+                    bytes: &[1, 2, 3],
+                },
+            ),
+            (9, Body::Name("dir/pb-00009.bin")),
+            (
+                10,
+                Body::Serial {
+                    compressed: true,
+                    bytes: &[4],
+                },
+            ),
+        ];
+        let wire = frame_of(&members);
+        assert_eq!(decode_frame(&wire).unwrap(), members);
+        // The writer's bytes are the tree's bytes.
+        let tree = members
+            .iter()
+            .flat_map(|&(id, body)| [Value::scalar(id as f64), body_value(body)]);
+        assert_eq!(
+            wire,
+            xdrser::serialize_to_bytes(&Value::list(tree.collect()))
+        );
+        // A serial member costs its header around the padded bytes.
+        let one = &members[..1];
+        assert_eq!(
+            frame_of(one).len(),
+            FRAME_HEADER_BYTES + MEMBER_HEADER_BYTES + 3usize.next_multiple_of(4)
+        );
+        for junk in [
+            Value::scalar(1.0),
+            Value::empty_matrix(),
+            Value::list(vec![]),
+            Value::list(vec![Value::scalar(1.0)]),
+            Value::list(vec![Value::scalar(1.0), Value::scalar(2.0)]),
+            // A body that is neither a serial nor one name.
+            Value::list(vec![Value::scalar(1.0), Value::boolean(true)]),
+            Value::list(vec![
+                Value::scalar(1.0),
+                Value::Str(nspval::StrMatrix::row(vec!["a".into(), "b".into()])),
+            ]),
+            // A wire id that is no index (and must not read as id 0).
+            frame_with_id(f64::NAN),
+            frame_with_id(-1.0),
+            frame_with_id(7.5),
+            frame_with_id(f64::INFINITY),
+        ] {
+            let wire = xdrser::serialize_to_bytes(&junk);
+            let refused = decode_frame(&wire);
+            assert!(matches!(refused, Err(FarmError::Protocol(_))), "{junk}");
+        }
+    }
+
+    #[test]
+    fn job_frame_walker_agrees_with_the_tree_on_a_mutation_corpus() {
+        let serials: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i; 5 + i as usize]).collect();
+        let names: Vec<String> = (0..6).map(|i| format!("dir/pb-{i:05}.bin")).collect();
+        // Serial and name members, alternating.
+        let members: Vec<(usize, Body<'_>)> = (0..6)
+            .map(|i| {
+                let body = match i % 2 {
+                    0 => Body::Serial {
+                        compressed: i % 4 == 2,
+                        bytes: &serials[i],
+                    },
+                    _ => Body::Name(&names[i]),
+                };
+                (i + 40, body)
+            })
+            .collect();
+        let bytes = frame_of(&members);
+        // Same verdict, same members — and never a panic or an
+        // allocation sized from a count word the bytes cannot back.
+        let check = |b: &[u8]| {
+            let walked = decode_frame(b).ok().map(|m| {
+                m.into_iter()
+                    .map(|(id, body)| (id, body_value(body)))
+                    .collect::<Vec<_>>()
+            });
+            assert_eq!(walked, decode_frame_via_tree(b), "{b:?}");
+        };
+        check(&bytes);
+        for cut in 0..bytes.len() {
+            check(&bytes[..cut]);
+        }
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        for _ in 0..2_000 {
+            let mut m = bytes.clone();
+            let at = next() as usize % m.len();
+            m[at] = next() as u8;
+            check(&m);
+            // A whole word, the way a wrong tag or length would read.
+            let mut m = bytes.clone();
+            let at = (next() as usize % (m.len() / 4)) * 4;
+            let word = [0, 1, 3, 6, u32::MAX, next() as u32 % 64][next() as usize % 6];
+            m[at..at + 4].copy_from_slice(&word.to_be_bytes());
+            check(&m);
         }
     }
 

@@ -12,8 +12,9 @@
 //!
 //! The same state machine drives:
 //!
-//! * the live `minimpi` farm masters (plain, supervised, batched, and
-//!   each hierarchy sub-master), which translate wire messages into
+//! * the live `minimpi` farm masters (plain — dispatching job frames,
+//!   [`Batch::Guided`] — supervised, and each hierarchy sub-master and
+//!   shard), which translate wire messages into
 //!   events and actions into sends; and
 //! * the discrete-event cluster simulator, which feeds the identical
 //!   events with simulated timestamps.
@@ -51,8 +52,8 @@ pub enum Event {
         /// Slave id, `1..=slaves`.
         slave: usize,
     },
-    /// A slave answered a job (for batched dispatch: the *first* job of
-    /// the batch identifies the whole batch).
+    /// A slave answered a job (for a framed dispatch: the *first* job of
+    /// the frame identifies the whole frame).
     Answer {
         /// The answered job.
         job: usize,
@@ -101,8 +102,8 @@ pub enum Action {
         job: usize,
         /// Target slave.
         slave: usize,
-        /// Number of consecutive jobs in this dispatch (1 unless
-        /// batching is on).
+        /// Number of consecutive jobs in this dispatch (1 unless the
+        /// run is framed, [`Batch::Guided`]).
         batch: usize,
     },
     /// Send the empty-name stop sentinel to `slave`.
@@ -185,6 +186,27 @@ pub struct Supervision {
     pub backoff_base_ns: u64,
 }
 
+/// Largest frame [`Batch::Guided`] dispatches. At the toy portfolio's
+/// ~450 bytes a problem that is ~112 KiB on the wire — just past the
+/// size up to which the measured channel round trip is flat — and 1/256
+/// of a message's fixed cost per job is already below what one job's
+/// own bytes cost to move.
+pub const MAX_FRAME: usize = 256;
+
+/// How many queued jobs one [`Action::Dispatch`] carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Batch {
+    /// One: Fig. 4's per-job dispatch.
+    One,
+    /// A frame of contiguous jobs sized by guided self-scheduling, a
+    /// pure function of scheduler state: `clamp(ceil(queued / (2 × live
+    /// slaves)), 1, MAX_FRAME)`. Frames are big while the queue is deep
+    /// (§5: "a single large message rather than several smaller
+    /// messages") and shrink to one job at the tail, so several slaves
+    /// still finish together. FIFO, unsupervised, unstaged runs only.
+    Guided,
+}
+
 /// Static description of one farm run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SchedConfig {
@@ -192,9 +214,8 @@ pub struct SchedConfig {
     pub jobs: usize,
     /// Number of slaves (`1..=slaves`).
     pub slaves: usize,
-    /// Jobs per dispatch (plain mode only; must be 1 under
-    /// supervision, and batching requires FIFO order).
-    pub batch: usize,
+    /// Jobs per dispatch.
+    pub batch: Batch,
     /// Dispatch order.
     pub policy: DispatchPolicy,
     /// `Some` enables supervised mode (deadlines, retries, burial);
@@ -213,12 +234,13 @@ pub struct SchedConfig {
 }
 
 impl SchedConfig {
-    /// A plain FIFO config with no supervision, batch 1, no trace.
+    /// A plain FIFO config with no supervision, one job per dispatch,
+    /// no trace.
     pub fn plain(jobs: usize, slaves: usize) -> Self {
         SchedConfig {
             jobs,
             slaves,
-            batch: 1,
+            batch: Batch::One,
             policy: DispatchPolicy::Fifo,
             supervision: None,
             rounds: None,
@@ -226,10 +248,26 @@ impl SchedConfig {
         }
     }
 
-    /// Set the batch size.
-    pub fn batch(mut self, batch: usize) -> Self {
-        self.batch = batch;
-        self
+    /// The flat farm's config, live (`farm::run`) and simulated alike:
+    /// dispatches are [`Batch::Guided`] frames whenever nothing in the
+    /// run needs them one job at a time — FIFO order, no supervision
+    /// (deadlines and retries are per job), no staged rounds (a frame
+    /// could straddle a barrier) — and [`Batch::One`] otherwise.
+    pub fn farm(
+        jobs: usize,
+        slaves: usize,
+        policy: DispatchPolicy,
+        supervision: Option<Supervision>,
+        rounds: Option<Vec<usize>>,
+    ) -> Self {
+        let framed = policy == DispatchPolicy::Fifo && supervision.is_none() && rounds.is_none();
+        SchedConfig {
+            batch: if framed { Batch::Guided } else { Batch::One },
+            policy,
+            supervision,
+            rounds,
+            ..SchedConfig::plain(jobs, slaves)
+        }
     }
 
     /// Set the dispatch policy.
@@ -262,12 +300,10 @@ impl SchedConfig {
 pub enum SchedError {
     /// `slaves == 0`.
     NoSlaves,
-    /// `batch == 0`.
-    NoBatch,
-    /// Batched dispatch requires FIFO order (batches are contiguous
+    /// Framed dispatch requires FIFO order (frames are contiguous
     /// index ranges).
     BatchNeedsFifo,
-    /// Batched dispatch is incompatible with supervision (per-job
+    /// Framed dispatch is incompatible with supervision (per-job
     /// deadlines and retries assume one job per dispatch).
     BatchNeedsPlain,
     /// An LPT cost vector whose length does not match `jobs`.
@@ -293,8 +329,8 @@ pub enum SchedError {
         /// Jobs in the run.
         jobs: usize,
     },
-    /// Staged rounds are incompatible with batched dispatch (batches
-    /// are contiguous index ranges; a batch could straddle a barrier).
+    /// Staged rounds are incompatible with framed dispatch (frames
+    /// are contiguous index ranges; a frame could straddle a barrier).
     RoundsNeedUnitBatch,
 }
 
@@ -302,12 +338,11 @@ impl fmt::Display for SchedError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SchedError::NoSlaves => write!(f, "scheduler needs at least one slave"),
-            SchedError::NoBatch => write!(f, "batch size must be at least 1"),
             SchedError::BatchNeedsFifo => {
-                write!(f, "batched dispatch requires the FIFO policy")
+                write!(f, "framed dispatch requires the FIFO policy")
             }
             SchedError::BatchNeedsPlain => {
-                write!(f, "batched dispatch is incompatible with supervision")
+                write!(f, "framed dispatch is incompatible with supervision")
             }
             SchedError::LptLen { costs, jobs } => {
                 write!(f, "LPT cost vector has {costs} entries for {jobs} jobs")
@@ -323,7 +358,7 @@ impl fmt::Display for SchedError {
                 write!(f, "rounds vector has {rounds} entries for {jobs} jobs")
             }
             SchedError::RoundsNeedUnitBatch => {
-                write!(f, "staged rounds require batch size 1")
+                write!(f, "staged rounds require one job per dispatch")
             }
         }
     }
@@ -417,6 +452,27 @@ impl Trace {
         }
         s
     }
+
+    /// Where this trace and `other` part ways, for a test to fail with:
+    /// the index of the first decision that differs, up to three
+    /// decisions of context before it, and the two diverging lines
+    /// (`<end of trace>` for the side that stopped first). `None` when
+    /// the traces are identical.
+    pub fn diff(&self, other: &Trace) -> Option<String> {
+        let (a, b) = (self.render(), other.render());
+        let (a, b): (Vec<&str>, Vec<&str>) = (a.lines().collect(), b.lines().collect());
+        let at = (0..a.len().max(b.len())).find(|&i| a.get(i) != b.get(i))?;
+        let line =
+            |side: &[&str], i: usize| side.get(i).copied().unwrap_or("<end of trace>").to_string();
+        let mut out = format!("traces diverge at decision {at}\n");
+        for (name, side) in [("left", &a), ("right", &b)] {
+            for i in at.saturating_sub(3)..at {
+                out += &format!("  {name} {i:>5}   {}\n", line(side, i));
+            }
+            out += &format!("  {name} {at:>5} > {}\n", line(side, at));
+        }
+        Some(out)
+    }
 }
 
 impl fmt::Display for Trace {
@@ -460,7 +516,7 @@ struct Inflight {
 pub struct Scheduler {
     jobs: usize,
     slaves: usize,
-    batch: usize,
+    batch: Batch,
     supervision: Option<Supervision>,
     /// (job, not_before_ns) in dispatch order.
     queue: VecDeque<(usize, u64)>,
@@ -496,10 +552,7 @@ impl Scheduler {
         if cfg.slaves == 0 {
             return Err(SchedError::NoSlaves);
         }
-        if cfg.batch == 0 {
-            return Err(SchedError::NoBatch);
-        }
-        if cfg.batch > 1 {
+        if cfg.batch == Batch::Guided {
             if cfg.supervision.is_some() {
                 return Err(SchedError::BatchNeedsPlain);
             }
@@ -519,7 +572,7 @@ impl Scheduler {
                     jobs: cfg.jobs,
                 });
             }
-            if cfg.batch > 1 {
+            if cfg.batch == Batch::Guided {
                 return Err(SchedError::RoundsNeedUnitBatch);
             }
         }
@@ -620,6 +673,13 @@ impl Scheduler {
     /// Has `slave` been buried?
     pub fn is_dead(&self, slave: usize) -> bool {
         slave <= self.slaves && self.state[slave] == SlaveState::Dead
+    }
+
+    /// The jobs `slave` was last sent and has not answered for, if any:
+    /// what an honest reply from it must cover.
+    pub fn in_flight(&self, slave: usize) -> Option<std::ops::Range<usize>> {
+        let inf = self.inflight.get(slave)?.as_ref()?;
+        Some(inf.job..inf.job + inf.batch)
     }
 
     /// Jobs with an accepted answer.
@@ -942,15 +1002,22 @@ impl Scheduler {
         } else {
             while let Some(slave) = self.free_slave() {
                 if let Some(i) = self.next_dispatchable() {
+                    let want = match self.batch {
+                        Batch::One => 1,
+                        Batch::Guided => self
+                            .queue
+                            .len()
+                            .div_ceil(2 * self.alive_count())
+                            .clamp(1, MAX_FRAME),
+                    };
                     let (first, _) = self.queue.remove(i).expect("index in range");
-                    // Batching is FIFO-only and flat-only (validated),
-                    // so any batch tail continues from the queue front.
+                    // Frames are FIFO-only and flat-only (validated), so
+                    // the frame's tail continues from the queue front.
                     let mut n = 1;
-                    while n < self.batch {
+                    while n < want {
                         match self.queue.pop_front() {
                             Some((j, _)) => {
-                                // FIFO-only batching keeps ranges contiguous.
-                                debug_assert_eq!(j, first + n);
+                                debug_assert_eq!(j, first + n, "frames are contiguous");
                                 n += 1;
                             }
                             None => break,
@@ -1043,6 +1110,14 @@ mod tests {
         }
     }
 
+    /// `SchedConfig::plain` with guided frames.
+    fn guided(jobs: usize, slaves: usize) -> SchedConfig {
+        SchedConfig {
+            batch: Batch::Guided,
+            ..SchedConfig::plain(jobs, slaves)
+        }
+    }
+
     /// Feed `SlaveReady` for every slave, collecting actions.
     fn prime(s: &mut Scheduler, slaves: usize) -> Vec<Action> {
         let mut out = Vec::new();
@@ -1128,49 +1203,115 @@ mod tests {
 
     #[test]
     fn batching_dispatches_contiguous_ranges() {
-        let mut s = Scheduler::new(SchedConfig::plain(5, 2).batch(2)).unwrap();
+        let mut s = Scheduler::new(guided(9, 2)).unwrap();
+        // ceil(9 / 4) = 3 of the nine queued, then ceil(6 / 4) = 2.
         assert_eq!(
             prime(&mut s, 2),
             vec![
                 Action::Dispatch {
                     job: 0,
                     slave: 1,
-                    batch: 2
+                    batch: 3
                 },
                 Action::Dispatch {
-                    job: 2,
+                    job: 3,
                     slave: 2,
                     batch: 2
                 },
             ]
         );
-        // The tail batch is short.
+        assert_eq!(s.in_flight(1), Some(0..3));
+        assert_eq!(s.in_flight(2), Some(3..5));
+        // Four left: frames of one from here on. A frame is answered
+        // whole, named by its first job.
+        for (next, (head, slave)) in (5..).zip([(0, 1), (3, 2), (5, 1), (6, 2)]) {
+            assert_eq!(
+                s.on(Event::Answer { job: head, slave }, 0),
+                vec![
+                    Action::Accept { job: head, slave },
+                    Action::Dispatch {
+                        job: next,
+                        slave,
+                        batch: 1
+                    },
+                ]
+            );
+        }
+        assert_eq!(s.done_count(), 7);
         assert_eq!(
-            s.on(Event::Answer { job: 0, slave: 1 }, 0),
+            s.on(Event::Answer { job: 7, slave: 1 }, 0),
             vec![
-                Action::Accept { job: 0, slave: 1 },
-                Action::Dispatch {
-                    job: 4,
-                    slave: 1,
-                    batch: 1
-                },
+                Action::Accept { job: 7, slave: 1 },
+                Action::Stop { slave: 1 }
             ]
         );
+        assert_eq!(s.in_flight(1), None);
         assert_eq!(
-            s.on(Event::Answer { job: 2, slave: 2 }, 0),
+            s.on(Event::Answer { job: 8, slave: 2 }, 0),
             vec![
-                Action::Accept { job: 2, slave: 2 },
-                Action::Stop { slave: 2 }
-            ]
-        );
-        assert_eq!(
-            s.on(Event::Answer { job: 4, slave: 1 }, 0),
-            vec![
-                Action::Accept { job: 4, slave: 1 },
-                Action::Stop { slave: 1 },
+                Action::Accept { job: 8, slave: 2 },
+                Action::Stop { slave: 2 },
                 Action::Finish,
             ]
         );
+    }
+
+    #[test]
+    fn frames_are_capped_and_the_farm_config_turns_them_on_only_when_it_can() {
+        let fifo = || DispatchPolicy::Fifo;
+        let mut s = Scheduler::new(SchedConfig::farm(10_000, 1, fifo(), None, None)).unwrap();
+        assert_eq!(
+            prime(&mut s, 1),
+            vec![Action::Dispatch {
+                job: 0,
+                slave: 1,
+                batch: MAX_FRAME
+            }]
+        );
+        let lpt = DispatchPolicy::Lpt {
+            costs: vec![1.0; 4],
+        };
+        for per_job in [
+            SchedConfig::farm(4, 2, lpt, None, None),
+            SchedConfig::farm(4, 2, fifo(), Some(sup()), None),
+            SchedConfig::farm(4, 2, fifo(), None, Some(vec![0, 0, 1, 1])),
+        ] {
+            assert_eq!(per_job.batch, Batch::One);
+            Scheduler::new(per_job).unwrap();
+        }
+        assert_eq!(SchedConfig::plain(4, 2).batch, Batch::One);
+    }
+
+    #[test]
+    fn trace_diff_names_the_first_diverging_decision() {
+        let run = |jobs| {
+            let mut s = Scheduler::new(SchedConfig::plain(jobs, 1).record_trace()).unwrap();
+            let mut acts = prime(&mut s, 1);
+            while let Some(Action::Dispatch { job, slave, .. }) = acts.first().copied() {
+                acts = s.on(Event::Answer { job, slave }, 0);
+                acts.retain(|a| matches!(a, Action::Dispatch { .. }));
+            }
+            s.take_trace().unwrap()
+        };
+        let (five, six) = (run(5), run(6));
+        assert_eq!(five.diff(&five), None);
+        let diff = five.diff(&six).unwrap();
+        // Decision 5 is where five jobs stop and six go on.
+        assert!(diff.starts_with("traces diverge at decision 5\n"), "{diff}");
+        assert!(diff.contains("left     5 > answer(4,1) -> accept(4,1) stop(1) finish\n"));
+        assert!(diff.contains("right     5 > answer(4,1) -> accept(4,1) dispatch(5->1)\n"));
+        assert!(diff.contains("left     2   answer(1,1) -> accept(1,1) dispatch(2->1)\n"));
+        assert!(
+            !diff.contains("answer(0,1)"),
+            "three lines of context: {diff}"
+        );
+        // The shorter side reads as ended.
+        let diff = six.diff(&five).unwrap();
+        assert!(diff.starts_with("traces diverge at decision 5\n"), "{diff}");
+        let mut cut = six.clone();
+        cut.entries.truncate(3);
+        let diff = cut.diff(&six).unwrap();
+        assert!(diff.contains("left     3 > <end of trace>\n"), "{diff}");
     }
 
     #[test]
@@ -1255,12 +1396,8 @@ mod tests {
             }
         );
         assert_eq!(
-            Scheduler::new(
-                SchedConfig::plain(2, 1)
-                    .batch(2)
-                    .policy(DispatchPolicy::Priority { class: vec![0, 1] })
-            )
-            .unwrap_err(),
+            Scheduler::new(guided(2, 1).policy(DispatchPolicy::Priority { class: vec![0, 1] }))
+                .unwrap_err(),
             SchedError::BatchNeedsFifo
         );
     }
@@ -1439,21 +1576,13 @@ mod tests {
             SchedError::NoSlaves
         );
         assert_eq!(
-            Scheduler::new(SchedConfig::plain(1, 1).batch(0)).unwrap_err(),
-            SchedError::NoBatch
-        );
-        assert_eq!(
-            Scheduler::new(SchedConfig::plain(1, 1).batch(2).supervised(sup())).unwrap_err(),
+            Scheduler::new(guided(1, 1).supervised(sup())).unwrap_err(),
             SchedError::BatchNeedsPlain
         );
         assert_eq!(
-            Scheduler::new(
-                SchedConfig::plain(2, 1)
-                    .batch(2)
-                    .policy(DispatchPolicy::Lpt {
-                        costs: vec![1.0, 2.0]
-                    })
-            )
+            Scheduler::new(guided(2, 1).policy(DispatchPolicy::Lpt {
+                costs: vec![1.0, 2.0]
+            }))
             .unwrap_err(),
             SchedError::BatchNeedsFifo
         );
@@ -1655,8 +1784,7 @@ mod tests {
             SchedError::RoundsLen { rounds: 1, jobs: 3 }
         );
         assert_eq!(
-            Scheduler::new(SchedConfig::plain(4, 1).batch(2).rounds(vec![0, 0, 1, 1]))
-                .unwrap_err(),
+            Scheduler::new(guided(4, 1).rounds(vec![0, 0, 1, 1])).unwrap_err(),
             SchedError::RoundsNeedUnitBatch
         );
     }

@@ -14,7 +14,7 @@
 //!   round by the time the run terminates.
 
 use proptest::prelude::*;
-use sched::{Action, DispatchPolicy, Event, SchedConfig, Scheduler, Supervision};
+use sched::{Action, DispatchPolicy, Event, SchedConfig, Scheduler, Supervision, MAX_FRAME};
 
 /// A tiny deterministic RNG for the event walk (SplitMix64).
 struct Walk {
@@ -235,15 +235,59 @@ proptest! {
     fn plain_walks_terminate_with_every_job_accepted(
         jobs in 0usize..24,
         slaves in 1usize..5,
-        batch in 1usize..4,
+        framed in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        let cfg = SchedConfig::plain(jobs, slaves).batch(batch);
+        let cfg = if framed {
+            SchedConfig::farm(jobs, slaves, DispatchPolicy::Fifo, None, None)
+        } else {
+            SchedConfig::plain(jobs, slaves)
+        };
         let (sched, model) = walk_to_termination(cfg, seed);
         prop_assert!(sched.finished(), "plain run did not finish");
         prop_assert!(model.finished);
         prop_assert!(model.accepted.iter().all(|a| *a), "unanswered job in a finished run");
         prop_assert!((1..=slaves).all(|s| model.stopped[s]), "finished without stopping a slave");
+    }
+
+    /// Framed walks, whichever slave answers next: every job goes out
+    /// exactly once, in contiguous ascending frames of at most
+    /// `MAX_FRAME`, and the last frame dispatched is a single job.
+    #[test]
+    fn framed_walks_dispatch_every_job_once_in_guided_frames(
+        jobs in 0usize..3_001,
+        slaves in 1usize..9,
+        seed in any::<u64>(),
+    ) {
+        let cfg = SchedConfig::farm(jobs, slaves, DispatchPolicy::Fifo, None, None);
+        let mut sched = Scheduler::new(cfg).expect("valid config");
+        let mut rng = Walk::new(seed);
+        let mut busy: Vec<(usize, usize)> = Vec::new();
+        let mut frames: Vec<(usize, usize)> = Vec::new();
+        let mut take = |acts: Vec<Action>, busy: &mut Vec<(usize, usize)>| {
+            for a in acts {
+                if let Action::Dispatch { job, slave, batch } = a {
+                    busy.push((job, slave));
+                    frames.push((job, batch));
+                }
+            }
+        };
+        for slave in 1..=slaves {
+            take(sched.on(Event::SlaveReady { slave }, 0), &mut busy);
+        }
+        while !busy.is_empty() {
+            let (job, slave) = busy.swap_remove(rng.below(busy.len() as u64) as usize);
+            take(sched.on(Event::Answer { job, slave }, 0), &mut busy);
+        }
+        prop_assert!(sched.finished());
+        let mut next = 0;
+        for &(job, batch) in &frames {
+            prop_assert_eq!(job, next, "frames are contiguous and ascending");
+            prop_assert!((1..=MAX_FRAME).contains(&batch), "frame of {}", batch);
+            next += batch;
+        }
+        prop_assert_eq!(next, jobs, "every job dispatched exactly once");
+        prop_assert_eq!(frames.last().map_or(1, |f| f.1), 1, "the tail frame is one job");
     }
 
     /// Supervised walks under answers, failures, deadline expiries and

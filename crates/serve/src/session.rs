@@ -29,9 +29,12 @@
 
 use crate::config::{ServeConfig, ServeError};
 use farm::strategy::decode_problem;
-use farm::wire::{batch_reply_value, decode_batch_reply, index_of_f64, Answer};
-use minimpi::{Comm, MpiBuf, MpiError, World, ANY_SOURCE};
-use nspval::{Serial, Value};
+use farm::wire::{
+    batch_reply_value, decode_batch_reply, decode_frame, Answer, Body, JobFrame,
+    FRAME_HEADER_BYTES, MEMBER_HEADER_BYTES,
+};
+use minimpi::{Comm, MpiError, World, ANY_SOURCE};
+use nspval::Value;
 use obs::{Event, EventKind, Recorder, NO_JOB};
 use pricing::{MethodSpec, PremiaProblem};
 use sched::{Action, DispatchPolicy, Event as SchedEvent, SchedConfig, Scheduler, Supervision};
@@ -41,7 +44,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use transport::queue;
-use xdrser::{Node, Walker};
 
 /// The session wire tag (the farm protocols use 7 and 9).
 const TAG: i32 = 11;
@@ -56,15 +58,6 @@ const MEMO_VALUE_BYTES: usize = 24;
 /// `channel_rtt_64k_us` 4.0–4.5 µs at 64 KiB). A single problem larger
 /// than this still travels, alone.
 const FRAME_CAP_BYTES: usize = 64 << 10;
-
-/// Encoded bytes of a job frame around its members: magic, version,
-/// list tag, list length.
-const FRAME_HEADER_BYTES: usize = 16;
-
-/// Encoded bytes of one frame member around its serialized problem: the
-/// wire-id scalar (tag, rows, cols, f64) and the serial's tag,
-/// compression flag and length word.
-const MEMBER_HEADER_BYTES: usize = 20 + 12;
 
 // ---------------------------------------------------------------------------
 // Public request/response types
@@ -502,8 +495,6 @@ struct Front {
     /// straggler answer from an earlier batch can never be mistaken for
     /// a current problem.
     next_wire: u64,
-    /// Pack buffer of the job frames, recycled across dispatches.
-    frame_buf: MpiBuf,
     report: SessionReport,
 }
 
@@ -517,7 +508,6 @@ fn front_loop(
         memo: store::ResultCache::new(cfg.memo_bytes),
         dead: BTreeSet::new(),
         next_wire: 0,
-        frame_buf: MpiBuf::with_capacity(0),
         report: SessionReport::default(),
     };
     loop {
@@ -769,47 +759,6 @@ fn pack_frames(slots: &[Slot], slaves: usize) -> Vec<Frame> {
     frames
 }
 
-/// Encode a job frame, `[id₀, serial₀, id₁, serial₁, …]`, taking each
-/// member's bytes (a frame of one is `[id, serial]`).
-fn encode_frame(members: impl Iterator<Item = (u64, Vec<u8>)>) -> Value {
-    Value::list(
-        members
-            .flat_map(|(wire, serial)| {
-                [
-                    Value::scalar(wire as f64),
-                    Value::Serial(Serial::new(serial)),
-                ]
-            })
-            .collect(),
-    )
-}
-
-/// Read a job frame in place: each member's wire id and its serial —
-/// compression flag and bytes — borrowed from the message. `None` when
-/// the message is not a well-formed job frame — a wire id that is not an
-/// index included; the whole of it is checked before any member is
-/// priced.
-fn decode_frame(bytes: &[u8]) -> Option<Vec<(usize, bool, &[u8])>> {
-    let mut w = Walker::open(bytes).ok()?;
-    let n = match w.node().ok()? {
-        Node::List(n) if n > 0 && n % 2 == 0 => n / 2,
-        _ => return None,
-    };
-    // Sized by what the bytes can hold, not by what they claim.
-    let mut members = Vec::with_capacity(n.min(bytes.len() / MEMBER_HEADER_BYTES));
-    for _ in 0..n {
-        let Node::Scalar(wire) = w.node().ok()? else {
-            return None;
-        };
-        let Node::Serial { compressed, bytes } = w.node().ok()? else {
-            return None;
-        };
-        members.push((index_of_f64(wire)?, compressed, bytes));
-    }
-    w.close().ok()?;
-    Some(members)
-}
-
 // ---------------------------------------------------------------------------
 // Driving one batch
 // ---------------------------------------------------------------------------
@@ -820,9 +769,9 @@ struct Batch<'a> {
     comm: &'a Comm,
     sched: Scheduler,
     frames: Vec<Frame>,
-    /// The wire value of each frame, built once from the slots' own
-    /// bytes; every dispatch — first or retry — packs from it.
-    values: Vec<Value>,
+    /// Each frame as it travels, written once from the slots' own
+    /// bytes; every dispatch — first or retry — sends it as is.
+    wires: Vec<Vec<u8>>,
     /// Slot → the frame it travels in.
     frame_of: Vec<usize>,
     slots: &'a mut [Slot],
@@ -858,11 +807,7 @@ impl Batch<'_> {
 
     fn send(&mut self, frame: usize, rank: usize) -> Result<(), MpiError> {
         self.comm.set_job(Some(self.job_of(frame)));
-        self.comm
-            .pack_into(&self.values[frame], &mut self.front.frame_buf);
-        let sent = self
-            .comm
-            .send(self.front.frame_buf.bytes(), rank as i32, TAG);
+        let sent = self.comm.send(&self.wires[frame], rank as i32, TAG);
         self.comm.set_job(None);
         sent
     }
@@ -970,14 +915,19 @@ fn drive_batch(comm: &Comm, cfg: &ServeConfig, slots: &mut [Slot], front: &mut F
     let alive = (1..=cfg.slaves).filter(|&s| comm.rank_alive(s)).count();
     let frames = pack_frames(slots, alive);
     let mut frame_of = vec![0; slots.len()];
-    let mut values = Vec::with_capacity(frames.len());
+    let mut wires = Vec::with_capacity(frames.len());
     for (f, frame) in frames.iter().enumerate() {
+        let mut wire = JobFrame::new(Vec::with_capacity(frame.bytes));
         for &slot in &frame.members {
             frame_of[slot] = f;
+            let bytes = std::mem::take(&mut slots[slot].serial);
+            let body = Body::Serial {
+                compressed: false,
+                bytes: &bytes,
+            };
+            wire.push((base + slot as u64) as usize, body);
         }
-        values.push(encode_frame(frame.members.iter().map(|&slot| {
-            (base + slot as u64, std::mem::take(&mut slots[slot].serial))
-        })));
+        wires.push(wire.finish());
     }
 
     let sc = SchedConfig::plain(frames.len(), cfg.slaves)
@@ -1002,7 +952,7 @@ fn drive_batch(comm: &Comm, cfg: &ServeConfig, slots: &mut [Slot], front: &mut F
         comm,
         sched,
         frames,
-        values,
+        wires,
         frame_of,
         slots,
         front,
@@ -1092,15 +1042,15 @@ fn slave_loop(comm: &Comm, cfg: &ServeConfig) {
         if msg == stop {
             return;
         }
-        let Some(members) = decode_frame(&msg) else {
+        let Ok(members) = decode_frame(&msg) else {
             // Not a job frame; skip it (the master's deadline requeues).
             continue;
         };
         let answers: Vec<Answer> = members
             .into_iter()
-            .map(|(wire, compressed, serial)| {
+            .map(|(wire, body)| {
                 comm.set_job(Some(wire));
-                price_one(comm, &exec, serial, compressed, wire)
+                price_one(comm, &exec, body, wire)
             })
             .collect();
         comm.set_job(None);
@@ -1113,15 +1063,13 @@ fn slave_loop(comm: &Comm, cfg: &ServeConfig) {
 /// Decode — in place, from the frame's own bytes — and price one
 /// problem, recording the `Compute` span on this rank (the
 /// memo-hit-rate denominator).
-fn price_one(
-    comm: &Comm,
-    exec: &Option<exec::ExecPolicy>,
-    serial: &[u8],
-    compressed: bool,
-    wire: usize,
-) -> Answer {
+fn price_one(comm: &Comm, exec: &Option<exec::ExecPolicy>, body: Body<'_>, wire: usize) -> Answer {
     let start = comm.recorder().map(|r| r.now_ns());
-    let Ok(problem) = decode_problem(Some(comm), serial, compressed) else {
+    // The session ships serials only; a name is nothing it sent.
+    let Body::Serial { compressed, bytes } = body else {
+        return Answer::failed(wire, "not a serialized problem");
+    };
+    let Ok(problem) = decode_problem(Some(comm), bytes, compressed) else {
         return Answer::failed(wire, "undecodable problem payload");
     };
     let result = match exec {
@@ -1256,107 +1204,19 @@ mod tests {
         let frames = pack_frames(&slots, 1);
         assert!(frames.len() > 4, "{} frames", frames.len());
         for frame in &frames {
-            let value = encode_frame(
-                frame
-                    .members
-                    .iter()
-                    .map(|&s| (s as u64, slots[s].serial.clone())),
-            );
-            assert_eq!(frame.bytes, xdrser::serialize_to_bytes(&value).len());
+            let mut wire = JobFrame::new(Vec::new());
+            for &s in &frame.members {
+                let body = Body::Serial {
+                    compressed: false,
+                    bytes: &slots[s].serial,
+                };
+                wire.push(s, body);
+            }
+            assert_eq!(frame.bytes, wire.finish().len());
             assert!(frame.bytes <= FRAME_CAP_BYTES || frame.members.len() == 1);
         }
         let packed: Vec<usize> = frames.iter().flat_map(|f| f.members.clone()).collect();
         assert_eq!(packed, (0..slots.len()).collect::<Vec<_>>());
-    }
-
-    /// What the slave used to do: materialise the message, then read
-    /// the frame out of the tree.
-    fn decode_frame_via_tree(bytes: &[u8]) -> Option<Vec<(usize, bool, Vec<u8>)>> {
-        let v = xdrser::unserialize_bytes(bytes).ok()?;
-        let l = v.as_list().filter(|l| !l.is_empty() && l.len() % 2 == 0)?;
-        let members = (0..l.len() / 2).map(|i| {
-            let s = l.get(2 * i + 1)?.as_serial()?;
-            let wire = index_of_f64(l.get(2 * i)?.as_scalar()?)?;
-            Some((wire, s.is_compressed(), s.bytes().to_vec()))
-        });
-        members.collect()
-    }
-
-    /// A two-member frame whose second member carries wire id `id`.
-    fn encode_frame_with_id(id: f64) -> Value {
-        let serial = |b: u8| Value::Serial(Serial::new(vec![b; 3]));
-        Value::list(vec![
-            Value::scalar(7.0),
-            serial(1),
-            Value::scalar(id),
-            serial(2),
-        ])
-    }
-
-    #[test]
-    fn job_frames_round_trip_and_junk_is_refused() {
-        let value = encode_frame([(7u64, vec![1, 2, 3]), (9, vec![4])].into_iter());
-        let wire = xdrser::serialize_to_bytes(&value);
-        assert_eq!(
-            decode_frame(&wire),
-            Some(vec![(7, false, &[1u8, 2, 3][..]), (9, false, &[4][..])])
-        );
-        for junk in [
-            Value::scalar(1.0),
-            Value::empty_matrix(),
-            Value::list(vec![]),
-            Value::list(vec![Value::scalar(1.0)]),
-            Value::list(vec![Value::scalar(1.0), Value::scalar(2.0)]),
-            // A wire id that is no index (and must not read as id 0).
-            encode_frame_with_id(f64::NAN),
-            encode_frame_with_id(-1.0),
-            encode_frame_with_id(7.5),
-            encode_frame_with_id(f64::INFINITY),
-        ] {
-            assert_eq!(
-                decode_frame(&xdrser::serialize_to_bytes(&junk)),
-                None,
-                "{junk}"
-            );
-        }
-    }
-
-    #[test]
-    fn job_frame_walker_agrees_with_the_tree_on_a_mutation_corpus() {
-        let serial = |i: u8| vec![i; 5 + i as usize];
-        let value = encode_frame((0..6u8).map(|i| (i as u64 + 40, serial(i))));
-        let bytes = xdrser::serialize_to_bytes(&value);
-        let check = |b: &[u8]| {
-            let walked = decode_frame(b).map(|m| {
-                m.into_iter()
-                    .map(|(w, c, s)| (w, c, s.to_vec()))
-                    .collect::<Vec<_>>()
-            });
-            assert_eq!(walked, decode_frame_via_tree(b), "{b:?}");
-        };
-        check(&bytes);
-        for cut in 0..bytes.len() {
-            check(&bytes[..cut]);
-        }
-        let mut rng = 0x2545_F491_4F6C_DD1Du64;
-        let mut next = move || {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            rng
-        };
-        for _ in 0..2_000 {
-            let mut m = bytes.clone();
-            let at = next() as usize % m.len();
-            m[at] = next() as u8;
-            check(&m);
-            // A whole word, the way a wrong tag or length would read.
-            let mut m = bytes.clone();
-            let at = (next() as usize % (m.len() / 4)) * 4;
-            let word = [0, 1, 6, u32::MAX, next() as u32 % 64][next() as usize % 5];
-            m[at..at + 4].copy_from_slice(&word.to_be_bytes());
-            check(&m);
-        }
     }
 
     /// Answers its first two frames with replies no honest slave sends,
@@ -1367,7 +1227,7 @@ mod tests {
             let members = decode_frame(&msg).expect("a job frame");
             let wrong: Vec<Answer> = members
                 .iter()
-                .map(|&(wire, ..)| Answer::Priced {
+                .map(|&(wire, _)| Answer::Priced {
                     job: wire,
                     price: 666.0,
                     std_error: None,

@@ -13,8 +13,8 @@
 use crate::codec::{XdrReader, XdrWriter};
 use crate::error::XdrError;
 use crate::ser::{
-    expect_end, get_header, put_bools, put_count, put_header, put_real, put_strs, TAG_BOOL,
-    TAG_HASH, TAG_LIST, TAG_NONE, TAG_REAL, TAG_SERIAL, TAG_STR,
+    expect_end, get_header, put_bools, put_count, put_header, put_real, put_serial, put_strs,
+    TAG_BOOL, TAG_HASH, TAG_LIST, TAG_NONE, TAG_REAL, TAG_SERIAL, TAG_STR,
 };
 use nspval::{Hash, Value};
 
@@ -104,6 +104,56 @@ impl FieldSink for Encoder {
     fn table(&mut self, key: &str, fill: impl FnOnce(&mut Self)) {
         self.key(key);
         self.body(fill);
+    }
+}
+
+/// A flat list of leaves written item by item, straight into the bytes
+/// `serialize_to_bytes` would produce for it (magic and version
+/// included): how a rank frames many already-serialized objects into
+/// one message without building — or copying them into — a tree first.
+#[derive(Debug)]
+pub struct ListEncoder {
+    w: XdrWriter,
+    count_at: usize,
+    items: u32,
+}
+
+impl ListEncoder {
+    /// Start an empty list in `buf`, recycling its allocation.
+    pub fn new(buf: Vec<u8>) -> Self {
+        let mut w = XdrWriter::from_vec(buf);
+        put_header(&mut w);
+        put_count(&mut w, TAG_LIST, 0);
+        let count_at = w.len() - 4;
+        ListEncoder {
+            w,
+            count_at,
+            items: 0,
+        }
+    }
+
+    /// Append a 1×1 real matrix.
+    pub fn scalar(&mut self, v: f64) {
+        self.items += 1;
+        put_real(&mut self.w, 1, 1, &[v]);
+    }
+
+    /// Append a 1×1 string matrix.
+    pub fn string(&mut self, v: &str) {
+        self.items += 1;
+        put_strs(&mut self.w, 1, 1, std::iter::once(v));
+    }
+
+    /// Append a serial object holding `bytes`.
+    pub fn serial(&mut self, compressed: bool, bytes: &[u8]) {
+        self.items += 1;
+        put_serial(&mut self.w, compressed, bytes);
+    }
+
+    /// The serialized list.
+    pub fn finish(mut self) -> Vec<u8> {
+        self.w.set_u32(self.count_at, self.items);
+        self.w.into_bytes()
     }
 }
 
@@ -305,6 +355,29 @@ mod tests {
         fill(&mut h);
         assert_eq!(h.len(), 4);
         assert_eq!(Encoder::hash(0, fill), serialize_to_bytes(&Value::Hash(h)));
+    }
+
+    #[test]
+    fn list_encoder_writes_the_bytes_of_the_list_it_describes() {
+        let tree = Value::list(vec![
+            Value::scalar(7.0),
+            Value::Serial(Serial::new(vec![1, 2, 3, 4, 5])),
+            Value::scalar(8.0),
+            Value::string("pb-00008.bin"),
+            Value::Serial(Serial::new_compressed(vec![9])),
+        ]);
+        // A recycled buffer's old contents do not leak into the list.
+        let mut e = ListEncoder::new(vec![0xAA; 100]);
+        e.scalar(7.0);
+        e.serial(false, &[1, 2, 3, 4, 5]);
+        e.scalar(8.0);
+        e.string("pb-00008.bin");
+        e.serial(true, &[9]);
+        assert_eq!(e.finish(), serialize_to_bytes(&tree));
+        assert_eq!(
+            ListEncoder::new(Vec::new()).finish(),
+            serialize_to_bytes(&Value::list(vec![]))
+        );
     }
 
     #[test]

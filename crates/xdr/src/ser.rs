@@ -88,6 +88,12 @@ pub(crate) fn put_strs<'s>(
     }
 }
 
+pub(crate) fn put_serial(w: &mut XdrWriter, compressed: bool, bytes: &[u8]) {
+    w.put_u32(TAG_SERIAL);
+    w.put_bool(compressed);
+    w.put_opaque(bytes);
+}
+
 pub(crate) fn put_count(w: &mut XdrWriter, tag: u32, n: usize) {
     w.put_u32(tag);
     w.put_u32(n as u32);
@@ -111,11 +117,7 @@ fn encode_value(w: &mut XdrWriter, v: &Value) {
                 encode_value(w, item);
             }
         }
-        Value::Serial(s) => {
-            w.put_u32(TAG_SERIAL);
-            w.put_bool(s.is_compressed());
-            w.put_opaque(s.bytes());
-        }
+        Value::Serial(s) => put_serial(w, s.is_compressed(), s.bytes()),
         Value::None => {
             w.put_u32(TAG_NONE);
         }

@@ -73,16 +73,18 @@ fn main() {
         );
     }
 
-    // The §5 extensions on the same workload.
+    // The §5 extensions on the same workload. The sweep above already
+    // "sends them all together" (job frames); a supervised run keeps
+    // Fig. 4's one-job-a-message protocol, for comparison.
     println!("\n§5 extensions:");
-    let batched = run(
+    let per_job = run(
         &files,
-        &FarmConfig::new(4, Transmission::SerializedLoad).batch_size(8),
+        &FarmConfig::new(4, Transmission::SerializedLoad).supervised(true),
     )
     .unwrap();
     println!(
-        "  batched farm (batch=8, 4 slaves):      {:?}",
-        batched.elapsed
+        "  per-job protocol (supervised, 4 slaves): {:?}",
+        per_job.elapsed
     );
     let hier = run_hierarchical_farm(&files, 2, 2, Transmission::SerializedLoad, None).unwrap();
     println!(

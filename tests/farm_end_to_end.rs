@@ -30,17 +30,29 @@ fn setup(tag: &str, count: usize) -> (Vec<std::path::PathBuf>, Vec<f64>, std::pa
 
 #[test]
 fn all_strategies_price_identically_to_serial() {
-    let (files, expected, dir) = setup("strategies", 60);
-    for strategy in Transmission::ALL {
-        let report = run_plain_farm(&files, 3, strategy).unwrap();
-        assert_eq!(report.completed(), 60, "{strategy}");
-        for o in &report.outcomes {
-            assert_eq!(
-                o.price.to_bits(),
-                expected[o.job].to_bits(),
-                "{strategy}: job {} differs from serial",
-                o.job
-            );
+    // 300 jobs of every class: however the guided frames fall across
+    // 1..=4 slaves, each price is `compute()`'s, bit for bit.
+    let dir = std::env::temp_dir().join("it_farm_strategies");
+    let _ = std::fs::remove_dir_all(&dir);
+    let jobs = mixed_portfolio(PortfolioScale::Quick, 25);
+    assert_eq!(jobs.len(), 300);
+    let files = save_portfolio(&jobs, &dir).unwrap();
+    let expected: Vec<u64> = jobs
+        .iter()
+        .map(|j| j.problem.compute().unwrap().price.to_bits())
+        .collect();
+    for slaves in 1..=4 {
+        for strategy in Transmission::ALL {
+            let report = run_plain_farm(&files, slaves, strategy).unwrap();
+            assert_eq!(report.completed(), 300, "{strategy}, {slaves} slaves");
+            for o in &report.outcomes {
+                assert_eq!(
+                    o.price.to_bits(),
+                    expected[o.job],
+                    "{strategy}, {slaves} slaves: job {} differs from serial",
+                    o.job
+                );
+            }
         }
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -87,11 +99,14 @@ fn regression_suite_through_the_farm_like_table1() {
 #[test]
 fn batched_and_hierarchical_agree_with_flat_farm() {
     let (files, expected, dir) = setup("variants", 24);
-    let batched = run(
-        &files,
-        &FarmConfig::new(3, Transmission::SerializedLoad).batch_size(5),
-    )
-    .unwrap();
+    // Job frames (what `run` ships by default), traced to show it.
+    let framed = FarmConfig::new(3, Transmission::SerializedLoad).record_trace(true);
+    let batched = run(&files, &framed).unwrap();
+    let trace = batched.trace.as_ref().unwrap().render();
+    assert!(
+        trace.starts_with("ready(1) -> dispatch(0..4->1)\n"),
+        "{trace}"
+    );
     let hier = run_hierarchical_farm(&files, 2, 2, Transmission::SerializedLoad, None).unwrap();
     for report in [batched, hier] {
         assert_eq!(report.completed(), 24);
@@ -194,11 +209,9 @@ fn a_failed_job_means_the_same_thing_on_every_front_end() {
     const BAD: usize = 3;
 
     type FrontEnd = fn(&[PathBuf], Transmission) -> Result<FarmReport, FarmError>;
-    let front_ends: [(&str, FrontEnd); 5] = [
+    let front_ends: [(&str, FrontEnd); 4] = [
+        // Plain is the framed row: job 3 fails inside the frame 2..4.
         ("plain", |f, s| run(f, &FarmConfig::new(2, s))),
-        ("batched x3", |f, s| {
-            run(f, &FarmConfig::new(2, s).batch_size(3))
-        }),
         ("supervised", |f, s| {
             run(f, &FarmConfig::new(2, s).supervised(true))
         }),

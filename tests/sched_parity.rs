@@ -35,7 +35,7 @@ use riskbench::clustersim::{
 };
 use riskbench::prelude::*;
 use riskbench::pricing::models::BlackScholes;
-use riskbench::sched::{Action, SchedConfig, Scheduler, Supervision, Trace};
+use riskbench::sched::{Action, DispatchPolicy, SchedConfig, Scheduler, Supervision, Trace};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -103,7 +103,15 @@ fn matched_workload(dir: &std::path::Path, unit: usize) -> (Vec<PathBuf>, Vec<Si
     (files, sim_jobs)
 }
 
-fn sim_trace(jobs: &[SimJob], slaves: usize, opts: &SimSchedOpts) -> String {
+/// Fail with where `left` and `right` part ways, not with two
+/// multi-kilobyte strings.
+fn assert_same(what: &str, left: &Trace, right: &Trace) {
+    if let Some(diff) = left.diff(right) {
+        panic!("{what}: {diff}");
+    }
+}
+
+fn sim_trace(jobs: &[SimJob], slaves: usize, opts: &SimSchedOpts) -> Trace {
     let (out, trace) = simulate_farm_sched(
         jobs,
         slaves,
@@ -115,7 +123,7 @@ fn sim_trace(jobs: &[SimJob], slaves: usize, opts: &SimSchedOpts) -> String {
     )
     .unwrap();
     assert_eq!(out.per_slave.iter().sum::<usize>(), COSTS.len());
-    trace.expect("record_trace was set").render()
+    trace.expect("record_trace was set")
 }
 
 /// The live run's recorded events fed, in order, to a fresh scheduler
@@ -123,7 +131,7 @@ fn sim_trace(jobs: &[SimJob], slaves: usize, opts: &SimSchedOpts) -> String {
 /// what the live master saw. `now_ns = 0` throughout — these runs have
 /// zero backoff and deadlines no answer comes near, so no decision
 /// depends on the clock. Also checks every job was accepted exactly once.
-fn replay(live: &Trace, cfg: SchedConfig) -> String {
+fn replay(live: &Trace, cfg: SchedConfig) -> Trace {
     let jobs = cfg.jobs;
     let mut sched = Scheduler::new(cfg.record_trace()).unwrap();
     for entry in &live.entries {
@@ -131,13 +139,23 @@ fn replay(live: &Trace, cfg: SchedConfig) -> String {
     }
     assert!(sched.finished(), "replayed run did not finish");
     let mut accepted = vec![0usize; jobs];
+    // Job -> the first job of a dispatch that carried it.
+    let mut head_of = vec![None; jobs];
     for action in live.entries.iter().flat_map(|e| &e.actions) {
-        if let Action::Accept { job, .. } = *action {
-            accepted[job] += 1;
+        match *action {
+            Action::Accept { job, .. } => accepted[job] += 1,
+            Action::Dispatch { job, batch, .. } => head_of[job..job + batch].fill(Some(job)),
+            _ => {}
         }
     }
-    assert_eq!(accepted, vec![1; jobs], "every job accepted exactly once");
-    sched.take_trace().expect("record_trace was set").render()
+    for (job, head) in head_of.iter().enumerate() {
+        let head = head.unwrap_or_else(|| panic!("job {job} was never dispatched"));
+        assert_eq!(
+            accepted[head], 1,
+            "job {job}: dispatch {head} accepted once"
+        );
+    }
+    sched.take_trace().expect("record_trace was set")
 }
 
 /// Path count that makes the forced-order runs cheap: with one slave the
@@ -159,15 +177,19 @@ fn fault_free_live_and_sim_traces_are_byte_identical() {
     let live = live.trace.expect("record_trace was set");
     let live_trace = live.render();
 
-    // Live ≡ the state machine on the events the live master saw.
-    let replayed = replay(&live, SchedConfig::plain(COSTS.len(), SLAVES));
-    assert_eq!(
-        live_trace, replayed,
-        "plain-farm decisions are not the scheduler's\n-- live --\n{live_trace}\n-- replayed --\n{replayed}"
+    // Live ≡ the state machine on the events the live master saw — the
+    // framed machine: an unsupervised FIFO run dispatches job frames.
+    let framed = |slaves| SchedConfig::farm(COSTS.len(), slaves, DispatchPolicy::Fifo, None, None);
+    let replayed = replay(&live, framed(SLAVES));
+    assert_same(
+        "plain-farm decisions are not the scheduler's",
+        &live,
+        &replayed,
     );
-    // Sanity: the trace starts with the Fig. 4 priming round.
+    // Sanity: the trace starts with the priming round, a guided frame
+    // each: ceil(16 / 8) jobs, then ceil(14 / 8).
     assert!(
-        live_trace.starts_with("ready(1) -> dispatch(0->1)\nready(2) -> dispatch(1->2)\n"),
+        live_trace.starts_with("ready(1) -> dispatch(0..2->1)\nready(2) -> dispatch(2..4->2)\n"),
         "unexpected priming: {live_trace}"
     );
 
@@ -179,7 +201,7 @@ fn fault_free_live_and_sim_traces_are_byte_identical() {
         &FarmConfig::new(1, Transmission::SerializedLoad).record_trace(true),
     )
     .unwrap();
-    let live_trace = live.trace.expect("record_trace was set").render();
+    let live = live.trace.expect("record_trace was set");
     let sim = sim_trace(
         &sim_jobs,
         1,
@@ -188,10 +210,9 @@ fn fault_free_live_and_sim_traces_are_byte_identical() {
             ..Default::default()
         },
     );
-    assert_eq!(
-        live_trace, sim,
-        "one-slave decision traces diverged\n-- live --\n{live_trace}\n-- sim --\n{sim}"
-    );
+    assert_same("one-slave decision traces diverged", &live, &sim);
+    // Frames of 8, 4, 2, 1, 1: what both sides agreed on.
+    assert!(live.render().starts_with("ready(1) -> dispatch(0..8->1)\n"));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -222,10 +243,7 @@ fn staged_rounds_live_and_sim_traces_are_byte_identical() {
         &live,
         SchedConfig::plain(COSTS.len(), SLAVES).rounds(rounds.clone()),
     );
-    assert_eq!(
-        live_trace, replayed,
-        "staged decisions are not the scheduler's\n-- live --\n{live_trace}\n-- replayed --\n{replayed}"
-    );
+    assert_same("staged decisions are not the scheduler's", &live, &replayed);
     // The barrier is visible: job 4 (round 1) is dispatched by the
     // answer of job 3, the 20-grain straggler of round 0 — never by the
     // earlier answers of jobs 0..2.
@@ -249,7 +267,7 @@ fn staged_rounds_live_and_sim_traces_are_byte_identical() {
             .record_trace(true),
     )
     .unwrap();
-    let live_trace = live.trace.expect("record_trace was set").render();
+    let live = live.trace.expect("record_trace was set");
     let sim = sim_trace(
         &sim_jobs,
         1,
@@ -259,10 +277,7 @@ fn staged_rounds_live_and_sim_traces_are_byte_identical() {
             ..Default::default()
         },
     );
-    assert_eq!(
-        live_trace, sim,
-        "one-slave staged traces diverged\n-- live --\n{live_trace}\n-- sim --\n{sim}"
-    );
+    assert_same("one-slave staged traces diverged", &live, &sim);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -305,7 +320,7 @@ fn staged_bsde_picard_live_and_sim_traces_are_byte_identical() {
     )
     .unwrap();
     assert_eq!(live.completed(), picard_rounds);
-    let live_trace = live.trace.as_ref().expect("record_trace was set").render();
+    let live_trace = live.trace.as_ref().expect("record_trace was set");
 
     let sim_jobs: Vec<SimJob> = w
         .jobs()
@@ -332,11 +347,8 @@ fn staged_bsde_picard_live_and_sim_traces_are_byte_identical() {
     )
     .unwrap();
     assert_eq!(out.per_slave.iter().sum::<usize>(), picard_rounds);
-    let sim = trace.expect("record_trace was set").render();
-    assert_eq!(
-        live_trace, sim,
-        "BSDE staged traces diverged\n-- live --\n{live_trace}\n-- sim --\n{sim}"
-    );
+    let sim = trace.expect("record_trace was set");
+    assert_same("BSDE staged traces diverged", live_trace, &sim);
 
     // And the farm's staged answers are the in-process Picard iterates,
     // bit for bit — the data flow crossed the rounds correctly.
@@ -417,7 +429,7 @@ fn seeded_fault_live_and_sim_traces_are_byte_identical() {
     );
 
     // The burial must appear, verbatim, in both traces...
-    for (world, trace) in [("live", &live_trace), ("sim", &sim)] {
+    for (world, trace) in [("live", &live_trace), ("sim", &sim.render())] {
         assert!(
             trace.contains("dead(4) -> bury(4) requeue(3)\n"),
             "{world} trace lacks the burial: {trace}"
@@ -429,9 +441,10 @@ fn seeded_fault_live_and_sim_traces_are_byte_identical() {
         &live,
         SchedConfig::plain(COSTS.len(), SLAVES).supervised(supervision),
     );
-    assert_eq!(
-        live_trace, replayed,
-        "supervised decisions are not the scheduler's\n-- live --\n{live_trace}\n-- replayed --\n{replayed}"
+    assert_same(
+        "supervised decisions are not the scheduler's",
+        &live,
+        &replayed,
     );
     std::fs::remove_dir_all(&dir).ok();
 }

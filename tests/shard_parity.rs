@@ -8,7 +8,7 @@
 //!   shard recorded, replayed into a fresh `Scheduler`, reproduce its
 //!   trace byte for byte. With one slave per shard the order is forced
 //!   and the trace must be **byte-identical** to
-//!   `clustersim::simulate_farm_sched` run on that partition. Both on
+//!   `clustersim::simulate_farm_config` run on that partition. Both on
 //!   the in-process channel backend *and* on the multi-process socket
 //!   backend;
 //! * **price bit-identity across backends** — the same portfolio priced
@@ -20,7 +20,7 @@
 //! Monte-Carlo unit, so both slaves of a shard stay busy and the trace
 //! interleaves their answers.
 
-use riskbench::clustersim::{simulate_farm_sched, SimCaches, SimConfig, SimJob, SimSchedOpts};
+use riskbench::clustersim::{simulate_farm_config, SimCaches, SimConfig, SimJob};
 use riskbench::farm::shard::{
     run_sharded, shard_slave_entry, ShardConfig, TransportKind, SHARD_SLAVE_ENTRY,
 };
@@ -99,23 +99,22 @@ fn matched_workload(dir: &std::path::Path, unit: usize) -> (Vec<PathBuf>, Vec<Si
     (files, sim_jobs)
 }
 
-/// One simulated one-slave scheduler round over a shard's partition.
-fn sim_shard_trace(jobs: &[SimJob]) -> String {
-    let (out, trace) = simulate_farm_sched(
+/// One simulated one-slave scheduler round over a shard's partition,
+/// under the config a shard's lease round drives live: plain, one job
+/// per dispatch.
+fn sim_shard_trace(jobs: &[SimJob]) -> Trace {
+    let (out, trace) = simulate_farm_config(
         jobs,
-        1,
         Transmission::SerializedLoad,
         &SimConfig::default(),
         &mut SimCaches::new(),
         None,
-        &SimSchedOpts {
-            record_trace: true,
-            ..Default::default()
-        },
+        SchedConfig::plain(jobs.len(), 1).record_trace(),
+        &[],
     )
     .unwrap();
     assert_eq!(out.per_slave.iter().sum::<usize>(), jobs.len());
-    trace.expect("record_trace was set").render()
+    trace.expect("record_trace was set")
 }
 
 fn live_shard_traces(
@@ -165,12 +164,10 @@ fn trace_parity_on(backend: TransportKind, tag: &str) {
             sched.finished(),
             "{tag} shard {shard}: replay did not finish"
         );
-        let (live, replayed) = (trace.render(), sched.take_trace().unwrap().render());
-        assert_eq!(
-            live, replayed,
-            "{tag} shard {shard} decisions are not the scheduler's\n\
-             -- live --\n{live}\n-- replayed --\n{replayed}"
-        );
+        if let Some(diff) = trace.diff(&sched.take_trace().unwrap()) {
+            panic!("{tag} shard {shard} decisions are not the scheduler's: {diff}");
+        }
+        let live = trace.render();
         assert!(
             live.starts_with("ready(1) -> dispatch(0->1)\nready(2) -> dispatch(1->2)\n"),
             "{tag} shard {shard}: unexpected priming: {live}"
@@ -183,12 +180,9 @@ fn trace_parity_on(backend: TransportKind, tag: &str) {
     let (files, sim_jobs) = matched_workload(&dir, 200);
     let sim = sim_shard_trace(&sim_jobs);
     for (shard, trace) in live_shard_traces(backend, &files, 1).iter().enumerate() {
-        let live = trace.render();
-        assert_eq!(
-            live, sim,
-            "{tag} shard {shard} diverged from its simulated partition\n\
-             -- live --\n{live}\n-- sim --\n{sim}"
-        );
+        if let Some(diff) = trace.diff(&sim) {
+            panic!("{tag} shard {shard} diverged from its simulated partition: {diff}");
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -4,12 +4,14 @@
 //! which slave gets which job varies from run to run, but how many
 //! messages are sent and how many bytes they carry does not. This test
 //! records both with a [`Recorder`] attached — the `Send` event count
-//! and their byte total — and compares them with constants taken on the
-//! commit *before* the farm's slave loops and master drivers were
-//! collapsed into one of each. They are exact, like the allocation
-//! counts of `tests/nsp_linear.rs`: any drift in the protocol (an extra
-//! message, a wider answer, a lost stop sentinel) is a failure, not a
-//! band.
+//! and their byte total — and compares them with constants. The
+//! supervised and hierarchical cells were taken on the commit *before*
+//! the farm's slave loops and master drivers were collapsed into one of
+//! each and have not moved since; the plain cells were re-taken, once
+//! and on purpose, when the flat farm's unit of dispatch became the job
+//! frame. They are exact, like the allocation counts of
+//! `tests/nsp_linear.rs`: any drift in the protocol (an extra message, a
+//! wider answer, a lost stop sentinel) is a failure, not a band.
 
 use riskbench::farm::hierarchy::run_hierarchical_farm;
 use riskbench::prelude::*;
@@ -28,15 +30,18 @@ const PATH_LEN: usize = 96;
 /// `(Send events, bytes they carried)`.
 type Wire = (usize, u64);
 
-// Recorded on the parent commit (9a27656), 60 toy jobs.
-const PLAIN_FULL_LOAD: Wire = (183, 40_860);
-const PLAIN_NFS: Wire = (123, 13_500);
-const PLAIN_SERIALIZED_LOAD: Wire = (183, 40_860);
+// 60 toy jobs as job frames (of 10, 9, 7, 6, 5, 4, 4, 3, 2, 2, 2 and
+// 6 × 1 jobs): 17 frames, 17 replies, 3 stop sentinels. Per job it was
+// (183, 40_860) for the loaded strategies — a name message, a payload
+// and an answer each — and (123, 13_500) for NFS.
+const PLAIN_FULL_LOAD: Wire = (37, 31_180);
+const PLAIN_NFS: Wire = (37, 11_020);
+const PLAIN_SERIALIZED_LOAD: Wire = (37, 31_180);
+// Recorded on commit 9a27656, Fig. 4's per-job protocol.
 const SUPERVISED_INERT_SLOAD: Wire = (183, 40_860);
-const BATCHED_4_SLOAD: Wire = (33, 39_840);
 const HIERARCHICAL_2X2_SLOAD: Wire = (188, 56_304);
 
-/// The toy portfolio saved under a directory whose name pads every
+/// [`JOBS`] toy problems saved under a directory whose name pads every
 /// file's path to [`PATH_LEN`] bytes.
 fn setup() -> (Vec<PathBuf>, PathBuf) {
     let tmp = std::env::temp_dir();
@@ -56,14 +61,16 @@ fn setup() -> (Vec<PathBuf>, PathBuf) {
     (files, dir)
 }
 
-/// Run `farm` with a recorder covering `ranks` ranks; return what it sent.
+/// Run `farm` over `jobs` jobs with a recorder covering `ranks` ranks;
+/// return what it sent.
 fn wire_of(
     ranks: usize,
+    jobs: usize,
     farm: impl FnOnce(Arc<Recorder>) -> Result<FarmReport, FarmError>,
-) -> Wire {
+) -> (Wire, FarmReport) {
     let rec = Arc::new(Recorder::with_capacity(ranks, 1 << 14));
     let report = farm(rec.clone()).unwrap();
-    assert_eq!(report.completed(), JOBS);
+    assert_eq!(report.completed(), jobs);
     assert!(report.failed_jobs.is_empty());
     assert_eq!(report.retries, 0);
     assert_eq!(rec.dropped(), 0);
@@ -72,13 +79,14 @@ fn wire_of(
         .into_iter()
         .filter(|e| e.kind == EventKind::Send)
         .collect();
-    (sends.len(), sends.iter().map(|e| e.bytes).sum())
+    let wire = (sends.len(), sends.iter().map(|e| e.bytes).sum());
+    (wire, report)
 }
 
 #[test]
 fn every_front_end_sends_the_same_messages_and_bytes_as_before_the_collapse() {
     let (files, dir) = setup();
-    let flat = |cfg: FarmConfig| wire_of(SLAVES + 1, |rec| run(&files, &cfg.recorder(rec)));
+    let flat = |cfg: FarmConfig| wire_of(SLAVES + 1, JOBS, |rec| run(&files, &cfg.recorder(rec))).0;
 
     assert_eq!(
         flat(FarmConfig::new(SLAVES, Transmission::FullLoad)),
@@ -107,20 +115,48 @@ fn every_front_end_sends_the_same_messages_and_bytes_as_before_the_collapse() {
         "supervised, no faults, serialized load"
     );
     assert_eq!(
-        flat(FarmConfig::new(SLAVES, Transmission::SerializedLoad).batch_size(4)),
-        BATCHED_4_SLOAD,
-        "batches of four, serialized load"
-    );
-    assert_eq!(
-        wire_of(7, |rec| run_hierarchical_farm(
+        wire_of(7, JOBS, |rec| run_hierarchical_farm(
             &files,
             2,
             2,
             Transmission::SerializedLoad,
             Some(rec)
-        )),
+        ))
+        .0,
         HIERARCHICAL_2X2_SLOAD,
         "hierarchical 2x2, serialized load"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The message count of a framed run is its frame count, whatever the
+/// portfolio's size: each frame is one message out and one reply back,
+/// and each slave gets one stop sentinel.
+#[test]
+fn a_framed_run_sends_two_messages_a_frame_and_a_stop_a_slave() {
+    const TOY_JOBS: usize = 2_000;
+    let dir = std::env::temp_dir().join("wire_pin_frames");
+    let _ = std::fs::remove_dir_all(&dir);
+    let files = save_portfolio(&toy_portfolio(TOY_JOBS), &dir).unwrap();
+    for strategy in Transmission::ALL {
+        let cfg = FarmConfig::new(SLAVES, strategy).record_trace(true);
+        let ((sends, _), report) =
+            wire_of(SLAVES + 1, TOY_JOBS, |rec| run(&files, &cfg.recorder(rec)));
+        let trace = report.trace.expect("record_trace was set");
+        let frames: Vec<usize> = trace
+            .entries
+            .iter()
+            .flat_map(|e| &e.actions)
+            .filter_map(|a| match a {
+                riskbench::sched::Action::Dispatch { batch, .. } => Some(*batch),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(frames.iter().sum::<usize>(), TOY_JOBS, "{strategy}");
+        assert_eq!(frames[0], riskbench::sched::MAX_FRAME, "{strategy}");
+        assert_eq!(sends, 2 * frames.len() + SLAVES, "{strategy}");
+        // Per job this was 3 messages a job (2 for NFS) and the stops.
+        assert!(sends < TOY_JOBS / 20, "{strategy}: {sends} sends");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
