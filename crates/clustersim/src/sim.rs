@@ -285,7 +285,7 @@ pub fn simulate_farm_cached(
 ///
 /// The scheduler config is built through [`SchedConfig::farm`], the
 /// constructor `farm::run` uses: a FIFO, unsupervised, unstaged run
-/// dispatches job frames here exactly when it does live.
+/// dispatches guided frames here exactly when it does live.
 pub fn simulate_farm_sched(
     jobs: &[SimJob],
     slaves: usize,
@@ -322,7 +322,10 @@ pub fn simulate_farm_sched(
 /// compute) on the slave, one reply. Per-member phases are recorded
 /// under the member's job, the frame's send under its first job and the
 /// slave's receive and reply under no job — as the live ranks record
-/// them. A [`Batch::One`] run speaks Fig. 4's per-job protocol.
+/// them. A [`Batch::One`] run speaks Fig. 4's per-job protocol (name
+/// message, packed payload, answer) as the paper's tables and
+/// `scripts/fig4_farm.nsp` speak it — not what a live farm sends, which
+/// is a frame of one job.
 pub fn simulate_farm_config(
     jobs: &[SimJob],
     strategy: Transmission,

@@ -3,10 +3,12 @@
 //! communication latency … it is always advisable to send a single large
 //! message rather [than] several smaller messages."
 //!
-//! The frame is what the flat farm dispatches whenever nothing needs jobs
-//! one at a time (a FIFO, unsupervised, unstaged run), sized by
-//! [`sched::Batch::Guided`]'s rule: `Farm::send_frame` out, the same slave
-//! loop pricing each member, one columnar reply back.
+//! The frame is what every farm link dispatches: `Farm::send_frame` out,
+//! the one slave loop pricing each member, one columnar reply back.
+//! Where nothing needs jobs one at a time (a FIFO, unsupervised,
+//! unstaged run: the flat farm and each hierarchy group) frames are
+//! sized by [`sched::Batch::Guided`]'s rule; anywhere else a frame holds
+//! one job.
 
 #[cfg(test)]
 mod tests {
@@ -67,8 +69,8 @@ mod tests {
     #[test]
     fn batch_one_matches_plain_farm_prices() {
         let (paths, dir) = setup(12, "vs_plain");
-        // A supervised run keeps Fig. 4's per-job protocol: the same
-        // prices, bit for bit, whichever way the problems travelled.
+        // A supervised run ships frames of one: the same prices, bit for
+        // bit, however many problems shared a message.
         let per_job = FarmConfig::new(2, Transmission::SerializedLoad).supervised(true);
         let per_job = run(&paths, &per_job).unwrap();
         let framed = run_batched_farm(&paths, 2, Transmission::SerializedLoad).unwrap();
@@ -113,13 +115,9 @@ mod tests {
     /// sent: `mangle` rewrites the honest reply's job ids.
     fn run_with_rogue_slave(tag: &str, mangle: Mangle) -> FarmError {
         use crate::config::RunCtx;
-        use crate::slave::{Framing, Link};
+        use crate::slave::Link;
         use crate::wire::{batch_reply_value, decode_frame, Answer};
-        const LINK: Link = Link {
-            master: 0,
-            tag: 7,
-            framing: Framing::Frame,
-        };
+        const LINK: Link = Link { master: 0, tag: 7 };
         let (paths, dir) = setup(8, tag);
         let ctx = RunCtx::default_ctx();
         let scenario = move || {
@@ -153,7 +151,8 @@ mod tests {
                 };
                 let (cfg, mut scratch) = (FarmConfig::new(1, farm.strategy), Vec::new());
                 let run = crate::driver::drive(&farm, cfg.sched_config(8), |job, rank, n, _| {
-                    farm.send_frame(rank, &paths, job..job + n, &mut scratch)
+                    let members = (job..job + n).map(|idx| (idx, paths[idx].as_path()));
+                    farm.send_frame(rank, members, &mut scratch)
                 });
                 Some(run.expect_err("a rogue reply was believed"))
             });

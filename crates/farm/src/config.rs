@@ -580,7 +580,7 @@ mod tests {
     fn scheduler_rejection_stops_the_slaves_it_found_parked() {
         use crate::driver::{drive, Farm};
         use crate::slave::{serve_jobs, Link};
-        let (ctx, link) = (RunCtx::default_ctx(), Link::per_job(0, 7));
+        let (ctx, link) = (RunCtx::default_ctx(), Link { master: 0, tag: 7 });
         let strategy = Transmission::SerializedLoad;
         let bad = SchedConfig {
             batch: sched::Batch::Guided,
@@ -590,7 +590,7 @@ mod tests {
         };
         let ran = minimpi::World::run(3, |comm| {
             if comm.rank() != 0 {
-                serve_jobs(&comm, &ctx, link, strategy, None);
+                serve_jobs(&comm, &ctx, link, None);
                 return None;
             }
             let farm = Farm {
@@ -889,8 +889,8 @@ mod tests {
     #[test]
     fn plain_batched_and_supervised_routes_agree() {
         let (paths, dir) = setup(18, "routes");
-        // Plain is the framed route, LPT order keeps it on the
-        // unsupervised per-job one.
+        // Plain ships guided frames, LPT order and supervision frames of
+        // one.
         let plain = run(&paths, &FarmConfig::new(2, Transmission::SerializedLoad)).unwrap();
         let costs = vec![1.0; 18];
         let batched = run(

@@ -25,17 +25,16 @@
 use crate::config::RunCtx;
 use crate::instrument;
 use crate::robin_hood::{FarmError, FarmReport, JobOutcome};
-use crate::slave::{Framing, Link};
+use crate::slave::Link;
 use crate::strategy::{prepare_serial_recorded, Transmission};
 use crate::supervisor::SupervisorConfig;
-use crate::wire::{self, Answer, Body, JobFrame, JobMsg};
-use minimpi::{Comm, MpiBuf, MpiError, Status, ANY_SOURCE};
+use crate::wire::{self, Answer, Body, JobFrame};
+use minimpi::{Comm, MpiError, Status, ANY_SOURCE};
 use nspval::Value;
 use obs::{EventKind, NO_JOB};
 use sched::{Action, Event, SchedConfig, Scheduler};
 use std::collections::VecDeque;
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::path::Path;
 use std::time::Instant;
 
 /// The live side of one scheduler run: where the slaves are and how to
@@ -79,59 +78,24 @@ impl Farm<'_> {
         }
     }
 
-    /// Send job `idx` (file `path`) to rank `slave` — the one per-job
-    /// sender behind every master (flat, supervised, hierarchy
-    /// sub-master, shard).
-    ///
-    /// `scratch` is a pack buffer hoisted out of the dispatch loop: loaded
-    /// strategies recycle one allocation across the whole run
-    /// ([`Comm::pack_into`]), and each reuse shows up as an
-    /// [`minimpi::obs::EventKind::CopySaved`] mark when recording.
-    pub(crate) fn send_job(
+    /// Send `members` — `(wire id, problem file)` pairs — to rank `slave`
+    /// as one job frame, written into `scratch` (recycled across the
+    /// run): the one sender behind every master (flat, supervised,
+    /// hierarchy sub-master, shard lease round), whatever its wire ids
+    /// mean. Each problem's bytes go from where the store fetched them
+    /// straight into the message ([`EventKind::Pack`]); a member whose
+    /// bytes cannot be prepared fails the dispatch before anything is on
+    /// the wire.
+    pub(crate) fn send_frame<'p>(
         &self,
         slave: usize,
-        idx: usize,
-        path: &Path,
-        scratch: &mut MpiBuf,
-    ) -> Result<(), FarmError> {
-        let (comm, tag) = (self.comm, self.link.tag);
-        comm.set_job(Some(idx));
-        let sent = (|| {
-            // Fetch and pack the payload first. A job whose bytes cannot
-            // be prepared fails before anything is on the wire, and the
-            // name message ([name, job index]) and the packed object go
-            // out back to back through one pair guard: the slave is woken
-            // once, with both queued, rather than woken for the name only
-            // to block on the payload.
-            let packed = prepare_serial_recorded(comm, self.ctx, self.strategy, path)
-                .map_err(|e| FarmError::job_failed(idx, e))?
-                .map(|s| comm.pack_into(&Value::Serial(Arc::unwrap_or_clone(s)), scratch));
-            let name = path.to_string_lossy().to_string();
-            let pair = comm.pair(slave as i32)?;
-            pair.send_obj(&JobMsg { idx, name }.to_value(), tag)?;
-            if packed.is_some() {
-                pair.send(scratch.bytes(), tag)?;
-            }
-            Ok(())
-        })();
-        comm.set_job(None);
-        sent
-    }
-
-    /// Send jobs `range` to rank `slave` as one job frame, written into
-    /// `scratch` (recycled across the run): each problem's bytes go from
-    /// where the store fetched them straight into the message ([`EventKind::Pack`]).
-    pub(crate) fn send_frame(
-        &self,
-        slave: usize,
-        files: &[PathBuf],
-        range: std::ops::Range<usize>,
+        members: impl IntoIterator<Item = (usize, &'p Path)>,
         scratch: &mut Vec<u8>,
     ) -> Result<(), FarmError> {
-        let (comm, head) = (self.comm, range.start);
+        let (comm, mut head) = (self.comm, None);
         let mut frame = JobFrame::new(std::mem::take(scratch));
-        for idx in range {
-            let path = &files[idx];
+        for (idx, path) in members {
+            head.get_or_insert(idx);
             comm.set_job(Some(idx));
             let serial = prepare_serial_recorded(comm, self.ctx, self.strategy, path)
                 .map_err(|e| FarmError::job_failed(idx, e))?;
@@ -147,7 +111,7 @@ impl Farm<'_> {
         }
         *scratch = frame.finish();
         // The message as a whole is recorded under its first job.
-        comm.set_job(Some(head));
+        comm.set_job(head);
         let sent = comm.send(scratch, slave as i32, self.link.tag);
         comm.set_job(None);
         Ok(sent?)
@@ -349,12 +313,11 @@ where
             .ok_or_else(|| FarmError::Protocol(format!("answer for unknown job {wire}")))
     }
 
-    /// Collect one slave message: its answers and the rank that sent it.
-    /// `None` when a supervised poll ran out (or cleared a truncated
-    /// frame, whose job the deadline requeues).
+    /// Collect one slave reply — a whole frame's answers — and the rank
+    /// that sent it. `None` when a supervised poll ran out (or cleared a
+    /// truncated reply, whose jobs the deadline requeues).
     fn gather(&self) -> Result<Option<(Vec<Answer>, usize)>, FarmError> {
-        let Farm { comm, link, .. } = *self.farm;
-        let tag = link.tag;
+        let (comm, tag) = (self.farm.comm, self.farm.link.tag);
         let (v, src) = match self.farm.supervisor.map(|s| s.poll) {
             None => {
                 let (v, st) = recv_any(comm, tag)?;
@@ -370,12 +333,7 @@ where
                 Err(e) => return Err(e.into()),
             },
         };
-        let answers = match link.framing {
-            Framing::PerJob => vec![wire::decode_answer(&v)?],
-            // One message carries a whole frame's answers.
-            Framing::Frame => wire::decode_batch_reply(&v)?,
-        };
-        Ok(Some((answers, src)))
+        Ok(Some((wire::decode_batch_reply(&v)?, src)))
     }
 
     /// Execute an action batch in order. A dispatch the scheduler can

@@ -4,20 +4,21 @@
 //! slave processes to monitor the speedups would be better."
 //!
 //! Topology: the global master (rank 0) splits the file list into
-//! contiguous chunks, one per sub-master; each sub-master runs a private
-//! Robin-Hood loop over its own slaves and reports its collected results
-//! back to the global master when its chunk is drained.
+//! contiguous chunks, one per sub-master, each sent as a job frame of
+//! names; each sub-master runs a private Robin-Hood loop over its own
+//! slaves — guided frames, like the flat farm — and reports its
+//! collected results back to the global master when its chunk is
+//! drained.
 
 use crate::config::RunCtx;
 use crate::driver::{self, Farm};
 use crate::robin_hood::{FarmError, FarmReport};
 use crate::slave::{self, Link};
 use crate::strategy::Transmission;
-use crate::wire::{self, Answer, BatchItem};
-use minimpi::{Comm, MpiBuf, World};
-use nspval::Value;
+use crate::wire::{self, Answer, Body, JobFrame};
+use minimpi::{Comm, World};
 use obs::Recorder;
-use sched::SchedConfig;
+use sched::{DispatchPolicy, SchedConfig};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -88,9 +89,12 @@ pub fn run_hierarchical_farm(
             return Some(global_master(&comm, files, topo, strategy));
         }
         let (g, is_sub) = topo.classify(rank);
-        let link = Link::per_job(topo.sub_master_rank(g), TAG);
+        let link = Link {
+            master: topo.sub_master_rank(g),
+            tag: TAG,
+        };
         if !is_sub {
-            slave::serve_jobs(&comm, &ctx, link, strategy, None);
+            slave::serve_jobs(&comm, &ctx, link, None);
         } else if let Err(e) = sub_master(&comm, &ctx, topo, link, strategy) {
             // A failed job was reported upstream; what is left is a
             // failed link, which has nobody to tell (see
@@ -106,8 +110,9 @@ pub fn run_hierarchical_farm(
         .expect("global master produces the report")
 }
 
-/// Global master: chunk the portfolio, send one chunk (as a name list) to
-/// each sub-master, gather their result lists.
+/// Global master: chunk the portfolio, send one chunk (a job frame of
+/// names; an empty chunk is the empty message) to each sub-master,
+/// gather their result lists.
 fn global_master(
     comm: &Comm,
     files: &[PathBuf],
@@ -121,16 +126,13 @@ fn global_master(
     let mut begin = 0;
     for g in 0..topo.groups {
         let len = base + usize::from(g < rem);
-        let chunk = (begin..begin + len).map(|idx| {
-            let name = files[idx].to_string_lossy().to_string();
-            BatchItem { idx, name }.to_value()
-        });
+        let mut chunk = JobFrame::new(Vec::new());
+        for (idx, file) in files.iter().enumerate().skip(begin).take(len) {
+            chunk.push(idx, Body::Name(&file.to_string_lossy()));
+        }
         begin += len;
-        comm.send_obj(
-            &Value::list(chunk.collect()),
-            topo.sub_master_rank(g) as i32,
-            TAG,
-        )?;
+        let chunk = if len > 0 { chunk.finish() } else { Vec::new() };
+        comm.send(&chunk, topo.sub_master_rank(g) as i32, TAG)?;
     }
     // Gather one report per group — all of them, so that a failed group
     // does not leave the others' reports unread — and keep the first
@@ -175,23 +177,32 @@ fn sub_master(
     link: Link,
     strategy: Transmission,
 ) -> Result<(), FarmError> {
-    let (chunk, _) = comm.recv_obj(0, TAG)?;
-    let jobs = wire::decode_batch(&chunk)?;
+    let (chunk, _) = comm.recv(0, TAG)?;
+    let members = if chunk.is_empty() {
+        Vec::new()
+    } else {
+        wire::decode_frame(&chunk)?
+    };
+    let name = |(idx, body)| match body {
+        Body::Name(name) => Ok((idx, Path::new(name))),
+        Body::Serial { .. } => Err(FarmError::Protocol(format!("chunk job {idx} is no name"))),
+    };
+    let jobs: Vec<(usize, &Path)> = members.into_iter().map(name).collect::<Result<_, _>>()?;
     // Sched job `j` is global job `base + j` (chunks are contiguous).
     let farm = Farm {
         comm,
         link,
-        base: jobs.first().map_or(0, |j| j.idx),
+        base: jobs.first().map_or(0, |j| j.0),
         supervisor: None,
         resident: false,
         ctx,
         strategy,
     };
-    let mut scratch = MpiBuf::with_capacity(0);
-    let cfg = SchedConfig::plain(jobs.len(), topo.slaves_per_group);
-    let run = driver::drive(&farm, cfg, |job, rank, _batch, _outcomes| {
-        let BatchItem { idx, name } = &jobs[job];
-        farm.send_job(rank, *idx, Path::new(name), &mut scratch)
+    let mut scratch = Vec::new();
+    let fifo = DispatchPolicy::Fifo;
+    let cfg = SchedConfig::farm(jobs.len(), topo.slaves_per_group, fifo, None, None);
+    let run = driver::drive(&farm, cfg, |job, rank, batch, _outcomes| {
+        farm.send_frame(rank, jobs[job..job + batch].iter().copied(), &mut scratch)
     });
     let report = match run {
         Ok(run) => wire::group_report_value(&run.outcomes),

@@ -18,8 +18,10 @@
 //!   the one slave loop (every job is answered, priced or failed —
 //!   `docs/FAULTS.md`) and the one master driver (feeds the pure
 //!   [`sched::Scheduler`] the simulator also runs — `docs/SCHEDULER.md`
-//!   — and owns shutdown). A plain run ships §5's "send them all
-//!   together" job frames, sized by the scheduler (`batching`, private).
+//!   — and owns shutdown). Every link ships §5's "send them all
+//!   together" job frames: sized by the scheduler on a plain run, one
+//!   job each under supervision, LPT order or staging (`batching`,
+//!   private).
 //! * [`hierarchy`] — the §5 sub-master improvement ("divide the nodes
 //!   into sub-groups, each group having its own master"): topology,
 //!   chunking and the group gather around the same driver and slave.
@@ -37,9 +39,9 @@
 //!   parameter sweeps (delta/gamma/vega/rho per claim) that multiply the
 //!   portfolio into the paper's "around 10⁶ atomic computations".
 //! * [`wire`] — the typed wire codec every master/slave pair shares:
-//!   job requests, job frames, priced/failed answers and the
-//!   hierarchy's chunk and group-report messages, with total decoding
-//!   ([`FarmError::Protocol`] instead of silent drops).
+//!   job frames, columnar answers and the hierarchy's group report,
+//!   with total decoding ([`FarmError::Protocol`] instead of silent
+//!   drops).
 //! * [`config`] — the unified entry point: build a [`FarmConfig`]
 //!   (strategy, supervision, fault plan, [`obs::Recorder`],
 //!   problem store / cache / wire-compression / prefetch) and call

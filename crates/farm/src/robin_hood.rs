@@ -4,36 +4,38 @@
 //! "First, the master sends one job to each slave and as soon as a slave
 //! finishes its computation and sends its answer back, it is assigned a
 //! new job. This mechanism goes on until the whole portfolio has been
-//! treated." (§4). Termination is the Fig. 4 empty-name message.
+//! treated." (§4). Termination is the empty message.
 //!
-//! The wire protocol matches the scripts: per job the master sends a
-//! *name* message (`MPI_Send_Obj` of the file name string) followed, for
-//! the loaded strategies, by a *packed object* message (`MPI_Pack` +
-//! `MPI_Send`); the slave probes, sizes a buffer with `MPI_Get_count`,
-//! receives, unpacks, unserializes, computes and replies with a result
-//! object. (A supervised, LPT-ordered or staged run speaks exactly that;
-//! any other gathers the same problems into job frames, `crate::batching`.)
+//! Fig. 4's script sends each job as a name message and, for the loaded
+//! strategies, a packed payload; that protocol is measured where the
+//! paper's tables are — `scripts/fig4_farm.nsp` and the simulator's
+//! [`sched::Batch::One`] costing. The live farm instead takes §5's
+//! advice on every run: each dispatch is one job frame of problems (or,
+//! for NFS, names) and one columnar reply. A FIFO, unsupervised,
+//! unstaged run sizes its frames by the scheduler's guided rule
+//! (`crate::batching`); a supervised, LPT-ordered or staged one
+//! dispatches frames of one.
 //!
 //! This module is the *flat* farm — one master, rank 0, over ranks
 //! `1..=slaves` — plain or supervised (`crate::supervisor`). They are one
 //! runner: [`crate::driver::drive`] on rank 0, [`crate::slave::serve_jobs`]
 //! on every other rank, and a [`crate::FarmConfig`] saying which
-//! scheduler config — and so which framing — and how much patience. The
-//! report and error types every front-end shares live here too.
+//! scheduler config and how much patience. The report and error types
+//! every front-end shares live here too.
 
 use crate::config::{FarmConfig, RunCtx};
 use crate::driver::{self, Farm};
-use crate::slave::{self, Framing, Link};
+use crate::slave::{self, Link};
 use crate::strategy::Transmission;
 use crate::workload::StagedPatch;
 use exec::ConfigIssues;
-use minimpi::{Comm, MpiBuf, MpiError, World};
-use sched::Batch;
+use minimpi::{Comm, MpiError, World};
 use std::fmt;
 use std::path::PathBuf;
 use std::time::Duration;
 
-pub(crate) const TAG: i32 = 7;
+/// The flat farm's link: rank 0 masters every other rank.
+const LINK: Link = Link { master: 0, tag: 7 };
 
 /// One priced job as collected by the master.
 #[derive(Debug, Clone, PartialEq)]
@@ -185,26 +187,18 @@ impl From<xdrser::XdrError> for FarmError {
 }
 
 /// The flat farm behind [`crate::run`]: plain or supervised as `cfg`
-/// says, framed whenever its scheduler config dispatches frames.
+/// says.
 pub(crate) fn run_flat(
     files: &[PathBuf],
     cfg: &FarmConfig,
     ctx: &RunCtx,
     patch: Option<&StagedPatch>,
 ) -> Result<FarmReport, FarmError> {
-    let framing = match cfg.sched_config(files.len()).batch {
-        Batch::One => Framing::PerJob,
-        Batch::Guided => Framing::Frame,
-    };
-    let link = Link {
-        framing,
-        ..Link::per_job(0, TAG)
-    };
     let body = |comm: Comm| {
         if comm.rank() == 0 {
-            return Some(master(&comm, ctx, files, cfg, link, patch));
+            return Some(master(&comm, ctx, files, cfg, patch));
         }
-        slave::serve_jobs(&comm, ctx, link, cfg.strategy, cfg.supervisor.as_ref());
+        slave::serve_jobs(&comm, ctx, LINK, cfg.supervisor.as_ref());
         None
     };
     World::run_instrumented(
@@ -226,14 +220,12 @@ fn master(
     ctx: &RunCtx,
     files: &[PathBuf],
     cfg: &FarmConfig,
-    link: Link,
     patch: Option<&StagedPatch>,
 ) -> Result<FarmReport, FarmError> {
-    let mut scratch = MpiBuf::with_capacity(0);
     let mut frame = Vec::new();
     let farm = Farm {
         comm,
-        link,
+        link: LINK,
         base: 0,
         supervisor: cfg.supervisor.as_ref(),
         resident: false,
@@ -247,10 +239,8 @@ fn master(
         if let Some(p) = patch {
             p.apply(job, outcomes, files)?;
         }
-        match link.framing {
-            Framing::PerJob => farm.send_job(rank, job, &files[job], &mut scratch)?,
-            Framing::Frame => farm.send_frame(rank, files, job..job + batch, &mut frame)?,
-        }
+        let members = (job..job + batch).map(|idx| (idx, files[idx].as_path()));
+        farm.send_frame(rank, members, &mut frame)?;
         // Slide the prefetch window past this dispatch (monotonic:
         // retries of earlier jobs don't pull it back).
         ctx.advance(job + batch);

@@ -21,28 +21,25 @@
 //! The slave farms run on either [`Transport`](transport::Transport)
 //! backend: in-process channel worlds ([`minimpi::SpawnedWorld`]) or
 //! real child processes over Unix-domain sockets
-//! ([`minimpi::ProcessWorld`]). The wire protocol (a config frame, then
-//! `JobMsg`/payload/`Answer` rounds, then the empty-matrix stop
-//! sentinel) is byte-identical on both, and prices are bit-identical at
-//! fixed chunk/lanes.
+//! ([`minimpi::ProcessWorld`]). The wire — job frames of one keyed by
+//! round-local ids, columnar replies, then the empty stop message — is
+//! byte-identical on both, and prices are bit-identical at fixed
+//! chunk/lanes.
 
 use crate::config::RunCtx;
 use crate::driver::{self, Farm};
 use crate::robin_hood::{sorted_by_job, FarmError, FarmReport, JobOutcome};
 use crate::slave::{self, Link};
 use crate::strategy::Transmission;
-use minimpi::{Comm, MpiBuf, ProcessWorld, SpawnedWorld};
-use nspval::{Hash, Value};
+use minimpi::{Comm, ProcessWorld, SpawnedWorld};
 use sched::{SchedConfig, Trace};
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-const TAG: i32 = 11;
-
 /// Every shard world has the same shape: the master is rank 0.
-const LINK: Link = Link::per_job(0, TAG);
+const LINK: Link = Link { master: 0, tag: 11 };
 
 /// Which transport the shard farms run their slaves on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -181,29 +178,12 @@ impl ShardReport {
 pub const SHARD_SLAVE_ENTRY: &str = "farm_shard_slave";
 
 /// Process-world entry point for a shard compute slave; see
-/// [`SHARD_SLAVE_ENTRY`]. The protocol is shared verbatim by both
-/// backends: receive the config frame, then serve jobs until the stop
-/// sentinel.
+/// [`SHARD_SLAVE_ENTRY`]. Both backends run it verbatim: serve job
+/// frames until the stop sentinel. The compute context is the default
+/// one — bit-identity across backends needs both sides on the same
+/// (single-threaded) compute path.
 pub fn shard_slave_entry(comm: Comm) {
-    // Config frame: {strategy} from the shard master (rank 0). The
-    // compute context is the default one — bit-identity across backends
-    // needs both sides on the same (single-threaded) compute path.
-    let strategy = comm
-        .recv_obj(0, TAG)
-        .map_err(FarmError::from)
-        .and_then(|(cfg_v, _)| {
-            cfg_v
-                .as_hash()
-                .and_then(|h| h.get("strategy")?.as_str())
-                .and_then(transmission_of_label)
-                .ok_or_else(|| FarmError::Protocol(format!("bad shard config frame: {cfg_v}")))
-        })
-        .unwrap_or_else(|e| panic!("shard slave {}: {e}", comm.rank()));
-    slave::serve_jobs(&comm, &RunCtx::default_ctx(), LINK, strategy, None);
-}
-
-fn transmission_of_label(label: &str) -> Option<Transmission> {
-    Transmission::ALL.iter().copied().find(|t| t.label() == label)
+    slave::serve_jobs(&comm, &RunCtx::default_ctx(), LINK, None);
 }
 
 /// Contiguous shard pools, remainder spread over the first shards —
@@ -382,8 +362,8 @@ fn shard_master(
     }
 }
 
-/// The backend-independent master loop: config frames, lease rounds
-/// through [`driver::drive`], stop sentinels.
+/// The backend-independent master loop: lease rounds through
+/// [`driver::drive`], then stop sentinels.
 fn master_loop(
     comm: &Comm,
     shard: usize,
@@ -394,13 +374,6 @@ fn master_loop(
 ) -> Result<(Vec<JobOutcome>, Vec<Trace>), FarmError> {
     let slaves = cfg.slaves_per_shard;
     let ctx = RunCtx::default_ctx();
-    // Config frame to every slave before the first round.
-    let mut config = Hash::new();
-    config.set("strategy", Value::string(cfg.strategy.label()));
-    for s in 1..=slaves {
-        comm.send_obj(&Value::Hash(config.clone()), s as i32, TAG)?;
-    }
-
     // Rounds share the slave world: each round's scheduler finishes
     // without stopping it, the sentinels go out after the last one (or
     // from `drive`, the moment a round fails).
@@ -419,7 +392,7 @@ fn master_loop(
         cfg.lease
     };
 
-    let mut scratch = MpiBuf::with_capacity(0);
+    let mut scratch = Vec::new();
     let mut outcomes: Vec<JobOutcome> = Vec::new();
     let mut traces: Vec<Trace> = Vec::new();
     loop {
@@ -439,9 +412,9 @@ fn master_loop(
         // Wire ids are round-local so the scheduler's dense id space
         // covers stolen (non-contiguous) rounds too; outcomes — and a
         // failed job's index — are mapped back to portfolio ids below.
-        let run = driver::drive(&farm, sc, |local, rank, _batch, _outcomes| {
-            let path = &files[round[local]];
-            farm.send_job(rank, local, path, &mut scratch)
+        let run = driver::drive(&farm, sc, |local, rank, batch, _outcomes| {
+            let members = (local..local + batch).map(|j| (j, files[round[j]].as_path()));
+            farm.send_frame(rank, members, &mut scratch)
         })
         .map_err(|e| match e {
             FarmError::JobFailed { job, why } => FarmError::job_failed(round[job], why),
@@ -566,13 +539,5 @@ mod tests {
         assert!(run_sharded(&paths, &ShardConfig::new(0, 2)).is_err());
         assert!(run_sharded(&paths, &ShardConfig::new(2, 0)).is_err());
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn transmission_labels_round_trip() {
-        for t in Transmission::ALL {
-            assert_eq!(transmission_of_label(t.label()), Some(t));
-        }
-        assert_eq!(transmission_of_label("bogus"), None);
     }
 }

@@ -148,8 +148,8 @@ fn prepare_serial(
     }
 }
 
-/// Master-side preparation of one job message. Returns the payload value
-/// to pack and send after the name message — `None` for NFS.
+/// Master-side preparation of one problem as the serial value a loaded
+/// strategy ships — `None` for NFS, where the name alone suffices.
 pub fn prepare_payload(
     store: &dyn ProblemStore,
     strategy: Transmission,
@@ -244,9 +244,8 @@ pub(crate) fn prepare_serial_recorded(
 
 /// Slave-side decode of a serialized problem, straight from its bytes —
 /// no value tree in between. The one place a shipped or fetched problem
-/// becomes a [`PremiaProblem`]: the farm slaves come through
-/// [`recover_problem`], `serve`'s resident slaves call it on each member
-/// of a job frame, borrowed. A compressed serial is inflated first —
+/// becomes a [`PremiaProblem`]: the farm slaves and `serve`'s resident
+/// slaves call it on each member of a job frame, borrowed. A compressed serial is inflated first —
 /// timed as [`EventKind::Decompress`] when `comm` carries a recorder.
 pub fn decode_problem(
     comm: Option<&Comm>,
@@ -270,7 +269,7 @@ pub fn decode_problem(
 /// [`EventKind::NfsRead`] with the cache disposition marked alongside.
 /// The uncompressed loaded path records nothing here: its slave-side
 /// receive is already captured by the `Recv`/`Unpack` comm events.
-pub(crate) fn recover(
+fn recover(
     comm: Option<&Comm>,
     store: &dyn ProblemStore,
     strategy: Transmission,

@@ -4,7 +4,7 @@
 //! Supervision is not a second master or a second slave: it is a
 //! [`SupervisorConfig`] that [`crate::run`] turns into data for the one
 //! driver ([`sched::Supervision`] plus a poll interval) and the one
-//! slave loop (bounds on its two waits). The plain farm trusts its
+//! slave loop (a bound on its one wait). The plain farm trusts its
 //! slaves: a lost message stalls the refeed loop forever and a dead
 //! slave strands its job. The supervised farm instead
 //!
@@ -54,10 +54,6 @@ pub struct SupervisorConfig {
     /// the master before concluding it was orphaned and exiting. This
     /// bounds shutdown even if the stop sentinel itself is injected away.
     pub slave_idle_timeout: Duration,
-    /// Slave-side deadline for the packed payload that follows a name
-    /// message under the loaded strategies; on expiry the slave reports a
-    /// failure for that job instead of blocking the farm.
-    pub payload_timeout: Duration,
 }
 
 impl Default for SupervisorConfig {
@@ -70,7 +66,6 @@ impl Default for SupervisorConfig {
             backoff_base: Duration::from_millis(5),
             poll: Duration::from_millis(20),
             slave_idle_timeout: Duration::from_secs(2),
-            payload_timeout: Duration::from_millis(200),
         }
     }
 }
@@ -91,7 +86,6 @@ impl SupervisorConfig {
         SupervisorConfig {
             job_deadline: deadline,
             slave_idle_timeout: deadline * 4,
-            payload_timeout: deadline,
             ..SupervisorConfig::default()
         }
     }

@@ -1,22 +1,22 @@
 //! The farm's wire codec, in one place.
 //!
-//! Every master/slave message of the Robin Hood protocol — job
-//! requests, job frames, priced results, failure reports — goes
-//! through this one typed codec, shared by both sides. The per-job
-//! encodings are bit-for-bit the legacy ones (Fig. 4's `{job, price}`
-//! hash), so recorded payload sizes are unchanged. What the flat farm and
-//! `serve` dispatch is the *job frame* ([`JobFrame`] / [`decode_frame`]):
-//! many problems in one message, written and read as bytes, never a value
-//! tree; its answers come back as columns ([`batch_reply_value`]).
+//! Every master/slave link — flat, supervised, hierarchy group, shard
+//! lease round — and `serve` speak one wire, shared by both sides:
+//! the *job frame* out ([`JobFrame`] / [`decode_frame`]), one member or
+//! many, each a serialized problem or a file name behind its wire id,
+//! written and read as bytes, never a value tree; the frame's answers
+//! back as columns ([`batch_reply_value`] / [`decode_batch_reply`]); and
+//! the empty message as the stop sentinel.
 //!
-//! The hierarchy's two private messages live here too: a sub-master's
-//! chunk is a list of [`BatchItem`]s ([`decode_batch`]) and its report
-//! back is [`group_report_value`] / [`decode_group_report`].
+//! The hierarchy's two private messages ride the same codec: a
+//! sub-master's chunk is a job frame of names, and its report back is
+//! [`group_report_value`] / [`decode_group_report`] — one legacy
+//! `{job, price, std_error?, slave}` hash per outcome ([`Answer`]'s
+//! value encoding).
 //!
-//! Decoding is total: [`decode_frame`], [`decode_answer`],
-//! [`decode_batch`], [`decode_batch_reply`] and [`decode_group_report`]
-//! never silently drop or repair an undecodable message — they return
-//! [`FarmError::Protocol`].
+//! Decoding is total: [`decode_frame`], [`decode_batch_reply`] and
+//! [`decode_group_report`] never silently drop or repair an undecodable
+//! message — they return [`FarmError::Protocol`].
 
 use crate::robin_hood::{FarmError, JobOutcome};
 use nspval::{BoolMatrix, Hash, Matrix, Value};
@@ -32,73 +32,6 @@ pub fn index_of_f64(x: f64) -> Option<usize> {
 
 fn index_of(v: &Value) -> Option<usize> {
     index_of_f64(v.as_scalar()?)
-}
-
-// ---------------------------------------------------------------------------
-// Job requests (master → slave)
-// ---------------------------------------------------------------------------
-
-/// The one-at-a-time job request: a *name message* `[path, idx]`
-/// (Fig. 4's file-name send), optionally followed on the wire by a
-/// packed payload under the loaded strategies.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobMsg {
-    /// Index of the job in the submitted file list.
-    pub idx: usize,
-    /// Problem file path, as sent.
-    pub name: String,
-}
-
-impl JobMsg {
-    /// Encode as the legacy name message.
-    pub fn to_value(&self) -> Value {
-        Value::list(vec![
-            Value::string(self.name.clone()),
-            Value::scalar(self.idx as f64),
-        ])
-    }
-
-    /// Decode a name message; `None` when the value has another shape.
-    pub fn decode(v: &Value) -> Option<JobMsg> {
-        let l = v.as_list()?;
-        Some(JobMsg {
-            name: l.get(0)?.as_str()?.to_string(),
-            idx: index_of(l.get(1)?)?,
-        })
-    }
-}
-
-/// One `{idx, name}` item of the chunk a hierarchy sub-master is handed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchItem {
-    /// Index of the job in the submitted file list.
-    pub idx: usize,
-    /// Problem file path, as sent.
-    pub name: String,
-}
-
-impl BatchItem {
-    /// Encode as the legacy chunk item.
-    pub fn to_value(&self) -> Value {
-        let mut h = Hash::new();
-        h.set("idx", Value::scalar(self.idx as f64));
-        h.set("name", Value::string(self.name.clone()));
-        Value::Hash(h)
-    }
-}
-
-/// Decode the chunk a hierarchy sub-master is handed.
-pub fn decode_batch(v: &Value) -> Result<Vec<BatchItem>, FarmError> {
-    let item = |v: &Value| {
-        let h = v.as_hash()?;
-        Some(BatchItem {
-            idx: index_of(h.get("idx")?)?,
-            name: h.get("name")?.as_str()?.to_string(),
-        })
-    };
-    v.as_list()
-        .and_then(|l| l.iter().map(item).collect())
-        .ok_or_else(|| FarmError::Protocol(format!("undecodable batch message: {v}")))
 }
 
 // ---------------------------------------------------------------------------
@@ -190,9 +123,11 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Vec<(usize, Body<'_>)>, FarmError> {
 // Answers (slave → master)
 // ---------------------------------------------------------------------------
 
-/// A slave's reply about one job: a priced result (the legacy
-/// `{job, price, std_error?}` hash) or a supervised failure report (the
-/// legacy `{job, failed}` hash).
+/// What a slave says about one job: priced, or failed and why. A
+/// frame's answers travel as columns ([`batch_reply_value`]); one
+/// answer's own value encoding — the legacy `{job, price, std_error?}`
+/// and `{job, failed}` hashes — is what a hierarchy group report
+/// carries.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Answer {
     /// The job priced successfully.
@@ -284,13 +219,6 @@ impl Answer {
         let why = h.get("failed")?.as_str()?.to_string();
         Some(Answer::Failed { job, why })
     }
-}
-
-/// Decode an answer or fail loudly: an undecodable reply is a protocol
-/// violation ([`FarmError::Protocol`] carrying the rendered value), not
-/// something to drop on the floor.
-pub fn decode_answer(v: &Value) -> Result<Answer, FarmError> {
-    Answer::decode(v).ok_or_else(|| FarmError::Protocol(format!("undecodable answer: {v}")))
 }
 
 /// Encode a whole batch reply — one answer per member, in compute order
@@ -413,33 +341,6 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn chunks_decode_strictly() {
-        let item = |idx: f64| {
-            let mut h = Hash::new();
-            h.set("idx", Value::scalar(idx));
-            h.set("name", Value::string("pb-00007.bin"));
-            Value::Hash(h)
-        };
-        let chunk = decode_batch(&Value::list(vec![item(7.0), item(8.0)])).unwrap();
-        assert_eq!(chunk.iter().map(|i| i.idx).collect::<Vec<_>>(), [7, 8]);
-        let mut nameless = Hash::new();
-        nameless.set("idx", Value::scalar(1.0));
-        for bad in [
-            Value::scalar(1.0),                       // not a list
-            Value::list(vec![Value::scalar(1.0)]),    // item is not a hash
-            Value::list(vec![Value::Hash(nameless)]), // no name
-            Value::list(vec![item(-1.0)]),            // `as usize` would say 0
-            Value::list(vec![item(0.5)]),
-            Value::list(vec![item(f64::NAN)]),
-        ] {
-            assert!(
-                matches!(decode_batch(&bad), Err(FarmError::Protocol(_))),
-                "{bad}"
-            );
-        }
-    }
-
-    #[test]
     fn group_reports_round_trip_and_decode_strictly() {
         let outcomes = vec![
             JobOutcome {
@@ -503,28 +404,10 @@ mod tests {
         assert_eq!(h.get("price").unwrap().as_scalar(), Some(1.5));
         assert_eq!(h.get("std_error").unwrap().as_scalar(), Some(0.25));
         // Failure: {job, failed} with a string reason.
-        let v = Answer::failed(7, "payload timeout").to_value();
+        let v = Answer::failed(7, "no such file").to_value();
         let h = v.as_hash().unwrap();
         assert_eq!(h.get("job").unwrap().as_scalar(), Some(7.0));
-        assert_eq!(h.get("failed").unwrap().as_str(), Some("payload timeout"));
-    }
-
-    #[test]
-    fn undecodable_answer_is_a_protocol_error_with_the_value_rendered() {
-        let junk = Value::list(vec![Value::scalar(1.0)]);
-        match decode_answer(&junk) {
-            Err(FarmError::Protocol(msg)) => {
-                assert!(msg.contains("undecodable answer"), "{msg}");
-            }
-            other => panic!("expected Protocol error, got {other:?}"),
-        }
-        // A hash with a job but neither price nor failure is junk too.
-        let mut h = Hash::new();
-        h.set("job", Value::scalar(1.0));
-        assert!(matches!(
-            decode_answer(&Value::Hash(h)),
-            Err(FarmError::Protocol(_))
-        ));
+        assert_eq!(h.get("failed").unwrap().as_str(), Some("no such file"));
     }
 
     proptest! {
@@ -550,21 +433,15 @@ mod tests {
             // Full XDR wire round trip (what actually crosses minimpi).
             let bytes = xdrser::serialize_to_bytes(&a.to_value());
             let back = xdrser::unserialize_bytes(&bytes).unwrap();
-            prop_assert_eq!(decode_answer(&back).unwrap(), a);
+            prop_assert_eq!(Answer::decode(&back), Some(a));
         }
 
         #[test]
-        fn job_and_batch_requests_round_trip(
+        fn job_frame_members_round_trip(
             idx in 0usize..10_000,
             name in "[a-z0-9/_.-]{1,40}",
             compressed in any::<bool>(),
         ) {
-            let m = JobMsg { idx, name: name.clone() };
-            let decoded = JobMsg::decode(&m.to_value());
-            prop_assert_eq!(decoded, Some(m));
-            let item = BatchItem { idx, name: name.clone() };
-            let back = decode_batch(&Value::list(vec![item.to_value()])).unwrap();
-            prop_assert_eq!(back, [item]);
             // The same job as the two kinds of frame member.
             let bytes = name.as_bytes();
             let members = [(idx, Body::Serial { compressed, bytes }), (idx + 1, Body::Name(&name))];

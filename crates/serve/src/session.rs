@@ -543,10 +543,10 @@ fn front_loop(
             break;
         }
     }
-    // Stop the resident slaves: the real Fig. 4 sentinel, once. Sends
-    // to already-dead ranks fail with Poisoned; that is their goodbye.
+    // Stop the resident slaves with the farm link's sentinel, the empty
+    // message. Sends to already-dead ranks fail with Poisoned: goodbye.
     for s in 1..=cfg.slaves {
-        let _ = comm.send_obj(&Value::empty_matrix(), s as i32, TAG);
+        let _ = comm.send(&[], s as i32, TAG);
     }
     let mut report = front.report;
     report.dead_slaves = front.dead.into_iter().collect();
@@ -1025,7 +1025,6 @@ fn drive_batch(comm: &Comm, cfg: &ServeConfig, slots: &mut [Slot], front: &mut F
 /// shutdown sentinel or the world dies.
 fn slave_loop(comm: &Comm, cfg: &ServeConfig) {
     let exec = cfg.exec_policy();
-    let stop = xdrser::serialize_to_bytes(&Value::empty_matrix());
     loop {
         let msg = match comm.recv(0, TAG) {
             Ok((bytes, _st)) => bytes,
@@ -1039,7 +1038,7 @@ fn slave_loop(comm: &Comm, cfg: &ServeConfig) {
             // this rank.
             Err(_) => return,
         };
-        if msg == stop {
+        if msg.is_empty() {
             return;
         }
         let Ok(members) = decode_frame(&msg) else {

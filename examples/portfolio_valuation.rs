@@ -74,17 +74,17 @@ fn main() {
     }
 
     // The §5 extensions on the same workload. The sweep above already
-    // "sends them all together" (job frames); a supervised run keeps
-    // Fig. 4's one-job-a-message protocol, for comparison.
+    // "sends them all together" (job frames); a supervised run sends
+    // frames of one job, for comparison.
     println!("\n§5 extensions:");
-    let per_job = run(
+    let supervised = run(
         &files,
         &FarmConfig::new(4, Transmission::SerializedLoad).supervised(true),
     )
     .unwrap();
     println!(
-        "  per-job protocol (supervised, 4 slaves): {:?}",
-        per_job.elapsed
+        "  frames of one (supervised, 4 slaves): {:?}",
+        supervised.elapsed
     );
     let hier = run_hierarchical_farm(&files, 2, 2, Transmission::SerializedLoad, None).unwrap();
     println!(

@@ -15,6 +15,13 @@
 //!   [`farm::FarmError::AllSlavesDead`] instead of hanging;
 //! * arbitrary `(jobs, slaves, seed)` combinations account for every
 //!   job exactly once across `outcomes ∪ failed_jobs`.
+//!
+//! Kill indices are derived, not guessed: a supervised slave's cycle is
+//! `recv` its frame of one (op 2k) and `send` the reply (op 2k + 1),
+//! so `kill_rank_at_op(r, 2k + 1)` is the simulator's `SimFault { slave:
+//! r - 1, fatal_dispatch: k }` — the slave computes its (k + 1)-th job
+//! and dies sending the answer — and op 2k kills it idle, after k
+//! answers, as it waits for the next frame (`docs/FAULTS.md`).
 
 use farm::portfolio::{save_portfolio, toy_portfolio};
 use farm::supervisor::SupervisorConfig;
@@ -77,7 +84,6 @@ fn chaos_config() -> SupervisorConfig {
         backoff_base: Duration::from_millis(2),
         poll: Duration::from_millis(10),
         slave_idle_timeout: Duration::from_millis(900),
-        payload_timeout: Duration::from_millis(150),
     }
 }
 
@@ -121,13 +127,11 @@ fn assert_exactly_once(report: &FarmReport, expected: &[f64]) {
 fn slave_killed_mid_portfolio_loses_no_jobs() {
     let (report, expected) = with_watchdog(60, || {
         let (paths, expected, dir) = setup(24, "kill_mid");
-        // Slave rank 2 dies at its 11th MPI call. A SerializedLoad job
-        // cycle is exactly 3 ops (recv name, recv payload, send result),
-        // so op 11 lands *mid-cycle* — inside the payload recv of its 4th
-        // dispatch — guaranteeing the master has a job in flight on the
-        // rank when it dies (op 10, the cycle boundary, would race the
-        // master's dispatch and sometimes die idle).
-        let plan = Arc::new(FaultPlan::new(0xC0FFEE).kill_rank_at_op(2, 11));
+        // Slave rank 2 dies at op 1 (k = 0): it computes its first job
+        // and dies sending the answer. Priming hands every slave its
+        // first dispatch, so the kill always fires with that job in
+        // flight — however the other slaves race it.
+        let plan = Arc::new(FaultPlan::new(0xC0FFEE).kill_rank_at_op(2, 1));
         let report = run_supervised(
             &paths,
             3,
@@ -147,7 +151,7 @@ fn slave_killed_mid_portfolio_loses_no_jobs() {
     // The degradation was observed and recorded.
     assert_eq!(report.dead_slaves, vec![2], "dead slave not detected");
     assert!(report.retries >= 1, "requeue not recorded");
-    // The dead slave did some work before dying; the survivors finished.
+    // The survivors finished everything.
     assert_eq!(report.per_slave.iter().sum::<usize>(), expected.len());
     assert!(report.per_slave[1] > 0 && report.per_slave[3] > 0);
 }
@@ -175,10 +179,11 @@ fn same_seed_reproduces_identical_schedule_and_results() {
     }
 
     // (2) Two full chaos runs under the same seed agree on the outcome:
-    // same surviving results, same failures, same dead slaves.
+    // same surviving results, same failures, same dead slaves. Rank 3
+    // dies at op 1, answering its primed first job: it always dies.
     let run_once = |tag: &str| {
         let (paths, expected, dir) = setup(18, tag);
-        let plan = Arc::new(FaultPlan::new(0xDEAD_BEEF).kill_rank_at_op(3, 12));
+        let plan = Arc::new(FaultPlan::new(0xDEAD_BEEF).kill_rank_at_op(3, 1));
         let r = run_supervised(
             &paths,
             3,
@@ -207,7 +212,8 @@ fn same_seed_reproduces_identical_schedule_and_results() {
 fn all_slaves_dead_fails_cleanly_not_hangs() {
     let err = with_watchdog(30, || {
         let (paths, _expected, dir) = setup(12, "collapse");
-        // Both slaves die almost immediately.
+        // Both slaves die at op 2 (k = 1, even): each answers its first
+        // job, then dies idle waiting for its second frame.
         let plan = Arc::new(
             FaultPlan::new(7)
                 .kill_rank_at_op(1, 2)
@@ -242,27 +248,35 @@ fn all_slaves_dead_fails_cleanly_not_hangs() {
 
 #[test]
 fn dropped_dispatch_is_retried_under_every_strategy() {
-    for strategy in Transmission::ALL {
-        let (report, expected) = with_watchdog(60, move || {
-            let (paths, expected, dir) = setup(10, &format!("drop_{strategy:?}"));
-            // The master's very first send (job 0's name message) is lost
-            // in flight; the job must come back via deadline + retry.
-            let plan = Arc::new(FaultPlan::new(11).force_send(0, 0, SendFault::Drop));
-            let report = run_supervised(&paths, 2, strategy, &chaos_config(), Some(plan)).unwrap();
-            std::fs::remove_dir_all(&dir).ok();
-            (report, expected)
-        });
-        assert_exactly_once(&report, &expected);
-        assert!(
-            report.failed_jobs.is_empty(),
-            "{strategy:?}: jobs failed {:?}",
-            report.failed_jobs
-        );
-        assert!(
-            report.retries >= 1,
-            "{strategy:?}: drop survived without a recorded retry"
-        );
-        assert!(report.dead_slaves.is_empty(), "{strategy:?}: false burial");
+    // The master's very first send (job 0's frame) is lost in flight, or
+    // arrives mangled: the patient slave must discard the truncated
+    // frame and keep serving. Either way the job comes back via deadline
+    // + retry.
+    for fault in [SendFault::Drop, SendFault::Truncate(3)] {
+        for strategy in Transmission::ALL {
+            let (report, expected) = with_watchdog(60, move || {
+                let (paths, expected, dir) = setup(10, &format!("drop_{fault:?}_{strategy:?}"));
+                let plan = Arc::new(FaultPlan::new(11).force_send(0, 0, fault));
+                let report =
+                    run_supervised(&paths, 2, strategy, &chaos_config(), Some(plan)).unwrap();
+                std::fs::remove_dir_all(&dir).ok();
+                (report, expected)
+            });
+            assert_exactly_once(&report, &expected);
+            assert!(
+                report.failed_jobs.is_empty(),
+                "{fault:?}, {strategy:?}: jobs failed {:?}",
+                report.failed_jobs
+            );
+            assert!(
+                report.retries >= 1,
+                "{fault:?}, {strategy:?}: survived without a recorded retry"
+            );
+            assert!(
+                report.dead_slaves.is_empty(),
+                "{fault:?}, {strategy:?}: false burial"
+            );
+        }
     }
 }
 
@@ -377,6 +391,9 @@ proptest! {
                 .collect();
             let mut plan = FaultPlan::new(seed).with_drop_rate(0.03);
             if kill_first_slave {
+                // Op 7 = 2·3 + 1: rank 1 dies sending its fourth reply
+                // (dropped frames never reach it, so never count); with
+                // fewer than four dispatches it outlives the run.
                 plan = plan.kill_rank_at_op(1, 7);
             }
             let strategy = Transmission::ALL[(seed % 3) as usize];

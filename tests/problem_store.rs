@@ -176,7 +176,6 @@ fn cached_store_survives_truncation_chaos_under_supervision() {
         backoff_base: Duration::from_millis(2),
         poll: Duration::from_millis(10),
         slave_idle_timeout: Duration::from_millis(900),
-        payload_timeout: Duration::from_millis(150),
     };
     let cache = Arc::new(CachingStore::over_dir(16 << 20));
     let plan = Arc::new(FaultPlan::new(0x5EED).with_truncate_rate(0.04));

@@ -377,17 +377,19 @@ fn seeded_fault_live_and_sim_traces_are_byte_identical() {
     let _ = std::fs::remove_dir_all(&dir);
     let (files, sim_jobs) = matched_workload(&dir, paths_per_grain());
 
-    // Slave rank 4 (primed with the 20-grain job 3) dies at comm op 2 —
-    // its first result send, i.e. *after* computing. Generous deadlines
-    // and timeouts keep the deadline/idle machinery out of the trace; a
-    // zero backoff makes the requeued job eligible at the next answer.
+    // A slave's cycle is `recv` frame (op 2k), `send` reply (op 2k + 1),
+    // so `kill_rank_at_op(r, 2k + 1)` is `SimFault { slave: r - 1,
+    // fatal_dispatch: k }` (docs/FAULTS.md). Slave rank 4 (primed with
+    // the 20-grain job 3) dies at op 1 — its first reply, i.e. *after*
+    // computing. Generous deadlines and timeouts keep the deadline/idle
+    // machinery out of the trace; a zero backoff makes the requeued job
+    // eligible at the next answer.
     let sup = SupervisorConfig {
         job_deadline: Duration::from_secs(60),
         max_attempts: 4,
         backoff_base: Duration::ZERO,
         poll: Duration::from_millis(5),
         slave_idle_timeout: Duration::from_secs(60),
-        payload_timeout: Duration::from_secs(10),
     };
     // The scheduler-side twin of `sup`.
     let supervision = Supervision {
@@ -395,7 +397,7 @@ fn seeded_fault_live_and_sim_traces_are_byte_identical() {
         max_attempts: 4,
         backoff_base_ns: 0,
     };
-    let plan = Arc::new(FaultPlan::new(1).kill_rank_at_op(4, 2));
+    let plan = Arc::new(FaultPlan::new(1).kill_rank_at_op(4, 1));
     let live = run(
         &files,
         &FarmConfig::new(SLAVES, Transmission::SerializedLoad)
@@ -411,8 +413,8 @@ fn seeded_fault_live_and_sim_traces_are_byte_identical() {
     let live = live.trace.expect("record_trace was set");
     let live_trace = live.render();
 
-    // Simulated twin: 0-based slave 3 dies answering its first dispatch,
-    // detected half a (simulated) grain later.
+    // Simulated twin, by that mapping: 0-based slave 3 dies answering
+    // its first dispatch, detected half a (simulated) grain later.
     let sim = sim_trace(
         &sim_jobs,
         SLAVES,

@@ -4,12 +4,13 @@
 //! which slave gets which job varies from run to run, but how many
 //! messages are sent and how many bytes they carry does not. This test
 //! records both with a [`Recorder`] attached — the `Send` event count
-//! and their byte total — and compares them with constants. The
-//! supervised and hierarchical cells were taken on the commit *before*
-//! the farm's slave loops and master drivers were collapsed into one of
-//! each and have not moved since; the plain cells were re-taken, once
-//! and on purpose, when the flat farm's unit of dispatch became the job
-//! frame. They are exact, like the allocation counts of
+//! and their byte total — and compares them with constants. Every live
+//! link speaks one wire — a job frame out, a columnar reply back, the
+//! empty message to stop — so each cell is frames, replies and stops.
+//! The plain cells were taken when the flat farm's unit of dispatch
+//! became the job frame (PR 24); the supervised and hierarchical cells
+//! when Fig. 4's per-job protocol left the live farm (PR 25), each once
+//! and on purpose. They are exact, like the allocation counts of
 //! `tests/nsp_linear.rs`: any drift in the protocol (an extra message, a
 //! wider answer, a lost stop sentinel) is a failure, not a band.
 
@@ -22,24 +23,26 @@ use std::time::Duration;
 const JOBS: usize = 60;
 const SLAVES: usize = 3;
 
-/// Every problem path is padded to exactly this many bytes: the name
-/// message carries the path, so its size would otherwise follow the
-/// host's temporary directory.
+/// Every problem path is padded to exactly this many bytes: NFS frames
+/// and hierarchy chunks carry the path, so their size would otherwise
+/// follow the host's temporary directory.
 const PATH_LEN: usize = 96;
 
 /// `(Send events, bytes they carried)`.
 type Wire = (usize, u64);
 
 // 60 toy jobs as job frames (of 10, 9, 7, 6, 5, 4, 4, 3, 2, 2, 2 and
-// 6 × 1 jobs): 17 frames, 17 replies, 3 stop sentinels. Per job it was
-// (183, 40_860) for the loaded strategies — a name message, a payload
-// and an answer each — and (123, 13_500) for NFS.
+// 6 × 1 jobs): 17 frames, 17 replies, 3 stop sentinels.
 const PLAIN_FULL_LOAD: Wire = (37, 31_180);
 const PLAIN_NFS: Wire = (37, 11_020);
 const PLAIN_SERIALIZED_LOAD: Wire = (37, 31_180);
-// Recorded on commit 9a27656, Fig. 4's per-job protocol.
-const SUPERVISED_INERT_SLOAD: Wire = (183, 40_860);
-const HIERARCHICAL_2X2_SLOAD: Wire = (188, 56_304);
+// 60 frames of one, 60 replies, 3 stops. Fig. 4's per-job protocol (a
+// name message, a payload and an answer a job) sent (183, 40_860).
+const SUPERVISED_INERT_SLOAD: Wire = (123, 35_280);
+// 2 chunks (job frames of names), 2 group reports and, per group of
+// 30 jobs on 2 slaves, 10 guided frames (8, 6, 4, 3, 3, 2, 1, 1, 1, 1),
+// 10 replies and 2 stops. Per job it was (188, 56_304).
+const HIERARCHICAL_2X2_SLOAD: Wire = (48, 45_440);
 
 /// [`JOBS`] toy problems saved under a directory whose name pads every
 /// file's path to [`PATH_LEN`] bytes.
