@@ -119,7 +119,7 @@ mod tests {
         use crate::wire::{batch_reply_value, decode_frame, Answer};
         const LINK: Link = Link { master: 0, tag: 7 };
         let (paths, dir) = setup(8, tag);
-        let ctx = RunCtx::default_ctx();
+        let ctx = RunCtx::new(None);
         let scenario = move || {
             let ran = minimpi::World::run(2, |comm| {
                 if comm.rank() == 1 {
@@ -144,6 +144,7 @@ mod tests {
                     comm: &comm,
                     link: LINK,
                     base: 0,
+                    frames: None,
                     supervisor: None,
                     resident: false,
                     ctx: &ctx,

@@ -33,9 +33,10 @@ use store::{CachingStore, DirStore, Prefetcher, ProblemStore};
 
 /// The per-run context every master/slave loop threads through: the one
 /// [`ProblemStore`] all byte-paths fetch from, the wire encoding policy,
-/// and the optional master-side prefetch pipeline.
+/// the optional master-side prefetch pipeline and the slaves' compute
+/// policy.
 #[derive(Debug)]
-pub(crate) struct RunCtx {
+pub struct RunCtx {
     /// The store every fetch (master prepare, NFS slave read) routes
     /// through. Shared across all ranks of the in-process world.
     pub(crate) store: Arc<dyn ProblemStore>,
@@ -53,14 +54,14 @@ pub(crate) struct RunCtx {
 }
 
 impl RunCtx {
-    /// The PR-2-equivalent context: direct directory reads, raw wire,
-    /// no prefetch.
-    pub(crate) fn default_ctx() -> Self {
+    /// Direct directory reads, raw wire, no prefetch, and `exec` as the
+    /// compute policy (`None`: the legacy single-threaded kernels).
+    pub fn new(exec: Option<ExecPolicy>) -> Self {
         RunCtx {
             store: Arc::new(DirStore::new()),
             wire: WirePolicy::RAW,
             prefetcher: None,
-            exec: None,
+            exec,
         }
     }
 
@@ -580,7 +581,7 @@ mod tests {
     fn scheduler_rejection_stops_the_slaves_it_found_parked() {
         use crate::driver::{drive, Farm};
         use crate::slave::{serve_jobs, Link};
-        let (ctx, link) = (RunCtx::default_ctx(), Link { master: 0, tag: 7 });
+        let (ctx, link) = (RunCtx::new(None), Link { master: 0, tag: 7 });
         let strategy = Transmission::SerializedLoad;
         let bad = SchedConfig {
             batch: sched::Batch::Guided,
@@ -597,6 +598,7 @@ mod tests {
                 comm: &comm,
                 link,
                 base: 0,
+                frames: None,
                 supervisor: None,
                 resident: false,
                 ctx: &ctx,

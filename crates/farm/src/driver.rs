@@ -1,26 +1,29 @@
 //! The farm's one master driver — Fig. 4's `else` branch over the
 //! [`sched`] state machine.
 //!
-//! Every master in this crate (flat, supervised, each hierarchy
-//! sub-master, each shard lease round) calls [`drive`]: it
-//! translates wire messages into [`sched::Event`]s, feeds the pure
-//! scheduler, and executes the returned [`sched::Action`]s as sends. All
-//! scheduling *decisions* (who gets which job next, when a job is
-//! presumed lost, when a slave is buried, when the run is finished) live
-//! in `crates/sched`, where the cluster simulator drives the identical
-//! state machine with simulated time — the parity property locked down
-//! by `tests/sched_parity.rs`. Supervision is one value
-//! ([`Farm::supervisor`]): data the scheduler config already carries,
-//! plus what it adds here — a clock, a poll interval and a liveness
-//! sweep.
+//! Every master calls [`drive`]: each front-end of this crate (flat,
+//! supervised, each hierarchy sub-master, each shard lease round) and
+//! each batch of a `serve::Session`. It translates wire messages into
+//! [`sched::Event`]s, feeds the pure scheduler, and executes the
+//! returned [`sched::Action`]s as sends. All scheduling *decisions* (who
+//! gets which job next, when a job is presumed lost, when a slave is
+//! buried, when the run is finished) live in `crates/sched`, where the
+//! cluster simulator drives the identical state machine with simulated
+//! time — the parity property locked down by `tests/sched_parity.rs`.
+//! Supervision is one value ([`Farm::supervisor`]): data the scheduler
+//! config already carries, plus what it adds here — a clock, a poll
+//! interval and a liveness sweep.
 //!
 //! [`drive`] also owns shutdown: on every exit path, error included,
 //! each slave not known dead has been sent its stop sentinel before the
 //! function returns, so no front-end can leave a slave parked in `recv`.
+//! A resident farm's slaves are stopped only on an error.
 //!
-//! This module is the only place in the crate allowed to receive from
-//! `ANY_SOURCE` (a grep gate in `scripts/ci.sh`): the master's gather
-//! point is a driver concern, not a protocol one.
+//! This module is the only place in the `farm` and `serve` crates
+//! allowed to receive from `ANY_SOURCE` (a grep gate in
+//! `scripts/ci.sh`): the master's gather point is a driver concern, not
+//! a protocol one. It is public for `serve`, which drives its batches
+//! through it; nothing is re-exported at the crate root.
 
 use crate::config::RunCtx;
 use crate::instrument;
@@ -34,34 +37,42 @@ use nspval::Value;
 use obs::{EventKind, NO_JOB};
 use sched::{Action, Event, SchedConfig, Scheduler};
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::path::Path;
 use std::time::Instant;
 
 /// The live side of one scheduler run: where the slaves are and how to
 /// talk to them.
-pub(crate) struct Farm<'a> {
+pub struct Farm<'a> {
     /// The master's endpoint.
-    pub(crate) comm: &'a Comm,
+    pub comm: &'a Comm,
     /// The protocol spoken with the slaves. Scheduler slave `s` is MPI
-    /// rank `link.master + s` in every topology this crate builds.
-    pub(crate) link: Link,
+    /// rank `link.master + s` in every topology.
+    pub link: Link,
     /// Wire id of scheduler job 0: a hierarchy sub-master's chunk starts
-    /// at its offset in the global file list; everyone else is 0.
-    pub(crate) base: usize,
+    /// at its offset in the global file list, a session batch at its
+    /// first unused id; everyone else is 0.
+    pub base: usize,
+    /// `Some` when each scheduler job is a prebuilt frame of wire jobs:
+    /// scheduler job `j` is wire jobs `base + frames[j] .. base +
+    /// frames[j + 1]`, so `frames` holds `jobs + 1` ascending offsets
+    /// from 0. `None` — every `crate::run` front-end — makes scheduler
+    /// job `j` wire job `base + j`.
+    pub frames: Option<&'a [usize]>,
     /// `Some` supervises the run: [`drive`] takes the scheduler's
     /// deadlines and retry budget *and* its own poll interval (the
     /// longest it blocks in one receive before re-checking deadlines and
     /// liveness) from this one value, so the two cannot disagree. `None`
     /// blocks in `recv` exactly as Fig. 4 does — no clock is ever read.
-    pub(crate) supervisor: Option<&'a SupervisorConfig>,
-    /// The slaves outlive this run (a shard's lease rounds share one
-    /// slave world): the scheduler's `Stop`s are not sent. A failed run
-    /// still stops them.
-    pub(crate) resident: bool,
+    pub supervisor: Option<&'a SupervisorConfig>,
+    /// The slaves outlive this run (a shard's lease rounds and a
+    /// session's batches each share one slave world): the scheduler's
+    /// `Stop`s are not sent. A failed run still stops them.
+    pub resident: bool,
     /// Where problem bytes come from and how they are encoded.
-    pub(crate) ctx: &'a RunCtx,
+    pub ctx: &'a RunCtx,
     /// How a problem travels — and what the report says ran.
-    pub(crate) strategy: Transmission,
+    pub strategy: Transmission,
 }
 
 impl Farm<'_> {
@@ -75,6 +86,14 @@ impl Farm<'_> {
     fn stop(&self, slaves: impl Iterator<Item = usize>) {
         for s in slaves {
             let _ = self.link.stop(self.comm, self.rank(s));
+        }
+    }
+
+    /// The wire jobs of scheduler jobs `job .. job + batch`.
+    fn wires(&self, job: usize, batch: usize) -> Range<usize> {
+        match self.frames {
+            None => self.base + job..self.base + job + batch,
+            Some(at) => self.base + at[job]..self.base + at[job + batch],
         }
     }
 
@@ -137,9 +156,27 @@ pub(crate) fn recv_any(comm: &Comm, tag: i32) -> Result<(Value, Status), FarmErr
 /// [`Answer::Failed`] for it: retried with backoff under supervision,
 /// the end of the run otherwise.
 ///
+/// Under supervision two rules say what a reply means
+/// (`docs/FAULTS.md`):
+/// * a reply in which no member priced is a failed dispatch (backoff,
+///   retry, then [`FarmReport::failed_jobs`]); one in which any member
+///   priced answers its scheduler job, and each failed member in it is
+///   final ([`FarmReport::failed_members`]);
+/// * a reply the run cannot place — one that does not decode, comes
+///   from an unknown rank, names wire jobs outside the run or does not
+///   answer exactly the frame its first answer names — is dropped, and
+///   the deadline re-dispatches what it carried.
+///
+/// Without supervision each of those ends the run
+/// ([`FarmError::JobFailed`], [`FarmError::Protocol`]). A supervised run
+/// that every slave died in ends early and still reports: its
+/// unfinished jobs are in neither `outcomes` nor `failed_jobs`, and the
+/// front-end says what that means (`crate::run` returns
+/// [`FarmError::AllSlavesDead`]).
+///
 /// `cfg.supervision` is set here, from [`Farm::supervisor`]; whatever
 /// the caller put there is ignored.
-pub(crate) fn drive(
+pub fn drive(
     farm: &Farm<'_>,
     cfg: SchedConfig,
     send: impl FnMut(usize, usize, usize, &[JobOutcome]) -> Result<(), FarmError>,
@@ -149,6 +186,10 @@ pub(crate) fn drive(
         ..cfg
     };
     let (jobs, slaves, start) = (cfg.jobs, cfg.slaves, Instant::now());
+    assert!(
+        farm.frames.is_none_or(|f| f.len() == jobs + 1 && f[0] == 0),
+        "Farm::frames holds jobs + 1 offsets from 0"
+    );
     let sched = Scheduler::new(cfg).map_err(|e| {
         farm.stop(1..=slaves);
         FarmError::Config(exec::ConfigIssues::one("scheduler", e.to_string()))
@@ -158,26 +199,23 @@ pub(crate) fn drive(
         sched,
         send,
         jobs,
+        slaves,
         epoch: farm.supervisor.map(|_| start),
-        outcomes: Vec::with_capacity(jobs),
+        outcomes: Vec::with_capacity(farm.wires(0, jobs).len()),
+        failed_members: Vec::new(),
         per_slave: vec![0; farm.comm.size()],
         pending: Vec::new(),
         stopped: vec![false; slaves + 1],
     };
-    let ran = d.gather_all(slaves);
+    let ran = d.gather_all();
     if ran.is_err() || !farm.resident {
         farm.stop((1..=slaves).filter(|&s| !d.stopped[s] && !d.sched.is_dead(s)));
     }
     ran?;
-    if d.sched.aborted() {
-        return Err(FarmError::AllSlavesDead {
-            completed: d.outcomes.len(),
-            remaining: d.sched.unfinished(),
-        });
-    }
     let dead = d.sched.dead_slaves();
     Ok(FarmReport {
         outcomes: d.outcomes,
+        failed_members: d.failed_members,
         elapsed: start.elapsed(),
         per_slave: d.per_slave,
         strategy: farm.strategy,
@@ -193,15 +231,18 @@ struct Driver<'a, S> {
     sched: Scheduler,
     send: S,
     jobs: usize,
+    slaves: usize,
     /// When the run began; read only under supervision.
     epoch: Option<Instant>,
     /// Priced jobs in acceptance order, `job` in *wire* ids.
     outcomes: Vec<JobOutcome>,
+    /// Failed members of answered frames, `(wire id, why)`.
+    failed_members: Vec<(usize, String)>,
     /// Jobs completed per MPI rank (index 0, the master, stays 0).
     per_slave: Vec<usize>,
-    /// The answers of the message being fed to the scheduler; the priced
-    /// ones are recorded by the `Accept` it may produce. A duplicate
-    /// answer produces none and is dropped.
+    /// The answers of the message being fed to the scheduler; the
+    /// `Accept` it may produce records them. A duplicate answer produces
+    /// none and is dropped.
     pending: Vec<Answer>,
     /// Slaves that have been sent their stop sentinel.
     stopped: Vec<bool>,
@@ -227,18 +268,17 @@ where
 
     /// Prime every slave, then gather and refeed until the scheduler is
     /// done.
-    fn gather_all(&mut self, slaves: usize) -> Result<(), FarmError> {
-        let Farm { comm, link, .. } = *self.farm;
-        let supervised = self.farm.supervisor.is_some();
+    fn gather_all(&mut self) -> Result<(), FarmError> {
+        let comm = self.farm.comm;
         // Priming: one SlaveReady per slave, in rank order (Fig. 4).
-        for slave in 1..=slaves {
+        for slave in 1..=self.slaves {
             self.feed(Event::SlaveReady { slave })?;
         }
         while !self.sched.is_terminal() {
-            if supervised {
+            if self.farm.supervisor.is_some() {
                 // Liveness sweep (notice kills even without trying to
                 // send), then the deadline / backoff tick.
-                for slave in 1..=slaves {
+                for slave in 1..=self.slaves {
                     if !self.sched.is_dead(slave) && !comm.rank_alive(self.farm.rank(slave)) {
                         self.feed(Event::SlaveDead { slave })?;
                     }
@@ -251,31 +291,8 @@ where
             let Some((answers, src)) = self.gather()? else {
                 continue;
             };
-            let slave = src
-                .checked_sub(link.master)
-                .filter(|s| (1..=slaves).contains(s))
-                .ok_or_else(|| FarmError::Protocol(format!("answer from unknown rank {src}")))?;
-            if !supervised {
-                self.check_reply(&answers, slave)?;
-            }
-            // The first answer names the dispatch (a whole frame answers
-            // together); the first failure, if any, decides its fate.
-            let failed = answers.iter().find(|a| matches!(a, Answer::Failed { .. }));
-            let event = match (failed, answers.first()) {
-                (Some(Answer::Failed { job, why }), _) if !supervised => {
-                    return Err(FarmError::job_failed(*job, why));
-                }
-                (Some(a), _) => Event::Failure {
-                    job: self.sched_job(a.job())?,
-                    slave,
-                },
-                (None, Some(head)) => Event::Answer {
-                    job: self.sched_job(head.job())?,
-                    slave,
-                },
-                (None, None) => {
-                    return Err(FarmError::Protocol(format!("empty reply from rank {src}")));
-                }
+            let Some(event) = self.event_of(&answers, src)? else {
+                continue;
             };
             self.pending = answers;
             self.feed(event)?;
@@ -284,13 +301,52 @@ where
         Ok(())
     }
 
+    /// The scheduler event one reply from rank `src` stands for; `None`
+    /// drops a supervised reply the run cannot place (see [`drive`]).
+    fn event_of(&self, answers: &[Answer], src: usize) -> Result<Option<Event>, FarmError> {
+        let slave =
+            (src.checked_sub(self.farm.link.master)).filter(|s| (1..=self.slaves).contains(s));
+        // The first answer names the dispatch: a whole frame answers
+        // together.
+        let job = answers.first().and_then(|a| self.sched_job(a.job()));
+        if self.farm.supervisor.is_some() {
+            let (Some(slave), Some(job)) = (slave, job) else {
+                return Ok(None);
+            };
+            if !answers.iter().map(Answer::job).eq(self.farm.wires(job, 1)) {
+                return Ok(None);
+            }
+            let priced = answers.iter().any(|a| matches!(a, Answer::Priced { .. }));
+            return Ok(Some(if priced {
+                Event::Answer { job, slave }
+            } else {
+                Event::Failure { job, slave }
+            }));
+        }
+        let slave =
+            slave.ok_or_else(|| FarmError::Protocol(format!("answer from unknown rank {src}")))?;
+        self.check_reply(answers, slave)?;
+        if let Some(Answer::Failed { job, why }) =
+            answers.iter().find(|a| matches!(a, Answer::Failed { .. }))
+        {
+            return Err(FarmError::job_failed(*job, why));
+        }
+        match (answers.first(), job) {
+            (Some(_), Some(job)) => Ok(Some(Event::Answer { job, slave })),
+            (Some(head), None) => Err(FarmError::Protocol(format!(
+                "answer for unknown job {}",
+                head.job()
+            ))),
+            (None, _) => Err(FarmError::Protocol(format!("empty reply from rank {src}"))),
+        }
+    }
+
     /// An unsupervised master takes a reply at its word — the scheduler
     /// marks the whole dispatched range done on it — so the reply must
     /// answer exactly what `slave` was sent: the same jobs, in order.
-    /// (Under supervision a late answer is legitimate, and deduplicated.)
     fn check_reply(&self, answers: &[Answer], slave: usize) -> Result<(), FarmError> {
         let sent = self.sched.in_flight(slave).unwrap_or(0..0);
-        let sent = self.farm.base + sent.start..self.farm.base + sent.end;
+        let sent = self.farm.wires(sent.start, sent.len());
         let got = answers.iter().map(|a| Some(a.job())).chain([None]);
         let expected = sent.clone().map(Some).chain([None]);
         match got.zip(expected).find(|(got, expected)| got != expected) {
@@ -306,34 +362,36 @@ where
         }
     }
 
-    /// The scheduler's id for wire job `wire`.
-    fn sched_job(&self, wire: usize) -> Result<usize, FarmError> {
-        wire.checked_sub(self.farm.base)
-            .filter(|&j| j < self.jobs)
-            .ok_or_else(|| FarmError::Protocol(format!("answer for unknown job {wire}")))
+    /// The scheduler job wire job `wire` belongs to, if it is in the run.
+    fn sched_job(&self, wire: usize) -> Option<usize> {
+        let at = wire.checked_sub(self.farm.base)?;
+        match self.farm.frames {
+            None => (at < self.jobs).then_some(at),
+            Some(frames) => {
+                (at < frames[self.jobs]).then(|| frames.partition_point(|&f| f <= at) - 1)
+            }
+        }
     }
 
     /// Collect one slave reply — a whole frame's answers — and the rank
-    /// that sent it. `None` when a supervised poll ran out (or cleared a
-    /// truncated reply, whose jobs the deadline requeues).
+    /// that sent it. `None` when a supervised poll ran out, cleared a
+    /// truncated reply or took one that does not decode: the deadline
+    /// requeues what it carried.
     fn gather(&self) -> Result<Option<(Vec<Answer>, usize)>, FarmError> {
         let (comm, tag) = (self.farm.comm, self.farm.link.tag);
-        let (v, src) = match self.farm.supervisor.map(|s| s.poll) {
-            None => {
-                let (v, st) = recv_any(comm, tag)?;
-                (v, st.src)
-            }
-            Some(poll) => match comm.recv_obj_timeout(ANY_SOURCE, tag, poll) {
-                Ok(Some((v, st))) => (v, st.src),
-                Ok(None) => return Ok(None),
-                Err(MpiError::Truncated { .. }) => {
-                    let _ = comm.discard(ANY_SOURCE, tag);
-                    return Ok(None);
-                }
-                Err(e) => return Err(e.into()),
-            },
+        let Some(poll) = self.farm.supervisor.map(|s| s.poll) else {
+            let (v, st) = recv_any(comm, tag)?;
+            return Ok(Some((wire::decode_batch_reply(&v)?, st.src)));
         };
-        Ok(Some((wire::decode_batch_reply(&v)?, src)))
+        match comm.recv_obj_timeout(ANY_SOURCE, tag, poll) {
+            Ok(Some((v, st))) => Ok(wire::decode_batch_reply(&v).ok().map(|a| (a, st.src))),
+            Ok(None) | Err(MpiError::Decode(_)) => Ok(None),
+            Err(MpiError::Truncated { .. }) => {
+                let _ = comm.discard(ANY_SOURCE, tag);
+                Ok(None)
+            }
+            Err(e) => Err(e.into()),
+        }
     }
 
     /// Execute an action batch in order. A dispatch the scheduler can
@@ -343,7 +401,8 @@ where
     fn execute(&mut self, actions: Vec<Action>) -> Result<(), FarmError> {
         let farm = self.farm;
         let (comm, rank_of) = (farm.comm, |slave| farm.rank(slave));
-        let mark = |kind, job: usize, n| instrument::mark(comm, kind, (farm.base + job) as i64, n);
+        // A job's marks carry the wire id of its first member.
+        let mark = |kind, job, n| instrument::mark(comm, kind, farm.wires(job, 0).start as i64, n);
         let mut work: VecDeque<Action> = actions.into();
         while let Some(a) = work.pop_front() {
             match a {
@@ -351,7 +410,11 @@ where
                     let undelivered = match (self.send)(job, rank_of(slave), batch, &self.outcomes)
                     {
                         Ok(()) => {
-                            mark(EventKind::Dispatch, job, batch as u64);
+                            mark(
+                                EventKind::Dispatch,
+                                job,
+                                farm.wires(job, batch).len() as u64,
+                            );
                             continue;
                         }
                         Err(e) if farm.supervisor.is_none() => return Err(e),
@@ -380,19 +443,23 @@ where
                 Action::Accept { slave, .. } => {
                     let slave = rank_of(slave);
                     for a in self.pending.drain(..) {
-                        if let Answer::Priced {
-                            job,
-                            price,
-                            std_error,
-                        } = a
-                        {
-                            self.per_slave[slave] += 1;
-                            self.outcomes.push(JobOutcome {
+                        match a {
+                            Answer::Priced {
                                 job,
-                                slave,
                                 price,
                                 std_error,
-                            });
+                            } => {
+                                self.per_slave[slave] += 1;
+                                self.outcomes.push(JobOutcome {
+                                    job,
+                                    slave,
+                                    price,
+                                    std_error,
+                                });
+                            }
+                            // Final: the same bytes would fail the same
+                            // way on any slave.
+                            Answer::Failed { job, why } => self.failed_members.push((job, why)),
                         }
                     }
                 }
@@ -405,5 +472,68 @@ where
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::portfolio::{save_portfolio, toy_portfolio};
+    use crate::slave::serve_jobs;
+    use crate::wire::{batch_reply_value, decode_frame};
+    use std::time::Duration;
+
+    #[test]
+    fn a_supervised_reply_naming_a_job_outside_the_run_is_dropped() {
+        const LINK: Link = Link { master: 0, tag: 7 };
+        let dir = std::env::temp_dir().join("farm_driver_stray");
+        let _ = std::fs::remove_dir_all(&dir);
+        let paths = save_portfolio(&toy_portfolio(4), &dir).unwrap();
+        let sup = SupervisorConfig {
+            job_deadline: Duration::from_millis(50),
+            poll: Duration::from_millis(2),
+            ..SupervisorConfig::default()
+        };
+        let ctx = RunCtx::new(None);
+        let ran = minimpi::World::run(2, |comm| {
+            if comm.rank() == 1 {
+                // The first reply answers a job the run never had; then
+                // the slave serves honestly.
+                let (frame, _) = comm.recv(0, LINK.tag).unwrap();
+                let job = decode_frame(&frame).unwrap()[0].0;
+                let stray = Answer::Priced {
+                    job: job + 1000,
+                    price: 666.0,
+                    std_error: None,
+                };
+                comm.send_obj(&batch_reply_value(&[stray]), 0, LINK.tag)
+                    .unwrap();
+                serve_jobs(&comm, &ctx, LINK, Some(&sup));
+                return None;
+            }
+            let farm = Farm {
+                comm: &comm,
+                link: LINK,
+                base: 0,
+                frames: None,
+                supervisor: Some(&sup),
+                resident: false,
+                ctx: &ctx,
+                strategy: Transmission::SerializedLoad,
+            };
+            let mut scratch = Vec::new();
+            Some(drive(&farm, SchedConfig::plain(4, 1), |job, rank, n, _| {
+                let members = (job..job + n).map(|j| (j, paths[j].as_path()));
+                farm.send_frame(rank, members, &mut scratch)
+            }))
+        });
+        let report = (ran.into_iter().next().flatten())
+            .expect("master reports")
+            .expect("a stray reply is dropped, not fatal");
+        let priced = report.by_job();
+        assert_eq!(priced.iter().map(|o| o.0).collect::<Vec<_>>(), [0, 1, 2, 3]);
+        assert!(priced.iter().all(|o| o.1 != 666.0), "{priced:?}");
+        assert_eq!((report.retries, report.failed_jobs.len()), (1, 0));
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

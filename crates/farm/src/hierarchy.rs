@@ -82,7 +82,7 @@ pub fn run_hierarchical_farm(
             "recorder", problem,
         )));
     }
-    let ctx = RunCtx::default_ctx();
+    let ctx = RunCtx::new(None);
     let results = World::run_instrumented(needs, None, recorder, |comm| {
         let rank = comm.rank();
         if rank == 0 {
@@ -160,6 +160,7 @@ fn global_master(
         elapsed: start.elapsed(),
         per_slave,
         failed_jobs: Vec::new(),
+        failed_members: Vec::new(),
         retries: 0,
         dead_slaves: Vec::new(),
         strategy,
@@ -193,6 +194,7 @@ fn sub_master(
         comm,
         link,
         base: jobs.first().map_or(0, |j| j.0),
+        frames: None,
         supervisor: None,
         resident: false,
         ctx,

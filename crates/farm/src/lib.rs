@@ -14,14 +14,17 @@
 //!   Figs. 4–5, running live over `minimpi` threads: the flat farm
 //!   behind [`run`], plain or supervised as its [`FarmConfig`] says, and
 //!   the report / error types every front-end shares.
-//! * `slave` and `driver` (private) — Fig. 4's two branches, once each:
-//!   the one slave loop (every job is answered, priced or failed —
-//!   `docs/FAULTS.md`) and the one master driver (feeds the pure
-//!   [`sched::Scheduler`] the simulator also runs — `docs/SCHEDULER.md`
-//!   — and owns shutdown). Every link ships §5's "send them all
-//!   together" job frames: sized by the scheduler on a plain run, one
-//!   job each under supervision, LPT order or staging (`batching`,
-//!   private).
+//! * [`slave`] and [`driver`] — Fig. 4's two branches, once each, for
+//!   every master in the workspace: the one slave loop (every job is
+//!   answered, priced or failed — `docs/FAULTS.md`) and the one master
+//!   driver (feeds the pure [`sched::Scheduler`] the simulator also runs
+//!   — `docs/SCHEDULER.md` — and owns shutdown). Every link ships §5's
+//!   "send them all together" job frames: sized by the scheduler on a
+//!   plain run, one job each under supervision, LPT order or staging
+//!   (`batching`, private), and packed ahead by a `serve::Session`. The
+//!   two modules are public for that session alone, which drives its
+//!   batches through [`driver::drive`] and runs [`slave::serve_jobs`]
+//!   on its resident slaves; nothing of them is re-exported here.
 //! * [`hierarchy`] — the §5 sub-master improvement ("divide the nodes
 //!   into sub-groups, each group having its own master"): topology,
 //!   chunking and the group gather around the same driver and slave.
@@ -46,8 +49,8 @@
 //!   (strategy, supervision, fault plan, [`obs::Recorder`],
 //!   problem store / cache / wire-compression / prefetch) and call
 //!   [`run`]. The historical per-variant free functions are gone; the
-//!   other way in is a long-lived `serve::Session` over the same
-//!   scheduler.
+//!   other way in is a long-lived `serve::Session` over the same driver
+//!   and slave loop.
 //!
 //! Since the `store` crate landed, every byte of problem data reaches the
 //! farm through a [`store::ProblemStore`] — see `docs/STORE.md`.
@@ -56,14 +59,14 @@
 mod batching;
 pub mod calibrate;
 pub mod config;
-mod driver;
+pub mod driver;
 pub mod hierarchy;
 mod instrument;
 pub mod portfolio;
 pub mod risk;
 pub mod robin_hood;
 pub mod shard;
-mod slave;
+pub mod slave;
 pub mod strategy;
 pub mod supervisor;
 pub mod wire;

@@ -65,6 +65,10 @@ pub struct FarmReport {
     /// runs only: without supervision the first failed job ends the run
     /// with [`FarmError::JobFailed`]).
     pub failed_jobs: Vec<usize>,
+    /// `(job, why)` of each job that failed inside an otherwise priced
+    /// reply: final, never retried. Only a supervised frame of several
+    /// jobs — a `serve` batch — can have one; see `docs/FAULTS.md`.
+    pub failed_members: Vec<(usize, String)>,
     /// Number of job re-dispatches the supervisor performed (deadline
     /// expiries and explicit slave failure reports).
     pub retries: usize,
@@ -214,7 +218,9 @@ pub(crate) fn run_flat(
 }
 
 /// Fig. 4's `else` branch: [`driver::drive`] makes every decision and
-/// owns shutdown; this function only says how a dispatch becomes bytes.
+/// owns shutdown; this function only says how a dispatch becomes bytes,
+/// and that a portfolio left unpriced by the death of every slave is an
+/// error.
 fn master(
     comm: &Comm,
     ctx: &RunCtx,
@@ -227,13 +233,14 @@ fn master(
         comm,
         link: LINK,
         base: 0,
+        frames: None,
         supervisor: cfg.supervisor.as_ref(),
         resident: false,
         ctx,
         strategy: cfg.strategy,
     };
     let sched = cfg.sched_config(files.len());
-    driver::drive(&farm, sched, |job, rank, batch, outcomes| {
+    let report = driver::drive(&farm, sched, |job, rank, batch, outcomes| {
         // Staged workloads rewrite a round-dependent job's problem file
         // from earlier answers just before its dispatch.
         if let Some(p) = patch {
@@ -245,7 +252,15 @@ fn master(
         // retries of earlier jobs don't pull it back).
         ctx.advance(job + batch);
         Ok(())
-    })
+    })?;
+    let (completed, failed) = (report.completed(), report.failed_jobs.len());
+    match files.len() - completed - failed {
+        0 => Ok(report),
+        remaining => Err(FarmError::AllSlavesDead {
+            completed,
+            remaining,
+        }),
+    }
 }
 
 #[cfg(test)]

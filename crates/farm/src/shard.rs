@@ -164,6 +164,7 @@ impl ShardReport {
             elapsed: self.elapsed,
             per_slave: self.per_shard,
             failed_jobs: Vec::new(),
+            failed_members: Vec::new(),
             retries: 0,
             dead_slaves: Vec::new(),
             strategy,
@@ -183,7 +184,7 @@ pub const SHARD_SLAVE_ENTRY: &str = "farm_shard_slave";
 /// one — bit-identity across backends needs both sides on the same
 /// (single-threaded) compute path.
 pub fn shard_slave_entry(comm: Comm) {
-    slave::serve_jobs(&comm, &RunCtx::default_ctx(), LINK, None);
+    slave::serve_jobs(&comm, &RunCtx::new(None), LINK, None);
 }
 
 /// Contiguous shard pools, remainder spread over the first shards —
@@ -373,7 +374,7 @@ fn master_loop(
     steals: &Mutex<Vec<StealEvent>>,
 ) -> Result<(Vec<JobOutcome>, Vec<Trace>), FarmError> {
     let slaves = cfg.slaves_per_shard;
-    let ctx = RunCtx::default_ctx();
+    let ctx = RunCtx::new(None);
     // Rounds share the slave world: each round's scheduler finishes
     // without stopping it, the sentinels go out after the last one (or
     // from `drive`, the moment a round fails).
@@ -381,6 +382,7 @@ fn master_loop(
         comm,
         link: LINK,
         base: 0,
+        frames: None,
         supervisor: None,
         resident: true,
         ctx: &ctx,

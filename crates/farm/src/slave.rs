@@ -1,16 +1,17 @@
 //! The farm's one slave loop — Fig. 4's `if mpi_rank <> 0` branch.
 //!
 //! Every front-end (flat, supervised, each hierarchy group, each
-//! shard) runs [`serve_jobs`] on its compute ranks, and every link
-//! speaks one wire: a [`crate::wire::JobFrame`] in — of serialized
-//! problems or of names, one member or many — one columnar reply out
-//! ([`batch_reply_value`]), and the empty message as the stop sentinel.
-//! What differs between front-ends is data: the [`Link`] to the master
-//! being served and, under supervision, the patience that bounds the
-//! wait. A job the slave cannot read, decode or price is *answered* —
-//! [`Answer::Failed`] — never dropped and never a panic, so the master
-//! decides what a failed job means (a retry under supervision, the end
-//! of the run otherwise; `docs/FAULTS.md`).
+//! shard) runs [`serve_jobs`] on its compute ranks, and so does every
+//! resident slave of a `serve::Session` (the module is public for it).
+//! Every link speaks one wire: a [`crate::wire::JobFrame`] in — of
+//! serialized problems or of names, one member or many — one columnar
+//! reply out ([`batch_reply_value`]), and the empty message as the stop
+//! sentinel. What differs between front-ends is data: the [`Link`] to
+//! the master being served and, under supervision, the patience that
+//! bounds the wait. A job the slave cannot read, decode or price is
+//! *answered* — [`Answer::Failed`] — never dropped and never a panic, so
+//! the master decides what a failed job means (a retry under
+//! supervision, the end of the run otherwise; `docs/FAULTS.md`).
 
 use crate::config::RunCtx;
 use crate::instrument;
@@ -24,11 +25,11 @@ use pricing::PremiaProblem;
 /// One master ↔ slaves protocol instance, shared by both ends: the
 /// master's [`crate::driver::drive`] and its slaves' [`serve_jobs`].
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Link {
+pub struct Link {
     /// Rank of the master the slaves answer to.
-    pub(crate) master: usize,
+    pub master: usize,
     /// Message tag of every message on the link.
-    pub(crate) tag: i32,
+    pub tag: i32,
 }
 
 impl Link {
@@ -42,11 +43,12 @@ impl Link {
 /// whole body of a compute rank. A cycle is two `Comm` ops: `recv` the
 /// frame, `send` the reply (`docs/FAULTS.md` derives fault indices from
 /// that). `patience` is the supervised slave's bound on its one wait
-/// ([`SupervisorConfig::slave_idle_timeout`]): an idle window of silence
-/// ends the loop, a fault-truncated frame is discarded (one more op) and
-/// an undecodable one skipped — the master's deadline requeues what
-/// either carried. `None` blocks in `recv` exactly as Fig. 4 does and
-/// reads no clock.
+/// ([`SupervisorConfig::slave_idle_timeout`]; `Duration::MAX`, a
+/// session's, waits forever): an idle window of silence ends the loop,
+/// a fault-truncated frame is discarded (one more op) and an
+/// undecodable one skipped — the master's deadline requeues what either
+/// carried. `None` blocks in `recv` exactly as Fig. 4 does and reads no
+/// clock.
 ///
 /// Only the *link* can fail here (a poisoned world, a frame the codec
 /// cannot read), never a job. A supervised slave then just leaves:
@@ -54,12 +56,7 @@ impl Link {
 /// one has nobody to tell, so it panics: that poisons the world, which
 /// wakes every parked peer with an error instead of leaving it blocked
 /// on a rank that is gone.
-pub(crate) fn serve_jobs(
-    comm: &Comm,
-    ctx: &RunCtx,
-    link: Link,
-    patience: Option<&SupervisorConfig>,
-) {
+pub fn serve_jobs(comm: &Comm, ctx: &RunCtx, link: Link, patience: Option<&SupervisorConfig>) {
     let (master, tag, store) = (link.master as i32, link.tag, ctx.store.as_ref());
     let serve = || -> Result<(), FarmError> {
         loop {

@@ -5,7 +5,7 @@
 //! the *job frame* out ([`JobFrame`] / [`decode_frame`]), one member or
 //! many, each a serialized problem or a file name behind its wire id,
 //! written and read as bytes, never a value tree; the frame's answers
-//! back as columns ([`batch_reply_value`] / [`decode_batch_reply`]); and
+//! back as columns ([`batch_reply_value`] / `decode_batch_reply`); and
 //! the empty message as the stop sentinel.
 //!
 //! The hierarchy's two private messages ride the same codec: a
@@ -14,7 +14,7 @@
 //! `{job, price, std_error?, slave}` hash per outcome ([`Answer`]'s
 //! value encoding).
 //!
-//! Decoding is total: [`decode_frame`], [`decode_batch_reply`] and
+//! Decoding is total: [`decode_frame`], `decode_batch_reply` and
 //! [`decode_group_report`] never silently drop or repair an undecodable
 //! message — they return [`FarmError::Protocol`].
 
@@ -150,7 +150,7 @@ pub enum Answer {
 
 impl Answer {
     /// A priced answer from a [`PricingResult`].
-    pub fn priced(job: usize, result: &PricingResult) -> Answer {
+    pub(crate) fn priced(job: usize, result: &PricingResult) -> Answer {
         Answer::Priced {
             job,
             price: result.price,
@@ -159,7 +159,7 @@ impl Answer {
     }
 
     /// A failure report.
-    pub fn failed(job: usize, why: impl Into<String>) -> Answer {
+    pub(crate) fn failed(job: usize, why: impl Into<String>) -> Answer {
         Answer::Failed {
             job,
             why: why.into(),
@@ -257,7 +257,7 @@ pub fn batch_reply_value(answers: &[Answer]) -> Value {
 /// Decode a whole batch reply; columns of unequal length, an id that is
 /// not an index or a failure naming a member the frame does not have are
 /// a [`FarmError::Protocol`].
-pub fn decode_batch_reply(v: &Value) -> Result<Vec<Answer>, FarmError> {
+pub(crate) fn decode_batch_reply(v: &Value) -> Result<Vec<Answer>, FarmError> {
     let parse = || -> Option<Vec<Answer>> {
         let l = v.as_list().filter(|l| l.len() == 5)?;
         let ids = l.get(0)?.as_matrix()?.data();

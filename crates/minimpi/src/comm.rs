@@ -47,6 +47,13 @@ fn status_of(frame: &Frame) -> Status {
     }
 }
 
+/// The instant `timeout` from now — or no deadline at all when that
+/// instant is beyond what `Instant` can hold, so a timeout of
+/// `Duration::MAX` waits forever instead of panicking.
+fn deadline_after(timeout: Duration) -> Option<Instant> {
+    Instant::now().checked_add(timeout)
+}
+
 /// Map a transport failure onto the communicator error surface.
 fn map_err(e: TransportError) -> MpiError {
     match e {
@@ -233,7 +240,7 @@ impl Comm {
     /// `MPI_Send`: send raw bytes to `dest` with `tag`.
     pub fn send(&self, bytes: &[u8], dest: i32, tag: i32) -> Result<(), MpiError> {
         Self::check_tag(tag)?;
-        self.send_internal(Payload::Owned(bytes.to_vec()), dest, tag, false)
+        self.send_internal(Payload::Owned(bytes.to_vec()), dest, tag)
     }
 
     /// Send a payload already behind an `Arc` *without copying it*: on an
@@ -252,29 +259,11 @@ impl Comm {
         if self.transport.shares_memory() {
             self.obs_mark(EventKind::CopySaved, bytes.len());
         }
-        self.send_internal(Payload::Shared(Arc::clone(bytes)), dest, tag, false)
+        self.send_internal(Payload::Shared(Arc::clone(bytes)), dest, tag)
     }
 
-    /// Several sends to `dest` that wake it once: everything sent through
-    /// the returned guard is queued quietly, and dropping the guard wakes
-    /// `dest` if it is parked — it then finds all of it queued, instead
-    /// of being woken for the first message only to block on the second.
-    /// Each send still counts its own op and send index against the fault
-    /// plan, exactly as the same calls on the communicator would.
-    pub fn pair(&self, dest: i32) -> Result<SendPair<'_>, MpiError> {
-        let dest = self.check_dest(dest)?;
-        Ok(SendPair { comm: self, dest })
-    }
-
-    /// The shared send path. `quiet` queues without waking a parked
-    /// `dest`; the caller (a [`SendPair`]) then owes the wake.
-    fn send_internal(
-        &self,
-        mut payload: Payload,
-        dest: i32,
-        tag: i32,
-        quiet: bool,
-    ) -> Result<(), MpiError> {
+    /// The shared send path.
+    fn send_internal(&self, mut payload: Payload, dest: i32, tag: i32) -> Result<(), MpiError> {
         let dest = self.check_dest(dest)?;
         self.pre_op()?;
         let t0 = self.obs_start();
@@ -322,12 +311,7 @@ impl Comm {
             full_len,
             visible_at,
         };
-        let sent = if quiet {
-            self.transport.send_quiet(dest, frame)
-        } else {
-            self.transport.send(dest, frame)
-        };
-        sent.map_err(map_err)?;
+        self.transport.send(dest, frame).map_err(map_err)?;
         self.obs_span(EventKind::Send, t0, full_len);
         Ok(())
     }
@@ -368,7 +352,7 @@ impl Comm {
     ) -> Result<Option<Status>, MpiError> {
         self.pre_op()?;
         let t0 = self.obs_start();
-        let matched = self.match_deadline(src, tag, Some(Instant::now() + timeout), false)?;
+        let matched = self.match_deadline(src, tag, deadline_after(timeout), false)?;
         if let Some(m) = &matched {
             self.obs_span(EventKind::Probe, t0, m.full_len);
         }
@@ -429,7 +413,7 @@ impl Comm {
         self.pre_op()?;
         let t0 = self.obs_start();
         Ok(self
-            .match_deadline(src, tag, Some(Instant::now() + timeout), true)?
+            .match_deadline(src, tag, deadline_after(timeout), true)?
             .map(|msg| {
                 let status = status_of(&msg);
                 self.obs_span(EventKind::Recv, t0, msg.payload.len());
@@ -469,15 +453,11 @@ impl Comm {
     /// functions use internal serialization and packing to transparently
     /// transmit Nsp Objects" (§3.2).
     pub fn send_obj(&self, v: &Value, dest: i32, tag: i32) -> Result<(), MpiError> {
-        self.send_obj_internal(v, dest, tag, false)
-    }
-
-    fn send_obj_internal(&self, v: &Value, dest: i32, tag: i32, quiet: bool) -> Result<(), MpiError> {
         Self::check_tag(tag)?;
         let t0 = self.obs_start();
         let bytes = xdrser::serialize_to_bytes(v);
         self.obs_span(EventKind::Serialize, t0, bytes.len());
-        self.send_internal(Payload::Owned(bytes), dest, tag, quiet)
+        self.send_internal(Payload::Owned(bytes), dest, tag)
     }
 
     /// `MPI_Recv_Obj`: receive and deserialize a value. Per §3.2, when the
@@ -620,43 +600,9 @@ impl Comm {
                 Payload::Owned(xdrser::serialize_to_bytes(&Value::scalar(x))),
                 root as i32,
                 REDUCE_TAG,
-                false,
             )?;
             Ok(None)
         }
-    }
-}
-
-/// Guard returned by [`Comm::pair`]: quiet sends to one destination,
-/// settled by a single wake-up on drop.
-///
-/// The wake is in `Drop`, and unconditional, so that no early return can
-/// strand a parked receiver with a frame it was never told about — a
-/// failed second send, a fault-plan kill between the two, a `?` in the
-/// caller. Waking a rank that has nothing new is harmless (it rescans
-/// and parks again); not waking one that has would be a hang.
-pub struct SendPair<'a> {
-    comm: &'a Comm,
-    dest: usize,
-}
-
-impl SendPair<'_> {
-    /// [`Comm::send`] to the pair's destination, without the wake-up.
-    pub fn send(&self, bytes: &[u8], tag: i32) -> Result<(), MpiError> {
-        Comm::check_tag(tag)?;
-        let payload = Payload::Owned(bytes.to_vec());
-        self.comm.send_internal(payload, self.dest as i32, tag, true)
-    }
-
-    /// [`Comm::send_obj`] to the pair's destination, without the wake-up.
-    pub fn send_obj(&self, v: &Value, tag: i32) -> Result<(), MpiError> {
-        self.comm.send_obj_internal(v, self.dest as i32, tag, true)
-    }
-}
-
-impl Drop for SendPair<'_> {
-    fn drop(&mut self) {
-        self.comm.transport.wake(self.dest);
     }
 }
 
@@ -1224,6 +1170,25 @@ mod tests {
     }
 
     #[test]
+    fn a_timeout_past_the_clock_range_waits_without_a_deadline() {
+        // `now + Duration::MAX` overflows `Instant`: the three timed
+        // receives treat it as "no deadline" and take what comes later.
+        let out = World::run(2, |c| {
+            if c.rank() == 0 {
+                std::thread::sleep(Duration::from_millis(50));
+                c.send(&[5, 6], 1, 1).unwrap();
+                c.send_obj(&Value::scalar(3.0), 1, 2).unwrap();
+                return None;
+            }
+            let probed = c.probe_timeout(0, 1, Duration::MAX).unwrap();
+            let (bytes, _) = c.recv_timeout(0, 1, Duration::MAX).unwrap().unwrap();
+            let (v, _) = c.recv_obj_timeout(0, 2, Duration::MAX).unwrap().unwrap();
+            Some((probed.map(|st| st.count()), bytes, v.as_scalar()))
+        });
+        assert_eq!(out[1], Some((Some(2), vec![5, 6], Some(3.0))));
+    }
+
+    #[test]
     fn probe_timeout_expires_quietly() {
         World::run(1, |c| {
             let t0 = Instant::now();
@@ -1253,194 +1218,6 @@ mod tests {
         });
         assert_eq!(out[1], (0..20).collect::<Vec<u8>>());
         assert!(events.events().is_empty());
-    }
-
-    // ----- paired sends ------------------------------------------------------
-
-    /// A channel endpoint that counts how each frame was handed over, so
-    /// the pair guard's wake accounting is exact, not timing-dependent.
-    struct Counting {
-        inner: transport::ChannelTransport,
-        loud: AtomicUsize,
-        quiet: AtomicUsize,
-        wakes: AtomicUsize,
-    }
-
-    impl Counting {
-        /// `(ordinary sends, quiet sends, wakes)` so far.
-        fn counts(&self) -> (usize, usize, usize) {
-            let get = |c: &AtomicUsize| c.load(Ordering::SeqCst);
-            (get(&self.loud), get(&self.quiet), get(&self.wakes))
-        }
-    }
-
-    impl Transport for Counting {
-        fn rank(&self) -> usize {
-            self.inner.rank()
-        }
-        fn size(&self) -> usize {
-            self.inner.size()
-        }
-        fn epoch(&self) -> Instant {
-            self.inner.epoch()
-        }
-        fn send(&self, dest: usize, frame: Frame) -> Result<(), TransportError> {
-            self.loud.fetch_add(1, Ordering::SeqCst);
-            self.inner.send(dest, frame)
-        }
-        fn send_quiet(&self, dest: usize, frame: Frame) -> Result<(), TransportError> {
-            self.quiet.fetch_add(1, Ordering::SeqCst);
-            self.inner.send_quiet(dest, frame)
-        }
-        fn wake(&self, dest: usize) {
-            self.wakes.fetch_add(1, Ordering::SeqCst);
-            self.inner.wake(dest);
-        }
-        fn match_deadline(
-            &self,
-            src: i32,
-            tag: i32,
-            deadline: Option<Instant>,
-            consume: bool,
-        ) -> Result<Option<Frame>, TransportError> {
-            self.inner.match_deadline(src, tag, deadline, consume)
-        }
-        fn try_match(&self, src: i32, tag: i32) -> Result<Option<Frame>, TransportError> {
-            self.inner.try_match(src, tag)
-        }
-        fn discard(&self, src: i32, tag: i32) -> Result<bool, TransportError> {
-            self.inner.discard(src, tag)
-        }
-        fn kill(&self, rank: usize) {
-            self.inner.kill(rank);
-        }
-        fn is_dead(&self, rank: usize) -> bool {
-            self.inner.is_dead(rank)
-        }
-        fn poison(&self) {
-            self.inner.poison();
-        }
-        fn barrier(&self) {
-            self.inner.barrier();
-        }
-    }
-
-    /// Rank 0 on a [`Counting`] endpoint, rank 1 on a plain one.
-    fn counted_pair_world() -> (Arc<Counting>, Comm, Comm) {
-        let group = transport::ChannelGroup::new(2);
-        let counting = Arc::new(Counting {
-            inner: group.endpoint(0),
-            loud: AtomicUsize::new(0),
-            quiet: AtomicUsize::new(0),
-            wakes: AtomicUsize::new(0),
-        });
-        let master = Comm::new(counting.clone(), None, None);
-        let slave = Comm::new(Arc::new(group.endpoint(1)), None, None);
-        (counting, master, slave)
-    }
-
-    #[test]
-    fn pair_queues_both_messages_quietly_and_wakes_once() {
-        let (counting, master, slave) = counted_pair_world();
-        std::thread::scope(|s| {
-            // Parked with no deadline: only the guard's wake gets it going.
-            let slave = s.spawn(move || {
-                let (name, _) = slave.recv_obj(0, 7).unwrap();
-                let (payload, _) = slave.recv(0, 7).unwrap();
-                (name.as_str().map(str::to_string), payload)
-            });
-            {
-                let pair = master.pair(1).unwrap();
-                pair.send_obj(&Value::string("job"), 7).unwrap();
-                pair.send(&[1, 2, 3], 7).unwrap();
-                assert_eq!(counting.counts(), (0, 2, 0), "no wake before the drop");
-            }
-            assert_eq!(counting.counts(), (0, 2, 1));
-            let (name, payload) = slave.join().unwrap();
-            assert_eq!(name.as_deref(), Some("job"));
-            assert_eq!(payload, vec![1, 2, 3]);
-        });
-    }
-
-    #[test]
-    fn pair_dropped_after_the_first_send_still_wakes_exactly_once() {
-        let (counting, master, slave) = counted_pair_world();
-        std::thread::scope(|s| {
-            let slave = s.spawn(move || slave.recv_obj(0, 7).map(|(v, _)| v));
-            // The error path: the name is queued, the second send fails
-            // (here on its tag) and `?` leaves with the guard alive.
-            let attempt = || -> Result<(), MpiError> {
-                let pair = master.pair(1)?;
-                pair.send_obj(&Value::string("job"), 7)?;
-                pair.send(&[1, 2, 3], -1)?;
-                Ok(())
-            };
-            assert!(matches!(attempt(), Err(MpiError::InvalidTag(-1))));
-            assert_eq!(counting.counts(), (0, 1, 1));
-            // Not stranded: the parked slave got the name.
-            assert_eq!(slave.join().unwrap().unwrap().as_str(), Some("job"));
-        });
-        assert!(matches!(master.pair(2), Err(MpiError::InvalidRank(2))));
-    }
-
-    /// Twelve name+payload pairs from rank 0 under a busy fault plan —
-    /// through the pair guard or as two separate sends — returning the
-    /// plan's event log and which pairs went out whole.
-    fn faulted_pairs(paired: bool) -> (Vec<FaultEvent>, Vec<bool>) {
-        let ms = Duration::from_millis;
-        let plan = FaultPlan::new(77)
-            .with_drop_rate(0.2)
-            .with_delay_rate(0.2, ms(1), ms(3))
-            .with_truncate_rate(0.2)
-            .force_send(0, 0, SendFault::Deliver)
-            // The first payload is lost after its name was queued quietly.
-            .force_send(0, 1, SendFault::Drop)
-            // Rank 0 dies between the name (op 20) and payload of pair 10.
-            .kill_rank_at_op(0, 21);
-        let plan = Arc::new(plan);
-        let log = Arc::clone(&plan);
-        let out = World::run_with_faults(2, plan, |c| {
-            if c.rank() == 1 {
-                // Parked with no deadline on the first name: its payload
-                // is dropped, so only the guard's wake can deliver it.
-                let (name, _) = c.recv_obj(0, 7).unwrap();
-                assert_eq!(name.as_str(), Some("job"));
-                c.barrier();
-                return Vec::new();
-            }
-            let name = Value::string("job");
-            let whole = (0..12)
-                .map(|_| {
-                    let sent = if paired {
-                        c.pair(1).and_then(|pair| {
-                            pair.send_obj(&name, 7)?;
-                            pair.send(&[9; 40], 7)
-                        })
-                    } else {
-                        c.send_obj(&name, 1, 7).and_then(|()| c.send(&[9; 40], 1, 7))
-                    };
-                    sent.is_ok()
-                })
-                .collect();
-            c.barrier();
-            whole
-        });
-        (log.events(), out.into_iter().next().unwrap())
-    }
-
-    #[test]
-    fn paired_send_consumes_the_same_fault_indices_as_two_sends() {
-        let (paired_events, paired_whole) = faulted_pairs(true);
-        let (plain_events, plain_whole) = faulted_pairs(false);
-        assert_eq!(paired_events, plain_events);
-        assert_eq!(paired_whole, plain_whole);
-        // The schedule really exercised what it was built for.
-        assert!(paired_events.contains(&FaultEvent::Dropped { rank: 0, send: 1 }));
-        assert!(paired_events.contains(&FaultEvent::Killed { rank: 0, op: 21 }));
-        assert!(paired_events.len() > 4, "rates too low to matter: {paired_events:?}");
-        let mut expected = vec![true; 10];
-        expected.extend([false, false]);
-        assert_eq!(paired_whole, expected);
     }
 
     #[test]

@@ -61,7 +61,7 @@ mod process;
 mod world;
 
 pub use buf::MpiBuf;
-pub use comm::{Comm, SendPair, Status};
+pub use comm::{Comm, Status};
 pub use error::MpiError;
 pub use fault::{FaultEvent, FaultPlan, SendFault};
 pub use process::{ProcessParent, ProcessWorld};

@@ -5,6 +5,7 @@
 //! the first failure.
 
 use exec::{ConfigIssues, ExecPolicy, LaneConfig, DEFAULT_CHUNK};
+use farm::SupervisorConfig;
 use minimpi::FaultPlan;
 use obs::Recorder;
 use std::fmt;
@@ -26,10 +27,9 @@ pub struct ServeConfig {
     pub(crate) threads: usize,
     pub(crate) compute_chunk: usize,
     pub(crate) lanes: usize,
-    pub(crate) job_deadline: Duration,
-    pub(crate) max_attempts: u32,
-    pub(crate) backoff_base: Duration,
-    pub(crate) poll: Duration,
+    /// The farm's supervision knobs; the slaves' patience is unbounded
+    /// (`Duration::MAX`), since a session is long-lived.
+    pub(crate) supervisor: SupervisorConfig,
     pub(crate) fault_plan: Option<Arc<FaultPlan>>,
     pub(crate) recorder: Option<Arc<Recorder>>,
 }
@@ -47,10 +47,10 @@ impl ServeConfig {
             threads: 1,
             compute_chunk: 0,
             lanes: 1,
-            job_deadline: Duration::from_millis(200),
-            max_attempts: 4,
-            backoff_base: Duration::from_millis(5),
-            poll: Duration::from_millis(20),
+            supervisor: SupervisorConfig {
+                slave_idle_timeout: Duration::MAX,
+                ..SupervisorConfig::default()
+            },
             fault_plan: None,
             recorder: None,
         }
@@ -107,25 +107,25 @@ impl ServeConfig {
     /// Per-dispatch deadline of the supervised scheduler: a job in
     /// flight longer than this is presumed lost and requeued.
     pub fn job_deadline(mut self, d: Duration) -> Self {
-        self.job_deadline = d;
+        self.supervisor.job_deadline = d;
         self
     }
 
     /// Dispatch budget per job before it is abandoned as failed.
     pub fn max_attempts(mut self, n: u32) -> Self {
-        self.max_attempts = n;
+        self.supervisor.max_attempts = n as usize;
         self
     }
 
     /// Base of the exponential retry backoff.
     pub fn backoff_base(mut self, d: Duration) -> Self {
-        self.backoff_base = d;
+        self.supervisor.backoff_base = d;
         self
     }
 
     /// Front-loop poll granularity while a batch is in flight.
     pub fn poll(mut self, d: Duration) -> Self {
-        self.poll = d;
+        self.supervisor.poll = d;
         self
     }
 
@@ -206,13 +206,13 @@ impl ServeConfig {
         if let Err(e) = LaneConfig::from_width(self.lanes) {
             issues.reject("lanes", e);
         }
-        if self.max_attempts == 0 {
+        if self.supervisor.max_attempts == 0 {
             issues.reject("max_attempts", "must be at least 1");
         }
-        if self.job_deadline.is_zero() {
+        if self.supervisor.job_deadline.is_zero() {
             issues.reject("job_deadline", "must be nonzero");
         }
-        if self.poll.is_zero() {
+        if self.supervisor.poll.is_zero() {
             issues.reject("poll", "must be nonzero");
         }
         if let Some(rec) = &self.recorder {

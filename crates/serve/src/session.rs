@@ -6,10 +6,11 @@
 //! [`Request`]s (priced portfolios with a priority class and an
 //! optional queue deadline) and get back a [`Ticket`]; the front loop
 //! (rank 0) drains the queue, coalesces identical problems, serves
-//! repeats from the result memo, and drives each batch through the same
-//! pure [`sched::Scheduler`] state machine the one-shot farm masters
-//! use — supervised, so a slave killed mid-request still leaves every
-//! admitted ticket answered exactly once.
+//! repeats from the result memo, and drives each batch through the
+//! farm's one master driver, `farm::driver::drive` — supervised, so a
+//! slave killed mid-request still leaves every admitted ticket answered
+//! exactly once. The slaves run the farm's one slave loop,
+//! `farm::slave::serve_jobs`, with a patience that never runs out.
 //!
 //! What travels is a *frame*, not a problem: the batch's unique
 //! problems are packed into job frames (`pack_frames`), the scheduler
@@ -28,25 +29,29 @@
 //! recording state is owned single-threaded by the front loop.
 
 use crate::config::{ServeConfig, ServeError};
-use farm::strategy::decode_problem;
-use farm::wire::{
-    batch_reply_value, decode_batch_reply, decode_frame, Answer, Body, JobFrame,
-    FRAME_HEADER_BYTES, MEMBER_HEADER_BYTES,
-};
-use minimpi::{Comm, MpiError, World, ANY_SOURCE};
-use nspval::Value;
+use farm::config::RunCtx;
+use farm::driver::{drive, Farm};
+use farm::slave::{serve_jobs, Link};
+use farm::wire::{Body, JobFrame, FRAME_HEADER_BYTES, MEMBER_HEADER_BYTES};
+use farm::Transmission;
+use minimpi::{Comm, World};
 use obs::{Event, EventKind, Recorder, NO_JOB};
 use pricing::{MethodSpec, PremiaProblem};
-use sched::{Action, DispatchPolicy, Event as SchedEvent, SchedConfig, Scheduler, Supervision};
-use std::collections::{BTreeSet, VecDeque};
+use sched::{DispatchPolicy, SchedConfig};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use transport::queue;
 
-/// The session wire tag (the farm protocols use 7 and 9).
+/// The session wire tag.
 const TAG: i32 = 11;
+
+/// The front loop (rank 0) masters every slave rank.
+const LINK: Link = Link {
+    master: 0,
+    tag: TAG,
+};
 
 /// Budget charged per memo entry value: a price, an optional standard
 /// error, and the `Option` discriminant.
@@ -318,7 +323,7 @@ impl Session {
     /// Validate `cfg`, spin up the world, and hold it resident until
     /// [`shutdown`](Session::shutdown) (or drop).
     pub fn start(cfg: ServeConfig) -> Result<Session, ServeError> {
-        Self::start_with(cfg, slave_loop)
+        Self::start_with(cfg, resident_slave)
     }
 
     /// [`Self::start`] with the body every slave rank runs, so a test can
@@ -463,9 +468,8 @@ impl Drop for Session {
 // Front loop (rank 0)
 // ---------------------------------------------------------------------------
 
-/// Record an instantaneous mark on this rank, if recording. `at_ns`
-/// backdates the mark to a submitter-side clock read of the same
-/// recorder.
+/// Record an instantaneous mark on this rank, if recording, backdated
+/// to `at_ns` (a submitter-side read of the same recorder's clock).
 fn mark(comm: &Comm, kind: EventKind, at_ns: Option<u64>, job: i64, bytes: u64) {
     if let Some(rec) = comm.recorder() {
         rec.record(Event {
@@ -490,11 +494,12 @@ fn span(comm: &Comm, kind: EventKind, start_ns: Option<u64>, job: i64, bytes: u6
 /// What the front loop owns across batches.
 struct Front {
     memo: store::ResultCache<(f64, Option<f64>)>,
-    dead: BTreeSet<usize>,
     /// Next unused wire id: ids are unique across the session, so a
     /// straggler answer from an earlier batch can never be mistaken for
     /// a current problem.
-    next_wire: u64,
+    next_wire: usize,
+    /// The driver's run context (unread: the frames are prebuilt).
+    ctx: RunCtx,
     report: SessionReport,
 }
 
@@ -506,8 +511,8 @@ fn front_loop(
 ) -> SessionReport {
     let mut front = Front {
         memo: store::ResultCache::new(cfg.memo_bytes),
-        dead: BTreeSet::new(),
         next_wire: 0,
+        ctx: RunCtx::new(None),
         report: SessionReport::default(),
     };
     loop {
@@ -543,13 +548,15 @@ fn front_loop(
             break;
         }
     }
+    let mut report = front.report;
+    // The ranks the transport holds dead are the slaves that died during
+    // the session.
+    report.dead_slaves = (1..=cfg.slaves).filter(|&s| !comm.rank_alive(s)).collect();
     // Stop the resident slaves with the farm link's sentinel, the empty
     // message. Sends to already-dead ranks fail with Poisoned: goodbye.
     for s in 1..=cfg.slaves {
-        let _ = comm.send(&[], s as i32, TAG);
+        let _ = comm.send(&[], s as i32, LINK.tag);
     }
-    let mut report = front.report;
-    report.dead_slaves = front.dead.into_iter().collect();
     report.memo = front.memo.stats();
     report
 }
@@ -578,21 +585,10 @@ fn serve_batch(
     // the requests whose queue deadline already passed.
     let mut live: Vec<Submitted> = Vec::with_capacity(batch.len());
     for s in batch {
-        span(
-            comm,
-            EventKind::Enqueue,
-            s.enq_ns,
-            s.id as i64,
-            s.bytes as u64,
-        );
+        let id = s.id as i64;
+        span(comm, EventKind::Enqueue, s.enq_ns, id, s.bytes as u64);
         if s.deadline.is_some_and(|d| s.submitted.elapsed() > d) {
-            mark(
-                comm,
-                EventKind::Shed,
-                None,
-                s.id as i64,
-                s.jobs.len() as u64,
-            );
+            mark(comm, EventKind::Shed, None, id, s.jobs.len() as u64);
             front.report.expired += 1;
             let waited = s.submitted.elapsed();
             let _ = s.reply.send(Response {
@@ -652,11 +648,9 @@ fn serve_batch(
     }
 
     if !slots.is_empty() {
-        drive_batch(comm, cfg, &mut slots, front);
+        run_batch(comm, cfg, &mut slots, front);
         for slot in slots {
-            let outcome = slot
-                .outcome
-                .unwrap_or_else(|| Err("scheduler dropped the job".into()));
+            let outcome = slot.outcome.expect("run_batch answers every slot");
             if let Ok(value) = outcome {
                 front.memo.insert(slot.key, value, MEMO_VALUE_BYTES);
                 front.report.computed += 1;
@@ -682,13 +676,8 @@ fn serve_batch(
             .drain(..)
             .map(|r| r.expect("every problem answered"))
             .collect();
-        span(
-            comm,
-            EventKind::Admit,
-            s.enq_ns,
-            s.id as i64,
-            s.jobs.len() as u64,
-        );
+        let id = s.id as i64;
+        span(comm, EventKind::Admit, s.enq_ns, id, s.jobs.len() as u64);
         front.report.answered += 1;
         let _ = s.reply.send(Response {
             id: s.id,
@@ -760,335 +749,96 @@ fn pack_frames(slots: &[Slot], slaves: usize) -> Vec<Frame> {
 }
 
 // ---------------------------------------------------------------------------
-// Driving one batch
+// The farm: one driver run per batch, the farm's slave loop on every slave
 // ---------------------------------------------------------------------------
 
-/// One batch in flight: its frames, the supervised scheduler deciding
-/// which slave prices which frame, and the slots the answers land in.
-struct Batch<'a> {
-    comm: &'a Comm,
-    sched: Scheduler,
-    frames: Vec<Frame>,
-    /// Each frame as it travels, written once from the slots' own
-    /// bytes; every dispatch — first or retry — sends it as is.
-    wires: Vec<Vec<u8>>,
-    /// Slot → the frame it travels in.
-    frame_of: Vec<usize>,
-    slots: &'a mut [Slot],
-    front: &'a mut Front,
-    /// Wire id of slot 0.
-    base: u64,
-    epoch: Instant,
-}
-
-impl Batch<'_> {
-    fn now(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-
-    /// The slot behind a wire id, if it belongs to this batch.
-    fn slot_of(&self, wire: usize) -> Option<usize> {
-        (wire as u64)
-            .checked_sub(self.base)
-            .map(|s| s as usize)
-            .filter(|&s| s < self.slots.len())
-    }
-
-    /// The id frame-level events are recorded under: the wire id of the
-    /// frame's first member.
-    fn job_of(&self, frame: usize) -> usize {
-        (self.base + self.frames[frame].members[0] as u64) as usize
-    }
-
-    /// Record a frame-level mark on the front loop's rank.
-    fn mark(&self, kind: EventKind, frame: usize, bytes: u64) {
-        mark(self.comm, kind, None, self.job_of(frame) as i64, bytes);
-    }
-
-    fn send(&mut self, frame: usize, rank: usize) -> Result<(), MpiError> {
-        self.comm.set_job(Some(self.job_of(frame)));
-        let sent = self.comm.send(&self.wires[frame], rank as i32, TAG);
-        self.comm.set_job(None);
-        sent
-    }
-
-    /// Feed one event to the scheduler and carry out what it decides.
-    /// `reply` is the answer frame behind an `Answer` event, consumed by
-    /// the `Accept` it may produce (a late duplicate leaves it
-    /// unconsumed: first answer per slot wins).
-    fn feed(&mut self, event: SchedEvent, mut reply: Option<Vec<Answer>>) {
-        let mut work: VecDeque<Action> = self.sched.on(event, self.now()).into();
-        while let Some(a) = work.pop_front() {
-            match a {
-                Action::Dispatch {
-                    job: frame, slave, ..
-                } => match self.send(frame, slave) {
-                    Ok(()) => {
-                        let members = self.frames[frame].members.len() as u64;
-                        self.mark(EventKind::Dispatch, frame, members);
-                    }
-                    Err(MpiError::Poisoned(r)) if r == slave => {
-                        let failed = SchedEvent::SendFailed { job: frame, slave };
-                        let rec = self.sched.on(failed, self.now());
-                        for r in rec.into_iter().rev() {
-                            work.push_front(r);
-                        }
-                    }
-                    Err(_) => {
-                        // Any other send failure: treat like a lost
-                        // dispatch; the frame deadline requeues it.
-                    }
-                },
-                // Slaves are resident: the per-batch scheduler's Stop
-                // actions are intercepted, never forwarded. The real
-                // sentinel goes out once, at session shutdown.
-                Action::Stop { .. } => {}
-                Action::Accept { job: frame, .. } => {
-                    if let Some(answers) = reply.take() {
-                        for (&slot, a) in self.frames[frame].members.iter().zip(answers) {
-                            // A member's own failure is final, for that
-                            // member only: the same bytes would fail the
-                            // same way on any slave.
-                            self.slots[slot].outcome = Some(match a {
-                                Answer::Priced {
-                                    price, std_error, ..
-                                } => Ok((price, std_error)),
-                                Answer::Failed { why, .. } => Err(why),
-                            });
-                        }
-                    }
-                }
-                Action::Expire { job: frame, .. } => self.mark(EventKind::Deadline, frame, 0),
-                Action::Requeue { job: frame } => self.mark(EventKind::Retry, frame, 0),
-                Action::Bury { slave } => {
-                    mark(self.comm, EventKind::SlaveDeath, None, NO_JOB, slave as u64);
-                    self.front.dead.insert(slave);
-                }
-                Action::AllSlavesDead | Action::Finish => {}
-            }
-        }
-    }
-
-    /// Take one message off the serve tag. Anything that is not the
-    /// complete answer to one of this batch's frames is dropped — an
-    /// undecodable value (ignored rather than poison a long-lived
-    /// session; the frame deadline covers the loss), or a straggler
-    /// from an earlier batch (a retry raced the original answer, whose
-    /// wire ids lie outside this batch's range).
-    fn on_reply(&mut self, v: &Value, src: usize) {
-        let Ok(answers) = decode_batch_reply(v) else {
-            return;
-        };
-        let Some(frame) = answers
-            .first()
-            .and_then(|a| self.slot_of(a.job()))
-            .map(|slot| self.frame_of[slot])
-        else {
-            return;
-        };
-        let members = &self.frames[frame].members;
-        let complete = answers.len() == members.len()
-            && answers
-                .iter()
-                .zip(members)
-                .all(|(a, &slot)| self.slot_of(a.job()) == Some(slot));
-        if complete {
-            self.feed(
-                SchedEvent::Answer {
-                    job: frame,
-                    slave: src,
-                },
-                Some(answers),
-            );
-        }
-    }
-}
-
-/// Drive one batch of unique problems, as job frames, through a
-/// supervised [`Scheduler`] on the resident slaves. Supervision is per
-/// frame: a frame that is lost, outlives the dispatch deadline, cannot
-/// be sent, or was on a slave that died is re-dispatched whole.
-fn drive_batch(comm: &Comm, cfg: &ServeConfig, slots: &mut [Slot], front: &mut Front) {
-    let base = front.next_wire;
-    front.next_wire += slots.len() as u64;
-
+/// Price a batch's unique problems on the resident slaves, as job frames
+/// driven by the farm's supervised driver, and give every slot its
+/// outcome. Wire ids are assigned frame-major, so each frame is one
+/// contiguous wire range, and are unique across the session, so a
+/// straggler from an earlier batch names ids outside this one.
+fn run_batch(comm: &Comm, cfg: &ServeConfig, slots: &mut [Slot], front: &mut Front) {
     let alive = (1..=cfg.slaves).filter(|&s| comm.rank_alive(s)).count();
     let frames = pack_frames(slots, alive);
-    let mut frame_of = vec![0; slots.len()];
+    let base = front.next_wire;
+    front.next_wire += slots.len();
+    // The slot behind wire id `base + i`, and each frame's wire offset.
+    let (mut order, mut offsets) = (Vec::with_capacity(slots.len()), vec![0]);
+    // Each frame's bytes, written once and sent as is by every dispatch.
     let mut wires = Vec::with_capacity(frames.len());
-    for (f, frame) in frames.iter().enumerate() {
+    for frame in &frames {
         let mut wire = JobFrame::new(Vec::with_capacity(frame.bytes));
         for &slot in &frame.members {
-            frame_of[slot] = f;
             let bytes = std::mem::take(&mut slots[slot].serial);
             let body = Body::Serial {
                 compressed: false,
                 bytes: &bytes,
             };
-            wire.push((base + slot as u64) as usize, body);
+            wire.push(base + order.len(), body);
+            order.push(slot);
         }
+        offsets.push(order.len());
         wires.push(wire.finish());
     }
 
-    let sc = SchedConfig::plain(frames.len(), cfg.slaves)
-        .policy(DispatchPolicy::Priority {
-            class: frames.iter().map(|f| f.class).collect(),
-        })
-        .supervised(Supervision {
-            deadline_ns: cfg.job_deadline.as_nanos() as u64,
-            max_attempts: cfg.max_attempts,
-            backoff_base_ns: cfg.backoff_base.as_nanos() as u64,
-        });
-    let sched = match Scheduler::new(sc) {
-        Ok(s) => s,
-        Err(e) => {
-            for slot in slots.iter_mut() {
-                slot.outcome = Some(Err(format!("scheduler rejected batch: {e}")));
-            }
-            return;
-        }
-    };
-    let mut batch = Batch {
+    let farm = Farm {
         comm,
-        sched,
-        frames,
-        wires,
-        frame_of,
-        slots,
-        front,
+        link: LINK,
         base,
-        epoch: Instant::now(),
+        frames: Some(&offsets),
+        supervisor: Some(&cfg.supervisor),
+        resident: true,
+        ctx: &front.ctx,
+        strategy: Transmission::SerializedLoad,
     };
-
-    // Prime every slave; dispatches to already-dead ranks fail fast
-    // with Poisoned and the scheduler buries them, exactly like the
-    // one-shot supervised master.
-    for s in 1..=cfg.slaves {
-        batch.feed(SchedEvent::SlaveReady { slave: s }, None);
-    }
-
-    while !batch.sched.is_terminal() {
-        // Liveness sweep: notice kills that happened between messages.
-        for s in 1..=cfg.slaves {
-            if !batch.sched.is_dead(s) && !comm.rank_alive(s) {
-                batch.feed(SchedEvent::SlaveDead { slave: s }, None);
-            }
-        }
-        if batch.sched.is_terminal() {
-            break;
-        }
-        // Deadline/backoff tick.
-        batch.feed(SchedEvent::Deadline, None);
-        if batch.sched.is_terminal() {
-            break;
-        }
-        match comm.recv_obj_timeout(ANY_SOURCE, TAG, cfg.poll) {
-            Ok(None) => {}
-            Ok(Some((v, st))) => batch.on_reply(&v, st.src),
-            Err(MpiError::Truncated { .. }) => {
-                let _ = comm.discard(ANY_SOURCE, TAG);
-            }
-            Err(_) => break,
-        }
-    }
-
-    let Batch {
-        sched,
-        frames,
-        slots,
-        front,
-        ..
-    } = batch;
-    front.report.retries += sched.retries();
-    front.dead.extend(sched.dead_slaves());
-    for frame in sched.failed_jobs() {
-        for &slot in &frames[frame].members {
-            slots[slot]
-                .outcome
-                .get_or_insert_with(|| Err("retry budget exhausted".into()));
-        }
-    }
-    if sched.aborted() {
-        for slot in slots.iter_mut() {
-            slot.outcome
-                .get_or_insert_with(|| Err("all slaves dead".into()));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Slave loop
-// ---------------------------------------------------------------------------
-
-/// The resident slave: wait (unbounded — the session is long-lived) for
-/// a job frame, price every member, answer once, repeat, until the
-/// shutdown sentinel or the world dies.
-fn slave_loop(comm: &Comm, cfg: &ServeConfig) {
-    let exec = cfg.exec_policy();
-    loop {
-        let msg = match comm.recv(0, TAG) {
-            Ok((bytes, _st)) => bytes,
-            // A fault-mangled frame is refused, not consumed: clear it
-            // and keep serving (the master's deadline requeues).
-            Err(MpiError::Truncated { .. }) => match comm.discard(0, TAG) {
-                Ok(_) => continue,
-                Err(_) => return,
-            },
-            // Poisoned / disconnected / killed: the session is over for
-            // this rank.
-            Err(_) => return,
-        };
-        if msg.is_empty() {
-            return;
-        }
-        let Ok(members) = decode_frame(&msg) else {
-            // Not a job frame; skip it (the master's deadline requeues).
-            continue;
-        };
-        let answers: Vec<Answer> = members
-            .into_iter()
-            .map(|(wire, body)| {
-                comm.set_job(Some(wire));
-                price_one(comm, &exec, body, wire)
-            })
-            .collect();
+    let sc = SchedConfig::plain(frames.len(), cfg.slaves).policy(DispatchPolicy::Priority {
+        class: frames.iter().map(|f| f.class).collect(),
+    });
+    let ran = drive(&farm, sc, |frame, rank, _, _| {
+        comm.set_job(Some(base + offsets[frame]));
+        let sent = comm.send(&wires[frame], rank as i32, LINK.tag);
         comm.set_job(None);
-        if comm.send_obj(&batch_reply_value(&answers), 0, TAG).is_err() {
-            return;
+        Ok(sent?)
+    });
+
+    let slot = |wire: usize| order[wire - base];
+    // Unanswered after a clean run: stranded by the death of every slave.
+    let why = match ran {
+        Ok(report) => {
+            front.report.retries += report.retries as u64;
+            for o in report.outcomes {
+                slots[slot(o.job)].outcome = Some(Ok((o.price, o.std_error)));
+            }
+            for (wire, why) in report.failed_members {
+                slots[slot(wire)].outcome = Some(Err(why));
+            }
+            for frame in report.failed_jobs {
+                for &s in &frames[frame].members {
+                    slots[s].outcome = Some(Err("retry budget exhausted".into()));
+                }
+            }
+            "all slaves dead".to_string()
         }
+        Err(e) => e.to_string(),
+    };
+    for s in slots.iter_mut() {
+        s.outcome.get_or_insert_with(|| Err(why.clone()));
     }
 }
 
-/// Decode — in place, from the frame's own bytes — and price one
-/// problem, recording the `Compute` span on this rank (the
-/// memo-hit-rate denominator).
-fn price_one(comm: &Comm, exec: &Option<exec::ExecPolicy>, body: Body<'_>, wire: usize) -> Answer {
-    let start = comm.recorder().map(|r| r.now_ns());
-    // The session ships serials only; a name is nothing it sent.
-    let Body::Serial { compressed, bytes } = body else {
-        return Answer::failed(wire, "not a serialized problem");
-    };
-    let Ok(problem) = decode_problem(Some(comm), bytes, compressed) else {
-        return Answer::failed(wire, "undecodable problem payload");
-    };
-    let result = match exec {
-        None => problem.compute(),
-        Some(pol) => problem.compute_with(pol),
-    };
-    match result {
-        Ok(r) => {
-            if let (Some(rec), Some(t0)) = (comm.recorder(), start) {
-                rec.record_span(comm.rank(), EventKind::Compute, wire as i64, t0, 0);
-            }
-            Answer::priced(wire, &r)
-        }
-        Err(e) => Answer::failed(wire, format!("compute failed: {e}")),
-    }
+/// The resident slave: the farm's one slave loop under the session's
+/// compute policy, waiting as long as the session lives
+/// (`slave_idle_timeout` is `Duration::MAX`).
+fn resident_slave(comm: &Comm, cfg: &ServeConfig) {
+    let ctx = RunCtx::new(cfg.exec_policy());
+    serve_jobs(comm, &ctx, LINK, Some(&cfg.supervisor));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use farm::wire::{batch_reply_value, decode_frame, Answer};
+    use nspval::Value;
 
     fn slot(serial_len: usize, closed_form: bool, class: u8) -> Slot {
         Slot {
@@ -1248,7 +998,7 @@ mod tests {
             }
             comm.send_obj(&Value::list(columns), 0, TAG).unwrap();
         }
-        slave_loop(comm, cfg);
+        resident_slave(comm, cfg);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 
 use crate::backend::{Fetched, ProblemStore, StoreStats};
 use nspval::Serial;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::SystemTime;
 use xdrser::XdrError;
 
@@ -42,6 +42,8 @@ struct CacheState {
     entries: HashMap<PathBuf, Entry>,
     /// `tick → path`, oldest first: the eviction order.
     lru: BTreeMap<u64, PathBuf>,
+    /// Paths whose miss is reading the backend right now.
+    loading: HashSet<PathBuf>,
     tick: u64,
     resident_bytes: u64,
     fetches: u64,
@@ -97,11 +99,17 @@ impl CacheState {
 ///   object larger than the whole budget is served but not cached.
 /// * **Shared-nothing hot path**: the backend read happens *outside*
 ///   the cache lock, so a miss never blocks concurrent hits.
+/// * **Single-flight misses**: one backend read per path at a time. A
+///   fetcher that finds the path already loading waits for that read
+///   and counts a hit, so a prefetch and a master fetch of one file
+///   read it once.
 #[derive(Debug)]
 pub struct CachingStore {
     inner: Arc<dyn ProblemStore>,
     budget: u64,
     state: Mutex<CacheState>,
+    /// Signalled whenever a backend read finishes.
+    loaded: Condvar,
 }
 
 impl CachingStore {
@@ -111,6 +119,7 @@ impl CachingStore {
             inner,
             budget,
             state: Mutex::new(CacheState::default()),
+            loaded: Condvar::new(),
         }
     }
 
@@ -136,10 +145,10 @@ impl ProblemStore for CachingStore {
     fn fetch(&self, path: &Path) -> Result<Fetched, XdrError> {
         let fp = fingerprint(path)?;
 
-        // Fast path: serve a fingerprint-validated resident entry.
-        {
-            let mut state = self.state.lock().expect("cache lock");
-            state.fetches += 1;
+        let mut state = self.state.lock().expect("cache lock");
+        state.fetches += 1;
+        loop {
+            // Fast path: serve a fingerprint-validated resident entry.
             if let Some(entry) = state.entries.get(path) {
                 if entry.fp == fp {
                     let serial = entry.serial.clone();
@@ -161,38 +170,55 @@ impl ProblemStore for CachingStore {
                 state.remove(path);
                 state.invalidations += 1;
             }
-            state.misses += 1;
+            // Single flight: another fetcher is already reading this
+            // path, so wait for its entry instead of reading it twice.
+            if !state.loading.contains(path) {
+                break;
+            }
+            state = self.loaded.wait(state).expect("cache lock");
         }
+        state.misses += 1;
+        state.loading.insert(path.to_path_buf());
+        drop(state);
 
         // Miss: read the backend *outside* the lock.
-        let fetched = self.inner.fetch(path)?;
-        let serial = fetched.serial;
-        let len = serial.len() as u64;
+        let fetched = self.inner.fetch(path);
 
         let mut state = self.state.lock().expect("cache lock");
-        let mut evicted = 0;
-        if len <= self.budget {
-            // A concurrent miss may have raced us in; replace it.
-            state.remove(path);
-            evicted = state.make_room(len, self.budget);
-            let tick = state.next_tick();
-            state.lru.insert(tick, path.to_path_buf());
-            state.entries.insert(
-                path.to_path_buf(),
-                Entry {
-                    serial: serial.clone(),
-                    fp,
-                    tick,
-                    hits: 0,
-                },
-            );
-            state.resident_bytes += len;
-        }
-        Ok(Fetched {
-            serial,
-            cached: Some(false),
-            evicted_bytes: evicted,
-        })
+        state.loading.remove(path);
+        let loaded = fetched.map(|fetched| {
+            let serial = fetched.serial;
+            let len = serial.len() as u64;
+            let mut evicted = 0;
+            if len <= self.budget {
+                // Nobody else loads this path while we do, so there is
+                // no entry to replace.
+                debug_assert!(!state.entries.contains_key(path));
+                evicted = state.make_room(len, self.budget);
+                let tick = state.next_tick();
+                state.lru.insert(tick, path.to_path_buf());
+                state.entries.insert(
+                    path.to_path_buf(),
+                    Entry {
+                        serial: serial.clone(),
+                        fp,
+                        tick,
+                        hits: 0,
+                    },
+                );
+                state.resident_bytes += len;
+            }
+            Fetched {
+                serial,
+                cached: Some(false),
+                evicted_bytes: evicted,
+            }
+        });
+        drop(state);
+        // Waiters find the entry (a hit), or — after a failed or
+        // uncacheable read — nothing, and read the backend themselves.
+        self.loaded.notify_all();
+        loaded
     }
 
     fn invalidate(&self, path: &Path) {
@@ -368,6 +394,61 @@ mod tests {
         assert_eq!(s.hits + s.misses, 400);
         assert!(s.hits >= 392, "at most one miss per thread: {s:?}");
         assert_eq!(s.resident_entries, 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A directory backend that holds every read until the cache in
+    /// front of it has counted `fetchers` fetches, so no read can finish
+    /// before every fetcher has looked at the cache.
+    #[derive(Debug)]
+    struct HeldUntilAllArrive {
+        cache: std::sync::OnceLock<std::sync::Weak<CachingStore>>,
+        fetchers: u64,
+        reads: std::sync::atomic::AtomicU64,
+    }
+
+    impl ProblemStore for HeldUntilAllArrive {
+        fn fetch(&self, path: &Path) -> Result<Fetched, XdrError> {
+            use std::time::{Duration, Instant};
+            self.reads.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            let cache = self.cache.get().and_then(|c| c.upgrade()).expect("cache");
+            let t0 = Instant::now();
+            while cache.stats().fetches < self.fetchers {
+                assert!(
+                    t0.elapsed() < Duration::from_secs(10),
+                    "a fetcher never came"
+                );
+                std::thread::yield_now();
+            }
+            crate::DirStore::new().fetch(path)
+        }
+    }
+
+    #[test]
+    fn concurrent_misses_of_one_path_read_the_backend_once() {
+        let dir = setup("single_flight");
+        let path = save(&dir, "a.bin", &Value::scalar(5.0));
+        let backend = Arc::new(HeldUntilAllArrive {
+            cache: Default::default(),
+            fetchers: 2,
+            reads: Default::default(),
+        });
+        let store = Arc::new(CachingStore::new(backend.clone(), 1 << 20));
+        backend.cache.set(Arc::downgrade(&store)).unwrap();
+        let start = std::sync::Barrier::new(2);
+        let cached: Vec<Option<bool>> = std::thread::scope(|s| {
+            let fetcher = || {
+                start.wait();
+                store.fetch(&path).unwrap().cached
+            };
+            let (a, b) = (s.spawn(fetcher), s.spawn(fetcher));
+            vec![a.join().unwrap(), b.join().unwrap()]
+        });
+        // The second fetcher waited for the first one's read.
+        assert_eq!(backend.reads.load(std::sync::atomic::Ordering::SeqCst), 1);
+        let s = store.stats();
+        assert_eq!((s.fetches, s.hits, s.misses), (2, 1, 1), "{s:?}");
+        assert!(cached.contains(&Some(true)) && cached.contains(&Some(false)));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -80,14 +80,6 @@ impl Transport for ChannelTransport {
         self.group.boxes[dest].push(frame)
     }
 
-    fn send_quiet(&self, dest: usize, frame: Frame) -> Result<(), TransportError> {
-        self.group.boxes[dest].push_quiet(frame)
-    }
-
-    fn wake(&self, dest: usize) {
-        self.group.boxes[dest].wake();
-    }
-
     fn match_deadline(
         &self,
         src: i32,

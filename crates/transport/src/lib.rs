@@ -16,8 +16,7 @@
 //!   fail, instead of anyone hanging;
 //! * **readiness-based timed waits**: a blocked receiver is woken by
 //!   message arrival, death, poison or deadline — never by polling — and
-//!   a hand-off costs one wake-up: [`Transport::send_quiet`] plus
-//!   [`Transport::wake`] let frames that belong together share it.
+//!   a hand-off costs one wake-up.
 //!
 //! Two backends ship today:
 //!
@@ -62,8 +61,7 @@ pub const ANY_TAG: i32 = -1;
 ///
 /// Implementations must provide ordered delivery per `(source,
 /// destination)` pair and wake blocked [`Transport::match_deadline`]
-/// callers on message arrival (a [`Transport::send_quiet`] arrival may
-/// wait for its [`Transport::wake`]), death, poison or deadline expiry.
+/// callers on message arrival, death, poison or deadline expiry.
 pub trait Transport: Send + Sync {
     /// This endpoint's rank.
     fn rank(&self) -> usize;
@@ -78,19 +76,6 @@ pub trait Transport: Send + Sync {
     /// [`TransportError::Dead`] if `dest` is known dead and
     /// [`TransportError::Disconnected`] if the group is torn down.
     fn send(&self, dest: usize, frame: Frame) -> Result<(), TransportError>;
-
-    /// [`Transport::send`] that may leave a parked `dest` asleep: the
-    /// caller owes one [`Transport::wake`] after the frames that belong
-    /// together, so the receiver is woken once with all of them queued.
-    /// A backend with no cheaper way to do this sends normally.
-    fn send_quiet(&self, dest: usize, frame: Frame) -> Result<(), TransportError> {
-        self.send(dest, frame)
-    }
-
-    /// Wake `dest` if it is parked in [`Transport::match_deadline`] —
-    /// the second half of [`Transport::send_quiet`]. Never fails and is
-    /// harmless when nothing was queued.
-    fn wake(&self, _dest: usize) {}
 
     /// Wait-loop core shared by probe and receive: block until a message
     /// matching `(src, tag)` (with [`ANY_SOURCE`] / [`ANY_TAG`]

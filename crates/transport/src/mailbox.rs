@@ -82,9 +82,9 @@ impl Mailbox {
         }
     }
 
-    /// Queue a frame for the owner, failing fast if the owner is dead or
-    /// the group is poisoned; the caller decides whether to wake.
-    fn enqueue(&self, frame: Frame) -> Result<MutexGuard<'_, MailboxState>, TransportError> {
+    /// Queue a frame for the owner and wake it if it is parked, failing
+    /// fast if the owner is dead or the group is poisoned.
+    pub(crate) fn push(&self, frame: Frame) -> Result<(), TransportError> {
         let mut st = self.state.lock();
         if self.is_dead() {
             return Err(TransportError::Dead(self.owner));
@@ -93,24 +93,8 @@ impl Mailbox {
             return Err(TransportError::Disconnected);
         }
         st.queue.push_back(frame);
-        Ok(st)
-    }
-
-    /// Queue a frame and wake the owner if it is parked.
-    pub(crate) fn push(&self, frame: Frame) -> Result<(), TransportError> {
-        self.unlock_and_wake(self.enqueue(frame)?);
+        self.unlock_and_wake(st);
         Ok(())
-    }
-
-    /// Queue a frame without waking the owner: the caller owes one
-    /// [`Mailbox::wake`] after the frames that belong together.
-    pub(crate) fn push_quiet(&self, frame: Frame) -> Result<(), TransportError> {
-        self.enqueue(frame).map(drop)
-    }
-
-    /// Wake the owner if it is parked (settles any quiet pushes).
-    pub(crate) fn wake(&self) {
-        self.unlock_and_wake(self.state.lock());
     }
 
     /// Mark the owner dead: pending messages are discarded and every
@@ -254,7 +238,6 @@ mod tests {
         for i in 0..10 {
             mb.push(frame(1, i)).unwrap();
         }
-        mb.wake();
         assert_eq!(notifies(&mb), 0);
         // Nothing was lost for want of a notification.
         assert_eq!((0..10).map(|_| recv(&mb, 1)).collect::<Vec<_>>(), (0..10).collect::<Vec<_>>());
@@ -282,62 +265,14 @@ mod tests {
     }
 
     #[test]
-    fn quiet_pair_wakes_a_parked_receiver_exactly_once() {
-        let mb = Mailbox::new(0);
-        thread::scope(|s| {
-            let receiver = s.spawn(|| (recv(&mb, 3), recv(&mb, 3)));
-            until_parked(&mb);
-            mb.push_quiet(frame(3, 10)).unwrap(); // the name
-            mb.push_quiet(frame(3, 20)).unwrap(); // the payload
-            assert_eq!(notifies(&mb), 0, "a quiet push must not notify");
-            mb.wake();
-            assert_eq!(receiver.join().unwrap(), (10, 20));
-        });
-        assert_eq!(notifies(&mb), 1);
-    }
-
-    #[test]
-    fn wake_after_only_the_first_quiet_push_still_delivers_it() {
-        // The pair guard's error path: the name went out quietly, the
-        // payload never did, and the guard's drop issues the wake anyway.
-        let mb = Mailbox::new(0);
-        thread::scope(|s| {
-            let receiver = s.spawn(|| recv(&mb, 3));
-            until_parked(&mb);
-            mb.push_quiet(frame(3, 10)).unwrap();
-            mb.wake();
-            assert_eq!(receiver.join().unwrap(), 10);
-        });
-        assert_eq!(notifies(&mb), 1);
-    }
-
-    #[test]
-    fn unwoken_quiet_push_is_found_at_the_deadline() {
-        let mb = Mailbox::new(0);
-        let deadline = Instant::now() + Duration::from_millis(100);
-        thread::scope(|s| {
-            let receiver = s.spawn(|| {
-                let f = mb.match_deadline(0, 3, Some(deadline), true).expect("recv");
-                (f.map(|f| f.payload.as_slice()[0]), Instant::now())
-            });
-            until_parked(&mb);
-            mb.push_quiet(frame(3, 7)).unwrap();
-            let (got, at) = receiver.join().unwrap();
-            assert_eq!(got, Some(7), "the scan at the deadline must see the frame");
-            assert!(at >= deadline, "nobody woke it, so it slept to the deadline");
-        });
-        assert_eq!(notifies(&mb), 0);
-    }
-
-    #[test]
     fn kill_and_poison_notify_only_a_parked_owner() {
         for kill in [true, false] {
             let mb = Mailbox::new(0);
             let end = |mb: &Mailbox| if kill { mb.kill() } else { mb.poison() };
+            mb.push(frame(3, 1)).unwrap(); // queued, never matching
             thread::scope(|s| {
                 let receiver = s.spawn(|| mb.match_deadline(0, 9, None, true));
                 until_parked(&mb);
-                mb.push_quiet(frame(3, 1)).unwrap(); // queued, not matching
                 end(&mb);
                 let woke = receiver.join().unwrap();
                 match (kill, woke) {

@@ -77,13 +77,14 @@ if [ -n "$external" ]; then
     exit 1
 fi
 
-echo "==> scheduler gate: no ANY_SOURCE receives in crates/farm outside the sched driver"
+echo "==> scheduler gate: no ANY_SOURCE receives in crates/farm or crates/serve outside the sched driver"
 # Every master decision flows through the sched state machine: the farm
-# crate receives from ANY_SOURCE only in driver.rs, at the one `drive`
-# gather point and `recv_any` — so the token itself, however the receive
-# around it is spelled, appears nowhere else. Comment lines are ignored.
+# and serve crates receive from ANY_SOURCE only in farm's driver.rs, at
+# the one `drive` gather point and `recv_any` — so the token itself,
+# however the receive around it is spelled, appears nowhere else.
+# Comment lines are ignored.
 anysrc=$(grep -rnE '\bANY_SOURCE\b' \
-    --include='*.rs' crates/farm 2>/dev/null \
+    --include='*.rs' crates/farm crates/serve 2>/dev/null \
     | grep -v -E '^[^:]*:[0-9]+:\s*(//|//!|///)' \
     | grep -v -E '^crates/farm/src/driver\.rs:')
 if [ -n "$anysrc" ]; then

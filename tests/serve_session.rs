@@ -359,6 +359,47 @@ fn slave_killed_mid_request_still_answers_every_ticket_once() {
 }
 
 #[test]
+fn the_last_slave_dying_mid_request_keeps_the_prices_already_accepted() {
+    // Two iterative problems, so two frames, on one slave. Its cycle is
+    // 2 ops per frame: op 3 is the answer send of the second frame, so
+    // the first frame is priced and accepted before the world runs out
+    // of slaves.
+    let mc = |seed| {
+        let mut p = representative_problem(JobClass::LocalVolMc, PortfolioScale::Quick).problem;
+        p.method = MethodSpec::MonteCarlo {
+            paths: 2_000,
+            time_steps: 10,
+            antithetic: true,
+            seed,
+        };
+        p
+    };
+    let problems = vec![mc(1), mc(2)];
+    let first = problems[0].compute().unwrap().price.to_bits();
+    let plan = Arc::new(FaultPlan::new(3).kill_rank_at_op(1, 3));
+    let session = Session::start(
+        quick_config(1)
+            .fault_plan(plan)
+            .job_deadline(Duration::from_secs(30)),
+    )
+    .unwrap();
+    let response = session
+        .submit(Request::new(problems))
+        .unwrap()
+        .wait()
+        .unwrap();
+    assert_eq!(
+        response.results[0].as_ref().map(|p| p.price.to_bits()),
+        Ok(first),
+        "an accepted price survives the collapse"
+    );
+    assert_eq!(response.results[1], Err("all slaves dead".to_string()));
+    let report = session.shutdown().unwrap();
+    assert_eq!((report.computed, report.failed), (1, 1));
+    assert_eq!(report.dead_slaves, [1]);
+}
+
+#[test]
 fn fault_truncated_job_frame_is_discarded_and_the_slave_keeps_serving() {
     let problems = toy_problems(8);
     let expected: Vec<u64> = problems

@@ -12,9 +12,9 @@
 //! The contract under test: ordered pairwise delivery, readiness-based
 //! timed receives (deadline expiry without a hot loop, prompt wake-up
 //! on arrival), identical truncation and kill fault surfaces,
-//! large-frame (> 64 KiB) roundtrips, and the wake-up discipline of
-//! `send_quiet` / `wake` (docs/TRANSPORT.md): a quiet send is an
-//! ordinary, ordered delivery whose wake-up may be deferred — never lost.
+//! large-frame (> 64 KiB) roundtrips, and the wake-up discipline
+//! (docs/TRANSPORT.md): a notification is skipped only when nobody is
+//! parked, so a wake-up is never lost.
 
 use std::sync::Arc;
 use std::thread;
@@ -75,11 +75,6 @@ fn watchdog<T: Send + 'static>(
         thread::sleep(Duration::from_millis(2));
     }
     worker.join().expect(what)
-}
-
-fn recv_by(t: &Arc<dyn Transport>, src: i32, tag: i32, limit: Duration) -> Option<Frame> {
-    t.match_deadline(src, tag, Some(Instant::now() + limit), true)
-        .expect("timed receive")
 }
 
 #[test]
@@ -287,103 +282,12 @@ fn shared_payload_fanout_copies_only_off_process() {
 }
 
 #[test]
-fn quiet_sends_keep_pair_order_with_ordinary_sends() {
-    for (name, t) in backends(2, "quiet_order") {
-        // Quiet and ordinary sends interleaved on one pair, settled by a
-        // single wake: one ordered stream, whatever the mix.
-        for i in 0..100u8 {
-            let f = owned(1, 3, vec![i]);
-            if i % 3 == 0 {
-                t[1].send(0, f).expect("send");
-            } else {
-                t[1].send_quiet(0, f).expect("quiet send");
-            }
-        }
-        t[1].wake(0);
-        for i in 0..100u8 {
-            let f = recv_by(&t[0], 1, 3, Duration::from_secs(5));
-            let f = f.unwrap_or_else(|| panic!("{name}: frame {i} never arrived"));
-            assert_eq!(f.payload.as_slice(), &[i], "{name}: out of order at {i}");
-        }
-    }
-}
-
-#[test]
-fn a_lone_quiet_send_is_delivered_without_its_wake() {
-    for (name, t) in backends(2, "quiet_lone") {
-        // Seen by a non-blocking probe (the socket backend delivers
-        // asynchronously, hence the wait) ...
-        t[1].send_quiet(0, owned(1, 4, vec![1])).expect("quiet send");
-        let probe = Arc::clone(&t[0]);
-        wait_until(
-            move || probe.try_match(1, 4).expect("probe").is_some(),
-            "quietly sent frame to become visible",
-        );
-        // ... and by a blocking receive that starts afterwards: it scans
-        // before it parks, so it needs no wake-up.
-        let rx = Arc::clone(&t[0]);
-        let f = watchdog(Duration::from_secs(10), name, move || {
-            rx.match_deadline(1, 4, None, true).expect("recv")
-        });
-        assert_eq!(f.expect("no deadline set").payload.as_slice(), &[1], "{name}");
-
-        // A receiver already parked with a deadline gets the frame by
-        // that deadline at the latest — the expiry path rescans — even
-        // though the sender never calls `wake`.
-        let rx = Arc::clone(&t[0]);
-        let limit = Duration::from_millis(300);
-        let parked = thread::spawn(move || {
-            let t0 = Instant::now();
-            (recv_by(&rx, 1, 5, limit), t0.elapsed())
-        });
-        thread::sleep(Duration::from_millis(30));
-        t[1].send_quiet(0, owned(1, 5, vec![2])).expect("quiet send");
-        let (f, waited) = parked.join().expect("parked receiver");
-        let f = f.unwrap_or_else(|| panic!("{name}: deadline expired past a queued frame"));
-        assert_eq!(f.payload.as_slice(), &[2], "{name}");
-        assert!(
-            waited < limit + Duration::from_secs(2),
-            "{name}: returned {waited:?} after a {limit:?} deadline"
-        );
-    }
-}
-
-#[test]
-fn kill_and_poison_wake_a_receiver_parked_behind_a_quiet_send() {
-    for poison in [false, true] {
-        for (name, t) in backends(2, if poison { "quiet_poison" } else { "quiet_kill" }) {
-            // Rank 0 parks (no deadline) on a tag nobody sends; a frame
-            // is queued quietly behind its back; then the group goes
-            // down. The teardown must wake it: there is no deadline to
-            // fall back on.
-            let rx = Arc::clone(&t[0]);
-            let parked = thread::spawn(move || rx.match_deadline(1, 9, None, true));
-            thread::sleep(Duration::from_millis(30));
-            t[1].send_quiet(0, owned(1, 3, vec![7])).expect("quiet send");
-            if poison {
-                t[1].poison();
-            } else {
-                t[1].kill(0);
-            }
-            let woke = watchdog(Duration::from_secs(10), name, move || {
-                parked.join().expect("parked receiver")
-            });
-            match (poison, woke) {
-                (false, Err(TransportError::Dead(0))) => {}
-                (true, Err(TransportError::Disconnected)) => {}
-                (_, other) => panic!("{name}: poison={poison}: woke with {other:?}"),
-            }
-        }
-    }
-}
-
-#[test]
 fn many_producers_one_wildcard_consumer_never_hangs() {
-    // Lost-wake-up stress on the channel backend: three producers mix
-    // ordinary sends with quiet-send + wake pairs into one mailbox whose
-    // owner alternates between parked and busy. 100 000 messages, every
-    // one received, per-source order kept; a lost wake-up hangs the
-    // consumer and trips the watchdog.
+    // Lost-wake-up stress on the channel backend: three producers send
+    // into one mailbox whose owner alternates between parked and busy,
+    // so every push races the `waiters > 0` check that decides whether
+    // to notify. 100 000 messages, every one received, per-source order
+    // kept; a lost wake-up hangs the consumer and trips the watchdog.
     const PER_PRODUCER: [u32; 3] = [33_334, 33_333, 33_333];
     let group = ChannelGroup::new(4);
     let producers: Vec<_> = (1..4usize)
@@ -391,13 +295,8 @@ fn many_producers_one_wildcard_consumer_never_hangs() {
             let ep = group.endpoint(r);
             thread::spawn(move || {
                 for i in 0..PER_PRODUCER[r - 1] {
-                    let f = owned(r, 7, i.to_be_bytes().to_vec());
-                    if i % 2 == 0 {
-                        ep.send(0, f).expect("send");
-                    } else {
-                        ep.send_quiet(0, f).expect("quiet send");
-                        ep.wake(0);
-                    }
+                    ep.send(0, owned(r, 7, i.to_be_bytes().to_vec()))
+                        .expect("send");
                 }
             })
         })
