@@ -846,7 +846,10 @@ mod tests {
         let mut hit_any = false;
         for pass in 0..2 {
             // Size the recorder slaves + 2 so the prefetch virtual rank
-            // is captured too.
+            // is captured too. Whether the prefetch thread runs before an
+            // 8-job run ends is up to the OS scheduler, so its `Prefetch`
+            // span is tested where the thread can be waited for
+            // (`store`'s `recorder_sees_prefetch_spans_on_the_virtual_rank`).
             let rec = Arc::new(Recorder::new(4));
             let cfg = FarmConfig::new(2, Transmission::SerializedLoad)
                 .store(cache.clone())
@@ -856,10 +859,6 @@ mod tests {
             let kinds: std::collections::BTreeSet<EventKind> =
                 rec.events().iter().map(|e| e.kind).collect();
             assert!(
-                kinds.contains(&EventKind::Prefetch),
-                "pass {pass}: {kinds:?}"
-            );
-            assert!(
                 kinds.contains(&EventKind::CacheHit) || kinds.contains(&EventKind::CacheMiss),
                 "pass {pass}: {kinds:?}"
             );
@@ -868,6 +867,33 @@ mod tests {
         }
         // The second pass runs against a warm cache: hits must appear.
         assert!(hit_any);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_frame_read_in_place_records_each_member() {
+        use obs::EventKind;
+        let (paths, dir) = setup(12, "in_place_events");
+        let cache = Arc::new(store::CachingStore::over_dir(1 << 20));
+        for (pass, kind) in [(0, EventKind::CacheMiss), (1, EventKind::CacheHit)] {
+            let rec = Arc::new(Recorder::new(3));
+            let cfg = FarmConfig::new(2, Transmission::SerializedLoad)
+                .store(cache.clone())
+                .recorder(rec.clone());
+            assert_eq!(run(&paths, &cfg).unwrap().completed(), 12);
+            let events = rec.events();
+            let on_master = |k: EventKind| {
+                let jobs = events.iter().filter(|e| e.kind == k && e.rank == 0);
+                jobs.map(|e| e.job)
+                    .collect::<std::collections::BTreeSet<_>>()
+            };
+            let every_job: std::collections::BTreeSet<i64> = (0..12).collect();
+            for k in [EventKind::Sload, kind, EventKind::Pack] {
+                assert_eq!(on_master(k), every_job, "pass {pass}: {k:?}");
+            }
+            let count = |k| events.iter().filter(|e| e.kind == k).count();
+            assert_eq!(count(EventKind::Sload), 12, "pass {pass}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

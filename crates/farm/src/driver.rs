@@ -29,7 +29,7 @@ use crate::config::RunCtx;
 use crate::instrument;
 use crate::robin_hood::{FarmError, FarmReport, JobOutcome};
 use crate::slave::Link;
-use crate::strategy::{prepare_serial_recorded, Transmission};
+use crate::strategy::{prepare_serial_recorded, sload_member, Transmission};
 use crate::supervisor::SupervisorConfig;
 use crate::wire::{self, Answer, Body, JobFrame};
 use minimpi::{Comm, MpiError, Status, ANY_SOURCE};
@@ -101,10 +101,12 @@ impl Farm<'_> {
     /// as one job frame, written into `scratch` (recycled across the
     /// run): the one sender behind every master (flat, supervised,
     /// hierarchy sub-master, shard lease round), whatever its wire ids
-    /// mean. Each problem's bytes go from where the store fetched them
-    /// straight into the message ([`EventKind::Pack`]); a member whose
-    /// bytes cannot be prepared fails the dispatch before anything is on
-    /// the wire.
+    /// mean. A serialized load on an uncompressed wire reads each file
+    /// straight into the message through one [`store::FrameReader`] for
+    /// the frame; otherwise each problem's bytes go from where the store
+    /// fetched them into the message ([`EventKind::Pack`]). A member
+    /// whose bytes cannot be prepared fails the dispatch before anything
+    /// is on the wire.
     pub(crate) fn send_frame<'p>(
         &self,
         slave: usize,
@@ -113,9 +115,17 @@ impl Farm<'_> {
     ) -> Result<(), FarmError> {
         let (comm, mut head) = (self.comm, None);
         let mut frame = JobFrame::new(std::mem::take(scratch));
+        let in_place = self.strategy == Transmission::SerializedLoad
+            && self.ctx.wire.compress_threshold.is_none();
+        let mut reader = in_place.then(|| self.ctx.store.reader());
         for (idx, path) in members {
             head.get_or_insert(idx);
             comm.set_job(Some(idx));
+            if let Some(reader) = reader.as_deref_mut() {
+                sload_member(comm, reader, &mut frame, idx, path)
+                    .map_err(|e| FarmError::job_failed(idx, e))?;
+                continue;
+            }
             let serial = prepare_serial_recorded(comm, self.ctx, self.strategy, path)
                 .map_err(|e| FarmError::job_failed(idx, e))?;
             match &serial {

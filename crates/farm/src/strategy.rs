@@ -4,14 +4,16 @@
 //! Since the store subsystem landed, every byte of problem data flows
 //! through a [`store::ProblemStore`]: the master's full-load and
 //! serialized-load prepares *and* the NFS slave-side read all call
-//! [`ProblemStore::fetch`] instead of touching the filesystem directly.
+//! [`ProblemStore::fetch`] — or, for a serialized load on a raw wire,
+//! the store's per-frame [`store::FrameReader`] (`sload_member`) —
+//! instead of touching the filesystem directly.
 //! That makes the §4 storage effects first-class: put a
 //! [`store::CachingStore`] in the [`crate::FarmConfig`] and warm reads
 //! skip disk; turn on the [`WirePolicy`] and loaded payloads travel
 //! compressed.
 
 use crate::instrument;
-use crate::wire::Body;
+use crate::wire::{Body, JobFrame};
 use minimpi::Comm;
 use nspval::{Serial, Value};
 use obs::EventKind;
@@ -19,7 +21,7 @@ use pricing::PremiaProblem;
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
-use store::{Fetched, ProblemStore};
+use store::{Disposition, Fetched, FrameReader, ProblemStore};
 
 /// The three ways of shipping a problem, labelled exactly as in the
 /// tables.
@@ -161,32 +163,18 @@ pub fn prepare_payload(
         .map(|(_, serial)| Value::Serial(Arc::unwrap_or_clone(compress_for_wire(serial, wire).0))))
 }
 
-/// Emit the store-cache marks for one fetch (hit/miss disposition and
-/// any eviction it forced). No-op for cache-less stores (`cached ==
-/// None`) and without a recorder.
-fn mark_cache(comm: &Comm, fetched: &Fetched) {
-    match fetched.cached {
-        Some(true) => instrument::mark(
-            comm,
-            EventKind::CacheHit,
-            comm.current_job(),
-            fetched.serial.len() as u64,
-        ),
-        Some(false) => instrument::mark(
-            comm,
-            EventKind::CacheMiss,
-            comm.current_job(),
-            fetched.serial.len() as u64,
-        ),
+/// Emit the store-cache marks for one fetch of `bytes` bytes (hit/miss
+/// disposition and any eviction it forced). No-op for cache-less stores
+/// (`cached == None`) and without a recorder.
+fn mark_cache(comm: &Comm, how: Disposition, bytes: u64) {
+    let job = comm.current_job();
+    match how.cached {
+        Some(true) => instrument::mark(comm, EventKind::CacheHit, job, bytes),
+        Some(false) => instrument::mark(comm, EventKind::CacheMiss, job, bytes),
         None => {}
     }
-    if fetched.evicted_bytes > 0 {
-        instrument::mark(
-            comm,
-            EventKind::Evict,
-            comm.current_job(),
-            fetched.evicted_bytes,
-        );
+    if how.evicted_bytes > 0 {
+        instrument::mark(comm, EventKind::Evict, job, how.evicted_bytes);
     }
 }
 
@@ -226,7 +214,7 @@ pub(crate) fn prepare_serial_recorded(
         t0,
         serial.len() as u64,
     );
-    mark_cache(comm, &fetched);
+    mark_cache(comm, fetched.disposition(), serial.len() as u64);
 
     let tc = rec.now_ns();
     let (serial, saved) = compress_for_wire(serial, &ctx.wire);
@@ -240,6 +228,28 @@ pub(crate) fn prepare_serial_recorded(
         );
     }
     Ok(Some(serial))
+}
+
+/// Serialized load of the problem at `path` as member `id` of `frame`:
+/// `reader` appends the file's bytes at their final offset, so the read
+/// is the copy. Timed as [`EventKind::Sload`] with the store's
+/// disposition marked, as [`prepare_serial_recorded`] does; the
+/// [`EventKind::Pack`] that follows is free, the bytes being in place
+/// already. Only for an uncompressed wire.
+pub(crate) fn sload_member(
+    comm: &Comm,
+    reader: &mut dyn FrameReader,
+    frame: &mut JobFrame,
+    id: usize,
+    path: &Path,
+) -> Result<(), xdrser::XdrError> {
+    let t0 = instrument::t0(comm);
+    let (how, len) = frame.push_filled(id, |out| reader.fetch_into(path, out))?;
+    let bytes = len as u64;
+    instrument::span(comm, EventKind::Sload, t0, bytes);
+    mark_cache(comm, how, bytes);
+    instrument::mark(comm, EventKind::Pack, comm.current_job(), bytes);
+    Ok(())
 }
 
 /// Slave-side decode of a serialized problem, straight from its bytes —
@@ -286,7 +296,7 @@ fn recover(
             if let Some(comm) = comm {
                 let bytes = fetched.serial.len() as u64;
                 instrument::span(comm, EventKind::NfsRead, t0, bytes);
-                mark_cache(comm, &fetched);
+                mark_cache(comm, fetched.disposition(), bytes);
             }
             &fetched.serial
         }

@@ -63,7 +63,9 @@ pub enum Body<'a> {
 
 /// A job frame being written, `[id₀, body₀, id₁, body₁, …]`, member by
 /// member and straight into the bytes that travel: a problem's bytes
-/// are copied once, from where they were fetched into the message.
+/// are copied once, from where they were fetched into the message, or
+/// read from its file into the message in the first place
+/// ([`JobFrame::push_filled`]).
 #[derive(Debug)]
 pub struct JobFrame(ListEncoder);
 
@@ -80,6 +82,20 @@ impl JobFrame {
             Body::Serial { compressed, bytes } => self.0.serial(compressed, bytes),
             Body::Name(name) => self.0.string(name),
         }
+    }
+
+    /// Append one member whose uncompressed serial `fill` appends to the
+    /// buffer it is handed, straight into the frame
+    /// ([`ListEncoder::serial_filled`]). Returns what `fill` returned
+    /// and the serial's length. When `fill` fails, the frame holds the
+    /// member's id without a body and is to be dropped.
+    pub fn push_filled<T, E>(
+        &mut self,
+        id: usize,
+        fill: impl FnOnce(&mut Vec<u8>) -> Result<T, E>,
+    ) -> Result<(T, usize), E> {
+        self.0.scalar(id as f64);
+        self.0.serial_filled(fill)
     }
 
     /// The frame's bytes.
@@ -493,6 +509,23 @@ mod tests {
         let mut frame = JobFrame::new(Vec::new());
         members.iter().for_each(|&(id, body)| frame.push(id, body));
         frame.finish()
+    }
+
+    #[test]
+    fn a_member_filled_in_place_is_the_member_pushed() {
+        let (problem, name) = (&[9u8, 8, 7, 6, 5][..], Body::Name("pb-00003.bin"));
+        let serial = Body::Serial {
+            compressed: false,
+            bytes: problem,
+        };
+        let mut filled = JobFrame::new(Vec::new());
+        filled.push(2, name);
+        let fill = |out: &mut Vec<u8>| {
+            out.extend_from_slice(problem);
+            Ok::<_, ()>("read")
+        };
+        assert_eq!(filled.push_filled(3, fill), Ok(("read", problem.len())));
+        assert_eq!(filled.finish(), frame_of(&[(2, name), (3, serial)]));
     }
 
     /// The reference reader: materialise the message, then read the

@@ -27,6 +27,7 @@
 //! See `docs/OBSERVABILITY.md` for the full schema and lifecycle.
 #![warn(missing_docs)]
 #![forbid(unsafe_op_in_unsafe_fn)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 mod aggregate;
 mod event;

@@ -1,5 +1,6 @@
 //! The [`ProblemStore`] trait and the directory-backed base store.
 
+use crate::dir::ParentDir;
 use nspval::Serial;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,6 +30,48 @@ impl Fetched {
             cached: None,
             evicted_bytes: 0,
         }
+    }
+
+    /// How this fetch was served.
+    pub fn disposition(&self) -> Disposition {
+        Disposition {
+            cached: self.cached,
+            evicted_bytes: self.evicted_bytes,
+        }
+    }
+}
+
+/// How a fetch was served: [`Fetched`] without the bytes, which
+/// [`ProblemStore::fetch_into`] hands back in the caller's buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Disposition {
+    /// As [`Fetched::cached`].
+    pub cached: Option<bool>,
+    /// As [`Fetched::evicted_bytes`].
+    pub evicted_bytes: u64,
+}
+
+impl Disposition {
+    /// A backend read with no cache layer.
+    pub const UNCACHED: Disposition = Disposition {
+        cached: None,
+        evicted_bytes: 0,
+    };
+}
+
+/// Reads the problems of one frame build straight into the frame. It
+/// is taken from the store ([`ProblemStore::reader`]) per frame and
+/// dropped with it, so whatever it holds open — a [`DirStore`] reader's
+/// directory handle — never outlives one frame.
+pub trait FrameReader {
+    /// As [`ProblemStore::fetch_into`].
+    fn fetch_into(&mut self, path: &Path, out: &mut Vec<u8>) -> Result<Disposition, XdrError>;
+}
+
+/// Any store reads a frame one [`ProblemStore::fetch_into`] at a time.
+impl<S: ProblemStore + ?Sized> FrameReader for &S {
+    fn fetch_into(&mut self, path: &Path, out: &mut Vec<u8>) -> Result<Disposition, XdrError> {
+        (**self).fetch_into(path, out)
     }
 }
 
@@ -76,6 +119,23 @@ pub trait ProblemStore: Send + Sync + std::fmt::Debug {
     /// Fetch the serialized image of the problem at `path`.
     fn fetch(&self, path: &Path) -> Result<Fetched, XdrError>;
 
+    /// Append the bytes [`fetch`](ProblemStore::fetch) would hand back
+    /// to `out` — a frame being built — and say how they were served.
+    /// On an error `out` is left as it was. The default fetches and
+    /// copies, which serves a cache hit with one copy from the cached
+    /// buffer.
+    fn fetch_into(&self, path: &Path, out: &mut Vec<u8>) -> Result<Disposition, XdrError> {
+        let fetched = self.fetch(path)?;
+        out.extend_from_slice(fetched.serial.bytes());
+        Ok(fetched.disposition())
+    }
+
+    /// A reader for one frame build. The default reads through
+    /// [`fetch_into`](ProblemStore::fetch_into).
+    fn reader(&self) -> Box<dyn FrameReader + '_> {
+        Box::new(self)
+    }
+
     /// Drop any cached state for `path` (no-op for cache-less stores).
     /// The next [`fetch`](ProblemStore::fetch) re-reads the backend.
     fn invalidate(&self, _path: &Path) {}
@@ -92,6 +152,12 @@ impl<S: ProblemStore + ?Sized> ProblemStore for Arc<S> {
     fn fetch(&self, path: &Path) -> Result<Fetched, XdrError> {
         (**self).fetch(path)
     }
+    fn fetch_into(&self, path: &Path, out: &mut Vec<u8>) -> Result<Disposition, XdrError> {
+        (**self).fetch_into(path, out)
+    }
+    fn reader(&self) -> Box<dyn FrameReader + '_> {
+        (**self).reader()
+    }
     fn invalidate(&self, path: &Path) {
         (**self).invalidate(path)
     }
@@ -102,7 +168,9 @@ impl<S: ProblemStore + ?Sized> ProblemStore for Arc<S> {
 
 /// The base backend: problems live as XDR files in a shared directory
 /// (the paper's NFS export). Every fetch is a real disk read through
-/// [`xdrser::sload`] — header-validated, unmaterialised.
+/// [`xdrser::sload`] — header-validated, unmaterialised — and a frame's
+/// reads open each file relative to its directory (`docs/STORE.md`,
+/// "Read path"). The store itself holds nothing open.
 #[derive(Debug, Default)]
 pub struct DirStore {
     fetches: AtomicU64,
@@ -121,12 +189,35 @@ impl ProblemStore for DirStore {
         Ok(Fetched::uncached(xdrser::sload(path)?))
     }
 
+    fn reader(&self) -> Box<dyn FrameReader + '_> {
+        Box::new(DirReader {
+            store: self,
+            dir: ParentDir::default(),
+        })
+    }
+
     fn stats(&self) -> StoreStats {
         StoreStats {
             fetches: self.fetches.load(Ordering::Relaxed),
             misses: self.fetches.load(Ordering::Relaxed),
             ..StoreStats::default()
         }
+    }
+}
+
+/// A [`DirStore`]'s reader: each file of the frame opens relative to a
+/// handle on its directory, which closes with the reader.
+#[derive(Debug)]
+struct DirReader<'s> {
+    store: &'s DirStore,
+    dir: ParentDir,
+}
+
+impl FrameReader for DirReader<'_> {
+    fn fetch_into(&mut self, path: &Path, out: &mut Vec<u8>) -> Result<Disposition, XdrError> {
+        self.store.fetches.fetch_add(1, Ordering::Relaxed);
+        xdrser::sload_into(self.dir.open(path)?, out)?;
+        Ok(Disposition::UNCACHED)
     }
 }
 

@@ -12,7 +12,9 @@
 //!   direct `std::fs` reads on its job paths.
 //! * [`DirStore`] — the base backend: a shared directory (the paper's
 //!   NFS export) read via [`xdrser::sload`], returning the raw on-disk
-//!   XDR image as an unmaterialised [`nspval::Serial`].
+//!   XDR image as an unmaterialised [`nspval::Serial`]; or, through
+//!   [`ProblemStore::fetch_into`] and a per-frame [`FrameReader`],
+//!   appending it straight into the frame being built.
 //! * [`CachingStore`] — a byte-budgeted LRU decorator holding `Serial`
 //!   buffers, content-addressed by path + file fingerprint (length +
 //!   mtime), with explicit invalidation and full hit/miss/eviction
@@ -28,13 +30,15 @@
 //! See `docs/STORE.md` and `docs/SERVICE.md` for the design discussion.
 
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 mod backend;
 mod cache;
+mod dir;
 mod memo;
 mod prefetch;
 
-pub use backend::{DirStore, Fetched, ProblemStore, StoreStats};
+pub use backend::{DirStore, Disposition, Fetched, FrameReader, ProblemStore, StoreStats};
 pub use cache::CachingStore;
 pub use memo::{ContentFingerprint, MemoHasher, MemoKey, MemoMap, MemoStats, ResultCache};
 pub use prefetch::Prefetcher;

@@ -77,6 +77,13 @@ impl XdrWriter {
         self.buf[at..at + 4].copy_from_slice(&v.to_be_bytes());
     }
 
+    /// The bytes written so far, for a payload to be appended in place
+    /// (read straight into the message). The caller restores XDR
+    /// alignment.
+    pub(crate) fn buf_mut(&mut self) -> &mut Vec<u8> {
+        &mut self.buf
+    }
+
     /// Append an XDR boolean (4-byte 0/1).
     pub fn put_bool(&mut self, v: bool) {
         // XDR booleans are 4-byte integers 0/1.
@@ -88,7 +95,12 @@ impl XdrWriter {
     pub fn put_opaque(&mut self, bytes: &[u8]) {
         self.put_u32(bytes.len() as u32);
         self.buf.extend_from_slice(bytes);
-        let pad = (4 - bytes.len() % 4) % 4;
+        self.pad(bytes.len());
+    }
+
+    /// Zero padding after an opaque of `len` bytes, to a 4-byte boundary.
+    pub(crate) fn pad(&mut self, len: usize) {
+        let pad = (4 - len % 4) % 4;
         self.buf.extend(std::iter::repeat_n(0u8, pad));
     }
 

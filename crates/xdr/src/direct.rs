@@ -150,6 +150,37 @@ impl ListEncoder {
         put_serial(&mut self.w, compressed, bytes);
     }
 
+    /// Append an uncompressed serial object whose bytes `fill` appends to
+    /// the buffer it is handed: they are written once, at their final
+    /// offset, and the length word is written after them, as a count is.
+    /// Returns what `fill` returned and the serial's length. When `fill`
+    /// fails, the list is left as it was.
+    pub fn serial_filled<T, E>(
+        &mut self,
+        fill: impl FnOnce(&mut Vec<u8>) -> Result<T, E>,
+    ) -> Result<(T, usize), E> {
+        let head = self.w.len();
+        self.w.put_u32(TAG_SERIAL);
+        self.w.put_bool(false);
+        self.w.put_u32(0);
+        let body = self.w.len();
+        let buf = self.w.buf_mut();
+        let filled = fill(buf);
+        let len = (buf.len().checked_sub(body)).expect("fill only appends");
+        match filled {
+            Ok(done) => {
+                self.w.pad(len);
+                self.w.set_u32(body - 4, len as u32);
+                self.items += 1;
+                Ok((done, len))
+            }
+            Err(e) => {
+                self.w.buf_mut().truncate(head);
+                Err(e)
+            }
+        }
+    }
+
     /// The serialized list.
     pub fn finish(mut self) -> Vec<u8> {
         self.w.set_u32(self.count_at, self.items);
@@ -377,6 +408,36 @@ mod tests {
         assert_eq!(
             ListEncoder::new(Vec::new()).finish(),
             serialize_to_bytes(&Value::list(vec![]))
+        );
+    }
+
+    #[test]
+    fn a_serial_filled_in_place_is_the_serial_copied_in() {
+        for n in 0..9u8 {
+            let bytes: Vec<u8> = (1..=n).collect();
+            let mut copied = ListEncoder::new(Vec::new());
+            copied.scalar(1.0);
+            copied.serial(false, &bytes);
+            let mut filled = ListEncoder::new(Vec::new());
+            filled.scalar(1.0);
+            let fill = |out: &mut Vec<u8>| {
+                out.extend_from_slice(&bytes);
+                Ok::<_, ()>(())
+            };
+            assert_eq!(filled.serial_filled(fill), Ok(((), n as usize)));
+            assert_eq!(filled.finish(), copied.finish(), "{n} bytes");
+        }
+        // A fill that fails leaves the list as it was, whatever it wrote.
+        let mut e = ListEncoder::new(Vec::new());
+        e.string("kept");
+        let fail = |out: &mut Vec<u8>| {
+            out.extend_from_slice(&[1, 2, 3]);
+            Err::<(), _>("no such file")
+        };
+        assert_eq!(e.serial_filled(fail), Err("no such file"));
+        assert_eq!(
+            e.finish(),
+            serialize_to_bytes(&Value::list(vec![Value::string("kept")]))
         );
     }
 

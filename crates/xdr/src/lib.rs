@@ -15,7 +15,8 @@
 //!   redirects the binary savings of objects to a string buffer");
 //! * [`sload`] — load a file **directly into a `Serial` object** without
 //!   materialising the value (Fig. 2); this is the "serialized load"
-//!   transmission strategy of Tables II/III;
+//!   transmission strategy of Tables II/III; [`sload_into`] appends the
+//!   same bytes from an open file to a caller's buffer;
 //! * [`FieldSink`] / [`Encoder`] / [`Walker`] — the same bytes written and
 //!   read without the value tree in between, for ranks that know what
 //!   they hold;
@@ -24,6 +25,7 @@
 //!   and implemented here as an ablation).
 
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 pub mod codec;
 pub mod compress;
 mod direct;
@@ -35,6 +37,6 @@ pub use compress::{compress_serial, decompress_serial};
 pub use direct::{Encoder, FieldSink, ListEncoder, Node, Walker};
 pub use error::XdrError;
 pub use ser::{
-    load, save, serialize, serialize_into, serialize_to_bytes, sload, unserialize,
+    load, save, serialize, serialize_into, serialize_to_bytes, sload, sload_into, unserialize,
     unserialize_bytes,
 };

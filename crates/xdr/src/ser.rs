@@ -11,7 +11,8 @@
 use crate::codec::{XdrReader, XdrWriter};
 use crate::error::XdrError;
 use nspval::{BoolMatrix, Hash, List, Matrix, Serial, StrMatrix, Value};
-use std::fs;
+use std::fs::{self, File};
+use std::io::{ErrorKind, Read};
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"NSPS";
@@ -260,7 +261,8 @@ pub fn save<P: AsRef<Path>>(path: P, v: &Value) -> Result<(), XdrError> {
 
 /// Nsp's `load('file')`: read a file and materialise the value.
 pub fn load<P: AsRef<Path>>(path: P) -> Result<Value, XdrError> {
-    let bytes = fs::read(path)?;
+    let mut bytes = Vec::new();
+    read_to_eof(File::open(path)?, &mut bytes)?;
     unserialize_bytes(&bytes)
 }
 
@@ -270,13 +272,58 @@ pub fn load<P: AsRef<Path>>(path: P) -> Result<Value, XdrError> {
 /// the key optimisation behind the "serialized load" columns of
 /// Tables II/III.
 pub fn sload<P: AsRef<Path>>(path: P) -> Result<Serial, XdrError> {
-    let bytes = fs::read(path)?;
-    // Validate just the header so corrupt files fail fast, without paying
-    // for a full decode.
-    if bytes.len() < 8 || &bytes[..4] != MAGIC {
+    let mut bytes = Vec::new();
+    sload_into(File::open(path)?, &mut bytes)?;
+    // A cached serial holds no more than it is budgeted for.
+    bytes.shrink_to_fit();
+    Ok(Serial::new(bytes))
+}
+
+/// [`sload`] from an open file, appending its bytes to `out` — where a
+/// caller that frames many problems wants them — and returning how many
+/// there were. Only the header is checked, in place, so corrupt files
+/// fail fast without paying for a full decode. On any error `out` is
+/// left exactly as it was.
+pub fn sload_into(file: File, out: &mut Vec<u8>) -> Result<usize, XdrError> {
+    let start = out.len();
+    let n = read_to_eof(file, out)?;
+    if n < 8 || out[start..start + 4] != MAGIC[..] {
+        out.truncate(start);
         return Err(XdrError::BadMagic);
     }
-    Ok(Serial::new(bytes))
+    Ok(n)
+}
+
+/// First read size of [`read_to_eof`], doubled for each read after it.
+/// A problem file fits in one read (the generated portfolios' files are
+/// 436–704 bytes), and each read first zeroes the room it reads into.
+const READ_CHUNK: usize = 1 << 10;
+
+/// Append what is left of `file` to `out`, reading until a read returns
+/// 0. Unlike `std::fs::read`, no `statx` sizes the buffer first and no
+/// probe read follows a read that filled it, so a file below
+/// [`READ_CHUNK`] costs the open, two reads and the close. On an error
+/// `out` is truncated back to where it was.
+fn read_to_eof(mut file: File, out: &mut Vec<u8>) -> std::io::Result<usize> {
+    let start = out.len();
+    let (mut filled, mut chunk) = (start, READ_CHUNK);
+    loop {
+        if filled == out.len() {
+            out.resize(filled + chunk, 0);
+            chunk *= 2;
+        }
+        match file.read(&mut out[filled..]) {
+            Ok(0) => break,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => {
+                out.truncate(start);
+                return Err(e);
+            }
+        }
+    }
+    out.truncate(filled);
+    Ok(filled - start)
 }
 
 #[cfg(test)]
@@ -379,6 +426,47 @@ mod tests {
         assert_eq!(s.bytes(), serialize_to_bytes(&v).as_slice());
         let back = unserialize(&s).unwrap();
         assert!(back.equal(&v));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn sload_into_appends_the_file_across_read_boundaries() {
+        let dir = std::env::temp_dir().join("xdr_test_sload_into");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("pb.bin");
+        // Reads fill the buffer exactly at 1 and 1 + 2 chunks.
+        let chunks = [READ_CHUNK, 3 * READ_CHUNK];
+        let around = chunks.into_iter().flat_map(|n| [n - 1, n, n + 1]);
+        for n in [8, 9].into_iter().chain(around) {
+            let mut bytes = MAGIC.to_vec();
+            bytes.extend((4..n).map(|i| i as u8));
+            fs::write(&path, &bytes).unwrap();
+            let mut out = b"frame head".to_vec();
+            assert_eq!(sload_into(File::open(&path).unwrap(), &mut out).unwrap(), n);
+            assert_eq!(&out[..10], b"frame head");
+            assert_eq!(&out[10..], bytes.as_slice(), "{n} bytes");
+            assert_eq!(sload(&path).unwrap().bytes(), bytes.as_slice());
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn sload_into_leaves_the_buffer_as_it_was_on_error() {
+        let dir = std::env::temp_dir().join("xdr_test_sload_into_bad");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("junk.bin");
+        for junk in [&b""[..], b"NSPS", b"not a serial value"] {
+            fs::write(&path, junk).unwrap();
+            let mut out = vec![7u8; 3];
+            let err = sload_into(File::open(&path).unwrap(), &mut out).unwrap_err();
+            assert!(matches!(err, XdrError::BadMagic), "{err}");
+            assert_eq!(out, [7, 7, 7]);
+        }
+        // A directory opens but does not read.
+        let mut out = vec![7u8; 3];
+        let err = sload_into(File::open(&dir).unwrap(), &mut out).unwrap_err();
+        assert!(matches!(err, XdrError::Io(_)), "{err}");
+        assert_eq!(out, [7, 7, 7]);
         fs::remove_dir_all(&dir).ok();
     }
 

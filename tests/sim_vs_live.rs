@@ -37,22 +37,30 @@ fn matched_workload(dir: &std::path::Path) -> (Vec<std::path::PathBuf>, Vec<SimJ
             p
         })
         .collect();
-    // Measure each job's real compute cost once.
+    // Measure each job's real compute cost, as the live run is timed.
     let sim_jobs: Vec<SimJob> = jobs
         .iter()
         .enumerate()
-        .map(|(k, j)| {
-            let t0 = std::time::Instant::now();
-            j.problem.compute().unwrap();
-            SimJob {
-                id: k,
-                class: j.class,
-                bytes: riskbench::xdrser::serialize_to_bytes(&j.problem.to_value()).len(),
-                compute: t0.elapsed().as_secs_f64(),
-            }
+        .map(|(k, j)| SimJob {
+            id: k,
+            class: j.class,
+            bytes: riskbench::xdrser::serialize_to_bytes(&j.problem.to_value()).len(),
+            compute: min_of_k(|| {
+                let t0 = std::time::Instant::now();
+                j.problem.compute().unwrap();
+                t0.elapsed().as_secs_f64()
+            }),
         })
         .collect();
     (files, sim_jobs)
+}
+
+/// The least of `K` timings: what a run costs when nothing else on the
+/// machine takes its CPU. A busy neighbour only ever adds time, so the
+/// minimum of a few runs is the unloaded cost, whichever run got it.
+fn min_of_k(mut time: impl FnMut() -> f64) -> f64 {
+    const K: usize = 3;
+    (0..K).map(|_| time()).fold(f64::INFINITY, f64::min)
 }
 
 #[test]
@@ -70,10 +78,12 @@ fn simulator_predicts_live_makespan_within_band() {
         .unwrap_or(1);
     let slave_counts: &[usize] = if cores >= 3 { &[1, 2] } else { &[1] };
     for &slaves in slave_counts {
-        let live = run_plain_farm(&files, slaves, Transmission::SerializedLoad)
-            .unwrap()
-            .elapsed
-            .as_secs_f64();
+        let live = min_of_k(|| {
+            run_plain_farm(&files, slaves, Transmission::SerializedLoad)
+                .unwrap()
+                .elapsed
+                .as_secs_f64()
+        });
         let sim = simulate_farm(
             &sim_jobs,
             slaves,
