@@ -9,9 +9,10 @@
 //! sentinel. What differs between front-ends is data: the [`Link`] to
 //! the master being served and, under supervision, the patience that
 //! bounds the wait. A job the slave cannot read, decode or price is
-//! *answered* — [`Answer::Failed`] — never dropped and never a panic, so
-//! the master decides what a failed job means (a retry under
-//! supervision, the end of the run otherwise; `docs/FAULTS.md`).
+//! *answered* — [`Answer::Failed`] — never dropped and never a panic (a
+//! kernel that panics is caught in [`price_one`]), so the master decides
+//! what a failed job means (a retry under supervision, the end of the
+//! run otherwise; `docs/FAULTS.md`).
 
 use crate::config::RunCtx;
 use crate::instrument;
@@ -21,6 +22,9 @@ use crate::supervisor::SupervisorConfig;
 use crate::wire::{batch_reply_value, decode_frame, Answer};
 use minimpi::{Comm, MpiError};
 use pricing::PremiaProblem;
+use std::any::Any;
+use std::borrow::Borrow;
+use std::panic::{self, AssertUnwindSafe};
 
 /// One master ↔ slaves protocol instance, shared by both ends: the
 /// master's [`crate::driver::drive`] and its slaves' [`serve_jobs`].
@@ -99,22 +103,79 @@ pub fn serve_jobs(comm: &Comm, ctx: &RunCtx, link: Link, patience: Option<&Super
     }
 }
 
-/// Recover and price one job. Every local failure — an unreadable file,
-/// an undecodable problem, a method that rejects its inputs — becomes
-/// the answer.
-fn price_one(
+/// Recover and price one job as wire job `idx`, recording its `Compute`
+/// span on the calling rank. Every local failure — an unreadable file,
+/// an undecodable problem, a method that rejects its inputs, a kernel
+/// that panics — becomes the answer. A slave calls it for every frame
+/// member, and a session's front loop for every member of a batch it
+/// prices itself, with the problem it already holds.
+pub fn price_one<P: Borrow<PremiaProblem>>(
     comm: &Comm,
     ctx: &RunCtx,
     idx: usize,
-    recover: impl FnOnce() -> Result<PremiaProblem, xdrser::XdrError>,
+    recover: impl FnOnce() -> Result<P, xdrser::XdrError>,
 ) -> Answer {
     comm.set_job(Some(idx));
     let priced = recover().map_err(|e| e.to_string()).and_then(|problem| {
-        instrument::compute_recorded(comm, ctx, &problem)
-            .map_err(|e| format!("compute failed: {e}"))
+        let compute = || instrument::compute_recorded(comm, ctx, problem.borrow());
+        match panic::catch_unwind(AssertUnwindSafe(compute)) {
+            Ok(priced) => priced.map_err(|e| format!("compute failed: {e}")),
+            Err(panic) => Err(format!("compute panicked: {}", panic_message(&*panic))),
+        }
     });
     match priced {
         Ok(result) => Answer::priced(idx, &result),
         Err(why) => Answer::failed(idx, why),
+    }
+}
+
+/// The text a panic was raised with.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    (payload.downcast_ref::<&str>().copied())
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("a non-text payload")
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::config::{run, FarmConfig};
+    use crate::portfolio::{save_portfolio, toy_portfolio};
+    use crate::robin_hood::FarmError;
+    use crate::strategy::Transmission;
+    use pricing::{MethodSpec, OptionSpec, PremiaProblem};
+
+    /// A call with a negative strike: the Heston closed form refuses it,
+    /// the Black–Scholes tree kernel panics on it.
+    fn bad(model: &str, method: &str) -> PremiaProblem {
+        let mut p = PremiaProblem::create(model, "CallEuro", method).unwrap();
+        p.option = OptionSpec::Call {
+            strike: -1.0,
+            maturity: 1.0,
+        };
+        p
+    }
+
+    #[test]
+    fn a_bad_problem_fails_its_job_and_never_poisons_the_world() {
+        let mut tree = bad("BlackScholes1dim", "TR_CoxRossRubinstein");
+        tree.method = MethodSpec::Tree { steps: 50 };
+        for (name, problem, why) in [
+            ("heston_cf", bad("Heston1dim", "CF"), "compute failed: "),
+            ("bs_tree", tree, "compute panicked: "),
+        ] {
+            let mut jobs = toy_portfolio(4);
+            jobs[2].problem = problem;
+            let dir = std::env::temp_dir().join(format!("farm_slave_bad_{name}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            let files = save_portfolio(&jobs, &dir).unwrap();
+            let ran = run(&files, &FarmConfig::new(2, Transmission::SerializedLoad));
+            std::fs::remove_dir_all(&dir).ok();
+            match ran {
+                Err(FarmError::JobFailed { job: 2, why: w }) => {
+                    assert!(w.starts_with(why), "{name}: {w}")
+                }
+                other => panic!("{name}: expected job 2 to fail, got {other:?}"),
+            }
+        }
     }
 }

@@ -932,12 +932,17 @@ impl PremiaProblem {
                     exercise: Exercise::European,
                 };
                 match &self.method {
-                    M::ClosedForm => Ok(PricingResult {
-                        price: heston_cf_price(m, &opt),
-                        delta: None,
-                        std_error: None,
-                        method: self.method.name().into(),
-                    }),
+                    M::ClosedForm => {
+                        // `heston_cf_price` asserts a valid option; a
+                        // decoded problem is checked here instead.
+                        opt.validate().map_err(PricingError::Invalid)?;
+                        Ok(PricingResult {
+                            price: heston_cf_price(m, &opt),
+                            delta: None,
+                            std_error: None,
+                            method: self.method.name().into(),
+                        })
+                    }
                     M::MonteCarlo {
                         paths,
                         time_steps,
@@ -1411,6 +1416,16 @@ mod tests {
         let r = p.compute().unwrap();
         assert!(r.price > 0.0 && r.price < 100.0);
         assert!(r.std_error.is_some());
+    }
+
+    #[test]
+    fn heston_closed_form_refuses_an_invalid_option_instead_of_panicking() {
+        let mut p = PremiaProblem::create("Heston1dim", "CallEuro", "CF").unwrap();
+        p.option = OptionSpec::Call {
+            strike: -1.0,
+            maturity: 1.0,
+        };
+        assert!(matches!(p.compute(), Err(PricingError::Invalid(_))));
     }
 
     #[test]

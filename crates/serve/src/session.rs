@@ -23,6 +23,12 @@
 //! and every member's problem in place, borrowed from the message. See
 //! "Wire protocol and bundling" in `docs/SERVICE.md`.
 //!
+//! A batch that packs into a single frame does not travel at all: one
+//! frame is priced serially wherever it runs, so the front loop prices
+//! it itself, from the problems the callers handed in, through the
+//! slaves' own `farm::slave::price_one` ("Who prices a batch" in
+//! `docs/SERVICE.md`).
+//!
 //! The division of labour with admission control: [`Session::submit`]
 //! runs on the *caller's* thread and only touches atomics (shed
 //! decisions never wait for the farm), while all scheduling, memo and
@@ -31,8 +37,8 @@
 use crate::config::{ServeConfig, ServeError};
 use farm::config::RunCtx;
 use farm::driver::{drive, Farm};
-use farm::slave::{serve_jobs, Link};
-use farm::wire::{Body, JobFrame, FRAME_HEADER_BYTES, MEMBER_HEADER_BYTES};
+use farm::slave::{price_one, serve_jobs, Link};
+use farm::wire::{Answer, Body, JobFrame, FRAME_HEADER_BYTES, MEMBER_HEADER_BYTES};
 use farm::Transmission;
 use minimpi::{Comm, World};
 use obs::{Event, EventKind, Recorder, NO_JOB};
@@ -178,13 +184,16 @@ pub struct SessionReport {
     pub shed: u64,
     /// Problems answered without a fresh compute (memo or coalescing).
     pub memo_hits: u64,
-    /// Problems dispatched to slaves and priced.
+    /// Problems priced fresh, by a slave or — for a one-frame batch —
+    /// by the front loop.
     pub computed: u64,
-    /// Problems abandoned (retry budget exhausted or slaves dead).
+    /// Problems left without a price (their own compute failure, an
+    /// exhausted retry budget, or dead slaves).
     pub failed: u64,
     /// Re-dispatches the supervised scheduler performed — of whole job
-    /// frames (lost, expired, or orphaned by a slave death); a problem's
-    /// own compute failure is final and is not retried.
+    /// frames that travelled (lost, expired, or orphaned by a slave
+    /// death); a problem's own compute failure is final and is not
+    /// retried, and a frame kept on the front loop is never retried.
     pub retries: u64,
     /// Slave ranks that died during the session.
     pub dead_slaves: Vec<usize>,
@@ -267,13 +276,13 @@ impl Admission {
 // ---------------------------------------------------------------------------
 
 /// One problem, prepared on the submitter's thread: serialized once,
-/// fingerprinted once.
+/// fingerprinted once, and kept as the caller handed it in.
 struct Prepared {
+    /// Moved out of the request: what the front loop prices when the
+    /// batch never leaves rank 0.
+    problem: PremiaProblem,
     serial: Vec<u8>,
     key: store::MemoKey,
-    /// [`MethodSpec::ClosedForm`]: compute is far below one round trip,
-    /// so the problem may share a job frame.
-    closed_form: bool,
 }
 
 /// An admitted request travelling to the front loop.
@@ -391,18 +400,18 @@ impl Session {
         let (chunk, lanes) = self.memo_params;
         let jobs: Vec<Prepared> = req
             .problems
-            .iter()
-            .map(|p| {
-                let serial = p.to_xdr_bytes();
+            .into_iter()
+            .map(|problem| {
+                let serial = problem.to_xdr_bytes();
                 let key = store::MemoKey {
                     fp: store::ContentFingerprint::of_bytes(&serial),
                     chunk,
                     lanes,
                 };
                 Prepared {
+                    problem,
                     serial,
                     key,
-                    closed_form: matches!(p.method, MethodSpec::ClosedForm),
                 }
             })
             .collect();
@@ -498,7 +507,9 @@ struct Front {
     /// straggler answer from an earlier batch can never be mistaken for
     /// a current problem.
     next_wire: usize,
-    /// The driver's run context (unread: the frames are prebuilt).
+    /// The slaves' compute policy, under which rank 0 prices a batch it
+    /// keeps, so a price does not depend on who computed it (the driver
+    /// reads nothing else of it: the frames are prebuilt).
     ctx: RunCtx,
     report: SessionReport,
 }
@@ -512,7 +523,7 @@ fn front_loop(
     let mut front = Front {
         memo: store::ResultCache::new(cfg.memo_bytes),
         next_wire: 0,
-        ctx: RunCtx::new(None),
+        ctx: RunCtx::new(cfg.exec_policy()),
         report: SessionReport::default(),
     };
     loop {
@@ -565,13 +576,22 @@ fn front_loop(
 /// fanned out to every subscribed `(request, problem)` position.
 struct Slot {
     key: store::MemoKey,
+    /// The caller's problem, priced here when the batch stays on rank 0.
+    problem: PremiaProblem,
     /// The serialized problem, moved here from the request and on into
     /// the slot's job frame — never copied on the front loop.
     serial: Vec<u8>,
-    closed_form: bool,
     class: u8,
     subscribers: Vec<(usize, usize)>,
     outcome: Option<Result<(f64, Option<f64>), String>>,
+}
+
+impl Slot {
+    /// [`MethodSpec::ClosedForm`]: compute is far below one round trip,
+    /// so the problem may share a job frame.
+    fn closed_form(&self) -> bool {
+        matches!(self.problem.method, MethodSpec::ClosedForm)
+    }
 }
 
 fn serve_batch(
@@ -616,7 +636,7 @@ fn serve_batch(
     let mut slots: Vec<Slot> = Vec::new();
     let mut index: store::MemoMap<usize> = store::MemoMap::default();
     for (ri, s) in live.iter_mut().enumerate() {
-        for (pi, prep) in s.jobs.iter_mut().enumerate() {
+        for (pi, prep) in s.jobs.drain(..).enumerate() {
             if let Some((price, std_error)) = front.memo.get(&prep.key) {
                 mark(comm, EventKind::MemoHit, None, s.id as i64, 1);
                 front.report.memo_hits += 1;
@@ -637,8 +657,8 @@ fn serve_batch(
                 index.insert(prep.key, slots.len());
                 slots.push(Slot {
                     key: prep.key,
-                    serial: std::mem::take(&mut prep.serial),
-                    closed_form: prep.closed_form,
+                    problem: prep.problem,
+                    serial: prep.serial,
                     class: s.priority,
                     subscribers: vec![(ri, pi)],
                     outcome: None,
@@ -677,7 +697,7 @@ fn serve_batch(
             .map(|r| r.expect("every problem answered"))
             .collect();
         let id = s.id as i64;
-        span(comm, EventKind::Admit, s.enq_ns, id, s.jobs.len() as u64);
+        span(comm, EventKind::Admit, s.enq_ns, id, results.len() as u64);
         front.report.answered += 1;
         let _ = s.reply.send(Response {
             id: s.id,
@@ -717,7 +737,7 @@ fn pack_frames(slots: &[Slot], slaves: usize) -> Vec<Frame> {
         .unwrap_or(0);
     // Closed-form members per frame, by class: the even split.
     let mut share = vec![0usize; classes];
-    for slot in slots.iter().filter(|s| s.closed_form) {
+    for slot in slots.iter().filter(|s| s.closed_form()) {
         share[slot.class as usize] += 1;
     }
     for n in &mut share {
@@ -729,7 +749,7 @@ fn pack_frames(slots: &[Slot], slaves: usize) -> Vec<Frame> {
     for (i, slot) in slots.iter().enumerate() {
         let class = slot.class as usize;
         let cost = MEMBER_HEADER_BYTES + slot.serial.len().next_multiple_of(4);
-        if slot.closed_form {
+        if slot.closed_form() {
             if let Some(frame) = open[class].map(|f| &mut frames[f]) {
                 if frame.members.len() < share[class] && frame.bytes + cost <= FRAME_CAP_BYTES {
                     frame.members.push(i);
@@ -748,13 +768,22 @@ fn pack_frames(slots: &[Slot], slaves: usize) -> Vec<Frame> {
     frames
 }
 
+/// Who prices a batch (`docs/SERVICE.md`, "Who prices a batch"): one
+/// frame is serial wherever it runs, so a batch that would travel as a
+/// single job frame stays on the front loop — no wire, and no parallelism
+/// lost. Two or more frames go to the slaves.
+fn stays_on_front(frames: &[Frame]) -> bool {
+    frames.len() == 1
+}
+
 // ---------------------------------------------------------------------------
 // The farm: one driver run per batch, the farm's slave loop on every slave
 // ---------------------------------------------------------------------------
 
-/// Price a batch's unique problems on the resident slaves, as job frames
-/// driven by the farm's supervised driver, and give every slot its
-/// outcome. Wire ids are assigned frame-major, so each frame is one
+/// Price a batch's unique problems and give every slot its outcome:
+/// on rank 0 when the batch is one frame ([`stays_on_front`]), else on
+/// the resident slaves, as job frames driven by the farm's supervised
+/// driver. Wire ids are assigned frame-major, so each frame is one
 /// contiguous wire range, and are unique across the session, so a
 /// straggler from an earlier batch names ids outside this one.
 fn run_batch(comm: &Comm, cfg: &ServeConfig, slots: &mut [Slot], front: &mut Front) {
@@ -762,6 +791,21 @@ fn run_batch(comm: &Comm, cfg: &ServeConfig, slots: &mut [Slot], front: &mut Fro
     let frames = pack_frames(slots, alive);
     let base = front.next_wire;
     front.next_wire += slots.len();
+    if stays_on_front(&frames) {
+        // Nothing travels, so nothing can be lost: no deadline, no retry,
+        // and a slave fault cannot touch these prices.
+        for (k, &s) in frames[0].members.iter().enumerate() {
+            let answer = price_one(comm, &front.ctx, base + k, || Ok(&slots[s].problem));
+            slots[s].outcome = Some(match answer {
+                Answer::Priced {
+                    price, std_error, ..
+                } => Ok((price, std_error)),
+                Answer::Failed { why, .. } => Err(why),
+            });
+        }
+        comm.set_job(None);
+        return;
+    }
     // The slot behind wire id `base + i`, and each frame's wire offset.
     let (mut order, mut offsets) = (Vec::with_capacity(slots.len()), vec![0]);
     // Each frame's bytes, written once and sent as is by every dispatch.
@@ -837,8 +881,21 @@ fn resident_slave(comm: &Comm, cfg: &ServeConfig) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use farm::wire::{batch_reply_value, decode_frame, Answer};
+    use farm::wire::{batch_reply_value, decode_frame};
     use nspval::Value;
+
+    /// A vanilla call: closed form, or a cheap tree that travels alone.
+    fn vanilla(strike: f64, closed_form: bool) -> PremiaProblem {
+        let mut p = PremiaProblem::create("BlackScholes1dim", "CallEuro", "CF").unwrap();
+        p.option = pricing::OptionSpec::Call {
+            strike,
+            maturity: 1.0,
+        };
+        if !closed_form {
+            p.method = MethodSpec::Tree { steps: 50 };
+        }
+        p
+    }
 
     fn slot(serial_len: usize, closed_form: bool, class: u8) -> Slot {
         Slot {
@@ -847,8 +904,8 @@ mod tests {
                 chunk: 0,
                 lanes: 0,
             },
+            problem: vanilla(100.0, closed_form),
             serial: vec![7; serial_len],
-            closed_form,
             class,
             subscribers: Vec::new(),
             outcome: None,
@@ -968,6 +1025,22 @@ mod tests {
         assert_eq!(packed, (0..slots.len()).collect::<Vec<_>>());
     }
 
+    #[test]
+    fn a_batch_stays_on_the_front_exactly_when_it_packs_into_one_frame() {
+        let closed: Vec<Slot> = (0..4).map(|_| slot(100, true, 1)).collect();
+        // One slave: one frame, priced inline.
+        assert!(stays_on_front(&pack_frames(&closed, 1)));
+        // Two slaves: two frames, driven over the slaves.
+        assert!(!stays_on_front(&pack_frames(&closed, 2)));
+        // A lone iterative problem is one frame too: inline, whatever
+        // its method.
+        assert!(stays_on_front(&pack_frames(&[slot(100, false, 1)], 1)));
+        assert!(stays_on_front(&pack_frames(&[slot(100, false, 1)], 4)));
+        // Closed-form problems beside an iterative one make two frames.
+        let mixed = [slot(100, true, 1), slot(100, false, 1)];
+        assert!(!stays_on_front(&pack_frames(&mixed, 1)));
+    }
+
     /// Answers its first two frames with replies no honest slave sends,
     /// then serves honestly.
     fn rogue_slave(comm: &Comm, cfg: &ServeConfig) {
@@ -1003,16 +1076,11 @@ mod tests {
 
     #[test]
     fn inconsistent_answer_frames_are_dropped_and_the_deadline_redispatches() {
-        let problems: Vec<PremiaProblem> = (0..4)
-            .map(|i| {
-                let mut p = PremiaProblem::create("BlackScholes1dim", "CallEuro", "CF").unwrap();
-                p.option = pricing::OptionSpec::Call {
-                    strike: 90.0 + i as f64,
-                    maturity: 1.0,
-                };
-                p
-            })
-            .collect();
+        // Four vanillas share a frame and the tree travels alone: two
+        // frames, so the batch goes over the wire to the rogue.
+        let mut problems: Vec<PremiaProblem> =
+            (0..4).map(|i| vanilla(90.0 + i as f64, true)).collect();
+        problems.push(vanilla(95.0, false));
         let expected: Vec<u64> = problems
             .iter()
             .map(|p| p.compute().unwrap().price.to_bits())
@@ -1033,6 +1101,6 @@ mod tests {
             .collect();
         assert_eq!(got, expected, "neither bad reply was believed");
         let report = session.shutdown().unwrap();
-        assert_eq!((report.computed, report.failed, report.retries), (4, 0, 2));
+        assert_eq!((report.computed, report.failed, report.retries), (5, 0, 2));
     }
 }

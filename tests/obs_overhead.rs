@@ -187,7 +187,11 @@ fn breakdown_from_recorded_farm_is_consistent() {
 #[test]
 fn cache_and_prefetch_events_only_appear_with_recorder() {
     // With a recorder sized to include the prefetcher's virtual rank the
-    // store spans show up; the numbers still match the silent run.
+    // cache marks show up; the numbers still match the silent run.
+    // Whether the prefetch thread runs before a 16-job run ends is up to
+    // the OS scheduler, so its `Prefetch` span is tested where the thread
+    // can be waited for (`store`'s
+    // `recorder_sees_prefetch_spans_on_the_virtual_rank`).
     let (files, dir) = setup(16, "store_events");
     let silent = run(
         &files,
@@ -208,7 +212,6 @@ fn cache_and_prefetch_events_only_appear_with_recorder() {
     assert_eq!(by_job(&silent), by_job(&loud));
     let events = rec.events();
     let count = |k: EventKind| events.iter().filter(|e| e.kind == k).count();
-    assert!(count(EventKind::Prefetch) > 0, "no prefetch spans recorded");
     assert!(
         count(EventKind::CacheHit) + count(EventKind::CacheMiss) > 0,
         "no cache marks recorded"

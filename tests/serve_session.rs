@@ -12,7 +12,10 @@
 //! * problems travel in **job frames**: closed-form problems share
 //!   frames (evenly over the slaves, never above the 64 KiB cap), every
 //!   iterative problem is a frame of its own, and a member's own failure
-//!   is final for that member only.
+//!   — a refusal or a kernel panic — is final for that member only;
+//! * a batch that packs into **one frame never travels**: the front loop
+//!   prices it under the slaves' compute policy, bit-identical to a
+//!   slave, so tests of the wire give their batches two frames or more.
 
 use riskbench::prelude::*;
 use std::sync::Arc;
@@ -407,13 +410,15 @@ fn fault_truncated_job_frame_is_discarded_and_the_slave_keeps_serving() {
         .map(|p| p.compute().unwrap().price.to_bits())
         .collect();
 
-    // The front loop's first send — the first request's only job frame —
-    // arrives mangled. The one resident slave must clear it and stay in
+    // Two slaves, so each request's four vanillas travel as two frames
+    // (one frame would be priced on the front loop and never sent). The
+    // front loop's first send — the first request's first job frame —
+    // arrives mangled. The slave it reaches must clear it and stay in
     // its loop: the frame deadline re-dispatches, and the second request
-    // finds a live slave.
+    // finds live slaves.
     let plan = Arc::new(FaultPlan::new(7).force_send(0, 0, SendFault::Truncate(10)));
     let session = Session::start(
-        quick_config(1)
+        quick_config(2)
             .fault_plan(plan)
             .job_deadline(Duration::from_millis(100)),
     )
@@ -512,14 +517,17 @@ fn failing_frame_member_fails_alone_and_is_not_retried() {
         .map(|p| p.compute().ok().map(|r| r.price.to_bits()))
         .collect();
 
-    let rec = Arc::new(Recorder::new(2));
-    let session = Session::start(quick_config(1).recorder(rec.clone())).unwrap();
+    // Two slaves, so the nine travel (one frame would stay on the front
+    // loop): frames of five and four, the failing member sharing the
+    // first with four others.
+    let rec = Arc::new(Recorder::new(3));
+    let session = Session::start(quick_config(2).recorder(rec.clone())).unwrap();
     let response = session
         .submit(Request::new(problems))
         .unwrap()
         .wait()
         .unwrap();
-    assert_eq!(job_frame_bytes(&rec).len(), 1, "all nine share one frame");
+    assert_eq!(job_frame_bytes(&rec).len(), 2, "the nine share two frames");
     let got: Vec<Option<u64>> = response
         .results
         .iter()
@@ -609,6 +617,183 @@ fn costly_monte_carlo_problems_never_share_a_frame() {
     assert_eq!(job_frame_bytes(&rec).len(), 8, "one frame per MC problem");
     let report = session.shutdown().unwrap();
     assert_eq!(report.retries, 0, "no frame may outlive {deadline:?}");
+}
+
+// ---------------------------------------------------------------------------
+// Who prices a batch: one frame never leaves the front loop
+// ---------------------------------------------------------------------------
+
+/// The ranks of the `Compute` spans recorded so far, in record order.
+fn compute_ranks(rec: &Recorder) -> Vec<u16> {
+    rec.events()
+        .iter()
+        .filter(|e| e.kind == EventKind::Compute)
+        .map(|e| e.rank)
+        .collect()
+}
+
+#[test]
+fn one_frame_batch_is_priced_on_the_front_and_sends_no_job_frame() {
+    let problems = toy_problems(16);
+    let expected: Vec<u64> = problems
+        .iter()
+        .map(|p| p.compute().unwrap().price.to_bits())
+        .collect();
+    // Sixteen vanillas on one slave pack into one frame. The front loop
+    // prices it, so the same prices come back when the only slave dies
+    // at its first op.
+    let kill = Arc::new(FaultPlan::new(28).kill_rank_at_op(1, 0));
+    for plan in [None, Some(kill)] {
+        let rec = Arc::new(Recorder::new(2));
+        let mut cfg = quick_config(1).recorder(rec.clone());
+        if let Some(plan) = &plan {
+            cfg = cfg.fault_plan(plan.clone());
+        }
+        let session = Session::start(cfg).unwrap();
+        let response = session
+            .submit(Request::new(problems.clone()))
+            .unwrap()
+            .wait()
+            .unwrap();
+        let got: Vec<u64> = response
+            .results
+            .iter()
+            .map(|r| r.as_ref().unwrap().price.to_bits())
+            .collect();
+        assert_eq!(got, expected, "bit-identical to compute(), kill {plan:?}");
+        assert!(job_frame_bytes(&rec).is_empty(), "no job frame was sent");
+        assert_eq!(compute_ranks(&rec), [0; 16], "one Compute per problem");
+        let report = session.shutdown().unwrap();
+        assert_eq!((report.computed, report.failed, report.retries), (16, 0, 0));
+    }
+}
+
+#[test]
+fn a_price_does_not_depend_on_who_computed_it_under_the_compute_policy() {
+    let mc = |seed| {
+        let mut p = representative_problem(JobClass::LocalVolMc, PortfolioScale::Quick).problem;
+        p.method = MethodSpec::MonteCarlo {
+            paths: 2_000,
+            time_steps: 10,
+            antithetic: true,
+            seed,
+        };
+        p
+    };
+    let want = mc(1)
+        .compute_with(&ExecPolicy::new(2).lanes(4))
+        .unwrap()
+        .price
+        .to_bits();
+    // No memo, so the second price is a fresh compute.
+    let rec = Arc::new(Recorder::new(2));
+    let session = Session::start(
+        quick_config(1)
+            .threads(2)
+            .lanes(4)
+            .memo_bytes(0)
+            .recorder(rec.clone())
+            .job_deadline(Duration::from_secs(30)),
+    )
+    .unwrap();
+    let price = |problems| {
+        let response = session
+            .submit(Request::new(problems))
+            .unwrap()
+            .wait()
+            .unwrap();
+        let first = response.results[0].as_ref().unwrap();
+        assert!(!first.memoised);
+        first.price.to_bits()
+    };
+    // Alone, the problem is a one-frame batch: rank 0 prices it.
+    let alone = price(vec![mc(1)]);
+    // Beside a second Monte-Carlo problem it is one of two frames, and
+    // the slave prices both.
+    let beside = price(vec![mc(1), mc(2)]);
+    assert_eq!(compute_ranks(&rec), [0, 1, 1]);
+    assert_eq!(job_frame_bytes(&rec).len(), 2);
+    assert_eq!(alone, want, "rank 0 prices under the slaves' policy");
+    assert_eq!(beside, want, "bit-identical wherever it was priced");
+    session.shutdown().unwrap();
+}
+
+/// A call with a negative strike under Heston: its closed form refuses it.
+fn heston_with_negative_strike() -> PremiaProblem {
+    let mut p = PremiaProblem::create("Heston1dim", "CallEuro", "CF").unwrap();
+    p.option = OptionSpec::Call {
+        strike: -1.0,
+        maturity: 1.0,
+    };
+    p
+}
+
+/// A down-and-out call with its barrier above the strike: the closed
+/// form asserts `H <= K`, so the kernel panics.
+fn barrier_above_strike() -> PremiaProblem {
+    let mut p = PremiaProblem::create("BlackScholes1dim", "CallDownOut", "CF").unwrap();
+    p.option = OptionSpec::DownOutCall {
+        strike: 90.0,
+        barrier: 110.0,
+        maturity: 1.0,
+    };
+    p
+}
+
+/// One request of six vanillas with a refused member at 1 and a
+/// panicking member at 4, then a request of three more, on a session
+/// of `slaves`: each bad member is an `Err` of its own, everything else
+/// is priced bit-identical to `compute()`, and the session lives on.
+/// Returns the job frames the front loop sent.
+fn bad_members_fail_alone(slaves: usize) -> Vec<u64> {
+    let mut problems = toy_problems(6);
+    problems.insert(1, heston_with_negative_strike());
+    problems.insert(4, barrier_above_strike());
+    let rec = Arc::new(Recorder::new(slaves + 1));
+    let session = Session::start(quick_config(slaves).recorder(rec.clone())).unwrap();
+    let response = session
+        .submit(Request::new(problems.clone()))
+        .unwrap()
+        .wait()
+        .unwrap();
+    for (i, (got, problem)) in response.results.iter().zip(&problems).enumerate() {
+        let why = match i {
+            1 => "compute failed: invalid parameters",
+            4 => "compute panicked: closed form implemented for H <= K",
+            _ => {
+                let want = problem.compute().unwrap().price.to_bits();
+                assert_eq!(got.as_ref().map(|p| p.price.to_bits()), Ok(want));
+                continue;
+            }
+        };
+        let err = got.as_ref().unwrap_err();
+        assert!(err.starts_with(why), "member {i}: {err}");
+    }
+    // Three vanillas the memo has not seen.
+    let next = session
+        .submit(Request::new(toy_problems(9).split_off(6)))
+        .unwrap()
+        .wait()
+        .unwrap();
+    assert!(next.all_priced(), "{:?}", next.results);
+    let frames = job_frame_bytes(&rec);
+    let report = session.shutdown().unwrap();
+    assert!(report.dead_slaves.is_empty(), "{:?}", report.dead_slaves);
+    assert_eq!((report.computed, report.failed, report.retries), (9, 2, 0));
+    frames
+}
+
+#[test]
+fn a_bad_member_of_a_front_priced_batch_fails_alone() {
+    // One slave: each request is one frame, priced on rank 0.
+    assert!(bad_members_fail_alone(1).is_empty());
+}
+
+#[test]
+fn a_bad_member_of_a_slave_priced_batch_fails_alone() {
+    // Two slaves: each request is two frames. The refused member shares
+    // the first with three vanillas, the panicking one the second.
+    assert_eq!(bad_members_fail_alone(2).len(), 4);
 }
 
 // ---------------------------------------------------------------------------
