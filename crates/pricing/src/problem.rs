@@ -1325,7 +1325,11 @@ impl MethodSpec {
 }
 
 impl PremiaProblem {
-    fn write_fields(&self, h: &mut impl FieldSink) {
+    /// Write the problem's entries, in their one order, into any
+    /// [`FieldSink`]: the list [`Self::to_value`] and
+    /// [`Self::to_xdr_bytes`] are written from, and what a sink that
+    /// writes neither — a fingerprint — reads.
+    pub fn write_fields(&self, h: &mut impl FieldSink) {
         h.string("class", "PremiaModel");
         h.string("asset", &self.asset);
         h.table("model", |t| self.model.write_fields(t));

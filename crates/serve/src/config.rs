@@ -66,6 +66,8 @@ impl ServeConfig {
     }
 
     /// Bound on serialized problem bytes admitted and not yet answered.
+    /// A request whose problems alone exceed it is refused as
+    /// [`ServeError::TooLarge`].
     pub fn inflight_bytes(mut self, bytes: usize) -> Self {
         self.inflight_bytes = bytes;
         self
@@ -251,6 +253,15 @@ pub enum ServeError {
         /// The session's in-flight byte budget.
         byte_budget: usize,
     },
+    /// The request's problems serialize to more bytes than the session's
+    /// whole in-flight budget, so no retry can ever admit it: split it,
+    /// or raise [`ServeConfig::inflight_bytes`]. Not a shed.
+    TooLarge {
+        /// Serialized problem bytes the request holds.
+        bytes: usize,
+        /// The session's in-flight byte budget.
+        byte_budget: usize,
+    },
     /// The request's priority class does not exist in this session.
     InvalidPriority {
         /// The requested class.
@@ -279,6 +290,11 @@ impl fmt::Display for ServeError {
                 f,
                 "overloaded: priority {priority} holds {queued}/{depth_limit} queue slots, \
                  {inflight_bytes}/{byte_budget} bytes in flight"
+            ),
+            ServeError::TooLarge { bytes, byte_budget } => write!(
+                f,
+                "too large: the request holds {bytes} bytes, more than the whole \
+                 {byte_budget}-byte budget"
             ),
             ServeError::InvalidPriority { priority, classes } => write!(
                 f,

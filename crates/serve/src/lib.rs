@@ -15,7 +15,9 @@
 //!   from a byte-budgeted [`store::ResultCache`].
 //! * **Backpressure** — bounded per-priority queue shares and an
 //!   in-flight byte budget; over-limit submissions shed immediately
-//!   with a typed [`ServeError::Overloaded`], never by blocking.
+//!   with a typed [`ServeError::Overloaded`], never by blocking, and a
+//!   request larger than the whole budget is refused as
+//!   [`ServeError::TooLarge`].
 //! * **SLO reporting** — with a recorder attached, each request's queue
 //!   residency (`Enqueue`), end-to-end latency (`Admit`), sheds and
 //!   memo hits land in the shared `obs` schema, so

@@ -18,10 +18,13 @@
 //! problems — whose compute is far below one transport round trip —
 //! share frames; every iterative method travels alone, so balancing,
 //! the per-dispatch deadline and retries see the jobs they were sized
-//! for. No rank builds a value tree for a problem: the submitter writes
-//! each problem's serialized bytes directly, and a slave reads its frame
-//! and every member's problem in place, borrowed from the message. See
-//! "Wire protocol and bundling" in `docs/SERVICE.md`.
+//! for. No rank builds a value tree for a problem, and no problem is
+//! serialized until it travels: the submitter keys and sizes each
+//! problem from its fields ([`store::ContentFingerprint::of_fields`]),
+//! the front loop writes a problem's bytes only into a job frame bound
+//! for a slave, and a slave reads its frame and every member's problem in
+//! place, borrowed from the message. See "Wire protocol and bundling" in
+//! `docs/SERVICE.md`.
 //!
 //! A batch that packs into a single frame does not travel at all: one
 //! frame is priced serially wherever it runs, so the front loop prices
@@ -224,8 +227,8 @@ impl Admission {
     }
 
     /// Reserve a queue slot of class `priority`, or say exactly why not
-    /// — one atomic, taken before the request is serialized so a
-    /// refused request costs nothing else. Optimistic increment with
+    /// — one atomic, taken before the request is sized so a refused
+    /// request costs nothing else. Optimistic increment with
     /// rollback: over-admission is impossible because every racer that
     /// observes an overshoot rolls its own reservation back before
     /// erring.
@@ -246,8 +249,17 @@ impl Admission {
     }
 
     /// Reserve `bytes` of budget for a request that already holds its
-    /// queue slot; a refusal rolls back both.
+    /// queue slot; a refusal rolls back both. A request larger than the
+    /// whole budget is [`ServeError::TooLarge`], not overloaded: no
+    /// amount of waiting would admit it.
     fn reserve_bytes(&self, priority: u8, limit: usize, bytes: usize) -> Result<(), ServeError> {
+        if bytes > self.byte_budget {
+            self.depth[priority as usize].fetch_sub(1, Ordering::SeqCst);
+            return Err(ServeError::TooLarge {
+                bytes,
+                byte_budget: self.byte_budget,
+            });
+        }
         let inflight = self.bytes.fetch_add(bytes, Ordering::SeqCst) + bytes;
         if inflight > self.byte_budget {
             self.bytes.fetch_sub(bytes, Ordering::SeqCst);
@@ -275,13 +287,13 @@ impl Admission {
 // Queue messages
 // ---------------------------------------------------------------------------
 
-/// One problem, prepared on the submitter's thread: serialized once,
-/// fingerprinted once, and kept as the caller handed it in.
+/// One problem, prepared on the submitter's thread: fingerprinted once,
+/// from its fields, and kept as the caller handed it in.
 struct Prepared {
     /// Moved out of the request: what the front loop prices when the
-    /// batch never leaves rank 0.
+    /// batch never leaves rank 0, and serializes when it does.
     problem: PremiaProblem,
-    serial: Vec<u8>,
+    /// Its `fp.len` is the problem's exact serialized size.
     key: store::MemoKey,
 }
 
@@ -379,9 +391,10 @@ impl Session {
 
     /// Submit a request. Reserves the queue slot first (an overloaded
     /// session refuses on one atomic, before paying for anything),
-    /// serializes and fingerprints the problems on the calling thread,
-    /// reserves their bytes, and either returns a [`Ticket`] (the
-    /// request *will* be answered exactly once) or sheds with a typed
+    /// fingerprints the problems on the calling thread — which also
+    /// gives their exact serialized size, with nothing serialized —
+    /// reserves that many bytes, and either returns a [`Ticket`] (the
+    /// request *will* be answered exactly once) or refuses with a typed
     /// [`ServeError`].
     pub fn submit(&self, req: Request) -> Result<Ticket, ServeError> {
         if req.problems.is_empty() {
@@ -402,20 +415,15 @@ impl Session {
             .problems
             .into_iter()
             .map(|problem| {
-                let serial = problem.to_xdr_bytes();
                 let key = store::MemoKey {
-                    fp: store::ContentFingerprint::of_bytes(&serial),
+                    fp: store::ContentFingerprint::of_fields(|f| problem.write_fields(f)),
                     chunk,
                     lanes,
                 };
-                Prepared {
-                    problem,
-                    serial,
-                    key,
-                }
+                Prepared { problem, key }
             })
             .collect();
-        let bytes: usize = jobs.iter().map(|j| j.serial.len()).sum();
+        let bytes: usize = jobs.iter().map(|j| j.key.fp.len as usize).sum();
         self.admission
             .reserve_bytes(req.priority, limit, bytes)
             .map_err(|e| self.shed(e, jobs.len()))?;
@@ -438,12 +446,15 @@ impl Session {
         Ok(Ticket { id, rx })
     }
 
-    /// Note a shed for the front loop's recorder and report.
+    /// Note a shed — an [`ServeError::Overloaded`] refusal — for the
+    /// front loop's recorder and report.
     fn shed(&self, why: ServeError, problems: usize) -> ServeError {
-        let _ = self.tx.send(Msg::Shed {
-            at_ns: self.recorder.as_ref().map(|r| r.now_ns()),
-            problems: problems as u64,
-        });
+        if matches!(why, ServeError::Overloaded { .. }) {
+            let _ = self.tx.send(Msg::Shed {
+                at_ns: self.recorder.as_ref().map(|r| r.now_ns()),
+                problems: problems as u64,
+            });
+        }
         why
     }
 
@@ -576,11 +587,9 @@ fn front_loop(
 /// fanned out to every subscribed `(request, problem)` position.
 struct Slot {
     key: store::MemoKey,
-    /// The caller's problem, priced here when the batch stays on rank 0.
+    /// The caller's problem: priced here when the batch stays on rank 0,
+    /// serialized for its job frame only when the batch travels.
     problem: PremiaProblem,
-    /// The serialized problem, moved here from the request and on into
-    /// the slot's job frame — never copied on the front loop.
-    serial: Vec<u8>,
     class: u8,
     subscribers: Vec<(usize, usize)>,
     outcome: Option<Result<(f64, Option<f64>), String>>,
@@ -591,6 +600,11 @@ impl Slot {
     /// so the problem may share a job frame.
     fn closed_form(&self) -> bool {
         matches!(self.problem.method, MethodSpec::ClosedForm)
+    }
+
+    /// The problem's serialized size, known from its fingerprint.
+    fn serial_len(&self) -> usize {
+        self.key.fp.len as usize
     }
 }
 
@@ -658,7 +672,6 @@ fn serve_batch(
                 slots.push(Slot {
                     key: prep.key,
                     problem: prep.problem,
-                    serial: prep.serial,
                     class: s.priority,
                     subscribers: vec![(ri, pi)],
                     outcome: None,
@@ -748,7 +761,7 @@ fn pack_frames(slots: &[Slot], slaves: usize) -> Vec<Frame> {
     let mut frames: Vec<Frame> = Vec::new();
     for (i, slot) in slots.iter().enumerate() {
         let class = slot.class as usize;
-        let cost = MEMBER_HEADER_BYTES + slot.serial.len().next_multiple_of(4);
+        let cost = MEMBER_HEADER_BYTES + slot.serial_len().next_multiple_of(4);
         if slot.closed_form() {
             if let Some(frame) = open[class].map(|f| &mut frames[f]) {
                 if frame.members.len() < share[class] && frame.bytes + cost <= FRAME_CAP_BYTES {
@@ -774,6 +787,34 @@ fn pack_frames(slots: &[Slot], slaves: usize) -> Vec<Frame> {
 /// lost. Two or more frames go to the slaves.
 fn stays_on_front(frames: &[Frame]) -> bool {
     frames.len() == 1
+}
+
+/// Write the job frames of a batch that travels, wire ids from `base` in
+/// frame-major order — the one place a session serializes a problem.
+/// Returns the slot behind wire id `base + i`, each frame's wire offset
+/// (and the end of the last), and each frame's bytes, which every
+/// dispatch of the frame sends as they are.
+fn encode_frames(
+    slots: &[Slot],
+    frames: &[Frame],
+    base: usize,
+) -> (Vec<usize>, Vec<usize>, Vec<Vec<u8>>) {
+    let (mut order, mut offsets) = (Vec::with_capacity(slots.len()), vec![0]);
+    let mut wires = Vec::with_capacity(frames.len());
+    for frame in frames {
+        let mut wire = JobFrame::new(Vec::with_capacity(frame.bytes));
+        for &slot in &frame.members {
+            let body = Body::Serial {
+                compressed: false,
+                bytes: &slots[slot].problem.to_xdr_bytes(),
+            };
+            wire.push(base + order.len(), body);
+            order.push(slot);
+        }
+        offsets.push(order.len());
+        wires.push(wire.finish());
+    }
+    (order, offsets, wires)
 }
 
 // ---------------------------------------------------------------------------
@@ -806,24 +847,7 @@ fn run_batch(comm: &Comm, cfg: &ServeConfig, slots: &mut [Slot], front: &mut Fro
         comm.set_job(None);
         return;
     }
-    // The slot behind wire id `base + i`, and each frame's wire offset.
-    let (mut order, mut offsets) = (Vec::with_capacity(slots.len()), vec![0]);
-    // Each frame's bytes, written once and sent as is by every dispatch.
-    let mut wires = Vec::with_capacity(frames.len());
-    for frame in &frames {
-        let mut wire = JobFrame::new(Vec::with_capacity(frame.bytes));
-        for &slot in &frame.members {
-            let bytes = std::mem::take(&mut slots[slot].serial);
-            let body = Body::Serial {
-                compressed: false,
-                bytes: &bytes,
-            };
-            wire.push(base + order.len(), body);
-            order.push(slot);
-        }
-        offsets.push(order.len());
-        wires.push(wire.finish());
-    }
+    let (order, offsets, wires) = encode_frames(slots, &frames, base);
 
     let farm = Farm {
         comm,
@@ -897,19 +921,26 @@ mod tests {
         p
     }
 
-    fn slot(serial_len: usize, closed_form: bool, class: u8) -> Slot {
+    /// A slot whose problem is `problem`, keyed the way `submit` keys it.
+    fn slot_of(problem: PremiaProblem, class: u8) -> Slot {
         Slot {
             key: store::MemoKey {
-                fp: store::ContentFingerprint::of_bytes(&[]),
+                fp: store::ContentFingerprint::of_fields(|f| problem.write_fields(f)),
                 chunk: 0,
                 lanes: 0,
             },
-            problem: vanilla(100.0, closed_form),
-            serial: vec![7; serial_len],
+            problem,
             class,
             subscribers: Vec::new(),
             outcome: None,
         }
+    }
+
+    /// A slot that claims a serialized size of `serial_len`.
+    fn slot(serial_len: usize, closed_form: bool, class: u8) -> Slot {
+        let mut slot = slot_of(vanilla(100.0, closed_form), class);
+        slot.key.fp.len = serial_len as u64;
+        slot
     }
 
     fn members(frames: &[Frame]) -> Vec<Vec<usize>> {
@@ -922,7 +953,7 @@ mod tests {
         adm.reserve_slot(1, 1).unwrap();
         adm.reserve_bytes(1, 1, 400).unwrap();
         // The class is at its share: refused on the slot alone, before
-        // any byte is counted (or any problem serialized).
+        // any byte is counted (or any problem sized).
         match adm.reserve_slot(1, 1) {
             Err(ServeError::Overloaded {
                 priority: 1,
@@ -962,6 +993,18 @@ mod tests {
         adm.reserve_bytes(0, 4, 300).unwrap();
         adm.release(0, 300);
         adm.release(0, 700);
+        assert_eq!(adm.depth[0].load(Ordering::SeqCst), 0);
+        assert_eq!(adm.bytes.load(Ordering::SeqCst), 0);
+        // Larger than the whole budget: too large even on an idle
+        // session, and the slot is rolled back all the same.
+        adm.reserve_slot(0, 4).unwrap();
+        match adm.reserve_bytes(0, 4, 1001) {
+            Err(ServeError::TooLarge {
+                bytes: 1001,
+                byte_budget: 1000,
+            }) => {}
+            other => panic!("expected too large, got {other:?}"),
+        }
         assert_eq!(adm.depth[0].load(Ordering::SeqCst), 0);
         assert_eq!(adm.bytes.load(Ordering::SeqCst), 0);
     }
@@ -1014,7 +1057,7 @@ mod tests {
             for &s in &frame.members {
                 let body = Body::Serial {
                     compressed: false,
-                    bytes: &slots[s].serial,
+                    bytes: &vec![7; slots[s].serial_len()],
                 };
                 wire.push(s, body);
             }
@@ -1023,6 +1066,38 @@ mod tests {
         }
         let packed: Vec<usize> = frames.iter().flat_map(|f| f.members.clone()).collect();
         assert_eq!(packed, (0..slots.len()).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn travelling_frames_carry_each_problems_own_bytes() {
+        // Closed-form vanillas of two classes and two trees, with names
+        // of every length mod 4, over two slaves: several frames.
+        let slots: Vec<Slot> = (0..13)
+            .map(|i| {
+                let mut p = vanilla(80.0 + i as f64, i % 5 != 2);
+                p.asset = "x".repeat(i % 4);
+                slot_of(p, (i % 2) as u8)
+            })
+            .collect();
+        let frames = pack_frames(&slots, 2);
+        assert!(frames.len() > 2, "{} frames", frames.len());
+        let base = 1000;
+        let (order, offsets, wires) = encode_frames(&slots, &frames, base);
+        assert_eq!(offsets.len(), frames.len() + 1);
+        for (f, frame) in frames.iter().enumerate() {
+            let mut want = JobFrame::new(Vec::new());
+            for (k, &s) in frame.members.iter().enumerate() {
+                let p = &slots[s].problem;
+                let body = Body::Serial {
+                    compressed: false,
+                    bytes: &p.to_xdr_bytes(),
+                };
+                want.push(base + offsets[f] + k, body);
+                assert_eq!(order[offsets[f] + k], s);
+            }
+            assert_eq!(wires[f], want.finish(), "frame {f}");
+            assert_eq!(wires[f].len(), frame.bytes, "frame {f} packed by its size");
+        }
     }
 
     #[test]

@@ -25,7 +25,10 @@
 //! * [`ResultCache`] — the fingerprint idea extended from problem bytes
 //!   to computed *answers*: a byte-budgeted LRU memo keyed by
 //!   [`ContentFingerprint`] × execution parameters ([`MemoKey`]), used
-//!   by the serving session to coalesce identical requests.
+//!   by the serving session to coalesce identical requests. The session
+//!   takes the fingerprint from a problem's fields
+//!   ([`ContentFingerprint::of_fields`] over a [`FieldFingerprint`]):
+//!   the hash and exact length of the bytes, with no bytes written.
 //!
 //! See `docs/STORE.md` and `docs/SERVICE.md` for the design discussion.
 
@@ -40,5 +43,7 @@ mod prefetch;
 
 pub use backend::{DirStore, Disposition, Fetched, FrameReader, ProblemStore, StoreStats};
 pub use cache::CachingStore;
-pub use memo::{ContentFingerprint, MemoHasher, MemoKey, MemoMap, MemoStats, ResultCache};
+pub use memo::{
+    ContentFingerprint, FieldFingerprint, MemoHasher, MemoKey, MemoMap, MemoStats, ResultCache,
+};
 pub use prefetch::Prefetcher;

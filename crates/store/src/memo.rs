@@ -3,18 +3,21 @@
 //!
 //! The path cache keys entries by `(path, length, mtime)` because its
 //! identity is "the file I would re-read". A serving session has no
-//! paths — requests carry serialized problems — so the memo keys by the
-//! *content* of the serialized problem plus the execution parameters
-//! that are part of the result contract: chunk size and SIMD lane width
-//! change the summation order of the kernels (see `docs/PARALLEL.md` /
+//! paths — requests carry problems — so the memo keys by the *content*
+//! of the serialized problem plus the execution parameters that are part
+//! of the result contract: chunk size and SIMD lane width change the
+//! summation order of the kernels (see `docs/PARALLEL.md` /
 //! `docs/SIMD.md`), so two computes only produce bit-identical answers
 //! when fingerprint **and** chunk **and** lanes all match. Thread count
 //! is deliberately *not* part of the key — results are bit-identical
 //! across worker counts by the executor's contract.
 //!
 //! The identity is therefore: 64-bit mixed hash × exact byte length ×
-//! chunk × lanes ([`ContentFingerprint`], [`MemoKey`]). It lives and
-//! dies with the process — never persisted, never on the wire.
+//! chunk × lanes ([`ContentFingerprint`], [`MemoKey`]). The content is
+//! fingerprinted from the bytes ([`ContentFingerprint::of_bytes`]), or
+//! from the field calls that would write them, with nothing written
+//! ([`ContentFingerprint::of_fields`], what `serve` keys by). It lives
+//! and dies with the process — never persisted, never on the wire.
 //!
 //! [`ResultCache`] is value-generic (the store crate stays ignorant of
 //! pricing types); the serving layer instantiates it with its answer
@@ -23,16 +26,17 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
+use xdrser::{Encoder, FieldSink};
 
 /// A content fingerprint of a serialized problem: a 64-bit mixed hash
-/// of the bytes plus the exact length. Two problems with equal
-/// fingerprints are treated as the same problem for coalescing and
-/// memoisation.
+/// of the bytes — or of the field calls that write them — plus the
+/// exact byte length. Two problems with equal fingerprints are treated
+/// as the same problem for coalescing and memoisation.
 ///
 /// The hash is fast, unkeyed and not cryptographic: among honest
 /// problems a collision is a 2⁻⁶⁴-per-pair accident (~3·10⁻⁸ over a
-/// million live entries), but colliding bytes can be crafted, so it may
-/// only name problems this process serialized itself. It is
+/// million live entries), but colliding inputs can be crafted, so it may
+/// only name problems this process fingerprinted itself. It is
 /// process-local — never persisted, never on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ContentFingerprint {
@@ -42,10 +46,30 @@ pub struct ContentFingerprint {
     pub len: u64,
 }
 
+/// wyhash's default secret: odd words, half their bits set.
+const K: [u64; 3] = [
+    0xa076_1d64_78bd_642f,
+    0xe703_7ed1_a0b4_28db,
+    0x8ebc_6af0_9c88_c6e3,
+];
+
 /// The 64×64→128-bit product, its halves folded together.
 fn fold(a: u64, b: u64) -> u64 {
     let m = u128::from(a) * u128::from(b);
     (m as u64) ^ ((m >> 64) as u64)
+}
+
+/// Absorb two more words into `hash`: one multiply.
+fn mix(hash: u64, a: u64, b: u64) -> u64 {
+    fold(a ^ K[1], b ^ hash)
+}
+
+/// The last fold: all 64 bits of the state, and the length, mixed.
+fn finish(hash: u64, len: u64) -> ContentFingerprint {
+    ContentFingerprint {
+        hash: fold(hash ^ K[2], K[1] ^ len),
+        len,
+    }
 }
 
 impl ContentFingerprint {
@@ -53,30 +77,141 @@ impl ContentFingerprint {
     /// seeds the state (it alone tells `[1]` from `[1, 0]`: the last
     /// block is zero-padded) and a final fold mixes all 64 bits.
     pub fn of_bytes(bytes: &[u8]) -> Self {
-        // wyhash's default secret: odd words, half their bits set.
-        const K: [u64; 3] = [
-            0xa076_1d64_78bd_642f,
-            0xe703_7ed1_a0b4_28db,
-            0x8ebc_6af0_9c88_c6e3,
-        ];
         let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("eight bytes"));
-        let mix = |hash: u64, b: &[u8]| fold(word(&b[..8]) ^ K[1], word(&b[8..16]) ^ hash);
         let len = bytes.len() as u64;
         let mut hash = K[0] ^ len.wrapping_mul(K[2]);
         let mut blocks = bytes.chunks_exact(16);
         for b in &mut blocks {
-            hash = mix(hash, b);
+            hash = mix(hash, word(&b[..8]), word(&b[8..16]));
         }
         let tail = blocks.remainder();
         if !tail.is_empty() {
             let mut b = [0u8; 16];
             b[..tail.len()].copy_from_slice(tail);
-            hash = mix(hash, &b);
+            hash = mix(hash, word(&b[..8]), word(&b[8..]));
         }
-        ContentFingerprint {
-            hash: fold(hash ^ K[2], K[1] ^ len),
-            len,
+        finish(hash, len)
+    }
+
+    /// Fingerprint the hash value whose entries `write` writes, without
+    /// writing it. `len` is exactly the length of the bytes
+    /// [`Encoder::hash`] would write for the same calls. Calls that write
+    /// the same bytes get the same fingerprint, and calls that write
+    /// different bytes different ones, up to the same 2⁻⁶⁴ accident as
+    /// [`Self::of_bytes`]. The two hash differently, so a key space uses
+    /// one of them, never both.
+    pub fn of_fields(write: impl FnOnce(&mut FieldFingerprint)) -> Self {
+        let mut f = FieldFingerprint {
+            hash: K[0],
+            pending: None,
+            len: Encoder::HASH_LEN,
+        };
+        write(&mut f);
+        if let Some(last) = f.pending {
+            // Stands for a token of kind 0, which no call writes.
+            f.hash = mix(f.hash, last, 0);
         }
+        finish(f.hash, f.len as u64)
+    }
+}
+
+/// The [`FieldSink`] behind [`ContentFingerprint::of_fields`]. Each call
+/// is one token of words: a head word (the call's kind in the low byte,
+/// the key's length above it), the key's bytes, then the value — a
+/// float's bits (so −0.0 is not 0.0, as in the bytes), a boolean, or a
+/// string's length and bytes. A table is its head, its entries and a
+/// closing token. Every token's length follows from its head, so the
+/// words spell one call sequence only; and the calls spell the bytes.
+/// Alongside, each call adds its encoded length by the `Encoder`'s size
+/// rules.
+///
+/// Its methods are `#[inline]` so that the whole walk, wherever
+/// `write_fields` is instantiated, keeps the state in registers: called
+/// across the crate boundary, the same sink took 185 ns where it takes
+/// 30 for a closed-form vanilla (one pinned vCPU of a shared VM).
+#[derive(Debug)]
+pub struct FieldFingerprint {
+    hash: u64,
+    /// A word waiting for its partner: words are mixed in pairs.
+    pending: Option<u64>,
+    len: usize,
+}
+
+/// Token kinds; zero is none of them.
+const STRING: u64 = 1;
+const SCALAR: u64 = 2;
+const BOOLEAN: u64 = 3;
+const TABLE: u64 = 4;
+const END: u64 = 5;
+
+impl FieldFingerprint {
+    #[inline]
+    fn word(&mut self, w: u64) {
+        match self.pending.take() {
+            Some(a) => self.hash = mix(self.hash, a, w),
+            None => self.pending = Some(w),
+        }
+    }
+
+    /// A string's bytes as words; its length, already absorbed, says how
+    /// to read them back. Up to eight bytes make one word holding every
+    /// byte (two overlapping halves, or first, middle and last); a longer
+    /// string is eight bytes to a word, the last word its last eight.
+    #[inline]
+    fn bytes(&mut self, s: &str) {
+        let b = s.as_bytes();
+        let n = b.len();
+        let le4 = |at: usize| u64::from(u32::from_le_bytes(b[at..at + 4].try_into().expect("4")));
+        let le8 = |at: usize| u64::from_le_bytes(b[at..at + 8].try_into().expect("8"));
+        match n {
+            0 => {}
+            1..=3 => {
+                self.word(u64::from(b[0]) | u64::from(b[n / 2]) << 8 | u64::from(b[n - 1]) << 16)
+            }
+            4..=8 => self.word(le4(0) | le4(n - 4) << 32),
+            _ => {
+                for at in (0..n - 8).step_by(8) {
+                    self.word(le8(at));
+                }
+                self.word(le8(n - 8));
+            }
+        }
+    }
+
+    /// A token's head and key.
+    #[inline]
+    fn head(&mut self, kind: u64, key: &str) {
+        self.word(kind | (key.len() as u64) << 8);
+        self.bytes(key);
+    }
+}
+
+impl FieldSink for FieldFingerprint {
+    #[inline]
+    fn string(&mut self, key: &str, v: &str) {
+        self.len += Encoder::string_len(key, v);
+        self.head(STRING, key);
+        self.word(v.len() as u64);
+        self.bytes(v);
+    }
+    #[inline]
+    fn scalar(&mut self, key: &str, v: f64) {
+        self.len += Encoder::scalar_len(key);
+        self.head(SCALAR, key);
+        self.word(v.to_bits());
+    }
+    #[inline]
+    fn boolean(&mut self, key: &str, v: bool) {
+        self.len += Encoder::boolean_len(key);
+        self.head(BOOLEAN, key);
+        self.word(u64::from(v));
+    }
+    #[inline]
+    fn table(&mut self, key: &str, fill: impl FnOnce(&mut Self)) {
+        self.len += Encoder::table_len(key);
+        self.head(TABLE, key);
+        fill(self);
+        self.word(END);
     }
 }
 
@@ -432,6 +567,74 @@ mod tests {
                 let other = ContentFingerprint::of_bytes(&longer);
                 assert_ne!(fp.hash, other.hash, "len {len} + {}", longer.len() - len);
             }
+        }
+    }
+
+    #[test]
+    fn field_fingerprint_tells_apart_exactly_what_the_bytes_tell_apart() {
+        /// A [`FieldSink`] as an object, so one list of writers drives
+        /// both the encoder and the fingerprint.
+        trait Sink {
+            fn s(&mut self, k: &str, v: &str);
+            fn x(&mut self, k: &str, v: f64);
+            fn b(&mut self, k: &str, v: bool);
+            fn t(&mut self, k: &str, fill: fn(&mut dyn Sink));
+        }
+        impl<F: FieldSink + 'static> Sink for F {
+            fn s(&mut self, k: &str, v: &str) {
+                self.string(k, v);
+            }
+            fn x(&mut self, k: &str, v: f64) {
+                self.scalar(k, v);
+            }
+            fn b(&mut self, k: &str, v: bool) {
+                self.boolean(k, v);
+            }
+            fn t(&mut self, k: &str, fill: fn(&mut dyn Sink)) {
+                self.table(k, |t| fill(t));
+            }
+        }
+        let writers: [fn(&mut dyn Sink); 14] = [
+            |s| s.x("a", 0.0),
+            |s| s.x("a", -0.0),
+            |s| s.x("b", 0.0),
+            |s| s.s("a", "xyz"),
+            |s| s.s("a", "xyw"),
+            |s| s.s("ax", "yz"),
+            |s| s.s("a", "xyz\0"),
+            |s| s.b("a", true),
+            |s| s.b("a", false),
+            // Where a table ends is part of the value.
+            |s| s.t("t", |t| t.x("a", 1.0)),
+            |s| {
+                s.t("t", |t| {
+                    t.x("a", 1.0);
+                    t.x("c", 2.0);
+                })
+            },
+            |s| {
+                s.t("t", |t| t.x("a", 1.0));
+                s.x("c", 2.0);
+            },
+            |s| s.t("t", |t| t.t("u", |_| {})),
+            |s| {
+                s.t("t", |_| {});
+                s.t("u", |_| {});
+            },
+        ];
+        let run = |write: fn(&mut dyn Sink)| {
+            let bytes = Encoder::hash(0, |e| write(e));
+            let fp = ContentFingerprint::of_fields(|f| write(f));
+            assert_eq!(fp.len, bytes.len() as u64);
+            (bytes, fp)
+        };
+        let all: Vec<_> = writers.iter().map(|&w| run(w)).collect();
+        for (i, (bytes_a, fp_a)) in all.iter().enumerate() {
+            for (bytes_b, fp_b) in &all[i + 1..] {
+                assert_ne!(bytes_a, bytes_b, "two writers wrote the same bytes");
+                assert_ne!(fp_a, fp_b, "{bytes_a:?} vs {bytes_b:?}");
+            }
+            assert_eq!(*fp_a, run(writers[i]).1, "the same calls, the same key");
         }
     }
 

@@ -86,6 +86,47 @@ impl Encoder {
         self.entries += 1;
         self.w.put_string(key);
     }
+
+    /// What [`Encoder::hash`] writes around the entries: magic, version,
+    /// and the hash's tag and count.
+    pub const HASH_LEN: usize = 16;
+
+    /// Encoded length of a [`FieldSink::string`] entry. With the other
+    /// `*_len` rules, a sink that writes nothing can still say exactly how
+    /// long the bytes would be.
+    #[inline]
+    pub fn string_len(key: &str, v: &str) -> usize {
+        opaque_len(key.len()) + MATRIX_HEAD_LEN + opaque_len(v.len())
+    }
+
+    /// Encoded length of a [`FieldSink::scalar`] entry.
+    #[inline]
+    pub fn scalar_len(key: &str) -> usize {
+        opaque_len(key.len()) + MATRIX_HEAD_LEN + 8
+    }
+
+    /// Encoded length of a [`FieldSink::boolean`] entry.
+    #[inline]
+    pub fn boolean_len(key: &str) -> usize {
+        opaque_len(key.len()) + MATRIX_HEAD_LEN + opaque_len(1)
+    }
+
+    /// Encoded length of a [`FieldSink::table`] entry before its own
+    /// entries: the key, and the nested hash's tag and count.
+    #[inline]
+    pub fn table_len(key: &str) -> usize {
+        opaque_len(key.len()) + 8
+    }
+}
+
+/// A matrix's tag, rows and cols.
+const MATRIX_HEAD_LEN: usize = 12;
+
+/// Encoded length of an opaque (or string) of `n` bytes: its length word
+/// and the bytes, padded to four.
+#[inline]
+fn opaque_len(n: usize) -> usize {
+    4 + n.next_multiple_of(4)
 }
 
 impl FieldSink for Encoder {
@@ -386,6 +427,45 @@ mod tests {
         fill(&mut h);
         assert_eq!(h.len(), 4);
         assert_eq!(Encoder::hash(0, fill), serialize_to_bytes(&Value::Hash(h)));
+    }
+
+    #[test]
+    fn the_size_rules_say_how_long_the_encoder_writes() {
+        /// Adds up the rules, writing nothing.
+        struct Len(usize);
+        impl FieldSink for Len {
+            fn string(&mut self, key: &str, v: &str) {
+                self.0 += Encoder::string_len(key, v);
+            }
+            fn scalar(&mut self, key: &str, _: f64) {
+                self.0 += Encoder::scalar_len(key);
+            }
+            fn boolean(&mut self, key: &str, _: bool) {
+                self.0 += Encoder::boolean_len(key);
+            }
+            fn table(&mut self, key: &str, fill: impl FnOnce(&mut Self)) {
+                self.0 += Encoder::table_len(key);
+                fill(self);
+            }
+        }
+        // Keys and strings of every length mod 4, at two depths.
+        fn write(s: &mut impl FieldSink) {
+            let text = "abcdefgh";
+            for n in 0..9 {
+                let key = "k".repeat(n);
+                s.string(&key, &text[..n]);
+                s.scalar(&format!("{key}s"), -0.0);
+                s.boolean(&format!("{key}b"), true);
+            }
+            s.table("inner", |t| {
+                t.string("name", "héllo");
+                t.table("", |_| {});
+            });
+        }
+        let mut len = Len(Encoder::HASH_LEN);
+        write(&mut len);
+        assert_eq!(len.0, Encoder::hash(0, write).len());
+        assert_eq!(Encoder::HASH_LEN, Encoder::hash(0, |_| {}).len());
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //!   same bytes from an open file to a caller's buffer;
 //! * [`FieldSink`] / [`Encoder`] / [`Walker`] — the same bytes written and
 //!   read without the value tree in between, for ranks that know what
-//!   they hold;
+//!   they hold — and, through the `Encoder`'s size rules, measured
+//!   without being written;
 //! * [`compress`] — LZSS compression of serial buffers (§3.2's
 //!   compressed-serialization extension, left as future work in the paper
 //!   and implemented here as an ablation).

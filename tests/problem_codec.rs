@@ -8,6 +8,8 @@
 use nspval::{BoolMatrix, Hash, Matrix, Serial, StrMatrix, Value};
 use pricing::{MethodSpec, ModelSpec, OptionSpec, PremiaProblem};
 use proptest::prelude::*;
+use std::collections::HashMap;
+use store::ContentFingerprint;
 use xdrser::{XdrError, XdrWriter};
 
 const MODELS: [&str; 5] = [
@@ -171,6 +173,48 @@ proptest! {
             let back = assert_decoders_agree(&bytes);
             prop_assert!(back.is_ok(), "{}: {:?}", p.label(), back);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn every_registry_triple_is_keyed_by_its_bytes_and_sized_exactly(
+        x in any::<f64>(),
+        y in -1e6f64..1e6,
+        k in 0usize..5_000_000,
+        flag in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        // The key `serve` takes from a problem's fields, against its
+        // bytes: equal exactly when the bytes are, in both directions.
+        let mut by_key: HashMap<ContentFingerprint, Vec<u8>> = HashMap::new();
+        let mut by_bytes: HashMap<Vec<u8>, ContentFingerprint> = HashMap::new();
+        for base in registry() {
+            // The drawn numbers, and signed zeros in their place; names
+            // one byte apart.
+            for x in [x, 0.0, -0.0] {
+                for last in ['a', 'b'] {
+                    let mut p = base.clone();
+                    perturb(&mut p, x, y, k, flag, seed);
+                    p.asset.push(last);
+                    let bytes = p.to_xdr_bytes();
+                    // The same bytes, reached through a decode.
+                    let q = PremiaProblem::from_xdr_bytes(&bytes).unwrap();
+                    for p in [p, q] {
+                        let fp = ContentFingerprint::of_fields(|f| p.write_fields(f));
+                        prop_assert_eq!(fp.len, bytes.len() as u64, "{}", p.label());
+                        let same_bytes = by_key.entry(fp).or_insert_with(|| bytes.clone());
+                        prop_assert_eq!(&*same_bytes, &bytes, "{}: a collision", p.label());
+                        let same_key = *by_bytes.entry(bytes.clone()).or_insert(fp);
+                        prop_assert_eq!(same_key, fp, "{}", p.label());
+                    }
+                }
+            }
+        }
+        // Names one byte apart alone make two problems of each triple.
+        prop_assert!(by_key.len() >= 450 * 2);
     }
 }
 

@@ -153,9 +153,10 @@ fn prefetched_run_warms_the_cache_it_shares_with_the_master() {
     let prefetched = run(&files, &cfg).unwrap();
     assert_eq!(by_job(&direct), by_job(&prefetched));
     let stats = cache.stats();
-    // Prefetcher + master both fetch each file; whichever lands second
-    // is a hit, so hits must be substantial even on a "cold" run.
-    assert!(stats.hits > 0, "prefetch produced no cache hits: {stats:?}");
+    // Prefetcher and master may both fetch a file, but misses are
+    // single-flight: one backend read per file, whatever the schedule.
+    // Whether the prefetch thread ran ahead at all is the scheduler's
+    // business; `store`'s prefetch tests, which wait for it, pin that.
     assert_eq!(stats.misses, 12, "{stats:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -213,9 +214,15 @@ fn cached_store_survives_truncation_chaos_under_supervision() {
 // The memo's identity: a collision is a silently wrong memoised price
 // ---------------------------------------------------------------------------
 
-use pricing::{MethodSpec, OptionSpec, PremiaProblem};
+use pricing::{MethodSpec, ModelSpec, OptionSpec, PremiaProblem};
 use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
 use store::{ContentFingerprint, MemoHasher, MemoKey};
+
+/// The fingerprint `serve` keys a problem by: taken from its fields, with
+/// nothing serialized.
+fn fingerprint(p: &PremiaProblem) -> ContentFingerprint {
+    ContentFingerprint::of_fields(|f| p.write_fields(f))
+}
 
 fn xorshift(seed: u64) -> impl FnMut() -> u64 {
     let mut rng = seed;
@@ -239,59 +246,34 @@ fn vanilla(strike: f64, maturity: f64) -> PremiaProblem {
     p
 }
 
-/// Where the eight bytes of one `f64` field sit in `p`'s serialized
-/// bytes: `edit` must change that field's sign, and nothing else.
-fn field_offset(p: &PremiaProblem, edit: impl Fn(&mut PremiaProblem)) -> usize {
-    let mut other = p.clone();
-    edit(&mut other);
-    let (a, b) = (p.to_xdr_bytes(), other.to_xdr_bytes());
-    assert_eq!(a.len(), b.len());
-    let differing: Vec<usize> = (0..a.len()).filter(|&i| a[i] != b[i]).collect();
-    assert_eq!(differing.len(), 1, "a sign flip is one byte");
-    differing[0]
-}
-
-/// Fingerprints of `base` with the `f64`s at `offsets` overwritten by
-/// each row of `rows` — the bytes `to_xdr_bytes` would write for the
-/// edited problem (checked on a sample by `same`), without serializing
-/// a million of them.
-fn family_hashes<const N: usize>(
+/// Fingerprint hashes of `base` edited in place by each row of `rows`,
+/// the exact length checked against the serialized bytes on a sample.
+fn family_hashes<R>(
     base: &PremiaProblem,
-    offsets: [usize; N],
-    rows: impl Iterator<Item = [f64; N]>,
-    same: impl Fn([f64; N]) -> PremiaProblem,
+    rows: impl Iterator<Item = R>,
+    edit: impl Fn(&mut PremiaProblem, R),
 ) -> Vec<u64> {
-    let mut bytes = base.to_xdr_bytes();
+    let mut p = base.clone();
     rows.enumerate()
         .map(|(i, row)| {
-            for (at, x) in offsets.iter().zip(row) {
-                bytes[*at..*at + 8].copy_from_slice(&x.to_be_bytes());
-            }
+            edit(&mut p, row);
+            let fp = fingerprint(&p);
             if i % 50_000 == 0 {
-                assert_eq!(bytes, same(row).to_xdr_bytes());
+                assert_eq!(fp.len, p.to_xdr_bytes().len() as u64);
             }
-            let fp = ContentFingerprint::of_bytes(&bytes);
-            assert_eq!(fp.len, bytes.len() as u64);
             fp.hash
         })
         .collect()
 }
 
+/// Strike and maturity of a vanilla call.
+fn set_call(p: &mut PremiaProblem, [strike, maturity]: [f64; 2]) {
+    p.option = OptionSpec::Call { strike, maturity };
+}
+
 #[test]
 fn a_million_problems_apart_in_strike_maturity_or_seed_never_share_a_fingerprint() {
     let base = vanilla(100.0, 1.0);
-    let strike_at = field_offset(&base, |p| {
-        p.option = OptionSpec::Call {
-            strike: -100.0,
-            maturity: 1.0,
-        }
-    });
-    let maturity_at = field_offset(&base, |p| {
-        p.option = OptionSpec::Call {
-            strike: 100.0,
-            maturity: -1.0,
-        }
-    });
 
     // Continuous draws, as `ServeTraffic` makes its cold requests.
     let mut next = xorshift(0x5EED_0F7A_FF1C);
@@ -302,41 +284,24 @@ fn a_million_problems_apart_in_strike_maturity_or_seed_never_share_a_fingerprint
     distinct.sort_unstable();
     distinct.dedup();
     assert_eq!(distinct.len(), draws.len(), "the draws themselves repeat");
-    let mut hashes = family_hashes(
-        &base,
-        [strike_at, maturity_at],
-        draws.into_iter(),
-        |[k, t]| vanilla(k, t),
-    );
+    let mut hashes = family_hashes(&base, draws.into_iter(), set_call);
 
     // A quoting grid: quarter-point strikes × daily maturities, whose
     // doubles differ in a few high mantissa bits only.
     let grid = (0..800)
         .flat_map(|i| (0..500).map(move |j| [50.0 + 0.25 * i as f64, (1 + j) as f64 / 250.0]));
-    hashes.extend(family_hashes(
-        &base,
-        [strike_at, maturity_at],
-        grid,
-        |[k, t]| vanilla(k, t),
-    ));
+    hashes.extend(family_hashes(&base, grid, set_call));
 
     // The registry's Monte-Carlo problem re-seeded, as the portfolio
     // generators do: consecutive integers in one double.
     let mc = PremiaProblem::create("BlackScholes1dim", "CallEuro", "MC_Standard").unwrap();
-    let reseeded = |s: u64| {
-        let mut p = mc.clone();
+    let seed_hashes = family_hashes(&mc, 0..200_000u64, |p, s| {
         let MethodSpec::MonteCarlo { seed, .. } = &mut p.method else {
             unreachable!()
         };
         *seed = s;
-        p
-    };
-    let (a, b) = (reseeded(1).to_xdr_bytes(), reseeded(3).to_xdr_bytes());
-    let seed_at = (0..a.len()).find(|&i| a[i] != b[i]).unwrap() & !3;
-    assert_eq!(a[seed_at..seed_at + 8], 1f64.to_be_bytes());
-    let seeds = (0..200_000u64).map(|s| [s as f64]);
-    let seed_hashes = family_hashes(&mc, [seed_at], seeds, |[s]| reseeded(s as u64));
-    assert_ne!(mc.to_xdr_bytes().len(), base.to_xdr_bytes().len());
+    });
+    assert_ne!(fingerprint(&mc).len, fingerprint(&base).len);
 
     // Equal hashes are a collision whatever the lengths; within one
     // length they would be equal fingerprints.
@@ -348,25 +313,39 @@ fn a_million_problems_apart_in_strike_maturity_or_seed_never_share_a_fingerprint
     assert_eq!(hashes.len(), total, "{} collisions", total - hashes.len());
 }
 
+/// Every `f64` field of a Black–Scholes vanilla call.
+fn vanilla_f64s(p: &mut PremiaProblem) -> [&mut f64; 6] {
+    let (ModelSpec::BlackScholes(m), OptionSpec::Call { strike, maturity }) =
+        (&mut p.model, &mut p.option)
+    else {
+        unreachable!("a Black–Scholes call")
+    };
+    [
+        &mut m.spot,
+        &mut m.sigma,
+        &mut m.rate,
+        &mut m.dividend,
+        strike,
+        maturity,
+    ]
+}
+
 #[test]
 fn one_flipped_input_bit_flips_about_half_the_fingerprint() {
     let mut next = xorshift(0x000A_7A1A_9C4E);
-    let problems: Vec<Vec<u8>> = (0..16)
-        .map(|_| vanilla(uniform(next(), 70.0, 130.0), uniform(next(), 0.25, 8.0)).to_xdr_bytes())
+    let problems: Vec<PremiaProblem> = (0..16)
+        .map(|_| vanilla(uniform(next(), 70.0, 130.0), uniform(next(), 0.25, 8.0)))
         .collect();
-    assert_eq!(problems[0].len(), 436);
     let (mut total, mut worst) = (0u64, (32.0f64, 0usize));
-    for bit in 0..436 * 8 {
+    // Each bit of each f64 field.
+    for bit in 0..6 * 64 {
         // Output bits moved by this input bit, over the sixteen problems.
         let mut flipped = 0;
-        for bytes in &problems {
-            let mut other = bytes.clone();
-            other[bit / 8] ^= 1 << (bit % 8);
-            let (a, b) = (
-                ContentFingerprint::of_bytes(bytes),
-                ContentFingerprint::of_bytes(&other),
-            );
-            flipped += (a.hash ^ b.hash).count_ones() as u64;
+        for p in &problems {
+            let mut other = p.clone();
+            let x = vanilla_f64s(&mut other).into_iter().nth(bit / 64).unwrap();
+            *x = f64::from_bits(x.to_bits() ^ 1 << (bit % 64));
+            flipped += (fingerprint(p).hash ^ fingerprint(&other).hash).count_ones() as u64;
         }
         total += flipped;
         let mean = flipped as f64 / problems.len() as f64;
@@ -378,7 +357,7 @@ fn one_flipped_input_bit_flips_about_half_the_fingerprint() {
             "input bit {bit}: {mean} of 64"
         );
     }
-    let mean = total as f64 / (436 * 8 * problems.len()) as f64;
+    let mean = total as f64 / (6 * 64 * problems.len()) as f64;
     assert!(
         (31.5..=32.5).contains(&mean),
         "{mean} of 64 on average (worst {worst:?})"
@@ -395,7 +374,7 @@ fn pass_through_hashing_of_traffic_keys_probes_no_longer_than_siphash() {
         .map(|_| {
             let p = vanilla(uniform(next(), 70.0, 130.0), uniform(next(), 0.25, 8.0));
             MemoKey {
-                fp: ContentFingerprint::of_bytes(&p.to_xdr_bytes()),
+                fp: fingerprint(&p),
                 chunk: 1024,
                 lanes: 4,
             }

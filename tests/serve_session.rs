@@ -802,7 +802,7 @@ fn a_bad_member_of_a_slave_priced_batch_fails_alone() {
 
 #[test]
 fn empty_and_out_of_range_requests_are_rejected_up_front() {
-    let session = Session::start(quick_config(1)).unwrap();
+    let session = Session::start(quick_config(1).inflight_bytes(4096)).unwrap();
     assert!(matches!(
         session.submit(Request::new(Vec::new())),
         Err(ServeError::EmptyRequest)
@@ -814,7 +814,37 @@ fn empty_and_out_of_range_requests_are_rejected_up_front() {
             classes: 3
         })
     ));
-    session.shutdown().unwrap();
+    // More bytes than the whole budget: no retry could ever admit it.
+    let problems = toy_problems(10);
+    let bytes = problems.iter().map(|p| p.to_xdr_bytes().len()).sum();
+    assert!(matches!(
+        session.submit(Request::new(problems)),
+        Err(ServeError::TooLarge { bytes: b, byte_budget: 4096 }) if b == bytes
+    ));
+    let report = session.shutdown().unwrap();
+    assert_eq!((report.shed, report.answered), (0, 0), "refused, not shed");
+}
+
+#[test]
+fn a_request_is_admitted_at_exactly_its_serialized_size() {
+    let problems = toy_problems(16);
+    let bytes: usize = problems.iter().map(|p| p.to_xdr_bytes().len()).sum();
+    // Exactly the whole budget: admitted and answered.
+    let session = Session::start(quick_config(1).inflight_bytes(bytes)).unwrap();
+    let ticket = session.submit(Request::new(problems.clone())).unwrap();
+    assert!(ticket.wait().unwrap().all_priced());
+    assert_eq!(session.shutdown().unwrap().answered, 1);
+    // One byte less, and the same request can never be admitted.
+    let session = Session::start(quick_config(1).inflight_bytes(bytes - 1)).unwrap();
+    match session.submit(Request::new(problems)) {
+        Err(ServeError::TooLarge {
+            bytes: b,
+            byte_budget,
+        }) => assert_eq!((b, byte_budget), (bytes, bytes - 1)),
+        other => panic!("expected too large, got {other:?}"),
+    }
+    let report = session.shutdown().unwrap();
+    assert_eq!((report.shed, report.answered), (0, 0));
 }
 
 #[test]
