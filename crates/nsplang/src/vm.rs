@@ -18,7 +18,7 @@
 //! Hot-path discipline: the dispatch loop below (bracketed by `HASH-FREE`
 //! markers, grep-gated by `scripts/ci.sh`) touches only `Vec`-indexed state — registers, constants, interned names.
 //! Name hashing survives only on cold paths (dynamic-scope fallback, call
-//! setup), mirroring the ALLOC-FREE markers of the SIMD pricing kernels.
+//! setup).
 
 use crate::ast::{BinOp, UnOp};
 use crate::interp::{

@@ -27,6 +27,6 @@ pub mod sobol;
 pub mod stats;
 
 pub use dist::{norm_cdf, norm_inv_cdf, norm_pdf};
-pub use linalg::{cholesky, solve_dense, solve_tridiagonal, Tridiagonal};
+pub use linalg::{solve_dense, solve_tridiagonal, Tridiagonal};
 pub use rng::{CorrelatedNormals, NormalGen};
 pub use stats::RunningStats;

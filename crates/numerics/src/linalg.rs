@@ -1,8 +1,9 @@
 //! Dense and banded linear algebra.
 //!
 //! The PDE pricer needs a tridiagonal solver (Thomas algorithm) executed
-//! thousands of times per option; the Monte-Carlo basket pricer needs a
-//! Cholesky factor of the asset correlation matrix; the Longstaff–Schwartz
+//! thousands of times per option; the dense Cholesky factor is the test
+//! oracle for the basket pricer's equicorrelated factor
+//! ([`crate::rng::CorrelatedNormals`]); the Longstaff–Schwartz
 //! regression needs a least-squares solver (here: Householder QR with
 //! column back-substitution, falling back to normal equations never).
 //!
@@ -148,9 +149,11 @@ pub fn solve_dense(mut a: Vec<f64>, mut b: Vec<f64>) -> Option<Vec<f64>> {
 ///
 /// `a` is row-major `n*n`; returns the lower-triangular factor `L`
 /// (row-major, upper part zeroed) with `L Lᵀ = A`, or `None` if the matrix
-/// is not positive definite. Used to correlate Gaussian draws for basket
-/// options.
-pub fn cholesky(a: &[f64], n: usize) -> Option<Vec<f64>> {
+/// is not positive definite. The oracle that
+/// [`crate::rng::CorrelatedNormals`]'s two-vector factor is tested
+/// against, bit for bit.
+#[cfg(test)]
+pub(crate) fn cholesky(a: &[f64], n: usize) -> Option<Vec<f64>> {
     assert_eq!(a.len(), n * n);
     let mut l = vec![0.0; n * n];
     for i in 0..n {

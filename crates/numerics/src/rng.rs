@@ -4,8 +4,27 @@
 //! standard normal draws (Marsaglia polar method with a cached spare),
 //! correlated Gaussian vectors through a Cholesky factor, and an antithetic
 //! stream adapter used for variance reduction.
+//!
+//! ## The equicorrelated factor is two vectors
+//!
+//! Every basket in the benchmark is equicorrelated (all off-diagonal
+//! entries `ρ`), and the Cholesky factor `L` of that matrix holds one
+//! number per column below its diagonal. The dense factorisation computes
+//! `L[i][j]` (`i > j`) as `((ρ − L[i][0]·L[j][0]) − L[i][1]·L[j][1] − …) /
+//! L[j][j]`. By induction on the column, every row below the diagonal runs
+//! the same operations on the same operands, so `L[i][k] = c[k]` for all
+//! `i > k`, bit for bit, and the diagonal is `d[k] = sqrt(((1 − c[0]²) −
+//! c[1]²) − …)`. [`CorrelatedNormals`] stores `c` (`dim − 1` values) and
+//! `d` (`dim` values), built by two running folds in O(dim).
+//!
+//! Row `i` of `L z` is the ascending-`k` sum `((0.0 + c[0]·z[0]) + … +
+//! c[i−1]·z[i−1]) + d[i]·z[i]`: a running prefix `P[i+1] = P[i] +
+//! c[i]·z[i]` from `P[0] = 0.0`, plus `d[i]·z[i]`. Those are the dense
+//! product's multiplications and additions in the dense product's order,
+//! so a draw costs `2·dim − 1` multiply-adds instead of `dim·(dim + 1)/2`
+//! and every price keeps its bits. The tests hold both halves against the
+//! dense factor and the row-by-row product.
 
-use crate::linalg::cholesky;
 use rand::Rng;
 
 /// Standard normal generator using the Marsaglia polar method.
@@ -57,113 +76,78 @@ impl NormalGen {
 }
 
 /// Generator of correlated Gaussian vectors `L Z`, where `L` is the
-/// Cholesky factor of a correlation matrix and `Z` is a vector of
+/// Cholesky factor of an equicorrelated matrix and `Z` is a vector of
 /// independent standard normals. This drives multi-asset (basket) paths.
+/// `L` is kept as its two distinct parts (see the module docs).
 #[derive(Debug, Clone)]
 pub struct CorrelatedNormals {
-    chol: Vec<f64>,
-    dim: usize,
+    /// `below[k]`: every entry of column `k` under the diagonal.
+    below: Vec<f64>,
+    /// `diag[k]`: the diagonal entry of row `k`.
+    diag: Vec<f64>,
     normal: NormalGen,
-    scratch: Vec<f64>,
 }
 
 impl CorrelatedNormals {
-    /// Build from a full correlation matrix (row-major `dim*dim`).
-    /// Returns `None` if the matrix is not positive definite.
-    pub fn new(corr: &[f64], dim: usize) -> Option<Self> {
-        let chol = cholesky(corr, dim)?;
-        Some(CorrelatedNormals {
-            chol,
-            dim,
-            normal: NormalGen::new(),
-            scratch: vec![0.0; dim],
-        })
-    }
-
     /// Build for the equicorrelated case (all off-diagonal entries `rho`),
-    /// the structure used by the paper's basket options.
+    /// the structure used by the paper's basket options. Returns `None`
+    /// exactly where the dense Cholesky factorisation meets a pivot that
+    /// is not positive.
     pub fn equicorrelated(dim: usize, rho: f64) -> Option<Self> {
-        let mut corr = vec![rho; dim * dim];
-        for i in 0..dim {
-            corr[i * dim + i] = 1.0;
+        // `off` is a column's numerator `((ρ − c0²) − c1²) − …`, `on` the
+        // diagonal's radicand `((1 − c0²) − c1²) − …`: the subtractions
+        // the dense factor makes, in its order.
+        let mut below = Vec::with_capacity(dim.saturating_sub(1));
+        let mut diag = Vec::with_capacity(dim);
+        let (mut off, mut on) = (rho, 1.0_f64);
+        for k in 0..dim {
+            if on <= 0.0 {
+                return None;
+            }
+            let d = on.sqrt();
+            diag.push(d);
+            if k + 1 < dim {
+                let c = off / d;
+                below.push(c);
+                off -= c * c;
+                on -= c * c;
+            }
         }
-        Self::new(&corr, dim)
+        Some(CorrelatedNormals {
+            below,
+            diag,
+            normal: NormalGen::new(),
+        })
     }
 
     /// Dimension of generated points/vectors.
     pub fn dim(&self) -> usize {
-        self.dim
+        self.diag.len()
     }
 
     /// Draw one correlated Gaussian vector into `out`.
     pub fn sample<R: Rng + ?Sized>(&mut self, rng: &mut R, out: &mut [f64]) {
-        assert_eq!(out.len(), self.dim);
-        self.normal.fill(rng, &mut self.scratch);
-        let blocked = self.dim - self.dim % ROW_BLOCK;
-        for i in (0..blocked).step_by(ROW_BLOCK) {
-            out[i..i + ROW_BLOCK].copy_from_slice(&self.row_block(i, &self.scratch));
-        }
-        for i in blocked..self.dim {
-            out[i] = self.row(i, &self.scratch);
-        }
+        self.normal.fill(rng, out);
+        self.correlate_in_place(out);
     }
 
     /// Transform an already-drawn iid Gaussian vector in place
     /// (`z <- L z`), used by the antithetic path generator which needs to
     /// reuse the same `z` with flipped signs.
     pub fn correlate_in_place(&self, z: &mut [f64]) {
-        assert_eq!(z.len(), self.dim);
-        // Work backwards so each entry only reads not-yet-overwritten ones.
-        let blocked = self.dim - self.dim % ROW_BLOCK;
-        for i in (blocked..self.dim).rev() {
-            z[i] = self.row(i, z);
+        assert_eq!(z.len(), self.dim());
+        let Some((last, head)) = z.split_last_mut() else {
+            return;
+        };
+        let mut prefix = 0.0;
+        for ((zi, &c), &d) in head.iter_mut().zip(&self.below).zip(&self.diag) {
+            let x = *zi;
+            *zi = prefix + d * x;
+            prefix += c * x;
         }
-        for i in (0..blocked).step_by(ROW_BLOCK).rev() {
-            let block = self.row_block(i, z);
-            z[i..i + ROW_BLOCK].copy_from_slice(&block);
-        }
-    }
-
-    /// Row `i` of `L z`: `Σ_{k ≤ i} L[i][k]·z[k]`, accumulated in
-    /// ascending `k`.
-    #[inline]
-    fn row(&self, i: usize, z: &[f64]) -> f64 {
-        let l = &self.chol[i * self.dim..][..=i];
-        let mut acc = 0.0;
-        for (l, z) in l.iter().zip(z) {
-            acc += l * z;
-        }
-        acc
-    }
-
-    /// Rows `i..i + ROW_BLOCK` of `L z` in one pass over `z`. Each row is
-    /// the same ascending-`k` sum as [`Self::row`] (so the same bits);
-    /// computing [`ROW_BLOCK`] of them side by side keeps that many
-    /// independent add chains in flight instead of one.
-    #[inline]
-    fn row_block(&self, i: usize, z: &[f64]) -> [f64; ROW_BLOCK] {
-        let l: [&[f64]; ROW_BLOCK] =
-            std::array::from_fn(|r| &self.chol[(i + r) * self.dim..][..=i + r]);
-        let z = &z[..i + ROW_BLOCK];
-        let mut acc = [0.0; ROW_BLOCK];
-        for k in 0..=i {
-            for r in 0..ROW_BLOCK {
-                acc[r] += l[r][k] * z[k];
-            }
-        }
-        // The triangle below the block's first row.
-        for r in 1..ROW_BLOCK {
-            for k in i + 1..=i + r {
-                acc[r] += l[r][k] * z[k];
-            }
-        }
-        acc
+        *last = prefix + self.diag[head.len()] * *last;
     }
 }
-
-/// Rows of the Cholesky product computed per pass (see
-/// [`CorrelatedNormals::row_block`]).
-const ROW_BLOCK: usize = 4;
 
 /// A deterministic, seedable counter-based uniform source used by the
 /// discrete-event simulator (so simulated runs are exactly reproducible and
@@ -202,6 +186,7 @@ impl SplitMix64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linalg::cholesky;
     use crate::stats::RunningStats;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -260,31 +245,25 @@ mod tests {
         }
     }
 
-    #[test]
-    fn correlate_in_place_matches_sample_transform() {
-        let dim = 4;
-        let gen = CorrelatedNormals::equicorrelated(dim, 0.3).unwrap();
-        let z0 = [0.3, -1.2, 0.7, 2.1];
-        let mut z = z0;
-        gen.correlate_in_place(&mut z);
-        // Manual L * z0
+    /// The dense equicorrelated factor: the oracle the two vectors must
+    /// reproduce bit for bit.
+    fn dense_factor(dim: usize, rho: f64) -> Option<Vec<f64>> {
+        let mut corr = vec![rho; dim * dim];
         for i in 0..dim {
-            let mut acc = 0.0;
-            for k in 0..=i {
-                acc += gen.chol[i * dim + k] * z0[k];
-            }
-            assert!((z[i] - acc).abs() < 1e-14);
+            corr[i * dim + i] = 1.0;
         }
+        cholesky(&corr, dim)
     }
 
-    /// The row-at-a-time product the blocked one replaced, kept as the
-    /// oracle: `out[i] = Σ_{k ≤ i} L[i][k]·z[k]`, one add chain.
-    fn naive_lower_mul(gen: &CorrelatedNormals, z: &[f64]) -> Vec<f64> {
-        (0..gen.dim)
+    /// The row-at-a-time dense product: `out[i] = Σ_{k ≤ i} L[i][k]·z[k]`,
+    /// one add chain per row.
+    fn naive_lower_mul(l: &[f64], z: &[f64]) -> Vec<f64> {
+        let dim = z.len();
+        (0..dim)
             .map(|i| {
                 let mut acc = 0.0;
                 for k in 0..=i {
-                    acc += gen.chol[i * gen.dim + k] * z[k];
+                    acc += l[i * dim + k] * z[k];
                 }
                 acc
             })
@@ -292,33 +271,88 @@ mod tests {
     }
 
     #[test]
-    fn row_blocked_product_is_bit_identical_to_row_by_row() {
-        // dim 1..=45 covers dim % ROW_BLOCK ∈ {0, 1, 2, 3} below, at and
-        // above the paper's 40 assets; ρ is random per dimension.
+    fn correlate_in_place_matches_sample_transform() {
+        let dim = 4;
+        let gen = CorrelatedNormals::equicorrelated(dim, 0.3).unwrap();
+        let l = dense_factor(dim, 0.3).unwrap();
+        let z0 = [0.3, -1.2, 0.7, 2.1];
+        let mut z = z0;
+        gen.correlate_in_place(&mut z);
+        for (got, want) in z.iter().zip(naive_lower_mul(&l, &z0)) {
+            assert!((got - want).abs() < 1e-14);
+        }
+    }
+
+    /// Correlations across the valid range of `dim`: near both edges,
+    /// zero, negative, and random interior points.
+    fn rhos(dim: usize, u: &mut SplitMix64) -> Vec<f64> {
+        let lo = if dim > 1 {
+            -1.0 / (dim as f64 - 1.0)
+        } else {
+            -1.0
+        };
+        let mut rhos = vec![0.0, 0.3, 0.999_999, lo * 0.999_999, lo / 2.0];
+        rhos.extend((0..4).map(|_| u.uniform(lo, 1.0)));
+        rhos
+    }
+
+    #[test]
+    fn structured_factor_is_the_dense_factor_bit_for_bit() {
+        // dim 1..=45 runs below, at and above the paper's 40 assets.
         let mut u = SplitMix64::new(2009);
         for dim in 1..=45usize {
-            let rho = u.uniform(-0.9 / dim as f64, 0.95);
-            let mut gen = CorrelatedNormals::equicorrelated(dim, rho).unwrap();
-            let seed = u.next_u64();
+            for rho in rhos(dim, &mut u) {
+                let l = dense_factor(dim, rho).unwrap();
+                let mut gen = CorrelatedNormals::equicorrelated(dim, rho).unwrap();
+                for i in 0..dim {
+                    assert_eq!(gen.diag[i].to_bits(), l[i * dim + i].to_bits());
+                    for k in 0..i {
+                        assert_eq!(
+                            gen.below[k].to_bits(),
+                            l[i * dim + k].to_bits(),
+                            "dim {dim} rho {rho} L[{i}][{k}]"
+                        );
+                    }
+                }
 
-            // `sample` draws the iid vector itself: replay the draw.
-            let mut iid = vec![0.0; dim];
-            NormalGen::new().fill(&mut StdRng::seed_from_u64(seed), &mut iid);
-            let want = naive_lower_mul(&gen, &iid);
-            let mut got = vec![0.0; dim];
-            gen.sample(&mut StdRng::seed_from_u64(seed), &mut got);
-            let mut in_place = iid.clone();
-            gen.correlate_in_place(&mut in_place);
-            for i in 0..dim {
+                // `sample` draws the iid vector itself: replay the draw.
+                let seed = u.next_u64();
+                let mut iid = vec![0.0; dim];
+                NormalGen::new().fill(&mut StdRng::seed_from_u64(seed), &mut iid);
+                let want = naive_lower_mul(&l, &iid);
+                let mut got = vec![0.0; dim];
+                gen.sample(&mut StdRng::seed_from_u64(seed), &mut got);
+                let mut in_place = iid.clone();
+                gen.correlate_in_place(&mut in_place);
+                for i in 0..dim {
+                    assert_eq!(
+                        got[i].to_bits(),
+                        want[i].to_bits(),
+                        "sample dim {dim} rho {rho} row {i}"
+                    );
+                    assert_eq!(
+                        in_place[i].to_bits(),
+                        want[i].to_bits(),
+                        "correlate_in_place dim {dim} rho {rho} row {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn structured_factor_fails_exactly_where_the_dense_factor_does() {
+        // The last doubles inside both edges of the positive-definite range
+        // are where rounding decides; the two factors must decide alike.
+        for dim in 2..=45usize {
+            let lo = -1.0 / (dim as f64 - 1.0);
+            let above_lo = (1..=64u64).map(|k| f64::from_bits(lo.to_bits() - k));
+            let below_one = (1..=64u64).map(|k| f64::from_bits(1.0f64.to_bits() - k));
+            for rho in above_lo.chain(below_one).chain([lo, 1.0, -1.0, 1.5]) {
                 assert_eq!(
-                    got[i].to_bits(),
-                    want[i].to_bits(),
-                    "sample dim {dim} row {i}"
-                );
-                assert_eq!(
-                    in_place[i].to_bits(),
-                    want[i].to_bits(),
-                    "correlate_in_place dim {dim} row {i}"
+                    CorrelatedNormals::equicorrelated(dim, rho).is_some(),
+                    dense_factor(dim, rho).is_some(),
+                    "dim {dim} rho {rho:e}"
                 );
             }
         }

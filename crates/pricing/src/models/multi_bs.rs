@@ -63,6 +63,15 @@ impl MultiBlackScholes {
                 self.rho
             ));
         }
+        // The last doubles inside the range can still round to a factor
+        // with a non-positive pivot: accept exactly what `correlator` can
+        // build.
+        if CorrelatedNormals::equicorrelated(self.dim, self.rho).is_none() {
+            return Err(format!(
+                "rho {:e} has no Cholesky factor at dimension {} in floating point",
+                self.rho, self.dim
+            ));
+        }
         if !self.rate.is_finite() || !self.dividend.is_finite() {
             return Err("rate/dividend must be finite".into());
         }
@@ -173,6 +182,67 @@ mod tests {
         }
         .validate()
         .is_ok());
+    }
+
+    /// The doubles just inside both edges of `(−1/(d−1), 1)`, where
+    /// rounding decides whether the factor exists.
+    fn edge_rhos(dim: usize) -> impl Iterator<Item = f64> {
+        let lo = -1.0 / (dim as f64 - 1.0);
+        let above_lo = (1..=64u64).map(move |k| f64::from_bits(lo.to_bits() - k));
+        let below_one = (1..=64u64).map(|k| f64::from_bits(1.0f64.to_bits() - k));
+        above_lo.chain(below_one)
+    }
+
+    #[test]
+    fn validate_accepts_exactly_what_correlator_builds() {
+        let mut rejected_inside_range = 0;
+        for dim in 2..=45usize {
+            for rho in edge_rhos(dim) {
+                let m = MultiBlackScholes {
+                    dim,
+                    spot: 100.0,
+                    sigma: 0.2,
+                    rho,
+                    rate: 0.05,
+                    dividend: 0.0,
+                };
+                let builds = CorrelatedNormals::equicorrelated(dim, rho).is_some();
+                assert_eq!(m.validate().is_ok(), builds, "dim {dim} rho {rho:e}");
+                if builds {
+                    assert_eq!(m.correlator().dim(), dim);
+                } else {
+                    rejected_inside_range += 1;
+                }
+            }
+        }
+        // The range check alone let some of these through to a panic.
+        assert!(rejected_inside_range > 0);
+    }
+
+    #[test]
+    fn unfactorable_rho_is_a_typed_pricing_error() {
+        use crate::problem::{ModelSpec, PremiaProblem, PricingError};
+        let (dim, rho) = (2..=45usize)
+            .flat_map(|d| edge_rhos(d).map(move |r| (d, r)))
+            .find(|&(d, r)| CorrelatedNormals::equicorrelated(d, r).is_none())
+            .expect("an in-range rho without a factor");
+        for (option, method) in [
+            ("PutBasket", "MC_Standard"),
+            ("PutBasket", "MC_Quasi"),
+            ("PutBasketAmer", "MC_AM_LongstaffSchwartz"),
+            ("CallMaxBermuda", "MC_AM_LongstaffSchwartz"),
+        ] {
+            let mut p = PremiaProblem::create("BlackScholesNdim", option, method).unwrap();
+            let ModelSpec::MultiBlackScholes(m) = &mut p.model else {
+                unreachable!("a BlackScholesNdim problem")
+            };
+            m.dim = dim;
+            m.rho = rho;
+            assert!(
+                matches!(p.compute(), Err(PricingError::Invalid(_))),
+                "{option} / {method}"
+            );
+        }
     }
 
     #[test]

@@ -523,6 +523,11 @@ impl PremiaProblem {
             )))
         };
 
+        // A decoded multi-asset model is checked here: its kernels build
+        // the correlator, which panics on a rho that `validate` refuses.
+        if let Mo::MultiBlackScholes(m) = &self.model {
+            m.validate().map_err(PricingError::Invalid)?;
+        }
         match (&self.model, &self.option) {
             // ---- 1-D Black–Scholes vanilla -------------------------------
             (Mo::BlackScholes(m), O::Call { strike, maturity })

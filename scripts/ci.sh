@@ -27,9 +27,9 @@
 #      and bench_gate re-validates it; the `--calibrate-classes` smoke
 #      prints the per-class grain costs and self-checks the BSDE
 #      dominance ordering;
-#      the allocation gate bans hot-loop allocations
-#      inside the kernels' ALLOC-FREE regions; the hash gate bans name
-#      lookups inside the VM dispatch loop's HASH-FREE region
+#      the hash gate bans name lookups inside the VM dispatch loop's
+#      HASH-FREE region (the kernels' allocation-free path loops are
+#      counted by tests/alloc_free.rs in step 4)
 #   4. full test suite (quiet); a failing run is retried ONCE so that
 #      machine-load flakes in the timing-sensitive live-farm tests do not
 #      mask real regressions — deterministic failures (the chaos suite is
@@ -231,33 +231,6 @@ if ! printf '%s\n' "$lpt_out" | grep -q '(lpt)'; then
     echo "error: LPT breakdown reported no '(lpt)' rows"
     exit 1
 fi
-
-echo "==> allocation gate: no hot-loop allocations in the lane kernels"
-# The steady-state pricing loops are allocation-free by contract: every
-# per-path buffer comes from the pooled PathWorkspace threaded through
-# exec. Each kernel file brackets its per-path/per-group loops with
-# ALLOC-FREE-BEGIN/END markers; any allocating call inside a bracket
-# fails the gate (per-chunk setup and the chunk's return vec sit outside
-# the markers on purpose). Comment lines are ignored.
-for f in crates/pricing/src/methods/montecarlo.rs \
-         crates/pricing/src/methods/lsm.rs \
-         crates/pricing/src/methods/pde.rs \
-         crates/pricing/src/methods/bond.rs \
-         crates/pricing/src/methods/bsde.rs \
-         crates/pricing/src/methods/xva.rs; do
-    if ! grep -q 'ALLOC-FREE-BEGIN' "$f"; then
-        echo "error: $f lost its ALLOC-FREE markers (the allocation gate needs them)"
-        exit 1
-    fi
-    allocs=$(awk '/ALLOC-FREE-END/{inr=0} inr{print FILENAME":"FNR": "$0} /ALLOC-FREE-BEGIN/{inr=1}' "$f" \
-        | grep -E 'Vec::new|vec!|\.to_vec\(|Box::new' \
-        | grep -v -E '^[^:]*:[0-9]+:\s*(//|//!|///)')
-    if [ -n "$allocs" ]; then
-        echo "error: allocation inside an ALLOC-FREE region of $f:"
-        echo "$allocs"
-        exit 1
-    fi
-done
 
 echo "==> hash gate: no name lookups in the VM dispatch loop"
 # The bytecode VM's dispatch loop is hash-free by contract: locals are

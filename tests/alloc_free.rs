@@ -1,0 +1,322 @@
+//! The pricing kernels allocate per job, never per path or per time step:
+//! every per-path buffer comes from the pooled `PathWorkspace` or is sized
+//! once up front. A kernel run at 1 024 paths must make exactly as many
+//! allocations as the same kernel at 256 paths (one chunk either way), and
+//! a PDE at 200 time steps as many as at 50. Allocations are counted by a
+//! per-thread counting allocator, so tests running side by side do not
+//! see each other's; nothing is timed.
+
+use exec::ExecPolicy;
+use pricing::methods::bermudan::{lsm_max_call, lsm_max_call_exec};
+use pricing::methods::bond::{mc_zcb_price, mc_zcb_price_exec};
+use pricing::methods::bsde::{bsde_sweep, bsde_sweep_exec, BsdeConfig};
+use pricing::methods::lsm::{
+    lsm_basket, lsm_basket_exec, lsm_heston, lsm_heston_exec, lsm_vanilla_bs, lsm_vanilla_bs_exec,
+    LsmConfig,
+};
+use pricing::methods::montecarlo::{
+    mc_basket, mc_basket_exec, mc_heston, mc_heston_exec, mc_local_vol, mc_local_vol_exec,
+    mc_vanilla_bs, mc_vanilla_bs_exec, qmc_basket, qmc_vanilla_bs, McConfig,
+};
+use pricing::methods::pde::{pde_barrier, pde_vanilla, PdeConfig};
+use pricing::methods::xva::{xva_cva, xva_cva_exec, TradeSoA, XvaConfig};
+use pricing::models::{BlackScholes, Heston, LocalVol, MultiBlackScholes, Vasicek};
+use pricing::options::{Barrier, BasketOption, MaxCall, Vanilla};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// The system allocator, counting the allocations of each thread.
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // A thread being torn down has no counter left; its allocations are
+    // not any test's.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is a statistic and guards nothing.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations the calling thread makes while `f` runs.
+fn allocations(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    f();
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+/// A kernel priced at a given size: paths, or time steps for a PDE.
+type Kernel = Box<dyn Fn(usize)>;
+
+/// Discard a price without letting the optimiser discard its work.
+fn keep<T>(price: T) {
+    std::hint::black_box(price);
+}
+
+/// Paths per run: both inside one default chunk of 1 024.
+const PATHS: [usize; 2] = [256, 1_024];
+
+/// Assert that every kernel makes as many allocations at `sizes[1]` as at
+/// `sizes[0]`, after one warm-up run at `sizes[0]`.
+fn assert_flat(kernels: Vec<(String, Kernel)>, sizes: [usize; 2]) {
+    let mut moved = Vec::new();
+    for (name, run) in &kernels {
+        run(sizes[0]);
+        let small = allocations(|| run(sizes[0]));
+        let large = allocations(|| run(sizes[1]));
+        if small != large {
+            moved.push(format!(
+                "{name}: {small} allocations at {} against {large} at {}",
+                sizes[0], sizes[1]
+            ));
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "allocations grow with size:\n{}",
+        moved.join("\n")
+    );
+}
+
+/// Lane widths every chunked kernel runs at; one worker, so the chunk
+/// bodies run on the counting thread.
+const LANES: [usize; 3] = [1, 4, 8];
+
+fn pol(lanes: usize) -> ExecPolicy {
+    ExecPolicy::new(1).lanes(lanes)
+}
+
+fn mc(paths: usize) -> McConfig {
+    McConfig {
+        paths,
+        time_steps: 8,
+        antithetic: true,
+        seed: 7,
+    }
+}
+
+fn lsm(paths: usize) -> LsmConfig {
+    LsmConfig {
+        paths,
+        exercise_dates: 8,
+        basis_degree: 2,
+        seed: 7,
+        ..LsmConfig::default()
+    }
+}
+
+/// The sequential kernel and its chunked twin at every lane width.
+fn with_exec(
+    name: &str,
+    seq: impl Fn(usize) + 'static,
+    exec: impl Fn(usize, &ExecPolicy) + Clone + 'static,
+) -> Vec<(String, Kernel)> {
+    let mut out: Vec<(String, Kernel)> = vec![(name.to_string(), Box::new(seq))];
+    for lanes in LANES {
+        let exec = exec.clone();
+        let pol = pol(lanes);
+        out.push((
+            format!("{name}_exec lanes={lanes}"),
+            Box::new(move |n| exec(n, &pol)),
+        ));
+    }
+    out
+}
+
+#[test]
+fn montecarlo_kernels_allocate_per_job_not_per_path() {
+    let bs = BlackScholes::new(100.0, 0.2, 0.05, 0.01);
+    let call = Vanilla::european_call(100.0, 1.0);
+    let basket = MultiBlackScholes::new(40, 100.0, 0.2, 0.3, 0.05, 0.0);
+    let bput = BasketOption::european_put(100.0, 1.0);
+    let lv = LocalVol::standard(100.0, 0.2, 0.05, 0.0);
+    let hes = Heston::standard(100.0, 0.05);
+    let mut kernels = Vec::new();
+    kernels.extend(with_exec(
+        "mc_vanilla_bs",
+        move |n| keep(mc_vanilla_bs(&bs, &call, &mc(n))),
+        move |n, p| keep(mc_vanilla_bs_exec(&bs, &call, &mc(n), p)),
+    ));
+    kernels.extend(with_exec(
+        "mc_basket",
+        {
+            let (basket, bput) = (basket.clone(), bput);
+            move |n| keep(mc_basket(&basket, &bput, &mc(n)))
+        },
+        {
+            let (basket, bput) = (basket.clone(), bput);
+            move |n, p| keep(mc_basket_exec(&basket, &bput, &mc(n), p))
+        },
+    ));
+    kernels.extend(with_exec(
+        "mc_local_vol",
+        move |n| keep(mc_local_vol(&lv, &call, &mc(n))),
+        move |n, p| keep(mc_local_vol_exec(&lv, &call, &mc(n), p)),
+    ));
+    kernels.extend(with_exec(
+        "mc_heston",
+        move |n| keep(mc_heston(&hes, &call, &mc(n))),
+        move |n, p| keep(mc_heston_exec(&hes, &call, &mc(n), p)),
+    ));
+    kernels.push((
+        "qmc_vanilla_bs".into(),
+        Box::new(move |n| keep(qmc_vanilla_bs(&bs, &call, n))),
+    ));
+    kernels.push((
+        "qmc_basket".into(),
+        Box::new(move |n| keep(qmc_basket(&basket, &bput, n))),
+    ));
+    assert_flat(kernels, PATHS);
+}
+
+#[test]
+fn lsm_kernels_allocate_per_job_not_per_path() {
+    let bs = BlackScholes::new(100.0, 0.3, 0.05, 0.0);
+    let put = Vanilla::american_put(100.0, 1.0);
+    // The paper's 7-asset American basket put (§4.3).
+    let basket = MultiBlackScholes::new(7, 100.0, 0.2, 0.3, 0.05, 0.0);
+    let bput = BasketOption::american_put(100.0, 1.0);
+    let hes = Heston::standard(100.0, 0.05);
+    let max = MultiBlackScholes::new(3, 100.0, 0.2, 0.3, 0.05, 0.1);
+    let call = MaxCall::bermudan(100.0, 1.0);
+    let mut kernels = Vec::new();
+    kernels.extend(with_exec(
+        "lsm_vanilla_bs",
+        move |n| keep(lsm_vanilla_bs(&bs, &put, &lsm(n))),
+        move |n, p| keep(lsm_vanilla_bs_exec(&bs, &put, &lsm(n), p)),
+    ));
+    kernels.extend(with_exec(
+        "lsm_basket",
+        {
+            let basket = basket.clone();
+            move |n| keep(lsm_basket(&basket, &bput, &lsm(n)))
+        },
+        move |n, p| keep(lsm_basket_exec(&basket, &bput, &lsm(n), p)),
+    ));
+    kernels.extend(with_exec(
+        "lsm_heston",
+        move |n| keep(lsm_heston(&hes, &put, &lsm(n))),
+        move |n, p| keep(lsm_heston_exec(&hes, &put, &lsm(n), p)),
+    ));
+    kernels.extend(with_exec(
+        "lsm_max_call",
+        {
+            let max = max.clone();
+            move |n| keep(lsm_max_call(&max, &call, &lsm(n)))
+        },
+        move |n, p| keep(lsm_max_call_exec(&max, &call, &lsm(n), p)),
+    ));
+    assert_flat(kernels, PATHS);
+}
+
+#[test]
+fn bond_bsde_and_xva_kernels_allocate_per_job_not_per_path() {
+    let vas = Vasicek::standard();
+    let bs = BlackScholes::new(100.0, 0.2, 0.05, 0.0);
+    let call = Vanilla::european_call(100.0, 1.0);
+    let bsde = |paths| BsdeConfig {
+        paths,
+        time_steps: 8,
+        rate_spread: 0.05,
+        picard_rounds: 1,
+        y_prev: 5.0,
+        seed: 7,
+    };
+    let xva = |paths| XvaConfig {
+        paths,
+        time_steps: 8,
+        hazard: 0.02,
+        lgd: 0.6,
+        seed: 7,
+    };
+    let book = TradeSoA::generate(16, 100.0, 1.0, 7);
+    let mut kernels = Vec::new();
+    kernels.extend(with_exec(
+        "mc_zcb_price",
+        move |n| keep(mc_zcb_price(&vas, 2.0, &mc(n))),
+        move |n, p| keep(mc_zcb_price_exec(&vas, 2.0, &mc(n), p)),
+    ));
+    kernels.extend(with_exec(
+        "bsde_sweep",
+        move |n| keep(bsde_sweep(&bs, &call, &bsde(n))),
+        move |n, p| keep(bsde_sweep_exec(&bs, &call, &bsde(n), p)),
+    ));
+    kernels.extend(with_exec(
+        "xva_cva",
+        {
+            let book = book.clone();
+            move |n| keep(xva_cva(&bs, &book, 1.0, &xva(n)))
+        },
+        move |n, p| keep(xva_cva_exec(&bs, &book, 1.0, &xva(n), p)),
+    ));
+    assert_flat(kernels, PATHS);
+}
+
+#[test]
+fn pde_time_loop_allocates_nothing_per_step() {
+    let bs = BlackScholes::new(100.0, 0.2, 0.05, 0.0);
+    let pde = |time_steps| PdeConfig {
+        time_steps,
+        space_steps: 200,
+        ..PdeConfig::default()
+    };
+    let kernels: Vec<(String, Kernel)> = vec![
+        (
+            "pde_vanilla european".into(),
+            Box::new(move |n| {
+                keep(pde_vanilla(
+                    &bs,
+                    &Vanilla::european_put(100.0, 1.0),
+                    &pde(n),
+                ))
+            }),
+        ),
+        (
+            "pde_vanilla american".into(),
+            Box::new(move |n| {
+                keep(pde_vanilla(
+                    &bs,
+                    &Vanilla::american_put(100.0, 1.0),
+                    &pde(n),
+                ))
+            }),
+        ),
+        (
+            "pde_barrier".into(),
+            Box::new(move |n| {
+                keep(pde_barrier(
+                    &bs,
+                    &Barrier::down_out_call(100.0, 85.0, 1.0),
+                    &pde(n),
+                ))
+            }),
+        ),
+    ];
+    assert_flat(kernels, [50, 200]);
+}
