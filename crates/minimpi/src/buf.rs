@@ -14,7 +14,9 @@
 ///
 /// `Comm::recv_into` refuses to overflow the buffer (MPI truncation
 /// semantics) — sizing it from a prior `probe` is the caller's job, exactly
-/// as in MPI.
+/// as in MPI. The capacity is a limit, not an allocation: a buffer holds
+/// only the bytes a receive delivered, so a script's size cannot reserve
+/// memory it never fills.
 #[derive(Debug, Clone)]
 pub struct MpiBuf {
     data: Vec<u8>,
@@ -23,10 +25,10 @@ pub struct MpiBuf {
 
 impl MpiBuf {
     /// `mpibuf_create(elems)`: an empty buffer able to hold `capacity`
-    /// bytes.
+    /// bytes. Nothing is allocated until a receive fills it.
     pub fn with_capacity(capacity: usize) -> Self {
         MpiBuf {
-            data: Vec::with_capacity(capacity),
+            data: Vec::new(),
             capacity,
         }
     }
@@ -82,6 +84,16 @@ mod tests {
         assert_eq!(b.capacity(), 128);
         assert_eq!(b.len(), 0);
         assert!(b.is_empty());
+    }
+
+    #[test]
+    fn capacity_is_a_limit_not_an_allocation() {
+        let mut b = MpiBuf::with_capacity(usize::MAX);
+        assert_eq!(b.capacity(), usize::MAX);
+        assert_eq!(b.data.capacity(), 0);
+        b.fill(&[1, 2, 3]);
+        assert_eq!(b.bytes(), &[1, 2, 3]);
+        assert!(b.data.capacity() < 1024);
     }
 
     #[test]

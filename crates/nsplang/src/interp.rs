@@ -5,8 +5,9 @@ use crate::lexer::Pos;
 use crate::parser::parse_program;
 use crate::toolbox::PremiaObj;
 use minimpi::{Comm, MpiBuf};
-use nspval::{BoolMatrix, Hash, List, Matrix, StrMatrix, Value};
+use nspval::{BoolMatrix, Hash, List, Matrix, Serial, StrMatrix, Value};
 use pricing::{MethodSpec, ModelSpec, OptionSpec, PremiaProblem};
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
@@ -207,9 +208,12 @@ pub struct Interp {
     pub echo: bool,
     pub(crate) rng_state: u64,
     engine: Engine,
-    /// Compiled bodies of user functions, keyed by name and validated
-    /// against the live `funcs` entry by `Rc` identity (VM engine only).
-    pub(crate) vm_protos: HashMap<String, (Rc<FuncDef>, Rc<crate::opcodes::Proto>)>,
+    /// Binding epoch: moves whenever a name is added to or removed from
+    /// `scopes` or `funcs`, so the VM can tell that what it learnt about
+    /// a name still holds without hashing it again.
+    pub(crate) epoch: u64,
+    /// The VM's name table, compiled functions and frame pool.
+    pub(crate) vm: crate::vm::VmState,
 }
 
 impl Default for Interp {
@@ -229,7 +233,8 @@ impl Interp {
             echo: false,
             rng_state: 0x5EED0F55,
             engine: Engine::Tree,
-            vm_protos: HashMap::new(),
+            epoch: 0,
+            vm: Default::default(),
         }
     }
 
@@ -317,10 +322,21 @@ impl Interp {
 
     /// Bind `name` in the current scope.
     pub fn set(&mut self, name: &str, v: NValue) {
-        self.scopes
-            .last_mut()
-            .expect("at least the global scope")
-            .insert(name.to_string(), v);
+        self.bind(name.to_string(), v);
+    }
+
+    /// Bind `name` in the current scope; a new name moves the epoch.
+    pub(crate) fn bind(&mut self, name: String, v: NValue) {
+        let scope = self.scopes.last_mut().expect("at least the global scope");
+        if scope.insert(name, v).is_none() {
+            self.epoch += 1;
+        }
+    }
+
+    /// Define (or redefine) a user function.
+    pub(crate) fn define(&mut self, f: Rc<FuncDef>) {
+        self.funcs.insert(f.name.clone(), f);
+        self.epoch += 1;
     }
 
     pub(crate) fn comm(&self) -> R<&Comm> {
@@ -419,7 +435,7 @@ impl Interp {
             Stmt::Continue => Ok(Flow::Continue),
             Stmt::Return => Ok(Flow::Return),
             Stmt::FuncDef(f) => {
-                self.funcs.insert(f.name.clone(), Rc::new(f.clone()));
+                self.define(Rc::new(f.clone()));
                 Ok(Flow::Normal)
             }
         }
@@ -511,7 +527,7 @@ impl Interp {
             Expr::Ident(name) => {
                 if let Some(v) = self.get(name) {
                     Ok(vec![v.clone()])
-                } else if self.funcs.contains_key(name) || is_builtin(name) {
+                } else if self.funcs.contains_key(name) || builtin_id(name).is_some() {
                     // Zero-argument call: `premia_create` style is written
                     // with parens in practice, but allow bare too.
                     self.call(name, Vec::new(), Vec::new(), want)
@@ -544,9 +560,9 @@ impl Interp {
                 Expr::Ident(name) => {
                     if self.get(name).is_some() {
                         // Indexing a variable.
-                        let idx = self.eval_pos_args(args)?;
+                        let mut idx = self.eval_pos_args(args)?;
                         let base = self.get(name).expect("checked");
-                        Ok(vec![index_value(base, &idx)?])
+                        Ok(vec![index_value(base, &mut idx)?])
                     } else {
                         let (pos, kw) = self.eval_args(args)?;
                         self.call(name, pos, kw, want)
@@ -556,8 +572,8 @@ impl Interp {
                     // Index the result of an arbitrary expression:
                     // L(1)(3) etc.
                     let base = self.eval(other)?;
-                    let idx = self.eval_pos_args(args)?;
-                    Ok(vec![index_value(&base, &idx)?])
+                    let mut idx = self.eval_pos_args(args)?;
+                    Ok(vec![index_value(&base, &mut idx)?])
                 }
             },
             Expr::Field(base, name) => {
@@ -568,16 +584,18 @@ impl Interp {
                 // `L.add_last[x]` on a plain variable appends in place.
                 // The arguments come first: they may read `L` itself.
                 if let ("add_last", Expr::Ident(var)) = (name.as_str(), base.as_ref()) {
-                    let (pos, _kw) = self.eval_args(args)?;
-                    return self.update_var(
-                        var,
-                        |me| me.eval(base),
-                        |list| add_last_value(list, pos, want),
-                    );
+                    let (mut pos, _kw) = self.eval_args(args)?;
+                    return self
+                        .update_var(
+                            var,
+                            |me| me.eval(base),
+                            |list| add_last_value(list, &mut pos, want),
+                        )
+                        .map(Ret::into_vec);
                 }
                 let b = self.eval(base)?;
-                let (pos, kw) = self.eval_args(args)?;
-                self.method(b, name, pos, kw)
+                let (mut pos, kw) = self.eval_args(args)?;
+                self.method(b, name, &mut pos, kw).map(Ret::into_vec)
             }
             Expr::Transpose(inner) => {
                 let v = self.eval(inner)?;
@@ -627,14 +645,19 @@ impl Interp {
     fn call(
         &mut self,
         name: &str,
-        pos: Vec<NValue>,
+        mut pos: Vec<NValue>,
         kw: Vec<(String, NValue)>,
         want: usize,
     ) -> R<Vec<NValue>> {
         if let Some(f) = self.funcs.get(name).cloned() {
             return self.call_user(&f, pos, want);
         }
-        self.call_builtin(name, pos, kw, want)
+        match builtin_id(name) {
+            Some(id) => Ok(self
+                .call_builtin(Builtin::from_id(id), &mut pos, kw)?
+                .into_vec()),
+            None => err(format!("unknown function {name}")),
+        }
     }
 
     pub(crate) fn call_user(&mut self, f: &FuncDef, args: Vec<NValue>, want: usize) -> R<Vec<NValue>> {
@@ -651,8 +674,10 @@ impl Interp {
             scope.insert(p.clone(), a);
         }
         self.scopes.push(scope);
+        self.epoch += 1;
         let flow = self.exec_block(&f.body);
         let scope = self.scopes.pop().expect("pushed above");
+        self.epoch += 1;
         flow?;
         let mut outs = Vec::new();
         for o in f.outs.iter().take(want.max(1).min(f.outs.len().max(1))) {
@@ -667,42 +692,38 @@ impl Interp {
         Ok(outs)
     }
 
-    pub(crate) fn call_builtin(
+    /// Run builtin `b` on its positional arguments, read in place (`pos`
+    /// may be the VM's registers or the tree-walker's evaluated values),
+    /// and its keyword arguments.
+    pub(crate) fn call_builtin<A: CallArg>(
         &mut self,
-        name: &str,
-        mut pos: Vec<NValue>,
+        b: Builtin,
+        pos: &mut [A],
         kw: Vec<(String, NValue)>,
-        _want: usize,
-    ) -> R<Vec<NValue>> {
-        let one = |v: NValue| Ok(vec![v]);
-        let need_scalar = |v: &NValue, what: &str| -> R<f64> {
-            v.as_scalar()
-                .ok_or_else(|| NspError::new(format!("{what} must be a scalar")))
-        };
-        fn need_str<'a>(v: &'a NValue, what: &str) -> R<&'a str> {
-            v.as_str()
-                .ok_or_else(|| NspError::new(format!("{what} must be a string")))
-        }
+    ) -> R<Ret> {
+        use Builtin as B;
+        let name = b.name();
+        let none = || Ok(Ret::One(NValue::V(Value::None)));
         let mpi_err = |e: minimpi::MpiError| NspError::new(e.to_string());
         let xdr_err = |e: xdrser::XdrError| NspError::new(e.to_string());
-        match name {
+        match b {
             // ---- core -------------------------------------------------------
-            "list" => {
+            B::List => {
                 let mut l = List::new();
                 for v in pos {
-                    l.add_last(v.into_value()?);
+                    l.add_last(v.take_value().into_value()?);
                 }
-                one(NValue::V(Value::List(l)))
+                Ok(Ret::One(NValue::V(Value::List(l))))
             }
-            "hash_create" => {
+            B::HashCreate => {
                 let mut h = Hash::new();
                 for (k, v) in kw {
                     h.set(&k, v.into_value()?);
                 }
-                one(NValue::V(Value::Hash(h)))
+                Ok(Ret::One(NValue::V(Value::Hash(h))))
             }
-            "rand" => {
-                let (r, c) = match pos.as_slice() {
+            B::Rand => {
+                let (r, c) = match &*pos {
                     [] => (1, 1),
                     [n] => {
                         let n = need_scalar(n, "rand size")? as usize;
@@ -714,88 +735,79 @@ impl Interp {
                     ),
                 };
                 let data: Vec<f64> = (0..r * c).map(|_| self.rand()).collect();
-                one(NValue::V(Value::Real(Matrix::from_col_major(r, c, data))))
+                Ok(Ret::One(NValue::V(Value::Real(Matrix::from_col_major(
+                    r, c, data,
+                )))))
             }
-            "reseed" => {
-                let [seed] = args(name, &mut pos)?;
+            B::Reseed => {
+                let [seed] = args(name, pos)?;
                 self.reseed(need_scalar(seed, "reseed seed")? as u64);
-                one(NValue::V(Value::None))
+                none()
             }
-            "size" => {
-                let star = pos.get(1).and_then(|a| a.as_str()) == Some("*");
-                let [v] = args(name, &mut pos)?;
-                match v {
-                    NValue::V(Value::List(l)) => one(NValue::scalar(l.len() as f64)),
-                    NValue::V(Value::Real(m)) => {
-                        if star {
-                            one(NValue::scalar(m.len() as f64))
-                        } else {
-                            Ok(vec![
-                                NValue::scalar(m.rows() as f64),
-                                NValue::scalar(m.cols() as f64),
-                            ])
-                        }
-                    }
-                    NValue::V(Value::Str(s)) => one(NValue::scalar((s.rows() * s.cols()) as f64)),
+            B::Size => {
+                let star = pos.get(1).and_then(|a| a.text()) == Some("*");
+                let [v] = args(name, pos)?;
+                match v.value() {
+                    NValue::V(Value::List(l)) => Ok(Ret::Num(l.len() as f64)),
+                    NValue::V(Value::Real(m)) => Ok(if star {
+                        Ret::Num(m.len() as f64)
+                    } else {
+                        Ret::Many(vec![
+                            NValue::scalar(m.rows() as f64),
+                            NValue::scalar(m.cols() as f64),
+                        ])
+                    }),
+                    NValue::V(Value::Str(s)) => Ok(Ret::Num((s.rows() * s.cols()) as f64)),
                     other => err(format!("size of {}", other.type_name())),
                 }
             }
-            "length" => {
-                let [v] = args(name, &mut pos)?;
-                match v {
-                    NValue::V(Value::List(l)) => one(NValue::scalar(l.len() as f64)),
-                    NValue::V(Value::Real(m)) => one(NValue::scalar(m.len() as f64)),
-                    NValue::V(Value::Str(s)) => one(NValue::scalar(
+            B::Length => {
+                let [v] = args(name, pos)?;
+                match v.value() {
+                    NValue::V(Value::List(l)) => Ok(Ret::Num(l.len() as f64)),
+                    NValue::V(Value::Real(m)) => Ok(Ret::Num(m.len() as f64)),
+                    NValue::V(Value::Str(s)) => Ok(Ret::Num(
                         s.as_scalar().map(|x| x.chars().count()).unwrap_or(0) as f64,
                     )),
                     other => err(format!("length of {}", other.type_name())),
                 }
             }
-            "floor" | "ceil" | "abs" | "sqrt" | "exp" | "log" => {
-                let [x] = args(name, &mut pos)?;
+            B::Floor | B::Ceil | B::Abs | B::Sqrt | B::Exp | B::Log => {
+                let [x] = args(name, pos)?;
                 let x = need_scalar(x, name)?;
-                let y = match name {
-                    "floor" => x.floor(),
-                    "ceil" => x.ceil(),
-                    "abs" => x.abs(),
-                    "sqrt" => x.sqrt(),
-                    "exp" => x.exp(),
+                Ok(Ret::Num(match b {
+                    B::Floor => x.floor(),
+                    B::Ceil => x.ceil(),
+                    B::Abs => x.abs(),
+                    B::Sqrt => x.sqrt(),
+                    B::Exp => x.exp(),
                     _ => x.ln(),
-                };
-                one(NValue::scalar(y))
-            }
-            "min" | "max" => {
-                let [a, b] = args(name, &mut pos)?;
-                let a = need_scalar(a, name)?;
-                let b = need_scalar(b, name)?;
-                one(NValue::scalar(if name == "min" {
-                    a.min(b)
-                } else {
-                    a.max(b)
                 }))
             }
-            "string" => {
-                let [v] = args(name, &mut pos)?;
-                let s = match v {
-                    NValue::V(Value::Str(s)) => {
-                        s.as_scalar().map(|x| x.to_string()).unwrap_or_default()
-                    }
-                    NValue::V(Value::Real(m)) if m.is_scalar() => {
-                        let x = m.get(0, 0);
-                        if x.fract() == 0.0 && x.abs() < 1e15 {
-                            format!("{}", x as i64)
-                        } else {
-                            format!("{x}")
-                        }
-                    }
-                    other => format!("<{}>", other.type_name()),
-                };
-                one(NValue::string(s))
+            B::Min | B::Max => {
+                let [a, c] = args(name, pos)?;
+                let a = need_scalar(a, name)?;
+                let c = need_scalar(c, name)?;
+                Ok(Ret::Num(if b == B::Min { a.min(c) } else { a.max(c) }))
             }
-            "disp" | "print" => {
+            B::String => {
+                let [v] = args(name, pos)?;
+                let s = match v.num() {
+                    Some(x) if x.fract() == 0.0 && x.abs() < 1e15 => format!("{}", x as i64),
+                    Some(x) => format!("{x}"),
+                    None => match v.value() {
+                        NValue::V(Value::Str(s)) => {
+                            s.as_scalar().map(|x| x.to_string()).unwrap_or_default()
+                        }
+                        other => format!("<{}>", other.type_name()),
+                    },
+                };
+                Ok(Ret::One(NValue::string(s)))
+            }
+            B::Disp | B::Print => {
                 let text = pos
-                    .iter()
-                    .map(|v| match v {
+                    .iter_mut()
+                    .map(|v| match v.value() {
                         NValue::V(val) => format!("{val}"),
                         other => format!("<{}>", other.type_name()),
                     })
@@ -805,129 +817,130 @@ impl Interp {
                     println!("{text}");
                 }
                 self.output.push(text);
-                one(NValue::V(Value::None))
+                none()
             }
-            "exec" => {
+            B::Exec => {
                 // Fig. 1: exec('src/loader.sce') — run a script file in
                 // the current interpreter.
                 let src = read_exec_source(pos)?;
                 self.run(&src)?;
-                one(NValue::V(Value::None))
+                none()
             }
-            "getenv" => {
-                let [var] = args(name, &mut pos)?;
+            B::Getenv => {
+                let [var] = args(name, pos)?;
                 let var = need_str(var, "getenv variable")?;
-                one(NValue::string(std::env::var(var).unwrap_or_default()))
+                Ok(Ret::One(NValue::string(
+                    std::env::var(var).unwrap_or_default(),
+                )))
             }
-            "error" => {
-                let msg = pos
-                    .first()
-                    .and_then(|v| v.as_str())
-                    .unwrap_or("error")
-                    .to_string();
+            B::Error => {
+                let msg = pos.first().and_then(|v| v.text()).unwrap_or("error");
                 err(msg)
             }
-            "isempty" => {
-                let [v] = args(name, &mut pos)?;
-                let empty = match v {
+            B::Isempty => {
+                let [v] = args(name, pos)?;
+                let empty = match v.value() {
                     NValue::V(Value::Real(m)) => m.is_empty(),
                     NValue::V(Value::List(l)) => l.is_empty(),
                     NValue::V(Value::Str(s)) => s.as_scalar() == Some(""),
                     _ => false,
                 };
-                one(NValue::boolean(empty))
+                Ok(Ret::Bool(empty))
             }
             // ---- serialization toolbox (§3.2 / Fig. 2) ----------------------
-            "serialize" => {
-                let [v] = args(name, &mut pos)?;
-                one(NValue::V(Value::Serial(xdrser::serialize(
-                    &v.take().into_value()?,
-                ))))
+            B::Serialize => {
+                let [v] = args(name, pos)?;
+                let s = xdrser::serialize(&*plain(v)?);
+                Ok(Ret::One(NValue::V(Value::Serial(s))))
             }
-            "unserialize" => {
-                let [v] = args(name, &mut pos)?;
-                match v {
-                    NValue::V(Value::Serial(s)) => {
-                        one(NValue::wrap(xdrser::unserialize(s).map_err(xdr_err)?))
-                    }
+            B::Unserialize => {
+                let [v] = args(name, pos)?;
+                match v.value() {
+                    NValue::V(Value::Serial(s)) => Ok(Ret::One(unserialize_value(s)?)),
                     other => err(format!("unserialize of {}", other.type_name())),
                 }
             }
-            "save" => {
-                let [path, v] = args(name, &mut pos)?;
+            B::Save => {
+                let [path, v] = args(name, pos)?;
                 let path = need_str(path, "save path")?;
-                xdrser::save(path, &v.take().into_value()?).map_err(xdr_err)?;
-                one(NValue::V(Value::None))
+                xdrser::save(path, &*plain(v)?).map_err(xdr_err)?;
+                none()
             }
-            "load" => {
-                let [path] = args(name, &mut pos)?;
+            B::Load => {
+                let [path] = args(name, pos)?;
                 let v = xdrser::load(need_str(path, "load path")?).map_err(xdr_err)?;
-                one(NValue::wrap(v))
+                Ok(Ret::One(NValue::wrap(v)))
             }
-            "sload" => {
-                let [path] = args(name, &mut pos)?;
+            B::Sload => {
+                let [path] = args(name, pos)?;
                 let s = xdrser::sload(need_str(path, "sload path")?).map_err(xdr_err)?;
-                one(NValue::V(Value::Serial(s)))
+                Ok(Ret::One(NValue::V(Value::Serial(s))))
             }
             // ---- Premia toolbox (§3.3) ---------------------------------------
-            "premia_create" => one(NValue::Premia(Rc::new(RefCell::new(PremiaObj::new())))),
+            B::PremiaCreate => Ok(Ret::One(NValue::Premia(Rc::new(RefCell::new(
+                PremiaObj::new(),
+            ))))),
             // ---- MPI toolbox (§3.2) -------------------------------------------
-            "MPI_Init" => one(NValue::boolean(true)),
-            "MPI_Initialized" => one(NValue::boolean(self.comm.is_some())),
-            "mpicomm_create" => {
-                let which = pos
-                    .first()
-                    .and_then(|v| v.as_str())
-                    .unwrap_or("WORLD")
-                    .to_string();
-                one(NValue::string(format!("COMM:{which}")))
+            B::MpiInit => Ok(Ret::Bool(true)),
+            B::MpiInitialized => Ok(Ret::Bool(self.comm.is_some())),
+            B::MpicommCreate => {
+                let which = pos.first().and_then(|v| v.text()).unwrap_or("WORLD");
+                Ok(Ret::One(NValue::string(format!("COMM:{which}"))))
             }
-            "mpiinfo_create" => one(NValue::string("INFO:NULL")),
-            "MPI_Comm_rank" => one(NValue::scalar(self.comm()?.rank() as f64)),
-            "MPI_Comm_size" => one(NValue::scalar(self.comm()?.size() as f64)),
-            "MPI_Send_Obj" => {
-                let [v, dest, tag] = args(name, &mut pos)?;
-                let v = v.take().into_value()?;
+            B::MpiinfoCreate => Ok(Ret::One(NValue::string("INFO:NULL"))),
+            B::MpiCommRank => Ok(Ret::Num(self.comm()?.rank() as f64)),
+            B::MpiCommSize => Ok(Ret::Num(self.comm()?.size() as f64)),
+            B::MpiSendObj => {
+                let [v, dest, tag] = args(name, pos)?;
+                let v = plain(v)?;
                 let dest = need_scalar(dest, "destination")? as i32;
                 let tag = need_scalar(tag, "tag")? as i32;
                 self.comm()?.send_obj(&v, dest, tag).map_err(mpi_err)?;
-                one(NValue::V(Value::None))
+                none()
             }
-            "MPI_Recv_Obj" => {
-                let [src, tag] = args(name, &mut pos)?;
+            B::MpiRecvObj => {
+                let [src, tag] = args(name, pos)?;
                 let src = need_scalar(src, "source")? as i32;
                 let tag = need_scalar(tag, "tag")? as i32;
                 let (v, _st) = self.comm()?.recv_obj(src, tag).map_err(mpi_err)?;
-                one(NValue::wrap(v))
+                Ok(Ret::One(NValue::wrap(v)))
             }
-            "MPI_Probe" => {
-                let [src, tag] = args(name, &mut pos)?;
+            B::MpiProbe => {
+                let [src, tag] = args(name, pos)?;
                 let src = need_scalar(src, "source")? as i32;
                 let tag = need_scalar(tag, "tag")? as i32;
                 let st = self.comm()?.probe(src, tag).map_err(mpi_err)?;
-                one(status_value(st))
+                Ok(Ret::One(status_value(st)))
             }
-            "MPI_Get_count" | "MPI_Get_elements" => {
-                let [stat] = args(name, &mut pos)?;
-                match stat {
+            B::MpiGetCount | B::MpiGetElements => {
+                let [stat] = args(name, pos)?;
+                match stat.value() {
                     NValue::V(Value::Hash(h)) => {
                         let count = h
                             .get("count")
                             .and_then(|v| v.as_scalar())
                             .ok_or_else(|| NspError::new("bad status object"))?;
-                        one(NValue::scalar(count))
+                        Ok(Ret::Num(count))
                     }
                     other => err(format!("bad status: {}", other.type_name())),
                 }
             }
-            "mpibuf_create" => {
-                let [n] = args(name, &mut pos)?;
-                let n = need_scalar(n, "buffer size")? as usize;
-                one(NValue::Buf(Rc::new(RefCell::new(MpiBuf::with_capacity(n)))))
+            B::MpibufCreate => {
+                let [n] = args(name, pos)?;
+                let n = need_scalar(n, "buffer size")?;
+                // The size is a limit the receive checks, not an
+                // allocation; it still has to be a byte count.
+                if !(n >= 0.0 && n.fract() == 0.0) {
+                    return err(format!(
+                        "buffer size must be a non-negative integer, got {n}"
+                    ));
+                }
+                let buf = MpiBuf::with_capacity(n as usize);
+                Ok(Ret::One(NValue::Buf(Rc::new(RefCell::new(buf)))))
             }
-            "MPI_Recv" => {
-                let [buf, src, tag] = args(name, &mut pos)?;
-                let NValue::Buf(buf) = buf else {
+            B::MpiRecv => {
+                let [buf, src, tag] = args(name, pos)?;
+                let NValue::Buf(buf) = buf.value() else {
                     return err("MPI_Recv needs an mpibuf");
                 };
                 let src = need_scalar(src, "source")? as i32;
@@ -936,26 +949,26 @@ impl Interp {
                     .comm()?
                     .recv_into(&mut buf.borrow_mut(), src, tag)
                     .map_err(mpi_err)?;
-                one(status_value(st))
+                Ok(Ret::One(status_value(st)))
             }
-            "MPI_Unpack" => {
-                let [buf] = args(name, &mut pos)?;
-                let NValue::Buf(buf) = buf else {
+            B::MpiUnpack => {
+                let [buf] = args(name, pos)?;
+                let NValue::Buf(buf) = buf.value() else {
                     return err("MPI_Unpack needs an mpibuf");
                 };
                 let v = self.comm()?.unpack(&buf.borrow()).map_err(mpi_err)?;
                 // Keep the raw value (a Serial stays a Serial), matching
                 // the Fig. 4 slave that unserializes explicitly.
-                one(NValue::V(v))
+                Ok(Ret::One(NValue::V(v)))
             }
-            "MPI_Pack" => {
-                let [v] = args(name, &mut pos)?;
-                let buf = self.comm()?.pack(&v.take().into_value()?);
-                one(NValue::Buf(Rc::new(RefCell::new(buf))))
+            B::MpiPack => {
+                let [v] = args(name, pos)?;
+                let buf = self.comm()?.pack(&*plain(v)?);
+                Ok(Ret::One(NValue::Buf(Rc::new(RefCell::new(buf)))))
             }
-            "MPI_Send" => {
-                let [buf, dest, tag] = args(name, &mut pos)?;
-                let NValue::Buf(buf) = buf else {
+            B::MpiSend => {
+                let [buf, dest, tag] = args(name, pos)?;
+                let NValue::Buf(buf) = buf.value() else {
                     return err("MPI_Send needs an mpibuf (use MPI_Pack first)");
                 };
                 let dest = need_scalar(dest, "destination")? as i32;
@@ -963,14 +976,13 @@ impl Interp {
                 self.comm()?
                     .send(buf.borrow().bytes(), dest, tag)
                     .map_err(mpi_err)?;
-                one(NValue::V(Value::None))
+                none()
             }
-            "MPI_Barrier" => {
+            B::MpiBarrier => {
                 self.comm()?.barrier();
-                one(NValue::V(Value::None))
+                none()
             }
-            "MPI_Wtime" => one(NValue::scalar(self.comm()?.wtime())),
-            _ => err(format!("unknown function {name}")),
+            B::MpiWtime => Ok(Ret::Num(self.comm()?.wtime())),
         }
     }
 
@@ -980,30 +992,30 @@ impl Interp {
         &mut self,
         base: NValue,
         name: &str,
-        pos: Vec<NValue>,
+        pos: &mut [NValue],
         kw: Vec<(String, NValue)>,
-    ) -> R<Vec<NValue>> {
-        let one = |v: NValue| Ok(vec![v]);
+    ) -> R<Ret> {
+        let one = |v: NValue| Ok(Ret::One(v));
         match (&base, name) {
             // ---- Premia object (§3.3) -------------------------------------
             (NValue::Premia(p), "set_asset") => {
-                p.borrow_mut().asset = Some(kw_str(&kw, &pos)?);
+                p.borrow_mut().asset = Some(kw_str(&kw, pos)?);
                 one(base)
             }
             (NValue::Premia(p), "set_model") => {
-                let s = kw_str(&kw, &pos)?;
+                let s = kw_str(&kw, pos)?;
                 p.borrow_mut().model =
                     Some(ModelSpec::by_name(&s).map_err(|e| NspError::new(e.to_string()))?);
                 one(base)
             }
             (NValue::Premia(p), "set_option") => {
-                let s = kw_str(&kw, &pos)?;
+                let s = kw_str(&kw, pos)?;
                 p.borrow_mut().option =
                     Some(OptionSpec::by_name(&s).map_err(|e| NspError::new(e.to_string()))?);
                 one(base)
             }
             (NValue::Premia(p), "set_method") => {
-                let s = kw_str(&kw, &pos)?;
+                let s = kw_str(&kw, pos)?;
                 let spec = MethodSpec::by_name(&s).map_err(|e| NspError::new(e.to_string()))?;
                 p.borrow_mut().method = Some(tune_method(spec, &kw)?);
                 one(base)
@@ -1039,18 +1051,15 @@ impl Interp {
                 let other = pos
                     .first()
                     .ok_or_else(|| NspError::new("equal needs a value"))?;
-                one(NValue::boolean(base.to_value()?.equal(&other.to_value()?)))
+                Ok(Ret::Bool(base.to_value()?.equal(&other.to_value()?)))
             }
             (NValue::Premia(_), "equal") => {
                 let other = pos
                     .first()
                     .ok_or_else(|| NspError::new("equal needs a value"))?;
-                one(NValue::boolean(base.to_value()?.equal(&other.to_value()?)))
+                Ok(Ret::Bool(base.to_value()?.equal(&other.to_value()?)))
             }
-            (NValue::V(Value::Serial(s)), "unserialize") => {
-                let v = xdrser::unserialize(s).map_err(|e| NspError::new(e.to_string()))?;
-                one(NValue::wrap(v))
-            }
+            (NValue::V(Value::Serial(s)), "unserialize") => one(unserialize_value(s)?),
             (NValue::V(Value::Serial(s)), "compress") => {
                 let c = xdrser::compress_serial(s).map_err(|e| NspError::new(e.to_string()))?;
                 one(NValue::V(Value::Serial(c)))
@@ -1158,20 +1167,20 @@ pub(crate) fn transpose_value(v: &NValue) -> R<NValue> {
 }
 
 /// `base(idx...)` read indexing (lists, matrices, hashes).
-pub(crate) fn index_value(base: &NValue, idx: &[NValue]) -> R<NValue> {
+pub(crate) fn index_value<A: CallArg>(base: &NValue, idx: &mut [A]) -> R<NValue> {
     match base {
         NValue::V(Value::List(l)) => {
             if idx.len() != 1 {
                 return err("lists take one index");
             }
-            match &idx[0] {
-                NValue::V(Value::Real(m)) if m.len() == 1 => {
-                    let i = m.get_linear(0) as usize;
-                    if i < 1 || i > l.len() {
-                        return err(format!("list index {i} out of bounds ({})", l.len()));
-                    }
-                    Ok(NValue::wrap(l.get(i - 1).expect("bounds checked").clone()))
+            if let Some(x) = idx[0].num() {
+                let i = x as usize;
+                if i < 1 || i > l.len() {
+                    return err(format!("list index {i} out of bounds ({})", l.len()));
                 }
+                return Ok(NValue::wrap(l.get(i - 1).expect("bounds checked").clone()));
+            }
+            match idx[0].value() {
                 NValue::V(Value::Real(m)) => {
                     // Sublist selection: L(1:k).
                     let mut out = List::new();
@@ -1188,14 +1197,14 @@ pub(crate) fn index_value(base: &NValue, idx: &[NValue]) -> R<NValue> {
             }
         }
         NValue::V(Value::Real(m)) => match idx.len() {
-            1 => match &idx[0] {
-                NValue::V(Value::Real(im)) if im.len() == 1 => {
-                    let i = im.get_linear(0) as usize;
-                    if i < 1 || i > m.len() {
-                        return err(format!("index {i} out of bounds"));
-                    }
-                    Ok(NValue::scalar(m.get_linear(i - 1)))
+            1 if idx[0].num().is_some() => {
+                let i = idx[0].num().expect("checked") as usize;
+                if i < 1 || i > m.len() {
+                    return err(format!("index {i} out of bounds"));
                 }
+                Ok(NValue::scalar(m.get_linear(i - 1)))
+            }
+            1 => match idx[0].value() {
                 NValue::V(Value::Real(im)) => {
                     let mut data = Vec::with_capacity(im.len());
                     for &x in im.data() {
@@ -1211,11 +1220,11 @@ pub(crate) fn index_value(base: &NValue, idx: &[NValue]) -> R<NValue> {
             },
             2 => {
                 let r = idx[0]
-                    .as_scalar()
+                    .num()
                     .ok_or_else(|| NspError::new("row index must be scalar"))?
                     as usize;
                 let c = idx[1]
-                    .as_scalar()
+                    .num()
                     .ok_or_else(|| NspError::new("col index must be scalar"))?
                     as usize;
                 if r < 1 || c < 1 || r > m.rows() || c > m.cols() {
@@ -1227,7 +1236,7 @@ pub(crate) fn index_value(base: &NValue, idx: &[NValue]) -> R<NValue> {
         },
         NValue::V(Value::Hash(h)) => {
             if idx.len() == 1 {
-                if let Some(key) = idx[0].as_str() {
+                if let Some(key) = idx[0].text() {
                     return match h.get(key) {
                         Some(v) => Ok(NValue::wrap(v.clone())),
                         None => err(format!("hash has no key {key}")),
@@ -1340,19 +1349,15 @@ pub(crate) fn field_assign_value(base: &mut NValue, field: &str, v: NValue) -> R
 /// `list.add_last[x]` in place; `list` is left untouched on error. The
 /// call's value is the grown list: a caller that reads it (`want > 0`) gets
 /// the one copy, the statement form (`want == 0`) none.
-pub(crate) fn add_last_value(
-    list: &mut NValue,
-    mut pos: Vec<NValue>,
-    want: usize,
-) -> R<Vec<NValue>> {
+pub(crate) fn add_last_value(list: &mut NValue, pos: &mut [NValue], want: usize) -> R<Ret> {
     match list {
         NValue::V(Value::List(l)) => {
-            let [v] = args("add_last", &mut pos)?;
+            let [v] = args("add_last", pos)?;
             l.add_last(v.take().into_value()?);
             Ok(if want == 0 {
-                Vec::new()
+                Ret::Many(Vec::new())
             } else {
-                vec![list.clone()]
+                Ret::One(list.clone())
             })
         }
         other => err(format!("{} has no method add_last", other.type_name())),
@@ -1362,10 +1367,7 @@ pub(crate) fn add_last_value(
 /// The one checked read of a call's positional arguments: the first `N`,
 /// in place. A callee that consumes one [`NValue::take`]s it. Trailing
 /// extras (the scripts' `MCW` handles) are ignored.
-pub(crate) fn args<'a, const N: usize>(
-    name: &str,
-    pos: &'a mut [NValue],
-) -> R<&'a mut [NValue; N]> {
+pub(crate) fn args<'a, A, const N: usize>(name: &str, pos: &'a mut [A]) -> R<&'a mut [A; N]> {
     let got = pos.len();
     pos.first_chunk_mut().ok_or_else(|| {
         let s = if N == 1 { "" } else { "s" };
@@ -1373,23 +1375,124 @@ pub(crate) fn args<'a, const N: usize>(
     })
 }
 
+/// A call argument as a builtin reads it, in place: the tree-walker's
+/// evaluated [`NValue`]s, or the VM's registers, where a scalar is an
+/// unboxed immediate and a variable may be lent rather than copied.
+pub(crate) trait CallArg {
+    /// The content of a 1×1 real.
+    fn num(&self) -> Option<f64>;
+    /// The content of a 1×1 string.
+    fn text(&self) -> Option<&str>;
+    /// The argument as a value (an immediate is boxed in place).
+    fn value(&mut self) -> &NValue;
+    /// Move the argument out, leaving `none` behind.
+    fn take_value(&mut self) -> NValue;
+}
+
+impl CallArg for NValue {
+    fn num(&self) -> Option<f64> {
+        self.as_scalar()
+    }
+
+    fn text(&self) -> Option<&str> {
+        self.as_str()
+    }
+
+    fn value(&mut self) -> &NValue {
+        self
+    }
+
+    fn take_value(&mut self) -> NValue {
+        self.take()
+    }
+}
+
+/// What a builtin or method call produces: one value (a scalar kept
+/// unboxed, so the VM stores it as an immediate) or, for `size` and the
+/// statement form of `add_last`, a list of them.
+pub(crate) enum Ret {
+    /// A 1×1 real.
+    Num(f64),
+    /// A 1×1 boolean.
+    Bool(bool),
+    /// Any one value.
+    One(NValue),
+    /// Several values (or none).
+    Many(Vec<NValue>),
+}
+
+impl Ret {
+    /// The results as the tree-walker passes them around.
+    pub(crate) fn into_vec(self) -> Vec<NValue> {
+        match self {
+            Ret::Num(x) => vec![NValue::scalar(x)],
+            Ret::Bool(b) => vec![NValue::boolean(b)],
+            Ret::One(v) => vec![v],
+            Ret::Many(v) => v,
+        }
+    }
+}
+
+fn need_scalar(v: &impl CallArg, what: &str) -> R<f64> {
+    v.num()
+        .ok_or_else(|| NspError::new(format!("{what} must be a scalar")))
+}
+
+fn need_str<'a>(v: &'a impl CallArg, what: &str) -> R<&'a str> {
+    v.text()
+        .ok_or_else(|| NspError::new(format!("{what} must be a string")))
+}
+
+/// An argument as plain data, borrowed where it is plain already: what a
+/// builtin that only reads its argument (`serialize`, `MPI_Send_Obj`, …)
+/// serializes. A Premia object encodes as its `PremiaModel` hash.
+fn plain(v: &mut impl CallArg) -> R<Cow<'_, Value>> {
+    match v.value() {
+        NValue::V(val) => Ok(Cow::Borrowed(val)),
+        other => other.to_value().map(Cow::Owned),
+    }
+}
+
+/// `unserialize(S)` / `S.unserialize[]`, shared by both engines. A plain
+/// serial is first read as a problem straight from its bytes
+/// (`PremiaProblem::from_xdr_bytes`, whose contract is
+/// `from_value(&unserialize_bytes(b))`): a problem becomes a Premia
+/// object without a value tree. Anything else — a compressed serial, a
+/// value that is not a problem, bytes that do not decode — takes the
+/// general path, with its values and its errors.
+pub(crate) fn unserialize_value(s: &Serial) -> R<NValue> {
+    if !s.is_compressed() {
+        if let Ok(problem) = PremiaProblem::from_xdr_bytes(s.bytes()) {
+            return Ok(NValue::Premia(Rc::new(RefCell::new(
+                PremiaObj::from_problem(problem),
+            ))));
+        }
+    }
+    let v = xdrser::unserialize(s).map_err(|e| NspError::new(e.to_string()))?;
+    Ok(NValue::wrap(v))
+}
+
 /// The front half of `exec(path)`, shared by both engines: check the
 /// argument and read the script file.
-pub(crate) fn read_exec_source(mut pos: Vec<NValue>) -> R<String> {
-    let [path] = args("exec", &mut pos)?;
+pub(crate) fn read_exec_source<A: CallArg>(pos: &mut [A]) -> R<String> {
+    let [path] = args("exec", pos)?;
     let path = path
-        .as_str()
+        .text()
         .ok_or_else(|| NspError::new("exec path must be a string"))?;
     std::fs::read_to_string(path).map_err(|e| NspError::new(format!("exec {path}: {e}")))
 }
 
 /// `base.name` field read.
 pub(crate) fn field_value(base: &NValue, name: &str) -> R<NValue> {
+    field_ref(base, name).map(|v| NValue::wrap(v.clone()))
+}
+
+/// The value `base.name` reads, borrowed.
+pub(crate) fn field_ref<'a>(base: &'a NValue, name: &str) -> R<&'a Value> {
     match base {
-        NValue::V(Value::Hash(h)) => match h.get(name) {
-            Some(v) => Ok(NValue::wrap(v.clone())),
-            None => err(format!("hash has no field {name}")),
-        },
+        NValue::V(Value::Hash(h)) => h
+            .get(name)
+            .ok_or_else(|| NspError::new(format!("hash has no field {name}"))),
         other => err(format!("{} has no fields", other.type_name())),
     }
 }
@@ -1501,76 +1604,139 @@ pub(crate) fn range_value(lo: &NValue, hi: &NValue, step: Option<&NValue>) -> R<
     Ok(NValue::V(Value::Real(Matrix::row(data))))
 }
 
-/// Compact builtin table: the lowerer resolves callee names to dense ids
-/// through this list at compile time, and the VM dispatches through
-/// [`builtin_name`] — no per-call string allocation or hashing.
-pub(crate) const BUILTIN_NAMES: &[&str] = &[
-    "list",
-    "hash_create",
-    "rand",
-    "reseed",
-    "size",
-    "length",
-    "floor",
-    "ceil",
-    "abs",
-    "sqrt",
-    "exp",
-    "log",
-    "min",
-    "max",
-    "string",
-    "disp",
-    "print",
-    "getenv",
-    "error",
-    "isempty",
-    "exec",
-    "serialize",
-    "unserialize",
-    "save",
-    "load",
-    "sload",
-    "premia_create",
-    "MPI_Init",
-    "MPI_Initialized",
-    "mpicomm_create",
-    "mpiinfo_create",
-    "MPI_Comm_rank",
-    "MPI_Comm_size",
-    "MPI_Send_Obj",
-    "MPI_Recv_Obj",
-    "MPI_Probe",
-    "MPI_Get_count",
-    "MPI_Get_elements",
-    "mpibuf_create",
-    "MPI_Recv",
-    "MPI_Unpack",
-    "MPI_Pack",
-    "MPI_Send",
-    "MPI_Barrier",
-    "MPI_Wtime",
+/// The builtin functions. The lowerer resolves a callee name to its dense
+/// id ([`builtin_id`]) at compile time, and both engines dispatch on the
+/// variant: no per-call string match.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[allow(missing_docs)] // each variant is its script name, in camel case
+pub(crate) enum Builtin {
+    List,
+    HashCreate,
+    Rand,
+    Reseed,
+    Size,
+    Length,
+    Floor,
+    Ceil,
+    Abs,
+    Sqrt,
+    Exp,
+    Log,
+    Min,
+    Max,
+    String,
+    Disp,
+    Print,
+    Getenv,
+    Error,
+    Isempty,
+    Exec,
+    Serialize,
+    Unserialize,
+    Save,
+    Load,
+    Sload,
+    PremiaCreate,
+    MpiInit,
+    MpiInitialized,
+    MpicommCreate,
+    MpiinfoCreate,
+    MpiCommRank,
+    MpiCommSize,
+    MpiSendObj,
+    MpiRecvObj,
+    MpiProbe,
+    MpiGetCount,
+    MpiGetElements,
+    MpibufCreate,
+    MpiRecv,
+    MpiUnpack,
+    MpiPack,
+    MpiSend,
+    MpiBarrier,
+    MpiWtime,
+}
+
+/// The builtin table, in id order: `BUILTINS[id] = (name, variant)`.
+const BUILTINS: &[(&str, Builtin)] = &[
+    ("list", Builtin::List),
+    ("hash_create", Builtin::HashCreate),
+    ("rand", Builtin::Rand),
+    ("reseed", Builtin::Reseed),
+    ("size", Builtin::Size),
+    ("length", Builtin::Length),
+    ("floor", Builtin::Floor),
+    ("ceil", Builtin::Ceil),
+    ("abs", Builtin::Abs),
+    ("sqrt", Builtin::Sqrt),
+    ("exp", Builtin::Exp),
+    ("log", Builtin::Log),
+    ("min", Builtin::Min),
+    ("max", Builtin::Max),
+    ("string", Builtin::String),
+    ("disp", Builtin::Disp),
+    ("print", Builtin::Print),
+    ("getenv", Builtin::Getenv),
+    ("error", Builtin::Error),
+    ("isempty", Builtin::Isempty),
+    ("exec", Builtin::Exec),
+    ("serialize", Builtin::Serialize),
+    ("unserialize", Builtin::Unserialize),
+    ("save", Builtin::Save),
+    ("load", Builtin::Load),
+    ("sload", Builtin::Sload),
+    ("premia_create", Builtin::PremiaCreate),
+    ("MPI_Init", Builtin::MpiInit),
+    ("MPI_Initialized", Builtin::MpiInitialized),
+    ("mpicomm_create", Builtin::MpicommCreate),
+    ("mpiinfo_create", Builtin::MpiinfoCreate),
+    ("MPI_Comm_rank", Builtin::MpiCommRank),
+    ("MPI_Comm_size", Builtin::MpiCommSize),
+    ("MPI_Send_Obj", Builtin::MpiSendObj),
+    ("MPI_Recv_Obj", Builtin::MpiRecvObj),
+    ("MPI_Probe", Builtin::MpiProbe),
+    ("MPI_Get_count", Builtin::MpiGetCount),
+    ("MPI_Get_elements", Builtin::MpiGetElements),
+    ("mpibuf_create", Builtin::MpibufCreate),
+    ("MPI_Recv", Builtin::MpiRecv),
+    ("MPI_Unpack", Builtin::MpiUnpack),
+    ("MPI_Pack", Builtin::MpiPack),
+    ("MPI_Send", Builtin::MpiSend),
+    ("MPI_Barrier", Builtin::MpiBarrier),
+    ("MPI_Wtime", Builtin::MpiWtime),
 ];
 
 /// Id of the `exec` builtin — the VM intercepts it so the inner script
 /// shares the current frame (tree semantics: exec binds into the caller's
 /// scope).
-pub(crate) const BUILTIN_EXEC: u16 = 20;
+pub(crate) const BUILTIN_EXEC: u16 = Builtin::Exec as u16;
 
-/// Resolve a builtin name to its dense id (compile time only).
+impl Builtin {
+    /// The builtin with dense id `id`.
+    pub(crate) fn from_id(id: u16) -> Builtin {
+        BUILTINS[id as usize].1
+    }
+
+    /// The script name.
+    pub(crate) fn name(self) -> &'static str {
+        BUILTINS[self as usize].0
+    }
+
+    /// Does the builtin keep (move out) one of its positional arguments?
+    /// The VM lends a variable to any other builtin in place; an argument
+    /// this builtin would keep is copied into its register first.
+    pub(crate) fn keeps_args(self) -> bool {
+        self == Builtin::List
+    }
+}
+
+/// Resolve a builtin name to its dense id (compile time, and the cold
+/// paths that start from a name).
 pub(crate) fn builtin_id(name: &str) -> Option<u16> {
-    BUILTIN_NAMES.iter().position(|&b| b == name).map(|i| i as u16)
-}
-
-/// The static name for a builtin id (runtime dispatch, allocation-free).
-pub(crate) fn builtin_name(id: u16) -> &'static str {
-    BUILTIN_NAMES[id as usize]
-}
-
-/// Is `name` one of the builtin functions (used to allow bare calls like
-/// `premia_create` without parentheses)?
-fn is_builtin(name: &str) -> bool {
-    builtin_id(name).is_some()
+    BUILTINS
+        .iter()
+        .position(|&(b, _)| b == name)
+        .map(|i| i as u16)
 }
 
 /// `P.set_xxx[str="..."]` keyword or single positional string.

@@ -14,7 +14,7 @@
 //! tree-walker would raise them, so both engines report identical errors.
 
 use crate::ast::{Arg, Expr, FuncDef, Spanned, Stmt, Target};
-use crate::interp::{builtin_id, NValue};
+use crate::interp::{builtin_id, Builtin, NValue, BUILTIN_EXEC};
 use crate::lexer::Pos;
 use crate::opcodes::{Chunk, Op, Proto, Reg, NO_REG, NO_TABLE};
 use std::collections::HashMap;
@@ -76,6 +76,7 @@ struct Lowerer {
     next_reg: Reg,
     max_reg: Reg,
     kw_tables: Vec<Vec<(u16, u32)>>,
+    lends: Vec<Vec<(u16, Reg)>>,
     shapes: Vec<Vec<u16>>,
     msgs: Vec<String>,
     msg_map: HashMap<String, u16>,
@@ -102,6 +103,7 @@ impl Lowerer {
             next_reg: base,
             max_reg: base,
             kw_tables: Vec::new(),
+            lends: Vec::new(),
             shapes: Vec::new(),
             msgs: Vec::new(),
             msg_map: HashMap::new(),
@@ -140,6 +142,7 @@ impl Lowerer {
             locals: self.locals,
             nregs: self.max_reg,
             kw_tables: self.kw_tables,
+            lends: self.lends,
             shapes: self.shapes,
             msgs: self.msgs,
             defs: self.defs,
@@ -637,8 +640,17 @@ impl Lowerer {
                 }
             },
             Expr::Field(base, name) => {
-                let tb = self.alloc();
-                self.expr_at(base, tb);
+                // A local's field is read in place: no copy of the hash.
+                let tb = match base.as_ref() {
+                    Expr::Ident(v) if self.slot_of(v).is_some() => {
+                        self.slot_of(v).expect("checked")
+                    }
+                    _ => {
+                        let tb = self.alloc();
+                        self.expr_at(base, tb);
+                        tb
+                    }
+                };
                 let id = self.name(name);
                 self.emit(Op::Field {
                     dst,
@@ -658,14 +670,28 @@ impl Lowerer {
     }
 
     /// Compile arguments (keywords allowed) into contiguous registers in
-    /// source order; returns `(base, argc, kw table)`.
-    fn call_args(&mut self, args: &[Arg]) -> (Reg, u16, u16) {
+    /// source order; returns `(base, argc, kw table, lend table)`. With
+    /// `lend` set (the callee's own slot, or `NO_REG`), a positional
+    /// argument that is a local is lent instead of copied: each local
+    /// once, never the callee itself, in the first 64 positions (the VM
+    /// tracks lent arguments in a `u64`).
+    fn call_args(&mut self, args: &[Arg], lend: Option<Reg>) -> (Reg, u16, u16, u16) {
         let base = self.next_reg;
         let mut kw = Vec::new();
+        let mut lent: Vec<(u16, Reg)> = Vec::new();
         for (i, a) in args.iter().enumerate() {
             let t = self.alloc();
             match a {
-                Arg::Pos(e) => self.expr_at(e, t),
+                Arg::Pos(e) => match (lend, e) {
+                    (Some(callee), Expr::Ident(v)) if i < 64 => match self.slot_of(v) {
+                        Some(src) if src != callee && lent.iter().all(|&(_, s)| s != src) => {
+                            self.emit(Op::Ref { dst: t, src });
+                            lent.push((i as u16, src));
+                        }
+                        _ => self.expr_at(e, t),
+                    },
+                    _ => self.expr_at(e, t),
+                },
                 Arg::Kw(name, e) => {
                     let id = self.name(name);
                     kw.push((i as u16, id));
@@ -673,20 +699,24 @@ impl Lowerer {
                 }
             }
         }
-        let kwt = if kw.is_empty() {
-            NO_TABLE
-        } else {
-            let id = self.kw_tables.len() as u16;
-            self.kw_tables.push(kw);
-            id
-        };
-        (base, args.len() as u16, kwt)
+        let kwt = push_table(&mut self.kw_tables, kw);
+        let lent = push_table(&mut self.lends, lent);
+        (base, args.len() as u16, kwt, lent)
     }
 
     fn apply_ident(&mut self, name: &str, args: &[Arg], dst: Reg, want: u16) {
-        let (base, argc, kwt) = self.call_args(args);
         let slot = self.slot_of(name).unwrap_or(NO_REG);
         let builtin = builtin_id(name).unwrap_or(NO_TABLE);
+        // A lent local is read when the call runs, not when its argument
+        // is evaluated: no other argument may rebind a local in between
+        // (`add_last`, `exec`), and no keyword argument or keeping builtin
+        // may take it.
+        let lend = (builtin == NO_TABLE
+            || (builtin != BUILTIN_EXEC && !Builtin::from_id(builtin).keeps_args()))
+            && args
+                .iter()
+                .all(|a| matches!(a, Arg::Pos(e) if !may_rebind(e)));
+        let (base, argc, kwt, lent) = self.call_args(args, lend.then_some(slot));
         let name_id = self.name(name);
         self.emit(Op::Apply {
             dst,
@@ -696,6 +726,7 @@ impl Lowerer {
             base,
             argc,
             kwt,
+            lent,
             want,
         });
     }
@@ -749,7 +780,7 @@ impl Lowerer {
                 (tb, NO_REG)
             }
         };
-        let (abase, argc, kwt) = self.call_args(args);
+        let (abase, argc, kwt, _) = self.call_args(args, None);
         let name_id = self.name(name);
         self.emit(Op::Method {
             dst,
@@ -765,7 +796,38 @@ impl Lowerer {
     }
 }
 
+/// Add a non-empty side table; its index, or `NO_TABLE` for none.
+fn push_table<T>(tables: &mut Vec<Vec<T>>, t: Vec<T>) -> u16 {
+    if t.is_empty() {
+        return NO_TABLE;
+    }
+    tables.push(t);
+    tables.len() as u16 - 1
+}
+
 // ---- local scan -------------------------------------------------------------
+
+/// Can evaluating `e` bind a local of the running frame? Only a method
+/// call (`L.add_last[x]`) or an `exec` can.
+fn may_rebind(e: &Expr) -> bool {
+    match e {
+        Expr::Num(_) | Expr::Str(_) | Expr::Bool(_) => false,
+        Expr::Ident(name) => name == "exec",
+        Expr::MethodCall(..) => true,
+        Expr::Matrix(rows) => rows.iter().flatten().any(may_rebind),
+        Expr::Range(lo, step, hi) => {
+            may_rebind(lo) || step.as_deref().is_some_and(may_rebind) || may_rebind(hi)
+        }
+        Expr::Unary(_, inner) | Expr::Transpose(inner) | Expr::Field(inner, _) => may_rebind(inner),
+        Expr::Binary(_, a, b) => may_rebind(a) || may_rebind(b),
+        Expr::Apply(callee, args) => {
+            may_rebind(callee)
+                || args.iter().any(|a| match a {
+                    Arg::Pos(e) | Arg::Kw(_, e) => may_rebind(e),
+                })
+        }
+    }
+}
 
 /// Visit, in source order, every name a block binds: assignment target
 /// roots, `for` variables, and `add_last` receivers (updated in their slot

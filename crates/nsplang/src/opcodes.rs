@@ -8,9 +8,12 @@
 //! The calling convention is register-based and contiguous (Lua-style):
 //! every expression operand is evaluated into a frame register; call ops name
 //! a base register and an argument count, and multi-value results are written
-//! to `dst..dst+want`. Named locals occupy dedicated slots resolved at lower
-//! time, so the dispatch loop never touches a hash map (see `vm.rs`, which
-//! grep-gates this in CI).
+//! to `dst..dst+want`. An argument that is a plain local is *lent*: its
+//! register in the call's window stays empty ([`Op::Ref`]) and the callee
+//! reads the variable's own slot, so passing a string, a hash or a serial
+//! copies nothing. Named locals occupy dedicated slots resolved at lower
+//! time, so executing an op never hashes a name (counted by the tests in
+//! `vm.rs`).
 
 use crate::ast::{BinOp, FuncDef, UnOp};
 use crate::interp::NValue;
@@ -38,6 +41,10 @@ pub enum Op {
     Copy { dst: Reg, src: Reg },
     /// `regs[dst] = regs[src].take()` — move a bound temporary.
     Take { dst: Reg, src: Reg },
+    /// A lent call argument: `regs[dst]` is left empty while local `src`
+    /// is bound (the call reads `src` in place); an unbound `src` resolves
+    /// into `regs[dst]` like [`Op::Copy`].
+    Ref { dst: Reg, src: Reg },
     /// Read an identifier that has no local slot in this chunk.
     LoadDyn { dst: Reg, name: u32 },
     /// Multi-value read of a bare identifier (multi-assignment RHS).
@@ -60,8 +67,9 @@ pub enum Op {
     /// `name(args)` — resolved at runtime to variable indexing or a call
     /// (user function first, then the builtin table), exactly like the
     /// tree-walker. Arguments are in `base..base+argc` in source order;
-    /// `kwt` marks which are keywords. `slot`/`builtin` are compile-time
-    /// resolutions (`NO_REG`/`NO_TABLE` when absent).
+    /// `kwt` marks which are keywords, `lent` which are lent locals
+    /// ([`Chunk::lends`]). `slot`/`builtin` are compile-time resolutions
+    /// (`NO_REG`/`NO_TABLE` when absent).
     Apply {
         dst: Reg,
         name: u32,
@@ -70,6 +78,7 @@ pub enum Op {
         base: Reg,
         argc: u16,
         kwt: u16,
+        lent: u16,
         want: u16,
     },
     /// `obj.name[args]` bracket-method call. `wb != NO_REG` is `L.add_last[x]`
@@ -123,6 +132,9 @@ pub struct Chunk {
     pub nregs: u16,
     /// Keyword-argument tables: `(argument position, name index)` pairs.
     pub kw_tables: Vec<Vec<(u16, u32)>>,
+    /// Lent-argument tables: `(argument position, local slot)` pairs, in
+    /// position order.
+    pub lends: Vec<Vec<(u16, Reg)>>,
     /// Matrix literal shapes: entry count per row.
     pub shapes: Vec<Vec<u16>>,
     /// Trap messages.

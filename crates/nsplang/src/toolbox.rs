@@ -1,6 +1,6 @@
 //! Toolbox objects: the `PremiaModel` class exposed to scripts (§3.3).
 
-use pricing::{MethodSpec, ModelSpec, OptionSpec, PremiaProblem, PricingResult};
+use pricing::{MethodSpec, ModelSpec, OptionSpec, PremiaProblem, PricingResult, Specs};
 
 /// The interpreter-level `PremiaModel` instance: built incrementally by
 /// `P.set_asset[...]` / `set_model` / `set_option` / `set_method`, then
@@ -47,23 +47,31 @@ impl PremiaObj {
         })
     }
 
-    /// Rehydrate from a decoded `PremiaProblem` (the slave-side path).
+    /// Rehydrate from a decoded `PremiaProblem` (the slave-side path): the
+    /// problem's parts move in.
     pub fn from_problem(p: PremiaProblem) -> Self {
         PremiaObj {
-            asset: Some(p.asset.clone()),
-            model: Some(p.model.clone()),
-            option: Some(p.option.clone()),
-            method: Some(p.method.clone()),
+            asset: Some(p.asset),
+            model: Some(p.model),
+            option: Some(p.option),
+            method: Some(p.method),
             result: None,
         }
     }
 
-    /// `P.compute[]`.
+    /// `P.compute[]`: prices the object's own parts, borrowed. The same
+    /// checks as [`PremiaObj::to_problem`], in the same order.
     pub fn compute(&mut self) -> Result<&PricingResult, String> {
-        let problem = self.to_problem()?;
-        let r = problem.compute().map_err(|e| e.to_string())?;
-        self.result = Some(r);
-        Ok(self.result.as_ref().expect("just set"))
+        let specs = match (&self.asset, &self.model, &self.option, &self.method) {
+            (Some(_), Some(model), Some(option), Some(method)) => Specs {
+                model,
+                option,
+                method,
+            },
+            _ => return Err(self.to_problem().expect_err("a part is missing")),
+        };
+        let r = specs.compute().map_err(|e| e.to_string())?;
+        Ok(self.result.insert(r))
     }
 }
 

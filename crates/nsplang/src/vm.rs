@@ -10,26 +10,34 @@
 //! Registers hold an [`RVal`]: either a boxed [`NValue`] or an **unboxed**
 //! scalar (`f64` / `bool`). Every nspval scalar is a heap-allocated 1×1
 //! matrix, so the tree-walker pays one allocation per arithmetic node; the
-//! VM keeps scalars as immediates and materialises the 1×1 matrix only at
-//! engine boundaries (calls, indexing, scope flush). Materialisation is
-//! loss-free — `RVal::F(x)` round-trips to exactly `NValue::scalar(x)` —
-//! so unboxing is invisible to scripts and to the equivalence battery.
+//! VM keeps scalars as immediates and materialises the 1×1 matrix only
+//! where a value needs its boxed form (containers, scope flush, a builtin
+//! that inspects the matrix). Materialisation is loss-free — `RVal::F(x)`
+//! round-trips to exactly `NValue::scalar(x)` — so unboxing is invisible to
+//! scripts and to the equivalence battery.
 //!
-//! Hot-path discipline: the dispatch loop below (bracketed by `HASH-FREE`
-//! markers, grep-gated by `scripts/ci.sh`) touches only `Vec`-indexed state — registers, constants, interned names.
-//! Name hashing survives only on cold paths (dynamic-scope fallback, call
-//! setup).
+//! Hot-path discipline: executing an op, calls included, hashes no name
+//! and compares no string. Every name is interned once per chunk into a
+//! global id ([`VmState`]); a frame's named slots carry those ids, so
+//! "is this name bound in the dynamic chain?" is a scan of `u32`s; and
+//! what the interpreter's own scopes and function table say about a name
+//! is cached per id and trusted while the interpreter's binding epoch has
+//! not moved. A builtin runs by id on its argument registers in place
+//! (lent locals included) and returns one value; a user function runs on
+//! a pooled frame. The unit tests at the bottom count name lookups and
+//! allocations per dispatched op.
 
-use crate::ast::{BinOp, UnOp};
+use crate::ast::{BinOp, FuncDef, UnOp};
 use crate::interp::{
-    add_last_value, binary_value, build_matrix, builtin_id, builtin_name, field_assign_value,
-    field_value, for_items_of, index_assign_value, index_value, range_value, read_exec_source,
-    transpose_value, unary_value, Interp, NValue, NspError, BUILTIN_EXEC,
+    add_last_value, binary_value, build_matrix, builtin_id, field_assign_value, field_ref,
+    for_items_of, index_assign_value, index_value, range_value, read_exec_source, transpose_value,
+    unary_value, Builtin, CallArg, Interp, NValue, NspError, Ret, BUILTIN_EXEC,
 };
 use crate::lower::{lower_function, lower_program, lower_seeded};
 use crate::opcodes::{Chunk, Op, Proto, Reg, NO_REG, NO_TABLE};
 use crate::parser::parse_program;
 use nspval::{Hash, Value};
+use std::collections::HashMap;
 use std::rc::Rc;
 
 type R<T> = Result<T, NspError>;
@@ -37,7 +45,6 @@ type R<T> = Result<T, NspError>;
 fn err<T>(msg: impl Into<String>) -> R<T> {
     Err(NspError::new(msg))
 }
-
 /// A register value: a boxed [`NValue`] or an unboxed scalar immediate.
 ///
 /// The scalar variants carry exactly the information of a 1×1 real/bool
@@ -73,6 +80,16 @@ impl RVal {
             RVal::N(v) => v,
             RVal::F(x) => NValue::scalar(x),
             RVal::B(b) => NValue::boolean(b),
+        }
+    }
+
+    /// Unbox a boxed 1×1 again (a lent local that a builtin boxed in
+    /// place goes back to its slot as an immediate).
+    #[inline]
+    fn unbox(self) -> RVal {
+        match self {
+            RVal::N(v) => RVal::from_nv(v),
+            imm => imm,
         }
     }
 
@@ -127,54 +144,208 @@ fn scalar_bin(op: BinOp, x: f64, y: f64) -> R<RVal> {
     })
 }
 
-/// One execution frame: registers plus the names of the named slots
-/// (`None` for temporaries). The name table drives the dynamic-scope
-/// fallback and the final flush of top-level bindings into the global scope.
-pub(crate) struct Frame {
-    regs: Vec<Option<RVal>>,
-    names: Vec<Option<Rc<str>>>,
+/// A call argument register, read in place by the shared builtins.
+impl CallArg for Option<RVal> {
+    fn num(&self) -> Option<f64> {
+        self.as_ref().and_then(RVal::as_num)
+    }
+
+    fn text(&self) -> Option<&str> {
+        match self {
+            Some(RVal::N(v)) => v.as_str(),
+            _ => None,
+        }
+    }
+
+    fn value(&mut self) -> &NValue {
+        if !matches!(self, Some(RVal::N(_))) {
+            let v = self.take().expect("argument register bound").nv();
+            *self = Some(RVal::N(v));
+        }
+        match self {
+            Some(RVal::N(v)) => v,
+            _ => unreachable!("boxed above"),
+        }
+    }
+
+    fn take_value(&mut self) -> NValue {
+        self.take().expect("argument register bound").nv()
+    }
 }
 
-impl Frame {
-    fn for_chunk(chunk: &Chunk) -> Frame {
-        let n = chunk.nregs as usize;
-        let mut f = Frame {
-            regs: vec![None; n],
-            names: vec![None; n],
-        };
-        f.name_locals(chunk);
+// ---- names ------------------------------------------------------------------
+
+/// The name id of a register that is a temporary, not a named local.
+const NO_NAME: u32 = u32::MAX;
+
+/// What the VM knows about one interned name. `global` and `func` are what
+/// the interpreter's scopes and function table said at binding epoch
+/// `epoch`, and hold until the epoch moves.
+struct NameInfo {
+    name: Rc<str>,
+    /// The builtin of that name, or `NO_TABLE`.
+    builtin: u16,
+    epoch: u64,
+    /// Some interpreter scope binds the name.
+    global: bool,
+    /// The user function of that name, compiled.
+    func: Option<Rc<VmFunc>>,
+}
+
+/// A compiled user function (its definition — cache identity, arity,
+/// outputs — and body) and the body's names as ids.
+pub(crate) struct VmFunc {
+    proto: Proto,
+    gids: Vec<u32>,
+    /// The name id of each register of a fresh frame.
+    names: Vec<u32>,
+}
+
+/// The VM's state on an interpreter: interned names, compiled functions and
+/// a pool of frames for user calls.
+#[derive(Default)]
+pub(crate) struct VmState {
+    ids: HashMap<Rc<str>, u32>,
+    info: Vec<NameInfo>,
+    /// Compiled bodies by function name, revalidated against the live
+    /// definition by `Rc` identity so redefinition recompiles.
+    funcs: HashMap<String, Rc<VmFunc>>,
+    frames: Vec<Frame>,
+}
+
+#[cfg(test)]
+thread_local! {
+    static NAME_LOOKUPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Count one resolution of a name by its text (a hash or a string
+/// comparison): the tests below pin how many a dispatched op makes.
+#[inline]
+fn name_lookup() {
+    #[cfg(test)]
+    NAME_LOOKUPS.with(|n| n.set(n.get() + 1));
+}
+
+impl VmState {
+    fn intern(&mut self, name: &Rc<str>) -> u32 {
+        name_lookup();
+        if let Some(&g) = self.ids.get(name) {
+            return g;
+        }
+        let g = self.info.len() as u32;
+        self.ids.insert(name.clone(), g);
+        self.info.push(NameInfo {
+            name: name.clone(),
+            builtin: builtin_id(name).unwrap_or(NO_TABLE),
+            epoch: u64::MAX,
+            global: false,
+            func: None,
+        });
+        g
+    }
+
+    /// A chunk's names as ids, and the name id of each of its registers.
+    fn link(&mut self, chunk: &Chunk) -> (Vec<u32>, Vec<u32>) {
+        let gids: Vec<u32> = chunk.names.iter().map(|n| self.intern(n)).collect();
+        let mut names = vec![NO_NAME; chunk.nregs as usize];
+        for &(slot, name) in &chunk.locals {
+            names[slot as usize] = gids[name as usize];
+        }
+        (gids, names)
+    }
+
+    fn compiled(&mut self, def: &Rc<FuncDef>) -> Rc<VmFunc> {
+        name_lookup();
+        if let Some(f) = self.funcs.get(&def.name) {
+            if Rc::ptr_eq(&f.proto.def, def) {
+                return f.clone();
+            }
+        }
+        let proto = lower_function(def);
+        let (gids, names) = self.link(&proto.chunk);
+        let f = Rc::new(VmFunc { proto, gids, names });
+        self.funcs.insert(def.name.clone(), f.clone());
         f
     }
 
+    /// A frame for a call of `f`, from the pool when one is free.
+    fn frame(&mut self, f: &VmFunc) -> Frame {
+        let mut frame = self.frames.pop().unwrap_or_default();
+        frame.regs.resize(f.names.len(), None);
+        frame.names.extend_from_slice(&f.names);
+        frame
+    }
+
+    /// Return a finished call's frame to the pool, its values dropped.
+    fn recycle(&mut self, mut frame: Frame) {
+        frame.regs.clear();
+        frame.names.clear();
+        frame.grown = false;
+        self.frames.push(frame);
+    }
+}
+
+/// What the interpreter says about name `g`, asked again only when a
+/// binding changed since the last answer.
+fn info(interp: &mut Interp, g: u32) -> &NameInfo {
+    if interp.vm.info[g as usize].epoch != interp.epoch {
+        name_lookup();
+        let name = interp.vm.info[g as usize].name.clone();
+        let global = interp.scopes.iter().any(|s| s.contains_key(&*name));
+        let func = interp.funcs.get(&*name).cloned();
+        let func = func.map(|def| interp.vm.compiled(&def));
+        let info = &mut interp.vm.info[g as usize];
+        info.epoch = interp.epoch;
+        info.global = global;
+        info.func = func;
+    }
+    &interp.vm.info[g as usize]
+}
+
+// ---- frames -----------------------------------------------------------------
+
+/// One execution frame: registers plus the name id of each (`NO_NAME` for
+/// temporaries). The name ids drive the dynamic-scope fallback and the
+/// final flush of top-level bindings into the global scope.
+#[derive(Default)]
+pub(crate) struct Frame {
+    regs: Vec<Option<RVal>>,
+    names: Vec<u32>,
+    /// An `exec` gave the frame names its own chunk does not know. Until
+    /// then a name has at most one slot here, the one the lowerer gave
+    /// it, so a name whose slot is empty is bound nowhere in the frame.
+    grown: bool,
+}
+
+impl Frame {
     /// Grow an existing frame for an `exec`-lowered chunk.
-    fn extend_for(&mut self, chunk: &Chunk) {
+    fn extend_for(&mut self, chunk: &Chunk, gids: &[u32]) {
         let n = chunk.nregs as usize;
         if n > self.regs.len() {
             self.regs.resize(n, None);
-            self.names.resize(n, None);
+            self.names.resize(n, NO_NAME);
         }
-        self.name_locals(chunk);
-    }
-
-    fn name_locals(&mut self, chunk: &Chunk) {
         for &(slot, name) in &chunk.locals {
-            self.names[slot as usize] = Some(chunk.names[name as usize].clone());
+            self.grown |= self.names[slot as usize] == NO_NAME;
+            self.names[slot as usize] = gids[name as usize];
         }
     }
 
-    /// Find `name` among this frame's bound named slots.
-    fn lookup(&self, name: &str) -> Option<NValue> {
-        for (i, n) in self.names.iter().enumerate() {
-            if let Some(n) = n {
-                if &**n == name {
-                    if let Some(v) = self.regs[i].as_ref() {
-                        return Some(v.to_nv());
-                    }
-                }
-            }
-        }
-        None
+    /// The value of the first bound named slot with name id `g`.
+    fn lookup(&self, g: u32) -> Option<&RVal> {
+        self.names
+            .iter()
+            .zip(&self.regs)
+            .find_map(|(&n, r)| if n == g { r.as_ref() } else { None })
     }
+}
+
+/// The frames of the enclosing calls, innermost first: the dynamic scope
+/// chain between a frame and the interpreter's scopes.
+#[derive(Clone, Copy)]
+struct Chain<'a> {
+    frame: &'a Frame,
+    up: Option<&'a Chain<'a>>,
 }
 
 /// Parse, lower, and execute a script; top-level bindings are flushed to the
@@ -183,36 +354,41 @@ impl Frame {
 pub(crate) fn run_vm(interp: &mut Interp, src: &str) -> R<()> {
     let prog = parse_program(src)?;
     let chunk = lower_program(&prog);
-    let mut frame = Frame::for_chunk(&chunk);
-    let res = run_frame(interp, &chunk, &mut frame, &[]);
+    let (gids, names) = interp.vm.link(&chunk);
+    let mut frame = Frame {
+        regs: vec![None; names.len()],
+        names,
+        grown: false,
+    };
+    let res = run_frame(interp, &chunk, &gids, &mut frame, None);
     flush_frame(interp, &mut frame);
     res
 }
 
 fn flush_frame(interp: &mut Interp, frame: &mut Frame) {
-    let scope = interp.scopes.last_mut().expect("at least the global scope");
-    for (i, name) in frame.names.iter().enumerate() {
-        if let Some(name) = name {
-            if let Some(v) = frame.regs[i].take() {
-                scope.insert(name.to_string(), v.nv());
+    for (&g, reg) in frame.names.iter().zip(&mut frame.regs) {
+        if g != NO_NAME {
+            if let Some(v) = reg.take() {
+                let name = interp.vm.info[g as usize].name.to_string();
+                interp.bind(name, v.nv());
             }
         }
     }
 }
 
-/// Execute a chunk on a frame. `parents` are the frames of enclosing calls,
-/// innermost last (the dynamic scope chain between this frame and the
-/// interpreter's global scope).
-fn run_frame(interp: &mut Interp, chunk: &Chunk, frame: &mut Frame, parents: &[&Frame]) -> R<()> {
+/// Execute a chunk on a frame. `gids` are the chunk's names as ids;
+/// `chain` links the frames of the enclosing calls.
+fn run_frame(
+    interp: &mut Interp,
+    chunk: &Chunk,
+    gids: &[u32],
+    frame: &mut Frame,
+    chain: Option<&Chain>,
+) -> R<()> {
     let ops = &chunk.ops[..];
     let mut pc = 0usize;
-    // Active `for` iterators, innermost last (items reversed: pop = next).
-    let mut iters: Vec<Vec<NValue>> = Vec::new();
-    // HASH-FREE-BEGIN: script dispatch loop. Registers, constants, and
-    // jump targets are Vec-indexed; no name lookup happens on these paths,
-    // and the scalar fast paths (Bin/Un/JumpIfFalse on RVal immediates)
-    // never touch the allocator. Cold helpers (dynamic resolve, calls)
-    // live below the end marker.
+    // Active `for` iterators, innermost last.
+    let mut iters: Vec<ForIter> = Vec::new();
     while pc < ops.len() {
         let step: R<usize> = match ops[pc] {
             Op::Const { dst, idx } => {
@@ -222,7 +398,7 @@ fn run_frame(interp: &mut Interp, chunk: &Chunk, frame: &mut Frame, parents: &[&
             Op::Copy { dst, src } => {
                 let v = match frame.regs[src as usize] {
                     Some(ref v) => Ok(v.clone()),
-                    None => load_slow(interp, frame, parents, frame.names[src as usize].clone())
+                    None => load_slow(interp, frame, chain, frame.names[src as usize])
                         .map(RVal::from_nv),
                 };
                 v.map(|v| {
@@ -234,21 +410,29 @@ fn run_frame(interp: &mut Interp, chunk: &Chunk, frame: &mut Frame, parents: &[&
                 frame.regs[dst as usize] = frame.regs[src as usize].take();
                 Ok(pc + 1)
             }
-            Op::LoadDyn { dst, name } => {
-                load_slow(interp, frame, parents, Some(chunk.names[name as usize].clone())).map(
-                    |v| {
+            Op::Ref { dst, src } => {
+                if frame.regs[src as usize].is_some() {
+                    frame.regs[dst as usize] = None;
+                    Ok(pc + 1)
+                } else {
+                    load_slow(interp, frame, chain, frame.names[src as usize]).map(|v| {
                         frame.regs[dst as usize] = Some(RVal::from_nv(v));
                         pc + 1
-                    },
-                )
+                    })
+                }
+            }
+            Op::LoadDyn { dst, name } => {
+                load_slow(interp, frame, chain, gids[name as usize]).map(|v| {
+                    frame.regs[dst as usize] = Some(RVal::from_nv(v));
+                    pc + 1
+                })
             }
             Op::IdentMulti {
                 dst,
                 slot,
                 name,
                 want,
-            } => ident_multi(interp, chunk, frame, parents, dst, slot, name, want)
-                .map(|_| pc + 1),
+            } => ident_multi(interp, gids, frame, chain, dst, slot, name, want).map(|_| pc + 1),
             Op::Bin { op, dst, a, b } => {
                 // Scalar fast path: both operands are immediates (or boxed
                 // 1×1s) — pure register arithmetic, no allocation.
@@ -257,10 +441,7 @@ fn run_frame(interp: &mut Interp, chunk: &Chunk, frame: &mut Frame, parents: &[&
                         (Some(x), Some(y)) => Some(scalar_bin(op, x, y)),
                         _ => match (x.as_bool(), y.as_bool()) {
                             (Some(x), Some(y))
-                                if matches!(
-                                    op,
-                                    BinOp::And | BinOp::Or | BinOp::Eq | BinOp::Ne
-                                ) =>
+                                if matches!(op, BinOp::And | BinOp::Or | BinOp::Eq | BinOp::Ne) =>
                             {
                                 Some(Ok(RVal::B(match op {
                                     BinOp::And => x && y,
@@ -342,19 +523,32 @@ fn run_frame(interp: &mut Interp, chunk: &Chunk, frame: &mut Frame, parents: &[&
             }
             Op::Index { dst, base, idx, n } => {
                 let b = take_nv(frame, base);
-                let mut iv = Vec::with_capacity(n as usize);
-                for i in 0..n {
-                    iv.push(take_nv(frame, idx + i));
-                }
-                index_value(&b, &iv).map(|v| {
+                let idx = &mut frame.regs[idx as usize..(idx + n) as usize];
+                let res = index_value(&b, idx);
+                idx.fill(None);
+                res.map(|v| {
                     frame.regs[dst as usize] = Some(RVal::from_nv(v));
                     pc + 1
                 })
             }
             Op::Field { dst, base, name } => {
-                let b = take_nv(frame, base);
-                field_value(&b, &chunk.names[name as usize]).map(|v| {
-                    frame.regs[dst as usize] = Some(RVal::from_nv(v));
+                // A named base is a local read in place; a temporary is
+                // consumed.
+                let field = &chunk.names[name as usize];
+                let res = if frame.names[base as usize] == NO_NAME {
+                    field_rval(
+                        &frame.regs[base as usize].take().expect("operand bound"),
+                        field,
+                    )
+                } else {
+                    match &frame.regs[base as usize] {
+                        Some(b) => field_rval(b, field),
+                        None => load_slow(interp, frame, chain, frame.names[base as usize])
+                            .and_then(|b| field_rval(&RVal::N(b), field)),
+                    }
+                };
+                res.map(|v| {
+                    frame.regs[dst as usize] = Some(v);
                     pc + 1
                 })
             }
@@ -366,11 +560,20 @@ fn run_frame(interp: &mut Interp, chunk: &Chunk, frame: &mut Frame, parents: &[&
                 base,
                 argc,
                 kwt,
+                lent,
                 want,
-            } => apply_op(
-                interp, chunk, frame, parents, dst, name, slot, builtin, base, argc, kwt, want,
-            )
-            .map(|_| pc + 1),
+            } => {
+                let call = Call {
+                    dst,
+                    base,
+                    argc,
+                    kwt,
+                    lent,
+                    want,
+                };
+                apply_op(interp, chunk, gids, frame, chain, name, slot, builtin, call)
+                    .map(|_| pc + 1)
+            }
             Op::Method {
                 dst,
                 name,
@@ -381,7 +584,7 @@ fn run_frame(interp: &mut Interp, chunk: &Chunk, frame: &mut Frame, parents: &[&
                 want,
                 wb,
             } => method_op(
-                interp, chunk, frame, parents, dst, name, obj, base, argc, kwt, want, wb,
+                interp, chunk, frame, chain, dst, name, obj, base, argc, kwt, want, wb,
             )
             .map(|_| pc + 1),
             Op::IndexAsg {
@@ -390,17 +593,18 @@ fn run_frame(interp: &mut Interp, chunk: &Chunk, frame: &mut Frame, parents: &[&
                 idx,
                 n,
                 src,
-            } => index_asg(interp, chunk, frame, parents, slot, name, idx, n, src)
+            } => index_asg(interp, chunk, gids, frame, chain, slot, name, idx, n, src)
                 .map(|_| pc + 1),
             Op::FieldAsg {
                 slot,
                 name,
                 field,
                 src,
-            } => field_asg(interp, chunk, frame, parents, slot, name, field, src)
-                .map(|_| pc + 1),
+            } => {
+                field_asg(interp, chunk, gids, frame, chain, slot, name, field, src).map(|_| pc + 1)
+            }
             Op::DefFunc { def } => {
-                def_func(interp, chunk, def);
+                interp.define(chunk.defs[def as usize].clone());
                 Ok(pc + 1)
             }
             Op::Jump { to } => Ok(to as usize),
@@ -412,24 +616,22 @@ fn run_frame(interp: &mut Interp, chunk: &Chunk, frame: &mut Frame, parents: &[&
                     Some(RVal::F(x)) => Ok(if x != 0.0 { pc + 1 } else { to as usize }),
                     _ => {
                         let c = take_nv(frame, cond);
-                        c.truthy()
-                            .map(|t| if t { pc + 1 } else { to as usize })
+                        c.truthy().map(|t| if t { pc + 1 } else { to as usize })
                     }
                 }
             }
-            Op::ForPrep { iter } => {
-                let v = take_nv(frame, iter);
-                for_items_of(v).map(|mut items| {
-                    items.reverse();
-                    iters.push(items);
-                    pc + 1
-                })
-            }
+            Op::ForPrep { iter } => ForIter::new(take_nv(frame, iter)).map(|it| {
+                iters.push(it);
+                pc + 1
+            }),
             Op::ForNext { var, end } => {
-                let it = iters.last_mut().expect("ForNext inside a loop");
-                match it.pop() {
+                let item = match iters.last_mut().expect("ForNext inside a loop") {
+                    ForIter::Reals(xs) => xs.pop().map(RVal::F),
+                    ForIter::Items(items) => items.pop().map(RVal::from_nv),
+                };
+                match item {
                     Some(item) => {
-                        frame.regs[var as usize] = Some(RVal::from_nv(item));
+                        frame.regs[var as usize] = Some(item);
                         Ok(pc + 1)
                     }
                     None => {
@@ -451,8 +653,31 @@ fn run_frame(interp: &mut Interp, chunk: &Chunk, frame: &mut Frame, parents: &[&
             Err(e) => return Err(e.with_span(chunk.spans[pc])),
         }
     }
-    // HASH-FREE-END
     Ok(())
+}
+
+/// An active `for` loop's remaining items, the next one last.
+enum ForIter {
+    /// The entries of a real vector, yielded as immediates: `for k = 1:n`
+    /// boxes no item.
+    Reals(Vec<f64>),
+    /// Anything else `for_items_of` iterates.
+    Items(Vec<NValue>),
+}
+
+impl ForIter {
+    fn new(v: NValue) -> R<ForIter> {
+        Ok(match v {
+            NValue::V(Value::Real(m)) if m.rows() <= 1 || m.cols() == 1 => {
+                ForIter::Reals(m.data().iter().rev().copied().collect())
+            }
+            v => {
+                let mut items = for_items_of(v)?;
+                items.reverse();
+                ForIter::Items(items)
+            }
+        })
+    }
 }
 
 /// Load a constant, unboxing scalar literals so hot loops never clone a
@@ -476,20 +701,53 @@ fn take_nv(frame: &mut Frame, r: Reg) -> NValue {
         .nv()
 }
 
+/// `base.name` as a register value: a scalar field is read unboxed, without
+/// copying it out of the hash.
+fn field_rval(base: &RVal, name: &str) -> R<RVal> {
+    let boxed;
+    let base = match base {
+        RVal::N(v) => v,
+        imm => {
+            boxed = imm.to_nv();
+            &boxed
+        }
+    };
+    Ok(match field_ref(base, name)? {
+        Value::Real(m) if m.is_scalar() => RVal::F(m.get(0, 0)),
+        Value::Bool(b) if b.is_scalar() => RVal::B(b.get(0, 0)),
+        v => RVal::N(NValue::wrap(v.clone())),
+    })
+}
+
 // ---- dynamic resolution (cold paths) ----------------------------------------
 
 /// Variable-only resolution through the dynamic scope chain: this frame's
 /// named slots, enclosing frames (innermost first), then interpreter scopes.
-fn resolve_var(interp: &Interp, frame: &Frame, parents: &[&Frame], name: &str) -> Option<NValue> {
-    if let Some(v) = frame.lookup(name) {
-        return Some(v);
+/// Every caller asks about a name whose own slot, if the chunk has one, is
+/// empty; so unless the frame has grown, this frame does not bind it.
+fn find_var(interp: &mut Interp, frame: &Frame, chain: Option<&Chain>, g: u32) -> Option<NValue> {
+    if let Some(v) = frame.grown.then(|| frame.lookup(g)).flatten() {
+        return Some(v.to_nv());
     }
-    for p in parents.iter().rev() {
-        if let Some(v) = p.lookup(name) {
-            return Some(v);
+    let mut link = chain;
+    while let Some(c) = link {
+        if let Some(v) = c.frame.lookup(g) {
+            return Some(v.to_nv());
         }
+        link = c.up;
     }
-    interp.scopes.iter().rev().find_map(|s| s.get(name)).cloned()
+    let info = info(interp, g);
+    if !info.global {
+        return None;
+    }
+    let name = info.name.clone();
+    name_lookup();
+    interp
+        .scopes
+        .iter()
+        .rev()
+        .find_map(|s| s.get(&*name))
+        .cloned()
 }
 
 /// Full identifier resolution for reads: variable, else zero-argument call
@@ -498,34 +756,50 @@ fn resolve_var(interp: &Interp, frame: &Frame, parents: &[&Frame], name: &str) -
 fn resolve_ident(
     interp: &mut Interp,
     frame: &Frame,
-    parents: &[&Frame],
-    name: &str,
+    chain: Option<&Chain>,
+    g: u32,
     want: usize,
 ) -> R<Vec<NValue>> {
-    if let Some(v) = resolve_var(interp, frame, parents, name) {
+    if let Some(v) = find_var(interp, frame, chain, g) {
         return Ok(vec![v]);
     }
-    if let Some(f) = interp.funcs.get(name).cloned() {
-        return call_user(interp, frame, parents, &f, Vec::new(), want);
+    let info = info(interp, g);
+    let (func, builtin, name) = (info.func.clone(), info.builtin, info.name.clone());
+    if let Some(f) = func {
+        let child = interp.vm.frame(&f);
+        let mut child = run_user(interp, &f, frame, chain, child)?;
+        let n = outputs(&f, &child, want)?;
+        let outs = (0..n).map(|k| output(&f, &mut child, k).nv()).collect();
+        interp.vm.recycle(child);
+        return Ok(outs);
     }
-    if builtin_id(name).is_some() {
-        return interp.call_builtin(name, Vec::new(), Vec::new(), want);
+    if builtin != NO_TABLE {
+        let none: &mut [NValue] = &mut [];
+        return Ok(interp
+            .call_builtin(Builtin::from_id(builtin), none, Vec::new())?
+            .into_vec());
     }
     err(format!("undefined variable {name}"))
 }
 
-fn load_slow(
-    interp: &mut Interp,
-    frame: &Frame,
-    parents: &[&Frame],
-    name: Option<Rc<str>>,
-) -> R<NValue> {
-    let name = name.expect("unbound register read is a named slot");
-    let mut res = resolve_ident(interp, frame, parents, &name, 1)?;
+fn load_slow(interp: &mut Interp, frame: &Frame, chain: Option<&Chain>, g: u32) -> R<NValue> {
+    debug_assert!(g != NO_NAME, "unbound register read is a named slot");
+    let mut res = resolve_ident(interp, frame, chain, g, 1)?;
     Ok(res.remove(0))
 }
 
 // ---- calls ------------------------------------------------------------------
+
+/// Where a call's arguments are and where its results go.
+#[derive(Clone, Copy)]
+struct Call {
+    dst: Reg,
+    base: Reg,
+    argc: u16,
+    kwt: u16,
+    lent: u16,
+    want: u16,
+}
 
 fn gather_args(
     chunk: &Chunk,
@@ -553,6 +827,42 @@ fn gather_args(
     (pos, kw)
 }
 
+/// The lent locals of `call`: `(argument position, slot)` pairs.
+fn lends(chunk: &Chunk, call: Call) -> &[(u16, Reg)] {
+    match call.lent {
+        NO_TABLE => &[],
+        t => &chunk.lends[t as usize],
+    }
+}
+
+/// Move each lent local into its (empty) argument register for the
+/// call; returns which were moved.
+fn lend(chunk: &Chunk, frame: &mut Frame, call: Call) -> u64 {
+    let mut moved = 0u64;
+    for &(i, s) in lends(chunk, call) {
+        let arg = (call.base + i) as usize;
+        if frame.regs[arg].is_none() {
+            frame.regs[arg] = frame.regs[s as usize].take();
+            moved |= 1 << i;
+        }
+    }
+    moved
+}
+
+/// After the call: move the lent locals back (unboxed again, should the
+/// callee have boxed one) and clear the argument registers.
+fn give_back(chunk: &Chunk, frame: &mut Frame, call: Call, moved: u64) {
+    for &(i, s) in lends(chunk, call) {
+        if moved & (1 << i) != 0 {
+            let arg = (call.base + i) as usize;
+            frame.regs[s as usize] = frame.regs[arg].take().map(RVal::unbox);
+        }
+    }
+    for r in &mut frame.regs[call.base as usize..(call.base + call.argc) as usize] {
+        *r = None;
+    }
+}
+
 /// Write a call's results to `dst..dst+want`, enforcing the multi-assignment
 /// arity error with the tree-walker's exact message.
 fn write_results(frame: &mut Frame, dst: Reg, want: u16, results: Vec<NValue>) -> R<()> {
@@ -569,129 +879,208 @@ fn write_results(frame: &mut Frame, dst: Reg, want: u16, results: Vec<NValue>) -
     Ok(())
 }
 
+/// [`write_results`] of a builtin's or method's results.
+fn write_ret(frame: &mut Frame, dst: Reg, want: u16, ret: Ret) -> R<()> {
+    let v = match ret {
+        Ret::Many(v) => return write_results(frame, dst, want, v),
+        Ret::Num(x) => RVal::F(x),
+        Ret::Bool(b) => RVal::B(b),
+        Ret::One(v) => RVal::from_nv(v),
+    };
+    write_one(frame, dst, want, v)
+}
+
+fn write_one(frame: &mut Frame, dst: Reg, want: u16, v: RVal) -> R<()> {
+    if want > 1 {
+        return err(format!("expected {want} return values, got 1"));
+    }
+    if want == 1 {
+        frame.regs[dst as usize] = Some(v);
+    }
+    Ok(())
+}
+
 #[allow(clippy::too_many_arguments)]
 fn apply_op(
     interp: &mut Interp,
     chunk: &Chunk,
+    gids: &[u32],
     frame: &mut Frame,
-    parents: &[&Frame],
-    dst: Reg,
+    chain: Option<&Chain>,
     name: u32,
     slot: Reg,
     builtin: u16,
-    base: Reg,
-    argc: u16,
-    kwt: u16,
-    want: u16,
+    call: Call,
 ) -> R<()> {
-    let (pos, kw) = gather_args(chunk, frame, base, argc, kwt);
-    // Runtime var-vs-call split, like the tree-walker's `Expr::Apply`.
-    // A bound slot indexes in place — no clone of the container, matching
+    // Runtime var-vs-call split, like the tree-walker's `Expr::Apply`: a
+    // bound local, a variable further out, a user function, a builtin.
+    // A bound local indexes in place — no clone of the container, matching
     // the tree-walker's by-reference `index_value(base, &idx)`.
     if slot != NO_REG && frame.regs[slot as usize].is_some() {
-        if !kw.is_empty() {
-            return err("unexpected keyword argument");
-        }
-        let res = {
-            let rv = frame.regs[slot as usize].as_ref().expect("checked above");
-            match rv {
-                RVal::N(v) => index_value(v, &pos)?,
-                imm => index_value(&imm.to_nv(), &pos)?,
-            }
-        };
-        return write_results(frame, dst, want, vec![res]);
+        return index_call(chunk, frame, None, slot, call);
     }
-    let nm = chunk.names[name as usize].clone();
-    let var = resolve_var(interp, frame, parents, &nm);
-    if let Some(v) = var {
-        if !kw.is_empty() {
-            return err("unexpected keyword argument");
-        }
-        let res = index_value(&v, &pos)?;
-        return write_results(frame, dst, want, vec![res]);
+    let g = gids[name as usize];
+    if let Some(v) = find_var(interp, frame, chain, g) {
+        return index_call(chunk, frame, Some(v), slot, call);
     }
-    let results = call_by_name(interp, frame, parents, &nm, builtin, pos, kw, want as usize)?;
-    write_results(frame, dst, want, results)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn call_by_name(
-    interp: &mut Interp,
-    frame: &mut Frame,
-    parents: &[&Frame],
-    name: &str,
-    builtin: u16,
-    pos: Vec<NValue>,
-    kw: Vec<(String, NValue)>,
-    want: usize,
-) -> R<Vec<NValue>> {
-    if let Some(f) = interp.funcs.get(name).cloned() {
-        return call_user(interp, frame, parents, &f, pos, want);
+    if let Some(f) = info(interp, g).func.clone() {
+        return call_user(interp, chunk, frame, chain, &f, call);
     }
     if builtin == BUILTIN_EXEC {
-        return exec_in_frame(interp, frame, parents, pos);
+        let (mut pos, _kw) = gather_args(chunk, frame, call.base, call.argc, call.kwt);
+        exec_in_frame(interp, frame, chain, &mut pos)?;
+        return write_one(frame, call.dst, call.want, RVal::N(NValue::V(Value::None)));
     }
-    if builtin != NO_TABLE {
-        return interp.call_builtin(builtin_name(builtin), pos, kw, want);
+    if builtin == NO_TABLE {
+        return err(format!("unknown function {}", chunk.names[name as usize]));
     }
-    // Not a builtin: shares the tree-walker's "unknown function" arm.
-    interp.call_builtin(name, pos, kw, want)
+    let b = Builtin::from_id(builtin);
+    let ret = if call.kwt == NO_TABLE {
+        let moved = lend(chunk, frame, call);
+        let args = &mut frame.regs[call.base as usize..(call.base + call.argc) as usize];
+        let ret = interp.call_builtin(b, args, Vec::new());
+        give_back(chunk, frame, call, moved);
+        ret
+    } else {
+        let (mut pos, kw) = gather_args(chunk, frame, call.base, call.argc, call.kwt);
+        interp.call_builtin(b, &mut pos, kw)
+    }?;
+    write_ret(frame, call.dst, call.want, ret)
 }
 
-/// Compiled-function cache: keyed by name, revalidated against the live
-/// `funcs` binding by `Rc` identity so redefinition recompiles.
-fn proto_for(interp: &mut Interp, f: &Rc<crate::ast::FuncDef>) -> Rc<Proto> {
-    if let Some((def, proto)) = interp.vm_protos.get(&f.name) {
-        if Rc::ptr_eq(def, f) {
-            return proto.clone();
-        }
+/// `x(args)` where `x` is a variable: the bound local `slot`, or `outer`,
+/// a value found further out.
+fn index_call(
+    chunk: &Chunk,
+    frame: &mut Frame,
+    outer: Option<NValue>,
+    slot: Reg,
+    call: Call,
+) -> R<()> {
+    if call.kwt != NO_TABLE {
+        return err("unexpected keyword argument");
     }
-    let proto = Rc::new(lower_function(f));
-    interp
-        .vm_protos
-        .insert(f.name.clone(), (f.clone(), proto.clone()));
-    proto
+    let moved = lend(chunk, frame, call);
+    // The variable is a local (below the argument registers) or `outer`.
+    let (locals, above) = frame.regs.split_at_mut(call.base as usize);
+    let args = &mut above[..call.argc as usize];
+    let res = match &outer {
+        Some(v) => index_value(v, args),
+        None => match locals[slot as usize].as_ref().expect("bound local") {
+            RVal::N(v) => index_value(v, args),
+            imm => index_value(&imm.to_nv(), args),
+        },
+    };
+    give_back(chunk, frame, call, moved);
+    write_one(frame, call.dst, call.want, RVal::from_nv(res?))
 }
 
+/// Call user function `f` on a pooled frame. Arguments move from their
+/// registers into the parameter slots; a lent local is copied, since the
+/// caller keeps it.
 fn call_user(
     interp: &mut Interp,
-    frame: &Frame,
-    parents: &[&Frame],
-    f: &Rc<crate::ast::FuncDef>,
-    args: Vec<NValue>,
-    want: usize,
-) -> R<Vec<NValue>> {
-    if args.len() > f.params.len() {
-        return err(format!(
-            "{} takes {} arguments, got {}",
-            f.name,
-            f.params.len(),
-            args.len()
-        ));
+    chunk: &Chunk,
+    frame: &mut Frame,
+    chain: Option<&Chain>,
+    f: &Rc<VmFunc>,
+    call: Call,
+) -> R<()> {
+    let arity = |got: usize| -> R<()> {
+        if got > f.proto.def.params.len() {
+            return err(format!(
+                "{} takes {} arguments, got {}",
+                f.proto.def.name,
+                f.proto.def.params.len(),
+                got
+            ));
+        }
+        Ok(())
+    };
+    let params = &f.proto.param_slots;
+    let child = if call.kwt == NO_TABLE {
+        arity(call.argc as usize)?;
+        let lends = lends(chunk, call);
+        let mut child = interp.vm.frame(f);
+        for i in 0..call.argc {
+            let v = match frame.regs[(call.base + i) as usize].take() {
+                Some(v) => v,
+                None => {
+                    let &(_, s) = lends
+                        .iter()
+                        .find(|&&(p, _)| p == i)
+                        .expect("an empty argument register is a lent local");
+                    frame.regs[s as usize].clone().expect("lent local bound")
+                }
+            };
+            child.regs[params[i as usize] as usize] = Some(v);
+        }
+        child
+    } else {
+        // Keyword arguments are dropped, as by the tree-walker.
+        let (pos, _kw) = gather_args(chunk, frame, call.base, call.argc, call.kwt);
+        arity(pos.len())?;
+        let mut child = interp.vm.frame(f);
+        for (i, a) in pos.into_iter().enumerate() {
+            child.regs[params[i] as usize] = Some(RVal::from_nv(a));
+        }
+        child
+    };
+    let mut child = run_user(interp, f, frame, chain, child)?;
+    let n = outputs(f, &child, call.want as usize)?;
+    if n < call.want as usize {
+        return err(format!("expected {} return values, got {n}", call.want));
     }
-    let proto = proto_for(interp, f);
-    let mut child = Frame::for_chunk(&proto.chunk);
-    for (i, a) in args.into_iter().enumerate() {
-        child.regs[proto.param_slots[i] as usize] = Some(RVal::from_nv(a));
+    for k in 0..call.want as usize {
+        frame.regs[call.dst as usize + k] = Some(output(f, &mut child, k));
     }
-    {
-        let mut np: Vec<&Frame> = Vec::with_capacity(parents.len() + 1);
-        np.extend_from_slice(parents);
-        np.push(frame);
-        run_frame(interp, &proto.chunk, &mut child, &np)?;
-    }
-    let mut outs = Vec::new();
-    let n_out = want.max(1).min(f.outs.len().max(1));
-    for (k, o) in f.outs.iter().take(n_out).enumerate() {
-        match child.regs[proto.out_slots[k] as usize].take() {
-            Some(v) => outs.push(v.nv()),
-            None => return err(format!("function {} did not set output {o}", f.name)),
+    interp.vm.recycle(child);
+    Ok(())
+}
+
+/// Run the body of `f` on `child`, its parameters bound; the caller's
+/// frame joins the dynamic-scope chain. The frame comes back with the
+/// outputs in their slots.
+fn run_user(
+    interp: &mut Interp,
+    f: &VmFunc,
+    caller: &Frame,
+    chain: Option<&Chain>,
+    mut child: Frame,
+) -> R<Frame> {
+    let link = Chain {
+        frame: caller,
+        up: chain,
+    };
+    run_frame(interp, &f.proto.chunk, &f.gids, &mut child, Some(&link))?;
+    Ok(child)
+}
+
+/// How many values a call of `f` wanting `want` yields, once each of them
+/// is checked set — the tree-walker's order: an unset output first, then
+/// the count. An output-less function yields `none`.
+fn outputs(f: &VmFunc, child: &Frame, want: usize) -> R<usize> {
+    let outs = &f.proto.def.outs;
+    let n = want.max(1).min(outs.len().max(1));
+    for (k, o) in outs.iter().take(n).enumerate() {
+        if child.regs[f.proto.out_slots[k] as usize].is_none() {
+            return err(format!(
+                "function {} did not set output {o}",
+                f.proto.def.name
+            ));
         }
     }
-    if outs.is_empty() {
-        outs.push(NValue::V(Value::None));
+    Ok(if outs.is_empty() { 1 } else { n })
+}
+
+/// Output `k` of a finished call (checked by [`outputs`]).
+fn output(f: &VmFunc, child: &mut Frame, k: usize) -> RVal {
+    if f.proto.def.outs.is_empty() {
+        return RVal::N(NValue::V(Value::None));
     }
-    Ok(outs)
+    child.regs[f.proto.out_slots[k] as usize]
+        .take()
+        .expect("checked by outputs")
 }
 
 /// The `exec` builtin on the VM engine: lower the file's program *into the
@@ -701,20 +1090,21 @@ fn call_user(
 fn exec_in_frame(
     interp: &mut Interp,
     frame: &mut Frame,
-    parents: &[&Frame],
-    pos: Vec<NValue>,
-) -> R<Vec<NValue>> {
+    chain: Option<&Chain>,
+    pos: &mut [NValue],
+) -> R<()> {
     let prog = parse_program(&read_exec_source(pos)?)?;
     let seeds: Vec<(Rc<str>, Reg)> = frame
         .names
         .iter()
         .enumerate()
-        .filter_map(|(i, n)| n.clone().map(|n| (n, i as Reg)))
+        .filter(|&(_, &g)| g != NO_NAME)
+        .map(|(i, &g)| (interp.vm.info[g as usize].name.clone(), i as Reg))
         .collect();
     let chunk = lower_seeded(&prog, &seeds, frame.regs.len() as Reg);
-    frame.extend_for(&chunk);
-    run_frame(interp, &chunk, frame, parents)?;
-    Ok(vec![NValue::V(Value::None)])
+    let (gids, _) = interp.vm.link(&chunk);
+    frame.extend_for(&chunk, &gids);
+    run_frame(interp, &chunk, &gids, frame, chain)
 }
 
 /// Run the in-place update `f` on the value bound to local `slot`: the value
@@ -745,7 +1135,7 @@ fn method_op(
     interp: &mut Interp,
     chunk: &Chunk,
     frame: &mut Frame,
-    parents: &[&Frame],
+    chain: Option<&Chain>,
     dst: Reg,
     name: u32,
     obj: Reg,
@@ -755,36 +1145,35 @@ fn method_op(
     want: u16,
     wb: Reg,
 ) -> R<()> {
-    let results = if wb != NO_REG {
+    let ret = if wb != NO_REG {
         // `L.add_last[x]` on a plain variable: append in slot `wb`, after the
         // arguments (which may read `L`).
-        let (pos, _kw) = gather_args(chunk, frame, base, argc, kwt);
+        let (mut pos, _kw) = gather_args(chunk, frame, base, argc, kwt);
         update_slot(
             frame,
             wb,
-            |frame| load_slow(interp, frame, parents, frame.names[wb as usize].clone()),
-            |list| add_last_value(list, pos, want as usize),
+            |frame| load_slow(interp, frame, chain, frame.names[wb as usize]),
+            |list| add_last_value(list, &mut pos, want as usize),
         )?
     } else {
         let b = take_nv(frame, obj);
-        let (pos, kw) = gather_args(chunk, frame, base, argc, kwt);
-        interp.method(b, &chunk.names[name as usize], pos, kw)?
+        let (mut pos, kw) = gather_args(chunk, frame, base, argc, kwt);
+        interp.method(b, &chunk.names[name as usize], &mut pos, kw)?
     };
-    write_results(frame, dst, want, results)
+    write_ret(frame, dst, want, ret)
 }
 
 #[allow(clippy::too_many_arguments)]
 fn ident_multi(
     interp: &mut Interp,
-    chunk: &Chunk,
+    gids: &[u32],
     frame: &mut Frame,
-    parents: &[&Frame],
+    chain: Option<&Chain>,
     dst: Reg,
     slot: Reg,
     name: u32,
     want: u16,
 ) -> R<()> {
-    let nm = chunk.names[name as usize].clone();
     let results = match slot {
         s if s != NO_REG && frame.regs[s as usize].is_some() => {
             vec![frame.regs[s as usize]
@@ -792,7 +1181,7 @@ fn ident_multi(
                 .expect("checked above")
                 .to_nv()]
         }
-        _ => resolve_ident(interp, frame, parents, &nm, want as usize)?,
+        _ => resolve_ident(interp, frame, chain, gids[name as usize], want as usize)?,
     };
     write_results(frame, dst, want, results)
 }
@@ -801,8 +1190,9 @@ fn ident_multi(
 fn index_asg(
     interp: &mut Interp,
     chunk: &Chunk,
+    gids: &[u32],
     frame: &mut Frame,
-    parents: &[&Frame],
+    chain: Option<&Chain>,
     slot: Reg,
     name: u32,
     idx: Reg,
@@ -814,13 +1204,13 @@ fn index_asg(
         iv.push(take_nv(frame, idx + i));
     }
     let v = take_nv(frame, src);
-    let nm = &chunk.names[name as usize];
     update_slot(
         frame,
         slot,
         |frame| {
-            resolve_var(interp, frame, parents, nm)
-                .ok_or_else(|| NspError::new(format!("undefined variable {nm}")))
+            find_var(interp, frame, chain, gids[name as usize]).ok_or_else(|| {
+                NspError::new(format!("undefined variable {}", chunk.names[name as usize]))
+            })
         },
         |current| index_assign_value(current, &iv, v),
     )
@@ -830,8 +1220,9 @@ fn index_asg(
 fn field_asg(
     interp: &mut Interp,
     chunk: &Chunk,
+    gids: &[u32],
     frame: &mut Frame,
-    parents: &[&Frame],
+    chain: Option<&Chain>,
     slot: Reg,
     name: u32,
     field: u32,
@@ -843,16 +1234,134 @@ fn field_asg(
         slot,
         |frame| {
             // auto-create, like Nsp's H.A = ...
-            Ok(
-                resolve_var(interp, frame, parents, &chunk.names[name as usize])
-                    .unwrap_or(NValue::V(Value::Hash(Hash::new()))),
-            )
+            Ok(find_var(interp, frame, chain, gids[name as usize])
+                .unwrap_or(NValue::V(Value::Hash(Hash::new()))))
         },
         |hash| field_assign_value(hash, &chunk.names[field as usize], v),
     )
 }
 
-fn def_func(interp: &mut Interp, chunk: &Chunk, def: u16) {
-    let f = chunk.defs[def as usize].clone();
-    interp.funcs.insert(f.name.clone(), f);
+#[cfg(test)]
+mod tests {
+    //! What one dispatched op costs, counted rather than timed: heap
+    //! allocations (a per-thread counting allocator) and name lookups
+    //! ([`name_lookup`]). Each statement runs in a loop at two lengths and
+    //! against an empty loop body, so what a script pays once (parsing,
+    //! lowering, interning, the first call's frame) cancels out and what is
+    //! left is the cost of one turn.
+    use super::NAME_LOOKUPS;
+    use crate::{Engine, Interp};
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    /// The system allocator, counting the allocations each thread asks for.
+    struct CountingAlloc;
+
+    thread_local! {
+        static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn count_one() {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
+
+    // SAFETY: every call is forwarded unchanged to `System`, which upholds
+    // the `GlobalAlloc` contract; the counter is a statistic and guards
+    // nothing.
+    unsafe impl GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            count_one();
+            System.alloc(layout)
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            count_one();
+            System.alloc_zeroed(layout)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            count_one();
+            System.realloc(ptr, layout, new_size)
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: CountingAlloc = CountingAlloc;
+
+    const SETUP: &str = "function y = f(a, b, c, d)\n  y = a\nendfunction\n\
+                         h = hash_create(src=1, tag=2, count=3)\n\
+                         L = list(1, 'two', 3)\nMCW = 'COMM:WORLD'";
+
+    /// (allocations, name lookups) of one VM run of `body` in an `n`-turn
+    /// loop after `SETUP`.
+    fn counts(body: &str, n: usize) -> (u64, u64) {
+        let src = format!("{SETUP}\nfor k = 1:{n} do\n  {body}\nend");
+        let mut interp = Interp::with_engine(Engine::Vm);
+        let (a0, l0) = (ALLOCS.with(Cell::get), NAME_LOOKUPS.with(Cell::get));
+        interp.run(&src).expect("script runs");
+        (
+            ALLOCS.with(Cell::get) - a0,
+            NAME_LOOKUPS.with(Cell::get) - l0,
+        )
+    }
+
+    /// (allocations, name lookups) `stmt` adds to one loop turn.
+    fn per_turn(stmt: &str) -> (f64, f64) {
+        const N: usize = 200;
+        let growth = |body: &str| {
+            let (a1, l1) = counts(body, N);
+            let (a2, l2) = counts(body, 2 * N);
+            (a2 as f64 - a1 as f64, l2 as f64 - l1 as f64)
+        };
+        let (a, l) = growth(stmt);
+        let (a0, l0) = growth("");
+        ((a - a0) / N as f64, (l - l0) / N as f64)
+    }
+
+    #[test]
+    fn calls_allocate_nothing_per_turn() {
+        // A builtin on two immediates, a 4-argument user function (its
+        // frame comes from the pool) and a hash field (read in place).
+        for (stmt, allocs) in [
+            ("s = min(k, 3)", 0.0),
+            ("s = f(k, 1, 2, 3)", 0.0),
+            ("s = h.src", 0.0),
+            ("s = isempty(MCW)", 0.0),
+        ] {
+            assert_eq!(per_turn(stmt).0, allocs, "allocations per turn of `{stmt}`");
+        }
+    }
+
+    #[test]
+    fn dispatched_ops_look_up_no_name() {
+        for stmt in [
+            "s = k + 1",
+            "s = min(k, 3)",
+            "s = f(k, 1, 2, 3)",
+            "s = h.src",
+            "s = L(2)",
+            "s = string(k)",
+            "M = list(k, MCW)",
+            "x = isempty(MCW)",
+            "[r, c] = size(k)",
+        ] {
+            assert_eq!(per_turn(stmt).1, 0.0, "name lookups per turn of `{stmt}`");
+        }
+    }
+
+    #[test]
+    fn a_binding_made_while_running_is_seen() {
+        // A function definition moves the binding epoch in the middle of
+        // a run: what a call resolved `g` to before is not trusted after.
+        let src = "function y = g(a)\n  y = a + 1\nendfunction\ns = g(1)\n\
+                   function y = g(a)\n  y = a + 2\nendfunction\nt = g(1)";
+        let mut interp = Interp::with_engine(Engine::Vm);
+        interp.run(src).unwrap();
+        assert_eq!(interp.get_scalar("s"), Some(2.0));
+        assert_eq!(interp.get_scalar("t"), Some(3.0));
+    }
 }

@@ -37,4 +37,6 @@ pub mod options;
 pub mod problem;
 pub mod regression;
 
-pub use problem::{MethodSpec, ModelSpec, OptionSpec, PremiaProblem, PricingError, PricingResult};
+pub use problem::{
+    MethodSpec, ModelSpec, OptionSpec, PremiaProblem, PricingError, PricingResult, Specs,
+};

@@ -510,6 +510,36 @@ impl PremiaProblem {
     }
 
     fn compute_inner(&self, pol: Option<&ExecPolicy>) -> Result<PricingResult, PricingError> {
+        Specs {
+            model: &self.model,
+            option: &self.option,
+            method: &self.method,
+        }
+        .price(pol)
+    }
+}
+
+/// A problem's model, product and method, borrowed: everything pricing
+/// reads. An owner of the three parts (a script's `PremiaModel` object)
+/// prices them without assembling a [`PremiaProblem`].
+#[derive(Debug, Clone, Copy)]
+pub struct Specs<'a> {
+    /// Model choice plus parameters.
+    pub model: &'a ModelSpec,
+    /// Product choice plus contract terms.
+    pub option: &'a OptionSpec,
+    /// Numerical-method choice.
+    pub method: &'a MethodSpec,
+}
+
+impl Specs<'_> {
+    /// [`PremiaProblem::compute`] of the problem made of these parts, bit
+    /// for bit.
+    pub fn compute(self) -> Result<PricingResult, PricingError> {
+        self.price(None)
+    }
+
+    fn price(self, pol: Option<&ExecPolicy>) -> Result<PricingResult, PricingError> {
         use MethodSpec as M;
         use ModelSpec as Mo;
         use OptionSpec as O;

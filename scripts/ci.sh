@@ -26,14 +26,11 @@
 #      staged BSDE live trace byte-identical to the staged simulator)
 #      and bench_gate re-validates it; the `--calibrate-classes` smoke
 #      prints the per-class grain costs and self-checks the BSDE
-#      dominance ordering;
-#      the hash gate bans name lookups inside the VM dispatch loop's
-#      HASH-FREE region (the kernels' allocation-free path loops are
-#      counted by tests/alloc_free.rs in step 4)
-#   4. full test suite (quiet); a failing run is retried ONCE so that
-#      machine-load flakes in the timing-sensitive live-farm tests do not
-#      mask real regressions — deterministic failures (the chaos suite is
-#      seed-driven) reproduce on the retry and still fail the gate
+#      dominance ordering (the VM's name lookups and allocations per
+#      dispatched op and the kernels' allocation-free path loops are
+#      counted by tests in step 4: nsplang's vm::tests and
+#      tests/alloc_free.rs)
+#   4. full test suite (quiet), run once: a red test fails the gate
 #   5. clippy over the workspace with warnings denied; clippy.toml
 #      (root, crates/transport, crates/pricing) carries the raw-mpsc
 #      quarantine and the no-thread-spawn-in-pricing rule
@@ -232,33 +229,7 @@ if ! printf '%s\n' "$lpt_out" | grep -q '(lpt)'; then
     exit 1
 fi
 
-echo "==> hash gate: no name lookups in the VM dispatch loop"
-# The bytecode VM's dispatch loop is hash-free by contract: locals are
-# resolved to register slots at lower time, constants and names are
-# interned into Vec-indexed side tables, so executing an op never hashes
-# a string. The loop is bracketed with HASH-FREE-BEGIN/END markers in
-# vm.rs; any map or name-resolution token inside the bracket fails the
-# gate (the cold helpers — dynamic-scope fallback, call setup — live
-# below the markers on purpose). Comment lines are ignored.
-vmfile=crates/nsplang/src/vm.rs
-if ! grep -q 'HASH-FREE-BEGIN' "$vmfile"; then
-    echo "error: $vmfile lost its HASH-FREE markers (the hash gate needs them)"
-    exit 1
-fi
-hashes=$(awk '/HASH-FREE-END/{inr=0} inr{print FILENAME":"FNR": "$0} /HASH-FREE-BEGIN/{inr=1}' "$vmfile" \
-    | grep -E 'HashMap|BTreeMap|\.entry\(|scopes|\.lookup\(|resolve_var|resolve_ident|to_string\(' \
-    | grep -v -E '^[^:]*:[0-9]+:\s*(//|//!|///)')
-if [ -n "$hashes" ]; then
-    echo "error: name lookup inside the HASH-FREE region of $vmfile:"
-    echo "$hashes"
-    exit 1
-fi
-
-echo "==> cargo test -q --workspace $*"
-if ! cargo test -q --workspace "$@"; then
-    echo "==> test failure; retrying once to rule out machine-load flakes"
-    run cargo test -q --workspace "$@" || exit 1
-fi
+run cargo test -q --workspace "$@" || exit 1
 
 # Clippy is not optional: besides the default lints it enforces the
 # clippy.toml disallowed-methods / disallowed-types entries.

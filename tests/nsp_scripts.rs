@@ -6,6 +6,9 @@ use minimpi::World;
 use nsplang::Interp;
 use std::rc::Rc;
 
+#[path = "common/registry.rs"]
+mod registry;
+
 #[test]
 fn section_3_3_premia_session() {
     let src = r#"
@@ -475,6 +478,58 @@ mod engine_equivalence {
         );
     }
 
+    #[test]
+    fn lent_arguments_keep_value_semantics() {
+        // A plain local passed to a call is lent, not copied: the callee
+        // reads the caller's slot in place. None of that may show.
+        let f2 = "function [r] = f(a, b)\n  r = a + b\nendfunction\n";
+        for src in [
+            "x = 5\nx = min(x, 3)".to_string(),
+            format!("{f2}x = 2\ny = f(x, x)"),
+            format!("{f2}x = 2\nx = f(x, 1)"),
+            "n = 2\nm = [5, 6]\ny = m(n)\nz = m(n) + n".to_string(),
+            "x = 3\n[r, c] = size(x)\ny = x + 1\nz = x".to_string(),
+            "x = 3\ns = string(x)\nt = string(s)\nu = s".to_string(),
+            "s = 'a'\ny = min(s, 1)".to_string(),
+            "h = hash_create(a = 1)\ny = MPI_Get_count(h)".to_string(),
+            "L = list(1, 2)\nn = length(L)\nM = list(L, n)\nok = M(1).equal[L]".to_string(),
+            // The callee reads the lent variable through the dynamic chain.
+            "function [r] = g(a)\n  r = a + x\nendfunction\nx = 1\ny = g(x)".to_string(),
+            // Another argument appends to the lent list: it is copied first.
+            "function [r] = g(a, b)\n  r = length(a) + length(b)\nendfunction\nL = list(1)\ny = g(L, L.add_last[2])".to_string(),
+            // A local not bound yet resolves where its argument stands: the
+            // zero-argument calls run in source order.
+            "function [r] = g()\n  disp('g')\n  r = 1\nendfunction\nfunction [r] = h()\n  disp('h')\n  r = 2\nendfunction\ny = min(g, h())\ng = 5".to_string(),
+            "y = min(q, 1)\nq = 2".to_string(),
+        ] {
+            assert_agree(&src);
+        }
+    }
+
+    #[test]
+    fn mpibuf_sizes_are_checked_not_allocated() {
+        // A size is a limit the receive checks; it allocates nothing, so
+        // a huge one is fine and a negative, fractional or non-finite one
+        // is refused.
+        for n in ["1e13", "1e20", "0", "436"] {
+            let (_, r) = agree(&format!("b = mpibuf_create({n})\nok = 1"));
+            assert!(r.is_ok(), "mpibuf_create({n}): {r:?}");
+        }
+        for (n, shown) in [
+            ("-5", "-5"),
+            ("0.5", "0.5"),
+            ("1/0", "inf"),
+            ("0/0", "NaN"),
+            ("-1/0", "-inf"),
+        ] {
+            let (_, r) = agree(&format!("b = mpibuf_create({n})"));
+            assert_eq!(
+                r.unwrap_err().message,
+                format!("buffer size must be a non-negative integer, got {shown}")
+            );
+        }
+    }
+
     /// The named scalar variables of `i`.
     fn scalars<const N: usize>(i: &Interp, names: [&str; N]) -> [f64; N] {
         names.map(|n| i.get_scalar(n).unwrap_or_else(|| panic!("no scalar {n}")))
@@ -594,6 +649,13 @@ mod engine_equivalence {
             p = inner.display()
         );
         assert_agree(&src);
+        // A name the exec'd file binds is found by the code after it,
+        // also as a call argument and inside a called function.
+        let src = format!(
+            "shared = 1\nexec('{p}')\ny = min(fresh, 2)\nfunction [r] = g()\n  r = fresh + 1\nendfunction\nz = g()",
+            p = inner.display()
+        );
+        assert_agree(&src);
         // exec inside a function binds into the function's scope, which
         // evaporates on return — the global must stay untouched.
         let src = format!(
@@ -703,6 +765,86 @@ mod error_spans {
             let msg = rendered("ok = 1\nfor k = 1:3 do\n  y = k(2)\nend", e);
             assert_eq!(msg, "nsp error at 3:3: index 2 out of bounds");
         }
+    }
+}
+
+// ---- unserialize decodes a problem from its bytes ---------------------------
+//
+// `unserialize` reads a plain serial as a problem first
+// (`PremiaProblem::from_xdr_bytes`) and falls back to the general path. The
+// general path is the oracle: `xdrser::unserialize`, then `NValue::wrap`.
+
+mod direct_unserialize {
+    use super::registry::registry;
+    use nsplang::{Engine, Interp, NValue};
+    use riskbench::nspval::{Hash, Serial, Value};
+    use riskbench::xdrser::{compress_serial, serialize_to_bytes, unserialize};
+
+    /// A Premia object or plain data, as the XDR bytes of its value; or
+    /// the error text.
+    type Outcome = Result<(bool, Vec<u8>), String>;
+
+    fn outcome_of(v: &NValue) -> (bool, Vec<u8>) {
+        let bytes = serialize_to_bytes(&v.to_value().expect("plain or Premia"));
+        (matches!(v, NValue::Premia(_)), bytes)
+    }
+
+    fn general_path(s: &Serial) -> Outcome {
+        let v = unserialize(s).map_err(|e| e.to_string())?;
+        Ok(outcome_of(&NValue::wrap(v)))
+    }
+
+    fn scripted(s: &Serial, engine: Engine, src: &str) -> Outcome {
+        let mut i = Interp::with_engine(engine);
+        i.set("S", NValue::V(Value::Serial(s.clone())));
+        i.run(src).map_err(|e| e.message)?;
+        Ok(outcome_of(i.get("P").expect("P bound")))
+    }
+
+    #[track_caller]
+    fn assert_same(s: &Serial) -> Outcome {
+        let want = general_path(s);
+        for engine in [Engine::Tree, Engine::Vm] {
+            for src in ["P = unserialize(S)", "P = S.unserialize[]"] {
+                assert_eq!(scripted(s, engine, src), want, "{src} on {engine:?}");
+            }
+        }
+        want
+    }
+
+    fn serial_of(v: &Value) -> Serial {
+        Serial::new(serialize_to_bytes(v))
+    }
+
+    #[test]
+    fn every_registry_problem_plain_compressed_and_truncated() {
+        for p in registry() {
+            let bytes = p.to_xdr_bytes();
+            let plain = Serial::new(bytes.clone());
+            let (premia, _) = assert_same(&plain).expect("a problem decodes");
+            assert!(premia, "{} becomes a Premia object", p.label());
+            assert_same(&compress_serial(&plain).unwrap()).expect("compressed decodes");
+            for cut in [bytes.len() / 2, bytes.len() - 1] {
+                assert!(assert_same(&Serial::new(bytes[..cut].to_vec())).is_err());
+            }
+        }
+    }
+
+    #[test]
+    fn what_is_not_a_problem_stays_plain_data_or_the_same_error() {
+        // A `PremiaModel` hash that `from_value` refuses, a hash that is not
+        // a problem, a non-hash, and bytes that are no serialization.
+        let mut half = Hash::new();
+        half.set("class", Value::string("PremiaModel"));
+        half.set("asset", Value::string("equity"));
+        let mut other = Hash::new();
+        other.set("a", Value::scalar(1.0));
+        for v in [Value::Hash(half), Value::Hash(other), Value::scalar(2.0)] {
+            let (premia, _) = assert_same(&serial_of(&v)).expect("plain data decodes");
+            assert!(!premia);
+        }
+        assert!(assert_same(&Serial::new(Vec::new())).is_err());
+        assert!(assert_same(&Serial::new(vec![7; 12])).is_err());
     }
 }
 

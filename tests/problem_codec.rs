@@ -12,50 +12,9 @@ use std::collections::HashMap;
 use store::ContentFingerprint;
 use xdrser::{XdrError, XdrWriter};
 
-const MODELS: [&str; 5] = [
-    "BlackScholes1dim",
-    "BlackScholesNdim",
-    "LocalVol1dim",
-    "Heston1dim",
-    "Vasicek1dim",
-];
-const OPTIONS: [&str; 10] = [
-    "CallEuro",
-    "PutEuro",
-    "CallDownOut",
-    "PutAmer",
-    "PutBasket",
-    "PutBasketAmer",
-    "ZCBond",
-    "CallBond",
-    "CallMaxBermuda",
-    "NettingSetForward",
-];
-const METHODS: [&str; 9] = [
-    "CF",
-    "FD_CrankNicolson",
-    "TR_CoxRossRubinstein",
-    "MC_Standard",
-    "MC_Quasi",
-    "MC_AM_LongstaffSchwartz",
-    "MC_AM_Alfonsi_LongstaffSchwartz",
-    "MC_BSDE_LabartLelong",
-    "MC_XVA_CVA",
-];
-
-/// All 450 registry triples, priceable or not: the codec does not care.
-fn registry() -> Vec<PremiaProblem> {
-    let mut all = Vec::new();
-    for m in MODELS {
-        for o in OPTIONS {
-            for me in METHODS {
-                all.push(PremiaProblem::create(m, o, me).unwrap());
-            }
-        }
-    }
-    assert_eq!(all.len(), 450);
-    all
-}
+#[path = "common/registry.rs"]
+mod registry;
+use registry::registry;
 
 /// The old decode, with its errors the way `farm::strategy` reported
 /// them: a malformed problem as `Corrupt` carrying the pricing error.
