@@ -410,8 +410,10 @@ pub struct PricingResult {
     pub delta: Option<f64>,
     /// Monte-Carlo standard error, when applicable.
     pub std_error: Option<f64>,
-    /// Name of the method that produced the value.
-    pub method: String,
+    /// Registry name of the method that produced the value
+    /// ([`MethodSpec::name`]): a static name, so a result allocates
+    /// nothing of its own.
+    pub method: &'static str,
 }
 
 /// Errors from building or computing a problem.
@@ -580,7 +582,7 @@ impl Specs<'_> {
                             price: q.price,
                             delta: Some(q.delta),
                             std_error: None,
-                            method: self.method.name().into(),
+                            method: self.method.name(),
                         })
                     }
                     M::Pde {
@@ -600,7 +602,7 @@ impl Specs<'_> {
                             price: sol.price,
                             delta: Some(sol.delta),
                             std_error: None,
-                            method: self.method.name().into(),
+                            method: self.method.name(),
                         })
                     }
                     M::Tree { steps } => {
@@ -609,7 +611,7 @@ impl Specs<'_> {
                             price: sol.price,
                             delta: Some(sol.delta),
                             std_error: None,
-                            method: self.method.name().into(),
+                            method: self.method.name(),
                         })
                     }
                     M::MonteCarlo {
@@ -632,7 +634,7 @@ impl Specs<'_> {
                             price: r.price,
                             delta: r.delta,
                             std_error: Some(r.std_error),
-                            method: self.method.name().into(),
+                            method: self.method.name(),
                         })
                     }
                     M::QuasiMonteCarlo { paths } => {
@@ -641,7 +643,7 @@ impl Specs<'_> {
                             price: r.price,
                             delta: None,
                             std_error: None,
-                            method: self.method.name().into(),
+                            method: self.method.name(),
                         })
                     }
                     M::Bsde {
@@ -665,7 +667,7 @@ impl Specs<'_> {
                             price: r.price,
                             delta: None,
                             std_error: Some(r.std_error),
-                            method: self.method.name().into(),
+                            method: self.method.name(),
                         })
                     }
                     _ => unsupported(),
@@ -687,7 +689,7 @@ impl Specs<'_> {
                         price: down_out_call_price(m, &opt),
                         delta: None,
                         std_error: None,
-                        method: self.method.name().into(),
+                        method: self.method.name(),
                     }),
                     M::Pde {
                         time_steps,
@@ -706,7 +708,7 @@ impl Specs<'_> {
                             price: sol.price,
                             delta: Some(sol.delta),
                             std_error: None,
-                            method: self.method.name().into(),
+                            method: self.method.name(),
                         })
                     }
                     _ => unsupported(),
@@ -734,7 +736,7 @@ impl Specs<'_> {
                             price: sol.price,
                             delta: Some(sol.delta),
                             std_error: None,
-                            method: self.method.name().into(),
+                            method: self.method.name(),
                         })
                     }
                     M::Tree { steps } => {
@@ -743,7 +745,7 @@ impl Specs<'_> {
                             price: sol.price,
                             delta: Some(sol.delta),
                             std_error: None,
-                            method: self.method.name().into(),
+                            method: self.method.name(),
                         })
                     }
                     M::Lsm {
@@ -767,7 +769,7 @@ impl Specs<'_> {
                             price: r.price,
                             delta: None,
                             std_error: Some(r.std_error),
-                            method: self.method.name().into(),
+                            method: self.method.name(),
                         })
                     }
                     _ => unsupported(),
@@ -798,7 +800,7 @@ impl Specs<'_> {
                             price: r.price,
                             delta: None,
                             std_error: Some(r.std_error),
-                            method: self.method.name().into(),
+                            method: self.method.name(),
                         })
                     }
                     M::QuasiMonteCarlo { paths } => {
@@ -807,7 +809,7 @@ impl Specs<'_> {
                             price: r.price,
                             delta: None,
                             std_error: None,
-                            method: self.method.name().into(),
+                            method: self.method.name(),
                         })
                     }
                     _ => unsupported(),
@@ -837,7 +839,7 @@ impl Specs<'_> {
                             price: r.price,
                             delta: None,
                             std_error: Some(r.std_error),
-                            method: self.method.name().into(),
+                            method: self.method.name(),
                         })
                     }
                     _ => unsupported(),
@@ -869,7 +871,7 @@ impl Specs<'_> {
                             price: r.price,
                             delta: None,
                             std_error: Some(r.std_error),
-                            method: self.method.name().into(),
+                            method: self.method.name(),
                         })
                     }
                     _ => unsupported(),
@@ -904,7 +906,7 @@ impl Specs<'_> {
                         price: r.price,
                         delta: None,
                         std_error: Some(r.std_error),
-                        method: self.method.name().into(),
+                        method: self.method.name(),
                     })
                 }
                 _ => unsupported(),
@@ -945,7 +947,7 @@ impl Specs<'_> {
                             price: r.price,
                             delta: None,
                             std_error: Some(r.std_error),
-                            method: self.method.name().into(),
+                            method: self.method.name(),
                         })
                     }
                     _ => unsupported(),
@@ -975,7 +977,7 @@ impl Specs<'_> {
                             price: heston_cf_price(m, &opt),
                             delta: None,
                             std_error: None,
-                            method: self.method.name().into(),
+                            method: self.method.name(),
                         })
                     }
                     M::MonteCarlo {
@@ -998,7 +1000,7 @@ impl Specs<'_> {
                             price: r.price,
                             delta: None,
                             std_error: Some(r.std_error),
-                            method: self.method.name().into(),
+                            method: self.method.name(),
                         })
                     }
                     _ => unsupported(),
@@ -1028,7 +1030,7 @@ impl Specs<'_> {
                             price: r.price,
                             delta: None,
                             std_error: Some(r.std_error),
-                            method: self.method.name().into(),
+                            method: self.method.name(),
                         })
                     }
                     _ => unsupported(),
@@ -1041,7 +1043,7 @@ impl Specs<'_> {
                     price: m.zcb_price(*maturity),
                     delta: None,
                     std_error: None,
-                    method: self.method.name().into(),
+                    method: self.method.name(),
                 }),
                 M::MonteCarlo {
                     paths,
@@ -1063,7 +1065,7 @@ impl Specs<'_> {
                         price: r.price,
                         delta: None,
                         std_error: Some(r.std_error),
-                        method: self.method.name().into(),
+                        method: self.method.name(),
                     })
                 }
                 _ => unsupported(),
@@ -1086,7 +1088,7 @@ impl Specs<'_> {
                     ),
                     delta: None,
                     std_error: None,
-                    method: self.method.name().into(),
+                    method: self.method.name(),
                 }),
                 _ => unsupported(),
             },

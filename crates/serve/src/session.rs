@@ -157,7 +157,7 @@ impl Response {
 #[derive(Debug)]
 pub struct Ticket {
     id: u64,
-    rx: queue::Receiver<Response>,
+    rx: queue::OneshotReceiver<Response>,
 }
 
 impl Ticket {
@@ -287,20 +287,16 @@ impl Admission {
 // Queue messages
 // ---------------------------------------------------------------------------
 
-/// One problem, prepared on the submitter's thread: fingerprinted once,
-/// from its fields, and kept as the caller handed it in.
-struct Prepared {
-    /// Moved out of the request: what the front loop prices when the
-    /// batch never leaves rank 0, and serializes when it does.
-    problem: PremiaProblem,
-    /// Its `fp.len` is the problem's exact serialized size.
-    key: store::MemoKey,
-}
-
 /// An admitted request travelling to the front loop.
 struct Submitted {
     id: u64,
-    jobs: Vec<Prepared>,
+    /// The caller's problems, as handed in: what the front loop prices
+    /// when the batch never leaves rank 0, and serializes when it does.
+    problems: Vec<PremiaProblem>,
+    /// Each problem's key, fingerprinted once from its fields on the
+    /// submitter's thread; its `fp.len` is the problem's exact
+    /// serialized size.
+    keys: Vec<store::MemoKey>,
     priority: u8,
     deadline: Option<Duration>,
     submitted: Instant,
@@ -308,7 +304,7 @@ struct Submitted {
     /// of the `Enqueue` and `Admit` spans.
     enq_ns: Option<u64>,
     bytes: usize,
-    reply: queue::Sender<Response>,
+    reply: queue::OneshotSender<Response>,
 }
 
 enum Msg {
@@ -411,27 +407,25 @@ impl Session {
             .reserve_slot(req.priority, limit)
             .map_err(|e| self.shed(e, req.problems.len()))?;
         let (chunk, lanes) = self.memo_params;
-        let jobs: Vec<Prepared> = req
+        let keys: Vec<store::MemoKey> = req
             .problems
-            .into_iter()
-            .map(|problem| {
-                let key = store::MemoKey {
-                    fp: store::ContentFingerprint::of_fields(|f| problem.write_fields(f)),
-                    chunk,
-                    lanes,
-                };
-                Prepared { problem, key }
+            .iter()
+            .map(|problem| store::MemoKey {
+                fp: store::ContentFingerprint::of_fields(|f| problem.write_fields(f)),
+                chunk,
+                lanes,
             })
             .collect();
-        let bytes: usize = jobs.iter().map(|j| j.key.fp.len as usize).sum();
+        let bytes: usize = keys.iter().map(|k| k.fp.len as usize).sum();
         self.admission
             .reserve_bytes(req.priority, limit, bytes)
-            .map_err(|e| self.shed(e, jobs.len()))?;
+            .map_err(|e| self.shed(e, keys.len()))?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let (reply, rx) = queue::channel();
+        let (reply, rx) = queue::oneshot();
         let submitted = Submitted {
             id,
-            jobs,
+            problems: req.problems,
+            keys,
             priority: req.priority,
             deadline: req.deadline,
             submitted: Instant::now(),
@@ -523,6 +517,33 @@ struct Front {
     /// reads nothing else of it: the frames are prebuilt).
     ctx: RunCtx,
     report: SessionReport,
+    /// The batch being served: its requests, its slots and their
+    /// coalescing index. Kept from batch to batch and cleared, never
+    /// rebuilt, so that a batch allocates only what it hands out.
+    requests: Vec<Open>,
+    slots: Vec<Slot>,
+    index: store::MemoMap<usize>,
+}
+
+/// A request of the batch being served, and its answers so far.
+struct Open {
+    sub: Box<Submitted>,
+    answers: Answers,
+}
+
+/// A response's results, in submission order, written in place as they
+/// are known; `filled` of them are.
+#[derive(Default)]
+struct Answers {
+    results: Vec<Result<Priced, String>>,
+    filled: usize,
+}
+
+impl Answers {
+    fn set(&mut self, pi: usize, result: Result<Priced, String>) {
+        self.results[pi] = result;
+        self.filled += 1;
+    }
 }
 
 fn front_loop(
@@ -536,6 +557,9 @@ fn front_loop(
         next_wire: 0,
         ctx: RunCtx::new(cfg.exec_policy()),
         report: SessionReport::default(),
+        requests: Vec::new(),
+        slots: Vec::new(),
+        index: store::MemoMap::default(),
     };
     loop {
         // Block for traffic, then drain everything already queued into
@@ -545,12 +569,14 @@ fn front_loop(
             // Every sender dropped without a Shutdown: treat as one.
             Err(_) => break,
         };
-        let mut batch: Vec<Submitted> = Vec::new();
         let mut shutdown = false;
         let mut m = Some(first);
         loop {
             match m {
-                Some(Msg::Request(s)) => batch.push(*s),
+                Some(Msg::Request(sub)) => front.requests.push(Open {
+                    sub,
+                    answers: Answers::default(),
+                }),
                 Some(Msg::Shed { at_ns, problems }) => {
                     mark(comm, EventKind::Shed, at_ns, NO_JOB, problems);
                     front.report.shed += 1;
@@ -563,8 +589,8 @@ fn front_loop(
             }
             m = rx.try_recv().ok();
         }
-        if !batch.is_empty() {
-            serve_batch(comm, cfg, admission, &mut front, batch);
+        if !front.requests.is_empty() {
+            serve_batch(comm, cfg, admission, &mut front);
         }
         if shutdown {
             break;
@@ -591,7 +617,10 @@ struct Slot {
     /// serialized for its job frame only when the batch travels.
     problem: PremiaProblem,
     class: u8,
-    subscribers: Vec<(usize, usize)>,
+    /// The position that brought the problem in, and those coalesced
+    /// onto it after (only a duplicate allocates).
+    first: (usize, usize),
+    more: Vec<(usize, usize)>,
     outcome: Option<Result<(f64, Option<f64>), String>>,
 }
 
@@ -608,110 +637,122 @@ impl Slot {
     }
 }
 
-fn serve_batch(
-    comm: &Comm,
-    cfg: &ServeConfig,
-    admission: &Admission,
-    front: &mut Front,
-    batch: Vec<Submitted>,
-) {
+fn serve_batch(comm: &Comm, cfg: &ServeConfig, admission: &Admission, front: &mut Front) {
     // Queue residency ends now: close every Enqueue span, then expire
     // the requests whose queue deadline already passed.
-    let mut live: Vec<Submitted> = Vec::with_capacity(batch.len());
-    for s in batch {
+    let expired = front.requests.extract_if(.., |open| {
+        let s = &open.sub;
         let id = s.id as i64;
         span(comm, EventKind::Enqueue, s.enq_ns, id, s.bytes as u64);
-        if s.deadline.is_some_and(|d| s.submitted.elapsed() > d) {
-            mark(comm, EventKind::Shed, None, id, s.jobs.len() as u64);
-            front.report.expired += 1;
-            let waited = s.submitted.elapsed();
-            let _ = s.reply.send(Response {
-                id: s.id,
-                results: s
-                    .jobs
-                    .iter()
-                    .map(|_| Err(format!("queue deadline expired after {waited:?}")))
-                    .collect(),
-                latency: waited,
-            });
-            // Admission slot freed; the ticket was still answered once.
-            admission.release(s.priority, s.bytes);
-            continue;
-        }
-        live.push(s);
+        s.deadline.is_some_and(|d| s.submitted.elapsed() > d)
+    });
+    for Open { sub: s, .. } in expired {
+        let id = s.id as i64;
+        mark(comm, EventKind::Shed, None, id, s.keys.len() as u64);
+        front.report.expired += 1;
+        let waited = s.submitted.elapsed();
+        let _ = s.reply.send(Response {
+            id: s.id,
+            results: s
+                .keys
+                .iter()
+                .map(|_| Err(format!("queue deadline expired after {waited:?}")))
+                .collect(),
+            latency: waited,
+        });
+        // Admission slot freed; the ticket was still answered once.
+        admission.release(s.priority, s.bytes);
     }
-    if live.is_empty() {
+    if front.requests.is_empty() {
         return;
     }
 
     // Coalesce: memo first, then within-batch duplicates.
-    let mut answers: Vec<Vec<Option<Result<Priced, String>>>> =
-        live.iter().map(|s| vec![None; s.jobs.len()]).collect();
-    let mut slots: Vec<Slot> = Vec::new();
-    let mut index: store::MemoMap<usize> = store::MemoMap::default();
-    for (ri, s) in live.iter_mut().enumerate() {
-        for (pi, prep) in s.jobs.drain(..).enumerate() {
-            if let Some((price, std_error)) = front.memo.get(&prep.key) {
-                mark(comm, EventKind::MemoHit, None, s.id as i64, 1);
-                front.report.memo_hits += 1;
-                answers[ri][pi] = Some(Ok(Priced {
-                    price,
-                    std_error,
-                    memoised: true,
-                }));
-            } else if let Some(&slot) = index.get(&prep.key) {
+    let Front {
+        memo,
+        next_wire,
+        ctx,
+        report,
+        requests,
+        slots,
+        index,
+    } = front;
+    for (ri, Open { sub: s, answers }) in requests.iter_mut().enumerate() {
+        // Placeholders, each overwritten by its answer.
+        answers.results = vec![Err(String::new()); s.keys.len()];
+        let id = s.id as i64;
+        for (pi, (problem, &key)) in s.problems.drain(..).zip(&s.keys).enumerate() {
+            if let Some((price, std_error)) = memo.get(&key) {
+                mark(comm, EventKind::MemoHit, None, id, 1);
+                report.memo_hits += 1;
+                answers.set(
+                    pi,
+                    Ok(Priced {
+                        price,
+                        std_error,
+                        memoised: true,
+                    }),
+                );
+            } else if let Some(&slot) = index.get(&key) {
                 // A second subscriber to a problem already in this
                 // batch: it shares the compute, so it counts as served
                 // without one.
-                mark(comm, EventKind::MemoHit, None, s.id as i64, 1);
-                front.report.memo_hits += 1;
+                mark(comm, EventKind::MemoHit, None, id, 1);
+                report.memo_hits += 1;
                 slots[slot].class = slots[slot].class.min(s.priority);
-                slots[slot].subscribers.push((ri, pi));
+                slots[slot].more.push((ri, pi));
             } else {
-                index.insert(prep.key, slots.len());
+                index.insert(key, slots.len());
                 slots.push(Slot {
-                    key: prep.key,
-                    problem: prep.problem,
+                    key,
+                    problem,
                     class: s.priority,
-                    subscribers: vec![(ri, pi)],
+                    first: (ri, pi),
+                    more: Vec::new(),
                     outcome: None,
                 });
             }
         }
     }
+    index.clear();
 
     if !slots.is_empty() {
-        run_batch(comm, cfg, &mut slots, front);
-        for slot in slots {
+        run_batch(comm, cfg, slots, ctx, next_wire, report);
+        for slot in slots.drain(..) {
             let outcome = slot.outcome.expect("run_batch answers every slot");
             if let Ok(value) = outcome {
-                front.memo.insert(slot.key, value, MEMO_VALUE_BYTES);
-                front.report.computed += 1;
+                memo.insert(slot.key, value, MEMO_VALUE_BYTES);
+                report.computed += 1;
             } else {
-                front.report.failed += 1;
+                report.failed += 1;
             }
-            for (order, &(ri, pi)) in slot.subscribers.iter().enumerate() {
-                answers[ri][pi] = Some(match &outcome {
-                    Ok((price, std_error)) => Ok(Priced {
-                        price: *price,
-                        std_error: *std_error,
-                        memoised: order > 0,
-                    }),
-                    Err(why) => Err(why.clone()),
-                });
+            let subscribers = std::iter::once(slot.first).chain(slot.more);
+            for (order, (ri, pi)) in subscribers.enumerate() {
+                requests[ri].answers.set(
+                    pi,
+                    match &outcome {
+                        Ok((price, std_error)) => Ok(Priced {
+                            price: *price,
+                            std_error: *std_error,
+                            memoised: order > 0,
+                        }),
+                        Err(why) => Err(why.clone()),
+                    },
+                );
             }
         }
     }
 
     // Answer every ticket exactly once and return its admission slot.
-    for (ri, s) in live.into_iter().enumerate() {
-        let results: Vec<Result<Priced, String>> = answers[ri]
-            .drain(..)
-            .map(|r| r.expect("every problem answered"))
-            .collect();
+    for Open {
+        sub: s,
+        answers: Answers { results, filled },
+    } in requests.drain(..)
+    {
+        assert_eq!(filled, results.len(), "every problem answered");
         let id = s.id as i64;
         span(comm, EventKind::Admit, s.enq_ns, id, results.len() as u64);
-        front.report.answered += 1;
+        report.answered += 1;
         let _ = s.reply.send(Response {
             id: s.id,
             results,
@@ -748,33 +789,36 @@ fn pack_frames(slots: &[Slot], slaves: usize) -> Vec<Frame> {
         .map(|s| s.class as usize + 1)
         .max()
         .unwrap_or(0);
-    // Closed-form members per frame, by class: the even split.
-    let mut share = vec![0usize; classes];
+    // By class: closed-form members per frame (the even split), and the
+    // frame still taking members.
+    let mut by_class: Vec<(usize, Option<usize>)> = vec![(0, None); classes];
     for slot in slots.iter().filter(|s| s.closed_form()) {
-        share[slot.class as usize] += 1;
+        by_class[slot.class as usize].0 += 1;
     }
-    for n in &mut share {
+    for (n, _) in &mut by_class {
         *n = n.div_ceil(slaves.max(1));
     }
-    // The frame of each class still taking members.
-    let mut open: Vec<Option<usize>> = vec![None; classes];
     let mut frames: Vec<Frame> = Vec::new();
     for (i, slot) in slots.iter().enumerate() {
-        let class = slot.class as usize;
+        let (share, open) = &mut by_class[slot.class as usize];
         let cost = MEMBER_HEADER_BYTES + slot.serial_len().next_multiple_of(4);
         if slot.closed_form() {
-            if let Some(frame) = open[class].map(|f| &mut frames[f]) {
-                if frame.members.len() < share[class] && frame.bytes + cost <= FRAME_CAP_BYTES {
+            if let Some(frame) = open.map(|f| &mut frames[f]) {
+                if frame.members.len() < *share && frame.bytes + cost <= FRAME_CAP_BYTES {
                     frame.members.push(i);
                     frame.bytes += cost;
                     continue;
                 }
             }
-            open[class] = Some(frames.len());
+            *open = Some(frames.len());
         }
+        // Room for the frame's share up front: a batch allocates per
+        // frame, not per member.
+        let mut members = Vec::with_capacity(if slot.closed_form() { *share } else { 1 });
+        members.push(i);
         frames.push(Frame {
             class: slot.class,
-            members: vec![i],
+            members,
             bytes: FRAME_HEADER_BYTES + cost,
         });
     }
@@ -827,16 +871,23 @@ fn encode_frames(
 /// driver. Wire ids are assigned frame-major, so each frame is one
 /// contiguous wire range, and are unique across the session, so a
 /// straggler from an earlier batch names ids outside this one.
-fn run_batch(comm: &Comm, cfg: &ServeConfig, slots: &mut [Slot], front: &mut Front) {
+fn run_batch(
+    comm: &Comm,
+    cfg: &ServeConfig,
+    slots: &mut [Slot],
+    ctx: &RunCtx,
+    next_wire: &mut usize,
+    report: &mut SessionReport,
+) {
     let alive = (1..=cfg.slaves).filter(|&s| comm.rank_alive(s)).count();
     let frames = pack_frames(slots, alive);
-    let base = front.next_wire;
-    front.next_wire += slots.len();
+    let base = *next_wire;
+    *next_wire += slots.len();
     if stays_on_front(&frames) {
         // Nothing travels, so nothing can be lost: no deadline, no retry,
         // and a slave fault cannot touch these prices.
         for (k, &s) in frames[0].members.iter().enumerate() {
-            let answer = price_one(comm, &front.ctx, base + k, || Ok(&slots[s].problem));
+            let answer = price_one(comm, ctx, base + k, || Ok(&slots[s].problem));
             slots[s].outcome = Some(match answer {
                 Answer::Priced {
                     price, std_error, ..
@@ -856,7 +907,7 @@ fn run_batch(comm: &Comm, cfg: &ServeConfig, slots: &mut [Slot], front: &mut Fro
         frames: Some(&offsets),
         supervisor: Some(&cfg.supervisor),
         resident: true,
-        ctx: &front.ctx,
+        ctx,
         strategy: Transmission::SerializedLoad,
     };
     let sc = SchedConfig::plain(frames.len(), cfg.slaves).policy(DispatchPolicy::Priority {
@@ -872,15 +923,15 @@ fn run_batch(comm: &Comm, cfg: &ServeConfig, slots: &mut [Slot], front: &mut Fro
     let slot = |wire: usize| order[wire - base];
     // Unanswered after a clean run: stranded by the death of every slave.
     let why = match ran {
-        Ok(report) => {
-            front.report.retries += report.retries as u64;
-            for o in report.outcomes {
+        Ok(ran) => {
+            report.retries += ran.retries as u64;
+            for o in ran.outcomes {
                 slots[slot(o.job)].outcome = Some(Ok((o.price, o.std_error)));
             }
-            for (wire, why) in report.failed_members {
+            for (wire, why) in ran.failed_members {
                 slots[slot(wire)].outcome = Some(Err(why));
             }
-            for frame in report.failed_jobs {
+            for frame in ran.failed_jobs {
                 for &s in &frames[frame].members {
                     slots[s].outcome = Some(Err("retry budget exhausted".into()));
                 }
@@ -931,7 +982,8 @@ mod tests {
             },
             problem,
             class,
-            subscribers: Vec::new(),
+            first: (0, 0),
+            more: Vec::new(),
             outcome: None,
         }
     }

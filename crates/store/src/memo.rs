@@ -23,6 +23,13 @@
 //! pricing types); the serving layer instantiates it with its answer
 //! type and a per-entry byte estimate, and the same byte-budgeted LRU
 //! discipline as the path cache keeps memory bounded.
+//!
+//! A key hashes to one word ([`MemoKey`]'s `Hash`), and nothing hashes
+//! it again. The memo finds a key through an open-addressed table of
+//! packed `(tag, slab cell)` words, eight bytes a slot, with linear
+//! probing and backward-shift deletion: a miss reads one run of adjacent
+//! words. [`MemoMap`], a `HashMap` whose hasher returns the word, is a
+//! serving batch's coalescing index.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -231,12 +238,26 @@ pub struct MemoKey {
     pub lanes: u32,
 }
 
-impl Hash for MemoKey {
-    /// One word: `fp.hash` is already mixed, so the execution
-    /// parameters are folded into it (`fp.len` only confirms a match).
-    fn hash<H: Hasher>(&self, state: &mut H) {
+impl MemoKey {
+    /// The key's hash, one word: `fp.hash` is already mixed, so the
+    /// execution parameters are folded into it (`fp.len` only confirms a
+    /// match).
+    #[inline]
+    fn word(&self) -> u64 {
         let params = u64::from(self.chunk) << 32 | u64::from(self.lanes);
-        state.write_u64(self.fp.hash ^ params.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        self.fp.hash ^ params.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    }
+
+    /// The index's tag of the key: the high half of its hash word.
+    #[inline]
+    fn tag(&self) -> u32 {
+        (self.word() >> 32) as u32
+    }
+}
+
+impl Hash for MemoKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.word());
     }
 }
 
@@ -258,11 +279,11 @@ impl Hasher for MemoHasher {
 }
 
 /// A hash map keyed by [`MemoKey`] that trusts the fingerprint's own
-/// mixing: the memo's index, and a serving batch's coalescing index.
+/// mixing: a serving batch's coalescing index.
 pub type MemoMap<V> = HashMap<MemoKey, V, BuildHasherDefault<MemoHasher>>;
 
 /// Overhead charged per entry on top of the caller-supplied value size:
-/// the key itself plus map bookkeeping.
+/// the key itself plus index and list bookkeeping.
 const ENTRY_OVERHEAD: usize = 64;
 
 /// Counters for memo traffic (mirrors [`StoreStats`](crate::StoreStats)
@@ -307,6 +328,108 @@ struct Entry<V> {
     next: u32,
 }
 
+/// The memo's index: an open-addressed table of packed words, one per
+/// slot, each a key's tag (the high half of its hash word) over its slab
+/// cell plus one; zero is an empty slot. A key's home slot is its tag's
+/// low bits, so a word says where it belongs without touching the slab,
+/// and growing the table or closing a gap reads only the table.
+///
+/// Collisions probe linearly, and a removal shifts the rest of its probe
+/// run back into the gap (no tombstones), so a probe ends at the first
+/// empty slot. The table is at most three quarters full.
+#[derive(Default)]
+struct Index {
+    slots: Vec<u64>,
+    len: usize,
+}
+
+impl Index {
+    fn word(tag: u32, cell: u32) -> u64 {
+        u64::from(tag) << 32 | (u64::from(cell) + 1)
+    }
+
+    fn tag(word: u64) -> u32 {
+        (word >> 32) as u32
+    }
+
+    fn cell(word: u64) -> u32 {
+        (word as u32).wrapping_sub(1)
+    }
+
+    fn mask(&self) -> usize {
+        self.slots.len().wrapping_sub(1)
+    }
+
+    /// The slot of the entry tagged `tag` whose cell `is` accepts.
+    fn find(&self, tag: u32, mut is: impl FnMut(u32) -> bool) -> Option<usize> {
+        if self.len == 0 {
+            return None;
+        }
+        let mask = self.mask();
+        let mut at = tag as usize & mask;
+        loop {
+            let w = self.slots[at];
+            if w == 0 {
+                return None;
+            }
+            if Self::tag(w) == tag && is(Self::cell(w)) {
+                return Some(at);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Add cell `cell` under `tag`; the caller knows its key is absent.
+    fn insert(&mut self, tag: u32, cell: u32) {
+        if 4 * (self.len + 1) > 3 * self.slots.len() {
+            self.grow();
+        }
+        self.place(Self::word(tag, cell));
+        self.len += 1;
+    }
+
+    /// Put `word` in the first empty slot of its probe run.
+    fn place(&mut self, word: u64) {
+        let mask = self.mask();
+        let mut at = Self::tag(word) as usize & mask;
+        while self.slots[at] != 0 {
+            at = (at + 1) & mask;
+        }
+        self.slots[at] = word;
+    }
+
+    /// Double the table (to eight slots at first), re-placing every word.
+    fn grow(&mut self) {
+        let size = (2 * self.slots.len()).max(8);
+        let old = std::mem::replace(&mut self.slots, vec![0; size]);
+        for w in old.into_iter().filter(|&w| w != 0) {
+            self.place(w);
+        }
+    }
+
+    /// Empty slot `at`, then shift back every later word of its probe run
+    /// that may move into the gap: one whose home is not cyclically
+    /// inside `(gap, slot]`.
+    fn remove_at(&mut self, mut at: usize) {
+        let mask = self.mask();
+        let mut gap = at;
+        loop {
+            at = (at + 1) & mask;
+            let w = self.slots[at];
+            if w == 0 {
+                break;
+            }
+            let home = Self::tag(w) as usize & mask;
+            if (at.wrapping_sub(home) & mask) >= (at.wrapping_sub(gap) & mask) {
+                self.slots[gap] = w;
+                gap = at;
+            }
+        }
+        self.slots[gap] = 0;
+        self.len -= 1;
+    }
+}
+
 /// A byte-budgeted LRU memo from [`MemoKey`] to computed answers.
 ///
 /// Same discipline as [`CachingStore`](crate::CachingStore): every
@@ -316,13 +439,16 @@ struct Entry<V> {
 /// than the whole budget is simply not cached.
 ///
 /// Every operation is O(1): the entries live in one slab, doubly linked
-/// in recency order by index, and a [`MemoMap`] finds a key's cell.
+/// in recency order by index, and an open-addressed table of packed
+/// `(tag, cell)` words, eight bytes a slot, finds a key's cell. A miss
+/// reads one run of adjacent slots; a hit adds the one slab cell it
+/// returns.
 ///
 /// Unlike the path cache the memo is single-owner (the serving front
 /// loop), so it is not internally locked.
 pub struct ResultCache<V> {
     budget: usize,
-    index: MemoMap<u32>,
+    index: Index,
     slab: Vec<Entry<V>>,
     /// Most and least recently used, and the first vacated cell.
     head: u32,
@@ -337,13 +463,25 @@ impl<V: Clone> ResultCache<V> {
     pub fn new(budget: usize) -> Self {
         ResultCache {
             budget,
-            index: MemoMap::default(),
+            index: Index::default(),
             slab: Vec::new(),
             head: NIL,
             tail: NIL,
             free: NIL,
             stats: MemoStats::default(),
         }
+    }
+
+    /// The index slot holding `key`.
+    fn slot_of(&self, key: &MemoKey) -> Option<usize> {
+        self.index
+            .find(key.tag(), |cell| self.slab[cell as usize].key == *key)
+    }
+
+    /// The slab cell holding `key`.
+    fn lookup(&self, key: &MemoKey) -> Option<u32> {
+        self.slot_of(key)
+            .map(|at| Index::cell(self.index.slots[at]))
     }
 
     /// Take cell `at` out of the recency list.
@@ -372,7 +510,7 @@ impl<V: Clone> ResultCache<V> {
 
     /// Look up a memoised answer, refreshing its recency on hit.
     pub fn get(&mut self, key: &MemoKey) -> Option<V> {
-        let Some(&at) = self.index.get(key) else {
+        let Some(at) = self.lookup(key) else {
             self.stats.misses += 1;
             return None;
         };
@@ -385,19 +523,25 @@ impl<V: Clone> ResultCache<V> {
     /// Insert an answer, charging `value_bytes` (plus a fixed per-entry
     /// overhead) against the budget and evicting LRU entries to make
     /// room. Re-inserting an existing key refreshes its value and
-    /// recency.
+    /// recency; a re-insert too large to cache forgets the old value
+    /// (neither an insertion nor an eviction).
     pub fn insert(&mut self, key: MemoKey, value: V, value_bytes: usize) {
+        if let Some(slot) = self.slot_of(&key) {
+            let at = Index::cell(self.index.slots[slot]);
+            self.index.remove_at(slot);
+            self.vacate(at);
+        }
         let cost = value_bytes + ENTRY_OVERHEAD;
         if cost > self.budget {
             return;
         }
-        if let Some(at) = self.index.remove(&key) {
-            self.vacate(at);
-        }
         while self.stats.bytes_used + cost > self.budget {
             let victim = self.tail;
             assert_ne!(victim, NIL, "budget accounting broke");
-            self.index.remove(&self.slab[victim as usize].key);
+            let tag = self.slab[victim as usize].key.tag();
+            let slot = self.index.find(tag, |cell| cell == victim);
+            self.index
+                .remove_at(slot.expect("every live cell is indexed"));
             self.vacate(victim);
             self.stats.evictions += 1;
         }
@@ -411,7 +555,10 @@ impl<V: Clone> ResultCache<V> {
         let at = match self.free {
             NIL => {
                 self.slab.push(entry);
-                u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 memo entries")
+                u32::try_from(self.slab.len() - 1)
+                    .ok()
+                    .filter(|&at| at != NIL)
+                    .expect("fewer than 2^32 - 1 memo entries")
             }
             at => {
                 self.free = self.slab[at as usize].next;
@@ -420,7 +567,7 @@ impl<V: Clone> ResultCache<V> {
             }
         };
         self.push_front(at);
-        self.index.insert(key, at);
+        self.index.insert(key.tag(), at);
         self.stats.bytes_used += cost;
         self.stats.insertions += 1;
     }
@@ -434,12 +581,12 @@ impl<V: Clone> ResultCache<V> {
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.index.len
     }
 
     /// True when the memo holds nothing.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.index.len == 0
     }
 
     /// Traffic counters.
@@ -531,6 +678,20 @@ mod tests {
         assert_eq!(memo.stats().bytes_used, used);
         assert_eq!(memo.get(&key(1, 0, 0)), Some(9));
         assert_eq!(memo.len(), 1);
+    }
+
+    #[test]
+    fn oversized_reinsert_forgets_the_old_value() {
+        let mut memo: ResultCache<u32> = ResultCache::new(1 << 10);
+        memo.insert(key(1, 0, 0), 1, 100);
+        let (len, used) = (memo.len(), memo.stats().bytes_used);
+        memo.insert(key(2, 0, 0), 2, 100);
+        memo.insert(key(2, 0, 0), 9, 1 << 10);
+        assert_eq!(memo.get(&key(2, 0, 0)), None, "the stale value is gone");
+        assert_eq!((memo.len(), memo.stats().bytes_used), (len, used));
+        assert_eq!(memo.get(&key(1, 0, 0)), Some(1));
+        let s = memo.stats();
+        assert_eq!((s.insertions, s.evictions), (2, 0));
     }
 
     #[test]
@@ -664,16 +825,19 @@ mod tests {
             Some(e.1)
         }
 
-        /// Inserts, returning the keys evicted, oldest first.
+        /// Inserts, returning the keys it dropped: those evicted, oldest
+        /// first, and a key re-inserted too large to keep.
         fn insert(&mut self, key: MemoKey, value: u32, value_bytes: usize) -> Vec<MemoKey> {
-            let cost = value_bytes + ENTRY_OVERHEAD;
-            if cost > self.budget {
-                return Vec::new();
-            }
+            let mut victims = Vec::new();
             if let Some(at) = self.order.iter().position(|e| e.0 == key) {
                 self.stats.bytes_used -= self.order.remove(at).2;
+                victims.push(key);
             }
-            let mut victims = Vec::new();
+            let cost = value_bytes + ENTRY_OVERHEAD;
+            if cost > self.budget {
+                return victims;
+            }
+            victims.clear();
             while self.stats.bytes_used + cost > self.budget {
                 let gone = self.order.remove(0);
                 self.stats.bytes_used -= gone.2;
@@ -691,8 +855,14 @@ mod tests {
     fn slab_lru_and_naive_lru_agree_step_for_step() {
         const KEYS: u64 = 48;
         let keys: Vec<MemoKey> = (0..KEYS).map(|k| key(k as u8, k as u32 % 3, 1)).collect();
-        // Room for about twenty entries, for exactly one, and for none.
-        for budget in [20 * (ENTRY_OVERHEAD + 24), ENTRY_OVERHEAD + 40, 0] {
+        // Room for about twenty entries, for exactly one, for one that
+        // about half the inserts overflow, and for none.
+        for budget in [
+            20 * (ENTRY_OVERHEAD + 24),
+            ENTRY_OVERHEAD + 40,
+            ENTRY_OVERHEAD + 20,
+            0,
+        ] {
             let mut memo: ResultCache<u32> = ResultCache::new(budget);
             let mut naive = NaiveLru {
                 budget,
@@ -720,7 +890,7 @@ mod tests {
                     memo.insert(k, step, bytes);
                     for gone in &before {
                         let evicted = victims.contains(gone);
-                        assert_eq!(memo.index.contains_key(gone), !evicted, "step {step}");
+                        assert_eq!(memo.lookup(gone).is_some(), !evicted, "step {step}");
                     }
                 }
                 assert_eq!(memo.stats(), naive.stats, "step {step}");
@@ -748,5 +918,163 @@ mod tests {
             assert_eq!(walked, order);
             assert!(budget == 0 || memo.stats().evictions > 1_000);
         }
+    }
+
+    /// A key per number, with the default execution parameters.
+    fn nth(i: u32) -> MemoKey {
+        MemoKey {
+            fp: ContentFingerprint::of_bytes(&i.to_le_bytes()),
+            chunk: 1024,
+            lanes: 1,
+        }
+    }
+
+    /// The live keys, least recently used first, walked both ways.
+    fn recency<V: Clone>(memo: &ResultCache<V>) -> Vec<MemoKey> {
+        let mut up = Vec::new();
+        let mut at = memo.tail;
+        while at != NIL {
+            up.push(memo.slab[at as usize].key);
+            at = memo.slab[at as usize].prev;
+        }
+        let mut down = Vec::new();
+        let mut at = memo.head;
+        while at != NIL {
+            down.push(memo.slab[at as usize].key);
+            at = memo.slab[at as usize].next;
+        }
+        down.reverse();
+        assert_eq!(up, down, "the two directions of the list disagree");
+        up
+    }
+
+    #[test]
+    fn index_deletion_closes_a_probe_run_that_wraps_past_the_end() {
+        let mut index = Index::default();
+        // Three tags homed at the last of eight slots, and one homed at
+        // the first: the run is 7, 0, 1, 2.
+        for (tag, cell) in [(7, 0), (15, 1), (23, 2), (8, 3)] {
+            index.insert(tag, cell);
+        }
+        assert_eq!(index.slots.len(), 8);
+        let at = |index: &Index, tag: u32, cell: u32| index.find(tag, |c| c == cell);
+        assert_eq!(at(&index, 7, 0), Some(7));
+        assert_eq!(at(&index, 8, 3), Some(2));
+        index.remove_at(7);
+        // Everything behind the gap moved back one slot, across the end.
+        assert_eq!(at(&index, 15, 1), Some(7));
+        assert_eq!(at(&index, 23, 2), Some(0));
+        assert_eq!(at(&index, 8, 3), Some(1));
+        assert_eq!(at(&index, 7, 0), None);
+        assert_eq!(index.slots[2], 0);
+        assert_eq!(index.len, 3);
+        // A word at its own home never moves back into a gap.
+        let mut index = Index::default();
+        index.insert(3, 0);
+        index.insert(4, 1);
+        index.remove_at(3);
+        assert_eq!(at(&index, 4, 1), Some(4));
+        assert_eq!((index.slots[3], index.len), (0, 1));
+    }
+
+    #[test]
+    fn growth_keeps_every_entry_and_the_recency_order() {
+        let mut memo: ResultCache<u32> = ResultCache::new(1 << 20);
+        let mut order = Vec::new();
+        for i in 0..1_000 {
+            memo.insert(nth(i), i, 8);
+            order.push(nth(i));
+            // Touch an older entry now and then, so recency is not
+            // insertion order.
+            if i % 7 == 3 {
+                let old = nth(i / 2);
+                assert_eq!(memo.get(&old), Some(i / 2));
+                order.retain(|k| *k != old);
+                order.push(old);
+            }
+        }
+        assert!(memo.index.slots.len() >= 1_024, "the table grew");
+        assert!(4 * memo.len() <= 3 * memo.index.slots.len());
+        assert_eq!(recency(&memo), order);
+        for i in 0..1_000 {
+            assert_eq!(memo.get(&nth(i)), Some(i));
+        }
+        assert_eq!(memo.stats().evictions, 0);
+    }
+
+    #[test]
+    fn keys_that_share_a_tag_are_told_apart_by_the_key() {
+        let a = nth(1);
+        let b = MemoKey {
+            fp: ContentFingerprint {
+                len: a.fp.len + 1,
+                ..a.fp
+            },
+            ..a
+        };
+        assert_eq!(a.tag(), b.tag());
+        assert_ne!(a, b);
+        let mut memo: ResultCache<u32> = ResultCache::new(1 << 12);
+        memo.insert(a, 1, 8);
+        memo.insert(b, 2, 8);
+        assert_eq!((memo.get(&a), memo.get(&b)), (Some(1), Some(2)));
+        // Forgetting one (an oversized re-insert) leaves the other.
+        memo.insert(a, 3, 1 << 12);
+        assert_eq!((memo.get(&a), memo.get(&b)), (None, Some(2)));
+        memo.insert(a, 4, 8);
+        assert_eq!((memo.get(&a), memo.get(&b)), (Some(4), Some(2)));
+        assert_eq!(memo.len(), 2);
+    }
+
+    #[test]
+    fn evict_everything_then_refill() {
+        let cost = ENTRY_OVERHEAD + 8;
+        let mut memo: ResultCache<u32> = ResultCache::new(16 * cost);
+        for i in 0..16 {
+            memo.insert(nth(i), i, 8);
+        }
+        assert_eq!(memo.len(), 16);
+        // One entry as large as the budget evicts all sixteen.
+        memo.insert(nth(100), 100, 16 * cost - ENTRY_OVERHEAD);
+        assert_eq!(memo.len(), 1);
+        assert_eq!(memo.stats().evictions, 16);
+        assert!((0..16).all(|i| memo.lookup(&nth(i)).is_none()));
+        assert_eq!(recency(&memo), [nth(100)]);
+        // Refilled, it is evicted in turn, and every new key is found.
+        for i in 200..216 {
+            memo.insert(nth(i), i, 8);
+        }
+        assert_eq!(memo.len(), 16);
+        assert_eq!(memo.get(&nth(100)), None);
+        for i in 200..216 {
+            assert_eq!(memo.get(&nth(i)), Some(i));
+        }
+        assert_eq!(recency(&memo), (200..216).map(nth).collect::<Vec<_>>());
+        assert_eq!(memo.stats().bytes_used, 16 * cost);
+    }
+
+    #[test]
+    fn len_and_is_empty_count_live_entries() {
+        let cost = ENTRY_OVERHEAD + 8;
+        let mut memo: ResultCache<u32> = ResultCache::new(3 * cost);
+        assert!(memo.is_empty());
+        assert_eq!(memo.len(), 0);
+        for i in 0..3 {
+            memo.insert(nth(i), i, 8);
+            assert_eq!(memo.len(), i as usize + 1);
+        }
+        // A re-insert and an eviction leave the count where it was.
+        memo.insert(nth(0), 9, 8);
+        assert_eq!(memo.len(), 3);
+        memo.insert(nth(3), 3, 8);
+        assert_eq!(memo.len(), 3);
+        assert!(!memo.is_empty());
+        // Oversized re-inserts forget entries one by one.
+        for (left, i) in (0..3).rev().zip([2, 0, 3]) {
+            memo.insert(nth(i), i, 4 * cost);
+            assert_eq!(memo.len(), left);
+        }
+        assert!(memo.is_empty());
+        assert_eq!(memo.stats().bytes_used, 0);
     }
 }

@@ -1,14 +1,22 @@
-//! In-process command queues for service loops.
+//! In-process hand-off primitives for service loops: command queues and
+//! one-shot replies.
 //!
 //! This module is the workspace's **only** sanctioned site of raw
-//! channel construction (a CI grep-gate enforces it): anything that
-//! needs an unbounded MPSC hand-off — e.g. the `serve` session's
-//! client-to-master command queue — goes through these wrappers, so a
-//! future backend swap (bounded queues, cross-process queues) is a
-//! one-crate change rather than a grep across the workspace.
+//! channel construction: `clippy.toml`'s `disallowed-methods` and
+//! `disallowed-types` refuse `std::sync::mpsc` in every other crate.
+//! Anything that needs an unbounded MPSC hand-off — e.g. the `serve`
+//! session's client-to-master command queue — goes through [`channel`],
+//! and anything that hands back exactly one value — e.g. the answer to a
+//! session's ticket — through [`oneshot`], so a future backend swap
+//! (bounded queues, cross-process queues) is a one-crate change rather
+//! than a grep across the workspace.
+//!
+//! A one-shot is one shared cell, not a queue: building it is one
+//! allocation, and a send wakes the receiver only when it is parked.
 
 use std::fmt;
 use std::sync::mpsc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Sending half of an unbounded MPSC queue. Clonable; the queue
@@ -90,6 +98,103 @@ impl<T> Receiver<T> {
     }
 }
 
+/// Sending half of a [`oneshot`]: sends at most one value. Dropping it
+/// unsent disconnects the receiver.
+pub struct OneshotSender<T>(Arc<Oneshot<T>>);
+
+/// Receiving half of a [`oneshot`]: receives at most one value.
+pub struct OneshotReceiver<T>(Arc<Oneshot<T>>);
+
+/// The cell both halves of a [`oneshot`] share.
+struct Oneshot<T> {
+    state: Mutex<Shot<T>>,
+    ready: Condvar,
+}
+
+struct Shot<T> {
+    value: Option<T>,
+    /// The sender is gone: it sent, or it was dropped.
+    closed: bool,
+    /// The receiver is parked on `ready`.
+    waiting: bool,
+}
+
+impl<T> Oneshot<T> {
+    fn lock(&self) -> MutexGuard<'_, Shot<T>> {
+        // Nothing panics while the lock is held: the state stays whole.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// A fresh one-shot: one value from one sender to one receiver.
+pub fn oneshot<T>() -> (OneshotSender<T>, OneshotReceiver<T>) {
+    let shot = Arc::new(Oneshot {
+        state: Mutex::new(Shot {
+            value: None,
+            closed: false,
+            waiting: false,
+        }),
+        ready: Condvar::new(),
+    });
+    (OneshotSender(shot.clone()), OneshotReceiver(shot))
+}
+
+impl<T> fmt::Debug for OneshotSender<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("queue::OneshotSender")
+    }
+}
+
+impl<T> fmt::Debug for OneshotReceiver<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("queue::OneshotReceiver")
+    }
+}
+
+impl<T> OneshotSender<T> {
+    /// Hand over `value`; fails (returning it) once the receiver is gone.
+    pub fn send(self, value: T) -> Result<(), Disconnected<T>> {
+        if Arc::strong_count(&self.0) == 1 {
+            return Err(Disconnected(value));
+        }
+        self.0.lock().value = Some(value);
+        // Dropping `self` closes the cell and wakes the receiver.
+        Ok(())
+    }
+}
+
+impl<T> Drop for OneshotSender<T> {
+    fn drop(&mut self) {
+        let mut shot = self.0.lock();
+        shot.closed = true;
+        if shot.waiting {
+            self.0.ready.notify_one();
+        }
+    }
+}
+
+impl<T> OneshotReceiver<T> {
+    /// Block until the value arrives; fails if the sender was dropped
+    /// without sending.
+    pub fn recv(self) -> Result<T, Disconnected<()>> {
+        let mut shot = self.0.lock();
+        loop {
+            if let Some(value) = shot.value.take() {
+                return Ok(value);
+            }
+            if shot.closed {
+                return Err(Disconnected(()));
+            }
+            shot.waiting = true;
+            shot = self
+                .0
+                .ready
+                .wait(shot)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,5 +240,45 @@ mod tests {
     fn recv_timeout_expires_quietly() {
         let (_tx, rx) = channel::<u8>();
         assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Ok(None));
+    }
+
+    #[test]
+    fn oneshot_delivers_a_value_sent_before_the_wait() {
+        let (tx, rx) = oneshot();
+        tx.send(7u32).unwrap();
+        assert_eq!(rx.recv(), Ok(7));
+    }
+
+    #[test]
+    fn oneshot_wakes_a_parked_receiver_once() {
+        let (tx, rx) = oneshot();
+        let sender = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            tx.send(vec![1, 2, 3]).unwrap();
+        });
+        assert_eq!(rx.recv(), Ok(vec![1, 2, 3]));
+        sender.join().unwrap();
+    }
+
+    #[test]
+    fn oneshot_sender_dropped_unsent_disconnects() {
+        let (tx, rx) = oneshot::<u8>();
+        drop(tx);
+        assert_eq!(rx.recv(), Err(Disconnected(())));
+        // And while the receiver is parked.
+        let (tx, rx) = oneshot::<u8>();
+        let dropper = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            drop(tx);
+        });
+        assert_eq!(rx.recv(), Err(Disconnected(())));
+        dropper.join().unwrap();
+    }
+
+    #[test]
+    fn oneshot_send_after_receiver_drop_returns_value() {
+        let (tx, rx) = oneshot::<u8>();
+        drop(rx);
+        assert_eq!(tx.send(9), Err(Disconnected(9)));
     }
 }

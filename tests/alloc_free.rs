@@ -2,7 +2,8 @@
 //! every per-path buffer comes from the pooled `PathWorkspace` or is sized
 //! once up front. A kernel run at 1 024 paths must make exactly as many
 //! allocations as the same kernel at 256 paths (one chunk either way), and
-//! a PDE at 200 time steps as many as at 50. Allocations are counted by a
+//! a PDE at 200 time steps as many as at 50. A closed form allocates
+//! nothing at all, result included. Allocations are counted by a
 //! per-thread counting allocator, so tests running side by side do not
 //! see each other's; nothing is timed.
 
@@ -22,8 +23,12 @@ use pricing::methods::pde::{pde_barrier, pde_vanilla, PdeConfig};
 use pricing::methods::xva::{xva_cva, xva_cva_exec, TradeSoA, XvaConfig};
 use pricing::models::{BlackScholes, Heston, LocalVol, MultiBlackScholes, Vasicek};
 use pricing::options::{Barrier, BasketOption, MaxCall, Vanilla};
+use pricing::MethodSpec;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+
+#[path = "common/registry.rs"]
+mod registry;
 
 /// The system allocator, counting the allocations of each thread.
 struct CountingAlloc;
@@ -319,4 +324,26 @@ fn pde_time_loop_allocates_nothing_per_step() {
         ),
     ];
     assert_flat(kernels, [50, 200]);
+}
+
+#[test]
+fn closed_form_compute_allocates_nothing() {
+    let closed: Vec<_> = registry::registry()
+        .into_iter()
+        .filter(|p| matches!(p.method, MethodSpec::ClosedForm) && p.compute().is_ok())
+        .collect();
+    assert!(closed.len() >= 7, "{} closed forms", closed.len());
+    let allocating: Vec<String> = closed
+        .iter()
+        .filter_map(|p| {
+            let n = allocations(|| keep(p.compute()));
+            let pair = format!("{} / {}", p.model.name(), p.option.name());
+            (n != 0).then(|| format!("{pair}: {n} allocations"))
+        })
+        .collect();
+    assert!(
+        allocating.is_empty(),
+        "a closed form allocates:\n{}",
+        allocating.join("\n")
+    );
 }
