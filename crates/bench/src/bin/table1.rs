@@ -6,29 +6,26 @@
 //! Quick-scale regression suite, demonstrating genuine parallel speedup
 //! end to end.
 
-use bench::breakdown::run_cli;
+use bench::breakdown::run_breakdown;
 use bench::calibrate::run_calibrate_classes;
-use bench::{render_comparison, PAPER_TABLE1};
+use bench::{parse_args, render_comparison, Mode, Table, PAPER_TABLE1};
 use clustersim::{table1_rows, table1_sim_jobs, SimConfig, TABLE1_CPUS};
 use farm::portfolio::{regression_portfolio, save_portfolio, PortfolioScale};
 use farm::{run, FarmConfig, Transmission};
 
 fn main() {
-    // `--calibrate-classes [--measured]`: per-class grain costs plus the
-    // BSDE-dominance self-check, instead of the sweep.
-    if run_calibrate_classes() {
-        return;
-    }
-    // `--breakdown [--cpus N]`: per-phase decomposition of one cluster
-    // size on the regression workload instead of the sweep.
-    if run_cli(
-        "Table I breakdown — per-phase cost decomposition by strategy",
-        &["--live"],
-        |_| table1_sim_jobs(),
-    ) {
-        return;
-    }
-    let live = std::env::args().any(|a| a == "--live");
+    let live = match parse_args(Table::I) {
+        Mode::Table { live } => live,
+        // One cluster size of the regression workload, phase by phase.
+        Mode::Breakdown(opts) => {
+            return run_breakdown(
+                "Table I breakdown — per-phase cost decomposition by strategy",
+                &table1_sim_jobs(),
+                &opts,
+            )
+        }
+        Mode::Calibrate { measured } => return run_calibrate_classes(measured),
+    };
     let cfg = SimConfig::default();
     let rows = table1_rows(&TABLE1_CPUS, &cfg);
     println!(

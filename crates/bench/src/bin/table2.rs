@@ -7,25 +7,23 @@
 //! (§4.2). The NFS sweep shares the server block cache across CPU counts,
 //! reproducing the caching bias the paper calls out.
 
-use bench::breakdown::run_cli;
+use bench::breakdown::run_breakdown;
 use bench::calibrate::run_calibrate_classes;
-use bench::{render_three_strategy, PAPER_TABLE2};
+use bench::{parse_args, render_three_strategy, Mode, Table, PAPER_TABLE2};
 use clustersim::{table2_rows, table2_sim_jobs, SimConfig, TABLE2_CPUS};
 
 fn main() {
-    // `--calibrate-classes [--measured]`: print the per-class grain
-    // costs LPT dispatch consumes and self-check the BSDE ordering.
-    if run_calibrate_classes() {
-        return;
-    }
-    // `--breakdown [--jobs N] [--cpus N]`: per-phase decomposition of
-    // one cluster size instead of the full sweep.
-    if run_cli(
-        "Table II breakdown — per-phase cost decomposition by strategy",
-        &[],
-        |opts| table2_sim_jobs(opts.jobs.unwrap_or(10_000)),
-    ) {
-        return;
+    match parse_args(Table::II) {
+        Mode::Table { .. } => {}
+        // One cluster size instead of the full sweep, phase by phase.
+        Mode::Breakdown(opts) => {
+            return run_breakdown(
+                "Table II breakdown — per-phase cost decomposition by strategy",
+                &table2_sim_jobs(opts.jobs.unwrap_or(10_000)),
+                &opts,
+            )
+        }
+        Mode::Calibrate { measured } => return run_calibrate_classes(measured),
     }
     let cfg = SimConfig::default();
     let all = table2_rows(&TABLE2_CPUS, &cfg);

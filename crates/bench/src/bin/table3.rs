@@ -6,25 +6,23 @@
 //! sent" and "with 256 nodes, the speedup ratio is still better than 0.8"
 //! (§4.3).
 
-use bench::breakdown::run_cli;
+use bench::breakdown::run_breakdown;
 use bench::calibrate::run_calibrate_classes;
-use bench::{render_three_strategy, PAPER_TABLE3};
+use bench::{parse_args, render_three_strategy, Mode, Table, PAPER_TABLE3};
 use clustersim::{table3_rows, table3_sim_jobs, SimConfig, TABLE3_CPUS};
 
 fn main() {
-    // `--calibrate-classes [--measured]`: per-class grain costs plus the
-    // BSDE-dominance self-check, instead of the sweep.
-    if run_calibrate_classes() {
-        return;
-    }
-    // `--breakdown [--cpus N]`: per-phase decomposition of one cluster
-    // size on the realistic portfolio instead of the sweep.
-    if run_cli(
-        "Table III breakdown — per-phase cost decomposition by strategy",
-        &[],
-        |_| table3_sim_jobs(),
-    ) {
-        return;
+    match parse_args(Table::III) {
+        Mode::Table { .. } => {}
+        // One cluster size instead of the full sweep, phase by phase.
+        Mode::Breakdown(opts) => {
+            return run_breakdown(
+                "Table III breakdown — per-phase cost decomposition by strategy",
+                &table3_sim_jobs(),
+                &opts,
+            )
+        }
+        Mode::Calibrate { measured } => return run_calibrate_classes(measured),
     }
     let cfg = SimConfig::default();
     let all = table3_rows(&TABLE3_CPUS, &cfg);

@@ -18,12 +18,9 @@ use obs::{Breakdown, BreakdownReport, EventKind, Recorder, StrategyBreakdown};
 /// comfortably holds the 10 000-job Table II workload without wrapping.
 const RING_CAPACITY: usize = 1 << 17;
 
-/// Parsed command-line options for a table binary.
+/// The `--breakdown` options of a table binary ([`crate::Mode::parse`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakdownOpts {
-    /// `--breakdown`: emit the per-phase decomposition instead of (only)
-    /// the speedup table.
-    pub enabled: bool,
     /// `--jobs N`: portfolio size override for workloads that scale
     /// (Table II). `None` keeps the table's paper-sized default.
     pub jobs: Option<usize>,
@@ -65,7 +62,6 @@ pub struct BreakdownOpts {
 impl Default for BreakdownOpts {
     fn default() -> Self {
         BreakdownOpts {
-            enabled: false,
             jobs: None,
             cpus: 8,
             warm: false,
@@ -74,86 +70,6 @@ impl Default for BreakdownOpts {
             lanes: 1,
             order_lpt: false,
         }
-    }
-}
-
-impl BreakdownOpts {
-    /// Parse `--breakdown [--jobs N] [--cpus N]` from an argument list
-    /// (not including the program name). Flags listed in `passthrough`
-    /// are silently skipped (they belong to the hosting binary, e.g.
-    /// table1's `--live`); anything else unknown is an error so typos
-    /// fail loudly in CI.
-    pub fn parse<I, S>(args: I, passthrough: &[&str]) -> Result<Self, String>
-    where
-        I: IntoIterator<Item = S>,
-        S: AsRef<str>,
-    {
-        let mut opts = BreakdownOpts::default();
-        let mut it = args.into_iter();
-        while let Some(arg) = it.next() {
-            match arg.as_ref() {
-                a if passthrough.contains(&a) => {}
-                "--breakdown" => opts.enabled = true,
-                "--warm" => opts.warm = true,
-                "--compress" => opts.compress = true,
-                "--jobs" => {
-                    let v = it.next().ok_or("--jobs needs a value")?;
-                    let n: usize = v
-                        .as_ref()
-                        .parse()
-                        .map_err(|_| format!("--jobs: bad count {:?}", v.as_ref()))?;
-                    if n == 0 {
-                        return Err("--jobs must be at least 1".into());
-                    }
-                    opts.jobs = Some(n);
-                }
-                "--cpus" => {
-                    let v = it.next().ok_or("--cpus needs a value")?;
-                    let n: usize = v
-                        .as_ref()
-                        .parse()
-                        .map_err(|_| format!("--cpus: bad count {:?}", v.as_ref()))?;
-                    if n < 2 {
-                        return Err("--cpus must be at least 2 (master + one slave)".into());
-                    }
-                    opts.cpus = n;
-                }
-                "--order" => {
-                    let v = it.next().ok_or("--order needs a value (fifo|lpt)")?;
-                    match v.as_ref() {
-                        "fifo" => opts.order_lpt = false,
-                        "lpt" => opts.order_lpt = true,
-                        other => {
-                            return Err(format!("--order: unknown policy {other:?} (fifo|lpt)"))
-                        }
-                    }
-                }
-                "--threads" => {
-                    let v = it.next().ok_or("--threads needs a value")?;
-                    let n: usize = v
-                        .as_ref()
-                        .parse()
-                        .map_err(|_| format!("--threads: bad count {:?}", v.as_ref()))?;
-                    if n == 0 {
-                        return Err("--threads must be at least 1".into());
-                    }
-                    opts.threads = n;
-                }
-                "--lanes" => {
-                    let v = it.next().ok_or("--lanes needs a value (1|4|8)")?;
-                    let n: usize = v
-                        .as_ref()
-                        .parse()
-                        .map_err(|_| format!("--lanes: bad width {:?}", v.as_ref()))?;
-                    if !matches!(n, 1 | 4 | 8) {
-                        return Err(format!("--lanes: unsupported width {n} (1|4|8)"));
-                    }
-                    opts.lanes = n;
-                }
-                other => return Err(format!("unknown argument {other:?} (try --breakdown)")),
-            }
-        }
-        Ok(opts)
     }
 }
 
@@ -315,9 +231,9 @@ fn lane_label(strategy: Transmission, opts: &BreakdownOpts) -> String {
 
 /// The SIMD-lane acceptance check: for every strategy, the lane run's
 /// compute seconds must be at least **2x** below the same-thread-count
-/// baseline (the headline claim the committed `BENCH_*.json` artifacts
-/// pin) but below the lane width (the scalar RNG draw and payoff branch
-/// cap the win), prepare/wire/wait must be untouched within 1e-9 (lane
+/// baseline (the headline claim `tests/goldens/BENCH_6.json` pins) but
+/// below the lane width (the scalar RNG draw and payoff branch cap the
+/// win), prepare/wire/wait must be untouched within 1e-9 (lane
 /// batching lives entirely inside the compute phase), and the lane run
 /// must carry one `LaneBatch` self-check mark per compute with the
 /// configured width — while the baseline rows carry none (off by
@@ -591,85 +507,76 @@ pub fn check_sload_prepare_cheapest(report: &BreakdownReport) -> Result<(), Stri
 }
 
 /// Print a checked report (text table, then one line of JSON) for a
-/// table binary. The caller exits nonzero on `Err`.
-pub fn print_breakdown(
-    title: &str,
-    jobs: &[SimJob],
-    opts: &BreakdownOpts,
-    cfg: &SimConfig,
-) -> Result<(), String> {
-    let report = breakdown_report(title, jobs, opts, cfg)?;
-    println!("{}", report.render());
-    println!("JSON: {}", report.to_json());
-    Ok(())
-}
-
-/// The `main`-shaped wrapper the binaries share: run the breakdown when
-/// requested (returns `true` — the caller should stop), otherwise fall
-/// through to the table rendering (`false`). Exits the process with
-/// status 2 on bad arguments or a failed check.
-pub fn run_cli(
-    title: &str,
-    passthrough: &[&str],
-    build_jobs: impl FnOnce(&BreakdownOpts) -> Vec<SimJob>,
-) -> bool {
-    let opts = match BreakdownOpts::parse(std::env::args().skip(1), passthrough) {
-        Ok(o) => o,
+/// table binary; exit with status 2 if a check fails.
+pub fn run_breakdown(title: &str, jobs: &[SimJob], opts: &BreakdownOpts) {
+    match breakdown_report(title, jobs, opts, &SimConfig::default()) {
+        Ok(report) => {
+            println!("{}", report.render());
+            println!("JSON: {}", report.to_json());
+        }
         Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!(
-                "usage: --breakdown [--jobs N] [--cpus N] [--threads N] [--lanes 1|4|8] \
-                 [--order fifo|lpt] [--warm] [--compress]"
-            );
+            eprintln!("breakdown check failed: {e}");
             std::process::exit(2);
         }
-    };
-    if !opts.enabled {
-        return false;
     }
-    let jobs = build_jobs(&opts);
-    if let Err(e) = print_breakdown(title, &jobs, &opts, &SimConfig::default()) {
-        eprintln!("breakdown check failed: {e}");
-        std::process::exit(2);
-    }
-    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    use crate::{Mode, Table};
+
+    /// Table II's `--breakdown` options from `args`.
+    fn parse(args: &[&str]) -> Result<BreakdownOpts, String> {
+        match Mode::parse(args, Table::II)? {
+            Mode::Breakdown(o) => Ok(o),
+            other => Err(format!("not a breakdown: {other:?}")),
+        }
+    }
+
     #[test]
     fn parse_accepts_flags_and_rejects_junk() {
-        assert_eq!(
-            BreakdownOpts::parse(["--breakdown"], &[]).unwrap(),
-            BreakdownOpts {
-                enabled: true,
-                ..BreakdownOpts::default()
-            }
-        );
-        let o = BreakdownOpts::parse(["--breakdown", "--jobs", "500", "--cpus", "4"], &[]).unwrap();
-        assert!(o.enabled);
+        assert_eq!(parse(&["--breakdown"]).unwrap(), BreakdownOpts::default());
+        let o = parse(&["--breakdown", "--jobs", "500", "--cpus", "4"]).unwrap();
         assert_eq!(o.jobs, Some(500));
         assert_eq!(o.cpus, 4);
-        assert!(BreakdownOpts::parse(["--frobnicate"], &[]).is_err());
-        assert!(BreakdownOpts::parse(["--jobs"], &[]).is_err());
-        assert!(BreakdownOpts::parse(["--jobs", "0"], &[]).is_err());
-        assert!(BreakdownOpts::parse(["--cpus", "1"], &[]).is_err());
-        assert!(
-            !BreakdownOpts::parse(Vec::<String>::new(), &[])
-                .unwrap()
-                .enabled
+        assert!(parse(&["--breakdown", "--frobnicate"]).is_err());
+        assert!(parse(&["--breakdown", "--jobs"]).is_err());
+        assert!(parse(&["--breakdown", "--jobs", "0"]).is_err());
+        assert!(parse(&["--breakdown", "--cpus", "1"]).is_err());
+        assert_eq!(
+            Mode::parse(Vec::<&str>::new(), Table::II),
+            Ok(Mode::Table { live: false })
         );
-        // Host-binary flags pass through without tripping the parser.
-        let o = BreakdownOpts::parse(["--live", "--breakdown"], &["--live"]).unwrap();
-        assert!(o.enabled);
-        assert!(BreakdownOpts::parse(["--live"], &[]).is_err());
+        assert_eq!(
+            Mode::parse(["--live"], Table::I),
+            Ok(Mode::Table { live: true })
+        );
+        assert_eq!(
+            Mode::parse(["--calibrate-classes", "--measured"], Table::III),
+            Ok(Mode::Calibrate { measured: true })
+        );
+        // A flag the chosen mode or table does not use is rejected, not
+        // accepted and dropped.
+        for (args, t) in [
+            (&["--breakdown", "--jobs", "500"][..], Table::I),
+            (&["--breakdown", "--jobs", "500"], Table::III),
+            (&["--breakdown", "--live"], Table::I),
+            (&["--calibrate-classes", "--measurd"], Table::II),
+            (&["--calibrate-classes", "--breakdown"], Table::II),
+            (&["--calibrate-classes", "--warm"], Table::II),
+            (&["--measured"], Table::II),
+            (&["--live"], Table::II),
+            (&["--warm"], Table::II),
+            (&["--jobs", "500"], Table::II),
+        ] {
+            assert!(Mode::parse(args, t).is_err(), "{args:?} on {t:?} accepted");
+        }
     }
 
     fn opts(cpus: usize) -> BreakdownOpts {
         BreakdownOpts {
-            enabled: true,
             cpus,
             ..BreakdownOpts::default()
         }
@@ -717,9 +624,9 @@ mod tests {
 
     #[test]
     fn parse_accepts_warm_and_compress() {
-        let o = BreakdownOpts::parse(["--breakdown", "--warm", "--compress"], &[]).unwrap();
-        assert!(o.enabled && o.warm && o.compress);
-        let o = BreakdownOpts::parse(["--breakdown"], &[]).unwrap();
+        let o = parse(&["--breakdown", "--warm", "--compress"]).unwrap();
+        assert!(o.warm && o.compress);
+        let o = parse(&["--breakdown"]).unwrap();
         assert!(!o.warm && !o.compress);
     }
 
@@ -768,15 +675,13 @@ mod tests {
 
     #[test]
     fn parse_accepts_threads_and_rejects_zero() {
-        let o = BreakdownOpts::parse(["--breakdown", "--threads", "8"], &[]).unwrap();
-        assert!(o.enabled);
-        assert_eq!(o.threads, 8);
         assert_eq!(
-            BreakdownOpts::parse(["--breakdown"], &[]).unwrap().threads,
-            1
+            parse(&["--breakdown", "--threads", "8"]).unwrap().threads,
+            8
         );
-        assert!(BreakdownOpts::parse(["--threads", "0"], &[]).is_err());
-        assert!(BreakdownOpts::parse(["--threads"], &[]).is_err());
+        assert_eq!(parse(&["--breakdown"]).unwrap().threads, 1);
+        assert!(parse(&["--breakdown", "--threads", "0"]).is_err());
+        assert!(parse(&["--breakdown", "--threads"]).is_err());
     }
 
     #[test]
@@ -810,17 +715,15 @@ mod tests {
 
     #[test]
     fn parse_accepts_lanes_and_rejects_bad_widths() {
-        let o = BreakdownOpts::parse(["--breakdown", "--lanes", "8"], &[]).unwrap();
-        assert!(o.enabled);
-        assert_eq!(o.lanes, 8);
-        assert_eq!(BreakdownOpts::parse(["--breakdown"], &[]).unwrap().lanes, 1);
+        assert_eq!(parse(&["--breakdown", "--lanes", "8"]).unwrap().lanes, 8);
+        assert_eq!(parse(&["--breakdown"]).unwrap().lanes, 1);
         for bad in ["0", "2", "3", "16", "x"] {
             assert!(
-                BreakdownOpts::parse(["--lanes", bad], &[]).is_err(),
+                parse(&["--breakdown", "--lanes", bad]).is_err(),
                 "--lanes {bad} should be rejected"
             );
         }
-        assert!(BreakdownOpts::parse(["--lanes"], &[]).is_err());
+        assert!(parse(&["--breakdown", "--lanes"]).is_err());
     }
 
     #[test]
@@ -890,17 +793,15 @@ mod tests {
 
     #[test]
     fn parse_accepts_order_and_rejects_junk_policies() {
-        let o = BreakdownOpts::parse(["--breakdown", "--order", "lpt"], &[]).unwrap();
-        assert!(o.enabled && o.order_lpt);
-        let o = BreakdownOpts::parse(["--breakdown", "--order", "fifo"], &[]).unwrap();
-        assert!(!o.order_lpt);
+        assert!(parse(&["--breakdown", "--order", "lpt"]).unwrap().order_lpt);
         assert!(
-            !BreakdownOpts::parse(["--breakdown"], &[])
+            !parse(&["--breakdown", "--order", "fifo"])
                 .unwrap()
                 .order_lpt
         );
-        assert!(BreakdownOpts::parse(["--order"], &[]).is_err());
-        assert!(BreakdownOpts::parse(["--order", "sjf"], &[]).is_err());
+        assert!(!parse(&["--breakdown"]).unwrap().order_lpt);
+        assert!(parse(&["--breakdown", "--order"]).is_err());
+        assert!(parse(&["--breakdown", "--order", "sjf"]).is_err());
     }
 
     #[test]

@@ -55,16 +55,11 @@ fn dominance(bsde: (f64, f64), mc: (f64, f64)) -> Result<(), String> {
     Ok(())
 }
 
-/// The `main`-shaped wrapper: when `--calibrate-classes` is on the
-/// command line, print the per-class grain-cost table(s), run the
-/// self-check, and return `true` (the caller should stop). `--measured`
-/// adds a wall-clock measurement of this machine's kernels. Exits with
-/// status 2 when the self-check fails.
-pub fn run_calibrate_classes() -> bool {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if !args.iter().any(|a| a == "--calibrate-classes") {
-        return false;
-    }
+/// The `--calibrate-classes` mode: print the per-class grain-cost
+/// table(s) and run the self-check. `measured` (`--measured`) adds a
+/// wall-clock measurement of this machine's kernels. Exits with status 2
+/// when the self-check fails.
+pub fn run_calibrate_classes(measured: bool) {
     let paper = paper_costs();
     print!(
         "{}",
@@ -74,18 +69,17 @@ pub fn run_calibrate_classes() -> bool {
         eprintln!("calibration self-check failed: {e}");
         std::process::exit(2);
     }
-    if args.iter().any(|a| a == "--measured") {
-        let measured = measured_costs(PortfolioScale::Quick, 2);
+    if measured {
+        let model = measured_costs(PortfolioScale::Quick, 2);
         print!(
             "\n{}",
             render_cost_table(
                 "Per-class grain costs — measured on this machine (Quick scale)",
-                &measured
+                &model
             )
         );
     }
     println!("\nself-check: BSDE Picard round dominates vanilla MC grain — ok");
-    true
 }
 
 #[cfg(test)]

@@ -4,10 +4,117 @@
 //! numbers so the reproduction quality is visible at a glance; the
 //! EXPERIMENTS.md summary is generated from the same data.
 
+use breakdown::BreakdownOpts;
 use clustersim::TableRow;
 
 pub mod breakdown;
 pub mod calibrate;
+
+/// The table a binary regenerates. It decides the table-specific flags:
+/// only Table I takes `--live`, and only Table II's portfolio scales
+/// with `--jobs`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Table {
+    I,
+    II,
+    III,
+}
+
+/// A table binary's command line, parsed once: one mode, and only the
+/// flags that mode uses on that table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mode {
+    /// No mode flag: print the table. `live` is Table I's `--live`, a
+    /// real-core sweep after the simulated one.
+    Table { live: bool },
+    /// `--breakdown`: the per-phase decomposition of one cluster size.
+    Breakdown(BreakdownOpts),
+    /// `--calibrate-classes`: the per-class grain costs; `measured`
+    /// (`--measured`) adds this machine's.
+    Calibrate { measured: bool },
+}
+
+impl Mode {
+    /// Parse `args` (without the program name) for `table`'s binary. A
+    /// typo, a flag the chosen mode does not use on this table, or a
+    /// second mode flag is an error, so nothing is accepted and ignored.
+    pub fn parse<I, S>(args: I, table: Table) -> Result<Mode, String>
+    where
+        I: IntoIterator<Item = S>,
+        S: AsRef<str>,
+    {
+        let args: Vec<S> = args.into_iter().collect();
+        let has = |flag: &str| args.iter().any(|a| a.as_ref() == flag);
+        let (breakdown, calibrate) = (has("--breakdown"), has("--calibrate-classes"));
+        let mut opts = BreakdownOpts::default();
+        let (mut live, mut measured) = (false, false);
+        let mut it = args.iter().map(AsRef::as_ref);
+        while let Some(arg) = it.next() {
+            match arg {
+                "--breakdown" if !calibrate => {}
+                "--calibrate-classes" if !breakdown => {}
+                "--measured" if calibrate => measured = true,
+                "--live" if table == Table::I && !breakdown && !calibrate => live = true,
+                "--jobs" if breakdown && table == Table::II => {
+                    opts.jobs = Some(count(arg, it.next(), 1)?)
+                }
+                "--cpus" if breakdown => opts.cpus = count(arg, it.next(), 2)?,
+                "--threads" if breakdown => opts.threads = count(arg, it.next(), 1)?,
+                "--lanes" if breakdown => {
+                    opts.lanes = count(arg, it.next(), 1)?;
+                    if !matches!(opts.lanes, 1 | 4 | 8) {
+                        return Err(format!("--lanes: unsupported width {} (1|4|8)", opts.lanes));
+                    }
+                }
+                "--order" if breakdown => {
+                    opts.order_lpt = match it.next() {
+                        Some("fifo") => false,
+                        Some("lpt") => true,
+                        v => return Err(format!("--order: expected fifo|lpt, got {v:?}")),
+                    }
+                }
+                "--warm" if breakdown => opts.warm = true,
+                "--compress" if breakdown => opts.compress = true,
+                other => return Err(format!("unknown argument {other:?}")),
+            }
+        }
+        Ok(if breakdown {
+            Mode::Breakdown(opts)
+        } else if calibrate {
+            Mode::Calibrate { measured }
+        } else {
+            Mode::Table { live }
+        })
+    }
+}
+
+/// The value after `flag`, as a count of at least `min`.
+fn count(flag: &str, value: Option<&str>, min: usize) -> Result<usize, String> {
+    let v = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    let n: usize = v.parse().map_err(|_| format!("{flag}: bad count {v:?}"))?;
+    if n < min {
+        return Err(format!("{flag} must be at least {min}"));
+    }
+    Ok(n)
+}
+
+/// Parse the process's arguments for `table`'s binary; on an error,
+/// print it with the usage line and exit with status 2.
+pub fn parse_args(table: Table) -> Mode {
+    Mode::parse(std::env::args().skip(1), table).unwrap_or_else(|e| {
+        let (name, jobs, live) = match table {
+            Table::I => ("table1", "", " | --live"),
+            Table::II => ("table2", " [--jobs N]", ""),
+            Table::III => ("table3", "", ""),
+        };
+        eprintln!("error: {e}");
+        eprintln!(
+            "usage: {name} [--breakdown{jobs} [--cpus N] [--threads N] [--lanes 1|4|8] \
+             [--order fifo|lpt] [--warm] [--compress] | --calibrate-classes [--measured]{live}]"
+        );
+        std::process::exit(2);
+    })
+}
 
 /// A published (CPUs, time, ratio) row from the paper, for side-by-side
 /// display. `None` entries mark cells the paper leaves blank.

@@ -255,8 +255,8 @@ impl ExecParams {
 /// adds *on top of* the raw [`NetworkParams`] wire time, per message and
 /// per byte. **Zero by default**, so the baseline model reproduces the
 /// paper's Tables I–III bit for bit; the presets carry the calibrated
-/// overheads of the two live backends (`bench/shard_smoke` re-measures
-/// them with a ping-pong on every run).
+/// overheads of the two live backends (the `perf` harness measures their
+/// round trips as `transport.channel_rtt_us` / `transport.uds_rtt_us`).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TransportParams {
     /// Fixed per-message overhead in seconds (frame header build/parse,

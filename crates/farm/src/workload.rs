@@ -435,9 +435,9 @@ mod tests {
     fn lpt_on_heavy_tailed_mix_beats_fifo_in_simulation() {
         // The per-class cost model feeds LPT; on the mixed portfolio's
         // heavy tail the predicted makespan (greedy list scheduling over
-        // predicted grains) must strictly beat FIFO's. The live-farm
-        // wall-clock version of this claim lives in the workload_smoke
-        // bench; this is the deterministic model-level check.
+        // predicted grains) must strictly beat FIFO's. This is the
+        // deterministic model-level check; a live wall-clock version
+        // would be a timing claim, which only the `perf` harness makes.
         use crate::calibrate::paper_costs;
         let jobs = mixed_portfolio(PortfolioScale::Quick, 4);
         let model = paper_costs();

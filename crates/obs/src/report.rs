@@ -212,8 +212,9 @@ impl BreakdownReport {
                 json_f64(b.parallelism()),
                 json_f64(b.lane_width())
             );
-            // Serving SLO columns. Kept ahead of "phases": bench_gate's
-            // string parser only reads summary keys before that array.
+            // Serving SLO columns, ahead of "phases". The key order is
+            // part of the output: crates/bench's breakdown goldens pin
+            // these bytes.
             let _ = write!(
                 s,
                 ",\"requests\":{},\"req_p50_s\":{},\"req_p99_s\":{},\"memo_hits\":{},\"memo_hit_rate\":{},\"shed\":{}",
@@ -460,7 +461,7 @@ mod tests {
         assert!(json.contains("\"req_p99_s\":0.003"), "{json}");
         assert!(json.contains("\"memo_hits\":1"), "{json}");
         assert!(json.contains("\"shed\":1"), "{json}");
-        // SLO columns precede the phases array (bench_gate constraint).
+        // SLO columns precede the phases array (the goldens pin the order).
         assert!(json.find("\"req_p99_s\"").unwrap() < json.find("\"phases\"").unwrap());
     }
 

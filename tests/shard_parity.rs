@@ -11,9 +11,10 @@
 //!   `clustersim::simulate_farm_config` run on that partition. Both on
 //!   the in-process channel backend *and* on the multi-process socket
 //!   backend;
-//! * **price bit-identity across backends** — the same portfolio priced
-//!   by threads and by spawned child processes (work-stealing enabled)
-//!   must agree with the serial reference bit for bit.
+//! * **price bit-identity across shard counts and backends** — the same
+//!   portfolio priced by 1, 2 or 4 shards of threads and by 2 shards of
+//!   spawned child processes (work-stealing enabled) must agree with the
+//!   serial reference bit for bit.
 //!
 //! The two-slave workload borrows `tests/sched_parity.rs`'s grain
 //! ladder: per-job costs are integer grains of a runtime-calibrated
@@ -216,19 +217,31 @@ fn process_prices_are_bit_identical_to_channel_and_serial() {
         .map(|j| j.problem.compute().unwrap().price.to_bits())
         .collect();
 
-    let prices = |backend: TransportKind| -> Vec<u64> {
-        let mut cfg = ShardConfig::new(2, 2).stealing(2).backend(backend);
+    // Four slaves split over 1, 2 or 4 shards on threads, and over 2
+    // shards of child processes: every run must equal the serial bits.
+    for (shards, backend) in [
+        (1, TransportKind::Channel),
+        (2, TransportKind::Channel),
+        (4, TransportKind::Channel),
+        (2, TransportKind::Process),
+    ] {
+        let mut cfg = ShardConfig::new(shards, 4 / shards)
+            .stealing(2)
+            .backend(backend);
         if backend == TransportKind::Process {
             cfg.process_bootstrap = Some("process_child_bootstrap".into());
         }
         let report = run_sharded(&files, &cfg).unwrap();
         assert_eq!(report.completed(), files.len());
-        report.by_job().iter().map(|&(_, p, _)| p.to_bits()).collect()
-    };
-
-    let channel = prices(TransportKind::Channel);
-    let process = prices(TransportKind::Process);
-    assert_eq!(channel, serial, "channel backend diverged from serial");
-    assert_eq!(process, serial, "process backend diverged from serial");
+        let prices: Vec<u64> = report
+            .by_job()
+            .iter()
+            .map(|&(_, p, _)| p.to_bits())
+            .collect();
+        assert_eq!(
+            prices, serial,
+            "{shards} shard(s) on {backend:?} diverged from serial"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
