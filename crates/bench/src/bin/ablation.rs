@@ -83,7 +83,7 @@ fn batching_ablation(cfg: &SimConfig) {
 }
 
 /// Communication-bound batching ablation on the Table II toy portfolio,
-/// where the §5 prediction ("send a single large message rather [than]
+/// where the §5 prediction ("send a single large message rather \[than\]
 /// several smaller messages") actually bites.
 fn batching_toy_ablation(cfg: &SimConfig) {
     println!("Ablation 1b — batching on the toy portfolio (communication-bound)");

@@ -18,7 +18,7 @@ use obs::{Breakdown, BreakdownReport, EventKind, Recorder, StrategyBreakdown};
 /// comfortably holds the 10 000-job Table II workload without wrapping.
 const RING_CAPACITY: usize = 1 << 17;
 
-/// The `--breakdown` options of a table binary ([`crate::Mode::parse`]).
+/// The `--breakdown` options of a table binary (`Mode::parse`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakdownOpts {
     /// `--jobs N`: portfolio size override for workloads that scale
@@ -238,7 +238,7 @@ fn lane_label(strategy: Transmission, opts: &BreakdownOpts) -> String {
 /// must carry one `LaneBatch` self-check mark per compute with the
 /// configured width — while the baseline rows carry none (off by
 /// default).
-pub fn check_lane_scaling(report: &BreakdownReport, opts: &BreakdownOpts) -> Result<(), String> {
+fn check_lane_scaling(report: &BreakdownReport, opts: &BreakdownOpts) -> Result<(), String> {
     let lanes = opts.lanes;
     for strategy in Transmission::ALL {
         let base_label = if opts.threads > 1 {
@@ -302,7 +302,7 @@ pub fn check_lane_scaling(report: &BreakdownReport, opts: &BreakdownOpts) -> Res
 /// against FIFO on the same per-job protocol, and its makespan must not
 /// degrade beyond scheduling noise — LPT exists to shave the end-of-run
 /// straggler tail, never to add communication.
-pub fn check_lpt_order(report: &BreakdownReport) -> Result<(), String> {
+fn check_lpt_order(report: &BreakdownReport) -> Result<(), String> {
     for strategy in Transmission::ALL {
         let fifo_label = format!("{} (fifo, per job)", strategy.label());
         let fifo = report
@@ -344,7 +344,7 @@ pub fn check_lpt_order(report: &BreakdownReport) -> Result<(), String> {
 /// superlinearly — while prepare, wire and wait are untouched within
 /// noise (the executor lives entirely inside the compute phase), and the
 /// threaded run actually recorded per-chunk diagnostics.
-pub fn check_thread_scaling(report: &BreakdownReport, threads: usize) -> Result<(), String> {
+fn check_thread_scaling(report: &BreakdownReport, threads: usize) -> Result<(), String> {
     for strategy in Transmission::ALL {
         let seq = report
             .run(strategy.label())
@@ -409,7 +409,7 @@ pub fn check_thread_scaling(report: &BreakdownReport, threads: usize) -> Result<
 /// removed real fetch work), while compute and wait are unchanged within
 /// noise (the cache must not touch what the slaves do), and the warm run
 /// actually hit the cache.
-pub fn check_warm_cache_effect(report: &BreakdownReport) -> Result<(), String> {
+fn check_warm_cache_effect(report: &BreakdownReport) -> Result<(), String> {
     for strategy in Transmission::ALL {
         let cold = report
             .run(strategy.label())
@@ -454,7 +454,7 @@ pub fn check_warm_cache_effect(report: &BreakdownReport) -> Result<(), String> {
 /// have compressed every over-threshold payload (matching decompression
 /// on the slaves, net bytes actually saved), and NFS — which ships only
 /// names — must be untouched by the codec.
-pub fn check_compression_effect(report: &BreakdownReport) -> Result<(), String> {
+fn check_compression_effect(report: &BreakdownReport) -> Result<(), String> {
     for strategy in [Transmission::FullLoad, Transmission::SerializedLoad] {
         let run = report
             .run(strategy.label())
@@ -487,7 +487,7 @@ pub fn check_compression_effect(report: &BreakdownReport) -> Result<(), String> 
 /// (`Serialize + Sload + Pack + NfsRead`, wherever they run) must be
 /// *strictly* the smallest of the three strategies — the master skips
 /// materialisation and the slaves skip NFS.
-pub fn check_sload_prepare_cheapest(report: &BreakdownReport) -> Result<(), String> {
+fn check_sload_prepare_cheapest(report: &BreakdownReport) -> Result<(), String> {
     let prepare = |strategy: Transmission| -> Result<f64, String> {
         report
             .run(strategy.label())

@@ -14,7 +14,7 @@ use farm::workload::class_name;
 use farm::JobClass;
 
 /// Render one cost model as a fixed-width per-class table.
-pub fn render_cost_table(title: &str, model: &CostModel) -> String {
+fn render_cost_table(title: &str, model: &CostModel) -> String {
     let mut out = String::new();
     out.push_str(title);
     out.push('\n');
@@ -38,7 +38,7 @@ pub fn render_cost_table(title: &str, model: &CostModel) -> String {
 
 /// The calibration self-check: the grain ordering the staged BSDE
 /// workload relies on, stated against whichever model will feed LPT.
-pub fn check_bsde_dominates_vanilla_mc(model: &CostModel) -> Result<(), String> {
+fn check_bsde_dominates_vanilla_mc(model: &CostModel) -> Result<(), String> {
     dominance(
         model.cost_range(JobClass::BsdePicardMc),
         model.cost_range(JobClass::LocalVolMc),

@@ -38,7 +38,7 @@ impl Mode {
     /// Parse `args` (without the program name) for `table`'s binary. A
     /// typo, a flag the chosen mode does not use on this table, or a
     /// second mode flag is an error, so nothing is accepted and ignored.
-    pub fn parse<I, S>(args: I, table: Table) -> Result<Mode, String>
+    fn parse<I, S>(args: I, table: Table) -> Result<Mode, String>
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
@@ -120,9 +120,9 @@ pub fn parse_args(table: Table) -> Mode {
 /// display. `None` entries mark cells the paper leaves blank.
 #[derive(Debug, Clone, Copy)]
 pub struct PaperRow {
-    pub cpus: usize,
-    pub time: Option<f64>,
-    pub ratio: Option<f64>,
+    cpus: usize,
+    time: Option<f64>,
+    ratio: Option<f64>,
 }
 
 /// Paper Table I (non-regression tests, sload transmission).

@@ -20,7 +20,7 @@
 //!   and the job's compute cost, drawn per §4.3 class from a calibrated
 //!   [`farm::calibrate::CostModel`].
 //!
-//! [`tables`] assembles this into the generators for Tables I, II and III.
+//! `tables` assembles this into the generators for Tables I, II and III.
 //!
 //! [`simulate_serve`] layers the live `serve::Session` front loop on
 //! top: an open-loop arrival stream with per-priority admission shares,
@@ -32,10 +32,10 @@
 #![warn(missing_docs)]
 #![allow(clippy::too_many_arguments)]
 
-pub mod params;
-pub mod resource;
+mod params;
+mod resource;
 pub mod sim;
-pub mod tables;
+mod tables;
 
 pub use params::{
     ExecParams, MasterCosts, NetworkParams, NfsParams, SimConfig, SlaveCosts, StoreParams,

@@ -1,7 +1,7 @@
 //! Performance-model parameters, calibrated to the paper's testbed:
 //! dual-core Xeon 3075 nodes on Gigabit Ethernet with NFS storage
 //! (§4: "interconnected using a Gigabit Ethernet network", "the cluster …
-//! use[s] a NFS file system").
+//! use\[s\] a NFS file system").
 
 /// Network model: fixed per-message latency plus size/bandwidth.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,7 +23,7 @@ impl Default for NetworkParams {
 
 impl NetworkParams {
     /// Wire time of one message of `bytes`.
-    pub fn transfer_time(&self, bytes: usize) -> f64 {
+    pub(crate) fn transfer_time(&self, bytes: usize) -> f64 {
         self.latency + bytes as f64 / self.bandwidth
     }
 }
@@ -32,9 +32,9 @@ impl NetworkParams {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NfsParams {
     /// Service time of a cold (disk) read of one small problem file.
-    pub cold_read: f64,
+    pub(crate) cold_read: f64,
     /// Service time once the file is in the server's block cache.
-    pub warm_read: f64,
+    pub(crate) warm_read: f64,
 }
 
 impl Default for NfsParams {
@@ -58,7 +58,7 @@ pub struct MasterCosts {
     /// sweeps cheap; we charge the steady-state cost).
     pub sload_prep: f64,
     /// NFS: build the tiny name message only.
-    pub nfs_prep: f64,
+    pub(crate) nfs_prep: f64,
     /// Handling one returned result (recv + bookkeeping).
     pub result_handle: f64,
 }
@@ -104,19 +104,19 @@ pub struct StoreParams {
     pub client_cache: bool,
     /// Service time of a cache hit (a memory lookup plus an `Arc`
     /// clone — far below any disk or NFS read).
-    pub hit_fetch: f64,
+    pub(crate) hit_fetch: f64,
     /// Compress loaded payloads on the wire.
     pub compress: bool,
     /// Minimum payload size worth compressing, bytes (mirrors
     /// `WirePolicy::compressed(threshold)` in the live farm).
-    pub compress_threshold: usize,
+    pub(crate) compress_threshold: usize,
     /// Compressed/raw size ratio for XDR problem files (LZSS on the
     /// highly repetitive Premia descriptors lands near one half).
-    pub compress_ratio: f64,
+    pub(crate) compress_ratio: f64,
     /// Master-side compression CPU, seconds per input byte.
-    pub compress_cpu: f64,
+    pub(crate) compress_cpu: f64,
     /// Slave-side decompression CPU, seconds per input byte.
-    pub decompress_cpu: f64,
+    pub(crate) decompress_cpu: f64,
 }
 
 impl Default for StoreParams {
@@ -150,12 +150,12 @@ pub struct ExecParams {
     /// Amdahl serial fraction of a chunked-kernel job: path generation
     /// parallelises, the LSM backward regression and the final reduction
     /// do not.
-    pub serial_fraction: f64,
+    serial_fraction: f64,
     /// Fixed per-job cost of spinning up the chunk queues and joining
     /// the scope, seconds (a scoped spawn of a handful of workers on
     /// Linux lands in the tens of microseconds). Charged only when
     /// `threads >= 2`.
-    pub spawn_overhead: f64,
+    spawn_overhead: f64,
     /// SIMD lane width of the batched kernels (1 = scalar kernels, the
     /// pre-lane default). Like `threads`, **off** by default so the
     /// baseline model is unchanged.
@@ -163,13 +163,13 @@ pub struct ExecParams {
     /// Fraction of a job's parallelisable work that vectorises across
     /// lanes: the per-path exp/fma arithmetic batches, the RNG draw and
     /// the payoff branch stay scalar.
-    pub lane_fraction: f64,
+    lane_fraction: f64,
     /// Fixed per-job cost when lane batching is on, seconds. The
     /// workspace pool removes every hot-loop allocation, so the per-job
     /// setup collapses to popping pooled buffers — far below the
     /// allocating `spawn_overhead`, which it *replaces* when
     /// `lanes >= 2`.
-    pub workspace_overhead: f64,
+    workspace_overhead: f64,
     /// When `true`, the executor model applies **per class**: only jobs
     /// whose class routes through a path-chunked kernel on the live
     /// farm (`JobClass::chunked_kernel`) get the thread/lane speedup;
@@ -177,7 +177,7 @@ pub struct ExecParams {
     /// is the honest model for heterogeneous mixed-class workloads.
     /// **Off** by default so the historical uniform model (and every
     /// committed table) is unchanged bit for bit.
-    pub per_class: bool,
+    per_class: bool,
 }
 
 impl Default for ExecParams {
@@ -195,20 +195,10 @@ impl Default for ExecParams {
 }
 
 impl ExecParams {
-    /// Amdahl speedup of one chunked-kernel job at this thread count:
-    /// `1 / (s + (1 - s)/T)`. Exactly 1.0 when `threads <= 1`.
-    pub fn speedup(&self) -> f64 {
-        if self.threads <= 1 {
-            return 1.0;
-        }
-        let t = self.threads as f64;
-        1.0 / (self.serial_fraction + (1.0 - self.serial_fraction) / t)
-    }
-
     /// Amdahl-style speedup of the parallelisable region from SIMD lane
     /// batching: `1 / ((1 - f) + f/L)` with `f = lane_fraction`. Exactly
     /// 1.0 when `lanes <= 1`.
-    pub fn lane_speedup(&self) -> f64 {
+    fn lane_speedup(&self) -> f64 {
         if self.lanes <= 1 {
             return 1.0;
         }
@@ -224,7 +214,7 @@ impl ExecParams {
     /// parallelisable region *before* it is divided across threads —
     /// lanes compose multiplicatively with threads, and the pooled
     /// workspaces replace the allocating spawn overhead.
-    pub fn apply(&self, compute: f64) -> (f64, f64) {
+    fn apply(&self, compute: f64) -> (f64, f64) {
         if self.threads <= 1 && self.lanes <= 1 {
             return (compute, 0.0);
         }
@@ -243,7 +233,7 @@ impl ExecParams {
     /// only chunked-kernel jobs (`chunked == true`) see the executor
     /// speedup; otherwise every job does, as the uniform model always
     /// did.
-    pub fn apply_classed(&self, chunked: bool, compute: f64) -> (f64, f64) {
+    pub(crate) fn apply_classed(&self, chunked: bool, compute: f64) -> (f64, f64) {
         if self.per_class && !chunked {
             return (compute, 0.0);
         }
@@ -268,26 +258,8 @@ pub struct TransportParams {
 }
 
 impl TransportParams {
-    /// Calibrated in-process channel backend: an enqueue, a condvar
-    /// wake-up and (for owned payloads) one memcpy.
-    pub fn channel() -> Self {
-        TransportParams {
-            per_message: 1.5e-6,
-            per_byte: 0.1e-9,
-        }
-    }
-
-    /// Calibrated Unix-domain-socket backend: a write/read syscall pair
-    /// and two kernel buffer crossings per message.
-    pub fn socket() -> Self {
-        TransportParams {
-            per_message: 8e-6,
-            per_byte: 0.6e-9,
-        }
-    }
-
     /// Transport overhead of one message of `bytes`.
-    pub fn cost(&self, bytes: usize) -> f64 {
+    pub(crate) fn cost(&self, bytes: usize) -> f64 {
         self.per_message + bytes as f64 * self.per_byte
     }
 }
@@ -314,6 +286,38 @@ pub struct SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ExecParams {
+        /// Amdahl speedup of one chunked-kernel job at this thread count:
+        /// `1 / (s + (1 - s)/T)`. Exactly 1.0 when `threads <= 1`.
+        fn speedup(&self) -> f64 {
+            if self.threads <= 1 {
+                return 1.0;
+            }
+            let t = self.threads as f64;
+            1.0 / (self.serial_fraction + (1.0 - self.serial_fraction) / t)
+        }
+    }
+
+    impl TransportParams {
+        /// Calibrated in-process channel backend: an enqueue, a condvar
+        /// wake-up and (for owned payloads) one memcpy.
+        pub(crate) fn channel() -> Self {
+            TransportParams {
+                per_message: 1.5e-6,
+                per_byte: 0.1e-9,
+            }
+        }
+
+        /// Calibrated Unix-domain-socket backend: a write/read syscall pair
+        /// and two kernel buffer crossings per message.
+        pub(crate) fn socket() -> Self {
+            TransportParams {
+                per_message: 8e-6,
+                per_byte: 0.6e-9,
+            }
+        }
+    }
 
     #[test]
     fn transfer_time_scales_with_size() {

@@ -6,14 +6,14 @@
 
 /// A serially used resource with FIFO semantics.
 #[derive(Debug, Clone, Default)]
-pub struct Resource {
+pub(crate) struct Resource {
     free_at: f64,
     busy_total: f64,
 }
 
 impl Resource {
     /// Construct with validation; panics on invalid parameters.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Resource {
             free_at: 0.0,
             busy_total: 0.0,
@@ -22,7 +22,7 @@ impl Resource {
 
     /// Occupy the resource for `duration` starting no earlier than
     /// `ready`; returns the completion time.
-    pub fn acquire(&mut self, ready: f64, duration: f64) -> f64 {
+    pub(crate) fn acquire(&mut self, ready: f64, duration: f64) -> f64 {
         debug_assert!(duration >= 0.0, "negative duration");
         let start = self.free_at.max(ready);
         self.free_at = start + duration;
@@ -30,26 +30,28 @@ impl Resource {
         self.free_at
     }
 
-    /// Earliest time new work could start.
-    pub fn free_at(&self) -> f64 {
-        self.free_at
-    }
-
     /// Total busy time accumulated (utilisation numerator).
-    pub fn busy_total(&self) -> f64 {
+    pub(crate) fn busy_total(&self) -> f64 {
         self.busy_total
-    }
-
-    /// Clear all accumulated state.
-    pub fn reset(&mut self) {
-        self.free_at = 0.0;
-        self.busy_total = 0.0;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Resource {
+        /// Earliest time new work could start.
+        fn free_at(&self) -> f64 {
+            self.free_at
+        }
+
+        /// Clear all accumulated state.
+        fn reset(&mut self) {
+            self.free_at = 0.0;
+            self.busy_total = 0.0;
+        }
+    }
 
     #[test]
     fn sequential_acquisitions_queue() {

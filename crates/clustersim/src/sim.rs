@@ -1,5 +1,5 @@
 //! The Robin-Hood replay: event-driven simulation of Fig. 4's protocol
-//! over the [`crate::params`] performance model.
+//! over the `params` performance model.
 //!
 //! The simulator holds **no scheduling logic of its own**: every
 //! dispatch decision comes from the same pure [`sched::Scheduler`] state
@@ -55,16 +55,6 @@ impl NfsCache {
     fn access(&mut self, file: usize) -> bool {
         !self.blocks.insert(file)
     }
-
-    /// Number of contained elements.
-    pub fn len(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// True when there are no elements.
-    pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
-    }
 }
 
 /// The client-side problem cache (the `store` crate's [`CachingStore`]
@@ -81,23 +71,13 @@ pub struct ClientCache {
 
 impl ClientCache {
     /// A fresh, empty cache.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ClientCache::default()
     }
 
     /// Record an access; returns true if it was already cached.
     fn access(&mut self, file: usize) -> bool {
         !self.files.insert(file)
-    }
-
-    /// Number of resident files.
-    pub fn len(&self) -> usize {
-        self.files.len()
-    }
-
-    /// True when nothing is resident.
-    pub fn is_empty(&self) -> bool {
-        self.files.is_empty()
     }
 }
 
@@ -107,9 +87,9 @@ impl ClientCache {
 #[derive(Debug, Default, Clone)]
 pub struct SimCaches {
     /// NFS server block cache (server side).
-    pub nfs: NfsCache,
+    pub(crate) nfs: NfsCache,
     /// Problem-store cache (client side).
-    pub client: ClientCache,
+    pub(crate) client: ClientCache,
 }
 
 impl SimCaches {
@@ -128,7 +108,7 @@ pub struct SimOutcome {
     pub per_slave: Vec<usize>,
     /// Fraction of the run the master spent busy (the §4.2/§5 bottleneck
     /// diagnostic).
-    pub master_utilisation: f64,
+    master_utilisation: f64,
 }
 
 /// A scripted slave death for [`simulate_farm_sched`]: the simulated
@@ -826,27 +806,27 @@ pub fn simulate_farm_config(
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardSimConfig {
     /// Number of peer masters, each with a private slave farm.
-    pub shards: usize,
+    shards: usize,
     /// Compute slaves per shard.
-    pub slaves_per_shard: usize,
+    slaves_per_shard: usize,
     /// Jobs a master leases per round; `0` leases the whole shard at
     /// once (which also leaves nothing to steal).
-    pub lease: usize,
+    lease: usize,
     /// Steal from the richest peer pool when the own pool drains.
-    pub steal: bool,
+    steal: bool,
 }
 
 /// What a sharded simulated run produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardSimOutcome {
     /// Wall-clock makespan: the last shard to drain, simulated seconds.
-    pub makespan: f64,
+    makespan: f64,
     /// Jobs computed under each shard's master (stolen ones included).
-    pub per_shard_jobs: Vec<usize>,
+    per_shard_jobs: Vec<usize>,
     /// Per-shard busy time (that shard's last round end).
-    pub per_shard_time: Vec<f64>,
+    per_shard_time: Vec<f64>,
     /// Number of steal rounds performed.
-    pub steals: usize,
+    steals: usize,
 }
 
 /// Replay a sharded peer-master run against the performance model.
@@ -941,15 +921,15 @@ pub fn simulate_sharded(
 pub struct SimRequest {
     /// Arrival time in simulated seconds (requests are processed in
     /// arrival order; the slice must be sorted by this field).
-    pub arrival_s: f64,
+    arrival_s: f64,
     /// The portfolio: job ids double as content fingerprints, so two
     /// jobs with the same id are "identical problems" for coalescing
     /// and memoisation.
-    pub jobs: Vec<SimJob>,
+    jobs: Vec<SimJob>,
     /// Priority class, 0 most urgent. Class `p` may hold at most
     /// `queue_depth >> p` queue slots (floored at one), mirroring the
     /// live admission control.
-    pub priority: u8,
+    priority: u8,
 }
 
 /// What happened to one open-loop serving run.
@@ -957,15 +937,15 @@ pub struct SimRequest {
 pub struct ServeSimOutcome {
     /// End-to-end latency per *answered* request, indexed by position
     /// in the input slice (`None` for shed requests).
-    pub latency_s: Vec<Option<f64>>,
+    latency_s: Vec<Option<f64>>,
     /// Requests turned away at admission.
-    pub shed: usize,
+    shed: usize,
     /// Problems answered without a fresh compute (memo or coalescing).
-    pub memo_hits: usize,
+    memo_hits: usize,
     /// Unique problems actually computed on the slaves.
-    pub computed: usize,
+    computed: usize,
     /// Time the last answer left the service.
-    pub makespan_s: f64,
+    makespan_s: f64,
 }
 
 /// Replay an open-loop arrival stream against a resident simulated
@@ -1111,6 +1091,13 @@ pub fn simulate_serve(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl NfsCache {
+        /// Number of contained elements.
+        fn len(&self) -> usize {
+            self.blocks.len()
+        }
+    }
 
     fn cheap_jobs(n: usize, compute: f64) -> Vec<SimJob> {
         (0..n)

@@ -8,8 +8,8 @@
 //! benchmark: a master/slave "Robin Hood" task farm pricing realistic
 //! portfolios of equity derivatives.
 //!
-//! This crate is the front door; each subsystem lives in its own crate
-//! and is re-exported here:
+//! This crate is the front door: each subsystem lives in its own crate,
+//! and [`prelude`] gathers the types and functions the examples use:
 //!
 //! * [`pricing`] — the Premia substitute: Black–Scholes / local-vol /
 //!   Heston / multi-asset models; closed-form, PDE, tree, Monte-Carlo and
@@ -67,41 +67,27 @@
 //! ```
 
 pub use clustersim;
-pub use exec;
 pub use farm;
 pub use minimpi;
-pub use nsplang;
 pub use nspval;
-pub use numerics;
-pub use obs;
 pub use pricing;
 pub use sched;
-pub use serve;
-pub use store;
-pub use transport;
 pub use xdrser;
 
 /// The commonly used types and functions in one import.
 pub mod prelude {
-    pub use clustersim::{
-        simulate_farm, simulate_serve, table1_rows, table2_rows, table3_rows, NfsCache,
-        ServeSimOutcome, SimConfig, SimJob, SimRequest, TableRow,
-    };
     pub use exec::{ExecPolicy, ExecStats, StatsSink};
     pub use farm::hierarchy::run_hierarchical_farm;
-    pub use farm::calibrate::{measured_costs, paper_costs, CostModel};
     pub use farm::portfolio::{
         mixed_portfolio, realistic_portfolio, regression_portfolio, representative_problem,
         save_portfolio, toy_portfolio, JobClass, PortfolioJob, PortfolioScale,
     };
     pub use farm::risk::{aggregate_risk, risk_sweep, BumpSpec, ClaimRisk, Scenario};
     pub use farm::supervisor::SupervisorConfig;
-    pub use farm::workload::{class_indices, class_name, per_class_compute, run_workload, Workload};
     pub use farm::{run, FarmConfig, FarmError, FarmReport, Transmission, WirePolicy};
     pub use minimpi::{
         Comm, FaultEvent, FaultPlan, MpiBuf, SendFault, SpawnedWorld, World, ANY_SOURCE, ANY_TAG,
     };
-    pub use nspval::{Hash, List, Matrix, Serial, Value};
     pub use obs::{Breakdown, BreakdownReport, Event, EventKind, Recorder, StrategyBreakdown};
     pub use pricing::{
         MethodSpec, ModelSpec, OptionSpec, PremiaProblem, PricingError, PricingResult,

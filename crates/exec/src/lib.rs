@@ -61,9 +61,9 @@ pub fn stream_seed(seed: u64, chunk_index: u64) -> u64 {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigIssue {
     /// The builder method / field name (e.g. `"threads"`).
-    pub field: &'static str,
+    field: &'static str,
     /// What is wrong with the supplied value.
-    pub problem: String,
+    problem: String,
 }
 
 impl fmt::Display for ConfigIssue {
@@ -152,9 +152,9 @@ pub enum LaneConfig {
     /// One path at a time — the pre-lane scalar kernels, unchanged.
     #[default]
     Scalar,
-    /// Four paths per lane group (`F64x4`).
+    /// Four paths per lane group (`F64s<4>`).
     X4,
-    /// Eight paths per lane group (`F64x8`).
+    /// Eight paths per lane group (`F64s<8>`).
     X8,
 }
 
@@ -172,7 +172,7 @@ impl LaneConfig {
     }
 
     /// Number of paths advanced per lane group.
-    pub fn width(self) -> usize {
+    fn width(self) -> usize {
         match self {
             LaneConfig::Scalar => 1,
             LaneConfig::X4 => 4,
@@ -189,7 +189,7 @@ impl LaneConfig {
 /// `clear` + in-capacity `resize` — **zero allocations in the
 /// steady-state hot loops**. One workspace is checked out per worker
 /// for the duration of a [`ExecPolicy::run_ws`] call and parked in the
-/// policy's shared [`WorkspacePool`] between runs, so buffers persist
+/// policy's shared workspace pool between runs, so buffers persist
 /// across the jobs of a farm slave.
 #[derive(Debug, Default)]
 pub struct PathWorkspace {
@@ -223,29 +223,19 @@ impl PathWorkspace {
 /// each job, so a slave's workers keep reusing the same warmed buffers
 /// job after job.
 #[derive(Debug, Default)]
-pub struct WorkspacePool {
+struct WorkspacePool {
     inner: Mutex<Vec<PathWorkspace>>,
 }
 
 impl WorkspacePool {
-    /// A fresh, empty pool.
-    pub fn new() -> Self {
-        WorkspacePool::default()
-    }
-
     /// Check a workspace out (a fresh one if the pool is empty).
-    pub fn take(&self) -> PathWorkspace {
+    fn take(&self) -> PathWorkspace {
         self.inner.lock().pop().unwrap_or_default()
     }
 
     /// Park a workspace for the next [`take`](Self::take).
-    pub fn put(&self, ws: PathWorkspace) {
+    fn put(&self, ws: PathWorkspace) {
         self.inner.lock().push(ws);
-    }
-
-    /// Number of idle workspaces currently parked.
-    pub fn idle(&self) -> usize {
-        self.inner.lock().len()
     }
 }
 
@@ -280,7 +270,7 @@ impl Chunk {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkTiming {
     /// Chunk index.
-    pub index: u64,
+    index: u64,
     /// Items the chunk covered.
     pub items: u64,
     /// Wall-clock nanoseconds the chunk took on its worker.
@@ -291,23 +281,14 @@ pub struct ChunkTiming {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Number of `run` invocations recorded.
-    pub runs: u64,
+    runs: u64,
     /// Successful steals (a worker popping from another worker's queue).
     pub steals: u64,
     /// Largest worker count any recorded run actually used.
-    pub threads: usize,
+    threads: usize,
     /// Per-chunk timings, in execution-record order (chunk-index order
     /// within each run).
     pub chunks: Vec<ChunkTiming>,
-}
-
-impl ExecStats {
-    /// Total chunk-seconds: the CPU work the workers did. With `T`
-    /// workers this is ≈ `T ×` the wall-clock of the compute span —
-    /// the intra-slave parallelism diagnostic.
-    pub fn chunk_s(&self) -> f64 {
-        self.chunks.iter().map(|c| c.dur_ns as f64 * 1e-9).sum()
-    }
 }
 
 /// Thread-safe accumulator the kernels report [`ChunkTiming`]s into;
@@ -365,15 +346,18 @@ impl ExecPolicy {
         }
     }
 
-    /// Build a policy from raw user-supplied knobs, collecting **every**
-    /// invalid field into one [`ConfigIssues`] instead of failing on the
-    /// first (the workspace-wide builder convention — `FarmConfig` and
-    /// `ServeConfig` validate the same way). `chunk = 0` means
-    /// [`DEFAULT_CHUNK`]; `lanes` must be 1, 4 or 8 (0 = scalar).
-    pub fn validated(threads: usize, chunk: usize, lanes: usize) -> Result<Self, ConfigIssues> {
+    /// Resolve the user-facing compute knobs of `farm::FarmConfig` and
+    /// `serve::ServeConfig` into what a slave runs, collecting **every**
+    /// invalid field into one [`ConfigIssues`] (the workspace-wide
+    /// builder convention). `Ok(None)` is the sequential kernel (one
+    /// thread, scalar lanes); `Ok(Some(_))` is the chunked executor with
+    /// [`DEFAULT_CHUNK`] paths per chunk, whatever the thread count, so
+    /// one thread prices exactly like eight. `lanes` must be 1, 4 or 8
+    /// (0 = scalar).
+    pub fn validated(threads: usize, lanes: usize) -> Result<Option<Self>, ConfigIssues> {
         let mut issues = ConfigIssues::collect();
         if threads == 0 {
-            issues.reject("threads", "needs at least one worker");
+            issues.reject("threads", "compute threads must be at least 1");
         }
         let lane = match LaneConfig::from_width(lanes) {
             Ok(lane) => lane,
@@ -383,7 +367,10 @@ impl ExecPolicy {
             }
         };
         issues.into_result()?;
-        Ok(ExecPolicy::new(threads).chunk(chunk).lane(lane))
+        Ok(
+            (threads > 1 || lane != LaneConfig::Scalar)
+                .then(|| ExecPolicy::new(threads).lane(lane)),
+        )
     }
 
     /// Override the chunk size (0 is treated as [`DEFAULT_CHUNK`]).
@@ -406,7 +393,7 @@ impl ExecPolicy {
     }
 
     /// Set the lane configuration directly.
-    pub fn lane(mut self, lane: LaneConfig) -> Self {
+    fn lane(mut self, lane: LaneConfig) -> Self {
         self.lane = lane;
         self
     }
@@ -419,23 +406,13 @@ impl ExecPolicy {
     }
 
     /// Effective worker count.
-    pub fn threads(&self) -> usize {
+    fn threads(&self) -> usize {
         self.threads.max(1)
-    }
-
-    /// The lane configuration.
-    pub fn lane_config(&self) -> LaneConfig {
-        self.lane
     }
 
     /// Effective lane width (1 for the scalar path).
     pub fn lane_width(&self) -> usize {
         self.lane.width()
-    }
-
-    /// The shared workspace pool behind [`Self::run_ws`].
-    pub fn workspace_pool(&self) -> &Arc<WorkspacePool> {
-        &self.pool
     }
 
     /// Effective chunk size.
@@ -482,7 +459,7 @@ impl ExecPolicy {
     /// Like [`Self::run`], but hands each chunk invocation a mutable
     /// [`PathWorkspace`] so kernels can borrow reusable path buffers
     /// instead of allocating in the hot loop. One workspace is checked
-    /// out of the shared [`WorkspacePool`] per worker and parked again
+    /// out of the policy's shared workspace pool per worker and parked again
     /// afterwards, so buffer capacity persists across runs (and across
     /// the jobs of a farm slave). The workspace must not influence the
     /// numerical result — it is scratch capacity, nothing else.
@@ -600,26 +577,61 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
+    impl WorkspacePool {
+        /// Number of idle workspaces currently parked.
+        fn idle(&self) -> usize {
+            self.inner.lock().len()
+        }
+    }
+
+    impl ExecPolicy {
+        /// The lane configuration.
+        fn lane_config(&self) -> LaneConfig {
+            self.lane
+        }
+
+        /// The shared workspace pool behind [`Self::run_ws`].
+        fn workspace_pool(&self) -> &Arc<WorkspacePool> {
+            &self.pool
+        }
+    }
+
     #[test]
     fn validated_collects_every_invalid_field() {
-        let err = ExecPolicy::validated(0, 0, 3).unwrap_err();
-        assert_eq!(err.issues.len(), 2);
-        assert!(err.has("threads"));
-        assert!(err.has("lanes"));
-        assert!(!err.has("chunk"));
-        let text = err.to_string();
-        assert!(text.contains("threads") && text.contains("lanes"), "{text}");
+        for (threads, lanes, fields) in [
+            (0, 1, &["threads"][..]),
+            (2, 3, &["lanes"]),
+            (1, 16, &["lanes"]),
+            (0, 3, &["threads", "lanes"]),
+        ] {
+            let err = ExecPolicy::validated(threads, lanes).unwrap_err();
+            assert_eq!(err.issues.len(), fields.len(), "{err}");
+            let text = err.to_string();
+            for field in fields {
+                assert!(err.has(field) && text.contains(field), "{text}");
+            }
+        }
     }
 
     #[test]
     fn validated_accepts_defaults_and_sets_knobs() {
-        let pol = ExecPolicy::validated(8, 0, 8).unwrap();
-        assert_eq!(pol.threads(), 8);
-        assert_eq!(pol.chunk_size(), DEFAULT_CHUNK);
-        assert_eq!(pol.lane_width(), 8);
-        let scalar = ExecPolicy::validated(1, 256, 0).unwrap();
-        assert_eq!(scalar.chunk_size(), 256);
-        assert_eq!(scalar.lane_config(), LaneConfig::Scalar);
+        // (threads, lanes) -> the sequential kernel (None) or the chunked
+        // policy's (threads, lane width), always on the default chunk:
+        // one thread with lanes is chunked exactly like eight threads.
+        for (threads, lanes, want) in [
+            (1, 1, None),
+            (1, 0, None),
+            (2, 1, Some((2, 1))),
+            (8, 0, Some((8, 1))),
+            (1, 4, Some((1, 4))),
+            (1, 8, Some((1, 8))),
+            (8, 8, Some((8, 8))),
+        ] {
+            let pol = ExecPolicy::validated(threads, lanes).unwrap();
+            let got = pol.as_ref().map(|p| (p.threads(), p.lane_width()));
+            assert_eq!(got, want, "threads={threads} lanes={lanes}");
+            assert!(pol.is_none_or(|p| p.chunk_size() == DEFAULT_CHUNK));
+        }
     }
 
     #[test]
@@ -707,7 +719,6 @@ mod tests {
         assert_eq!(stats.chunks.len(), 16);
         assert_eq!(stats.threads, 4);
         assert!(stats.steals > 0, "no steals on a 20ms-skewed workload");
-        assert!(stats.chunk_s() > 0.0);
         // Sink drained.
         assert_eq!(sink.take(), ExecStats::default());
     }

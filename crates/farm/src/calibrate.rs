@@ -10,9 +10,7 @@
 //!   MC/PDE 10–30 s, American > 60 s), used to regenerate the tables at
 //!   the paper's own magnitudes.
 
-use crate::portfolio::{
-    realistic_portfolio, representative_problem, JobClass, PortfolioJob, PortfolioScale,
-};
+use crate::portfolio::{realistic_portfolio, representative_problem, JobClass, PortfolioScale};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -38,33 +36,11 @@ impl CostModel {
         self.sizes[&class]
     }
 
-    /// Scale every cost by `factor` (used to map Quick-scale measurements
-    /// onto Full-scale magnitudes).
-    pub fn scaled(&self, factor: f64) -> CostModel {
-        CostModel {
-            costs: self
-                .costs
-                .iter()
-                .map(|(&k, &(lo, hi))| (k, (lo * factor, hi * factor)))
-                .collect(),
-            sizes: self.sizes.clone(),
-        }
-    }
-
     /// The class's point-estimate grain (midpoint of its cost interval) —
     /// the predicted per-job cost LPT dispatch sorts by.
     pub fn grain_seconds(&self, class: JobClass) -> f64 {
         let (lo, hi) = self.costs[&class];
         0.5 * (lo + hi)
-    }
-
-    /// Per-job predicted costs for a classed portfolio, in job order —
-    /// the vector [`sched::DispatchPolicy::Lpt`] consumes. This is the
-    /// bridge from the per-class cost model to the scheduler: with a
-    /// heavy-tailed class mix LPT front-loads the American/Bermudan/BSDE
-    /// grains instead of stranding one on the last dispatch.
-    pub fn lpt_costs(&self, jobs: &[PortfolioJob]) -> Vec<f64> {
-        jobs.iter().map(|j| self.grain_seconds(j.class)).collect()
     }
 }
 
@@ -134,6 +110,30 @@ pub fn measured_costs(scale: PortfolioScale, repeats: usize) -> CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CostModel {
+        /// Scale every cost by `factor` (used to map Quick-scale measurements
+        /// onto Full-scale magnitudes).
+        pub(crate) fn scaled(&self, factor: f64) -> CostModel {
+            CostModel {
+                costs: self
+                    .costs
+                    .iter()
+                    .map(|(&k, &(lo, hi))| (k, (lo * factor, hi * factor)))
+                    .collect(),
+                sizes: self.sizes.clone(),
+            }
+        }
+
+        /// Per-job predicted costs for a classed portfolio, in job order —
+        /// the vector [`sched::DispatchPolicy::Lpt`] consumes. This is the
+        /// bridge from the per-class cost model to the scheduler: with a
+        /// heavy-tailed class mix LPT front-loads the American/Bermudan/BSDE
+        /// grains instead of stranding one on the last dispatch.
+        pub(crate) fn lpt_costs(&self, jobs: &[crate::portfolio::PortfolioJob]) -> Vec<f64> {
+            jobs.iter().map(|j| self.grain_seconds(j.class)).collect()
+        }
+    }
 
     #[test]
     fn paper_costs_cover_all_classes() {

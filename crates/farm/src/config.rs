@@ -90,7 +90,6 @@ pub struct FarmConfig {
     compress_threshold: Option<usize>,
     prefetch_depth: usize,
     threads: usize,
-    compute_chunk: usize,
     lanes: usize,
     policy: DispatchPolicy,
     record_trace: bool,
@@ -112,7 +111,6 @@ impl FarmConfig {
             compress_threshold: None,
             prefetch_depth: 0,
             threads: 1,
-            compute_chunk: 0,
             lanes: 1,
             policy: DispatchPolicy::Fifo,
             record_trace: false,
@@ -158,23 +156,14 @@ impl FarmConfig {
     /// workers (the intra-slave dimension of parallelism; the farm's
     /// slave count is the inter-node dimension). `1` — the default — is
     /// the legacy single-threaded compute, bit-identical to every
-    /// release since the seed. For `threads >= 2` the kernels switch to
+    /// release since the seed. For `threads >= 2` (or any lane width
+    /// above 1 — [`ExecPolicy::validated`] decides) the kernels switch to
     /// the chunked executor: prices are then bit-identical for *any*
     /// thread count (2 == 8 == 64) but form a different deterministic
-    /// sample than `threads == 1`; see `docs/PARALLEL.md`. Methods
+    /// sample than the sequential kernel; see `docs/PARALLEL.md`. Methods
     /// without a path loop (closed form, PDE, tree, QMC) are unaffected.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Override the executor chunk size (paths per chunk; 0 — the
-    /// default — means [`exec::DEFAULT_CHUNK`]). The chunk size is part
-    /// of the sampled result (it fixes the RNG-stream split), exactly as
-    /// the seed is; the thread count never is. Only meaningful with
-    /// [`Self::threads`] `>= 2`.
-    pub fn compute_chunk(mut self, chunk: usize) -> Self {
-        self.compute_chunk = chunk;
         self
     }
 
@@ -256,26 +245,6 @@ impl FarmConfig {
         self
     }
 
-    /// Number of worker ranks this config will run.
-    pub fn slaves(&self) -> usize {
-        self.slaves
-    }
-
-    /// Compute threads per slave (1 = legacy single-threaded kernels).
-    pub fn compute_threads(&self) -> usize {
-        self.threads
-    }
-
-    /// SIMD lane width of the path kernels (1 = scalar kernels).
-    pub fn compute_lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// The transmission strategy this config will use.
-    pub fn strategy(&self) -> Transmission {
-        self.strategy
-    }
-
     /// The scheduler's view of this config over `jobs` jobs: dispatch
     /// order, supervision, staged rounds and tracing are all data for
     /// the one driver — and together they decide whether dispatches are
@@ -341,14 +310,8 @@ impl FarmConfig {
                 "prefetch needs a retaining store (set cache_bytes or store)",
             );
         }
-        if self.threads == 0 {
-            issues.reject("threads", "compute threads must be at least 1");
-        }
-        if self.compute_chunk > 0 && self.threads <= 1 {
-            issues.reject("compute_chunk", "only applies with threads >= 2");
-        }
-        if let Err(e) = exec::LaneConfig::from_width(self.lanes) {
-            issues.reject("lanes", e);
+        if let Err(bad) = ExecPolicy::validated(self.threads, self.lanes) {
+            issues.issues.extend(bad.issues);
         }
         if self.rounds.is_some() && supervised {
             issues.reject(
@@ -380,16 +343,11 @@ impl FarmConfig {
             let rec = self.recorder.as_ref().map(|r| (r.clone(), self.slaves + 1));
             Prefetcher::spawn(base.clone(), files.to_vec(), self.prefetch_depth, rec)
         });
-        let exec = (self.threads > 1 || self.lanes > 1).then(|| {
-            ExecPolicy::new(self.threads)
-                .chunk(self.compute_chunk)
-                .lanes(self.lanes)
-        });
         RunCtx {
             store: base,
             wire,
             prefetcher,
-            exec,
+            exec: ExecPolicy::validated(self.threads, self.lanes).expect("validated by run_with"),
         }
     }
 }
@@ -512,12 +470,6 @@ mod tests {
     }
 
     #[test]
-    fn compute_chunk_without_threads_rejected() {
-        let cfg = FarmConfig::new(2, Transmission::Nfs).compute_chunk(512);
-        assert!(rejected(&cfg).has("compute_chunk"));
-    }
-
-    #[test]
     fn unsupported_lane_width_rejected() {
         for lanes in [2usize, 3, 5, 16] {
             let cfg = FarmConfig::new(2, Transmission::Nfs).lanes(lanes);
@@ -530,34 +482,21 @@ mod tests {
 
     #[test]
     fn validation_collects_every_invalid_field_at_once() {
-        // Five independent mistakes in one config: validation reports
+        // Four independent mistakes in one config: validation reports
         // all of them, in field order, instead of the first one found.
         let cfg = FarmConfig::new(2, Transmission::Nfs)
-            .compute_chunk(16)
             .cache_bytes(0)
             .threads(0)
             .lanes(3)
             .fault_plan(Arc::new(FaultPlan::new(1)));
         let issues = rejected(&cfg);
-        assert_eq!(issues.issues.len(), 5, "all five fields reported: {issues}");
-        for field in [
-            "compute_chunk",
-            "fault_plan",
-            "cache_bytes",
-            "threads",
-            "lanes",
-        ] {
+        assert_eq!(issues.issues.len(), 4, "all four fields reported: {issues}");
+        for field in ["fault_plan", "cache_bytes", "threads", "lanes"] {
             assert!(issues.has(field), "missing {field} in {issues}");
         }
         // The rendered message names every field for the human reader.
         let msg = FarmError::Config(issues).to_string();
-        for field in [
-            "compute_chunk",
-            "fault_plan",
-            "cache_bytes",
-            "threads",
-            "lanes",
-        ] {
+        for field in ["fault_plan", "cache_bytes", "threads", "lanes"] {
             assert!(msg.contains(field), "{field} absent from {msg}");
         }
     }
@@ -710,7 +649,6 @@ mod tests {
         let rec = Arc::new(Recorder::new(3));
         let cfg = FarmConfig::new(2, Transmission::SerializedLoad)
             .threads(2)
-            .compute_chunk(256)
             .recorder(rec.clone());
         let report = run(&paths, &cfg).unwrap();
         assert_eq!(report.completed(), 4);

@@ -228,7 +228,6 @@ pub fn drive(
         failed_members: d.failed_members,
         elapsed: start.elapsed(),
         per_slave: d.per_slave,
-        strategy: farm.strategy,
         failed_jobs: d.sched.failed_jobs(),
         retries: d.sched.retries() as usize,
         dead_slaves: dead.into_iter().map(|s| farm.rank(s)).collect(),

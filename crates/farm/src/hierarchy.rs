@@ -86,7 +86,7 @@ pub fn run_hierarchical_farm(
     let results = World::run_instrumented(needs, None, recorder, |comm| {
         let rank = comm.rank();
         if rank == 0 {
-            return Some(global_master(&comm, files, topo, strategy));
+            return Some(global_master(&comm, files, topo));
         }
         let (g, is_sub) = topo.classify(rank);
         let link = Link {
@@ -113,12 +113,7 @@ pub fn run_hierarchical_farm(
 /// Global master: chunk the portfolio, send one chunk (a job frame of
 /// names; an empty chunk is the empty message) to each sub-master,
 /// gather their result lists.
-fn global_master(
-    comm: &Comm,
-    files: &[PathBuf],
-    topo: Topology,
-    strategy: Transmission,
-) -> Result<FarmReport, FarmError> {
+fn global_master(comm: &Comm, files: &[PathBuf], topo: Topology) -> Result<FarmReport, FarmError> {
     let start = Instant::now();
     // Contiguous chunking, remainder spread over the first groups.
     let base = files.len() / topo.groups;
@@ -163,7 +158,6 @@ fn global_master(
         failed_members: Vec::new(),
         retries: 0,
         dead_slaves: Vec::new(),
-        strategy,
         trace: None,
     })
 }
@@ -256,16 +250,6 @@ mod tests {
         let g2: usize = report.per_slave[5] + report.per_slave[6];
         assert_eq!(g1 + g2, 40);
         assert!(g1 > 0 && g2 > 0, "one group idle: {g1}/{g2}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn reports_the_strategy_that_ran() {
-        let (paths, _, dir) = setup(6, "strategy");
-        for strategy in Transmission::ALL {
-            let report = run_hierarchical_farm(&paths, 2, 1, strategy, None).unwrap();
-            assert_eq!(report.strategy, strategy);
-        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

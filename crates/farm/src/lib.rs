@@ -10,10 +10,11 @@
 //!   each file describing a precise pricing problem" (XDR-encoded).
 //! * [`strategy`] — the three transmission strategies compared in
 //!   Tables II/III: **full load**, **NFS**, **serialized load**.
-//! * [`robin_hood`] — the master/slave "Robbin Hood" load balancer of
-//!   Figs. 4–5, running live over `minimpi` threads: the flat farm
-//!   behind [`run`], plain or supervised as its [`FarmConfig`] says, and
-//!   the report / error types every front-end shares.
+//! * `robin_hood` (private) — the master/slave "Robbin Hood" load
+//!   balancer of Figs. 4–5, running live over `minimpi` threads: the
+//!   flat farm behind [`run`], plain or supervised as its [`FarmConfig`]
+//!   says, and the report / error types every front-end shares
+//!   ([`FarmReport`], [`FarmError`], re-exported here).
 //! * [`slave`] and [`driver`] — Fig. 4's two branches, once each, for
 //!   every master in the workspace: the one slave loop (every job is
 //!   answered, priced or failed — `docs/FAULTS.md`) and the one master
@@ -45,6 +46,9 @@
 //!   job frames, columnar answers and the hierarchy's group report,
 //!   with total decoding ([`FarmError::Protocol`] instead of silent
 //!   drops).
+//! * [`workload`] — typed workloads: classed jobs plus optional staged
+//!   rounds with cross-round data flow (Picard-iterated BSDEs), driven
+//!   through the live farm by [`run_workload`].
 //! * [`config`] — the unified entry point: build a [`FarmConfig`]
 //!   (strategy, supervision, fault plan, [`obs::Recorder`],
 //!   problem store / cache / wire-compression / prefetch) and call
@@ -64,7 +68,7 @@ pub mod hierarchy;
 mod instrument;
 pub mod portfolio;
 pub mod risk;
-pub mod robin_hood;
+mod robin_hood;
 pub mod shard;
 pub mod slave;
 pub mod strategy;
@@ -72,14 +76,12 @@ pub mod supervisor;
 pub mod wire;
 pub mod workload;
 
-pub use calibrate::CostModel;
 pub use config::{run, FarmConfig};
 pub use portfolio::{
     mixed_portfolio, realistic_portfolio, regression_portfolio, representative_problem,
     toy_portfolio, JobClass, PortfolioJob, PortfolioScale,
 };
 pub use robin_hood::{FarmError, FarmReport, JobOutcome};
-pub use sched::{DispatchPolicy, Trace};
 pub use shard::{run_sharded, ShardConfig, ShardReport, StealEvent, TransportKind};
 pub use strategy::{Transmission, WirePolicy};
 pub use supervisor::SupervisorConfig;

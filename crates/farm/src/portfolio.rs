@@ -60,18 +60,6 @@ impl JobClass {
         JobClass::XvaCvaMc,
     ];
 
-    /// The six classes of the §4.3 realistic portfolio (the paper's
-    /// exact composition — [`realistic_portfolio`] contains these and
-    /// only these).
-    pub const PAPER: [JobClass; 6] = [
-        JobClass::VanillaClosedForm,
-        JobClass::BarrierPde,
-        JobClass::BasketMc,
-        JobClass::LocalVolMc,
-        JobClass::AmericanPde,
-        JobClass::AmericanBasketLsm,
-    ];
-
     /// The §4.3 paragraph-stated computation cost of one problem of this
     /// class on a 2009 cluster node, in seconds ("the pricing of plain
     /// vanilla options is almost instantaneous; the Monte-Carlo and PDE
@@ -703,6 +691,20 @@ pub fn save_portfolio(jobs: &[PortfolioJob], dir: &Path) -> std::io::Result<Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl JobClass {
+        /// The six classes of the §4.3 realistic portfolio (the paper's
+        /// exact composition — [`realistic_portfolio`] contains these and
+        /// only these).
+        const PAPER: [JobClass; 6] = [
+            JobClass::VanillaClosedForm,
+            JobClass::BarrierPde,
+            JobClass::BasketMc,
+            JobClass::LocalVolMc,
+            JobClass::AmericanPde,
+            JobClass::AmericanBasketLsm,
+        ];
+    }
 
     #[test]
     fn realistic_portfolio_has_paper_composition() {

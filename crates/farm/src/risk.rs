@@ -22,11 +22,11 @@ use pricing::{ModelSpec, PremiaProblem};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BumpSpec {
     /// Relative spot bump (e.g. 0.01 = ±1 %).
-    pub spot_rel: f64,
+    spot_rel: f64,
     /// Absolute volatility bump (e.g. 0.01 = ±1 vol point).
-    pub vol_abs: f64,
+    vol_abs: f64,
     /// Absolute rate bump (e.g. 0.0010 = ±10 bp).
-    pub rate_abs: f64,
+    rate_abs: f64,
 }
 
 impl Default for BumpSpec {
@@ -75,9 +75,9 @@ impl Scenario {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RiskJob {
     /// Index of the claim in the source portfolio.
-    pub claim: usize,
+    claim: usize,
     /// Which bump this job prices.
-    pub scenario: Scenario,
+    scenario: Scenario,
     /// The fully specified pricing problem.
     pub problem: PremiaProblem,
 }
@@ -88,7 +88,7 @@ pub struct RiskJob {
 /// (multi-)Black–Scholes, σ₀ for local vol, and `√v₀`/`√θ` for Heston
 /// (bumping the vol level rather than the variance keeps the bump
 /// comparable across models).
-pub fn bump_model(model: &ModelSpec, scenario: Scenario, bump: &BumpSpec) -> ModelSpec {
+fn bump_model(model: &ModelSpec, scenario: Scenario, bump: &BumpSpec) -> ModelSpec {
     use Scenario::*;
     let mut m = model.clone();
     match (&mut m, scenario) {
@@ -222,16 +222,6 @@ pub fn aggregate_risk(
     out
 }
 
-/// Price a risk sweep serially (the farmed version goes through
-/// `save_portfolio` + [`crate::run`] like any portfolio; this is the
-/// convenience path for tests and small books).
-pub fn price_sweep_serial(sweep: &[RiskJob]) -> Result<Vec<f64>, pricing::PricingError> {
-    sweep
-        .iter()
-        .map(|j| Ok(j.problem.compute()?.price))
-        .collect()
-}
-
 /// Re-associate farmed outcomes with sweep order.
 pub fn outcomes_to_prices(sweep_len: usize, outcomes: &[JobOutcome]) -> Vec<f64> {
     let mut prices = vec![f64::NAN; sweep_len];
@@ -248,6 +238,16 @@ mod tests {
     use pricing::methods::closed_form::bs_price;
     use pricing::models::BlackScholes;
     use pricing::options::Vanilla;
+
+    /// Price a risk sweep serially (the farmed version goes through
+    /// `save_portfolio` + [`crate::run`] like any portfolio; this is the
+    /// convenience path for tests and small books).
+    fn price_sweep_serial(sweep: &[RiskJob]) -> Result<Vec<f64>, pricing::PricingError> {
+        sweep
+            .iter()
+            .map(|j| Ok(j.problem.compute()?.price))
+            .collect()
+    }
 
     #[test]
     fn sweep_multiplies_by_seven() {

@@ -26,7 +26,6 @@
 use crate::config::{FarmConfig, RunCtx};
 use crate::driver::{self, Farm};
 use crate::slave::{self, Link};
-use crate::strategy::Transmission;
 use crate::workload::StagedPatch;
 use exec::ConfigIssues;
 use minimpi::{Comm, MpiError, World};
@@ -59,8 +58,6 @@ pub struct FarmReport {
     pub elapsed: Duration,
     /// Jobs completed per slave rank (index 0, the master, stays 0).
     pub per_slave: Vec<usize>,
-    /// Transmission strategy used.
-    pub strategy: Transmission,
     /// Jobs abandoned after exhausting their retry budget (supervised
     /// runs only: without supervision the first failed job ends the run
     /// with [`FarmError::JobFailed`]).
@@ -268,6 +265,7 @@ mod tests {
     use super::*;
     use crate::config::{run, FarmConfig};
     use crate::portfolio::{save_portfolio, toy_portfolio};
+    use crate::strategy::Transmission;
 
     fn run_plain(
         files: &[PathBuf],

@@ -18,7 +18,7 @@
 //! trace is byte-identical to `clustersim::simulate_farm_config` on its
 //! partition — locked down by `tests/shard_parity.rs`.
 //!
-//! The slave farms run on either [`Transport`](transport::Transport)
+//! The slave farms run on either `transport::Transport`
 //! backend: in-process channel worlds ([`minimpi::SpawnedWorld`]) or
 //! real child processes over Unix-domain sockets
 //! ([`minimpi::ProcessWorld`]). The wire — job frames of one keyed by
@@ -56,11 +56,11 @@ pub enum TransportKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StealEvent {
     /// The shard whose pool drained.
-    pub thief: usize,
+    thief: usize,
     /// The shard that lost jobs.
-    pub victim: usize,
+    victim: usize,
     /// How many jobs moved.
-    pub jobs: usize,
+    jobs: usize,
 }
 
 /// Configuration of a sharded run.
@@ -131,15 +131,13 @@ impl ShardConfig {
 pub struct ShardReport {
     /// Priced jobs (global portfolio indices), concatenated shard by
     /// shard in completion order.
-    pub outcomes: Vec<JobOutcome>,
+    outcomes: Vec<JobOutcome>,
     /// Jobs computed under each shard's master (including stolen ones).
-    pub per_shard: Vec<usize>,
+    per_shard: Vec<usize>,
     /// Every steal, in occurrence order.
     pub steals: Vec<StealEvent>,
     /// Wall-clock of the whole run (all shards).
-    pub elapsed: Duration,
-    /// Per-shard wall-clock (a shard's master from launch to drained).
-    pub shard_elapsed: Vec<Duration>,
+    elapsed: Duration,
     /// Decision traces per shard, one per scheduling round (empty unless
     /// [`ShardConfig::record_trace`]).
     pub traces: Vec<Vec<Trace>>,
@@ -158,7 +156,7 @@ impl ShardReport {
 
     /// Fold into the flat farm's report shape (shard structure erased;
     /// `per_slave` is indexed by shard instead of rank).
-    pub fn into_farm_report(self, strategy: Transmission) -> FarmReport {
+    pub fn into_farm_report(self) -> FarmReport {
         FarmReport {
             outcomes: self.outcomes,
             elapsed: self.elapsed,
@@ -167,7 +165,6 @@ impl ShardReport {
             failed_members: Vec::new(),
             retries: 0,
             dead_slaves: Vec::new(),
-            strategy,
             trace: None,
         }
     }
@@ -268,7 +265,6 @@ pub fn run_sharded(files: &[PathBuf], cfg: &ShardConfig) -> Result<ShardReport, 
             per_shard: vec![0; cfg.shards],
             steals: Vec::new(),
             elapsed: Duration::ZERO,
-            shard_elapsed: vec![Duration::ZERO; cfg.shards],
             traces: vec![Vec::new(); cfg.shards],
         });
     }
@@ -279,7 +275,6 @@ pub fn run_sharded(files: &[PathBuf], cfg: &ShardConfig) -> Result<ShardReport, 
     struct ShardOut {
         outcomes: Vec<JobOutcome>,
         traces: Vec<Trace>,
-        elapsed: Duration,
     }
 
     let results: Vec<Result<ShardOut, FarmError>> = std::thread::scope(|scope| {
@@ -288,13 +283,8 @@ pub fn run_sharded(files: &[PathBuf], cfg: &ShardConfig) -> Result<ShardReport, 
                 let pools = &pools;
                 let steals = &steals;
                 scope.spawn(move || {
-                    let t0 = Instant::now();
                     let (outcomes, traces) = shard_master(shard, files, cfg, pools, steals)?;
-                    Ok(ShardOut {
-                        outcomes,
-                        traces,
-                        elapsed: t0.elapsed(),
-                    })
+                    Ok(ShardOut { outcomes, traces })
                 })
             })
             .collect();
@@ -307,20 +297,17 @@ pub fn run_sharded(files: &[PathBuf], cfg: &ShardConfig) -> Result<ShardReport, 
     let mut outcomes = Vec::with_capacity(files.len());
     let mut per_shard = Vec::with_capacity(cfg.shards);
     let mut traces = Vec::with_capacity(cfg.shards);
-    let mut shard_elapsed = Vec::with_capacity(cfg.shards);
     for r in results {
         let out = r?;
         per_shard.push(out.outcomes.len());
         outcomes.extend(out.outcomes);
         traces.push(out.traces);
-        shard_elapsed.push(out.elapsed);
     }
     Ok(ShardReport {
         outcomes,
         per_shard,
         steals: steals.into_inner().expect("steal log"),
         elapsed: start.elapsed(),
-        shard_elapsed,
         traces,
     })
 }

@@ -76,7 +76,7 @@ impl fmt::Display for Transmission {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WirePolicy {
     /// Compress payloads of at least this many bytes; `None` = never.
-    pub compress_threshold: Option<usize>,
+    pub(crate) compress_threshold: Option<usize>,
 }
 
 impl WirePolicy {
@@ -86,7 +86,7 @@ impl WirePolicy {
     };
 
     /// Compress payloads of at least `threshold` bytes.
-    pub fn compressed(threshold: usize) -> Self {
+    pub(crate) fn compressed(threshold: usize) -> Self {
         WirePolicy {
             compress_threshold: Some(threshold),
         }
@@ -102,7 +102,7 @@ impl Default for WirePolicy {
 /// Apply `wire` to a prepared serial: returns the serial to actually
 /// send — the same one, uncopied, when sent raw (below threshold,
 /// incompressible, or compression disabled) — plus the bytes *saved*.
-pub fn compress_for_wire(serial: Arc<Serial>, wire: &WirePolicy) -> (Arc<Serial>, u64) {
+fn compress_for_wire(serial: Arc<Serial>, wire: &WirePolicy) -> (Arc<Serial>, u64) {
     let Some(threshold) = wire.compress_threshold else {
         return (serial, 0);
     };

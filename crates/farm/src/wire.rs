@@ -10,12 +10,12 @@
 //!
 //! The hierarchy's two private messages ride the same codec: a
 //! sub-master's chunk is a job frame of names, and its report back is
-//! [`group_report_value`] / [`decode_group_report`] — one legacy
+//! `group_report_value` / `decode_group_report` — one legacy
 //! `{job, price, std_error?, slave}` hash per outcome ([`Answer`]'s
 //! value encoding).
 //!
 //! Decoding is total: [`decode_frame`], `decode_batch_reply` and
-//! [`decode_group_report`] never silently drop or repair an undecodable
+//! `decode_group_report` never silently drop or repair an undecodable
 //! message — they return [`FarmError::Protocol`].
 
 use crate::robin_hood::{FarmError, JobOutcome};
@@ -26,7 +26,7 @@ use xdrser::{ListEncoder, Node, Walker};
 /// A job or rank index off the wire: a finite, non-negative integer.
 /// (`as usize` alone would turn a NaN, negative or mangled number into
 /// 0 and drop a fraction.)
-pub fn index_of_f64(x: f64) -> Option<usize> {
+fn index_of_f64(x: f64) -> Option<usize> {
     (x >= 0.0 && x.fract() == 0.0 && x < usize::MAX as f64).then_some(x as usize)
 }
 
@@ -65,7 +65,7 @@ pub enum Body<'a> {
 /// member and straight into the bytes that travel: a problem's bytes
 /// are copied once, from where they were fetched into the message, or
 /// read from its file into the message in the first place
-/// ([`JobFrame::push_filled`]).
+/// (`JobFrame::push_filled`).
 #[derive(Debug)]
 pub struct JobFrame(ListEncoder);
 
@@ -89,7 +89,7 @@ impl JobFrame {
     /// ([`ListEncoder::serial_filled`]). Returns what `fill` returned
     /// and the serial's length. When `fill` fails, the frame holds the
     /// member's id without a body and is to be dropped.
-    pub fn push_filled<T, E>(
+    pub(crate) fn push_filled<T, E>(
         &mut self,
         id: usize,
         fill: impl FnOnce(&mut Vec<u8>) -> Result<T, E>,
@@ -183,7 +183,7 @@ impl Answer {
     }
 
     /// The job this answer is about.
-    pub fn job(&self) -> usize {
+    pub(crate) fn job(&self) -> usize {
         match self {
             Answer::Priced { job, .. } | Answer::Failed { job, .. } => *job,
         }
@@ -191,7 +191,7 @@ impl Answer {
 
     /// Encode with the legacy layouts (`result_value` /
     /// `failure_value`), bit-for-bit.
-    pub fn to_value(&self) -> Value {
+    pub(crate) fn to_value(&self) -> Value {
         Value::Hash(self.to_hash())
     }
 
@@ -218,7 +218,7 @@ impl Answer {
     }
 
     /// Decode either answer shape; `None` when the value is neither.
-    pub fn decode(v: &Value) -> Option<Answer> {
+    fn decode(v: &Value) -> Option<Answer> {
         let h = v.as_hash()?;
         let job = index_of(h.get("job")?)?;
         if let Some(price) = h.get("price").and_then(|x| x.as_scalar()) {
@@ -310,7 +310,7 @@ pub(crate) fn decode_batch_reply(v: &Value) -> Result<Vec<Answer>, FarmError> {
 /// outcomes in completion order, one legacy
 /// `{job, price, std_error?, slave}` hash each — a priced answer plus
 /// the rank that gave it.
-pub fn group_report_value(outcomes: &[JobOutcome]) -> Value {
+pub(crate) fn group_report_value(outcomes: &[JobOutcome]) -> Value {
     let item = |o: &JobOutcome| {
         let (job, price, std_error) = (o.job, o.price, o.std_error);
         let mut h = Answer::Priced {
@@ -328,7 +328,7 @@ pub fn group_report_value(outcomes: &[JobOutcome]) -> Value {
 /// Decode a group report. A sub-master whose chunk hit a failed job
 /// sends that job's [`Answer::Failed`] in place of the list; it decodes
 /// to [`FarmError::JobFailed`].
-pub fn decode_group_report(v: &Value) -> Result<Vec<JobOutcome>, FarmError> {
+pub(crate) fn decode_group_report(v: &Value) -> Result<Vec<JobOutcome>, FarmError> {
     let item = |v: &Value| match Answer::decode(v)? {
         Answer::Priced {
             job,

@@ -14,7 +14,7 @@
 //!   live run is byte-identical to `clustersim`'s staged simulation,
 //!   exactly as for flat workloads;
 //! * the round *data flow* is a master-side pre-dispatch patch
-//!   ([`StagedPatch`]): just before a round-dependent job's bytes go on
+//!   (`StagedPatch`): just before a round-dependent job's bytes go on
 //!   the wire, its problem file is rewritten with the predecessor's
 //!   price. Scheduling decisions never read payloads, so patching cannot
 //!   perturb the trace.
@@ -121,11 +121,6 @@ impl Workload {
     /// The round of each job, when staged.
     pub fn rounds(&self) -> Option<&[usize]> {
         self.rounds.as_deref()
-    }
-
-    /// Whether the workload declares staged rounds.
-    pub fn is_staged(&self) -> bool {
-        self.rounds.is_some()
     }
 
     /// Number of distinct rounds (1 for a flat batch).
@@ -270,6 +265,13 @@ mod tests {
     use crate::strategy::Transmission;
     use pricing::models::BlackScholes;
     use pricing::{ModelSpec, OptionSpec};
+
+    impl Workload {
+        /// Whether the workload declares staged rounds.
+        fn is_staged(&self) -> bool {
+            self.rounds.is_some()
+        }
+    }
 
     fn bsde_problem(picard_rounds: usize) -> PremiaProblem {
         PremiaProblem::new(

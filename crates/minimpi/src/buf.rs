@@ -34,18 +34,18 @@ impl MpiBuf {
     }
 
     /// Wrap existing bytes (used by `pack`).
-    pub fn from_bytes(data: Vec<u8>) -> Self {
+    pub(crate) fn from_bytes(data: Vec<u8>) -> Self {
         let capacity = data.len();
         MpiBuf { data, capacity }
     }
 
     /// Maximum number of bytes the buffer can hold.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// Number of bytes currently held.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.data.len()
     }
 
@@ -63,14 +63,6 @@ impl MpiBuf {
         debug_assert!(bytes.len() <= self.capacity);
         self.data.clear();
         self.data.extend_from_slice(bytes);
-    }
-
-    /// Take the underlying storage out of the buffer, leaving it empty
-    /// with zero capacity. `Comm::pack_into` uses this to recycle one
-    /// allocation across a rank's pack → send loop.
-    pub fn take_bytes(&mut self) -> Vec<u8> {
-        self.capacity = 0;
-        std::mem::take(&mut self.data)
     }
 }
 

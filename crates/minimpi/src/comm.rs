@@ -13,8 +13,7 @@
 use crate::buf::MpiBuf;
 use crate::error::MpiError;
 use crate::fault::{FaultEvent, FaultPlan, SendFault};
-use crate::ANY_SOURCE;
-use nspval::{Serial, Value};
+use nspval::Value;
 use obs::{Event, EventKind, Recorder, NO_JOB};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -155,22 +154,6 @@ impl Comm {
         }
     }
 
-    /// Record a zero-duration diagnostic mark (e.g. `CopySaved`). No-op
-    /// when the recorder is absent.
-    #[inline]
-    fn obs_mark(&self, kind: EventKind, bytes: usize) {
-        if let Some(rec) = &self.recorder {
-            rec.record(Event {
-                kind,
-                rank: self.rank as u16,
-                job: self.job.get(),
-                start_ns: rec.now_ns(),
-                dur_ns: 0,
-                bytes: bytes as u64,
-            });
-        }
-    }
-
     /// Count one operation against the fault plan. Returns
     /// `Err(Poisoned(self.rank))` if this rank is already dead or the plan
     /// kills it at this op boundary.
@@ -241,25 +224,6 @@ impl Comm {
     pub fn send(&self, bytes: &[u8], dest: i32, tag: i32) -> Result<(), MpiError> {
         Self::check_tag(tag)?;
         self.send_internal(Payload::Owned(bytes.to_vec()), dest, tag)
-    }
-
-    /// Send a payload already behind an `Arc` *without copying it*: on an
-    /// in-process backend every destination queues a reference to the
-    /// same allocation. This is the broadcast fan-out path — sending the
-    /// same N-byte message to k destinations costs one allocation instead
-    /// of k.
-    ///
-    /// On a backend that shares memory, each call records the avoided
-    /// clone as a zero-duration `CopySaved` diagnostic mark (bytes = the
-    /// payload size a [`Comm::send`] would have copied); a wire-backed
-    /// backend copies onto the wire regardless, so no savings are
-    /// claimed.
-    pub fn send_shared(&self, bytes: &Arc<Vec<u8>>, dest: i32, tag: i32) -> Result<(), MpiError> {
-        Self::check_tag(tag)?;
-        if self.transport.shares_memory() {
-            self.obs_mark(EventKind::CopySaved, bytes.len());
-        }
-        self.send_internal(Payload::Shared(Arc::clone(bytes)), dest, tag)
     }
 
     /// The shared send path.
@@ -341,31 +305,6 @@ impl Comm {
         Ok(status_of(&m))
     }
 
-    /// [`Comm::probe`] with a timeout: `Ok(None)` if nothing matching
-    /// arrived within `timeout`. This is the supervised farm master's
-    /// heartbeat primitive.
-    pub fn probe_timeout(
-        &self,
-        src: i32,
-        tag: i32,
-        timeout: Duration,
-    ) -> Result<Option<Status>, MpiError> {
-        self.pre_op()?;
-        let t0 = self.obs_start();
-        let matched = self.match_deadline(src, tag, deadline_after(timeout), false)?;
-        if let Some(m) = &matched {
-            self.obs_span(EventKind::Probe, t0, m.full_len);
-        }
-        Ok(matched.map(|m| status_of(&m)))
-    }
-
-    /// Non-blocking `MPI_Iprobe`.
-    pub fn iprobe(&self, src: i32, tag: i32) -> Result<Option<Status>, MpiError> {
-        self.pre_op()?;
-        let m = self.transport.try_match(src, tag).map_err(map_err)?;
-        Ok(m.map(|m| status_of(&m)))
-    }
-
     fn recv_message(&self, src: i32, tag: i32) -> Result<Frame, MpiError> {
         Ok(self
             .match_deadline(src, tag, None, true)?
@@ -430,19 +369,8 @@ impl Comm {
         self.transport.discard(src, tag).map_err(map_err)
     }
 
-    /// Administratively kill `rank`: its mailbox is poisoned, pending
-    /// messages are discarded, blocked waiters wake with
-    /// [`MpiError::Poisoned`], and subsequent sends to it fail fast. This
-    /// is the test harness's "pull the network cable" lever; the fault
-    /// plan's kill schedule uses the same underlying mechanism.
-    pub fn sever(&self, rank: i32) -> Result<(), MpiError> {
-        let rank = self.check_dest(rank)?;
-        self.transport.kill(rank);
-        Ok(())
-    }
-
     /// Whether `rank`'s mailbox is still accepting traffic (false once a
-    /// fault-plan kill or [`Comm::sever`] took it down).
+    /// fault-plan kill took it down).
     pub fn rank_alive(&self, rank: usize) -> bool {
         rank < self.size() && !self.transport.is_dead(rank)
     }
@@ -513,37 +441,6 @@ impl Comm {
         buf
     }
 
-    /// Pack an already-serialized object without re-encoding its payload —
-    /// the cheap path used by the "serialized load" strategy, where the
-    /// master never materialises the value.
-    pub fn pack_serial(&self, s: &Serial) -> MpiBuf {
-        let t0 = self.obs_start();
-        let buf = MpiBuf::from_bytes(xdrser::serialize_to_bytes(&Value::Serial(s.clone())));
-        self.obs_span(EventKind::Pack, t0, buf.len());
-        buf
-    }
-
-    /// [`Comm::pack`] into a caller-owned buffer, recycling its
-    /// allocation: the buffer is cleared and the frame is encoded into
-    /// the existing storage. A rank that packs one message per job keeps
-    /// the pack path allocation-free in steady state; the reused bytes
-    /// (capacity already in hand, capped by the frame size) are recorded
-    /// as a zero-duration `CopySaved` diagnostic mark. Returns the
-    /// packed length.
-    pub fn pack_into(&self, v: &Value, buf: &mut MpiBuf) -> usize {
-        let t0 = self.obs_start();
-        let mut data = buf.take_bytes();
-        let reusable = data.capacity();
-        let len = xdrser::serialize_into(v, &mut data);
-        *buf = MpiBuf::from_bytes(data);
-        self.obs_span(EventKind::Pack, t0, len);
-        let saved = reusable.min(len);
-        if saved > 0 {
-            self.obs_mark(EventKind::CopySaved, saved);
-        }
-        len
-    }
-
     /// `MPI_Unpack`: decode a buffer produced by [`Comm::pack`].
     pub fn unpack(&self, buf: &MpiBuf) -> Result<Value, MpiError> {
         let t0 = self.obs_start();
@@ -558,59 +455,51 @@ impl Comm {
     pub fn barrier(&self) {
         self.transport.barrier();
     }
-
-    /// `MPI_Bcast` of a value from `root` (simple linear fan-out).
-    ///
-    /// The root serializes once and fans the *same* allocation out behind
-    /// an `Arc` ([`Comm::send_shared`]) — broadcasting an N-byte value to
-    /// k destinations used to clone it k times; now it never copies on
-    /// the send side of an in-process backend, and the saved bytes land
-    /// in the recorder as `CopySaved` marks.
-    pub fn bcast(&self, v: Option<&Value>, root: usize) -> Result<Value, MpiError> {
-        const BCAST_TAG: i32 = i32::MAX - 1;
-        if self.rank == root {
-            let v = v.expect("root must supply the broadcast value");
-            let bytes = Arc::new(xdrser::serialize_to_bytes(v));
-            for dest in 0..self.size() {
-                if dest != root {
-                    self.send_shared(&bytes, dest as i32, BCAST_TAG)?;
-                }
-            }
-            Ok(v.clone())
-        } else {
-            let (bytes, _) = self.recv(root as i32, BCAST_TAG)?;
-            Ok(xdrser::unserialize_bytes(&bytes)?)
-        }
-    }
-
-    /// Sum-reduction of one double to `root`; returns `Some(total)` at the
-    /// root, `None` elsewhere.
-    pub fn reduce_sum(&self, x: f64, root: usize) -> Result<Option<f64>, MpiError> {
-        const REDUCE_TAG: i32 = i32::MAX - 2;
-        if self.rank == root {
-            let mut total = x;
-            for _ in 0..self.size() - 1 {
-                let (bytes, _) = self.recv(ANY_SOURCE, REDUCE_TAG)?;
-                let v = xdrser::unserialize_bytes(&bytes)?;
-                total += v.as_scalar().expect("reduce payload is a scalar");
-            }
-            Ok(Some(total))
-        } else {
-            self.send_internal(
-                Payload::Owned(xdrser::serialize_to_bytes(&Value::scalar(x))),
-                root as i32,
-                REDUCE_TAG,
-            )?;
-            Ok(None)
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{World, ANY_TAG};
+    use crate::{World, ANY_SOURCE, ANY_TAG};
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    impl Comm {
+        /// [`Comm::probe`] with a timeout: `Ok(None)` if nothing matching
+        /// arrived within `timeout`. This is the supervised farm master's
+        /// heartbeat primitive.
+        fn probe_timeout(
+            &self,
+            src: i32,
+            tag: i32,
+            timeout: Duration,
+        ) -> Result<Option<Status>, MpiError> {
+            self.pre_op()?;
+            let t0 = self.obs_start();
+            let matched = self.match_deadline(src, tag, deadline_after(timeout), false)?;
+            if let Some(m) = &matched {
+                self.obs_span(EventKind::Probe, t0, m.full_len);
+            }
+            Ok(matched.map(|m| status_of(&m)))
+        }
+
+        /// Non-blocking `MPI_Iprobe`.
+        fn iprobe(&self, src: i32, tag: i32) -> Result<Option<Status>, MpiError> {
+            self.pre_op()?;
+            let m = self.transport.try_match(src, tag).map_err(map_err)?;
+            Ok(m.map(|m| status_of(&m)))
+        }
+
+        /// Administratively kill `rank`: its mailbox is poisoned, pending
+        /// messages are discarded, blocked waiters wake with
+        /// [`MpiError::Poisoned`], and subsequent sends to it fail fast. This
+        /// is the test harness's "pull the network cable" lever; the fault
+        /// plan's kill schedule uses the same underlying mechanism.
+        fn sever(&self, rank: i32) -> Result<(), MpiError> {
+            let rank = self.check_dest(rank)?;
+            self.transport.kill(rank);
+            Ok(())
+        }
+    }
 
     #[test]
     fn rank_and_size() {
@@ -855,148 +744,6 @@ mod tests {
     }
 
     #[test]
-    fn bcast_from_root() {
-        let out = World::run(3, |c| {
-            let v = if c.rank() == 1 {
-                Some(Value::string("params"))
-            } else {
-                None
-            };
-            c.bcast(v.as_ref(), 1)
-                .unwrap()
-                .as_str()
-                .unwrap()
-                .to_string()
-        });
-        assert_eq!(out, vec!["params", "params", "params"]);
-    }
-
-    #[test]
-    fn send_shared_delivers_one_allocation_to_every_rank() {
-        let payload = vec![42u8; 4096];
-        let out = World::run(4, |c| {
-            if c.rank() == 0 {
-                let shared = Arc::new(payload.clone());
-                for dest in 1..c.size() {
-                    c.send_shared(&shared, dest as i32, 5).unwrap();
-                }
-                // The root still holds the only *sender-side* handle:
-                // everything else lives in the mailboxes until consumed.
-                shared.len()
-            } else {
-                let (bytes, st) = c.recv(0, 5).unwrap();
-                assert_eq!(st.count(), 4096);
-                assert!(bytes.iter().all(|&b| b == 42));
-                bytes.len()
-            }
-        });
-        assert_eq!(out, vec![4096; 4]);
-    }
-
-    #[test]
-    fn shared_sends_record_copy_saved_marks() {
-        use obs::Recorder;
-        let rec = Arc::new(Recorder::new(3));
-        World::run_instrumented(3, None, Some(rec.clone()), |c| {
-            if c.rank() == 0 {
-                let v = Value::string("broadcast me");
-                c.bcast(Some(&v), 0).unwrap();
-            } else {
-                c.bcast(None, 0).unwrap();
-            }
-        });
-        let events = rec.events();
-        let saved: Vec<_> = events
-            .iter()
-            .filter(|e| e.kind == EventKind::CopySaved)
-            .collect();
-        // One avoided clone per non-root destination, all on the root.
-        assert_eq!(saved.len(), 2);
-        assert!(saved.iter().all(|e| e.rank == 0 && e.dur_ns == 0));
-        let frame = xdrser::serialize_to_bytes(&Value::string("broadcast me")).len();
-        assert!(saved.iter().all(|e| e.bytes == frame as u64));
-    }
-
-    #[test]
-    fn pack_into_matches_pack_and_reuses_capacity() {
-        World::run(1, |c| {
-            let v = Value::string("a value big enough to need real bytes");
-            let reference = c.pack(&v);
-            let mut buf = MpiBuf::with_capacity(0);
-            // First pack: no capacity to recycle yet.
-            let n1 = c.pack_into(&v, &mut buf);
-            assert_eq!(buf.bytes(), reference.bytes());
-            assert_eq!(n1, reference.len());
-            // Second pack recycles the first frame's allocation and is
-            // still byte-identical.
-            let n2 = c.pack_into(&v, &mut buf);
-            assert_eq!(n2, n1);
-            assert_eq!(buf.bytes(), reference.bytes());
-            // The recycled buffer round-trips through unpack.
-            assert_eq!(c.unpack(&buf).unwrap().as_str(), v.as_str());
-        });
-    }
-
-    #[test]
-    fn pack_into_records_copy_saved_only_on_reuse() {
-        use obs::Recorder;
-        let rec = Arc::new(Recorder::new(1));
-        World::run_instrumented(1, None, Some(rec.clone()), |c| {
-            let v = Value::string("steady-state frame");
-            let mut buf = MpiBuf::with_capacity(0);
-            c.pack_into(&v, &mut buf); // cold: nothing to reuse
-            c.pack_into(&v, &mut buf); // warm: full frame reused
-            c.pack_into(&v, &mut buf); // warm again
-        });
-        let events = rec.events();
-        let saved: Vec<_> = events
-            .iter()
-            .filter(|e| e.kind == EventKind::CopySaved)
-            .collect();
-        assert_eq!(saved.len(), 2, "only the warm packs save bytes");
-        let frame = xdrser::serialize_to_bytes(&Value::string("steady-state frame")).len();
-        assert!(saved.iter().all(|e| e.bytes >= frame as u64));
-        assert_eq!(
-            events.iter().filter(|e| e.kind == EventKind::Pack).count(),
-            3
-        );
-    }
-
-    #[test]
-    fn truncated_shared_payload_degrades_without_corrupting_peers() {
-        // Rank 0 shares one payload with ranks 1 and 2; the fault plan
-        // truncates the *first* send in flight. The second destination
-        // must still see the intact bytes (copy-on-truncate).
-        let plan = Arc::new(FaultPlan::new(11).force_send(0, 0, SendFault::Truncate(3)));
-        let out = World::run_with_faults(3, plan, |c| {
-            if c.rank() == 0 {
-                let shared = Arc::new(vec![7u8; 64]);
-                c.send_shared(&shared, 1, 9).unwrap();
-                c.send_shared(&shared, 2, 9).unwrap();
-                0
-            } else if c.rank() == 1 {
-                // The mangled frame errors, then gets discarded.
-                let err = c.recv(0, 9);
-                assert!(matches!(err, Err(MpiError::Truncated { .. })));
-                assert!(c.discard(0, 9).unwrap());
-                1
-            } else {
-                let (bytes, _) = c.recv(0, 9).unwrap();
-                assert_eq!(bytes, vec![7u8; 64]);
-                2
-            }
-        });
-        assert_eq!(out, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn reduce_sum_to_root() {
-        let out = World::run(4, |c| c.reduce_sum(c.rank() as f64 + 1.0, 0).unwrap());
-        assert_eq!(out[0], Some(10.0));
-        assert_eq!(out[1], None);
-    }
-
-    #[test]
     fn wtime_monotone() {
         World::run(1, |c| {
             let a = c.wtime();
@@ -1055,7 +802,7 @@ mod tests {
         // Rank 1 dies at its very first MPI call.
         let plan = Arc::new(FaultPlan::new(9).kill_rank_at_op(1, 0));
         let events = Arc::clone(&plan);
-        let out = World::run_with_faults(2, plan, |c| {
+        let out = World::run_instrumented(2, Some(plan), None, |c| {
             if c.rank() == 1 {
                 match c.recv(0, 0) {
                     Err(MpiError::Poisoned(1)) => true,
@@ -1084,7 +831,7 @@ mod tests {
     fn injected_truncation_surfaces_error_and_preserves_message() {
         use std::sync::Arc;
         let plan = Arc::new(FaultPlan::new(1).force_send(0, 0, SendFault::Truncate(4)));
-        let out = World::run_with_faults(2, plan, |c| {
+        let out = World::run_instrumented(2, Some(plan), None, |c| {
             if c.rank() == 0 {
                 c.send(&[7u8; 32], 1, 3).unwrap();
                 true
@@ -1118,7 +865,7 @@ mod tests {
         use std::sync::Arc;
         let by = Duration::from_millis(40);
         let plan = Arc::new(FaultPlan::new(2).force_send(0, 0, SendFault::Delay(by)));
-        let out = World::run_with_faults(2, plan, |c| {
+        let out = World::run_instrumented(2, Some(plan), None, |c| {
             if c.rank() == 0 {
                 c.send(&[1], 1, 0).unwrap();
                 c.barrier();
@@ -1139,7 +886,7 @@ mod tests {
     fn dropped_message_never_arrives_and_timeout_expires() {
         use std::sync::Arc;
         let plan = Arc::new(FaultPlan::new(3).force_send(0, 0, SendFault::Drop));
-        let out = World::run_with_faults(2, plan, |c| {
+        let out = World::run_instrumented(2, Some(plan), None, |c| {
             if c.rank() == 0 {
                 c.send(&[9; 8], 1, 1).unwrap(); // silently lost
                 true
@@ -1206,7 +953,7 @@ mod tests {
         let plan = Arc::new(FaultPlan::new(1234));
         assert!(plan.is_inert());
         let events = Arc::clone(&plan);
-        let out = World::run_with_faults(2, plan, |c| {
+        let out = World::run_instrumented(2, Some(plan), None, |c| {
             if c.rank() == 0 {
                 for i in 0..20u8 {
                     c.send(&[i], 1, 0).unwrap();

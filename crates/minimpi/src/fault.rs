@@ -1,7 +1,7 @@
 //! Deterministic fault injection for the message-passing layer.
 //!
 //! A [`FaultPlan`] is consulted by every [`crate::Comm`] operation of a
-//! world started with [`crate::World::run_with_faults`]. It can
+//! world started with [`crate::World::run_instrumented`]. It can
 //!
 //! * **drop** a message (the MatlabMPI failure mode: file-based messages
 //!   lost under NFS),
@@ -199,14 +199,9 @@ impl FaultPlan {
             && self.forced.is_empty()
     }
 
-    /// The seed this plan derives every decision from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Pure decision function: the verdict for `rank`'s `send`-th
     /// outgoing message of `payload_len` bytes.
-    pub fn decide_send(&self, rank: usize, send: u64, payload_len: usize) -> SendFault {
+    pub(crate) fn decide_send(&self, rank: usize, send: u64, payload_len: usize) -> SendFault {
         if let Some(&(_, _, fault)) = self
             .forced
             .iter()
@@ -236,7 +231,7 @@ impl FaultPlan {
 
     /// Pure decision function: does `rank` die at per-rank operation
     /// index `op`?
-    pub fn should_kill(&self, rank: usize, op: u64) -> bool {
+    pub(crate) fn should_kill(&self, rank: usize, op: u64) -> bool {
         self.kills.iter().any(|&(r, at)| r == rank && op >= at)
     }
 
@@ -271,7 +266,7 @@ impl FaultPlan {
     /// Encode the plan's configuration (not its event log) as one string
     /// suitable for an environment variable. [`FaultPlan::decode`] of the
     /// result reproduces the exact decision table.
-    pub fn encode(&self) -> String {
+    pub(crate) fn encode(&self) -> String {
         let forced: Vec<String> = self
             .forced
             .iter()
@@ -306,7 +301,7 @@ impl FaultPlan {
     /// Rebuild a plan from [`FaultPlan::encode`] output. `None` on any
     /// malformed field — a process world treats that as a launch error
     /// rather than silently running faultless.
-    pub fn decode(s: &str) -> Option<FaultPlan> {
+    pub(crate) fn decode(s: &str) -> Option<FaultPlan> {
         let mut plan = FaultPlan::new(0);
         for field in s.split(';') {
             let (key, val) = field.split_once('=')?;
@@ -353,6 +348,13 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FaultPlan {
+        /// The seed this plan derives every decision from.
+        fn seed(&self) -> u64 {
+            self.seed
+        }
+    }
 
     #[test]
     fn inert_plan_never_faults() {

@@ -18,11 +18,11 @@
 //!
 //! On top of the faithful surface sits a testing-oriented extension: a
 //! deterministic fault-injection layer ([`FaultPlan`], activated by
-//! [`World::run_with_faults`]) that can drop, delay or truncate messages
+//! [`World::run_instrumented`]) that can drop, delay or truncate messages
 //! in flight and kill ranks outright, with every decision a pure function
 //! of `(seed, rank, operation index)` so chaos scenarios replay exactly.
-//! Timed receives ([`Comm::recv_timeout`], [`Comm::probe_timeout`]) and
-//! liveness queries ([`Comm::rank_alive`], [`Comm::sever`]) give
+//! Timed receives ([`Comm::recv_timeout`], [`Comm::recv_obj_timeout`])
+//! and the liveness query [`Comm::rank_alive`] give
 //! higher layers what they need to supervise unreliable peers. See
 //! `docs/FAULTS.md` at the repository root.
 //!

@@ -51,7 +51,7 @@ static WORLD_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// A child entry point: the function a spawned rank runs once it has
 /// joined the mesh. Registered by name in [`ProcessWorld::child_entry`].
-pub type ChildEntry = fn(Comm);
+type ChildEntry = fn(Comm);
 
 /// Entry points for multi-process communicator groups. See the module
 /// docs for the launch protocol.
@@ -61,29 +61,14 @@ impl ProcessWorld {
     /// Spawn `n_children` copies of the current executable, each running
     /// the registered entry point `entry` (see
     /// [`ProcessWorld::child_entry`]), and join them as rank 0 of a
-    /// `n_children + 1`-rank world. Use from a normal binary whose
-    /// `main` calls `child_entry` before anything else.
-    pub fn spawn(n_children: usize, entry: &str) -> Result<ProcessParent, MpiError> {
-        Self::spawn_full(n_children, entry, None, None, None)
-    }
-
-    /// [`ProcessWorld::spawn`] for callers inside a libtest binary: the
-    /// children are pointed at `bootstrap_test`, a `#[test]` function
-    /// that calls [`ProcessWorld::child_entry`] (libtest offers no other
-    /// hook into `main`). The bootstrap test passes trivially in normal
-    /// test runs because the environment variables are absent.
-    pub fn spawn_in_test(
-        n_children: usize,
-        entry: &str,
-        bootstrap_test: &str,
-    ) -> Result<ProcessParent, MpiError> {
-        Self::spawn_full(n_children, entry, None, None, Some(bootstrap_test))
-    }
-
-    /// The fully general spawn: optional fault plan (shipped to every
-    /// child through the environment codec and applied by the parent's
-    /// own [`Comm`] too), optional parent-side [`Recorder`], optional
-    /// libtest bootstrap.
+    /// `n_children + 1`-rank world, with an optional fault plan (shipped
+    /// to every child through the environment codec and applied by the
+    /// parent's own [`Comm`] too) and an optional parent-side
+    /// [`Recorder`]. From a normal binary whose `main` calls
+    /// `child_entry` first, pass `bootstrap_test = None`; inside a libtest
+    /// binary, name a `#[test]` function that calls `child_entry` (libtest
+    /// offers no other hook into `main`; the bootstrap test passes
+    /// trivially in normal runs because the environment is absent).
     pub fn spawn_full(
         n_children: usize,
         entry: &str,

@@ -32,27 +32,18 @@ impl World {
         Self::run_inner(size, None, None, f)
     }
 
-    /// Like [`World::run`] but every rank's traffic is filtered through
-    /// `plan` — the chaos-testing entry point. Pass an `Arc` so the caller
-    /// keeps a handle for [`FaultPlan::events`] after the world finishes.
-    ///
-    /// A rank killed by the plan does not panic: its next operation
-    /// returns [`crate::MpiError::Poisoned`] and the closure decides how to
-    /// wind down, exactly as a real process would observe a comm failure.
-    pub fn run_with_faults<T, F>(size: usize, plan: Arc<FaultPlan>, f: F) -> Vec<T>
-    where
-        F: Fn(Comm) -> T + Send + Sync,
-        T: Send,
-    {
-        Self::run_inner(size, Some(plan), None, f)
-    }
-
     /// The fully general entry point: [`World::run`] plus an optional
     /// fault plan and an optional phase-event [`Recorder`]. Every rank's
     /// [`Comm`] carries the recorder handle, so all point-to-point and
     /// pack/unpack traffic is timestamped into the per-rank ring buffers;
     /// with `recorder == None` the instrumentation compiles down to a
     /// `None` check and no clock reads (see `tests/obs_overhead.rs`).
+    ///
+    /// A rank killed by the plan does not panic: its next operation
+    /// returns [`crate::MpiError::Poisoned`] and the closure decides how to
+    /// wind down, exactly as a real process would observe a comm failure.
+    /// Pass the plan as an `Arc` to keep a handle for
+    /// [`FaultPlan::events`] after the world finishes.
     pub fn run_instrumented<T, F>(
         size: usize,
         plan: Option<Arc<FaultPlan>>,
@@ -249,7 +240,7 @@ mod tests {
         use crate::{FaultPlan, MpiError};
         use std::sync::Arc;
         let plan = Arc::new(FaultPlan::new(17).kill_rank_at_op(0, 0));
-        let out = World::run_with_faults(2, plan, |c| {
+        let out = World::run_instrumented(2, Some(plan), None, |c| {
             if c.rank() == 0 {
                 matches!(c.recv(1, 0), Err(MpiError::Poisoned(0)))
             } else {

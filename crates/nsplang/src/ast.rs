@@ -1,6 +1,6 @@
 //! Abstract syntax tree of the mini-Nsp language.
 
-pub use crate::lexer::Pos;
+use crate::lexer::Pos;
 
 /// A statement together with the source position of its first token.
 ///
@@ -9,14 +9,14 @@ pub use crate::lexer::Pos;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Spanned {
     /// Position of the statement's first token.
-    pub pos: Pos,
+    pub(crate) pos: Pos,
     /// The statement itself.
-    pub kind: Stmt,
+    pub(crate) kind: Stmt,
 }
 
 /// Expressions.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Expr {
+pub(crate) enum Expr {
     /// Numeric literal.
     Num(f64),
     /// String literal.
@@ -47,7 +47,7 @@ pub enum Expr {
 
 /// A call argument: positional or keyword (`str="equity"`).
 #[derive(Debug, Clone, PartialEq)]
-pub enum Arg {
+pub(crate) enum Arg {
     /// Positional argument.
     Pos(Expr),
     /// Keyword argument (`str="equity"`).
@@ -56,7 +56,7 @@ pub enum Arg {
 
 /// Unary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnOp {
+pub(crate) enum UnOp {
     /// Arithmetic negation.
     Neg,
     /// Logical not.
@@ -66,7 +66,7 @@ pub enum UnOp {
 /// Binary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)] // arithmetic/comparison names are self-describing
-pub enum BinOp {
+pub(crate) enum BinOp {
     Add,
     Sub,
     Mul,
@@ -83,7 +83,7 @@ pub enum BinOp {
 
 /// Assignment targets.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Target {
+pub(crate) enum Target {
     /// `x = …`
     Ident(String),
     /// `x(indices) = …` (e.g. `Lpb(1:k) = []`).
@@ -94,7 +94,7 @@ pub enum Target {
 
 /// Statements.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Stmt {
+pub(crate) enum Stmt {
     /// `target = expr` or `[t1, t2] = expr`.
     Assign(Vec<Target>, Expr),
     /// Bare expression (call for side effects).
@@ -134,13 +134,13 @@ pub enum Stmt {
 
 /// `function [o1, o2] = name(p1, p2) … endfunction`
 #[derive(Debug, Clone, PartialEq)]
-pub struct FuncDef {
+pub(crate) struct FuncDef {
     /// Function name.
-    pub name: String,
+    pub(crate) name: String,
     /// Parameter names.
-    pub params: Vec<String>,
+    pub(crate) params: Vec<String>,
     /// Output variable names (`[o1, o2] = name(...)`).
-    pub outs: Vec<String>,
+    pub(crate) outs: Vec<String>,
     /// Function body.
-    pub body: Vec<Spanned>,
+    pub(crate) body: Vec<Spanned>,
 }

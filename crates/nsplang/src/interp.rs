@@ -20,12 +20,12 @@ pub struct NspError {
     pub message: String,
     /// `line:col` of the statement that raised the error, when known.
     /// Both engines attach the innermost executing statement's position.
-    pub span: Option<Pos>,
+    span: Option<Pos>,
 }
 
 impl NspError {
     /// Build an error from any message (no source span).
-    pub fn new(msg: impl Into<String>) -> Self {
+    pub(crate) fn new(msg: impl Into<String>) -> Self {
         NspError {
             message: msg.into(),
             span: None,
@@ -34,7 +34,7 @@ impl NspError {
 
     /// Attach a source span unless one is already present (the innermost
     /// statement wins, so nested statements keep their own position).
-    pub fn with_span(mut self, pos: Pos) -> Self {
+    pub(crate) fn with_span(mut self, pos: Pos) -> Self {
         if self.span.is_none() && pos.is_some() {
             self.span = Some(pos);
         }
@@ -99,17 +99,17 @@ impl NValue {
     }
 
     /// A 1×1 string value.
-    pub fn string(s: impl Into<String>) -> Self {
+    pub(crate) fn string(s: impl Into<String>) -> Self {
         NValue::V(Value::string(s.into()))
     }
 
     /// A 1×1 boolean value.
-    pub fn boolean(b: bool) -> Self {
+    pub(crate) fn boolean(b: bool) -> Self {
         NValue::V(Value::boolean(b))
     }
 
     /// The scalar content, if this is a 1×1 real value.
-    pub fn as_scalar(&self) -> Option<f64> {
+    fn as_scalar(&self) -> Option<f64> {
         match self {
             NValue::V(v) => v.as_scalar(),
             _ => None,
@@ -117,7 +117,7 @@ impl NValue {
     }
 
     /// The string content, if this is a 1×1 string value.
-    pub fn as_str(&self) -> Option<&str> {
+    pub(crate) fn as_str(&self) -> Option<&str> {
         match self {
             NValue::V(v) => v.as_str(),
             _ => None,
@@ -139,7 +139,7 @@ impl NValue {
 
     /// [`NValue::to_value`] for a value the caller owns: plain data moves
     /// out instead of being copied.
-    pub fn into_value(self) -> R<Value> {
+    fn into_value(self) -> R<Value> {
         match self {
             NValue::V(v) => Ok(v),
             other => other.to_value(),
@@ -257,11 +257,6 @@ impl Interp {
         self.engine = engine;
     }
 
-    /// The engine scripts currently run on.
-    pub fn engine(&self) -> Engine {
-        self.engine
-    }
-
     /// Parse and execute a script on the selected engine.
     pub fn run(&mut self, src: &str) -> R<()> {
         match self.engine {
@@ -293,11 +288,6 @@ impl Interp {
     /// whole `NValue` the way [`Interp::get_value`] does.
     pub fn get_scalar(&self, name: &str) -> Option<f64> {
         self.get(name).and_then(|v| v.as_scalar())
-    }
-
-    /// Borrow-based fast path: variable as a 1×1 string slice.
-    pub fn get_str(&self, name: &str) -> Option<&str> {
-        self.get(name).and_then(|v| v.as_str())
     }
 
     /// Borrow-based fast path: variable as a 1×1 boolean.
@@ -1896,7 +1886,7 @@ fn numeric_binop(op: BinOp, a: &Matrix, b: &Matrix) -> R<NValue> {
 
 impl Interp {
     /// Seed used by `rand` (deterministic per interpreter).
-    pub fn reseed(&mut self, seed: u64) {
+    fn reseed(&mut self, seed: u64) {
         self.rng_state = seed;
     }
 }
@@ -1904,7 +1894,21 @@ impl Interp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_script;
+
+    /// Parse and run a script in a fresh interpreter (no MPI binding);
+    /// returns the interpreter for inspecting variables.
+    pub(super) fn run_script(src: &str) -> Result<Interp, NspError> {
+        let mut interp = Interp::new();
+        interp.run(src)?;
+        Ok(interp)
+    }
+
+    impl Interp {
+        /// Borrow-based fast path: variable as a 1×1 string slice.
+        fn get_str(&self, name: &str) -> Option<&str> {
+            self.get(name).and_then(|v| v.as_str())
+        }
+    }
 
     fn scalar(i: &Interp, name: &str) -> f64 {
         i.get_value(name).unwrap().as_scalar().unwrap()
@@ -2143,7 +2147,7 @@ ok = Q.equal[P]
 
 #[cfg(test)]
 mod exec_tests {
-    use crate::run_script;
+    use super::tests::run_script;
 
     #[test]
     fn exec_runs_a_script_file() {

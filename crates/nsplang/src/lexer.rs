@@ -14,19 +14,19 @@ use std::fmt;
 
 /// A 1-based source position (line and column).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Pos {
+pub(crate) struct Pos {
     /// 1-based source line.
-    pub line: u32,
+    line: u32,
     /// 1-based column (in characters) within the line.
-    pub col: u32,
+    col: u32,
 }
 
 impl Pos {
     /// Sentinel "no position" value (line 0).
-    pub const NONE: Pos = Pos { line: 0, col: 0 };
+    pub(crate) const NONE: Pos = Pos { line: 0, col: 0 };
 
     /// Whether this is a real position (line numbers are 1-based).
-    pub fn is_some(&self) -> bool {
+    pub(crate) fn is_some(&self) -> bool {
         self.line != 0
     }
 }
@@ -39,7 +39,7 @@ impl fmt::Display for Pos {
 
 /// A lexical token of the mini-Nsp language.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Tok {
+pub(crate) enum Tok {
     /// Numeric literal.
     Num(f64),
     /// String literal (single- or double-quoted).
@@ -134,11 +134,11 @@ impl fmt::Display for Tok {
 
 /// Lexing error with a 1-based source position.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LexError {
+pub(crate) struct LexError {
     /// Position of the offending character.
-    pub pos: Pos,
+    pub(crate) pos: Pos,
     /// Human-readable description.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 fn keyword(word: &str) -> Option<Tok> {
@@ -175,7 +175,7 @@ fn ends_expression(tok: Option<&Tok>) -> bool {
 }
 
 /// Tokenize a source string. Comments run from `//` to end of line.
-pub fn lex(src: &str) -> Result<Vec<(Tok, Pos)>, LexError> {
+pub(crate) fn lex(src: &str) -> Result<Vec<(Tok, Pos)>, LexError> {
     let mut out: Vec<(Tok, Pos)> = Vec::new();
     let bytes: Vec<char> = src.chars().collect();
     let mut i = 0;

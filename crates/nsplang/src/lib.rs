@@ -25,7 +25,7 @@
 //!
 //! Scripts execute on one of two engines behind [`Interp::with_engine`]:
 //! the original AST tree-walker, or a register bytecode VM
-//! ([`lower`] + [`vm`], see `docs/VM.md`) that resolves locals to slots at
+//! ([`lower`] + `vm`, see `docs/VM.md`) that resolves locals to slots at
 //! compile time and dispatches over a flat opcode stream. Both engines are
 //! proven bit-identical (bindings, RNG streams, error messages) by the
 //! script battery in `tests/nsp_scripts.rs`.
@@ -33,30 +33,14 @@
 #![warn(missing_docs)]
 #![allow(clippy::needless_range_loop)]
 
-pub mod ast;
-pub mod interp;
-pub mod lexer;
+mod ast;
+mod interp;
+mod lexer;
 pub mod lower;
-pub mod opcodes;
-pub mod parser;
-pub mod toolbox;
-pub mod vm;
+mod opcodes;
+mod parser;
+mod toolbox;
+mod vm;
 
 pub use interp::{Engine, Interp, NValue, NspError};
-pub use lexer::Pos;
 pub use parser::parse_program;
-
-/// Parse and run a script in a fresh interpreter (no MPI binding);
-/// returns the interpreter for inspecting variables.
-pub fn run_script(src: &str) -> Result<Interp, NspError> {
-    let mut interp = Interp::new();
-    interp.run(src)?;
-    Ok(interp)
-}
-
-/// Like [`run_script`] but on the bytecode VM engine.
-pub fn run_script_vm(src: &str) -> Result<Interp, NspError> {
-    let mut interp = Interp::with_engine(Engine::Vm);
-    interp.run(src)?;
-    Ok(interp)
-}

@@ -1,4 +1,4 @@
-//! Lowering: mini-Nsp AST → register bytecode ([`crate::opcodes`]).
+//! Lowering: mini-Nsp AST → register bytecode (`opcodes`).
 //!
 //! The lowerer is a single pass over the statement list preceded by a local
 //! scan: every name the block *assigns* (assignment targets, `for` loop
@@ -10,7 +10,7 @@
 //!
 //! Lowering itself never fails: statically detectable runtime errors
 //! (`break` outside a loop, keyword arguments in index position, nested
-//! field assignment) compile to [`Op::Trap`] at the position the
+//! field assignment) compile to `Op::Trap` at the position the
 //! tree-walker would raise them, so both engines report identical errors.
 
 use crate::ast::{Arg, Expr, FuncDef, Spanned, Stmt, Target};

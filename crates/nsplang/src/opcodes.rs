@@ -21,19 +21,19 @@ use crate::lexer::Pos;
 use std::rc::Rc;
 
 /// A register index within a frame.
-pub type Reg = u16;
+pub(crate) type Reg = u16;
 
 /// Sentinel register meaning "absent" (no step expression, no slot, …).
-pub const NO_REG: Reg = u16::MAX;
+pub(crate) const NO_REG: Reg = u16::MAX;
 
 /// Sentinel side-table index meaning "absent" (no keyword args, …).
-pub const NO_TABLE: u16 = u16::MAX;
+pub(crate) const NO_TABLE: u16 = u16::MAX;
 
 /// One VM instruction. Registers are frame-relative; `name` fields index
 /// [`Chunk::names`]; other `u16` fields index the chunk side tables.
 #[derive(Debug, Clone, Copy)]
 #[allow(missing_docs)] // field names follow one scheme: dst/src/base/argc/…
-pub enum Op {
+pub(crate) enum Op {
     /// `regs[dst] = consts[idx].clone()`.
     Const { dst: Reg, idx: u16 },
     /// `regs[dst] = regs[src].clone()`; an unbound `src` slot falls back to
@@ -119,41 +119,41 @@ pub enum Op {
 #[derive(Debug, Clone)]
 pub struct Chunk {
     /// The instruction stream.
-    pub ops: Vec<Op>,
+    pub(crate) ops: Vec<Op>,
     /// Source position per op (parallel to `ops`; `Pos::NONE` = no span).
-    pub spans: Vec<Pos>,
+    pub(crate) spans: Vec<Pos>,
     /// Interned constant pool (deduplicated literals).
-    pub consts: Vec<NValue>,
+    pub(crate) consts: Vec<NValue>,
     /// Interned identifier names.
-    pub names: Vec<Rc<str>>,
+    pub(crate) names: Vec<Rc<str>>,
     /// Named local slots introduced by this chunk: `(slot, name index)`.
-    pub locals: Vec<(Reg, u32)>,
+    pub(crate) locals: Vec<(Reg, u32)>,
     /// Total frame size (named locals + temporaries).
-    pub nregs: u16,
+    pub(crate) nregs: u16,
     /// Keyword-argument tables: `(argument position, name index)` pairs.
-    pub kw_tables: Vec<Vec<(u16, u32)>>,
+    pub(crate) kw_tables: Vec<Vec<(u16, u32)>>,
     /// Lent-argument tables: `(argument position, local slot)` pairs, in
     /// position order.
-    pub lends: Vec<Vec<(u16, Reg)>>,
+    pub(crate) lends: Vec<Vec<(u16, Reg)>>,
     /// Matrix literal shapes: entry count per row.
-    pub shapes: Vec<Vec<u16>>,
+    pub(crate) shapes: Vec<Vec<u16>>,
     /// Trap messages.
-    pub msgs: Vec<String>,
+    pub(crate) msgs: Vec<String>,
     /// Function definitions appearing in this chunk.
-    pub defs: Vec<Rc<FuncDef>>,
+    pub(crate) defs: Vec<Rc<FuncDef>>,
 }
 
 /// A compiled user function: the definition (for arity/outs and identity)
 /// plus its body chunk. Parameters occupy the first local slots, output
 /// variables the following ones.
 #[derive(Debug, Clone)]
-pub struct Proto {
+pub(crate) struct Proto {
     /// The source definition this proto was compiled from (cache identity).
-    pub def: Rc<FuncDef>,
+    pub(crate) def: Rc<FuncDef>,
     /// Slots of the declared parameters, in declaration order.
-    pub param_slots: Vec<Reg>,
+    pub(crate) param_slots: Vec<Reg>,
     /// Slots of the declared output variables, in declaration order.
-    pub out_slots: Vec<Reg>,
+    pub(crate) out_slots: Vec<Reg>,
     /// The compiled body.
-    pub chunk: Chunk,
+    pub(crate) chunk: Chunk,
 }

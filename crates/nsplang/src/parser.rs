@@ -7,9 +7,9 @@ use crate::lexer::{lex, LexError, Pos, Tok};
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParseError {
     /// Source position of the offending token.
-    pub pos: Pos,
+    pos: Pos,
     /// Human-readable description.
-    pub message: String,
+    message: String,
 }
 
 impl From<LexError> for ParseError {

@@ -8,25 +8,25 @@ use pricing::{MethodSpec, ModelSpec, OptionSpec, PremiaProblem, PricingResult, S
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PremiaObj {
     /// Asset class (`"equity"` / `"rates"`), set by `set_asset`.
-    pub asset: Option<String>,
+    pub(crate) asset: Option<String>,
     /// Model choice, set by `set_model`.
-    pub model: Option<ModelSpec>,
+    pub(crate) model: Option<ModelSpec>,
     /// Product choice, set by `set_option`.
-    pub option: Option<OptionSpec>,
+    pub(crate) option: Option<OptionSpec>,
     /// Method choice, set by `set_method`.
-    pub method: Option<MethodSpec>,
+    pub(crate) method: Option<MethodSpec>,
     /// Result of the last `compute[]`, if any.
-    pub result: Option<PricingResult>,
+    pub(crate) result: Option<PricingResult>,
 }
 
 impl PremiaObj {
     /// `premia_create()`: an empty instance awaiting its setters.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PremiaObj::default()
     }
 
     /// A fully specified object becomes a `PremiaProblem`.
-    pub fn to_problem(&self) -> Result<PremiaProblem, String> {
+    pub(crate) fn to_problem(&self) -> Result<PremiaProblem, String> {
         Ok(PremiaProblem {
             asset: self
                 .asset
@@ -49,7 +49,7 @@ impl PremiaObj {
 
     /// Rehydrate from a decoded `PremiaProblem` (the slave-side path): the
     /// problem's parts move in.
-    pub fn from_problem(p: PremiaProblem) -> Self {
+    pub(crate) fn from_problem(p: PremiaProblem) -> Self {
         PremiaObj {
             asset: Some(p.asset),
             model: Some(p.model),
@@ -61,7 +61,7 @@ impl PremiaObj {
 
     /// `P.compute[]`: prices the object's own parts, borrowed. The same
     /// checks as [`PremiaObj::to_problem`], in the same order.
-    pub fn compute(&mut self) -> Result<&PricingResult, String> {
+    pub(crate) fn compute(&mut self) -> Result<&PricingResult, String> {
         let specs = match (&self.asset, &self.model, &self.option, &self.method) {
             (Some(_), Some(model), Some(option), Some(method)) => Specs {
                 model,

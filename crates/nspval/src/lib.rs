@@ -14,8 +14,8 @@
 //! serialized and shipped over MPI.
 
 #![warn(missing_docs)]
-pub mod matrix;
-pub mod value;
+mod matrix;
+mod value;
 
 pub use matrix::{BoolMatrix, Matrix, StrMatrix};
 pub use value::{Hash, List, Serial, Value};

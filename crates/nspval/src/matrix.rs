@@ -44,7 +44,7 @@ impl Matrix {
     }
 
     /// A 1×1 matrix — Nsp scalars are 1×1 matrices.
-    pub fn scalar(x: f64) -> Self {
+    pub(crate) fn scalar(x: f64) -> Self {
         Matrix {
             rows: 1,
             cols: 1,
@@ -135,18 +135,6 @@ impl Matrix {
     pub fn data_mut(&mut self) -> &mut [f64] {
         &mut self.data
     }
-
-    /// Equality within floating tolerance (used by tests; `PartialEq` is
-    /// bitwise).
-    pub fn approx_eq(&self, other: &Matrix, tol: f64) -> bool {
-        self.rows == other.rows
-            && self.cols == other.cols
-            && self
-                .data
-                .iter()
-                .zip(&other.data)
-                .all(|(a, b)| (a - b).abs() <= tol)
-    }
 }
 
 impl fmt::Display for Matrix {
@@ -180,7 +168,7 @@ impl BoolMatrix {
     }
 
     /// A 1×1 value.
-    pub fn scalar(b: bool) -> Self {
+    pub(crate) fn scalar(b: bool) -> Self {
         BoolMatrix {
             rows: 1,
             cols: 1,
@@ -260,7 +248,7 @@ impl StrMatrix {
     }
 
     /// A 1×1 value.
-    pub fn scalar<S: Into<String>>(s: S) -> Self {
+    pub(crate) fn scalar<S: Into<String>>(s: S) -> Self {
         StrMatrix {
             rows: 1,
             cols: 1,
@@ -289,7 +277,7 @@ impl StrMatrix {
     }
 
     /// Element at (row, column), 0-based.
-    pub fn get(&self, r: usize, c: usize) -> &str {
+    fn get(&self, r: usize, c: usize) -> &str {
         &self.data[c * self.rows + r]
     }
 
@@ -299,7 +287,7 @@ impl StrMatrix {
     }
 
     /// True for 1×1 values.
-    pub fn is_scalar(&self) -> bool {
+    fn is_scalar(&self) -> bool {
         self.rows == 1 && self.cols == 1
     }
 
@@ -370,15 +358,6 @@ mod tests {
     #[should_panic]
     fn out_of_bounds_get_panics() {
         Matrix::zeros(2, 2).get(2, 0);
-    }
-
-    #[test]
-    fn approx_eq_tolerates_small_differences() {
-        let a = Matrix::scalar(1.0);
-        let b = Matrix::scalar(1.0 + 1e-12);
-        assert!(a.approx_eq(&b, 1e-10));
-        assert!(!a.approx_eq(&b, 1e-14));
-        assert!(!a.approx_eq(&Matrix::zeros(1, 2), 1.0));
     }
 
     #[test]

@@ -121,11 +121,6 @@ impl Hash {
         Some(self.entries.remove(idx).1)
     }
 
-    /// True when the key is present.
-    pub fn contains_key(&self, key: &str) -> bool {
-        self.entries.iter().any(|(k, _)| k == key)
-    }
-
     /// Iterate over the contents in order.
     pub fn iter(&self) -> std::slice::Iter<'_, (String, Value)> {
         self.entries.iter()
@@ -162,11 +157,6 @@ impl Serial {
     /// The raw bytes.
     pub fn bytes(&self) -> &[u8] {
         &self.bytes
-    }
-
-    /// Consume into the raw byte vector.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.bytes
     }
 
     /// Number of contained elements.
@@ -240,19 +230,6 @@ impl Value {
 
     // ----- inspectors -----------------------------------------------------
 
-    /// One-letter type tag as printed by Nsp (`r`, `b`, `s`, `l`, `h`, …).
-    pub fn type_tag(&self) -> char {
-        match self {
-            Value::Real(_) => 'r',
-            Value::Bool(_) => 'b',
-            Value::Str(_) => 's',
-            Value::List(_) => 'l',
-            Value::Hash(_) => 'h',
-            Value::Serial(_) => 'z',
-            Value::None => 'n',
-        }
-    }
-
     /// The scalar content of a 1×1 real value.
     pub fn as_scalar(&self) -> Option<f64> {
         match self {
@@ -293,24 +270,8 @@ impl Value {
         }
     }
 
-    /// Mutable access to the contained list, if any.
-    pub fn as_list_mut(&mut self) -> Option<&mut List> {
-        match self {
-            Value::List(l) => Some(l),
-            _ => None,
-        }
-    }
-
     /// The contained hash table, if any.
     pub fn as_hash(&self) -> Option<&Hash> {
-        match self {
-            Value::Hash(h) => Some(h),
-            _ => None,
-        }
-    }
-
-    /// Mutable access to the contained hash table, if any.
-    pub fn as_hash_mut(&mut self) -> Option<&mut Hash> {
         match self {
             Value::Hash(h) => Some(h),
             _ => None,
@@ -406,6 +367,28 @@ impl From<Matrix> for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Hash {
+        /// True when the key is present.
+        fn contains_key(&self, key: &str) -> bool {
+            self.entries.iter().any(|(k, _)| k == key)
+        }
+    }
+
+    impl Value {
+        /// One-letter type tag as printed by Nsp (`r`, `b`, `s`, `l`, `h`, …).
+        fn type_tag(&self) -> char {
+            match self {
+                Value::Real(_) => 'r',
+                Value::Bool(_) => 'b',
+                Value::Str(_) => 's',
+                Value::List(_) => 'l',
+                Value::Hash(_) => 'h',
+                Value::Serial(_) => 'z',
+                Value::None => 'n',
+            }
+        }
+    }
 
     #[test]
     fn scalar_round_trip() {

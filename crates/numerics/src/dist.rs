@@ -24,7 +24,7 @@ pub fn norm_cdf(x: f64) -> f64 {
 /// Complementary error function, Cody's rational Chebyshev approximation
 /// (W. J. Cody, "Rational Chebyshev approximation for the error function",
 /// Math. Comp. 23 (1969)).
-pub fn erfc(x: f64) -> f64 {
+fn erfc(x: f64) -> f64 {
     let ax = x.abs();
     let z = if ax < 0.5 {
         // erf via the first rational approximation.
@@ -97,7 +97,7 @@ const FRAC_1_SQRT_PI: f64 = 0.564189583547756287;
 
 /// Error function for |x| < 0.5 (Cody), extended to the whole axis through
 /// `erfc` for larger arguments.
-pub fn erf(x: f64) -> f64 {
+fn erf(x: f64) -> f64 {
     let ax = x.abs();
     if ax >= 0.5 {
         let v = 1.0 - erfc(ax);

@@ -43,39 +43,6 @@ pub fn derivative(xs: &[f64], ys: &[f64], x: f64) -> f64 {
     (linear(xs, ys, x + h) - linear(xs, ys, x - h)) / (2.0 * h)
 }
 
-/// Bilinear interpolation on a rectangular grid.
-///
-/// `zs` is row-major with `zs[i * xs.len() + j] = f(ts[i], xs[j])`; flat
-/// extrapolation outside the rectangle. Used for local-volatility surfaces.
-pub fn bilinear(ts: &[f64], xs: &[f64], zs: &[f64], t: f64, x: f64) -> f64 {
-    assert_eq!(zs.len(), ts.len() * xs.len());
-    let row = |i: usize| &zs[i * xs.len()..(i + 1) * xs.len()];
-    if ts.len() == 1 {
-        return linear(xs, row(0), x);
-    }
-    if t <= ts[0] {
-        return linear(xs, row(0), x);
-    }
-    let m = ts.len();
-    if t >= ts[m - 1] {
-        return linear(xs, row(m - 1), x);
-    }
-    let mut lo = 0;
-    let mut hi = m - 1;
-    while hi - lo > 1 {
-        let mid = (lo + hi) / 2;
-        if ts[mid] <= t {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    let a = linear(xs, row(lo), x);
-    let b = linear(xs, row(hi), x);
-    let w = (t - ts[lo]) / (ts[hi] - ts[lo]);
-    a + w * (b - a)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,33 +87,5 @@ mod tests {
         let xs: Vec<f64> = (0..10).map(|i| i as f64).collect();
         let ys: Vec<f64> = xs.iter().map(|x| 2.0 * x + 1.0).collect();
         assert!((derivative(&xs, &ys, 4.5) - 2.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn bilinear_exact_on_bilinear_function() {
-        let ts: Vec<f64> = (0..5).map(|i| i as f64).collect();
-        let xs: Vec<f64> = (0..7).map(|j| j as f64 * 0.5).collect();
-        let f = |t: f64, x: f64| 1.0 + 2.0 * t + 3.0 * x;
-        let mut zs = Vec::new();
-        for &t in &ts {
-            for &x in &xs {
-                zs.push(f(t, x));
-            }
-        }
-        for i in 0..40 {
-            for j in 0..30 {
-                let t = i as f64 * 0.1;
-                let x = j as f64 * 0.1;
-                assert!((bilinear(&ts, &xs, &zs, t, x) - f(t, x)).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn bilinear_single_time_row() {
-        let ts = [0.0];
-        let xs = [0.0, 1.0];
-        let zs = [1.0, 3.0];
-        assert!((bilinear(&ts, &xs, &zs, 5.0, 0.5) - 2.0).abs() < 1e-14);
     }
 }

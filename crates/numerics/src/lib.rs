@@ -18,7 +18,7 @@
 #![warn(missing_docs)]
 #![allow(clippy::excessive_precision, clippy::needless_range_loop)]
 
-pub mod dist;
+mod dist;
 pub mod interp;
 pub mod linalg;
 pub mod poly;
@@ -27,6 +27,4 @@ pub mod sobol;
 pub mod stats;
 
 pub use dist::{norm_cdf, norm_inv_cdf, norm_pdf};
-pub use linalg::{solve_dense, solve_tridiagonal, Tridiagonal};
 pub use rng::{CorrelatedNormals, NormalGen};
-pub use stats::RunningStats;

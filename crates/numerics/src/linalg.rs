@@ -17,11 +17,11 @@
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tridiagonal {
     /// Entries below the diagonal (length n−1).
-    pub sub: Vec<f64>,
+    sub: Vec<f64>,
     /// Diagonal entries (length n).
-    pub diag: Vec<f64>,
+    diag: Vec<f64>,
     /// Entries above the diagonal (length n−1).
-    pub sup: Vec<f64>,
+    sup: Vec<f64>,
 }
 
 impl Tridiagonal {
@@ -36,26 +36,8 @@ impl Tridiagonal {
     }
 
     /// Dimension of the system.
-    pub fn n(&self) -> usize {
+    fn n(&self) -> usize {
         self.diag.len()
-    }
-
-    /// Matrix–vector product `A x`.
-    pub fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
-        let n = self.n();
-        assert_eq!(x.len(), n);
-        let mut y = vec![0.0; n];
-        for i in 0..n {
-            let mut acc = self.diag[i] * x[i];
-            if i > 0 {
-                acc += self.sub[i - 1] * x[i - 1];
-            }
-            if i + 1 < n {
-                acc += self.sup[i] * x[i + 1];
-            }
-            y[i] = acc;
-        }
-        y
     }
 }
 
@@ -90,57 +72,6 @@ pub fn solve_tridiagonal(a: &Tridiagonal, d: &[f64]) -> Option<Vec<f64>> {
     for i in (0..n - 1).rev() {
         let next = x[i + 1];
         x[i] -= c_star[i] * next;
-    }
-    Some(x)
-}
-
-/// Solve a dense system `A x = b` by Gaussian elimination with partial
-/// pivoting. `a` is row-major `n*n`; `a` and `b` are consumed. Returns
-/// `None` for a singular matrix. Used for validation and for the small
-/// regression systems where QR is overkill.
-pub fn solve_dense(mut a: Vec<f64>, mut b: Vec<f64>) -> Option<Vec<f64>> {
-    let n = b.len();
-    assert_eq!(a.len(), n * n, "matrix shape mismatch");
-    for col in 0..n {
-        // Partial pivot.
-        let mut piv = col;
-        let mut best = a[col * n + col].abs();
-        for row in col + 1..n {
-            let v = a[row * n + col].abs();
-            if v > best {
-                best = v;
-                piv = row;
-            }
-        }
-        if best < 1e-300 {
-            return None;
-        }
-        if piv != col {
-            for k in 0..n {
-                a.swap(col * n + k, piv * n + k);
-            }
-            b.swap(col, piv);
-        }
-        let inv = 1.0 / a[col * n + col];
-        for row in col + 1..n {
-            let f = a[row * n + col] * inv;
-            if f == 0.0 {
-                continue;
-            }
-            for k in col..n {
-                a[row * n + k] -= f * a[col * n + k];
-            }
-            b[row] -= f * b[col];
-        }
-    }
-    // Back substitution.
-    let mut x = vec![0.0; n];
-    for row in (0..n).rev() {
-        let mut acc = b[row];
-        for k in row + 1..n {
-            acc -= a[row * n + k] * x[k];
-        }
-        x[row] = acc / a[row * n + row];
     }
     Some(x)
 }
@@ -255,6 +186,77 @@ pub fn lstsq(a: &[f64], m: usize, n: usize, b: &[f64]) -> Option<Vec<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Tridiagonal {
+        /// Matrix–vector product `A x`.
+        fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
+            let n = self.n();
+            assert_eq!(x.len(), n);
+            let mut y = vec![0.0; n];
+            for i in 0..n {
+                let mut acc = self.diag[i] * x[i];
+                if i > 0 {
+                    acc += self.sub[i - 1] * x[i - 1];
+                }
+                if i + 1 < n {
+                    acc += self.sup[i] * x[i + 1];
+                }
+                y[i] = acc;
+            }
+            y
+        }
+    }
+
+    /// Solve a dense system `A x = b` by Gaussian elimination with partial
+    /// pivoting. `a` is row-major `n*n`; `a` and `b` are consumed. Returns
+    /// `None` for a singular matrix. Used for validation and for the small
+    /// regression systems where QR is overkill.
+    fn solve_dense(mut a: Vec<f64>, mut b: Vec<f64>) -> Option<Vec<f64>> {
+        let n = b.len();
+        assert_eq!(a.len(), n * n, "matrix shape mismatch");
+        for col in 0..n {
+            // Partial pivot.
+            let mut piv = col;
+            let mut best = a[col * n + col].abs();
+            for row in col + 1..n {
+                let v = a[row * n + col].abs();
+                if v > best {
+                    best = v;
+                    piv = row;
+                }
+            }
+            if best < 1e-300 {
+                return None;
+            }
+            if piv != col {
+                for k in 0..n {
+                    a.swap(col * n + k, piv * n + k);
+                }
+                b.swap(col, piv);
+            }
+            let inv = 1.0 / a[col * n + col];
+            for row in col + 1..n {
+                let f = a[row * n + col] * inv;
+                if f == 0.0 {
+                    continue;
+                }
+                for k in col..n {
+                    a[row * n + k] -= f * a[col * n + k];
+                }
+                b[row] -= f * b[col];
+            }
+        }
+        // Back substitution.
+        let mut x = vec![0.0; n];
+        for row in (0..n).rev() {
+            let mut acc = b[row];
+            for k in row + 1..n {
+                acc -= a[row * n + k] * x[k];
+            }
+            x[row] = acc / a[row * n + row];
+        }
+        Some(x)
+    }
 
     #[test]
     fn thomas_solves_known_system() {

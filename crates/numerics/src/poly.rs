@@ -17,7 +17,7 @@ pub enum BasisKind {
 }
 
 /// Evaluate the first `count` basis functions at `x` into `out`.
-pub fn eval_basis(kind: BasisKind, x: f64, out: &mut [f64]) {
+fn eval_basis(kind: BasisKind, x: f64, out: &mut [f64]) {
     let count = out.len();
     if count == 0 {
         return;
@@ -56,9 +56,9 @@ pub fn eval_basis(kind: BasisKind, x: f64, out: &mut [f64]) {
 #[derive(Debug, Clone)]
 pub struct RegressionBasis {
     /// Polynomial family.
-    pub kind: BasisKind,
+    kind: BasisKind,
     /// Highest polynomial degree.
-    pub degree: usize,
+    degree: usize,
 }
 
 impl RegressionBasis {

@@ -51,11 +51,6 @@ impl Halton {
         Halton { dim, index: 1 }
     }
 
-    /// Dimension of generated points/vectors.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// Write the next point into `out`.
     pub fn next_point(&mut self, out: &mut [f64]) {
         assert_eq!(out.len(), self.dim);
@@ -101,7 +96,7 @@ pub struct Sobol {
 
 impl Sobol {
     /// Largest supported dimension.
-    pub fn max_dim() -> usize {
+    fn max_dim() -> usize {
         SOBOL_DATA.len() + 1
     }
 
@@ -143,11 +138,6 @@ impl Sobol {
             state: vec![0; dim],
             index: 0,
         }
-    }
-
-    /// Dimension of generated points/vectors.
-    pub fn dim(&self) -> usize {
-        self.dim
     }
 
     /// Write the next point into `out`; coordinates lie in (0,1).

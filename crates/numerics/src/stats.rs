@@ -6,8 +6,6 @@ pub struct RunningStats {
     n: u64,
     mean: f64,
     m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl RunningStats {
@@ -17,8 +15,6 @@ impl RunningStats {
             n: 0,
             mean: 0.0,
             m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
         }
     }
 
@@ -28,13 +24,6 @@ impl RunningStats {
         let delta = x - self.mean;
         self.mean += delta / self.n as f64;
         self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
     }
 
     /// Arithmetic mean of the observations.
@@ -53,17 +42,12 @@ impl RunningStats {
     }
 
     /// Sample variance (unbiased, divides by n-1).
-    pub fn sample_variance(&self) -> f64 {
+    fn sample_variance(&self) -> f64 {
         if self.n < 2 {
             0.0
         } else {
             self.m2 / (self.n - 1) as f64
         }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
     }
 
     /// Standard error of the mean, the half-width driver of Monte-Carlo
@@ -74,21 +58,6 @@ impl RunningStats {
         } else {
             (self.sample_variance() / self.n as f64).sqrt()
         }
-    }
-
-    /// Symmetric 95% confidence half-width around the mean (CLT, z=1.96).
-    pub fn ci95_half_width(&self) -> f64 {
-        1.96 * self.std_error()
-    }
-
-    /// Smallest observation.
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation.
-    pub fn max(&self) -> f64 {
-        self.max
     }
 
     /// Merge another accumulator into this one (parallel reduction).
@@ -107,14 +76,19 @@ impl RunningStats {
         self.mean += delta * n2 / total;
         self.m2 += other.m2 + delta * delta * n1 * n2 / total;
         self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RunningStats {
+        /// Number of observations.
+        fn count(&self) -> u64 {
+            self.n
+        }
+    }
 
     #[test]
     fn mean_and_variance_of_small_set() {
@@ -124,10 +98,7 @@ mod tests {
         }
         assert!((s.mean() - 5.0).abs() < 1e-12);
         assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
         assert_eq!(s.count(), 8);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
     }
 
     #[test]
@@ -187,6 +158,5 @@ mod tests {
             s.push((i % 10) as f64);
         }
         assert!(s.std_error() < se10);
-        assert!(s.ci95_half_width() > 0.0);
     }
 }

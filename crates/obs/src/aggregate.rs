@@ -20,23 +20,23 @@ pub fn percentile(sorted: &[f64], q: f64) -> f64 {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseStats {
     /// The phase.
-    pub kind: EventKind,
+    pub(crate) kind: EventKind,
     /// Number of events.
     pub count: u64,
     /// Sum of durations, seconds.
-    pub total_s: f64,
+    pub(crate) total_s: f64,
     /// Sum of byte volumes.
     pub bytes: u64,
     /// Mean duration, seconds.
-    pub mean_s: f64,
+    pub(crate) mean_s: f64,
     /// Median (nearest-rank p50), seconds.
-    pub p50_s: f64,
+    pub(crate) p50_s: f64,
     /// Nearest-rank p90, seconds.
-    pub p90_s: f64,
+    pub(crate) p90_s: f64,
     /// Nearest-rank p99, seconds.
-    pub p99_s: f64,
+    pub(crate) p99_s: f64,
     /// Maximum duration, seconds.
-    pub max_s: f64,
+    pub(crate) max_s: f64,
 }
 
 impl PhaseStats {
@@ -63,12 +63,12 @@ impl PhaseStats {
 pub struct Breakdown {
     /// Stats per phase, only for phases that occurred, in
     /// [`EventKind::ALL`] order.
-    pub phases: Vec<PhaseStats>,
+    pub(crate) phases: Vec<PhaseStats>,
     /// Total event count.
-    pub events: u64,
+    pub(crate) events: u64,
     /// Per-job-class compute totals (class → (count, seconds)). The job
     /// class is `job % classes` when built via
-    /// [`Breakdown::from_events_classed`], else a single class 0.
+    /// `Breakdown::from_events_classed`, else a single class 0.
     pub by_class: BTreeMap<u64, (u64, f64)>,
 }
 
@@ -80,7 +80,7 @@ impl Breakdown {
 
     /// Aggregate `events`; [`EventKind::Compute`] events with a job id
     /// are bucketed into `job % classes` job classes.
-    pub fn from_events_classed(events: &[Event], classes: u64) -> Self {
+    fn from_events_classed(events: &[Event], classes: u64) -> Self {
         let classes = classes.max(1);
         Self::from_events_with(events, |job| job as u64 % classes)
     }
@@ -247,7 +247,7 @@ impl Breakdown {
 
     /// Requests turned away by admission control ([`EventKind::Shed`]
     /// marks). 0 for non-serving runs.
-    pub fn shed_count(&self) -> u64 {
+    pub(crate) fn shed_count(&self) -> u64 {
         self.count_of(EventKind::Shed)
     }
 
@@ -429,7 +429,6 @@ mod tests {
             ev(EventKind::ComputeChunk, 0, 10_000_000, 1024),
             ev(EventKind::ComputeChunk, 0, 10_000_000, 1024),
             ev(EventKind::Steal, 0, 0, 3),
-            ev(EventKind::CopySaved, 0, 0, 4096),
         ];
         let b = Breakdown::from_events(&events);
         // total_s counts only the primary compute span.
@@ -438,7 +437,6 @@ mod tests {
         assert!((b.parallelism() - 4.0).abs() < 1e-12);
         assert_eq!(b.count_of(EventKind::Steal), 1);
         assert_eq!(b.bytes_of(EventKind::Steal), 3);
-        assert_eq!(b.bytes_of(EventKind::CopySaved), 4096);
         assert_eq!(b.bytes_of(EventKind::ComputeChunk), 4096);
     }
 

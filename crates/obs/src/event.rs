@@ -71,10 +71,6 @@ pub enum EventKind {
     /// Work-stealing activity inside a parallel compute region
     /// (zero-duration mark; `bytes` = successful steals). Diagnostic.
     Steal,
-    /// A per-message payload copy the comm layer avoided by sharing one
-    /// buffer across in-process destinations (zero-duration mark;
-    /// `bytes` = bytes *not* copied). Diagnostic.
-    CopySaved,
     /// A scheduler dispatch decision: the master handed a job (or batch
     /// head) to a slave (zero-duration mark; `bytes` = batch size).
     /// Emitted by the live drivers only; the wire cost of the dispatch is
@@ -110,7 +106,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// Every kind, in declaration (and render) order.
-    pub const ALL: [EventKind; 27] = [
+    pub(crate) const ALL: [EventKind; 26] = [
         EventKind::Pack,
         EventKind::Send,
         EventKind::Probe,
@@ -131,7 +127,6 @@ impl EventKind {
         EventKind::Prefetch,
         EventKind::ComputeChunk,
         EventKind::Steal,
-        EventKind::CopySaved,
         EventKind::Dispatch,
         EventKind::LaneBatch,
         EventKind::Enqueue,
@@ -145,10 +140,9 @@ impl EventKind {
     /// (or, for the serving-session kinds, measure wall latency rather
     /// than cpu work). Excluded from [`crate::Breakdown::total_s`]'s
     /// cpu-seconds budget.
-    pub const DIAGNOSTIC: [EventKind; 9] = [
+    pub const DIAGNOSTIC: [EventKind; 8] = [
         EventKind::ComputeChunk,
         EventKind::Steal,
-        EventKind::CopySaved,
         EventKind::Dispatch,
         EventKind::LaneBatch,
         EventKind::Enqueue,
@@ -180,7 +174,6 @@ impl EventKind {
             EventKind::Prefetch => "prefetch",
             EventKind::ComputeChunk => "compute_chunk",
             EventKind::Steal => "steal",
-            EventKind::CopySaved => "copy_saved",
             EventKind::Dispatch => "dispatch",
             EventKind::LaneBatch => "lane_batch",
             EventKind::Enqueue => "enqueue",

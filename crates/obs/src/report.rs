@@ -26,7 +26,7 @@ impl StrategyBreakdown {
     /// Sanity check: phase seconds cannot exceed the total CPU-seconds
     /// available (`wall_s × cpus`), every duration is finite and
     /// non-negative, and no events were dropped.
-    pub fn check(&self) -> Result<(), String> {
+    fn check(&self) -> Result<(), String> {
         let total = self.breakdown.total_s();
         if !total.is_finite() || total < 0.0 {
             return Err(format!("{}: non-finite phase total {total}", self.strategy));
@@ -54,7 +54,7 @@ impl StrategyBreakdown {
 #[derive(Debug, Clone, Default)]
 pub struct BreakdownReport {
     /// Report title (e.g. "table 2 — per-phase decomposition").
-    pub title: String,
+    title: String,
     /// The runs, in presentation order.
     pub runs: Vec<StrategyBreakdown>,
 }
@@ -68,7 +68,7 @@ impl BreakdownReport {
         }
     }
 
-    /// Run [`StrategyBreakdown::check`] on every run.
+    /// Run `StrategyBreakdown::check` on every run.
     pub fn check(&self) -> Result<(), String> {
         if self.runs.is_empty() {
             return Err("empty breakdown report".to_string());

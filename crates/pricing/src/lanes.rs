@@ -18,28 +18,23 @@
 
 /// `N` lanes of `f64`, one Monte-Carlo path per lane.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct F64s<const N: usize>(pub [f64; N]);
-
-/// Four-wide lane group.
-pub type F64x4 = F64s<4>;
-/// Eight-wide lane group.
-pub type F64x8 = F64s<8>;
+pub(crate) struct F64s<const N: usize>(pub [f64; N]);
 
 impl<const N: usize> F64s<N> {
     /// All lanes set to `v`.
-    pub const fn splat(v: f64) -> Self {
+    pub(crate) const fn splat(v: f64) -> Self {
         F64s([v; N])
     }
 
     /// Build lanes from a function of the lane index, called in lane
     /// order — this is the one constructor the kernels feed RNG draws
     /// through, so the draw order is the lane order by construction.
-    pub fn from_fn(f: impl FnMut(usize) -> f64) -> Self {
+    pub(crate) fn from_fn(f: impl FnMut(usize) -> f64) -> Self {
         F64s(std::array::from_fn(f))
     }
 
     /// Lane-wise fused `self * a + b` (`f64::mul_add` per lane).
-    pub fn mul_add(mut self, a: Self, b: Self) -> Self {
+    pub(crate) fn mul_add(mut self, a: Self, b: Self) -> Self {
         for i in 0..N {
             self.0[i] = self.0[i].mul_add(a.0[i], b.0[i]);
         }
@@ -47,17 +42,17 @@ impl<const N: usize> F64s<N> {
     }
 
     /// Lane-wise `e^x`.
-    pub fn exp(self) -> Self {
+    pub(crate) fn exp(self) -> Self {
         self.map(f64::exp)
     }
 
     /// Lane-wise square root.
-    pub fn sqrt(self) -> Self {
+    pub(crate) fn sqrt(self) -> Self {
         self.map(f64::sqrt)
     }
 
     /// Lane-wise maximum with `o`.
-    pub fn max(mut self, o: Self) -> Self {
+    pub(crate) fn max(mut self, o: Self) -> Self {
         for i in 0..N {
             self.0[i] = self.0[i].max(o.0[i]);
         }
@@ -66,7 +61,7 @@ impl<const N: usize> F64s<N> {
 
     /// Apply `f` to every lane (for the rare per-lane transcendental —
     /// `tanh` in the local-vol surface — that has no helper of its own).
-    pub fn map(mut self, mut f: impl FnMut(f64) -> f64) -> Self {
+    pub(crate) fn map(mut self, mut f: impl FnMut(f64) -> f64) -> Self {
         for x in self.0.iter_mut() {
             *x = f(*x);
         }
@@ -124,7 +119,7 @@ mod tests {
 
     #[test]
     fn helpers_match_scalar_ops_bitwise() {
-        let a = F64x4::from_fn(|i| 1.5 + i as f64);
+        let a = F64s::<4>::from_fn(|i| 1.5 + i as f64);
         let b = F64s::<4>::splat(0.25);
         for i in 0..4 {
             let x = 1.5 + i as f64;
@@ -137,7 +132,7 @@ mod tests {
             assert_eq!((-a).0[i].to_bits(), (-x).to_bits());
             assert_eq!(a.map(f64::tanh).0[i].to_bits(), x.tanh().to_bits());
         }
-        let lo = F64x8::splat(-1.0);
+        let lo = F64s::<8>::splat(-1.0);
         assert_eq!(lo.max(F64s::splat(0.0)), F64s::splat(0.0));
     }
 

@@ -17,7 +17,7 @@
 //! | Heston stochastic volatility | basket put (up to 40 assets) | Monte-Carlo (antithetic, QMC ablation) |
 //! |  | American basket put | Longstaff–Schwartz |
 //!
-//! The [`problem`] module mirrors the paper's `PremiaModel` class: a
+//! The `problem` module mirrors the paper's `PremiaModel` class: a
 //! pricing problem is described by `(asset, model, option, method)` strings
 //! and parameters, can be saved/loaded/`sload`-ed through `xdrser`, and is
 //! computed with [`problem::PremiaProblem::compute`]. The [`regression`]
@@ -30,11 +30,11 @@
 #![allow(clippy::neg_cmp_op_on_partial_ord, clippy::needless_range_loop)]
 
 mod fields;
-pub mod lanes;
+mod lanes;
 pub mod methods;
 pub mod models;
 pub mod options;
-pub mod problem;
+mod problem;
 pub mod regression;
 
 pub use problem::{

@@ -23,7 +23,7 @@ use super::montecarlo::{McConfig, McResult};
 /// h   = ln(P(0,t_bond)/(K·P(0,t_opt)))/σ_P + σ_P/2
 /// C   = P(0,t_bond) N(h) − K P(0,t_opt) N(h − σ_P)
 /// ```
-pub fn bond_option_price(
+pub(crate) fn bond_option_price(
     m: &Vasicek,
     right: OptionRight,
     strike: f64,

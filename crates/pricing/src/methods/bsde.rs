@@ -76,7 +76,7 @@ impl Default for BsdeConfig {
 
 impl BsdeConfig {
     /// Parameter sanity checks; `Err` describes the first violation.
-    pub fn validate(&self) -> Result<(), String> {
+    fn validate(&self) -> Result<(), String> {
         if self.paths == 0 {
             return Err("paths must be positive".into());
         }
@@ -279,7 +279,7 @@ pub fn bsde_picard_iterates(
 }
 
 /// Convenience wrapper returning only the final iterate.
-pub fn bsde_picard(
+pub(crate) fn bsde_picard(
     m: &BlackScholes,
     option: &Vanilla,
     cfg: &BsdeConfig,

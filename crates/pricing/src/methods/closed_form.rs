@@ -8,7 +8,7 @@
 //! as delta, gamma, vega …)".
 
 use crate::models::BlackScholes;
-use crate::options::{Barrier, BarrierKind, OptionRight, Vanilla};
+use crate::options::{Barrier, OptionRight, Vanilla};
 use numerics::{norm_cdf, norm_pdf};
 
 /// Price and first-order Greeks of a vanilla European option.
@@ -77,7 +77,6 @@ pub fn bs_price(m: &BlackScholes, option: &Vanilla) -> BsQuote {
 /// Returns 0 when the spot starts at or below the barrier (already
 /// knocked out).
 pub fn down_out_call_price(m: &BlackScholes, option: &Barrier) -> f64 {
-    assert_eq!(option.kind, BarrierKind::DownOut);
     assert_eq!(option.right, OptionRight::Call);
     assert!(
         option.barrier <= option.strike,

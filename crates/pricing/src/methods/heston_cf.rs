@@ -185,7 +185,7 @@ fn heston_prob(m: &Heston, strike: f64, t: f64, j: u8) -> f64 {
 }
 
 /// Semi-analytic price of a European vanilla option under Heston.
-pub fn heston_cf_price(m: &Heston, option: &Vanilla) -> f64 {
+pub(crate) fn heston_cf_price(m: &Heston, option: &Vanilla) -> f64 {
     option.validate().expect("invalid option");
     assert!(
         option.exercise == crate::options::Exercise::European,

@@ -42,14 +42,14 @@ impl std::error::Error for ImpliedVolError {}
 /// invert thousands of prices; the iteration count is the natural unit
 /// for profiling them, exactly as the per-phase spans are for the farm.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ImpliedVol {
+struct ImpliedVol {
     /// The implied volatility σ*.
-    pub sigma: f64,
+    sigma: f64,
     /// Newton/bisection iterations actually spent (0 for degenerate
     /// intrinsic prices that short-circuit).
-    pub iterations: usize,
+    iterations: usize,
     /// |BS(σ*) − price| at exit.
-    pub residual: f64,
+    residual: f64,
 }
 
 /// Iteration cap. The safeguarded Newton iteration converges in well
@@ -80,7 +80,7 @@ pub fn implied_vol(
 ///    cannot improve further even when the price tolerance is
 ///    unreachable (deep in/out-of-the-money, vega ≈ 0);
 /// 3. the [`MAX_ITER`] safety cap.
-pub fn implied_vol_diagnostic(
+fn implied_vol_diagnostic(
     market: &BlackScholes,
     option: &Vanilla,
     price: f64,

@@ -62,7 +62,7 @@ impl Default for LsmConfig {
 
 impl LsmConfig {
     /// Parameter sanity checks; `Err` describes the first violation.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.paths < 100 {
             return Err("LSM needs at least 100 paths".into());
         }

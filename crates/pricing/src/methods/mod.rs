@@ -9,10 +9,10 @@ pub mod bermudan;
 pub mod bond;
 pub mod bsde;
 pub mod closed_form;
-pub mod heston_cf;
+pub(crate) mod heston_cf;
 pub mod implied;
 pub mod lsm;
 pub mod montecarlo;
 pub mod pde;
-pub mod tree;
+pub(crate) mod tree;
 pub mod xva;

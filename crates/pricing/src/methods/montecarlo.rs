@@ -62,7 +62,7 @@ impl Default for McConfig {
 
 impl McConfig {
     /// Parameter sanity checks; `Err` describes the first violation.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.paths == 0 {
             return Err("paths must be positive".into());
         }
@@ -82,7 +82,7 @@ pub struct McResult {
     /// Monte-Carlo standard error of the price.
     pub std_error: f64,
     /// First derivative of the price w.r.t. spot.
-    pub delta: Option<f64>,
+    pub(crate) delta: Option<f64>,
 }
 
 impl McResult {

@@ -16,7 +16,7 @@
 //! projected SOR (PSOR) on the implicit system.
 
 use crate::models::BlackScholes;
-use crate::options::{Barrier, BarrierKind, Exercise, OptionRight, Vanilla};
+use crate::options::{Barrier, Exercise, OptionRight, Vanilla};
 use numerics::interp;
 
 /// Discretisation parameters.
@@ -46,7 +46,7 @@ impl Default for PdeConfig {
 
 impl PdeConfig {
     /// Parameter sanity checks; `Err` describes the first violation.
-    pub fn validate(&self) -> Result<(), String> {
+    fn validate(&self) -> Result<(), String> {
         if self.time_steps < 1 || self.space_steps < 3 {
             return Err("PDE grid too small".into());
         }
@@ -64,9 +64,9 @@ type BcFn<'a> = Box<dyn Fn(f64) -> f64 + 'a>;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PdeSolution {
     /// Price estimate.
-    pub price: f64,
+    pub(crate) price: f64,
     /// First derivative of the price w.r.t. spot.
-    pub delta: f64,
+    pub(crate) delta: f64,
 }
 
 /// Internal: backward θ-scheme over a fixed log-grid with Dirichlet
@@ -412,10 +412,7 @@ fn barrier_solver<'a>(m: &'a BlackScholes, option: &'a Barrier, cfg: &PdeConfig)
     let half_width =
         cfg.width_std_devs * m.sigma * t.sqrt() + (m.rate - m.dividend).abs() * t + 1e-9;
 
-    let (x_min, x_max) = match option.kind {
-        BarrierKind::DownOut => (option.barrier.ln(), m.spot.ln().max(k.ln()) + half_width),
-        BarrierKind::UpOut => (m.spot.ln().min(k.ln()) - half_width, option.barrier.ln()),
-    };
+    let (x_min, x_max) = (option.barrier.ln(), m.spot.ln().max(k.ln()) + half_width);
     let (xs, dx) = uniform_grid(x_min, x_max, cfg.space_steps);
     let payoff: Vec<f64> = xs
         .iter()
@@ -429,26 +426,16 @@ fn barrier_solver<'a>(m: &'a BlackScholes, option: &'a Barrier, cfg: &PdeConfig)
         })
         .collect();
 
-    let s_min = xs[0].exp();
     let s_max = xs[xs.len() - 1].exp();
-    let (lower_bc, upper_bc): (BcFn<'_>, BcFn<'_>) = match option.kind {
-        BarrierKind::DownOut => (
-            Box::new(move |_tau: f64| rebate),
-            Box::new(move |tau: f64| match option.right {
-                // Far above strike and barrier the option behaves like a
-                // forward.
-                OptionRight::Call => s_max * (-m.dividend * tau).exp() - k * (-m.rate * tau).exp(),
-                OptionRight::Put => 0.0,
-            }),
-        ),
-        BarrierKind::UpOut => (
-            Box::new(move |tau: f64| match option.right {
-                OptionRight::Put => k * (-m.rate * tau).exp() - s_min * (-m.dividend * tau).exp(),
-                OptionRight::Call => 0.0,
-            }),
-            Box::new(move |_tau: f64| rebate),
-        ),
-    };
+    let (lower_bc, upper_bc): (BcFn<'_>, BcFn<'_>) = (
+        Box::new(move |_tau: f64| rebate),
+        Box::new(move |tau: f64| match option.right {
+            // Far above strike and barrier the option behaves like a
+            // forward.
+            OptionRight::Call => s_max * (-m.dividend * tau).exp() - k * (-m.rate * tau).exp(),
+            OptionRight::Put => 0.0,
+        }),
+    );
 
     Solver {
         model: m,
@@ -616,22 +603,6 @@ mod tests {
         // Delta of a down-and-out call near the barrier exceeds vanilla
         // delta (value must fall to zero at H).
         assert!(pde.delta > 0.0);
-    }
-
-    #[test]
-    fn up_out_put_priced() {
-        let m = model();
-        let opt = Barrier {
-            right: OptionRight::Put,
-            kind: BarrierKind::UpOut,
-            strike: 100.0,
-            barrier: 130.0,
-            maturity: 1.0,
-            rebate: 0.0,
-        };
-        let p = pde_barrier(&m, &opt, &cfg());
-        let vanilla = bs_price(&m, &Vanilla::european_put(100.0, 1.0)).price;
-        assert!(p.price > 0.0 && p.price < vanilla);
     }
 
     #[test]

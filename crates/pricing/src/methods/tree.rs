@@ -10,9 +10,9 @@ use crate::options::{Exercise, Vanilla};
 
 /// Tree discretisation parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TreeConfig {
+pub(crate) struct TreeConfig {
     /// Number of tree steps.
-    pub steps: usize,
+    pub(crate) steps: usize,
 }
 
 impl Default for TreeConfig {
@@ -23,17 +23,17 @@ impl Default for TreeConfig {
 
 /// Price (and first-step delta) from a binomial tree.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TreeSolution {
+pub(crate) struct TreeSolution {
     /// Price estimate.
-    pub price: f64,
+    pub(crate) price: f64,
     /// First derivative of the price w.r.t. spot.
-    pub delta: f64,
+    pub(crate) delta: f64,
 }
 
 /// Price a vanilla (European or American) option on a CRR tree:
 /// `u = e^{σ√Δt}`, `d = 1/u`, risk-neutral probability
 /// `p = (e^{(r−q)Δt} − d)/(u − d)`.
-pub fn tree_vanilla(m: &BlackScholes, option: &Vanilla, cfg: &TreeConfig) -> TreeSolution {
+pub(crate) fn tree_vanilla(m: &BlackScholes, option: &Vanilla, cfg: &TreeConfig) -> TreeSolution {
     assert!(cfg.steps >= 2, "tree needs at least 2 steps");
     option.validate().expect("invalid option");
     let n = cfg.steps;

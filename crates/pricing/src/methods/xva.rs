@@ -37,13 +37,13 @@ use super::montecarlo::McResult;
 #[derive(Debug, Clone, PartialEq)]
 pub struct TradeSoA {
     /// Contract notionals (units of the underlying).
-    pub notional: Vec<f64>,
+    notional: Vec<f64>,
     /// Delivery prices.
-    pub strike: Vec<f64>,
+    strike: Vec<f64>,
     /// +1 long / −1 short the forward.
-    pub direction: Vec<f64>,
+    direction: Vec<f64>,
     /// Delivery dates in years.
-    pub maturity: Vec<f64>,
+    maturity: Vec<f64>,
 }
 
 impl TradeSoA {
@@ -71,12 +71,12 @@ impl TradeSoA {
     }
 
     /// Number of trades in the set.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.notional.len()
     }
 
     /// Is the netting set empty?
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.notional.is_empty()
     }
 
@@ -85,7 +85,7 @@ impl TradeSoA {
     /// `a = Σ_alive dir·notional` and
     /// `b = Σ_alive dir·notional·K·e^{-r(T_i − t)}` — one streaming pass
     /// over the SoA per date.
-    pub fn collapse_at(&self, t: f64, rate: f64) -> (f64, f64) {
+    fn collapse_at(&self, t: f64, rate: f64) -> (f64, f64) {
         let mut a = 0.0;
         let mut b = 0.0;
         for i in 0..self.len() {
@@ -128,7 +128,7 @@ impl Default for XvaConfig {
 
 impl XvaConfig {
     /// Parameter sanity checks; `Err` describes the first violation.
-    pub fn validate(&self) -> Result<(), String> {
+    fn validate(&self) -> Result<(), String> {
         if self.paths == 0 {
             return Err("paths must be positive".into());
         }

@@ -29,7 +29,7 @@ impl BlackScholes {
     }
 
     /// Parameter sanity: positive spot and volatility, finite rates.
-    pub fn validate(&self) -> Result<(), String> {
+    fn validate(&self) -> Result<(), String> {
         if !(self.spot > 0.0) {
             return Err(format!("spot must be positive, got {}", self.spot));
         }
@@ -43,24 +43,24 @@ impl BlackScholes {
     }
 
     /// Risk-neutral drift of `ln S`.
-    pub fn log_drift(&self) -> f64 {
+    pub(crate) fn log_drift(&self) -> f64 {
         self.rate - self.dividend - 0.5 * self.sigma * self.sigma
     }
 
     /// Exact terminal sample: `S_T = S₀ exp(log_drift·T + σ√T z)` with
     /// `z ~ N(0,1)`. GBM has an exact transition density, so European
     /// payoffs need a single step.
-    pub fn terminal(&self, t: f64, z: f64) -> f64 {
+    pub(crate) fn terminal(&self, t: f64, z: f64) -> f64 {
         self.spot * (self.log_drift() * t + self.sigma * t.sqrt() * z).exp()
     }
 
     /// One exact transition step from `s` over `dt`.
-    pub fn step(&self, s: f64, dt: f64, z: f64) -> f64 {
+    pub(crate) fn step(&self, s: f64, dt: f64, z: f64) -> f64 {
         s * (self.log_drift() * dt + self.sigma * dt.sqrt() * z).exp()
     }
 
     /// Discount factor `e^{-rT}`.
-    pub fn discount(&self, t: f64) -> f64 {
+    pub(crate) fn discount(&self, t: f64) -> f64 {
         (-self.rate * t).exp()
     }
 }

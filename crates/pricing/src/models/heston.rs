@@ -40,7 +40,7 @@ pub struct Heston {
 impl Heston {
     #[allow(clippy::too_many_arguments)]
     /// Construct with validation; panics on invalid parameters.
-    pub fn new(
+    pub(crate) fn new(
         spot: f64,
         v0: f64,
         kappa: f64,
@@ -70,7 +70,7 @@ impl Heston {
     }
 
     /// Parameter sanity checks; `Err` describes the first violation.
-    pub fn validate(&self) -> Result<(), String> {
+    fn validate(&self) -> Result<(), String> {
         if !(self.spot > 0.0) {
             return Err("spot must be positive".into());
         }
@@ -86,16 +86,10 @@ impl Heston {
         Ok(())
     }
 
-    /// Does the calibration satisfy the Feller condition `2κθ ≥ ξ²`
-    /// (variance a.s. strictly positive)?
-    pub fn feller(&self) -> bool {
-        2.0 * self.kappa * self.theta >= self.xi * self.xi
-    }
-
     /// One full-truncation Euler step of the pair `(s, v)` over `dt` with
     /// correlated standard normals `z1` (spot) and `z2` (variance):
     /// `dW₂ = ρ dW₁ + √(1-ρ²) dW⊥`.
-    pub fn step(&self, s: f64, v: f64, dt: f64, z1: f64, z2: f64) -> (f64, f64) {
+    pub(crate) fn step(&self, s: f64, v: f64, dt: f64, z1: f64, z2: f64) -> (f64, f64) {
         let vp = v.max(0.0);
         let sqdt = dt.sqrt();
         let zv = self.rho * z1 + (1.0 - self.rho * self.rho).sqrt() * z2;
@@ -106,7 +100,7 @@ impl Heston {
     }
 
     /// Discount factor `e^{-rT}`.
-    pub fn discount(&self, t: f64) -> f64 {
+    pub(crate) fn discount(&self, t: f64) -> f64 {
         (-self.rate * t).exp()
     }
 }
@@ -118,6 +112,14 @@ mod tests {
     use numerics::stats::RunningStats;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl Heston {
+        /// Does the calibration satisfy the Feller condition `2κθ ≥ ξ²`
+        /// (variance a.s. strictly positive)?
+        fn feller(&self) -> bool {
+            2.0 * self.kappa * self.theta >= self.xi * self.xi
+        }
+    }
 
     #[test]
     fn standard_calibration_is_feller() {

@@ -56,7 +56,7 @@ impl LocalVol {
     }
 
     /// Parameter sanity checks; `Err` describes the first violation.
-    pub fn validate(&self) -> Result<(), String> {
+    fn validate(&self) -> Result<(), String> {
         if !(self.spot > 0.0 && self.sigma0 > 0.0) {
             return Err("spot and sigma0 must be positive".into());
         }
@@ -72,23 +72,8 @@ impl LocalVol {
         Ok(())
     }
 
-    /// The local volatility σ(t, S).
-    pub fn sigma(&self, t: f64, s: f64) -> f64 {
-        let term = 1.0 + self.term_amp * (-t / self.term_tau).exp();
-        let skew = 1.0 + self.skew_amp * ((self.spot - s) / (self.skew_width * self.spot)).tanh();
-        self.sigma0 * term * skew
-    }
-
-    /// One Euler–Maruyama step on `ln S` (log-Euler keeps the path
-    /// positive):
-    /// `ln S ← ln S + (r − q − σ²(t,S)/2) dt + σ(t,S) √dt z`.
-    pub fn step(&self, t: f64, s: f64, dt: f64, z: f64) -> f64 {
-        let sig = self.sigma(t, s);
-        s * ((self.rate - self.dividend - 0.5 * sig * sig) * dt + sig * dt.sqrt() * z).exp()
-    }
-
     /// Discount factor `e^{-rT}`.
-    pub fn discount(&self, t: f64) -> f64 {
+    pub(crate) fn discount(&self, t: f64) -> f64 {
         (-self.rate * t).exp()
     }
 
@@ -172,6 +157,24 @@ impl EulerGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl LocalVol {
+        /// The local volatility σ(t, S).
+        fn sigma(&self, t: f64, s: f64) -> f64 {
+            let term = 1.0 + self.term_amp * (-t / self.term_tau).exp();
+            let skew =
+                1.0 + self.skew_amp * ((self.spot - s) / (self.skew_width * self.spot)).tanh();
+            self.sigma0 * term * skew
+        }
+
+        /// One Euler–Maruyama step on `ln S` (log-Euler keeps the path
+        /// positive):
+        /// `ln S ← ln S + (r − q − σ²(t,S)/2) dt + σ(t,S) √dt z`.
+        pub(crate) fn step(&self, t: f64, s: f64, dt: f64, z: f64) -> f64 {
+            let sig = self.sigma(t, s);
+            s * ((self.rate - self.dividend - 0.5 * sig * sig) * dt + sig * dt.sqrt() * z).exp()
+        }
+    }
 
     fn model() -> LocalVol {
         LocalVol::standard(100.0, 0.2, 0.05, 0.0)

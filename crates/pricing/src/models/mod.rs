@@ -4,11 +4,11 @@
 //! pricing methods in [`crate::methods`] are generic over the relevant
 //! model where possible and specialised where the numerics demand it.
 
-pub mod black_scholes;
-pub mod heston;
-pub mod local_vol;
-pub mod multi_bs;
-pub mod vasicek;
+mod black_scholes;
+mod heston;
+pub(crate) mod local_vol;
+mod multi_bs;
+mod vasicek;
 
 pub use black_scholes::BlackScholes;
 pub use heston::Heston;

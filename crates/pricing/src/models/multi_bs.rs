@@ -43,7 +43,7 @@ impl MultiBlackScholes {
     }
 
     /// Parameter sanity checks; `Err` describes the first violation.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.dim == 0 {
             return Err("dimension must be at least 1".into());
         }
@@ -79,19 +79,19 @@ impl MultiBlackScholes {
     }
 
     /// Correlated-normal generator for this model's correlation structure.
-    pub fn correlator(&self) -> CorrelatedNormals {
+    pub(crate) fn correlator(&self) -> CorrelatedNormals {
         CorrelatedNormals::equicorrelated(self.dim, self.rho)
             .expect("validated correlation must be positive definite")
     }
 
     /// Risk-neutral drift of `ln S`.
-    pub fn log_drift(&self) -> f64 {
+    pub(crate) fn log_drift(&self) -> f64 {
         self.rate - self.dividend - 0.5 * self.sigma * self.sigma
     }
 
     /// Exact terminal samples for every asset given a *correlated*
     /// Gaussian vector `z` (as produced by [`Self::correlator`]).
-    pub fn terminal(&self, t: f64, z: &[f64], out: &mut [f64]) {
+    pub(crate) fn terminal(&self, t: f64, z: &[f64], out: &mut [f64]) {
         assert_eq!(z.len(), self.dim);
         assert_eq!(out.len(), self.dim);
         let drift = self.log_drift() * t;
@@ -102,7 +102,7 @@ impl MultiBlackScholes {
     }
 
     /// One exact transition step for all assets.
-    pub fn step(&self, s: &mut [f64], dt: f64, z: &[f64]) {
+    pub(crate) fn step(&self, s: &mut [f64], dt: f64, z: &[f64]) {
         assert_eq!(s.len(), self.dim);
         assert_eq!(z.len(), self.dim);
         let drift = self.log_drift() * dt;
@@ -113,7 +113,7 @@ impl MultiBlackScholes {
     }
 
     /// Discount factor `e^{-rT}`.
-    pub fn discount(&self, t: f64) -> f64 {
+    pub(crate) fn discount(&self, t: f64) -> f64 {
         (-self.rate * t).exp()
     }
 }

@@ -42,7 +42,7 @@ impl Vasicek {
     }
 
     /// Parameter sanity checks; `Err` describes the first violation.
-    pub fn validate(&self) -> Result<(), String> {
+    fn validate(&self) -> Result<(), String> {
         if !(self.kappa > 0.0 && self.sigma > 0.0) {
             return Err("kappa and sigma must be positive".into());
         }
@@ -53,7 +53,7 @@ impl Vasicek {
     }
 
     /// The affine factor `B(τ) = (1 − e^{-κτ})/κ`.
-    pub fn b_factor(&self, tau: f64) -> f64 {
+    pub(crate) fn b_factor(&self, tau: f64) -> f64 {
         (1.0 - (-self.kappa * tau).exp()) / self.kappa
     }
 
@@ -67,15 +67,9 @@ impl Vasicek {
         (ln_a - b * self.r0).exp()
     }
 
-    /// Continuously compounded zero yield for maturity `T`.
-    pub fn zero_yield(&self, maturity: f64) -> f64 {
-        assert!(maturity > 0.0);
-        -self.zcb_price(maturity).ln() / maturity
-    }
-
     /// One exact Ornstein–Uhlenbeck transition step:
     /// `r' = θ + (r − θ)e^{-κΔ} + σ√((1 − e^{-2κΔ})/(2κ)) z`.
-    pub fn step(&self, r: f64, dt: f64, z: f64) -> f64 {
+    pub(crate) fn step(&self, r: f64, dt: f64, z: f64) -> f64 {
         let e = (-self.kappa * dt).exp();
         let var = self.sigma * self.sigma * (1.0 - e * e) / (2.0 * self.kappa);
         self.theta + (r - self.theta) * e + var.sqrt() * z
@@ -100,16 +94,6 @@ mod tests {
             prev = p;
         }
         assert!((m.zcb_price(0.0) - 1.0).abs() < 1e-14);
-    }
-
-    #[test]
-    fn zero_yield_tends_to_long_run_level() {
-        let m = Vasicek::new(0.02, 1.0, 0.06, 0.01);
-        // Asymptotic yield = θ − σ²/(2κ²).
-        let asym = m.theta - m.sigma * m.sigma / (2.0 * m.kappa * m.kappa);
-        assert!((m.zero_yield(200.0) - asym).abs() < 1e-3);
-        // Short-end yield anchors to r₀.
-        assert!((m.zero_yield(1e-4) - m.r0).abs() < 1e-4);
     }
 
     #[test]

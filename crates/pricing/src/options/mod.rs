@@ -6,13 +6,13 @@
 //! (single-name and basket). The types here describe the contract terms;
 //! the numerical methods live in [`crate::methods`].
 
-pub mod payoff;
+mod payoff;
 
-pub use payoff::{american_put_payoff, basket_put_payoff, call_payoff, put_payoff, OptionRight};
+pub(crate) use payoff::{call_payoff, put_payoff, OptionRight};
 
 /// Exercise style of a claim.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Exercise {
+pub(crate) enum Exercise {
     /// Exercisable only at maturity.
     European,
     /// Exercisable at any time up to maturity.
@@ -23,13 +23,13 @@ pub enum Exercise {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Vanilla {
     /// Call or put.
-    pub right: OptionRight,
+    pub(crate) right: OptionRight,
     /// Strike price.
     pub strike: f64,
     /// Maturity in years.
-    pub maturity: f64,
+    pub(crate) maturity: f64,
     /// European or American exercise.
-    pub exercise: Exercise,
+    pub(crate) exercise: Exercise,
 }
 
 impl Vanilla {
@@ -64,7 +64,7 @@ impl Vanilla {
     }
 
     /// Parameter sanity checks; `Err` describes the first violation.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if !(self.strike > 0.0) {
             return Err("strike must be positive".into());
         }
@@ -75,7 +75,7 @@ impl Vanilla {
     }
 
     /// Intrinsic value at spot `s`.
-    pub fn payoff(&self, s: f64) -> f64 {
+    pub(crate) fn payoff(&self, s: f64) -> f64 {
         match self.right {
             OptionRight::Call => call_payoff(s, self.strike),
             OptionRight::Put => put_payoff(s, self.strike),
@@ -83,31 +83,21 @@ impl Vanilla {
     }
 }
 
-/// Which side of the barrier knocks the option out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BarrierKind {
-    /// Knocked out when the spot touches the barrier from above
-    /// (`barrier < spot`), the §4.3 "down and out call".
-    DownOut,
-    /// Knocked out when the spot touches the barrier from below.
-    UpOut,
-}
-
-/// A continuously monitored barrier option.
+/// A continuously monitored down-and-out barrier option: knocked out
+/// when the spot touches the barrier from above (`barrier < spot`), the
+/// §4.3 "down and out call".
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Barrier {
     /// Call or put.
-    pub right: OptionRight,
-    /// Knock-out direction.
-    pub kind: BarrierKind,
+    pub(crate) right: OptionRight,
     /// Strike price.
-    pub strike: f64,
+    pub(crate) strike: f64,
     /// Barrier level.
-    pub barrier: f64,
+    pub(crate) barrier: f64,
     /// Maturity in years.
-    pub maturity: f64,
+    pub(crate) maturity: f64,
     /// Paid immediately on knock-out (0 for the paper's products).
-    pub rebate: f64,
+    pub(crate) rebate: f64,
 }
 
 impl Barrier {
@@ -115,7 +105,6 @@ impl Barrier {
     pub fn down_out_call(strike: f64, barrier: f64, maturity: f64) -> Self {
         Barrier {
             right: OptionRight::Call,
-            kind: BarrierKind::DownOut,
             strike,
             barrier,
             maturity,
@@ -124,7 +113,7 @@ impl Barrier {
     }
 
     /// Parameter sanity checks; `Err` describes the first violation.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if !(self.strike > 0.0 && self.barrier > 0.0 && self.maturity > 0.0) {
             return Err("strike, barrier and maturity must be positive".into());
         }
@@ -135,15 +124,12 @@ impl Barrier {
     }
 
     /// Is the option already knocked out at spot `s`?
-    pub fn knocked_out(&self, s: f64) -> bool {
-        match self.kind {
-            BarrierKind::DownOut => s <= self.barrier,
-            BarrierKind::UpOut => s >= self.barrier,
-        }
+    pub(crate) fn knocked_out(&self, s: f64) -> bool {
+        s <= self.barrier
     }
 
     /// Terminal payoff assuming the barrier was never touched.
-    pub fn payoff(&self, s: f64) -> f64 {
+    pub(crate) fn payoff(&self, s: f64) -> f64 {
         match self.right {
             OptionRight::Call => call_payoff(s, self.strike),
             OptionRight::Put => put_payoff(s, self.strike),
@@ -156,13 +142,13 @@ impl Barrier {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BasketOption {
     /// Call or put.
-    pub right: OptionRight,
+    right: OptionRight,
     /// Strike price.
-    pub strike: f64,
+    pub(crate) strike: f64,
     /// Maturity in years.
-    pub maturity: f64,
+    pub(crate) maturity: f64,
     /// European or American exercise.
-    pub exercise: Exercise,
+    pub(crate) exercise: Exercise,
 }
 
 impl BasketOption {
@@ -187,7 +173,7 @@ impl BasketOption {
     }
 
     /// Parameter sanity checks; `Err` describes the first violation.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if !(self.strike > 0.0 && self.maturity > 0.0) {
             return Err("strike and maturity must be positive".into());
         }
@@ -195,7 +181,7 @@ impl BasketOption {
     }
 
     /// Payoff on the arithmetic average of the terminal asset prices.
-    pub fn payoff(&self, spots: &[f64]) -> f64 {
+    pub(crate) fn payoff(&self, spots: &[f64]) -> f64 {
         let avg = spots.iter().sum::<f64>() / spots.len() as f64;
         match self.right {
             OptionRight::Call => call_payoff(avg, self.strike),
@@ -212,11 +198,11 @@ impl BasketOption {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MaxCall {
     /// Strike price.
-    pub strike: f64,
+    pub(crate) strike: f64,
     /// Maturity in years.
-    pub maturity: f64,
+    pub(crate) maturity: f64,
     /// European or American/Bermudan exercise.
-    pub exercise: Exercise,
+    pub(crate) exercise: Exercise,
 }
 
 impl MaxCall {
@@ -230,23 +216,25 @@ impl MaxCall {
     }
 
     /// Parameter sanity checks; `Err` describes the first violation.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if !(self.strike > 0.0 && self.maturity > 0.0) {
             return Err("strike and maturity must be positive".into());
         }
         Ok(())
-    }
-
-    /// Payoff on the maximum of the terminal asset prices.
-    pub fn payoff(&self, spots: &[f64]) -> f64 {
-        let best = spots.iter().fold(f64::NEG_INFINITY, |a, &s| a.max(s));
-        call_payoff(best, self.strike)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MaxCall {
+        /// Payoff on the maximum of the terminal asset prices.
+        fn payoff(&self, spots: &[f64]) -> f64 {
+            let best = spots.iter().fold(f64::NEG_INFINITY, |a, &s| a.max(s));
+            call_payoff(best, self.strike)
+        }
+    }
 
     #[test]
     fn vanilla_payoffs() {
@@ -271,12 +259,6 @@ mod tests {
         assert!(b.knocked_out(80.0));
         assert!(b.knocked_out(75.0));
         assert!(!b.knocked_out(81.0));
-        let u = Barrier {
-            kind: BarrierKind::UpOut,
-            ..b
-        };
-        assert!(u.knocked_out(80.0));
-        assert!(!u.knocked_out(79.0));
     }
 
     #[test]

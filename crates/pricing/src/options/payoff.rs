@@ -2,7 +2,7 @@
 
 /// Call or put.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OptionRight {
+pub(crate) enum OptionRight {
     /// Call.
     Call,
     /// Put.
@@ -12,7 +12,7 @@ pub enum OptionRight {
 impl OptionRight {
     /// +1 for calls, -1 for puts — the sign flip in Black–Scholes
     /// formulas.
-    pub fn sign(&self) -> f64 {
+    pub(crate) fn sign(&self) -> f64 {
         match self {
             OptionRight::Call => 1.0,
             OptionRight::Put => -1.0,
@@ -22,28 +22,14 @@ impl OptionRight {
 
 /// `(s - k)⁺`.
 #[inline]
-pub fn call_payoff(s: f64, k: f64) -> f64 {
+pub(crate) fn call_payoff(s: f64, k: f64) -> f64 {
     (s - k).max(0.0)
 }
 
 /// `(k - s)⁺`.
 #[inline]
-pub fn put_payoff(s: f64, k: f64) -> f64 {
+pub(crate) fn put_payoff(s: f64, k: f64) -> f64 {
     (k - s).max(0.0)
-}
-
-/// American put intrinsic value (alias, kept for call-site readability in
-/// the exercise-decision code).
-#[inline]
-pub fn american_put_payoff(s: f64, k: f64) -> f64 {
-    put_payoff(s, k)
-}
-
-/// Arithmetic-basket put payoff `(k - mean(s))⁺`.
-#[inline]
-pub fn basket_put_payoff(spots: &[f64], k: f64) -> f64 {
-    let avg = spots.iter().sum::<f64>() / spots.len() as f64;
-    put_payoff(avg, k)
 }
 
 #[cfg(test)]
@@ -70,12 +56,5 @@ mod tests {
         for s in [10.0, 90.0, 100.0, 250.0] {
             assert!((call_payoff(s, 100.0) - put_payoff(s, 100.0) - (s - 100.0)).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn basket_put_average() {
-        assert_eq!(basket_put_payoff(&[50.0, 150.0], 120.0), 20.0);
-        assert_eq!(basket_put_payoff(&[200.0], 120.0), 0.0);
-        assert_eq!(american_put_payoff(80.0, 100.0), 20.0);
     }
 }

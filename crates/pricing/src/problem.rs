@@ -84,7 +84,7 @@ impl ModelSpec {
     }
 
     /// The asset class this model belongs to ("equity" or "rates").
-    pub fn asset_class(&self) -> &'static str {
+    fn asset_class(&self) -> &'static str {
         match self {
             ModelSpec::Vasicek(_) => "rates",
             _ => "equity",
@@ -413,7 +413,7 @@ pub struct PricingResult {
     /// Registry name of the method that produced the value
     /// ([`MethodSpec::name`]): a static name, so a result allocates
     /// nothing of its own.
-    pub method: &'static str,
+    method: &'static str,
 }
 
 /// Errors from building or computing a problem.

@@ -427,16 +427,6 @@ fn render_action(a: &Action, out: &mut String) {
 }
 
 impl Trace {
-    /// Number of recorded decisions.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Canonical text form, one `event -> action action ...` line per
     /// entry. Byte-comparable across live and simulated runs.
     pub fn render(&self) -> String {
@@ -659,12 +649,6 @@ impl Scheduler {
         self.finished
     }
 
-    /// Every slave died with work remaining; [`Action::AllSlavesDead`]
-    /// has been emitted.
-    pub fn aborted(&self) -> bool {
-        self.aborted
-    }
-
     /// Finished or aborted: the scheduler accepts no further events.
     pub fn is_terminal(&self) -> bool {
         self.finished || self.aborted
@@ -680,11 +664,6 @@ impl Scheduler {
     pub fn in_flight(&self, slave: usize) -> Option<std::ops::Range<usize>> {
         let inf = self.inflight.get(slave)?.as_ref()?;
         Some(inf.job..inf.job + inf.batch)
-    }
-
-    /// Jobs with an accepted answer.
-    pub fn done_count(&self) -> usize {
-        self.done.iter().filter(|d| **d).count()
     }
 
     /// Jobs neither answered nor permanently failed.
@@ -721,11 +700,6 @@ impl Scheduler {
     /// run is flat).
     pub fn rounds_drained(&self) -> Option<usize> {
         self.round_of.as_ref().map(|_| self.cur_round)
-    }
-
-    /// The recorded decision trace, if tracing was enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
     }
 
     /// Take ownership of the recorded trace.
@@ -1101,6 +1075,31 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Trace {
+        /// Number of recorded decisions.
+        fn len(&self) -> usize {
+            self.entries.len()
+        }
+    }
+
+    impl Scheduler {
+        /// Every slave died with work remaining; [`Action::AllSlavesDead`]
+        /// has been emitted.
+        fn aborted(&self) -> bool {
+            self.aborted
+        }
+
+        /// Jobs with an accepted answer.
+        fn done_count(&self) -> usize {
+            self.done.iter().filter(|d| **d).count()
+        }
+
+        /// The recorded decision trace, if tracing was enabled.
+        fn trace(&self) -> Option<&Trace> {
+            self.trace.as_ref()
+        }
+    }
 
     fn sup() -> Supervision {
         Supervision {

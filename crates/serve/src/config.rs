@@ -4,7 +4,7 @@
 //! invalid field into an [`exec::ConfigIssues`] instead of stopping at
 //! the first failure.
 
-use exec::{ConfigIssues, ExecPolicy, LaneConfig, DEFAULT_CHUNK};
+use exec::{ConfigIssues, ExecPolicy};
 use farm::SupervisorConfig;
 use minimpi::FaultPlan;
 use obs::Recorder;
@@ -25,7 +25,6 @@ pub struct ServeConfig {
     pub(crate) memo_bytes: usize,
     pub(crate) priorities: u8,
     pub(crate) threads: usize,
-    pub(crate) compute_chunk: usize,
     pub(crate) lanes: usize,
     /// The farm's supervision knobs; the slaves' patience is unbounded
     /// (`Duration::MAX`), since a session is long-lived.
@@ -45,7 +44,6 @@ impl ServeConfig {
             memo_bytes: 1 << 20,
             priorities: 3,
             threads: 1,
-            compute_chunk: 0,
             lanes: 1,
             supervisor: SupervisorConfig {
                 slave_idle_timeout: Duration::MAX,
@@ -86,17 +84,11 @@ impl ServeConfig {
         self
     }
 
-    /// Worker threads per slave compute (1 = the legacy sequential
-    /// kernels; >= 2 routes through the chunked executor).
+    /// Worker threads per slave compute (1 with scalar lanes = the
+    /// sequential kernels; anything else routes through the chunked
+    /// executor — [`ExecPolicy::validated`] decides).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Paths per executor chunk (0 = the executor default). Only
-    /// meaningful with [`threads`](Self::threads) >= 2.
-    pub fn compute_chunk(mut self, chunk: usize) -> Self {
-        self.compute_chunk = chunk;
         self
     }
 
@@ -110,18 +102,6 @@ impl ServeConfig {
     /// flight longer than this is presumed lost and requeued.
     pub fn job_deadline(mut self, d: Duration) -> Self {
         self.supervisor.job_deadline = d;
-        self
-    }
-
-    /// Dispatch budget per job before it is abandoned as failed.
-    pub fn max_attempts(mut self, n: u32) -> Self {
-        self.supervisor.max_attempts = n as usize;
-        self
-    }
-
-    /// Base of the exponential retry backoff.
-    pub fn backoff_base(mut self, d: Duration) -> Self {
-        self.supervisor.backoff_base = d;
         self
     }
 
@@ -144,48 +124,31 @@ impl ServeConfig {
         self
     }
 
-    /// Number of slave ranks the session will hold resident.
-    pub fn slave_count(&self) -> usize {
-        self.slaves
-    }
-
     /// Admission limit of priority class `p`: its share of the queue,
     /// halving per class and floored at one slot.
     pub(crate) fn depth_limit(&self, priority: u8) -> usize {
         (self.queue_depth >> priority.min(63)).max(1)
     }
 
-    /// The execution-parameter half of the memo key: `(0, 0)` for the
-    /// legacy sequential kernel, else the *effective* chunk size and
-    /// lane width (both are part of the result contract — see
-    /// `store::MemoKey`).
-    pub(crate) fn memo_params(&self) -> (u32, u32) {
-        if self.threads <= 1 && self.lanes <= 1 {
-            (0, 0)
-        } else {
-            let chunk = if self.compute_chunk == 0 {
-                DEFAULT_CHUNK
-            } else {
-                self.compute_chunk
-            };
-            (chunk as u32, self.lanes.max(1) as u32)
-        }
+    /// The slave-side compute policy, decided by
+    /// [`ExecPolicy::validated`] exactly as `farm::FarmConfig` decides
+    /// it: `None` (the sequential kernel) unless threads or lanes ask
+    /// for the chunked executor.
+    pub(crate) fn exec_policy(&self) -> Option<ExecPolicy> {
+        ExecPolicy::validated(self.threads, self.lanes).expect("validated by Session::start")
     }
 
-    /// The slave-side compute policy, mirroring `farm::FarmConfig`:
-    /// `None` (sequential legacy kernels) unless threads or lanes ask
-    /// for the executor.
-    pub(crate) fn exec_policy(&self) -> Option<ExecPolicy> {
-        (self.threads > 1 || self.lanes > 1).then(|| {
-            ExecPolicy::new(self.threads)
-                .chunk(self.compute_chunk)
-                .lanes(self.lanes)
-        })
+    /// The execution-parameter half of the memo key: `(0, 0)` for the
+    /// sequential kernel, else the policy's chunk size and lane width
+    /// (both are part of the result contract — see `store::MemoKey`).
+    pub(crate) fn memo_params(&self) -> (u32, u32) {
+        self.exec_policy()
+            .map_or((0, 0), |p| (p.chunk_size() as u32, p.lane_width() as u32))
     }
 
     /// Validate the whole configuration, collecting *every* invalid
     /// field (not just the first) into one [`ConfigIssues`].
-    pub fn validate(&self) -> Result<(), ConfigIssues> {
+    pub(crate) fn validate(&self) -> Result<(), ConfigIssues> {
         let mut issues = ConfigIssues::collect();
         if self.slaves == 0 {
             issues.reject("slaves", "session needs at least one slave");
@@ -199,17 +162,8 @@ impl ServeConfig {
         if self.priorities == 0 {
             issues.reject("priorities", "needs at least one priority class");
         }
-        if self.threads == 0 {
-            issues.reject("threads", "compute threads must be at least 1");
-        }
-        if self.compute_chunk > 0 && self.threads <= 1 {
-            issues.reject("compute_chunk", "only applies with threads >= 2");
-        }
-        if let Err(e) = LaneConfig::from_width(self.lanes) {
-            issues.reject("lanes", e);
-        }
-        if self.supervisor.max_attempts == 0 {
-            issues.reject("max_attempts", "must be at least 1");
+        if let Err(bad) = ExecPolicy::validated(self.threads, self.lanes) {
+            issues.issues.extend(bad.issues);
         }
         if self.supervisor.job_deadline.is_zero() {
             issues.reject("job_deadline", "must be nonzero");
@@ -347,11 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn compute_chunk_without_threads_rejected() {
-        assert!(rejected(&ServeConfig::new(2).compute_chunk(256)).has("compute_chunk"));
-    }
-
-    #[test]
     fn unsupported_lane_width_rejected() {
         for lanes in [2usize, 3, 5, 16] {
             assert!(
@@ -359,11 +308,6 @@ mod tests {
                 "lanes={lanes}"
             );
         }
-    }
-
-    #[test]
-    fn zero_max_attempts_rejected() {
-        assert!(rejected(&ServeConfig::new(2).max_attempts(0)).has("max_attempts"));
     }
 
     #[test]
@@ -389,10 +333,10 @@ mod tests {
             .queue_depth(0)
             .threads(0)
             .lanes(7)
-            .max_attempts(0);
+            .poll(Duration::ZERO);
         let issues = rejected(&cfg);
         assert_eq!(issues.issues.len(), 5, "{issues}");
-        for field in ["slaves", "queue_depth", "threads", "lanes", "max_attempts"] {
+        for field in ["slaves", "queue_depth", "threads", "lanes", "poll"] {
             assert!(issues.has(field), "missing {field} in {issues}");
         }
     }
@@ -411,18 +355,10 @@ mod tests {
     fn memo_params_track_the_result_contract() {
         // Sequential kernel: the (0, 0) legacy key.
         assert_eq!(ServeConfig::new(2).memo_params(), (0, 0));
-        // Chunked: effective chunk (default when unset) and lane width.
-        assert_eq!(
-            ServeConfig::new(2).threads(4).memo_params(),
-            (DEFAULT_CHUNK as u32, 1)
-        );
-        assert_eq!(
-            ServeConfig::new(2)
-                .threads(4)
-                .compute_chunk(512)
-                .lanes(8)
-                .memo_params(),
-            (512, 8)
-        );
+        // Chunked: the default chunk and the lane width, whatever the
+        // thread count (one thread with lanes is chunked too).
+        let chunk = exec::DEFAULT_CHUNK as u32;
+        assert_eq!(ServeConfig::new(2).threads(4).memo_params(), (chunk, 1));
+        assert_eq!(ServeConfig::new(2).lanes(8).memo_params(), (chunk, 8));
     }
 }

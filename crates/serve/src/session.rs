@@ -3,8 +3,8 @@
 //!
 //! One [`Session`] spins up the same `slaves + 1`-rank in-process world
 //! as a `farm::run` call — and keeps it. Submitters hand in
-//! [`Request`]s (priced portfolios with a priority class and an
-//! optional queue deadline) and get back a [`Ticket`]; the front loop
+//! [`Request`]s (priced portfolios with a priority class) and get back
+//! a [`Ticket`]; the front loop
 //! (rank 0) drains the queue, coalesces identical problems, serves
 //! repeats from the result memo, and drives each batch through the
 //! farm's one master driver, `farm::driver::drive` — supervised, so a
@@ -82,31 +82,20 @@ const FRAME_CAP_BYTES: usize = 64 << 10;
 pub struct Request {
     problems: Vec<PremiaProblem>,
     priority: u8,
-    deadline: Option<Duration>,
 }
 
 impl Request {
-    /// A request at the default priority (class 1 of 3 — "normal"),
-    /// with no queue deadline.
+    /// A request at the default priority (class 1 of 3 — "normal").
     pub fn new(problems: Vec<PremiaProblem>) -> Self {
         Request {
             problems,
             priority: 1,
-            deadline: None,
         }
     }
 
     /// Set the priority class (0 is the most urgent).
     pub fn priority(mut self, class: u8) -> Self {
         self.priority = class;
-        self
-    }
-
-    /// Bound the time the request may sit in the queue: a request still
-    /// undispatched after `d` is expired (its ticket is answered with
-    /// an error for every problem rather than left hanging).
-    pub fn deadline(mut self, d: Duration) -> Self {
-        self.deadline = Some(d);
         self
     }
 }
@@ -127,11 +116,8 @@ pub struct Priced {
 /// The answer to one admitted request: exactly one per ticket.
 #[derive(Debug, Clone)]
 pub struct Response {
-    /// The request id (matches [`Ticket::id`]).
-    pub id: u64,
     /// Per-problem results, in submission order. `Err` carries the
-    /// reason (compute failure, exhausted retry budget, queue-deadline
-    /// expiry).
+    /// reason (compute failure or an exhausted retry budget).
     pub results: Vec<Result<Priced, String>>,
     /// End-to-end latency, submission to answer.
     pub latency: Duration,
@@ -156,16 +142,10 @@ impl Response {
 /// [`Response`].
 #[derive(Debug)]
 pub struct Ticket {
-    id: u64,
     rx: queue::OneshotReceiver<Response>,
 }
 
 impl Ticket {
-    /// The request id this ticket will be answered under.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
     /// Block until the response arrives. Errs with
     /// [`ServeError::SessionClosed`] only if the session died without
     /// answering (a front-loop panic or a full-world collapse during
@@ -181,8 +161,6 @@ impl Ticket {
 pub struct SessionReport {
     /// Requests answered with priced results.
     pub answered: u64,
-    /// Admitted requests answered as expired (queue deadline).
-    pub expired: u64,
     /// Requests turned away at admission ([`ServeError::Overloaded`]).
     pub shed: u64,
     /// Problems answered without a fresh compute (memo or coalescing).
@@ -298,7 +276,6 @@ struct Submitted {
     /// serialized size.
     keys: Vec<store::MemoKey>,
     priority: u8,
-    deadline: Option<Duration>,
     submitted: Instant,
     /// Recorder clock at submission (None when unrecorded) — the start
     /// of the `Enqueue` and `Admit` spans.
@@ -322,8 +299,8 @@ enum Msg {
 // The session
 // ---------------------------------------------------------------------------
 
-/// A long-lived pricing service over a resident in-process world. See
-/// the [module docs](self) and `docs/SERVICE.md`.
+/// A long-lived pricing service over a resident in-process world; see
+/// the crate docs and `docs/SERVICE.md`.
 pub struct Session {
     tx: queue::Sender<Msg>,
     admission: Arc<Admission>,
@@ -427,7 +404,6 @@ impl Session {
             problems: req.problems,
             keys,
             priority: req.priority,
-            deadline: req.deadline,
             submitted: Instant::now(),
             enq_ns: self.recorder.as_ref().map(|r| r.now_ns()),
             bytes,
@@ -437,7 +413,7 @@ impl Session {
             self.admission.release(req.priority, bytes);
             return Err(ServeError::SessionClosed);
         }
-        Ok(Ticket { id, rx })
+        Ok(Ticket { rx })
     }
 
     /// Note a shed — an [`ServeError::Overloaded`] refusal — for the
@@ -638,33 +614,10 @@ impl Slot {
 }
 
 fn serve_batch(comm: &Comm, cfg: &ServeConfig, admission: &Admission, front: &mut Front) {
-    // Queue residency ends now: close every Enqueue span, then expire
-    // the requests whose queue deadline already passed.
-    let expired = front.requests.extract_if(.., |open| {
-        let s = &open.sub;
+    // Queue residency ends now: close every Enqueue span.
+    for Open { sub: s, .. } in &front.requests {
         let id = s.id as i64;
         span(comm, EventKind::Enqueue, s.enq_ns, id, s.bytes as u64);
-        s.deadline.is_some_and(|d| s.submitted.elapsed() > d)
-    });
-    for Open { sub: s, .. } in expired {
-        let id = s.id as i64;
-        mark(comm, EventKind::Shed, None, id, s.keys.len() as u64);
-        front.report.expired += 1;
-        let waited = s.submitted.elapsed();
-        let _ = s.reply.send(Response {
-            id: s.id,
-            results: s
-                .keys
-                .iter()
-                .map(|_| Err(format!("queue deadline expired after {waited:?}")))
-                .collect(),
-            latency: waited,
-        });
-        // Admission slot freed; the ticket was still answered once.
-        admission.release(s.priority, s.bytes);
-    }
-    if front.requests.is_empty() {
-        return;
     }
 
     // Coalesce: memo first, then within-batch duplicates.
@@ -754,7 +707,6 @@ fn serve_batch(comm: &Comm, cfg: &ServeConfig, admission: &Admission, front: &mu
         span(comm, EventKind::Admit, s.enq_ns, id, results.len() as u64);
         report.answered += 1;
         let _ = s.reply.send(Response {
-            id: s.id,
             results,
             latency: s.submitted.elapsed(),
         });

@@ -16,15 +16,15 @@ pub struct Fetched {
     /// Cache disposition: `None` means the backend has no cache layer
     /// (a plain [`DirStore`]), `Some(true)` a cache hit, `Some(false)`
     /// a miss that went to the backend.
-    pub cached: Option<bool>,
+    pub(crate) cached: Option<bool>,
     /// Bytes the store evicted to make room for this entry (0 unless a
     /// budgeted cache had to reclaim space on this fetch).
-    pub evicted_bytes: u64,
+    pub(crate) evicted_bytes: u64,
 }
 
 impl Fetched {
     /// Wrap a backend read with no cache disposition.
-    pub fn uncached(serial: Serial) -> Self {
+    fn uncached(serial: Serial) -> Self {
         Fetched {
             serial: Arc::new(serial),
             cached: None,
@@ -45,15 +45,15 @@ impl Fetched {
 /// [`ProblemStore::fetch_into`] hands back in the caller's buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Disposition {
-    /// As [`Fetched::cached`].
+    /// As `Fetched::cached`.
     pub cached: Option<bool>,
-    /// As [`Fetched::evicted_bytes`].
+    /// As `Fetched::evicted_bytes`.
     pub evicted_bytes: u64,
 }
 
 impl Disposition {
     /// A backend read with no cache layer.
-    pub const UNCACHED: Disposition = Disposition {
+    const UNCACHED: Disposition = Disposition {
         cached: None,
         evicted_bytes: 0,
     };
@@ -88,7 +88,7 @@ pub struct StoreStats {
     /// Entries evicted to respect a byte budget.
     pub evictions: u64,
     /// Bytes reclaimed by those evictions.
-    pub evicted_bytes: u64,
+    pub(crate) evicted_bytes: u64,
     /// Entries dropped because their on-disk fingerprint changed or an
     /// explicit [`ProblemStore::invalidate`] was issued.
     pub invalidations: u64,

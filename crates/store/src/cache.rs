@@ -132,13 +132,6 @@ impl CachingStore {
     pub fn budget(&self) -> u64 {
         self.budget
     }
-
-    /// Times the entry for `path` has been served from cache (`None`
-    /// when not resident). Test/diagnostic hook.
-    pub fn entry_hits(&self, path: &Path) -> Option<u64> {
-        let state = self.state.lock().expect("cache lock");
-        state.entries.get(path).map(|e| e.hits)
-    }
 }
 
 impl ProblemStore for CachingStore {
@@ -248,6 +241,15 @@ impl ProblemStore for CachingStore {
 mod tests {
     use super::*;
     use nspval::Value;
+
+    impl CachingStore {
+        /// Times the entry for `path` has been served from cache (`None`
+        /// when not resident). Test/diagnostic hook.
+        fn entry_hits(&self, path: &Path) -> Option<u64> {
+            let state = self.state.lock().expect("cache lock");
+            state.entries.get(path).map(|e| e.hits)
+        }
+    }
 
     fn setup(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("store_cache_{tag}"));

@@ -295,11 +295,11 @@ pub struct MemoStats {
     /// Lookups that found nothing.
     pub misses: u64,
     /// Entries inserted.
-    pub insertions: u64,
+    insertions: u64,
     /// Entries evicted to respect the byte budget.
     pub evictions: u64,
     /// Bytes currently charged against the budget.
-    pub bytes_used: usize,
+    bytes_used: usize,
 }
 
 impl MemoStats {
@@ -579,16 +579,6 @@ impl<V: Clone> ResultCache<V> {
         self.slab[at as usize].next = std::mem::replace(&mut self.free, at);
     }
 
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.index.len
-    }
-
-    /// True when the memo holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.index.len == 0
-    }
-
     /// Traffic counters.
     pub fn stats(&self) -> MemoStats {
         self.stats
@@ -598,6 +588,18 @@ impl<V: Clone> ResultCache<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<V: Clone> ResultCache<V> {
+        /// Number of live entries.
+        fn len(&self) -> usize {
+            self.index.len
+        }
+
+        /// True when the memo holds nothing.
+        fn is_empty(&self) -> bool {
+            self.index.len == 0
+        }
+    }
 
     fn key(tag: u8, chunk: u32, lanes: u32) -> MemoKey {
         MemoKey {

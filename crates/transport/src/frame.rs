@@ -95,7 +95,7 @@ impl Frame {
 
     /// Metadata-only copy: same source/tag/length, empty payload. This is
     /// what a probe returns.
-    pub fn meta(&self) -> Frame {
+    pub(crate) fn meta(&self) -> Frame {
         Frame {
             src: self.src,
             tag: self.tag,

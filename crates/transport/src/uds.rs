@@ -200,7 +200,7 @@ impl UdsTransport {
     }
 
     /// The socket path `rank` binds under `dir`.
-    pub fn sock_path(dir: &Path, rank: usize) -> PathBuf {
+    fn sock_path(dir: &Path, rank: usize) -> PathBuf {
         dir.join(format!("{rank}.sock"))
     }
 }

@@ -21,7 +21,7 @@ impl XdrWriter {
     }
 
     /// An empty buffer with the given capacity.
-    pub fn with_capacity(cap: usize) -> Self {
+    pub(crate) fn with_capacity(cap: usize) -> Self {
         XdrWriter {
             buf: Vec::with_capacity(cap),
         }
@@ -31,7 +31,7 @@ impl XdrWriter {
     /// cleared, the allocation is kept. This is how hot encode loops
     /// (e.g. a farm slave packing one result message per job) stay
     /// allocation-free in steady state.
-    pub fn from_vec(mut buf: Vec<u8>) -> Self {
+    pub(crate) fn from_vec(mut buf: Vec<u8>) -> Self {
         buf.clear();
         XdrWriter { buf }
     }
@@ -42,13 +42,8 @@ impl XdrWriter {
     }
 
     /// Number of contained elements.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.buf.len()
-    }
-
-    /// True when there are no elements.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// Append a big-endian u32.
@@ -56,24 +51,14 @@ impl XdrWriter {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
-    /// Append a big-endian i32.
-    pub fn put_i32(&mut self, v: i32) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    /// Append a big-endian u64.
-    pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
     /// Append a big-endian IEEE-754 double.
-    pub fn put_f64(&mut self, v: f64) {
+    pub(crate) fn put_f64(&mut self, v: f64) {
         self.buf.extend_from_slice(&v.to_bits().to_be_bytes());
     }
 
     /// Overwrite the big-endian u32 written at byte offset `at` — how a
     /// count that is only known after its items is filled in.
-    pub fn set_u32(&mut self, at: usize, v: u32) {
+    pub(crate) fn set_u32(&mut self, at: usize, v: u32) {
         self.buf[at..at + 4].copy_from_slice(&v.to_be_bytes());
     }
 
@@ -85,14 +70,14 @@ impl XdrWriter {
     }
 
     /// Append an XDR boolean (4-byte 0/1).
-    pub fn put_bool(&mut self, v: bool) {
+    pub(crate) fn put_bool(&mut self, v: bool) {
         // XDR booleans are 4-byte integers 0/1.
         self.put_u32(v as u32);
     }
 
     /// Variable-length opaque: 4-byte length, payload, zero padding to a
     /// 4-byte boundary.
-    pub fn put_opaque(&mut self, bytes: &[u8]) {
+    pub(crate) fn put_opaque(&mut self, bytes: &[u8]) {
         self.put_u32(bytes.len() as u32);
         self.buf.extend_from_slice(bytes);
         self.pad(bytes.len());
@@ -108,14 +93,6 @@ impl XdrWriter {
     pub fn put_string(&mut self, s: &str) {
         self.put_opaque(s.as_bytes());
     }
-
-    /// Array of doubles, length-prefixed.
-    pub fn put_f64_array(&mut self, xs: &[f64]) {
-        self.put_u32(xs.len() as u32);
-        for &x in xs {
-            self.put_f64(x);
-        }
-    }
 }
 
 /// Streaming XDR decoder over a byte slice.
@@ -127,17 +104,17 @@ pub struct XdrReader<'a> {
 
 impl<'a> XdrReader<'a> {
     /// Construct with validation; panics on invalid parameters.
-    pub fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         XdrReader { buf, pos: 0 }
     }
 
     /// Bytes left to read.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// True when every byte has been consumed.
-    pub fn is_exhausted(&self) -> bool {
+    pub(crate) fn is_exhausted(&self) -> bool {
         self.remaining() == 0
     }
 
@@ -151,18 +128,13 @@ impl<'a> XdrReader<'a> {
     }
 
     /// Read a big-endian u32.
-    pub fn get_u32(&mut self) -> Result<u32, XdrError> {
+    pub(crate) fn get_u32(&mut self) -> Result<u32, XdrError> {
         let b = self.take(4)?;
         Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
     }
 
-    /// Read a big-endian i32.
-    pub fn get_i32(&mut self) -> Result<i32, XdrError> {
-        Ok(self.get_u32()? as i32)
-    }
-
     /// Read a big-endian u64.
-    pub fn get_u64(&mut self) -> Result<u64, XdrError> {
+    fn get_u64(&mut self) -> Result<u64, XdrError> {
         let b = self.take(8)?;
         Ok(u64::from_be_bytes([
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
@@ -170,12 +142,12 @@ impl<'a> XdrReader<'a> {
     }
 
     /// Read a big-endian IEEE-754 double.
-    pub fn get_f64(&mut self) -> Result<f64, XdrError> {
+    pub(crate) fn get_f64(&mut self) -> Result<f64, XdrError> {
         Ok(f64::from_bits(self.get_u64()?))
     }
 
     /// Read an XDR boolean.
-    pub fn get_bool(&mut self) -> Result<bool, XdrError> {
+    pub(crate) fn get_bool(&mut self) -> Result<bool, XdrError> {
         match self.get_u32()? {
             0 => Ok(false),
             1 => Ok(true),
@@ -184,7 +156,7 @@ impl<'a> XdrReader<'a> {
     }
 
     /// Read a length-prefixed padded opaque.
-    pub fn get_opaque(&mut self) -> Result<&'a [u8], XdrError> {
+    pub(crate) fn get_opaque(&mut self) -> Result<&'a [u8], XdrError> {
         let len = self.get_u32()? as usize;
         let payload = self.take(len)?;
         let pad = (4 - len % 4) % 4;
@@ -193,7 +165,7 @@ impl<'a> XdrReader<'a> {
     }
 
     /// Read an XDR string (UTF-8 opaque) borrowed from the buffer.
-    pub fn get_str(&mut self) -> Result<&'a str, XdrError> {
+    pub(crate) fn get_str(&mut self) -> Result<&'a str, XdrError> {
         let bytes = self.get_opaque()?;
         // Keys and names are short and ASCII: one pass over the bytes,
         // where the general validator decodes sequence by sequence.
@@ -206,26 +178,8 @@ impl<'a> XdrReader<'a> {
     }
 
     /// Read an XDR string (UTF-8 opaque).
-    pub fn get_string(&mut self) -> Result<String, XdrError> {
+    pub(crate) fn get_string(&mut self) -> Result<String, XdrError> {
         self.get_str().map(str::to_owned)
-    }
-
-    /// Read a length-prefixed array of doubles.
-    pub fn get_f64_array(&mut self) -> Result<Vec<f64>, XdrError> {
-        let len = self.get_u32()? as usize;
-        // Guard against corrupt length fields asking for absurd allocations.
-        if len
-            .checked_mul(8)
-            .map(|b| b > self.remaining())
-            .unwrap_or(true)
-        {
-            return Err(XdrError::UnexpectedEof);
-        }
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.get_f64()?);
-        }
-        Ok(out)
     }
 }
 
@@ -233,18 +187,23 @@ impl<'a> XdrReader<'a> {
 mod tests {
     use super::*;
 
+    impl XdrWriter {
+        /// Append a big-endian u64.
+        fn put_u64(&mut self, v: u64) {
+            self.buf.extend_from_slice(&v.to_be_bytes());
+        }
+    }
+
     #[test]
     fn integers_round_trip_big_endian() {
         let mut w = XdrWriter::new();
         w.put_u32(0xDEADBEEF);
-        w.put_i32(-42);
         w.put_u64(0x0123456789ABCDEF);
         let bytes = w.into_bytes();
         // Check big-endian layout of the first word.
         assert_eq!(&bytes[..4], &[0xDE, 0xAD, 0xBE, 0xEF]);
         let mut r = XdrReader::new(&bytes);
         assert_eq!(r.get_u32().unwrap(), 0xDEADBEEF);
-        assert_eq!(r.get_i32().unwrap(), -42);
         assert_eq!(r.get_u64().unwrap(), 0x0123456789ABCDEF);
         assert!(r.is_exhausted());
     }
@@ -363,25 +322,5 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = XdrReader::new(&bytes[..5]);
         assert!(matches!(r.get_f64(), Err(XdrError::UnexpectedEof)));
-    }
-
-    #[test]
-    fn f64_array_round_trip() {
-        let xs: Vec<f64> = (0..100).map(|i| i as f64 * 0.5).collect();
-        let mut w = XdrWriter::new();
-        w.put_f64_array(&xs);
-        let bytes = w.into_bytes();
-        let mut r = XdrReader::new(&bytes);
-        assert_eq!(r.get_f64_array().unwrap(), xs);
-    }
-
-    #[test]
-    fn corrupt_array_length_rejected() {
-        let mut w = XdrWriter::new();
-        w.put_u32(u32::MAX); // absurd length
-        w.put_f64(1.0);
-        let bytes = w.into_bytes();
-        let mut r = XdrReader::new(&bytes);
-        assert!(r.get_f64_array().is_err());
     }
 }

@@ -19,7 +19,7 @@ use crate::ser::{
 use nspval::{Hash, Value};
 
 /// A hash of 1×1 leaves and nested such hashes being written, one entry
-/// per call, in order — into a [`Hash`], or by an [`Encoder`] straight
+/// per call, in order — into a [`Hash`](nspval::Hash), or by an [`Encoder`] straight
 /// into the bytes that hash would serialize to. Keys within one hash
 /// must be distinct.
 pub trait FieldSink {

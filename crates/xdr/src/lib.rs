@@ -6,7 +6,7 @@
 //! saved to a file in a format which is independent of the computer
 //! architecture". This crate reproduces that stack:
 //!
-//! * [`codec`] — the XDR primitive encoder/decoder (big-endian integers,
+//! * `codec` — the XDR primitive encoder/decoder (big-endian integers,
 //!   IEEE doubles, length-prefixed padded opaques);
 //! * [`serialize`] / [`unserialize`] — Nsp values ↔ `Serial` byte buffers,
 //!   the payloads of `MPI_Send_Obj`;
@@ -27,7 +27,7 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::undocumented_unsafe_blocks)]
-pub mod codec;
+mod codec;
 pub mod compress;
 mod direct;
 mod error;

@@ -15,8 +15,12 @@
 #      (crates/bench/tests/goldens) are tests here, not separate runs
 #   4. clippy over the workspace with warnings denied; clippy.toml
 #      (root, crates/transport, crates/pricing) carries the raw-mpsc
-#      quarantine and the no-thread-spawn-in-pricing rule
-#   5. the work tree is as the run found it
+#      quarantine and the no-thread-spawn-in-pricing rule, and the root
+#      Cargo.toml's [workspace.lints] the unreachable_pub lint every
+#      crate under crates/ inherits
+#   5. rustdoc over the workspace with warnings denied: public docs may
+#      not link to a private item (or to nothing)
+#   6. the work tree is as the run found it
 #
 # Usage: ./scripts/ci.sh [extra cargo-test args]
 
@@ -29,16 +33,18 @@ run() {
     "$@"
 }
 
-# What `git status` said before anything ran (step 5 compares).
+# What `git status` said before anything ran (step 6 compares).
 tree_before=$(git status --porcelain 2>/dev/null)
 
 echo "==> dependency allowlist (shims/README.md)"
 # The shim directories and the shims/README.md table must name the same
-# set: every directory documented, every documented shim present.
+# set: every directory documented, every documented shim present. The
+# list goes to grep as a here-string: piped into `grep -q`, the writer
+# can die of SIGPIPE once grep has its match, and pipefail reports that.
 allow=$(sed -n 's/^| `\([a-z_]*\)`.*/\1/p' shims/README.md)
 for d in shims/*/; do
     name=$(basename "$d")
-    if ! printf '%s\n' "$allow" | grep -qx "$name"; then
+    if ! grep -qx "$name" <<< "$allow"; then
         echo "error: shim '$name' is not documented in shims/README.md"
         exit 1
     fi
@@ -94,6 +100,10 @@ run cargo test -q --workspace "$@" || exit 1
 # Clippy is not optional: besides the default lints it enforces the
 # clippy.toml disallowed-methods / disallowed-types entries.
 run cargo clippy --workspace --all-targets -- -D warnings || exit 1
+
+# A public doc that links to a crate-private item renders as a dead
+# link; rustdoc reports it, and this makes the report a failure.
+RUSTDOCFLAGS="-D warnings" run cargo doc --workspace --no-deps --offline || exit 1
 
 echo "==> work tree: the run changed no tracked file and left no untracked one"
 tree_after=$(git status --porcelain 2>/dev/null)

@@ -7,7 +7,7 @@ use transport::queue;
 /// Run `f` under a hard wall-clock bound. A scenario that hangs is
 /// itself the bug these suites exist to catch, so the watchdog fails the
 /// test instead of letting the harness time out opaquely.
-pub fn with_watchdog<T, F>(secs: u64, f: F) -> T
+pub(crate) fn with_watchdog<T, F>(secs: u64, f: F) -> T
 where
     T: Send + 'static,
     F: FnOnce() -> T + Send + 'static,

@@ -35,7 +35,7 @@ const METHODS: [&str; 9] = [
 ];
 
 /// All 450 registry triples, priceable or not: the codec does not care.
-pub fn registry() -> Vec<PremiaProblem> {
+pub(crate) fn registry() -> Vec<PremiaProblem> {
     let mut all = Vec::new();
     for m in MODELS {
         for o in OPTIONS {

@@ -223,7 +223,7 @@ fn a_failed_job_means_the_same_thing_on_every_front_end() {
                 strategy: s,
                 ..ShardConfig::new(2, 2)
             };
-            run_sharded(f, &cfg).map(|r| r.into_farm_report(s))
+            run_sharded(f, &cfg).map(|r| r.into_farm_report())
         }),
     ];
     // `true`: job 3's file is renamed away; `false`: it holds a problem

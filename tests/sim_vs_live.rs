@@ -241,10 +241,9 @@ fn sim_and_live_emit_identical_per_job_event_kinds() {
                 .iter()
                 .filter(|e| e.job == job)
                 .map(|e| e.kind)
-                // Diagnostic marks (CopySaved, ComputeChunk, Steal) are
-                // data-dependent bookkeeping, not phases: the live farm
-                // emits CopySaved only when an allocation actually gets
-                // recycled, which no phase schema should legislate.
+                // Diagnostic marks (ComputeChunk, Steal, ...) are
+                // data-dependent bookkeeping, not phases, which no phase
+                // schema should legislate.
                 .filter(|k| !EventKind::DIAGNOSTIC.contains(k))
                 .collect()
         };
