@@ -8,7 +8,9 @@
 //! 3. **compressed serialization** (§3.2's deferred experiment) — message
 //!    sizes and strategy times with LZSS-compressed problem payloads.
 
-use clustersim::{simulate_farm, NfsCache, SimConfig, SimJob};
+use clustersim::{
+    simulate, DispatchPolicy, SchedConfig, SimCaches, SimConfig, SimJob, SimSpec, Topology,
+};
 use farm::portfolio::{realistic_portfolio, toy_portfolio, PortfolioScale};
 use farm::{JobClass, Transmission};
 use numerics::rng::SplitMix64;
@@ -37,6 +39,21 @@ fn table3_jobs() -> Vec<SimJob> {
     sim
 }
 
+/// Makespan of one cold run of the flat farm `farm::run` drives.
+fn makespan(jobs: &[SimJob], slaves: usize, strategy: Transmission, cfg: &SimConfig) -> f64 {
+    let sched = SchedConfig::farm(jobs.len(), slaves, DispatchPolicy::Fifo, None, None);
+    let spec = SimSpec {
+        jobs,
+        strategy,
+        cfg,
+        recorder: None,
+        faults: &[],
+        topology: Topology::Flat(sched),
+    };
+    let out = simulate(&spec, &mut SimCaches::new()).expect("at least one slave");
+    out.makespan
+}
+
 /// Simulate batching by dividing the per-job master/communication
 /// overhead across the batch (one message carries `batch` problems).
 fn simulate_batched(jobs: &[SimJob], slaves: usize, batch: usize, cfg: &SimConfig) -> f64 {
@@ -52,14 +69,7 @@ fn simulate_batched(jobs: &[SimJob], slaves: usize, batch: usize, cfg: &SimConfi
             compute: chunk.iter().map(|j| j.compute).sum(),
         })
         .collect();
-    simulate_farm(
-        &merged,
-        slaves,
-        Transmission::SerializedLoad,
-        cfg,
-        &mut NfsCache::new(),
-    )
-    .makespan
+    makespan(&merged, slaves, Transmission::SerializedLoad, cfg)
 }
 
 fn batching_ablation(cfg: &SimConfig) {
@@ -153,14 +163,7 @@ fn hierarchy_ablation(cfg: &SimConfig) {
                 } else {
                     lo + chunk
                 };
-                let t = simulate_farm(
-                    &jobs[lo..hi],
-                    per_group.max(1),
-                    Transmission::FullLoad,
-                    cfg,
-                    &mut NfsCache::new(),
-                )
-                .makespan;
+                let t = makespan(&jobs[lo..hi], per_group.max(1), Transmission::FullLoad, cfg);
                 worst = worst.max(t);
             }
             line.push_str(&format!(" {worst:>11.4}"));
@@ -215,22 +218,8 @@ fn compression_ablation(cfg: &SimConfig) {
         "CPUs", "plain sload", "compressed sload"
     );
     for cpus in [8usize, 16, 32, 50] {
-        let tp = simulate_farm(
-            &plain_jobs,
-            cpus - 1,
-            Transmission::SerializedLoad,
-            cfg,
-            &mut NfsCache::new(),
-        )
-        .makespan;
-        let tc = simulate_farm(
-            &comp_jobs,
-            cpus - 1,
-            Transmission::SerializedLoad,
-            cfg,
-            &mut NfsCache::new(),
-        )
-        .makespan;
+        let tp = makespan(&plain_jobs, cpus - 1, Transmission::SerializedLoad, cfg);
+        let tc = makespan(&comp_jobs, cpus - 1, Transmission::SerializedLoad, cfg);
         println!("{cpus:>6} | {tp:>14.4} {tc:>17.4}");
     }
     println!(

@@ -1,7 +1,7 @@
 //! The `--breakdown` surface shared by the table binaries.
 //!
 //! Replays one CPU count of a table's workload through
-//! [`clustersim::simulate_farm_recorded`] — once per transmission
+//! [`clustersim::simulate`] — once per transmission
 //! strategy, each against a *cold* NFS cache so the strategies are
 //! compared on equal footing — aggregates the recorded event stream into
 //! an [`obs::BreakdownReport`], self-checks it (phase seconds within the
@@ -9,7 +9,9 @@
 //! serialized load pays the least problem-acquisition time), and prints
 //! both the fixed-width table and the machine-readable JSON form.
 
-use clustersim::{simulate_farm_config, DispatchPolicy, SchedConfig, SimCaches, SimConfig, SimJob};
+use clustersim::{
+    simulate, DispatchPolicy, SchedConfig, SimCaches, SimConfig, SimJob, SimSpec, Topology,
+};
 use farm::Transmission;
 use obs::{Breakdown, BreakdownReport, EventKind, Recorder, StrategyBreakdown};
 
@@ -116,20 +118,19 @@ pub fn breakdown_report(
         let mut caches = SimCaches::new();
         // What `farm::run` drives for a plain FIFO run: job frames.
         let flat = |policy| SchedConfig::farm(jobs.len(), slaves, policy, None, None);
-        let fifo = flat(DispatchPolicy::Fifo);
         let one_run =
-            |label: String, run_cfg: &SimConfig, caches: &mut SimCaches, sched: &SchedConfig| {
+            |label: String, cfg: &SimConfig, caches: &mut SimCaches, sched: SchedConfig| {
                 let rec = Recorder::with_capacity(slaves + 1, RING_CAPACITY);
-                let (out, _) = simulate_farm_config(
+                let spec = SimSpec {
                     jobs,
                     strategy,
-                    run_cfg,
-                    caches,
-                    Some(&rec),
-                    sched.clone(),
-                    &[],
-                )
-                .expect("breakdown scheduling options are always self-consistent");
+                    cfg,
+                    recorder: Some(&rec),
+                    faults: &[],
+                    topology: Topology::Flat(sched),
+                };
+                let out = simulate(&spec, caches)
+                    .expect("breakdown scheduling options are always self-consistent");
                 StrategyBreakdown {
                     strategy: label,
                     cpus: opts.cpus,
@@ -142,14 +143,14 @@ pub fn breakdown_report(
             strategy.label().to_string(),
             &cfg,
             &mut caches,
-            &fifo,
+            flat(DispatchPolicy::Fifo),
         ));
         if opts.warm {
             report.runs.push(one_run(
                 format!("{} (warm)", strategy.label()),
                 &cfg,
                 &mut caches,
-                &fifo,
+                flat(DispatchPolicy::Fifo),
             ));
         }
         if opts.threads > 1 {
@@ -159,7 +160,7 @@ pub fn breakdown_report(
                 format!("{} (x{} threads)", strategy.label(), opts.threads),
                 &cfg_thr,
                 &mut SimCaches::new(),
-                &fifo,
+                flat(DispatchPolicy::Fifo),
             ));
         }
         if opts.lanes > 1 {
@@ -169,7 +170,7 @@ pub fn breakdown_report(
                 lane_label(strategy, opts),
                 &cfg_lane,
                 &mut SimCaches::new(),
-                &fifo,
+                flat(DispatchPolicy::Fifo),
             ));
         }
         if opts.order_lpt {
@@ -182,7 +183,7 @@ pub fn breakdown_report(
                 format!("{} (fifo, per job)", strategy.label()),
                 &cfg,
                 &mut SimCaches::new(),
-                &SchedConfig::plain(jobs.len(), slaves),
+                SchedConfig::plain(jobs.len(), slaves),
             ));
             let lpt = flat(DispatchPolicy::Lpt {
                 costs: jobs.iter().map(|j| j.compute).collect(),
@@ -191,7 +192,7 @@ pub fn breakdown_report(
                 format!("{} (lpt)", strategy.label()),
                 &cfg,
                 &mut SimCaches::new(),
-                &lpt,
+                lpt,
             ));
         }
     }

@@ -20,17 +20,13 @@
 //!   and the job's compute cost, drawn per §4.3 class from a calibrated
 //!   [`farm::calibrate::CostModel`].
 //!
-//! `tables` assembles this into the generators for Tables I, II and III.
-//!
-//! [`simulate_serve`] layers the live `serve::Session` front loop on
-//! top: an open-loop arrival stream with per-priority admission shares,
-//! request coalescing, result memoisation, and the same request-level
-//! `Enqueue`/`Admit`/`Shed`/`MemoHit` event schema, so one
-//! `obs::Breakdown` reports p50/p99 for simulated and live service
-//! alike.
+//! [`simulate`] is the one entry point: a [`SimSpec`] names the jobs,
+//! the strategy, the model, an optional recorder and scripted faults,
+//! and the [`Topology`] — one master under the live scheduler's own
+//! [`SchedConfig`], or sharded peer masters. `tables` assembles it into
+//! the generators for Tables I, II and III.
 
 #![warn(missing_docs)]
-#![allow(clippy::too_many_arguments)]
 
 mod params;
 mod resource;
@@ -43,10 +39,7 @@ pub use params::{
 };
 pub use sched::{DispatchPolicy, SchedConfig, SchedError, Supervision, Trace};
 pub use sim::{
-    simulate_farm, simulate_farm_cached, simulate_farm_config, simulate_farm_recorded,
-    simulate_farm_sched, simulate_serve, simulate_sharded, ClientCache, NfsCache, ServeSimOutcome,
-    ShardSimConfig, ShardSimOutcome, SimCaches, SimFault, SimJob, SimOutcome, SimRequest,
-    SimSchedOpts,
+    simulate, NfsCache, SimCaches, SimError, SimFault, SimJob, SimOutcome, SimSpec, Topology,
 };
 pub use tables::{
     format_table, speedup_ratio, table1_rows, table1_sim_jobs, table2_rows, table2_sim_jobs,

@@ -16,11 +16,11 @@ use farm::strategy::Transmission;
 use farm::JobClass;
 use obs::{Event, EventKind, Recorder, NO_JOB};
 use sched::{
-    Action, Batch, DispatchPolicy, Event as SchedEvent, SchedConfig, SchedError, Scheduler,
-    Supervision, Trace,
+    Action, Batch, DispatchPolicy, Event as SchedEvent, SchedConfig, SchedError, Scheduler, Trace,
 };
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::fmt;
 
 /// One job as the simulator sees it: a class (for bookkeeping), the size
 /// of its problem file on the wire, and a pre-drawn compute duration.
@@ -46,7 +46,7 @@ pub struct NfsCache {
 }
 
 impl NfsCache {
-    /// Construct with validation; panics on invalid parameters.
+    /// An empty (cold) cache.
     pub fn new() -> Self {
         NfsCache::default()
     }
@@ -57,30 +57,6 @@ impl NfsCache {
     }
 }
 
-/// The client-side problem cache (the `store` crate's [`CachingStore`]
-/// as the simulator models it): a set of problem files already resident
-/// on the farm side. Unlike [`NfsCache`] — which lives on the *server*
-/// and only accelerates the NFS strategy's reads — this one sits in
-/// front of every fetch the farm makes, whichever strategy runs.
-///
-/// [`CachingStore`]: https://docs.rs/store
-#[derive(Debug, Default, Clone)]
-pub struct ClientCache {
-    files: HashSet<usize>,
-}
-
-impl ClientCache {
-    /// A fresh, empty cache.
-    pub(crate) fn new() -> Self {
-        ClientCache::default()
-    }
-
-    /// Record an access; returns true if it was already cached.
-    fn access(&mut self, file: usize) -> bool {
-        !self.files.insert(file)
-    }
-}
-
 /// Both caches a simulated run can carry across calls: the NFS server's
 /// block cache and the farm's client-side problem cache. Pass the same
 /// value again to model a warm re-run; pass a fresh one for cold.
@@ -88,8 +64,9 @@ impl ClientCache {
 pub struct SimCaches {
     /// NFS server block cache (server side).
     pub(crate) nfs: NfsCache,
-    /// Problem-store cache (client side).
-    pub(crate) client: ClientCache,
+    /// Problem files resident on the farm side (a `store::CachingStore`):
+    /// unlike `nfs`, it sits in front of every fetch, whichever strategy.
+    pub(crate) client: HashSet<usize>,
 }
 
 impl SimCaches {
@@ -99,23 +76,28 @@ impl SimCaches {
     }
 }
 
-/// Simulation result for one farm run.
+/// What one simulated run produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimOutcome {
     /// Wall-clock makespan in (simulated) seconds.
     pub makespan: f64,
-    /// Jobs completed per slave.
+    /// Jobs completed per slave (a sharded run lists shard 0's slaves
+    /// first, then shard 1's, and so on).
     pub per_slave: Vec<usize>,
     /// Fraction of the run the master spent busy (the §4.2/§5 bottleneck
-    /// diagnostic).
+    /// diagnostic); a sharded run's is the mean over its masters.
     master_utilisation: f64,
+    /// The decision trace, when the flat config set `record_trace`.
+    pub trace: Option<Trace>,
+    /// Steal rounds a sharded run performed.
+    steals: usize,
 }
 
-/// A scripted slave death for [`simulate_farm_sched`]: the simulated
-/// counterpart of `minimpi`'s `FaultPlan::kill_rank_at_op`. The slave
-/// computes its fatal job in full but dies *sending the result* — the
-/// answer never reaches the master, whose liveness sweep notices the
-/// death `detect_delay_s` simulated seconds later.
+/// A scripted slave death for a supervised [`Topology::Flat`] run: the
+/// simulated counterpart of `minimpi`'s `FaultPlan::kill_rank_at_op`.
+/// The slave computes its fatal job in full but dies *sending the
+/// result* — the answer never reaches the master, whose liveness sweep
+/// notices the death `detect_delay_s` simulated seconds later.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimFault {
     /// Slave index, `0..slaves` (MPI rank `slave + 1`).
@@ -128,40 +110,94 @@ pub struct SimFault {
     pub detect_delay_s: f64,
 }
 
-/// Scheduling options for [`simulate_farm_sched`]: which
-/// [`DispatchPolicy`] orders the queue, whether the supervised master
-/// (deadlines, retries, burial) runs, whether the decision [`Trace`] is
-/// recorded, and any scripted [`SimFault`]s. The default — FIFO,
-/// unsupervised, untraced, fault-free — is the plain `farm::run` master
-/// (job frames) that [`simulate_farm_cached`] and friends replay.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimSchedOpts {
-    /// Dispatch order for queued jobs.
-    pub policy: DispatchPolicy,
-    /// `Some` runs the supervised master; required for `faults`.
-    pub supervision: Option<Supervision>,
-    /// Record the scheduler's timestamp-free decision trace.
-    pub record_trace: bool,
-    /// Scripted slave deaths (at most one can fire per slave).
-    pub faults: Vec<SimFault>,
-    /// `Some(r)` declares staged rounds (`r[job]` = round index): no
-    /// job of round `k + 1` is dispatched before round `k` drains — the
-    /// Picard-iteration shape of the BSDE workloads. `None` is the flat
-    /// historical machine.
-    pub rounds: Option<Vec<usize>>,
+/// Everything one simulated run depends on but its caches: the input of
+/// [`simulate`].
+#[derive(Debug, Clone)]
+pub struct SimSpec<'a> {
+    /// The jobs, in queue order.
+    pub jobs: &'a [SimJob],
+    /// How a problem reaches its slave.
+    pub strategy: Transmission,
+    /// The performance model.
+    pub cfg: &'a SimConfig,
+    /// Receives every phase in the live farm's [`obs::EventKind`] schema
+    /// (rank 0 the master, slave *s* rank `s + 1`). Flat runs only.
+    pub recorder: Option<&'a Recorder>,
+    /// Scripted slave deaths; supervised flat runs only.
+    pub faults: &'a [SimFault],
+    /// Who dispatches the jobs.
+    pub topology: Topology,
 }
 
-impl Default for SimSchedOpts {
-    fn default() -> Self {
-        SimSchedOpts {
-            policy: DispatchPolicy::Fifo,
-            supervision: None,
-            record_trace: false,
-            faults: Vec::new(),
-            rounds: None,
+/// The masters of a simulated run and how they dispatch.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Topology {
+    /// One master under the scheduler config the live front-end being
+    /// modelled drives: [`SchedConfig::farm`], as `farm::run` builds it,
+    /// or [`SchedConfig::plain`], Fig. 4's per-job protocol the paper's
+    /// tables time. Its `jobs` must be the spec's job count.
+    Flat(SchedConfig),
+    /// Peer masters (the live `farm::shard`), each over a contiguous pool
+    /// and a private farm. The earliest-free master (lowest index on
+    /// ties) leases its next round from its pool's front or, once dry,
+    /// the richest peer's back; each round is a [`SchedConfig::plain`]
+    /// flat run on that master's clock, through the one `caches`.
+    Sharded {
+        /// Number of peer masters.
+        shards: usize,
+        /// Compute slaves per shard.
+        slaves_per_shard: usize,
+        /// Jobs a master leases per round; `0` leases the whole pool at
+        /// once (which also leaves nothing to steal).
+        lease: usize,
+        /// Steal from the richest peer pool when the own pool drains.
+        steal: bool,
+    },
+}
+
+/// Why [`simulate`] refused a spec.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SimError {
+    /// The scheduler refused the flat config (zero slaves per shard is
+    /// [`SchedError::NoSlaves`] too).
+    Sched(SchedError),
+    /// Scripted deaths need a supervised flat master: a plain one would
+    /// wait forever for the dead slave's answer.
+    FaultsNeedSupervision,
+    /// A sharded topology with no shards.
+    NoShards,
+    /// A recorder on a sharded run, whose rounds have no one timeline.
+    ShardedRecorder,
+    /// A flat config sized for another number of jobs than the spec's.
+    JobCount {
+        /// The config's `jobs`.
+        sched: usize,
+        /// The spec's job count.
+        jobs: usize,
+    },
+}
+
+impl From<SchedError> for SimError {
+    fn from(e: SchedError) -> Self {
+        SimError::Sched(e)
+    }
+}
+
+impl fmt::Display for SimError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SimError::Sched(e) => e.fmt(f),
+            SimError::FaultsNeedSupervision => f.write_str("faults need a supervised flat run"),
+            SimError::NoShards => f.write_str("a sharded run needs at least one shard"),
+            SimError::ShardedRecorder => f.write_str("a sharded run cannot be recorded"),
+            SimError::JobCount { sched, jobs } => {
+                write!(f, "scheduler config for {sched} jobs, spec holds {jobs}")
+            }
         }
     }
 }
+
+impl std::error::Error for SimError {}
 
 /// Total f64 ordering wrapper for the event heap.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -181,32 +217,23 @@ impl Ord for Time {
     }
 }
 
-/// Replay one Robin-Hood farm run.
-///
-/// `slaves` is the number of worker ranks (the paper's tables count
-/// `slaves + 1` CPUs). The NFS cache persists across calls when the same
-/// `cache` is passed again — pass a fresh one for a cold run.
-pub fn simulate_farm(
-    jobs: &[SimJob],
-    slaves: usize,
-    strategy: Transmission,
-    cfg: &SimConfig,
-    cache: &mut NfsCache,
-) -> SimOutcome {
-    simulate_farm_recorded(jobs, slaves, strategy, cfg, cache, None)
+/// Replay `spec` against the performance model. `caches` persist across
+/// calls: pass the same value again to model a warm re-run, a fresh one
+/// for a cold run.
+pub fn simulate(spec: &SimSpec, caches: &mut SimCaches) -> Result<SimOutcome, SimError> {
+    match &spec.topology {
+        Topology::Flat(sched) => flat(spec, sched, caches),
+        &Topology::Sharded {
+            shards,
+            slaves_per_shard,
+            lease,
+            steal,
+        } => sharded(spec, shards, slaves_per_shard, lease, steal, caches),
+    }
 }
 
-/// [`simulate_farm`] with phase-level observability: every simulated
-/// phase lands in `recorder` as the *same* [`obs::EventKind`] stream the
-/// live instrumented farm produces (master prep as `Serialize`/`Sload`,
-/// NIC occupancy as `Send`, slave-side `Probe`/`Recv`/`Unpack` or
-/// `NfsRead`, then `Compute` and the reply), with simulated seconds
-/// mapped to nanosecond timestamps. This makes simulated and live runs
-/// diffable per phase through one [`obs::Breakdown`] aggregator.
-///
-/// Rank convention matches the live farm: rank 0 is the master, slave
-/// *s* is rank `s + 1` — size the recorder with at least `slaves + 1`
-/// ranks.
+/// [`simulate`] on the flat farm `farm::run` drives, from a cold client
+/// cache: kept only because `perf/src/layers.rs` calls this signature.
 pub fn simulate_farm_recorded(
     jobs: &[SimJob],
     slaves: usize,
@@ -215,86 +242,28 @@ pub fn simulate_farm_recorded(
     cache: &mut NfsCache,
     recorder: Option<&Recorder>,
 ) -> SimOutcome {
+    let sched = SchedConfig::farm(jobs.len(), slaves, DispatchPolicy::Fifo, None, None);
+    let spec = SimSpec {
+        jobs,
+        strategy,
+        cfg,
+        recorder,
+        faults: &[],
+        topology: Topology::Flat(sched),
+    };
     let mut caches = SimCaches {
         nfs: std::mem::take(cache),
-        client: ClientCache::new(),
+        ..SimCaches::new()
     };
-    let out = simulate_farm_cached(jobs, slaves, strategy, cfg, &mut caches, recorder);
+    let out = simulate(&spec, &mut caches).expect("needs at least one slave");
     *cache = caches.nfs;
     out
 }
 
-/// [`simulate_farm_recorded`] with the full cache state: the NFS server
-/// block cache *and* the client-side problem cache persist across calls
-/// through `caches`, so warm-store re-runs (`SimConfig::store` with
-/// `client_cache` on) and compressed-wire runs can be replayed at
-/// cluster scale. With the default [`crate::params::StoreParams`] (both
-/// knobs off) this is bit-identical to [`simulate_farm_recorded`].
-///
-/// When `client_cache` is on, every fetch additionally lands in the
-/// recorder as a zero-duration `CacheHit`/`CacheMiss` mark on the rank
-/// that fetched (master for loaded strategies, the slave for NFS) —
-/// the same schema the live farm emits through a `CachingStore`.
-pub fn simulate_farm_cached(
-    jobs: &[SimJob],
-    slaves: usize,
-    strategy: Transmission,
-    cfg: &SimConfig,
-    caches: &mut SimCaches,
-    recorder: Option<&Recorder>,
-) -> SimOutcome {
-    let (out, _) = simulate_farm_sched(
-        jobs,
-        slaves,
-        strategy,
-        cfg,
-        caches,
-        recorder,
-        &SimSchedOpts::default(),
-    )
-    .expect("the default scheduling options are always valid");
-    out
-}
-
-/// [`simulate_farm_cached`] with the scheduler exposed: the same
-/// performance model, but the dispatch decisions — order, supervision,
-/// scripted slave deaths — come from [`SimSchedOpts`], and the
-/// scheduler's timestamp-free decision [`Trace`] is returned alongside
-/// the outcome when `opts.record_trace` is set. With the default
-/// options this is bit-identical to [`simulate_farm_cached`].
-///
-/// The scheduler config is built through [`SchedConfig::farm`], the
-/// constructor `farm::run` uses: a FIFO, unsupervised, unstaged run
-/// dispatches guided frames here exactly when it does live.
-pub fn simulate_farm_sched(
-    jobs: &[SimJob],
-    slaves: usize,
-    strategy: Transmission,
-    cfg: &SimConfig,
-    caches: &mut SimCaches,
-    recorder: Option<&Recorder>,
-    opts: &SimSchedOpts,
-) -> Result<(SimOutcome, Option<Trace>), SchedError> {
-    assert!(slaves >= 1, "need at least one slave");
-    let sched = SchedConfig {
-        record_trace: opts.record_trace,
-        ..SchedConfig::farm(
-            jobs.len(),
-            slaves,
-            opts.policy.clone(),
-            opts.supervision,
-            opts.rounds.clone(),
-        )
-    };
-    simulate_farm_config(jobs, strategy, cfg, caches, recorder, sched, &opts.faults)
-}
-
-/// The replay itself, under whatever scheduler config the front-end
-/// being simulated drives live: [`simulate_farm_sched`] hands it the
-/// flat farm's, [`simulate_sharded`] and the paper's table generators a
-/// [`SchedConfig::plain`] one, and a caller comparing protocols whichever
-/// it wants to hold fixed. `faults` script slave deaths (supervised
-/// configs only).
+/// One master replaying `spec.jobs` under `sched`, in simulated seconds
+/// (recorded as nanoseconds). Master prep lands in the recorder as
+/// `Serialize`/`Sload`, NIC occupancy as `Send`, the slave side as
+/// `Probe`/`Recv`/`Unpack` or `NfsRead`, then `Compute` and the reply.
 ///
 /// A [`Batch::Guided`] run speaks the job-frame protocol, a
 /// `Dispatch { batch: n }` costing what the live frame does: n prepares
@@ -306,26 +275,32 @@ pub fn simulate_farm_sched(
 /// message, packed payload, answer) as the paper's tables and
 /// `scripts/fig4_farm.nsp` speak it — not what a live farm sends, which
 /// is a frame of one job.
-pub fn simulate_farm_config(
-    jobs: &[SimJob],
-    strategy: Transmission,
-    cfg: &SimConfig,
+///
+/// NFS reads go through `caches`, and so does every fetch with
+/// `SimConfig::store`'s client cache on, marked `CacheHit`/`CacheMiss` on
+/// the fetching rank as a live `CachingStore` marks it.
+fn flat(
+    spec: &SimSpec,
+    sched: &SchedConfig,
     caches: &mut SimCaches,
-    recorder: Option<&Recorder>,
-    sched: SchedConfig,
-    faults: &[SimFault],
-) -> Result<(SimOutcome, Option<Trace>), SchedError> {
+) -> Result<SimOutcome, SimError> {
+    let (jobs, strategy, cfg, faults) = (spec.jobs, spec.strategy, spec.cfg, spec.faults);
+    if sched.jobs != jobs.len() {
+        return Err(SimError::JobCount {
+            sched: sched.jobs,
+            jobs: jobs.len(),
+        });
+    }
+    let supervised = sched.supervision.is_some();
+    if !faults.is_empty() && !supervised {
+        return Err(SimError::FaultsNeedSupervision);
+    }
     let slaves = sched.slaves;
     let framed = sched.batch == Batch::Guided;
-    let supervised = sched.supervision.is_some();
-    assert!(
-        faults.is_empty() || supervised,
-        "scripted slave deaths require supervision (the plain master would hang)"
-    );
     // Simulated-seconds → event-record adapter. All events funnel through
     // here so disabling the recorder costs exactly one branch.
     let emit = |kind: EventKind, rank: usize, job: i64, start_s: f64, dur_s: f64, bytes: usize| {
-        if let Some(rec) = recorder {
+        if let Some(rec) = spec.recorder {
             rec.record(Event {
                 kind,
                 rank: rank as u16,
@@ -419,7 +394,7 @@ pub fn simulate_farm_config(
             // load's materialisation (unserialize + rebuild + reserialize)
             // is CPU work the cache cannot skip and is paid either way.
             let (fetch_span, master_hit) = if store.client_cache && loaded {
-                let hit = caches.client.access(job.id);
+                let hit = !caches.client.insert(job.id);
                 let materialise = match strategy {
                     Transmission::FullLoad => {
                         (cfg.master.full_load_prep - cfg.master.sload_prep).max(0.0)
@@ -507,7 +482,7 @@ pub fn simulate_farm_config(
      -> f64 {
         let (srank, jid) = (s + 1, job.id as i64);
         if !loaded {
-            if store.client_cache && caches.client.access(job.id) {
+            if store.client_cache && !caches.client.insert(job.id) {
                 // Warm client cache: the slave's fetch never leaves the
                 // node — no NFS server trip, no FIFO queueing.
                 emit(
@@ -656,7 +631,7 @@ pub fn simulate_farm_config(
     };
 
     // The scheduler: the same pure state machine the live masters drive.
-    let mut sched = Scheduler::new(sched)?;
+    let mut sched = Scheduler::new(sched.clone())?;
     let ns = |t: f64| -> u64 { (t * 1e9) as u64 };
 
     // Execute one action batch: dispatches run the performance model and
@@ -787,106 +762,65 @@ pub fn simulate_farm_config(
     } else {
         0.0
     };
-    Ok((
-        SimOutcome {
-            makespan,
-            per_slave: st.per_slave,
-            master_utilisation: util,
-        },
-        sched.take_trace(),
-    ))
+    Ok(SimOutcome {
+        makespan,
+        per_slave: st.per_slave,
+        master_utilisation: util,
+        trace: sched.take_trace(),
+        steals: 0,
+    })
 }
 
-// ---------------------------------------------------------------------------
-// Sharded peer masters: the simulated counterpart of `farm::shard`
-// ---------------------------------------------------------------------------
-
-/// Configuration of a sharded simulated run — the model-side mirror of
-/// the live `farm::shard::ShardConfig`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardSimConfig {
-    /// Number of peer masters, each with a private slave farm.
+/// Peer masters over contiguous pools (remainder spread over the first
+/// shards, the chunking the live `seed_pools` performs), each advancing
+/// on its own clock; see [`Topology::Sharded`].
+fn sharded(
+    spec: &SimSpec,
     shards: usize,
-    /// Compute slaves per shard.
     slaves_per_shard: usize,
-    /// Jobs a master leases per round; `0` leases the whole shard at
-    /// once (which also leaves nothing to steal).
     lease: usize,
-    /// Steal from the richest peer pool when the own pool drains.
     steal: bool,
-}
-
-/// What a sharded simulated run produced.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardSimOutcome {
-    /// Wall-clock makespan: the last shard to drain, simulated seconds.
-    makespan: f64,
-    /// Jobs computed under each shard's master (stolen ones included).
-    per_shard_jobs: Vec<usize>,
-    /// Per-shard busy time (that shard's last round end).
-    per_shard_time: Vec<f64>,
-    /// Number of steal rounds performed.
-    steals: usize,
-}
-
-/// Replay a sharded peer-master run against the performance model.
-///
-/// Each shard is an independent simulated farm (its own master, NIC,
-/// slaves and caches) advancing on its own virtual clock; the *globally
-/// earliest-free* master leases its next round, exactly mirroring the
-/// live `farm::shard` round structure: lease from the own pool's front,
-/// steal from the richest peer's back once dry. Deterministic — ties
-/// break on the lowest shard index — so sweep tables are reproducible.
-///
-/// With `shards == 1` and `lease == 0` this is one per-job farm run:
-/// the outcome is bit-identical to [`simulate_farm_config`] on the same
-/// jobs under [`SchedConfig::plain`]. This is how Tables I–III extend to 512-core sharded runs (64
-/// peer masters × 8 slaves) without a global master in the model.
-pub fn simulate_sharded(
-    jobs: &[SimJob],
-    cfg: &ShardSimConfig,
-    strategy: Transmission,
-    sim: &SimConfig,
-) -> ShardSimOutcome {
-    assert!(cfg.shards >= 1, "need at least one shard");
-    assert!(cfg.slaves_per_shard >= 1, "need at least one slave per shard");
-    let shards = cfg.shards;
-    // Contiguous pools, remainder spread over the first shards — the
-    // same chunking the live seed_pools performs.
-    let base = jobs.len() / shards;
-    let rem = jobs.len() % shards;
-    let mut begin = 0usize;
-    let mut pools: Vec<std::collections::VecDeque<usize>> = (0..shards)
-        .map(|s| {
-            let len = base + usize::from(s < rem);
-            let pool = (begin..begin + len).collect();
-            begin += len;
-            pool
-        })
+    caches: &mut SimCaches,
+) -> Result<SimOutcome, SimError> {
+    if shards == 0 {
+        return Err(SimError::NoShards);
+    }
+    if slaves_per_shard == 0 {
+        return Err(SchedError::NoSlaves.into());
+    }
+    if spec.recorder.is_some() {
+        return Err(SimError::ShardedRecorder);
+    }
+    if !spec.faults.is_empty() {
+        return Err(SimError::FaultsNeedSupervision);
+    }
+    let jobs = spec.jobs;
+    let (base, rem) = (jobs.len() / shards, jobs.len() % shards);
+    let start = |s: usize| s * base + s.min(rem);
+    let mut pools: Vec<VecDeque<usize>> = (0..shards)
+        .map(|s| (start(s)..start(s + 1)).collect())
         .collect();
 
     let mut t = vec![0.0f64; shards];
-    let mut caches: Vec<SimCaches> = (0..shards).map(|_| SimCaches::new()).collect();
-    let mut out = ShardSimOutcome {
+    let mut busy = 0.0;
+    let mut out = SimOutcome {
         makespan: 0.0,
-        per_shard_jobs: vec![0; shards],
-        per_shard_time: vec![0.0; shards],
+        per_slave: vec![0; shards * slaves_per_shard],
+        master_utilisation: 0.0,
+        trace: None,
         steals: 0,
     };
-    let want = |pool_len: usize| if cfg.lease == 0 { pool_len } else { cfg.lease };
-
+    let want = |pool_len: usize| if lease == 0 { pool_len } else { lease };
     loop {
         // The earliest-free master that can still obtain work leases the
         // next round (lowest index on clock ties).
         let next = (0..shards)
-            .filter(|&s| {
-                !pools[s].is_empty() || (cfg.steal && pools.iter().any(|p| !p.is_empty()))
-            })
+            .filter(|&s| !pools[s].is_empty() || (steal && pools.iter().any(|p| !p.is_empty())))
             .min_by(|&a, &b| t[a].total_cmp(&t[b]).then(a.cmp(&b)));
         let Some(s) = next else { break };
-        let round: Vec<usize> = if !pools[s].is_empty() {
+        let round: Vec<SimJob> = if !pools[s].is_empty() {
             let n = want(pools[s].len()).min(pools[s].len());
-            pools[s].drain(..n).collect()
+            pools[s].drain(..n).map(|i| jobs[i]).collect()
         } else {
             let victim = (0..shards)
                 .filter(|&p| p != s && !pools[p].is_empty())
@@ -895,202 +829,36 @@ pub fn simulate_sharded(
             let n = want(pools[victim].len()).min(pools[victim].len());
             let at = pools[victim].len() - n;
             out.steals += 1;
-            pools[victim].drain(at..).collect()
+            pools[victim].drain(at..).map(|i| jobs[i]).collect()
         };
-        let round_jobs: Vec<SimJob> = round.iter().map(|&i| jobs[i]).collect();
         // A shard's lease round is a per-job farm, live and here.
-        let plain = SchedConfig::plain(round_jobs.len(), cfg.slaves_per_shard);
-        let (run, _) =
-            simulate_farm_config(&round_jobs, strategy, sim, &mut caches[s], None, plain, &[])
-                .expect("a plain scheduler config is always valid");
+        let topology = Topology::Flat(SchedConfig::plain(round.len(), slaves_per_shard));
+        let run = simulate(
+            &SimSpec {
+                jobs: &round,
+                topology,
+                ..*spec
+            },
+            caches,
+        )?;
         t[s] += run.makespan;
-        out.per_shard_jobs[s] += round.len();
-        out.per_shard_time[s] = t[s];
+        busy += run.master_utilisation * run.makespan;
+        let first = s * slaves_per_shard;
+        for (i, k) in run.per_slave.into_iter().enumerate() {
+            out.per_slave[first + i] += k;
+        }
         out.makespan = out.makespan.max(t[s]);
     }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Open-loop serving: the simulated counterpart of `serve::Session`
-// ---------------------------------------------------------------------------
-
-/// One request arriving at the simulated pricing service: the open-loop
-/// counterpart of a live `serve::Request`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimRequest {
-    /// Arrival time in simulated seconds (requests are processed in
-    /// arrival order; the slice must be sorted by this field).
-    arrival_s: f64,
-    /// The portfolio: job ids double as content fingerprints, so two
-    /// jobs with the same id are "identical problems" for coalescing
-    /// and memoisation.
-    jobs: Vec<SimJob>,
-    /// Priority class, 0 most urgent. Class `p` may hold at most
-    /// `queue_depth >> p` queue slots (floored at one), mirroring the
-    /// live admission control.
-    priority: u8,
-}
-
-/// What happened to one open-loop serving run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeSimOutcome {
-    /// End-to-end latency per *answered* request, indexed by position
-    /// in the input slice (`None` for shed requests).
-    latency_s: Vec<Option<f64>>,
-    /// Requests turned away at admission.
-    shed: usize,
-    /// Problems answered without a fresh compute (memo or coalescing).
-    memo_hits: usize,
-    /// Unique problems actually computed on the slaves.
-    computed: usize,
-    /// Time the last answer left the service.
-    makespan_s: f64,
-}
-
-/// Replay an open-loop arrival stream against a resident simulated
-/// farm, mirroring the live `serve::Session` front loop: requests that
-/// arrive while a batch is in flight queue up (subject to per-priority
-/// admission shares over `queue_depth`) and are served as the next
-/// coalesced batch; job ids already computed are memo hits and cost no
-/// slave time.
-///
-/// With a `recorder`, every request lands in the same `obs` schema the
-/// live session emits — an `Enqueue` span for queue residency, an
-/// `Admit` span for end-to-end latency, `Shed` and `MemoHit` marks —
-/// so one [`obs::Breakdown`] reports p50/p99 for either world. Batch
-/// compute events are *not* re-emitted per batch (the inner farm replay
-/// restarts its clock per run); the request-level SLO stream is the
-/// parity surface.
-pub fn simulate_serve(
-    requests: &[SimRequest],
-    slaves: usize,
-    strategy: Transmission,
-    cfg: &SimConfig,
-    queue_depth: usize,
-    recorder: Option<&Recorder>,
-) -> ServeSimOutcome {
-    assert!(slaves >= 1, "need at least one slave");
-    assert!(queue_depth >= 1, "need at least one queue slot");
-    assert!(
-        requests
-            .windows(2)
-            .all(|w| w[0].arrival_s <= w[1].arrival_s),
-        "requests must be sorted by arrival time"
-    );
-    let emit = |kind: EventKind, job: i64, start_s: f64, dur_s: f64, bytes: usize| {
-        if let Some(rec) = recorder {
-            rec.record(Event {
-                kind,
-                rank: 0,
-                job,
-                start_ns: (start_s * 1e9) as u64,
-                dur_ns: (dur_s * 1e9) as u64,
-                bytes: bytes as u64,
-            });
-        }
-    };
-    let depth_limit =
-        |priority: u8| -> usize { (queue_depth >> (priority as usize).min(63)).max(1) };
-
-    let mut out = ServeSimOutcome {
-        latency_s: vec![None; requests.len()],
-        shed: 0,
-        memo_hits: 0,
-        computed: 0,
-        makespan_s: 0.0,
-    };
-    // The resident world's caches persist across batches, exactly as a
-    // live session's slaves keep their NFS client state warm.
-    let mut caches = SimCaches::new();
-    let mut memo: HashSet<usize> = HashSet::new();
-
-    let mut clock = 0.0f64;
-    let mut queued: Vec<usize> = Vec::new(); // request indices
-    let mut class_load = vec![0usize; 256];
-    let mut next = 0usize;
-
-    loop {
-        // Admit every arrival up to the current clock (they arrived
-        // while the previous batch was in flight).
-        while next < requests.len() && requests[next].arrival_s <= clock {
-            let r = &requests[next];
-            let class = r.priority as usize;
-            if class_load[class] + 1 > depth_limit(r.priority) {
-                emit(EventKind::Shed, NO_JOB, r.arrival_s, 0.0, r.jobs.len());
-                out.shed += 1;
-            } else {
-                class_load[class] += 1;
-                queued.push(next);
-            }
-            next += 1;
-        }
-        if queued.is_empty() {
-            // Idle: jump to the next arrival, or finish.
-            match requests.get(next) {
-                Some(r) => {
-                    clock = clock.max(r.arrival_s);
-                    continue;
-                }
-                None => break,
-            }
-        }
-
-        // Serve the queue as one coalesced batch.
-        let batch = std::mem::take(&mut queued);
-        let batch_start = clock;
-        let mut unique: Vec<SimJob> = Vec::new();
-        let mut seen: HashSet<usize> = HashSet::new();
-        for &ri in &batch {
-            let r = &requests[ri];
-            for job in &r.jobs {
-                if memo.contains(&job.id) || !seen.insert(job.id) {
-                    emit(EventKind::MemoHit, job.id as i64, batch_start, 0.0, 1);
-                    out.memo_hits += 1;
-                } else {
-                    unique.push(*job);
-                }
-            }
-        }
-        if !unique.is_empty() {
-            let (batch_out, _) = simulate_farm_sched(
-                &unique,
-                slaves,
-                strategy,
-                cfg,
-                &mut caches,
-                None,
-                &SimSchedOpts::default(),
-            )
-            .expect("default scheduling options are always valid");
-            clock += batch_out.makespan;
-            out.computed += unique.len();
-            for job in &unique {
-                memo.insert(job.id);
-            }
-        }
-        for &ri in &batch {
-            let r = &requests[ri];
-            class_load[r.priority as usize] -= 1;
-            let latency = clock - r.arrival_s;
-            emit(
-                EventKind::Enqueue,
-                NO_JOB,
-                r.arrival_s,
-                batch_start - r.arrival_s,
-                r.jobs.iter().map(|j| j.bytes).sum(),
-            );
-            emit(EventKind::Admit, NO_JOB, r.arrival_s, latency, r.jobs.len());
-            out.latency_s[ri] = Some(latency);
-        }
-        out.makespan_s = clock;
+    if out.makespan > 0.0 {
+        out.master_utilisation = busy / (shards as f64 * out.makespan);
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sched::Supervision;
 
     impl NfsCache {
         /// Number of contained elements.
@@ -1114,16 +882,70 @@ mod tests {
         SimConfig::default()
     }
 
+    /// The flat farm `farm::run` drives: FIFO guided frames.
+    fn farm(jobs: usize, slaves: usize) -> Topology {
+        Topology::Flat(SchedConfig::farm(
+            jobs,
+            slaves,
+            DispatchPolicy::Fifo,
+            None,
+            None,
+        ))
+    }
+
+    fn spec<'a>(
+        jobs: &'a [SimJob],
+        strategy: Transmission,
+        cfg: &'a SimConfig,
+        topology: Topology,
+    ) -> SimSpec<'a> {
+        SimSpec {
+            jobs,
+            strategy,
+            cfg,
+            recorder: None,
+            faults: &[],
+            topology,
+        }
+    }
+
+    /// One cold, unrecorded run of [`farm`].
+    fn run_farm(
+        jobs: &[SimJob],
+        slaves: usize,
+        strategy: Transmission,
+        cfg: &SimConfig,
+    ) -> SimOutcome {
+        let spec = spec(jobs, strategy, cfg, farm(jobs.len(), slaves));
+        simulate(&spec, &mut SimCaches::new()).unwrap()
+    }
+
+    /// [`farm`] recorded into `rec`, through `caches`.
+    fn record_farm(
+        jobs: &[SimJob],
+        slaves: usize,
+        strategy: Transmission,
+        cfg: &SimConfig,
+        caches: &mut SimCaches,
+        rec: &Recorder,
+    ) -> SimOutcome {
+        let spec = SimSpec {
+            recorder: Some(rec),
+            ..spec(jobs, strategy, cfg, farm(jobs.len(), slaves))
+        };
+        simulate(&spec, caches).unwrap()
+    }
+
+    /// A serialized-load sharded run from cold caches.
+    fn run_sharded(jobs: &[SimJob], topology: Topology, cfg: &SimConfig) -> SimOutcome {
+        let spec = spec(jobs, Transmission::SerializedLoad, cfg, topology);
+        simulate(&spec, &mut SimCaches::new()).unwrap()
+    }
+
     #[test]
     fn single_slave_time_is_roughly_serial_sum() {
         let jobs = cheap_jobs(1000, 1e-3);
-        let out = simulate_farm(
-            &jobs,
-            1,
-            Transmission::SerializedLoad,
-            &cfg(),
-            &mut NfsCache::new(),
-        );
+        let out = run_farm(&jobs, 1, Transmission::SerializedLoad, &cfg());
         // ≥ total compute, ≤ total compute + modest overhead.
         assert!(out.makespan >= 1.0, "makespan {}", out.makespan);
         assert!(out.makespan < 1.6, "makespan {}", out.makespan);
@@ -1141,22 +963,8 @@ mod tests {
                 compute: 20.0,
             })
             .collect();
-        let t1 = simulate_farm(
-            &jobs,
-            1,
-            Transmission::SerializedLoad,
-            &cfg(),
-            &mut NfsCache::new(),
-        )
-        .makespan;
-        let t16 = simulate_farm(
-            &jobs,
-            16,
-            Transmission::SerializedLoad,
-            &cfg(),
-            &mut NfsCache::new(),
-        )
-        .makespan;
+        let t1 = run_farm(&jobs, 1, Transmission::SerializedLoad, &cfg()).makespan;
+        let t16 = run_farm(&jobs, 16, Transmission::SerializedLoad, &cfg()).makespan;
         let speedup = t1 / t16;
         assert!(speedup > 15.0, "speedup {speedup}");
     }
@@ -1166,22 +974,8 @@ mod tests {
         // Sub-millisecond jobs: the master serialises all sends, so
         // adding slaves beyond a few must not help (§4.2's regime).
         let jobs = cheap_jobs(5000, 0.3e-3);
-        let t4 = simulate_farm(
-            &jobs,
-            4,
-            Transmission::FullLoad,
-            &cfg(),
-            &mut NfsCache::new(),
-        )
-        .makespan;
-        let t50 = simulate_farm(
-            &jobs,
-            50,
-            Transmission::FullLoad,
-            &cfg(),
-            &mut NfsCache::new(),
-        )
-        .makespan;
+        let t4 = run_farm(&jobs, 4, Transmission::FullLoad, &cfg()).makespan;
+        let t50 = run_farm(&jobs, 50, Transmission::FullLoad, &cfg()).makespan;
         assert!(
             t50 > 0.6 * t4,
             "full-load farm kept scaling implausibly: t4={t4} t50={t50}"
@@ -1191,20 +985,8 @@ mod tests {
     #[test]
     fn full_load_costs_master_more_than_sload() {
         let jobs = cheap_jobs(5000, 0.3e-3);
-        let full = simulate_farm(
-            &jobs,
-            20,
-            Transmission::FullLoad,
-            &cfg(),
-            &mut NfsCache::new(),
-        );
-        let sload = simulate_farm(
-            &jobs,
-            20,
-            Transmission::SerializedLoad,
-            &cfg(),
-            &mut NfsCache::new(),
-        );
+        let full = run_farm(&jobs, 20, Transmission::FullLoad, &cfg());
+        let sload = run_farm(&jobs, 20, Transmission::SerializedLoad, &cfg());
         assert!(
             sload.makespan < full.makespan,
             "sload {} !< full {}",
@@ -1216,26 +998,21 @@ mod tests {
     #[test]
     fn nfs_cache_warms_across_runs() {
         let jobs = cheap_jobs(2000, 0.3e-3);
-        let mut cache = NfsCache::new();
-        let cold = simulate_farm(&jobs, 1, Transmission::Nfs, &cfg(), &mut cache).makespan;
-        let warm = simulate_farm(&jobs, 1, Transmission::Nfs, &cfg(), &mut cache).makespan;
+        let (mut caches, config) = (SimCaches::new(), cfg());
+        let spec = spec(&jobs, Transmission::Nfs, &config, farm(jobs.len(), 1));
+        let cold = simulate(&spec, &mut caches).unwrap().makespan;
+        let warm = simulate(&spec, &mut caches).unwrap().makespan;
         assert!(
             warm < cold * 0.7,
             "cache had no effect: cold {cold} warm {warm}"
         );
-        assert_eq!(cache.len(), 2000);
+        assert_eq!(caches.nfs.len(), 2000);
     }
 
     #[test]
     fn work_is_balanced_for_homogeneous_jobs() {
         let jobs = cheap_jobs(1000, 5e-3);
-        let out = simulate_farm(
-            &jobs,
-            10,
-            Transmission::SerializedLoad,
-            &cfg(),
-            &mut NfsCache::new(),
-        );
+        let out = run_farm(&jobs, 10, Transmission::SerializedLoad, &cfg());
         let total: usize = out.per_slave.iter().sum();
         assert_eq!(total, 1000);
         for &c in &out.per_slave {
@@ -1247,13 +1024,7 @@ mod tests {
     fn makespan_bounded_below_by_longest_job() {
         let mut jobs = cheap_jobs(50, 1e-3);
         jobs[17].compute = 33.0;
-        let out = simulate_farm(
-            &jobs,
-            64,
-            Transmission::SerializedLoad,
-            &cfg(),
-            &mut NfsCache::new(),
-        );
+        let out = run_farm(&jobs, 64, Transmission::SerializedLoad, &cfg());
         assert!(out.makespan >= 33.0);
         assert!(out.makespan < 34.0);
     }
@@ -1261,13 +1032,7 @@ mod tests {
     #[test]
     fn master_utilisation_reported() {
         let jobs = cheap_jobs(2000, 0.2e-3);
-        let out = simulate_farm(
-            &jobs,
-            40,
-            Transmission::FullLoad,
-            &cfg(),
-            &mut NfsCache::new(),
-        );
+        let out = run_farm(&jobs, 40, Transmission::FullLoad, &cfg());
         assert!(
             out.master_utilisation > 0.5,
             "util {}",
@@ -1281,13 +1046,7 @@ mod tests {
                 compute: 30.0,
             })
             .collect();
-        let out2 = simulate_farm(
-            &heavy,
-            4,
-            Transmission::SerializedLoad,
-            &cfg(),
-            &mut NfsCache::new(),
-        );
+        let out2 = run_farm(&heavy, 4, Transmission::SerializedLoad, &cfg());
         assert!(
             out2.master_utilisation < 0.05,
             "util {}",
@@ -1300,7 +1059,7 @@ mod tests {
         use std::collections::BTreeSet;
         let jobs = cheap_jobs(12, 2e-3);
         for strategy in Transmission::ALL {
-            let plain = simulate_farm(&jobs, 2, strategy, &cfg(), &mut NfsCache::new());
+            let plain = run_farm(&jobs, 2, strategy, &cfg());
             let rec = Recorder::new(3);
             let recorded = simulate_farm_recorded(
                 &jobs,
@@ -1312,6 +1071,14 @@ mod tests {
             );
             // Observability must not perturb the simulated schedule.
             assert_eq!(plain, recorded, "{strategy}");
+            // The perf harness's wrapper is `simulate` on the flat farm,
+            // to the bit and to the event.
+            let rec_spec = Recorder::new(3);
+            let via_spec =
+                record_farm(&jobs, 2, strategy, &cfg(), &mut SimCaches::new(), &rec_spec);
+            let bits = |o: &SimOutcome| o.makespan.to_bits();
+            assert_eq!(bits(&via_spec), bits(&recorded), "{strategy}");
+            assert_eq!(rec_spec.events(), rec.events(), "{strategy}");
             let events = rec.events();
             assert_eq!(rec.dropped(), 0);
             // Per-job kind sets match the live instrumented farm schema:
@@ -1384,12 +1151,16 @@ mod tests {
 
     #[test]
     fn store_knobs_off_is_bit_identical_to_base_model() {
+        // With the client cache off, a cache already holding every file
+        // changes nothing: no fetch reads it.
         let jobs = cheap_jobs(500, 0.5e-3);
         for strategy in Transmission::ALL {
-            let base = simulate_farm(&jobs, 4, strategy, &cfg(), &mut NfsCache::new());
-            let via_cached =
-                simulate_farm_cached(&jobs, 4, strategy, &cfg(), &mut SimCaches::new(), None);
-            assert_eq!(base, via_cached, "{strategy}");
+            let base = run_farm(&jobs, 4, strategy, &cfg());
+            let mut warm = SimCaches::new();
+            warm.client.extend(jobs.iter().map(|j| j.id));
+            let config = cfg();
+            let spec = spec(&jobs, strategy, &config, farm(jobs.len(), 4));
+            assert_eq!(base, simulate(&spec, &mut warm).unwrap(), "{strategy}");
         }
     }
 
@@ -1402,11 +1173,9 @@ mod tests {
         for strategy in Transmission::ALL {
             let mut caches = SimCaches::new();
             let rec_cold = Recorder::with_capacity(3, 1 << 16);
-            let cold =
-                simulate_farm_cached(&jobs, 2, strategy, &config, &mut caches, Some(&rec_cold));
+            let cold = record_farm(&jobs, 2, strategy, &config, &mut caches, &rec_cold);
             let rec_warm = Recorder::with_capacity(3, 1 << 16);
-            let warm =
-                simulate_farm_cached(&jobs, 2, strategy, &config, &mut caches, Some(&rec_warm));
+            let warm = record_farm(&jobs, 2, strategy, &config, &mut caches, &rec_warm);
             let bd_cold = Breakdown::from_events(&rec_cold.events());
             let bd_warm = Breakdown::from_events(&rec_warm.events());
             assert!(
@@ -1444,14 +1213,8 @@ mod tests {
         config.network.bandwidth = 10e6; // stress the link
         let record = |c: &SimConfig| {
             let rec = Recorder::with_capacity(3, 1 << 16);
-            let out = simulate_farm_cached(
-                &jobs,
-                2,
-                Transmission::SerializedLoad,
-                c,
-                &mut SimCaches::new(),
-                Some(&rec),
-            );
+            let strategy = Transmission::SerializedLoad;
+            let out = record_farm(&jobs, 2, strategy, c, &mut SimCaches::new(), &rec);
             (out, Breakdown::from_events(&rec.events()))
         };
         let (raw_out, raw_bd) = record(&config);
@@ -1481,21 +1244,8 @@ mod tests {
         let mut config = cfg();
         config.store.compress = true;
         config.store.compress_threshold = 4096; // above the payloads
-        let plain = simulate_farm(
-            &jobs,
-            2,
-            Transmission::SerializedLoad,
-            &cfg(),
-            &mut NfsCache::new(),
-        );
-        let gated = simulate_farm_cached(
-            &jobs,
-            2,
-            Transmission::SerializedLoad,
-            &config,
-            &mut SimCaches::new(),
-            None,
-        );
+        let plain = run_farm(&jobs, 2, Transmission::SerializedLoad, &cfg());
+        let gated = run_farm(&jobs, 2, Transmission::SerializedLoad, &config);
         assert_eq!(plain, gated, "threshold gate leaked compression");
     }
 
@@ -1511,8 +1261,8 @@ mod tests {
         let mut config = cfg();
         config.exec = crate::params::ExecParams::default(); // threads = 1
         for strategy in Transmission::ALL {
-            let base = simulate_farm(&mixed, 4, strategy, &cfg(), &mut NfsCache::new());
-            let with_exec = simulate_farm(&mixed, 4, strategy, &config, &mut NfsCache::new());
+            let base = run_farm(&mixed, 4, strategy, &cfg());
+            let with_exec = run_farm(&mixed, 4, strategy, &config);
             assert_eq!(base, with_exec, "{strategy}");
         }
     }
@@ -1533,14 +1283,8 @@ mod tests {
             .collect();
         let record = |c: &SimConfig| {
             let rec = Recorder::with_capacity(5, 1 << 16);
-            let out = simulate_farm_recorded(
-                &jobs,
-                4,
-                Transmission::SerializedLoad,
-                c,
-                &mut NfsCache::new(),
-                Some(&rec),
-            );
+            let strategy = Transmission::SerializedLoad;
+            let out = record_farm(&jobs, 4, strategy, c, &mut SimCaches::new(), &rec);
             assert_eq!(rec.dropped(), 0);
             (out, Breakdown::from_events(&rec.events()))
         };
@@ -1573,14 +1317,7 @@ mod tests {
         let makespan = |threads: usize| {
             let mut config = cfg();
             config.exec.threads = threads;
-            simulate_farm(
-                &jobs,
-                2,
-                Transmission::SerializedLoad,
-                &config,
-                &mut NfsCache::new(),
-            )
-            .makespan
+            run_farm(&jobs, 2, Transmission::SerializedLoad, &config).makespan
         };
         let t1 = makespan(1);
         let t8 = makespan(8);
@@ -1592,35 +1329,33 @@ mod tests {
     #[test]
     fn scripted_death_requeues_onto_survivors() {
         let jobs = cheap_jobs(10, 5e-3);
-        let opts = SimSchedOpts {
-            supervision: Some(Supervision {
-                deadline_ns: 10_000_000_000,
-                max_attempts: 4,
-                backoff_base_ns: 0,
-            }),
-            record_trace: true,
-            faults: vec![SimFault {
-                slave: 1,
-                fatal_dispatch: 0,
-                detect_delay_s: 0.02,
-            }],
-            ..Default::default()
+        let supervision = Supervision {
+            deadline_ns: 10_000_000_000,
+            max_attempts: 4,
+            backoff_base_ns: 0,
         };
-        let (out, trace) = simulate_farm_sched(
-            &jobs,
-            2,
-            Transmission::SerializedLoad,
-            &cfg(),
-            &mut SimCaches::new(),
-            None,
-            &opts,
-        )
-        .unwrap();
+        let sched = SchedConfig::farm(10, 2, DispatchPolicy::Fifo, Some(supervision), None);
+        let faults = [SimFault {
+            slave: 1,
+            fatal_dispatch: 0,
+            detect_delay_s: 0.02,
+        }];
+        let config = cfg();
+        let spec = SimSpec {
+            faults: &faults,
+            ..spec(
+                &jobs,
+                Transmission::SerializedLoad,
+                &config,
+                Topology::Flat(sched.record_trace()),
+            )
+        };
+        let out = simulate(&spec, &mut SimCaches::new()).unwrap();
         // Every job completes despite the death; the dead slave (which
         // perished sending its first answer) contributes nothing.
         assert_eq!(out.per_slave.iter().sum::<usize>(), 10);
         assert_eq!(out.per_slave[1], 0, "{:?}", out.per_slave);
-        let text = trace.unwrap().render();
+        let text = out.trace.unwrap().render();
         assert!(
             text.contains("dead(2) -> bury(2) requeue("),
             "no burial decision in:\n{text}"
@@ -1632,33 +1367,21 @@ mod tests {
         let mut jobs = cheap_jobs(6, 1e-3);
         jobs[5].compute = 1.0; // the straggler FIFO leaves for last
         let costs: Vec<f64> = jobs.iter().map(|j| j.compute).collect();
-        let opts = SimSchedOpts {
-            policy: DispatchPolicy::Lpt { costs },
-            record_trace: true,
-            ..Default::default()
-        };
-        let (lpt, trace) = simulate_farm_sched(
+        let sched = SchedConfig::farm(6, 2, DispatchPolicy::Lpt { costs }, None, None);
+        let config = cfg();
+        let spec = spec(
             &jobs,
-            2,
             Transmission::SerializedLoad,
-            &cfg(),
-            &mut SimCaches::new(),
-            None,
-            &opts,
-        )
-        .unwrap();
-        let text = trace.unwrap().render();
+            &config,
+            Topology::Flat(sched.record_trace()),
+        );
+        let lpt = simulate(&spec, &mut SimCaches::new()).unwrap();
+        let text = lpt.trace.clone().unwrap().render();
         assert!(
             text.starts_with("ready(1) -> dispatch(5->1)\n"),
             "LPT did not lead with the straggler:\n{text}"
         );
-        let fifo = simulate_farm(
-            &jobs,
-            2,
-            Transmission::SerializedLoad,
-            &cfg(),
-            &mut NfsCache::new(),
-        );
+        let fifo = run_farm(&jobs, 2, Transmission::SerializedLoad, &cfg());
         assert!(
             lpt.makespan < fifo.makespan,
             "LPT {} !< FIFO {}",
@@ -1669,40 +1392,31 @@ mod tests {
 
     #[test]
     fn empty_job_list_is_zero_makespan() {
-        let out = simulate_farm(&[], 5, Transmission::Nfs, &cfg(), &mut NfsCache::new());
+        let out = run_farm(&[], 5, Transmission::Nfs, &cfg());
         assert_eq!(out.makespan, 0.0);
     }
 
     // -- sharded peer masters ------------------------------------------------
+
+    fn shards(shards: usize, slaves_per_shard: usize, lease: usize, steal: bool) -> Topology {
+        Topology::Sharded {
+            shards,
+            slaves_per_shard,
+            lease,
+            steal,
+        }
+    }
 
     #[test]
     fn one_shard_whole_lease_is_bit_identical_to_the_plain_farm() {
         let jobs = cheap_jobs(200, 2e-3);
         // Plain as in `SchedConfig::plain`: the flat farm dispatches
         // frames, a shard's lease round does not.
-        let (plain, _) = simulate_farm_config(
-            &jobs,
-            Transmission::SerializedLoad,
-            &cfg(),
-            &mut SimCaches::new(),
-            None,
-            SchedConfig::plain(jobs.len(), 4),
-            &[],
-        )
-        .unwrap();
-        let sharded = simulate_sharded(
-            &jobs,
-            &ShardSimConfig {
-                shards: 1,
-                slaves_per_shard: 4,
-                lease: 0,
-                steal: false,
-            },
-            Transmission::SerializedLoad,
-            &cfg(),
-        );
+        let plain = Topology::Flat(SchedConfig::plain(jobs.len(), 4));
+        let plain = run_sharded(&jobs, plain, &cfg());
+        let sharded = run_sharded(&jobs, shards(1, 4, 0, false), &cfg());
         assert_eq!(sharded.makespan.to_bits(), plain.makespan.to_bits());
-        assert_eq!(sharded.per_shard_jobs, vec![200]);
+        assert_eq!(sharded.per_slave.iter().sum::<usize>(), 200);
         assert_eq!(sharded.steals, 0);
     }
 
@@ -1714,22 +1428,8 @@ mod tests {
         for j in jobs.iter_mut().take(32) {
             j.compute = 0.25;
         }
-        let base = ShardSimConfig {
-            shards: 2,
-            slaves_per_shard: 2,
-            lease: 4,
-            steal: false,
-        };
-        let no_steal = simulate_sharded(&jobs, &base, Transmission::SerializedLoad, &cfg());
-        let steal = simulate_sharded(
-            &jobs,
-            &ShardSimConfig {
-                steal: true,
-                ..base
-            },
-            Transmission::SerializedLoad,
-            &cfg(),
-        );
+        let no_steal = run_sharded(&jobs, shards(2, 2, 4, false), &cfg());
+        let steal = run_sharded(&jobs, shards(2, 2, 4, true), &cfg());
         assert_eq!(no_steal.steals, 0);
         assert!(steal.steals > 0, "heavy tail must trigger steals");
         assert!(
@@ -1738,7 +1438,7 @@ mod tests {
             steal.makespan,
             no_steal.makespan
         );
-        assert_eq!(steal.per_shard_jobs.iter().sum::<usize>(), 64);
+        assert_eq!(steal.per_slave.iter().sum::<usize>(), 64);
     }
 
     #[test]
@@ -1750,21 +1450,11 @@ mod tests {
             }
         }
         let mut prev = f64::INFINITY;
-        for shards in [1usize, 2, 4, 8] {
-            let out = simulate_sharded(
-                &jobs,
-                &ShardSimConfig {
-                    shards,
-                    slaves_per_shard: 4,
-                    lease: 8,
-                    steal: true,
-                },
-                Transmission::SerializedLoad,
-                &cfg(),
-            );
+        for n in [1usize, 2, 4, 8] {
+            let out = run_sharded(&jobs, shards(n, 4, 8, true), &cfg());
             assert!(
                 out.makespan <= prev,
-                "{shards} shards slower: {} > {prev}",
+                "{n} shards slower: {} > {prev}",
                 out.makespan
             );
             prev = out.makespan;
@@ -1775,17 +1465,11 @@ mod tests {
     fn sharded_512_core_run_completes_and_transport_cost_shows() {
         // The paper's 512-core scale as 64 peer masters × 8 slaves.
         let jobs = cheap_jobs(4096, 10e-3);
-        let shape = ShardSimConfig {
-            shards: 64,
-            slaves_per_shard: 8,
-            lease: 16,
-            steal: true,
-        };
-        let free = simulate_sharded(&jobs, &shape, Transmission::SerializedLoad, &cfg());
-        assert_eq!(free.per_shard_jobs.iter().sum::<usize>(), 4096);
+        let free = run_sharded(&jobs, shards(64, 8, 16, true), &cfg());
+        assert_eq!(free.per_slave.iter().sum::<usize>(), 4096);
         let mut socket = cfg();
         socket.transport = crate::params::TransportParams::socket();
-        let priced = simulate_sharded(&jobs, &shape, Transmission::SerializedLoad, &socket);
+        let priced = run_sharded(&jobs, shards(64, 8, 16, true), &socket);
         assert!(
             priced.makespan > free.makespan,
             "socket transport overhead must surface: {} !> {}",
@@ -1798,107 +1482,62 @@ mod tests {
     fn transport_params_zero_keeps_the_flat_model_bit_identical() {
         let jobs = cheap_jobs(300, 1e-3);
         for strategy in Transmission::ALL {
-            let base = simulate_farm(&jobs, 4, strategy, &cfg(), &mut NfsCache::new());
+            let base = run_farm(&jobs, 4, strategy, &cfg());
             let mut explicit = cfg();
             explicit.transport = crate::params::TransportParams::default();
-            let with_zero = simulate_farm(&jobs, 4, strategy, &explicit, &mut NfsCache::new());
+            let with_zero = run_farm(&jobs, 4, strategy, &explicit);
             assert_eq!(base, with_zero, "{strategy}");
             let mut channel = cfg();
             channel.transport = crate::params::TransportParams::channel();
-            let with_channel = simulate_farm(&jobs, 4, strategy, &channel, &mut NfsCache::new());
+            let with_channel = run_farm(&jobs, 4, strategy, &channel);
             assert!(with_channel.makespan > base.makespan, "{strategy}");
         }
     }
 
-    // -- open-loop serving ---------------------------------------------------
-
-    fn request(arrival_s: f64, ids: std::ops::Range<usize>, priority: u8) -> SimRequest {
-        SimRequest {
-            arrival_s,
-            jobs: ids
-                .map(|id| SimJob {
-                    id,
-                    class: JobClass::VanillaClosedForm,
-                    bytes: 600,
-                    compute: 0.05,
-                })
-                .collect(),
-            priority,
-        }
-    }
-
     #[test]
-    fn serve_answers_every_admitted_request_and_memoises_repeats() {
-        let requests = vec![
-            request(0.0, 0..8, 0),
-            request(0.0, 0..8, 0),  // identical: fully coalesced/memoised
-            request(10.0, 0..8, 0), // repeat much later: memo hit
+    fn invalid_specs_are_typed_errors_not_panics() {
+        let jobs = cheap_jobs(4, 1e-3);
+        let config = cfg();
+        let rec = Recorder::new(3);
+        let faults = [SimFault {
+            slave: 0,
+            fatal_dispatch: 0,
+            detect_delay_s: 0.1,
+        }];
+        let base = |topology| spec(&jobs, Transmission::SerializedLoad, &config, topology);
+        let cases = [
+            (
+                SimSpec {
+                    faults: &faults,
+                    ..base(farm(4, 2))
+                },
+                SimError::FaultsNeedSupervision,
+            ),
+            (
+                SimSpec {
+                    faults: &faults,
+                    ..base(shards(2, 2, 0, false))
+                },
+                SimError::FaultsNeedSupervision,
+            ),
+            (base(shards(0, 2, 0, false)), SimError::NoShards),
+            (
+                base(shards(2, 0, 0, false)),
+                SimError::Sched(SchedError::NoSlaves),
+            ),
+            (base(farm(4, 0)), SimError::Sched(SchedError::NoSlaves)),
+            (
+                SimSpec {
+                    recorder: Some(&rec),
+                    ..base(shards(2, 2, 0, false))
+                },
+                SimError::ShardedRecorder,
+            ),
+            (base(farm(5, 2)), SimError::JobCount { sched: 5, jobs: 4 }),
         ];
-        let out = simulate_serve(&requests, 2, Transmission::SerializedLoad, &cfg(), 8, None);
-        assert_eq!(out.shed, 0);
-        assert!(out.latency_s.iter().all(Option::is_some));
-        assert_eq!(out.computed, 8, "each unique problem computes once");
-        assert_eq!(out.memo_hits, 16, "both repeats served without compute");
-        // The late repeat is answered instantly: nothing to compute.
-        assert_eq!(out.latency_s[2], Some(0.0));
-    }
-
-    #[test]
-    fn serve_sheds_over_admission_share_and_prefers_urgent_class() {
-        // queue_depth 4: class 0 keeps 4 slots, class 1 only 2. A burst
-        // of five class-1 arrivals while the first batch runs must shed.
-        let mut requests = vec![request(0.0, 0..64, 1)];
-        for i in 0..5 {
-            requests.push(request(0.001 + i as f64 * 1e-4, 100..132, 1));
+        for (spec, want) in cases {
+            let got = simulate(&spec, &mut SimCaches::new());
+            assert_eq!(got, Err(want), "{:?}", spec.topology);
         }
-        let out = simulate_serve(&requests, 2, Transmission::SerializedLoad, &cfg(), 4, None);
-        assert!(out.shed >= 3, "class 1 holds 2 slots, 5 arrived: {out:?}");
-        // Shed requests carry no latency; admitted ones all do.
-        let answered = out.latency_s.iter().flatten().count();
-        assert_eq!(answered + out.shed, requests.len());
-    }
-
-    #[test]
-    fn serve_emits_the_live_session_slo_schema() {
-        let rec = Recorder::new(1);
-        let requests = vec![
-            request(0.0, 0..4, 0),
-            request(0.0, 0..4, 0),
-            request(5.0, 0..4, 0),
-        ];
-        simulate_serve(
-            &requests,
-            2,
-            Transmission::SerializedLoad,
-            &cfg(),
-            8,
-            Some(&rec),
-        );
-        let b = obs::Breakdown::from_events(&rec.events());
-        assert_eq!(b.request_count(), 3);
-        assert!(b.request_p99_s() >= b.request_p50_s());
-        assert!(b.memo_hits() >= 8, "repeats must surface as MemoHit");
-        // Queue residency (Enqueue) spans exist for every request.
-        let enq = rec
-            .events()
-            .iter()
-            .filter(|e| e.kind == EventKind::Enqueue)
-            .count();
-        assert_eq!(enq, 3);
-    }
-
-    #[test]
-    fn serve_latency_includes_queue_wait_behind_a_running_batch() {
-        // A huge first batch, then a tiny request arriving just after it
-        // starts: the tiny one waits for the batch and its latency shows
-        // it (open-loop queueing delay).
-        let requests = vec![request(0.0, 0..512, 0), request(0.01, 1000..1001, 0)];
-        let out = simulate_serve(&requests, 2, Transmission::SerializedLoad, &cfg(), 8, None);
-        let first = out.latency_s[0].unwrap();
-        let second = out.latency_s[1].unwrap();
-        assert!(
-            second > first * 0.5,
-            "queued request must wait out the big batch: {second} vs {first}"
-        );
     }
 }

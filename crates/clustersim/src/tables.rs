@@ -7,7 +7,7 @@
 //! simulator.
 
 use crate::params::SimConfig;
-use crate::sim::{simulate_farm_config, ClientCache, NfsCache, SimCaches, SimJob};
+use crate::sim::{simulate, NfsCache, SimCaches, SimJob, SimSpec, Topology};
 use farm::portfolio::{
     realistic_portfolio, regression_portfolio, toy_portfolio, PortfolioJob, PortfolioScale,
 };
@@ -226,13 +226,19 @@ fn sweep(
         }
         let mut caches = SimCaches {
             nfs: cache,
-            client: ClientCache::new(),
+            ..SimCaches::new()
         };
         // The paper's tables time Fig. 4's protocol, one job a message
         // (frames are its §5 outlook, and what `farm::run` ships now).
-        let per_job = sched::SchedConfig::plain(jobs.len(), n - 1);
-        let (out, _) = simulate_farm_config(jobs, strategy, cfg, &mut caches, None, per_job, &[])
-            .expect("a plain scheduler config is always valid");
+        let spec = SimSpec {
+            jobs,
+            strategy,
+            cfg,
+            recorder: None,
+            faults: &[],
+            topology: Topology::Flat(sched::SchedConfig::plain(jobs.len(), n - 1)),
+        };
+        let out = simulate(&spec, &mut caches).expect("tables start at 2 CPUs");
         cache = caches.nfs;
         let t2v = *t2.get_or_insert(out.makespan);
         rows.push(TableRow {

@@ -15,8 +15,8 @@
 //! round through the same pure [`sched::Scheduler`] the flat farm and
 //! the simulator use, so decision-trace parity holds *per shard*: with
 //! stealing disabled and one round per shard (`lease == 0`), a shard's
-//! trace is byte-identical to `clustersim::simulate_farm_config` on its
-//! partition — locked down by `tests/shard_parity.rs`.
+//! trace is byte-identical to `clustersim::simulate` of its partition
+//! under `SchedConfig::plain` — locked down by `tests/shard_parity.rs`.
 //!
 //! The slave farms run on either `transport::Transport`
 //! backend: in-process channel worlds ([`minimpi::SpawnedWorld`]) or

@@ -30,9 +30,7 @@
 //!   has computed the 20-grain job — the burial and the requeue of job 3
 //!   do not depend on when the master notices.
 
-use riskbench::clustersim::{
-    simulate_farm_sched, SimCaches, SimConfig, SimFault, SimJob, SimSchedOpts,
-};
+use riskbench::clustersim::{simulate, SimCaches, SimConfig, SimFault, SimJob, SimSpec, Topology};
 use riskbench::prelude::*;
 use riskbench::pricing::models::BlackScholes;
 use riskbench::sched::{Action, DispatchPolicy, SchedConfig, Scheduler, Supervision, Trace};
@@ -111,19 +109,18 @@ fn assert_same(what: &str, left: &Trace, right: &Trace) {
     }
 }
 
-fn sim_trace(jobs: &[SimJob], slaves: usize, opts: &SimSchedOpts) -> Trace {
-    let (out, trace) = simulate_farm_sched(
+fn sim_trace(jobs: &[SimJob], sched: SchedConfig, faults: &[SimFault]) -> Trace {
+    let spec = SimSpec {
         jobs,
-        slaves,
-        Transmission::SerializedLoad,
-        &SimConfig::default(),
-        &mut SimCaches::new(),
-        None,
-        opts,
-    )
-    .unwrap();
+        strategy: Transmission::SerializedLoad,
+        cfg: &SimConfig::default(),
+        recorder: None,
+        faults,
+        topology: Topology::Flat(sched),
+    };
+    let out = simulate(&spec, &mut SimCaches::new()).unwrap();
     assert_eq!(out.per_slave.iter().sum::<usize>(), COSTS.len());
-    trace.expect("record_trace was set")
+    out.trace.expect("record_trace was set")
 }
 
 /// The live run's recorded events fed, in order, to a fresh scheduler
@@ -204,11 +201,8 @@ fn fault_free_live_and_sim_traces_are_byte_identical() {
     let live = live.trace.expect("record_trace was set");
     let sim = sim_trace(
         &sim_jobs,
-        1,
-        &SimSchedOpts {
-            record_trace: true,
-            ..Default::default()
-        },
+        SchedConfig::farm(sim_jobs.len(), 1, DispatchPolicy::Fifo, None, None).record_trace(),
+        &[],
     );
     assert_same("one-slave decision traces diverged", &live, &sim);
     // Frames of 8, 4, 2, 1, 1: what both sides agreed on.
@@ -270,12 +264,9 @@ fn staged_rounds_live_and_sim_traces_are_byte_identical() {
     let live = live.trace.expect("record_trace was set");
     let sim = sim_trace(
         &sim_jobs,
-        1,
-        &SimSchedOpts {
-            record_trace: true,
-            rounds: Some(rounds),
-            ..Default::default()
-        },
+        SchedConfig::farm(sim_jobs.len(), 1, DispatchPolicy::Fifo, None, Some(rounds))
+            .record_trace(),
+        &[],
     );
     assert_same("one-slave staged traces diverged", &live, &sim);
     std::fs::remove_dir_all(&dir).ok();
@@ -332,22 +323,21 @@ fn staged_bsde_picard_live_and_sim_traces_are_byte_identical() {
             compute: 1.0,
         })
         .collect();
-    let (out, trace) = simulate_farm_sched(
-        &sim_jobs,
-        SLAVES,
-        Transmission::SerializedLoad,
-        &SimConfig::default(),
-        &mut SimCaches::new(),
-        None,
-        &SimSchedOpts {
-            record_trace: true,
-            rounds: w.rounds().map(|r| r.to_vec()),
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let rounds = w.rounds().map(|r| r.to_vec());
+    let spec = SimSpec {
+        jobs: &sim_jobs,
+        strategy: Transmission::SerializedLoad,
+        cfg: &SimConfig::default(),
+        recorder: None,
+        faults: &[],
+        topology: Topology::Flat(
+            SchedConfig::farm(sim_jobs.len(), SLAVES, DispatchPolicy::Fifo, None, rounds)
+                .record_trace(),
+        ),
+    };
+    let out = simulate(&spec, &mut SimCaches::new()).unwrap();
     assert_eq!(out.per_slave.iter().sum::<usize>(), picard_rounds);
-    let sim = trace.expect("record_trace was set");
+    let sim = out.trace.expect("record_trace was set");
     assert_same("BSDE staged traces diverged", live_trace, &sim);
 
     // And the farm's staged answers are the in-process Picard iterates,
@@ -415,19 +405,21 @@ fn seeded_fault_live_and_sim_traces_are_byte_identical() {
 
     // Simulated twin, by that mapping: 0-based slave 3 dies answering
     // its first dispatch, detected half a (simulated) grain later.
+    let sched = SchedConfig::farm(
+        sim_jobs.len(),
+        SLAVES,
+        DispatchPolicy::Fifo,
+        Some(supervision),
+        None,
+    );
     let sim = sim_trace(
         &sim_jobs,
-        SLAVES,
-        &SimSchedOpts {
-            supervision: Some(supervision),
-            record_trace: true,
-            faults: vec![SimFault {
-                slave: 3,
-                fatal_dispatch: 0,
-                detect_delay_s: 0.5,
-            }],
-            ..Default::default()
-        },
+        sched.record_trace(),
+        &[SimFault {
+            slave: 3,
+            fatal_dispatch: 0,
+            detect_delay_s: 0.5,
+        }],
     );
 
     // The burial must appear, verbatim, in both traces...

@@ -8,7 +8,7 @@
 //!   shard recorded, replayed into a fresh `Scheduler`, reproduce its
 //!   trace byte for byte. With one slave per shard the order is forced
 //!   and the trace must be **byte-identical** to
-//!   `clustersim::simulate_farm_config` run on that partition. Both on
+//!   `clustersim::simulate` run on that partition. Both on
 //!   the in-process channel backend *and* on the multi-process socket
 //!   backend;
 //! * **price bit-identity across shard counts and backends** — the same
@@ -21,7 +21,7 @@
 //! Monte-Carlo unit, so both slaves of a shard stay busy and the trace
 //! interleaves their answers.
 
-use riskbench::clustersim::{simulate_farm_config, SimCaches, SimConfig, SimJob};
+use riskbench::clustersim::{simulate, SimCaches, SimConfig, SimJob, SimSpec, Topology};
 use riskbench::farm::shard::{
     run_sharded, shard_slave_entry, ShardConfig, TransportKind, SHARD_SLAVE_ENTRY,
 };
@@ -104,18 +104,17 @@ fn matched_workload(dir: &std::path::Path, unit: usize) -> (Vec<PathBuf>, Vec<Si
 /// under the config a shard's lease round drives live: plain, one job
 /// per dispatch.
 fn sim_shard_trace(jobs: &[SimJob]) -> Trace {
-    let (out, trace) = simulate_farm_config(
+    let spec = SimSpec {
         jobs,
-        Transmission::SerializedLoad,
-        &SimConfig::default(),
-        &mut SimCaches::new(),
-        None,
-        SchedConfig::plain(jobs.len(), 1).record_trace(),
-        &[],
-    )
-    .unwrap();
+        strategy: Transmission::SerializedLoad,
+        cfg: &SimConfig::default(),
+        recorder: None,
+        faults: &[],
+        topology: Topology::Flat(SchedConfig::plain(jobs.len(), 1).record_trace()),
+    };
+    let out = simulate(&spec, &mut SimCaches::new()).unwrap();
     assert_eq!(out.per_slave.iter().sum::<usize>(), jobs.len());
-    trace.expect("record_trace was set")
+    out.trace.expect("record_trace was set")
 }
 
 fn live_shard_traces(

@@ -3,8 +3,31 @@
 //! costs, must predict the live farm's wall-clock within a reasonable
 //! band, and both must show the same qualitative scaling.
 
-use riskbench::clustersim::{simulate_farm, NfsCache, SimConfig, SimJob};
+use riskbench::clustersim::{
+    simulate, DispatchPolicy, SchedConfig, SimCaches, SimConfig, SimJob, SimSpec, Topology,
+};
 use riskbench::prelude::*;
+
+/// The simulated makespan of the flat farm [`farm::run`] drives, from
+/// cold caches, recorded into `recorder` if one is given.
+fn sim_farm(
+    jobs: &[SimJob],
+    slaves: usize,
+    strategy: Transmission,
+    cfg: &SimConfig,
+    recorder: Option<&Recorder>,
+) -> f64 {
+    let sched = SchedConfig::farm(jobs.len(), slaves, DispatchPolicy::Fifo, None, None);
+    let spec = SimSpec {
+        jobs,
+        strategy,
+        cfg,
+        recorder,
+        faults: &[],
+        topology: Topology::Flat(sched),
+    };
+    simulate(&spec, &mut SimCaches::new()).unwrap().makespan
+}
 
 /// Plain farm via the unified [`farm::run`] entry point.
 fn run_plain_farm(
@@ -91,14 +114,7 @@ fn live_and_replayed(
     let master: Vec<Event> = events.into_iter().filter(|e| e.rank == 0).collect();
     let mut cfg = SimConfig::default();
     cfg.master.sload_prep = Breakdown::from_events(&master).prepare_s() / jobs.len() as f64;
-    let sim = simulate_farm(
-        &jobs,
-        slaves,
-        Transmission::SerializedLoad,
-        &cfg,
-        &mut NfsCache::new(),
-    )
-    .makespan;
+    let sim = sim_farm(&jobs, slaves, Transmission::SerializedLoad, &cfg, None);
     (report.elapsed.as_secs_f64(), sim)
 }
 
@@ -198,7 +214,6 @@ fn sim_and_live_emit_identical_per_job_event_kinds() {
     // The tentpole diffability claim: the simulator's event stream uses
     // the *same* per-job phase schema as the live instrumented farm, so
     // one Breakdown aggregator can compare them phase by phase.
-    use riskbench::clustersim::simulate_farm_recorded;
     use std::collections::BTreeSet;
     use std::sync::Arc;
 
@@ -227,12 +242,11 @@ fn sim_and_live_emit_identical_per_job_event_kinds() {
         assert_eq!(report.completed(), 10, "{strategy}");
 
         let sim_rec = Recorder::new(3);
-        simulate_farm_recorded(
+        sim_farm(
             &sim_jobs,
             2,
             strategy,
             &SimConfig::default(),
-            &mut NfsCache::new(),
             Some(&sim_rec),
         );
 
@@ -285,22 +299,8 @@ fn simulator_and_live_farm_agree_on_scaling_direction() {
         .unwrap()
         .elapsed
         .as_secs_f64();
-    let sim1 = simulate_farm(
-        &sim_jobs,
-        1,
-        Transmission::SerializedLoad,
-        &cfg,
-        &mut NfsCache::new(),
-    )
-    .makespan;
-    let sim3 = simulate_farm(
-        &sim_jobs,
-        3,
-        Transmission::SerializedLoad,
-        &cfg,
-        &mut NfsCache::new(),
-    )
-    .makespan;
+    let sim1 = sim_farm(&sim_jobs, 1, Transmission::SerializedLoad, &cfg, None);
+    let sim3 = sim_farm(&sim_jobs, 3, Transmission::SerializedLoad, &cfg, None);
     // Both must improve substantially from 1 to 3 slaves.
     assert!(live3 < 0.8 * live1, "live: {live1:.3} -> {live3:.3}");
     assert!(sim3 < 0.8 * sim1, "sim: {sim1:.3} -> {sim3:.3}");
