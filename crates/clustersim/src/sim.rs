@@ -137,8 +137,8 @@ pub enum Topology {
     /// or [`SchedConfig::plain`], Fig. 4's per-job protocol the paper's
     /// tables time. Its `jobs` must be the spec's job count.
     Flat(SchedConfig),
-    /// Peer masters (the live `farm::shard`), each over a contiguous pool
-    /// and a private farm. The earliest-free master (lowest index on
+    /// Peer masters, each over a contiguous pool and a private farm: the
+    /// paper's §5 outlook, simulated only. The earliest-free master (lowest index on
     /// ties) leases its next round from its pool's front or, once dry,
     /// the richest peer's back; each round is a [`SchedConfig::plain`]
     /// flat run on that master's clock, through the one `caches`.
@@ -772,8 +772,7 @@ fn flat(
 }
 
 /// Peer masters over contiguous pools (remainder spread over the first
-/// shards, the chunking the live `seed_pools` performs), each advancing
-/// on its own clock; see [`Topology::Sharded`].
+/// shards), each advancing on its own clock; see [`Topology::Sharded`].
 fn sharded(
     spec: &SimSpec,
     shards: usize,
@@ -831,7 +830,7 @@ fn sharded(
             out.steals += 1;
             pools[victim].drain(at..).map(|i| jobs[i]).collect()
         };
-        // A shard's lease round is a per-job farm, live and here.
+        // A shard's lease round is a per-job farm.
         let topology = Topology::Flat(SchedConfig::plain(round.len(), slaves_per_shard));
         let run = simulate(
             &SimSpec {
@@ -937,7 +936,7 @@ mod tests {
     }
 
     /// A serialized-load sharded run from cold caches.
-    fn run_sharded(jobs: &[SimJob], topology: Topology, cfg: &SimConfig) -> SimOutcome {
+    fn sharded_run(jobs: &[SimJob], topology: Topology, cfg: &SimConfig) -> SimOutcome {
         let spec = spec(jobs, Transmission::SerializedLoad, cfg, topology);
         simulate(&spec, &mut SimCaches::new()).unwrap()
     }
@@ -1413,8 +1412,8 @@ mod tests {
         // Plain as in `SchedConfig::plain`: the flat farm dispatches
         // frames, a shard's lease round does not.
         let plain = Topology::Flat(SchedConfig::plain(jobs.len(), 4));
-        let plain = run_sharded(&jobs, plain, &cfg());
-        let sharded = run_sharded(&jobs, shards(1, 4, 0, false), &cfg());
+        let plain = sharded_run(&jobs, plain, &cfg());
+        let sharded = sharded_run(&jobs, shards(1, 4, 0, false), &cfg());
         assert_eq!(sharded.makespan.to_bits(), plain.makespan.to_bits());
         assert_eq!(sharded.per_slave.iter().sum::<usize>(), 200);
         assert_eq!(sharded.steals, 0);
@@ -1428,8 +1427,8 @@ mod tests {
         for j in jobs.iter_mut().take(32) {
             j.compute = 0.25;
         }
-        let no_steal = run_sharded(&jobs, shards(2, 2, 4, false), &cfg());
-        let steal = run_sharded(&jobs, shards(2, 2, 4, true), &cfg());
+        let no_steal = sharded_run(&jobs, shards(2, 2, 4, false), &cfg());
+        let steal = sharded_run(&jobs, shards(2, 2, 4, true), &cfg());
         assert_eq!(no_steal.steals, 0);
         assert!(steal.steals > 0, "heavy tail must trigger steals");
         assert!(
@@ -1451,7 +1450,7 @@ mod tests {
         }
         let mut prev = f64::INFINITY;
         for n in [1usize, 2, 4, 8] {
-            let out = run_sharded(&jobs, shards(n, 4, 8, true), &cfg());
+            let out = sharded_run(&jobs, shards(n, 4, 8, true), &cfg());
             assert!(
                 out.makespan <= prev,
                 "{n} shards slower: {} > {prev}",
@@ -1465,11 +1464,11 @@ mod tests {
     fn sharded_512_core_run_completes_and_transport_cost_shows() {
         // The paper's 512-core scale as 64 peer masters × 8 slaves.
         let jobs = cheap_jobs(4096, 10e-3);
-        let free = run_sharded(&jobs, shards(64, 8, 16, true), &cfg());
+        let free = sharded_run(&jobs, shards(64, 8, 16, true), &cfg());
         assert_eq!(free.per_slave.iter().sum::<usize>(), 4096);
         let mut socket = cfg();
         socket.transport = crate::params::TransportParams::socket();
-        let priced = run_sharded(&jobs, shards(64, 8, 16, true), &socket);
+        let priced = sharded_run(&jobs, shards(64, 8, 16, true), &socket);
         assert!(
             priced.makespan > free.makespan,
             "socket transport overhead must surface: {} !> {}",

@@ -19,11 +19,11 @@
 //!   LZSS compression).
 //! * [`transport`] — the pluggable message transport under `minimpi`:
 //!   one `Transport` trait, an in-process channel backend and a
-//!   multi-process Unix-domain-socket backend, with fault injection and
-//!   instrumentation mapped onto both (`docs/TRANSPORT.md`).
-//! * [`minimpi`] — the MPI-like runtime backing the live farm, generic
-//!   over the [`transport`] backends (thread worlds or spawned child
-//!   processes).
+//!   multi-process Unix-domain-socket backend held to the same
+//!   conformance suite (`docs/TRANSPORT.md`).
+//! * [`minimpi`] — the MPI-like runtime backing the live farm: thread
+//!   worlds over the channel backend, with fault injection and
+//!   instrumentation above the wire.
 //! * [`sched`] — the pure, transport-free Robin-Hood scheduler state
 //!   machine; every master (live farm and simulator alike) is a thin
 //!   driver of it, and `tests/sched_parity.rs` proves both worlds render
@@ -37,8 +37,9 @@
 //!   byte-budgeted LRU cache, master-side prefetch).
 //! * [`farm`] — portfolio generators (§4.1–§4.3 workloads), the three
 //!   transmission strategies, and the Robin-Hood farm: one slave loop and
-//!   one master driver behind the plain / batched / supervised
-//!   (`farm::run`), hierarchical and sharded front-ends.
+//!   one master driver behind the plain / batched / supervised farm
+//!   (`farm::run`) and `serve`'s sessions. The §5 sub-masters and
+//!   sharded masters are simulator topologies (`clustersim`).
 //! * [`serve`] — the long-lived pricing service: a resident `Session`
 //!   over the same scheduler, with request coalescing, result
 //!   memoisation, priority backpressure and p50/p99 SLO reporting.
@@ -77,7 +78,6 @@ pub use xdrser;
 /// The commonly used types and functions in one import.
 pub mod prelude {
     pub use exec::{ExecPolicy, ExecStats, StatsSink};
-    pub use farm::hierarchy::run_hierarchical_farm;
     pub use farm::portfolio::{
         mixed_portfolio, realistic_portfolio, regression_portfolio, representative_problem,
         save_portfolio, toy_portfolio, JobClass, PortfolioJob, PortfolioScale,

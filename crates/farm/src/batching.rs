@@ -6,9 +6,8 @@
 //! The frame is what every farm link dispatches: `Farm::send_frame` out,
 //! the one slave loop pricing each member, one columnar reply back.
 //! Where nothing needs jobs one at a time (a FIFO, unsupervised,
-//! unstaged run: the flat farm and each hierarchy group) frames are
-//! sized by [`sched::Batch::Guided`]'s rule; anywhere else a frame holds
-//! one job.
+//! unstaged run of the flat farm) frames are sized by
+//! [`sched::Batch::Guided`]'s rule; anywhere else a frame holds one job.
 
 #[cfg(test)]
 mod tests {
@@ -115,15 +114,14 @@ mod tests {
     /// sent: `mangle` rewrites the honest reply's job ids.
     fn run_with_rogue_slave(tag: &str, mangle: Mangle) -> FarmError {
         use crate::config::RunCtx;
-        use crate::slave::Link;
+        use crate::slave::TAG;
         use crate::wire::{batch_reply_value, decode_frame, Answer};
-        const LINK: Link = Link { master: 0, tag: 7 };
         let (paths, dir) = setup(8, tag);
         let ctx = RunCtx::new(None);
         let scenario = move || {
             let ran = minimpi::World::run(2, |comm| {
                 if comm.rank() == 1 {
-                    let (frame, _) = comm.recv(0, LINK.tag).unwrap();
+                    let (frame, _) = comm.recv(0, TAG).unwrap();
                     let ids = decode_frame(&frame).unwrap().iter().map(|m| m.0).collect();
                     let answers: Vec<Answer> = mangle(ids)
                         .into_iter()
@@ -133,16 +131,14 @@ mod tests {
                             std_error: None,
                         })
                         .collect();
-                    comm.send_obj(&batch_reply_value(&answers), 0, LINK.tag)
-                        .unwrap();
+                    comm.send_obj(&batch_reply_value(&answers), 0, TAG).unwrap();
                     // The master must stop this rank, not leave it parked.
-                    let (stop, _) = comm.recv(0, LINK.tag).unwrap();
+                    let (stop, _) = comm.recv(0, TAG).unwrap();
                     assert!(stop.is_empty());
                     return None;
                 }
                 let farm = Farm {
                     comm: &comm,
-                    link: LINK,
                     base: 0,
                     frames: None,
                     supervisor: None,

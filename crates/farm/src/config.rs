@@ -512,15 +512,15 @@ mod tests {
     }
 
     /// A config only the scheduler rejects (frames need FIFO order; no
-    /// `FarmConfig` builds one any more, a front-end's own `SchedConfig`
-    /// still could) is found with the slaves already parked in `recv`:
+    /// `FarmConfig` builds one any more, a caller of `driver::drive` with
+    /// its own `SchedConfig` still could) is found with the slaves already parked in `recv`:
     /// the driver must stop them before it reports, or the run would
     /// never return.
     #[test]
     fn scheduler_rejection_stops_the_slaves_it_found_parked() {
         use crate::driver::{drive, Farm};
-        use crate::slave::{serve_jobs, Link};
-        let (ctx, link) = (RunCtx::new(None), Link { master: 0, tag: 7 });
+        use crate::slave::serve_jobs;
+        let ctx = RunCtx::new(None);
         let strategy = Transmission::SerializedLoad;
         let bad = SchedConfig {
             batch: sched::Batch::Guided,
@@ -530,12 +530,11 @@ mod tests {
         };
         let ran = minimpi::World::run(3, |comm| {
             if comm.rank() != 0 {
-                serve_jobs(&comm, &ctx, link, None);
+                serve_jobs(&comm, &ctx, None);
                 return None;
             }
             let farm = Farm {
                 comm: &comm,
-                link,
                 base: 0,
                 frames: None,
                 supervisor: None,

@@ -1,39 +1,39 @@
 //! The farm's one master driver — Fig. 4's `else` branch over the
 //! [`sched`] state machine.
 //!
-//! Every master calls [`drive`]: each front-end of this crate (flat,
-//! supervised, each hierarchy sub-master, each shard lease round) and
-//! each batch of a `serve::Session`. It translates wire messages into
-//! [`sched::Event`]s, feeds the pure scheduler, and executes the
-//! returned [`sched::Action`]s as sends. All scheduling *decisions* (who
-//! gets which job next, when a job is presumed lost, when a slave is
-//! buried, when the run is finished) live in `crates/sched`, where the
-//! cluster simulator drives the identical state machine with simulated
-//! time — the parity property locked down by `tests/sched_parity.rs`.
+//! Every master calls [`drive`]: the flat farm of this crate (plain or
+//! supervised) and each batch of a `serve::Session`. It translates wire
+//! messages into [`sched::Event`]s, feeds the pure scheduler, and
+//! executes the returned [`sched::Action`]s as sends. All scheduling
+//! *decisions* (who gets which job next, when a job is presumed lost,
+//! when a slave is buried, when the run is finished) live in
+//! `crates/sched`, where the cluster simulator drives the identical
+//! state machine with simulated time — the parity property locked down
+//! by `tests/sched_parity.rs`.
 //! Supervision is one value ([`Farm::supervisor`]): data the scheduler
 //! config already carries, plus what it adds here — a clock, a poll
 //! interval and a liveness sweep.
 //!
 //! [`drive`] also owns shutdown: on every exit path, error included,
 //! each slave not known dead has been sent its stop sentinel before the
-//! function returns, so no front-end can leave a slave parked in `recv`.
+//! function returns, so no master can leave a slave parked in `recv`.
 //! A resident farm's slaves are stopped only on an error.
 //!
 //! This module is the only place in the `farm` and `serve` crates
 //! allowed to receive from `ANY_SOURCE` (a grep gate in
-//! `scripts/ci.sh`): the master's gather point is a driver concern, not
-//! a protocol one. It is public for `serve`, which drives its batches
-//! through it; nothing is re-exported at the crate root.
+//! `scripts/ci.sh`), at the one gather point of [`drive`]: the master's
+//! gather is a driver concern, not a protocol one. It is public for
+//! `serve`, which drives its batches through it; nothing is re-exported
+//! at the crate root.
 
 use crate::config::RunCtx;
 use crate::instrument;
 use crate::robin_hood::{FarmError, FarmReport, JobOutcome};
-use crate::slave::Link;
+use crate::slave::TAG;
 use crate::strategy::{prepare_serial_recorded, sload_member, Transmission};
 use crate::supervisor::SupervisorConfig;
 use crate::wire::{self, Answer, Body, JobFrame};
-use minimpi::{Comm, MpiError, Status, ANY_SOURCE};
-use nspval::Value;
+use minimpi::{Comm, MpiError, ANY_SOURCE};
 use obs::{EventKind, NO_JOB};
 use sched::{Action, Event, SchedConfig, Scheduler};
 use std::collections::VecDeque;
@@ -44,20 +44,17 @@ use std::time::Instant;
 /// The live side of one scheduler run: where the slaves are and how to
 /// talk to them.
 pub struct Farm<'a> {
-    /// The master's endpoint.
+    /// The master's endpoint, rank 0. Scheduler slave `s` is MPI rank
+    /// `s`, and every message is on [`TAG`].
     pub comm: &'a Comm,
-    /// The protocol spoken with the slaves. Scheduler slave `s` is MPI
-    /// rank `link.master + s` in every topology.
-    pub link: Link,
-    /// Wire id of scheduler job 0: a hierarchy sub-master's chunk starts
-    /// at its offset in the global file list, a session batch at its
-    /// first unused id; everyone else is 0.
+    /// Wire id of scheduler job 0: a session batch starts at its first
+    /// unused id; the flat farm's is 0.
     pub base: usize,
     /// `Some` when each scheduler job is a prebuilt frame of wire jobs:
     /// scheduler job `j` is wire jobs `base + frames[j] .. base +
     /// frames[j + 1]`, so `frames` holds `jobs + 1` ascending offsets
-    /// from 0. `None` — every `crate::run` front-end — makes scheduler
-    /// job `j` wire job `base + j`.
+    /// from 0. `None` — the flat farm — makes scheduler job `j` wire job
+    /// `base + j`.
     pub frames: Option<&'a [usize]>,
     /// `Some` supervises the run: [`drive`] takes the scheduler's
     /// deadlines and retry budget *and* its own poll interval (the
@@ -65,9 +62,9 @@ pub struct Farm<'a> {
     /// liveness) from this one value, so the two cannot disagree. `None`
     /// blocks in `recv` exactly as Fig. 4 does — no clock is ever read.
     pub supervisor: Option<&'a SupervisorConfig>,
-    /// The slaves outlive this run (a shard's lease rounds and a
-    /// session's batches each share one slave world): the scheduler's
-    /// `Stop`s are not sent. A failed run still stops them.
+    /// The slaves outlive this run (a session's batches share one slave
+    /// world): the scheduler's `Stop`s are not sent. A failed run still
+    /// stops them.
     pub resident: bool,
     /// Where problem bytes come from and how they are encoded.
     pub ctx: &'a RunCtx,
@@ -76,16 +73,16 @@ pub struct Farm<'a> {
 }
 
 impl Farm<'_> {
-    /// MPI rank of scheduler slave `slave`.
-    fn rank(&self, slave: usize) -> usize {
-        self.link.master + slave
+    /// Send the stop sentinel, the empty message, to `slave`.
+    fn stop(&self, slave: usize) -> Result<(), MpiError> {
+        self.comm.send(&[], slave as i32, TAG)
     }
 
     /// Send the stop sentinel to each of `slaves`. Best effort: a rank
     /// that cannot be reached is not parked.
-    fn stop(&self, slaves: impl Iterator<Item = usize>) {
+    fn stop_all(&self, slaves: impl Iterator<Item = usize>) {
         for s in slaves {
-            let _ = self.link.stop(self.comm, self.rank(s));
+            let _ = self.stop(s);
         }
     }
 
@@ -99,11 +96,10 @@ impl Farm<'_> {
 
     /// Send `members` — `(wire id, problem file)` pairs — to rank `slave`
     /// as one job frame, written into `scratch` (recycled across the
-    /// run): the one sender behind every master (flat, supervised,
-    /// hierarchy sub-master, shard lease round), whatever its wire ids
-    /// mean. A serialized load on an uncompressed wire reads each file
-    /// straight into the message through one [`store::FrameReader`] for
-    /// the frame; otherwise each problem's bytes go from where the store
+    /// run): the flat farm's one sender, plain or supervised. A
+    /// serialized load on an uncompressed wire reads each file straight
+    /// into the message through one [`store::FrameReader`] for the
+    /// frame; otherwise each problem's bytes go from where the store
     /// fetched them into the message ([`EventKind::Pack`]). A member
     /// whose bytes cannot be prepared fails the dispatch before anything
     /// is on the wire.
@@ -141,16 +137,10 @@ impl Farm<'_> {
         *scratch = frame.finish();
         // The message as a whole is recorded under its first job.
         comm.set_job(head);
-        let sent = comm.send(scratch, slave as i32, self.link.tag);
+        let sent = comm.send(scratch, slave as i32, TAG);
         comm.set_job(None);
         Ok(sent?)
     }
-}
-
-/// Receive one object from any source — the gather point shared by
-/// [`drive`] and the hierarchy's global master.
-pub(crate) fn recv_any(comm: &Comm, tag: i32) -> Result<(Value, Status), FarmError> {
-    Ok(comm.recv_obj(ANY_SOURCE, tag)?)
 }
 
 /// Drive one farm run to completion and report it (outcomes in
@@ -181,7 +171,7 @@ pub(crate) fn recv_any(comm: &Comm, tag: i32) -> Result<(Value, Status), FarmErr
 /// ([`FarmError::JobFailed`], [`FarmError::Protocol`]). A supervised run
 /// that every slave died in ends early and still reports: its
 /// unfinished jobs are in neither `outcomes` nor `failed_jobs`, and the
-/// front-end says what that means (`crate::run` returns
+/// caller says what that means (`crate::run` returns
 /// [`FarmError::AllSlavesDead`]).
 ///
 /// `cfg.supervision` is set here, from [`Farm::supervisor`]; whatever
@@ -201,7 +191,7 @@ pub fn drive(
         "Farm::frames holds jobs + 1 offsets from 0"
     );
     let sched = Scheduler::new(cfg).map_err(|e| {
-        farm.stop(1..=slaves);
+        farm.stop_all(1..=slaves);
         FarmError::Config(exec::ConfigIssues::one("scheduler", e.to_string()))
     })?;
     let mut d = Driver {
@@ -219,10 +209,9 @@ pub fn drive(
     };
     let ran = d.gather_all();
     if ran.is_err() || !farm.resident {
-        farm.stop((1..=slaves).filter(|&s| !d.stopped[s] && !d.sched.is_dead(s)));
+        farm.stop_all((1..=slaves).filter(|&s| !d.stopped[s] && !d.sched.is_dead(s)));
     }
     ran?;
-    let dead = d.sched.dead_slaves();
     Ok(FarmReport {
         outcomes: d.outcomes,
         failed_members: d.failed_members,
@@ -230,7 +219,7 @@ pub fn drive(
         per_slave: d.per_slave,
         failed_jobs: d.sched.failed_jobs(),
         retries: d.sched.retries() as usize,
-        dead_slaves: dead.into_iter().map(|s| farm.rank(s)).collect(),
+        dead_slaves: d.sched.dead_slaves(),
         trace: d.sched.take_trace(),
     })
 }
@@ -288,7 +277,7 @@ where
                 // Liveness sweep (notice kills even without trying to
                 // send), then the deadline / backoff tick.
                 for slave in 1..=self.slaves {
-                    if !self.sched.is_dead(slave) && !comm.rank_alive(self.farm.rank(slave)) {
+                    if !self.sched.is_dead(slave) && !comm.rank_alive(slave) {
                         self.feed(Event::SlaveDead { slave })?;
                     }
                 }
@@ -313,8 +302,7 @@ where
     /// The scheduler event one reply from rank `src` stands for; `None`
     /// drops a supervised reply the run cannot place (see [`drive`]).
     fn event_of(&self, answers: &[Answer], src: usize) -> Result<Option<Event>, FarmError> {
-        let slave =
-            (src.checked_sub(self.farm.link.master)).filter(|s| (1..=self.slaves).contains(s));
+        let slave = Some(src).filter(|s| (1..=self.slaves).contains(s));
         // The first answer names the dispatch: a whole frame answers
         // together.
         let job = answers.first().and_then(|a| self.sched_job(a.job()));
@@ -361,8 +349,7 @@ where
         match got.zip(expected).find(|(got, expected)| got != expected) {
             None => Ok(()),
             Some((got, _)) => Err(FarmError::Protocol(format!(
-                "rank {} was sent jobs {sent:?} but its reply {}",
-                self.farm.rank(slave),
+                "rank {slave} was sent jobs {sent:?} but its reply {}",
                 match got {
                     Some(job) => format!("names job {job} there"),
                     None => format!("stops after {} answers", answers.len()),
@@ -387,16 +374,16 @@ where
     /// truncated reply or took one that does not decode: the deadline
     /// requeues what it carried.
     fn gather(&self) -> Result<Option<(Vec<Answer>, usize)>, FarmError> {
-        let (comm, tag) = (self.farm.comm, self.farm.link.tag);
+        let comm = self.farm.comm;
         let Some(poll) = self.farm.supervisor.map(|s| s.poll) else {
-            let (v, st) = recv_any(comm, tag)?;
+            let (v, st) = comm.recv_obj(ANY_SOURCE, TAG)?;
             return Ok(Some((wire::decode_batch_reply(&v)?, st.src)));
         };
-        match comm.recv_obj_timeout(ANY_SOURCE, tag, poll) {
+        match comm.recv_obj_timeout(ANY_SOURCE, TAG, poll) {
             Ok(Some((v, st))) => Ok(wire::decode_batch_reply(&v).ok().map(|a| (a, st.src))),
             Ok(None) | Err(MpiError::Decode(_)) => Ok(None),
             Err(MpiError::Truncated { .. }) => {
-                let _ = comm.discard(ANY_SOURCE, tag);
+                let _ = comm.discard(ANY_SOURCE, TAG);
                 Ok(None)
             }
             Err(e) => Err(e.into()),
@@ -409,15 +396,14 @@ where
     /// live driver in lock-step with the simulator.
     fn execute(&mut self, actions: Vec<Action>) -> Result<(), FarmError> {
         let farm = self.farm;
-        let (comm, rank_of) = (farm.comm, |slave| farm.rank(slave));
+        let comm = farm.comm;
         // A job's marks carry the wire id of its first member.
         let mark = |kind, job, n| instrument::mark(comm, kind, farm.wires(job, 0).start as i64, n);
         let mut work: VecDeque<Action> = actions.into();
         while let Some(a) = work.pop_front() {
             match a {
                 Action::Dispatch { job, slave, batch } => {
-                    let undelivered = match (self.send)(job, rank_of(slave), batch, &self.outcomes)
-                    {
+                    let undelivered = match (self.send)(job, slave, batch, &self.outcomes) {
                         Ok(()) => {
                             mark(
                                 EventKind::Dispatch,
@@ -429,7 +415,7 @@ where
                         Err(e) if farm.supervisor.is_none() => return Err(e),
                         // The slave is gone: the attempt is reversed and
                         // the slave buried.
-                        Err(FarmError::Mpi(MpiError::Poisoned(dead))) if dead == rank_of(slave) => {
+                        Err(FarmError::Mpi(MpiError::Poisoned(dead))) if dead == slave => {
                             Event::SendFailed { job, slave }
                         }
                         // The job's bytes could not be prepared: the
@@ -444,13 +430,12 @@ where
                 Action::Stop { .. } if farm.resident => {}
                 Action::Stop { slave } => {
                     self.stopped[slave] = true;
-                    match farm.link.stop(comm, rank_of(slave)) {
+                    match farm.stop(slave) {
                         Ok(()) | Err(MpiError::Poisoned(_)) => {}
                         Err(e) => return Err(e.into()),
                     }
                 }
                 Action::Accept { slave, .. } => {
-                    let slave = rank_of(slave);
                     for a in self.pending.drain(..) {
                         match a {
                             Answer::Priced {
@@ -475,7 +460,7 @@ where
                 Action::Expire { job, .. } => mark(EventKind::Deadline, job, 0),
                 Action::Requeue { job } => mark(EventKind::Retry, job, 0),
                 Action::Bury { slave } => {
-                    instrument::mark(comm, EventKind::SlaveDeath, NO_JOB, rank_of(slave) as u64)
+                    instrument::mark(comm, EventKind::SlaveDeath, NO_JOB, slave as u64)
                 }
                 Action::AllSlavesDead | Action::Finish => {}
             }
@@ -494,7 +479,6 @@ mod tests {
 
     #[test]
     fn a_supervised_reply_naming_a_job_outside_the_run_is_dropped() {
-        const LINK: Link = Link { master: 0, tag: 7 };
         let dir = std::env::temp_dir().join("farm_driver_stray");
         let _ = std::fs::remove_dir_all(&dir);
         let paths = save_portfolio(&toy_portfolio(4), &dir).unwrap();
@@ -508,21 +492,19 @@ mod tests {
             if comm.rank() == 1 {
                 // The first reply answers a job the run never had; then
                 // the slave serves honestly.
-                let (frame, _) = comm.recv(0, LINK.tag).unwrap();
+                let (frame, _) = comm.recv(0, TAG).unwrap();
                 let job = decode_frame(&frame).unwrap()[0].0;
                 let stray = Answer::Priced {
                     job: job + 1000,
                     price: 666.0,
                     std_error: None,
                 };
-                comm.send_obj(&batch_reply_value(&[stray]), 0, LINK.tag)
-                    .unwrap();
-                serve_jobs(&comm, &ctx, LINK, Some(&sup));
+                comm.send_obj(&batch_reply_value(&[stray]), 0, TAG).unwrap();
+                serve_jobs(&comm, &ctx, Some(&sup));
                 return None;
             }
             let farm = Farm {
                 comm: &comm,
-                link: LINK,
                 base: 0,
                 frames: None,
                 supervisor: Some(&sup),

@@ -13,12 +13,14 @@
 //! * `robin_hood` (private) — the master/slave "Robbin Hood" load
 //!   balancer of Figs. 4–5, running live over `minimpi` threads: the
 //!   flat farm behind [`run`], plain or supervised as its [`FarmConfig`]
-//!   says, and the report / error types every front-end shares
-//!   ([`FarmReport`], [`FarmError`], re-exported here).
+//!   says, and the report / error types it shares with `serve`
+//!   ([`FarmReport`], [`FarmError`], re-exported here). The paper's §5
+//!   sub-masters and any sharding of the portfolio are priced on the
+//!   simulator only (`clustersim::Topology::Sharded`, `ablation`).
 //! * [`slave`] and [`driver`] — Fig. 4's two branches, once each, for
-//!   every master in the workspace: the one slave loop (every job is
-//!   answered, priced or failed — `docs/FAULTS.md`) and the one master
-//!   driver (feeds the pure [`sched::Scheduler`] the simulator also runs
+//!   both masters in the workspace, each rank 0 of its own world: the
+//!   one slave loop (every job is answered, priced or failed —
+//!   `docs/FAULTS.md`) and the one master driver (feeds the pure [`sched::Scheduler`] the simulator also runs
 //!   — `docs/SCHEDULER.md` — and owns shutdown). Every link ships §5's
 //!   "send them all together" job frames: sized by the scheduler on a
 //!   plain run, one job each under supervision, LPT order or staging
@@ -26,13 +28,6 @@
 //!   two modules are public for that session alone, which drives its
 //!   batches through [`driver::drive`] and runs [`slave::serve_jobs`]
 //!   on its resident slaves; nothing of them is re-exported here.
-//! * [`hierarchy`] — the §5 sub-master improvement ("divide the nodes
-//!   into sub-groups, each group having its own master"): topology,
-//!   chunking and the group gather around the same driver and slave.
-//! * [`shard`] — peer masters without a global root: each owns a
-//!   portfolio shard and a private slave farm (threads or real child
-//!   processes, via the pluggable `transport` backends), with
-//!   inter-shard work-stealing when a pool drains early.
 //! * [`supervisor`] — the fault-tolerance knobs ([`SupervisorConfig`]):
 //!   per-job deadlines, bounded retries with exponential backoff,
 //!   dead-slave detection and graceful degradation, exercised against
@@ -43,8 +38,7 @@
 //!   parameter sweeps (delta/gamma/vega/rho per claim) that multiply the
 //!   portfolio into the paper's "around 10⁶ atomic computations".
 //! * [`wire`] — the typed wire codec every master/slave pair shares:
-//!   job frames, columnar answers and the hierarchy's group report,
-//!   with total decoding ([`FarmError::Protocol`] instead of silent
+//!   job frames and columnar answers, with total decoding ([`FarmError::Protocol`] instead of silent
 //!   drops).
 //! * [`workload`] — typed workloads: classed jobs plus optional staged
 //!   rounds with cross-round data flow (Picard-iterated BSDEs), driven
@@ -64,12 +58,10 @@ mod batching;
 pub mod calibrate;
 pub mod config;
 pub mod driver;
-pub mod hierarchy;
 mod instrument;
 pub mod portfolio;
 pub mod risk;
 mod robin_hood;
-pub mod shard;
 pub mod slave;
 pub mod strategy;
 pub mod supervisor;
@@ -82,7 +74,6 @@ pub use portfolio::{
     toy_portfolio, JobClass, PortfolioJob, PortfolioScale,
 };
 pub use robin_hood::{FarmError, FarmReport, JobOutcome};
-pub use shard::{run_sharded, ShardConfig, ShardReport, StealEvent, TransportKind};
 pub use strategy::{Transmission, WirePolicy};
 pub use supervisor::SupervisorConfig;
 pub use workload::{class_indices, class_name, per_class_compute, run_workload, Workload};

@@ -21,20 +21,17 @@
 //! runner: [`crate::driver::drive`] on rank 0, [`crate::slave::serve_jobs`]
 //! on every other rank, and a [`crate::FarmConfig`] saying which
 //! scheduler config and how much patience. The report and error types
-//! every front-end shares live here too.
+//! the farm and a `serve::Session` share live here too.
 
 use crate::config::{FarmConfig, RunCtx};
 use crate::driver::{self, Farm};
-use crate::slave::{self, Link};
+use crate::slave;
 use crate::workload::StagedPatch;
 use exec::ConfigIssues;
 use minimpi::{Comm, MpiError, World};
 use std::fmt;
 use std::path::PathBuf;
 use std::time::Duration;
-
-/// The flat farm's link: rank 0 masters every other rank.
-const LINK: Link = Link { master: 0, tag: 7 };
 
 /// One priced job as collected by the master.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,18 +85,12 @@ impl FarmReport {
     /// independent view used to compare runs (live vs simulated, faulty
     /// vs fault-free).
     pub fn by_job(&self) -> Vec<(usize, f64, Option<f64>)> {
-        sorted_by_job(&self.outcomes)
+        let mut v: Vec<_> = (self.outcomes.iter())
+            .map(|o| (o.job, o.price, o.std_error))
+            .collect();
+        v.sort_by_key(|&(j, _, _)| j);
+        v
     }
-}
-
-/// `(job, price, std_error)` triples sorted by job.
-pub(crate) fn sorted_by_job(outcomes: &[JobOutcome]) -> Vec<(usize, f64, Option<f64>)> {
-    let mut v: Vec<_> = outcomes
-        .iter()
-        .map(|o| (o.job, o.price, o.std_error))
-        .collect();
-    v.sort_by_key(|&(j, _, _)| j);
-    v
 }
 
 /// Farm-level failures.
@@ -199,7 +190,7 @@ pub(crate) fn run_flat(
         if comm.rank() == 0 {
             return Some(master(&comm, ctx, files, cfg, patch));
         }
-        slave::serve_jobs(&comm, ctx, LINK, cfg.supervisor.as_ref());
+        slave::serve_jobs(&comm, ctx, cfg.supervisor.as_ref());
         None
     };
     World::run_instrumented(
@@ -228,7 +219,6 @@ fn master(
     let mut frame = Vec::new();
     let farm = Farm {
         comm,
-        link: LINK,
         base: 0,
         frames: None,
         supervisor: cfg.supervisor.as_ref(),

@@ -1,18 +1,18 @@
 //! The farm's one slave loop — Fig. 4's `if mpi_rank <> 0` branch.
 //!
-//! Every front-end (flat, supervised, each hierarchy group, each
-//! shard) runs [`serve_jobs`] on its compute ranks, and so does every
-//! resident slave of a `serve::Session` (the module is public for it).
-//! Every link speaks one wire: a [`crate::wire::JobFrame`] in — of
-//! serialized problems or of names, one member or many — one columnar
-//! reply out ([`batch_reply_value`]), and the empty message as the stop
-//! sentinel. What differs between front-ends is data: the [`Link`] to
-//! the master being served and, under supervision, the patience that
-//! bounds the wait. A job the slave cannot read, decode or price is
-//! *answered* — [`Answer::Failed`] — never dropped and never a panic (a
-//! kernel that panics is caught in [`price_one`]), so the master decides
-//! what a failed job means (a retry under supervision, the end of the
-//! run otherwise; `docs/FAULTS.md`).
+//! Every master is rank 0 — the flat farm's (plain or supervised) and a
+//! `serve::Session`'s front loop — and every other rank runs
+//! [`serve_jobs`] (the module is public for the session's resident
+//! slaves). Every link speaks one wire, on one tag ([`TAG`]): a
+//! [`crate::wire::JobFrame`] in — of serialized problems or of names,
+//! one member or many — one columnar reply out ([`batch_reply_value`]),
+//! and the empty message as the stop sentinel. What differs between
+//! masters is data: under supervision, the patience that bounds the
+//! wait. A job the slave cannot read, decode or price is *answered* —
+//! [`Answer::Failed`] — never dropped and never a panic (a kernel that
+//! panics is caught in [`price_one`]), so the master decides what a
+//! failed job means (a retry under supervision, the end of the run
+//! otherwise; `docs/FAULTS.md`).
 
 use crate::config::RunCtx;
 use crate::instrument;
@@ -26,25 +26,12 @@ use std::any::Any;
 use std::borrow::Borrow;
 use std::panic::{self, AssertUnwindSafe};
 
-/// One master ↔ slaves protocol instance, shared by both ends: the
-/// master's [`crate::driver::drive`] and its slaves' [`serve_jobs`].
-#[derive(Debug, Clone, Copy)]
-pub struct Link {
-    /// Rank of the master the slaves answer to.
-    pub master: usize,
-    /// Message tag of every message on the link.
-    pub tag: i32,
-}
+/// The message tag of every message between a master and its slaves:
+/// the flat farm's and a session's (their worlds never meet).
+pub const TAG: i32 = 7;
 
-impl Link {
-    /// Master-side: send `rank` the stop sentinel, the empty message.
-    pub(crate) fn stop(&self, comm: &Comm, rank: usize) -> Result<(), MpiError> {
-        comm.send(&[], rank as i32, self.tag)
-    }
-}
-
-/// Serve job frames from `link.master` until its stop sentinel — the
-/// whole body of a compute rank. A cycle is two `Comm` ops: `recv` the
+/// Serve job frames from the master, rank 0, until its stop sentinel —
+/// the whole body of a compute rank. A cycle is two `Comm` ops: `recv` the
 /// frame, `send` the reply (`docs/FAULTS.md` derives fault indices from
 /// that). `patience` is the supervised slave's bound on its one wait
 /// ([`SupervisorConfig::slave_idle_timeout`]; `Duration::MAX`, a
@@ -60,17 +47,17 @@ impl Link {
 /// one has nobody to tell, so it panics: that poisons the world, which
 /// wakes every parked peer with an error instead of leaving it blocked
 /// on a rank that is gone.
-pub fn serve_jobs(comm: &Comm, ctx: &RunCtx, link: Link, patience: Option<&SupervisorConfig>) {
-    let (master, tag, store) = (link.master as i32, link.tag, ctx.store.as_ref());
+pub fn serve_jobs(comm: &Comm, ctx: &RunCtx, patience: Option<&SupervisorConfig>) {
+    let store = ctx.store.as_ref();
     let serve = || -> Result<(), FarmError> {
         loop {
             let frame = match patience {
-                None => comm.recv(master, tag)?.0,
-                Some(p) => match comm.recv_timeout(master, tag, p.slave_idle_timeout) {
+                None => comm.recv(0, TAG)?.0,
+                Some(p) => match comm.recv_timeout(0, TAG, p.slave_idle_timeout) {
                     Ok(Some((frame, _))) => frame,
                     Ok(None) => return Ok(()),
                     Err(MpiError::Truncated { .. }) => {
-                        comm.discard(master, tag)?;
+                        comm.discard(0, TAG)?;
                         continue;
                     }
                     Err(e) => return Err(e.into()),
@@ -89,15 +76,12 @@ pub fn serve_jobs(comm: &Comm, ctx: &RunCtx, link: Link, patience: Option<&Super
                 |(idx, body)| price_one(comm, ctx, idx, || recover_member(comm, store, body));
             let answers: Vec<Answer> = members.into_iter().map(price).collect();
             comm.set_job(None);
-            comm.send_obj(&batch_reply_value(&answers), master, tag)?;
+            comm.send_obj(&batch_reply_value(&answers), 0, TAG)?;
         }
     };
     match serve() {
         Err(e) if patience.is_none() => {
-            panic!(
-                "farm slave {}: link to master {master} failed: {e}",
-                comm.rank()
-            )
+            panic!("farm slave {}: link to master failed: {e}", comm.rank())
         }
         _ => {}
     }

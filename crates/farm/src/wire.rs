@@ -1,25 +1,19 @@
 //! The farm's wire codec, in one place.
 //!
-//! Every master/slave link — flat, supervised, hierarchy group, shard
-//! lease round — and `serve` speak one wire, shared by both sides:
+//! Every master/slave link — the flat farm's, plain or supervised, and
+//! `serve`'s — speaks one wire, shared by both sides:
 //! the *job frame* out ([`JobFrame`] / [`decode_frame`]), one member or
 //! many, each a serialized problem or a file name behind its wire id,
 //! written and read as bytes, never a value tree; the frame's answers
 //! back as columns ([`batch_reply_value`] / `decode_batch_reply`); and
 //! the empty message as the stop sentinel.
 //!
-//! The hierarchy's two private messages ride the same codec: a
-//! sub-master's chunk is a job frame of names, and its report back is
-//! `group_report_value` / `decode_group_report` — one legacy
-//! `{job, price, std_error?, slave}` hash per outcome ([`Answer`]'s
-//! value encoding).
-//!
-//! Decoding is total: [`decode_frame`], `decode_batch_reply` and
-//! `decode_group_report` never silently drop or repair an undecodable
-//! message — they return [`FarmError::Protocol`].
+//! Decoding is total: [`decode_frame`] and `decode_batch_reply` never
+//! silently drop or repair an undecodable message — they return
+//! [`FarmError::Protocol`].
 
-use crate::robin_hood::{FarmError, JobOutcome};
-use nspval::{BoolMatrix, Hash, Matrix, Value};
+use crate::robin_hood::FarmError;
+use nspval::{BoolMatrix, Matrix, Value};
 use pricing::PricingResult;
 use xdrser::{ListEncoder, Node, Walker};
 
@@ -140,10 +134,7 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Vec<(usize, Body<'_>)>, FarmError> {
 // ---------------------------------------------------------------------------
 
 /// What a slave says about one job: priced, or failed and why. A
-/// frame's answers travel as columns ([`batch_reply_value`]); one
-/// answer's own value encoding — the legacy `{job, price, std_error?}`
-/// and `{job, failed}` hashes — is what a hierarchy group report
-/// carries.
+/// frame's answers travel as columns ([`batch_reply_value`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Answer {
     /// The job priced successfully.
@@ -187,53 +178,6 @@ impl Answer {
         match self {
             Answer::Priced { job, .. } | Answer::Failed { job, .. } => *job,
         }
-    }
-
-    /// Encode with the legacy layouts (`result_value` /
-    /// `failure_value`), bit-for-bit.
-    pub(crate) fn to_value(&self) -> Value {
-        Value::Hash(self.to_hash())
-    }
-
-    fn to_hash(&self) -> Hash {
-        let mut h = Hash::new();
-        match self {
-            Answer::Priced {
-                job,
-                price,
-                std_error,
-            } => {
-                h.set("job", Value::scalar(*job as f64));
-                h.set("price", Value::scalar(*price));
-                if let Some(se) = std_error {
-                    h.set("std_error", Value::scalar(*se));
-                }
-            }
-            Answer::Failed { job, why } => {
-                h.set("job", Value::scalar(*job as f64));
-                h.set("failed", Value::string(why.clone()));
-            }
-        }
-        h
-    }
-
-    /// Decode either answer shape; `None` when the value is neither.
-    fn decode(v: &Value) -> Option<Answer> {
-        let h = v.as_hash()?;
-        let job = index_of(h.get("job")?)?;
-        if let Some(price) = h.get("price").and_then(|x| x.as_scalar()) {
-            let std_error = match h.get("std_error") {
-                Some(se) => Some(se.as_scalar()?),
-                None => None,
-            };
-            return Some(Answer::Priced {
-                job,
-                price,
-                std_error,
-            });
-        }
-        let why = h.get("failed")?.as_str()?.to_string();
-        Some(Answer::Failed { job, why })
     }
 }
 
@@ -306,151 +250,14 @@ pub(crate) fn decode_batch_reply(v: &Value) -> Result<Vec<Answer>, FarmError> {
     parse().ok_or_else(|| FarmError::Protocol(format!("undecodable batch reply: {v}")))
 }
 
-/// Encode a hierarchy sub-master's report to the global master: its
-/// outcomes in completion order, one legacy
-/// `{job, price, std_error?, slave}` hash each — a priced answer plus
-/// the rank that gave it.
-pub(crate) fn group_report_value(outcomes: &[JobOutcome]) -> Value {
-    let item = |o: &JobOutcome| {
-        let (job, price, std_error) = (o.job, o.price, o.std_error);
-        let mut h = Answer::Priced {
-            job,
-            price,
-            std_error,
-        }
-        .to_hash();
-        h.set("slave", Value::scalar(o.slave as f64));
-        Value::Hash(h)
-    };
-    Value::list(outcomes.iter().map(item).collect())
-}
-
-/// Decode a group report. A sub-master whose chunk hit a failed job
-/// sends that job's [`Answer::Failed`] in place of the list; it decodes
-/// to [`FarmError::JobFailed`].
-pub(crate) fn decode_group_report(v: &Value) -> Result<Vec<JobOutcome>, FarmError> {
-    let item = |v: &Value| match Answer::decode(v)? {
-        Answer::Priced {
-            job,
-            price,
-            std_error,
-        } => Some(JobOutcome {
-            job,
-            slave: index_of(v.as_hash()?.get("slave")?)?,
-            price,
-            std_error,
-        }),
-        Answer::Failed { .. } => None,
-    };
-    if let Some(Answer::Failed { job, why }) = Answer::decode(v) {
-        return Err(FarmError::JobFailed { job, why });
-    }
-    v.as_list()
-        .and_then(|l| l.iter().map(item).collect())
-        .ok_or_else(|| FarmError::Protocol(format!("undecodable group report: {v}")))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nspval::Serial;
+    use nspval::{Hash, Serial};
     use proptest::prelude::*;
-
-    #[test]
-    fn group_reports_round_trip_and_decode_strictly() {
-        let outcomes = vec![
-            JobOutcome {
-                job: 31,
-                slave: 5,
-                price: 1.25,
-                std_error: None,
-            },
-            JobOutcome {
-                job: 30,
-                slave: 6,
-                price: -0.5,
-                std_error: Some(0.125),
-            },
-        ];
-        let v = group_report_value(&outcomes);
-        assert_eq!(decode_group_report(&v).unwrap(), outcomes);
-        assert_eq!(decode_group_report(&Value::list(vec![])).unwrap(), []);
-        // A failed chunk travels as the failed job's answer.
-        match decode_group_report(&Answer::failed(3, "no such file").to_value()) {
-            Err(FarmError::JobFailed { job: 3, why }) => assert_eq!(why, "no such file"),
-            other => panic!("expected JobFailed, got {other:?}"),
-        }
-        // Drop one field at a time: nothing is defaulted (a missing
-        // `job` used to become job 0).
-        for field in ["job", "price", "slave"] {
-            let mut h = v
-                .as_list()
-                .unwrap()
-                .get(0)
-                .unwrap()
-                .as_hash()
-                .unwrap()
-                .clone();
-            h.remove(field);
-            let bad = Value::list(vec![Value::Hash(h)]);
-            assert!(
-                matches!(decode_group_report(&bad), Err(FarmError::Protocol(_))),
-                "missing {field}"
-            );
-        }
-        for bad in [Value::scalar(1.0), Value::list(vec![Value::scalar(1.0)])] {
-            assert!(matches!(
-                decode_group_report(&bad),
-                Err(FarmError::Protocol(_))
-            ));
-        }
-    }
-
-    #[test]
-    fn answer_layouts_match_the_legacy_encodings() {
-        // Priced: {job, price, std_error?} with scalar fields.
-        let v = Answer::Priced {
-            job: 3,
-            price: 1.5,
-            std_error: Some(0.25),
-        }
-        .to_value();
-        let h = v.as_hash().unwrap();
-        assert_eq!(h.get("job").unwrap().as_scalar(), Some(3.0));
-        assert_eq!(h.get("price").unwrap().as_scalar(), Some(1.5));
-        assert_eq!(h.get("std_error").unwrap().as_scalar(), Some(0.25));
-        // Failure: {job, failed} with a string reason.
-        let v = Answer::failed(7, "no such file").to_value();
-        let h = v.as_hash().unwrap();
-        assert_eq!(h.get("job").unwrap().as_scalar(), Some(7.0));
-        assert_eq!(h.get("failed").unwrap().as_str(), Some("no such file"));
-    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
-
-        #[test]
-        fn answer_round_trips(
-            job in 0usize..10_000,
-            price in -1e9f64..1e9,
-            has_se in any::<bool>(),
-            se in 0f64..1e6,
-            fail in any::<bool>(),
-            why in "[a-z ]{0,40}",
-        ) {
-            let a = if fail {
-                Answer::Failed { job, why: why.clone() }
-            } else {
-                Answer::Priced { job, price, std_error: has_se.then_some(se) }
-            };
-            // Value round trip.
-            let decoded = Answer::decode(&a.to_value());
-            prop_assert_eq!(decoded, Some(a.clone()));
-            // Full XDR wire round trip (what actually crosses minimpi).
-            let bytes = xdrser::serialize_to_bytes(&a.to_value());
-            let back = xdrser::unserialize_bytes(&bytes).unwrap();
-            prop_assert_eq!(Answer::decode(&back), Some(a));
-        }
 
         #[test]
         fn job_frame_members_round_trip(
@@ -727,7 +534,12 @@ mod tests {
             reply(&two, &two, &two, &[true, false], vec![failure(f64::NAN)]),
             reply(&two, &two, &two, &[true, false], vec![Value::scalar(0.0)]),
             // Not a five-column frame at all — the old list of hashes.
-            Value::list(vec![Answer::failed(1, "x").to_value()]),
+            Value::list(vec![Value::Hash({
+                let mut h = Hash::new();
+                h.set("job", Value::scalar(1.0));
+                h.set("failed", Value::string("x"));
+                h
+            })]),
             Value::scalar(1.0),
         ] {
             assert!(

@@ -2,13 +2,12 @@
 //!
 //! Since the `transport` crate landed, the mailbox/matching machinery
 //! lives behind the [`Transport`] trait: a [`Comm`] is one rank's typed,
-//! fault-aware, instrumented view of whichever backend its world was
-//! built on — in-process channels ([`crate::World`]) or multi-process
-//! Unix-domain sockets ([`crate::ProcessWorld`]). Fault injection and
-//! observability stay here, *above* the wire: the same `FaultPlan`
-//! drives both backends, and its verdicts are mapped onto whatever the
+//! fault-aware, instrumented view of the backend its world was built on
+//! — the in-process channels of [`crate::World`] and
+//! [`crate::SpawnedWorld`]. Fault injection and observability stay here,
+//! *above* the wire: a `FaultPlan`'s verdicts are mapped onto what the
 //! backend can express (drops never sent, truncations sent short,
-//! delays carried as frame metadata, kills broadcast group-wide).
+//! delays carried as frame metadata, kills marked group-wide).
 
 use crate::buf::MpiBuf;
 use crate::error::MpiError;
@@ -169,8 +168,7 @@ impl Comm {
                     rank: self.rank,
                     op,
                 });
-                // Group-wide: peers' sends to us must fail fast, on every
-                // backend (the process backend broadcasts the kill).
+                // Group-wide: peers' sends to us must fail fast.
                 self.transport.kill(self.rank);
                 // Fault path: a self-observed death is an event too.
                 if let Some(rec) = &self.recorder {

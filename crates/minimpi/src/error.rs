@@ -28,9 +28,9 @@ pub enum MpiError {
     /// a mailbox nobody will drain; every operation *by* a dead rank also
     /// fails with this error (carrying its own rank).
     Poisoned(usize),
-    /// The transport backend failed below the messaging layer (e.g. a
-    /// socket write error on the multi-process backend). The in-process
-    /// channel backend never produces this.
+    /// The transport backend failed below the messaging layer (an I/O
+    /// error). The in-process channel backend every world runs on never
+    /// produces this.
     Transport(String),
 }
 

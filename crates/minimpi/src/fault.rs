@@ -253,108 +253,11 @@ impl FaultPlan {
     pub(crate) fn record(&self, ev: FaultEvent) {
         self.events.lock().expect("fault log").push(ev);
     }
-
-    // ----- environment codec ------------------------------------------------
-    //
-    // Every field of a plan is plain data, so a plan crosses a process
-    // boundary as a single environment string: the parent of a
-    // [`crate::ProcessWorld`] encodes its plan and each child rebuilds an
-    // identical one. Floating rates travel as exact bit patterns so the
-    // child's decision table is *bit-identical* to the parent's
-    // (determinism across the process boundary, not merely "close").
-
-    /// Encode the plan's configuration (not its event log) as one string
-    /// suitable for an environment variable. [`FaultPlan::decode`] of the
-    /// result reproduces the exact decision table.
-    pub(crate) fn encode(&self) -> String {
-        let forced: Vec<String> = self
-            .forced
-            .iter()
-            .map(|&(r, s, f)| {
-                let verdict = match f {
-                    SendFault::Deliver => "keep".to_string(),
-                    SendFault::Drop => "drop".to_string(),
-                    SendFault::Delay(d) => format!("delay.{}", d.as_nanos()),
-                    SendFault::Truncate(n) => format!("trunc.{n}"),
-                };
-                format!("{r}.{s}.{verdict}")
-            })
-            .collect();
-        let kills: Vec<String> = self
-            .kills
-            .iter()
-            .map(|&(r, op)| format!("{r}.{op}"))
-            .collect();
-        format!(
-            "seed={};drop={:016x};delay={:016x};dlo={};dhi={};trunc={:016x};kills={};forced={}",
-            self.seed,
-            self.drop_rate.to_bits(),
-            self.delay_rate.to_bits(),
-            self.delay_lo.as_nanos(),
-            self.delay_hi.as_nanos(),
-            self.truncate_rate.to_bits(),
-            kills.join(","),
-            forced.join(","),
-        )
-    }
-
-    /// Rebuild a plan from [`FaultPlan::encode`] output. `None` on any
-    /// malformed field — a process world treats that as a launch error
-    /// rather than silently running faultless.
-    pub(crate) fn decode(s: &str) -> Option<FaultPlan> {
-        let mut plan = FaultPlan::new(0);
-        for field in s.split(';') {
-            let (key, val) = field.split_once('=')?;
-            match key {
-                "seed" => plan.seed = val.parse().ok()?,
-                "drop" => plan.drop_rate = f64::from_bits(u64::from_str_radix(val, 16).ok()?),
-                "delay" => plan.delay_rate = f64::from_bits(u64::from_str_radix(val, 16).ok()?),
-                "dlo" => plan.delay_lo = Duration::from_nanos(val.parse().ok()?),
-                "dhi" => plan.delay_hi = Duration::from_nanos(val.parse().ok()?),
-                "trunc" => {
-                    plan.truncate_rate = f64::from_bits(u64::from_str_radix(val, 16).ok()?)
-                }
-                "kills" => {
-                    for kill in val.split(',').filter(|k| !k.is_empty()) {
-                        let (r, op) = kill.split_once('.')?;
-                        plan.kills.push((r.parse().ok()?, op.parse().ok()?));
-                    }
-                }
-                "forced" => {
-                    for forced in val.split(',').filter(|k| !k.is_empty()) {
-                        let mut it = forced.splitn(3, '.');
-                        let r: usize = it.next()?.parse().ok()?;
-                        let send: u64 = it.next()?.parse().ok()?;
-                        let token = it.next()?;
-                        let v = match token.split_once('.') {
-                            None if token == "keep" => SendFault::Deliver,
-                            None if token == "drop" => SendFault::Drop,
-                            Some(("delay", ns)) => {
-                                SendFault::Delay(Duration::from_nanos(ns.parse().ok()?))
-                            }
-                            Some(("trunc", n)) => SendFault::Truncate(n.parse().ok()?),
-                            _ => return None,
-                        };
-                        plan.forced.push((r, send, v));
-                    }
-                }
-                _ => return None,
-            }
-        }
-        Some(plan)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    impl FaultPlan {
-        /// The seed this plan derives every decision from.
-        fn seed(&self) -> u64 {
-            self.seed
-        }
-    }
 
     #[test]
     fn inert_plan_never_faults() {
@@ -442,45 +345,6 @@ mod tests {
                 other => panic!("expected delay, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn encode_decode_round_trips_decision_table() {
-        let p = FaultPlan::new(99)
-            .with_drop_rate(0.1)
-            .with_delay_rate(0.25, Duration::from_millis(3), Duration::from_millis(17))
-            .with_truncate_rate(0.05)
-            .kill_rank_at_op(2, 40)
-            .force_send(1, 3, SendFault::Drop)
-            .force_send(0, 0, SendFault::Delay(Duration::from_millis(9)))
-            .force_send(3, 8, SendFault::Truncate(12))
-            .force_send(2, 2, SendFault::Deliver);
-        let q = FaultPlan::decode(&p.encode()).expect("decodes");
-        assert_eq!(q.seed(), p.seed());
-        for rank in 0..4 {
-            assert_eq!(
-                p.send_schedule(rank, 300, 64),
-                q.send_schedule(rank, 300, 64),
-                "rank {rank}"
-            );
-            for op in 0..60 {
-                assert_eq!(p.should_kill(rank, op), q.should_kill(rank, op));
-            }
-        }
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
-        assert!(FaultPlan::decode("nonsense").is_none());
-        assert!(FaultPlan::decode("seed=x;drop=0").is_none());
-        assert!(FaultPlan::decode("seed=1;unknown=2").is_none());
-    }
-
-    #[test]
-    fn inert_plan_encodes_inert() {
-        let p = FaultPlan::decode(&FaultPlan::new(5).encode()).unwrap();
-        assert!(p.is_inert());
-        assert_eq!(p.seed(), 5);
     }
 
     #[test]

@@ -57,14 +57,12 @@ mod buf;
 mod comm;
 mod error;
 mod fault;
-mod process;
 mod world;
 
 pub use buf::MpiBuf;
 pub use comm::{Comm, Status};
 pub use error::MpiError;
 pub use fault::{FaultEvent, FaultPlan, SendFault};
-pub use process::{ProcessParent, ProcessWorld};
 pub use world::{SpawnedWorld, World};
 
 /// Wildcard source for `recv`/`probe` — the paper's `MPI_Probe(-1, ...)`.

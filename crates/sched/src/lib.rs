@@ -2,9 +2,8 @@
 //!
 //! The paper's Fig. 4/5 master is *one* algorithm — feed every slave a
 //! job, refeed each slave on every answer, stop with an empty name —
-//! yet the repository grew four live implementations of it (plain,
-//! supervised, batched, hierarchical) plus a fifth re-derivation inside
-//! the cluster simulator. This crate isolates the scheduling
+//! yet the repository once grew four live implementations of it plus a
+//! fifth re-derivation inside the cluster simulator. This crate isolates the scheduling
 //! *decisions* from every transport: [`Scheduler::on`] consumes an
 //! [`Event`] (something the outside world observed) and returns the
 //! [`Action`]s the master must take, with no clocks, threads, sockets
@@ -12,10 +11,10 @@
 //!
 //! The same state machine drives:
 //!
-//! * the live `minimpi` farm masters (plain — dispatching job frames,
-//!   [`Batch::Guided`] — supervised, and each hierarchy sub-master and
-//!   shard), which translate wire messages into
-//!   events and actions into sends; and
+//! * the live `minimpi` masters (the flat farm, plain — dispatching job
+//!   frames, [`Batch::Guided`] — or supervised, and each batch of a
+//!   `serve::Session`), which translate wire messages into events and
+//!   actions into sends; and
 //! * the discrete-event cluster simulator, which feeds the identical
 //!   events with simulated timestamps.
 //!

@@ -40,7 +40,7 @@
 use crate::config::{ServeConfig, ServeError};
 use farm::config::RunCtx;
 use farm::driver::{drive, Farm};
-use farm::slave::{price_one, serve_jobs, Link};
+use farm::slave::{price_one, serve_jobs, TAG};
 use farm::wire::{Answer, Body, JobFrame, FRAME_HEADER_BYTES, MEMBER_HEADER_BYTES};
 use farm::Transmission;
 use minimpi::{Comm, World};
@@ -52,15 +52,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use transport::queue;
-
-/// The session wire tag.
-const TAG: i32 = 11;
-
-/// The front loop (rank 0) masters every slave rank.
-const LINK: Link = Link {
-    master: 0,
-    tag: TAG,
-};
 
 /// Budget charged per memo entry value: a price, an optional standard
 /// error, and the `Option` discriminant.
@@ -579,7 +570,7 @@ fn front_loop(
     // Stop the resident slaves with the farm link's sentinel, the empty
     // message. Sends to already-dead ranks fail with Poisoned: goodbye.
     for s in 1..=cfg.slaves {
-        let _ = comm.send(&[], s as i32, LINK.tag);
+        let _ = comm.send(&[], s as i32, TAG);
     }
     report.memo = front.memo.stats();
     report
@@ -854,7 +845,6 @@ fn run_batch(
 
     let farm = Farm {
         comm,
-        link: LINK,
         base,
         frames: Some(&offsets),
         supervisor: Some(&cfg.supervisor),
@@ -867,7 +857,7 @@ fn run_batch(
     });
     let ran = drive(&farm, sc, |frame, rank, _, _| {
         comm.set_job(Some(base + offsets[frame]));
-        let sent = comm.send(&wires[frame], rank as i32, LINK.tag);
+        let sent = comm.send(&wires[frame], rank as i32, TAG);
         comm.set_job(None);
         Ok(sent?)
     });
@@ -902,7 +892,7 @@ fn run_batch(
 /// (`slave_idle_timeout` is `Duration::MAX`).
 fn resident_slave(comm: &Comm, cfg: &ServeConfig) {
     let ctx = RunCtx::new(cfg.exec_policy());
-    serve_jobs(comm, &ctx, LINK, Some(&cfg.supervisor));
+    serve_jobs(comm, &ctx, Some(&cfg.supervisor));
 }
 
 #[cfg(test)]

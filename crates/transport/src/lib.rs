@@ -31,7 +31,9 @@
 //!   wakeups behave identically; faults are mapped onto the wire (drops
 //!   never sent, truncations sent short with the true advertised length,
 //!   delays carried as a header the receiver honours, kills broadcast as
-//!   control frames).
+//!   control frames). No `minimpi` world runs on it: it is timed by the
+//!   benchmark's `transport.uds_*` layers and held to the channel
+//!   backend's behaviour by `tests/transport_conformance.rs`.
 //!
 //! The [`queue`] module hosts the workspace's only raw channel
 //! construction; everything else goes through a transport.

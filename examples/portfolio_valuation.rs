@@ -73,9 +73,10 @@ fn main() {
         );
     }
 
-    // The §5 extensions on the same workload. The sweep above already
-    // "sends them all together" (job frames); a supervised run sends
-    // frames of one job, for comparison.
+    // §5's first extension on the same workload. The sweep above
+    // already "sends them all together" (job frames); a supervised run
+    // sends frames of one job, for comparison. Its second, sub-masters,
+    // is priced on the simulator (`ablation`).
     println!("\n§5 extensions:");
     let supervised = run(
         &files,
@@ -85,11 +86,6 @@ fn main() {
     println!(
         "  frames of one (supervised, 4 slaves): {:?}",
         supervised.elapsed
-    );
-    let hier = run_hierarchical_farm(&files, 2, 2, Transmission::SerializedLoad, None).unwrap();
-    println!(
-        "  hierarchical farm (2 groups × 2 slaves): {:?}",
-        hier.elapsed
     );
     std::fs::remove_dir_all(&dir).ok();
 }

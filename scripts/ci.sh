@@ -68,8 +68,8 @@ fi
 echo "==> scheduler gate: no ANY_SOURCE receives in crates/farm or crates/serve outside the sched driver"
 # Every master decision flows through the sched state machine: the farm
 # and serve crates receive from ANY_SOURCE only in farm's driver.rs, at
-# the one `drive` gather point and `recv_any` — so the token itself,
-# however the receive around it is spelled, appears nowhere else.
+# the one `drive` gather point — so the token itself, however the
+# receive around it is spelled, appears nowhere else.
 # Comment lines are ignored.
 anysrc=$(grep -rnE '\bANY_SOURCE\b' \
     --include='*.rs' crates/farm crates/serve 2>/dev/null \

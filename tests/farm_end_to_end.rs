@@ -97,7 +97,7 @@ fn regression_suite_through_the_farm_like_table1() {
 }
 
 #[test]
-fn batched_and_hierarchical_agree_with_flat_farm() {
+fn batched_farm_sends_frames_and_matches_serial() {
     let (files, expected, dir) = setup("variants", 24);
     // Job frames (what `run` ships by default), traced to show it.
     let framed = FarmConfig::new(3, Transmission::SerializedLoad).record_trace(true);
@@ -107,12 +107,9 @@ fn batched_and_hierarchical_agree_with_flat_farm() {
         trace.starts_with("ready(1) -> dispatch(0..4->1)\n"),
         "{trace}"
     );
-    let hier = run_hierarchical_farm(&files, 2, 2, Transmission::SerializedLoad, None).unwrap();
-    for report in [batched, hier] {
-        assert_eq!(report.completed(), 24);
-        for o in &report.outcomes {
-            assert_eq!(o.price.to_bits(), expected[o.job].to_bits());
-        }
+    assert_eq!(batched.completed(), 24);
+    for o in &batched.outcomes {
+        assert_eq!(o.price.to_bits(), expected[o.job].to_bits());
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -201,7 +198,6 @@ fn risk_sweep_through_the_farm() {
 /// the rest. Nothing panics, nothing hangs, nothing waits out a timeout.
 #[test]
 fn a_failed_job_means_the_same_thing_on_every_front_end() {
-    use riskbench::farm::{run_sharded, ShardConfig};
     use std::path::PathBuf;
     use std::time::{Duration, Instant};
 
@@ -209,21 +205,11 @@ fn a_failed_job_means_the_same_thing_on_every_front_end() {
     const BAD: usize = 3;
 
     type FrontEnd = fn(&[PathBuf], Transmission) -> Result<FarmReport, FarmError>;
-    let front_ends: [(&str, FrontEnd); 4] = [
+    let front_ends: [(&str, FrontEnd); 2] = [
         // Plain is the framed row: job 3 fails inside the frame 2..4.
         ("plain", |f, s| run(f, &FarmConfig::new(2, s))),
         ("supervised", |f, s| {
             run(f, &FarmConfig::new(2, s).supervised(true))
-        }),
-        ("hierarchical 2x2", |f, s| {
-            run_hierarchical_farm(f, 2, 2, s, None)
-        }),
-        ("sharded 2x2", |f, s| {
-            let cfg = ShardConfig {
-                strategy: s,
-                ..ShardConfig::new(2, 2)
-            };
-            run_sharded(f, &cfg).map(|r| r.into_farm_report())
         }),
     ];
     // `true`: job 3's file is renamed away; `false`: it holds a problem

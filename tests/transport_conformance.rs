@@ -6,8 +6,8 @@
 //!   condvar-guarded mailboxes), and
 //! * the multi-process wire protocol of [`transport::UdsTransport`] —
 //!   exercised here as a full Unix-domain-socket mesh inside one
-//!   process (the trait makes no distinction; `minimpi::ProcessWorld`
-//!   and `tests/shard_parity.rs` cover the spawned-children topology).
+//!   process (the trait makes no distinction between a peer thread and
+//!   a peer process).
 //!
 //! The contract under test: ordered pairwise delivery, readiness-based
 //! timed receives (deadline expiry without a hot loop, prompt wake-up

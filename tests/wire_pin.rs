@@ -8,13 +8,12 @@
 //! link speaks one wire — a job frame out, a columnar reply back, the
 //! empty message to stop — so each cell is frames, replies and stops.
 //! The plain cells were taken when the flat farm's unit of dispatch
-//! became the job frame (PR 24); the supervised and hierarchical cells
-//! when Fig. 4's per-job protocol left the live farm (PR 25), each once
-//! and on purpose. They are exact, like the allocation counts of
+//! became the job frame (PR 24); the supervised cell when Fig. 4's
+//! per-job protocol left the live farm (PR 25), each once and on
+//! purpose. They are exact, like the allocation counts of
 //! `tests/nsp_linear.rs`: any drift in the protocol (an extra message, a
 //! wider answer, a lost stop sentinel) is a failure, not a band.
 
-use riskbench::farm::hierarchy::run_hierarchical_farm;
 use riskbench::prelude::*;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -24,8 +23,8 @@ const JOBS: usize = 60;
 const SLAVES: usize = 3;
 
 /// Every problem path is padded to exactly this many bytes: NFS frames
-/// and hierarchy chunks carry the path, so their size would otherwise
-/// follow the host's temporary directory.
+/// carry the path, so their size would otherwise follow the host's
+/// temporary directory.
 const PATH_LEN: usize = 96;
 
 /// `(Send events, bytes they carried)`.
@@ -39,10 +38,6 @@ const PLAIN_SERIALIZED_LOAD: Wire = (37, 31_180);
 // 60 frames of one, 60 replies, 3 stops. Fig. 4's per-job protocol (a
 // name message, a payload and an answer a job) sent (183, 40_860).
 const SUPERVISED_INERT_SLOAD: Wire = (123, 35_280);
-// 2 chunks (job frames of names), 2 group reports and, per group of
-// 30 jobs on 2 slaves, 10 guided frames (8, 6, 4, 3, 3, 2, 1, 1, 1, 1),
-// 10 replies and 2 stops. Per job it was (188, 56_304).
-const HIERARCHICAL_2X2_SLOAD: Wire = (48, 45_440);
 
 /// [`JOBS`] toy problems saved under a directory whose name pads every
 /// file's path to [`PATH_LEN`] bytes.
@@ -116,18 +111,6 @@ fn every_front_end_sends_the_same_messages_and_bytes_as_before_the_collapse() {
         flat(FarmConfig::new(SLAVES, Transmission::SerializedLoad).supervisor(patient)),
         SUPERVISED_INERT_SLOAD,
         "supervised, no faults, serialized load"
-    );
-    assert_eq!(
-        wire_of(7, JOBS, |rec| run_hierarchical_farm(
-            &files,
-            2,
-            2,
-            Transmission::SerializedLoad,
-            Some(rec)
-        ))
-        .0,
-        HIERARCHICAL_2X2_SLOAD,
-        "hierarchical 2x2, serialized load"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
