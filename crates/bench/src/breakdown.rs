@@ -28,12 +28,15 @@ pub struct BreakdownOpts {
     pub jobs: Option<usize>,
     /// `--cpus N`: cluster size (master + slaves) for the breakdown run.
     pub cpus: usize,
-    /// `--warm`: model the `store` crate's client-side problem cache —
+    /// `--warm`: model a client-side problem cache —
     /// each strategy runs twice against one shared cache state, and the
     /// warm re-run is reported as an extra `"<strategy> (warm)"` row.
+    /// The live farm reads every problem from disk; this is a simulated
+    /// ablation only.
     pub warm: bool,
-    /// `--compress`: model the compressed-wire option for loaded
-    /// payloads (`FarmConfig::compress_wire`).
+    /// `--compress`: model §3.2's compressed serialized buffers on the
+    /// wire for loaded payloads. The live farm always sends raw bytes;
+    /// this is a simulated ablation only.
     pub compress: bool,
     /// `--threads N`: model the intra-slave chunked executor
     /// (`FarmConfig::threads`) — each strategy runs a second time with

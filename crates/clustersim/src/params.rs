@@ -107,8 +107,8 @@ pub struct StoreParams {
     pub(crate) hit_fetch: f64,
     /// Compress loaded payloads on the wire.
     pub compress: bool,
-    /// Minimum payload size worth compressing, bytes (mirrors
-    /// `WirePolicy::compressed(threshold)` in the live farm).
+    /// Minimum payload size worth compressing, bytes. The live farm
+    /// always sends raw payloads; this is a simulated ablation only.
     pub(crate) compress_threshold: usize,
     /// Compressed/raw size ratio for XDR problem files (LZSS on the
     /// highly repetitive Premia descriptors lands near one half).

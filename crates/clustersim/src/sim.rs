@@ -64,8 +64,9 @@ impl NfsCache {
 pub struct SimCaches {
     /// NFS server block cache (server side).
     pub(crate) nfs: NfsCache,
-    /// Problem files resident on the farm side (a `store::CachingStore`):
-    /// unlike `nfs`, it sits in front of every fetch, whichever strategy.
+    /// Problem files resident in a modelled farm-side cache (what a
+    /// `store::CachingStore` would hold): unlike `nfs`, it sits in front
+    /// of every fetch, whichever strategy.
     pub(crate) client: HashSet<usize>,
 }
 
@@ -278,7 +279,8 @@ pub fn simulate_farm_recorded(
 ///
 /// NFS reads go through `caches`, and so does every fetch with
 /// `SimConfig::store`'s client cache on, marked `CacheHit`/`CacheMiss` on
-/// the fetching rank as a live `CachingStore` marks it.
+/// the fetching rank. The live farm has no client cache: this is the
+/// simulated ablation of one.
 fn flat(
     spec: &SimSpec,
     sched: &SchedConfig,

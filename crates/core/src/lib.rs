@@ -32,9 +32,10 @@
 //!   compute parallelism (`FarmConfig::threads`): fixed-size path chunks,
 //!   one seeded RNG stream per chunk, bit-identical results for any
 //!   worker count.
-//! * [`store`] — the tiered problem store: every problem byte reaches
-//!   the farm through its `ProblemStore` trait (directory backend,
-//!   byte-budgeted LRU cache, master-side prefetch).
+//! * [`store`] — the problem store: every problem byte reaches the farm
+//!   through its directory backend, `DirStore`; a byte-budgeted LRU
+//!   cache (`CachingStore`) and the serve session's answer memo sit
+//!   beside it.
 //! * [`farm`] — portfolio generators (§4.1–§4.3 workloads), the three
 //!   transmission strategies, and the Robin-Hood farm: one slave loop and
 //!   one master driver behind the plain / batched / supervised farm
@@ -84,7 +85,7 @@ pub mod prelude {
     };
     pub use farm::risk::{aggregate_risk, risk_sweep, BumpSpec, ClaimRisk, Scenario};
     pub use farm::supervisor::SupervisorConfig;
-    pub use farm::{run, FarmConfig, FarmError, FarmReport, Transmission, WirePolicy};
+    pub use farm::{run, FarmConfig, FarmError, FarmReport, Transmission};
     pub use minimpi::{
         Comm, FaultEvent, FaultPlan, MpiBuf, SendFault, SpawnedWorld, World, ANY_SOURCE, ANY_TAG,
     };
@@ -93,7 +94,7 @@ pub mod prelude {
         MethodSpec, ModelSpec, OptionSpec, PremiaProblem, PricingError, PricingResult,
     };
     pub use serve::{Priced, Request, Response, ServeConfig, ServeError, Session, Ticket};
-    pub use store::{CachingStore, DirStore, Fetched, Prefetcher, ProblemStore, StoreStats};
+    pub use store::{CachingStore, DirStore, Fetched, ProblemStore, StoreStats};
     pub use xdrser::{load, save, serialize, sload, unserialize};
 }
 

@@ -21,7 +21,7 @@
 //! ```
 
 use crate::robin_hood::{run_flat, FarmError, FarmReport};
-use crate::strategy::{Transmission, WirePolicy};
+use crate::strategy::Transmission;
 use crate::supervisor::SupervisorConfig;
 use exec::ExecPolicy;
 use minimpi::FaultPlan;
@@ -29,22 +29,16 @@ use obs::Recorder;
 use sched::{DispatchPolicy, SchedConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
-use store::{CachingStore, DirStore, Prefetcher, ProblemStore};
+use store::DirStore;
 
-/// The per-run context every master/slave loop threads through: the one
-/// [`ProblemStore`] all byte-paths fetch from, the wire encoding policy,
-/// the optional master-side prefetch pipeline and the slaves' compute
-/// policy.
+/// The per-run context every master/slave loop threads through: the
+/// [`DirStore`] every byte-path reads problem files from, and the
+/// slaves' compute policy.
 #[derive(Debug)]
 pub struct RunCtx {
     /// The store every fetch (master prepare, NFS slave read) routes
     /// through. Shared across all ranks of the in-process world.
-    pub(crate) store: Arc<dyn ProblemStore>,
-    /// Wire encoding for loaded payloads.
-    pub(crate) wire: WirePolicy,
-    /// Bounded prefetch pipeline (master-side); dropped — and thereby
-    /// joined — when the run finishes.
-    prefetcher: Option<Prefetcher>,
+    pub(crate) store: DirStore,
     /// Intra-slave compute policy: `Some` routes every slave compute
     /// through [`pricing::PremiaProblem::compute_with`] on the chunked
     /// executor; `None` (the default) is the legacy single-threaded
@@ -54,21 +48,12 @@ pub struct RunCtx {
 }
 
 impl RunCtx {
-    /// Direct directory reads, raw wire, no prefetch, and `exec` as the
-    /// compute policy (`None`: the legacy single-threaded kernels).
+    /// Direct directory reads and `exec` as the compute policy (`None`:
+    /// the legacy single-threaded kernels).
     pub fn new(exec: Option<ExecPolicy>) -> Self {
         RunCtx {
-            store: Arc::new(DirStore::new()),
-            wire: WirePolicy::RAW,
-            prefetcher: None,
+            store: DirStore::new(),
             exec,
-        }
-    }
-
-    /// Tell the prefetcher (if any) that `n` jobs have been dispatched.
-    pub(crate) fn advance(&self, n: usize) {
-        if let Some(pf) = &self.prefetcher {
-            pf.advance(n);
         }
     }
 }
@@ -85,10 +70,6 @@ pub struct FarmConfig {
     pub(crate) supervisor: Option<SupervisorConfig>,
     pub(crate) fault_plan: Option<Arc<FaultPlan>>,
     pub(crate) recorder: Option<Arc<Recorder>>,
-    store: Option<Arc<dyn ProblemStore>>,
-    cache_bytes: Option<u64>,
-    compress_threshold: Option<usize>,
-    prefetch_depth: usize,
     threads: usize,
     lanes: usize,
     policy: DispatchPolicy,
@@ -106,10 +87,6 @@ impl FarmConfig {
             supervisor: None,
             fault_plan: None,
             recorder: None,
-            store: None,
-            cache_bytes: None,
-            compress_threshold: None,
-            prefetch_depth: 0,
             threads: 1,
             lanes: 1,
             policy: DispatchPolicy::Fifo,
@@ -210,41 +187,6 @@ impl FarmConfig {
         self
     }
 
-    /// Route every problem fetch through `store` instead of the default
-    /// direct-directory backend. Pass an `Arc<CachingStore>` you keep a
-    /// handle to when you want warm-cache persistence across runs or
-    /// access to its [`store::StoreStats`] afterwards.
-    pub fn store(mut self, store: Arc<dyn ProblemStore>) -> Self {
-        self.store = Some(store);
-        self
-    }
-
-    /// Wrap the backend (the configured [`store`](Self::store), or the
-    /// default directory store) in a byte-budgeted [`CachingStore`]:
-    /// warm fetches of the same unmodified problem file skip disk.
-    pub fn cache_bytes(mut self, budget: u64) -> Self {
-        self.cache_bytes = Some(budget);
-        self
-    }
-
-    /// Compress loaded payloads of at least `threshold` bytes on the
-    /// wire (§3.2's compressed serialized buffers). Payloads below the
-    /// threshold — or that fail to shrink — are sent raw.
-    pub fn compress_wire(mut self, threshold: usize) -> Self {
-        self.compress_threshold = Some(threshold);
-        self
-    }
-
-    /// Prefetch up to `depth` problems ahead of the dispatch watermark
-    /// into the store (requires a caching store — [`Self::cache_bytes`]
-    /// or a custom [`Self::store`] — so prefetched bytes are retained).
-    /// With a recorder sized `slaves + 2`, the pipeline's fetches are
-    /// timed as `Prefetch` events on the virtual rank `slaves + 1`.
-    pub fn prefetch(mut self, depth: usize) -> Self {
-        self.prefetch_depth = depth;
-        self
-    }
-
     /// The scheduler's view of this config over `jobs` jobs: dispatch
     /// order, supervision, staged rounds and tracing are all data for
     /// the one driver — and together they decide whether dispatches are
@@ -282,12 +224,8 @@ impl FarmConfig {
                 "fault injection requires the supervised master",
             );
         }
-        if self
-            .supervisor
-            .as_ref()
-            .is_some_and(|s| s.max_attempts == 0)
-        {
-            issues.reject("supervisor", "max_attempts must be at least 1");
+        if let Some(sup) = &self.supervisor {
+            sup.check(&mut issues);
         }
         if let Some(rec) = &self.recorder {
             if rec.ranks() < self.slaves + 1 {
@@ -301,15 +239,6 @@ impl FarmConfig {
                 );
             }
         }
-        if self.cache_bytes == Some(0) {
-            issues.reject("cache_bytes", "cache budget must be nonzero");
-        }
-        if self.prefetch_depth > 0 && self.cache_bytes.is_none() && self.store.is_none() {
-            issues.reject(
-                "prefetch_depth",
-                "prefetch needs a retaining store (set cache_bytes or store)",
-            );
-        }
         if let Err(bad) = ExecPolicy::validated(self.threads, self.lanes) {
             issues.issues.extend(bad.issues);
         }
@@ -320,35 +249,6 @@ impl FarmConfig {
             );
         }
         issues.into_result().map_err(FarmError::Config)
-    }
-
-    /// Assemble the per-run context: the store stack (custom backend →
-    /// optional cache decorator), the wire policy, and the prefetch
-    /// pipeline over `files`.
-    fn build_ctx(&self, files: &[PathBuf]) -> RunCtx {
-        let base: Arc<dyn ProblemStore> = match (&self.store, self.cache_bytes) {
-            (Some(s), None) => s.clone(),
-            (Some(s), Some(budget)) => Arc::new(CachingStore::new(s.clone(), budget)),
-            (None, Some(budget)) => Arc::new(CachingStore::over_dir(budget)),
-            (None, None) => Arc::new(DirStore::new()),
-        };
-        let wire = match self.compress_threshold {
-            Some(t) => WirePolicy::compressed(t),
-            None => WirePolicy::RAW,
-        };
-        let prefetcher = (self.prefetch_depth > 0 && !files.is_empty()).then(|| {
-            // The prefetcher records on the virtual rank `slaves + 1`;
-            // a recorder sized exactly `slaves + 1` silently ignores it
-            // (out of range), so existing breakdowns are unaffected.
-            let rec = self.recorder.as_ref().map(|r| (r.clone(), self.slaves + 1));
-            Prefetcher::spawn(base.clone(), files.to_vec(), self.prefetch_depth, rec)
-        });
-        RunCtx {
-            store: base,
-            wire,
-            prefetcher,
-            exec: ExecPolicy::validated(self.threads, self.lanes).expect("validated by run_with"),
-        }
     }
 }
 
@@ -384,7 +284,8 @@ pub(crate) fn run_with(
             return Err(FarmError::Config(exec::ConfigIssues::one(field, why)));
         }
     }
-    run_flat(files, cfg, &cfg.build_ctx(files), patch.as_ref())
+    let exec = ExecPolicy::validated(cfg.threads, cfg.lanes).expect("validated above");
+    run_flat(files, cfg, &RunCtx::new(exec), patch.as_ref())
 }
 
 #[cfg(test)]
@@ -442,25 +343,51 @@ mod tests {
             ..SupervisorConfig::default()
         };
         let cfg = FarmConfig::new(2, Transmission::Nfs).supervisor(sup);
-        assert!(rejected(&cfg).has("supervisor"));
+        assert!(rejected(&cfg).has("max_attempts"));
+    }
+
+    /// Each zero supervisor timing is rejected under its own name, as a
+    /// serving session rejects them: zero idle patience has every slave
+    /// leave at once and the master wait out each deadline, and a zero
+    /// deadline sends every job twice.
+    #[test]
+    fn zero_supervisor_timings_rejected() {
+        use std::time::Duration;
+        let ok = SupervisorConfig::default();
+        let rows = [
+            (
+                "job_deadline",
+                SupervisorConfig {
+                    job_deadline: Duration::ZERO,
+                    ..ok.clone()
+                },
+            ),
+            (
+                "poll",
+                SupervisorConfig {
+                    poll: Duration::ZERO,
+                    ..ok.clone()
+                },
+            ),
+            (
+                "slave_idle_timeout",
+                SupervisorConfig {
+                    slave_idle_timeout: Duration::ZERO,
+                    ..ok
+                },
+            ),
+        ];
+        for (field, sup) in rows {
+            let issues = rejected(&FarmConfig::new(2, Transmission::Nfs).supervisor(sup));
+            assert!(issues.has(field), "{field}: {issues}");
+            assert_eq!(issues.issues.len(), 1, "{field}: {issues}");
+        }
     }
 
     #[test]
     fn undersized_recorder_rejected() {
         let cfg = FarmConfig::new(3, Transmission::Nfs).recorder(Arc::new(Recorder::new(2)));
         assert!(rejected(&cfg).has("recorder"));
-    }
-
-    #[test]
-    fn zero_cache_budget_rejected() {
-        let cfg = FarmConfig::new(2, Transmission::Nfs).cache_bytes(0);
-        assert!(rejected(&cfg).has("cache_bytes"));
-    }
-
-    #[test]
-    fn prefetch_without_retaining_store_rejected() {
-        let cfg = FarmConfig::new(2, Transmission::SerializedLoad).prefetch(4);
-        assert!(rejected(&cfg).has("prefetch_depth"));
     }
 
     #[test]
@@ -485,18 +412,18 @@ mod tests {
         // Four independent mistakes in one config: validation reports
         // all of them, in field order, instead of the first one found.
         let cfg = FarmConfig::new(2, Transmission::Nfs)
-            .cache_bytes(0)
+            .recorder(Arc::new(Recorder::new(2)))
             .threads(0)
             .lanes(3)
             .fault_plan(Arc::new(FaultPlan::new(1)));
         let issues = rejected(&cfg);
         assert_eq!(issues.issues.len(), 4, "all four fields reported: {issues}");
-        for field in ["fault_plan", "cache_bytes", "threads", "lanes"] {
+        for field in ["fault_plan", "recorder", "threads", "lanes"] {
             assert!(issues.has(field), "missing {field} in {issues}");
         }
         // The rendered message names every field for the human reader.
         let msg = FarmError::Config(issues).to_string();
-        for field in ["fault_plan", "cache_bytes", "threads", "lanes"] {
+        for field in ["fault_plan", "recorder", "threads", "lanes"] {
             assert!(msg.contains(field), "{field} absent from {msg}");
         }
     }
@@ -735,119 +662,24 @@ mod tests {
     }
 
     #[test]
-    fn cached_compressed_prefetched_run_matches_plain() {
-        let (paths, dir) = setup(20, "store_knobs");
-        let plain = run(&paths, &FarmConfig::new(2, Transmission::SerializedLoad)).unwrap();
-        let tricked_out = run(
-            &paths,
-            &FarmConfig::new(2, Transmission::SerializedLoad)
-                .cache_bytes(1 << 20)
-                .compress_wire(1)
-                .prefetch(4),
-        )
-        .unwrap();
-        let by_job = |r: &FarmReport| {
-            let mut v: Vec<(usize, u64)> = r
-                .outcomes
-                .iter()
-                .map(|o| (o.job, o.price.to_bits()))
-                .collect();
-            v.sort();
-            v
-        };
-        assert_eq!(by_job(&plain), by_job(&tricked_out));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn external_store_collects_stats_across_runs() {
-        use store::{CachingStore, ProblemStore};
-        let (paths, dir) = setup(10, "ext_store");
-        let cache = Arc::new(CachingStore::over_dir(1 << 20));
-        for _ in 0..2 {
-            let cfg = FarmConfig::new(2, Transmission::SerializedLoad).store(cache.clone());
-            run(&paths, &cfg).unwrap();
-        }
-        let stats = cache.stats();
-        // Second run is fully warm: at least one hit per file.
-        assert!(stats.hits >= 10, "{stats:?}");
-        assert_eq!(stats.misses, 10, "{stats:?}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn recorder_with_cache_sees_cache_events() {
-        use obs::EventKind;
-        let (paths, dir) = setup(8, "cache_events");
-        let cache = Arc::new(store::CachingStore::over_dir(1 << 20));
-        let mut hit_any = false;
-        for pass in 0..2 {
-            // Size the recorder slaves + 2 so the prefetch virtual rank
-            // is captured too. Whether the prefetch thread runs before an
-            // 8-job run ends is up to the OS scheduler, so its `Prefetch`
-            // span is tested where the thread can be waited for
-            // (`store`'s `recorder_sees_prefetch_spans_on_the_virtual_rank`).
-            let rec = Arc::new(Recorder::new(4));
-            let cfg = FarmConfig::new(2, Transmission::SerializedLoad)
-                .store(cache.clone())
-                .prefetch(3)
-                .recorder(rec.clone());
-            run(&paths, &cfg).unwrap();
-            let kinds: std::collections::BTreeSet<EventKind> =
-                rec.events().iter().map(|e| e.kind).collect();
-            assert!(
-                kinds.contains(&EventKind::CacheHit) || kinds.contains(&EventKind::CacheMiss),
-                "pass {pass}: {kinds:?}"
-            );
-            hit_any |= kinds.contains(&EventKind::CacheHit);
-            assert_eq!(rec.dropped(), 0);
-        }
-        // The second pass runs against a warm cache: hits must appear.
-        assert!(hit_any);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn a_frame_read_in_place_records_each_member() {
         use obs::EventKind;
         let (paths, dir) = setup(12, "in_place_events");
-        let cache = Arc::new(store::CachingStore::over_dir(1 << 20));
-        for (pass, kind) in [(0, EventKind::CacheMiss), (1, EventKind::CacheHit)] {
-            let rec = Arc::new(Recorder::new(3));
-            let cfg = FarmConfig::new(2, Transmission::SerializedLoad)
-                .store(cache.clone())
-                .recorder(rec.clone());
-            assert_eq!(run(&paths, &cfg).unwrap().completed(), 12);
-            let events = rec.events();
-            let on_master = |k: EventKind| {
-                let jobs = events.iter().filter(|e| e.kind == k && e.rank == 0);
-                jobs.map(|e| e.job)
-                    .collect::<std::collections::BTreeSet<_>>()
-            };
-            let every_job: std::collections::BTreeSet<i64> = (0..12).collect();
-            for k in [EventKind::Sload, kind, EventKind::Pack] {
-                assert_eq!(on_master(k), every_job, "pass {pass}: {k:?}");
-            }
-            let count = |k| events.iter().filter(|e| e.kind == k).count();
-            assert_eq!(count(EventKind::Sload), 12, "pass {pass}");
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn compressed_wire_run_emits_compress_and_decompress() {
-        use obs::EventKind;
-        let (paths, dir) = setup(8, "wire_events");
         let rec = Arc::new(Recorder::new(3));
-        let cfg = FarmConfig::new(2, Transmission::SerializedLoad)
-            .compress_wire(1)
-            .recorder(rec.clone());
-        let report = run(&paths, &cfg).unwrap();
-        assert_eq!(report.completed(), 8);
-        let kinds: std::collections::BTreeSet<EventKind> =
-            rec.events().iter().map(|e| e.kind).collect();
-        assert!(kinds.contains(&EventKind::Compress), "{kinds:?}");
-        assert!(kinds.contains(&EventKind::Decompress), "{kinds:?}");
+        let cfg = FarmConfig::new(2, Transmission::SerializedLoad).recorder(rec.clone());
+        assert_eq!(run(&paths, &cfg).unwrap().completed(), 12);
+        let events = rec.events();
+        let on_master = |k: EventKind| {
+            let jobs = events.iter().filter(|e| e.kind == k && e.rank == 0);
+            jobs.map(|e| e.job)
+                .collect::<std::collections::BTreeSet<_>>()
+        };
+        let every_job: std::collections::BTreeSet<i64> = (0..12).collect();
+        for k in [EventKind::Sload, EventKind::Pack] {
+            assert_eq!(on_master(k), every_job, "{k:?}");
+        }
+        let count = |k| events.iter().filter(|e| e.kind == k).count();
+        assert_eq!(count(EventKind::Sload), 12);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -40,6 +40,7 @@ use std::collections::VecDeque;
 use std::ops::Range;
 use std::path::Path;
 use std::time::Instant;
+use store::ProblemStore;
 
 /// The live side of one scheduler run: where the slaves are and how to
 /// talk to them.
@@ -97,10 +98,10 @@ impl Farm<'_> {
     /// Send `members` — `(wire id, problem file)` pairs — to rank `slave`
     /// as one job frame, written into `scratch` (recycled across the
     /// run): the flat farm's one sender, plain or supervised. A
-    /// serialized load on an uncompressed wire reads each file straight
-    /// into the message through one [`store::FrameReader`] for the
-    /// frame; otherwise each problem's bytes go from where the store
-    /// fetched them into the message ([`EventKind::Pack`]). A member
+    /// serialized load reads each file straight into the message through
+    /// one [`store::FrameReader`] for the frame; a full load's bytes go
+    /// from where they were re-serialized into the message
+    /// ([`EventKind::Pack`]), and an NFS member is its file name. A member
     /// whose bytes cannot be prepared fails the dispatch before anything
     /// is on the wire.
     pub(crate) fn send_frame<'p>(
@@ -111,8 +112,7 @@ impl Farm<'_> {
     ) -> Result<(), FarmError> {
         let (comm, mut head) = (self.comm, None);
         let mut frame = JobFrame::new(std::mem::take(scratch));
-        let in_place = self.strategy == Transmission::SerializedLoad
-            && self.ctx.wire.compress_threshold.is_none();
+        let in_place = self.strategy == Transmission::SerializedLoad;
         let mut reader = in_place.then(|| self.ctx.store.reader());
         for (idx, path) in members {
             head.get_or_insert(idx);

@@ -44,14 +44,15 @@
 //!   rounds with cross-round data flow (Picard-iterated BSDEs), driven
 //!   through the live farm by [`run_workload`].
 //! * [`config`] — the unified entry point: build a [`FarmConfig`]
-//!   (strategy, supervision, fault plan, [`obs::Recorder`],
-//!   problem store / cache / wire-compression / prefetch) and call
+//!   (strategy, supervision, fault plan, [`obs::Recorder`], dispatch
+//!   order, staged rounds, compute threads and lanes) and call
 //!   [`run`]. The historical per-variant free functions are gone; the
 //!   other way in is a long-lived `serve::Session` over the same driver
 //!   and slave loop.
 //!
-//! Since the `store` crate landed, every byte of problem data reaches the
-//! farm through a [`store::ProblemStore`] — see `docs/STORE.md`.
+//! Every byte of problem data reaches the farm from disk through a
+//! [`store::DirStore`], one read per problem, and goes on the wire raw —
+//! see `docs/STORE.md`.
 
 #![warn(missing_docs)]
 mod batching;
@@ -74,6 +75,6 @@ pub use portfolio::{
     toy_portfolio, JobClass, PortfolioJob, PortfolioScale,
 };
 pub use robin_hood::{FarmError, FarmReport, JobOutcome};
-pub use strategy::{Transmission, WirePolicy};
+pub use strategy::Transmission;
 pub use supervisor::SupervisorConfig;
 pub use workload::{class_indices, class_name, per_class_compute, run_workload, Workload};

@@ -235,9 +235,6 @@ fn master(
         }
         let members = (job..job + batch).map(|idx| (idx, files[idx].as_path()));
         farm.send_frame(rank, members, &mut frame)?;
-        // Slide the prefetch window past this dispatch (monotonic:
-        // retries of earlier jobs don't pull it back).
-        ctx.advance(job + batch);
         Ok(())
     })?;
     let (completed, failed) = (report.completed(), report.failed_jobs.len());

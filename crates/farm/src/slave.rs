@@ -48,7 +48,7 @@ pub const TAG: i32 = 7;
 /// wakes every parked peer with an error instead of leaving it blocked
 /// on a rank that is gone.
 pub fn serve_jobs(comm: &Comm, ctx: &RunCtx, patience: Option<&SupervisorConfig>) {
-    let store = ctx.store.as_ref();
+    let store = &ctx.store;
     let serve = || -> Result<(), FarmError> {
         loop {
             let frame = match patience {

@@ -1,16 +1,14 @@
 //! Transmission strategies — how a pricing problem travels from the
 //! master to a slave (§3.3/§4, the column families of Tables II and III).
 //!
-//! Since the store subsystem landed, every byte of problem data flows
-//! through a [`store::ProblemStore`]: the master's full-load and
-//! serialized-load prepares *and* the NFS slave-side read all call
-//! [`ProblemStore::fetch`] — or, for a serialized load on a raw wire,
-//! the store's per-frame [`store::FrameReader`] (`sload_member`) —
-//! instead of touching the filesystem directly.
-//! That makes the §4 storage effects first-class: put a
-//! [`store::CachingStore`] in the [`crate::FarmConfig`] and warm reads
-//! skip disk; turn on the [`WirePolicy`] and loaded payloads travel
-//! compressed.
+//! Every byte of problem data comes off disk through the run's
+//! [`store::DirStore`]: the master's full-load and serialized-load
+//! prepares *and* the NFS slave-side read. A serialized load reads each
+//! file straight into the job frame through the store's per-frame
+//! [`store::FrameReader`] (`sload_member`); loaded payloads go out raw,
+//! as the paper's master sends them. What a client-side cache or a
+//! compressed wire would change is priced on the simulator
+//! (`table2 --breakdown --warm --compress`, `docs/STORE.md`).
 
 use crate::instrument;
 use crate::wire::{Body, JobFrame};
@@ -21,7 +19,7 @@ use pricing::PremiaProblem;
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
-use store::{Disposition, Fetched, FrameReader, ProblemStore};
+use store::{FrameReader, ProblemStore};
 
 /// The three ways of shipping a problem, labelled exactly as in the
 /// tables.
@@ -65,68 +63,27 @@ impl fmt::Display for Transmission {
     }
 }
 
-/// How loaded payloads are encoded on the wire.
-///
-/// §3.2 of the paper introduces compressed serialized buffers and leaves
-/// their effect on transmission as future work; this knob turns them on
-/// for the FullLoad/SerializedLoad payload messages. The threshold gates
-/// out small payloads where the LZSS header + incompressibility would
-/// cost more than the wire saves: a payload is sent compressed only when
-/// it is at least `threshold` bytes long *and* actually shrank.
+/// How loaded payloads are encoded on the wire: raw, always — the
+/// paper's measured configuration. The type has no other value and
+/// [`prepare_payload`] ignores it. It stays only because the `perf`
+/// harness (`perf/src/layers.rs`) passes `&WirePolicy::RAW`, and only
+/// a change to the benchmark may edit that call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WirePolicy {
-    /// Compress payloads of at least this many bytes; `None` = never.
-    pub(crate) compress_threshold: Option<usize>,
-}
+pub struct WirePolicy;
 
 impl WirePolicy {
-    /// Send every payload raw (the paper's measured configuration).
-    pub const RAW: WirePolicy = WirePolicy {
-        compress_threshold: None,
-    };
-
-    /// Compress payloads of at least `threshold` bytes.
-    pub(crate) fn compressed(threshold: usize) -> Self {
-        WirePolicy {
-            compress_threshold: Some(threshold),
-        }
-    }
-}
-
-impl Default for WirePolicy {
-    fn default() -> Self {
-        WirePolicy::RAW
-    }
-}
-
-/// Apply `wire` to a prepared serial: returns the serial to actually
-/// send — the same one, uncopied, when sent raw (below threshold,
-/// incompressible, or compression disabled) — plus the bytes *saved*.
-fn compress_for_wire(serial: Arc<Serial>, wire: &WirePolicy) -> (Arc<Serial>, u64) {
-    let Some(threshold) = wire.compress_threshold else {
-        return (serial, 0);
-    };
-    if serial.is_compressed() || serial.len() < threshold {
-        return (serial, 0);
-    }
-    match xdrser::compress_serial(&serial) {
-        Ok(compressed) if compressed.len() < serial.len() => {
-            let saved = (serial.len() - compressed.len()) as u64;
-            (Arc::new(compressed), saved)
-        }
-        _ => (serial, 0),
-    }
+    /// Send every payload raw.
+    pub const RAW: WirePolicy = WirePolicy;
 }
 
 /// Master-side problem acquisition: fetch through the store and produce
 /// the serial the strategy ships — `None` for NFS, where the name alone
-/// suffices. Returns the store's fetch disposition alongside so callers
-/// can account cache behaviour.
+/// suffices.
 fn prepare_serial(
     store: &dyn ProblemStore,
     strategy: Transmission,
     path: &Path,
-) -> Result<Option<(Fetched, Arc<Serial>)>, xdrser::XdrError> {
+) -> Result<Option<Arc<Serial>>, xdrser::XdrError> {
     match strategy {
         Transmission::FullLoad => {
             // fetch → materialise → re-serialize (the deliberately
@@ -136,106 +93,59 @@ fn prepare_serial(
             let value = xdrser::unserialize(&fetched.serial)?;
             let problem = PremiaProblem::from_value(&value)
                 .map_err(|e| xdrser::XdrError::Corrupt(e.to_string()))?;
-            let serial = Arc::new(xdrser::serialize(&problem.to_value()));
-            Ok(Some((fetched, serial)))
+            Ok(Some(Arc::new(xdrser::serialize(&problem.to_value()))))
         }
         Transmission::Nfs => Ok(None),
         Transmission::SerializedLoad => {
             // sload semantics: the store hands back the raw file image
             // as an unmaterialised Serial; ship it as-is.
-            let fetched = store.fetch(path)?;
-            let serial = fetched.serial.clone();
-            Ok(Some((fetched, serial)))
+            Ok(Some(store.fetch(path)?.serial))
         }
     }
 }
 
 /// Master-side preparation of one problem as the serial value a loaded
-/// strategy ships — `None` for NFS, where the name alone suffices.
+/// strategy ships — `None` for NFS, where the name alone suffices. The
+/// payload is always raw; `_wire` is [`WirePolicy::RAW`].
 pub fn prepare_payload(
     store: &dyn ProblemStore,
     strategy: Transmission,
     path: &Path,
-    wire: &WirePolicy,
+    _wire: &WirePolicy,
 ) -> Result<Option<Value>, xdrser::XdrError> {
     let prepared = prepare_serial(store, strategy, path)?;
-    Ok(prepared
-        .map(|(_, serial)| Value::Serial(Arc::unwrap_or_clone(compress_for_wire(serial, wire).0))))
-}
-
-/// Emit the store-cache marks for one fetch of `bytes` bytes (hit/miss
-/// disposition and any eviction it forced). No-op for cache-less stores
-/// (`cached == None`) and without a recorder.
-fn mark_cache(comm: &Comm, how: Disposition, bytes: u64) {
-    let job = comm.current_job();
-    match how.cached {
-        Some(true) => instrument::mark(comm, EventKind::CacheHit, job, bytes),
-        Some(false) => instrument::mark(comm, EventKind::CacheMiss, job, bytes),
-        None => {}
-    }
-    if how.evicted_bytes > 0 {
-        instrument::mark(comm, EventKind::Evict, job, how.evicted_bytes);
-    }
+    Ok(prepared.map(|serial| Value::Serial(Arc::unwrap_or_clone(serial))))
 }
 
 /// [`prepare_payload`] with phase attribution, as a shared serial (a job
 /// frame copies it once): the store fetch + materialisation is timed as
 /// [`EventKind::Serialize`] (full load) or [`EventKind::Sload`]
-/// (serialized load), the store's disposition lands as `CacheHit` /
-/// `CacheMiss` / `Evict` marks, and a beneficial wire compression is timed
-/// as [`EventKind::Compress`] with `bytes` = bytes saved. NFS prepares and
-/// records nothing. Byte volume of the prepare span is the *uncompressed*
-/// serial size, so phase totals stay comparable across wire policies.
+/// (serialized load), with `bytes` the serial's size. NFS prepares and
+/// records nothing.
 pub(crate) fn prepare_serial_recorded(
     comm: &Comm,
     ctx: &crate::config::RunCtx,
     strategy: Transmission,
     path: &Path,
 ) -> Result<Option<Arc<Serial>>, xdrser::XdrError> {
-    let Some(rec) = comm.recorder() else {
-        let prepared = prepare_serial(ctx.store.as_ref(), strategy, path)?;
-        return Ok(prepared.map(|(_, serial)| compress_for_wire(serial, &ctx.wire).0));
-    };
     let kind = match strategy {
         Transmission::FullLoad => EventKind::Serialize,
         Transmission::SerializedLoad => EventKind::Sload,
         Transmission::Nfs => return Ok(None),
     };
-    let rec = rec.clone();
-    let t0 = rec.now_ns();
-    let prepared = prepare_serial(ctx.store.as_ref(), strategy, path)?;
-    let Some((fetched, serial)) = prepared else {
-        return Ok(None);
-    };
-    rec.record_span(
-        comm.rank(),
-        kind,
-        comm.current_job(),
-        t0,
-        serial.len() as u64,
-    );
-    mark_cache(comm, fetched.disposition(), serial.len() as u64);
-
-    let tc = rec.now_ns();
-    let (serial, saved) = compress_for_wire(serial, &ctx.wire);
-    if saved > 0 {
-        rec.record_span(
-            comm.rank(),
-            EventKind::Compress,
-            comm.current_job(),
-            tc,
-            saved,
-        );
+    let t0 = instrument::t0(comm);
+    let serial = prepare_serial(&ctx.store, strategy, path)?;
+    if let Some(serial) = &serial {
+        instrument::span(comm, kind, t0, serial.len() as u64);
     }
-    Ok(Some(serial))
+    Ok(serial)
 }
 
 /// Serialized load of the problem at `path` as member `id` of `frame`:
 /// `reader` appends the file's bytes at their final offset, so the read
-/// is the copy. Timed as [`EventKind::Sload`] with the store's
-/// disposition marked, as [`prepare_serial_recorded`] does; the
-/// [`EventKind::Pack`] that follows is free, the bytes being in place
-/// already. Only for an uncompressed wire.
+/// is the copy. Timed as [`EventKind::Sload`], as
+/// [`prepare_serial_recorded`] does; the [`EventKind::Pack`] that
+/// follows is free, the bytes being in place already.
 pub(crate) fn sload_member(
     comm: &Comm,
     reader: &mut dyn FrameReader,
@@ -244,10 +154,9 @@ pub(crate) fn sload_member(
     path: &Path,
 ) -> Result<(), xdrser::XdrError> {
     let t0 = instrument::t0(comm);
-    let (how, len) = frame.push_filled(id, |out| reader.fetch_into(path, out))?;
+    let (_, len) = frame.push_filled(id, |out| reader.fetch_into(path, out))?;
     let bytes = len as u64;
     instrument::span(comm, EventKind::Sload, t0, bytes);
-    mark_cache(comm, how, bytes);
     instrument::mark(comm, EventKind::Pack, comm.current_job(), bytes);
     Ok(())
 }
@@ -276,7 +185,7 @@ pub fn decode_problem(
 /// Slave-side recovery of the problem from what arrived; all filesystem
 /// access (the NFS read) goes through `store`. With a recording `comm`,
 /// the NFS fetch — the dominant slave-side acquisition cost — is timed as
-/// [`EventKind::NfsRead`] with the cache disposition marked alongside.
+/// [`EventKind::NfsRead`].
 /// The uncompressed loaded path records nothing here: its slave-side
 /// receive is already captured by the `Recv`/`Unpack` comm events.
 fn recover(
@@ -289,14 +198,12 @@ fn recover(
     let fetched;
     let serial: &Serial = match strategy {
         Transmission::Nfs => {
-            // The slave reads the shared filesystem itself — through the
-            // store, so a warm cache serves repeated reads.
+            // The slave reads the shared filesystem itself.
             let t0 = comm.and_then(instrument::t0);
             fetched = store.fetch(Path::new(name))?;
             if let Some(comm) = comm {
                 let bytes = fetched.serial.len() as u64;
                 instrument::span(comm, EventKind::NfsRead, t0, bytes);
-                mark_cache(comm, fetched.disposition(), bytes);
             }
             &fetched.serial
         }
@@ -414,45 +321,23 @@ mod tests {
         );
     }
 
+    /// The master sends raw bytes, but a compressed serial is still a
+    /// payload every loaded strategy recovers.
     #[test]
     fn compressed_wire_round_trips_for_both_loaded_strategies() {
         let (path, p) = save_problem("strategy_wire");
         let st = DirStore::new();
-        let wire = WirePolicy::compressed(1); // compress everything
         for strategy in [Transmission::FullLoad, Transmission::SerializedLoad] {
-            let payload = prepare_payload(&st, strategy, &path, &wire)
+            let raw = prepare_payload(&st, strategy, &path, &WirePolicy::RAW)
                 .unwrap()
                 .unwrap();
+            let packed = xdrser::compress_serial(raw.as_serial().unwrap()).unwrap();
+            assert!(packed.is_compressed());
+            let payload = Value::Serial(packed);
             let back =
                 recover_problem(&st, strategy, path.to_str().unwrap(), Some(&payload)).unwrap();
             assert_eq!(back, p, "{strategy}");
         }
-    }
-
-    #[test]
-    fn wire_threshold_gates_small_payloads() {
-        let small = xdrser::serialize(&Value::scalar(1.0));
-        let small = Arc::new(small);
-        let (kept, saved) = compress_for_wire(small.clone(), &WirePolicy::compressed(1 << 20));
-        assert!(!kept.is_compressed());
-        assert_eq!(saved, 0);
-        assert!(Arc::ptr_eq(&kept, &small), "sent raw is sent uncopied");
-        // RAW never compresses regardless of size.
-        let big = xdrser::serialize(&Value::string("a".repeat(4096)));
-        let (kept, saved) = compress_for_wire(Arc::new(big.clone()), &WirePolicy::RAW);
-        assert!(!kept.is_compressed());
-        assert_eq!(saved, 0);
-        assert_eq!(*kept, big);
-    }
-
-    #[test]
-    fn wire_compression_saves_what_it_claims() {
-        let big = xdrser::serialize(&Value::string("ab".repeat(4096)));
-        let (sent, saved) = compress_for_wire(Arc::new(big.clone()), &WirePolicy::compressed(64));
-        assert!(sent.is_compressed());
-        assert!(saved > 0);
-        assert_eq!(sent.len() as u64 + saved, big.len() as u64);
-        assert_eq!(xdrser::decompress_serial(&sent).unwrap(), big);
     }
 
     #[test]

@@ -29,6 +29,7 @@
 
 use crate::calibrate::CostModel;
 use crate::portfolio::JobClass;
+use exec::ConfigIssues;
 use sched::Supervision;
 use std::time::Duration;
 
@@ -92,6 +93,26 @@ impl SupervisorConfig {
 }
 
 impl SupervisorConfig {
+    /// Record each setting that cannot supervise anything into
+    /// `issues`, under its field name: no attempt at all, or a zero
+    /// deadline, poll or idle patience. The farm and the serving
+    /// session both validate their supervisor through this one check.
+    pub fn check(&self, issues: &mut ConfigIssues) {
+        if self.max_attempts == 0 {
+            issues.reject("max_attempts", "must be at least 1");
+        }
+        let timings = [
+            ("job_deadline", self.job_deadline),
+            ("poll", self.poll),
+            ("slave_idle_timeout", self.slave_idle_timeout),
+        ];
+        for (field, timing) in timings {
+            if timing.is_zero() {
+                issues.reject(field, "must be nonzero");
+            }
+        }
+    }
+
     /// The wall-clock timings as the pure scheduler's [`Supervision`]
     /// parameters (nanosecond semantics are identical: attempt `n` backs
     /// off `backoff_base << min(n-1, 16)`).

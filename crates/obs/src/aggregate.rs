@@ -168,10 +168,10 @@ impl Breakdown {
     }
 
     /// Problem-store seconds (`CacheHit + CacheMiss + Evict + Compress +
-    /// Decompress + Prefetch`): time spent in the tiered store and the
-    /// wire codec. Cache hit/miss/evict marks are zero-duration counters
-    /// (their *count* and *bytes* carry the signal); compress, decompress
-    /// and prefetch are real timed spans. Zero for runs without a
+    /// Decompress`): time spent in the tiered store and the wire codec.
+    /// Cache hit/miss/evict marks are zero-duration counters (their
+    /// *count* and *bytes* carry the signal); compress and decompress
+    /// are real timed spans. Zero for runs without a
     /// caching/compressing store.
     pub fn store_s(&self) -> f64 {
         self.total_of(&[
@@ -180,7 +180,6 @@ impl Breakdown {
             EventKind::Evict,
             EventKind::Compress,
             EventKind::Decompress,
-            EventKind::Prefetch,
         ])
     }
 
@@ -405,12 +404,11 @@ mod tests {
             ev(EventKind::Evict, 2, 0, 96),
             ev(EventKind::Compress, 0, 40_000, 30),
             ev(EventKind::Decompress, 0, 20_000, 96),
-            ev(EventKind::Prefetch, 3, 100_000, 96),
             ev(EventKind::Sload, 0, 500_000, 96),
         ];
         let b = Breakdown::from_events(&events);
         // Only the timed spans contribute seconds...
-        assert!((b.store_s() - 160_000e-9).abs() < 1e-15);
+        assert!((b.store_s() - 60_000e-9).abs() < 1e-15);
         // ...and sload stays in prepare, not store.
         assert!((b.prepare_s() - 500_000e-9).abs() < 1e-15);
         // Hit-rate over the zero-duration marks.

@@ -56,9 +56,6 @@ pub enum EventKind {
     /// Wire decompression of an inbound payload (slave side; `bytes` =
     /// decompressed size).
     Decompress,
-    /// Master-side prefetch of a problem into the store ahead of
-    /// dispatch (recorded on the prefetcher's own virtual rank).
-    Prefetch,
     /// One executed chunk of an intra-slave parallel compute region
     /// (`bytes` = paths the chunk covered). Emitted *after* the parallel
     /// region by the rank's own thread. Diagnostic: its seconds are
@@ -106,7 +103,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// Every kind, in declaration (and render) order.
-    pub(crate) const ALL: [EventKind; 26] = [
+    pub(crate) const ALL: [EventKind; 25] = [
         EventKind::Pack,
         EventKind::Send,
         EventKind::Probe,
@@ -124,7 +121,6 @@ impl EventKind {
         EventKind::Evict,
         EventKind::Compress,
         EventKind::Decompress,
-        EventKind::Prefetch,
         EventKind::ComputeChunk,
         EventKind::Steal,
         EventKind::Dispatch,
@@ -171,7 +167,6 @@ impl EventKind {
             EventKind::Evict => "evict",
             EventKind::Compress => "compress",
             EventKind::Decompress => "decompress",
-            EventKind::Prefetch => "prefetch",
             EventKind::ComputeChunk => "compute_chunk",
             EventKind::Steal => "steal",
             EventKind::Dispatch => "dispatch",

@@ -165,12 +165,7 @@ impl ServeConfig {
         if let Err(bad) = ExecPolicy::validated(self.threads, self.lanes) {
             issues.issues.extend(bad.issues);
         }
-        if self.supervisor.job_deadline.is_zero() {
-            issues.reject("job_deadline", "must be nonzero");
-        }
-        if self.supervisor.poll.is_zero() {
-            issues.reject("poll", "must be nonzero");
-        }
+        self.supervisor.check(&mut issues);
         if let Some(rec) = &self.recorder {
             if rec.ranks() < self.slaves + 1 {
                 issues.reject(

@@ -113,8 +113,8 @@ impl StoreStats {
 ///
 /// A store maps a problem-file path to its serialized (`sload`-style,
 /// unmaterialised) byte image. Implementations must be shareable across
-/// the master, the slaves and the prefetcher (`Send + Sync`), because a
-/// live farm run is a thread-world.
+/// the master and the slaves (`Send + Sync`), because a live farm run
+/// is a thread-world.
 pub trait ProblemStore: Send + Sync + std::fmt::Debug {
     /// Fetch the serialized image of the problem at `path`.
     fn fetch(&self, path: &Path) -> Result<Fetched, XdrError>;

@@ -101,8 +101,7 @@ impl CacheState {
 ///   the cache lock, so a miss never blocks concurrent hits.
 /// * **Single-flight misses**: one backend read per path at a time. A
 ///   fetcher that finds the path already loading waits for that read
-///   and counts a hit, so a prefetch and a master fetch of one file
-///   read it once.
+///   and counts a hit, so two threads fetching one file read it once.
 #[derive(Debug)]
 pub struct CachingStore {
     inner: Arc<dyn ProblemStore>,

@@ -6,22 +6,24 @@
 //! because it ships unmaterialised `Serial` bytes straight off disk.
 //! This crate makes that story explicit:
 //!
-//! * [`ProblemStore`] — the one trait through which the farm acquires
-//!   problem bytes. Every byte-path (full load, the NFS slave-side read,
-//!   serialized load) fetches through it; `crates/farm` contains no
-//!   direct `std::fs` reads on its job paths.
-//! * [`DirStore`] — the base backend: a shared directory (the paper's
-//!   NFS export) read via [`xdrser::sload`], returning the raw on-disk
-//!   XDR image as an unmaterialised [`nspval::Serial`]; or, through
+//! * [`ProblemStore`] — the trait through which problem bytes are
+//!   acquired.
+//! * [`DirStore`] — the base backend and the farm's one read path: a
+//!   shared directory (the paper's NFS export) read via
+//!   [`xdrser::sload`], returning the raw on-disk XDR image as an
+//!   unmaterialised [`nspval::Serial`]; or, through
 //!   [`ProblemStore::fetch_into`] and a per-frame [`FrameReader`],
-//!   appending it straight into the frame being built.
+//!   appending it straight into the frame being built. Every farm
+//!   byte-path (full load, the NFS slave-side read, serialized load)
+//!   reads through it; `crates/farm` contains no direct `std::fs` reads
+//!   on its job paths.
 //! * [`CachingStore`] — a byte-budgeted LRU decorator holding `Serial`
 //!   buffers, content-addressed by path + file fingerprint (length +
 //!   mtime), with explicit invalidation and full hit/miss/eviction
-//!   accounting ([`StoreStats`]).
-//! * [`Prefetcher`] — a bounded master-side pipeline that pulls the next
-//!   `depth` problems into the store while earlier sends are still in
-//!   flight, so a warm cache greets every dispatch.
+//!   accounting ([`StoreStats`]). No farm run reads through it: it is
+//!   what the `perf` harness's store replays time. A warm client cache
+//!   in front of the farm is priced on the simulator instead
+//!   (`clustersim`'s store model).
 //! * [`ResultCache`] — the fingerprint idea extended from problem bytes
 //!   to computed *answers*: a byte-budgeted LRU memo keyed by
 //!   [`ContentFingerprint`] × execution parameters ([`MemoKey`]), used
@@ -39,11 +41,9 @@ mod backend;
 mod cache;
 mod dir;
 mod memo;
-mod prefetch;
 
 pub use backend::{DirStore, Disposition, Fetched, FrameReader, ProblemStore, StoreStats};
 pub use cache::CachingStore;
 pub use memo::{
     ContentFingerprint, FieldFingerprint, MemoHasher, MemoKey, MemoMap, MemoStats, ResultCache,
 };
-pub use prefetch::Prefetcher;
