@@ -38,29 +38,30 @@ pub struct BreakdownOpts {
     /// wire for loaded payloads. The live farm always sends raw bytes;
     /// this is a simulated ablation only.
     pub compress: bool,
-    /// `--threads N`: model the intra-slave chunked executor
-    /// (`FarmConfig::threads`) — each strategy runs a second time with
-    /// `N` worker threads per slave, reported as an extra
-    /// `"<strategy> (xN threads)"` row and self-checked: compute-phase
-    /// seconds must shrink ~linearly while prepare/wire/wait stay put.
+    /// `--threads N`: model the intra-slave chunked executor (a
+    /// simulated mode: the live farm prices each job on one thread) —
+    /// each strategy runs a second time with `N` worker threads per
+    /// slave, reported as an extra `"<strategy> (xN threads)"` row and
+    /// self-checked: compute-phase seconds must shrink ~linearly while
+    /// prepare/wire/wait stay put.
     pub threads: usize,
     /// `--lanes N`: model the SIMD-lane batched, allocation-free kernels
-    /// (`FarmConfig::lanes`; widths 1, 4 or 8) — each strategy runs an
-    /// extra time with the lane model on (composed with `--threads` when
-    /// both are given), reported as an extra
+    /// (widths 1, 4 or 8; simulated, as `--threads` is) — each strategy
+    /// runs an extra time with the lane model on (composed with
+    /// `--threads` when both are given), reported as an extra
     /// `"<strategy> (xT threads, N lanes)"` row and self-checked:
     /// compute-phase seconds must be at least 2x below the same-thread
     /// baseline but under the lane width, with prepare/wire/wait
     /// untouched and a `LaneBatch` mark per compute carrying the width.
     pub lanes: usize,
-    /// `--order lpt`: model the [`DispatchPolicy::Lpt`] dispatch order
-    /// (`FarmConfig::order`) — each strategy runs twice more on the
-    /// per-job protocol an LPT run speaks, in FIFO order and with the
-    /// queue sorted longest-cost-first, reported as extra
-    /// `"<strategy> (fifo, per job)"` and `"<strategy> (lpt)"` rows and
-    /// self-checked: wait seconds must not regress against that FIFO,
-    /// compute is untouched, and the makespan must not degrade beyond
-    /// noise.
+    /// `--order lpt`: model the [`DispatchPolicy::Lpt`] dispatch order (a
+    /// simulated mode: the live farm dispatches FIFO) — each strategy
+    /// runs twice more on the per-job protocol an LPT run speaks, in
+    /// FIFO order and with the queue sorted longest-cost-first, reported
+    /// as extra `"<strategy> (fifo, per job)"` and `"<strategy> (lpt)"`
+    /// rows and self-checked: wait seconds must not regress against that
+    /// FIFO, compute is untouched, and the makespan must not degrade
+    /// beyond noise.
     pub order_lpt: bool,
 }
 
@@ -178,7 +179,7 @@ pub fn breakdown_report(
         }
         if opts.order_lpt {
             // LPT run from cold caches, fed with the jobs' own (here:
-            // exact) costs, the way `FarmConfig::order` feeds a calibrated
+            // exact) costs, where a caller would feed a calibrated
             // CostModel estimate. Any order but FIFO goes out one job a
             // message, so its baseline is FIFO on that protocol: the only
             // variable between the two rows is the queue order.

@@ -140,9 +140,9 @@ impl Default for StoreParams {
 ///
 /// The model applies to every job's pre-drawn compute cost: a `SimJob`
 /// carries a duration, not a pricing method, so the per-class drawn cost
-/// stands in for the path-chunked kernel work the live farm routes
-/// through the executor (`JobClass::chunked_kernel` documents which
-/// methods those are on the live side).
+/// stands in for the path-chunked kernel work that
+/// `PremiaProblem::compute_with` routes through the executor
+/// (`JobClass::chunked_kernel` documents which methods those are).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecParams {
     /// Worker threads per slave rank (1 = today's sequential kernels).
@@ -171,8 +171,8 @@ pub struct ExecParams {
     /// `lanes >= 2`.
     workspace_overhead: f64,
     /// When `true`, the executor model applies **per class**: only jobs
-    /// whose class routes through a path-chunked kernel on the live
-    /// farm (`JobClass::chunked_kernel`) get the thread/lane speedup;
+    /// whose class routes through a path-chunked kernel
+    /// (`JobClass::chunked_kernel`) get the thread/lane speedup;
     /// closed-form, PDE and tree jobs keep their sequential cost. This
     /// is the honest model for heterogeneous mixed-class workloads.
     /// **Off** by default so the historical uniform model (and every
@@ -208,7 +208,7 @@ impl ExecParams {
 
     /// Wall seconds of a chunked-kernel job that costs `compute`
     /// sequential seconds, plus the worker-CPU seconds spent inside
-    /// parallel chunks (what the live farm's `ComputeChunk` diagnostics
+    /// parallel chunks (what the simulated `ComputeChunk` diagnostics
     /// sum to). Returns `(compute, 0.0)` untouched when both knobs are
     /// off (threads ≤ 1 and lanes ≤ 1). Lane batching shrinks the
     /// parallelisable region *before* it is divided across threads —

@@ -29,7 +29,7 @@
 //!   driver of it, and `tests/sched_parity.rs` proves both worlds render
 //!   byte-identical decision traces.
 //! * [`exec`] — the deterministic chunked executor behind intra-slave
-//!   compute parallelism (`FarmConfig::threads`): fixed-size path chunks,
+//!   compute parallelism (`PremiaProblem::compute_with`): fixed-size path chunks,
 //!   one seeded RNG stream per chunk, bit-identical results for any
 //!   worker count.
 //! * [`store`] — the problem store: every problem byte reaches the farm

@@ -75,9 +75,9 @@ impl fmt::Display for ConfigIssue {
 /// Every invalid field of a rejected configuration, collected in one
 /// pass — validation never stops at the first failure, so a caller
 /// fixing a config sees the complete list at once. Shared by
-/// `ExecPolicy`, `farm::FarmConfig` and `serve::ServeConfig`, which all
-/// follow the same builder convention: chainable setters, one
-/// `validate()` that returns this type.
+/// `farm::FarmConfig` and `serve::ServeConfig`, which follow the same
+/// builder convention: chainable setters, one `validate()` that returns
+/// this type.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigIssues {
     /// The collected issues, in field declaration order. Never empty.
@@ -263,10 +263,10 @@ impl Chunk {
     }
 }
 
-/// Timing of one executed chunk, for post-hoc observability: the farm
-/// emits these as `ComputeChunk` events *after* the parallel region,
-/// from the rank's own thread (the obs recorder is single-writer per
-/// rank, so workers never record directly).
+/// Timing of one executed chunk, for post-hoc observability: drained
+/// from a [`StatsSink`] *after* the parallel region by the thread that
+/// started it (an obs recorder is single-writer per rank, so workers
+/// never record directly).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkTiming {
     /// Chunk index.
@@ -346,33 +346,6 @@ impl ExecPolicy {
         }
     }
 
-    /// Resolve the user-facing compute knobs of `farm::FarmConfig` and
-    /// `serve::ServeConfig` into what a slave runs, collecting **every**
-    /// invalid field into one [`ConfigIssues`] (the workspace-wide
-    /// builder convention). `Ok(None)` is the sequential kernel (one
-    /// thread, scalar lanes); `Ok(Some(_))` is the chunked executor with
-    /// [`DEFAULT_CHUNK`] paths per chunk, whatever the thread count, so
-    /// one thread prices exactly like eight. `lanes` must be 1, 4 or 8
-    /// (0 = scalar).
-    pub fn validated(threads: usize, lanes: usize) -> Result<Option<Self>, ConfigIssues> {
-        let mut issues = ConfigIssues::collect();
-        if threads == 0 {
-            issues.reject("threads", "compute threads must be at least 1");
-        }
-        let lane = match LaneConfig::from_width(lanes) {
-            Ok(lane) => lane,
-            Err(why) => {
-                issues.reject("lanes", why);
-                LaneConfig::Scalar
-            }
-        };
-        issues.into_result()?;
-        Ok(
-            (threads > 1 || lane != LaneConfig::Scalar)
-                .then(|| ExecPolicy::new(threads).lane(lane)),
-        )
-    }
-
     /// Override the chunk size (0 is treated as [`DEFAULT_CHUNK`]).
     /// **Changes the RNG-stream split** and therefore the sampled
     /// result, exactly as changing the seed would; the thread count
@@ -389,12 +362,6 @@ impl ExecPolicy {
     /// first when the width comes from user input.
     pub fn lanes(mut self, width: usize) -> Self {
         self.lane = LaneConfig::from_width(width).expect("unsupported lane width");
-        self
-    }
-
-    /// Set the lane configuration directly.
-    fn lane(mut self, lane: LaneConfig) -> Self {
-        self.lane = lane;
         self
     }
 
@@ -597,44 +564,6 @@ mod tests {
     }
 
     #[test]
-    fn validated_collects_every_invalid_field() {
-        for (threads, lanes, fields) in [
-            (0, 1, &["threads"][..]),
-            (2, 3, &["lanes"]),
-            (1, 16, &["lanes"]),
-            (0, 3, &["threads", "lanes"]),
-        ] {
-            let err = ExecPolicy::validated(threads, lanes).unwrap_err();
-            assert_eq!(err.issues.len(), fields.len(), "{err}");
-            let text = err.to_string();
-            for field in fields {
-                assert!(err.has(field) && text.contains(field), "{text}");
-            }
-        }
-    }
-
-    #[test]
-    fn validated_accepts_defaults_and_sets_knobs() {
-        // (threads, lanes) -> the sequential kernel (None) or the chunked
-        // policy's (threads, lane width), always on the default chunk:
-        // one thread with lanes is chunked exactly like eight threads.
-        for (threads, lanes, want) in [
-            (1, 1, None),
-            (1, 0, None),
-            (2, 1, Some((2, 1))),
-            (8, 0, Some((8, 1))),
-            (1, 4, Some((1, 4))),
-            (1, 8, Some((1, 8))),
-            (8, 8, Some((8, 8))),
-        ] {
-            let pol = ExecPolicy::validated(threads, lanes).unwrap();
-            let got = pol.as_ref().map(|p| (p.threads(), p.lane_width()));
-            assert_eq!(got, want, "threads={threads} lanes={lanes}");
-            assert!(pol.is_none_or(|p| p.chunk_size() == DEFAULT_CHUNK));
-        }
-    }
-
-    #[test]
     fn plan_covers_items_exactly_once() {
         for items in [0usize, 1, 7, 1024, 1025, 10_000] {
             for chunk in [1usize, 3, 1024] {
@@ -784,7 +713,7 @@ mod tests {
             assert!(LaneConfig::from_width(bad).is_err(), "width {bad}");
         }
         assert_eq!(ExecPolicy::new(2).lanes(8).lane_width(), 8);
-        assert_eq!(ExecPolicy::new(2).lane(LaneConfig::X4).lane_width(), 4);
+        assert_eq!(ExecPolicy::new(2).lanes(4).lane_width(), 4);
     }
 
     #[test]

@@ -113,11 +113,9 @@ mod tests {
     /// A slave whose reply covers something other than the frame it was
     /// sent: `mangle` rewrites the honest reply's job ids.
     fn run_with_rogue_slave(tag: &str, mangle: Mangle) -> FarmError {
-        use crate::config::RunCtx;
         use crate::slave::TAG;
         use crate::wire::{batch_reply_value, decode_frame, Answer};
         let (paths, dir) = setup(8, tag);
-        let ctx = RunCtx::new(None);
         let scenario = move || {
             let ran = minimpi::World::run(2, |comm| {
                 if comm.rank() == 1 {
@@ -143,7 +141,6 @@ mod tests {
                     frames: None,
                     supervisor: None,
                     resident: false,
-                    ctx: &ctx,
                     strategy: Transmission::SerializedLoad,
                 };
                 let (cfg, mut scratch) = (FarmConfig::new(1, farm.strategy), Vec::new());

@@ -23,46 +23,19 @@
 use crate::robin_hood::{run_flat, FarmError, FarmReport};
 use crate::strategy::Transmission;
 use crate::supervisor::SupervisorConfig;
-use exec::ExecPolicy;
 use minimpi::FaultPlan;
 use obs::Recorder;
 use sched::{DispatchPolicy, SchedConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
-use store::DirStore;
-
-/// The per-run context every master/slave loop threads through: the
-/// [`DirStore`] every byte-path reads problem files from, and the
-/// slaves' compute policy.
-#[derive(Debug)]
-pub struct RunCtx {
-    /// The store every fetch (master prepare, NFS slave read) routes
-    /// through. Shared across all ranks of the in-process world.
-    pub(crate) store: DirStore,
-    /// Intra-slave compute policy: `Some` routes every slave compute
-    /// through [`pricing::PremiaProblem::compute_with`] on the chunked
-    /// executor; `None` (the default) is the legacy single-threaded
-    /// [`pricing::PremiaProblem::compute`], bit-identical to every
-    /// release since the seed.
-    pub(crate) exec: Option<ExecPolicy>,
-}
-
-impl RunCtx {
-    /// Direct directory reads and `exec` as the compute policy (`None`:
-    /// the legacy single-threaded kernels).
-    pub fn new(exec: Option<ExecPolicy>) -> Self {
-        RunCtx {
-            store: DirStore::new(),
-            exec,
-        }
-    }
-}
 
 /// Everything a farm run needs, behind one builder.
 ///
-/// Defaults: no supervision, no fault plan, no recorder, FIFO order —
-/// the plain Robin-Hood farm, shipping job frames sized by the
-/// scheduler's own rule ([`sched::Batch::Guided`]).
+/// Defaults: no supervision, no fault plan, no recorder — the plain
+/// Robin-Hood farm, shipping job frames sized by the scheduler's own
+/// rule ([`sched::Batch::Guided`]). Every run dispatches first come,
+/// first served, as Fig. 4's master does, and every slave prices a job
+/// with the sequential [`pricing::PremiaProblem::compute`].
 #[derive(Debug, Clone)]
 pub struct FarmConfig {
     pub(crate) slaves: usize,
@@ -70,9 +43,6 @@ pub struct FarmConfig {
     pub(crate) supervisor: Option<SupervisorConfig>,
     pub(crate) fault_plan: Option<Arc<FaultPlan>>,
     pub(crate) recorder: Option<Arc<Recorder>>,
-    threads: usize,
-    lanes: usize,
-    policy: DispatchPolicy,
     record_trace: bool,
     rounds: Option<Vec<usize>>,
 }
@@ -87,24 +57,9 @@ impl FarmConfig {
             supervisor: None,
             fault_plan: None,
             recorder: None,
-            threads: 1,
-            lanes: 1,
-            policy: DispatchPolicy::Fifo,
             record_trace: false,
             rounds: None,
         }
-    }
-
-    /// Dispatch queued jobs in `policy` order: [`DispatchPolicy::Fifo`]
-    /// (the default, the paper's Fig. 4 master) or
-    /// [`DispatchPolicy::Lpt`] (longest-predicted-cost-first, the
-    /// classic makespan heuristic for the end-of-run straggler tail —
-    /// costs come from a calibrated [`crate::calibrate::CostModel`]).
-    /// Any order but FIFO dispatches one job per message (frames are
-    /// contiguous index ranges).
-    pub fn order(mut self, policy: DispatchPolicy) -> Self {
-        self.policy = policy;
-        self
     }
 
     /// Record the scheduler's timestamp-free decision trace into
@@ -126,34 +81,6 @@ impl FarmConfig {
     /// frame could span a round barrier).
     pub fn rounds(mut self, rounds: Vec<usize>) -> Self {
         self.rounds = Some(rounds);
-        self
-    }
-
-    /// Run every slave's Monte-Carlo/LSM path loops on `threads` compute
-    /// workers (the intra-slave dimension of parallelism; the farm's
-    /// slave count is the inter-node dimension). `1` — the default — is
-    /// the legacy single-threaded compute, bit-identical to every
-    /// release since the seed. For `threads >= 2` (or any lane width
-    /// above 1 — [`ExecPolicy::validated`] decides) the kernels switch to
-    /// the chunked executor: prices are then bit-identical for *any*
-    /// thread count (2 == 8 == 64) but form a different deterministic
-    /// sample than the sequential kernel; see `docs/PARALLEL.md`. Methods
-    /// without a path loop (closed form, PDE, tree, QMC) are unaffected.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Batch the slaves' path loops across `lanes` SIMD lanes with
-    /// pooled, allocation-free per-worker workspaces. `1` — the default —
-    /// is the scalar kernel, bit-identical to every release since the
-    /// seed. Supported widths are 1, 4 and 8; like the chunk size (and
-    /// unlike the thread count) the lane width is part of the sampled
-    /// result — lanes consume each chunk's RNG stream in
-    /// `(group, step, lane)` order — so each width owns its own pinned
-    /// goldens (`tests/kernel_goldens.rs`); see `docs/SIMD.md`.
-    pub fn lanes(mut self, lanes: usize) -> Self {
-        self.lanes = lanes;
         self
     }
 
@@ -187,8 +114,8 @@ impl FarmConfig {
         self
     }
 
-    /// The scheduler's view of this config over `jobs` jobs: dispatch
-    /// order, supervision, staged rounds and tracing are all data for
+    /// The scheduler's view of this config over `jobs` jobs, in FIFO
+    /// order: supervision, staged rounds and tracing are all data for
     /// the one driver — and together they decide whether dispatches are
     /// job frames ([`SchedConfig::farm`], the constructor the simulator
     /// builds its own config through).
@@ -199,7 +126,7 @@ impl FarmConfig {
             ..SchedConfig::farm(
                 jobs,
                 self.slaves,
-                self.policy.clone(),
+                DispatchPolicy::Fifo,
                 supervision,
                 self.rounds.clone(),
             )
@@ -239,9 +166,6 @@ impl FarmConfig {
                 );
             }
         }
-        if let Err(bad) = ExecPolicy::validated(self.threads, self.lanes) {
-            issues.issues.extend(bad.issues);
-        }
         if self.rounds.is_some() && supervised {
             issues.reject(
                 "rounds",
@@ -268,24 +192,13 @@ pub(crate) fn run_with(
     patch: Option<crate::workload::StagedPatch>,
 ) -> Result<FarmReport, FarmError> {
     cfg.validate()?;
-    // Per-job vectors must cover the portfolio.
-    let per_job = [
-        ("rounds", "rounds", cfg.rounds.as_ref().map(Vec::len)),
-        match &cfg.policy {
-            DispatchPolicy::Lpt { costs } => ("policy", "LPT cost", Some(costs.len())),
-            DispatchPolicy::Priority { class } => ("policy", "priority class", Some(class.len())),
-            DispatchPolicy::Fifo => ("policy", "", None),
-        },
-    ];
-    for (field, what, len) in per_job {
-        if let Some(len) = len.filter(|&len| len != files.len()) {
-            let jobs = files.len();
-            let why = format!("{what} vector covers {len} jobs but the portfolio has {jobs}");
-            return Err(FarmError::Config(exec::ConfigIssues::one(field, why)));
-        }
+    // The rounds vector must cover the portfolio.
+    let jobs = files.len();
+    if let Some(len) = cfg.rounds.as_ref().map(Vec::len).filter(|&len| len != jobs) {
+        let why = format!("rounds vector covers {len} jobs but the portfolio has {jobs}");
+        return Err(FarmError::Config(exec::ConfigIssues::one("rounds", why)));
     }
-    let exec = ExecPolicy::validated(cfg.threads, cfg.lanes).expect("validated above");
-    run_flat(files, cfg, &RunCtx::new(exec), patch.as_ref())
+    run_flat(files, cfg, patch.as_ref())
 }
 
 #[cfg(test)]
@@ -320,10 +233,8 @@ mod tests {
         use sched::Batch;
         let plain = FarmConfig::new(2, Transmission::Nfs);
         assert_eq!(plain.sched_config(8).batch, Batch::Guided);
-        let costs = vec![1.0; 8];
         for per_job in [
             plain.clone().supervised(true),
-            plain.clone().order(DispatchPolicy::Lpt { costs }),
             plain.clone().rounds(vec![0; 8]),
         ] {
             assert_eq!(per_job.sched_config(8).batch, Batch::One);
@@ -391,51 +302,29 @@ mod tests {
     }
 
     #[test]
-    fn zero_threads_rejected() {
-        let cfg = FarmConfig::new(2, Transmission::Nfs).threads(0);
-        assert!(rejected(&cfg).has("threads"));
-    }
-
-    #[test]
-    fn unsupported_lane_width_rejected() {
-        for lanes in [2usize, 3, 5, 16] {
-            let cfg = FarmConfig::new(2, Transmission::Nfs).lanes(lanes);
-            assert!(
-                rejected(&cfg).has("lanes"),
-                "lanes={lanes} should be rejected"
-            );
-        }
-    }
-
-    #[test]
     fn validation_collects_every_invalid_field_at_once() {
         // Four independent mistakes in one config: validation reports
         // all of them, in field order, instead of the first one found.
+        let sup = SupervisorConfig {
+            max_attempts: 0,
+            poll: std::time::Duration::ZERO,
+            ..SupervisorConfig::default()
+        };
         let cfg = FarmConfig::new(2, Transmission::Nfs)
+            .supervisor(sup)
             .recorder(Arc::new(Recorder::new(2)))
-            .threads(0)
-            .lanes(3)
-            .fault_plan(Arc::new(FaultPlan::new(1)));
+            .rounds(vec![0; 4]);
         let issues = rejected(&cfg);
         assert_eq!(issues.issues.len(), 4, "all four fields reported: {issues}");
-        for field in ["fault_plan", "recorder", "threads", "lanes"] {
+        let fields = ["max_attempts", "poll", "recorder", "rounds"];
+        for field in fields {
             assert!(issues.has(field), "missing {field} in {issues}");
         }
         // The rendered message names every field for the human reader.
         let msg = FarmError::Config(issues).to_string();
-        for field in ["fault_plan", "recorder", "threads", "lanes"] {
+        for field in fields {
             assert!(msg.contains(field), "{field} absent from {msg}");
         }
-    }
-
-    #[test]
-    fn priority_class_length_checked_against_portfolio() {
-        let (paths, dir) = setup(4, "prio_len");
-        let cfg = FarmConfig::new(2, Transmission::SerializedLoad)
-            .order(DispatchPolicy::Priority { class: vec![0, 1] });
-        let issues = rejected_for(&paths, &cfg);
-        assert!(issues.has("policy"), "{issues}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A config only the scheduler rejects (frames need FIFO order; no
@@ -447,7 +336,6 @@ mod tests {
     fn scheduler_rejection_stops_the_slaves_it_found_parked() {
         use crate::driver::{drive, Farm};
         use crate::slave::serve_jobs;
-        let ctx = RunCtx::new(None);
         let strategy = Transmission::SerializedLoad;
         let bad = SchedConfig {
             batch: sched::Batch::Guided,
@@ -457,7 +345,7 @@ mod tests {
         };
         let ran = minimpi::World::run(3, |comm| {
             if comm.rank() != 0 {
-                serve_jobs(&comm, &ctx, None);
+                serve_jobs(&comm, None);
                 return None;
             }
             let farm = Farm {
@@ -466,7 +354,6 @@ mod tests {
                 frames: None,
                 supervisor: None,
                 resident: false,
-                ctx: &ctx,
                 strategy,
             };
             Some(drive(&farm, bad.clone(), |_, _, _, _| {
@@ -477,188 +364,6 @@ mod tests {
             Some(Err(FarmError::Config(issues))) => assert!(issues.has("scheduler"), "{issues}"),
             other => panic!("expected a config rejection, got {other:?}"),
         }
-    }
-
-    /// Like [`rejected`] but against a real portfolio (for the checks
-    /// that compare vector lengths with the file list).
-    fn rejected_for(files: &[PathBuf], cfg: &FarmConfig) -> exec::ConfigIssues {
-        match run(files, cfg) {
-            Err(FarmError::Config(issues)) => issues,
-            other => panic!("expected a config rejection, got {other:?}"),
-        }
-    }
-
-    /// A small all-Monte-Carlo portfolio: unlike [`toy_portfolio`] (closed
-    /// form, no chunked kernel), these jobs actually exercise the
-    /// intra-slave executor when `threads >= 2`.
-    fn mc_setup(count: usize, tag: &str) -> (Vec<PathBuf>, std::path::PathBuf) {
-        use crate::portfolio::{JobClass, PortfolioJob};
-        use pricing::models::BlackScholes;
-        use pricing::{MethodSpec, ModelSpec, OptionSpec, PremiaProblem};
-        let dir = std::env::temp_dir().join(format!("farm_cfg_{tag}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        let jobs: Vec<PortfolioJob> = (0..count)
-            .map(|i| PortfolioJob {
-                id: i,
-                class: JobClass::LocalVolMc,
-                problem: PremiaProblem::new(
-                    ModelSpec::BlackScholes(BlackScholes::new(100.0, 0.2, 0.05, 0.0)),
-                    OptionSpec::Call {
-                        strike: 90.0 + 2.0 * i as f64,
-                        maturity: 1.0,
-                    },
-                    MethodSpec::MonteCarlo {
-                        paths: 2_000,
-                        time_steps: 8,
-                        antithetic: false,
-                        seed: 42 + i as u64,
-                    },
-                ),
-            })
-            .collect();
-        let paths = save_portfolio(&jobs, &dir).unwrap();
-        (paths, dir)
-    }
-
-    #[test]
-    fn threaded_farm_bit_identical_across_thread_counts() {
-        let (paths, dir) = mc_setup(6, "threads_bits");
-        let by_job = |r: &FarmReport| {
-            let mut v: Vec<(usize, u64)> = r
-                .outcomes
-                .iter()
-                .map(|o| (o.job, o.price.to_bits()))
-                .collect();
-            v.sort();
-            v
-        };
-        let t2 = run(
-            &paths,
-            &FarmConfig::new(2, Transmission::SerializedLoad).threads(2),
-        )
-        .unwrap();
-        let t8 = run(
-            &paths,
-            &FarmConfig::new(2, Transmission::SerializedLoad).threads(8),
-        )
-        .unwrap();
-        assert_eq!(by_job(&t2), by_job(&t8));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn threads_one_is_bit_identical_to_default() {
-        let (paths, dir) = setup(8, "threads_one");
-        let by_job = |r: &FarmReport| {
-            let mut v: Vec<(usize, u64)> = r
-                .outcomes
-                .iter()
-                .map(|o| (o.job, o.price.to_bits()))
-                .collect();
-            v.sort();
-            v
-        };
-        let default = run(&paths, &FarmConfig::new(2, Transmission::SerializedLoad)).unwrap();
-        let one = run(
-            &paths,
-            &FarmConfig::new(2, Transmission::SerializedLoad).threads(1),
-        )
-        .unwrap();
-        assert_eq!(by_job(&default), by_job(&one));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn threaded_recorded_run_emits_compute_chunk_diagnostics() {
-        use obs::{Breakdown, EventKind};
-        let (paths, dir) = mc_setup(4, "threads_events");
-        let rec = Arc::new(Recorder::new(3));
-        let cfg = FarmConfig::new(2, Transmission::SerializedLoad)
-            .threads(2)
-            .recorder(rec.clone());
-        let report = run(&paths, &cfg).unwrap();
-        assert_eq!(report.completed(), 4);
-        let events = rec.events();
-        let b = Breakdown::from_events(&events);
-        // Chunked kernels ran: per-chunk diagnostics are present and the
-        // worker-CPU seconds roughly cover the compute wall seconds.
-        assert!(b.count_of(EventKind::ComputeChunk) > 0);
-        assert!(b.parallel_s() > 0.0);
-        assert!(b.compute_s() > 0.0);
-        // Diagnostics never inflate the cpu-seconds budget.
-        assert!(b.total_s() >= b.compute_s());
-        assert_eq!(rec.dropped(), 0);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn lanes_one_is_bit_identical_to_default() {
-        let (paths, dir) = mc_setup(6, "lanes_one");
-        let by_job = |r: &FarmReport| {
-            let mut v: Vec<(usize, u64)> = r
-                .outcomes
-                .iter()
-                .map(|o| (o.job, o.price.to_bits()))
-                .collect();
-            v.sort();
-            v
-        };
-        let default = run(&paths, &FarmConfig::new(2, Transmission::SerializedLoad)).unwrap();
-        let one = run(
-            &paths,
-            &FarmConfig::new(2, Transmission::SerializedLoad).lanes(1),
-        )
-        .unwrap();
-        assert_eq!(by_job(&default), by_job(&one));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn laned_farm_bit_identical_across_thread_counts() {
-        let (paths, dir) = mc_setup(6, "lanes_bits");
-        let by_job = |r: &FarmReport| {
-            let mut v: Vec<(usize, u64)> = r
-                .outcomes
-                .iter()
-                .map(|o| (o.job, o.price.to_bits()))
-                .collect();
-            v.sort();
-            v
-        };
-        let l8t1 = run(
-            &paths,
-            &FarmConfig::new(2, Transmission::SerializedLoad).lanes(8),
-        )
-        .unwrap();
-        let l8t8 = run(
-            &paths,
-            &FarmConfig::new(2, Transmission::SerializedLoad)
-                .threads(8)
-                .lanes(8),
-        )
-        .unwrap();
-        assert_eq!(by_job(&l8t1), by_job(&l8t8));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn laned_recorded_run_emits_lane_batch_marks() {
-        use obs::{Breakdown, EventKind};
-        let (paths, dir) = mc_setup(4, "lanes_events");
-        let rec = Arc::new(Recorder::new(3));
-        let cfg = FarmConfig::new(2, Transmission::SerializedLoad)
-            .threads(2)
-            .lanes(8)
-            .recorder(rec.clone());
-        let report = run(&paths, &cfg).unwrap();
-        assert_eq!(report.completed(), 4);
-        let b = Breakdown::from_events(&rec.events());
-        // One zero-duration mark per chunked compute, carrying the width.
-        assert_eq!(b.count_of(EventKind::LaneBatch), 4);
-        assert_eq!(b.lane_width(), 8.0);
-        assert!(b.count_of(EventKind::ComputeChunk) > 0);
-        assert_eq!(rec.dropped(), 0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -686,13 +391,12 @@ mod tests {
     #[test]
     fn plain_batched_and_supervised_routes_agree() {
         let (paths, dir) = setup(18, "routes");
-        // Plain ships guided frames, LPT order and supervision frames of
-        // one.
+        // Plain ships guided frames; a single round and supervision ship
+        // frames of one.
         let plain = run(&paths, &FarmConfig::new(2, Transmission::SerializedLoad)).unwrap();
-        let costs = vec![1.0; 18];
         let batched = run(
             &paths,
-            &FarmConfig::new(2, Transmission::SerializedLoad).order(DispatchPolicy::Lpt { costs }),
+            &FarmConfig::new(2, Transmission::SerializedLoad).rounds(vec![0; 18]),
         )
         .unwrap();
         let supervised = run(

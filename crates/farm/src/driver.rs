@@ -26,7 +26,6 @@
 //! `serve`, which drives its batches through it; nothing is re-exported
 //! at the crate root.
 
-use crate::config::RunCtx;
 use crate::instrument;
 use crate::robin_hood::{FarmError, FarmReport, JobOutcome};
 use crate::slave::TAG;
@@ -40,7 +39,7 @@ use std::collections::VecDeque;
 use std::ops::Range;
 use std::path::Path;
 use std::time::Instant;
-use store::ProblemStore;
+use store::{DirStore, ProblemStore};
 
 /// The live side of one scheduler run: where the slaves are and how to
 /// talk to them.
@@ -67,8 +66,6 @@ pub struct Farm<'a> {
     /// world): the scheduler's `Stop`s are not sent. A failed run still
     /// stops them.
     pub resident: bool,
-    /// Where problem bytes come from and how they are encoded.
-    pub ctx: &'a RunCtx,
     /// How a problem travels — and what the report says ran.
     pub strategy: Transmission,
 }
@@ -97,9 +94,10 @@ impl Farm<'_> {
 
     /// Send `members` — `(wire id, problem file)` pairs — to rank `slave`
     /// as one job frame, written into `scratch` (recycled across the
-    /// run): the flat farm's one sender, plain or supervised. A
-    /// serialized load reads each file straight into the message through
-    /// one [`store::FrameReader`] for the frame; a full load's bytes go
+    /// run): the flat farm's one sender, plain or supervised. Every file
+    /// is read through a [`DirStore`]: a serialized load reads each one
+    /// straight into the message through one [`store::FrameReader`] for
+    /// the frame; a full load's bytes go
     /// from where they were re-serialized into the message
     /// ([`EventKind::Pack`]), and an NFS member is its file name. A member
     /// whose bytes cannot be prepared fails the dispatch before anything
@@ -112,8 +110,9 @@ impl Farm<'_> {
     ) -> Result<(), FarmError> {
         let (comm, mut head) = (self.comm, None);
         let mut frame = JobFrame::new(std::mem::take(scratch));
+        let store = DirStore::new();
         let in_place = self.strategy == Transmission::SerializedLoad;
-        let mut reader = in_place.then(|| self.ctx.store.reader());
+        let mut reader = in_place.then(|| store.reader());
         for (idx, path) in members {
             head.get_or_insert(idx);
             comm.set_job(Some(idx));
@@ -122,7 +121,7 @@ impl Farm<'_> {
                     .map_err(|e| FarmError::job_failed(idx, e))?;
                 continue;
             }
-            let serial = prepare_serial_recorded(comm, self.ctx, self.strategy, path)
+            let serial = prepare_serial_recorded(comm, &store, self.strategy, path)
                 .map_err(|e| FarmError::job_failed(idx, e))?;
             match &serial {
                 Some(serial) => {
@@ -487,7 +486,6 @@ mod tests {
             poll: Duration::from_millis(2),
             ..SupervisorConfig::default()
         };
-        let ctx = RunCtx::new(None);
         let ran = minimpi::World::run(2, |comm| {
             if comm.rank() == 1 {
                 // The first reply answers a job the run never had; then
@@ -500,7 +498,7 @@ mod tests {
                     std_error: None,
                 };
                 comm.send_obj(&batch_reply_value(&[stray]), 0, TAG).unwrap();
-                serve_jobs(&comm, &ctx, Some(&sup));
+                serve_jobs(&comm, Some(&sup));
                 return None;
             }
             let farm = Farm {
@@ -509,7 +507,6 @@ mod tests {
                 frames: None,
                 supervisor: Some(&sup),
                 resident: false,
-                ctx: &ctx,
                 strategy: Transmission::SerializedLoad,
             };
             let mut scratch = Vec::new();

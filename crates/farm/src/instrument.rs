@@ -1,12 +1,12 @@
 //! Tiny pub(crate) helpers so farm-level phases record through the same
 //! recorder the `Comm` carries — and compile to nothing when it doesn't.
+//! A live compute is one `Compute` span: every rank prices with the
+//! sequential kernel, so the chunked executor's `ComputeChunk`, `Steal`
+//! and `LaneBatch` events come from the simulator (`clustersim`) alone.
 
-use crate::config::RunCtx;
-use exec::StatsSink;
 use minimpi::Comm;
 use obs::{Event, EventKind};
 use pricing::{PremiaProblem, PricingError, PricingResult};
-use std::sync::Arc;
 
 /// Start a farm-level span: `Some(now)` only when a recorder is
 /// installed, so un-instrumented runs never read the clock.
@@ -24,78 +24,16 @@ pub(crate) fn span(comm: &Comm, kind: EventKind, start: Option<u64>, bytes: u64)
     }
 }
 
-/// Price one problem under the run's compute policy, recording the
-/// `Compute` span (and, for multi-threaded policies, the post-hoc
-/// `ComputeChunk`/`Steal` diagnostics) on the calling rank.
-///
-/// `ctx.exec == None` (the default, `FarmConfig::threads(1)`) is the
-/// legacy single-threaded `compute()` — bit-identical to every release
-/// since the seed. With a policy, the kernels run chunked via
-/// `compute_with`; the obs recorder is single-writer per rank, so the
-/// executor's workers never record directly — the chunk timings are
-/// drained from a per-call [`StatsSink`] and emitted *after* the
-/// parallel region by this (the rank's own) thread. Diagnostic events
-/// carry the chunk's measured `dur_ns` but a post-region `start_ns`;
-/// breakdowns only consume durations, so the phase sums are exact.
+/// Price one problem with the sequential kernel, recording its
+/// `Compute` span on the calling rank.
 pub(crate) fn compute_recorded(
     comm: &Comm,
-    ctx: &RunCtx,
     problem: &PremiaProblem,
 ) -> Result<PricingResult, PricingError> {
     let start = t0(comm);
-    match &ctx.exec {
-        None => {
-            let r = problem.compute()?;
-            span(comm, EventKind::Compute, start, 0);
-            Ok(r)
-        }
-        Some(pol) => {
-            let Some(rec) = comm.recorder().cloned() else {
-                // Un-instrumented: no sink, no events — just the policy.
-                return problem.compute_with(pol);
-            };
-            let sink = Arc::new(StatsSink::new());
-            let pol = pol.clone().with_sink(sink.clone());
-            let r = problem.compute_with(&pol)?;
-            span(comm, EventKind::Compute, start, 0);
-            let stats = sink.take();
-            let rank = comm.rank() as u16;
-            let job = comm.current_job();
-            for ct in &stats.chunks {
-                rec.record(Event {
-                    kind: EventKind::ComputeChunk,
-                    rank,
-                    job,
-                    start_ns: rec.now_ns(),
-                    dur_ns: ct.dur_ns,
-                    bytes: ct.items,
-                });
-            }
-            if stats.steals > 0 {
-                rec.record(Event {
-                    kind: EventKind::Steal,
-                    rank,
-                    job,
-                    start_ns: rec.now_ns(),
-                    dur_ns: 0,
-                    bytes: stats.steals,
-                });
-            }
-            if pol.lane_width() > 1 {
-                // Lane self-check mark: breakdowns read the lane width
-                // back out of `bytes` (`Breakdown::lane_width`).
-                rec.record(Event {
-                    kind: EventKind::LaneBatch,
-                    rank,
-                    job,
-                    start_ns: rec.now_ns(),
-                    dur_ns: 0,
-                    bytes: pol.lane_width() as u64,
-                });
-            }
-            Ok(r)
-        }
-    }
+    let r = problem.compute()?;
+    span(comm, EventKind::Compute, start, 0);
+    Ok(r)
 }
 
 /// Record an instantaneous supervision event (Retry / Deadline /

@@ -23,8 +23,8 @@
 //!   `docs/FAULTS.md`) and the one master driver (feeds the pure [`sched::Scheduler`] the simulator also runs
 //!   — `docs/SCHEDULER.md` — and owns shutdown). Every link ships §5's
 //!   "send them all together" job frames: sized by the scheduler on a
-//!   plain run, one job each under supervision, LPT order or staging
-//!   (`batching`, private), and packed ahead by a `serve::Session`. The
+//!   plain run, one job each under supervision or staging (`batching`,
+//!   private), and packed ahead by a `serve::Session`. The
 //!   two modules are public for that session alone, which drives its
 //!   batches through [`driver::drive`] and runs [`slave::serve_jobs`]
 //!   on its resident slaves; nothing of them is re-exported here.
@@ -44,9 +44,10 @@
 //!   rounds with cross-round data flow (Picard-iterated BSDEs), driven
 //!   through the live farm by [`run_workload`].
 //! * [`config`] — the unified entry point: build a [`FarmConfig`]
-//!   (strategy, supervision, fault plan, [`obs::Recorder`], dispatch
-//!   order, staged rounds, compute threads and lanes) and call
-//!   [`run`]. The historical per-variant free functions are gone; the
+//!   (strategy, supervision, fault plan, [`obs::Recorder`], staged
+//!   rounds) and call [`run`]. Every run dispatches first come, first
+//!   served, and every slave prices with the sequential
+//!   [`pricing::PremiaProblem::compute`]. The historical per-variant free functions are gone; the
 //!   other way in is a long-lived `serve::Session` over the same driver
 //!   and slave loop.
 //!

@@ -87,9 +87,9 @@ impl JobClass {
 
     /// True when this class is priced by a path-chunked kernel — i.e. one
     /// of the Monte-Carlo/LSM routines that route through the `exec`
-    /// executor when [`crate::FarmConfig::threads`] ≥ 2. Closed-form,
-    /// PDE and tree pricers stay single-threaded, so intra-slave
-    /// parallelism buys them nothing on the live farm. All three
+    /// executor under [`pricing::PremiaProblem::compute_with`].
+    /// Closed-form, PDE and tree pricers stay single-threaded, so
+    /// intra-slave parallelism buys them nothing. All three
     /// extension classes ride the chunked path (their kernels reuse the
     /// existing `*_exec` bodies — no new sequential-only hot loops).
     pub fn chunked_kernel(&self) -> bool {
@@ -518,9 +518,9 @@ pub fn representative_problem(class: JobClass, scale: PortfolioScale) -> Portfol
 /// A deterministic heavy-tailed mixed-class portfolio: `groups`
 /// repetitions of a 12-job block dominated by a handful of expensive
 /// American/Bermudan/BSDE claims over a sea of near-free vanillas. This
-/// is the straggler-tail shape on which LPT dispatch beats FIFO — a FIFO
-/// master can strand a 100× grain on the last dispatch while LPT front-
-/// loads it.
+/// is the straggler-tail shape on which LPT dispatch beats FIFO in the
+/// simulator — a FIFO master can strand a 100× grain on the last
+/// dispatch while LPT front-loads it.
 pub fn mixed_portfolio(scale: PortfolioScale, groups: usize) -> Vec<PortfolioJob> {
     let p = scale.params();
     let mut jobs = Vec::with_capacity(12 * groups);

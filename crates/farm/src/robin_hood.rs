@@ -13,8 +13,8 @@
 //! advice on every run: each dispatch is one job frame of problems (or,
 //! for NFS, names) and one columnar reply. A FIFO, unsupervised,
 //! unstaged run sizes its frames by the scheduler's guided rule
-//! (`crate::batching`); a supervised, LPT-ordered or staged one
-//! dispatches frames of one.
+//! (`crate::batching`); a supervised or staged one dispatches frames of
+//! one.
 //!
 //! This module is the *flat* farm — one master, rank 0, over ranks
 //! `1..=slaves` — plain or supervised (`crate::supervisor`). They are one
@@ -23,7 +23,7 @@
 //! scheduler config and how much patience. The report and error types
 //! the farm and a `serve::Session` share live here too.
 
-use crate::config::{FarmConfig, RunCtx};
+use crate::config::FarmConfig;
 use crate::driver::{self, Farm};
 use crate::slave;
 use crate::workload::StagedPatch;
@@ -183,14 +183,13 @@ impl From<xdrser::XdrError> for FarmError {
 pub(crate) fn run_flat(
     files: &[PathBuf],
     cfg: &FarmConfig,
-    ctx: &RunCtx,
     patch: Option<&StagedPatch>,
 ) -> Result<FarmReport, FarmError> {
     let body = |comm: Comm| {
         if comm.rank() == 0 {
-            return Some(master(&comm, ctx, files, cfg, patch));
+            return Some(master(&comm, files, cfg, patch));
         }
-        slave::serve_jobs(&comm, ctx, cfg.supervisor.as_ref());
+        slave::serve_jobs(&comm, cfg.supervisor.as_ref());
         None
     };
     World::run_instrumented(
@@ -211,7 +210,6 @@ pub(crate) fn run_flat(
 /// error.
 fn master(
     comm: &Comm,
-    ctx: &RunCtx,
     files: &[PathBuf],
     cfg: &FarmConfig,
     patch: Option<&StagedPatch>,
@@ -223,7 +221,6 @@ fn master(
         frames: None,
         supervisor: cfg.supervisor.as_ref(),
         resident: false,
-        ctx,
         strategy: cfg.strategy,
     };
     let sched = cfg.sched_config(files.len());

@@ -8,13 +8,15 @@
 //! one member or many — one columnar reply out ([`batch_reply_value`]),
 //! and the empty message as the stop sentinel. What differs between
 //! masters is data: under supervision, the patience that bounds the
-//! wait. A job the slave cannot read, decode or price is *answered* —
+//! wait. Every member is priced with the sequential
+//! [`PremiaProblem::compute`], so a price depends on the problem alone,
+//! never on the master or the rank that computed it. A job the slave
+//! cannot read, decode or price is *answered* —
 //! [`Answer::Failed`] — never dropped and never a panic (a kernel that
 //! panics is caught in [`price_one`]), so the master decides what a
 //! failed job means (a retry under supervision, the end of the run
 //! otherwise; `docs/FAULTS.md`).
 
-use crate::config::RunCtx;
 use crate::instrument;
 use crate::robin_hood::FarmError;
 use crate::strategy::recover_member;
@@ -25,6 +27,7 @@ use pricing::PremiaProblem;
 use std::any::Any;
 use std::borrow::Borrow;
 use std::panic::{self, AssertUnwindSafe};
+use store::DirStore;
 
 /// The message tag of every message between a master and its slaves:
 /// the flat farm's and a session's (their worlds never meet).
@@ -42,20 +45,25 @@ pub const TAG: i32 = 7;
 /// clock.
 ///
 /// Only the *link* can fail here (a poisoned world, a frame the codec
-/// cannot read), never a job. A supervised slave then just leaves:
-/// deadlines and the liveness sweep recover the work. An unsupervised
-/// one has nobody to tell, so it panics: that poisons the world, which
-/// wakes every parked peer with an error instead of leaving it blocked
-/// on a rank that is gone.
-pub fn serve_jobs(comm: &Comm, ctx: &RunCtx, patience: Option<&SupervisorConfig>) {
-    let store = &ctx.store;
-    let serve = || -> Result<(), FarmError> {
+/// cannot read), never a job. A supervised slave then leaves, and so
+/// does one whose idle window ran out; either way it first marks its
+/// own rank dead ([`Comm::leave`]), so the master's liveness sweep buries
+/// it and the deadlines move its work elsewhere — or, with every slave
+/// gone, the run ends in [`FarmError::AllSlavesDead`] instead of
+/// waiting out each deadline. An unsupervised slave has nobody to tell,
+/// so it panics: that poisons the world, which wakes every parked peer
+/// with an error instead of leaving it blocked on a rank that is gone.
+/// The stop sentinel ends either loop without a mark.
+pub fn serve_jobs(comm: &Comm, patience: Option<&SupervisorConfig>) {
+    let store = DirStore::new();
+    // `Ok(true)`: the stop sentinel; `Ok(false)`: the idle window ran out.
+    let serve = || -> Result<bool, FarmError> {
         loop {
             let frame = match patience {
                 None => comm.recv(0, TAG)?.0,
                 Some(p) => match comm.recv_timeout(0, TAG, p.slave_idle_timeout) {
                     Ok(Some((frame, _))) => frame,
-                    Ok(None) => return Ok(()),
+                    Ok(None) => return Ok(false),
                     Err(MpiError::Truncated { .. }) => {
                         comm.discard(0, TAG)?;
                         continue;
@@ -64,7 +72,7 @@ pub fn serve_jobs(comm: &Comm, ctx: &RunCtx, patience: Option<&SupervisorConfig>
                 },
             };
             if frame.is_empty() {
-                return Ok(());
+                return Ok(true);
             }
             let members = match decode_frame(&frame) {
                 Ok(members) => members,
@@ -72,18 +80,18 @@ pub fn serve_jobs(comm: &Comm, ctx: &RunCtx, patience: Option<&SupervisorConfig>
                 Err(e) => return Err(e),
             };
             // Every member is priced from the frame's own bytes.
-            let price =
-                |(idx, body)| price_one(comm, ctx, idx, || recover_member(comm, store, body));
+            let price = |(idx, body)| price_one(comm, idx, || recover_member(comm, &store, body));
             let answers: Vec<Answer> = members.into_iter().map(price).collect();
             comm.set_job(None);
             comm.send_obj(&batch_reply_value(&answers), 0, TAG)?;
         }
     };
     match serve() {
+        Ok(true) => {}
         Err(e) if patience.is_none() => {
             panic!("farm slave {}: link to master failed: {e}", comm.rank())
         }
-        _ => {}
+        Ok(false) | Err(_) => comm.leave(),
     }
 }
 
@@ -95,13 +103,12 @@ pub fn serve_jobs(comm: &Comm, ctx: &RunCtx, patience: Option<&SupervisorConfig>
 /// prices itself, with the problem it already holds.
 pub fn price_one<P: Borrow<PremiaProblem>>(
     comm: &Comm,
-    ctx: &RunCtx,
     idx: usize,
     recover: impl FnOnce() -> Result<P, xdrser::XdrError>,
 ) -> Answer {
     comm.set_job(Some(idx));
     let priced = recover().map_err(|e| e.to_string()).and_then(|problem| {
-        let compute = || instrument::compute_recorded(comm, ctx, problem.borrow());
+        let compute = || instrument::compute_recorded(comm, problem.borrow());
         match panic::catch_unwind(AssertUnwindSafe(compute)) {
             Ok(priced) => priced.map_err(|e| format!("compute failed: {e}")),
             Err(panic) => Err(format!("compute panicked: {}", panic_message(&*panic))),

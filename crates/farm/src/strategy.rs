@@ -19,7 +19,7 @@ use pricing::PremiaProblem;
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
-use store::{FrameReader, ProblemStore};
+use store::{DirStore, FrameReader, ProblemStore};
 
 /// The three ways of shipping a problem, labelled exactly as in the
 /// tables.
@@ -124,7 +124,7 @@ pub fn prepare_payload(
 /// records nothing.
 pub(crate) fn prepare_serial_recorded(
     comm: &Comm,
-    ctx: &crate::config::RunCtx,
+    store: &DirStore,
     strategy: Transmission,
     path: &Path,
 ) -> Result<Option<Arc<Serial>>, xdrser::XdrError> {
@@ -134,7 +134,7 @@ pub(crate) fn prepare_serial_recorded(
         Transmission::Nfs => return Ok(None),
     };
     let t0 = instrument::t0(comm);
-    let serial = prepare_serial(&ctx.store, strategy, path)?;
+    let serial = prepare_serial(store, strategy, path)?;
     if let Some(serial) = &serial {
         instrument::span(comm, kind, t0, serial.len() as u64);
     }

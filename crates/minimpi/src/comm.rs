@@ -373,6 +373,15 @@ impl Comm {
         rank < self.size() && !self.transport.is_dead(rank)
     }
 
+    /// Leave the group: mark this rank dead group-wide, as a fault-plan
+    /// kill does. Peers' sends to it fail fast and [`Comm::rank_alive`]
+    /// reads false for it, so a master sweeping liveness sees it gone
+    /// instead of waiting out a deadline on a rank that will never
+    /// answer.
+    pub fn leave(&self) {
+        self.transport.kill(self.rank);
+    }
+
     // ----- object layer (MPI_Send_Obj / MPI_Recv_Obj) ----------------------
 
     /// `MPI_Send_Obj`: serialize any value and send it. "These two

@@ -57,8 +57,9 @@ pub enum EventKind {
     /// decompressed size).
     Decompress,
     /// One executed chunk of an intra-slave parallel compute region
-    /// (`bytes` = paths the chunk covered). Emitted *after* the parallel
-    /// region by the rank's own thread. Diagnostic: its seconds are
+    /// (`bytes` = paths the chunk covered). Emitted by the simulator's
+    /// modelled executor (the live farm prices each job on one thread).
+    /// Diagnostic: its seconds are
     /// worker-CPU time already covered by the enclosing [`Compute`]
     /// span's wall time, so it is excluded from
     /// [`crate::Breakdown::total_s`].
@@ -77,9 +78,9 @@ pub enum EventKind {
     Dispatch,
     /// A SIMD-lane batched, allocation-free compute region ran on this
     /// rank (zero-duration mark; `bytes` = lane width). Emitted once per
-    /// compute when the executor's lane width exceeds 1, so breakdowns
-    /// can self-check that lane batching was actually on (or off).
-    /// Diagnostic.
+    /// compute by the simulator's lane model when its width exceeds 1,
+    /// so breakdowns can self-check that lane batching was actually on
+    /// (or off). Diagnostic.
     LaneBatch,
     /// A serving-session request left the submission queue and entered
     /// the front loop (`job` = request id, `dur_ns` = queue residency,

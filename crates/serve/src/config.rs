@@ -4,7 +4,7 @@
 //! invalid field into an [`exec::ConfigIssues`] instead of stopping at
 //! the first failure.
 
-use exec::{ConfigIssues, ExecPolicy};
+use exec::ConfigIssues;
 use farm::SupervisorConfig;
 use minimpi::FaultPlan;
 use obs::Recorder;
@@ -15,8 +15,9 @@ use std::time::Duration;
 /// Everything a long-lived pricing session needs, behind one builder.
 ///
 /// Defaults: 3 priority classes over a 64-request queue, 8 MiB of
-/// serialized problem bytes in flight, a 1 MiB result memo, sequential
-/// compute, supervised dispatch with test-scale timings.
+/// serialized problem bytes in flight, a 1 MiB result memo, supervised
+/// dispatch with test-scale timings. Every rank prices with the
+/// sequential [`pricing::PremiaProblem::compute`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     pub(crate) slaves: usize,
@@ -24,8 +25,6 @@ pub struct ServeConfig {
     pub(crate) inflight_bytes: usize,
     pub(crate) memo_bytes: usize,
     pub(crate) priorities: u8,
-    pub(crate) threads: usize,
-    pub(crate) lanes: usize,
     /// The farm's supervision knobs; the slaves' patience is unbounded
     /// (`Duration::MAX`), since a session is long-lived.
     pub(crate) supervisor: SupervisorConfig,
@@ -43,8 +42,6 @@ impl ServeConfig {
             inflight_bytes: 8 << 20,
             memo_bytes: 1 << 20,
             priorities: 3,
-            threads: 1,
-            lanes: 1,
             supervisor: SupervisorConfig {
                 slave_idle_timeout: Duration::MAX,
                 ..SupervisorConfig::default()
@@ -84,20 +81,6 @@ impl ServeConfig {
         self
     }
 
-    /// Worker threads per slave compute (1 with scalar lanes = the
-    /// sequential kernels; anything else routes through the chunked
-    /// executor — [`ExecPolicy::validated`] decides).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// SIMD lane width of the path kernels (1 = scalar).
-    pub fn lanes(mut self, lanes: usize) -> Self {
-        self.lanes = lanes;
-        self
-    }
-
     /// Per-dispatch deadline of the supervised scheduler: a job in
     /// flight longer than this is presumed lost and requeued.
     pub fn job_deadline(mut self, d: Duration) -> Self {
@@ -130,22 +113,6 @@ impl ServeConfig {
         (self.queue_depth >> priority.min(63)).max(1)
     }
 
-    /// The slave-side compute policy, decided by
-    /// [`ExecPolicy::validated`] exactly as `farm::FarmConfig` decides
-    /// it: `None` (the sequential kernel) unless threads or lanes ask
-    /// for the chunked executor.
-    pub(crate) fn exec_policy(&self) -> Option<ExecPolicy> {
-        ExecPolicy::validated(self.threads, self.lanes).expect("validated by Session::start")
-    }
-
-    /// The execution-parameter half of the memo key: `(0, 0)` for the
-    /// sequential kernel, else the policy's chunk size and lane width
-    /// (both are part of the result contract — see `store::MemoKey`).
-    pub(crate) fn memo_params(&self) -> (u32, u32) {
-        self.exec_policy()
-            .map_or((0, 0), |p| (p.chunk_size() as u32, p.lane_width() as u32))
-    }
-
     /// Validate the whole configuration, collecting *every* invalid
     /// field (not just the first) into one [`ConfigIssues`].
     pub(crate) fn validate(&self) -> Result<(), ConfigIssues> {
@@ -161,9 +128,6 @@ impl ServeConfig {
         }
         if self.priorities == 0 {
             issues.reject("priorities", "needs at least one priority class");
-        }
-        if let Err(bad) = ExecPolicy::validated(self.threads, self.lanes) {
-            issues.issues.extend(bad.issues);
         }
         self.supervisor.check(&mut issues);
         if let Some(rec) = &self.recorder {
@@ -291,21 +255,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_threads_rejected() {
-        assert!(rejected(&ServeConfig::new(2).threads(0)).has("threads"));
-    }
-
-    #[test]
-    fn unsupported_lane_width_rejected() {
-        for lanes in [2usize, 3, 5, 16] {
-            assert!(
-                rejected(&ServeConfig::new(2).lanes(lanes)).has("lanes"),
-                "lanes={lanes}"
-            );
-        }
-    }
-
-    #[test]
     fn zero_deadline_and_poll_rejected() {
         let issues = rejected(
             &ServeConfig::new(2)
@@ -324,14 +273,11 @@ mod tests {
 
     #[test]
     fn validation_collects_every_invalid_field_at_once() {
-        let cfg = ServeConfig::new(0)
-            .queue_depth(0)
-            .threads(0)
-            .lanes(7)
-            .poll(Duration::ZERO);
+        let mut cfg = ServeConfig::new(0).queue_depth(0).poll(Duration::ZERO);
+        cfg.supervisor.max_attempts = 0;
         let issues = rejected(&cfg);
-        assert_eq!(issues.issues.len(), 5, "{issues}");
-        for field in ["slaves", "queue_depth", "threads", "lanes", "poll"] {
+        assert_eq!(issues.issues.len(), 4, "{issues}");
+        for field in ["slaves", "queue_depth", "max_attempts", "poll"] {
             assert!(issues.has(field), "missing {field} in {issues}");
         }
     }
@@ -344,16 +290,5 @@ mod tests {
         assert_eq!(cfg.depth_limit(2), 2);
         assert_eq!(cfg.depth_limit(3), 1);
         assert_eq!(cfg.depth_limit(4), 1, "share floors at one slot");
-    }
-
-    #[test]
-    fn memo_params_track_the_result_contract() {
-        // Sequential kernel: the (0, 0) legacy key.
-        assert_eq!(ServeConfig::new(2).memo_params(), (0, 0));
-        // Chunked: the default chunk and the lane width, whatever the
-        // thread count (one thread with lanes is chunked too).
-        let chunk = exec::DEFAULT_CHUNK as u32;
-        assert_eq!(ServeConfig::new(2).threads(4).memo_params(), (chunk, 1));
-        assert_eq!(ServeConfig::new(2).lanes(8).memo_params(), (chunk, 8));
     }
 }

@@ -9,9 +9,9 @@
 //!   threads; every admitted ticket is answered exactly once, even
 //!   across slave deaths (the front loop drives the same supervised
 //!   [`sched::Scheduler`] as the one-shot master).
-//! * **Request coalescing + memoisation** — identical problems (same
-//!   serialized bytes, same execution parameters) within a batch share
-//!   one compute, and repeats across batches are served bit-identically
+//! * **Request coalescing + memoisation** — identical problems (the
+//!   same fields, so the same serialized bytes; every rank prices with
+//!   the sequential kernel) within a batch share one compute, and repeats across batches are served bit-identically
 //!   from a byte-budgeted [`store::ResultCache`].
 //! * **Backpressure** — bounded per-priority queue shares and an
 //!   in-flight byte budget; over-limit submissions shed immediately

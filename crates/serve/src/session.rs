@@ -38,7 +38,6 @@
 //! recording state is owned single-threaded by the front loop.
 
 use crate::config::{ServeConfig, ServeError};
-use farm::config::RunCtx;
 use farm::driver::{drive, Farm};
 use farm::slave::{price_one, serve_jobs, TAG};
 use farm::wire::{Answer, Body, JobFrame, FRAME_HEADER_BYTES, MEMBER_HEADER_BYTES};
@@ -299,7 +298,6 @@ pub struct Session {
     /// Admission limit per priority class, from
     /// [`ServeConfig::depth_limit`].
     limits: Vec<usize>,
-    memo_params: (u32, u32),
     next_id: AtomicU64,
     handle: Option<JoinHandle<Option<SessionReport>>>,
 }
@@ -319,7 +317,6 @@ impl Session {
         let (tx, rx) = queue::channel::<Msg>();
         let recorder = cfg.recorder.clone();
         let limits: Vec<usize> = (0..cfg.priorities).map(|p| cfg.depth_limit(p)).collect();
-        let memo_params = cfg.memo_params();
         let front_admission = admission.clone();
         let handle = std::thread::spawn(move || {
             // The closure is shared across ranks (the world runs scoped
@@ -347,7 +344,6 @@ impl Session {
             admission,
             recorder,
             limits,
-            memo_params,
             next_id: AtomicU64::new(0),
             handle: Some(handle),
         })
@@ -374,14 +370,15 @@ impl Session {
         self.admission
             .reserve_slot(req.priority, limit)
             .map_err(|e| self.shed(e, req.problems.len()))?;
-        let (chunk, lanes) = self.memo_params;
+        // Every rank prices with the sequential kernel, whose key carries
+        // no executor parameters.
         let keys: Vec<store::MemoKey> = req
             .problems
             .iter()
             .map(|problem| store::MemoKey {
                 fp: store::ContentFingerprint::of_fields(|f| problem.write_fields(f)),
-                chunk,
-                lanes,
+                chunk: 0,
+                lanes: 0,
             })
             .collect();
         let bytes: usize = keys.iter().map(|k| k.fp.len as usize).sum();
@@ -479,10 +476,6 @@ struct Front {
     /// straggler answer from an earlier batch can never be mistaken for
     /// a current problem.
     next_wire: usize,
-    /// The slaves' compute policy, under which rank 0 prices a batch it
-    /// keeps, so a price does not depend on who computed it (the driver
-    /// reads nothing else of it: the frames are prebuilt).
-    ctx: RunCtx,
     report: SessionReport,
     /// The batch being served: its requests, its slots and their
     /// coalescing index. Kept from batch to batch and cleared, never
@@ -522,7 +515,6 @@ fn front_loop(
     let mut front = Front {
         memo: store::ResultCache::new(cfg.memo_bytes),
         next_wire: 0,
-        ctx: RunCtx::new(cfg.exec_policy()),
         report: SessionReport::default(),
         requests: Vec::new(),
         slots: Vec::new(),
@@ -615,7 +607,6 @@ fn serve_batch(comm: &Comm, cfg: &ServeConfig, admission: &Admission, front: &mu
     let Front {
         memo,
         next_wire,
-        ctx,
         report,
         requests,
         slots,
@@ -661,7 +652,7 @@ fn serve_batch(comm: &Comm, cfg: &ServeConfig, admission: &Admission, front: &mu
     index.clear();
 
     if !slots.is_empty() {
-        run_batch(comm, cfg, slots, ctx, next_wire, report);
+        run_batch(comm, cfg, slots, next_wire, report);
         for slot in slots.drain(..) {
             let outcome = slot.outcome.expect("run_batch answers every slot");
             if let Ok(value) = outcome {
@@ -818,7 +809,6 @@ fn run_batch(
     comm: &Comm,
     cfg: &ServeConfig,
     slots: &mut [Slot],
-    ctx: &RunCtx,
     next_wire: &mut usize,
     report: &mut SessionReport,
 ) {
@@ -830,7 +820,7 @@ fn run_batch(
         // Nothing travels, so nothing can be lost: no deadline, no retry,
         // and a slave fault cannot touch these prices.
         for (k, &s) in frames[0].members.iter().enumerate() {
-            let answer = price_one(comm, ctx, base + k, || Ok(&slots[s].problem));
+            let answer = price_one(comm, base + k, || Ok(&slots[s].problem));
             slots[s].outcome = Some(match answer {
                 Answer::Priced {
                     price, std_error, ..
@@ -849,7 +839,6 @@ fn run_batch(
         frames: Some(&offsets),
         supervisor: Some(&cfg.supervisor),
         resident: true,
-        ctx,
         strategy: Transmission::SerializedLoad,
     };
     let sc = SchedConfig::plain(frames.len(), cfg.slaves).policy(DispatchPolicy::Priority {
@@ -887,12 +876,10 @@ fn run_batch(
     }
 }
 
-/// The resident slave: the farm's one slave loop under the session's
-/// compute policy, waiting as long as the session lives
-/// (`slave_idle_timeout` is `Duration::MAX`).
+/// The resident slave: the farm's one slave loop, waiting as long as
+/// the session lives (`slave_idle_timeout` is `Duration::MAX`).
 fn resident_slave(comm: &Comm, cfg: &ServeConfig) {
-    let ctx = RunCtx::new(cfg.exec_policy());
-    serve_jobs(comm, &ctx, Some(&cfg.supervisor));
+    serve_jobs(comm, Some(&cfg.supervisor));
 }
 
 #[cfg(test)]

@@ -224,9 +224,13 @@ impl FieldSink for FieldFingerprint {
 
 /// Full memo key: problem content × the execution parameters that are
 /// part of the result contract. `chunk = 0, lanes = 0` encodes the
-/// legacy sequential kernel (no executor policy), which produces
-/// different bits from any chunked run and must never share entries
-/// with one.
+/// sequential kernel (no executor policy), which produces different
+/// bits from any chunked run and must never share entries with one.
+///
+/// A serving session prices every problem with the sequential kernel,
+/// so it always writes `chunk: 0, lanes: 0`. The two fields stay only
+/// because the benchmark harness's `store.memo_*` replay builds keys
+/// with them; the next change to the benchmark drops both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct MemoKey {
     /// Content fingerprint of the serialized problem.

@@ -242,6 +242,40 @@ fn all_slaves_dead_fails_cleanly_not_hangs() {
     }
 }
 
+#[test]
+fn slaves_that_idle_out_end_the_run_as_all_slaves_dead() {
+    // Every message is lost, so no slave ever sees a frame and each one
+    // leaves when its short idle window runs out. A slave that leaves
+    // marks its rank dead, so the master's liveness sweep buries both
+    // and the run ends as a collapse — long before the first deadline,
+    // instead of retrying every job into the void until its budget is
+    // spent.
+    let sup = SupervisorConfig {
+        job_deadline: Duration::from_secs(2),
+        max_attempts: 3,
+        backoff_base: Duration::from_millis(2),
+        poll: Duration::from_millis(10),
+        slave_idle_timeout: Duration::from_millis(50),
+    };
+    let deadline = sup.job_deadline;
+    let (ran, took) = with_watchdog(60, move || {
+        let (paths, _expected, dir) = setup(6, "idle_out");
+        let plan = Arc::new(FaultPlan::new(11).with_drop_rate(1.0));
+        let t0 = std::time::Instant::now();
+        let ran = run_supervised(&paths, 2, Transmission::SerializedLoad, &sup, Some(plan));
+        std::fs::remove_dir_all(&dir).ok();
+        (ran, t0.elapsed())
+    });
+    match ran {
+        Err(FarmError::AllSlavesDead {
+            completed,
+            remaining,
+        }) => assert_eq!((completed, remaining), (0, 6)),
+        other => panic!("expected AllSlavesDead, got {other:?}"),
+    }
+    assert!(took < deadline, "waited {took:?} for slaves that left");
+}
+
 // ---------------------------------------------------------------------------
 // Scenario: message loss + retry, all three transmission strategies
 // ---------------------------------------------------------------------------

@@ -41,59 +41,36 @@ fn recorder_on_changes_no_numbers() {
 
 #[test]
 fn lanes_off_is_bit_identical_to_the_pre_lane_default() {
-    // Off-by-default discipline for the SIMD-lane kernels: an explicit
-    // `lanes(1)` — with or without a recorder — must price bit-for-bit
-    // like the plain config, and must emit no LaneBatch marks.
+    // Every live rank prices with the sequential kernel: a farm run —
+    // with or without a recorder — prices each job bit for bit like the
+    // problem's own `compute()`, and records no chunk or lane marks.
     let (files, dir) = setup(20, "lanes_off");
-    let baseline = run(&files, &FarmConfig::new(2, Transmission::SerializedLoad)).unwrap();
-    let scalar = run(
-        &files,
-        &FarmConfig::new(2, Transmission::SerializedLoad).lanes(1),
-    )
-    .unwrap();
-    assert_eq!(by_job(&baseline), by_job(&scalar));
+    let sequential: Vec<(usize, u64, Option<u64>)> = toy_portfolio(20)
+        .iter()
+        .enumerate()
+        .map(|(j, job)| {
+            let r = job.problem.compute().unwrap();
+            (j, r.price.to_bits(), r.std_error.map(f64::to_bits))
+        })
+        .collect();
+    let plain = run(&files, &FarmConfig::new(2, Transmission::SerializedLoad)).unwrap();
+    assert_eq!(by_job(&plain), sequential);
     let rec = Arc::new(Recorder::new(3));
     let recorded = run(
         &files,
-        &FarmConfig::new(2, Transmission::SerializedLoad)
-            .lanes(1)
-            .recorder(rec.clone()),
+        &FarmConfig::new(2, Transmission::SerializedLoad).recorder(rec.clone()),
     )
     .unwrap();
-    assert_eq!(by_job(&baseline), by_job(&recorded));
-    let lane_marks = rec
-        .events()
-        .iter()
-        .filter(|e| e.kind == EventKind::LaneBatch)
-        .count();
-    assert_eq!(lane_marks, 0, "lanes(1) must not emit LaneBatch marks");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn laned_recorder_changes_no_numbers_and_marks_every_compute() {
-    // With lanes on, the recorder is still numerically free: the loud
-    // run prices bit-identically to the silent laned run, and every
-    // chunked compute carries exactly one LaneBatch mark with the width.
-    let (files, dir) = setup(12, "lanes_loud");
-    let silent = run(
-        &files,
-        &FarmConfig::new(2, Transmission::SerializedLoad).lanes(8),
-    )
-    .unwrap();
-    let rec = Arc::new(Recorder::new(3));
-    let loud = run(
-        &files,
-        &FarmConfig::new(2, Transmission::SerializedLoad)
-            .lanes(8)
-            .recorder(rec.clone()),
-    )
-    .unwrap();
-    assert_eq!(by_job(&silent), by_job(&loud));
-    let bd = Breakdown::from_events(&rec.events());
-    assert!(bd.count_of(EventKind::LaneBatch) > 0, "no LaneBatch marks");
-    assert_eq!(bd.lane_width(), 8.0);
-    assert_eq!(rec.dropped(), 0);
+    assert_eq!(by_job(&recorded), sequential);
+    let events = rec.events();
+    for kind in [
+        EventKind::LaneBatch,
+        EventKind::ComputeChunk,
+        EventKind::Steal,
+    ] {
+        let marks = events.iter().filter(|e| e.kind == kind).count();
+        assert_eq!(marks, 0, "a live compute recorded {kind:?}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -680,17 +680,12 @@ fn a_price_does_not_depend_on_who_computed_it_under_the_compute_policy() {
         };
         p
     };
-    let want = mc(1)
-        .compute_with(&ExecPolicy::new(2).lanes(4))
-        .unwrap()
-        .price
-        .to_bits();
+    // Every rank prices with the sequential kernel.
+    let want = mc(1).compute().unwrap().price.to_bits();
     // No memo, so the second price is a fresh compute.
     let rec = Arc::new(Recorder::new(2));
     let session = Session::start(
         quick_config(1)
-            .threads(2)
-            .lanes(4)
             .memo_bytes(0)
             .recorder(rec.clone())
             .job_deadline(Duration::from_secs(30)),
@@ -713,7 +708,7 @@ fn a_price_does_not_depend_on_who_computed_it_under_the_compute_policy() {
     let beside = price(vec![mc(1), mc(2)]);
     assert_eq!(compute_ranks(&rec), [0, 1, 1]);
     assert_eq!(job_frame_bytes(&rec).len(), 2);
-    assert_eq!(alone, want, "rank 0 prices under the slaves' policy");
+    assert_eq!(alone, want, "rank 0 prices like the slaves");
     assert_eq!(beside, want, "bit-identical wherever it was priced");
     session.shutdown().unwrap();
 }
@@ -849,12 +844,12 @@ fn a_request_is_admitted_at_exactly_its_serialized_size() {
 
 #[test]
 fn invalid_config_collects_every_bad_field() {
-    let Err(err) = Session::start(ServeConfig::new(0).queue_depth(0).threads(0)) else {
+    let Err(err) = Session::start(ServeConfig::new(0).queue_depth(0).inflight_bytes(0)) else {
         panic!("invalid config must be rejected");
     };
     match err {
         ServeError::Config(issues) => {
-            for field in ["slaves", "queue_depth", "threads"] {
+            for field in ["slaves", "queue_depth", "inflight_bytes"] {
                 assert!(issues.has(field), "missing {field}: {issues}");
             }
         }
