@@ -29,12 +29,15 @@
 use exec::ExecPolicy;
 use farm::portfolio::{realistic_portfolio, JobClass, PortfolioScale};
 use pricing::methods::bond::mc_zcb_price_exec;
+use pricing::methods::bsde::{bsde_sweep_exec, BsdeConfig};
 use pricing::methods::lsm::{lsm_basket_exec, lsm_heston_exec, lsm_vanilla_bs_exec, LsmConfig};
 use pricing::methods::montecarlo::{
     mc_basket_exec, mc_heston_exec, mc_local_vol_exec, mc_vanilla_bs_exec, McConfig,
 };
+use pricing::methods::xva::{xva_cva_exec, TradeSoA, XvaConfig};
 use pricing::models::{BlackScholes, Heston, LocalVol, MultiBlackScholes, Vasicek};
 use pricing::options::{BasketOption, Vanilla};
+use pricing::{MethodSpec, ModelSpec, OptionSpec, PremiaProblem};
 
 /// Kernel names in table order.
 const KERNELS: [&str; 8] = [
@@ -330,5 +333,216 @@ fn sequential_table3_mix_goldens() {
             "{class:?}: sequential compute() fold drifted: got {:#018x}",
             got.fold
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Sampled kernels with no pin above: `compute()` bits, and the chunked
+// BSDE sweep and XVA CVA at every lane width
+// ---------------------------------------------------------------------------
+
+/// The sequentially priced problems of [`GOLDEN_COMPUTE`], in table order.
+fn compute_problems() -> [(&'static str, PremiaProblem); 5] {
+    let bs = BlackScholes::new(100.0, 0.2, 0.05, 0.01);
+    let mc = |paths, time_steps| MethodSpec::MonteCarlo {
+        paths,
+        time_steps,
+        antithetic: true,
+        seed: 42,
+    };
+    let call = OptionSpec::Call {
+        strike: 100.0,
+        maturity: 1.0,
+    };
+    [
+        (
+            "vanilla BS MC",
+            PremiaProblem::new(
+                ModelSpec::BlackScholes(bs),
+                call.clone(),
+                mc(4_000, 1),
+            ),
+        ),
+        (
+            "Heston MC",
+            PremiaProblem::new(
+                ModelSpec::Heston(Heston::standard(100.0, 0.05)),
+                call.clone(),
+                mc(2_000, 16),
+            ),
+        ),
+        (
+            "Vasicek ZCB MC",
+            PremiaProblem::new(
+                ModelSpec::Vasicek(Vasicek::standard()),
+                OptionSpec::ZeroCouponBond { maturity: 2.0 },
+                mc(2_000, 16),
+            ),
+        ),
+        (
+            "BSDE Picard",
+            PremiaProblem::new(
+                ModelSpec::BlackScholes(bs),
+                call,
+                MethodSpec::Bsde {
+                    paths: 2_000,
+                    time_steps: 12,
+                    rate_spread: 0.05,
+                    picard_rounds: 3,
+                    y_prev: 0.0,
+                    seed: 42,
+                },
+            ),
+        ),
+        (
+            "XVA CVA",
+            PremiaProblem::new(
+                ModelSpec::BlackScholes(bs),
+                OptionSpec::NettingSet {
+                    trades: 24,
+                    maturity: 1.0,
+                },
+                MethodSpec::Xva {
+                    paths: 2_000,
+                    time_steps: 12,
+                    hazard: 0.02,
+                    lgd: 0.6,
+                    seed: 42,
+                },
+            ),
+        ),
+    ]
+}
+
+/// `(price, std_error)` bits of a sampled result.
+fn se_bits(price: f64, std_error: f64) -> (u64, u64) {
+    (price.to_bits(), std_error.to_bits())
+}
+
+/// `PremiaProblem::compute()` of [`compute_problems`]: the whole sample on
+/// the one stream seeded with the problem's seed. Same re-pin policy as
+/// the tables above.
+const GOLDEN_COMPUTE: [(u64, u64); 5] = [
+    (0x40236920d7188ed5, 0x3fbd18ec48baa998), // vanilla BS MC
+    (0x4024f2856dc34aac, 0x3fbe4f191b1f8d59), // Heston MC
+    (0x3fecf4cb9df2691e, 0x3eb838c10b78eac7), // Vasicek ZCB MC
+    (0x4029011bc0447c42, 0x3fd644920848fbcc), // BSDE Picard
+    (0x3fe16c15db76b109, 0x3f8b503bbc7ba317), // XVA CVA
+];
+
+fn compute_bits() -> Vec<(u64, u64)> {
+    compute_problems()
+        .iter()
+        .map(|(label, p)| {
+            let r = p.compute().unwrap_or_else(|e| panic!("{label}: {e}"));
+            se_bits(
+                r.price,
+                r.std_error.expect("a sampled price has a std_error"),
+            )
+        })
+        .collect()
+}
+
+/// Kernel names of [`GOLDEN_SWEEPS_LANES1`] and its lane twins.
+const SWEEPS: [&str; 2] = ["bsde_sweep", "xva_cva"];
+
+/// One BSDE sweep and one CVA under `pol`, in [`SWEEPS`] order. 2 003
+/// paths in the default chunk of 1 024 leave a second, shorter chunk and
+/// a lane tail at 4 and 8 lanes.
+fn sweep_bits(pol: &ExecPolicy) -> [(u64, u64); 2] {
+    let bs = BlackScholes::new(100.0, 0.2, 0.05, 0.01);
+    let call = Vanilla::european_call(100.0, 1.0);
+    let bsde = BsdeConfig {
+        paths: 2_003,
+        time_steps: 12,
+        rate_spread: 0.05,
+        picard_rounds: 1,
+        y_prev: 8.0,
+        seed: 42,
+    };
+    let xva = XvaConfig {
+        paths: 2_003,
+        time_steps: 12,
+        hazard: 0.02,
+        lgd: 0.6,
+        seed: 42,
+    };
+    let book = TradeSoA::generate(24, bs.spot, 1.0, 42);
+    let b = bsde_sweep_exec(&bs, &call, &bsde, pol);
+    let x = xva_cva_exec(&bs, &book, 1.0, &xva, pol);
+    [se_bits(b.price, b.std_error), se_bits(x.price, x.std_error)]
+}
+
+/// Chunked `(price, std_error)` bits per lane width, in [`SWEEPS`] order.
+const GOLDEN_SWEEPS_LANES1: [(u64, u64); 2] = [
+    (0x4029897189e5e12d, 0x3fd6a73ae6f6aa50), // bsde_sweep
+    (0x3fe1d09b860d2a92, 0x3f8b8ab3d3231f36), // xva_cva
+];
+
+const GOLDEN_SWEEPS_LANES4: [(u64, u64); 2] = [
+    (0x4028ae3b6d6eecdb, 0x3fd600e783bdcece), // bsde_sweep
+    (0x3fe1bd24a30464ca, 0x3f8b22393178481d), // xva_cva
+];
+
+const GOLDEN_SWEEPS_LANES8: [(u64, u64); 2] = [
+    (0x4028d4789ec5e60e, 0x3fd5c1fd7536d9d4), // bsde_sweep
+    (0x3fe1f8c45c0ff02e, 0x3f8c1765eaec55ca), // xva_cva
+];
+
+fn sweep_golden(lanes: usize) -> &'static [(u64, u64); 2] {
+    match lanes {
+        1 => &GOLDEN_SWEEPS_LANES1,
+        4 => &GOLDEN_SWEEPS_LANES4,
+        8 => &GOLDEN_SWEEPS_LANES8,
+        other => panic!("no golden table for lane width {other}"),
+    }
+}
+
+/// One-time regeneration helper for [`GOLDEN_COMPUTE`] and the sweep
+/// tables.
+#[test]
+#[ignore]
+fn regen_sampled() {
+    println!("// compute()");
+    for ((label, _), (p, se)) in compute_problems().iter().zip(compute_bits()) {
+        println!("    (0x{p:016x}, 0x{se:016x}), // {label}");
+    }
+    for lanes in [1usize, 4, 8] {
+        println!("// sweeps, lanes = {lanes}");
+        for (name, (p, se)) in SWEEPS
+            .iter()
+            .zip(sweep_bits(&ExecPolicy::new(1).lanes(lanes)))
+        {
+            println!("    (0x{p:016x}, 0x{se:016x}), // {name}");
+        }
+    }
+}
+
+#[test]
+fn sequential_compute_goldens_of_the_other_sampled_kernels() {
+    for (((label, _), got), want) in compute_problems()
+        .iter()
+        .zip(compute_bits())
+        .zip(&GOLDEN_COMPUTE)
+    {
+        assert_eq!(
+            got, *want,
+            "{label}: compute() (price, std_error) bits drifted"
+        );
+    }
+}
+
+#[test]
+fn sweep_goldens_hold_at_every_worker_count_and_lane_count() {
+    for lanes in [1usize, 4, 8] {
+        for w in [1usize, 2, 8] {
+            let got = sweep_bits(&ExecPolicy::new(w).lanes(lanes));
+            for ((name, got), want) in SWEEPS.iter().zip(got).zip(sweep_golden(lanes)) {
+                assert_eq!(
+                    got, *want,
+                    "{name}: lanes={lanes} workers={w} (price, std_error) bits drifted"
+                );
+            }
+        }
     }
 }
