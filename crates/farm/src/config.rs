@@ -192,12 +192,6 @@ pub(crate) fn run_with(
     patch: Option<crate::workload::StagedPatch>,
 ) -> Result<FarmReport, FarmError> {
     cfg.validate()?;
-    // The rounds vector must cover the portfolio.
-    let jobs = files.len();
-    if let Some(len) = cfg.rounds.as_ref().map(Vec::len).filter(|&len| len != jobs) {
-        let why = format!("rounds vector covers {len} jobs but the portfolio has {jobs}");
-        return Err(FarmError::Config(exec::ConfigIssues::one("rounds", why)));
-    }
     run_flat(files, cfg, patch.as_ref())
 }
 
@@ -364,6 +358,33 @@ mod tests {
             Some(Err(FarmError::Config(issues))) => assert!(issues.has("scheduler"), "{issues}"),
             other => panic!("expected a config rejection, got {other:?}"),
         }
+    }
+
+    /// The scheduler is the one check that `rounds` covers the portfolio;
+    /// the driver reports its refusal after stopping every slave, so the
+    /// run returns at once instead of leaving a slave parked in `recv`.
+    #[test]
+    fn a_short_rounds_vector_is_refused_with_every_slave_stopped() {
+        use std::time::{Duration, Instant};
+        let (paths, dir) = setup(4, "short_rounds");
+        let cfg = FarmConfig::new(2, Transmission::SerializedLoad).rounds(vec![0; 3]);
+        let ran = std::thread::spawn(move || run(&paths, &cfg));
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !ran.is_finished() {
+            assert!(Instant::now() < deadline, "the run hung on a parked slave");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        match ran.join().expect("the master returns") {
+            Err(FarmError::Config(issues)) => {
+                let msg = issues.to_string();
+                assert!(
+                    msg.contains("rounds vector has 3 entries for 4 jobs"),
+                    "{msg}"
+                );
+            }
+            other => panic!("expected a config rejection, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -90,8 +90,8 @@ impl JobClass {
     /// executor under [`pricing::PremiaProblem::compute_with`].
     /// Closed-form, PDE and tree pricers stay single-threaded, so
     /// intra-slave parallelism buys them nothing. All three
-    /// extension classes ride the chunked path (their kernels reuse the
-    /// existing `*_exec` bodies — no new sequential-only hot loops).
+    /// extension classes ride the chunked path (their kernels run the
+    /// same one seeding rule — no new sequential-only hot loops).
     pub fn chunked_kernel(&self) -> bool {
         matches!(
             self,

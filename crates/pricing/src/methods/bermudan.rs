@@ -9,73 +9,56 @@
 //! the high-dimensional regression interesting.
 //!
 //! The kernel deliberately adds **no new hot loop**: path generation
-//! reuses [`super::lsm`]'s chunked/laned basket bodies (the state
-//! simulation is payoff-agnostic), so the `*_exec` variant inherits the
-//! bit-identical-for-any-worker-count property and the allocation-free
-//! path loops of the existing LSM path.
+//! reuses [`super::lsm`]'s basket path bodies (the state simulation is
+//! payoff-agnostic), so it inherits the one seeding rule, the
+//! bit-identical-for-any-worker-count chunked sample and the
+//! allocation-free path loops of the existing LSM path.
 
 use crate::models::MultiBlackScholes;
 use crate::options::{Exercise, MaxCall};
-use exec::{ExecPolicy, PathWorkspace};
+use exec::ExecPolicy;
 
-use super::lsm::LsmConfig;
-use super::lsm::{lsm_backward, lsm_basket_block, lsm_basket_paths_exec};
+use super::lsm::{lsm_backward, BasketPaths, LsmConfig};
 use super::montecarlo::McResult;
+use super::sample;
 
-fn assert_bermudan(option: &MaxCall, cfg: &LsmConfig) {
+/// Bermudan max-call under multi-asset Black–Scholes via LSM. Path
+/// generation runs through the *same* bodies as [`super::lsm::lsm_basket`],
+/// and `pol` picks the streams as it does there.
+pub fn lsm_max_call(
+    m: &MultiBlackScholes,
+    option: &MaxCall,
+    cfg: &LsmConfig,
+    pol: Option<&ExecPolicy>,
+) -> McResult {
     cfg.validate().expect("invalid LSM config");
     option.validate().expect("invalid option");
     assert!(
         option.exercise == Exercise::American,
         "LSM prices Bermudan/American claims"
     );
-}
-
-fn max_call_backward(
-    paths: &[f64],
-    m: &MultiBlackScholes,
-    option: &MaxCall,
-    cfg: &LsmConfig,
-) -> McResult {
     let dt = option.maturity / cfg.exercise_dates as f64;
     let k = option.strike;
-    lsm_backward(
-        paths,
-        m.dim,
-        &move |st: &[f64]| {
-            let best = st.iter().fold(f64::NEG_INFINITY, |a, &s| a.max(s));
-            (best - k).max(0.0)
-        },
-        dt,
-        m.rate,
-        m.spot,
-        cfg,
+    let backward = |paths: &[f64]| {
+        lsm_backward(
+            paths,
+            m.dim,
+            &move |st: &[f64]| {
+                let best = st.iter().fold(f64::NEG_INFINITY, |a, &s| a.max(s));
+                (best - k).max(0.0)
+            },
+            dt,
+            m.rate,
+            m.spot,
+            cfg,
+        )
+    };
+    sample(
+        &BasketPaths::new(m, cfg, dt, backward),
+        pol,
+        cfg.paths,
+        cfg.seed,
     )
-}
-
-/// Bermudan max-call under multi-asset Black–Scholes via LSM, all paths
-/// on the one stream seeded with `cfg.seed`.
-pub fn lsm_max_call(m: &MultiBlackScholes, option: &MaxCall, cfg: &LsmConfig) -> McResult {
-    assert_bermudan(option, cfg);
-    let dt = option.maturity / cfg.exercise_dates as f64;
-    let ws = &mut PathWorkspace::new();
-    let block = lsm_basket_block(m, dt, cfg.exercise_dates, cfg.seed, cfg.paths, ws);
-    max_call_backward(&block, m, option, cfg)
-}
-
-/// Chunked-deterministic variant of [`lsm_max_call`]: path generation
-/// runs through the *same* chunk bodies as [`super::lsm::lsm_basket_exec`]
-/// (per-chunk correlated streams, blocks joined in chunk order), so the
-/// price is bit-identical for any worker count in `pol`.
-pub fn lsm_max_call_exec(
-    m: &MultiBlackScholes,
-    option: &MaxCall,
-    cfg: &LsmConfig,
-    pol: &ExecPolicy,
-) -> McResult {
-    assert_bermudan(option, cfg);
-    let dt = option.maturity / cfg.exercise_dates as f64;
-    max_call_backward(&lsm_basket_paths_exec(m, cfg, dt, pol), m, option, cfg)
 }
 
 #[cfg(test)]
@@ -100,9 +83,9 @@ mod tests {
         let m = model(3);
         let o = MaxCall::bermudan(100.0, 1.0);
         let cfg = quick();
-        let base = lsm_max_call_exec(&m, &o, &cfg, &ExecPolicy::new(1));
+        let base = lsm_max_call(&m, &o, &cfg, Some(&ExecPolicy::new(1)));
         for workers in [2, 8] {
-            let r = lsm_max_call_exec(&m, &o, &cfg, &ExecPolicy::new(workers));
+            let r = lsm_max_call(&m, &o, &cfg, Some(&ExecPolicy::new(workers)));
             assert_eq!(r.price.to_bits(), base.price.to_bits());
         }
     }
@@ -115,7 +98,7 @@ mod tests {
         // harder to get in closed form; the LSM price must also beat 0).
         let m = model(2);
         let o = MaxCall::bermudan(100.0, 1.0);
-        let r = lsm_max_call_exec(&m, &o, &quick(), &ExecPolicy::new(4));
+        let r = lsm_max_call(&m, &o, &quick(), Some(&ExecPolicy::new(4)));
         assert!(r.price > 0.0, "max-call worth something: {}", r.price);
         assert!(r.price < m.spot * 2.0, "sanity upper bound: {}", r.price);
     }
@@ -126,8 +109,8 @@ mod tests {
         // dominates the max over fewer.
         let cfg = quick();
         let o = MaxCall::bermudan(100.0, 1.0);
-        let p2 = lsm_max_call_exec(&model(2), &o, &cfg, &ExecPolicy::new(4)).price;
-        let p5 = lsm_max_call_exec(&model(5), &o, &cfg, &ExecPolicy::new(4)).price;
+        let p2 = lsm_max_call(&model(2), &o, &cfg, Some(&ExecPolicy::new(4))).price;
+        let p5 = lsm_max_call(&model(5), &o, &cfg, Some(&ExecPolicy::new(4))).price;
         assert!(p5 > p2, "5-asset max-call {p5} should exceed 2-asset {p2}");
     }
 }

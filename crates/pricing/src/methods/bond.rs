@@ -2,17 +2,17 @@
 //! European options on them (Jamshidian's closed form), with a
 //! Monte-Carlo cross-check pricer.
 
+use super::{sample, Sampled};
 use crate::lanes::F64s;
 use crate::models::Vasicek;
 use crate::options::OptionRight;
-use exec::{stream_seed, Chunk, ExecPolicy, PathWorkspace};
+use exec::{ExecPolicy, PathWorkspace};
 use numerics::norm_cdf;
 use numerics::rng::NormalGen;
 use numerics::stats::RunningStats;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-use super::montecarlo::{McConfig, McResult};
+use super::montecarlo::{merged, McConfig, McResult};
 
 /// Jamshidian's closed form for a European option (expiry `t_opt`) on a
 /// zero-coupon bond maturing at `t_bond > t_opt`, strike `strike` (price
@@ -49,151 +49,124 @@ pub(crate) fn bond_option_price(
 /// Monte-Carlo zero-coupon bond price `E[e^{-∫₀ᵀ r dt}]` with exact OU
 /// transitions and trapezoidal rate integration — the cross-validation
 /// pricer for the closed form, and the "rates" workload generator for the
-/// farm.
-pub fn mc_zcb_price(m: &Vasicek, maturity: f64, cfg: &McConfig) -> McResult {
+/// farm. `pol` picks the streams as for the other Monte-Carlo pricers
+/// ([`super::montecarlo`]).
+pub fn mc_zcb_price(
+    m: &Vasicek,
+    maturity: f64,
+    cfg: &McConfig,
+    pol: Option<&ExecPolicy>,
+) -> McResult {
     cfg.validate().expect("invalid MC config");
     assert!(maturity > 0.0);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut gen = NormalGen::new();
-    let dt = maturity / cfg.time_steps as f64;
-    let mut stats = RunningStats::new();
-    let mut zs = vec![0.0; cfg.time_steps];
-    for _ in 0..cfg.paths {
-        gen.fill(&mut rng, &mut zs);
-        let d1 = discount_path(m, dt, &zs);
-        if cfg.antithetic {
-            for z in zs.iter_mut() {
-                *z = -*z;
-            }
-            let d2 = discount_path(m, dt, &zs);
-            stats.push(0.5 * (d1 + d2));
-        } else {
-            stats.push(d1);
-        }
-    }
-    McResult {
-        price: stats.mean(),
-        std_error: stats.std_error(),
-        delta: None,
-    }
-}
-
-/// Chunked-deterministic variant of [`mc_zcb_price`]: per-chunk
-/// [`stream_seed`]-derived OU streams, chunk-order merge — bit-identical
-/// for any worker count in `pol`.
-pub fn mc_zcb_price_exec(m: &Vasicek, maturity: f64, cfg: &McConfig, pol: &ExecPolicy) -> McResult {
-    cfg.validate().expect("invalid MC config");
-    assert!(maturity > 0.0);
-    let dt = maturity / cfg.time_steps as f64;
-    let parts = match pol.lane_width() {
-        4 => pol.run_ws(cfg.paths, |c, ws| zcb_chunk_lanes::<4>(m, cfg, dt, c, ws)),
-        8 => pol.run_ws(cfg.paths, |c, ws| zcb_chunk_lanes::<8>(m, cfg, dt, c, ws)),
-        _ => pol.run_ws(cfg.paths, |c, ws| zcb_chunk_scalar(m, cfg, dt, c, ws)),
+    let k = Zcb {
+        m,
+        cfg,
+        dt: maturity / cfg.time_steps as f64,
     };
-    let mut stats = RunningStats::new();
-    for p in &parts {
-        stats.merge(p);
-    }
-    McResult {
-        price: stats.mean(),
-        std_error: stats.std_error(),
-        delta: None,
-    }
+    sample(&k, pol, cfg.paths, cfg.seed)
 }
 
-/// Scalar (lanes = 1) chunk body; `zs` comes from the per-worker
-/// [`PathWorkspace`] pool (zero-filled, numerically identical to the
-/// old `vec!`).
-fn zcb_chunk_scalar(
-    m: &Vasicek,
-    cfg: &McConfig,
+struct Zcb<'a> {
+    m: &'a Vasicek,
+    cfg: &'a McConfig,
     dt: f64,
-    c: &Chunk,
-    ws: &mut PathWorkspace,
-) -> RunningStats {
-    let mut rng = StdRng::seed_from_u64(stream_seed(cfg.seed, c.index));
-    let mut gen = NormalGen::new();
-    let mut zs = ws.take(cfg.time_steps);
-    let mut stats = RunningStats::new();
-    for _ in c.start..c.end {
-        gen.fill(&mut rng, &mut zs);
-        let d1 = discount_path(m, dt, &zs);
-        if cfg.antithetic {
-            for z in zs.iter_mut() {
-                *z = -*z;
+}
+
+impl Zcb<'_> {
+    /// THE scalar path loop: `n` paths off a caller-owned stream; `zs` is
+    /// the path's draws (zero-filled workspace scratch, numerically a
+    /// fresh `vec!`).
+    fn paths(
+        &self,
+        rng: &mut StdRng,
+        gen: &mut NormalGen,
+        n: usize,
+        zs: &mut [f64],
+        stats: &mut RunningStats,
+    ) {
+        let (m, dt) = (self.m, self.dt);
+        for _ in 0..n {
+            gen.fill(rng, zs);
+            let d1 = discount_path(m, dt, zs);
+            if self.cfg.antithetic {
+                for z in zs.iter_mut() {
+                    *z = -*z;
+                }
+                let d2 = discount_path(m, dt, zs);
+                stats.push(0.5 * (d1 + d2));
+            } else {
+                stats.push(d1);
             }
-            let d2 = discount_path(m, dt, &zs);
-            stats.push(0.5 * (d1 + d2));
-        } else {
-            stats.push(d1);
         }
     }
-    ws.put(zs);
-    stats
 }
 
-/// `L`-wide chunk body: `L` exact OU paths advance in lockstep with one
-/// normal group per time step (`(group, step, lane)` draw order) and the
-/// trapezoidal rate integral accumulates per lane with fused `mul_add`.
-fn zcb_chunk_lanes<const L: usize>(
-    m: &Vasicek,
-    cfg: &McConfig,
-    dt: f64,
-    c: &Chunk,
-    ws: &mut PathWorkspace,
-) -> RunningStats {
-    let mut rng = StdRng::seed_from_u64(stream_seed(cfg.seed, c.index));
-    let mut gen = NormalGen::new();
-    let mut zs = ws.take(cfg.time_steps);
-    let mut stats = RunningStats::new();
-    // Exact OU transition constants: r' = θ + (r − θ)e^{-κΔ} + sd·z.
-    let e = (-m.kappa * dt).exp();
-    let sd = (m.sigma * m.sigma * (1.0 - e * e) / (2.0 * m.kappa)).sqrt();
-    let groups = c.len() / L;
-    for _ in 0..groups {
-        let mut r = F64s::<L>::splat(m.r0);
-        let mut r2 = r;
-        let mut integral = F64s::<L>::splat(0.0);
-        let mut integral2 = integral;
-        for _ in 0..cfg.time_steps {
-            let z = F64s::<L>::from_fn(|_| gen.sample(&mut rng));
-            let rn = ou_step_lanes(m, e, sd, r, z);
-            integral = (r + rn).mul_add(F64s::splat(0.5 * dt), integral);
-            r = rn;
+impl Sampled for Zcb<'_> {
+    type Part = RunningStats;
+    type Out = McResult;
+
+    fn scalar(&self, rng: &mut StdRng, n: usize, ws: &mut PathWorkspace) -> RunningStats {
+        let mut zs = ws.take(self.cfg.time_steps);
+        let mut stats = RunningStats::new();
+        self.paths(rng, &mut NormalGen::new(), n, &mut zs, &mut stats);
+        ws.put(zs);
+        stats
+    }
+
+    /// `L` exact OU paths advance in lockstep with one normal group per
+    /// time step (`(group, step, lane)` draw order) and the trapezoidal
+    /// rate integral accumulates per lane with fused `mul_add`.
+    fn lanes<const L: usize>(
+        &self,
+        rng: &mut StdRng,
+        n: usize,
+        ws: &mut PathWorkspace,
+    ) -> RunningStats {
+        let (m, cfg, dt) = (self.m, self.cfg, self.dt);
+        let mut gen = NormalGen::new();
+        let mut zs = ws.take(cfg.time_steps);
+        let mut stats = RunningStats::new();
+        // Exact OU transition constants: r' = θ + (r − θ)e^{-κΔ} + sd·z.
+        let e = (-m.kappa * dt).exp();
+        let sd = (m.sigma * m.sigma * (1.0 - e * e) / (2.0 * m.kappa)).sqrt();
+        let groups = n / L;
+        for _ in 0..groups {
+            let mut r = F64s::<L>::splat(m.r0);
+            let mut r2 = r;
+            let mut integral = F64s::<L>::splat(0.0);
+            let mut integral2 = integral;
+            for _ in 0..cfg.time_steps {
+                let z = F64s::<L>::from_fn(|_| gen.sample(rng));
+                let rn = ou_step_lanes(m, e, sd, r, z);
+                integral = (r + rn).mul_add(F64s::splat(0.5 * dt), integral);
+                r = rn;
+                if cfg.antithetic {
+                    let rn2 = ou_step_lanes(m, e, sd, r2, -z);
+                    integral2 = (r2 + rn2).mul_add(F64s::splat(0.5 * dt), integral2);
+                    r2 = rn2;
+                }
+            }
+            let d1 = (-integral).exp();
             if cfg.antithetic {
-                let rn2 = ou_step_lanes(m, e, sd, r2, -z);
-                integral2 = (r2 + rn2).mul_add(F64s::splat(0.5 * dt), integral2);
-                r2 = rn2;
+                let d2 = (-integral2).exp();
+                for l in 0..L {
+                    stats.push(0.5 * (d1.0[l] + d2.0[l]));
+                }
+            } else {
+                for l in 0..L {
+                    stats.push(d1.0[l]);
+                }
             }
         }
-        let d1 = (-integral).exp();
-        if cfg.antithetic {
-            let d2 = (-integral2).exp();
-            for l in 0..L {
-                stats.push(0.5 * (d1.0[l] + d2.0[l]));
-            }
-        } else {
-            for l in 0..L {
-                stats.push(d1.0[l]);
-            }
-        }
+        self.paths(rng, &mut gen, n - groups * L, &mut zs, &mut stats);
+        ws.put(zs);
+        stats
     }
-    // Tail: remainder paths continue the same chunk stream scalar-style.
-    for _ in c.start + groups * L..c.end {
-        gen.fill(&mut rng, &mut zs);
-        let d1 = discount_path(m, dt, &zs);
-        if cfg.antithetic {
-            for z in zs.iter_mut() {
-                *z = -*z;
-            }
-            let d2 = discount_path(m, dt, &zs);
-            stats.push(0.5 * (d1 + d2));
-        } else {
-            stats.push(d1);
-        }
+
+    fn reduce(&self, parts: &[RunningStats]) -> McResult {
+        McResult::from_stats(&merged(parts))
     }
-    ws.put(zs);
-    stats
 }
 
 /// One lane-wide exact OU step with precomputed decay `e` and noise
@@ -219,6 +192,7 @@ fn discount_path(m: &Vasicek, dt: f64, zs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
 
     fn model() -> Vasicek {
         Vasicek::standard()
@@ -301,7 +275,7 @@ mod tests {
             seed: 9,
         };
         for t in [0.5, 2.0, 5.0] {
-            let mc = mc_zcb_price(&m, t, &cfg);
+            let mc = mc_zcb_price(&m, t, &cfg, None);
             let exact = m.zcb_price(t);
             assert!(
                 (mc.price - exact).abs() < 4.0 * mc.std_error + 1e-4,
@@ -321,9 +295,9 @@ mod tests {
             antithetic: true,
             seed: 9,
         };
-        let p1 = mc_zcb_price_exec(&m, 2.0, &cfg, &ExecPolicy::new(1));
-        let p2 = mc_zcb_price_exec(&m, 2.0, &cfg, &ExecPolicy::new(2));
-        let p8 = mc_zcb_price_exec(&m, 2.0, &cfg, &ExecPolicy::new(8));
+        let p1 = mc_zcb_price(&m, 2.0, &cfg, Some(&ExecPolicy::new(1)));
+        let p2 = mc_zcb_price(&m, 2.0, &cfg, Some(&ExecPolicy::new(2)));
+        let p8 = mc_zcb_price(&m, 2.0, &cfg, Some(&ExecPolicy::new(8)));
         assert_eq!(p1.price.to_bits(), p2.price.to_bits());
         assert_eq!(p1.price.to_bits(), p8.price.to_bits());
         assert_eq!(p1.std_error.to_bits(), p8.std_error.to_bits());
@@ -344,7 +318,7 @@ mod tests {
             antithetic: false,
             seed: 3,
         };
-        let plain = mc_zcb_price(&m, 2.0, &base);
+        let plain = mc_zcb_price(&m, 2.0, &base, None);
         let anti = mc_zcb_price(
             &m,
             2.0,
@@ -352,6 +326,7 @@ mod tests {
                 antithetic: true,
                 ..base
             },
+            None,
         );
         assert!(anti.std_error < plain.std_error);
     }

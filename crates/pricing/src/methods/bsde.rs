@@ -22,21 +22,23 @@
 //! contraction, so the iterates converge geometrically to the two-rate
 //! price (≥ the Black–Scholes price, with equality at zero spread).
 //!
-//! The `*_exec` sweep parallelises over path chunks with
-//! [`exec::stream_seed`]-derived streams and merges per-chunk statistics
-//! in chunk order, so every iterate is bit-identical for any worker
-//! count — the property the farm's round-staged execution relies on.
+//! A sweep takes `pol: Option<&ExecPolicy>`, and `methods::sample`
+//! picks its streams: with a policy it parallelises over path chunks
+//! with [`exec::stream_seed`]-derived streams and merges per-chunk
+//! statistics in chunk order, so every iterate is bit-identical for any
+//! worker count — the property the farm's round-staged execution relies
+//! on.
 
+use super::{sample, Sampled};
 use crate::lanes::F64s;
 use crate::models::BlackScholes;
 use crate::options::{Exercise, Vanilla};
-use exec::{stream_seed, Chunk, ExecPolicy};
+use exec::{ExecPolicy, PathWorkspace};
 use numerics::rng::NormalGen;
 use numerics::stats::RunningStats;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-use super::montecarlo::McResult;
+use super::montecarlo::{merged, McResult};
 
 /// One Picard sweep's parameters. A standalone pricing run iterates
 /// `picard_rounds` sweeps internally; the staged farm runs sweeps as
@@ -76,7 +78,7 @@ impl Default for BsdeConfig {
 
 impl BsdeConfig {
     /// Parameter sanity checks; `Err` describes the first violation.
-    fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.paths == 0 {
             return Err("paths must be positive".into());
         }
@@ -111,146 +113,108 @@ fn hedge_position(s: f64, strike: f64, sign: f64) -> f64 {
     }
 }
 
-/// One Picard sweep, sequential reference implementation: maps
-/// `cfg.y_prev` to the next iterate.
-pub fn bsde_sweep(m: &BlackScholes, option: &Vanilla, cfg: &BsdeConfig) -> McResult {
-    cfg.validate().expect("invalid BSDE config");
-    assert_bsde_option(option);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut gen = NormalGen::new();
-    let mut stats = RunningStats::new();
-    let dt = option.maturity / cfg.time_steps as f64;
-    let sign = option.right.sign();
-    for _ in 0..cfg.paths {
-        let mut s = m.spot;
-        let mut driver = 0.0;
-        for j in 0..cfg.time_steps {
-            s = m.step(s, dt, gen.sample(&mut rng));
-            let t = (j + 1) as f64 * dt;
-            let shortfall = (hedge_position(s, option.strike, sign) - cfg.y_prev).max(0.0);
-            driver += dt * m.discount(t) * cfg.rate_spread * shortfall;
-        }
-        let payoff = (sign * (s - option.strike)).max(0.0);
-        stats.push(m.discount(option.maturity) * payoff + driver);
-    }
-    McResult {
-        price: stats.mean(),
-        std_error: stats.std_error(),
-        delta: None,
-    }
-}
-
-/// Chunked-deterministic variant of [`bsde_sweep`]: each chunk of paths
-/// draws from its own [`stream_seed`]-derived stream and per-chunk
-/// statistics merge in chunk order — bit-identical for any worker count.
-pub fn bsde_sweep_exec(
+/// One Picard sweep: maps `cfg.y_prev` to the next iterate. `pol` picks
+/// the streams (module docs).
+pub fn bsde_sweep(
     m: &BlackScholes,
     option: &Vanilla,
     cfg: &BsdeConfig,
-    pol: &ExecPolicy,
+    pol: Option<&ExecPolicy>,
 ) -> McResult {
     cfg.validate().expect("invalid BSDE config");
     assert_bsde_option(option);
     let dt = option.maturity / cfg.time_steps as f64;
-    let sign = option.right.sign();
-    let parts = match pol.lane_width() {
-        4 => pol.run(cfg.paths, |c| bsde_chunk_lanes::<4>(m, option, cfg, dt, sign, c)),
-        8 => pol.run(cfg.paths, |c| bsde_chunk_lanes::<8>(m, option, cfg, dt, sign, c)),
-        _ => pol.run(cfg.paths, |c| bsde_chunk_scalar(m, option, cfg, dt, sign, c)),
+    let k = Sweep {
+        m,
+        option,
+        cfg,
+        dt,
+        sign: option.right.sign(),
+        df_t: m.discount(option.maturity),
     };
-    let mut stats = RunningStats::new();
-    for s in &parts {
-        stats.merge(s);
-    }
-    McResult {
-        price: stats.mean(),
-        std_error: stats.std_error(),
-        delta: None,
-    }
+    sample(&k, pol, cfg.paths, cfg.seed)
 }
 
-/// Scalar (lanes = 1) chunk body — the sequential kernel on one chunk's
-/// stream.
-fn bsde_chunk_scalar(
-    m: &BlackScholes,
-    option: &Vanilla,
-    cfg: &BsdeConfig,
+struct Sweep<'a> {
+    m: &'a BlackScholes,
+    option: &'a Vanilla,
+    cfg: &'a BsdeConfig,
     dt: f64,
     sign: f64,
-    c: &Chunk,
-) -> RunningStats {
-    let mut rng = StdRng::seed_from_u64(stream_seed(cfg.seed, c.index));
-    let mut gen = NormalGen::new();
-    let mut stats = RunningStats::new();
-    let df_t = m.discount(option.maturity);
-    for _ in c.start..c.end {
-        let mut s = m.spot;
-        let mut driver = 0.0;
-        for j in 0..cfg.time_steps {
-            s = m.step(s, dt, gen.sample(&mut rng));
-            let t = (j + 1) as f64 * dt;
-            let shortfall = (hedge_position(s, option.strike, sign) - cfg.y_prev).max(0.0);
-            driver += dt * m.discount(t) * cfg.rate_spread * shortfall;
+    df_t: f64,
+}
+
+impl Sweep<'_> {
+    /// THE scalar path loop: `n` paths off a caller-owned stream.
+    fn paths(&self, rng: &mut StdRng, gen: &mut NormalGen, n: usize, stats: &mut RunningStats) {
+        let (m, option, cfg, dt, sign) = (self.m, self.option, self.cfg, self.dt, self.sign);
+        for _ in 0..n {
+            let mut s = m.spot;
+            let mut driver = 0.0;
+            for j in 0..cfg.time_steps {
+                s = m.step(s, dt, gen.sample(rng));
+                let t = (j + 1) as f64 * dt;
+                let shortfall = (hedge_position(s, option.strike, sign) - cfg.y_prev).max(0.0);
+                driver += dt * m.discount(t) * cfg.rate_spread * shortfall;
+            }
+            let payoff = (sign * (s - option.strike)).max(0.0);
+            stats.push(self.df_t * payoff + driver);
         }
-        let payoff = (sign * (s - option.strike)).max(0.0);
-        stats.push(df_t * payoff + driver);
     }
-    stats
 }
 
-/// `L`-wide chunk body: `L` paths advance per loop iteration, normals
-/// drawn in `(step, lane)` order, the log-Euler step vectorised with
-/// fused `mul_add`; the driver integrand branches per lane (the digital
-/// hedge is a comparison, not worth masking). The remainder
-/// `c.len() % L` paths run scalar-style, continuing the same chunk
-/// stream.
-fn bsde_chunk_lanes<const L: usize>(
-    m: &BlackScholes,
-    option: &Vanilla,
-    cfg: &BsdeConfig,
-    dt: f64,
-    sign: f64,
-    c: &Chunk,
-) -> RunningStats {
-    let mut rng = StdRng::seed_from_u64(stream_seed(cfg.seed, c.index));
-    let mut gen = NormalGen::new();
-    let mut stats = RunningStats::new();
-    let df_t = m.discount(option.maturity);
-    let drift = F64s::<L>::splat(m.log_drift() * dt);
-    let volt = F64s::<L>::splat(m.sigma * dt.sqrt());
-    let groups = c.len() / L;
-    for _ in 0..groups {
-        let mut s = F64s::<L>::splat(m.spot);
-        let mut driver = F64s::<L>::splat(0.0);
-        for j in 0..cfg.time_steps {
-            let z = F64s::<L>::from_fn(|_| gen.sample(&mut rng));
-            s = s * z.mul_add(volt, drift).exp();
-            let t = (j + 1) as f64 * dt;
-            let w = dt * m.discount(t) * cfg.rate_spread;
+impl Sampled for Sweep<'_> {
+    type Part = RunningStats;
+    type Out = McResult;
+
+    fn scalar(&self, rng: &mut StdRng, n: usize, _: &mut PathWorkspace) -> RunningStats {
+        let mut stats = RunningStats::new();
+        self.paths(rng, &mut NormalGen::new(), n, &mut stats);
+        stats
+    }
+
+    /// `L` paths advance per loop iteration, normals drawn in
+    /// `(step, lane)` order, the log-Euler step vectorised with fused
+    /// `mul_add`; the driver integrand branches per lane (the digital
+    /// hedge is a comparison, not worth masking).
+    fn lanes<const L: usize>(
+        &self,
+        rng: &mut StdRng,
+        n: usize,
+        _: &mut PathWorkspace,
+    ) -> RunningStats {
+        let (m, option, cfg, dt, sign) = (self.m, self.option, self.cfg, self.dt, self.sign);
+        let mut gen = NormalGen::new();
+        let mut stats = RunningStats::new();
+        let drift = F64s::<L>::splat(m.log_drift() * dt);
+        let volt = F64s::<L>::splat(m.sigma * dt.sqrt());
+        let groups = n / L;
+        for _ in 0..groups {
+            let mut s = F64s::<L>::splat(m.spot);
+            let mut driver = F64s::<L>::splat(0.0);
+            for j in 0..cfg.time_steps {
+                let z = F64s::<L>::from_fn(|_| gen.sample(rng));
+                s = s * z.mul_add(volt, drift).exp();
+                let t = (j + 1) as f64 * dt;
+                let w = dt * m.discount(t) * cfg.rate_spread;
+                for l in 0..L {
+                    let shortfall =
+                        (hedge_position(s.0[l], option.strike, sign) - cfg.y_prev).max(0.0);
+                    driver.0[l] += w * shortfall;
+                }
+            }
             for l in 0..L {
-                let shortfall = (hedge_position(s.0[l], option.strike, sign) - cfg.y_prev).max(0.0);
-                driver.0[l] += w * shortfall;
+                let payoff = (sign * (s.0[l] - option.strike)).max(0.0);
+                stats.push(self.df_t * payoff + driver.0[l]);
             }
         }
-        for l in 0..L {
-            let payoff = (sign * (s.0[l] - option.strike)).max(0.0);
-            stats.push(df_t * payoff + driver.0[l]);
-        }
+        self.paths(rng, &mut gen, n - groups * L, &mut stats);
+        stats
     }
-    // Tail: remainder paths continue the same chunk stream scalar-style.
-    for _ in c.start + groups * L..c.end {
-        let mut s = m.spot;
-        let mut driver = 0.0;
-        for j in 0..cfg.time_steps {
-            s = m.step(s, dt, gen.sample(&mut rng));
-            let t = (j + 1) as f64 * dt;
-            let shortfall = (hedge_position(s, option.strike, sign) - cfg.y_prev).max(0.0);
-            driver += dt * m.discount(t) * cfg.rate_spread * shortfall;
-        }
-        let payoff = (sign * (s - option.strike)).max(0.0);
-        stats.push(df_t * payoff + driver);
+
+    fn reduce(&self, parts: &[RunningStats]) -> McResult {
+        McResult::from_stats(&merged(parts))
     }
-    stats
 }
 
 /// Full fixed-point run: iterate `cfg.picard_rounds` sweeps from
@@ -268,10 +232,7 @@ pub fn bsde_picard_iterates(
     let mut sweep_cfg = *cfg;
     let mut out = Vec::with_capacity(cfg.picard_rounds);
     for _ in 0..cfg.picard_rounds {
-        let r = match pol {
-            Some(p) => bsde_sweep_exec(m, option, &sweep_cfg, p),
-            None => bsde_sweep(m, option, &sweep_cfg),
-        };
+        let r = bsde_sweep(m, option, &sweep_cfg, pol);
         sweep_cfg.y_prev = r.price;
         out.push(r);
     }
@@ -316,7 +277,7 @@ mod tests {
         let m = model();
         let o = call();
         let cfg = quick();
-        let seq = bsde_sweep(&m, &o, &cfg);
+        let seq = bsde_sweep(&m, &o, &cfg, None);
         assert!(seq.price.is_finite() && seq.std_error > 0.0);
     }
 
@@ -325,9 +286,9 @@ mod tests {
         let m = model();
         let o = call();
         let cfg = quick();
-        let base = bsde_sweep_exec(&m, &o, &cfg, &ExecPolicy::new(1));
+        let base = bsde_sweep(&m, &o, &cfg, Some(&ExecPolicy::new(1)));
         for workers in [2, 4, 8] {
-            let r = bsde_sweep_exec(&m, &o, &cfg, &ExecPolicy::new(workers));
+            let r = bsde_sweep(&m, &o, &cfg, Some(&ExecPolicy::new(workers)));
             assert_eq!(r.price.to_bits(), base.price.to_bits());
             assert_eq!(r.std_error.to_bits(), base.std_error.to_bits());
         }

@@ -255,6 +255,7 @@ mod tests {
                 antithetic: true,
                 seed: 3,
             },
+            None,
         );
         // MC carries Euler bias on top of sampling error; allow both.
         assert!(

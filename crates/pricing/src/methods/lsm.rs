@@ -9,26 +9,29 @@
 //! state to estimate the continuation value, exercising when intrinsic
 //! value beats it.
 
-//! The `*_exec` variants parallelise the **path-generation** stage (the
-//! dominant cost) through the [`exec`] chunked executor: each chunk of
-//! paths simulates from its own [`exec::stream_seed`]-derived stream into
-//! a paths-major block. Chunks are contiguous path ranges returned in
-//! chunk order, so the blocks laid end to end are the state matrix of all
-//! paths — and therefore the regression and the price are bit-identical
-//! for any worker count. The backward induction stays sequential (it is a
-//! cross-path regression per date) and reads the states where they were
-//! simulated.
+//! Every kernel takes `pol: Option<&ExecPolicy>`, and one private
+//! function, `methods::sample`, decides which streams the
+//! **path-generation** stage (the dominant cost) draws from. With `None`
+//! all paths come from the one stream seeded with `cfg.seed`, as one
+//! block. With a policy they run on the [`exec`] chunked executor: each
+//! chunk of paths simulates from its own [`exec::stream_seed`]-derived
+//! stream into a paths-major block. Chunks are contiguous path ranges
+//! returned in chunk order, so the blocks laid end to end are the state
+//! matrix of all paths — and therefore the regression and the price are
+//! bit-identical for any worker count. The backward induction stays
+//! sequential (it is a cross-path regression per date) and reads the
+//! states where they were simulated.
 
+use super::{sample, Sampled};
 use crate::lanes::F64s;
 use crate::models::{BlackScholes, Heston, MultiBlackScholes};
 use crate::options::{BasketOption, Exercise, OptionRight, Vanilla};
-use exec::{stream_seed, Chunk, ExecPolicy, PathWorkspace};
+use exec::{ExecPolicy, PathWorkspace};
 use numerics::linalg::lstsq;
 use numerics::poly::{BasisKind, RegressionBasis};
 use numerics::rng::{CorrelatedNormals, NormalGen};
 use numerics::stats::RunningStats;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use super::montecarlo::{heston_step_lanes, McResult};
 
@@ -155,24 +158,25 @@ pub(crate) fn lsm_backward(
     McResult::from_stats(&stats)
 }
 
-/// The chunks' paths-major blocks laid end to end: the state matrix of
-/// every path, since chunks are contiguous path ranges in chunk order.
-/// One block (at most one chunk of paths) is that matrix already.
-fn join_blocks(mut blocks: Vec<Vec<f64>>) -> Vec<f64> {
-    match blocks.len() {
-        1 => blocks.pop().unwrap_or_default(),
-        _ => blocks.concat(),
+/// `backward` of the chunks' paths-major blocks laid end to end: the
+/// state matrix of every path, since chunks are contiguous path ranges
+/// in chunk order. One block (the whole sample, or at most one chunk of
+/// paths) is that matrix already.
+fn on_joined(blocks: &[Vec<f64>], backward: impl Fn(&[f64]) -> McResult) -> McResult {
+    match blocks {
+        [one] => backward(one),
+        _ => backward(&blocks.concat()),
     }
 }
 
-// Path generation, per model: `*_paths` is THE scalar path loop — it
-// fills a paths-major block off a caller-owned stream; `*_block` is that
-// loop on a fresh stream — all paths seeded with `cfg.seed` for the
-// sequential entry point, one chunk seeded with
-// `stream_seed(cfg.seed, chunk)` for the lanes = 1 chunk body; the
-// `*_chunk_lanes` bodies hand their stream to `*_paths` for the
-// `c.len() % L` tail. Either way the blocks, joined by [`join_blocks`],
-// are the one state matrix [`lsm_backward`] reads.
+// Path generation, per model: one private struct, the model plus the
+// exercise grid and the backward induction its blocks feed, with a
+// `paths` method, THE scalar path loop (it fills a paths-major block off
+// a caller-owned stream), and a `Sampled` impl: `scalar` runs `paths` on
+// the stream `sample` hands it, `lanes::<L>` hands its stream to `paths`
+// for the `n % L` tail, and `reduce` runs the backward induction over
+// the blocks joined by [`on_joined`] — the one state matrix
+// [`lsm_backward`] reads.
 
 fn assert_american_put(option: &Vanilla, cfg: &LsmConfig) {
     cfg.validate().expect("invalid LSM config");
@@ -211,368 +215,318 @@ fn put_backward(
     )
 }
 
-/// American put under Black–Scholes via LSM.
-pub fn lsm_vanilla_bs(m: &BlackScholes, option: &Vanilla, cfg: &LsmConfig) -> McResult {
-    assert_american_put(option, cfg);
-    let dt = option.maturity / cfg.exercise_dates as f64;
-    let block = lsm_vanilla_block(m, dt, cfg.exercise_dates, cfg.seed, cfg.paths);
-    put_backward(&block, option, m.rate, m.spot, cfg)
-}
-
-/// Chunked-deterministic variant of [`lsm_vanilla_bs`]: path generation
-/// runs on the [`exec`] executor with per-chunk [`stream_seed`]-derived
-/// streams, so the price is bit-identical for any worker count in `pol`.
-pub fn lsm_vanilla_bs_exec(
+/// American put under Black–Scholes via LSM. `pol` picks the streams
+/// (module docs).
+pub fn lsm_vanilla_bs(
     m: &BlackScholes,
     option: &Vanilla,
     cfg: &LsmConfig,
-    pol: &ExecPolicy,
+    pol: Option<&ExecPolicy>,
 ) -> McResult {
     assert_american_put(option, cfg);
-    let dt = option.maturity / cfg.exercise_dates as f64;
-    let dates = cfg.exercise_dates;
-    let blocks = match pol.lane_width() {
-        4 => pol.run(cfg.paths, |c| {
-            lsm_vanilla_chunk_lanes::<4>(m, cfg, dt, dates, c)
-        }),
-        8 => pol.run(cfg.paths, |c| {
-            lsm_vanilla_chunk_lanes::<8>(m, cfg, dt, dates, c)
-        }),
-        _ => pol.run(cfg.paths, |c| {
-            lsm_vanilla_block(m, dt, dates, stream_seed(cfg.seed, c.index), c.len())
-        }),
+    let k = BsPaths {
+        m,
+        dt: option.maturity / cfg.exercise_dates as f64,
+        dates: cfg.exercise_dates,
+        backward: |paths: &[f64]| put_backward(paths, option, m.rate, m.spot, cfg),
     };
-    put_backward(&join_blocks(blocks), option, m.rate, m.spot, cfg)
+    sample(&k, pol, cfg.paths, cfg.seed)
 }
 
-fn lsm_vanilla_block(m: &BlackScholes, dt: f64, dates: usize, seed: u64, n: usize) -> Vec<f64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut gen = NormalGen::new();
-    let mut block = vec![0.0; n * dates];
-    lsm_vanilla_paths(m, dt, dates, &mut rng, &mut gen, &mut block);
-    block
-}
-
-/// The path state is a single `f64`, so no workspace scratch is needed.
-fn lsm_vanilla_paths(
-    m: &BlackScholes,
+struct BsPaths<'a, B> {
+    m: &'a BlackScholes,
     dt: f64,
     dates: usize,
-    rng: &mut StdRng,
-    gen: &mut NormalGen,
-    block: &mut [f64],
-) {
-    for row in block.chunks_exact_mut(dates) {
-        let mut s = m.spot;
-        for slot in row.iter_mut() {
-            s = m.step(s, dt, gen.sample(rng));
-            *slot = s;
-        }
-    }
+    backward: B,
 }
 
-/// `L`-wide vanilla-BS path-generation chunk: `L` paths advance in
-/// lockstep, one normal group per exercise date (`(group, date, lane)`
-/// draw order), exact GBM transitions with fused `mul_add`.
-fn lsm_vanilla_chunk_lanes<const L: usize>(
-    m: &BlackScholes,
-    cfg: &LsmConfig,
-    dt: f64,
-    dates: usize,
-    c: &Chunk,
-) -> Vec<f64> {
-    let mut rng = StdRng::seed_from_u64(stream_seed(cfg.seed, c.index));
-    let mut gen = NormalGen::new();
-    let mut block = vec![0.0; c.len() * dates];
-    let drift = F64s::<L>::splat(m.log_drift() * dt);
-    let volt = F64s::<L>::splat(m.sigma * dt.sqrt());
-    let groups = c.len() / L;
-    for g in 0..groups {
-        let p0 = g * L;
-        let mut s = F64s::<L>::splat(m.spot);
-        for d in 0..dates {
-            let z = F64s::<L>::from_fn(|_| gen.sample(&mut rng));
-            s = s * z.mul_add(volt, drift).exp();
-            for l in 0..L {
-                block[(p0 + l) * dates + d] = s.0[l];
+impl<B> BsPaths<'_, B> {
+    /// The path state is a single `f64`, so no workspace scratch is needed.
+    fn paths(&self, rng: &mut StdRng, gen: &mut NormalGen, block: &mut [f64]) {
+        let (m, dt) = (self.m, self.dt);
+        for row in block.chunks_exact_mut(self.dates) {
+            let mut s = m.spot;
+            for slot in row.iter_mut() {
+                s = m.step(s, dt, gen.sample(rng));
+                *slot = s;
             }
         }
     }
-    let tail = &mut block[groups * L * dates..];
-    lsm_vanilla_paths(m, dt, dates, &mut rng, &mut gen, tail);
-    block
+}
+
+impl<B: Fn(&[f64]) -> McResult + Sync> Sampled for BsPaths<'_, B> {
+    type Part = Vec<f64>;
+    type Out = McResult;
+
+    fn scalar(&self, rng: &mut StdRng, n: usize, _: &mut PathWorkspace) -> Vec<f64> {
+        let mut block = vec![0.0; n * self.dates];
+        self.paths(rng, &mut NormalGen::new(), &mut block);
+        block
+    }
+
+    /// `L` paths advance in lockstep, one normal group per exercise date
+    /// (`(group, date, lane)` draw order), exact GBM transitions with
+    /// fused `mul_add`.
+    fn lanes<const L: usize>(&self, rng: &mut StdRng, n: usize, _: &mut PathWorkspace) -> Vec<f64> {
+        let (m, dt, dates) = (self.m, self.dt, self.dates);
+        let mut gen = NormalGen::new();
+        let mut block = vec![0.0; n * dates];
+        let drift = F64s::<L>::splat(m.log_drift() * dt);
+        let volt = F64s::<L>::splat(m.sigma * dt.sqrt());
+        let groups = n / L;
+        for g in 0..groups {
+            let p0 = g * L;
+            let mut s = F64s::<L>::splat(m.spot);
+            for d in 0..dates {
+                let z = F64s::<L>::from_fn(|_| gen.sample(rng));
+                s = s * z.mul_add(volt, drift).exp();
+                for l in 0..L {
+                    block[(p0 + l) * dates + d] = s.0[l];
+                }
+            }
+        }
+        self.paths(rng, &mut gen, &mut block[groups * L * dates..]);
+        block
+    }
+
+    fn reduce(&self, blocks: &[Vec<f64>]) -> McResult {
+        on_joined(blocks, &self.backward)
+    }
 }
 
 /// American basket put under multi-asset Black–Scholes via LSM
 /// (the regression feature is the basket average — the payoff variable).
-pub fn lsm_basket(m: &MultiBlackScholes, option: &BasketOption, cfg: &LsmConfig) -> McResult {
-    assert_american_basket(option, cfg);
-    let dt = option.maturity / cfg.exercise_dates as f64;
-    let ws = &mut PathWorkspace::new();
-    let block = lsm_basket_block(m, dt, cfg.exercise_dates, cfg.seed, cfg.paths, ws);
-    basket_backward(&block, m, option, cfg)
-}
-
-/// Chunked-deterministic variant of [`lsm_basket`]: per-chunk correlated
-/// streams, blocks joined in chunk order — bit-identical for any worker
-/// count.
-pub fn lsm_basket_exec(
+/// `pol` picks the streams (module docs).
+pub fn lsm_basket(
     m: &MultiBlackScholes,
     option: &BasketOption,
     cfg: &LsmConfig,
-    pol: &ExecPolicy,
+    pol: Option<&ExecPolicy>,
 ) -> McResult {
-    assert_american_basket(option, cfg);
-    let dt = option.maturity / cfg.exercise_dates as f64;
-    basket_backward(&lsm_basket_paths_exec(m, cfg, dt, pol), m, option, cfg)
-}
-
-fn assert_american_basket(option: &BasketOption, cfg: &LsmConfig) {
     cfg.validate().expect("invalid LSM config");
     option.validate().expect("invalid option");
     assert!(
         option.exercise == Exercise::American,
         "LSM prices American claims"
     );
-}
-
-fn basket_backward(
-    paths: &[f64],
-    m: &MultiBlackScholes,
-    option: &BasketOption,
-    cfg: &LsmConfig,
-) -> McResult {
     let dt = option.maturity / cfg.exercise_dates as f64;
     let k = option.strike;
-    lsm_backward(
-        paths,
-        m.dim,
-        &move |st: &[f64]| {
-            let avg = st.iter().sum::<f64>() / st.len() as f64;
-            (k - avg).max(0.0)
-        },
-        dt,
-        m.rate,
-        m.spot,
-        cfg,
+    let backward = |paths: &[f64]| {
+        lsm_backward(
+            paths,
+            m.dim,
+            &move |st: &[f64]| {
+                let avg = st.iter().sum::<f64>() / st.len() as f64;
+                (k - avg).max(0.0)
+            },
+            dt,
+            m.rate,
+            m.spot,
+            cfg,
+        )
+    };
+    sample(
+        &BasketPaths::new(m, cfg, dt, backward),
+        pol,
+        cfg.paths,
+        cfg.seed,
     )
 }
 
-/// The chunked basket state matrix at `pol`'s lane width (the state
-/// simulation is payoff-agnostic: the Bermudan max-call shares it).
-pub(crate) fn lsm_basket_paths_exec(
-    m: &MultiBlackScholes,
-    cfg: &LsmConfig,
-    dt: f64,
-    pol: &ExecPolicy,
-) -> Vec<f64> {
-    let dates = cfg.exercise_dates;
-    let blocks = match pol.lane_width() {
-        4 => pol.run_ws(cfg.paths, |c, ws| {
-            lsm_basket_chunk_lanes::<4>(m, cfg, dt, dates, c, ws)
-        }),
-        8 => pol.run_ws(cfg.paths, |c, ws| {
-            lsm_basket_chunk_lanes::<8>(m, cfg, dt, dates, c, ws)
-        }),
-        _ => pol.run_ws(cfg.paths, |c, ws| {
-            lsm_basket_block(m, dt, dates, stream_seed(cfg.seed, c.index), c.len(), ws)
-        }),
-    };
-    join_blocks(blocks)
-}
-
-/// `n` basket paths on a fresh stream; the returned block is the result,
-/// allocated once.
-pub(crate) fn lsm_basket_block(
-    m: &MultiBlackScholes,
+/// Correlated basket paths feeding `backward` (the state simulation is
+/// payoff-agnostic: the Bermudan max-call shares it).
+pub(crate) struct BasketPaths<'a, B> {
+    m: &'a MultiBlackScholes,
     dt: f64,
     dates: usize,
-    seed: u64,
-    n: usize,
-    ws: &mut PathWorkspace,
-) -> Vec<f64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut corr = m.correlator();
-    let mut block = vec![0.0; n * dates * m.dim];
-    lsm_basket_paths(m, dt, dates, &mut rng, &mut corr, &mut block, ws);
-    block
+    backward: B,
 }
 
-/// The per-path state vector and the correlated-draw scratch come from
-/// the [`PathWorkspace`] pool; the state is re-initialised to `spot` per
-/// path.
-fn lsm_basket_paths(
-    m: &MultiBlackScholes,
-    dt: f64,
-    dates: usize,
-    rng: &mut StdRng,
-    corr: &mut CorrelatedNormals,
-    block: &mut [f64],
-    ws: &mut PathWorkspace,
-) {
-    let dim = m.dim;
-    let mut z = ws.take(dim);
-    let mut s = ws.take(dim);
-    for row in block.chunks_exact_mut(dates * dim) {
-        for si in s.iter_mut() {
-            *si = m.spot;
-        }
-        for slot in row.chunks_exact_mut(dim) {
-            corr.sample(rng, &mut z);
-            m.step(&mut s, dt, &z);
-            slot.copy_from_slice(&s);
+impl<'a, B> BasketPaths<'a, B> {
+    /// Paths of `m` on `cfg`'s exercise grid of spacing `dt`.
+    pub(crate) fn new(m: &'a MultiBlackScholes, cfg: &LsmConfig, dt: f64, backward: B) -> Self {
+        BasketPaths {
+            m,
+            dt,
+            dates: cfg.exercise_dates,
+            backward,
         }
     }
-    ws.put(s);
-    ws.put(z);
+
+    /// The per-path state vector and the correlated-draw scratch come from
+    /// the [`PathWorkspace`] pool; the state is re-initialised to `spot` per
+    /// path.
+    fn paths(
+        &self,
+        rng: &mut StdRng,
+        corr: &mut CorrelatedNormals,
+        block: &mut [f64],
+        ws: &mut PathWorkspace,
+    ) {
+        let (m, dt, dim) = (self.m, self.dt, self.m.dim);
+        let mut z = ws.take(dim);
+        let mut s = ws.take(dim);
+        for row in block.chunks_exact_mut(self.dates * dim) {
+            for si in s.iter_mut() {
+                *si = m.spot;
+            }
+            for slot in row.chunks_exact_mut(dim) {
+                corr.sample(rng, &mut z);
+                m.step(&mut s, dt, &z);
+                slot.copy_from_slice(&s);
+            }
+        }
+        ws.put(s);
+        ws.put(z);
+    }
 }
 
-/// `L`-wide basket path-generation chunk: `L` paths advance in lockstep
-/// with lane-major state/draw scratch (`buf[l*dim..][..dim]` is lane
-/// `l`), correlated vectors drawn per lane in lane order per date —
-/// `(group, date, lane)` consumption — and the per-asset step vectorised
-/// across lanes with fused `mul_add`.
-fn lsm_basket_chunk_lanes<const L: usize>(
-    m: &MultiBlackScholes,
-    cfg: &LsmConfig,
-    dt: f64,
-    dates: usize,
-    c: &Chunk,
-    ws: &mut PathWorkspace,
-) -> Vec<f64> {
-    let dim = m.dim;
-    let row_len = dates * dim;
-    let mut rng = StdRng::seed_from_u64(stream_seed(cfg.seed, c.index));
-    let mut corr = m.correlator();
-    let mut zbuf = ws.take(L * dim);
-    let mut sbuf = ws.take(L * dim);
-    let mut block = vec![0.0; c.len() * row_len];
-    let drift = F64s::<L>::splat(m.log_drift() * dt);
-    let volt = F64s::<L>::splat(m.sigma * dt.sqrt());
-    let groups = c.len() / L;
-    for g in 0..groups {
-        let p0 = g * L;
-        for si in sbuf.iter_mut() {
-            *si = m.spot;
-        }
-        for d in 0..dates {
-            for l in 0..L {
-                corr.sample(&mut rng, &mut zbuf[l * dim..(l + 1) * dim]);
+impl<B: Fn(&[f64]) -> McResult + Sync> Sampled for BasketPaths<'_, B> {
+    type Part = Vec<f64>;
+    type Out = McResult;
+
+    /// `n` basket paths; the returned block is the result, allocated once.
+    fn scalar(&self, rng: &mut StdRng, n: usize, ws: &mut PathWorkspace) -> Vec<f64> {
+        let mut block = vec![0.0; n * self.dates * self.m.dim];
+        self.paths(rng, &mut self.m.correlator(), &mut block, ws);
+        block
+    }
+
+    /// `L` paths advance in lockstep with lane-major state/draw scratch
+    /// (`buf[l*dim..][..dim]` is lane `l`), correlated vectors drawn per
+    /// lane in lane order per date — `(group, date, lane)` consumption —
+    /// and the per-asset step vectorised across lanes with fused
+    /// `mul_add`.
+    fn lanes<const L: usize>(
+        &self,
+        rng: &mut StdRng,
+        n: usize,
+        ws: &mut PathWorkspace,
+    ) -> Vec<f64> {
+        let (m, dt, dates) = (self.m, self.dt, self.dates);
+        let dim = m.dim;
+        let row_len = dates * dim;
+        let mut corr = m.correlator();
+        let mut zbuf = ws.take(L * dim);
+        let mut sbuf = ws.take(L * dim);
+        let mut block = vec![0.0; n * row_len];
+        let drift = F64s::<L>::splat(m.log_drift() * dt);
+        let volt = F64s::<L>::splat(m.sigma * dt.sqrt());
+        let groups = n / L;
+        for g in 0..groups {
+            let p0 = g * L;
+            for si in sbuf.iter_mut() {
+                *si = m.spot;
             }
-            for i in 0..dim {
-                let z = F64s::<L>::from_fn(|l| zbuf[l * dim + i]);
-                let s = F64s::<L>::from_fn(|l| sbuf[l * dim + i]);
-                let sn = s * z.mul_add(volt, drift).exp();
+            for d in 0..dates {
                 for l in 0..L {
-                    sbuf[l * dim + i] = sn.0[l];
-                    block[(p0 + l) * row_len + d * dim + i] = sn.0[l];
+                    corr.sample(rng, &mut zbuf[l * dim..(l + 1) * dim]);
+                }
+                for i in 0..dim {
+                    let z = F64s::<L>::from_fn(|l| zbuf[l * dim + i]);
+                    let s = F64s::<L>::from_fn(|l| sbuf[l * dim + i]);
+                    let sn = s * z.mul_add(volt, drift).exp();
+                    for l in 0..L {
+                        sbuf[l * dim + i] = sn.0[l];
+                        block[(p0 + l) * row_len + d * dim + i] = sn.0[l];
+                    }
                 }
             }
         }
+        ws.put(sbuf);
+        ws.put(zbuf);
+        self.paths(rng, &mut corr, &mut block[groups * L * row_len..], ws);
+        block
     }
-    ws.put(sbuf);
-    ws.put(zbuf);
-    let tail = &mut block[groups * L * row_len..];
-    lsm_basket_paths(m, dt, dates, &mut rng, &mut corr, tail, ws);
-    block
+
+    fn reduce(&self, blocks: &[Vec<f64>]) -> McResult {
+        on_joined(blocks, &self.backward)
+    }
 }
 
 /// American put under Heston via LSM — the §3.3 example
-/// (`Heston1dim` + `MC_AM_*_LongstaffSchwartz`).
-pub fn lsm_heston(m: &Heston, option: &Vanilla, cfg: &LsmConfig) -> McResult {
-    assert_american_put(option, cfg);
-    let dt = option.maturity / cfg.exercise_dates as f64;
-    let block = lsm_heston_block(m, dt, cfg.exercise_dates, cfg.seed, cfg.paths);
-    put_backward(&block, option, m.rate, m.spot, cfg)
-}
-
-/// Chunked-deterministic variant of [`lsm_heston`]: per-chunk `(S, v)`
-/// streams, blocks joined in chunk order — bit-identical for any worker
-/// count.
-pub fn lsm_heston_exec(
+/// (`Heston1dim` + `MC_AM_*_LongstaffSchwartz`). `pol` picks the streams
+/// (module docs).
+pub fn lsm_heston(
     m: &Heston,
     option: &Vanilla,
     cfg: &LsmConfig,
-    pol: &ExecPolicy,
+    pol: Option<&ExecPolicy>,
 ) -> McResult {
     assert_american_put(option, cfg);
-    let dt = option.maturity / cfg.exercise_dates as f64;
-    let dates = cfg.exercise_dates;
-    let blocks = match pol.lane_width() {
-        4 => pol.run(cfg.paths, |c| {
-            lsm_heston_chunk_lanes::<4>(m, cfg, dt, dates, c)
-        }),
-        8 => pol.run(cfg.paths, |c| {
-            lsm_heston_chunk_lanes::<8>(m, cfg, dt, dates, c)
-        }),
-        _ => pol.run(cfg.paths, |c| {
-            lsm_heston_block(m, dt, dates, stream_seed(cfg.seed, c.index), c.len())
-        }),
+    let k = HestonPaths {
+        m,
+        dt: option.maturity / cfg.exercise_dates as f64,
+        dates: cfg.exercise_dates,
+        backward: |paths: &[f64]| put_backward(paths, option, m.rate, m.spot, cfg),
     };
-    put_backward(&join_blocks(blocks), option, m.rate, m.spot, cfg)
+    sample(&k, pol, cfg.paths, cfg.seed)
 }
 
-fn lsm_heston_block(m: &Heston, dt: f64, dates: usize, seed: u64, n: usize) -> Vec<f64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut gen = NormalGen::new();
-    let mut block = vec![0.0; n * dates];
-    lsm_heston_paths(m, dt, dates, &mut rng, &mut gen, &mut block);
-    block
-}
-
-fn lsm_heston_paths(
-    m: &Heston,
+struct HestonPaths<'a, B> {
+    m: &'a Heston,
     dt: f64,
     dates: usize,
-    rng: &mut StdRng,
-    gen: &mut NormalGen,
-    block: &mut [f64],
-) {
-    for row in block.chunks_exact_mut(dates) {
-        let mut s = m.spot;
-        let mut v = m.v0;
-        for slot in row.iter_mut() {
-            let (s2, v2) = m.step(s, v, dt, gen.sample(rng), gen.sample(rng));
-            s = s2;
-            v = v2;
-            *slot = s;
-        }
-    }
+    backward: B,
 }
 
-/// `L`-wide Heston path-generation chunk: `L` `(S, v)` pairs advance in
-/// lockstep; per date the spot normals are drawn for all lanes, then the
-/// variance normals — `(group, date, z1 lanes, z2 lanes)` draw order.
-fn lsm_heston_chunk_lanes<const L: usize>(
-    m: &Heston,
-    cfg: &LsmConfig,
-    dt: f64,
-    dates: usize,
-    c: &Chunk,
-) -> Vec<f64> {
-    let mut rng = StdRng::seed_from_u64(stream_seed(cfg.seed, c.index));
-    let mut gen = NormalGen::new();
-    let mut block = vec![0.0; c.len() * dates];
-    let sqdt = dt.sqrt();
-    let groups = c.len() / L;
-    for g in 0..groups {
-        let p0 = g * L;
-        let mut s = F64s::<L>::splat(m.spot);
-        let mut v = F64s::<L>::splat(m.v0);
-        for d in 0..dates {
-            let z1 = F64s::<L>::from_fn(|_| gen.sample(&mut rng));
-            let z2 = F64s::<L>::from_fn(|_| gen.sample(&mut rng));
-            let (sn, vn) = heston_step_lanes(m, dt, sqdt, s, v, z1, z2);
-            s = sn;
-            v = vn;
-            for l in 0..L {
-                block[(p0 + l) * dates + d] = s.0[l];
+impl<B> HestonPaths<'_, B> {
+    fn paths(&self, rng: &mut StdRng, gen: &mut NormalGen, block: &mut [f64]) {
+        let (m, dt) = (self.m, self.dt);
+        for row in block.chunks_exact_mut(self.dates) {
+            let mut s = m.spot;
+            let mut v = m.v0;
+            for slot in row.iter_mut() {
+                let (s2, v2) = m.step(s, v, dt, gen.sample(rng), gen.sample(rng));
+                s = s2;
+                v = v2;
+                *slot = s;
             }
         }
     }
-    let tail = &mut block[groups * L * dates..];
-    lsm_heston_paths(m, dt, dates, &mut rng, &mut gen, tail);
-    block
+}
+
+impl<B: Fn(&[f64]) -> McResult + Sync> Sampled for HestonPaths<'_, B> {
+    type Part = Vec<f64>;
+    type Out = McResult;
+
+    fn scalar(&self, rng: &mut StdRng, n: usize, _: &mut PathWorkspace) -> Vec<f64> {
+        let mut block = vec![0.0; n * self.dates];
+        self.paths(rng, &mut NormalGen::new(), &mut block);
+        block
+    }
+
+    /// `L` `(S, v)` pairs advance in lockstep; per date the spot normals
+    /// are drawn for all lanes, then the variance normals —
+    /// `(group, date, z1 lanes, z2 lanes)` draw order.
+    fn lanes<const L: usize>(&self, rng: &mut StdRng, n: usize, _: &mut PathWorkspace) -> Vec<f64> {
+        let (m, dt, dates) = (self.m, self.dt, self.dates);
+        let mut gen = NormalGen::new();
+        let mut block = vec![0.0; n * dates];
+        let sqdt = dt.sqrt();
+        let groups = n / L;
+        for g in 0..groups {
+            let p0 = g * L;
+            let mut s = F64s::<L>::splat(m.spot);
+            let mut v = F64s::<L>::splat(m.v0);
+            for d in 0..dates {
+                let z1 = F64s::<L>::from_fn(|_| gen.sample(rng));
+                let z2 = F64s::<L>::from_fn(|_| gen.sample(rng));
+                let (sn, vn) = heston_step_lanes(m, dt, sqdt, s, v, z1, z2);
+                s = sn;
+                v = vn;
+                for l in 0..L {
+                    block[(p0 + l) * dates + d] = s.0[l];
+                }
+            }
+        }
+        self.paths(rng, &mut gen, &mut block[groups * L * dates..]);
+        block
+    }
+
+    fn reduce(&self, blocks: &[Vec<f64>]) -> McResult {
+        on_joined(blocks, &self.backward)
+    }
 }
 
 #[cfg(test)]
@@ -598,7 +552,7 @@ mod tests {
     fn american_put_close_to_pde_reference() {
         let m = model();
         let opt = Vanilla::american_put(100.0, 1.0);
-        let lsm = lsm_vanilla_bs(&m, &opt, &quick_cfg());
+        let lsm = lsm_vanilla_bs(&m, &opt, &quick_cfg(), None);
         let pde = pde_vanilla(&m, &opt, &PdeConfig::default()).price;
         // LSM is low-biased (suboptimal policy) but should be within a
         // few standard errors + small policy bias of the PDE value.
@@ -613,7 +567,7 @@ mod tests {
     fn american_put_bracketed_by_european_and_intrinsic_plus() {
         let m = model();
         let opt = Vanilla::american_put(100.0, 1.0);
-        let lsm = lsm_vanilla_bs(&m, &opt, &quick_cfg()).price;
+        let lsm = lsm_vanilla_bs(&m, &opt, &quick_cfg(), None).price;
         let eur = bs_price(&m, &Vanilla::european_put(100.0, 1.0)).price;
         assert!(lsm >= eur - 0.05, "lsm {lsm} below european {eur}");
         assert!(lsm < eur + 2.0, "lsm {lsm} implausibly high");
@@ -623,7 +577,7 @@ mod tests {
     fn laguerre_and_monomial_bases_agree() {
         let m = model();
         let opt = Vanilla::american_put(100.0, 1.0);
-        let mono = lsm_vanilla_bs(&m, &opt, &quick_cfg()).price;
+        let mono = lsm_vanilla_bs(&m, &opt, &quick_cfg(), None).price;
         let lag = lsm_vanilla_bs(
             &m,
             &opt,
@@ -631,6 +585,7 @@ mod tests {
                 basis: BasisKind::Laguerre,
                 ..quick_cfg()
             },
+            None,
         )
         .price;
         assert!((mono - lag).abs() < 0.1, "monomial {mono} laguerre {lag}");
@@ -646,8 +601,8 @@ mod tests {
             ..LsmConfig::default()
         };
         assert_eq!(
-            lsm_vanilla_bs(&m, &opt, &cfg).price,
-            lsm_vanilla_bs(&m, &opt, &cfg).price
+            lsm_vanilla_bs(&m, &opt, &cfg, None).price,
+            lsm_vanilla_bs(&m, &opt, &cfg, None).price
         );
     }
 
@@ -665,6 +620,7 @@ mod tests {
                 exercise_dates: 20,
                 ..LsmConfig::default()
             },
+            None,
         );
         let mc = mc_basket(
             &m,
@@ -673,6 +629,7 @@ mod tests {
                 paths: 40_000,
                 ..McConfig::default()
             },
+            None,
         );
         assert!(
             lsm.price >= mc.price - 3.0 * (lsm.std_error + mc.std_error),
@@ -696,6 +653,7 @@ mod tests {
                 exercise_dates: 20,
                 ..LsmConfig::default()
             },
+            None,
         );
         let mc = mc_heston(
             &m,
@@ -705,6 +663,7 @@ mod tests {
                 time_steps: 20,
                 ..McConfig::default()
             },
+            None,
         );
         assert!(
             lsm.price >= mc.price - 3.0 * (lsm.std_error + mc.std_error),
@@ -718,7 +677,7 @@ mod tests {
     fn deep_itm_put_prices_near_intrinsic() {
         let m = BlackScholes::new(50.0, 0.2, 0.05, 0.0);
         let opt = Vanilla::american_put(100.0, 1.0);
-        let lsm = lsm_vanilla_bs(&m, &opt, &quick_cfg()).price;
+        let lsm = lsm_vanilla_bs(&m, &opt, &quick_cfg(), None).price;
         assert!(lsm >= 49.5, "deep ITM american put {lsm} << intrinsic 50");
     }
 
@@ -737,18 +696,19 @@ mod tests {
         for (label, run) in [
             (
                 "vanilla",
-                Box::new(|w: usize| lsm_vanilla_bs_exec(&bs, &put, &cfg, &ExecPolicy::new(w)).price)
-                    as Box<dyn Fn(usize) -> f64>,
+                Box::new(|w: usize| {
+                    lsm_vanilla_bs(&bs, &put, &cfg, Some(&ExecPolicy::new(w))).price
+                }) as Box<dyn Fn(usize) -> f64>,
             ),
             (
                 "basket",
                 Box::new(|w: usize| {
-                    lsm_basket_exec(&multi, &basket, &cfg, &ExecPolicy::new(w)).price
+                    lsm_basket(&multi, &basket, &cfg, Some(&ExecPolicy::new(w))).price
                 }),
             ),
             (
                 "heston",
-                Box::new(|w: usize| lsm_heston_exec(&hes, &put, &cfg, &ExecPolicy::new(w)).price),
+                Box::new(|w: usize| lsm_heston(&hes, &put, &cfg, Some(&ExecPolicy::new(w))).price),
             ),
         ] {
             let p1 = run(1);
@@ -766,8 +726,8 @@ mod tests {
         let m = model();
         let opt = Vanilla::american_put(100.0, 1.0);
         let cfg = quick_cfg();
-        let seq = lsm_vanilla_bs(&m, &opt, &cfg);
-        let par = lsm_vanilla_bs_exec(&m, &opt, &cfg, &ExecPolicy::new(4));
+        let seq = lsm_vanilla_bs(&m, &opt, &cfg, None);
+        let par = lsm_vanilla_bs(&m, &opt, &cfg, Some(&ExecPolicy::new(4)));
         assert!(
             (seq.price - par.price).abs() < 4.0 * (seq.std_error + par.std_error) + 0.05,
             "seq {} par {}",

@@ -12,27 +12,30 @@
 //! * a quasi-Monte-Carlo (Sobol/Halton + inverse-CDF) variant used by the
 //!   ablation benchmarks.
 //!
-//! Every plain-MC pricer also has a `*_exec` variant that runs the path
-//! loop through the [`exec`] chunked executor: the path space is split
-//! into fixed-size chunks, each chunk draws from its own
+//! Every plain-MC pricer is one function taking `pol:
+//! Option<&ExecPolicy>`, and one private function, `methods::sample`,
+//! decides which streams its paths draw from. With `None` the whole
+//! sample comes from the one stream seeded with `cfg.seed`. With a
+//! policy the path loop runs on the [`exec`] chunked executor: the path
+//! space is split into fixed-size chunks, each chunk draws from its own
 //! [`exec::stream_seed`]-derived RNG stream, and chunk partials are
 //! merged in chunk order — so the price is **bit-identical for any
 //! worker count** (see `docs/PARALLEL.md`). The chunked result is a
-//! different (equally valid) sample than the single stream seeded with
-//! `cfg.seed`, which therefore stays the default — but both run the same
-//! scalar path loop: one body, two seeds.
+//! different (equally valid) sample than the single stream, which
+//! therefore stays the default — but both run the same scalar path loop:
+//! one body, two seeds.
 
+use super::{sample, Sampled};
 use crate::lanes::F64s;
 use crate::models::local_vol::EulerGrid;
 use crate::models::{BlackScholes, Heston, LocalVol, MultiBlackScholes};
 use crate::options::{BasketOption, Exercise, Vanilla};
-use exec::{stream_seed, Chunk, ExecPolicy, PathWorkspace};
+use exec::{ExecPolicy, PathWorkspace};
 use numerics::norm_inv_cdf;
 use numerics::rng::{CorrelatedNormals, NormalGen};
 use numerics::sobol::{Halton, Sobol};
 use numerics::stats::RunningStats;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Monte-Carlo run parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,7 +100,7 @@ impl McResult {
 }
 
 /// Chunk partials merged in chunk order.
-fn merged<'a>(parts: impl IntoIterator<Item = &'a RunningStats>) -> RunningStats {
+pub(crate) fn merged<'a>(parts: impl IntoIterator<Item = &'a RunningStats>) -> RunningStats {
     let mut stats = RunningStats::new();
     for p in parts {
         stats.merge(p);
@@ -113,48 +116,22 @@ fn assert_european(ex: Exercise) {
 }
 
 // Every plain-MC kernel below is one private struct — the validated
-// problem plus its per-problem constants — with the same three methods:
-//
-// * `paths`: THE scalar path loop, `n` samples off a caller-owned stream
-//   pushed into caller-owned statistics;
-// * `scalar`: `paths` on a fresh stream — the whole sample seeded with
-//   `cfg.seed` is the sequential entry point, one chunk seeded with
-//   `stream_seed(cfg.seed, chunk)` is the lanes = 1 chunk body (one
-//   scalar body, two seeds; see `docs/PARALLEL.md`);
-// * `lanes::<L>`: the `L`-wide chunk body, which hands its stream to
-//   `paths` for the `c.len() % L` tail so the draw order continues.
+// problem plus its per-problem constants — with a `paths` method, THE
+// scalar path loop (`n` samples off a caller-owned stream pushed into
+// caller-owned statistics), and a `Sampled` impl: `scalar` runs `paths`
+// on the stream `sample` hands it, `lanes::<L>` is the `L`-wide body,
+// which hands its stream to `paths` for the `n % L` tail so the draw
+// order continues, and `reduce` merges the parts in chunk order.
 
-/// Vanilla European option under Black–Scholes, exact terminal sampling.
-pub fn mc_vanilla_bs(m: &BlackScholes, option: &Vanilla, cfg: &McConfig) -> McResult {
-    let (stats, delta_stats) = VanillaMc::new(m, option, cfg).scalar(cfg.seed, cfg.paths);
-    McResult {
-        delta: Some(delta_stats.mean()),
-        ..McResult::from_stats(&stats)
-    }
-}
-
-/// Chunked-deterministic variant of [`mc_vanilla_bs`]: each chunk of
-/// paths draws from its own [`stream_seed`]-derived stream and the
-/// per-chunk statistics are merged in chunk order, so the result is
-/// bit-identical for any worker count in `pol`.
-pub fn mc_vanilla_bs_exec(
+/// Vanilla European option under Black–Scholes, exact terminal sampling,
+/// with the pathwise delta. `pol` picks the streams (module docs).
+pub fn mc_vanilla_bs(
     m: &BlackScholes,
     option: &Vanilla,
     cfg: &McConfig,
-    pol: &ExecPolicy,
+    pol: Option<&ExecPolicy>,
 ) -> McResult {
-    let k = VanillaMc::new(m, option, cfg);
-    let parts = match pol.lane_width() {
-        4 => pol.run(cfg.paths, |c| k.lanes::<4>(c)),
-        8 => pol.run(cfg.paths, |c| k.lanes::<8>(c)),
-        _ => pol.run(cfg.paths, |c| {
-            k.scalar(stream_seed(cfg.seed, c.index), c.len())
-        }),
-    };
-    McResult {
-        delta: Some(merged(parts.iter().map(|p| &p.1)).mean()),
-        ..McResult::from_stats(&merged(parts.iter().map(|p| &p.0)))
-    }
+    sample(&VanillaMc::new(m, option, cfg), pol, cfg.paths, cfg.seed)
 }
 
 struct VanillaMc<'a> {
@@ -180,14 +157,6 @@ impl<'a> VanillaMc<'a> {
             df: m.discount(t),
             sign: option.right.sign(),
         }
-    }
-
-    fn scalar(&self, seed: u64, n: usize) -> (RunningStats, RunningStats) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut gen = NormalGen::new();
-        let mut out = (RunningStats::new(), RunningStats::new());
-        self.paths(&mut rng, &mut gen, n, &mut out);
-        out
     }
 
     fn paths(
@@ -229,23 +198,38 @@ impl<'a> VanillaMc<'a> {
         };
         (pay, dlt)
     }
+}
+
+impl Sampled for VanillaMc<'_> {
+    type Part = (RunningStats, RunningStats);
+    type Out = McResult;
+
+    fn scalar(&self, rng: &mut StdRng, n: usize, _: &mut PathWorkspace) -> Self::Part {
+        let mut out = (RunningStats::new(), RunningStats::new());
+        self.paths(rng, &mut NormalGen::new(), n, &mut out);
+        out
+    }
 
     /// `L` paths advance per loop iteration, normals drawn in
     /// `(group, lane)` order, terminal levels computed with fused
     /// `mul_add` (so lane prices are a distinct — equally valid — sample
     /// from the scalar kernel even where the draw order coincides).
-    fn lanes<const L: usize>(&self, c: &Chunk) -> (RunningStats, RunningStats) {
+    fn lanes<const L: usize>(
+        &self,
+        rng: &mut StdRng,
+        n: usize,
+        _: &mut PathWorkspace,
+    ) -> Self::Part {
         let (m, t, df) = (self.m, self.t, self.df);
-        let mut rng = StdRng::seed_from_u64(stream_seed(self.cfg.seed, c.index));
         let mut gen = NormalGen::new();
         let mut out = (RunningStats::new(), RunningStats::new());
         let (stats, delta_stats) = &mut out;
         let drift = F64s::<L>::splat(m.log_drift() * t);
         let volt = F64s::<L>::splat(m.sigma * t.sqrt());
         let spot = F64s::<L>::splat(m.spot);
-        let groups = c.len() / L;
+        let groups = n / L;
         for _ in 0..groups {
-            let z = F64s::<L>::from_fn(|_| gen.sample(&mut rng));
+            let z = F64s::<L>::from_fn(|_| gen.sample(rng));
             let st = z.mul_add(volt, drift).exp() * spot;
             if self.cfg.antithetic {
                 let st2 = (-z).mul_add(volt, drift).exp() * spot;
@@ -263,8 +247,15 @@ impl<'a> VanillaMc<'a> {
                 }
             }
         }
-        self.paths(&mut rng, &mut gen, c.len() - groups * L, &mut out);
+        self.paths(rng, &mut gen, n - groups * L, &mut out);
         out
+    }
+
+    fn reduce(&self, parts: &[Self::Part]) -> McResult {
+        McResult {
+            delta: Some(merged(parts.iter().map(|p| &p.1)).mean()),
+            ..McResult::from_stats(&merged(parts.iter().map(|p| &p.0)))
+        }
     }
 }
 
@@ -295,28 +286,14 @@ pub fn qmc_vanilla_bs(m: &BlackScholes, option: &Vanilla, paths: usize) -> McRes
 
 /// European basket option under multi-asset Black–Scholes: exact
 /// one-step correlated terminal sampling (the payoff is path-independent).
-pub fn mc_basket(m: &MultiBlackScholes, option: &BasketOption, cfg: &McConfig) -> McResult {
-    let k = BasketMc::new(m, option, cfg);
-    McResult::from_stats(&k.scalar(cfg.seed, cfg.paths, &mut PathWorkspace::new()))
-}
-
-/// Chunked-deterministic variant of [`mc_basket`] (per-chunk correlated
-/// streams, chunk-order merge — bit-identical for any worker count).
-pub fn mc_basket_exec(
+/// `pol` picks the streams (module docs).
+pub fn mc_basket(
     m: &MultiBlackScholes,
     option: &BasketOption,
     cfg: &McConfig,
-    pol: &ExecPolicy,
+    pol: Option<&ExecPolicy>,
 ) -> McResult {
-    let k = BasketMc::new(m, option, cfg);
-    let parts = match pol.lane_width() {
-        4 => pol.run_ws(cfg.paths, |c, ws| k.lanes::<4>(c, ws)),
-        8 => pol.run_ws(cfg.paths, |c, ws| k.lanes::<8>(c, ws)),
-        _ => pol.run_ws(cfg.paths, |c, ws| {
-            k.scalar(stream_seed(cfg.seed, c.index), c.len(), ws)
-        }),
-    };
-    McResult::from_stats(&merged(&parts))
+    sample(&BasketMc::new(m, option, cfg), pol, cfg.paths, cfg.seed)
 }
 
 struct BasketMc<'a> {
@@ -340,14 +317,6 @@ impl<'a> BasketMc<'a> {
             t,
             df: m.discount(t),
         }
-    }
-
-    fn scalar(&self, seed: u64, n: usize, ws: &mut PathWorkspace) -> RunningStats {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut corr = self.m.correlator();
-        let mut stats = RunningStats::new();
-        self.paths(&mut rng, &mut corr, n, ws, &mut stats);
-        stats
     }
 
     /// The `z`/`s` scratch comes from the [`PathWorkspace`] pool (`take`
@@ -380,16 +349,31 @@ impl<'a> BasketMc<'a> {
         ws.put(s);
         ws.put(z);
     }
+}
+
+impl Sampled for BasketMc<'_> {
+    type Part = RunningStats;
+    type Out = McResult;
+
+    fn scalar(&self, rng: &mut StdRng, n: usize, ws: &mut PathWorkspace) -> RunningStats {
+        let mut stats = RunningStats::new();
+        self.paths(rng, &mut self.m.correlator(), n, ws, &mut stats);
+        stats
+    }
 
     /// Lanes hold `L` paths' correlated draws and terminal levels in
     /// lane-major scratch (`buf[l*dim..][..dim]` is lane `l`). Correlated
     /// vectors are drawn per lane in lane order — the same consumption
     /// order as `L` consecutive scalar paths — and the terminal map
     /// vectorises across lanes per asset with fused `mul_add`.
-    fn lanes<const L: usize>(&self, c: &Chunk, ws: &mut PathWorkspace) -> RunningStats {
+    fn lanes<const L: usize>(
+        &self,
+        rng: &mut StdRng,
+        n: usize,
+        ws: &mut PathWorkspace,
+    ) -> RunningStats {
         let (m, option, t, df) = (self.m, self.option, self.t, self.df);
         let dim = m.dim;
-        let mut rng = StdRng::seed_from_u64(stream_seed(self.cfg.seed, c.index));
         let mut corr = m.correlator();
         let mut zbuf = ws.take(L * dim);
         let mut sbuf = ws.take(L * dim);
@@ -398,10 +382,10 @@ impl<'a> BasketMc<'a> {
         let drift = F64s::<L>::splat(m.log_drift() * t);
         let volt = F64s::<L>::splat(m.sigma * t.sqrt());
         let spot = F64s::<L>::splat(m.spot);
-        let groups = c.len() / L;
+        let groups = n / L;
         for _ in 0..groups {
             for l in 0..L {
-                corr.sample(&mut rng, &mut zbuf[l * dim..(l + 1) * dim]);
+                corr.sample(rng, &mut zbuf[l * dim..(l + 1) * dim]);
             }
             for i in 0..dim {
                 let z = F64s::<L>::from_fn(|l| zbuf[l * dim + i]);
@@ -429,8 +413,12 @@ impl<'a> BasketMc<'a> {
         ws.put(s2buf);
         ws.put(sbuf);
         ws.put(zbuf);
-        self.paths(&mut rng, &mut corr, c.len() - groups * L, ws, &mut stats);
+        self.paths(rng, &mut corr, n - groups * L, ws, &mut stats);
         stats
+    }
+
+    fn reduce(&self, parts: &[RunningStats]) -> McResult {
+        McResult::from_stats(&merged(parts))
     }
 }
 
@@ -464,28 +452,15 @@ pub fn qmc_basket(m: &MultiBlackScholes, option: &BasketOption, paths: usize) ->
 }
 
 /// European vanilla option under the local-volatility model, log-Euler
-/// paths with `cfg.time_steps` steps.
-pub fn mc_local_vol(m: &LocalVol, option: &Vanilla, cfg: &McConfig) -> McResult {
-    let k = LocalVolMc::new(m, option, cfg);
-    McResult::from_stats(&k.scalar(cfg.seed, cfg.paths, &mut PathWorkspace::new()))
-}
-
-/// Chunked-deterministic variant of [`mc_local_vol`].
-pub fn mc_local_vol_exec(
+/// paths with `cfg.time_steps` steps. `pol` picks the streams (module
+/// docs).
+pub fn mc_local_vol(
     m: &LocalVol,
     option: &Vanilla,
     cfg: &McConfig,
-    pol: &ExecPolicy,
+    pol: Option<&ExecPolicy>,
 ) -> McResult {
-    let k = LocalVolMc::new(m, option, cfg);
-    let parts = match pol.lane_width() {
-        4 => pol.run_ws(cfg.paths, |c, ws| k.lanes::<4>(c, ws)),
-        8 => pol.run_ws(cfg.paths, |c, ws| k.lanes::<8>(c, ws)),
-        _ => pol.run_ws(cfg.paths, |c, ws| {
-            k.scalar(stream_seed(cfg.seed, c.index), c.len(), ws)
-        }),
-    };
-    McResult::from_stats(&merged(&parts))
+    sample(&LocalVolMc::new(m, option, cfg), pol, cfg.paths, cfg.seed)
 }
 
 struct LocalVolMc<'a> {
@@ -514,14 +489,6 @@ impl<'a> LocalVolMc<'a> {
             dt,
             grid: m.euler_grid(dt, cfg.time_steps),
         }
-    }
-
-    fn scalar(&self, seed: u64, n: usize, ws: &mut PathWorkspace) -> RunningStats {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut gen = NormalGen::new();
-        let mut stats = RunningStats::new();
-        self.paths(&mut rng, &mut gen, n, ws, &mut stats);
-        stats
     }
 
     /// An Euler path is one chain of dependent `tanh → exp` steps, so
@@ -568,27 +535,42 @@ impl<'a> LocalVolMc<'a> {
         }
         ws.put(zbuf);
     }
+}
+
+impl Sampled for LocalVolMc<'_> {
+    type Part = RunningStats;
+    type Out = McResult;
+
+    fn scalar(&self, rng: &mut StdRng, n: usize, ws: &mut PathWorkspace) -> RunningStats {
+        let mut stats = RunningStats::new();
+        self.paths(rng, &mut NormalGen::new(), n, ws, &mut stats);
+        stats
+    }
 
     /// `L` Euler paths advance in lockstep, one normal group per time
     /// step, so the draw order is `(group, step, lane)` — distinct from
     /// the scalar per-path `fill`. The time-dependent term factor of the
     /// vol surface is scalar per step (shared by all lanes); the
     /// spot-dependent skew is per-lane `tanh`.
-    fn lanes<const L: usize>(&self, c: &Chunk, ws: &mut PathWorkspace) -> RunningStats {
+    fn lanes<const L: usize>(
+        &self,
+        rng: &mut StdRng,
+        n: usize,
+        ws: &mut PathWorkspace,
+    ) -> RunningStats {
         let (m, option, df, dt) = (self.m, self.option, self.df, self.dt);
-        let mut rng = StdRng::seed_from_u64(stream_seed(self.cfg.seed, c.index));
         let mut gen = NormalGen::new();
         let mut stats = RunningStats::new();
         let spot = F64s::<L>::splat(m.spot);
         let sqdt = dt.sqrt();
-        let groups = c.len() / L;
+        let groups = n / L;
         for _ in 0..groups {
             let mut s = spot;
             let mut s2 = spot;
             let mut tt = 0.0;
             for _ in 0..self.cfg.time_steps {
                 let term = 1.0 + m.term_amp * (-tt / m.term_tau).exp();
-                let z = F64s::<L>::from_fn(|_| gen.sample(&mut rng));
+                let z = F64s::<L>::from_fn(|_| gen.sample(rng));
                 s = lv_step_lanes(m, term, dt, sqdt, s, z);
                 if self.cfg.antithetic {
                     s2 = lv_step_lanes(m, term, dt, sqdt, s2, -z);
@@ -604,8 +586,12 @@ impl<'a> LocalVolMc<'a> {
                 }
             }
         }
-        self.paths(&mut rng, &mut gen, c.len() - groups * L, ws, &mut stats);
+        self.paths(rng, &mut gen, n - groups * L, ws, &mut stats);
         stats
+    }
+
+    fn reduce(&self, parts: &[RunningStats]) -> McResult {
+        McResult::from_stats(&merged(parts))
     }
 }
 
@@ -635,22 +621,14 @@ fn lv_step_lanes<const L: usize>(
 }
 
 /// European vanilla option under Heston, full-truncation Euler paths.
-pub fn mc_heston(m: &Heston, option: &Vanilla, cfg: &McConfig) -> McResult {
-    let k = HestonMc::new(m, option, cfg);
-    McResult::from_stats(&k.scalar(cfg.seed, cfg.paths, &mut PathWorkspace::new()))
-}
-
-/// Chunked-deterministic variant of [`mc_heston`].
-pub fn mc_heston_exec(m: &Heston, option: &Vanilla, cfg: &McConfig, pol: &ExecPolicy) -> McResult {
-    let k = HestonMc::new(m, option, cfg);
-    let parts = match pol.lane_width() {
-        4 => pol.run_ws(cfg.paths, |c, ws| k.lanes::<4>(c, ws)),
-        8 => pol.run_ws(cfg.paths, |c, ws| k.lanes::<8>(c, ws)),
-        _ => pol.run_ws(cfg.paths, |c, ws| {
-            k.scalar(stream_seed(cfg.seed, c.index), c.len(), ws)
-        }),
-    };
-    McResult::from_stats(&merged(&parts))
+/// `pol` picks the streams (module docs).
+pub fn mc_heston(
+    m: &Heston,
+    option: &Vanilla,
+    cfg: &McConfig,
+    pol: Option<&ExecPolicy>,
+) -> McResult {
+    sample(&HestonMc::new(m, option, cfg), pol, cfg.paths, cfg.seed)
 }
 
 struct HestonMc<'a> {
@@ -674,14 +652,6 @@ impl<'a> HestonMc<'a> {
             df: m.discount(t),
             dt: t / cfg.time_steps as f64,
         }
-    }
-
-    fn scalar(&self, seed: u64, n: usize, ws: &mut PathWorkspace) -> RunningStats {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut gen = NormalGen::new();
-        let mut stats = RunningStats::new();
-        self.paths(&mut rng, &mut gen, n, ws, &mut stats);
-        stats
     }
 
     fn paths(
@@ -728,29 +698,44 @@ impl<'a> HestonMc<'a> {
         }
         self.option.payoff(s)
     }
+}
+
+impl Sampled for HestonMc<'_> {
+    type Part = RunningStats;
+    type Out = McResult;
+
+    fn scalar(&self, rng: &mut StdRng, n: usize, ws: &mut PathWorkspace) -> RunningStats {
+        let mut stats = RunningStats::new();
+        self.paths(rng, &mut NormalGen::new(), n, ws, &mut stats);
+        stats
+    }
 
     /// `L` full-truncation Euler paths advance in lockstep. Per step the
     /// spot normals `z1` are drawn for all lanes, then the variance
     /// normals `z2` — so the draw order is
     /// `(group, step, z1 lanes, z2 lanes)`, distinct from the scalar
     /// per-path double `fill`.
-    fn lanes<const L: usize>(&self, c: &Chunk, ws: &mut PathWorkspace) -> RunningStats {
+    fn lanes<const L: usize>(
+        &self,
+        rng: &mut StdRng,
+        n: usize,
+        ws: &mut PathWorkspace,
+    ) -> RunningStats {
         let (m, option, df, dt) = (self.m, self.option, self.df, self.dt);
-        let mut rng = StdRng::seed_from_u64(stream_seed(self.cfg.seed, c.index));
         let mut gen = NormalGen::new();
         let mut stats = RunningStats::new();
         let spot = F64s::<L>::splat(m.spot);
         let v0 = F64s::<L>::splat(m.v0);
         let sqdt = dt.sqrt();
-        let groups = c.len() / L;
+        let groups = n / L;
         for _ in 0..groups {
             let mut s = spot;
             let mut v = v0;
             let mut s2 = spot;
             let mut v2 = v0;
             for _ in 0..self.cfg.time_steps {
-                let z1 = F64s::<L>::from_fn(|_| gen.sample(&mut rng));
-                let z2 = F64s::<L>::from_fn(|_| gen.sample(&mut rng));
+                let z1 = F64s::<L>::from_fn(|_| gen.sample(rng));
+                let z2 = F64s::<L>::from_fn(|_| gen.sample(rng));
                 let (sn, vn) = heston_step_lanes(m, dt, sqdt, s, v, z1, z2);
                 s = sn;
                 v = vn;
@@ -769,8 +754,12 @@ impl<'a> HestonMc<'a> {
                 }
             }
         }
-        self.paths(&mut rng, &mut gen, c.len() - groups * L, ws, &mut stats);
+        self.paths(rng, &mut gen, n - groups * L, ws, &mut stats);
         stats
+    }
+
+    fn reduce(&self, parts: &[RunningStats]) -> McResult {
+        McResult::from_stats(&merged(parts))
     }
 }
 
@@ -803,6 +792,7 @@ pub(crate) fn heston_step_lanes<const L: usize>(
 mod tests {
     use super::*;
     use crate::methods::closed_form::bs_price;
+    use rand::SeedableRng;
 
     fn model() -> BlackScholes {
         BlackScholes::new(100.0, 0.2, 0.05, 0.0)
@@ -813,7 +803,7 @@ mod tests {
         let m = model();
         let opt = Vanilla::european_call(100.0, 1.0);
         let exact = bs_price(&m, &opt);
-        let mc = mc_vanilla_bs(&m, &opt, &McConfig::default());
+        let mc = mc_vanilla_bs(&m, &opt, &McConfig::default(), None);
         assert!(
             (mc.price - exact.price).abs() < 4.0 * mc.std_error,
             "mc {} ± {} exact {}",
@@ -830,7 +820,7 @@ mod tests {
         let m = model();
         let opt = Vanilla::european_put(110.0, 0.5);
         let exact = bs_price(&m, &opt).price;
-        let mc = mc_vanilla_bs(&m, &opt, &McConfig::default());
+        let mc = mc_vanilla_bs(&m, &opt, &McConfig::default(), None);
         assert!((mc.price - exact).abs() < 4.0 * mc.std_error);
         assert!(mc.delta.unwrap() < 0.0);
     }
@@ -848,8 +838,8 @@ mod tests {
             antithetic: true,
             ..base
         };
-        let plain = mc_vanilla_bs(&m, &opt, &base);
-        let av = mc_vanilla_bs(&m, &opt, &anti);
+        let plain = mc_vanilla_bs(&m, &opt, &base, None);
+        let av = mc_vanilla_bs(&m, &opt, &anti, None);
         assert!(
             av.std_error < plain.std_error,
             "antithetic {} !< plain {}",
@@ -866,10 +856,10 @@ mod tests {
             paths: 5_000,
             ..McConfig::default()
         };
-        let a = mc_vanilla_bs(&m, &opt, &cfg);
-        let b = mc_vanilla_bs(&m, &opt, &cfg);
+        let a = mc_vanilla_bs(&m, &opt, &cfg, None);
+        let b = mc_vanilla_bs(&m, &opt, &cfg, None);
         assert_eq!(a.price, b.price);
-        let c = mc_vanilla_bs(&m, &opt, &McConfig { seed: 7, ..cfg });
+        let c = mc_vanilla_bs(&m, &opt, &McConfig { seed: 7, ..cfg }, None);
         assert_ne!(a.price, c.price);
     }
 
@@ -887,6 +877,7 @@ mod tests {
                 antithetic: false,
                 ..McConfig::default()
             },
+            None,
         );
         assert!(
             (qmc.price - exact).abs() <= (mc.price - exact).abs() + 1e-3,
@@ -902,7 +893,7 @@ mod tests {
         let multi = MultiBlackScholes::new(1, 100.0, 0.2, 0.0, 0.05, 0.0);
         let basket = BasketOption::european_put(100.0, 1.0);
         let exact = bs_price(&model(), &Vanilla::european_put(100.0, 1.0)).price;
-        let mc = mc_basket(&multi, &basket, &McConfig::default());
+        let mc = mc_basket(&multi, &basket, &McConfig::default(), None);
         assert!(
             (mc.price - exact).abs() < 4.0 * mc.std_error.max(1e-3),
             "basket {} exact {exact}",
@@ -923,12 +914,14 @@ mod tests {
             &MultiBlackScholes::new(1, 100.0, 0.2, 0.1, 0.05, 0.0),
             &basket,
             &cfg,
+            None,
         )
         .price;
         let p10 = mc_basket(
             &MultiBlackScholes::new(10, 100.0, 0.2, 0.1, 0.05, 0.0),
             &basket,
             &cfg,
+            None,
         )
         .price;
         assert!(p10 < p1, "dim10 {p10} !< dim1 {p1}");
@@ -946,6 +939,7 @@ mod tests {
                 paths: 20_000,
                 ..McConfig::default()
             },
+            None,
         );
         assert!(mc.price > 0.0 && mc.price < 100.0);
         assert!(mc.std_error > 0.0);
@@ -962,6 +956,7 @@ mod tests {
                 paths: 100_000,
                 ..McConfig::default()
             },
+            None,
         );
         let qmc = qmc_basket(&m, &basket, 32_768);
         assert!(
@@ -995,6 +990,7 @@ mod tests {
                 time_steps: 50,
                 ..McConfig::default()
             },
+            None,
         );
         // Euler bias + MC error: generous but binding tolerance.
         assert!(
@@ -1020,8 +1016,8 @@ mod tests {
             time_steps: 50,
             ..McConfig::default()
         };
-        let ps = mc_local_vol(&skewed, &opt, &cfg).price;
-        let pf = mc_local_vol(&flat, &opt, &cfg).price;
+        let ps = mc_local_vol(&skewed, &opt, &cfg, None).price;
+        let pf = mc_local_vol(&flat, &opt, &cfg, None).price;
         assert!(ps > pf, "skewed {ps} !> flat {pf}");
     }
 
@@ -1072,7 +1068,7 @@ mod tests {
                         antithetic,
                         seed: seeds.next_u64(),
                     };
-                    let got = mc_local_vol(&m, &opt, &cfg);
+                    let got = mc_local_vol(&m, &opt, &cfg, None);
                     let want = mc_local_vol_naive(&m, &opt, &cfg);
                     assert_eq!(got.price.to_bits(), want.price.to_bits(), "{cfg:?}");
                     assert_eq!(got.std_error.to_bits(), want.std_error.to_bits(), "{cfg:?}");
@@ -1096,6 +1092,7 @@ mod tests {
                 time_steps: 50,
                 ..McConfig::default()
             },
+            None,
         );
         assert!(
             (mc.price - exact).abs() < 0.2,
@@ -1112,9 +1109,9 @@ mod tests {
             paths: 20_000,
             ..McConfig::default()
         };
-        let p1 = mc_vanilla_bs_exec(&m, &opt, &cfg, &ExecPolicy::new(1));
-        let p2 = mc_vanilla_bs_exec(&m, &opt, &cfg, &ExecPolicy::new(2));
-        let p8 = mc_vanilla_bs_exec(&m, &opt, &cfg, &ExecPolicy::new(8));
+        let p1 = mc_vanilla_bs(&m, &opt, &cfg, Some(&ExecPolicy::new(1)));
+        let p2 = mc_vanilla_bs(&m, &opt, &cfg, Some(&ExecPolicy::new(2)));
+        let p8 = mc_vanilla_bs(&m, &opt, &cfg, Some(&ExecPolicy::new(8)));
         assert_eq!(p1.price.to_bits(), p2.price.to_bits());
         assert_eq!(p1.price.to_bits(), p8.price.to_bits());
         assert_eq!(p1.std_error.to_bits(), p8.std_error.to_bits());
@@ -1133,8 +1130,8 @@ mod tests {
             paths: 20_000,
             ..McConfig::default()
         };
-        let seq = mc_basket(&multi, &basket, &cfg);
-        let par = mc_basket_exec(&multi, &basket, &cfg, &pol);
+        let seq = mc_basket(&multi, &basket, &cfg, None);
+        let par = mc_basket(&multi, &basket, &cfg, Some(&pol));
         assert!(
             (par.price - seq.price).abs() < 4.0 * (par.std_error + seq.std_error),
             "basket exec {} seq {}",
@@ -1148,8 +1145,8 @@ mod tests {
             time_steps: 20,
             ..McConfig::default()
         };
-        let hseq = mc_heston(&h, &opt, &hcfg);
-        let hpar = mc_heston_exec(&h, &opt, &hcfg, &pol);
+        let hseq = mc_heston(&h, &opt, &hcfg, None);
+        let hpar = mc_heston(&h, &opt, &hcfg, Some(&pol));
         assert!(
             (hpar.price - hseq.price).abs() < 4.0 * (hpar.std_error + hseq.std_error),
             "heston exec {} seq {}",
@@ -1166,9 +1163,9 @@ mod tests {
             paths: 8_192,
             ..McConfig::default()
         };
-        let a = mc_vanilla_bs_exec(&m, &opt, &cfg, &ExecPolicy::new(2).chunk(512));
-        let b = mc_vanilla_bs_exec(&m, &opt, &cfg, &ExecPolicy::new(7).chunk(512));
-        let c = mc_vanilla_bs_exec(&m, &opt, &cfg, &ExecPolicy::new(2).chunk(1024));
+        let a = mc_vanilla_bs(&m, &opt, &cfg, Some(&ExecPolicy::new(2).chunk(512)));
+        let b = mc_vanilla_bs(&m, &opt, &cfg, Some(&ExecPolicy::new(7).chunk(512)));
+        let c = mc_vanilla_bs(&m, &opt, &cfg, Some(&ExecPolicy::new(2).chunk(1024)));
         assert_eq!(a.price.to_bits(), b.price.to_bits());
         assert_ne!(a.price.to_bits(), c.price.to_bits());
     }
@@ -1180,6 +1177,7 @@ mod tests {
             &model(),
             &Vanilla::american_put(100.0, 1.0),
             &McConfig::default(),
+            None,
         );
     }
 }

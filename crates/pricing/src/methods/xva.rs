@@ -17,20 +17,22 @@
 //! hot per-path loop is then alloc-free and lane-vectorisable while the
 //! trade dimension is paid exactly once.
 //!
-//! The `*_exec` variant parallelises over path chunks with
-//! [`exec::stream_seed`]-derived streams and merges per-chunk statistics
-//! in chunk order — bit-identical for any worker count.
+//! [`xva_cva`] takes `pol: Option<&ExecPolicy>`, and `methods::sample`
+//! picks its streams: with a policy it parallelises over path chunks
+//! with [`exec::stream_seed`]-derived streams and merges per-chunk
+//! statistics in chunk order — bit-identical for any worker count.
 
+use super::{sample, Sampled};
 use crate::lanes::F64s;
 use crate::models::BlackScholes;
-use exec::{stream_seed, Chunk, ExecPolicy};
+use exec::{ExecPolicy, PathWorkspace};
 use numerics::rng::NormalGen;
 use numerics::stats::RunningStats;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 
-use super::montecarlo::McResult;
+use super::montecarlo::{merged, McResult};
 
 /// A netting set of forward contracts in structure-of-arrays layout:
 /// field `i` of every array describes trade `i`.
@@ -128,7 +130,7 @@ impl Default for XvaConfig {
 
 impl XvaConfig {
     /// Parameter sanity checks; `Err` describes the first violation.
-    fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.paths == 0 {
             return Err("paths must be positive".into());
         }
@@ -169,134 +171,102 @@ fn date_tables(
     (a, b, w)
 }
 
-/// CVA of the netting set, sequential reference implementation. The
-/// returned `price` is the CVA (a charge, ≥ 0); `std_error` is the
-/// Monte-Carlo error of the pathwise CVA estimator.
-pub fn xva_cva(m: &BlackScholes, book: &TradeSoA, horizon: f64, cfg: &XvaConfig) -> McResult {
-    cfg.validate().expect("invalid XVA config");
-    assert!(!book.is_empty(), "netting set must contain trades");
-    let (a, b, w) = date_tables(m, book, horizon, cfg);
-    let dt = horizon / cfg.time_steps as f64;
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut gen = NormalGen::new();
-    let mut stats = RunningStats::new();
-    for _ in 0..cfg.paths {
-        let mut s = m.spot;
-        let mut cva = 0.0;
-        for j in 0..cfg.time_steps {
-            s = m.step(s, dt, gen.sample(&mut rng));
-            cva += w[j] * (a[j] * s - b[j]).max(0.0);
-        }
-        stats.push(cva);
-    }
-    McResult {
-        price: stats.mean(),
-        std_error: stats.std_error(),
-        delta: None,
-    }
-}
-
-/// Chunked-deterministic variant of [`xva_cva`]: each chunk of paths
-/// draws from its own [`stream_seed`]-derived stream and per-chunk
-/// statistics merge in chunk order — bit-identical for any worker count.
-pub fn xva_cva_exec(
+/// CVA of the netting set. The returned `price` is the CVA (a charge,
+/// ≥ 0); `std_error` is the Monte-Carlo error of the pathwise CVA
+/// estimator. `pol` picks the streams (module docs).
+pub fn xva_cva(
     m: &BlackScholes,
     book: &TradeSoA,
     horizon: f64,
     cfg: &XvaConfig,
-    pol: &ExecPolicy,
+    pol: Option<&ExecPolicy>,
 ) -> McResult {
     cfg.validate().expect("invalid XVA config");
     assert!(!book.is_empty(), "netting set must contain trades");
     let (a, b, w) = date_tables(m, book, horizon, cfg);
-    let dt = horizon / cfg.time_steps as f64;
-    let parts = match pol.lane_width() {
-        4 => pol.run(cfg.paths, |c| xva_chunk_lanes::<4>(m, cfg, dt, &a, &b, &w, c)),
-        8 => pol.run(cfg.paths, |c| xva_chunk_lanes::<8>(m, cfg, dt, &a, &b, &w, c)),
-        _ => pol.run(cfg.paths, |c| xva_chunk_scalar(m, cfg, dt, &a, &b, &w, c)),
+    let k = Cva {
+        m,
+        cfg,
+        dt: horizon / cfg.time_steps as f64,
+        a: &a,
+        b: &b,
+        w: &w,
     };
-    let mut stats = RunningStats::new();
-    for s in &parts {
-        stats.merge(s);
-    }
-    McResult {
-        price: stats.mean(),
-        std_error: stats.std_error(),
-        delta: None,
-    }
+    sample(&k, pol, cfg.paths, cfg.seed)
 }
 
-/// Scalar (lanes = 1) chunk body — the sequential kernel on one chunk's
-/// stream.
-fn xva_chunk_scalar(
-    m: &BlackScholes,
-    cfg: &XvaConfig,
+/// The CVA path kernel over the per-date tables of [`date_tables`].
+struct Cva<'a> {
+    m: &'a BlackScholes,
+    cfg: &'a XvaConfig,
     dt: f64,
-    a: &[f64],
-    b: &[f64],
-    w: &[f64],
-    c: &Chunk,
-) -> RunningStats {
-    let mut rng = StdRng::seed_from_u64(stream_seed(cfg.seed, c.index));
-    let mut gen = NormalGen::new();
-    let mut stats = RunningStats::new();
-    for _ in c.start..c.end {
-        let mut s = m.spot;
-        let mut cva = 0.0;
-        for j in 0..cfg.time_steps {
-            s = m.step(s, dt, gen.sample(&mut rng));
-            cva += w[j] * (a[j] * s - b[j]).max(0.0);
+    a: &'a [f64],
+    b: &'a [f64],
+    w: &'a [f64],
+}
+
+impl Cva<'_> {
+    /// THE scalar path loop: `n` paths off a caller-owned stream.
+    fn paths(&self, rng: &mut StdRng, gen: &mut NormalGen, n: usize, stats: &mut RunningStats) {
+        let (m, dt, a, b, w) = (self.m, self.dt, self.a, self.b, self.w);
+        for _ in 0..n {
+            let mut s = m.spot;
+            let mut cva = 0.0;
+            for j in 0..self.cfg.time_steps {
+                s = m.step(s, dt, gen.sample(rng));
+                cva += w[j] * (a[j] * s - b[j]).max(0.0);
+            }
+            stats.push(cva);
         }
-        stats.push(cva);
     }
-    stats
 }
 
-/// `L`-wide chunk body: `L` paths advance per loop iteration, normals
-/// drawn in `(step, lane)` order, the log-Euler step and the exposure
-/// positive-part vectorised with fused `mul_add`. The remainder
-/// `c.len() % L` paths run scalar-style, continuing the same chunk
-/// stream.
-fn xva_chunk_lanes<const L: usize>(
-    m: &BlackScholes,
-    cfg: &XvaConfig,
-    dt: f64,
-    a: &[f64],
-    b: &[f64],
-    w: &[f64],
-    c: &Chunk,
-) -> RunningStats {
-    let mut rng = StdRng::seed_from_u64(stream_seed(cfg.seed, c.index));
-    let mut gen = NormalGen::new();
-    let mut stats = RunningStats::new();
-    let drift = F64s::<L>::splat(m.log_drift() * dt);
-    let volt = F64s::<L>::splat(m.sigma * dt.sqrt());
-    let groups = c.len() / L;
-    for _ in 0..groups {
-        let mut s = F64s::<L>::splat(m.spot);
-        let mut cva = F64s::<L>::splat(0.0);
-        for j in 0..cfg.time_steps {
-            let z = F64s::<L>::from_fn(|_| gen.sample(&mut rng));
-            s = s * z.mul_add(volt, drift).exp();
+impl Sampled for Cva<'_> {
+    type Part = RunningStats;
+    type Out = McResult;
+
+    fn scalar(&self, rng: &mut StdRng, n: usize, _: &mut PathWorkspace) -> RunningStats {
+        let mut stats = RunningStats::new();
+        self.paths(rng, &mut NormalGen::new(), n, &mut stats);
+        stats
+    }
+
+    /// `L` paths advance per loop iteration, normals drawn in
+    /// `(step, lane)` order, the log-Euler step and the exposure
+    /// positive-part vectorised with fused `mul_add`.
+    fn lanes<const L: usize>(
+        &self,
+        rng: &mut StdRng,
+        n: usize,
+        _: &mut PathWorkspace,
+    ) -> RunningStats {
+        let (m, dt, a, b, w) = (self.m, self.dt, self.a, self.b, self.w);
+        let mut gen = NormalGen::new();
+        let mut stats = RunningStats::new();
+        let drift = F64s::<L>::splat(m.log_drift() * dt);
+        let volt = F64s::<L>::splat(m.sigma * dt.sqrt());
+        let groups = n / L;
+        for _ in 0..groups {
+            let mut s = F64s::<L>::splat(m.spot);
+            let mut cva = F64s::<L>::splat(0.0);
+            for j in 0..self.cfg.time_steps {
+                let z = F64s::<L>::from_fn(|_| gen.sample(rng));
+                s = s * z.mul_add(volt, drift).exp();
+                for l in 0..L {
+                    cva.0[l] += w[j] * (a[j] * s.0[l] - b[j]).max(0.0);
+                }
+            }
             for l in 0..L {
-                cva.0[l] += w[j] * (a[j] * s.0[l] - b[j]).max(0.0);
+                stats.push(cva.0[l]);
             }
         }
-        for l in 0..L {
-            stats.push(cva.0[l]);
-        }
+        self.paths(rng, &mut gen, n - groups * L, &mut stats);
+        stats
     }
-    // Tail: remainder paths continue the same chunk stream scalar-style.
-    for _ in c.start + groups * L..c.end {
-        let mut s = m.spot;
-        let mut cva = 0.0;
-        for j in 0..cfg.time_steps {
-            s = m.step(s, dt, gen.sample(&mut rng));
-            cva += w[j] * (a[j] * s - b[j]).max(0.0);
-        }
-        stats.push(cva);
+
+    fn reduce(&self, parts: &[RunningStats]) -> McResult {
+        McResult::from_stats(&merged(parts))
     }
-    stats
 }
 
 #[cfg(test)]
@@ -330,9 +300,9 @@ mod tests {
         let m = model();
         let book = TradeSoA::generate(48, m.spot, 1.0, 7);
         let cfg = quick();
-        let base = xva_cva_exec(&m, &book, 1.0, &cfg, &ExecPolicy::new(1));
+        let base = xva_cva(&m, &book, 1.0, &cfg, Some(&ExecPolicy::new(1)));
         for workers in [2, 4, 8] {
-            let r = xva_cva_exec(&m, &book, 1.0, &cfg, &ExecPolicy::new(workers));
+            let r = xva_cva(&m, &book, 1.0, &cfg, Some(&ExecPolicy::new(workers)));
             assert_eq!(r.price.to_bits(), base.price.to_bits());
             assert_eq!(r.std_error.to_bits(), base.std_error.to_bits());
         }
@@ -343,19 +313,19 @@ mod tests {
         let m = model();
         let book = TradeSoA::generate(48, m.spot, 1.0, 7);
         let cfg = quick();
-        let cva = xva_cva_exec(&m, &book, 1.0, &cfg, &ExecPolicy::new(4)).price;
+        let cva = xva_cva(&m, &book, 1.0, &cfg, Some(&ExecPolicy::new(4))).price;
         assert!(cva >= 0.0);
         let riskier = XvaConfig {
             hazard: cfg.hazard * 4.0,
             ..cfg
         };
-        let cva_hi = xva_cva_exec(&m, &book, 1.0, &riskier, &ExecPolicy::new(4)).price;
+        let cva_hi = xva_cva(&m, &book, 1.0, &riskier, Some(&ExecPolicy::new(4))).price;
         assert!(
             cva_hi > cva,
             "quadrupled hazard must raise CVA: {cva} -> {cva_hi}"
         );
         let no_loss = XvaConfig { lgd: 0.0, ..cfg };
-        let zero = xva_cva_exec(&m, &book, 1.0, &no_loss, &ExecPolicy::new(4)).price;
+        let zero = xva_cva(&m, &book, 1.0, &no_loss, Some(&ExecPolicy::new(4))).price;
         assert_eq!(zero, 0.0, "zero LGD means zero CVA");
     }
 

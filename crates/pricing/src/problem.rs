@@ -24,22 +24,18 @@
 use crate::fields::{
     get_bool, get_f64, get_str, get_table, get_usize, read_in_order, Fields, Tree,
 };
-use crate::methods::bermudan::{lsm_max_call, lsm_max_call_exec};
-use crate::methods::bond::{bond_option_price, mc_zcb_price, mc_zcb_price_exec};
+use crate::methods::bermudan::lsm_max_call;
+use crate::methods::bond::{bond_option_price, mc_zcb_price};
 use crate::methods::bsde::{bsde_picard, BsdeConfig};
 use crate::methods::closed_form::{bs_price, down_out_call_price};
 use crate::methods::heston_cf::heston_cf_price;
-use crate::methods::lsm::{
-    lsm_basket, lsm_basket_exec, lsm_heston, lsm_heston_exec, lsm_vanilla_bs, lsm_vanilla_bs_exec,
-    LsmConfig,
-};
+use crate::methods::lsm::{lsm_basket, lsm_heston, lsm_vanilla_bs, LsmConfig};
 use crate::methods::montecarlo::{
-    mc_basket, mc_basket_exec, mc_heston, mc_heston_exec, mc_local_vol, mc_local_vol_exec,
-    mc_vanilla_bs, mc_vanilla_bs_exec, qmc_basket, qmc_vanilla_bs, McConfig,
+    mc_basket, mc_heston, mc_local_vol, mc_vanilla_bs, qmc_basket, qmc_vanilla_bs, McConfig,
 };
 use crate::methods::pde::{pde_barrier, pde_vanilla, PdeConfig};
 use crate::methods::tree::{tree_vanilla, TreeConfig};
-use crate::methods::xva::{xva_cva, xva_cva_exec, TradeSoA, XvaConfig};
+use crate::methods::xva::{xva_cva, TradeSoA, XvaConfig};
 use crate::models::{BlackScholes, Heston, LocalVol, MultiBlackScholes, Vasicek};
 use crate::options::{Barrier, BasketOption, Exercise, MaxCall, OptionRight, Vanilla};
 use exec::ExecPolicy;
@@ -488,14 +484,18 @@ impl PremiaProblem {
     }
 
     /// `P.compute[]`: run the numerical method. Unsupported combinations
-    /// return `Err(Unsupported)` — Premia's compatibility matrix.
+    /// return `Err(Unsupported)` — Premia's compatibility matrix — and a
+    /// sampled method whose counts its kernel refuses (zero paths, time
+    /// steps or Picard rounds, an empty netting set) `Err(Invalid)`.
     ///
     /// Single-threaded; bit-identical to every release since the seed —
     /// pinned over the Table III job mix by
-    /// `tests/kernel_goldens.rs::sequential_table3_mix_goldens`. The
-    /// Monte-Carlo and LSM path loops are the same scalar bodies
-    /// [`Self::compute_with`] runs per chunk at lane width 1, seeded with
-    /// the problem's own seed instead of a chunk stream.
+    /// `tests/kernel_goldens.rs::sequential_table3_mix_goldens`, and for
+    /// the other sampled kernels by `GOLDEN_COMPUTE` there. Every sampled
+    /// kernel draws the whole sample from the one stream seeded with the
+    /// problem's own seed, in the same scalar path loop
+    /// [`Self::compute_with`] runs per chunk at lane width 1 on a chunk
+    /// stream: one seeding rule, one body, two seeds.
     pub fn compute(&self) -> Result<PricingResult, PricingError> {
         self.compute_inner(None)
     }
@@ -626,10 +626,8 @@ impl Specs<'_> {
                             antithetic: *antithetic,
                             seed: *seed,
                         };
-                        let r = match pol {
-                            Some(p) => mc_vanilla_bs_exec(m, &opt, &cfg, p),
-                            None => mc_vanilla_bs(m, &opt, &cfg),
-                        };
+                        cfg.validate().map_err(PricingError::Invalid)?;
+                        let r = mc_vanilla_bs(m, &opt, &cfg, pol);
                         Ok(PricingResult {
                             price: r.price,
                             delta: r.delta,
@@ -662,6 +660,7 @@ impl Specs<'_> {
                             y_prev: *y_prev,
                             seed: *seed,
                         };
+                        cfg.validate().map_err(PricingError::Invalid)?;
                         let r = bsde_picard(m, &opt, &cfg, pol);
                         Ok(PricingResult {
                             price: r.price,
@@ -761,10 +760,8 @@ impl Specs<'_> {
                             basis: BasisKind::Monomial,
                             seed: *seed,
                         };
-                        let r = match pol {
-                            Some(p) => lsm_vanilla_bs_exec(m, &opt, &cfg, p),
-                            None => lsm_vanilla_bs(m, &opt, &cfg),
-                        };
+                        cfg.validate().map_err(PricingError::Invalid)?;
+                        let r = lsm_vanilla_bs(m, &opt, &cfg, pol);
                         Ok(PricingResult {
                             price: r.price,
                             delta: None,
@@ -792,10 +789,8 @@ impl Specs<'_> {
                             antithetic: *antithetic,
                             seed: *seed,
                         };
-                        let r = match pol {
-                            Some(p) => mc_basket_exec(m, &opt, &cfg, p),
-                            None => mc_basket(m, &opt, &cfg),
-                        };
+                        cfg.validate().map_err(PricingError::Invalid)?;
+                        let r = mc_basket(m, &opt, &cfg, pol);
                         Ok(PricingResult {
                             price: r.price,
                             delta: None,
@@ -831,10 +826,8 @@ impl Specs<'_> {
                             basis: BasisKind::Monomial,
                             seed: *seed,
                         };
-                        let r = match pol {
-                            Some(p) => lsm_basket_exec(m, &opt, &cfg, p),
-                            None => lsm_basket(m, &opt, &cfg),
-                        };
+                        cfg.validate().map_err(PricingError::Invalid)?;
+                        let r = lsm_basket(m, &opt, &cfg, pol);
                         Ok(PricingResult {
                             price: r.price,
                             delta: None,
@@ -863,10 +856,8 @@ impl Specs<'_> {
                             basis: BasisKind::Monomial,
                             seed: *seed,
                         };
-                        let r = match pol {
-                            Some(p) => lsm_max_call_exec(m, &opt, &cfg, p),
-                            None => lsm_max_call(m, &opt, &cfg),
-                        };
+                        cfg.validate().map_err(PricingError::Invalid)?;
+                        let r = lsm_max_call(m, &opt, &cfg, pol);
                         Ok(PricingResult {
                             price: r.price,
                             delta: None,
@@ -894,14 +885,17 @@ impl Specs<'_> {
                         lgd: *lgd,
                         seed: *seed,
                     };
+                    cfg.validate().map_err(PricingError::Invalid)?;
+                    if *trades == 0 {
+                        return Err(PricingError::Invalid(
+                            "netting set must contain trades".into(),
+                        ));
+                    }
                     // The book is part of the problem: a pure function of
                     // (trades, seed), so the same spec always aggregates
                     // the same netting set.
                     let book = TradeSoA::generate(*trades, m.spot, *maturity, *seed);
-                    let r = match pol {
-                        Some(p) => xva_cva_exec(m, &book, *maturity, &cfg, p),
-                        None => xva_cva(m, &book, *maturity, &cfg),
-                    };
+                    let r = xva_cva(m, &book, *maturity, &cfg, pol);
                     Ok(PricingResult {
                         price: r.price,
                         delta: None,
@@ -939,10 +933,8 @@ impl Specs<'_> {
                             antithetic: *antithetic,
                             seed: *seed,
                         };
-                        let r = match pol {
-                            Some(p) => mc_local_vol_exec(m, &opt, &cfg, p),
-                            None => mc_local_vol(m, &opt, &cfg),
-                        };
+                        cfg.validate().map_err(PricingError::Invalid)?;
+                        let r = mc_local_vol(m, &opt, &cfg, pol);
                         Ok(PricingResult {
                             price: r.price,
                             delta: None,
@@ -992,10 +984,8 @@ impl Specs<'_> {
                             antithetic: *antithetic,
                             seed: *seed,
                         };
-                        let r = match pol {
-                            Some(p) => mc_heston_exec(m, &opt, &cfg, p),
-                            None => mc_heston(m, &opt, &cfg),
-                        };
+                        cfg.validate().map_err(PricingError::Invalid)?;
+                        let r = mc_heston(m, &opt, &cfg, pol);
                         Ok(PricingResult {
                             price: r.price,
                             delta: None,
@@ -1022,10 +1012,8 @@ impl Specs<'_> {
                             basis: BasisKind::Monomial,
                             seed: *seed,
                         };
-                        let r = match pol {
-                            Some(p) => lsm_heston_exec(m, &opt, &cfg, p),
-                            None => lsm_heston(m, &opt, &cfg),
-                        };
+                        cfg.validate().map_err(PricingError::Invalid)?;
+                        let r = lsm_heston(m, &opt, &cfg, pol);
                         Ok(PricingResult {
                             price: r.price,
                             delta: None,
@@ -1057,10 +1045,8 @@ impl Specs<'_> {
                         antithetic: *antithetic,
                         seed: *seed,
                     };
-                    let r = match pol {
-                        Some(p) => mc_zcb_price_exec(m, *maturity, &cfg, p),
-                        None => mc_zcb_price(m, *maturity, &cfg),
-                    };
+                    cfg.validate().map_err(PricingError::Invalid)?;
+                    let r = mc_zcb_price(m, *maturity, &cfg, pol);
                     Ok(PricingResult {
                         price: r.price,
                         delta: None,
@@ -1487,8 +1473,8 @@ mod tests {
             PremiaProblem::create("BlackScholesNdim", "PutBasket", "TR_CoxRossRubinstein").unwrap();
         assert!(matches!(p.compute(), Err(PricingError::Unsupported(_))));
         // BSDE only prices European vanillas; XVA needs a netting set.
-        let p = PremiaProblem::create("BlackScholes1dim", "PutAmer", "MC_BSDE_LabartLelong")
-            .unwrap();
+        let p =
+            PremiaProblem::create("BlackScholes1dim", "PutAmer", "MC_BSDE_LabartLelong").unwrap();
         assert!(matches!(p.compute(), Err(PricingError::Unsupported(_))));
         let p = PremiaProblem::create("BlackScholes1dim", "CallEuro", "MC_XVA_CVA").unwrap();
         assert!(matches!(p.compute(), Err(PricingError::Unsupported(_))));
@@ -1761,6 +1747,85 @@ mod tests {
                 .price
                 .to_bits()
         );
+    }
+
+    #[test]
+    fn counts_a_kernel_rejects_are_invalid_not_a_panic() {
+        // Each count reaches `compute` from a problem file (`get_usize`
+        // reads 0) or a script (`P.set_method[str="MC_Standard", paths=0]`).
+        let zeroed = |model, option, method, zero: fn(&mut PremiaProblem)| {
+            let mut p = PremiaProblem::create(model, option, method).unwrap();
+            zero(&mut p);
+            p
+        };
+        let rows = [
+            (
+                "MC paths = 0",
+                zeroed("BlackScholes1dim", "CallEuro", "MC_Standard", |p| {
+                    if let MethodSpec::MonteCarlo { paths, .. } = &mut p.method {
+                        *paths = 0;
+                    }
+                }),
+            ),
+            (
+                "Heston MC time_steps = 0",
+                zeroed("Heston1dim", "CallEuro", "MC_Standard", |p| {
+                    if let MethodSpec::MonteCarlo { time_steps, .. } = &mut p.method {
+                        *time_steps = 0;
+                    }
+                }),
+            ),
+            (
+                "LSM paths = 0",
+                zeroed(
+                    "BlackScholes1dim",
+                    "PutAmer",
+                    "MC_AM_LongstaffSchwartz",
+                    |p| {
+                        if let MethodSpec::Lsm { paths, .. } = &mut p.method {
+                            *paths = 0;
+                        }
+                    },
+                ),
+            ),
+            (
+                "BSDE picard_rounds = 0",
+                zeroed(
+                    "BlackScholes1dim",
+                    "CallEuro",
+                    "MC_BSDE_LabartLelong",
+                    |p| {
+                        if let MethodSpec::Bsde { picard_rounds, .. } = &mut p.method {
+                            *picard_rounds = 0;
+                        }
+                    },
+                ),
+            ),
+            (
+                "XVA paths = 0",
+                zeroed("BlackScholes1dim", "NettingSetForward", "MC_XVA_CVA", |p| {
+                    if let MethodSpec::Xva { paths, .. } = &mut p.method {
+                        *paths = 0;
+                    }
+                }),
+            ),
+            (
+                "NettingSetForward trades = 0",
+                zeroed("BlackScholes1dim", "NettingSetForward", "MC_XVA_CVA", |p| {
+                    if let OptionSpec::NettingSet { trades, .. } = &mut p.option {
+                        *trades = 0;
+                    }
+                }),
+            ),
+        ];
+        for (label, p) in &rows {
+            for got in [p.compute(), p.compute_with(&ExecPolicy::new(2))] {
+                assert!(
+                    matches!(got, Err(PricingError::Invalid(_))),
+                    "{label}: {got:?}"
+                );
+            }
+        }
     }
 
     #[test]

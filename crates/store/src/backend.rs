@@ -3,7 +3,6 @@
 use crate::dir::ParentDir;
 use nspval::Serial;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use xdrser::XdrError;
 
@@ -172,50 +171,34 @@ impl<S: ProblemStore + ?Sized> ProblemStore for Arc<S> {
 /// reads open each file relative to its directory (`docs/STORE.md`,
 /// "Read path"). The store itself holds nothing open.
 #[derive(Debug, Default)]
-pub struct DirStore {
-    fetches: AtomicU64,
-}
+pub struct DirStore;
 
 impl DirStore {
     /// A fresh directory store.
     pub fn new() -> Self {
-        DirStore::default()
+        DirStore
     }
 }
 
 impl ProblemStore for DirStore {
     fn fetch(&self, path: &Path) -> Result<Fetched, XdrError> {
-        self.fetches.fetch_add(1, Ordering::Relaxed);
         Ok(Fetched::uncached(xdrser::sload(path)?))
     }
 
     fn reader(&self) -> Box<dyn FrameReader + '_> {
-        Box::new(DirReader {
-            store: self,
-            dir: ParentDir::default(),
-        })
-    }
-
-    fn stats(&self) -> StoreStats {
-        StoreStats {
-            fetches: self.fetches.load(Ordering::Relaxed),
-            misses: self.fetches.load(Ordering::Relaxed),
-            ..StoreStats::default()
-        }
+        Box::new(DirReader::default())
     }
 }
 
 /// A [`DirStore`]'s reader: each file of the frame opens relative to a
 /// handle on its directory, which closes with the reader.
-#[derive(Debug)]
-struct DirReader<'s> {
-    store: &'s DirStore,
+#[derive(Debug, Default)]
+struct DirReader {
     dir: ParentDir,
 }
 
-impl FrameReader for DirReader<'_> {
+impl FrameReader for DirReader {
     fn fetch_into(&mut self, path: &Path, out: &mut Vec<u8>) -> Result<Disposition, XdrError> {
-        self.store.fetches.fetch_add(1, Ordering::Relaxed);
         xdrser::sload_into(self.dir.open(path)?, out)?;
         Ok(Disposition::UNCACHED)
     }
@@ -242,8 +225,8 @@ mod tests {
         assert_eq!(f.serial.bytes(), std::fs::read(&path).unwrap().as_slice());
         assert_eq!(f.cached, None);
         assert_eq!(f.evicted_bytes, 0);
-        assert_eq!(store.stats().fetches, 1);
-        assert_eq!(store.stats().hits, 0);
+        // A cache-less store keeps no counters.
+        assert_eq!(store.stats(), StoreStats::default());
         assert_eq!(store.stats().hit_rate(), 0.0);
     }
 
@@ -271,6 +254,6 @@ mod tests {
         let f = store.fetch(&path).unwrap();
         assert!(!f.serial.bytes().is_empty());
         store.invalidate(&path); // no-op, but callable
-        assert_eq!(store.stats().fetches, 1);
+        assert_eq!(store.stats(), StoreStats::default());
     }
 }

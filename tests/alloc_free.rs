@@ -8,19 +8,15 @@
 //! see each other's; nothing is timed.
 
 use exec::ExecPolicy;
-use pricing::methods::bermudan::{lsm_max_call, lsm_max_call_exec};
-use pricing::methods::bond::{mc_zcb_price, mc_zcb_price_exec};
-use pricing::methods::bsde::{bsde_sweep, bsde_sweep_exec, BsdeConfig};
-use pricing::methods::lsm::{
-    lsm_basket, lsm_basket_exec, lsm_heston, lsm_heston_exec, lsm_vanilla_bs, lsm_vanilla_bs_exec,
-    LsmConfig,
-};
+use pricing::methods::bermudan::lsm_max_call;
+use pricing::methods::bond::mc_zcb_price;
+use pricing::methods::bsde::{bsde_sweep, BsdeConfig};
+use pricing::methods::lsm::{lsm_basket, lsm_heston, lsm_vanilla_bs, LsmConfig};
 use pricing::methods::montecarlo::{
-    mc_basket, mc_basket_exec, mc_heston, mc_heston_exec, mc_local_vol, mc_local_vol_exec,
-    mc_vanilla_bs, mc_vanilla_bs_exec, qmc_basket, qmc_vanilla_bs, McConfig,
+    mc_basket, mc_heston, mc_local_vol, mc_vanilla_bs, qmc_basket, qmc_vanilla_bs, McConfig,
 };
 use pricing::methods::pde::{pde_barrier, pde_vanilla, PdeConfig};
-use pricing::methods::xva::{xva_cva, xva_cva_exec, TradeSoA, XvaConfig};
+use pricing::methods::xva::{xva_cva, TradeSoA, XvaConfig};
 use pricing::models::{BlackScholes, Heston, LocalVol, MultiBlackScholes, Vasicek};
 use pricing::options::{Barrier, BasketOption, MaxCall, Vanilla};
 use pricing::MethodSpec;
@@ -147,7 +143,7 @@ fn with_exec(
         let exec = exec.clone();
         let pol = pol(lanes);
         out.push((
-            format!("{name}_exec lanes={lanes}"),
+            format!("{name} chunked lanes={lanes}"),
             Box::new(move |n| exec(n, &pol)),
         ));
     }
@@ -165,29 +161,29 @@ fn montecarlo_kernels_allocate_per_job_not_per_path() {
     let mut kernels = Vec::new();
     kernels.extend(with_exec(
         "mc_vanilla_bs",
-        move |n| keep(mc_vanilla_bs(&bs, &call, &mc(n))),
-        move |n, p| keep(mc_vanilla_bs_exec(&bs, &call, &mc(n), p)),
+        move |n| keep(mc_vanilla_bs(&bs, &call, &mc(n), None)),
+        move |n, p| keep(mc_vanilla_bs(&bs, &call, &mc(n), Some(p))),
     ));
     kernels.extend(with_exec(
         "mc_basket",
         {
             let (basket, bput) = (basket.clone(), bput);
-            move |n| keep(mc_basket(&basket, &bput, &mc(n)))
+            move |n| keep(mc_basket(&basket, &bput, &mc(n), None))
         },
         {
             let (basket, bput) = (basket.clone(), bput);
-            move |n, p| keep(mc_basket_exec(&basket, &bput, &mc(n), p))
+            move |n, p| keep(mc_basket(&basket, &bput, &mc(n), Some(p)))
         },
     ));
     kernels.extend(with_exec(
         "mc_local_vol",
-        move |n| keep(mc_local_vol(&lv, &call, &mc(n))),
-        move |n, p| keep(mc_local_vol_exec(&lv, &call, &mc(n), p)),
+        move |n| keep(mc_local_vol(&lv, &call, &mc(n), None)),
+        move |n, p| keep(mc_local_vol(&lv, &call, &mc(n), Some(p))),
     ));
     kernels.extend(with_exec(
         "mc_heston",
-        move |n| keep(mc_heston(&hes, &call, &mc(n))),
-        move |n, p| keep(mc_heston_exec(&hes, &call, &mc(n), p)),
+        move |n| keep(mc_heston(&hes, &call, &mc(n), None)),
+        move |n, p| keep(mc_heston(&hes, &call, &mc(n), Some(p))),
     ));
     kernels.push((
         "qmc_vanilla_bs".into(),
@@ -213,29 +209,29 @@ fn lsm_kernels_allocate_per_job_not_per_path() {
     let mut kernels = Vec::new();
     kernels.extend(with_exec(
         "lsm_vanilla_bs",
-        move |n| keep(lsm_vanilla_bs(&bs, &put, &lsm(n))),
-        move |n, p| keep(lsm_vanilla_bs_exec(&bs, &put, &lsm(n), p)),
+        move |n| keep(lsm_vanilla_bs(&bs, &put, &lsm(n), None)),
+        move |n, p| keep(lsm_vanilla_bs(&bs, &put, &lsm(n), Some(p))),
     ));
     kernels.extend(with_exec(
         "lsm_basket",
         {
             let basket = basket.clone();
-            move |n| keep(lsm_basket(&basket, &bput, &lsm(n)))
+            move |n| keep(lsm_basket(&basket, &bput, &lsm(n), None))
         },
-        move |n, p| keep(lsm_basket_exec(&basket, &bput, &lsm(n), p)),
+        move |n, p| keep(lsm_basket(&basket, &bput, &lsm(n), Some(p))),
     ));
     kernels.extend(with_exec(
         "lsm_heston",
-        move |n| keep(lsm_heston(&hes, &put, &lsm(n))),
-        move |n, p| keep(lsm_heston_exec(&hes, &put, &lsm(n), p)),
+        move |n| keep(lsm_heston(&hes, &put, &lsm(n), None)),
+        move |n, p| keep(lsm_heston(&hes, &put, &lsm(n), Some(p))),
     ));
     kernels.extend(with_exec(
         "lsm_max_call",
         {
             let max = max.clone();
-            move |n| keep(lsm_max_call(&max, &call, &lsm(n)))
+            move |n| keep(lsm_max_call(&max, &call, &lsm(n), None))
         },
-        move |n, p| keep(lsm_max_call_exec(&max, &call, &lsm(n), p)),
+        move |n, p| keep(lsm_max_call(&max, &call, &lsm(n), Some(p))),
     ));
     assert_flat(kernels, PATHS);
 }
@@ -264,21 +260,21 @@ fn bond_bsde_and_xva_kernels_allocate_per_job_not_per_path() {
     let mut kernels = Vec::new();
     kernels.extend(with_exec(
         "mc_zcb_price",
-        move |n| keep(mc_zcb_price(&vas, 2.0, &mc(n))),
-        move |n, p| keep(mc_zcb_price_exec(&vas, 2.0, &mc(n), p)),
+        move |n| keep(mc_zcb_price(&vas, 2.0, &mc(n), None)),
+        move |n, p| keep(mc_zcb_price(&vas, 2.0, &mc(n), Some(p))),
     ));
     kernels.extend(with_exec(
         "bsde_sweep",
-        move |n| keep(bsde_sweep(&bs, &call, &bsde(n))),
-        move |n, p| keep(bsde_sweep_exec(&bs, &call, &bsde(n), p)),
+        move |n| keep(bsde_sweep(&bs, &call, &bsde(n), None)),
+        move |n, p| keep(bsde_sweep(&bs, &call, &bsde(n), Some(p))),
     ));
     kernels.extend(with_exec(
         "xva_cva",
         {
             let book = book.clone();
-            move |n| keep(xva_cva(&bs, &book, 1.0, &xva(n)))
+            move |n| keep(xva_cva(&bs, &book, 1.0, &xva(n), None))
         },
-        move |n, p| keep(xva_cva_exec(&bs, &book, 1.0, &xva(n), p)),
+        move |n, p| keep(xva_cva(&bs, &book, 1.0, &xva(n), Some(p))),
     ));
     assert_flat(kernels, PATHS);
 }

@@ -1,7 +1,7 @@
 //! Bit-identity battery for the chunked compute executor.
 //!
 //! The contract under test (see `docs/PARALLEL.md`): for every
-//! parallelised kernel, the `*_exec` entry points produce **bit-identical**
+//! parallelised kernel, the chunked entry points produce **bit-identical**
 //! prices for any worker count, because determinism is carried by the
 //! chunk layout (fixed-size chunks, one seeded RNG stream per chunk,
 //! reduction in chunk order) and never by the thread schedule. The worker
@@ -19,8 +19,8 @@
 //! the scalar kernel, byte-for-byte.
 
 use exec::ExecPolicy;
-use pricing::methods::lsm::{lsm_vanilla_bs_exec, LsmConfig};
-use pricing::methods::montecarlo::{mc_vanilla_bs_exec, McConfig};
+use pricing::methods::lsm::{lsm_vanilla_bs, LsmConfig};
+use pricing::methods::montecarlo::{mc_vanilla_bs, McConfig};
 use pricing::models::{BlackScholes, Vasicek};
 use pricing::options::Vanilla;
 use pricing::{MethodSpec, ModelSpec, OptionSpec, PremiaProblem};
@@ -48,9 +48,9 @@ fn mc_call_bit_identical_across_worker_counts() {
             antithetic,
             seed: 7,
         };
-        let base = mc_vanilla_bs_exec(&m, &opt, &cfg, &ExecPolicy::new(1));
+        let base = mc_vanilla_bs(&m, &opt, &cfg, Some(&ExecPolicy::new(1)));
         for &w in &WORKERS[1..] {
-            let r = mc_vanilla_bs_exec(&m, &opt, &cfg, &ExecPolicy::new(w));
+            let r = mc_vanilla_bs(&m, &opt, &cfg, Some(&ExecPolicy::new(w)));
             assert_eq!(
                 bits(r.price),
                 bits(base.price),
@@ -73,9 +73,9 @@ fn lsm_american_put_bit_identical_across_worker_counts() {
         paths: 4_000,
         ..LsmConfig::default()
     };
-    let base = lsm_vanilla_bs_exec(&m, &opt, &cfg, &ExecPolicy::new(1));
+    let base = lsm_vanilla_bs(&m, &opt, &cfg, Some(&ExecPolicy::new(1)));
     for &w in &WORKERS[1..] {
-        let r = lsm_vanilla_bs_exec(&m, &opt, &cfg, &ExecPolicy::new(w));
+        let r = lsm_vanilla_bs(&m, &opt, &cfg, Some(&ExecPolicy::new(w)));
         assert_eq!(
             bits(r.price),
             bits(base.price),
@@ -86,7 +86,7 @@ fn lsm_american_put_bit_identical_across_worker_counts() {
 
 #[test]
 fn vasicek_bond_bit_identical_across_worker_counts() {
-    use pricing::methods::bond::mc_zcb_price_exec;
+    use pricing::methods::bond::mc_zcb_price;
     let m = Vasicek::new(0.03, 0.8, 0.05, 0.015);
     let cfg = McConfig {
         paths: 8_000,
@@ -94,9 +94,9 @@ fn vasicek_bond_bit_identical_across_worker_counts() {
         antithetic: false,
         seed: 99,
     };
-    let base = mc_zcb_price_exec(&m, 2.0, &cfg, &ExecPolicy::new(1));
+    let base = mc_zcb_price(&m, 2.0, &cfg, Some(&ExecPolicy::new(1)));
     for &w in &WORKERS[1..] {
-        let r = mc_zcb_price_exec(&m, 2.0, &cfg, &ExecPolicy::new(w));
+        let r = mc_zcb_price(&m, 2.0, &cfg, Some(&ExecPolicy::new(w)));
         assert_eq!(
             bits(r.price),
             bits(base.price),
@@ -118,9 +118,9 @@ fn chunk_size_is_part_of_the_contract_thread_count_is_not() {
         antithetic: false,
         seed: 7,
     };
-    let a = mc_vanilla_bs_exec(&m, &opt, &cfg, &ExecPolicy::new(2).chunk(512));
-    let b = mc_vanilla_bs_exec(&m, &opt, &cfg, &ExecPolicy::new(8).chunk(512));
-    let c = mc_vanilla_bs_exec(&m, &opt, &cfg, &ExecPolicy::new(8).chunk(256));
+    let a = mc_vanilla_bs(&m, &opt, &cfg, Some(&ExecPolicy::new(2).chunk(512)));
+    let b = mc_vanilla_bs(&m, &opt, &cfg, Some(&ExecPolicy::new(8).chunk(512)));
+    let c = mc_vanilla_bs(&m, &opt, &cfg, Some(&ExecPolicy::new(8).chunk(256)));
     assert_eq!(bits(a.price), bits(b.price));
     assert_ne!(
         bits(a.price),
@@ -141,9 +141,9 @@ const LANES: [usize; 3] = [1, 4, 8];
 
 #[test]
 fn every_kernel_bit_identical_across_worker_counts_at_each_lane_width() {
-    use pricing::methods::bond::mc_zcb_price_exec;
-    use pricing::methods::lsm::{lsm_basket_exec, lsm_heston_exec};
-    use pricing::methods::montecarlo::{mc_basket_exec, mc_heston_exec, mc_local_vol_exec};
+    use pricing::methods::bond::mc_zcb_price;
+    use pricing::methods::lsm::{lsm_basket, lsm_heston};
+    use pricing::methods::montecarlo::{mc_basket, mc_heston, mc_local_vol};
     use pricing::models::{Heston, LocalVol, MultiBlackScholes};
     use pricing::options::BasketOption;
 
@@ -172,35 +172,35 @@ fn every_kernel_bit_identical_across_worker_counts_at_each_lane_width() {
     let kernels: Vec<(&str, PriceFn)> = vec![
         (
             "mc_vanilla",
-            Box::new(|p| mc_vanilla_bs_exec(&bs, &call, &mc, p).price),
+            Box::new(|p| mc_vanilla_bs(&bs, &call, &mc, Some(p)).price),
         ),
         (
             "mc_basket",
-            Box::new(|p| mc_basket_exec(&mbs, &bput, &mc, p).price),
+            Box::new(|p| mc_basket(&mbs, &bput, &mc, Some(p)).price),
         ),
         (
             "mc_local_vol",
-            Box::new(|p| mc_local_vol_exec(&lv, &call, &mc, p).price),
+            Box::new(|p| mc_local_vol(&lv, &call, &mc, Some(p)).price),
         ),
         (
             "mc_heston",
-            Box::new(|p| mc_heston_exec(&hes, &call, &mc, p).price),
+            Box::new(|p| mc_heston(&hes, &call, &mc, Some(p)).price),
         ),
         (
             "mc_zcb",
-            Box::new(|p| mc_zcb_price_exec(&vas, 2.0, &mc, p).price),
+            Box::new(|p| mc_zcb_price(&vas, 2.0, &mc, Some(p)).price),
         ),
         (
             "lsm_vanilla",
-            Box::new(|p| lsm_vanilla_bs_exec(&bs, &aput, &lsm, p).price),
+            Box::new(|p| lsm_vanilla_bs(&bs, &aput, &lsm, Some(p)).price),
         ),
         (
             "lsm_basket",
-            Box::new(|p| lsm_basket_exec(&mbs, &abput, &lsm, p).price),
+            Box::new(|p| lsm_basket(&mbs, &abput, &lsm, Some(p)).price),
         ),
         (
             "lsm_heston",
-            Box::new(|p| lsm_heston_exec(&hes, &aput, &lsm, p).price),
+            Box::new(|p| lsm_heston(&hes, &aput, &lsm, Some(p)).price),
         ),
     ];
     for (name, price) in &kernels {
@@ -223,7 +223,7 @@ fn lane_width_is_part_of_the_contract_like_the_chunk_size() {
     // A path-dependent kernel consumes draws in lane order, so each lane
     // width is a different (equally valid) estimator — all within
     // Monte-Carlo accuracy of each other.
-    use pricing::methods::montecarlo::mc_local_vol_exec;
+    use pricing::methods::montecarlo::mc_local_vol;
     use pricing::models::LocalVol;
     let lv = LocalVol::standard(100.0, 0.2, 0.05, 0.0);
     let call = Vanilla::european_call(105.0, 1.5);
@@ -233,9 +233,9 @@ fn lane_width_is_part_of_the_contract_like_the_chunk_size() {
         antithetic: false,
         seed: 11,
     };
-    let s = mc_local_vol_exec(&lv, &call, &cfg, &ExecPolicy::new(4).lanes(1));
-    let l4 = mc_local_vol_exec(&lv, &call, &cfg, &ExecPolicy::new(4).lanes(4));
-    let l8 = mc_local_vol_exec(&lv, &call, &cfg, &ExecPolicy::new(4).lanes(8));
+    let s = mc_local_vol(&lv, &call, &cfg, Some(&ExecPolicy::new(4).lanes(1)));
+    let l4 = mc_local_vol(&lv, &call, &cfg, Some(&ExecPolicy::new(4).lanes(4)));
+    let l8 = mc_local_vol(&lv, &call, &cfg, Some(&ExecPolicy::new(4).lanes(8)));
     assert_ne!(bits(s.price), bits(l4.price));
     assert_ne!(bits(l4.price), bits(l8.price));
     assert!((s.price - l8.price).abs() < 4.0 * (s.std_error + l8.std_error));
@@ -247,7 +247,7 @@ fn lane_tail_handles_path_counts_not_divisible_by_the_width() {
     // with a scalar tail on the same chunk stream. Odd path counts must
     // stay worker-count-stable, and a chunk shorter than the lane width
     // (all tail) must still consume its stream in a well-defined order.
-    use pricing::methods::montecarlo::mc_heston_exec;
+    use pricing::methods::montecarlo::mc_heston;
     use pricing::models::Heston;
     let hes = Heston::standard(100.0, 0.05);
     let call = Vanilla::european_call(105.0, 1.5);
@@ -259,9 +259,9 @@ fn lane_tail_handles_path_counts_not_divisible_by_the_width() {
             seed: 5,
         };
         for lanes in LANES[1..].iter().copied() {
-            let base = mc_heston_exec(&hes, &call, &cfg, &ExecPolicy::new(1).lanes(lanes));
+            let base = mc_heston(&hes, &call, &cfg, Some(&ExecPolicy::new(1).lanes(lanes)));
             for &w in &WORKERS[1..] {
-                let r = mc_heston_exec(&hes, &call, &cfg, &ExecPolicy::new(w).lanes(lanes));
+                let r = mc_heston(&hes, &call, &cfg, Some(&ExecPolicy::new(w).lanes(lanes)));
                 assert_eq!(
                     bits(r.price),
                     bits(base.price),
@@ -279,8 +279,18 @@ fn lane_tail_handles_path_counts_not_divisible_by_the_width() {
         antithetic: false,
         seed: 5,
     };
-    let all_tail = mc_heston_exec(&hes, &call, &cfg, &ExecPolicy::new(2).chunk(4).lanes(8));
-    let scalar = mc_heston_exec(&hes, &call, &cfg, &ExecPolicy::new(2).chunk(4).lanes(1));
+    let all_tail = mc_heston(
+        &hes,
+        &call,
+        &cfg,
+        Some(&ExecPolicy::new(2).chunk(4).lanes(8)),
+    );
+    let scalar = mc_heston(
+        &hes,
+        &call,
+        &cfg,
+        Some(&ExecPolicy::new(2).chunk(4).lanes(1)),
+    );
     assert_eq!(bits(all_tail.price), bits(scalar.price));
 }
 
@@ -325,9 +335,9 @@ proptest! {
         let m = BlackScholes::new(100.0, 0.25, 0.04, 0.0);
         let opt = Vanilla::european_call(strike, 1.0);
         let cfg = McConfig { paths, time_steps: 1, antithetic: false, seed };
-        let r1 = mc_vanilla_bs_exec(&m, &opt, &cfg, &ExecPolicy::new(1));
-        let r2 = mc_vanilla_bs_exec(&m, &opt, &cfg, &ExecPolicy::new(2));
-        let r8 = mc_vanilla_bs_exec(&m, &opt, &cfg, &ExecPolicy::new(8));
+        let r1 = mc_vanilla_bs(&m, &opt, &cfg, Some(&ExecPolicy::new(1)));
+        let r2 = mc_vanilla_bs(&m, &opt, &cfg, Some(&ExecPolicy::new(2)));
+        let r8 = mc_vanilla_bs(&m, &opt, &cfg, Some(&ExecPolicy::new(8)));
         prop_assert_eq!(bits(r1.price), bits(r2.price));
         prop_assert_eq!(bits(r1.price), bits(r8.price));
         prop_assert_eq!(bits(r1.std_error), bits(r8.std_error));
@@ -341,8 +351,8 @@ proptest! {
         let m = BlackScholes::new(100.0, 0.3, 0.05, 0.0);
         let opt = Vanilla::american_put(100.0, 1.0);
         let cfg = LsmConfig { paths, seed, ..LsmConfig::default() };
-        let r1 = lsm_vanilla_bs_exec(&m, &opt, &cfg, &ExecPolicy::new(1));
-        let r8 = lsm_vanilla_bs_exec(&m, &opt, &cfg, &ExecPolicy::new(8));
+        let r1 = lsm_vanilla_bs(&m, &opt, &cfg, Some(&ExecPolicy::new(1)));
+        let r8 = lsm_vanilla_bs(&m, &opt, &cfg, Some(&ExecPolicy::new(8)));
         prop_assert_eq!(bits(r1.price), bits(r8.price));
     }
 
@@ -357,13 +367,13 @@ proptest! {
         let m = BlackScholes::new(100.0, 0.25, 0.04, 0.0);
         let opt = Vanilla::european_call(105.0, 1.0);
         let cfg = McConfig { paths, time_steps: 1, antithetic: false, seed };
-        let plain = mc_vanilla_bs_exec(&m, &opt, &cfg, &ExecPolicy::new(1));
-        let scalar = mc_vanilla_bs_exec(&m, &opt, &cfg, &ExecPolicy::new(8).lanes(1));
+        let plain = mc_vanilla_bs(&m, &opt, &cfg, Some(&ExecPolicy::new(1)));
+        let scalar = mc_vanilla_bs(&m, &opt, &cfg, Some(&ExecPolicy::new(8).lanes(1)));
         prop_assert_eq!(bits(plain.price), bits(scalar.price));
         prop_assert_eq!(bits(plain.std_error), bits(scalar.std_error));
         for lanes in [4usize, 8] {
-            let w1 = mc_vanilla_bs_exec(&m, &opt, &cfg, &ExecPolicy::new(1).lanes(lanes));
-            let w8 = mc_vanilla_bs_exec(&m, &opt, &cfg, &ExecPolicy::new(8).lanes(lanes));
+            let w1 = mc_vanilla_bs(&m, &opt, &cfg, Some(&ExecPolicy::new(1).lanes(lanes)));
+            let w8 = mc_vanilla_bs(&m, &opt, &cfg, Some(&ExecPolicy::new(8).lanes(lanes)));
             prop_assert_eq!(bits(w1.price), bits(w8.price));
             prop_assert_eq!(bits(w1.std_error), bits(w8.std_error));
         }

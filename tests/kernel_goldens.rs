@@ -28,27 +28,25 @@
 
 use exec::ExecPolicy;
 use farm::portfolio::{realistic_portfolio, JobClass, PortfolioScale};
-use pricing::methods::bond::mc_zcb_price_exec;
-use pricing::methods::bsde::{bsde_sweep_exec, BsdeConfig};
-use pricing::methods::lsm::{lsm_basket_exec, lsm_heston_exec, lsm_vanilla_bs_exec, LsmConfig};
-use pricing::methods::montecarlo::{
-    mc_basket_exec, mc_heston_exec, mc_local_vol_exec, mc_vanilla_bs_exec, McConfig,
-};
-use pricing::methods::xva::{xva_cva_exec, TradeSoA, XvaConfig};
+use pricing::methods::bond::mc_zcb_price;
+use pricing::methods::bsde::{bsde_sweep, BsdeConfig};
+use pricing::methods::lsm::{lsm_basket, lsm_heston, lsm_vanilla_bs, LsmConfig};
+use pricing::methods::montecarlo::{mc_basket, mc_heston, mc_local_vol, mc_vanilla_bs, McConfig};
+use pricing::methods::xva::{xva_cva, TradeSoA, XvaConfig};
 use pricing::models::{BlackScholes, Heston, LocalVol, MultiBlackScholes, Vasicek};
 use pricing::options::{BasketOption, Vanilla};
 use pricing::{MethodSpec, ModelSpec, OptionSpec, PremiaProblem};
 
 /// Kernel names in table order.
 const KERNELS: [&str; 8] = [
-    "mc_vanilla_bs_exec",
-    "mc_basket_exec",
-    "mc_local_vol_exec",
-    "mc_heston_exec",
-    "mc_zcb_price_exec",
-    "lsm_vanilla_bs_exec",
-    "lsm_basket_exec",
-    "lsm_heston_exec",
+    "mc_vanilla_bs",
+    "mc_basket",
+    "mc_local_vol",
+    "mc_heston",
+    "mc_zcb_price",
+    "lsm_vanilla_bs",
+    "lsm_basket",
+    "lsm_heston",
 ];
 
 fn mc_cfg(paths: usize, time_steps: usize) -> McConfig {
@@ -79,14 +77,20 @@ fn prices(pol: &ExecPolicy) -> [f64; 8] {
         ..LsmConfig::default()
     };
     [
-        mc_vanilla_bs_exec(&bs, &call, &mc_cfg(4_000, 1), pol).price,
-        mc_basket_exec(&mbs, &bput, &mc_cfg(2_000, 1), pol).price,
-        mc_local_vol_exec(&lv, &call, &mc_cfg(2_000, 16), pol).price,
-        mc_heston_exec(&hes, &call, &mc_cfg(2_000, 16), pol).price,
-        mc_zcb_price_exec(&vas, 2.0, &mc_cfg(2_000, 16), pol).price,
-        lsm_vanilla_bs_exec(&lsm_bs, &aput, &lsm_cfg, pol).price,
-        lsm_basket_exec(&lsm_mbs, &abput, &lsm_cfg, pol).price,
-        lsm_heston_exec(&hes, &Vanilla::american_put(100.0, 1.0), &lsm_cfg, pol).price,
+        mc_vanilla_bs(&bs, &call, &mc_cfg(4_000, 1), Some(pol)).price,
+        mc_basket(&mbs, &bput, &mc_cfg(2_000, 1), Some(pol)).price,
+        mc_local_vol(&lv, &call, &mc_cfg(2_000, 16), Some(pol)).price,
+        mc_heston(&hes, &call, &mc_cfg(2_000, 16), Some(pol)).price,
+        mc_zcb_price(&vas, 2.0, &mc_cfg(2_000, 16), Some(pol)).price,
+        lsm_vanilla_bs(&lsm_bs, &aput, &lsm_cfg, Some(pol)).price,
+        lsm_basket(&lsm_mbs, &abput, &lsm_cfg, Some(pol)).price,
+        lsm_heston(
+            &hes,
+            &Vanilla::american_put(100.0, 1.0),
+            &lsm_cfg,
+            Some(pol),
+        )
+        .price,
     ]
 }
 
@@ -94,7 +98,7 @@ fn prices(pol: &ExecPolicy) -> [f64; 8] {
 ///
 /// `GOLDEN_LANES1` is the pre-lane capture (the scalar kernels, byte for
 /// byte). The lane tables were pinned when the lane kernels landed; note
-/// the single-step kernels (`mc_vanilla_bs_exec`, `mc_basket_exec`)
+/// the single-step kernels (`mc_vanilla_bs`, `mc_basket`)
 /// consume draws in the same order at any lane count, so their lane
 /// prices differ from scalar only by `mul_add` fusion — per-sample ulps
 /// that happen to round to the same mean at these fixture sizes. The
@@ -468,8 +472,8 @@ fn sweep_bits(pol: &ExecPolicy) -> [(u64, u64); 2] {
         seed: 42,
     };
     let book = TradeSoA::generate(24, bs.spot, 1.0, 42);
-    let b = bsde_sweep_exec(&bs, &call, &bsde, pol);
-    let x = xva_cva_exec(&bs, &book, 1.0, &xva, pol);
+    let b = bsde_sweep(&bs, &call, &bsde, Some(pol));
+    let x = xva_cva(&bs, &book, 1.0, &xva, Some(pol));
     [se_bits(b.price, b.std_error), se_bits(x.price, x.std_error)]
 }
 

@@ -17,11 +17,8 @@
 //! ```
 
 use exec::ExecPolicy;
-use pricing::methods::bermudan::{lsm_max_call, lsm_max_call_exec};
-use pricing::methods::lsm::{
-    lsm_basket, lsm_basket_exec, lsm_heston, lsm_heston_exec, lsm_vanilla_bs, lsm_vanilla_bs_exec,
-    LsmConfig,
-};
+use pricing::methods::bermudan::lsm_max_call;
+use pricing::methods::lsm::{lsm_basket, lsm_heston, lsm_vanilla_bs, LsmConfig};
 use pricing::methods::montecarlo::McResult;
 use pricing::models::{BlackScholes, Heston, MultiBlackScholes};
 use pricing::options::{BasketOption, MaxCall, Vanilla};
@@ -43,8 +40,8 @@ fn cfg() -> LsmConfig {
     }
 }
 
-/// Price every kernel, in [`KERNELS`] order: through the chunked `_exec`
-/// entry point under `pol`, or through the sequential one when `None`.
+/// Price every kernel, in [`KERNELS`] order: chunked under `pol`, or the
+/// whole sample on one stream when `None`.
 fn prices(pol: Option<&ExecPolicy>) -> [McResult; 4] {
     let bs = BlackScholes::new(100.0, 0.3, 0.05, 0.0);
     let put = Vanilla::american_put(110.0, 1.0);
@@ -58,16 +55,16 @@ fn prices(pol: Option<&ExecPolicy>) -> [McResult; 4] {
     let cfg = cfg();
     match pol {
         Some(pol) => [
-            lsm_vanilla_bs_exec(&bs, &put, &cfg, pol),
-            lsm_basket_exec(&basket, &bput, &cfg, pol),
-            lsm_heston_exec(&hes, &hput, &cfg, pol),
-            lsm_max_call_exec(&max, &call, &cfg, pol),
+            lsm_vanilla_bs(&bs, &put, &cfg, Some(pol)),
+            lsm_basket(&basket, &bput, &cfg, Some(pol)),
+            lsm_heston(&hes, &hput, &cfg, Some(pol)),
+            lsm_max_call(&max, &call, &cfg, Some(pol)),
         ],
         None => [
-            lsm_vanilla_bs(&bs, &put, &cfg),
-            lsm_basket(&basket, &bput, &cfg),
-            lsm_heston(&hes, &hput, &cfg),
-            lsm_max_call(&max, &call, &cfg),
+            lsm_vanilla_bs(&bs, &put, &cfg, None),
+            lsm_basket(&basket, &bput, &cfg, None),
+            lsm_heston(&hes, &hput, &cfg, None),
+            lsm_max_call(&max, &call, &cfg, None),
         ],
     }
 }
