@@ -361,11 +361,7 @@ fn compute_problems() -> [(&'static str, PremiaProblem); 5] {
     [
         (
             "vanilla BS MC",
-            PremiaProblem::new(
-                ModelSpec::BlackScholes(bs),
-                call.clone(),
-                mc(4_000, 1),
-            ),
+            PremiaProblem::new(ModelSpec::BlackScholes(bs), call.clone(), mc(4_000, 1)),
         ),
         (
             "Heston MC",
