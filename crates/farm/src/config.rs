@@ -387,6 +387,38 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A slave answers and parks for its next frame, so the stop
+    /// sentinels find the slaves parked and leave their wakes owed: the
+    /// master's next receive issues each one, and its `Comm`, dropped as
+    /// the master returns, the last. A wake lost on the way hangs the
+    /// run, plain or supervised.
+    #[test]
+    fn the_stop_sentinels_wake_every_parked_slave() {
+        use std::time::{Duration, Instant};
+        let (paths, dir) = setup(24, "stop_sentinels");
+        let runs = std::thread::spawn(move || {
+            for _ in 0..20 {
+                for cfg in [
+                    FarmConfig::new(3, Transmission::SerializedLoad),
+                    FarmConfig::new(3, Transmission::SerializedLoad)
+                        .supervisor(SupervisorConfig::default()),
+                ] {
+                    assert_eq!(run(&paths, &cfg).unwrap().completed(), 24);
+                }
+            }
+        });
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !runs.is_finished() {
+            assert!(
+                Instant::now() < deadline,
+                "a slave was never woken for its stop"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        runs.join().expect("every run returns");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn a_frame_read_in_place_records_each_member() {
         use obs::EventKind;

@@ -133,12 +133,11 @@ mod tests {
     use crate::portfolio::{save_portfolio, toy_portfolio};
     use crate::robin_hood::FarmError;
     use crate::strategy::Transmission;
-    use pricing::{MethodSpec, OptionSpec, PremiaProblem};
+    use pricing::{OptionSpec, PremiaProblem};
 
-    /// A call with a negative strike: the Heston closed form refuses it,
-    /// the Black–Scholes tree kernel panics on it.
-    fn bad(model: &str, method: &str) -> PremiaProblem {
-        let mut p = PremiaProblem::create(model, "CallEuro", method).unwrap();
+    /// A Heston call with a negative strike: refused before any kernel.
+    fn refused() -> PremiaProblem {
+        let mut p = PremiaProblem::create("Heston1dim", "CallEuro", "CF").unwrap();
         p.option = OptionSpec::Call {
             strike: -1.0,
             maturity: 1.0,
@@ -146,13 +145,23 @@ mod tests {
         p
     }
 
+    /// A down-and-out call whose barrier is above its strike: valid terms
+    /// the closed-form kernel panics on.
+    fn panicking() -> PremiaProblem {
+        let mut p = PremiaProblem::create("BlackScholes1dim", "CallDownOut", "CF").unwrap();
+        p.option = OptionSpec::DownOutCall {
+            strike: 90.0,
+            barrier: 95.0,
+            maturity: 1.0,
+        };
+        p
+    }
+
     #[test]
     fn a_bad_problem_fails_its_job_and_never_poisons_the_world() {
-        let mut tree = bad("BlackScholes1dim", "TR_CoxRossRubinstein");
-        tree.method = MethodSpec::Tree { steps: 50 };
         for (name, problem, why) in [
-            ("heston_cf", bad("Heston1dim", "CF"), "compute failed: "),
-            ("bs_tree", tree, "compute panicked: "),
+            ("heston_cf", refused(), "compute failed: "),
+            ("barrier_cf", panicking(), "compute panicked: "),
         ] {
             let mut jobs = toy_portfolio(4);
             jobs[2].problem = problem;

@@ -8,6 +8,14 @@
 //! *above* the wire: a `FaultPlan`'s verdicts are mapped onto what the
 //! backend can express (drops never sent, truncations sent short,
 //! delays carried as frame metadata, kills marked group-wide).
+//!
+//! A send that finds its receiver parked does not wake it: the wake is
+//! owed, and issued at the top of this rank's next operation (a send to
+//! the same rank joins it), in [`Comm::leave`], in [`Comm::barrier`] and
+//! when the `Comm` is dropped. MPI promises no more — a message is only
+//! sure to progress once its sender calls into the library again — and
+//! it makes Fig. 4's name + payload hand-off, and every send followed by
+//! a receive, cost the receiver one wake-up.
 
 use crate::buf::MpiBuf;
 use crate::error::MpiError;
@@ -17,7 +25,7 @@ use obs::{Event, EventKind, Recorder, NO_JOB};
 use std::cell::Cell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use transport::{Frame, Payload, Transport, TransportError};
+use transport::{Frame, OwedWake, Payload, Transport, TransportError};
 
 /// Delivery status of a matched message (MPI_Status): source rank, tag and
 /// payload size in bytes (`MPI_Get_count` / `MPI_Get_elements`).
@@ -88,6 +96,9 @@ pub struct Comm {
     recorder: Option<Arc<Recorder>>,
     /// Job-attribution context for recorded events ([`Comm::set_job`]).
     job: Cell<i64>,
+    /// The wake the last send owes its receiver, and that receiver's
+    /// rank; see the module docs for where it is issued.
+    owed: Cell<Option<(usize, OwedWake)>>,
 }
 
 impl Comm {
@@ -105,12 +116,15 @@ impl Comm {
             sends: Cell::new(0),
             recorder,
             job: Cell::new(NO_JOB),
+            owed: Cell::new(None),
         }
     }
 
-    /// The transport endpoint backing this communicator.
-    pub(crate) fn transport(&self) -> &Arc<dyn Transport> {
-        &self.transport
+    /// Issue the wake the last send left owed, if any.
+    pub(crate) fn settle(&self) {
+        if let Some((_, wake)) = self.owed.take() {
+            wake.issue();
+        }
     }
 
     // ----- observability ----------------------------------------------------
@@ -153,10 +167,23 @@ impl Comm {
         }
     }
 
-    /// Count one operation against the fault plan. Returns
-    /// `Err(Poisoned(self.rank))` if this rank is already dead or the plan
-    /// kills it at this op boundary.
-    fn pre_op(&self) -> Result<(), MpiError> {
+    /// Start one operation: issue the wake the last send left owed —
+    /// unless this op is a send to the same rank (`send_to`), which joins
+    /// it, so that receiver wakes once to find both frames — then count
+    /// the op against the fault plan. Returns `Err(Poisoned(self.rank))`
+    /// if this rank is already dead or the plan kills it at this op
+    /// boundary; a joined wake is issued then too.
+    fn pre_op(&self, send_to: Option<usize>) -> Result<(), MpiError> {
+        match self.owed.take() {
+            Some((to, wake)) if Some(to) == send_to => self.owed.set(Some((to, wake))),
+            Some((_, wake)) => wake.issue(),
+            None => {}
+        }
+        self.count_op().inspect_err(|_| self.settle())
+    }
+
+    /// Count one operation against the fault plan (see [`Comm::pre_op`]).
+    fn count_op(&self) -> Result<(), MpiError> {
         let op = self.ops.get();
         self.ops.set(op + 1);
         if self.transport.is_dead(self.rank) {
@@ -224,11 +251,12 @@ impl Comm {
         self.send_internal(Payload::Owned(bytes.to_vec()), dest, tag)
     }
 
-    /// The shared send path.
+    /// The shared send path. The frame is queued quietly: a parked
+    /// receiver's wake is left owed ([`Comm::pre_op`]).
     fn send_internal(&self, mut payload: Payload, dest: i32, tag: i32) -> Result<(), MpiError> {
         let dest = self.check_dest(dest)?;
-        self.pre_op()?;
         let t0 = self.obs_start();
+        self.pre_op(Some(dest))?;
         let full_len = payload.len();
         let mut visible_at = None;
         if let Some(plan) = &self.plan {
@@ -273,7 +301,11 @@ impl Comm {
             full_len,
             visible_at,
         };
-        self.transport.send(dest, frame).map_err(map_err)?;
+        let owed = self.transport.send_quiet(dest, frame).map_err(map_err)?;
+        // A wake this send joined goes unissued: `owed` wakes the same
+        // receiver, and `None` means it is not parked, so it scans its
+        // queue, both frames in it, before it next parks.
+        self.owed.set(owed.map(|wake| (dest, wake)));
         self.obs_span(EventKind::Send, t0, full_len);
         Ok(())
     }
@@ -294,8 +326,8 @@ impl Comm {
     /// Blocking `MPI_Probe`: wait until a message matching `(src, tag)` is
     /// pending and return its status without consuming it.
     pub fn probe(&self, src: i32, tag: i32) -> Result<Status, MpiError> {
-        self.pre_op()?;
         let t0 = self.obs_start();
+        self.pre_op(None)?;
         let m = self
             .match_deadline(src, tag, None, false)?
             .expect("no deadline, so never None");
@@ -331,8 +363,8 @@ impl Comm {
 
     /// Convenience receive returning an owned byte vector.
     pub fn recv(&self, src: i32, tag: i32) -> Result<(Vec<u8>, Status), MpiError> {
-        self.pre_op()?;
         let t0 = self.obs_start();
+        self.pre_op(None)?;
         let msg = self.recv_message(src, tag)?;
         let status = status_of(&msg);
         self.obs_span(EventKind::Recv, t0, msg.payload.len());
@@ -347,8 +379,8 @@ impl Comm {
         tag: i32,
         timeout: Duration,
     ) -> Result<Option<(Vec<u8>, Status)>, MpiError> {
-        self.pre_op()?;
         let t0 = self.obs_start();
+        self.pre_op(None)?;
         Ok(self
             .match_deadline(src, tag, deadline_after(timeout), true)?
             .map(|msg| {
@@ -363,7 +395,7 @@ impl Comm {
     /// was removed. This is how a protocol clears a mangled frame and
     /// resynchronises.
     pub fn discard(&self, src: i32, tag: i32) -> Result<bool, MpiError> {
-        self.pre_op()?;
+        self.pre_op(None)?;
         self.transport.discard(src, tag).map_err(map_err)
     }
 
@@ -377,8 +409,9 @@ impl Comm {
     /// kill does. Peers' sends to it fail fast and [`Comm::rank_alive`]
     /// reads false for it, so a master sweeping liveness sees it gone
     /// instead of waiting out a deadline on a rank that will never
-    /// answer.
+    /// answer. A wake the last send left owed is issued first.
     pub fn leave(&self) {
+        self.settle();
         self.transport.kill(self.rank);
     }
 
@@ -458,9 +491,19 @@ impl Comm {
 
     // ----- collectives ------------------------------------------------------
 
-    /// `MPI_Barrier` over all ranks of this communicator.
+    /// `MPI_Barrier` over all ranks of this communicator. A wake the
+    /// last send left owed is issued first: the receiver may be the rank
+    /// this one waits for.
     pub fn barrier(&self) {
+        self.settle();
         self.transport.barrier();
+    }
+}
+
+impl Drop for Comm {
+    /// A rank that ends on a send still wakes its receiver.
+    fn drop(&mut self) {
+        self.settle();
     }
 }
 
@@ -469,6 +512,7 @@ mod tests {
     use super::*;
     use crate::{World, ANY_SOURCE, ANY_TAG};
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use transport::ChannelGroup;
 
     impl Comm {
         /// [`Comm::probe`] with a timeout: `Ok(None)` if nothing matching
@@ -480,8 +524,8 @@ mod tests {
             tag: i32,
             timeout: Duration,
         ) -> Result<Option<Status>, MpiError> {
-            self.pre_op()?;
             let t0 = self.obs_start();
+            self.pre_op(None)?;
             let matched = self.match_deadline(src, tag, deadline_after(timeout), false)?;
             if let Some(m) = &matched {
                 self.obs_span(EventKind::Probe, t0, m.full_len);
@@ -491,7 +535,7 @@ mod tests {
 
         /// Non-blocking `MPI_Iprobe`.
         fn iprobe(&self, src: i32, tag: i32) -> Result<Option<Status>, MpiError> {
-            self.pre_op()?;
+            self.pre_op(None)?;
             let m = self.transport.try_match(src, tag).map_err(map_err)?;
             Ok(m.map(|m| status_of(&m)))
         }
@@ -972,6 +1016,184 @@ mod tests {
         });
         assert_eq!(out[1], (0..20).collect::<Vec<u8>>());
         assert!(events.events().is_empty());
+    }
+
+    // ----- deferred wakes ------------------------------------------------
+
+    /// Run `f` on its own thread and fail if it is still going after
+    /// 20 s: a lost wake-up is a hang, and a hang must fail the test, not
+    /// the suite.
+    fn hang_guard<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = transport::queue::channel();
+        let worker = std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        match rx.recv_timeout(Duration::from_secs(20)) {
+            Ok(Some(v)) => {
+                worker.join().expect("the case returned");
+                v
+            }
+            Ok(None) => panic!("{what}: still blocked after 20 s (a lost wake-up)"),
+            Err(_) => std::panic::resume_unwind(worker.join().unwrap_err()),
+        }
+    }
+
+    /// `n` ranks on one channel group, built directly so a test can see
+    /// who is parked and count the wake-ups each rank was sent.
+    fn group_world(n: usize, plan: Option<Arc<FaultPlan>>) -> (Arc<ChannelGroup>, Vec<Comm>) {
+        let group = ChannelGroup::new(n);
+        let comms = (0..n)
+            .map(|r| Comm::new(Arc::new(group.endpoint(r)), plan.clone(), None))
+            .collect();
+        (group, comms)
+    }
+
+    /// Spin until `rank` is parked in a receive: forces the interleaving
+    /// a deferred wake is about, without a sleep.
+    fn until_parked(group: &ChannelGroup, rank: usize) {
+        while !group.parked(rank) {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Rank 1 parks in `recv(0, 0)`; rank 0 waits for that, sends it one
+    /// byte — which leaves the wake owed — and then runs `then`, which
+    /// must wake it. Rank 0's `Comm` outlives rank 1, so the drop is not
+    /// what wakes it. Returns what rank 1 received and the wake-ups it
+    /// was sent.
+    fn owed_then(plan: Option<Arc<FaultPlan>>, then: fn(&Comm)) -> (Vec<u8>, usize) {
+        let (group, mut comms) = group_world(2, plan);
+        let receiver = comms.pop().unwrap();
+        let sender = comms.pop().unwrap();
+        let receiver = std::thread::spawn(move || receiver.recv(0, 0).unwrap().0);
+        until_parked(&group, 1);
+        sender.send(&[42], 1, 0).unwrap();
+        assert_eq!(group.notifies(1), 0, "the send left the wake owed");
+        then(&sender);
+        let got = receiver.join().unwrap();
+        drop(sender);
+        (got, group.notifies(1))
+    }
+
+    #[test]
+    fn the_next_op_issues_the_owed_wake() {
+        let got = hang_guard("next op", || {
+            owed_then(None, |c| {
+                let _ = c.recv_timeout(1, 9, Duration::from_millis(1));
+            })
+        });
+        assert_eq!(got, (vec![42], 1));
+    }
+
+    #[test]
+    fn a_rank_that_ends_on_a_send_still_wakes_its_receiver() {
+        let got = hang_guard("last op a send", || {
+            let (group, mut comms) = group_world(2, None);
+            let receiver = comms.pop().unwrap();
+            let sender = comms.pop().unwrap();
+            let receiver = std::thread::spawn(move || receiver.recv(0, 0).unwrap().0);
+            until_parked(&group, 1);
+            // The rank's whole body: one send, then it returns.
+            let rank0 = move |c: Comm| c.send(&[7], 1, 0).unwrap();
+            rank0(sender);
+            (receiver.join().unwrap(), group.notifies(1))
+        });
+        assert_eq!(got, (vec![7], 1));
+    }
+
+    #[test]
+    fn leave_after_a_send_wakes_the_receiver() {
+        let got = hang_guard("leave", || owed_then(None, Comm::leave));
+        assert_eq!(got, (vec![42], 1));
+    }
+
+    #[test]
+    fn a_kill_at_the_op_after_a_deferred_send_still_wakes_the_receiver() {
+        // Op 0 is the deferred send, op 1 kills rank 0: once as a
+        // receive, once as a second send to the same rank, which joins
+        // the owed wake before the kill lands.
+        let kill = || Some(Arc::new(FaultPlan::new(5).kill_rank_at_op(0, 1)));
+        let got = hang_guard("kill at a receive", move || {
+            owed_then(kill(), |c| {
+                assert!(matches!(c.recv(1, 0), Err(MpiError::Poisoned(0))));
+            })
+        });
+        assert_eq!(got, (vec![42], 1));
+        let got = hang_guard("kill at a joined send", move || {
+            owed_then(kill(), |c| {
+                assert!(matches!(c.send(&[43], 1, 0), Err(MpiError::Poisoned(0))));
+            })
+        });
+        assert_eq!(got, (vec![42], 1));
+    }
+
+    #[test]
+    fn a_barrier_after_a_send_wakes_the_receiver() {
+        let got = hang_guard("barrier", || {
+            let (group, mut comms) = group_world(2, None);
+            let receiver = comms.pop().unwrap();
+            let sender = comms.pop().unwrap();
+            let receiver = std::thread::spawn(move || {
+                let (got, _) = receiver.recv(0, 0).unwrap();
+                receiver.barrier();
+                got
+            });
+            until_parked(&group, 1);
+            sender.send(&[9], 1, 0).unwrap();
+            // The rank it waits for is the one its send left asleep.
+            sender.barrier();
+            receiver.join().unwrap()
+        });
+        assert_eq!(got, vec![9]);
+    }
+
+    #[test]
+    fn fig4_name_and_payload_cost_the_slave_one_wake_per_job() {
+        // Fig. 4's hand-off: the master sends a job's name, then its
+        // packed object, and then waits for the answer; the slave parks
+        // on the name, probes and receives the payload, and answers. With
+        // the slave parked at every name, each job must wake it once —
+        // the master's receive issues it, with both frames queued.
+        const JOBS: usize = 300;
+        const TAG: i32 = 7;
+        let (slave_wakes, master_wakes) = hang_guard("fig4 hand-off", || {
+            let (group, mut comms) = group_world(2, None);
+            let slave = comms.pop().unwrap();
+            let master = comms.pop().unwrap();
+            let slave = std::thread::spawn(move || loop {
+                let (name, _) = slave.recv_obj(0, TAG).unwrap();
+                if name.as_str() == Some("") {
+                    return;
+                }
+                let st = slave.probe(0, TAG).unwrap();
+                let mut buf = MpiBuf::with_capacity(st.count());
+                slave.recv_into(&mut buf, 0, TAG).unwrap();
+                let job = slave.unpack(&buf).unwrap();
+                slave.send_obj(&job, 0, TAG).unwrap();
+            });
+            for k in 0..JOBS {
+                until_parked(&group, 1);
+                master.send_obj(&Value::string("pb"), 1, TAG).unwrap();
+                let packed = master.pack(&Value::scalar(k as f64));
+                master.send(packed.bytes(), 1, TAG).unwrap();
+                let (answer, _) = master.recv_obj(1, TAG).unwrap();
+                assert_eq!(answer.as_scalar(), Some(k as f64));
+            }
+            until_parked(&group, 1);
+            master.send_obj(&Value::string(""), 1, TAG).unwrap();
+            drop(master);
+            slave.join().unwrap();
+            (group.notifies(1), group.notifies(0))
+        });
+        assert_eq!(
+            slave_wakes,
+            JOBS + 1,
+            "one wake per job, and one for the stop"
+        );
+        assert!(
+            master_wakes <= JOBS,
+            "{master_wakes} wakes for {JOBS} answers"
+        );
     }
 
     #[test]

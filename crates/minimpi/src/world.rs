@@ -115,7 +115,8 @@ impl World {
 /// `MPI_Intercomm_merge`, with the parent at rank 0 of the merged
 /// communicator and children at ranks 1..=n.
 pub struct SpawnedWorld {
-    comm: Option<Comm>,
+    group: Arc<ChannelGroup>,
+    comm: Comm,
     handles: Vec<thread::JoinHandle<()>>,
 }
 
@@ -138,23 +139,23 @@ impl SpawnedWorld {
         }
         let endpoint: Arc<dyn Transport> = Arc::new(group.endpoint(0));
         SpawnedWorld {
-            comm: Some(Comm::new(endpoint, None, None)),
+            comm: Comm::new(endpoint, None, None),
+            group,
             handles,
         }
     }
 
     /// The parent's endpoint in the merged communicator (rank 0).
     pub fn comm(&self) -> &Comm {
-        self.comm.as_ref().expect("comm taken")
+        &self.comm
     }
 
     /// Wait for all children to terminate. Call after telling them to stop
-    /// (e.g. the empty-name message of Fig. 4).
+    /// (e.g. the empty-name message of Fig. 4): the wake the parent's
+    /// last send left owed is issued first, so a child parked on that
+    /// message finds it.
     pub fn join(mut self) {
-        self.join_inner();
-    }
-
-    fn join_inner(&mut self) {
+        self.comm.settle();
         for h in self.handles.drain(..) {
             if let Err(p) = h.join() {
                 resume_unwind(p);
@@ -168,9 +169,7 @@ impl Drop for SpawnedWorld {
         // Poison first so children blocked in recv wake up rather than
         // leaking; then reap them.
         if !self.handles.is_empty() {
-            if let Some(c) = &self.comm {
-                c.transport().poison();
-            }
+            self.group.poison();
             for h in self.handles.drain(..) {
                 let _ = h.join();
             }
@@ -309,6 +308,35 @@ mod tests {
         got.sort();
         assert_eq!(got, vec![1, 2, 3]);
         spawned.join();
+    }
+
+    #[test]
+    fn spawned_world_join_right_after_the_stops_wakes_every_child() {
+        // Each child parks on its stop; the parent's last send leaves a
+        // wake owed, and `join` must issue it before it blocks.
+        let (tx, rx) = transport::queue::channel();
+        let parent = std::thread::spawn(move || {
+            let spawned = SpawnedWorld::spawn(3, |c: crate::Comm| {
+                let _ = c.recv(0, 1).unwrap();
+            });
+            for child in 1..=3 {
+                while !spawned.group.parked(child) {
+                    std::thread::yield_now();
+                }
+            }
+            for child in 1..=3 {
+                spawned.comm().send(&[], child, 1).unwrap();
+            }
+            spawned.join();
+            let _ = tx.send(());
+        });
+        let joined = rx.recv_timeout(std::time::Duration::from_secs(20));
+        assert_eq!(
+            joined.ok(),
+            Some(Some(())),
+            "join hung on a child never woken"
+        );
+        parent.join().expect("the parent returned");
     }
 
     #[test]

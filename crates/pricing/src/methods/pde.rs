@@ -46,7 +46,7 @@ impl Default for PdeConfig {
 
 impl PdeConfig {
     /// Parameter sanity checks; `Err` describes the first violation.
-    fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.time_steps < 1 || self.space_steps < 3 {
             return Err("PDE grid too small".into());
         }

@@ -260,6 +260,32 @@ impl OptionSpec {
             OptionSpec::NettingSet { .. } => 100.0,
         }
     }
+
+    /// The contract terms every kernel assumes: a positive maturity and
+    /// strike (and barrier), and a bond that outlives the option on it.
+    /// `Err` describes the first violation.
+    fn validate(&self) -> Result<(), String> {
+        let positive = |what: &str, x: f64| {
+            if x > 0.0 {
+                Ok(())
+            } else {
+                Err(format!("{what} must be positive, got {x}"))
+            }
+        };
+        positive("maturity", self.maturity())?;
+        positive("strike", self.strike())?;
+        match *self {
+            OptionSpec::DownOutCall { barrier, .. } => positive("barrier", barrier),
+            OptionSpec::BondCall {
+                maturity,
+                bond_maturity,
+                ..
+            } if !(bond_maturity > maturity) => Err(format!(
+                "bond maturity {bond_maturity} must be after the option's {maturity}"
+            )),
+            _ => Ok(()),
+        }
+    }
 }
 
 /// Numerical-method choice plus discretisation parameters.
@@ -555,8 +581,23 @@ impl Specs<'_> {
             )))
         };
 
-        // A decoded multi-asset model is checked here: its kernels build
-        // the correlator, which panics on a rho that `validate` refuses.
+        // A decoded problem is checked here, before any kernel sees it:
+        // the kernels assert their option and PDE grid (a closed form at
+        // maturity 0 returns NaN), and the multi-asset kernels build the
+        // correlator, which panics on a rho that `validate` refuses.
+        self.option.validate().map_err(PricingError::Invalid)?;
+        if let M::Pde {
+            time_steps,
+            space_steps,
+        } = *self.method
+        {
+            let grid = PdeConfig {
+                time_steps,
+                space_steps,
+                ..PdeConfig::default()
+            };
+            grid.validate().map_err(PricingError::Invalid)?;
+        }
         if let Mo::MultiBlackScholes(m) = &self.model {
             m.validate().map_err(PricingError::Invalid)?;
         }
@@ -961,17 +1002,12 @@ impl Specs<'_> {
                     exercise: Exercise::European,
                 };
                 match &self.method {
-                    M::ClosedForm => {
-                        // `heston_cf_price` asserts a valid option; a
-                        // decoded problem is checked here instead.
-                        opt.validate().map_err(PricingError::Invalid)?;
-                        Ok(PricingResult {
-                            price: heston_cf_price(m, &opt),
-                            delta: None,
-                            std_error: None,
-                            method: self.method.name(),
-                        })
-                    }
+                    M::ClosedForm => Ok(PricingResult {
+                        price: heston_cf_price(m, &opt),
+                        delta: None,
+                        std_error: None,
+                        method: self.method.name(),
+                    }),
                     M::MonteCarlo {
                         paths,
                         time_steps,
@@ -1825,6 +1861,94 @@ mod tests {
                     "{label}: {got:?}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn a_decoded_option_or_pde_grid_a_kernel_rejects_is_invalid() {
+        // Each problem reaches `compute` as a problem file does: encoded,
+        // then decoded. The kernels assert these terms (a closed form at
+        // maturity 0 returned NaN instead).
+        let decoded = |model, option, method, edit: fn(&mut PremiaProblem)| {
+            let mut p = PremiaProblem::create(model, option, method).unwrap();
+            edit(&mut p);
+            PremiaProblem::from_xdr_bytes(&p.to_xdr_bytes()).unwrap()
+        };
+        let expiring_call = |p: &mut PremiaProblem| {
+            p.option = OptionSpec::Call {
+                strike: 100.0,
+                maturity: 0.0,
+            }
+        };
+        let expiring_put = |p: &mut PremiaProblem| {
+            p.option = OptionSpec::AmericanPut {
+                strike: 100.0,
+                maturity: 0.0,
+            }
+        };
+        let rows = [
+            (
+                "closed form at maturity 0",
+                decoded("BlackScholes1dim", "CallEuro", "CF", expiring_call),
+            ),
+            (
+                "PDE at maturity 0",
+                decoded(
+                    "BlackScholes1dim",
+                    "PutAmer",
+                    "FD_CrankNicolson",
+                    expiring_put,
+                ),
+            ),
+            (
+                "MC_Standard at maturity 0",
+                decoded("BlackScholes1dim", "CallEuro", "MC_Standard", expiring_call),
+            ),
+            (
+                "LSM at maturity 0",
+                decoded(
+                    "BlackScholes1dim",
+                    "PutAmer",
+                    "MC_AM_LongstaffSchwartz",
+                    expiring_put,
+                ),
+            ),
+            (
+                "PDE space_steps = 2",
+                decoded("BlackScholes1dim", "CallEuro", "FD_CrankNicolson", |p| {
+                    if let MethodSpec::Pde { space_steps, .. } = &mut p.method {
+                        *space_steps = 2;
+                    }
+                }),
+            ),
+            (
+                "PDE time_steps = 0",
+                decoded("BlackScholes1dim", "CallDownOut", "FD_CrankNicolson", |p| {
+                    if let MethodSpec::Pde { time_steps, .. } = &mut p.method {
+                        *time_steps = 0;
+                    }
+                }),
+            ),
+            (
+                "bond option maturing with its bond",
+                decoded("Vasicek1dim", "CallBond", "CF", |p| {
+                    if let OptionSpec::BondCall {
+                        maturity,
+                        bond_maturity,
+                        ..
+                    } = &mut p.option
+                    {
+                        *bond_maturity = *maturity;
+                    }
+                }),
+            ),
+        ];
+        for (label, p) in &rows {
+            let got = p.compute();
+            assert!(
+                matches!(got, Err(PricingError::Invalid(_))),
+                "{label}: {got:?}"
+            );
         }
     }
 

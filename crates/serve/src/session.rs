@@ -1130,6 +1130,36 @@ mod tests {
         resident_slave(comm, cfg);
     }
 
+    /// Shutdown sends each resident slave its stop sentinel, finds it
+    /// parked and leaves the wake owed; the front's `Comm`, dropped as
+    /// the front loop returns, must issue the last one or the join hangs.
+    /// Each request carries two iterative problems: two frames, so its
+    /// batch travels and every slave has answered and parked again.
+    #[test]
+    fn shutdown_wakes_every_resident_slave() {
+        let shut_down = std::thread::spawn(|| {
+            for _ in 0..10 {
+                let session = Session::start(ServeConfig::new(3)).unwrap();
+                for k in 0..3 {
+                    let strike = 90.0 + k as f64;
+                    let problems = vec![vanilla(strike, false), vanilla(strike + 20.0, false)];
+                    let response = session.submit(Request::new(problems)).unwrap();
+                    assert!(response.wait().unwrap().all_priced());
+                }
+                assert_eq!(session.shutdown().unwrap().computed, 6);
+            }
+        });
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !shut_down.is_finished() {
+            assert!(
+                Instant::now() < deadline,
+                "shutdown hung on a slave never woken"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        shut_down.join().expect("every shutdown returns");
+    }
+
     #[test]
     fn inconsistent_answer_frames_are_dropped_and_the_deadline_redispatches() {
         // Four vanillas share a frame and the tree travels alone: two

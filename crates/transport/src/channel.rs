@@ -5,7 +5,7 @@
 
 use crate::error::TransportError;
 use crate::frame::Frame;
-use crate::mailbox::Mailbox;
+use crate::mailbox::{Mailbox, OwedWake};
 use crate::Transport;
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
@@ -47,6 +47,19 @@ impl ChannelGroup {
         }
     }
 
+    /// Whether `rank` is parked in a blocking receive or probe right now
+    /// (wake accounting: a test waits on this to force the interleaving
+    /// it measures, without a sleep).
+    pub fn parked(&self, rank: usize) -> bool {
+        self.boxes[rank].parked()
+    }
+
+    /// Condvar notifications issued to `rank`'s mailbox so far: the
+    /// wake-ups it was sent, counted without a clock.
+    pub fn notifies(&self, rank: usize) -> usize {
+        self.boxes[rank].notifies()
+    }
+
     /// The endpoint for `rank`.
     pub fn endpoint(self: &Arc<Self>, rank: usize) -> ChannelTransport {
         assert!(rank < self.boxes.len(), "rank out of range");
@@ -78,6 +91,11 @@ impl Transport for ChannelTransport {
 
     fn send(&self, dest: usize, frame: Frame) -> Result<(), TransportError> {
         self.group.boxes[dest].push(frame)
+    }
+
+    fn send_quiet(&self, dest: usize, frame: Frame) -> Result<Option<OwedWake>, TransportError> {
+        let mailbox = &self.group.boxes[dest];
+        Ok(mailbox.push_quiet(frame)?.then(|| OwedWake::new(mailbox)))
     }
 
     fn match_deadline(

@@ -16,7 +16,10 @@
 //!   fail, instead of anyone hanging;
 //! * **readiness-based timed waits**: a blocked receiver is woken by
 //!   message arrival, death, poison or deadline — never by polling — and
-//!   a hand-off costs one wake-up.
+//!   a hand-off costs one wake-up: [`Transport::send`] wakes a parked
+//!   receiver at once, [`Transport::send_quiet`] hands the sender an
+//!   [`OwedWake`] to issue when the frames that belong together are
+//!   queued.
 //!
 //! Two backends ship today:
 //!
@@ -50,6 +53,7 @@ mod uds;
 pub use channel::{ChannelGroup, ChannelTransport};
 pub use error::TransportError;
 pub use frame::{Frame, Payload};
+pub use mailbox::OwedWake;
 pub use uds::UdsTransport;
 
 use std::time::Instant;
@@ -63,7 +67,8 @@ pub const ANY_TAG: i32 = -1;
 ///
 /// Implementations must provide ordered delivery per `(source,
 /// destination)` pair and wake blocked [`Transport::match_deadline`]
-/// callers on message arrival, death, poison or deadline expiry.
+/// callers on message arrival (a [`Transport::send_quiet`] arrival once
+/// its [`OwedWake`] is issued), death, poison or deadline expiry.
 pub trait Transport: Send + Sync {
     /// This endpoint's rank.
     fn rank(&self) -> usize;
@@ -78,6 +83,15 @@ pub trait Transport: Send + Sync {
     /// [`TransportError::Dead`] if `dest` is known dead and
     /// [`TransportError::Disconnected`] if the group is torn down.
     fn send(&self, dest: usize, frame: Frame) -> Result<(), TransportError>;
+
+    /// [`Transport::send`] that may leave a parked `dest` asleep:
+    /// `Ok(Some(wake))` when `dest` was parked as the frame was queued,
+    /// and the caller then owes it that wake; `Ok(None)` when nothing is
+    /// owed. A backend with no cheaper way to do this — the default —
+    /// sends normally, waking at once.
+    fn send_quiet(&self, dest: usize, frame: Frame) -> Result<Option<OwedWake>, TransportError> {
+        self.send(dest, frame).map(|()| None)
+    }
 
     /// Wait-loop core shared by probe and receive: block until a message
     /// matching `(src, tag)` (with [`ANY_SOURCE`] / [`ANY_TAG`]

@@ -12,7 +12,8 @@ use crate::frame::Frame;
 use crate::selector_matches;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 #[derive(Default)]
@@ -38,9 +39,9 @@ pub(crate) struct Mailbox {
     /// sever): sends to it and operations by it fail with
     /// [`TransportError::Dead`].
     dead: AtomicBool,
-    /// Condvar notifications issued (wake-accounting tests).
-    #[cfg(test)]
-    notifies: std::sync::atomic::AtomicUsize,
+    /// Condvar notifications issued so far (wake accounting; bumped only
+    /// on the notify path, which pays a futex call anyway).
+    notifies: AtomicUsize,
 }
 
 impl MailboxState {
@@ -64,8 +65,7 @@ impl Mailbox {
             cond: Condvar::new(),
             poisoned: AtomicBool::new(false),
             dead: AtomicBool::new(false),
-            #[cfg(test)]
-            notifies: Default::default(),
+            notifies: AtomicUsize::new(0),
         }
     }
 
@@ -76,15 +76,31 @@ impl Mailbox {
         let parked = st.waiters > 0;
         drop(st);
         if parked {
-            #[cfg(test)]
-            self.notifies.fetch_add(1, Ordering::SeqCst);
-            self.cond.notify_all();
+            self.wake();
         }
+    }
+
+    /// Wake every receiver parked on this mailbox. Called without the
+    /// lock held.
+    pub(crate) fn wake(&self) {
+        self.notifies.fetch_add(1, Ordering::Relaxed);
+        self.cond.notify_all();
     }
 
     /// Queue a frame for the owner and wake it if it is parked, failing
     /// fast if the owner is dead or the group is poisoned.
     pub(crate) fn push(&self, frame: Frame) -> Result<(), TransportError> {
+        if self.push_quiet(frame)? {
+            self.wake();
+        }
+        Ok(())
+    }
+
+    /// [`Mailbox::push`] without the wake-up: `Ok(true)` when the owner
+    /// was parked, and then the caller owes it one [`Mailbox::wake`].
+    /// `Ok(false)` means the owner is not inside `cond.wait`, so it scans
+    /// the queue before it next parks and cannot miss the frame.
+    pub(crate) fn push_quiet(&self, frame: Frame) -> Result<bool, TransportError> {
         let mut st = self.state.lock();
         if self.is_dead() {
             return Err(TransportError::Dead(self.owner));
@@ -93,8 +109,17 @@ impl Mailbox {
             return Err(TransportError::Disconnected);
         }
         st.queue.push_back(frame);
-        self.unlock_and_wake(st);
-        Ok(())
+        Ok(st.waiters > 0)
+    }
+
+    /// Whether the owner is parked in the wait loop right now.
+    pub(crate) fn parked(&self) -> bool {
+        self.state.lock().waiters > 0
+    }
+
+    /// Condvar notifications issued to this mailbox so far.
+    pub(crate) fn notifies(&self) -> usize {
+        self.notifies.load(Ordering::Relaxed)
     }
 
     /// Mark the owner dead: pending messages are discarded and every
@@ -205,6 +230,27 @@ impl Mailbox {
     }
 }
 
+/// The wake-up owed to a receiver that was parked when a
+/// [`crate::Transport::send_quiet`] frame reached it. Until it is issued
+/// the receiver may sleep with that frame queued, so the sender issues
+/// it once the frames that belong together are queued: one wake for
+/// all of them. Dropping it unissued is right only when another wake
+/// for the same receiver is issued instead, or the receiver is known to
+/// be awake.
+#[must_use = "a parked receiver sleeps until its wake is issued"]
+pub struct OwedWake(Arc<Mailbox>);
+
+impl OwedWake {
+    pub(crate) fn new(mailbox: &Arc<Mailbox>) -> Self {
+        OwedWake(Arc::clone(mailbox))
+    }
+
+    /// Wake the receiver.
+    pub fn issue(self) {
+        self.0.wake();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,14 +261,10 @@ mod tests {
         Frame::new(0, tag, Payload::Owned(vec![byte]))
     }
 
-    fn notifies(mb: &Mailbox) -> usize {
-        mb.notifies.load(Ordering::SeqCst)
-    }
-
     /// Spin until the owner is parked in the wait loop: forces the
     /// interleaving the wake accounting is about, without a sleep.
     fn until_parked(mb: &Mailbox) {
-        while mb.state.lock().waiters == 0 {
+        while !mb.parked() {
             thread::yield_now();
         }
     }
@@ -238,10 +280,10 @@ mod tests {
         for i in 0..10 {
             mb.push(frame(1, i)).unwrap();
         }
-        assert_eq!(notifies(&mb), 0);
+        assert_eq!(mb.notifies(), 0);
         // Nothing was lost for want of a notification.
         assert_eq!((0..10).map(|_| recv(&mb, 1)).collect::<Vec<_>>(), (0..10).collect::<Vec<_>>());
-        assert_eq!(notifies(&mb), 0);
+        assert_eq!(mb.notifies(), 0);
     }
 
     #[test]
@@ -260,8 +302,36 @@ mod tests {
                 assert_eq!(recv(&ping, 2), i as u8);
             }
         });
-        assert!(notifies(&ping) <= N, "{} notifies for {N} messages", notifies(&ping));
-        assert!(notifies(&pong) <= N, "{} notifies for {N} messages", notifies(&pong));
+        assert!(
+            ping.notifies() <= N,
+            "{} notifies for {N} messages",
+            ping.notifies()
+        );
+        assert!(
+            pong.notifies() <= N,
+            "{} notifies for {N} messages",
+            pong.notifies()
+        );
+    }
+
+    #[test]
+    fn a_quiet_push_owes_a_parked_owner_one_wake() {
+        let mb = Mailbox::new(0);
+        assert!(
+            !mb.push_quiet(frame(1, 0)).unwrap(),
+            "nobody parked, nothing owed"
+        );
+        assert_eq!(recv(&mb, 1), 0);
+        thread::scope(|s| {
+            let receiver = s.spawn(|| (recv(&mb, 1), recv(&mb, 1)));
+            until_parked(&mb);
+            assert!(mb.push_quiet(frame(1, 1)).unwrap(), "the owner was parked");
+            let _ = mb.push_quiet(frame(1, 2)).unwrap();
+            assert_eq!(mb.notifies(), 0, "a quiet push notifies nobody");
+            mb.wake();
+            assert_eq!(receiver.join().unwrap(), (1, 2));
+        });
+        assert_eq!(mb.notifies(), 1);
     }
 
     #[test]
@@ -282,7 +352,7 @@ mod tests {
                 }
             });
             end(&mb); // idempotent, and nobody is parked now
-            assert_eq!(notifies(&mb), 1, "kill={kill}");
+            assert_eq!(mb.notifies(), 1, "kill={kill}");
         }
     }
 

@@ -5,8 +5,12 @@
 #      in-repo path crates, and the shim directories must be exactly the
 #      ones documented in shims/README.md (the build environment has no
 #      registry access)
-#   2. release build of the whole workspace, then of the benchmark
-#      harness under perf/ (a workspace of its own that `cargo test
+#   2. release build of the whole workspace, then a run, each under a
+#      timeout, of the two examples that drive a minimpi world by hand
+#      (spawn_slaves ends on stop sends followed by SpawnedWorld::join,
+#      the shape a lost wake-up hangs; nsp_script runs Fig. 4 as a
+#      script on every rank), then a build of the benchmark harness
+#      under perf/ (a workspace of its own that `cargo test
 #      --workspace` never compiles) plus its `check` subcommand
 #      (BENCHMARK.json <-> metric tables) and its own unit tests —
 #      build, check and test only, no timed run
@@ -82,6 +86,16 @@ if [ -n "$anysrc" ]; then
 fi
 
 run cargo build --workspace --release || exit 1
+
+# The only examples that use `Comm`: compiled by the build above but
+# never run by a test. A hang is a failure, not a stuck job.
+for example in spawn_slaves nsp_script; do
+    echo "==> example $example (release, 120 s timeout)"
+    if ! timeout 120 cargo run --release --offline --quiet --example "$example" >/dev/null; then
+        echo "error: example $example failed or hung"
+        exit 1
+    fi
+done
 
 # The benchmark harness is a package outside the workspace, built only
 # by the BENCHMARK.json command: compile it here so a public-API change
