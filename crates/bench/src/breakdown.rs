@@ -38,22 +38,6 @@ pub struct BreakdownOpts {
     /// wire for loaded payloads. The live farm always sends raw bytes;
     /// this is a simulated ablation only.
     pub compress: bool,
-    /// `--threads N`: model the intra-slave chunked executor (a
-    /// simulated mode: the live farm prices each job on one thread) —
-    /// each strategy runs a second time with `N` worker threads per
-    /// slave, reported as an extra `"<strategy> (xN threads)"` row and
-    /// self-checked: compute-phase seconds must shrink ~linearly while
-    /// prepare/wire/wait stay put.
-    pub threads: usize,
-    /// `--lanes N`: model the SIMD-lane batched, allocation-free kernels
-    /// (widths 1, 4 or 8; simulated, as `--threads` is) — each strategy
-    /// runs an extra time with the lane model on (composed with
-    /// `--threads` when both are given), reported as an extra
-    /// `"<strategy> (xT threads, N lanes)"` row and self-checked:
-    /// compute-phase seconds must be at least 2x below the same-thread
-    /// baseline but under the lane width, with prepare/wire/wait
-    /// untouched and a `LaneBatch` mark per compute carrying the width.
-    pub lanes: usize,
     /// `--order lpt`: model the [`DispatchPolicy::Lpt`] dispatch order (a
     /// simulated mode: the live farm dispatches FIFO) — each strategy
     /// runs twice more on the per-job protocol an LPT run speaks, in
@@ -72,8 +56,6 @@ impl Default for BreakdownOpts {
             cpus: 8,
             warm: false,
             compress: false,
-            threads: 1,
-            lanes: 1,
             order_lpt: false,
         }
     }
@@ -106,15 +88,6 @@ pub fn breakdown_report(
     if opts.compress {
         cfg.store.compress = true;
     }
-    // The threaded comparison runs against the same strategy/caches but
-    // with the executor model on.
-    let mut cfg_thr = cfg;
-    cfg_thr.exec.threads = opts.threads;
-    // The lane comparison composes with the thread knob: it is measured
-    // against whichever of the sequential/threaded rows shares its
-    // thread count, so the only variable left is the lane model.
-    let mut cfg_lane = cfg_thr;
-    cfg_lane.exec.lanes = opts.lanes;
     let mut report = BreakdownReport::new(title);
     for strategy in Transmission::ALL {
         // One cache state per strategy: the cold run fills it, the
@@ -157,26 +130,6 @@ pub fn breakdown_report(
                 flat(DispatchPolicy::Fifo),
             ));
         }
-        if opts.threads > 1 {
-            // Threaded run from cold caches: compared against the cold
-            // baseline, so the only variable is the executor.
-            report.runs.push(one_run(
-                format!("{} (x{} threads)", strategy.label(), opts.threads),
-                &cfg_thr,
-                &mut SimCaches::new(),
-                flat(DispatchPolicy::Fifo),
-            ));
-        }
-        if opts.lanes > 1 {
-            // Lane run from cold caches, same thread count as the
-            // threaded row (or sequential when --threads is absent).
-            report.runs.push(one_run(
-                lane_label(strategy, opts),
-                &cfg_lane,
-                &mut SimCaches::new(),
-                flat(DispatchPolicy::Fifo),
-            ));
-        }
         if opts.order_lpt {
             // LPT run from cold caches, fed with the jobs' own (here:
             // exact) costs, where a caller would feed a calibrated
@@ -208,97 +161,10 @@ pub fn breakdown_report(
     if opts.compress {
         check_compression_effect(&report)?;
     }
-    if opts.threads > 1 {
-        check_thread_scaling(&report, opts.threads)?;
-    }
-    if opts.lanes > 1 {
-        check_lane_scaling(&report, opts)?;
-    }
     if opts.order_lpt {
         check_lpt_order(&report)?;
     }
     Ok(report)
-}
-
-/// Row label of the lane run for `strategy` under `opts`.
-fn lane_label(strategy: Transmission, opts: &BreakdownOpts) -> String {
-    if opts.threads > 1 {
-        format!(
-            "{} (x{} threads, {} lanes)",
-            strategy.label(),
-            opts.threads,
-            opts.lanes
-        )
-    } else {
-        format!("{} ({} lanes)", strategy.label(), opts.lanes)
-    }
-}
-
-/// The SIMD-lane acceptance check: for every strategy, the lane run's
-/// compute seconds must be at least **2x** below the same-thread-count
-/// baseline (the headline claim `tests/goldens/BENCH_6.json` pins) but
-/// below the lane width (the scalar RNG draw and payoff branch cap the
-/// win), prepare/wire/wait must be untouched within 1e-9 (lane
-/// batching lives entirely inside the compute phase), and the lane run
-/// must carry one `LaneBatch` self-check mark per compute with the
-/// configured width — while the baseline rows carry none (off by
-/// default).
-fn check_lane_scaling(report: &BreakdownReport, opts: &BreakdownOpts) -> Result<(), String> {
-    let lanes = opts.lanes;
-    for strategy in Transmission::ALL {
-        let base_label = if opts.threads > 1 {
-            format!("{} (x{} threads)", strategy.label(), opts.threads)
-        } else {
-            strategy.label().to_string()
-        };
-        let base = report
-            .run(&base_label)
-            .ok_or_else(|| format!("missing {base_label:?} baseline run"))?;
-        let lane_label = lane_label(strategy, opts);
-        let lane = report
-            .run(&lane_label)
-            .ok_or_else(|| format!("missing {lane_label:?} run"))?;
-        let (b, l) = (&base.breakdown, &lane.breakdown);
-        let ratio = b.compute_s() / l.compute_s();
-        if ratio < 2.0 {
-            return Err(format!(
-                "{strategy}: lanes only cut compute x{ratio:.2} ({:.6}s -> {:.6}s), need >= 2x",
-                b.compute_s(),
-                l.compute_s()
-            ));
-        }
-        if ratio >= lanes as f64 {
-            return Err(format!(
-                "{strategy}: implausible x{ratio:.2} compute cut from {lanes} lanes"
-            ));
-        }
-        for (phase, a, c) in [
-            ("prepare", b.prepare_s(), l.prepare_s()),
-            ("wire", b.wire_s(), l.wire_s()),
-            ("wait", b.wait_s(), l.wait_s()),
-        ] {
-            if (a - c).abs() > 1e-9 {
-                return Err(format!(
-                    "{strategy}: lanes changed {phase} ({a:.9}s vs {c:.9}s)"
-                ));
-            }
-        }
-        if l.count_of(EventKind::LaneBatch) == 0 {
-            return Err(format!("{strategy}: lane run recorded no LaneBatch marks"));
-        }
-        if l.lane_width() != lanes as f64 {
-            return Err(format!(
-                "{strategy}: lane marks carry width {} but {lanes} configured",
-                l.lane_width()
-            ));
-        }
-        if b.count_of(EventKind::LaneBatch) != 0 {
-            return Err(format!(
-                "{strategy}: baseline run has LaneBatch marks (lanes must be off by default)"
-            ));
-        }
-    }
-    Ok(())
 }
 
 /// The `--order lpt` acceptance check: for every strategy, the LPT run
@@ -337,73 +203,6 @@ fn check_lpt_order(report: &BreakdownReport) -> Result<(), String> {
                 "{strategy}: LPT makespan {:.6}s degraded FIFO's {:.6}s",
                 lpt.wall_s, fifo.wall_s
             ));
-        }
-    }
-    Ok(())
-}
-
-/// The intra-slave-threads acceptance check: for every strategy, the
-/// threaded run's compute seconds must shrink ~linearly — at least
-/// `threads / 2` times below the sequential run (the default Amdahl
-/// model with a 5 % serial fraction gives ×5.9 at 8 threads) but never
-/// superlinearly — while prepare, wire and wait are untouched within
-/// noise (the executor lives entirely inside the compute phase), and the
-/// threaded run actually recorded per-chunk diagnostics.
-fn check_thread_scaling(report: &BreakdownReport, threads: usize) -> Result<(), String> {
-    for strategy in Transmission::ALL {
-        let seq = report
-            .run(strategy.label())
-            .ok_or_else(|| format!("missing {strategy} sequential run"))?;
-        let thr_label = format!("{} (x{threads} threads)", strategy.label());
-        let thr = report
-            .run(&thr_label)
-            .ok_or_else(|| format!("missing {thr_label:?} run"))?;
-        let (s, t) = (&seq.breakdown, &thr.breakdown);
-        let ratio = s.compute_s() / t.compute_s();
-        if ratio < threads as f64 / 2.0 {
-            return Err(format!(
-                "{strategy}: compute only shrank x{ratio:.2} with {threads} threads \
-                 ({:.6}s -> {:.6}s)",
-                s.compute_s(),
-                t.compute_s()
-            ));
-        }
-        if ratio >= threads as f64 {
-            return Err(format!(
-                "{strategy}: superlinear compute speedup x{ratio:.2} with {threads} threads"
-            ));
-        }
-        for (phase, a, b) in [
-            ("prepare", s.prepare_s(), t.prepare_s()),
-            ("wire", s.wire_s(), t.wire_s()),
-            ("wait", s.wait_s(), t.wait_s()),
-        ] {
-            if (a - b).abs() > 1e-9 {
-                return Err(format!(
-                    "{strategy}: threads changed {phase} ({a:.9}s vs {b:.9}s)"
-                ));
-            }
-        }
-        if t.count_of(EventKind::ComputeChunk) == 0 {
-            return Err(format!("{strategy}: threaded run recorded no chunk spans"));
-        }
-        if t.parallelism() <= 1.0 {
-            return Err(format!(
-                "{strategy}: parallelism x{:.2} not above 1",
-                t.parallelism()
-            ));
-        }
-        if s.parallel_s() != 0.0 {
-            return Err(format!("{strategy}: sequential run has chunk diagnostics"));
-        }
-        // Lane batching is off by default: neither the sequential nor the
-        // threads-only row may carry lane marks.
-        for (label, run) in [("sequential", s), ("threaded", t)] {
-            if run.count_of(EventKind::LaneBatch) != 0 {
-                return Err(format!(
-                    "{strategy}: {label} run has LaneBatch marks without --lanes"
-                ));
-            }
         }
     }
     Ok(())
@@ -679,124 +478,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_accepts_threads_and_rejects_zero() {
-        assert_eq!(
-            parse(&["--breakdown", "--threads", "8"]).unwrap().threads,
-            8
-        );
-        assert_eq!(parse(&["--breakdown"]).unwrap().threads, 1);
-        assert!(parse(&["--breakdown", "--threads", "0"]).is_err());
-        assert!(parse(&["--breakdown", "--threads"]).is_err());
-    }
-
-    #[test]
-    fn threaded_breakdown_passes_scaling_checks() {
-        // The acceptance criterion itself: `--breakdown --threads 8`
-        // must show compute >= 4x cheaper with prepare/wire/wait put.
-        let jobs = clustersim::table2_sim_jobs(400);
-        let o = BreakdownOpts {
-            threads: 8,
-            ..opts(4)
-        };
-        let report = breakdown_report("test t8", &jobs, &o, &SimConfig::default()).unwrap();
-        assert_eq!(report.runs.len(), 6);
-        check_thread_scaling(&report, 8).unwrap();
-        for strategy in Transmission::ALL {
-            let seq = report.run(strategy.label()).unwrap();
-            let thr = report
-                .run(&format!("{} (x8 threads)", strategy.label()))
-                .unwrap();
-            let ratio = seq.breakdown.compute_s() / thr.breakdown.compute_s();
-            assert!(ratio >= 4.0, "{strategy}: x{ratio:.2}");
-            assert!(thr.wall_s < seq.wall_s, "{strategy}");
-            assert!(thr.breakdown.parallelism() > 4.0, "{strategy}");
-        }
-        // The threaded rows survive render and JSON with the new column.
-        let json = report.to_json();
-        assert!(json.contains("(x8 threads)"));
-        assert!(json.contains("\"parallelism\":"));
-        assert!(report.render().contains("intra-slave parallelism"));
-    }
-
-    #[test]
-    fn parse_accepts_lanes_and_rejects_bad_widths() {
-        assert_eq!(parse(&["--breakdown", "--lanes", "8"]).unwrap().lanes, 8);
-        assert_eq!(parse(&["--breakdown"]).unwrap().lanes, 1);
-        for bad in ["0", "2", "3", "16", "x"] {
-            assert!(
-                parse(&["--breakdown", "--lanes", bad]).is_err(),
-                "--lanes {bad} should be rejected"
-            );
-        }
-        assert!(parse(&["--breakdown", "--lanes"]).is_err());
-    }
-
-    #[test]
-    fn laned_breakdown_passes_scaling_checks_with_threads() {
-        // The acceptance criterion itself: `--threads 8 --lanes 8` must
-        // show compute >= 2x below the threads-only row with
-        // prepare/wire/wait put, and the lane marks present.
-        let jobs = clustersim::table2_sim_jobs(400);
-        let o = BreakdownOpts {
-            threads: 8,
-            lanes: 8,
-            ..opts(4)
-        };
-        let report = breakdown_report("test t8 l8", &jobs, &o, &SimConfig::default()).unwrap();
-        assert_eq!(report.runs.len(), 9);
-        check_thread_scaling(&report, 8).unwrap();
-        check_lane_scaling(&report, &o).unwrap();
-        for strategy in Transmission::ALL {
-            let thr = report
-                .run(&format!("{} (x8 threads)", strategy.label()))
-                .unwrap();
-            let lane = report
-                .run(&format!("{} (x8 threads, 8 lanes)", strategy.label()))
-                .unwrap();
-            let ratio = thr.breakdown.compute_s() / lane.breakdown.compute_s();
-            assert!(ratio >= 2.0, "{strategy}: x{ratio:.2}");
-            assert!(lane.wall_s < thr.wall_s, "{strategy}");
-            assert_eq!(lane.breakdown.lane_width(), 8.0, "{strategy}");
-        }
-        // The lane rows survive render and JSON with the new column.
-        let json = report.to_json();
-        assert!(json.contains("(x8 threads, 8 lanes)"));
-        assert!(json.contains("\"lanes\":8.0"));
-        assert!(report.render().contains("simd lanes x8 alloc-free"));
-    }
-
-    #[test]
-    fn laned_breakdown_works_without_threads() {
-        let jobs = clustersim::table2_sim_jobs(400);
-        let o = BreakdownOpts {
-            lanes: 8,
-            ..opts(4)
-        };
-        let report = breakdown_report("test l8", &jobs, &o, &SimConfig::default()).unwrap();
-        assert_eq!(report.runs.len(), 6);
-        check_lane_scaling(&report, &o).unwrap();
-        for strategy in Transmission::ALL {
-            let seq = report.run(strategy.label()).unwrap();
-            let lane = report
-                .run(&format!("{} (8 lanes)", strategy.label()))
-                .unwrap();
-            assert!(lane.breakdown.compute_s() < seq.breakdown.compute_s() / 2.0);
-            assert_eq!(seq.breakdown.count_of(EventKind::LaneBatch), 0);
-        }
-    }
-
-    #[test]
-    fn lane_scaling_check_fails_without_lane_rows() {
-        let jobs = clustersim::table2_sim_jobs(50);
-        let report = breakdown_report("test", &jobs, &opts(2), &SimConfig::default()).unwrap();
-        let o = BreakdownOpts {
-            lanes: 8,
-            ..opts(2)
-        };
-        assert!(check_lane_scaling(&report, &o).is_err());
-    }
-
-    #[test]
     fn parse_accepts_order_and_rejects_junk_policies() {
         assert!(parse(&["--breakdown", "--order", "lpt"]).unwrap().order_lpt);
         assert!(
@@ -857,13 +538,6 @@ mod tests {
         let jobs = clustersim::table2_sim_jobs(50);
         let report = breakdown_report("test", &jobs, &opts(2), &SimConfig::default()).unwrap();
         assert!(check_lpt_order(&report).is_err());
-    }
-
-    #[test]
-    fn thread_scaling_check_fails_without_threaded_rows() {
-        let jobs = clustersim::table2_sim_jobs(50);
-        let report = breakdown_report("test", &jobs, &opts(2), &SimConfig::default()).unwrap();
-        assert!(check_thread_scaling(&report, 8).is_err());
     }
 
     #[test]

@@ -59,13 +59,6 @@ impl Mode {
                     opts.jobs = Some(count(arg, it.next(), 1)?)
                 }
                 "--cpus" if breakdown => opts.cpus = count(arg, it.next(), 2)?,
-                "--threads" if breakdown => opts.threads = count(arg, it.next(), 1)?,
-                "--lanes" if breakdown => {
-                    opts.lanes = count(arg, it.next(), 1)?;
-                    if !matches!(opts.lanes, 1 | 4 | 8) {
-                        return Err(format!("--lanes: unsupported width {} (1|4|8)", opts.lanes));
-                    }
-                }
                 "--order" if breakdown => {
                     opts.order_lpt = match it.next() {
                         Some("fifo") => false,
@@ -109,8 +102,8 @@ pub fn parse_args(table: Table) -> Mode {
         };
         eprintln!("error: {e}");
         eprintln!(
-            "usage: {name} [--breakdown{jobs} [--cpus N] [--threads N] [--lanes 1|4|8] \
-             [--order fifo|lpt] [--warm] [--compress] | --calibrate-classes [--measured]{live}]"
+            "usage: {name} [--breakdown{jobs} [--cpus N] [--order fifo|lpt] [--warm] \
+             [--compress] | --calibrate-classes [--measured]{live}]"
         );
         std::process::exit(2);
     })

@@ -1,9 +1,8 @@
 //! `table2 --breakdown` is deterministic simulator output, so its JSON
-//! line is pinned byte for byte against the committed goldens, one per
-//! cost model: the warm store (BENCH_3), 8 threads (BENCH_4) and 8
-//! threads x 8 lanes (BENCH_6). A change to the simulator's cost terms,
-//! the Amdahl or lane model, or the report's key order fails here; if the
-//! change is meant, regenerate the file from the command in the message.
+//! line is pinned byte for byte against the committed golden: the warm
+//! store (BENCH_3). A change to the simulator's cost terms or the
+//! report's key order fails here; if the change is meant, regenerate the
+//! file from the command in the message.
 
 use bench::breakdown::{breakdown_report, BreakdownOpts};
 use clustersim::{table2_sim_jobs, SimConfig};
@@ -41,35 +40,4 @@ fn warm_store_breakdown_matches_bench_3() {
         ..BreakdownOpts::default()
     };
     assert_golden("BENCH_3.json", 10_000, "--warm --jobs 10000 --cpus 8", opts);
-}
-
-#[test]
-fn threaded_breakdown_matches_bench_4() {
-    let opts = BreakdownOpts {
-        threads: 8,
-        cpus: 4,
-        ..BreakdownOpts::default()
-    };
-    assert_golden(
-        "BENCH_4.json",
-        2_000,
-        "--threads 8 --jobs 2000 --cpus 4",
-        opts,
-    );
-}
-
-#[test]
-fn laned_breakdown_matches_bench_6() {
-    let opts = BreakdownOpts {
-        threads: 8,
-        lanes: 8,
-        cpus: 4,
-        ..BreakdownOpts::default()
-    };
-    assert_golden(
-        "BENCH_6.json",
-        2_000,
-        "--threads 8 --lanes 8 --jobs 2000 --cpus 4",
-        opts,
-    );
 }

@@ -34,8 +34,7 @@ pub mod sim;
 mod tables;
 
 pub use params::{
-    ExecParams, MasterCosts, NetworkParams, NfsParams, SimConfig, SlaveCosts, StoreParams,
-    TransportParams,
+    MasterCosts, NetworkParams, NfsParams, SimConfig, SlaveCosts, StoreParams, TransportParams,
 };
 pub use sched::{DispatchPolicy, SchedConfig, SchedError, Supervision, Trace};
 pub use sim::{

@@ -133,114 +133,6 @@ impl Default for StoreParams {
     }
 }
 
-/// Intra-slave compute-parallelism model: the `exec` crate's chunked
-/// executor as the simulator sees it. **Off** by default (`threads == 1`)
-/// so the baseline model reproduces the paper's Tables I–III unchanged —
-/// exactly like [`StoreParams`].
-///
-/// The model applies to every job's pre-drawn compute cost: a `SimJob`
-/// carries a duration, not a pricing method, so the per-class drawn cost
-/// stands in for the path-chunked kernel work that
-/// `PremiaProblem::compute_with` routes through the executor
-/// (`JobClass::chunked_kernel` documents which methods those are).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExecParams {
-    /// Worker threads per slave rank (1 = today's sequential kernels).
-    pub threads: usize,
-    /// Amdahl serial fraction of a chunked-kernel job: path generation
-    /// parallelises, the LSM backward regression and the final reduction
-    /// do not.
-    serial_fraction: f64,
-    /// Fixed per-job cost of spinning up the chunk queues and joining
-    /// the scope, seconds (a scoped spawn of a handful of workers on
-    /// Linux lands in the tens of microseconds). Charged only when
-    /// `threads >= 2`.
-    spawn_overhead: f64,
-    /// SIMD lane width of the batched kernels (1 = scalar kernels, the
-    /// pre-lane default). Like `threads`, **off** by default so the
-    /// baseline model is unchanged.
-    pub lanes: usize,
-    /// Fraction of a job's parallelisable work that vectorises across
-    /// lanes: the per-path exp/fma arithmetic batches, the RNG draw and
-    /// the payoff branch stay scalar.
-    lane_fraction: f64,
-    /// Fixed per-job cost when lane batching is on, seconds. The
-    /// workspace pool removes every hot-loop allocation, so the per-job
-    /// setup collapses to popping pooled buffers — far below the
-    /// allocating `spawn_overhead`, which it *replaces* when
-    /// `lanes >= 2`.
-    workspace_overhead: f64,
-    /// When `true`, the executor model applies **per class**: only jobs
-    /// whose class routes through a path-chunked kernel
-    /// (`JobClass::chunked_kernel`) get the thread/lane speedup;
-    /// closed-form, PDE and tree jobs keep their sequential cost. This
-    /// is the honest model for heterogeneous mixed-class workloads.
-    /// **Off** by default so the historical uniform model (and every
-    /// committed table) is unchanged bit for bit.
-    per_class: bool,
-}
-
-impl Default for ExecParams {
-    fn default() -> Self {
-        ExecParams {
-            threads: 1,
-            serial_fraction: 0.05,
-            spawn_overhead: 0.02e-3,
-            lanes: 1,
-            lane_fraction: 0.9,
-            workspace_overhead: 0.005e-3,
-            per_class: false,
-        }
-    }
-}
-
-impl ExecParams {
-    /// Amdahl-style speedup of the parallelisable region from SIMD lane
-    /// batching: `1 / ((1 - f) + f/L)` with `f = lane_fraction`. Exactly
-    /// 1.0 when `lanes <= 1`.
-    fn lane_speedup(&self) -> f64 {
-        if self.lanes <= 1 {
-            return 1.0;
-        }
-        let l = self.lanes as f64;
-        1.0 / ((1.0 - self.lane_fraction) + self.lane_fraction / l)
-    }
-
-    /// Wall seconds of a chunked-kernel job that costs `compute`
-    /// sequential seconds, plus the worker-CPU seconds spent inside
-    /// parallel chunks (what the simulated `ComputeChunk` diagnostics
-    /// sum to). Returns `(compute, 0.0)` untouched when both knobs are
-    /// off (threads ≤ 1 and lanes ≤ 1). Lane batching shrinks the
-    /// parallelisable region *before* it is divided across threads —
-    /// lanes compose multiplicatively with threads, and the pooled
-    /// workspaces replace the allocating spawn overhead.
-    fn apply(&self, compute: f64) -> (f64, f64) {
-        if self.threads <= 1 && self.lanes <= 1 {
-            return (compute, 0.0);
-        }
-        let parallel = compute * (1.0 - self.serial_fraction);
-        let laned = parallel / self.lane_speedup();
-        let overhead = if self.lanes > 1 {
-            self.workspace_overhead
-        } else {
-            self.spawn_overhead
-        };
-        let wall = compute - parallel + laned / self.threads.max(1) as f64 + overhead;
-        (wall, laned)
-    }
-
-    /// [`Self::apply`] gated by the job's class: with `per_class` set,
-    /// only chunked-kernel jobs (`chunked == true`) see the executor
-    /// speedup; otherwise every job does, as the uniform model always
-    /// did.
-    pub(crate) fn apply_classed(&self, chunked: bool, compute: f64) -> (f64, f64) {
-        if self.per_class && !chunked {
-            return (compute, 0.0);
-        }
-        self.apply(compute)
-    }
-}
-
 /// Transport-layer cost model: what the pluggable `transport` backend
 /// adds *on top of* the raw [`NetworkParams`] wire time, per message and
 /// per byte. **Zero by default**, so the baseline model reproduces the
@@ -277,8 +169,6 @@ pub struct SimConfig {
     pub slave: SlaveCosts,
     /// Problem-store model (client cache + wire compression).
     pub store: StoreParams,
-    /// Intra-slave compute-parallelism model (chunked executor).
-    pub exec: ExecParams,
     /// Transport-layer overhead model (pluggable backend costs).
     pub transport: TransportParams,
 }
@@ -286,18 +176,6 @@ pub struct SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    impl ExecParams {
-        /// Amdahl speedup of one chunked-kernel job at this thread count:
-        /// `1 / (s + (1 - s)/T)`. Exactly 1.0 when `threads <= 1`.
-        fn speedup(&self) -> f64 {
-            if self.threads <= 1 {
-                return 1.0;
-            }
-            let t = self.threads as f64;
-            1.0 / (self.serial_fraction + (1.0 - self.serial_fraction) / t)
-        }
-    }
 
     impl TransportParams {
         /// Calibrated in-process channel backend: an enqueue, a condvar
@@ -353,74 +231,6 @@ mod tests {
     }
 
     #[test]
-    fn exec_model_off_by_default_and_speedup_is_sane() {
-        let e = ExecParams::default();
-        assert_eq!(e.threads, 1);
-        assert_eq!(e.speedup(), 1.0);
-        assert_eq!(e.apply(20.0), (20.0, 0.0));
-        // More threads always help, but sublinearly (Amdahl).
-        let mut prev = 1.0;
-        for threads in [2, 4, 8, 16] {
-            let e = ExecParams {
-                threads,
-                ..ExecParams::default()
-            };
-            let s = e.speedup();
-            assert!(s > prev, "threads {threads}: {s} !> {prev}");
-            assert!(s < threads as f64, "threads {threads}: superlinear {s}");
-            prev = s;
-        }
-        // apply() is consistent with speedup() up to the fixed overhead.
-        let e = ExecParams {
-            threads: 8,
-            ..ExecParams::default()
-        };
-        let (wall, parallel) = e.apply(20.0);
-        assert!((wall - e.spawn_overhead - 20.0 / e.speedup()).abs() < 1e-12);
-        assert!((parallel - 20.0 * (1.0 - e.serial_fraction)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lane_model_off_by_default_and_bit_identical_when_scalar() {
-        let e = ExecParams::default();
-        assert_eq!(e.lanes, 1);
-        assert_eq!(e.lane_speedup(), 1.0);
-        // threads > 1 with lanes = 1 must reproduce the pre-lane model
-        // bit for bit (the lane terms must be exact no-ops).
-        for threads in [2, 4, 8] {
-            let e = ExecParams {
-                threads,
-                ..ExecParams::default()
-            };
-            let parallel = 20.0 * (1.0 - e.serial_fraction);
-            let want_wall = 20.0 - parallel + parallel / threads as f64 + e.spawn_overhead;
-            assert_eq!(e.apply(20.0), (want_wall, parallel));
-        }
-    }
-
-    #[test]
-    fn per_class_gating_spares_sequential_classes_only() {
-        // Off by default: classed apply is the uniform apply.
-        let uniform = ExecParams {
-            threads: 8,
-            lanes: 4,
-            ..ExecParams::default()
-        };
-        assert!(!uniform.per_class);
-        for chunked in [false, true] {
-            assert_eq!(uniform.apply_classed(chunked, 3.0), uniform.apply(3.0));
-        }
-        // On: sequential classes keep their cost, chunked classes speed up.
-        let classed = ExecParams {
-            per_class: true,
-            ..uniform
-        };
-        assert_eq!(classed.apply_classed(false, 3.0), (3.0, 0.0));
-        assert_eq!(classed.apply_classed(true, 3.0), uniform.apply(3.0));
-        assert!(classed.apply_classed(true, 3.0).0 < 3.0);
-    }
-
-    #[test]
     fn transport_model_is_zero_by_default_and_socket_costs_more() {
         let off = TransportParams::default();
         assert_eq!(off.cost(0), 0.0);
@@ -438,38 +248,5 @@ mod tests {
         // transport refines the cost model, it must not dominate it.
         let n = NetworkParams::default();
         assert!(so.cost(600) < n.transfer_time(600));
-    }
-
-    #[test]
-    fn lane_model_compounds_with_threads_and_cuts_overhead() {
-        // Lanes alone help, lanes + threads help more, and wider lanes
-        // help sublinearly (the scalar RNG/payoff fraction caps it).
-        let base = ExecParams::default().apply(1.0).0;
-        let l8 = ExecParams {
-            lanes: 8,
-            ..ExecParams::default()
-        };
-        let l4 = ExecParams {
-            lanes: 4,
-            ..ExecParams::default()
-        };
-        assert!(l8.lane_speedup() > l4.lane_speedup());
-        assert!(l8.lane_speedup() < 8.0);
-        let (lane_wall, laned) = l8.apply(1.0);
-        assert!(lane_wall < base);
-        assert!(laned < 1.0 * (1.0 - l8.serial_fraction));
-        let both = ExecParams {
-            threads: 8,
-            lanes: 8,
-            ..ExecParams::default()
-        };
-        let t8 = ExecParams {
-            threads: 8,
-            ..ExecParams::default()
-        };
-        assert!(both.apply(1.0).0 < t8.apply(1.0).0);
-        assert!(both.apply(1.0).0 < lane_wall);
-        // The pooled-workspace overhead undercuts the allocating spawn.
-        assert!(both.workspace_overhead < both.spawn_overhead);
     }
 }

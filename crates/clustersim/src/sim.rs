@@ -540,56 +540,17 @@ fn flat(
             );
             t += cfg.slave.unpack;
         }
-        // Compute. With `cfg.exec.threads >= 2` the drawn compute cost
-        // shrinks by the intra-slave executor's Amdahl speedup. A
-        // `SimJob` carries a pre-drawn duration, not a pricing method, so
-        // the model applies uniformly — the *live* farm only routes the
-        // path-chunked Monte-Carlo/LSM kernels through the executor
-        // (`JobClass::chunked_kernel`), which is exactly the compute the
-        // simulator's per-class costs stand in for.
-        let (compute_wall, chunk_cpu) = cfg
-            .exec
-            .apply_classed(job.class.chunked_kernel(), job.compute);
-        let free = st.slaves[s].acquire(t, compute_wall + tail);
-        let compute_start = free - compute_wall - tail;
+        // Compute: the job's pre-drawn cost, behind the slave's queue.
+        let free = st.slaves[s].acquire(t, job.compute + tail);
+        let compute_start = free - job.compute - tail;
         emit(
             EventKind::Compute,
             srank,
             jid,
             compute_start,
-            compute_wall,
+            job.compute,
             0,
         );
-        if chunk_cpu > 0.0 {
-            // Mirror the live farm's post-join diagnostics: one
-            // `ComputeChunk` span per worker thread covering its share of
-            // the parallel worker-CPU seconds. Like the live stream these
-            // overlap the `Compute` wall span and are excluded from
-            // `Breakdown::total_s` (see `EventKind::DIAGNOSTIC`).
-            let per_thread = chunk_cpu / cfg.exec.threads.max(1) as f64;
-            for _ in 0..cfg.exec.threads.max(1) {
-                emit(
-                    EventKind::ComputeChunk,
-                    srank,
-                    jid,
-                    compute_start,
-                    per_thread,
-                    0,
-                );
-            }
-        }
-        if cfg.exec.lanes > 1 {
-            // Mirror the live executor's lane self-check mark: one
-            // zero-duration `LaneBatch` per compute, bytes = lane width.
-            emit(
-                EventKind::LaneBatch,
-                srank,
-                jid,
-                compute_start,
-                0.0,
-                cfg.exec.lanes,
-            );
-        }
         free
     };
 
@@ -1248,83 +1209,6 @@ mod tests {
         let plain = run_farm(&jobs, 2, Transmission::SerializedLoad, &cfg());
         let gated = run_farm(&jobs, 2, Transmission::SerializedLoad, &config);
         assert_eq!(plain, gated, "threshold gate leaked compression");
-    }
-
-    #[test]
-    fn exec_threads_one_is_bit_identical_to_base_model() {
-        let mut mixed: Vec<SimJob> = cheap_jobs(300, 0.5e-3);
-        for (i, j) in mixed.iter_mut().enumerate() {
-            if i % 3 == 0 {
-                j.class = JobClass::LocalVolMc;
-                j.compute = 5e-3;
-            }
-        }
-        let mut config = cfg();
-        config.exec = crate::params::ExecParams::default(); // threads = 1
-        for strategy in Transmission::ALL {
-            let base = run_farm(&mixed, 4, strategy, &cfg());
-            let with_exec = run_farm(&mixed, 4, strategy, &config);
-            assert_eq!(base, with_exec, "{strategy}");
-        }
-    }
-
-    #[test]
-    fn intra_slave_threads_cut_compute_not_prepare() {
-        use obs::Breakdown;
-        // Heavy MC jobs: compute dominates, so the Amdahl speedup must
-        // show up in compute_s and the makespan while the comm phases
-        // stay put.
-        let jobs: Vec<SimJob> = (0..64)
-            .map(|id| SimJob {
-                id,
-                class: JobClass::BasketMc,
-                bytes: 700,
-                compute: 20.0,
-            })
-            .collect();
-        let record = |c: &SimConfig| {
-            let rec = Recorder::with_capacity(5, 1 << 16);
-            let strategy = Transmission::SerializedLoad;
-            let out = record_farm(&jobs, 4, strategy, c, &mut SimCaches::new(), &rec);
-            assert_eq!(rec.dropped(), 0);
-            (out, Breakdown::from_events(&rec.events()))
-        };
-        let (seq_out, seq_bd) = record(&cfg());
-        let mut config = cfg();
-        config.exec.threads = 8;
-        let (par_out, par_bd) = record(&config);
-        let speedup = seq_bd.compute_s() / par_bd.compute_s();
-        assert!(
-            speedup > 4.0 && speedup < 8.0,
-            "compute speedup {speedup} outside the Amdahl window"
-        );
-        assert!(par_out.makespan < seq_out.makespan / 4.0);
-        // Communication phases untouched by intra-slave threads.
-        assert!((par_bd.prepare_s() - seq_bd.prepare_s()).abs() < 1e-9);
-        assert!((par_bd.wire_s() - seq_bd.wire_s()).abs() < 1e-9);
-        // Diagnostics: worker-CPU chunk seconds appear and never inflate
-        // the wall-clock phase budget.
-        assert_eq!(seq_bd.parallel_s(), 0.0);
-        assert!(par_bd.parallel_s() > 0.0);
-        assert!(par_bd.parallelism() > 4.0, "x{}", par_bd.parallelism());
-        assert!(par_bd.total_s() < seq_bd.total_s());
-    }
-
-    #[test]
-    fn thread_speedup_is_amdahl_bounded() {
-        // Doubling threads can never double throughput: the serial
-        // fraction and the spawn overhead both bite.
-        let jobs = cheap_jobs(100, 10e-3);
-        let makespan = |threads: usize| {
-            let mut config = cfg();
-            config.exec.threads = threads;
-            run_farm(&jobs, 2, Transmission::SerializedLoad, &config).makespan
-        };
-        let t1 = makespan(1);
-        let t8 = makespan(8);
-        let speedup = t1 / t8;
-        assert!(speedup > 1.0, "threads did nothing: {speedup}");
-        assert!(speedup < 8.0, "superlinear compute speedup: {speedup}");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Tiny pub(crate) helpers so farm-level phases record through the same
 //! recorder the `Comm` carries — and compile to nothing when it doesn't.
-//! A live compute is one `Compute` span: every rank prices with the
-//! sequential kernel, so the chunked executor's `ComputeChunk`, `Steal`
-//! and `LaneBatch` events come from the simulator (`clustersim`) alone.
+//! A live compute is one `Compute` span: every rank prices a job on its
+//! own thread with the sequential kernel, and the simulator models the
+//! same single span per job.
 
 use minimpi::Comm;
 use obs::{Event, EventKind};

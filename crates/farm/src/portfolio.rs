@@ -84,25 +84,6 @@ impl JobClass {
             JobClass::XvaCvaMc => (10.0, 40.0),
         }
     }
-
-    /// True when this class is priced by a path-chunked kernel — i.e. one
-    /// of the Monte-Carlo/LSM routines that route through the `exec`
-    /// executor under [`pricing::PremiaProblem::compute_with`].
-    /// Closed-form, PDE and tree pricers stay single-threaded, so
-    /// intra-slave parallelism buys them nothing. All three
-    /// extension classes ride the chunked path (their kernels run the
-    /// same one seeding rule — no new sequential-only hot loops).
-    pub fn chunked_kernel(&self) -> bool {
-        matches!(
-            self,
-            JobClass::BasketMc
-                | JobClass::LocalVolMc
-                | JobClass::AmericanBasketLsm
-                | JobClass::BermudanMaxLsm
-                | JobClass::BsdePicardMc
-                | JobClass::XvaCvaMc
-        )
-    }
 }
 
 /// One entry of a portfolio: a classified, ready-to-price problem.
@@ -807,34 +788,6 @@ mod tests {
             .map(|j| j.problem.option.strike().to_bits())
             .collect();
         assert!(strikes.len() > 50);
-    }
-
-    #[test]
-    fn chunked_kernel_matches_method_routing() {
-        // The class-level flag must agree with the actual method: every
-        // MC/LSM-priced job routes through the executor, nothing else.
-        let jobs = regression_portfolio(PortfolioScale::Quick);
-        for j in &jobs {
-            let method_chunked = matches!(
-                j.problem.method,
-                MethodSpec::MonteCarlo { .. } | MethodSpec::Lsm { .. }
-            );
-            // QMC shares the LocalVolMc class but runs the sequential
-            // low-discrepancy kernel; the class flag is the coarse,
-            // cost-model-level answer.
-            if !matches!(j.problem.method, MethodSpec::QuasiMonteCarlo { .. }) {
-                assert_eq!(
-                    j.class.chunked_kernel(),
-                    method_chunked,
-                    "job {} class {:?} method {:?}",
-                    j.id,
-                    j.class,
-                    j.problem.method
-                );
-            }
-        }
-        assert!(JobClass::ALL.iter().any(|c| c.chunked_kernel()));
-        assert!(!JobClass::VanillaClosedForm.chunked_kernel());
     }
 
     #[test]

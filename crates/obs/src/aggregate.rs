@@ -183,42 +183,6 @@ impl Breakdown {
         ])
     }
 
-    /// Intra-slave worker-CPU seconds (`ComputeChunk`): the summed
-    /// wall-clock of every executed chunk across all workers. With `T`
-    /// threads per slave this is ≈ `T ×` [`Self::compute_s`]; it is a
-    /// *diagnostic* duplicate of compute work and never counts toward
-    /// [`Self::total_s`].
-    pub fn parallel_s(&self) -> f64 {
-        self.total_of(&[EventKind::ComputeChunk])
-    }
-
-    /// Effective intra-slave compute parallelism: `parallel_s /
-    /// compute_s` — ≈ 1 for single-threaded kernels, ≈ `T` when `T`
-    /// workers kept busy for the whole compute span. 0 when the run
-    /// recorded no chunked compute.
-    pub fn parallelism(&self) -> f64 {
-        let chunk = self.parallel_s();
-        let compute = self.compute_s();
-        if chunk == 0.0 || compute == 0.0 {
-            0.0
-        } else {
-            chunk / compute
-        }
-    }
-
-    /// Mean SIMD lane width of the run's compute regions, from
-    /// [`EventKind::LaneBatch`] marks (`bytes` = lane width per mark).
-    /// 0 when the run recorded no lane-batched compute — i.e. lanes off,
-    /// the default.
-    pub fn lane_width(&self) -> f64 {
-        let n = self.count_of(EventKind::LaneBatch);
-        if n == 0 {
-            0.0
-        } else {
-            self.bytes_of(EventKind::LaneBatch) as f64 / n as f64
-        }
-    }
-
     /// Number of served requests: [`EventKind::Admit`] marks, each of
     /// which carries one request's end-to-end latency. 0 for non-serving
     /// runs.
@@ -286,10 +250,9 @@ impl Breakdown {
 
     /// Sum of all *primary* phase seconds. Bounded above by makespan ×
     /// ranks (each rank is busy at most the whole run). Diagnostic
-    /// kinds ([`EventKind::DIAGNOSTIC`] — per-chunk worker-CPU
-    /// duplicates of compute, steal/copy marks) are excluded: a slave
-    /// running `T` compute threads does `T ×` wall CPU-seconds, which
-    /// would bust a per-rank budget despite being correct.
+    /// kinds ([`EventKind::DIAGNOSTIC`] — dispatch marks and the serving
+    /// session's queue and latency spans) are excluded: their seconds
+    /// are wall time that overlaps the phases they contain, not work.
     pub fn total_s(&self) -> f64 {
         self.phases
             .iter()
@@ -415,52 +378,6 @@ mod tests {
         assert!((b.cache_hit_rate() - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(b.count_of(EventKind::Evict), 1);
         assert_eq!(b.count_of(EventKind::Recv), 0);
-    }
-
-    #[test]
-    fn diagnostic_kinds_excluded_from_total_but_drive_parallelism() {
-        // One 10 ms compute span backed by 4 workers × ~10 ms of chunks.
-        let events = vec![
-            ev(EventKind::Compute, 0, 10_000_000, 0),
-            ev(EventKind::ComputeChunk, 0, 10_000_000, 1024),
-            ev(EventKind::ComputeChunk, 0, 10_000_000, 1024),
-            ev(EventKind::ComputeChunk, 0, 10_000_000, 1024),
-            ev(EventKind::ComputeChunk, 0, 10_000_000, 1024),
-            ev(EventKind::Steal, 0, 0, 3),
-        ];
-        let b = Breakdown::from_events(&events);
-        // total_s counts only the primary compute span.
-        assert!((b.total_s() - 10e-3).abs() < 1e-12, "{}", b.total_s());
-        assert!((b.parallel_s() - 40e-3).abs() < 1e-12);
-        assert!((b.parallelism() - 4.0).abs() < 1e-12);
-        assert_eq!(b.count_of(EventKind::Steal), 1);
-        assert_eq!(b.bytes_of(EventKind::Steal), 3);
-        assert_eq!(b.bytes_of(EventKind::ComputeChunk), 4096);
-    }
-
-    #[test]
-    fn parallelism_zero_without_chunked_compute() {
-        let b = Breakdown::from_events(&[ev(EventKind::Compute, 0, 1_000, 0)]);
-        assert_eq!(b.parallel_s(), 0.0);
-        assert_eq!(b.parallelism(), 0.0);
-    }
-
-    #[test]
-    fn lane_width_from_lane_batch_marks() {
-        // Off by default: no marks → 0.
-        let b = Breakdown::from_events(&[ev(EventKind::Compute, 0, 1_000, 0)]);
-        assert_eq!(b.lane_width(), 0.0);
-        // Two computes batched 8-wide; marks are diagnostic (no seconds).
-        let events = vec![
-            ev(EventKind::Compute, 0, 10_000_000, 0),
-            ev(EventKind::LaneBatch, 0, 0, 8),
-            ev(EventKind::Compute, 1, 10_000_000, 0),
-            ev(EventKind::LaneBatch, 1, 0, 8),
-        ];
-        let b = Breakdown::from_events(&events);
-        assert_eq!(b.lane_width(), 8.0);
-        assert_eq!(b.count_of(EventKind::LaneBatch), 2);
-        assert!((b.total_s() - 20e-3).abs() < 1e-12);
     }
 
     #[test]

@@ -56,19 +56,6 @@ pub enum EventKind {
     /// Wire decompression of an inbound payload (slave side; `bytes` =
     /// decompressed size).
     Decompress,
-    /// One executed chunk of an intra-slave parallel compute region
-    /// (`bytes` = paths the chunk covered). Emitted by the simulator's
-    /// modelled executor (the live farm prices each job on one thread).
-    /// Diagnostic: its seconds are
-    /// worker-CPU time already covered by the enclosing [`Compute`]
-    /// span's wall time, so it is excluded from
-    /// [`crate::Breakdown::total_s`].
-    ///
-    /// [`Compute`]: EventKind::Compute
-    ComputeChunk,
-    /// Work-stealing activity inside a parallel compute region
-    /// (zero-duration mark; `bytes` = successful steals). Diagnostic.
-    Steal,
     /// A scheduler dispatch decision: the master handed a job (or batch
     /// head) to a slave (zero-duration mark; `bytes` = batch size).
     /// Emitted by the live drivers only; the wire cost of the dispatch is
@@ -76,12 +63,6 @@ pub enum EventKind {
     ///
     /// [`Send`]: EventKind::Send
     Dispatch,
-    /// A SIMD-lane batched, allocation-free compute region ran on this
-    /// rank (zero-duration mark; `bytes` = lane width). Emitted once per
-    /// compute by the simulator's lane model when its width exceeds 1,
-    /// so breakdowns can self-check that lane batching was actually on
-    /// (or off). Diagnostic.
-    LaneBatch,
     /// A serving-session request left the submission queue and entered
     /// the front loop (`job` = request id, `dur_ns` = queue residency,
     /// `bytes` = serialized problem bytes the request carries).
@@ -104,7 +85,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// Every kind, in declaration (and render) order.
-    pub(crate) const ALL: [EventKind; 25] = [
+    pub(crate) const ALL: [EventKind; 22] = [
         EventKind::Pack,
         EventKind::Send,
         EventKind::Probe,
@@ -122,10 +103,7 @@ impl EventKind {
         EventKind::Evict,
         EventKind::Compress,
         EventKind::Decompress,
-        EventKind::ComputeChunk,
-        EventKind::Steal,
         EventKind::Dispatch,
-        EventKind::LaneBatch,
         EventKind::Enqueue,
         EventKind::Admit,
         EventKind::Shed,
@@ -137,11 +115,8 @@ impl EventKind {
     /// (or, for the serving-session kinds, measure wall latency rather
     /// than cpu work). Excluded from [`crate::Breakdown::total_s`]'s
     /// cpu-seconds budget.
-    pub const DIAGNOSTIC: [EventKind; 8] = [
-        EventKind::ComputeChunk,
-        EventKind::Steal,
+    pub const DIAGNOSTIC: [EventKind; 5] = [
         EventKind::Dispatch,
-        EventKind::LaneBatch,
         EventKind::Enqueue,
         EventKind::Admit,
         EventKind::Shed,
@@ -168,10 +143,7 @@ impl EventKind {
             EventKind::Evict => "evict",
             EventKind::Compress => "compress",
             EventKind::Decompress => "decompress",
-            EventKind::ComputeChunk => "compute_chunk",
-            EventKind::Steal => "steal",
             EventKind::Dispatch => "dispatch",
-            EventKind::LaneBatch => "lane_batch",
             EventKind::Enqueue => "enqueue",
             EventKind::Admit => "admit",
             EventKind::Shed => "shed",

@@ -127,25 +127,6 @@ impl BreakdownReport {
                 b.total_s(),
                 run.wall_s * run.cpus as f64
             );
-            if b.parallel_s() > 0.0 {
-                let _ = writeln!(
-                    out,
-                    "  -- intra-slave parallelism x{:.2} ({:.6} chunk-s over {:.6} compute-s, {} chunks, {} steals)",
-                    b.parallelism(),
-                    b.parallel_s(),
-                    b.compute_s(),
-                    b.count_of(crate::event::EventKind::ComputeChunk),
-                    b.bytes_of(crate::event::EventKind::Steal),
-                );
-            }
-            if b.count_of(crate::event::EventKind::LaneBatch) > 0 {
-                let _ = writeln!(
-                    out,
-                    "  -- simd lanes x{:.0} alloc-free ({} lane-batched computes)",
-                    b.lane_width(),
-                    b.count_of(crate::event::EventKind::LaneBatch),
-                );
-            }
             if b.cache_hit_rate() > 0.0 {
                 let _ = writeln!(
                     out,
@@ -204,13 +185,6 @@ impl BreakdownReport {
                 json_f64(b.compute_s()),
                 json_f64(b.store_s()),
                 json_f64(b.cache_hit_rate())
-            );
-            let _ = write!(
-                s,
-                ",\"parallel_s\":{},\"parallelism\":{},\"lanes\":{}",
-                json_f64(b.parallel_s()),
-                json_f64(b.parallelism()),
-                json_f64(b.lane_width())
             );
             // Serving SLO columns, ahead of "phases". The key order is
             // part of the output: crates/bench's breakdown goldens pin
@@ -394,35 +368,6 @@ mod tests {
         // Balanced braces/brackets (cheap well-formedness proxy).
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn lane_line_rendered_only_when_lane_batches_present() {
-        let plain = sample_report();
-        assert!(!plain.render().contains("simd lanes"));
-        assert!(plain.to_json().contains("\"lanes\":0.0"));
-
-        let mut r = sample_report();
-        let mut events = vec![Event {
-            kind: EventKind::LaneBatch,
-            rank: 1,
-            job: 0,
-            start_ns: 200_000,
-            dur_ns: 0,
-            bytes: 8,
-        }];
-        events.push(Event {
-            kind: EventKind::Compute,
-            rank: 1,
-            job: 0,
-            start_ns: 200_000,
-            dur_ns: 2_000_000,
-            bytes: 0,
-        });
-        r.runs[0].breakdown = Breakdown::from_events(&events);
-        let text = r.render();
-        assert!(text.contains("simd lanes x8 alloc-free"), "{text}");
-        assert!(r.to_json().contains("\"lanes\":8.0"));
     }
 
     #[test]

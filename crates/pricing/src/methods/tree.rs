@@ -21,6 +21,31 @@ impl Default for TreeConfig {
     }
 }
 
+impl TreeConfig {
+    /// `Err` for a lattice [`tree_vanilla`] asserts against: fewer than
+    /// 2 steps, or a risk-neutral probability outside [0, 1] (a zero or
+    /// non-finite volatility, or a drift too large for the step).
+    pub(crate) fn validate(&self, m: &BlackScholes, maturity: f64) -> Result<(), String> {
+        if self.steps < 2 {
+            return Err(format!("tree needs at least 2 steps, got {}", self.steps));
+        }
+        let (_, _, _, p) = lattice(m, maturity, self.steps);
+        if !(0.0..=1.0).contains(&p) {
+            return Err(format!("risk-neutral probability {p} outside [0,1]"));
+        }
+        Ok(())
+    }
+}
+
+/// The CRR lattice of `n` steps to `maturity`: `(dt, u, d, p)`.
+fn lattice(m: &BlackScholes, maturity: f64, n: usize) -> (f64, f64, f64, f64) {
+    let dt = maturity / n as f64;
+    let u = (m.sigma * dt.sqrt()).exp();
+    let d = 1.0 / u;
+    let growth = ((m.rate - m.dividend) * dt).exp();
+    (dt, u, d, (growth - d) / (u - d))
+}
+
 /// Price (and first-step delta) from a binomial tree.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct TreeSolution {
@@ -37,12 +62,7 @@ pub(crate) fn tree_vanilla(m: &BlackScholes, option: &Vanilla, cfg: &TreeConfig)
     assert!(cfg.steps >= 2, "tree needs at least 2 steps");
     option.validate().expect("invalid option");
     let n = cfg.steps;
-    let t = option.maturity;
-    let dt = t / n as f64;
-    let u = (m.sigma * dt.sqrt()).exp();
-    let d = 1.0 / u;
-    let growth = ((m.rate - m.dividend) * dt).exp();
-    let p = (growth - d) / (u - d);
+    let (dt, u, d, p) = lattice(m, option.maturity, n);
     assert!(
         (0.0..=1.0).contains(&p),
         "risk-neutral probability {p} outside [0,1]: increase tree steps"

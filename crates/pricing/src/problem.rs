@@ -647,7 +647,10 @@ impl Specs<'_> {
                         })
                     }
                     M::Tree { steps } => {
-                        let sol = tree_vanilla(m, &opt, &TreeConfig { steps: *steps });
+                        let cfg = TreeConfig { steps: *steps };
+                        cfg.validate(m, opt.maturity)
+                            .map_err(PricingError::Invalid)?;
+                        let sol = tree_vanilla(m, &opt, &cfg);
                         Ok(PricingResult {
                             price: sol.price,
                             delta: Some(sol.delta),
@@ -780,7 +783,10 @@ impl Specs<'_> {
                         })
                     }
                     M::Tree { steps } => {
-                        let sol = tree_vanilla(m, &opt, &TreeConfig { steps: *steps });
+                        let cfg = TreeConfig { steps: *steps };
+                        cfg.validate(m, opt.maturity)
+                            .map_err(PricingError::Invalid)?;
+                        let sol = tree_vanilla(m, &opt, &cfg);
                         Ok(PricingResult {
                             price: sol.price,
                             delta: Some(sol.delta),
@@ -1868,7 +1874,8 @@ mod tests {
     fn a_decoded_option_or_pde_grid_a_kernel_rejects_is_invalid() {
         // Each problem reaches `compute` as a problem file does: encoded,
         // then decoded. The kernels assert these terms (a closed form at
-        // maturity 0 returned NaN instead).
+        // maturity 0 returned NaN instead; the tree asserts its step
+        // count and its risk-neutral probability).
         let decoded = |model, option, method, edit: fn(&mut PremiaProblem)| {
             let mut p = PremiaProblem::create(model, option, method).unwrap();
             edit(&mut p);
@@ -1926,6 +1933,25 @@ mod tests {
                 decoded("BlackScholes1dim", "CallDownOut", "FD_CrankNicolson", |p| {
                     if let MethodSpec::Pde { time_steps, .. } = &mut p.method {
                         *time_steps = 0;
+                    }
+                }),
+            ),
+            (
+                "tree steps = 1",
+                decoded(
+                    "BlackScholes1dim",
+                    "CallEuro",
+                    "TR_CoxRossRubinstein",
+                    |p| {
+                        p.method = MethodSpec::Tree { steps: 1 };
+                    },
+                ),
+            ),
+            (
+                "tree at sigma 0",
+                decoded("BlackScholes1dim", "PutAmer", "TR_CoxRossRubinstein", |p| {
+                    if let ModelSpec::BlackScholes(m) = &mut p.model {
+                        m.sigma = 0.0;
                     }
                 }),
             ),

@@ -43,7 +43,7 @@ fn recorder_on_changes_no_numbers() {
 fn lanes_off_is_bit_identical_to_the_pre_lane_default() {
     // Every live rank prices with the sequential kernel: a farm run —
     // with or without a recorder — prices each job bit for bit like the
-    // problem's own `compute()`, and records no chunk or lane marks.
+    // problem's own `compute()`, and records one compute span a job.
     let (files, dir) = setup(20, "lanes_off");
     let sequential: Vec<(usize, u64, Option<u64>)> = toy_portfolio(20)
         .iter()
@@ -62,15 +62,12 @@ fn lanes_off_is_bit_identical_to_the_pre_lane_default() {
     )
     .unwrap();
     assert_eq!(by_job(&recorded), sequential);
-    let events = rec.events();
-    for kind in [
-        EventKind::LaneBatch,
-        EventKind::ComputeChunk,
-        EventKind::Steal,
-    ] {
-        let marks = events.iter().filter(|e| e.kind == kind).count();
-        assert_eq!(marks, 0, "a live compute recorded {kind:?}");
-    }
+    let computes = rec
+        .events()
+        .iter()
+        .filter(|e| e.kind == EventKind::Compute)
+        .count();
+    assert_eq!(computes, 20, "a live compute is one Compute span a job");
     std::fs::remove_dir_all(&dir).ok();
 }
 

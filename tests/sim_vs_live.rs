@@ -255,9 +255,9 @@ fn sim_and_live_emit_identical_per_job_event_kinds() {
                 .iter()
                 .filter(|e| e.job == job)
                 .map(|e| e.kind)
-                // Diagnostic marks (ComputeChunk, Steal, ...) are
-                // data-dependent bookkeeping, not phases, which no phase
-                // schema should legislate.
+                // Diagnostic marks (Dispatch, ...) are data-dependent
+                // bookkeeping, not phases, which no per-job schema
+                // should legislate.
                 .filter(|k| !EventKind::DIAGNOSTIC.contains(k))
                 .collect()
         };
@@ -270,6 +270,17 @@ fn sim_and_live_emit_identical_per_job_event_kinds() {
                 "{strategy} job {job}: live vs sim phase schema diverged"
             );
         }
+        // Whole run, every job and `NO_JOB`, diagnostics included: the
+        // simulator emits no kind the live farm lacks, so no sim-only
+        // phase can hide behind the per-job filter above.
+        let all =
+            |events: &[Event]| -> BTreeSet<EventKind> { events.iter().map(|e| e.kind).collect() };
+        let (live_all, sim_all) = (all(&live_events), all(&sim_events));
+        assert!(
+            sim_all.is_subset(&live_all),
+            "{strategy}: sim-only kinds {:?}",
+            sim_all.difference(&live_all).collect::<Vec<_>>()
+        );
         assert_eq!(live_rec.dropped(), 0);
         assert_eq!(sim_rec.dropped(), 0);
     }
