@@ -3,8 +3,9 @@
 //!
 //! The paper's measurements were taken on a 256-node (512-core) SUPELEC
 //! cluster — hardware we do not have. Per the reproduction's substitution
-//! rule, this crate replays the *exact* master/slave protocol of Figs. 4–5
-//! against a calibrated performance model instead:
+//! rule, this crate runs the live farm's own master loop,
+//! `farm::driver::drive`, over a virtual-time transport (`world`) that
+//! prices everything else with a calibrated performance model:
 //!
 //! * **master** — a serial resource that, per job, pays the strategy's
 //!   preparation cost (read + materialise + serialize + pack for *full
@@ -24,7 +25,8 @@
 //! the strategy, the model, an optional recorder and scripted faults,
 //! and the [`Topology`] — one master under the live scheduler's own
 //! [`SchedConfig`], or sharded peer masters. `tables` assembles it into
-//! the generators for Tables I, II and III.
+//! the generators for Tables I, II and III. A whole simulated cluster
+//! runs on the calling thread (`clippy.toml` forbids spawning one).
 
 #![warn(missing_docs)]
 
@@ -32,6 +34,7 @@ mod params;
 mod resource;
 pub mod sim;
 mod tables;
+mod world;
 
 pub use params::{
     MasterCosts, NetworkParams, NfsParams, SimConfig, SlaveCosts, StoreParams, TransportParams,

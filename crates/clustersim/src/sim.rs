@@ -1,26 +1,23 @@
-//! The Robin-Hood replay: event-driven simulation of Fig. 4's protocol
-//! over the `params` performance model.
-//!
-//! The simulator holds **no scheduling logic of its own**: every
-//! dispatch decision comes from the same pure [`sched::Scheduler`] state
-//! machine the live `minimpi` masters drive. The simulator's job is the
-//! *performance model* — what each decision costs in master CPU, NIC
-//! occupancy, NFS queueing and slave compute — plus the event heap that
-//! turns those costs back into the scheduler's event stream. A live run
-//! and a simulated run of the same workload therefore render
-//! byte-identical decision [`Trace`]s (`tests/sched_parity.rs`).
+//! The Robin-Hood replay: Fig. 4's protocol over the `params`
+//! performance model. The simulator holds **no master of its own**: a
+//! flat run is `farm::driver::drive`, the loop every live master runs,
+//! over a virtual-time world (`crate::world`) that models the rest.
+//! Live and simulated runs render byte-identical decision [`Trace`]s
+//! wherever they see the same answers (`tests/sched_parity.rs`).
 
 use crate::params::SimConfig;
-use crate::resource::Resource;
+use crate::world::World;
+use farm::driver::{drive, Farm};
+use farm::minimpi::Comm;
+use farm::slave::TAG;
 use farm::strategy::Transmission;
-use farm::JobClass;
-use obs::{Event, EventKind, Recorder, NO_JOB};
-use sched::{
-    Action, Batch, DispatchPolicy, Event as SchedEvent, SchedConfig, SchedError, Scheduler, Trace,
-};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet, VecDeque};
+use farm::{FarmError, JobClass, SupervisorConfig};
+use obs::Recorder;
+use sched::{DispatchPolicy, SchedConfig, SchedError, Trace};
+use std::collections::{HashSet, VecDeque};
 use std::fmt;
+use std::sync::Arc;
+use std::time::Duration;
 
 /// One job as the simulator sees it: a class (for bookkeeping), the size
 /// of its problem file on the wire, and a pre-drawn compute duration.
@@ -52,7 +49,7 @@ impl NfsCache {
     }
 
     /// Record an access; returns true if it was already cached.
-    fn access(&mut self, file: usize) -> bool {
+    pub(crate) fn access(&mut self, file: usize) -> bool {
         !self.blocks.insert(file)
     }
 }
@@ -200,24 +197,6 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Total f64 ordering wrapper for the event heap.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Time(f64);
-
-impl Eq for Time {}
-
-impl PartialOrd for Time {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Time {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
 /// Replay `spec` against the performance model. `caches` persist across
 /// calls: pass the same value again to model a warm re-run, a fresh one
 /// for a cold run.
@@ -261,475 +240,67 @@ pub fn simulate_farm_recorded(
     out
 }
 
-/// One master replaying `spec.jobs` under `sched`, in simulated seconds
-/// (recorded as nanoseconds). Master prep lands in the recorder as
-/// `Serialize`/`Sload`, NIC occupancy as `Send`, the slave side as
-/// `Probe`/`Recv`/`Unpack` or `NfsRead`, then `Compute` and the reply.
-///
-/// A [`Batch::Guided`] run speaks the job-frame protocol, a
-/// `Dispatch { batch: n }` costing what the live frame does: n prepares
-/// on the master, one message of the summed bytes, n × (unpack +
-/// compute) on the slave, one reply. Per-member phases are recorded
-/// under the member's job, the frame's send under its first job and the
-/// slave's receive and reply under no job — as the live ranks record
-/// them. A [`Batch::One`] run speaks Fig. 4's per-job protocol (name
-/// message, packed payload, answer) as the paper's tables and
-/// `scripts/fig4_farm.nsp` speak it — not what a live farm sends, which
-/// is a frame of one job.
-///
-/// NFS reads go through `caches`, and so does every fetch with
-/// `SimConfig::store`'s client cache on, marked `CacheHit`/`CacheMiss` on
-/// the fetching rank. The live farm has no client cache: this is the
-/// simulated ablation of one.
+/// One master — `farm::driver::drive`, the live farm's own loop — on
+/// rank 0 of a virtual-time [`World`] that models everything else. A
+/// [`sched::Batch::Guided`] run speaks the job-frame protocol; a
+/// [`sched::Batch::One`] run speaks Fig. 4's per-job one (name message,
+/// packed payload, answer), as the paper's tables and
+/// `scripts/fig4_farm.nsp` do. With `SimConfig::store`'s client cache
+/// on, every fetch goes through `caches` (a simulated ablation: the live
+/// farm has none); supervision polls at [`SupervisorConfig::default`]'s
+/// interval, in virtual time.
 fn flat(
     spec: &SimSpec,
     sched: &SchedConfig,
     caches: &mut SimCaches,
 ) -> Result<SimOutcome, SimError> {
-    let (jobs, strategy, cfg, faults) = (spec.jobs, spec.strategy, spec.cfg, spec.faults);
-    if sched.jobs != jobs.len() {
+    let jobs = spec.jobs.len();
+    if sched.jobs != jobs {
         return Err(SimError::JobCount {
             sched: sched.jobs,
-            jobs: jobs.len(),
+            jobs,
         });
     }
-    let supervised = sched.supervision.is_some();
-    if !faults.is_empty() && !supervised {
+    if !spec.faults.is_empty() && sched.supervision.is_none() {
         return Err(SimError::FaultsNeedSupervision);
     }
-    let slaves = sched.slaves;
-    let framed = sched.batch == Batch::Guided;
-    // Simulated-seconds → event-record adapter. All events funnel through
-    // here so disabling the recorder costs exactly one branch.
-    let emit = |kind: EventKind, rank: usize, job: i64, start_s: f64, dur_s: f64, bytes: usize| {
-        if let Some(rec) = spec.recorder {
-            rec.record(Event {
-                kind,
-                rank: rank as u16,
-                job,
-                start_ns: (start_s * 1e9) as u64,
-                dur_ns: (dur_s * 1e9) as u64,
-                bytes: bytes as u64,
-            });
-        }
+    let world = Arc::new(World::new(spec, sched, std::mem::take(caches)));
+    let comm = Comm::over(world.clone());
+    let supervisor = sched.supervision.map(|s| SupervisorConfig {
+        job_deadline: Duration::from_nanos(s.deadline_ns),
+        max_attempts: s.max_attempts as usize,
+        backoff_base: Duration::from_nanos(s.backoff_base_ns),
+        ..SupervisorConfig::default()
+    });
+    let farm = Farm {
+        comm: &comm,
+        base: 0,
+        frames: None,
+        supervisor: supervisor.as_ref(),
+        resident: false,
+        strategy: spec.strategy,
     };
-    /// Everything a dispatch or an arrival moves.
-    struct State {
-        master: Resource,
-        nfs: Resource,
-        slaves: Vec<Resource>,
-        /// (time, slave, what, job) min-heap. The slave index is the
-        /// tie-breaker for simultaneous arrivals, exactly as in the
-        /// pre-scheduler replay loop.
-        heap: BinaryHeap<Reverse<(Time, usize, u8, usize)>>,
-        per_slave: Vec<usize>,
-        /// Per slave: dispatches so far (for matching scripted faults)
-        /// and the jobs of the latest one (what its answer covers).
-        sent: Vec<(usize, std::ops::Range<usize>)>,
+    let ran = drive(&farm, sched.clone(), |job, slave, batch, _| {
+        let frame = world.dispatch(job..job + batch);
+        Ok(comm.send(&frame, slave as i32, TAG)?)
+    });
+    let mut model = world.model();
+    *caches = std::mem::take(&mut model.caches);
+    if let (Some(rec), Some(events)) = (spec.recorder, model.events.take()) {
+        events.into_iter().for_each(|e| rec.record(e));
     }
-    // What a heap entry is: a reply landing at the master, a scripted
-    // death being noticed, or a slave turning to member `job` of the
-    // NFS frame it holds.
-    const ANSWER: u8 = 0;
-    const DEAD: u8 = 1;
-    const MEMBER: u8 = 2;
-    let mut st = State {
-        master: Resource::new(),
-        nfs: Resource::new(),
-        slaves: (0..slaves).map(|_| Resource::new()).collect(),
-        heap: BinaryHeap::new(),
-        per_slave: vec![0; slaves],
-        sent: vec![(0, 0..0); slaves],
+    let report = match ran {
+        Ok(report) => report,
+        Err(FarmError::Sched(e)) => return Err(e.into()),
+        Err(e) => unreachable!("the virtual world answers every dispatch: {e}"),
     };
-
-    let base_prep = match strategy {
-        Transmission::FullLoad => cfg.master.full_load_prep,
-        Transmission::SerializedLoad => cfg.master.sload_prep,
-        Transmission::Nfs => cfg.master.nfs_prep,
-    };
-    let loaded = strategy != Transmission::Nfs;
-    // What a message carries around its members' bodies (a loaded
-    // member's body is its file bytes, an NFS member's a tiny name).
-    let envelope = if loaded { 96 } else { 0 };
-    const NAME_BYTES: usize = 64;
-    // A result message is a small fixed-size record; a frame's reply
-    // adds a row of columns (id, price, error, mask) per further member.
-    const RESULT_BYTES: usize = 96;
-    let reply_bytes = |members: usize| RESULT_BYTES + 25 * (members - 1);
-    let store = cfg.store;
-    // Wire compression (loaded strategies, payload over threshold): the
-    // payload shrinks by `compress_ratio`, the master pays per-byte
-    // compression CPU, the slave pays decompression. Returns the bytes
-    // the member adds to its message and the two CPU costs.
-    let member_wire = |job: &SimJob| -> (usize, f64, f64) {
-        if !loaded {
-            (NAME_BYTES, 0.0, 0.0)
-        } else if store.compress && job.bytes >= store.compress_threshold {
-            let compressed = (job.bytes as f64 * store.compress_ratio).ceil() as usize;
-            (
-                compressed.min(job.bytes),
-                store.compress_cpu * job.bytes as f64,
-                store.decompress_cpu * job.bytes as f64,
-            )
-        } else {
-            (job.bytes, 0.0, 0.0)
-        }
-    };
-
-    // Master side of a dispatch: prepare every member, then send them to
-    // slave `s` as one message, starting from master-ready time. Returns
-    // when the message has left and its size.
-    let send = |members: &[SimJob],
-                ready: f64,
-                st: &mut State,
-                caches: &mut SimCaches|
-     -> (f64, usize) {
-        let name_prep = cfg.master.nfs_prep.min(base_prep);
-        // The strategy-specific fetch+materialise span beyond the tiny
-        // name-message build.
-        let uncached_span = base_prep - name_prep;
-        let mut plan = Vec::with_capacity(members.len());
-        let (mut busy, mut wire) = (0.0, envelope);
-        for job in members {
-            // Client cache (loaded strategies, master side): a warm hit
-            // shrinks the *fetch* part of the span to `hit_fetch`; full
-            // load's materialisation (unserialize + rebuild + reserialize)
-            // is CPU work the cache cannot skip and is paid either way.
-            let (fetch_span, master_hit) = if store.client_cache && loaded {
-                let hit = !caches.client.insert(job.id);
-                let materialise = match strategy {
-                    Transmission::FullLoad => {
-                        (cfg.master.full_load_prep - cfg.master.sload_prep).max(0.0)
-                    }
-                    _ => 0.0,
-                };
-                let fetch = if hit {
-                    store.hit_fetch
-                } else {
-                    (uncached_span - materialise).max(0.0)
-                };
-                (materialise + fetch, Some(hit))
-            } else {
-                (uncached_span, None)
-            };
-            let (body, compress_cpu, _) = member_wire(job);
-            busy += name_prep + fetch_span + compress_cpu;
-            wire += body;
-            plan.push((fetch_span, master_hit, compress_cpu, body));
-        }
-        let transfer = cfg.network.transfer_time(wire) + cfg.transport.cost(wire);
-        // Master: prep (+ compression) + NIC occupancy (serialised on
-        // the master).
-        let send_done = st.master.acquire(ready, busy + transfer);
-        // Master-side phases, mirroring the live farm's event stream:
-        // per member the strategy prep (Serialize / Sload) — plus, per
-        // job, the tiny name-message Serialize a frame does not have —
-        // and Pack (free: the payload is already serial bytes); then the
-        // NIC occupancy as Send, under the message's first job.
-        let mut t = send_done - busy - transfer;
-        for (job, (fetch_span, master_hit, compress_cpu, body)) in members.iter().zip(plan) {
-            let jid = job.id as i64;
-            let span = if framed {
-                fetch_span + name_prep
-            } else {
-                fetch_span
-            };
-            match strategy {
-                Transmission::FullLoad => emit(EventKind::Serialize, 0, jid, t, span, job.bytes),
-                Transmission::SerializedLoad => emit(EventKind::Sload, 0, jid, t, span, job.bytes),
-                Transmission::Nfs => {}
-            }
-            t += fetch_span;
-            if let Some(hit) = master_hit {
-                let kind = if hit {
-                    EventKind::CacheHit
-                } else {
-                    EventKind::CacheMiss
-                };
-                emit(kind, 0, jid, t, 0.0, job.bytes);
-            }
-            if !framed {
-                emit(EventKind::Serialize, 0, jid, t, name_prep, NAME_BYTES);
-            }
-            t += name_prep;
-            if compress_cpu > 0.0 {
-                emit(
-                    EventKind::Compress,
-                    0,
-                    jid,
-                    t,
-                    compress_cpu,
-                    job.bytes - body,
-                );
-                t += compress_cpu;
-            }
-            if loaded {
-                emit(EventKind::Pack, 0, jid, t, 0.0, job.bytes);
-            }
-        }
-        emit(EventKind::Send, 0, members[0].id as i64, t, transfer, wire);
-        (send_done, wire)
-    };
-
-    // Slave `s`, free at `t`, recovers and prices one member of the
-    // message it holds; `tail` is slave time spent straight after the
-    // compute (the reply's preparation, behind the last member). Returns
-    // when the slave is free again.
-    let price = |job: &SimJob,
-                 s: usize,
-                 mut t: f64,
-                 tail: f64,
-                 st: &mut State,
-                 caches: &mut SimCaches|
-     -> f64 {
-        let (srank, jid) = (s + 1, job.id as i64);
-        if !loaded {
-            if store.client_cache && !caches.client.insert(job.id) {
-                // Warm client cache: the slave's fetch never leaves the
-                // node — no NFS server trip, no FIFO queueing.
-                emit(
-                    EventKind::NfsRead,
-                    srank,
-                    jid,
-                    t,
-                    store.hit_fetch,
-                    job.bytes,
-                );
-                t += store.hit_fetch;
-                emit(EventKind::CacheHit, srank, jid, t, 0.0, job.bytes);
-            } else {
-                // Slave reads the file from the NFS server (FIFO + cache).
-                let service = if caches.nfs.access(job.id) {
-                    cfg.nfs.warm_read
-                } else {
-                    cfg.nfs.cold_read
-                };
-                t = st.nfs.acquire(t, service);
-                emit(
-                    EventKind::NfsRead,
-                    srank,
-                    jid,
-                    t - service,
-                    service,
-                    job.bytes,
-                );
-                if store.client_cache {
-                    emit(EventKind::CacheMiss, srank, jid, t, 0.0, job.bytes);
-                }
-            }
-        } else {
-            let (_, _, decompress_cpu) = member_wire(job);
-            if decompress_cpu > 0.0 {
-                emit(
-                    EventKind::Decompress,
-                    srank,
-                    jid,
-                    t,
-                    decompress_cpu,
-                    job.bytes,
-                );
-                t += decompress_cpu;
-            }
-            emit(
-                EventKind::Unpack,
-                srank,
-                jid,
-                t,
-                cfg.slave.unpack,
-                job.bytes,
-            );
-            t += cfg.slave.unpack;
-        }
-        // Compute: the job's pre-drawn cost, behind the slave's queue.
-        let free = st.slaves[s].acquire(t, job.compute + tail);
-        let compute_start = free - job.compute - tail;
-        emit(
-            EventKind::Compute,
-            srank,
-            jid,
-            compute_start,
-            job.compute,
-            0,
-        );
-        free
-    };
-
-    // Slave `s` has priced all of `members` — its reply prepared by
-    // `done` — and answers: the reply lands at the master, or the slave
-    // dies sending it if a scripted fault says so.
-    let answer = |members: std::ops::Range<usize>, s: usize, done: f64, st: &mut State| {
-        let n = members.len();
-        // A per-job reply is its job's; a frame's is no one job's.
-        let jid = if framed {
-            NO_JOB
-        } else {
-            jobs[members.start].id as i64
-        };
-        let prep = cfg.slave.result_prep;
-        emit(
-            EventKind::Serialize,
-            s + 1,
-            jid,
-            done - prep,
-            prep,
-            reply_bytes(n),
-        );
-        // Transport-backend overhead on top of the raw network time; zero
-        // with the default [`crate::params::TransportParams`], keeping
-        // the baseline model bit-identical.
-        let wire = cfg.network.transfer_time(reply_bytes(n)) + cfg.transport.cost(reply_bytes(n));
-        emit(EventKind::Send, s + 1, jid, done, wire, reply_bytes(n));
-        let nth = st.sent[s].0 - 1;
-        let entry = match faults
-            .iter()
-            .find(|f| f.slave == s && f.fatal_dispatch == nth)
-        {
-            // The slave dies *sending* this result: the answer never
-            // arrives, and the master's liveness sweep notices
-            // `detect_delay_s` after the fatal send began.
-            Some(f) => (Time(done + f.detect_delay_s), s, DEAD, members.start),
-            None => (Time(done + wire), s, ANSWER, members.start),
-        };
-        st.heap.push(Reverse(entry));
-    };
-
-    // The scheduler: the same pure state machine the live masters drive.
-    let mut sched = Scheduler::new(sched.clone())?;
-    let ns = |t: f64| -> u64 { (t * 1e9) as u64 };
-
-    // Execute one action batch: dispatches run the performance model and
-    // push what follows onto the heap; supervision actions mirror the
-    // live driver's master-side marks.
-    let run_actions = |actions: Vec<Action>, now: f64, st: &mut State, caches: &mut SimCaches| {
-        for a in actions {
-            match a {
-                Action::Dispatch { job, slave, batch } => {
-                    let s = slave - 1;
-                    let members = job..job + batch;
-                    st.sent[s] = (st.sent[s].0 + 1, members.clone());
-                    let (sent, wire) = send(&jobs[members.clone()], now, st, caches);
-                    let mut t = st.slaves[s].acquire(sent, 0.0);
-                    if framed {
-                        emit(EventKind::Recv, slave, NO_JOB, t, 0.0, wire);
-                    } else if loaded {
-                        let jid = jobs[job].id as i64;
-                        emit(EventKind::Probe, slave, jid, t, 0.0, wire);
-                        emit(EventKind::Recv, slave, jid, t, 0.0, wire);
-                    }
-                    if framed && !loaded {
-                        // The members' reads queue at a server other
-                        // slaves are reading from meanwhile: each is an
-                        // event of its own, taken in time order.
-                        st.heap.push(Reverse((Time(t), s, MEMBER, job)));
-                        continue;
-                    }
-                    for m in members.clone() {
-                        let tail = if m + 1 == members.end {
-                            cfg.slave.result_prep
-                        } else {
-                            0.0
-                        };
-                        t = price(&jobs[m], s, t, tail, st, caches);
-                    }
-                    answer(members, s, t, st);
-                }
-                // Stop sentinels and terminal markers are free in the
-                // performance model.
-                Action::Stop { .. } | Action::AllSlavesDead | Action::Finish => {}
-                Action::Accept { slave, .. } => {
-                    st.per_slave[slave - 1] += st.sent[slave - 1].1.len()
-                }
-                // The live supervised driver's master-side marks.
-                Action::Expire { job, .. } => {
-                    emit(EventKind::Deadline, 0, jobs[job].id as i64, now, 0.0, 0)
-                }
-                Action::Requeue { job } => {
-                    emit(EventKind::Retry, 0, jobs[job].id as i64, now, 0.0, 0)
-                }
-                Action::Bury { slave } => emit(EventKind::SlaveDeath, 0, NO_JOB, now, 0.0, slave),
-            }
-        }
-    };
-
-    // Priming: one SlaveReady per slave, in rank order (Fig. 4).
-    for s in 1..=slaves {
-        let acts = sched.on(SchedEvent::SlaveReady { slave: s }, 0);
-        run_actions(acts, 0.0, &mut st, caches);
-    }
-
-    // Drain: pop arrivals and deaths, feed the scheduler, execute its
-    // decisions. Under supervision a deadline tick rides on every pop
-    // (the live master ticks before every receive); when the heap runs
-    // dry with embargoed retries pending, simulated time skips forward
-    // in doubling steps until a backoff or deadline fires.
-    let mut makespan: f64 = 0.0;
-    let mut now: f64 = 0.0;
-    let mut idle_step = 1e-3;
-    while !sched.is_terminal() {
-        let Some(Reverse((Time(t), s, kind, job))) = st.heap.pop() else {
-            if !supervised {
-                break; // plain runs finish through the answer stream alone
-            }
-            now += idle_step;
-            idle_step *= 2.0;
-            let acts = sched.on(SchedEvent::Deadline, ns(now));
-            run_actions(acts, now, &mut st, caches);
-            continue;
-        };
-        if kind == MEMBER {
-            // Slave-side progress the master does not see.
-            let members = st.sent[s].1.clone();
-            if job + 1 < members.end {
-                let free = price(&jobs[job], s, t, 0.0, &mut st, caches);
-                st.heap.push(Reverse((Time(free), s, MEMBER, job + 1)));
-            } else {
-                let done = price(&jobs[job], s, t, cfg.slave.result_prep, &mut st, caches);
-                answer(members, s, done, &mut st);
-            }
-            continue;
-        }
-        idle_step = 1e-3;
-        now = now.max(t);
-        if supervised {
-            let acts = sched.on(SchedEvent::Deadline, ns(now));
-            run_actions(acts, now, &mut st, caches);
-            if sched.is_terminal() {
-                break;
-            }
-        }
-        if kind == ANSWER {
-            // Master takes the result off the wire. Like the live
-            // master's ANY_SOURCE result receive, this is not attributed
-            // to a job.
-            let handled = st.master.acquire(t, cfg.master.result_handle);
-            emit(
-                EventKind::Recv,
-                0,
-                NO_JOB,
-                handled - cfg.master.result_handle,
-                cfg.master.result_handle,
-                reply_bytes(st.sent[s].1.len()),
-            );
-            makespan = makespan.max(handled);
-            now = now.max(handled);
-            let acts = sched.on(SchedEvent::Answer { job, slave: s + 1 }, ns(handled));
-            run_actions(acts, handled, &mut st, caches);
-        } else {
-            let acts = sched.on(SchedEvent::SlaveDead { slave: s + 1 }, ns(t));
-            run_actions(acts, t, &mut st, caches);
-        }
-    }
-
-    let util = if makespan > 0.0 {
-        st.master.busy_total() / makespan
-    } else {
-        0.0
-    };
+    let makespan = model.makespan;
+    let busy = model.master.busy_total();
     Ok(SimOutcome {
         makespan,
-        per_slave: st.per_slave,
-        master_utilisation: util,
-        trace: sched.take_trace(),
+        per_slave: report.per_slave[1..].to_vec(),
+        master_utilisation: if makespan > 0.0 { busy / makespan } else { 0.0 },
+        trace: report.trace,
         steals: 0,
     })
 }
@@ -820,6 +391,7 @@ fn sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::{EventKind, NO_JOB};
     use sched::Supervision;
 
     impl NfsCache {
@@ -1244,6 +816,58 @@ mod tests {
         assert!(
             text.contains("dead(2) -> bury(2) requeue("),
             "no burial decision in:\n{text}"
+        );
+    }
+
+    #[test]
+    fn a_511_slave_supervised_farm_buries_a_death_and_accepts_each_job_once() {
+        // The paper's 512 cores: a master and 511 slaves, four jobs a
+        // slave, and slave rank 101 dying as it answers its second job.
+        // The whole cluster runs here, on the test's thread.
+        let jobs = cheap_jobs(2044, 10e-3);
+        let supervision = Supervision {
+            deadline_ns: 10_000_000_000,
+            max_attempts: 4,
+            backoff_base_ns: 0,
+        };
+        let sched = SchedConfig::farm(2044, 511, DispatchPolicy::Fifo, Some(supervision), None);
+        let faults = [SimFault {
+            slave: 100,
+            fatal_dispatch: 1,
+            detect_delay_s: 0.05,
+        }];
+        let config = cfg();
+        let spec = SimSpec {
+            faults: &faults,
+            ..spec(
+                &jobs,
+                Transmission::SerializedLoad,
+                &config,
+                Topology::Flat(sched.record_trace()),
+            )
+        };
+        let out = simulate(&spec, &mut SimCaches::new()).unwrap();
+        assert_eq!(out.per_slave.iter().sum::<usize>(), 2044);
+        assert_eq!(out.per_slave[100], 1, "the dead slave answered once");
+        let trace = out.trace.unwrap();
+        let mut accepted = vec![0; jobs.len()];
+        for action in trace.entries.iter().flat_map(|e| &e.actions) {
+            if let sched::Action::Accept { job, .. } = *action {
+                accepted[job] += 1;
+            }
+        }
+        assert!(accepted.iter().all(|&n| n == 1), "{accepted:?}");
+        // The burial requeues the job the slave died with, and a
+        // survivor takes it.
+        let text = trace.render();
+        let at = text
+            .find("dead(101) -> bury(101) requeue(")
+            .expect("no burial");
+        let job = text[at..].split(['(', ')']).nth(5).unwrap();
+        assert!(
+            text[at..].contains(&format!(" dispatch({job}->")),
+            "requeued job {job} never dispatched again:\n{}",
+            &text[at..]
         );
     }
 

@@ -57,25 +57,6 @@ fn table1_class_range(class: JobClass) -> (f64, f64) {
     }
 }
 
-/// Table III per-class ranges: the §4.3 narrative shape (vanilla
-/// instantaneous, European MC/PDE medium, American heaviest), before
-/// normalisation to the measured T(2) = 5776 s.
-fn table3_class_range(class: JobClass) -> (f64, f64) {
-    match class {
-        JobClass::VanillaClosedForm => (0.001, 0.005),
-        JobClass::BarrierPde => (10.0, 30.0),
-        JobClass::BasketMc => (10.0, 30.0),
-        JobClass::LocalVolMc => (10.0, 30.0),
-        JobClass::AmericanPde => (60.0, 100.0),
-        JobClass::AmericanBasketLsm => (60.0, 120.0),
-        // Extension classes, at §4.3 narrative magnitudes (matches
-        // `farm::calibrate::paper_costs`).
-        JobClass::BermudanMaxLsm => (60.0, 150.0),
-        JobClass::BsdePicardMc => (40.0, 90.0),
-        JobClass::XvaCvaMc => (10.0, 40.0),
-    }
-}
-
 /// Build `SimJob`s from portfolio jobs: deterministic per-job cost drawn
 /// uniformly from the class range, wire size from the real XDR encoding,
 /// total serial cost normalised to `serial_total` seconds.
@@ -171,40 +152,33 @@ pub fn table2_sim_jobs(count: usize) -> Vec<SimJob> {
 /// across CPU counts, reproducing the §4.2 caching bias the paper calls
 /// out ("the comparison with the NFS file system may be highly biased").
 pub fn table2_rows(cpus: &[usize], cfg: &SimConfig) -> Vec<(Transmission, Vec<TableRow>)> {
-    let sim_jobs = table2_sim_jobs(10_000);
-    Transmission::ALL
-        .iter()
-        .map(|&strategy| {
-            let shared_cache = strategy == Transmission::Nfs;
-            (
-                strategy,
-                sweep(&sim_jobs, cpus, strategy, cfg, shared_cache),
-            )
-        })
-        .collect()
+    per_strategy(&table2_sim_jobs(10_000), cpus, cfg)
 }
 
 /// The Table III workload as simulator jobs: the realistic portfolio,
-/// per-class costs normalised to the paper's T(2).
+/// per-class costs drawn from the §4.3 narrative ranges
+/// ([`JobClass::paper_cost_seconds`]: vanilla instantaneous, European
+/// MC/PDE medium, American heaviest) and normalised to the paper's T(2).
 pub fn table3_sim_jobs() -> Vec<SimJob> {
     let jobs = realistic_portfolio(PortfolioScale::Quick, 1);
-    build_sim_jobs(&jobs, table3_class_range, TABLE3_T2, 0x7AB1E3)
+    build_sim_jobs(&jobs, |c| c.paper_cost_seconds(), TABLE3_T2, 0x7AB1E3)
 }
 
 /// Table III: the 7 931-claim realistic portfolio under all three
 /// strategies, up to 512 CPUs.
 pub fn table3_rows(cpus: &[usize], cfg: &SimConfig) -> Vec<(Transmission, Vec<TableRow>)> {
-    let sim_jobs = table3_sim_jobs();
-    Transmission::ALL
-        .iter()
-        .map(|&strategy| {
-            let shared_cache = strategy == Transmission::Nfs;
-            (
-                strategy,
-                sweep(&sim_jobs, cpus, strategy, cfg, shared_cache),
-            )
-        })
-        .collect()
+    per_strategy(&table3_sim_jobs(), cpus, cfg)
+}
+
+/// [`sweep`] each strategy in [`Transmission::ALL`] order, the NFS one
+/// through one server cache across CPU counts.
+fn per_strategy(
+    jobs: &[SimJob],
+    cpus: &[usize],
+    cfg: &SimConfig,
+) -> Vec<(Transmission, Vec<TableRow>)> {
+    let rows = |s| (s, sweep(jobs, cpus, s, cfg, s == Transmission::Nfs));
+    Transmission::ALL.iter().map(|&s| rows(s)).collect()
 }
 
 /// Sweep CPU counts; `shared_cache` keeps the NFS block cache warm across

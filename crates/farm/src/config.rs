@@ -355,7 +355,7 @@ mod tests {
             }))
         });
         match ran.into_iter().next().flatten() {
-            Some(Err(FarmError::Config(issues))) => assert!(issues.has("scheduler"), "{issues}"),
+            Some(Err(FarmError::Sched(e))) => assert_eq!(e, sched::SchedError::BatchNeedsFifo),
             other => panic!("expected a config rejection, got {other:?}"),
         }
     }
@@ -375,8 +375,8 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         match ran.join().expect("the master returns") {
-            Err(FarmError::Config(issues)) => {
-                let msg = issues.to_string();
+            Err(e @ FarmError::Sched(_)) => {
+                let msg = e.to_string();
                 assert!(
                     msg.contains("rounds vector has 3 entries for 4 jobs"),
                     "{msg}"

@@ -7,12 +7,12 @@
 //! executes the returned [`sched::Action`]s as sends. All scheduling
 //! *decisions* (who gets which job next, when a job is presumed lost,
 //! when a slave is buried, when the run is finished) live in
-//! `crates/sched`, where the cluster simulator drives the identical
-//! state machine with simulated time — the parity property locked down
-//! by `tests/sched_parity.rs`.
+//! `crates/sched`. The cluster simulator runs this same [`drive`] over
+//! a virtual-time transport that models the slaves (`clustersim`):
+//! live and simulated runs are one master loop (`tests/sched_parity.rs`).
 //! Supervision is one value ([`Farm::supervisor`]): data the scheduler
-//! config already carries, plus what it adds here — a clock, a poll
-//! interval and a liveness sweep.
+//! config already carries, plus what it adds here — the transport's
+//! clock ([`Comm::wtime`]), a poll interval and a liveness sweep.
 //!
 //! [`drive`] also owns shutdown: on every exit path, error included,
 //! each slave not known dead has been sent its stop sentinel before the
@@ -38,7 +38,7 @@ use sched::{Action, Event, SchedConfig, Scheduler};
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::path::Path;
-use std::time::Instant;
+use std::time::Duration;
 use store::{DirStore, ProblemStore};
 
 /// The live side of one scheduler run: where the slaves are and how to
@@ -184,14 +184,14 @@ pub fn drive(
         supervision: farm.supervisor.map(SupervisorConfig::supervision),
         ..cfg
     };
-    let (jobs, slaves, start) = (cfg.jobs, cfg.slaves, Instant::now());
+    let (jobs, slaves, start) = (cfg.jobs, cfg.slaves, farm.comm.wtime());
     assert!(
         farm.frames.is_none_or(|f| f.len() == jobs + 1 && f[0] == 0),
         "Farm::frames holds jobs + 1 offsets from 0"
     );
     let sched = Scheduler::new(cfg).map_err(|e| {
         farm.stop_all(1..=slaves);
-        FarmError::Config(exec::ConfigIssues::one("scheduler", e.to_string()))
+        FarmError::Sched(e)
     })?;
     let mut d = Driver {
         farm,
@@ -214,7 +214,7 @@ pub fn drive(
     Ok(FarmReport {
         outcomes: d.outcomes,
         failed_members: d.failed_members,
-        elapsed: start.elapsed(),
+        elapsed: Duration::from_secs_f64(farm.comm.wtime() - start),
         per_slave: d.per_slave,
         failed_jobs: d.sched.failed_jobs(),
         retries: d.sched.retries() as usize,
@@ -229,8 +229,8 @@ struct Driver<'a, S> {
     send: S,
     jobs: usize,
     slaves: usize,
-    /// When the run began; read only under supervision.
-    epoch: Option<Instant>,
+    /// When the run began ([`Comm::wtime`]); kept only under supervision.
+    epoch: Option<f64>,
     /// Priced jobs in acceptance order, `job` in *wire* ids.
     outcomes: Vec<JobOutcome>,
     /// Failed members of answered frames, `(wire id, why)`.
@@ -249,12 +249,12 @@ impl<S> Driver<'_, S>
 where
     S: FnMut(usize, usize, usize, &[JobOutcome]) -> Result<(), FarmError>,
 {
-    /// Feed one event — at nanoseconds since the run began under
-    /// supervision, at a constant 0 (and no clock read) without — and
-    /// return what the scheduler decides.
+    /// Feed one event — at nanoseconds since the run began on the
+    /// transport's clock under supervision, at a constant 0 (and no
+    /// clock read) without — and return what the scheduler decides.
     fn on(&mut self, event: Event) -> Vec<Action> {
-        let now = self.epoch.map_or(0, |e| e.elapsed().as_nanos() as u64);
-        self.sched.on(event, now)
+        let since = self.epoch.map(|e| self.farm.comm.wtime() - e);
+        self.sched.on(event, since.map_or(0, |s| (s * 1e9) as u64))
     }
 
     /// Feed one event and execute what the scheduler decides.
@@ -391,8 +391,7 @@ where
 
     /// Execute an action batch in order. A dispatch the scheduler can
     /// take back (supervised only) is reported to it at once and the
-    /// recovery actions run *before* the rest of the batch, keeping the
-    /// live driver in lock-step with the simulator.
+    /// recovery actions run *before* the rest of the batch.
     fn execute(&mut self, actions: Vec<Action>) -> Result<(), FarmError> {
         let farm = self.farm;
         let comm = farm.comm;
@@ -474,7 +473,6 @@ mod tests {
     use crate::portfolio::{save_portfolio, toy_portfolio};
     use crate::slave::serve_jobs;
     use crate::wire::{batch_reply_value, decode_frame};
-    use std::time::Duration;
 
     #[test]
     fn a_supervised_reply_naming_a_job_outside_the_run_is_dropped() {

@@ -20,8 +20,9 @@
 //! * [`slave`] and [`driver`] — Fig. 4's two branches, once each, for
 //!   both masters in the workspace, each rank 0 of its own world: the
 //!   one slave loop (every job is answered, priced or failed —
-//!   `docs/FAULTS.md`) and the one master driver (feeds the pure [`sched::Scheduler`] the simulator also runs
-//!   — `docs/SCHEDULER.md` — and owns shutdown). Every link ships §5's
+//!   `docs/FAULTS.md`) and the one master driver (feeds the pure [`sched::Scheduler`] and owns
+//!   shutdown; the simulator runs it too, over virtual time —
+//!   `docs/SCHEDULER.md`). Every link ships §5's
 //!   "send them all together" job frames: sized by the scheduler on a
 //!   plain run, one job each under supervision or staging (`batching`,
 //!   private), and packed ahead by a `serve::Session`. The
@@ -71,6 +72,8 @@ pub mod wire;
 pub mod workload;
 
 pub use config::{run, FarmConfig};
+/// The communicator every [`driver::Farm`] is built on.
+pub use minimpi;
 pub use portfolio::{
     mixed_portfolio, realistic_portfolio, regression_portfolio, representative_problem,
     toy_portfolio, JobClass, PortfolioJob, PortfolioScale,

@@ -109,6 +109,9 @@ pub enum FarmError {
     /// plan without supervision, a zero retry budget, an undersized recorder).
     /// Carries *every* rejected field, not just the first one found.
     Config(ConfigIssues),
+    /// The scheduler refused the run's [`sched::SchedConfig`]; the slaves
+    /// have been stopped.
+    Sched(sched::SchedError),
     /// A peer sent a message the wire codec cannot decode: a protocol
     /// violation, surfaced with the offending value rendered instead of
     /// silently dropped.
@@ -141,6 +144,7 @@ impl fmt::Display for FarmError {
             FarmError::Io(m) => write!(f, "I/O error: {m}"),
             FarmError::Xdr(e) => write!(f, "serialization error: {e}"),
             FarmError::Config(m) => write!(f, "{m}"),
+            FarmError::Sched(e) => write!(f, "invalid configuration: scheduler: {e}"),
             FarmError::Protocol(m) => write!(f, "protocol violation: {m}"),
             FarmError::JobFailed { job, why } => write!(f, "job {job} failed: {why}"),
             FarmError::AllSlavesDead {

@@ -53,13 +53,6 @@ fn status_of(frame: &Frame) -> Status {
     }
 }
 
-/// The instant `timeout` from now — or no deadline at all when that
-/// instant is beyond what `Instant` can hold, so a timeout of
-/// `Duration::MAX` waits forever instead of panicking.
-fn deadline_after(timeout: Duration) -> Option<Instant> {
-    Instant::now().checked_add(timeout)
-}
-
 /// Map a transport failure onto the communicator error surface.
 fn map_err(e: TransportError) -> MpiError {
     match e {
@@ -118,6 +111,19 @@ impl Comm {
             job: Cell::new(NO_JOB),
             owed: Cell::new(None),
         }
+    }
+
+    /// A communicator, with no fault plan or recorder, over a transport
+    /// the caller built: rank `transport.rank()` of its group.
+    pub fn over(transport: Arc<dyn Transport>) -> Self {
+        Comm::new(transport, None, None)
+    }
+
+    /// The instant `timeout` from now on the transport's clock — or no
+    /// deadline when `Instant` cannot hold it, so a timeout of
+    /// `Duration::MAX` waits forever instead of panicking.
+    fn deadline_after(&self, timeout: Duration) -> Option<Instant> {
+        self.transport.now().checked_add(timeout)
     }
 
     /// Issue the wake the last send left owed, if any.
@@ -224,9 +230,11 @@ impl Comm {
         self.transport.size()
     }
 
-    /// `MPI_Wtime`: seconds since the communicator was created.
+    /// `MPI_Wtime`: seconds since the group was created, on the
+    /// transport's clock.
     pub fn wtime(&self) -> f64 {
-        self.transport.epoch().elapsed().as_secs_f64()
+        let t = &self.transport;
+        t.now().saturating_duration_since(t.epoch()).as_secs_f64()
     }
 
     fn check_dest(&self, rank: i32) -> Result<usize, MpiError> {
@@ -280,7 +288,7 @@ impl Comm {
                         send,
                         by,
                     });
-                    visible_at = Some(Instant::now() + by);
+                    visible_at = Some(self.transport.now() + by);
                 }
                 SendFault::Truncate(keep) => {
                     let keep = keep.min(full_len);
@@ -382,7 +390,7 @@ impl Comm {
         let t0 = self.obs_start();
         self.pre_op(None)?;
         Ok(self
-            .match_deadline(src, tag, deadline_after(timeout), true)?
+            .match_deadline(src, tag, self.deadline_after(timeout), true)?
             .map(|msg| {
                 let status = status_of(&msg);
                 self.obs_span(EventKind::Recv, t0, msg.payload.len());
@@ -526,7 +534,7 @@ mod tests {
         ) -> Result<Option<Status>, MpiError> {
             let t0 = self.obs_start();
             self.pre_op(None)?;
-            let matched = self.match_deadline(src, tag, deadline_after(timeout), false)?;
+            let matched = self.match_deadline(src, tag, self.deadline_after(timeout), false)?;
             if let Some(m) = &matched {
                 self.obs_span(EventKind::Probe, t0, m.full_len);
             }

@@ -63,6 +63,7 @@ pub use buf::MpiBuf;
 pub use comm::{Comm, Status};
 pub use error::MpiError;
 pub use fault::{FaultEvent, FaultPlan, SendFault};
+pub use transport::{Frame, Payload, Transport, TransportError};
 pub use world::{SpawnedWorld, World};
 
 /// Wildcard source for `recv`/`probe` — the paper's `MPI_Probe(-1, ...)`.

@@ -129,12 +129,12 @@ impl Breakdown {
         self.phases.iter().find(|p| p.kind == kind)
     }
 
+    /// Summed from +0.0: an empty `Iterator::sum` of `f64` is -0.0.
     fn total_of(&self, kinds: &[EventKind]) -> f64 {
         kinds
             .iter()
             .filter_map(|k| self.phase(*k))
-            .map(|p| p.total_s)
-            .sum()
+            .fold(0.0, |sum, p| sum + p.total_s)
     }
 
     /// Problem-acquisition ("prepare") seconds, wherever they run:
@@ -257,8 +257,7 @@ impl Breakdown {
         self.phases
             .iter()
             .filter(|p| !EventKind::DIAGNOSTIC.contains(&p.kind))
-            .map(|p| p.total_s)
-            .sum()
+            .fold(0.0, |sum, p| sum + p.total_s)
     }
 }
 

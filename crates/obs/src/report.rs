@@ -430,4 +430,12 @@ mod tests {
         assert_eq!(json_f64(0.25), "0.25");
         assert_eq!(json_f64(f64::NAN), "null");
     }
+
+    #[test]
+    fn a_bucket_with_no_events_renders_a_positive_zero() {
+        // The sample records no store traffic: its store seconds are an
+        // empty sum, which must read 0.0, not -0.0.
+        let json = sample_report().to_json();
+        assert!(json.contains("\"store_s\":0.0,"), "{json}");
+    }
 }

@@ -29,7 +29,7 @@ impl BlackScholes {
     }
 
     /// Parameter sanity: positive spot and volatility, finite rates.
-    fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if !(self.spot > 0.0) {
             return Err(format!("spot must be positive, got {}", self.spot));
         }

@@ -583,9 +583,13 @@ impl Specs<'_> {
 
         // A decoded problem is checked here, before any kernel sees it:
         // the kernels assert their option and PDE grid (a closed form at
-        // maturity 0 returns NaN), and the multi-asset kernels build the
+        // maturity 0 returns NaN), price a bad spot or volatility as NaN
+        // or a wrong number, and the multi-asset kernels build the
         // correlator, which panics on a rho that `validate` refuses.
         self.option.validate().map_err(PricingError::Invalid)?;
+        if let M::QuasiMonteCarlo { paths: 0 } = self.method {
+            return Err(PricingError::Invalid("paths must be positive".into()));
+        }
         if let M::Pde {
             time_steps,
             space_steps,
@@ -598,9 +602,12 @@ impl Specs<'_> {
             };
             grid.validate().map_err(PricingError::Invalid)?;
         }
-        if let Mo::MultiBlackScholes(m) = &self.model {
-            m.validate().map_err(PricingError::Invalid)?;
+        match &self.model {
+            Mo::BlackScholes(m) => m.validate(),
+            Mo::MultiBlackScholes(m) => m.validate(),
+            _ => Ok(()),
         }
+        .map_err(PricingError::Invalid)?;
         match (&self.model, &self.option) {
             // ---- 1-D Black–Scholes vanilla -------------------------------
             (Mo::BlackScholes(m), O::Call { strike, maturity })
@@ -1859,6 +1866,12 @@ mod tests {
                     }
                 }),
             ),
+            (
+                "MC_Quasi paths = 0",
+                zeroed("BlackScholes1dim", "CallEuro", "MC_Quasi", |p| {
+                    p.method = MethodSpec::QuasiMonteCarlo { paths: 0 };
+                }),
+            ),
         ];
         for (label, p) in &rows {
             for got in [p.compute(), p.compute_with(&ExecPolicy::new(2))] {
@@ -1952,6 +1965,38 @@ mod tests {
                 decoded("BlackScholes1dim", "PutAmer", "TR_CoxRossRubinstein", |p| {
                     if let ModelSpec::BlackScholes(m) = &mut p.model {
                         m.sigma = 0.0;
+                    }
+                }),
+            ),
+            (
+                "PDE at spot 0",
+                decoded("BlackScholes1dim", "CallEuro", "FD_CrankNicolson", |p| {
+                    if let ModelSpec::BlackScholes(m) = &mut p.model {
+                        m.spot = 0.0;
+                    }
+                }),
+            ),
+            (
+                "closed form at sigma NaN",
+                decoded("BlackScholes1dim", "CallEuro", "CF", |p| {
+                    if let ModelSpec::BlackScholes(m) = &mut p.model {
+                        m.sigma = f64::NAN;
+                    }
+                }),
+            ),
+            (
+                "closed form at sigma -0.2",
+                decoded("BlackScholes1dim", "CallEuro", "CF", |p| {
+                    if let ModelSpec::BlackScholes(m) = &mut p.model {
+                        m.sigma = -0.2;
+                    }
+                }),
+            ),
+            (
+                "MC_Standard at sigma -0.2",
+                decoded("BlackScholes1dim", "CallEuro", "MC_Standard", |p| {
+                    if let ModelSpec::BlackScholes(m) = &mut p.model {
+                        m.sigma = -0.2;
                     }
                 }),
             ),

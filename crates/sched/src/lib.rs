@@ -9,14 +9,11 @@
 //! [`Action`]s the master must take, with no clocks, threads, sockets
 //! or files anywhere inside.
 //!
-//! The same state machine drives:
-//!
-//! * the live `minimpi` masters (the flat farm, plain — dispatching job
-//!   frames, [`Batch::Guided`] — or supervised, and each batch of a
-//!   `serve::Session`), which translate wire messages into events and
-//!   actions into sends; and
-//! * the discrete-event cluster simulator, which feeds the identical
-//!   events with simulated timestamps.
+//! One driver, `farm::driver::drive`, feeds it every event and turns
+//! its actions into sends: for the flat farm, plain — dispatching job
+//! frames, [`Batch::Guided`] — or supervised, for each batch of a
+//! `serve::Session`, and for the cluster simulator, which runs `drive`
+//! over a virtual-time transport with simulated timestamps.
 //!
 //! Because every decision is recorded in an optional [`Trace`] that
 //! contains **no timestamps**, a live run and a simulated run of the

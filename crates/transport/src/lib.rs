@@ -21,7 +21,7 @@
 //!   [`OwedWake`] to issue when the frames that belong together are
 //!   queued.
 //!
-//! Two backends ship today:
+//! Three backends ship today, two of them here:
 //!
 //! * [`ChannelTransport`] — the in-process backend: every rank is a thread,
 //!   every mailbox a condvar-guarded deque shared through an `Arc`. This
@@ -37,6 +37,11 @@
 //!   control frames). No `minimpi` world runs on it: it is timed by the
 //!   benchmark's `transport.uds_*` layers and held to the channel
 //!   backend's behaviour by `tests/transport_conformance.rs`.
+//!
+//! The third, `clustersim`'s virtual-time world, runs only rank 0: it
+//! prices the slaves with the cluster model, answers each job frame at
+//! the virtual time the model says and reads that time out through
+//! [`Transport::now`], so the live master runs on a simulated cluster.
 //!
 //! The [`queue`] module hosts the workspace's only raw channel
 //! construction; everything else goes through a transport.
@@ -78,6 +83,13 @@ pub trait Transport: Send + Sync {
 
     /// The instant the group was created (the `MPI_Wtime` origin).
     fn epoch(&self) -> Instant;
+
+    /// The clock every deadline of [`Transport::match_deadline`] is
+    /// measured against: the real one (the default), or a simulated
+    /// backend's virtual time, so a timed wait ends without waiting.
+    fn now(&self) -> Instant {
+        Instant::now()
+    }
 
     /// Queue `frame` for delivery to `dest`. Fails fast with
     /// [`TransportError::Dead`] if `dest` is known dead and
