@@ -350,7 +350,7 @@ impl Model {
                             std_error: None,
                         })
                         .collect();
-                    let reply = xdrser::serialize_to_bytes(&wire::batch_reply_value(&answers));
+                    let reply = wire::encode_reply(&answers, Vec::new());
                     return Ok(Some(Frame::new(s + 1, TAG, Payload::Owned(reply))));
                 }
             }

@@ -375,12 +375,12 @@ where
     fn gather(&self) -> Result<Option<(Vec<Answer>, usize)>, FarmError> {
         let comm = self.farm.comm;
         let Some(poll) = self.farm.supervisor.map(|s| s.poll) else {
-            let (v, st) = comm.recv_obj(ANY_SOURCE, TAG)?;
-            return Ok(Some((wire::decode_batch_reply(&v)?, st.src)));
+            let (reply, st) = comm.recv(ANY_SOURCE, TAG)?;
+            return Ok(Some((wire::decode_reply(&reply)?, st.src)));
         };
-        match comm.recv_obj_timeout(ANY_SOURCE, TAG, poll) {
-            Ok(Some((v, st))) => Ok(wire::decode_batch_reply(&v).ok().map(|a| (a, st.src))),
-            Ok(None) | Err(MpiError::Decode(_)) => Ok(None),
+        match comm.recv_timeout(ANY_SOURCE, TAG, poll) {
+            Ok(Some((reply, st))) => Ok(wire::decode_reply(&reply).ok().map(|a| (a, st.src))),
+            Ok(None) => Ok(None),
             Err(MpiError::Truncated { .. }) => {
                 let _ = comm.discard(ANY_SOURCE, TAG);
                 Ok(None)

@@ -5,7 +5,7 @@
 //! [`serve_jobs`] (the module is public for the session's resident
 //! slaves). Every link speaks one wire, on one tag ([`TAG`]): a
 //! [`crate::wire::JobFrame`] in — of serialized problems or of names,
-//! one member or many — one columnar reply out ([`batch_reply_value`]),
+//! one member or many — one columnar reply out ([`encode_reply`]),
 //! and the empty message as the stop sentinel. What differs between
 //! masters is data: under supervision, the patience that bounds the
 //! wait. Every member is priced with the sequential
@@ -21,8 +21,9 @@ use crate::instrument;
 use crate::robin_hood::FarmError;
 use crate::strategy::recover_member;
 use crate::supervisor::SupervisorConfig;
-use crate::wire::{batch_reply_value, decode_frame, Answer};
+use crate::wire::{decode_frame, encode_reply, Answer};
 use minimpi::{Comm, MpiError};
+use obs::EventKind;
 use pricing::PremiaProblem;
 use std::any::Any;
 use std::borrow::Borrow;
@@ -58,6 +59,8 @@ pub fn serve_jobs(comm: &Comm, patience: Option<&SupervisorConfig>) {
     let store = DirStore::new();
     // `Ok(true)`: the stop sentinel; `Ok(false)`: the idle window ran out.
     let serve = || -> Result<bool, FarmError> {
+        // The reply's bytes, the allocation recycled from frame to frame.
+        let mut reply = Vec::new();
         loop {
             let frame = match patience {
                 None => comm.recv(0, TAG)?.0,
@@ -83,7 +86,10 @@ pub fn serve_jobs(comm: &Comm, patience: Option<&SupervisorConfig>) {
             let price = |(idx, body)| price_one(comm, idx, || recover_member(comm, &store, body));
             let answers: Vec<Answer> = members.into_iter().map(price).collect();
             comm.set_job(None);
-            comm.send_obj(&batch_reply_value(&answers), 0, TAG)?;
+            let t0 = instrument::t0(comm);
+            reply = encode_reply(&answers, std::mem::take(&mut reply));
+            instrument::span(comm, EventKind::Serialize, t0, reply.len() as u64);
+            comm.send(&reply, 0, TAG)?;
         }
     };
     match serve() {

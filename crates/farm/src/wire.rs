@@ -5,10 +5,12 @@
 //! the *job frame* out ([`JobFrame`] / [`decode_frame`]), one member or
 //! many, each a serialized problem or a file name behind its wire id,
 //! written and read as bytes, never a value tree; the frame's answers
-//! back as columns ([`batch_reply_value`] / `decode_batch_reply`); and
-//! the empty message as the stop sentinel.
+//! back as columns ([`encode_reply`] / `decode_reply`), also written and
+//! read as bytes (the tree they serialize, [`batch_reply_value`], is the
+//! reference the bytes are pinned to); and the empty message as the stop
+//! sentinel.
 //!
-//! Decoding is total: [`decode_frame`] and `decode_batch_reply` never
+//! Decoding is total: [`decode_frame`] and `decode_reply` never
 //! silently drop or repair an undecodable message — they return
 //! [`FarmError::Protocol`].
 
@@ -22,10 +24,6 @@ use xdrser::{ListEncoder, Node, Walker};
 /// 0 and drop a fraction.)
 fn index_of_f64(x: f64) -> Option<usize> {
     (x >= 0.0 && x.fract() == 0.0 && x < usize::MAX as f64).then_some(x as usize)
-}
-
-fn index_of(v: &Value) -> Option<usize> {
-    index_of_f64(v.as_scalar()?)
 }
 
 // ---------------------------------------------------------------------------
@@ -134,7 +132,7 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Vec<(usize, Body<'_>)>, FarmError> {
 // ---------------------------------------------------------------------------
 
 /// What a slave says about one job: priced, or failed and why. A
-/// frame's answers travel as columns ([`batch_reply_value`]).
+/// frame's answers travel as columns ([`encode_reply`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Answer {
     /// The job priced successfully.
@@ -181,19 +179,48 @@ impl Answer {
     }
 }
 
-/// Encode a whole batch reply — one answer per member, in compute order
-/// — as columns: `[ids, prices, std_errors, has_std_error, failures]`,
-/// three 1×n real matrices, a 1×n boolean mask saying which members
-/// report a standard error, and one `[member, reason]` pair per failed
-/// member (its price column is a placeholder). A frame of n answers is
-/// five values, not n string-keyed hashes.
-pub fn batch_reply_value(answers: &[Answer]) -> Value {
-    let priced = |a: &Answer| match a {
+/// Write a whole batch reply — one answer per member, in compute order
+/// — into `buf` (its allocation recycled), as columns: `[ids, prices,
+/// std_errors, has_std_error, failures]`, three 1×n real matrices, a 1×n
+/// boolean mask saying which members report a standard error, and one
+/// `[member, reason]` pair per failed member (its price column is a
+/// placeholder). A frame of n answers is five values, not n
+/// string-keyed hashes, and they are written straight into the bytes
+/// that travel: no value tree. The bytes are those of
+/// [`batch_reply_value`] serialized.
+pub fn encode_reply(answers: &[Answer], buf: Vec<u8>) -> Vec<u8> {
+    let mut e = ListEncoder::new(buf);
+    e.reals(answers.iter().map(|a| a.job() as f64));
+    e.reals(answers.iter().map(|a| priced(a).0));
+    e.reals(answers.iter().map(|a| priced(a).1.unwrap_or(0.0)));
+    e.bools(answers.iter().map(|a| priced(a).1.is_some()));
+    e.list(|failures| {
+        for (i, a) in answers.iter().enumerate() {
+            if let Answer::Failed { why, .. } = a {
+                failures.list(|pair| {
+                    pair.scalar(i as f64);
+                    pair.string(why);
+                });
+            }
+        }
+    });
+    e.finish()
+}
+
+/// An answer's price and standard error; a failure's are placeholders.
+fn priced(a: &Answer) -> (f64, Option<f64>) {
+    match a {
         Answer::Priced {
             price, std_error, ..
         } => (*price, *std_error),
         Answer::Failed { .. } => (0.0, None),
-    };
+    }
+}
+
+/// The batch reply [`encode_reply`] writes, as a value tree: the bytes'
+/// reference, and what a test edits to forge a reply no honest slave
+/// sends.
+pub fn batch_reply_value(answers: &[Answer]) -> Value {
     let column =
         |of: &dyn Fn(&Answer) -> f64| Value::Real(Matrix::row(answers.iter().map(of).collect()));
     let failure = |(i, a): (usize, &Answer)| match a {
@@ -214,19 +241,20 @@ pub fn batch_reply_value(answers: &[Answer]) -> Value {
     ])
 }
 
-/// Decode a whole batch reply; columns of unequal length, an id that is
-/// not an index or a failure naming a member the frame does not have are
-/// a [`FarmError::Protocol`].
-pub(crate) fn decode_batch_reply(v: &Value) -> Result<Vec<Answer>, FarmError> {
-    let parse = || -> Option<Vec<Answer>> {
-        let l = v.as_list().filter(|l| l.len() == 5)?;
-        let ids = l.get(0)?.as_matrix()?.data();
-        let prices = l.get(1)?.as_matrix()?.data();
-        let errors = l.get(2)?.as_matrix()?.data();
-        let has_error = match l.get(3)? {
-            Value::Bool(b) => b.data(),
-            _ => return None,
-        };
+/// Read a whole batch reply in place, no value tree built; columns of
+/// unequal length, an id that is not an index, a failure naming a
+/// member the frame does not have, or bytes that are no well-formed
+/// reply are a [`FarmError::Protocol`].
+pub(crate) fn decode_reply(bytes: &[u8]) -> Result<Vec<Answer>, FarmError> {
+    let walk = || -> Option<Vec<Answer>> {
+        let mut w = Walker::open(bytes).ok()?;
+        if w.node().ok()? != Node::List(5) {
+            return None;
+        }
+        let ids = w.reals().ok()?;
+        let prices = w.reals().ok()?;
+        let errors = w.reals().ok()?;
+        let has_error = w.bools().ok()?;
         let n = ids.len();
         if prices.len() != n || errors.len() != n || has_error.len() != n {
             return None;
@@ -234,20 +262,30 @@ pub(crate) fn decode_batch_reply(v: &Value) -> Result<Vec<Answer>, FarmError> {
         let mut answers = (0..n)
             .map(|i| {
                 Some(Answer::Priced {
-                    job: index_of_f64(ids[i])?,
-                    price: prices[i],
-                    std_error: has_error[i].then_some(errors[i]),
+                    job: index_of_f64(ids.get(i))?,
+                    price: prices.get(i),
+                    std_error: (has_error[i] != 0).then(|| errors.get(i)),
                 })
             })
             .collect::<Option<Vec<Answer>>>()?;
-        for f in l.get(4)?.as_list()?.iter() {
-            let f = f.as_list().filter(|f| f.len() == 2)?;
-            let slot = answers.get_mut(index_of(f.get(0)?)?)?;
-            *slot = Answer::failed(slot.job(), f.get(1)?.as_str()?);
+        let Node::List(failures) = w.node().ok()? else {
+            return None;
+        };
+        for _ in 0..failures {
+            if w.node().ok()? != Node::List(2) {
+                return None;
+            }
+            let (Node::Scalar(member), Node::Str(why)) = (w.node().ok()?, w.node().ok()?) else {
+                return None;
+            };
+            let slot = answers.get_mut(index_of_f64(member)?)?;
+            *slot = Answer::failed(slot.job(), why);
         }
+        w.close().ok()?;
         Some(answers)
     };
-    parse().ok_or_else(|| FarmError::Protocol(format!("undecodable batch reply: {v}")))
+    let n = bytes.len();
+    walk().ok_or_else(|| FarmError::Protocol(format!("undecodable batch reply ({n} bytes)")))
 }
 
 #[cfg(test)]
@@ -294,6 +332,8 @@ mod tests {
             // Through the bytes that actually cross minimpi.
             let bytes = xdrser::serialize_to_bytes(&batch_reply_value(&answers));
             let back = decode_batch_reply(&xdrser::unserialize_bytes(&bytes).unwrap()).unwrap();
+            // The writer's bytes are the tree's, whatever buffer it recycles.
+            prop_assert_eq!(&encode_reply(&answers, vec![0xAA; 40]), &bytes);
             prop_assert_eq!(back.len(), answers.len());
             for (b, a) in back.iter().zip(&answers) {
                 match (b, a) {
@@ -483,6 +523,49 @@ mod tests {
         }
     }
 
+    fn index_of(v: &Value) -> Option<usize> {
+        index_of_f64(v.as_scalar()?)
+    }
+
+    /// The reply reader on the bytes of `v`: what a slave that sent the
+    /// tree `v` is taken to have said.
+    fn decode_batch_reply(v: &Value) -> Result<Vec<Answer>, FarmError> {
+        decode_reply(&xdrser::serialize_to_bytes(v))
+    }
+
+    /// The reference reader: materialise the message, then read the
+    /// columns out of the tree.
+    fn decode_reply_via_tree(bytes: &[u8]) -> Option<Vec<Answer>> {
+        let v = xdrser::unserialize_bytes(bytes).ok()?;
+        let l = v.as_list().filter(|l| l.len() == 5)?;
+        let ids = l.get(0)?.as_matrix()?.data();
+        let prices = l.get(1)?.as_matrix()?.data();
+        let errors = l.get(2)?.as_matrix()?.data();
+        let has_error = match l.get(3)? {
+            Value::Bool(b) => b.data(),
+            _ => return None,
+        };
+        let n = ids.len();
+        if prices.len() != n || errors.len() != n || has_error.len() != n {
+            return None;
+        }
+        let mut answers = (0..n)
+            .map(|i| {
+                Some(Answer::Priced {
+                    job: index_of_f64(ids[i])?,
+                    price: prices[i],
+                    std_error: has_error[i].then_some(errors[i]),
+                })
+            })
+            .collect::<Option<Vec<Answer>>>()?;
+        for f in l.get(4)?.as_list()?.iter() {
+            let f = f.as_list().filter(|f| f.len() == 2)?;
+            let slot = answers.get_mut(index_of(f.get(0)?)?)?;
+            *slot = Answer::failed(slot.job(), f.get(1)?.as_str()?);
+        }
+        Some(answers)
+    }
+
     /// `[ids, prices, std_errors, has_std_error, failures]` by hand.
     fn reply(
         ids: &[f64],
@@ -608,5 +691,73 @@ mod tests {
                 assert_eq!(back.len(), n);
             }
         }
+    }
+
+    /// An answer's fields with the floats as bits, so NaN compares equal.
+    fn bits(answers: Vec<Answer>) -> Vec<(usize, u64, Option<u64>, Option<String>)> {
+        answers
+            .into_iter()
+            .map(|a| match a {
+                Answer::Priced {
+                    job,
+                    price,
+                    std_error,
+                } => (job, price.to_bits(), std_error.map(f64::to_bits), None),
+                Answer::Failed { job, why } => (job, 0, None, Some(why)),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn reply_walker_agrees_with_the_tree_on_a_mutation_corpus() {
+        let answers = [
+            Answer::Priced {
+                job: 40,
+                price: 1.5,
+                std_error: None,
+            },
+            Answer::failed(41, "compute failed: unsupported"),
+            Answer::Priced {
+                job: 42,
+                price: -2.5,
+                std_error: Some(0.125),
+            },
+            Answer::failed(43, "x"),
+        ];
+        let bytes = encode_reply(&answers, Vec::new());
+        // Same verdict, same answers — and never a panic or an
+        // allocation sized from a count word the bytes cannot back.
+        let check = |b: &[u8]| {
+            let walked = decode_reply(b).ok().map(bits);
+            assert_eq!(walked, decode_reply_via_tree(b).map(bits), "{b:?}");
+            walked.is_some()
+        };
+        assert!(check(&bytes));
+        for cut in 0..bytes.len() {
+            assert!(!check(&bytes[..cut]), "prefix {cut} decoded");
+        }
+        let mut rng = 0x94D0_49BB_1331_11EBu64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let mut decoded = 0;
+        for _ in 0..4_000 {
+            let mut m = bytes.clone();
+            let at = next() as usize % m.len();
+            m[at] = next() as u8;
+            decoded += check(&m) as usize;
+            // A whole word, the way a wrong tag, shape or length reads.
+            let mut m = bytes.clone();
+            let at = (next() as usize % (m.len() / 4)) * 4;
+            let word = [0, 1, 2, 4, 5, u32::MAX, next() as u32 % 8][next() as usize % 7];
+            m[at..at + 4].copy_from_slice(&word.to_be_bytes());
+            decoded += check(&m) as usize;
+        }
+        // The corpus reaches both verdicts: mutated prices and texts
+        // still read.
+        assert!(decoded > 0);
     }
 }

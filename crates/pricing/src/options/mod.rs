@@ -10,6 +10,12 @@ mod payoff;
 
 pub(crate) use payoff::{call_payoff, put_payoff, OptionRight};
 
+/// A contract term every kernel can take: a strike, barrier or maturity
+/// above zero and below infinity (an infinite one prices NaN, 0 or +∞).
+pub(crate) fn positive_finite(x: f64) -> bool {
+    x > 0.0 && x.is_finite()
+}
+
 /// Exercise style of a claim.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Exercise {
@@ -65,11 +71,11 @@ impl Vanilla {
 
     /// Parameter sanity checks; `Err` describes the first violation.
     pub(crate) fn validate(&self) -> Result<(), String> {
-        if !(self.strike > 0.0) {
-            return Err("strike must be positive".into());
+        if !positive_finite(self.strike) {
+            return Err("strike must be positive and finite".into());
         }
-        if !(self.maturity > 0.0) {
-            return Err("maturity must be positive".into());
+        if !positive_finite(self.maturity) {
+            return Err("maturity must be positive and finite".into());
         }
         Ok(())
     }
@@ -114,8 +120,11 @@ impl Barrier {
 
     /// Parameter sanity checks; `Err` describes the first violation.
     pub(crate) fn validate(&self) -> Result<(), String> {
-        if !(self.strike > 0.0 && self.barrier > 0.0 && self.maturity > 0.0) {
-            return Err("strike, barrier and maturity must be positive".into());
+        if ![self.strike, self.barrier, self.maturity]
+            .into_iter()
+            .all(positive_finite)
+        {
+            return Err("strike, barrier and maturity must be positive and finite".into());
         }
         if self.rebate < 0.0 {
             return Err("rebate must be non-negative".into());
@@ -174,8 +183,8 @@ impl BasketOption {
 
     /// Parameter sanity checks; `Err` describes the first violation.
     pub(crate) fn validate(&self) -> Result<(), String> {
-        if !(self.strike > 0.0 && self.maturity > 0.0) {
-            return Err("strike and maturity must be positive".into());
+        if !(positive_finite(self.strike) && positive_finite(self.maturity)) {
+            return Err("strike and maturity must be positive and finite".into());
         }
         Ok(())
     }
@@ -217,8 +226,8 @@ impl MaxCall {
 
     /// Parameter sanity checks; `Err` describes the first violation.
     pub(crate) fn validate(&self) -> Result<(), String> {
-        if !(self.strike > 0.0 && self.maturity > 0.0) {
-            return Err("strike and maturity must be positive".into());
+        if !(positive_finite(self.strike) && positive_finite(self.maturity)) {
+            return Err("strike and maturity must be positive and finite".into());
         }
         Ok(())
     }

@@ -37,7 +37,9 @@ use crate::methods::pde::{pde_barrier, pde_vanilla, PdeConfig};
 use crate::methods::tree::{tree_vanilla, TreeConfig};
 use crate::methods::xva::{xva_cva, TradeSoA, XvaConfig};
 use crate::models::{BlackScholes, Heston, LocalVol, MultiBlackScholes, Vasicek};
-use crate::options::{Barrier, BasketOption, Exercise, MaxCall, OptionRight, Vanilla};
+use crate::options::{
+    positive_finite, Barrier, BasketOption, Exercise, MaxCall, OptionRight, Vanilla,
+};
 use exec::ExecPolicy;
 use nspval::{Hash, Value};
 use numerics::poly::BasisKind;
@@ -261,15 +263,15 @@ impl OptionSpec {
         }
     }
 
-    /// The contract terms every kernel assumes: a positive maturity and
-    /// strike (and barrier), and a bond that outlives the option on it.
-    /// `Err` describes the first violation.
+    /// The contract terms every kernel assumes: a positive, finite
+    /// maturity and strike (and barrier), and a bond that outlives the
+    /// option on it. `Err` describes the first violation.
     fn validate(&self) -> Result<(), String> {
         let positive = |what: &str, x: f64| {
-            if x > 0.0 {
+            if positive_finite(x) {
                 Ok(())
             } else {
-                Err(format!("{what} must be positive, got {x}"))
+                Err(format!("{what} must be positive and finite, got {x}"))
             }
         };
         positive("maturity", self.maturity())?;
@@ -1906,6 +1908,18 @@ mod tests {
                 maturity: 0.0,
             }
         };
+        let endless_call = |p: &mut PremiaProblem| {
+            p.option = OptionSpec::Call {
+                strike: 100.0,
+                maturity: f64::INFINITY,
+            }
+        };
+        let unreachable_call = |p: &mut PremiaProblem| {
+            p.option = OptionSpec::Call {
+                strike: f64::INFINITY,
+                maturity: 1.0,
+            }
+        };
         let rows = [
             (
                 "closed form at maturity 0",
@@ -1997,6 +2011,72 @@ mod tests {
                 decoded("BlackScholes1dim", "CallEuro", "MC_Standard", |p| {
                     if let ModelSpec::BlackScholes(m) = &mut p.model {
                         m.sigma = -0.2;
+                    }
+                }),
+            ),
+            (
+                "closed form at maturity inf",
+                decoded("BlackScholes1dim", "CallEuro", "CF", endless_call),
+            ),
+            (
+                "MC_Standard at maturity inf",
+                decoded("BlackScholes1dim", "CallEuro", "MC_Standard", endless_call),
+            ),
+            (
+                "FD_CrankNicolson at maturity inf",
+                decoded(
+                    "BlackScholes1dim",
+                    "CallEuro",
+                    "FD_CrankNicolson",
+                    endless_call,
+                ),
+            ),
+            (
+                "MC_Quasi at maturity inf",
+                decoded("BlackScholes1dim", "CallEuro", "MC_Quasi", endless_call),
+            ),
+            (
+                "closed form at strike inf",
+                decoded("BlackScholes1dim", "CallEuro", "CF", unreachable_call),
+            ),
+            (
+                "MC_Standard at strike inf",
+                decoded(
+                    "BlackScholes1dim",
+                    "CallEuro",
+                    "MC_Standard",
+                    unreachable_call,
+                ),
+            ),
+            (
+                "FD_CrankNicolson at strike inf",
+                decoded(
+                    "BlackScholes1dim",
+                    "CallEuro",
+                    "FD_CrankNicolson",
+                    unreachable_call,
+                ),
+            ),
+            (
+                "MC_Quasi at strike inf",
+                decoded("BlackScholes1dim", "CallEuro", "MC_Quasi", unreachable_call),
+            ),
+            (
+                "American put tree at strike inf",
+                decoded("BlackScholes1dim", "PutAmer", "TR_CoxRossRubinstein", |p| {
+                    p.option = OptionSpec::AmericanPut {
+                        strike: f64::INFINITY,
+                        maturity: 1.0,
+                    }
+                }),
+            ),
+            (
+                "barrier PDE at barrier inf",
+                decoded("BlackScholes1dim", "CallDownOut", "FD_CrankNicolson", |p| {
+                    p.option = OptionSpec::DownOutCall {
+                        strike: 100.0,
+                        barrier: f64::INFINITY,
+                        maturity: 1.0,
                     }
                 }),
             ),

@@ -140,7 +140,7 @@ impl Ticket {
     /// [`ServeError::SessionClosed`] only if the session died without
     /// answering (a front-loop panic or a full-world collapse during
     /// shutdown).
-    pub fn wait(self) -> Result<Response, ServeError> {
+    pub fn wait(mut self) -> Result<Response, ServeError> {
         self.rx.recv().map_err(|_| ServeError::SessionClosed)
     }
 }
@@ -483,6 +483,24 @@ struct Front {
     requests: Vec<Open>,
     slots: Vec<Slot>,
     index: store::MemoMap<usize>,
+    /// The wakes the batch's answers owe their parked clients, issued
+    /// (dropped) once every ticket of the batch is answered — or as the
+    /// front loop unwinds, should it panic first.
+    wakes: Vec<queue::OneshotWake<Response>>,
+}
+
+impl Front {
+    fn new(cfg: &ServeConfig) -> Self {
+        Front {
+            memo: store::ResultCache::new(cfg.memo_bytes),
+            next_wire: 0,
+            report: SessionReport::default(),
+            requests: Vec::new(),
+            slots: Vec::new(),
+            index: store::MemoMap::default(),
+            wakes: Vec::new(),
+        }
+    }
 }
 
 /// A request of the batch being served, and its answers so far.
@@ -512,14 +530,7 @@ fn front_loop(
     admission: &Admission,
     rx: queue::Receiver<Msg>,
 ) -> SessionReport {
-    let mut front = Front {
-        memo: store::ResultCache::new(cfg.memo_bytes),
-        next_wire: 0,
-        report: SessionReport::default(),
-        requests: Vec::new(),
-        slots: Vec::new(),
-        index: store::MemoMap::default(),
-    };
+    let mut front = Front::new(cfg);
     loop {
         // Block for traffic, then drain everything already queued into
         // one batch — the request-coalescing window.
@@ -550,6 +561,10 @@ fn front_loop(
         }
         if !front.requests.is_empty() {
             serve_batch(comm, cfg, admission, &mut front);
+            // Every ticket of the batch is answered: now wake the clients
+            // parked on them. One woken on one ticket finds the batch's
+            // next ones answered and does not park again.
+            front.wakes.clear();
         }
         if shutdown {
             break;
@@ -611,6 +626,7 @@ fn serve_batch(comm: &Comm, cfg: &ServeConfig, admission: &Admission, front: &mu
         requests,
         slots,
         index,
+        wakes,
     } = front;
     for (ri, Open { sub: s, answers }) in requests.iter_mut().enumerate() {
         // Placeholders, each overwritten by its answer.
@@ -678,7 +694,8 @@ fn serve_batch(comm: &Comm, cfg: &ServeConfig, admission: &Admission, front: &mu
         }
     }
 
-    // Answer every ticket exactly once and return its admission slot.
+    // Answer every ticket exactly once and return its admission slot;
+    // the wakes the answers owe are kept for the caller to issue.
     for Open {
         sub: s,
         answers: Answers { results, filled },
@@ -688,10 +705,13 @@ fn serve_batch(comm: &Comm, cfg: &ServeConfig, admission: &Admission, front: &mu
         let id = s.id as i64;
         span(comm, EventKind::Admit, s.enq_ns, id, results.len() as u64);
         report.answered += 1;
-        let _ = s.reply.send(Response {
+        let response = Response {
             results,
             latency: s.submitted.elapsed(),
-        });
+        };
+        if let Ok(Some(wake)) = s.reply.send(response) {
+            wakes.push(wake);
+        }
         admission.release(s.priority, s.bytes);
     }
 }
@@ -1158,6 +1178,75 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         shut_down.join().expect("every shutdown returns");
+    }
+
+    /// Two requests in one batch, a client parked on the first ticket:
+    /// the batch answers both before it wakes anyone, so the client,
+    /// woken once, collects the second ticket without parking again. The
+    /// interleaving is forced by the parked flag, not slept into.
+    #[test]
+    fn a_client_woken_on_one_ticket_collects_the_next_without_parking() {
+        let cfg = ServeConfig::new(1);
+        let admission = Admission::new(cfg.priorities, cfg.inflight_bytes);
+        let mut front = Front::new(&cfg);
+        let mut receivers = Vec::new();
+        let problems = [vanilla(95.0, true), vanilla(105.0, true)];
+        for (id, problem) in problems.iter().enumerate() {
+            let key = slot_of(problem.clone(), 1).key;
+            let bytes = key.fp.len as usize;
+            admission.reserve_slot(1, cfg.depth_limit(1)).unwrap();
+            admission
+                .reserve_bytes(1, cfg.depth_limit(1), bytes)
+                .unwrap();
+            let (reply, rx) = queue::oneshot();
+            let sub = Submitted {
+                id: id as u64,
+                problems: vec![problem.clone()],
+                keys: vec![key],
+                priority: 1,
+                submitted: Instant::now(),
+                enq_ns: None,
+                bytes,
+                reply,
+            };
+            front.requests.push(Open {
+                sub: Box::new(sub),
+                answers: Answers::default(),
+            });
+            receivers.push(rx);
+        }
+        let mut second = receivers.pop().unwrap();
+        let mut first = receivers.pop().unwrap();
+        let client = std::thread::spawn(move || {
+            let answers = [first.recv(), second.recv()];
+            (answers, first.parks(), second.parks())
+        });
+        while !front.requests[0].sub.reply.parked() {
+            std::thread::yield_now();
+        }
+        // A one-rank world: no slave alive, so the batch's one frame is
+        // priced on the front loop.
+        let front = Mutex::new(front);
+        World::run(1, |comm| {
+            serve_batch(&comm, &cfg, &admission, &mut front.lock().unwrap())
+        });
+        let mut front = front.into_inner().unwrap();
+        // Both tickets answered and their admission returned, and one wake
+        // owed — the parked client's, on the first ticket — and not yet
+        // issued.
+        assert_eq!(admission.depth[1].load(Ordering::SeqCst), 0);
+        assert_eq!(admission.bytes.load(Ordering::SeqCst), 0);
+        assert_eq!(front.wakes.len(), 1);
+        // What the front loop does after the batch.
+        front.wakes.clear();
+        let (answers, first_parks, second_parks) = client.join().unwrap();
+        for (answer, problem) in answers.into_iter().zip(&problems) {
+            let want = problem.compute().unwrap().price.to_bits();
+            let response = answer.expect("answered");
+            assert_eq!(response.results[0].as_ref().unwrap().price.to_bits(), want);
+        }
+        assert!(first_parks >= 1, "parked on the first ticket");
+        assert_eq!(second_parks, 0, "the second ticket was in before the wake");
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::backend::{Fetched, ProblemStore, StoreStats};
 use nspval::Serial;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::SystemTime;
 use xdrser::XdrError;
 
@@ -108,7 +108,12 @@ pub struct CachingStore {
     budget: u64,
     state: Mutex<CacheState>,
     /// Signalled whenever a backend read finishes.
-    loaded: Condvar,
+    #[allow(
+        clippy::disallowed_types,
+        reason = "single-flight misses: a fetcher waits for another thread's backend read of \
+                  the same path, a wait on shared state that no message queue carries"
+    )]
+    loaded: std::sync::Condvar,
 }
 
 impl CachingStore {
@@ -118,7 +123,7 @@ impl CachingStore {
             inner,
             budget,
             state: Mutex::new(CacheState::default()),
-            loaded: Condvar::new(),
+            loaded: Default::default(),
         }
     }
 

@@ -136,6 +136,8 @@ impl Transport for ChannelTransport {
         if st.arrived == size {
             st.arrived = 0;
             st.generation += 1;
+            // Released first, so the ranks woken find the mutex free.
+            drop(st);
             self.group.barrier_cond.notify_all();
         } else {
             while st.generation == gen {

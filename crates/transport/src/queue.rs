@@ -12,9 +12,14 @@
 //! than a grep across the workspace.
 //!
 //! A one-shot is one shared cell, not a queue: building it is one
-//! allocation, and a send wakes the receiver only when it is parked.
+//! allocation. Its wake rule is the mailbox's (`docs/TRANSPORT.md`,
+//! "Wake-up discipline"): the value and the close go in under one lock,
+//! and a receiver parked at that moment is notified only after the lock
+//! is released — by the [`OneshotWake`] the send returns, when it is
+//! dropped. A receiver that was not parked is sent no notification.
 
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -100,15 +105,25 @@ impl<T> Receiver<T> {
 
 /// Sending half of a [`oneshot`]: sends at most one value. Dropping it
 /// unsent disconnects the receiver.
-pub struct OneshotSender<T>(Arc<Oneshot<T>>);
+pub struct OneshotSender<T>(Option<Arc<Oneshot<T>>>);
 
 /// Receiving half of a [`oneshot`]: receives at most one value.
 pub struct OneshotReceiver<T>(Arc<Oneshot<T>>);
+
+/// The wake-up a [`OneshotSender::send`] owes a receiver that was parked
+/// when the value went in: issued when this is dropped, never while the
+/// cell's lock is held. A sender answering several receivers keeps their
+/// wakes until every value is in, then drops them.
+#[must_use = "dropping it wakes the receiver at once; keep it to wake later"]
+pub struct OneshotWake<T>(Arc<Oneshot<T>>);
 
 /// The cell both halves of a [`oneshot`] share.
 struct Oneshot<T> {
     state: Mutex<Shot<T>>,
     ready: Condvar,
+    /// Condvar notifications issued so far (wake accounting; bumped only
+    /// on the notify path, which pays a futex call anyway).
+    notifies: AtomicUsize,
 }
 
 struct Shot<T> {
@@ -117,12 +132,30 @@ struct Shot<T> {
     closed: bool,
     /// The receiver is parked on `ready`.
     waiting: bool,
+    /// Times the receiver parked on `ready` (wake accounting).
+    parks: usize,
 }
 
 impl<T> Oneshot<T> {
     fn lock(&self) -> MutexGuard<'_, Shot<T>> {
         // Nothing panics while the lock is held: the state stays whole.
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Close the cell — with `value`, when there is one — in one critical
+    /// section, and return the wake a parked receiver is owed, to be
+    /// issued once the lock is released (`Mailbox::unlock_and_wake`'s
+    /// rule: the woken receiver finds the mutex free). A receiver that is
+    /// not parked is owed none: it looks at the cell before it parks.
+    fn close(self: Arc<Self>, value: Option<T>) -> Option<OneshotWake<T>> {
+        let mut shot = self.lock();
+        shot.value = value;
+        shot.closed = true;
+        let parked = shot.waiting;
+        drop(shot);
+        // Not `then_some`: building the wake eagerly and dropping it would
+        // issue it.
+        parked.then(|| OneshotWake(self))
     }
 }
 
@@ -133,10 +166,12 @@ pub fn oneshot<T>() -> (OneshotSender<T>, OneshotReceiver<T>) {
             value: None,
             closed: false,
             waiting: false,
+            parks: 0,
         }),
         ready: Condvar::new(),
+        notifies: AtomicUsize::new(0),
     });
-    (OneshotSender(shot.clone()), OneshotReceiver(shot))
+    (OneshotSender(Some(shot.clone())), OneshotReceiver(shot))
 }
 
 impl<T> fmt::Debug for OneshotSender<T> {
@@ -151,47 +186,81 @@ impl<T> fmt::Debug for OneshotReceiver<T> {
     }
 }
 
+impl<T> fmt::Debug for OneshotWake<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("queue::OneshotWake")
+    }
+}
+
 impl<T> OneshotSender<T> {
-    /// Hand over `value`; fails (returning it) once the receiver is gone.
-    pub fn send(self, value: T) -> Result<(), Disconnected<T>> {
-        if Arc::strong_count(&self.0) == 1 {
+    /// Hand over `value` and close the cell, in one critical section;
+    /// fails (returning the value) once the receiver is gone. The wake a
+    /// parked receiver is owed comes back, `None` when it was not
+    /// parked: the wake is issued when dropped.
+    pub fn send(mut self, value: T) -> Result<Option<OneshotWake<T>>, Disconnected<T>> {
+        let shot = self
+            .0
+            .take()
+            .expect("a sender holds its cell until it sends");
+        if Arc::strong_count(&shot) == 1 {
             return Err(Disconnected(value));
         }
-        self.0.lock().value = Some(value);
-        // Dropping `self` closes the cell and wakes the receiver.
-        Ok(())
+        Ok(shot.close(Some(value)))
+    }
+
+    /// Whether the receiver is parked waiting for the value right now
+    /// (wake accounting: a test waits on this to force the interleaving
+    /// it measures, without a sleep).
+    pub fn parked(&self) -> bool {
+        self.0.as_ref().is_some_and(|shot| shot.lock().waiting)
     }
 }
 
 impl<T> Drop for OneshotSender<T> {
     fn drop(&mut self) {
-        let mut shot = self.0.lock();
-        shot.closed = true;
-        if shot.waiting {
-            self.0.ready.notify_one();
+        // Unsent: close the cell empty and wake the receiver at once.
+        if let Some(shot) = self.0.take() {
+            drop(shot.close(None));
         }
+    }
+}
+
+impl<T> Drop for OneshotWake<T> {
+    fn drop(&mut self) {
+        self.0.notifies.fetch_add(1, Ordering::Relaxed);
+        self.0.ready.notify_one();
     }
 }
 
 impl<T> OneshotReceiver<T> {
     /// Block until the value arrives; fails if the sender was dropped
-    /// without sending.
-    pub fn recv(self) -> Result<T, Disconnected<()>> {
+    /// without sending, or once the value was taken.
+    pub fn recv(&mut self) -> Result<T, Disconnected<()>> {
         let mut shot = self.0.lock();
         loop {
             if let Some(value) = shot.value.take() {
+                shot.waiting = false;
                 return Ok(value);
             }
             if shot.closed {
+                shot.waiting = false;
                 return Err(Disconnected(()));
             }
             shot.waiting = true;
+            shot.parks += 1;
             shot = self
                 .0
                 .ready
                 .wait(shot)
                 .unwrap_or_else(PoisonError::into_inner);
         }
+    }
+
+    /// Times this receiver parked waiting for its value: 0 when the
+    /// value was in the cell before [`recv`](Self::recv) looked (wake
+    /// accounting, read without a clock).
+    pub fn parks(&self) -> usize {
+        self.0.lock().parks
     }
 }
 
@@ -244,17 +313,19 @@ mod tests {
 
     #[test]
     fn oneshot_delivers_a_value_sent_before_the_wait() {
-        let (tx, rx) = oneshot();
-        tx.send(7u32).unwrap();
+        let (tx, mut rx) = oneshot();
+        drop(tx.send(7u32).unwrap());
         assert_eq!(rx.recv(), Ok(7));
+        // At most one value: the cell is closed behind it.
+        assert_eq!(rx.recv(), Err(Disconnected(())));
     }
 
     #[test]
     fn oneshot_wakes_a_parked_receiver_once() {
-        let (tx, rx) = oneshot();
+        let (tx, mut rx) = oneshot();
         let sender = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
-            tx.send(vec![1, 2, 3]).unwrap();
+            drop(tx.send(vec![1, 2, 3]).unwrap());
         });
         assert_eq!(rx.recv(), Ok(vec![1, 2, 3]));
         sender.join().unwrap();
@@ -262,11 +333,11 @@ mod tests {
 
     #[test]
     fn oneshot_sender_dropped_unsent_disconnects() {
-        let (tx, rx) = oneshot::<u8>();
+        let (tx, mut rx) = oneshot::<u8>();
         drop(tx);
         assert_eq!(rx.recv(), Err(Disconnected(())));
         // And while the receiver is parked.
-        let (tx, rx) = oneshot::<u8>();
+        let (tx, mut rx) = oneshot::<u8>();
         let dropper = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
             drop(tx);
@@ -279,6 +350,60 @@ mod tests {
     fn oneshot_send_after_receiver_drop_returns_value() {
         let (tx, rx) = oneshot::<u8>();
         drop(rx);
-        assert_eq!(tx.send(9), Err(Disconnected(9)));
+        assert!(matches!(tx.send(9), Err(Disconnected(9))));
+    }
+
+    /// The cell behind a sender, for wake accounting.
+    fn cell<T>(tx: &OneshotSender<T>) -> Arc<Oneshot<T>> {
+        Arc::clone(tx.0.as_ref().unwrap())
+    }
+
+    #[test]
+    fn a_send_to_a_receiver_that_is_not_parked_owes_no_notification() {
+        let (tx, mut rx) = oneshot();
+        let shot = cell(&tx);
+        assert!(!tx.parked());
+        assert!(tx.send(5u8).unwrap().is_none(), "nothing owed");
+        assert_eq!(shot.notifies.load(Ordering::Relaxed), 0);
+        assert_eq!(rx.recv(), Ok(5));
+        assert_eq!((rx.parks(), shot.notifies.load(Ordering::Relaxed)), (0, 0));
+    }
+
+    #[test]
+    fn a_parked_receiver_is_notified_once_after_the_value_is_in_the_cell() {
+        let (tx, mut rx) = oneshot();
+        let shot = cell(&tx);
+        let receiver = std::thread::spawn(move || (rx.recv(), rx.parks()));
+        // Forced, not slept into: the receiver is inside its wait.
+        while !tx.parked() {
+            std::thread::yield_now();
+        }
+        let wake = tx.send(vec![4u8, 2]).unwrap().expect("a wake owed");
+        // The value and the close are in, and the wake is still owed:
+        // nothing has been notified yet.
+        {
+            let state = shot.lock();
+            assert!(state.closed && state.value.is_some());
+        }
+        assert_eq!(shot.notifies.load(Ordering::Relaxed), 0);
+        drop(wake);
+        assert_eq!(shot.notifies.load(Ordering::Relaxed), 1);
+        let (got, parks) = receiver.join().unwrap();
+        assert_eq!(got, Ok(vec![4, 2]));
+        assert!(parks >= 1, "the receiver was parked");
+        assert_eq!(shot.notifies.load(Ordering::Relaxed), 1, "exactly once");
+    }
+
+    #[test]
+    fn a_sender_dropped_unsent_wakes_a_parked_receiver_once() {
+        let (tx, mut rx) = oneshot::<u8>();
+        let shot = cell(&tx);
+        let receiver = std::thread::spawn(move || rx.recv());
+        while !tx.parked() {
+            std::thread::yield_now();
+        }
+        drop(tx);
+        assert_eq!(receiver.join().unwrap(), Err(Disconnected(())));
+        assert_eq!(shot.notifies.load(Ordering::Relaxed), 1);
     }
 }

@@ -6,9 +6,11 @@
 //! [`Encoder`] streams the entries of a hash straight into the bytes
 //! `serialize_to_bytes` would produce for it — through [`FieldSink`],
 //! the same calls that would build the tree — and a
-//! [`Walker`] reads serialized bytes in place — keys, strings and opaque
-//! payloads borrowed from the slice — accepting and rejecting exactly
-//! what `unserialize_bytes` accepts and rejects.
+//! [`Walker`] reads serialized bytes in place — keys, strings, opaque
+//! payloads and matrix entries borrowed from the slice — accepting and
+//! rejecting exactly what `unserialize_bytes` accepts and rejects (a
+//! typed read, [`Walker::reals`] or [`Walker::bools`], also refuses a
+//! value of another type).
 
 use crate::codec::{XdrReader, XdrWriter};
 use crate::error::XdrError;
@@ -148,10 +150,12 @@ impl FieldSink for Encoder {
     }
 }
 
-/// A flat list of leaves written item by item, straight into the bytes
+/// A list of leaves — 1×1 values, serial objects, 1×n rows — and nested
+/// such lists, written item by item, straight into the bytes
 /// `serialize_to_bytes` would produce for it (magic and version
-/// included): how a rank frames many already-serialized objects into
-/// one message without building — or copying them into — a tree first.
+/// included): how a rank frames many already-serialized objects, or a
+/// frame's answers, into one message without building — or copying them
+/// into — a tree first.
 #[derive(Debug)]
 pub struct ListEncoder {
     w: XdrWriter,
@@ -189,6 +193,41 @@ impl ListEncoder {
     pub fn serial(&mut self, compressed: bool, bytes: &[u8]) {
         self.items += 1;
         put_serial(&mut self.w, compressed, bytes);
+    }
+
+    /// Append a 1×n real matrix of `data`, streamed: no vector in
+    /// between.
+    pub fn reals(&mut self, data: impl ExactSizeIterator<Item = f64>) {
+        self.items += 1;
+        self.w.put_u32(TAG_REAL);
+        self.w.put_u32(1);
+        self.w.put_u32(data.len() as u32);
+        data.for_each(|x| self.w.put_f64(x));
+    }
+
+    /// Append a 1×n boolean matrix of `data`, streamed.
+    pub fn bools(&mut self, data: impl ExactSizeIterator<Item = bool>) {
+        self.items += 1;
+        let n = data.len();
+        self.w.put_u32(TAG_BOOL);
+        self.w.put_u32(1);
+        self.w.put_u32(n as u32);
+        // One byte an entry inside one opaque, as `put_bools` packs them.
+        self.w.put_u32(n as u32);
+        self.w.buf_mut().extend(data.map(u8::from));
+        self.w.pad(n);
+    }
+
+    /// Append a list whose items `fill` appends: its count is filled in
+    /// once they are written.
+    pub fn list(&mut self, fill: impl FnOnce(&mut Self)) {
+        self.items += 1;
+        put_count(&mut self.w, TAG_LIST, 0);
+        let count_at = self.w.len() - 4;
+        let outer = std::mem::replace(&mut self.items, 0);
+        fill(self);
+        self.w.set_u32(count_at, self.items);
+        self.items = outer;
     }
 
     /// Append an uncompressed serial object whose bytes `fill` appends to
@@ -252,6 +291,29 @@ pub enum Node<'a> {
     /// Anything else — a matrix that is not 1×1, the absent value:
     /// checked and skipped.
     Other,
+}
+
+/// The entries of a real matrix, in column-major order, borrowed from
+/// the bytes and decoded one at a time ([`Walker::reals`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Reals<'a>(&'a [u8]);
+
+impl Reals<'_> {
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.0.len() / 8
+    }
+
+    /// Whether the matrix has no entries.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Entry `i`; panics when `i` is out of range, as indexing does.
+    pub fn get(&self, i: usize) -> f64 {
+        let at = &self.0[8 * i..8 * i + 8];
+        f64::from_bits(u64::from_be_bytes(at.try_into().expect("8 bytes")))
+    }
 }
 
 /// A cursor over serialized bytes that materialises nothing.
@@ -328,6 +390,40 @@ impl<'a> Walker<'a> {
                 Node::Other
             }
         })
+    }
+
+    /// Read a real matrix of any shape at the cursor, its entries
+    /// borrowed: checked as `unserialize_bytes` checks one. A value of
+    /// another type is an error here — the caller asked for a matrix.
+    pub fn reals(&mut self) -> Result<Reals<'a>, XdrError> {
+        let (rows, cols) = self.matrix_head(TAG_REAL)?;
+        let n = rows
+            .checked_mul(cols)
+            .ok_or_else(|| XdrError::Corrupt("matrix size overflow".into()))?;
+        let len = n.checked_mul(8).ok_or(XdrError::UnexpectedEof)?;
+        Ok(Reals(self.r.take(len)?))
+    }
+
+    /// Read a boolean matrix of any shape at the cursor: one byte an
+    /// entry, non-zero for true, borrowed. A value of another type is an
+    /// error here.
+    pub fn bools(&mut self) -> Result<&'a [u8], XdrError> {
+        let (rows, cols) = self.matrix_head(TAG_BOOL)?;
+        let bytes = self.r.get_opaque()?;
+        if rows.checked_mul(cols) != Some(bytes.len()) {
+            return Err(XdrError::Corrupt("bool matrix length mismatch".into()));
+        }
+        Ok(bytes)
+    }
+
+    /// The tag of a matrix of kind `tag`, then its rows and cols.
+    fn matrix_head(&mut self, tag: u32) -> Result<(usize, usize), XdrError> {
+        match self.r.get_u32()? {
+            t if t == tag => Ok((self.r.get_u32()? as usize, self.r.get_u32()? as usize)),
+            t => Err(XdrError::Corrupt(format!(
+                "expected type tag {tag}, found {t}"
+            ))),
+        }
     }
 
     /// Read the key of the next hash entry.
@@ -489,6 +585,58 @@ mod tests {
             ListEncoder::new(Vec::new()).finish(),
             serialize_to_bytes(&Value::list(vec![]))
         );
+    }
+
+    #[test]
+    fn matrices_and_nested_lists_are_the_bytes_of_their_tree_and_read_back() {
+        // Empty and non-empty rows, booleans of every length mod 4, and
+        // lists nested two deep, one of them empty.
+        for n in 0..6usize {
+            let reals: Vec<f64> = (0..n).map(|i| i as f64 - 1.5).collect();
+            let bools: Vec<bool> = (0..n).map(|i| i % 3 == 1).collect();
+            let tree = Value::list(vec![
+                Value::Real(Matrix::row(reals.clone())),
+                Value::Bool(BoolMatrix::row(bools.clone())),
+                Value::list(vec![
+                    Value::list(vec![Value::scalar(2.0), Value::string("why")]),
+                    Value::list(vec![]),
+                ]),
+                Value::scalar(9.0),
+            ]);
+            let mut e = ListEncoder::new(Vec::new());
+            e.reals(reals.iter().copied());
+            e.bools(bools.iter().copied());
+            e.list(|l| {
+                l.list(|pair| {
+                    pair.scalar(2.0);
+                    pair.string("why");
+                });
+                l.list(|_| {});
+            });
+            e.scalar(9.0);
+            let bytes = e.finish();
+            assert_eq!(bytes, serialize_to_bytes(&tree), "{n} entries");
+
+            let mut w = Walker::open(&bytes).unwrap();
+            assert_eq!(w.node().unwrap(), Node::List(4));
+            let got = w.reals().unwrap();
+            assert_eq!(got.len(), n);
+            assert_eq!((0..n).map(|i| got.get(i)).collect::<Vec<_>>(), reals);
+            let got: Vec<bool> = w.bools().unwrap().iter().map(|&b| b != 0).collect();
+            assert_eq!(got, bools);
+            let head = w.node().unwrap();
+            w.skip_rest(head).unwrap();
+            assert_eq!(w.node().unwrap(), Node::Scalar(9.0));
+            w.close().unwrap();
+        }
+        // Any shape reads, column-major; another type is an error.
+        let m = Value::Real(Matrix::from_col_major(2, 2, vec![1.0, 2.0, 3.0, 4.0]));
+        let bytes = serialize_to_bytes(&m);
+        let got = Walker::open(&bytes).unwrap().reals().unwrap();
+        assert_eq!((got.len(), got.get(1), got.get(3)), (4, 2.0, 4.0));
+        let bytes = serialize_to_bytes(&Value::string("no"));
+        assert!(Walker::open(&bytes).unwrap().reals().is_err());
+        assert!(Walker::open(&bytes).unwrap().bools().is_err());
     }
 
     #[test]

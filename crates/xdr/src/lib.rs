@@ -35,7 +35,7 @@ mod ser;
 
 pub use codec::{XdrReader, XdrWriter};
 pub use compress::{compress_serial, decompress_serial};
-pub use direct::{Encoder, FieldSink, ListEncoder, Node, Walker};
+pub use direct::{Encoder, FieldSink, ListEncoder, Node, Reals, Walker};
 pub use error::XdrError;
 pub use ser::{
     load, save, serialize, serialize_into, serialize_to_bytes, sload, sload_into, unserialize,
