@@ -151,9 +151,9 @@ mod tests {
         p
     }
 
-    /// A down-and-out call whose barrier is above its strike: valid terms
-    /// the closed-form kernel panics on.
-    fn panicking() -> PremiaProblem {
+    /// A down-and-out call whose barrier is above its strike: terms the
+    /// closed form cannot price, refused before its kernel.
+    fn barrier_above_strike() -> PremiaProblem {
         let mut p = PremiaProblem::create("BlackScholes1dim", "CallDownOut", "CF").unwrap();
         p.option = OptionSpec::DownOutCall {
             strike: 90.0,
@@ -167,7 +167,7 @@ mod tests {
     fn a_bad_problem_fails_its_job_and_never_poisons_the_world() {
         for (name, problem, why) in [
             ("heston_cf", refused(), "compute failed: "),
-            ("barrier_cf", panicking(), "compute panicked: "),
+            ("barrier_cf", barrier_above_strike(), "compute failed: "),
         ] {
             let mut jobs = toy_portfolio(4);
             jobs[2].problem = problem;

@@ -25,6 +25,7 @@
 use super::{sample, Sampled};
 use crate::lanes::F64s;
 use crate::models::BlackScholes;
+use crate::options::positive_finite;
 use exec::{ExecPolicy, PathWorkspace};
 use numerics::rng::NormalGen;
 use numerics::stats::RunningStats;
@@ -137,8 +138,8 @@ impl XvaConfig {
         if self.time_steps == 0 {
             return Err("time_steps must be positive".into());
         }
-        if !(self.hazard >= 0.0) {
-            return Err("hazard must be non-negative".into());
+        if !(self.hazard == 0.0 || positive_finite(self.hazard)) {
+            return Err("hazard must be non-negative and finite".into());
         }
         if !(0.0..=1.0).contains(&self.lgd) {
             return Err("lgd must lie in [0, 1]".into());

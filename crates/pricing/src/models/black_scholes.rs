@@ -2,6 +2,8 @@
 //! risk-neutral measure,
 //! `dS = S ((r - q) dt + σ dW)`.
 
+use crate::options::positive_finite;
+
 /// Black–Scholes model parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlackScholes {
@@ -28,13 +30,20 @@ impl BlackScholes {
         m
     }
 
-    /// Parameter sanity: positive spot and volatility, finite rates.
+    /// Parameter sanity: positive, finite spot and volatility, finite
+    /// rates.
     pub(crate) fn validate(&self) -> Result<(), String> {
-        if !(self.spot > 0.0) {
-            return Err(format!("spot must be positive, got {}", self.spot));
+        if !positive_finite(self.spot) {
+            return Err(format!(
+                "spot must be positive and finite, got {}",
+                self.spot
+            ));
         }
-        if !(self.sigma > 0.0) {
-            return Err(format!("sigma must be positive, got {}", self.sigma));
+        if !positive_finite(self.sigma) {
+            return Err(format!(
+                "sigma must be positive and finite, got {}",
+                self.sigma
+            ));
         }
         if !self.rate.is_finite() || !self.dividend.is_finite() {
             return Err("rate/dividend must be finite".into());

@@ -16,6 +16,8 @@
 //! recorded in DESIGN.md); the asset uses log-Euler with the truncated
 //! variance.
 
+use crate::options::positive_finite;
+
 /// Heston model parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Heston {
@@ -70,9 +72,9 @@ impl Heston {
     }
 
     /// Parameter sanity checks; `Err` describes the first violation.
-    fn validate(&self) -> Result<(), String> {
-        if !(self.spot > 0.0) {
-            return Err("spot must be positive".into());
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        if !positive_finite(self.spot) {
+            return Err("spot must be positive and finite".into());
         }
         if !(self.v0 >= 0.0 && self.theta > 0.0 && self.kappa > 0.0 && self.xi > 0.0) {
             return Err("v0 >= 0, theta, kappa, xi must be positive".into());

@@ -17,6 +17,8 @@
 //! higher vol when the spot falls) — while staying strictly positive and
 //! bounded for `|b| < 1`, so the Euler scheme is well behaved.
 
+use crate::options::positive_finite;
+
 /// Parametric local-volatility model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LocalVol {
@@ -56,9 +58,9 @@ impl LocalVol {
     }
 
     /// Parameter sanity checks; `Err` describes the first violation.
-    fn validate(&self) -> Result<(), String> {
-        if !(self.spot > 0.0 && self.sigma0 > 0.0) {
-            return Err("spot and sigma0 must be positive".into());
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        if !(positive_finite(self.spot) && self.sigma0 > 0.0) {
+            return Err("spot must be positive and finite, sigma0 positive".into());
         }
         if self.skew_amp.abs() >= 1.0 {
             return Err("skew amplitude must satisfy |b| < 1".into());

@@ -7,6 +7,7 @@
 //! conventionally parametrised; the code paths support full per-asset
 //! parameters where they are cheap to keep general.
 
+use crate::options::positive_finite;
 use numerics::rng::CorrelatedNormals;
 
 /// Equicorrelated multi-asset Black–Scholes model.
@@ -47,8 +48,8 @@ impl MultiBlackScholes {
         if self.dim == 0 {
             return Err("dimension must be at least 1".into());
         }
-        if !(self.spot > 0.0 && self.sigma > 0.0) {
-            return Err("spot and sigma must be positive".into());
+        if !(positive_finite(self.spot) && positive_finite(self.sigma)) {
+            return Err("spot and sigma must be positive and finite".into());
         }
         // Equicorrelation matrix is positive definite iff
         // -1/(d-1) < rho < 1.

@@ -10,6 +10,8 @@
 //! dr = κ(θ − r) dt + σ dW
 //! ```
 
+use crate::options::positive_finite;
+
 /// Vasicek model parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Vasicek {
@@ -42,9 +44,9 @@ impl Vasicek {
     }
 
     /// Parameter sanity checks; `Err` describes the first violation.
-    fn validate(&self) -> Result<(), String> {
-        if !(self.kappa > 0.0 && self.sigma > 0.0) {
-            return Err("kappa and sigma must be positive".into());
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        if !(positive_finite(self.kappa) && positive_finite(self.sigma)) {
+            return Err("kappa and sigma must be positive and finite".into());
         }
         if !self.r0.is_finite() || !self.theta.is_finite() {
             return Err("r0/theta must be finite".into());

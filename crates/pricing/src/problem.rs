@@ -20,6 +20,16 @@
 //! and shipped over `minimpi` exactly as in Figs. 4–5; and
 //! [`PremiaProblem::compute`] runs the actual numerical method
 //! (`P.compute[]`).
+//!
+//! The contract of `compute()`: whatever a problem file, a script or a
+//! serve request carries, it returns a finite result,
+//! `PricingError::Invalid` or `PricingError::Unsupported`, never a panic
+//! or a NaN. The problem is checked in one place, `Specs::validate`,
+//! before any kernel runs; the kernels' own `assert!`s are invariants
+//! that check keeps true. `tests::compute_is_total_over_a_field_sweep`
+//! holds it for every field at 0, ±1, 2, 1e-9, NaN and ±∞; finite values
+//! far outside any market (a rate of ±10⁶, a maturity of 10⁶ years)
+//! still price NaN or ∞ until the checks bound them.
 
 use crate::fields::{
     get_bool, get_f64, get_str, get_table, get_usize, read_in_order, Fields, Tree,
@@ -32,14 +42,13 @@ use crate::methods::heston_cf::heston_cf_price;
 use crate::methods::lsm::{lsm_basket, lsm_heston, lsm_vanilla_bs, LsmConfig};
 use crate::methods::montecarlo::{
     mc_basket, mc_heston, mc_local_vol, mc_vanilla_bs, qmc_basket, qmc_vanilla_bs, McConfig,
+    McResult,
 };
 use crate::methods::pde::{pde_barrier, pde_vanilla, PdeConfig};
 use crate::methods::tree::{tree_vanilla, TreeConfig};
 use crate::methods::xva::{xva_cva, TradeSoA, XvaConfig};
 use crate::models::{BlackScholes, Heston, LocalVol, MultiBlackScholes, Vasicek};
-use crate::options::{
-    positive_finite, Barrier, BasketOption, Exercise, MaxCall, OptionRight, Vanilla,
-};
+use crate::options::{positive_finite, Barrier, BasketOption, MaxCall, OptionRight, Vanilla};
 use exec::ExecPolicy;
 use nspval::{Hash, Value};
 use numerics::poly::BasisKind;
@@ -97,6 +106,18 @@ impl ModelSpec {
             ModelSpec::LocalVol(_) => "LocalVol1dim",
             ModelSpec::Heston(_) => "Heston1dim",
             ModelSpec::Vasicek(_) => "Vasicek1dim",
+        }
+    }
+
+    /// The parameters every kernel on this model assumes, by the model's
+    /// own check; `Err` describes the first violation.
+    fn validate(&self) -> Result<(), String> {
+        match self {
+            ModelSpec::BlackScholes(m) => m.validate(),
+            ModelSpec::MultiBlackScholes(m) => m.validate(),
+            ModelSpec::LocalVol(m) => m.validate(),
+            ModelSpec::Heston(m) => m.validate(),
+            ModelSpec::Vasicek(m) => m.validate(),
         }
     }
 }
@@ -422,6 +443,98 @@ impl MethodSpec {
             MethodSpec::Xva { .. } => "MC_XVA_CVA",
         }
     }
+
+    /// The kernel this method runs, its counts checked against the
+    /// kernel's minimum (the tree's, which depends on the model, is
+    /// checked by [`Specs::validate`]); `Err` describes the first
+    /// violation.
+    fn kernel(&self) -> Result<Kernel, String> {
+        Ok(match *self {
+            MethodSpec::ClosedForm => Kernel::Cf,
+            MethodSpec::Pde {
+                time_steps,
+                space_steps,
+            } => {
+                let cfg = PdeConfig {
+                    time_steps,
+                    space_steps,
+                    ..PdeConfig::default()
+                };
+                cfg.validate()?;
+                Kernel::Pde(cfg)
+            }
+            MethodSpec::Tree { steps } => Kernel::Tree(TreeConfig { steps }),
+            MethodSpec::MonteCarlo {
+                paths,
+                time_steps,
+                antithetic,
+                seed,
+            } => {
+                let cfg = McConfig {
+                    paths,
+                    time_steps,
+                    antithetic,
+                    seed,
+                };
+                cfg.validate()?;
+                Kernel::Mc(cfg)
+            }
+            MethodSpec::QuasiMonteCarlo { paths: 0 } => return Err("paths must be positive".into()),
+            MethodSpec::QuasiMonteCarlo { paths } => Kernel::Qmc(paths),
+            MethodSpec::Lsm {
+                paths,
+                exercise_dates,
+                basis_degree,
+                seed,
+            } => {
+                let cfg = LsmConfig {
+                    paths,
+                    exercise_dates,
+                    basis_degree,
+                    basis: BasisKind::Monomial,
+                    seed,
+                };
+                cfg.validate()?;
+                Kernel::Lsm(cfg)
+            }
+            MethodSpec::Bsde {
+                paths,
+                time_steps,
+                rate_spread,
+                picard_rounds,
+                y_prev,
+                seed,
+            } => {
+                let cfg = BsdeConfig {
+                    paths,
+                    time_steps,
+                    rate_spread,
+                    picard_rounds,
+                    y_prev,
+                    seed,
+                };
+                cfg.validate()?;
+                Kernel::Bsde(cfg)
+            }
+            MethodSpec::Xva {
+                paths,
+                time_steps,
+                hazard,
+                lgd,
+                seed,
+            } => {
+                let cfg = XvaConfig {
+                    paths,
+                    time_steps,
+                    hazard,
+                    lgd,
+                    seed,
+                };
+                cfg.validate()?;
+                Kernel::Xva(cfg)
+            }
+        })
+    }
 }
 
 /// The result of `P.compute[]`.
@@ -513,8 +626,8 @@ impl PremiaProblem {
 
     /// `P.compute[]`: run the numerical method. Unsupported combinations
     /// return `Err(Unsupported)` — Premia's compatibility matrix — and a
-    /// sampled method whose counts its kernel refuses (zero paths, time
-    /// steps or Picard rounds, an empty netting set) `Err(Invalid)`.
+    /// problem its kernel cannot take (a model parameter, contract term
+    /// or count out of range) `Err(Invalid)`.
     ///
     /// Single-threaded; bit-identical to every release since the seed —
     /// pinned over the Table III job mix by
@@ -569,569 +682,202 @@ impl Specs<'_> {
         self.price(None)
     }
 
+    /// Every check the kernels need, made once before any of them runs:
+    /// the model's parameters, the contract's terms, the method's counts,
+    /// and the checks that need two of them. `Ok` is the checked kernel.
+    fn validate(self) -> Result<Kernel, String> {
+        self.model.validate()?;
+        self.option.validate()?;
+        let kernel = self.method.kernel()?;
+        match (self.model, self.option, &kernel) {
+            (ModelSpec::BlackScholes(m), _, Kernel::Tree(cfg)) => {
+                cfg.validate(m, self.option.maturity())?
+            }
+            (
+                _,
+                OptionSpec::DownOutCall {
+                    strike, barrier, ..
+                },
+                Kernel::Cf,
+            ) if barrier > strike => {
+                return Err(format!(
+                    "the closed form needs the barrier {barrier} at or below the strike {strike}"
+                ))
+            }
+            (_, OptionSpec::NettingSet { trades: 0, .. }, _) => {
+                return Err("netting set must contain trades".into())
+            }
+            _ => {}
+        }
+        Ok(kernel)
+    }
+
+    /// Premia's compatibility matrix: one arm per supported (model,
+    /// option, method), each handing its kernel checked inputs.
     fn price(self, pol: Option<&ExecPolicy>) -> Result<PricingResult, PricingError> {
-        use MethodSpec as M;
+        use Kernel as K;
         use ModelSpec as Mo;
         use OptionSpec as O;
 
-        let unsupported = || {
-            Err(PricingError::Unsupported(format!(
-                "{} / {} / {}",
-                self.model.name(),
-                self.option.name(),
-                self.method.name()
-            )))
+        let kernel = self.validate().map_err(PricingError::Invalid)?;
+        let method = self.method.name();
+        let exact = |price: f64, delta: Option<f64>| PricingResult {
+            price,
+            delta,
+            std_error: None,
+            method,
         };
-
-        // A decoded problem is checked here, before any kernel sees it:
-        // the kernels assert their option and PDE grid (a closed form at
-        // maturity 0 returns NaN), price a bad spot or volatility as NaN
-        // or a wrong number, and the multi-asset kernels build the
-        // correlator, which panics on a rho that `validate` refuses.
-        self.option.validate().map_err(PricingError::Invalid)?;
-        if let M::QuasiMonteCarlo { paths: 0 } = self.method {
-            return Err(PricingError::Invalid("paths must be positive".into()));
-        }
-        if let M::Pde {
-            time_steps,
-            space_steps,
-        } = *self.method
-        {
-            let grid = PdeConfig {
-                time_steps,
-                space_steps,
-                ..PdeConfig::default()
-            };
-            grid.validate().map_err(PricingError::Invalid)?;
-        }
-        match &self.model {
-            Mo::BlackScholes(m) => m.validate(),
-            Mo::MultiBlackScholes(m) => m.validate(),
-            _ => Ok(()),
-        }
-        .map_err(PricingError::Invalid)?;
-        match (&self.model, &self.option) {
-            // ---- 1-D Black–Scholes vanilla -------------------------------
-            (Mo::BlackScholes(m), O::Call { strike, maturity })
-            | (Mo::BlackScholes(m), O::Put { strike, maturity }) => {
-                let right = if matches!(self.option, O::Call { .. }) {
-                    OptionRight::Call
-                } else {
-                    OptionRight::Put
-                };
-                let opt = Vanilla {
-                    right,
-                    strike: *strike,
-                    maturity: *maturity,
-                    exercise: Exercise::European,
-                };
-                match &self.method {
-                    M::ClosedForm => {
-                        let q = bs_price(m, &opt);
-                        Ok(PricingResult {
-                            price: q.price,
-                            delta: Some(q.delta),
-                            std_error: None,
-                            method: self.method.name(),
-                        })
-                    }
-                    M::Pde {
-                        time_steps,
-                        space_steps,
-                    } => {
-                        let sol = pde_vanilla(
-                            m,
-                            &opt,
-                            &PdeConfig {
-                                time_steps: *time_steps,
-                                space_steps: *space_steps,
-                                ..PdeConfig::default()
-                            },
-                        );
-                        Ok(PricingResult {
-                            price: sol.price,
-                            delta: Some(sol.delta),
-                            std_error: None,
-                            method: self.method.name(),
-                        })
-                    }
-                    M::Tree { steps } => {
-                        let cfg = TreeConfig { steps: *steps };
-                        cfg.validate(m, opt.maturity)
-                            .map_err(PricingError::Invalid)?;
-                        let sol = tree_vanilla(m, &opt, &cfg);
-                        Ok(PricingResult {
-                            price: sol.price,
-                            delta: Some(sol.delta),
-                            std_error: None,
-                            method: self.method.name(),
-                        })
-                    }
-                    M::MonteCarlo {
-                        paths,
-                        time_steps,
-                        antithetic,
-                        seed,
-                    } => {
-                        let cfg = McConfig {
-                            paths: *paths,
-                            time_steps: *time_steps,
-                            antithetic: *antithetic,
-                            seed: *seed,
-                        };
-                        cfg.validate().map_err(PricingError::Invalid)?;
-                        let r = mc_vanilla_bs(m, &opt, &cfg, pol);
-                        Ok(PricingResult {
-                            price: r.price,
-                            delta: r.delta,
-                            std_error: Some(r.std_error),
-                            method: self.method.name(),
-                        })
-                    }
-                    M::QuasiMonteCarlo { paths } => {
-                        let r = qmc_vanilla_bs(m, &opt, *paths);
-                        Ok(PricingResult {
-                            price: r.price,
-                            delta: None,
-                            std_error: None,
-                            method: self.method.name(),
-                        })
-                    }
-                    M::Bsde {
-                        paths,
-                        time_steps,
-                        rate_spread,
-                        picard_rounds,
-                        y_prev,
-                        seed,
-                    } => {
-                        let cfg = BsdeConfig {
-                            paths: *paths,
-                            time_steps: *time_steps,
-                            rate_spread: *rate_spread,
-                            picard_rounds: *picard_rounds,
-                            y_prev: *y_prev,
-                            seed: *seed,
-                        };
-                        cfg.validate().map_err(PricingError::Invalid)?;
-                        let r = bsde_picard(m, &opt, &cfg, pol);
-                        Ok(PricingResult {
-                            price: r.price,
-                            delta: None,
-                            std_error: Some(r.std_error),
-                            method: self.method.name(),
-                        })
-                    }
-                    _ => unsupported(),
-                }
+        let grid = |price: f64, delta: f64| exact(price, Some(delta));
+        let sampled = |r: McResult| PricingResult {
+            price: r.price,
+            delta: r.delta,
+            std_error: Some(r.std_error),
+            method,
+        };
+        let euro = || european(self.option);
+        Ok(match (self.model, self.option, kernel) {
+            (Mo::BlackScholes(m), O::Call { .. } | O::Put { .. }, K::Cf) => {
+                let q = bs_price(m, &euro());
+                exact(q.price, Some(q.delta))
             }
-
-            // ---- 1-D Black–Scholes barrier -------------------------------
+            (Mo::BlackScholes(m), O::Call { .. } | O::Put { .. }, K::Pde(cfg)) => {
+                let s = pde_vanilla(m, &euro(), &cfg);
+                grid(s.price, s.delta)
+            }
+            (Mo::BlackScholes(m), O::Call { .. } | O::Put { .. }, K::Tree(cfg)) => {
+                let s = tree_vanilla(m, &euro(), &cfg);
+                grid(s.price, s.delta)
+            }
+            (Mo::BlackScholes(m), O::Call { .. } | O::Put { .. }, K::Mc(cfg)) => {
+                sampled(mc_vanilla_bs(m, &euro(), &cfg, pol))
+            }
+            (Mo::BlackScholes(m), O::Call { .. } | O::Put { .. }, K::Qmc(paths)) => {
+                exact(qmc_vanilla_bs(m, &euro(), paths).price, None)
+            }
+            (Mo::BlackScholes(m), O::Call { .. } | O::Put { .. }, K::Bsde(cfg)) => {
+                sampled(bsde_picard(m, &euro(), &cfg, pol))
+            }
             (
                 Mo::BlackScholes(m),
-                O::DownOutCall {
+                &O::DownOutCall {
                     strike,
                     barrier,
                     maturity,
                 },
+                K::Cf,
             ) => {
-                let opt = Barrier::down_out_call(*strike, *barrier, *maturity);
-                match &self.method {
-                    M::ClosedForm => Ok(PricingResult {
-                        price: down_out_call_price(m, &opt),
-                        delta: None,
-                        std_error: None,
-                        method: self.method.name(),
-                    }),
-                    M::Pde {
-                        time_steps,
-                        space_steps,
-                    } => {
-                        let sol = pde_barrier(
-                            m,
-                            &opt,
-                            &PdeConfig {
-                                time_steps: *time_steps,
-                                space_steps: *space_steps,
-                                ..PdeConfig::default()
-                            },
-                        );
-                        Ok(PricingResult {
-                            price: sol.price,
-                            delta: Some(sol.delta),
-                            std_error: None,
-                            method: self.method.name(),
-                        })
-                    }
-                    _ => unsupported(),
-                }
+                let opt = Barrier::down_out_call(strike, barrier, maturity);
+                exact(down_out_call_price(m, &opt), None)
             }
-
-            // ---- 1-D Black–Scholes American put --------------------------
-            (Mo::BlackScholes(m), O::AmericanPut { strike, maturity }) => {
-                let opt = Vanilla::american_put(*strike, *maturity);
-                match &self.method {
-                    M::Pde {
-                        time_steps,
-                        space_steps,
-                    } => {
-                        let sol = pde_vanilla(
-                            m,
-                            &opt,
-                            &PdeConfig {
-                                time_steps: *time_steps,
-                                space_steps: *space_steps,
-                                ..PdeConfig::default()
-                            },
-                        );
-                        Ok(PricingResult {
-                            price: sol.price,
-                            delta: Some(sol.delta),
-                            std_error: None,
-                            method: self.method.name(),
-                        })
-                    }
-                    M::Tree { steps } => {
-                        let cfg = TreeConfig { steps: *steps };
-                        cfg.validate(m, opt.maturity)
-                            .map_err(PricingError::Invalid)?;
-                        let sol = tree_vanilla(m, &opt, &cfg);
-                        Ok(PricingResult {
-                            price: sol.price,
-                            delta: Some(sol.delta),
-                            std_error: None,
-                            method: self.method.name(),
-                        })
-                    }
-                    M::Lsm {
-                        paths,
-                        exercise_dates,
-                        basis_degree,
-                        seed,
-                    } => {
-                        let cfg = LsmConfig {
-                            paths: *paths,
-                            exercise_dates: *exercise_dates,
-                            basis_degree: *basis_degree,
-                            basis: BasisKind::Monomial,
-                            seed: *seed,
-                        };
-                        cfg.validate().map_err(PricingError::Invalid)?;
-                        let r = lsm_vanilla_bs(m, &opt, &cfg, pol);
-                        Ok(PricingResult {
-                            price: r.price,
-                            delta: None,
-                            std_error: Some(r.std_error),
-                            method: self.method.name(),
-                        })
-                    }
-                    _ => unsupported(),
-                }
+            (
+                Mo::BlackScholes(m),
+                &O::DownOutCall {
+                    strike,
+                    barrier,
+                    maturity,
+                },
+                K::Pde(cfg),
+            ) => {
+                let s = pde_barrier(m, &Barrier::down_out_call(strike, barrier, maturity), &cfg);
+                grid(s.price, s.delta)
             }
-
-            // ---- multi-asset basket --------------------------------------
-            (Mo::MultiBlackScholes(m), O::BasketPut { strike, maturity }) => {
-                let opt = BasketOption::european_put(*strike, *maturity);
-                match &self.method {
-                    M::MonteCarlo {
-                        paths,
-                        time_steps,
-                        antithetic,
-                        seed,
-                    } => {
-                        let cfg = McConfig {
-                            paths: *paths,
-                            time_steps: *time_steps,
-                            antithetic: *antithetic,
-                            seed: *seed,
-                        };
-                        cfg.validate().map_err(PricingError::Invalid)?;
-                        let r = mc_basket(m, &opt, &cfg, pol);
-                        Ok(PricingResult {
-                            price: r.price,
-                            delta: None,
-                            std_error: Some(r.std_error),
-                            method: self.method.name(),
-                        })
-                    }
-                    M::QuasiMonteCarlo { paths } => {
-                        let r = qmc_basket(m, &opt, *paths);
-                        Ok(PricingResult {
-                            price: r.price,
-                            delta: None,
-                            std_error: None,
-                            method: self.method.name(),
-                        })
-                    }
-                    _ => unsupported(),
-                }
+            (Mo::BlackScholes(m), &O::AmericanPut { strike, maturity }, K::Pde(cfg)) => {
+                let s = pde_vanilla(m, &Vanilla::american_put(strike, maturity), &cfg);
+                grid(s.price, s.delta)
             }
-            (Mo::MultiBlackScholes(m), O::AmericanBasketPut { strike, maturity }) => {
-                let opt = BasketOption::american_put(*strike, *maturity);
-                match &self.method {
-                    M::Lsm {
-                        paths,
-                        exercise_dates,
-                        basis_degree,
-                        seed,
-                    } => {
-                        let cfg = LsmConfig {
-                            paths: *paths,
-                            exercise_dates: *exercise_dates,
-                            basis_degree: *basis_degree,
-                            basis: BasisKind::Monomial,
-                            seed: *seed,
-                        };
-                        cfg.validate().map_err(PricingError::Invalid)?;
-                        let r = lsm_basket(m, &opt, &cfg, pol);
-                        Ok(PricingResult {
-                            price: r.price,
-                            delta: None,
-                            std_error: Some(r.std_error),
-                            method: self.method.name(),
-                        })
-                    }
-                    _ => unsupported(),
-                }
+            (Mo::BlackScholes(m), &O::AmericanPut { strike, maturity }, K::Tree(cfg)) => {
+                let s = tree_vanilla(m, &Vanilla::american_put(strike, maturity), &cfg);
+                grid(s.price, s.delta)
             }
-
-            // ---- multi-asset Bermudan max-call (Doan et al.) -------------
-            (Mo::MultiBlackScholes(m), O::BermudanMaxCall { strike, maturity }) => {
-                let opt = MaxCall::bermudan(*strike, *maturity);
-                match &self.method {
-                    M::Lsm {
-                        paths,
-                        exercise_dates,
-                        basis_degree,
-                        seed,
-                    } => {
-                        let cfg = LsmConfig {
-                            paths: *paths,
-                            exercise_dates: *exercise_dates,
-                            basis_degree: *basis_degree,
-                            basis: BasisKind::Monomial,
-                            seed: *seed,
-                        };
-                        cfg.validate().map_err(PricingError::Invalid)?;
-                        let r = lsm_max_call(m, &opt, &cfg, pol);
-                        Ok(PricingResult {
-                            price: r.price,
-                            delta: None,
-                            std_error: Some(r.std_error),
-                            method: self.method.name(),
-                        })
-                    }
-                    _ => unsupported(),
-                }
+            (Mo::BlackScholes(m), &O::AmericanPut { strike, maturity }, K::Lsm(cfg)) => {
+                let opt = Vanilla::american_put(strike, maturity);
+                sampled(lsm_vanilla_bs(m, &opt, &cfg, pol))
             }
-
-            // ---- portfolio-level XVA -------------------------------------
-            (Mo::BlackScholes(m), O::NettingSet { trades, maturity }) => match &self.method {
-                M::Xva {
-                    paths,
-                    time_steps,
-                    hazard,
-                    lgd,
-                    seed,
-                } => {
-                    let cfg = XvaConfig {
-                        paths: *paths,
-                        time_steps: *time_steps,
-                        hazard: *hazard,
-                        lgd: *lgd,
-                        seed: *seed,
-                    };
-                    cfg.validate().map_err(PricingError::Invalid)?;
-                    if *trades == 0 {
-                        return Err(PricingError::Invalid(
-                            "netting set must contain trades".into(),
-                        ));
-                    }
-                    // The book is part of the problem: a pure function of
-                    // (trades, seed), so the same spec always aggregates
-                    // the same netting set.
-                    let book = TradeSoA::generate(*trades, m.spot, *maturity, *seed);
-                    let r = xva_cva(m, &book, *maturity, &cfg, pol);
-                    Ok(PricingResult {
-                        price: r.price,
-                        delta: None,
-                        std_error: Some(r.std_error),
-                        method: self.method.name(),
-                    })
-                }
-                _ => unsupported(),
-            },
-
-            // ---- local volatility ----------------------------------------
-            (Mo::LocalVol(m), O::Call { strike, maturity })
-            | (Mo::LocalVol(m), O::Put { strike, maturity }) => {
-                let right = if matches!(self.option, O::Call { .. }) {
-                    OptionRight::Call
-                } else {
-                    OptionRight::Put
-                };
-                let opt = Vanilla {
-                    right,
-                    strike: *strike,
-                    maturity: *maturity,
-                    exercise: Exercise::European,
-                };
-                match &self.method {
-                    M::MonteCarlo {
-                        paths,
-                        time_steps,
-                        antithetic,
-                        seed,
-                    } => {
-                        let cfg = McConfig {
-                            paths: *paths,
-                            time_steps: *time_steps,
-                            antithetic: *antithetic,
-                            seed: *seed,
-                        };
-                        cfg.validate().map_err(PricingError::Invalid)?;
-                        let r = mc_local_vol(m, &opt, &cfg, pol);
-                        Ok(PricingResult {
-                            price: r.price,
-                            delta: None,
-                            std_error: Some(r.std_error),
-                            method: self.method.name(),
-                        })
-                    }
-                    _ => unsupported(),
-                }
+            (Mo::BlackScholes(m), &O::NettingSet { trades, maturity }, K::Xva(cfg)) => {
+                // The book is part of the problem: a pure function of
+                // (trades, seed), so the same spec always aggregates the
+                // same netting set.
+                let book = TradeSoA::generate(trades, m.spot, maturity, cfg.seed);
+                sampled(xva_cva(m, &book, maturity, &cfg, pol))
             }
-
-            // ---- Heston --------------------------------------------------
-            (Mo::Heston(m), O::Call { strike, maturity })
-            | (Mo::Heston(m), O::Put { strike, maturity }) => {
-                let right = if matches!(self.option, O::Call { .. }) {
-                    OptionRight::Call
-                } else {
-                    OptionRight::Put
-                };
-                let opt = Vanilla {
-                    right,
-                    strike: *strike,
-                    maturity: *maturity,
-                    exercise: Exercise::European,
-                };
-                match &self.method {
-                    M::ClosedForm => Ok(PricingResult {
-                        price: heston_cf_price(m, &opt),
-                        delta: None,
-                        std_error: None,
-                        method: self.method.name(),
-                    }),
-                    M::MonteCarlo {
-                        paths,
-                        time_steps,
-                        antithetic,
-                        seed,
-                    } => {
-                        let cfg = McConfig {
-                            paths: *paths,
-                            time_steps: *time_steps,
-                            antithetic: *antithetic,
-                            seed: *seed,
-                        };
-                        cfg.validate().map_err(PricingError::Invalid)?;
-                        let r = mc_heston(m, &opt, &cfg, pol);
-                        Ok(PricingResult {
-                            price: r.price,
-                            delta: None,
-                            std_error: Some(r.std_error),
-                            method: self.method.name(),
-                        })
-                    }
-                    _ => unsupported(),
-                }
+            (Mo::MultiBlackScholes(m), &O::BasketPut { strike, maturity }, K::Mc(cfg)) => {
+                let opt = BasketOption::european_put(strike, maturity);
+                sampled(mc_basket(m, &opt, &cfg, pol))
             }
-            (Mo::Heston(m), O::AmericanPut { strike, maturity }) => {
-                let opt = Vanilla::american_put(*strike, *maturity);
-                match &self.method {
-                    M::Lsm {
-                        paths,
-                        exercise_dates,
-                        basis_degree,
-                        seed,
-                    } => {
-                        let cfg = LsmConfig {
-                            paths: *paths,
-                            exercise_dates: *exercise_dates,
-                            basis_degree: *basis_degree,
-                            basis: BasisKind::Monomial,
-                            seed: *seed,
-                        };
-                        cfg.validate().map_err(PricingError::Invalid)?;
-                        let r = lsm_heston(m, &opt, &cfg, pol);
-                        Ok(PricingResult {
-                            price: r.price,
-                            delta: None,
-                            std_error: Some(r.std_error),
-                            method: self.method.name(),
-                        })
-                    }
-                    _ => unsupported(),
-                }
+            (Mo::MultiBlackScholes(m), &O::BasketPut { strike, maturity }, K::Qmc(paths)) => {
+                let opt = BasketOption::european_put(strike, maturity);
+                exact(qmc_basket(m, &opt, paths).price, None)
             }
-
-            // ---- Vasicek rates ------------------------------------------
-            (Mo::Vasicek(m), O::ZeroCouponBond { maturity }) => match &self.method {
-                M::ClosedForm => Ok(PricingResult {
-                    price: m.zcb_price(*maturity),
-                    delta: None,
-                    std_error: None,
-                    method: self.method.name(),
-                }),
-                M::MonteCarlo {
-                    paths,
-                    time_steps,
-                    antithetic,
-                    seed,
-                } => {
-                    let cfg = McConfig {
-                        paths: *paths,
-                        time_steps: *time_steps,
-                        antithetic: *antithetic,
-                        seed: *seed,
-                    };
-                    cfg.validate().map_err(PricingError::Invalid)?;
-                    let r = mc_zcb_price(m, *maturity, &cfg, pol);
-                    Ok(PricingResult {
-                        price: r.price,
-                        delta: None,
-                        std_error: Some(r.std_error),
-                        method: self.method.name(),
-                    })
-                }
-                _ => unsupported(),
-            },
+            (Mo::MultiBlackScholes(m), &O::AmericanBasketPut { strike, maturity }, K::Lsm(cfg)) => {
+                let opt = BasketOption::american_put(strike, maturity);
+                sampled(lsm_basket(m, &opt, &cfg, pol))
+            }
+            (Mo::MultiBlackScholes(m), &O::BermudanMaxCall { strike, maturity }, K::Lsm(cfg)) => {
+                let opt = MaxCall::bermudan(strike, maturity);
+                sampled(lsm_max_call(m, &opt, &cfg, pol))
+            }
+            (Mo::LocalVol(m), O::Call { .. } | O::Put { .. }, K::Mc(cfg)) => {
+                sampled(mc_local_vol(m, &euro(), &cfg, pol))
+            }
+            (Mo::Heston(m), O::Call { .. } | O::Put { .. }, K::Cf) => {
+                exact(heston_cf_price(m, &euro()), None)
+            }
+            (Mo::Heston(m), O::Call { .. } | O::Put { .. }, K::Mc(cfg)) => {
+                sampled(mc_heston(m, &euro(), &cfg, pol))
+            }
+            (Mo::Heston(m), &O::AmericanPut { strike, maturity }, K::Lsm(cfg)) => {
+                let opt = Vanilla::american_put(strike, maturity);
+                sampled(lsm_heston(m, &opt, &cfg, pol))
+            }
+            (Mo::Vasicek(m), &O::ZeroCouponBond { maturity }, K::Cf) => {
+                exact(m.zcb_price(maturity), None)
+            }
+            (Mo::Vasicek(m), &O::ZeroCouponBond { maturity }, K::Mc(cfg)) => {
+                sampled(mc_zcb_price(m, maturity, &cfg, pol))
+            }
             (
                 Mo::Vasicek(m),
-                O::BondCall {
+                &O::BondCall {
                     strike,
                     maturity,
                     bond_maturity,
                 },
-            ) => match &self.method {
-                M::ClosedForm => Ok(PricingResult {
-                    price: bond_option_price(
-                        m,
-                        OptionRight::Call,
-                        *strike,
-                        *maturity,
-                        *bond_maturity,
-                    ),
-                    delta: None,
-                    std_error: None,
-                    method: self.method.name(),
-                }),
-                _ => unsupported(),
-            },
+                K::Cf,
+            ) => {
+                let price =
+                    bond_option_price(m, OptionRight::Call, strike, maturity, bond_maturity);
+                exact(price, None)
+            }
+            _ => {
+                return Err(PricingError::Unsupported(format!(
+                    "{} / {} / {}",
+                    self.model.name(),
+                    self.option.name(),
+                    self.method.name()
+                )))
+            }
+        })
+    }
+}
 
-            _ => unsupported(),
-        }
+/// A method with its counts checked: the configuration its kernel takes.
+enum Kernel {
+    Cf,
+    Pde(PdeConfig),
+    Tree(TreeConfig),
+    Mc(McConfig),
+    Qmc(usize),
+    Lsm(LsmConfig),
+    Bsde(BsdeConfig),
+    Xva(XvaConfig),
+}
+
+/// The European vanilla a call or put describes.
+fn european(option: &OptionSpec) -> Vanilla {
+    match *option {
+        OptionSpec::Call { strike, maturity } => Vanilla::european_call(strike, maturity),
+        OptionSpec::Put { strike, maturity } => Vanilla::european_put(strike, maturity),
+        _ => unreachable!("{} is not a European vanilla", option.name()),
     }
 }
 
@@ -1589,40 +1335,74 @@ mod tests {
         assert!(PremiaProblem::create("BlackScholes1dim", "CallEuro", "NoSuchMethod").is_err());
     }
 
+    /// Every registry name, by kind.
+    const MODELS: [&str; 5] = [
+        "BlackScholes1dim",
+        "BlackScholesNdim",
+        "LocalVol1dim",
+        "Heston1dim",
+        "Vasicek1dim",
+    ];
+    const OPTIONS: [&str; 10] = [
+        "CallEuro",
+        "PutEuro",
+        "CallDownOut",
+        "PutAmer",
+        "PutBasket",
+        "PutBasketAmer",
+        "ZCBond",
+        "CallBond",
+        "CallMaxBermuda",
+        "NettingSetForward",
+    ];
+    const METHODS: [&str; 8] = [
+        "CF",
+        "FD_CrankNicolson",
+        "TR_CoxRossRubinstein",
+        "MC_Standard",
+        "MC_Quasi",
+        "MC_AM_LongstaffSchwartz",
+        "MC_BSDE_LabartLelong",
+        "MC_XVA_CVA",
+    ];
+
+    /// `p` with every count cut to what a debug test run affords, each
+    /// still at or above its kernel's minimum.
+    fn small(mut p: PremiaProblem) -> PremiaProblem {
+        match &mut p.method {
+            MethodSpec::ClosedForm => {}
+            MethodSpec::Pde {
+                time_steps,
+                space_steps,
+            } => (*time_steps, *space_steps) = (10, 20),
+            MethodSpec::Tree { steps } => *steps = 20,
+            MethodSpec::MonteCarlo {
+                paths, time_steps, ..
+            }
+            | MethodSpec::Bsde {
+                paths, time_steps, ..
+            }
+            | MethodSpec::Xva {
+                paths, time_steps, ..
+            } => (*paths, *time_steps) = (64, 4),
+            MethodSpec::QuasiMonteCarlo { paths } => *paths = 64,
+            MethodSpec::Lsm {
+                paths,
+                exercise_dates,
+                ..
+            } => (*paths, *exercise_dates) = (100, 4),
+        }
+        if let OptionSpec::NettingSet { trades, .. } = &mut p.option {
+            *trades = 8;
+        }
+        p
+    }
+
     #[test]
     fn value_round_trip_every_model_and_method() {
-        let models = [
-            "BlackScholes1dim",
-            "BlackScholesNdim",
-            "LocalVol1dim",
-            "Heston1dim",
-            "Vasicek1dim",
-        ];
-        let options = [
-            "CallEuro",
-            "PutEuro",
-            "CallDownOut",
-            "PutAmer",
-            "PutBasket",
-            "PutBasketAmer",
-            "ZCBond",
-            "CallBond",
-            "CallMaxBermuda",
-            "NettingSetForward",
-        ];
-        let methods = [
-            "CF",
-            "FD_CrankNicolson",
-            "TR_CoxRossRubinstein",
-            "MC_Standard",
-            "MC_Quasi",
-            "MC_AM_LongstaffSchwartz",
-            "MC_BSDE_LabartLelong",
-            "MC_XVA_CVA",
-        ];
-        for m in models {
-            for o in options {
-                for me in methods {
+        for m in MODELS {
+            for o in OPTIONS {
+                for me in METHODS {
                     let p = PremiaProblem::create(m, o, me).unwrap();
                     let v = p.to_value();
                     let back = PremiaProblem::from_value(&v).unwrap();
@@ -2101,6 +1881,242 @@ mod tests {
                 "{label}: {got:?}"
             );
         }
+    }
+
+    #[test]
+    fn a_decoded_model_or_barrier_a_kernel_rejects_is_invalid() {
+        // Each problem reaches `compute` encoded, then decoded. Each was
+        // `Ok` with a price (or a panic, for the barrier above its strike)
+        // before the model's own check ran on every model.
+        let decoded = |model, option, method, edit: &dyn Fn(&mut PremiaProblem)| {
+            let mut p = small(PremiaProblem::create(model, option, method).unwrap());
+            edit(&mut p);
+            PremiaProblem::from_xdr_bytes(&p.to_xdr_bytes()).unwrap()
+        };
+        let heston_rho_2 = |p: &mut PremiaProblem| {
+            if let ModelSpec::Heston(m) = &mut p.model {
+                m.rho = 2.0;
+            }
+        };
+        let vasicek_kappa_0 = |p: &mut PremiaProblem| {
+            if let ModelSpec::Vasicek(m) = &mut p.model {
+                m.kappa = 0.0;
+            }
+        };
+        let spot_inf = |p: &mut PremiaProblem| match &mut p.model {
+            ModelSpec::BlackScholes(m) => m.spot = f64::INFINITY,
+            ModelSpec::MultiBlackScholes(m) => m.spot = f64::INFINITY,
+            _ => unreachable!(),
+        };
+        let mut rows = vec![
+            (
+                "Heston CF at rho 2",
+                decoded("Heston1dim", "CallEuro", "CF", &heston_rho_2),
+            ),
+            (
+                "Heston MC at rho 2",
+                decoded("Heston1dim", "CallEuro", "MC_Standard", &heston_rho_2),
+            ),
+            (
+                "Vasicek CF at kappa 0",
+                decoded("Vasicek1dim", "ZCBond", "CF", &vasicek_kappa_0),
+            ),
+            (
+                "Vasicek MC at kappa 0",
+                decoded("Vasicek1dim", "ZCBond", "MC_Standard", &vasicek_kappa_0),
+            ),
+            (
+                "local vol at skew amplitude 2",
+                decoded("LocalVol1dim", "CallEuro", "MC_Standard", &|p| {
+                    if let ModelSpec::LocalVol(m) = &mut p.model {
+                        m.skew_amp = 2.0;
+                    }
+                }),
+            ),
+            (
+                "local vol at spot 0",
+                decoded("LocalVol1dim", "CallEuro", "MC_Standard", &|p| {
+                    if let ModelSpec::LocalVol(m) = &mut p.model {
+                        m.spot = 0.0;
+                    }
+                }),
+            ),
+            (
+                "Bermudan max-call at spot inf",
+                decoded(
+                    "BlackScholesNdim",
+                    "CallMaxBermuda",
+                    "MC_AM_LongstaffSchwartz",
+                    &spot_inf,
+                ),
+            ),
+            (
+                "XVA at hazard inf",
+                decoded(
+                    "BlackScholes1dim",
+                    "NettingSetForward",
+                    "MC_XVA_CVA",
+                    &|p| {
+                        if let MethodSpec::Xva { hazard, .. } = &mut p.method {
+                            *hazard = f64::INFINITY;
+                        }
+                    },
+                ),
+            ),
+        ];
+        for method in [
+            "CF",
+            "FD_CrankNicolson",
+            "TR_CoxRossRubinstein",
+            "MC_Standard",
+            "MC_Quasi",
+            "MC_BSDE_LabartLelong",
+        ] {
+            let p = decoded("BlackScholes1dim", "CallEuro", method, &spot_inf);
+            rows.push(("Black-Scholes call at spot inf", p));
+        }
+        for strike in [1.0, 2.0, 1e-9] {
+            // The closed form asserts the barrier (85) is at or below it.
+            let p = decoded("BlackScholes1dim", "CallDownOut", "CF", &|p| {
+                if let OptionSpec::DownOutCall { strike: k, .. } = &mut p.option {
+                    *k = strike;
+                }
+            });
+            rows.push(("closed-form barrier above the strike", p));
+        }
+        for (label, p) in &rows {
+            let got = p.compute();
+            assert!(
+                matches!(got, Err(PricingError::Invalid(_))),
+                "{label} ({}): {got:?}",
+                p.label()
+            );
+        }
+    }
+
+    #[test]
+    fn the_support_matrix_is_pinned() {
+        // Premia's compatibility matrix: what prices, by registry name.
+        // Every other triple is `Unsupported`.
+        const SUPPORTED: [&str; 32] = [
+            "BlackScholes1dim/CallEuro/CF",
+            "BlackScholes1dim/CallEuro/FD_CrankNicolson",
+            "BlackScholes1dim/CallEuro/TR_CoxRossRubinstein",
+            "BlackScholes1dim/CallEuro/MC_Standard",
+            "BlackScholes1dim/CallEuro/MC_Quasi",
+            "BlackScholes1dim/CallEuro/MC_BSDE_LabartLelong",
+            "BlackScholes1dim/PutEuro/CF",
+            "BlackScholes1dim/PutEuro/FD_CrankNicolson",
+            "BlackScholes1dim/PutEuro/TR_CoxRossRubinstein",
+            "BlackScholes1dim/PutEuro/MC_Standard",
+            "BlackScholes1dim/PutEuro/MC_Quasi",
+            "BlackScholes1dim/PutEuro/MC_BSDE_LabartLelong",
+            "BlackScholes1dim/CallDownOut/CF",
+            "BlackScholes1dim/CallDownOut/FD_CrankNicolson",
+            "BlackScholes1dim/PutAmer/FD_CrankNicolson",
+            "BlackScholes1dim/PutAmer/TR_CoxRossRubinstein",
+            "BlackScholes1dim/PutAmer/MC_AM_LongstaffSchwartz",
+            "BlackScholes1dim/NettingSetForward/MC_XVA_CVA",
+            "BlackScholesNdim/PutBasket/MC_Standard",
+            "BlackScholesNdim/PutBasket/MC_Quasi",
+            "BlackScholesNdim/PutBasketAmer/MC_AM_LongstaffSchwartz",
+            "BlackScholesNdim/CallMaxBermuda/MC_AM_LongstaffSchwartz",
+            "LocalVol1dim/CallEuro/MC_Standard",
+            "LocalVol1dim/PutEuro/MC_Standard",
+            "Heston1dim/CallEuro/CF",
+            "Heston1dim/CallEuro/MC_Standard",
+            "Heston1dim/PutEuro/CF",
+            "Heston1dim/PutEuro/MC_Standard",
+            "Heston1dim/PutAmer/MC_AM_LongstaffSchwartz",
+            "Vasicek1dim/ZCBond/CF",
+            "Vasicek1dim/ZCBond/MC_Standard",
+            "Vasicek1dim/CallBond/CF",
+        ];
+        let mut priced = Vec::new();
+        for m in MODELS {
+            for o in OPTIONS {
+                for me in METHODS {
+                    let p = small(PremiaProblem::create(m, o, me).unwrap());
+                    match p.compute() {
+                        Ok(_) => priced.push(p.label()),
+                        Err(PricingError::Unsupported(_)) => {}
+                        Err(e) => panic!("{}: {e}", p.label()),
+                    }
+                }
+            }
+        }
+        assert_eq!(priced, SUPPORTED);
+    }
+
+    #[test]
+    fn compute_is_total_over_a_field_sweep() {
+        // Every triple of the quick suite plus the BSDE, XVA and Bermudan
+        // classes; each scalar field of each set to each value below,
+        // encoded and decoded as a problem file is. `compute` must give a
+        // finite price and standard error or an error: no panic, no NaN.
+        let mut triples: Vec<PremiaProblem> = Vec::new();
+        for p in crate::regression::regression_suite(crate::regression::SuiteScale::Quick) {
+            if !triples.iter().any(|q| q.label() == p.label()) {
+                triples.push(p);
+            }
+        }
+        for (m, o, me) in [
+            ("BlackScholes1dim", "CallEuro", "MC_BSDE_LabartLelong"),
+            ("BlackScholes1dim", "NettingSetForward", "MC_XVA_CVA"),
+            (
+                "BlackScholesNdim",
+                "CallMaxBermuda",
+                "MC_AM_LongstaffSchwartz",
+            ),
+        ] {
+            triples.push(PremiaProblem::create(m, o, me).unwrap());
+        }
+        let values = [
+            0.0,
+            -1.0,
+            1.0,
+            2.0,
+            1e-9,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let finite =
+            |r: &PricingResult| r.price.is_finite() && r.std_error.is_none_or(f64::is_finite);
+        let (mut cases, mut failures) = (0, Vec::new());
+        for p in triples.into_iter().map(small) {
+            let v = p.to_value();
+            for table in ["model", "option", "method"] {
+                let fields = v.as_hash().unwrap().get(table).unwrap().as_hash().unwrap();
+                for (key, _) in fields.iter().filter(|(_, x)| x.as_scalar().is_some()) {
+                    for x in values {
+                        let mut edited = v.clone();
+                        let Value::Hash(h) = &mut edited else {
+                            unreachable!()
+                        };
+                        let Some(Value::Hash(t)) = h.get_mut(table) else {
+                            unreachable!()
+                        };
+                        t.set(key, Value::scalar(x));
+                        cases += 1;
+                        let bytes = xdrser::serialize_to_bytes(&edited);
+                        let Ok(q) = PremiaProblem::from_xdr_bytes(&bytes) else {
+                            continue;
+                        };
+                        let got = std::panic::catch_unwind(|| q.compute());
+                        let case = || format!("{} {table}.{key} = {x}", p.label());
+                        match got {
+                            Ok(Ok(r)) if finite(&r) => {}
+                            Ok(Err(_)) => {}
+                            Ok(Ok(r)) => failures.push(format!("{}: {r:?}", case())),
+                            Err(_) => failures.push(format!("{}: panic", case())),
+                        }
+                    }
+                }
+            }
+        }
+        assert!(cases > 1_500, "{cases} cases");
+        assert!(failures.is_empty(), "{}", failures.join("\n"));
     }
 
     #[test]

@@ -724,7 +724,7 @@ fn heston_with_negative_strike() -> PremiaProblem {
 }
 
 /// A down-and-out call with its barrier above the strike: the closed
-/// form asserts `H <= K`, so the kernel panics.
+/// form cannot price it, so it is refused before its kernel.
 fn barrier_above_strike() -> PremiaProblem {
     let mut p = PremiaProblem::create("BlackScholes1dim", "CallDownOut", "CF").unwrap();
     p.option = OptionSpec::DownOutCall {
@@ -735,10 +735,10 @@ fn barrier_above_strike() -> PremiaProblem {
     p
 }
 
-/// One request of six vanillas with a refused member at 1 and a
-/// panicking member at 4, then a request of three more, on a session
-/// of `slaves`: each bad member is an `Err` of its own, everything else
-/// is priced bit-identical to `compute()`, and the session lives on.
+/// One request of six vanillas with refused members at 1 and 4, then a
+/// request of three more, on a session of `slaves`: each bad member is
+/// an `Err` of its own, everything else is priced bit-identical to
+/// `compute()`, and the session lives on.
 /// Returns the job frames the front loop sent.
 fn bad_members_fail_alone(slaves: usize) -> Vec<u64> {
     let mut problems = toy_problems(6);
@@ -754,7 +754,7 @@ fn bad_members_fail_alone(slaves: usize) -> Vec<u64> {
     for (i, (got, problem)) in response.results.iter().zip(&problems).enumerate() {
         let why = match i {
             1 => "compute failed: invalid parameters",
-            4 => "compute panicked: closed form implemented for H <= K",
+            4 => "compute failed: invalid parameters: the closed form needs the barrier",
             _ => {
                 let want = problem.compute().unwrap().price.to_bits();
                 assert_eq!(got.as_ref().map(|p| p.price.to_bits()), Ok(want));
@@ -787,7 +787,7 @@ fn a_bad_member_of_a_front_priced_batch_fails_alone() {
 #[test]
 fn a_bad_member_of_a_slave_priced_batch_fails_alone() {
     // Two slaves: each request is two frames. The refused member shares
-    // the first with three vanillas, the panicking one the second.
+    // the first with three vanillas, the barrier one the second.
     assert_eq!(bad_members_fail_alone(2).len(), 4);
 }
 
