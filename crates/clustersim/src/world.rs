@@ -448,10 +448,7 @@ mod tests {
         let comm = Comm::over(Arc::new(world));
         let wall = Instant::now();
         let hour = Duration::from_secs(3600);
-        assert!(comm
-            .recv_obj_timeout(ANY_SOURCE, TAG, hour)
-            .unwrap()
-            .is_none());
+        assert!(comm.recv_timeout(ANY_SOURCE, TAG, hour).unwrap().is_none());
         assert_eq!(comm.wtime(), 3600.0);
         assert!(
             wall.elapsed() < Duration::from_secs(1),

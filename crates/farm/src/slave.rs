@@ -135,11 +135,16 @@ fn panic_message(payload: &(dyn Any + Send)) -> &str {
 
 #[cfg(test)]
 mod tests {
+    use super::price_one;
     use crate::config::{run, FarmConfig};
     use crate::portfolio::{save_portfolio, toy_portfolio};
     use crate::robin_hood::FarmError;
     use crate::strategy::Transmission;
+    use crate::wire::Answer;
+    use minimpi::World;
     use pricing::{OptionSpec, PremiaProblem};
+    use std::borrow::Borrow;
+    use xdrser::XdrWriter;
 
     /// A Heston call with a negative strike: refused before any kernel.
     fn refused() -> PremiaProblem {
@@ -182,6 +187,53 @@ mod tests {
                 }
                 other => panic!("{name}: expected job 2 to fail, got {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn a_problem_file_nested_past_the_bound_fails_its_job_under_every_strategy() {
+        // 10 000 one-item lists around nothing: an 80 KB file whose
+        // value, read recursively, overflowed the reader's stack. After
+        // the magic and version, a list is its tag (4) and its count; 7
+        // is the absent value.
+        let mut w = XdrWriter::new();
+        w.put_u32(u32::from_be_bytes(*b"NSPS"));
+        w.put_u32(1);
+        for _ in 0..10_000 {
+            w.put_u32(4);
+            w.put_u32(1);
+        }
+        w.put_u32(7);
+        let deep = w.into_bytes();
+        for strategy in Transmission::ALL {
+            let dir = std::env::temp_dir().join(format!("farm_slave_deep_{strategy:?}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            let files = save_portfolio(&toy_portfolio(4), &dir).unwrap();
+            std::fs::write(&files[1], &deep).unwrap();
+            let ran = run(&files, &FarmConfig::new(2, strategy));
+            std::fs::remove_dir_all(&dir).ok();
+            match ran {
+                Err(FarmError::JobFailed { job: 1, why }) => {
+                    assert!(why.contains("nested deeper than 128"), "{strategy}: {why}")
+                }
+                other => panic!("{strategy}: expected job 1 to fail, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_panic_while_pricing_is_the_jobs_answer() {
+        /// A problem that panics when the slave reaches for it.
+        struct Panics;
+        impl Borrow<PremiaProblem> for Panics {
+            fn borrow(&self) -> &PremiaProblem {
+                panic!("no problem here")
+            }
+        }
+        let answers = World::run(1, |comm| price_one(&comm, 5, || Ok(Panics)));
+        match &answers[0] {
+            Answer::Failed { job: 5, why } => assert_eq!(why, "compute panicked: no problem here"),
+            other => panic!("expected a failed answer, got {other:?}"),
         }
     }
 }

@@ -449,35 +449,6 @@ impl Comm {
         Ok((v, status))
     }
 
-    /// Like [`Comm::recv_obj`] but without the unseal step: a transmitted
-    /// `Serial` stays a `Serial` — the un-materialised form, mirroring
-    /// what `sload` produces on the sending side. This is what Fig. 4's
-    /// slave loop needs when it wants to unpack/unserialize explicitly.
-    pub fn recv_obj_serial(&self, src: i32, tag: i32) -> Result<(Value, Status), MpiError> {
-        let (bytes, status) = self.recv(src, tag)?;
-        Ok((xdrser::unserialize_bytes(&bytes)?, status))
-    }
-
-    /// [`Comm::recv_obj`] with a timeout: `Ok(None)` if nothing matching
-    /// arrived within `timeout`. Used by the supervised farm master so a
-    /// dead slave cannot stall the whole portfolio.
-    pub fn recv_obj_timeout(
-        &self,
-        src: i32,
-        tag: i32,
-        timeout: Duration,
-    ) -> Result<Option<(Value, Status)>, MpiError> {
-        let Some((bytes, status)) = self.recv_timeout(src, tag, timeout)? else {
-            return Ok(None);
-        };
-        let v = xdrser::unserialize_bytes(&bytes)?;
-        let v = match v {
-            Value::Serial(s) => xdrser::unserialize(&s)?,
-            other => other,
-        };
-        Ok(Some((v, status)))
-    }
-
     // ----- pack / unpack ----------------------------------------------------
 
     /// `MPI_Pack`: encode a value into a contiguous buffer suitable for
@@ -977,8 +948,8 @@ mod tests {
 
     #[test]
     fn a_timeout_past_the_clock_range_waits_without_a_deadline() {
-        // `now + Duration::MAX` overflows `Instant`: the three timed
-        // receives treat it as "no deadline" and take what comes later.
+        // `now + Duration::MAX` overflows `Instant`: the timed receive
+        // and probe treat it as "no deadline" and take what comes later.
         let out = World::run(2, |c| {
             if c.rank() == 0 {
                 std::thread::sleep(Duration::from_millis(50));
@@ -988,7 +959,8 @@ mod tests {
             }
             let probed = c.probe_timeout(0, 1, Duration::MAX).unwrap();
             let (bytes, _) = c.recv_timeout(0, 1, Duration::MAX).unwrap().unwrap();
-            let (v, _) = c.recv_obj_timeout(0, 2, Duration::MAX).unwrap().unwrap();
+            let (obj, _) = c.recv_timeout(0, 2, Duration::MAX).unwrap().unwrap();
+            let v = xdrser::unserialize_bytes(&obj).unwrap();
             Some((probed.map(|st| st.count()), bytes, v.as_scalar()))
         });
         assert_eq!(out[1], Some((Some(2), vec![5, 6], Some(3.0))));

@@ -21,9 +21,9 @@
 //! [`World::run_instrumented`]) that can drop, delay or truncate messages
 //! in flight and kill ranks outright, with every decision a pure function
 //! of `(seed, rank, operation index)` so chaos scenarios replay exactly.
-//! Timed receives ([`Comm::recv_timeout`], [`Comm::recv_obj_timeout`])
-//! and the liveness query [`Comm::rank_alive`] give
-//! higher layers what they need to supervise unreliable peers. See
+//! The timed receive ([`Comm::recv_timeout`]) and the liveness query
+//! [`Comm::rank_alive`] give higher layers what they need to supervise
+//! unreliable peers; [`Comm::recv_obj`] is the one object receive. See
 //! `docs/FAULTS.md` at the repository root.
 //!
 //! # Example: the paper's §3.2 object send

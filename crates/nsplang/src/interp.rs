@@ -1444,12 +1444,14 @@ fn plain(v: &mut impl CallArg) -> R<Cow<'_, Value>> {
 }
 
 /// `unserialize(S)` / `S.unserialize[]`, shared by both engines. A plain
-/// serial is first read as a problem straight from its bytes
-/// (`PremiaProblem::from_xdr_bytes`, whose contract is
-/// `from_value(&unserialize_bytes(b))`): a problem becomes a Premia
-/// object without a value tree. Anything else — a compressed serial, a
-/// value that is not a problem, bytes that do not decode — takes the
-/// general path, with its values and its errors.
+/// serial is first read as a problem (`PremiaProblem::from_xdr_bytes`,
+/// whose contract is `from_value(&unserialize_bytes(b))`): a problem in
+/// the order `to_xdr_bytes` writes becomes a Premia object without a
+/// value tree, a problem in any other order through one. Anything else —
+/// a compressed serial, a value that is not a problem (its tree then
+/// built twice), bytes that do not decode — takes the general path,
+/// with its values and its errors. Either way the bytes are read by the
+/// one reader of the format, `xdrser::Walker`.
 pub(crate) fn unserialize_value(s: &Serial) -> R<NValue> {
     if !s.is_compressed() {
         if let Ok(problem) = PremiaProblem::from_xdr_bytes(s.bytes()) {

@@ -3,16 +3,16 @@
 //! `problem.rs` lists each spec's fields once per direction. Writing goes
 //! through [`xdrser::FieldSink`] — into a [`Hash`], or straight into
 //! serialized bytes; reading through [`Fields`] here — from a [`Hash`]
-//! (what `nsplang` and `save`/`load` handle), or from the serialized
-//! bytes themselves: straight through when they are in the order the
-//! field list writes them ([`read_in_order`]), from a [`Tree`] over them
-//! when they are anything else. Either way it is one field list, so the
-//! two representations cannot drift apart.
+//! (what `nsplang` and `save`/`load` handle), or straight from the
+//! serialized bytes when they are in the order the field list writes
+//! them ([`read_in_order`]). Bytes in any other order are read into a
+//! [`Hash`] first. Either way it is one field list, so the two
+//! representations cannot drift apart.
 
 use crate::problem::PricingError;
 use nspval::{Hash, Value};
 use std::cell::RefCell;
-use xdrser::{Node, Walker, XdrError};
+use xdrser::{Node, Walker};
 
 /// A string-keyed table being read. A getter answers `None` when the key
 /// is absent *or* holds another type or shape (a 2×1 matrix is not a
@@ -72,122 +72,6 @@ pub(crate) fn get_table<'s, F: Fields<'s>>(h: F, key: &str) -> Result<F, Pricing
         Some(Some(t)) => Ok(t),
         Some(None) => Err(PricingError::Malformed(format!("{key} is not a hash"))),
         None => Err(PricingError::Malformed(format!("missing {key}"))),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Reading from serialized bytes
-// ---------------------------------------------------------------------------
-
-/// One hash entry: the table it belongs to, its key, what it holds.
-type Entry<'a> = (usize, &'a str, Node<'a>);
-
-/// The entries of a serialized hash and of the hashes directly under it
-/// — as deep as a problem goes — keys and leaves borrowed from the
-/// bytes; everything else in the value is checked and passed over.
-///
-/// Entries sit in reading order, so a nested hash's own follow the entry
-/// that holds it: the table of the entry at index `i` is numbered
-/// `i + 1` and, with `m` entries, spans `i + 1 .. i + 1 + m`. The root
-/// is table 0, spanning everything.
-#[derive(Debug)]
-pub(crate) struct Tree<'a>(Vec<Entry<'a>>);
-
-impl<'a> Tree<'a> {
-    /// Read serialized bytes, holding them to everything
-    /// `xdrser::unserialize_bytes` holds them to. `Ok(None)` when the
-    /// value is well-formed but not a hash.
-    pub(crate) fn read(bytes: &'a [u8]) -> Result<Option<Tree<'a>>, XdrError> {
-        let mut w = Walker::open(bytes)?;
-        // Room for the canonical encoding's largest problem.
-        let mut tree = Tree(Vec::with_capacity(28));
-        let is_hash = match w.node()? {
-            Node::Hash(n) => {
-                tree.read_table(&mut w, n, 0)?;
-                true
-            }
-            other => {
-                w.skip_rest(other)?;
-                false
-            }
-        };
-        w.close()?;
-        Ok(is_hash.then_some(tree))
-    }
-
-    fn read_table(&mut self, w: &mut Walker<'a>, n: usize, table: usize) -> Result<(), XdrError> {
-        for _ in 0..n {
-            let key = w.key()?;
-            let node = w.node()?;
-            self.0.push((table, key, node));
-            match node {
-                Node::Hash(m) if table == 0 => self.read_table(w, m, self.0.len())?,
-                other => w.skip_rest(other)?,
-            }
-        }
-        Ok(())
-    }
-
-    pub(crate) fn root(&self) -> TableRef<'_, 'a> {
-        TableRef {
-            entries: &self.0,
-            table: 0,
-            end: self.0.len(),
-        }
-    }
-}
-
-/// One table of a [`Tree`]: the entries numbered `table` within
-/// `table..end`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct TableRef<'t, 'a> {
-    entries: &'t [Entry<'a>],
-    table: usize,
-    end: usize,
-}
-
-impl<'a> TableRef<'_, 'a> {
-    /// The entry under `key` and where it sits. Latest first: as in
-    /// `Hash::set`, a later duplicate of a key replaced the earlier one.
-    fn find(self, key: &str) -> Option<(usize, Node<'a>)> {
-        self.entries[self.table..self.end]
-            .iter()
-            .enumerate()
-            .rev()
-            .find(|(_, e)| e.0 == self.table && e.1 == key)
-            .map(|(at, e)| (self.table + at, e.2))
-    }
-}
-
-impl<'a> Fields<'a> for TableRef<'_, 'a> {
-    fn scalar(self, key: &str) -> Option<f64> {
-        match self.find(key)?.1 {
-            Node::Scalar(x) => Some(x),
-            _ => None,
-        }
-    }
-    fn string(self, key: &str) -> Option<&'a str> {
-        match self.find(key)?.1 {
-            Node::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-    fn boolean(self, key: &str) -> Option<bool> {
-        match self.find(key)?.1 {
-            Node::Bool(b) => Some(b),
-            _ => None,
-        }
-    }
-    fn table(self, key: &str) -> Option<Option<Self>> {
-        Some(match self.find(key)? {
-            // Only the root's hashes were read as tables.
-            (at, Node::Hash(n)) if self.table == 0 => Some(TableRef {
-                entries: self.entries,
-                table: at + 1,
-                end: at + 1 + n,
-            }),
-            _ => None,
-        })
     }
 }
 
@@ -272,7 +156,7 @@ impl<'a> Fields<'a> for InOrderRef<'_, 'a> {
     }
     fn table(self, key: &str) -> Option<Option<Self>> {
         let entries = self.entry(key, |node| match node {
-            // As in a `Tree`, only the root's hashes are tables.
+            // Only the root's hashes are tables: no field list reads deeper.
             Node::Hash(n) if self.table == 0 => Some(n),
             _ => None,
         })?;
@@ -291,7 +175,7 @@ impl<'a> Fields<'a> for InOrderRef<'_, 'a> {
 /// when they are anything else (another order, an entry never asked
 /// for, a duplicate, a wrong type, any fault of the format), or when
 /// `read` itself gives up: what is and is not a problem is for the
-/// [`Tree`] path to say, from the start of the bytes.
+/// value path to say, from the start of the bytes.
 pub(crate) fn read_in_order<'a, T>(
     bytes: &'a [u8],
     read: impl FnOnce(InOrderRef<'_, 'a>) -> Option<T>,

@@ -31,9 +31,7 @@
 //! far outside any market (a rate of ±10⁶, a maturity of 10⁶ years)
 //! still price NaN or ∞ until the checks bound them.
 
-use crate::fields::{
-    get_bool, get_f64, get_str, get_table, get_usize, read_in_order, Fields, Tree,
-};
+use crate::fields::{get_bool, get_f64, get_str, get_table, get_usize, read_in_order, Fields};
 use crate::methods::bermudan::lsm_max_call;
 use crate::methods::bond::{bond_option_price, mc_zcb_price};
 use crate::methods::bsde::{bsde_picard, BsdeConfig};
@@ -1192,30 +1190,23 @@ impl PremiaProblem {
         Encoder::hash(512, |e| self.write_fields(e))
     }
 
-    /// Decode serialized bytes in place: what
+    /// Decode serialized bytes: what
     /// `from_value(&xdrser::unserialize_bytes(bytes)?)` returns — any key
     /// order, unknown keys passed over, a later duplicate key winning,
-    /// every check of the format kept — without building the value. A
-    /// well-formed value that is not a problem is reported as
-    /// [`XdrError::Corrupt`] carrying the [`PricingError`] text.
+    /// every check of the format kept. A well-formed value that is not a
+    /// problem is reported as [`XdrError::Corrupt`] carrying the
+    /// [`PricingError`] text.
     ///
-    /// What [`Self::to_xdr_bytes`] wrote is read in one pass, each field
-    /// found where it was written; any other bytes are read again, in
-    /// full, the general way.
+    /// What [`Self::to_xdr_bytes`] wrote is read in one pass, in place,
+    /// each field found where it was written, with no value built; any
+    /// other bytes are read again from the start, by exactly that value
+    /// path.
     pub fn from_xdr_bytes(bytes: &[u8]) -> Result<Self, XdrError> {
-        match read_in_order(bytes, |h| Self::from_fields(h).ok()) {
-            Some(problem) => Ok(problem),
-            None => Self::from_tree(bytes),
+        if let Some(problem) = read_in_order(bytes, |h| Self::from_fields(h).ok()) {
+            return Ok(problem);
         }
-    }
-
-    /// [`Self::from_xdr_bytes`] of any serialized bytes.
-    fn from_tree(bytes: &[u8]) -> Result<Self, XdrError> {
-        let problem = match Tree::read(bytes)? {
-            Some(tree) => Self::from_fields(tree.root()),
-            None => Err(PricingError::Malformed("problem is not a hash".into())),
-        };
-        problem.map_err(|e| XdrError::Corrupt(e.to_string()))
+        Self::from_value(&xdrser::unserialize_bytes(bytes)?)
+            .map_err(|e| XdrError::Corrupt(e.to_string()))
     }
 }
 
@@ -1448,6 +1439,10 @@ mod tests {
     #[test]
     fn canonical_bytes_are_read_in_order_and_everything_else_by_the_tree() {
         let in_order = |b: &[u8]| read_in_order(b, |h| PremiaProblem::from_fields(h).ok());
+        let via_value = |b: &[u8]| -> Result<PremiaProblem, XdrError> {
+            let v = xdrser::unserialize_bytes(b)?;
+            PremiaProblem::from_value(&v).map_err(|e| XdrError::Corrupt(e.to_string()))
+        };
         for (m, o, me) in [
             ("BlackScholes1dim", "CallEuro", "CF"),
             ("BlackScholesNdim", "PutBasketAmer", "MC_Quasi"),
@@ -1462,11 +1457,11 @@ mod tests {
             let p = PremiaProblem::create(m, o, me).unwrap();
             let bytes = p.to_xdr_bytes();
             assert_eq!(in_order(&bytes).as_ref(), Some(&p), "{m}/{o}/{me}");
-            assert_eq!(PremiaProblem::from_tree(&bytes).unwrap(), p);
+            assert_eq!(via_value(&bytes).unwrap(), p);
 
             // The same entries in another order, at either level; one
             // more entry; one fewer; one of another type; bytes after
-            // the value: never in order, and the tree's to judge.
+            // the value: never in order, and the value tree's to judge.
             let v = p.to_value();
             let mut others = vec![
                 reordered(&v, |e| e.reverse()),
@@ -1492,7 +1487,7 @@ mod tests {
             for other in &others {
                 let bytes = xdrser::serialize_to_bytes(other);
                 assert_eq!(in_order(&bytes), None, "{other}");
-                assert_eq!(PremiaProblem::from_tree(&bytes).unwrap(), p, "{other}");
+                assert_eq!(via_value(&bytes).unwrap(), p, "{other}");
                 assert_eq!(PremiaProblem::from_xdr_bytes(&bytes).unwrap(), p);
             }
             let mut wrong = v.clone();
@@ -1504,7 +1499,7 @@ mod tests {
             trailing.extend_from_slice(&[0; 4]);
             for bad in [xdrser::serialize_to_bytes(&wrong), trailing] {
                 assert_eq!(in_order(&bad), None);
-                let general = PremiaProblem::from_tree(&bad).unwrap_err().to_string();
+                let general = via_value(&bad).unwrap_err().to_string();
                 let entry = PremiaProblem::from_xdr_bytes(&bad).unwrap_err().to_string();
                 assert_eq!(general, entry);
             }

@@ -97,7 +97,7 @@ impl XdrWriter {
 
 /// Streaming XDR decoder over a byte slice.
 #[derive(Debug)]
-pub struct XdrReader<'a> {
+pub(crate) struct XdrReader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
@@ -108,18 +108,13 @@ impl<'a> XdrReader<'a> {
         XdrReader { buf, pos: 0 }
     }
 
-    /// Bytes left to read.
-    pub(crate) fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// True when every byte has been consumed.
-    pub(crate) fn is_exhausted(&self) -> bool {
-        self.remaining() == 0
+    /// The bytes not read yet.
+    pub(crate) fn rest(&self) -> &'a [u8] {
+        &self.buf[self.pos..]
     }
 
     pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], XdrError> {
-        if self.remaining() < n {
+        if self.rest().len() < n {
             return Err(XdrError::UnexpectedEof);
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -131,19 +126,6 @@ impl<'a> XdrReader<'a> {
     pub(crate) fn get_u32(&mut self) -> Result<u32, XdrError> {
         let b = self.take(4)?;
         Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// Read a big-endian u64.
-    fn get_u64(&mut self) -> Result<u64, XdrError> {
-        let b = self.take(8)?;
-        Ok(u64::from_be_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    /// Read a big-endian IEEE-754 double.
-    pub(crate) fn get_f64(&mut self) -> Result<f64, XdrError> {
-        Ok(f64::from_bits(self.get_u64()?))
     }
 
     /// Read an XDR boolean.
@@ -176,11 +158,6 @@ impl<'a> XdrReader<'a> {
         }
         std::str::from_utf8(bytes).map_err(|_| XdrError::Corrupt("invalid UTF-8 in string".into()))
     }
-
-    /// Read an XDR string (UTF-8 opaque).
-    pub(crate) fn get_string(&mut self) -> Result<String, XdrError> {
-        self.get_str().map(str::to_owned)
-    }
 }
 
 #[cfg(test)]
@@ -191,6 +168,22 @@ mod tests {
         /// Append a big-endian u64.
         fn put_u64(&mut self, v: u64) {
             self.buf.extend_from_slice(&v.to_be_bytes());
+        }
+    }
+
+    // Values are read by `Walker` (a real matrix's entries in place); the
+    // round trips read them back one at a time.
+    impl XdrReader<'_> {
+        fn get_u64(&mut self) -> Result<u64, XdrError> {
+            Ok(u64::from_be_bytes(self.take(8)?.try_into().unwrap()))
+        }
+
+        fn get_f64(&mut self) -> Result<f64, XdrError> {
+            Ok(f64::from_bits(self.get_u64()?))
+        }
+
+        fn get_string(&mut self) -> Result<String, XdrError> {
+            self.get_str().map(str::to_owned)
         }
     }
 
@@ -205,7 +198,7 @@ mod tests {
         let mut r = XdrReader::new(&bytes);
         assert_eq!(r.get_u32().unwrap(), 0xDEADBEEF);
         assert_eq!(r.get_u64().unwrap(), 0x0123456789ABCDEF);
-        assert!(r.is_exhausted());
+        assert!(r.rest().is_empty());
     }
 
     #[test]
@@ -248,7 +241,7 @@ mod tests {
             let bytes = w.into_bytes();
             let mut r = XdrReader::new(&bytes);
             assert_eq!(r.get_opaque().unwrap(), payload.as_slice());
-            assert!(r.is_exhausted());
+            assert!(r.rest().is_empty());
         }
     }
 

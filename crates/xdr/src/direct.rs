@@ -7,16 +7,18 @@
 //! `serialize_to_bytes` would produce for it — through [`FieldSink`],
 //! the same calls that would build the tree — and a
 //! [`Walker`] reads serialized bytes in place — keys, strings, opaque
-//! payloads and matrix entries borrowed from the slice — accepting and
-//! rejecting exactly what `unserialize_bytes` accepts and rejects (a
-//! typed read, [`Walker::reals`] or [`Walker::bools`], also refuses a
-//! value of another type).
+//! payloads and matrix entries borrowed from the slice. It is the one
+//! reader of the format: `unserialize_bytes` builds its value from the
+//! walker's nodes, so by construction the two accept and reject the same
+//! bytes, but for the value reader's nesting bound (a typed read,
+//! [`Walker::reals`] or [`Walker::bools`], also refuses a value of
+//! another type).
 
 use crate::codec::{XdrReader, XdrWriter};
 use crate::error::XdrError;
 use crate::ser::{
-    expect_end, get_header, put_bools, put_count, put_header, put_real, put_serial, put_strs,
-    TAG_BOOL, TAG_HASH, TAG_LIST, TAG_NONE, TAG_REAL, TAG_SERIAL, TAG_STR,
+    put_bools, put_count, put_header, put_real, put_serial, put_strs, MAGIC, TAG_BOOL, TAG_HASH,
+    TAG_LIST, TAG_NONE, TAG_REAL, TAG_SERIAL, TAG_STR, VERSION,
 };
 use nspval::{Hash, Value};
 
@@ -277,6 +279,13 @@ pub enum Node<'a> {
     Str(&'a str),
     /// A 1×1 boolean matrix.
     Bool(bool),
+    /// A real matrix of any other shape: its rows, cols and entries.
+    Reals(usize, usize, Reals<'a>),
+    /// A boolean matrix of any other shape: its rows, cols and entries,
+    /// one byte an entry in column-major order, non-zero for true.
+    Bools(usize, usize, &'a [u8]),
+    /// A string matrix of any other shape: its rows, cols and entries.
+    Strs(usize, usize, Strs<'a>),
     /// A list of this many values, the cursor now at the first.
     List(usize),
     /// A hash of this many entries, the cursor now at the first key.
@@ -288,9 +297,8 @@ pub enum Node<'a> {
         /// The serial's content.
         bytes: &'a [u8],
     },
-    /// Anything else — a matrix that is not 1×1, the absent value:
-    /// checked and skipped.
-    Other,
+    /// The absent value.
+    None,
 }
 
 /// The entries of a real matrix, in column-major order, borrowed from
@@ -316,6 +324,22 @@ impl Reals<'_> {
     }
 }
 
+/// The entries of a string matrix, in column-major order, borrowed from
+/// the bytes: checked by [`Walker::node`], decoded again one at a time.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Strs<'a> {
+    bytes: &'a [u8],
+    len: usize,
+}
+
+impl<'a> Strs<'a> {
+    /// The entries in order.
+    pub fn iter(&self) -> impl Iterator<Item = &'a str> {
+        let mut r = XdrReader::new(self.bytes);
+        (0..self.len).map(move |_| r.get_str().expect("checked when read"))
+    }
+}
+
 /// A cursor over serialized bytes that materialises nothing.
 #[derive(Debug)]
 pub struct Walker<'a> {
@@ -326,104 +350,115 @@ impl<'a> Walker<'a> {
     /// Check magic and version; the cursor is left at the value.
     pub fn open(bytes: &'a [u8]) -> Result<Self, XdrError> {
         let mut r = XdrReader::new(bytes);
-        get_header(&mut r)?;
-        Ok(Walker { r })
+        if r.get_u32()? != u32::from_be_bytes(*MAGIC) {
+            return Err(XdrError::BadMagic);
+        }
+        match r.get_u32()? {
+            VERSION => Ok(Walker { r }),
+            other => Err(XdrError::BadVersion(other)),
+        }
     }
 
     /// Read the value at the cursor. A leaf is consumed whole; for a
     /// list or hash only the count is, and the caller reads (or
     /// [`skips`](Self::skip_rest)) that many items next.
     pub fn node(&mut self) -> Result<Node<'a>, XdrError> {
-        let r = &mut self.r;
-        let tag = r.get_u32()?;
-        match tag {
-            TAG_REAL | TAG_BOOL | TAG_STR => {}
-            TAG_LIST | TAG_HASH => {
-                let n = r.get_u32()? as usize;
-                // Every item costs at least one word.
-                if n > r.remaining() {
+        let tag = self.r.get_u32()?;
+        Ok(match tag {
+            TAG_REAL => match self.real_body()? {
+                (1, 1, data) => Node::Scalar(data.get(0)),
+                (rows, cols, data) => Node::Reals(rows, cols, data),
+            },
+            TAG_BOOL => match self.bool_body()? {
+                (1, 1, data) => Node::Bool(data[0] != 0),
+                (rows, cols, data) => Node::Bools(rows, cols, data),
+            },
+            TAG_STR => {
+                let (rows, cols, n) = self.shape()?;
+                // Each string costs at least a 4-byte length word.
+                if n > self.r.rest().len() {
                     return Err(XdrError::UnexpectedEof);
                 }
-                return Ok(if tag == TAG_LIST {
+                if n == 1 && rows == 1 {
+                    return Ok(Node::Str(self.r.get_str()?));
+                }
+                let bytes = self.r.rest();
+                for _ in 0..n {
+                    self.r.get_str()?;
+                }
+                let bytes = &bytes[..bytes.len() - self.r.rest().len()];
+                Node::Strs(rows, cols, Strs { bytes, len: n })
+            }
+            TAG_LIST | TAG_HASH => {
+                let n = self.r.get_u32()? as usize;
+                // Every item costs at least one word.
+                if n > self.r.rest().len() {
+                    return Err(XdrError::UnexpectedEof);
+                }
+                if tag == TAG_LIST {
                     Node::List(n)
                 } else {
                     Node::Hash(n)
-                });
+                }
             }
-            TAG_SERIAL => {
-                let compressed = r.get_bool()?;
-                let bytes = r.get_opaque()?;
-                return Ok(Node::Serial { compressed, bytes });
-            }
-            TAG_NONE => return Ok(Node::Other),
+            TAG_SERIAL => Node::Serial {
+                compressed: self.r.get_bool()?,
+                bytes: self.r.get_opaque()?,
+            },
+            TAG_NONE => Node::None,
             _ => return Err(XdrError::Corrupt(format!("unknown type tag {tag}"))),
-        }
-        let (rows, cols) = (r.get_u32()? as usize, r.get_u32()? as usize);
-        let one = rows == 1 && cols == 1;
-        let n = rows
-            .checked_mul(cols)
-            .ok_or_else(|| XdrError::Corrupt("matrix size overflow".into()))?;
-        Ok(match tag {
-            TAG_REAL if one => Node::Scalar(r.get_f64()?),
-            TAG_REAL => {
-                r.take(n.checked_mul(8).ok_or(XdrError::UnexpectedEof)?)?;
-                Node::Other
-            }
-            TAG_BOOL => {
-                let bytes = r.get_opaque()?;
-                if bytes.len() != n {
-                    return Err(XdrError::Corrupt("bool matrix length mismatch".into()));
-                }
-                if one {
-                    Node::Bool(bytes[0] != 0)
-                } else {
-                    Node::Other
-                }
-            }
-            // Each string costs at least a 4-byte length word.
-            _ if n > r.remaining() => return Err(XdrError::UnexpectedEof),
-            _ if one => Node::Str(r.get_str()?),
-            _ => {
-                for _ in 0..n {
-                    r.get_str()?;
-                }
-                Node::Other
-            }
         })
     }
 
     /// Read a real matrix of any shape at the cursor, its entries
-    /// borrowed: checked as `unserialize_bytes` checks one. A value of
+    /// borrowed: checked as [`Self::node`] checks one. A value of
     /// another type is an error here — the caller asked for a matrix.
     pub fn reals(&mut self) -> Result<Reals<'a>, XdrError> {
-        let (rows, cols) = self.matrix_head(TAG_REAL)?;
-        let n = rows
-            .checked_mul(cols)
-            .ok_or_else(|| XdrError::Corrupt("matrix size overflow".into()))?;
-        let len = n.checked_mul(8).ok_or(XdrError::UnexpectedEof)?;
-        Ok(Reals(self.r.take(len)?))
+        self.expect_tag(TAG_REAL)?;
+        Ok(self.real_body()?.2)
     }
 
     /// Read a boolean matrix of any shape at the cursor: one byte an
     /// entry, non-zero for true, borrowed. A value of another type is an
     /// error here.
     pub fn bools(&mut self) -> Result<&'a [u8], XdrError> {
-        let (rows, cols) = self.matrix_head(TAG_BOOL)?;
-        let bytes = self.r.get_opaque()?;
-        if rows.checked_mul(cols) != Some(bytes.len()) {
-            return Err(XdrError::Corrupt("bool matrix length mismatch".into()));
-        }
-        Ok(bytes)
+        self.expect_tag(TAG_BOOL)?;
+        Ok(self.bool_body()?.2)
     }
 
-    /// The tag of a matrix of kind `tag`, then its rows and cols.
-    fn matrix_head(&mut self, tag: u32) -> Result<(usize, usize), XdrError> {
+    fn expect_tag(&mut self, tag: u32) -> Result<(), XdrError> {
         match self.r.get_u32()? {
-            t if t == tag => Ok((self.r.get_u32()? as usize, self.r.get_u32()? as usize)),
+            t if t == tag => Ok(()),
             t => Err(XdrError::Corrupt(format!(
                 "expected type tag {tag}, found {t}"
             ))),
         }
+    }
+
+    /// A matrix's rows and cols, and their product.
+    fn shape(&mut self) -> Result<(usize, usize, usize), XdrError> {
+        let (rows, cols) = (self.r.get_u32()? as usize, self.r.get_u32()? as usize);
+        let n = rows
+            .checked_mul(cols)
+            .ok_or_else(|| XdrError::Corrupt("matrix size overflow".into()))?;
+        Ok((rows, cols, n))
+    }
+
+    /// A real matrix after its tag.
+    fn real_body(&mut self) -> Result<(usize, usize, Reals<'a>), XdrError> {
+        let (rows, cols, n) = self.shape()?;
+        let len = n.checked_mul(8).ok_or(XdrError::UnexpectedEof)?;
+        Ok((rows, cols, Reals(self.r.take(len)?)))
+    }
+
+    /// A boolean matrix after its tag.
+    fn bool_body(&mut self) -> Result<(usize, usize, &'a [u8]), XdrError> {
+        let (rows, cols, n) = self.shape()?;
+        let bytes = self.r.get_opaque()?;
+        if bytes.len() != n {
+            return Err(XdrError::Corrupt("bool matrix length mismatch".into()));
+        }
+        Ok((rows, cols, bytes))
     }
 
     /// Read the key of the next hash entry.
@@ -470,7 +505,11 @@ impl<'a> Walker<'a> {
 
     /// The value must end where the bytes end.
     pub fn close(self) -> Result<(), XdrError> {
-        expect_end(&self.r)
+        if self.r.rest().is_empty() {
+            Ok(())
+        } else {
+            Err(XdrError::Corrupt("trailing bytes after value".into()))
+        }
     }
 }
 
@@ -683,14 +722,23 @@ mod tests {
             w.skip_rest(node).unwrap();
             seen.push((key, node));
         }
+        // Matrices that are not 1×1 keep their shape, entries borrowed.
+        let m: Vec<u8> = (1..=5).flat_map(|i| f64::from(i).to_be_bytes()).collect();
+        let s = [
+            &[0, 0, 0, 1, b'a', 0, 0, 0][..],
+            &[0, 0, 0, 2, b'b', b'c', 0, 0],
+        ]
+        .concat();
+        let strs = Strs { bytes: &s, len: 2 };
+        assert_eq!(strs.iter().collect::<Vec<_>>(), ["a", "bc"]);
         assert_eq!(
             seen,
             [
                 ("name", Node::Str("héllo")),
                 ("flag", Node::Bool(true)),
-                ("m", Node::Other),
-                ("b", Node::Other),
-                ("s", Node::Other),
+                ("m", Node::Reals(1, 5, Reals(&m))),
+                ("b", Node::Bools(1, 3, &[1, 0, 1])),
+                ("s", Node::Strs(1, 2, strs)),
                 ("inner", Node::Hash(2)),
                 (
                     "z",
@@ -699,10 +747,10 @@ mod tests {
                         bytes: &[1, 2, 3]
                     }
                 ),
-                ("e", Node::Other),
+                ("e", Node::Reals(0, 0, Reals(&[]))),
             ]
         );
-        assert_eq!(w.node().unwrap(), Node::Other);
+        assert_eq!(w.node().unwrap(), Node::None);
         w.close().unwrap();
     }
 

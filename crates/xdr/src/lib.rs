@@ -20,10 +20,15 @@
 //! * [`FieldSink`] / [`Encoder`] / [`Walker`] — the same bytes written and
 //!   read without the value tree in between, for ranks that know what
 //!   they hold — and, through the `Encoder`'s size rules, measured
-//!   without being written;
+//!   without being written. The `Walker` is the format's one reader:
+//!   [`unserialize_bytes`] builds its value from the walker's nodes;
 //! * [`compress`] — LZSS compression of serial buffers (§3.2's
 //!   compressed-serialization extension, left as future work in the paper
 //!   and implemented here as an ablation).
+//!
+//! Serialized bytes come from outside the program, so no reader recurses
+//! on them, and the value reader refuses lists and hashes nested more
+//! than 128 deep (serde_json's default bound) as [`XdrError::Corrupt`].
 
 #![warn(missing_docs)]
 #![warn(clippy::undocumented_unsafe_blocks)]
@@ -33,9 +38,9 @@ mod direct;
 mod error;
 mod ser;
 
-pub use codec::{XdrReader, XdrWriter};
+pub use codec::XdrWriter;
 pub use compress::{compress_serial, decompress_serial};
-pub use direct::{Encoder, FieldSink, ListEncoder, Node, Reals, Walker};
+pub use direct::{Encoder, FieldSink, ListEncoder, Node, Reals, Strs, Walker};
 pub use error::XdrError;
 pub use ser::{
     load, save, serialize, serialize_into, serialize_to_bytes, sload, sload_into, unserialize,

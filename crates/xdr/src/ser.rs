@@ -8,15 +8,16 @@
 //! identity is what makes `sload` possible — reading the file contents
 //! verbatim yields a valid `Serial` object.
 
-use crate::codec::{XdrReader, XdrWriter};
+use crate::codec::XdrWriter;
+use crate::direct::{Node, Walker};
 use crate::error::XdrError;
 use nspval::{BoolMatrix, Hash, List, Matrix, Serial, StrMatrix, Value};
 use std::fs::{self, File};
 use std::io::{ErrorKind, Read};
 use std::path::Path;
 
-const MAGIC: &[u8; 4] = b"NSPS";
-const VERSION: u32 = 1;
+pub(crate) const MAGIC: &[u8; 4] = b"NSPS";
+pub(crate) const VERSION: u32 = 1;
 
 // Type tags on the wire.
 pub(crate) const TAG_REAL: u32 = 1;
@@ -31,26 +32,6 @@ pub(crate) const TAG_NONE: u32 = 7;
 pub(crate) fn put_header(w: &mut XdrWriter) {
     w.put_u32(u32::from_be_bytes(*MAGIC));
     w.put_u32(VERSION);
-}
-
-/// Check magic and format version at the head of serialized bytes.
-pub(crate) fn get_header(r: &mut XdrReader) -> Result<(), XdrError> {
-    if r.get_u32()? != u32::from_be_bytes(*MAGIC) {
-        return Err(XdrError::BadMagic);
-    }
-    match r.get_u32()? {
-        VERSION => Ok(()),
-        other => Err(XdrError::BadVersion(other)),
-    }
-}
-
-/// A serialized value ends where its bytes end.
-pub(crate) fn expect_end(r: &XdrReader) -> Result<(), XdrError> {
-    if r.is_exhausted() {
-        Ok(())
-    } else {
-        Err(XdrError::Corrupt("trailing bytes after value".into()))
-    }
 }
 
 // One writer per matrix kind, shared by the tree encoder below and the
@@ -125,85 +106,81 @@ fn encode_value(w: &mut XdrWriter, v: &Value) {
     }
 }
 
-fn decode_value(r: &mut XdrReader) -> Result<Value, XdrError> {
-    let tag = r.get_u32()?;
-    match tag {
-        TAG_REAL => {
-            let rows = r.get_u32()? as usize;
-            let cols = r.get_u32()? as usize;
-            let n = rows
-                .checked_mul(cols)
-                .ok_or_else(|| XdrError::Corrupt("matrix size overflow".into()))?;
-            if n.checked_mul(8).map(|b| b > r.remaining()).unwrap_or(true) {
-                return Err(XdrError::UnexpectedEof);
+/// How deep lists and hashes may nest in a value [`unserialize_bytes`]
+/// builds: deeper bytes are [`XdrError::Corrupt`], since dropping the
+/// value would recurse once a level.
+pub(crate) const MAX_DEPTH: usize = 128;
+
+/// What a list or hash being read holds so far.
+enum Items<'a> {
+    List(Vec<Value>),
+    /// The entries so far, and the key of the one being read.
+    Hash(Hash, &'a str),
+}
+
+/// Build the value at the walker's cursor. The lists and hashes still
+/// open, each with the count of its items still to come, are a stack on
+/// the heap, so nesting costs no recursion.
+fn read_value<'a>(w: &mut Walker<'a>) -> Result<Value, XdrError> {
+    let mut open: Vec<(usize, Items<'a>)> = Vec::new();
+    loop {
+        let mut value = None;
+        match w.node()? {
+            // Grown as items come, not sized from a count the bytes claim.
+            Node::List(n) => open.push((n, Items::List(Vec::new()))),
+            Node::Hash(n) => open.push((n, Items::Hash(Hash::new(), ""))),
+            Node::Scalar(x) => value = Some(Value::scalar(x)),
+            Node::Str(s) => value = Some(Value::string(s)),
+            Node::Bool(b) => value = Some(Value::boolean(b)),
+            Node::Reals(rows, cols, data) => {
+                let data = (0..data.len()).map(|i| data.get(i)).collect();
+                value = Some(Value::Real(Matrix::from_col_major(rows, cols, data)));
             }
-            let mut data = Vec::with_capacity(n);
-            for _ in 0..n {
-                data.push(r.get_f64()?);
+            Node::Bools(rows, cols, data) => {
+                let data = data.iter().map(|&b| b != 0).collect();
+                value = Some(Value::Bool(BoolMatrix::from_col_major(rows, cols, data)));
             }
-            Ok(Value::Real(Matrix::from_col_major(rows, cols, data)))
+            Node::Strs(rows, cols, data) => {
+                let data = data.iter().map(str::to_owned).collect();
+                value = Some(Value::Str(StrMatrix::from_col_major(rows, cols, data)));
+            }
+            Node::Serial {
+                compressed: false,
+                bytes,
+            } => value = Some(Value::Serial(Serial::new(bytes.to_vec()))),
+            Node::Serial { bytes, .. } => {
+                value = Some(Value::Serial(Serial::new_compressed(bytes.to_vec())));
+            }
+            Node::None => value = Some(Value::None),
         }
-        TAG_BOOL => {
-            let rows = r.get_u32()? as usize;
-            let cols = r.get_u32()? as usize;
-            let bytes = r.get_opaque()?;
-            if bytes.len() != rows * cols {
-                return Err(XdrError::Corrupt("bool matrix length mismatch".into()));
-            }
-            let data: Vec<bool> = bytes.iter().map(|&b| b != 0).collect();
-            Ok(Value::Bool(BoolMatrix::from_col_major(rows, cols, data)))
+        if open.len() > MAX_DEPTH {
+            return Err(XdrError::Corrupt(format!(
+                "value nested deeper than {MAX_DEPTH}"
+            )));
         }
-        TAG_STR => {
-            let rows = r.get_u32()? as usize;
-            let cols = r.get_u32()? as usize;
-            let n = rows
-                .checked_mul(cols)
-                .ok_or_else(|| XdrError::Corrupt("string matrix size overflow".into()))?;
-            if n > r.remaining() {
-                // Each string costs at least a 4-byte length word.
-                return Err(XdrError::UnexpectedEof);
+        // Hand the finished value to its container, closing each one it
+        // fills, until one has an item still to come: that item is next.
+        while let Some((left, items)) = open.last_mut() {
+            match (&mut *items, value.take()) {
+                (Items::List(list), Some(v)) => list.push(v),
+                (Items::Hash(h, key), Some(v)) => h.set(key, v),
+                (_, None) => {}
             }
-            let mut data = Vec::with_capacity(n);
-            for _ in 0..n {
-                data.push(r.get_string()?);
+            if *left > 0 {
+                *left -= 1;
+                if let Items::Hash(_, key) = items {
+                    *key = w.key()?;
+                }
+                break;
             }
-            Ok(Value::Str(StrMatrix::from_col_major(rows, cols, data)))
+            value = Some(match open.pop().expect("the top container").1 {
+                Items::List(list) => Value::List(List::from_vec(list)),
+                Items::Hash(h, _) => Value::Hash(h),
+            });
         }
-        TAG_LIST => {
-            let n = r.get_u32()? as usize;
-            if n > r.remaining() {
-                return Err(XdrError::UnexpectedEof);
-            }
-            let mut items = Vec::with_capacity(n);
-            for _ in 0..n {
-                items.push(decode_value(r)?);
-            }
-            Ok(Value::List(List::from_vec(items)))
+        if open.is_empty() {
+            return Ok(value.expect("the outermost value, finished"));
         }
-        TAG_HASH => {
-            let n = r.get_u32()? as usize;
-            if n > r.remaining() {
-                return Err(XdrError::UnexpectedEof);
-            }
-            let mut h = Hash::new();
-            for _ in 0..n {
-                let k = r.get_str()?;
-                let v = decode_value(r)?;
-                h.set(k, v);
-            }
-            Ok(Value::Hash(h))
-        }
-        TAG_SERIAL => {
-            let compressed = r.get_bool()?;
-            let bytes = r.get_opaque()?.to_vec();
-            Ok(Value::Serial(if compressed {
-                Serial::new_compressed(bytes)
-            } else {
-                Serial::new(bytes)
-            }))
-        }
-        TAG_NONE => Ok(Value::None),
-        other => Err(XdrError::Corrupt(format!("unknown type tag {other}"))),
     }
 }
 
@@ -231,12 +208,13 @@ pub fn serialize(v: &Value) -> Serial {
     Serial::new(serialize_to_bytes(v))
 }
 
-/// Decode raw serialized bytes back into a value.
+/// Decode raw serialized bytes back into a value, read through a
+/// [`Walker`]: the bytes it refuses are refused here, and so is a value
+/// nested deeper than 128 lists and hashes.
 pub fn unserialize_bytes(bytes: &[u8]) -> Result<Value, XdrError> {
-    let mut r = XdrReader::new(bytes);
-    get_header(&mut r)?;
-    let v = decode_value(&mut r)?;
-    expect_end(&r)?;
+    let mut w = Walker::open(bytes)?;
+    let v = read_value(&mut w)?;
+    w.close()?;
     Ok(v)
 }
 
@@ -533,6 +511,43 @@ mod tests {
             unserialize_bytes(&w.into_bytes()),
             Err(XdrError::Corrupt(_))
         ));
+    }
+
+    /// `depth` lists and hashes, each holding the next, around nothing.
+    fn nested(depth: usize) -> Value {
+        let mut v = Value::None;
+        for d in 0..depth {
+            v = if d % 2 == 0 {
+                Value::list(vec![v])
+            } else {
+                let mut h = Hash::new();
+                h.set("k", v);
+                Value::Hash(h)
+            };
+        }
+        v
+    }
+
+    #[test]
+    fn values_nest_as_deep_as_the_bound_and_no_deeper() {
+        let v = nested(MAX_DEPTH);
+        assert!(v.equal(&unserialize(&serialize(&v)).unwrap()));
+        let err = unserialize(&serialize(&nested(MAX_DEPTH + 1))).unwrap_err();
+        assert!(matches!(err, XdrError::Corrupt(_)), "{err}");
+        // 10 000 one-item lists, 80 KB: refused before the value built
+        // could cost its drop the stack of a 2 MiB thread.
+        let mut w = XdrWriter::new();
+        put_header(&mut w);
+        for _ in 0..10_000 {
+            put_count(&mut w, TAG_LIST, 1);
+        }
+        w.put_u32(TAG_NONE);
+        let bytes = w.into_bytes();
+        assert!(bytes.len() > 80_000);
+        let read = std::thread::Builder::new().stack_size(2 << 20);
+        let read = read.spawn(move || unserialize_bytes(&bytes).map(drop));
+        let err = read.unwrap().join().unwrap().unwrap_err();
+        assert!(matches!(err, XdrError::Corrupt(_)), "{err}");
     }
 
     #[test]

@@ -3,8 +3,10 @@
 # non-test lines. Report only, not a gate; scripts/ci.sh does not call it.
 #
 #   lines  non-test lines under crates/*/src: each .rs file counted up to
-#          its first top-level `#[cfg(test)]` line, the whole file if it
-#          has none (blank and comment lines count)
+#          its first top-level `#[cfg(test)]` line that a line starting
+#          with `mod` follows, the whole file if it has none (blank and
+#          comment lines count; a `#[cfg(test)]` on a `use`, a helper or
+#          anything else that is not a module counts too)
 #   pub    declarations in that same part: lines that start, after any
 #          indentation, with `pub fn|struct|enum|trait|type|const|static|
 #          mod|use` (`pub(crate)` and the like do not count)
@@ -16,8 +18,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+    function count(line) {
+        lines++
+        per_crate[crate]++
+        if (line ~ /^[ \t]*pub (fn|struct|enum|trait|type|const|static|mod|use)[ \t]/) decls++
+    }
     FNR == 1 {
         test = 0
+        held = ""
         split(FILENAME, path, "/")
         crate = path[2]
         if (!(crate in seen)) {
@@ -25,12 +33,16 @@ find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
             order[++crates] = crate
         }
     }
-    /^#\[cfg\(test\)\]/ { test = 1 }
-    !test {
-        lines++
-        per_crate[crate]++
-        if ($0 ~ /^[ \t]*pub (fn|struct|enum|trait|type|const|static|mod|use)[ \t]/) decls++
+    # A top-level `#[cfg(test)]` is held until the next line says what
+    # it gates: a `mod` starts the tests, anything else is counted.
+    held != "" {
+        if ($0 ~ /^mod /) test = 1
+        else count(held)
+        held = ""
     }
+    test { next }
+    /^#\[cfg\(test\)\]/ { held = $0; next }
+    { count($0) }
     END {
         printf "non-test lines under crates/*/src: %d\n", lines
         printf "pub declarations in them:          %d\n", decls
