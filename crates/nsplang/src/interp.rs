@@ -5,7 +5,7 @@ use crate::lexer::Pos;
 use crate::parser::parse_program;
 use crate::toolbox::PremiaObj;
 use minimpi::{Comm, MpiBuf};
-use nspval::{BoolMatrix, Hash, List, Matrix, Serial, StrMatrix, Value};
+use nspval::{BoolMatrix, Hash, List, Matrix, Serial, StrMatrix, Value, MAX_DEPTH};
 use pricing::{MethodSpec, ModelSpec, OptionSpec, PremiaProblem};
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -699,18 +699,12 @@ impl Interp {
         match b {
             // ---- core -------------------------------------------------------
             B::List => {
-                let mut l = List::new();
-                for v in pos {
-                    l.add_last(v.take_value().into_value()?);
-                }
-                Ok(Ret::One(NValue::V(Value::List(l))))
+                let items = pos.iter_mut().map(|v| item(v.take_value()));
+                Ok(Ret::One(NValue::V(Value::list(items.collect::<R<_>>()?))))
             }
             B::HashCreate => {
-                let mut h = Hash::new();
-                for (k, v) in kw {
-                    h.set(&k, v.into_value()?);
-                }
-                Ok(Ret::One(NValue::V(Value::Hash(h))))
+                let entries = kw.into_iter().map(|(k, v)| Ok((k, item(v)?)));
+                Ok(Ret::One(NValue::V(Value::Hash(entries.collect::<R<_>>()?))))
             }
             B::Rand => {
                 let (r, c) = match &*pos {
@@ -1239,6 +1233,18 @@ pub(crate) fn index_value<A: CallArg>(base: &NValue, idx: &mut [A]) -> R<NValue>
     }
 }
 
+/// `v` as an item of a list or hash, for the five places a script puts
+/// one value in another (`list`, `hash_create`, `L(i) = v`, `H.f = v`,
+/// `add_last`): refused before the container is touched when it would
+/// then nest deeper than [`MAX_DEPTH`], the bound the reader keeps too.
+fn item(v: NValue) -> R<Value> {
+    let v = v.into_value()?;
+    if 1 + v.depth() > MAX_DEPTH {
+        return err(format!("value nested deeper than {MAX_DEPTH}"));
+    }
+    Ok(v)
+}
+
 /// `base(idx...) = v` write indexing, in place. `current` is left untouched
 /// when the assignment fails.
 pub(crate) fn index_assign_value(current: &mut NValue, idx: &[NValue], v: NValue) -> R<()> {
@@ -1282,7 +1288,7 @@ pub(crate) fn index_assign_value(current: &mut NValue, idx: &[NValue], v: NValue
             if i < 1 {
                 return err("list indices are 1-based");
             }
-            let val = v.into_value()?;
+            let val = item(v)?;
             // Deletion of a single element.
             if val.is_empty_matrix() && i <= l.len() {
                 l.remove_range(i - 1, 1);
@@ -1329,7 +1335,7 @@ pub(crate) fn index_assign_value(current: &mut NValue, idx: &[NValue], v: NValue
 pub(crate) fn field_assign_value(base: &mut NValue, field: &str, v: NValue) -> R<()> {
     match base {
         NValue::V(Value::Hash(h)) => {
-            h.set(field, v.into_value()?);
+            h.set(field, item(v)?);
             Ok(())
         }
         other => err(format!("cannot set field on {}", other.type_name())),
@@ -1343,7 +1349,7 @@ pub(crate) fn add_last_value(list: &mut NValue, pos: &mut [NValue], want: usize)
     match list {
         NValue::V(Value::List(l)) => {
             let [v] = args("add_last", pos)?;
-            l.add_last(v.take().into_value()?);
+            l.add_last(item(v.take())?);
             Ok(if want == 0 {
                 Ret::Many(Vec::new())
             } else {
@@ -1444,17 +1450,13 @@ fn plain(v: &mut impl CallArg) -> R<Cow<'_, Value>> {
 }
 
 /// `unserialize(S)` / `S.unserialize[]`, shared by both engines. A plain
-/// serial is first read as a problem (`PremiaProblem::from_xdr_bytes`,
-/// whose contract is `from_value(&unserialize_bytes(b))`): a problem in
-/// the order `to_xdr_bytes` writes becomes a Premia object without a
-/// value tree, a problem in any other order through one. Anything else —
-/// a compressed serial, a value that is not a problem (its tree then
-/// built twice), bytes that do not decode — takes the general path,
-/// with its values and its errors. Either way the bytes are read by the
-/// one reader of the format, `xdrser::Walker`.
+/// serial in the order `PremiaProblem::to_xdr_bytes` writes becomes a
+/// Premia object with no value tree (a Fig. 4 slave's every job); any
+/// other serial is read into a tree once, which [`NValue::wrap`] makes a
+/// Premia object if `PremiaProblem::from_value` takes it.
 pub(crate) fn unserialize_value(s: &Serial) -> R<NValue> {
     if !s.is_compressed() {
-        if let Ok(problem) = PremiaProblem::from_xdr_bytes(s.bytes()) {
+        if let Some(problem) = PremiaProblem::from_xdr_in_order(s.bytes()) {
             return Ok(NValue::Premia(Rc::new(RefCell::new(
                 PremiaObj::from_problem(problem),
             ))));

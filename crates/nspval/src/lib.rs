@@ -18,4 +18,4 @@ mod matrix;
 mod value;
 
 pub use matrix::{BoolMatrix, Matrix, StrMatrix};
-pub use value::{Hash, List, Serial, Value};
+pub use value::{Hash, List, Serial, Value, MAX_DEPTH};

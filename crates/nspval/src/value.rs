@@ -127,6 +127,29 @@ impl Hash {
     }
 }
 
+/// What [`Hash::set`] on each entry in turn builds (a key keeps its first
+/// place, its last value wins), in O(n log n) time: the entries' places
+/// are sorted by key, so each key's places sit side by side, in order.
+impl FromIterator<(String, Value)> for Hash {
+    fn from_iter<I: IntoIterator<Item = (String, Value)>>(entries: I) -> Self {
+        let mut entries: Vec<(String, Value)> = entries.into_iter().collect();
+        let mut order: Vec<usize> = (0..entries.len()).collect();
+        order.sort_unstable_by(|&a, &b| entries[a].0.cmp(&entries[b].0).then(a.cmp(&b)));
+        // Last to first, a repeated key's value moves back to its first
+        // place, and each later place goes.
+        let mut keep = vec![true; entries.len()];
+        for pair in order.windows(2).rev() {
+            if entries[pair[0]].0 == entries[pair[1]].0 {
+                entries.swap(pair[0], pair[1]);
+                keep[pair[1]] = false;
+            }
+        }
+        let mut keep = keep.into_iter();
+        entries.retain(|_| keep.next().expect("one flag an entry"));
+        Hash { entries }
+    }
+}
+
 /// An opaque serialized byte buffer — Nsp's `Serial` objects, produced by
 /// `serialize(...)` or `sload(...)` and consumed by `unserialize`
 /// (`S.unserialize[]`). The `compressed` flag mirrors Nsp's
@@ -181,7 +204,12 @@ impl fmt::Display for Serial {
     }
 }
 
-/// A dynamically typed Nsp value.
+/// How deep lists and hashes may nest in a value, over its whole life: a
+/// script cannot build a deeper one and the serialized format's reader
+/// refuses one, so every recursive walk of a value is bounded.
+pub const MAX_DEPTH: usize = 128;
+
+/// A dynamically typed Nsp value, nested at most [`MAX_DEPTH`] deep.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// Real matrix (`r`); scalars are 1×1.
@@ -283,6 +311,17 @@ impl Value {
         match self {
             Value::Serial(s) => Some(s),
             _ => None,
+        }
+    }
+
+    /// How many lists and hashes nest in this value: 0 for a leaf, one
+    /// more than its deepest item for a list or hash. It recurses once a
+    /// level, as `Clone` and `Drop` do: [`MAX_DEPTH`] bounds all three.
+    pub fn depth(&self) -> usize {
+        match self {
+            Value::List(l) => 1 + l.iter().map(Value::depth).max().unwrap_or(0),
+            Value::Hash(h) => 1 + h.iter().map(|(_, v)| v.depth()).max().unwrap_or(0),
+            _ => 0,
         }
     }
 
@@ -433,6 +472,44 @@ mod tests {
         assert!(h.contains_key("A"));
         assert_eq!(h.remove("A").unwrap().as_scalar(), Some(1.0));
         assert!(!h.contains_key("A"));
+    }
+
+    #[test]
+    fn collecting_entries_builds_what_set_builds() {
+        let entries = [
+            ("B", 1.0),
+            ("A", 2.0),
+            ("B", 3.0),
+            ("C", 4.0),
+            ("A", 5.0),
+            ("B", 6.0),
+        ];
+        let mut want = Hash::new();
+        for (k, x) in entries {
+            want.set(k, Value::scalar(x));
+        }
+        let got: Hash = (entries.iter())
+            .map(|&(k, x)| (k.to_string(), Value::scalar(x)))
+            .collect();
+        assert_eq!(got, want);
+        let keys: Vec<&str> = got.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["B", "A", "C"]);
+        assert_eq!(Hash::from_iter([]), Hash::new());
+    }
+
+    #[test]
+    fn depth_counts_the_lists_and_hashes_on_the_deepest_path() {
+        assert_eq!(Value::scalar(1.0).depth(), 0);
+        assert_eq!(Value::None.depth(), 0);
+        assert_eq!(Value::list(vec![]).depth(), 1);
+        assert_eq!(Value::Hash(Hash::new()).depth(), 1);
+        // The deepest path is neither the first nor the last item.
+        let mut h = Hash::new();
+        h.set("flat", Value::list(vec![Value::scalar(1.0)]));
+        h.set("deep", Value::list(vec![Value::list(vec![Value::None])]));
+        h.set("leaf", Value::string("x"));
+        let v = Value::list(vec![Value::None, Value::Hash(h), Value::list(vec![])]);
+        assert_eq!(v.depth(), 4);
     }
 
     #[test]

@@ -1190,6 +1190,15 @@ impl PremiaProblem {
         Encoder::hash(512, |e| self.write_fields(e))
     }
 
+    /// Decode what [`Self::to_xdr_bytes`] wrote in one pass, in place,
+    /// each field found where it was written, with no value built.
+    /// `None` for any other bytes — another key order, unknown or
+    /// repeated keys, anything that is not a problem, any fault of the
+    /// format: what those are is for the value path to say.
+    pub fn from_xdr_in_order(bytes: &[u8]) -> Option<Self> {
+        read_in_order(bytes, |h| Self::from_fields(h).ok())
+    }
+
     /// Decode serialized bytes: what
     /// `from_value(&xdrser::unserialize_bytes(bytes)?)` returns — any key
     /// order, unknown keys passed over, a later duplicate key winning,
@@ -1197,12 +1206,11 @@ impl PremiaProblem {
     /// problem is reported as [`XdrError::Corrupt`] carrying the
     /// [`PricingError`] text.
     ///
-    /// What [`Self::to_xdr_bytes`] wrote is read in one pass, in place,
-    /// each field found where it was written, with no value built; any
-    /// other bytes are read again from the start, by exactly that value
-    /// path.
+    /// What [`Self::to_xdr_bytes`] wrote is read by
+    /// [`Self::from_xdr_in_order`]; any other bytes are read again from
+    /// the start, by exactly that value path.
     pub fn from_xdr_bytes(bytes: &[u8]) -> Result<Self, XdrError> {
-        if let Some(problem) = read_in_order(bytes, |h| Self::from_fields(h).ok()) {
+        if let Some(problem) = Self::from_xdr_in_order(bytes) {
             return Ok(problem);
         }
         Self::from_value(&xdrser::unserialize_bytes(bytes)?)

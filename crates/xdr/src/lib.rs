@@ -27,8 +27,11 @@
 //!   and implemented here as an ablation).
 //!
 //! Serialized bytes come from outside the program, so no reader recurses
-//! on them, and the value reader refuses lists and hashes nested more
-//! than 128 deep (serde_json's default bound) as [`XdrError::Corrupt`].
+//! on them. The value reader refuses lists and hashes nested deeper than
+//! [`nspval::MAX_DEPTH`] (128, serde_json's default bound) as
+//! [`XdrError::Corrupt`]: the bound of a value's whole life, which a
+//! script cannot build past either, so the recursive writer behind
+//! [`serialize`] and [`save`] is bounded too.
 
 #![warn(missing_docs)]
 #![warn(clippy::undocumented_unsafe_blocks)]
@@ -43,6 +46,5 @@ pub use compress::{compress_serial, decompress_serial};
 pub use direct::{Encoder, FieldSink, ListEncoder, Node, Reals, Strs, Walker};
 pub use error::XdrError;
 pub use ser::{
-    load, save, serialize, serialize_into, serialize_to_bytes, sload, sload_into, unserialize,
-    unserialize_bytes,
+    load, save, serialize, serialize_to_bytes, sload, sload_into, unserialize, unserialize_bytes,
 };

@@ -11,7 +11,7 @@
 use crate::codec::XdrWriter;
 use crate::direct::{Node, Walker};
 use crate::error::XdrError;
-use nspval::{BoolMatrix, Hash, List, Matrix, Serial, StrMatrix, Value};
+use nspval::{BoolMatrix, Matrix, Serial, StrMatrix, Value, MAX_DEPTH};
 use std::fs::{self, File};
 use std::io::{ErrorKind, Read};
 use std::path::Path;
@@ -106,29 +106,24 @@ fn encode_value(w: &mut XdrWriter, v: &Value) {
     }
 }
 
-/// How deep lists and hashes may nest in a value [`unserialize_bytes`]
-/// builds: deeper bytes are [`XdrError::Corrupt`], since dropping the
-/// value would recurse once a level.
-pub(crate) const MAX_DEPTH: usize = 128;
-
-/// What a list or hash being read holds so far.
-enum Items<'a> {
+/// What a list or hash being read holds so far: a hash's entries with a
+/// repeated key's included, collected into the hash once it closes.
+enum Items {
     List(Vec<Value>),
-    /// The entries so far, and the key of the one being read.
-    Hash(Hash, &'a str),
+    Hash(Vec<(String, Value)>),
 }
 
 /// Build the value at the walker's cursor. The lists and hashes still
 /// open, each with the count of its items still to come, are a stack on
 /// the heap, so nesting costs no recursion.
-fn read_value<'a>(w: &mut Walker<'a>) -> Result<Value, XdrError> {
-    let mut open: Vec<(usize, Items<'a>)> = Vec::new();
+fn read_value(w: &mut Walker<'_>) -> Result<Value, XdrError> {
+    let mut open: Vec<(usize, Items)> = Vec::new();
     loop {
         let mut value = None;
         match w.node()? {
             // Grown as items come, not sized from a count the bytes claim.
             Node::List(n) => open.push((n, Items::List(Vec::new()))),
-            Node::Hash(n) => open.push((n, Items::Hash(Hash::new(), ""))),
+            Node::Hash(n) => open.push((n, Items::Hash(Vec::new()))),
             Node::Scalar(x) => value = Some(Value::scalar(x)),
             Node::Str(s) => value = Some(Value::string(s)),
             Node::Bool(b) => value = Some(Value::boolean(b)),
@@ -163,19 +158,21 @@ fn read_value<'a>(w: &mut Walker<'a>) -> Result<Value, XdrError> {
         while let Some((left, items)) = open.last_mut() {
             match (&mut *items, value.take()) {
                 (Items::List(list), Some(v)) => list.push(v),
-                (Items::Hash(h, key), Some(v)) => h.set(key, v),
+                (Items::Hash(entries), Some(v)) => {
+                    entries.last_mut().expect("its key is read first").1 = v
+                }
                 (_, None) => {}
             }
             if *left > 0 {
                 *left -= 1;
-                if let Items::Hash(_, key) = items {
-                    *key = w.key()?;
+                if let Items::Hash(entries) = items {
+                    entries.push((w.key()?.to_owned(), Value::None));
                 }
                 break;
             }
             value = Some(match open.pop().expect("the top container").1 {
-                Items::List(list) => Value::List(List::from_vec(list)),
-                Items::Hash(h, _) => Value::Hash(h),
+                Items::List(list) => Value::list(list),
+                Items::Hash(entries) => Value::Hash(entries.into_iter().collect()),
             });
         }
         if open.is_empty() {
@@ -192,17 +189,6 @@ pub fn serialize_to_bytes(v: &Value) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// [`serialize_to_bytes`] into a recycled vector: `out` is cleared, the
-/// frame is encoded into its existing allocation, and the number of bytes
-/// written is returned. Byte-for-byte identical to [`serialize_to_bytes`].
-pub fn serialize_into(v: &Value, out: &mut Vec<u8>) -> usize {
-    let mut w = XdrWriter::from_vec(std::mem::take(out));
-    put_header(&mut w);
-    encode_value(&mut w, v);
-    *out = w.into_bytes();
-    out.len()
-}
-
 /// Nsp's `serialize(A)`: value → `Serial` object.
 pub fn serialize(v: &Value) -> Serial {
     Serial::new(serialize_to_bytes(v))
@@ -210,7 +196,7 @@ pub fn serialize(v: &Value) -> Serial {
 
 /// Decode raw serialized bytes back into a value, read through a
 /// [`Walker`]: the bytes it refuses are refused here, and so is a value
-/// nested deeper than 128 lists and hashes.
+/// nested deeper than [`nspval::MAX_DEPTH`] lists and hashes.
 pub fn unserialize_bytes(bytes: &[u8]) -> Result<Value, XdrError> {
     let mut w = Walker::open(bytes)?;
     let v = read_value(&mut w)?;
@@ -307,6 +293,7 @@ fn read_to_eof(mut file: File, out: &mut Vec<u8>) -> std::io::Result<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nspval::Hash;
 
     fn sample_values() -> Vec<Value> {
         vec![

@@ -573,6 +573,28 @@ mod engine_equivalence {
             ("L = list(1, 2)\nL(1:2) = 7", "L"),
             ("m = [1, 2]\nm(9) = 0", "m"),
             ("H.a = 1\nb = mpibuf_create(4)\nH.b = b", "H"),
+            // `D` is as deep as the nesting bound: each of the five
+            // builders refuses to put it in one more list or hash.
+            (
+                "D = list(); for k = 1:127 do D = list(D) end; L = list(1)\nL = list(2, D)",
+                "L",
+            ),
+            (
+                "D = list(); for k = 1:127 do D = list(D) end; H.a = 1\nH = hash_create(b = D)",
+                "H",
+            ),
+            (
+                "D = list(); for k = 1:127 do D = list(D) end; L = list(1)\nL(2) = D",
+                "L",
+            ),
+            (
+                "D = list(); for k = 1:127 do D = list(D) end; H.a = 1\nH.b = D",
+                "H",
+            ),
+            (
+                "D = list(); for k = 1:127 do D = list(D) end; L = list(1)\nL.add_last[D]",
+                "L",
+            ),
         ] {
             let intact = src.lines().next().unwrap();
             let mut want = Interp::new();
@@ -725,6 +747,57 @@ mod engine_equivalence {
         assert_agree(
             "Lpb = list()\nfor k = 1:8 do\n  Lpb.add_last['pb-' + string(k) + '.bin']\nend\nsent = 2\nLpb(1:sent) = []\nnames = ''\nfor pb = Lpb' do\n  names = names + pb\nend\nn = length(Lpb)",
         );
+    }
+
+    /// Binds `D` to lists nested as deep as the bound, 128 (`list()` is one).
+    const DEEP: &str = "D = list(); for k = 1:127 do D = list(D) end\n";
+
+    #[test]
+    fn a_value_as_deep_as_the_bound_round_trips() {
+        let path = std::env::temp_dir().join(format!("it_nsp_depth_{}.bin", std::process::id()));
+        let i = agree_ok(&format!(
+            "{DEEP}S = serialize(D)\nE = unserialize(S)\nsave('{p}', D)\nF = load('{p}')\n\
+             ok = E.equal[D] && F.equal[D]",
+            p = path.display()
+        ));
+        std::fs::remove_file(&path).ok();
+        assert_eq!(i.get_bool("ok"), Some(true));
+        assert_eq!(i.get_value("D").unwrap().depth(), 128);
+    }
+
+    #[test]
+    fn a_value_as_deep_as_the_bound_crosses_mpi() {
+        use minimpi::World;
+        use std::rc::Rc;
+        for engine in [Engine::Tree, Engine::Vm] {
+            let got = World::run(2, |comm| {
+                let rank = comm.rank();
+                let mut interp = Interp::with_comm(Rc::new(comm));
+                interp.set_engine(engine);
+                let talk = if rank == 0 {
+                    "MPI_Send_Obj(D, 1, 3, MCW)"
+                } else {
+                    "E = MPI_Recv_Obj(0, 3, MCW)\nok = E.equal[D]"
+                };
+                let src = format!("{DEEP}MCW = mpicomm_create('WORLD')\n{talk}");
+                interp.run(&src).unwrap();
+                interp.get_bool("ok")
+            });
+            assert_eq!(got, [None, Some(true)], "{engine:?}");
+        }
+    }
+
+    #[test]
+    fn a_ten_thousand_deep_build_is_an_error_not_an_abort() {
+        let src = "L = list()\nfor k = 1:10000 do\n  L = list(L)\nend";
+        let run = std::thread::Builder::new().stack_size(2 << 20);
+        let run = run.spawn(move || {
+            let (t, rt) = agree(src);
+            (rt.map_err(|e| e.message), t.get_scalar("k"))
+        });
+        let (r, k) = run.unwrap().join().unwrap();
+        assert_eq!(r, Err("value nested deeper than 128".to_string()));
+        assert_eq!(k, Some(128.0));
     }
 }
 

@@ -6,6 +6,8 @@
 use nspval::{BoolMatrix, Hash, List, Matrix, StrMatrix, Value};
 use proptest::prelude::*;
 
+mod common;
+
 /// Strategy generating arbitrary Nsp values (depth-bounded).
 fn arb_value() -> impl Strategy<Value = Value> {
     let leaf = prop_oneof![
@@ -206,4 +208,43 @@ fn mpi_object_transmission_preserves_arbitrary_values() {
         }
     });
     assert!(out.iter().all(|&b| b));
+}
+
+#[test]
+fn a_big_hash_reads_within_the_watchdog_and_a_later_duplicate_wins_in_place() {
+    const N: usize = 200_000;
+    let key = |i: usize| format!("k{i}");
+    // 200 000 distinct keys, then every 1 000th again, then the first a
+    // third time: three encoded hashes spliced behind one count.
+    let value = common::with_watchdog(30, move || {
+        let part = |keys: Vec<(usize, f64)>| {
+            xdrser::Encoder::hash(0, |e| {
+                for (i, x) in keys {
+                    xdrser::FieldSink::scalar(e, &key(i), x);
+                }
+            })
+        };
+        let parts = [
+            part((0..N).map(|i| (i, i as f64)).collect()),
+            part((0..N).step_by(1000).map(|i| (i, -(i as f64))).collect()),
+            part(vec![(0, 0.5)]),
+        ];
+        let count = N + N / 1000 + 1;
+        let mut bytes = parts[0][..12].to_vec();
+        bytes.extend((count as u32).to_be_bytes());
+        for p in &parts {
+            bytes.extend_from_slice(&p[xdrser::Encoder::HASH_LEN..]);
+        }
+        xdrser::unserialize_bytes(&bytes).unwrap()
+    });
+    let h = value.as_hash().unwrap();
+    assert_eq!(h.len(), N);
+    for (i, (k, v)) in h.iter().enumerate() {
+        let want = match i {
+            0 => 0.5,
+            i if i % 1000 == 0 => -(i as f64),
+            i => i as f64,
+        };
+        assert_eq!((k.as_str(), v.as_scalar()), (key(i).as_str(), Some(want)));
+    }
 }
