@@ -9,7 +9,6 @@ use crate::params::SimConfig;
 use crate::world::World;
 use farm::driver::{drive, Farm};
 use farm::minimpi::Comm;
-use farm::slave::TAG;
 use farm::strategy::Transmission;
 use farm::{FarmError, JobClass, SupervisorConfig};
 use obs::Recorder;
@@ -280,9 +279,9 @@ fn flat(
         resident: false,
         strategy: spec.strategy,
     };
-    let ran = drive(&farm, sched.clone(), |job, slave, batch, _| {
-        let frame = world.dispatch(job..job + batch);
-        Ok(comm.send(&frame, slave as i32, TAG)?)
+    let ran = drive(&farm, sched.clone(), |job, batch, _, buf| {
+        world.dispatch(job..job + batch, buf);
+        Ok(())
     });
     let mut model = world.model();
     *caches = std::mem::take(&mut model.caches);

@@ -1,15 +1,16 @@
 //! The virtual-time world a simulated flat run is driven over: a third
 //! [`Transport`] backend, beside `transport`'s channels and sockets, in
-//! which only rank 0 — `farm::driver::drive` — is real. `drive`'s send
-//! closure charges the master's side of a dispatch ([`World::dispatch`])
-//! and sends a job frame of member ids; the world prices what the slave
-//! would do with it and queues its answer, a real `farm::wire` batch
-//! reply, at the virtual time it lands. A receive takes the earliest
-//! answer, or ends at its deadline, and the clock ([`Transport::now`])
-//! jumps there. Every modelled phase is recorded in the live farm's
-//! [`EventKind`] schema (rank 0 the master, slave *s* rank `s + 1`), as
-//! the live ranks record it: per member under its job, a message's send
-//! under its first job, a frame's receive and reply under no job.
+//! which only rank 0 — `farm::driver::drive` — is real. `drive`'s writer
+//! charges the master's side of a dispatch ([`World::dispatch`]) and
+//! writes a job frame of member ids, which `drive` sends; the world
+//! prices what the slave would do with it and queues its answer, a real
+//! `farm::wire` batch reply, at the virtual time it lands. A receive
+//! takes the earliest answer, or ends at its deadline, and the clock
+//! ([`Transport::now`]) jumps there. Every modelled phase is recorded in
+//! the live farm's [`EventKind`] schema (rank 0 the master, slave *s*
+//! rank `s + 1`), as the live ranks record it: per member under its job,
+//! a message's send under its first job, a frame's receive and reply
+//! under no job.
 
 use crate::params::SimConfig;
 use crate::resource::Resource;
@@ -75,6 +76,8 @@ pub(crate) struct Model {
     now: f64,
     /// When the master's latest message left, and its bytes.
     departed: (f64, usize),
+    /// The last job frame's allocation, which the next reply is written into.
+    spare: Vec<u8>,
     /// When the master handled its last answer.
     pub(crate) makespan: f64,
     /// The recorded phases, when someone records.
@@ -102,6 +105,7 @@ impl World {
             epoch: Instant::now(),
             now: 0.0,
             departed: (0.0, 0),
+            spare: Vec::new(),
             makespan: 0.0,
             events: spec.recorder.map(|_| Vec::new()),
         }))
@@ -112,12 +116,12 @@ impl World {
     }
 
     /// Charge the master for sending scheduler jobs `members` now, and
-    /// return the job frame that carries their ids.
-    pub(crate) fn dispatch(&self, members: Range<usize>) -> Vec<u8> {
+    /// write the job frame that carries their ids into `buf`.
+    pub(crate) fn dispatch(&self, members: Range<usize>, buf: &mut Vec<u8>) {
         self.model().charge_master(members.clone());
-        let mut frame = JobFrame::new(Vec::new());
+        let mut frame = JobFrame::new(std::mem::take(buf));
         members.for_each(|j| frame.push(j, Body::Name("")));
-        frame.finish()
+        *buf = frame.finish();
     }
 }
 
@@ -350,7 +354,7 @@ impl Model {
                             std_error: None,
                         })
                         .collect();
-                    let reply = wire::encode_reply(&answers, Vec::new());
+                    let reply = wire::encode_reply(&answers, std::mem::take(&mut self.spare));
                     return Ok(Some(Frame::new(s + 1, TAG, Payload::Owned(reply))));
                 }
             }
@@ -387,6 +391,7 @@ impl Transport for World {
             let ids = wire::decode_frame(frame.payload.as_slice())
                 .map_err(|e| TransportError::Io(e.to_string()))?;
             model.arrive(dest - 1, ids[0].0..ids[ids.len() - 1].0 + 1);
+            model.spare = frame.payload.into_vec();
         }
         Ok(())
     }

@@ -3,8 +3,9 @@
 //! communication latency … it is always advisable to send a single large
 //! message rather [than] several smaller messages."
 //!
-//! The frame is what every farm link dispatches: `Farm::send_frame` out,
-//! the one slave loop pricing each member, one columnar reply back.
+//! The frame is what every farm link dispatches: `Farm::write_frame`
+//! writes it and the driver sends it, the one slave loop prices each
+//! member and answers with one columnar reply.
 //! Where nothing needs jobs one at a time (a FIFO, unsupervised,
 //! unstaged run of the flat farm) frames are sized by
 //! [`sched::Batch::Guided`]'s rule; anywhere else a frame holds one job.
@@ -143,10 +144,10 @@ mod tests {
                     resident: false,
                     strategy: Transmission::SerializedLoad,
                 };
-                let (cfg, mut scratch) = (FarmConfig::new(1, farm.strategy), Vec::new());
-                let run = crate::driver::drive(&farm, cfg.sched_config(8), |job, rank, n, _| {
+                let cfg = FarmConfig::new(1, farm.strategy);
+                let run = crate::driver::drive(&farm, cfg.sched_config(8), |job, n, _, buf| {
                     let members = (job..job + n).map(|idx| (idx, paths[idx].as_path()));
-                    farm.send_frame(rank, members, &mut scratch)
+                    farm.write_frame(members, buf)
                 });
                 Some(run.expect_err("a rogue reply was believed"))
             });

@@ -73,7 +73,7 @@ pub struct Farm<'a> {
 impl Farm<'_> {
     /// Send the stop sentinel, the empty message, to `slave`.
     fn stop(&self, slave: usize) -> Result<(), MpiError> {
-        self.comm.send(&[], slave as i32, TAG)
+        self.comm.send([], slave as i32, TAG)
     }
 
     /// Send the stop sentinel to each of `slaves`. Best effort: a rank
@@ -92,29 +92,26 @@ impl Farm<'_> {
         }
     }
 
-    /// Send `members` — `(wire id, problem file)` pairs — to rank `slave`
-    /// as one job frame, written into `scratch` (recycled across the
-    /// run): the flat farm's one sender, plain or supervised. Every file
-    /// is read through a [`DirStore`]: a serialized load reads each one
-    /// straight into the message through one [`store::FrameReader`] for
-    /// the frame; a full load's bytes go
-    /// from where they were re-serialized into the message
+    /// Write `members` — `(wire id, problem file)` pairs — into `buf` as
+    /// one job frame: the flat farm's one writer, plain or supervised.
+    /// Every file is read through a [`DirStore`]: a serialized load reads
+    /// each one straight into the message through one
+    /// [`store::FrameReader`] for the frame; a full load's bytes go from
+    /// where they were re-serialized into the message
     /// ([`EventKind::Pack`]), and an NFS member is its file name. A member
     /// whose bytes cannot be prepared fails the dispatch before anything
     /// is on the wire.
-    pub(crate) fn send_frame<'p>(
+    pub(crate) fn write_frame<'p>(
         &self,
-        slave: usize,
         members: impl IntoIterator<Item = (usize, &'p Path)>,
-        scratch: &mut Vec<u8>,
+        buf: &mut Vec<u8>,
     ) -> Result<(), FarmError> {
-        let (comm, mut head) = (self.comm, None);
-        let mut frame = JobFrame::new(std::mem::take(scratch));
+        let comm = self.comm;
+        let mut frame = JobFrame::new(std::mem::take(buf));
         let store = DirStore::new();
         let in_place = self.strategy == Transmission::SerializedLoad;
         let mut reader = in_place.then(|| store.reader());
         for (idx, path) in members {
-            head.get_or_insert(idx);
             comm.set_job(Some(idx));
             if let Some(reader) = reader.as_deref_mut() {
                 sload_member(comm, reader, &mut frame, idx, path)
@@ -133,27 +130,24 @@ impl Farm<'_> {
                 None => frame.push(idx, Body::Name(&path.to_string_lossy())),
             }
         }
-        *scratch = frame.finish();
-        // The message as a whole is recorded under its first job.
-        comm.set_job(head);
-        let sent = comm.send(scratch, slave as i32, TAG);
-        comm.set_job(None);
-        Ok(sent?)
+        *buf = frame.finish();
+        Ok(())
     }
 }
 
 /// Drive one farm run to completion and report it (outcomes in
 /// acceptance order with `job` in *wire* ids, `per_slave` by MPI rank).
 ///
-/// `send(job, rank, batch, outcomes)` ships scheduler jobs
-/// `job..job + batch` to `rank`; it sees the outcomes gathered so far
-/// because a staged workload rewrites a round-dependent job's problem
-/// file from them just before its bytes go out (scheduling decisions
-/// never read payloads, so the decision trace cannot tell). A `send`
-/// that fails with [`FarmError::JobFailed`] — the job's bytes could not
-/// be prepared — is treated exactly like a slave answering
-/// [`Answer::Failed`] for it: retried with backoff under supervision,
-/// the end of the run otherwise.
+/// `write(job, batch, outcomes, buf)` writes scheduler jobs
+/// `job..job + batch` into `buf`, handed empty in the allocation the
+/// last reply arrived in, and `drive` sends it by move. The writer sees
+/// the outcomes gathered so far because a staged workload rewrites a
+/// round-dependent job's problem file from them just before its bytes
+/// go out (scheduling decisions never read payloads, so the decision
+/// trace cannot tell). A `write` that fails with [`FarmError::JobFailed`]
+/// — the job's bytes could not be prepared — is treated exactly like a
+/// slave answering [`Answer::Failed`] for it: retried with backoff under
+/// supervision, the end of the run otherwise.
 ///
 /// Under supervision two rules say what a reply means
 /// (`docs/FAULTS.md`):
@@ -178,7 +172,7 @@ impl Farm<'_> {
 pub fn drive(
     farm: &Farm<'_>,
     cfg: SchedConfig,
-    send: impl FnMut(usize, usize, usize, &[JobOutcome]) -> Result<(), FarmError>,
+    write: impl FnMut(usize, usize, &[JobOutcome], &mut Vec<u8>) -> Result<(), FarmError>,
 ) -> Result<FarmReport, FarmError> {
     let cfg = SchedConfig {
         supervision: farm.supervisor.map(SupervisorConfig::supervision),
@@ -196,7 +190,8 @@ pub fn drive(
     let mut d = Driver {
         farm,
         sched,
-        send,
+        write,
+        buf: Vec::new(),
         jobs,
         slaves,
         epoch: farm.supervisor.map(|_| start),
@@ -223,10 +218,12 @@ pub fn drive(
     })
 }
 
-struct Driver<'a, S> {
+struct Driver<'a, W> {
     farm: &'a Farm<'a>,
     sched: Scheduler,
-    send: S,
+    write: W,
+    /// The allocation the last reply arrived in; the next dispatch reuses it.
+    buf: Vec<u8>,
     jobs: usize,
     slaves: usize,
     /// When the run began ([`Comm::wtime`]); kept only under supervision.
@@ -245,9 +242,9 @@ struct Driver<'a, S> {
     stopped: Vec<bool>,
 }
 
-impl<S> Driver<'_, S>
+impl<W> Driver<'_, W>
 where
-    S: FnMut(usize, usize, usize, &[JobOutcome]) -> Result<(), FarmError>,
+    W: FnMut(usize, usize, &[JobOutcome], &mut Vec<u8>) -> Result<(), FarmError>,
 {
     /// Feed one event — at nanoseconds since the run began on the
     /// transport's clock under supervision, at a constant 0 (and no
@@ -369,17 +366,22 @@ where
     }
 
     /// Collect one slave reply — a whole frame's answers — and the rank
-    /// that sent it. `None` when a supervised poll ran out, cleared a
+    /// that sent it, keeping the reply's allocation for the next
+    /// dispatch. `None` when a supervised poll ran out, cleared a
     /// truncated reply or took one that does not decode: the deadline
     /// requeues what it carried.
-    fn gather(&self) -> Result<Option<(Vec<Answer>, usize)>, FarmError> {
+    fn gather(&mut self) -> Result<Option<(Vec<Answer>, usize)>, FarmError> {
         let comm = self.farm.comm;
         let Some(poll) = self.farm.supervisor.map(|s| s.poll) else {
             let (reply, st) = comm.recv(ANY_SOURCE, TAG)?;
-            return Ok(Some((wire::decode_reply(&reply)?, st.src)));
+            self.buf = reply;
+            return Ok(Some((wire::decode_reply(&self.buf)?, st.src)));
         };
         match comm.recv_timeout(ANY_SOURCE, TAG, poll) {
-            Ok(Some((reply, st))) => Ok(wire::decode_reply(&reply).ok().map(|a| (a, st.src))),
+            Ok(Some((reply, st))) => {
+                self.buf = reply;
+                Ok(wire::decode_reply(&self.buf).ok().map(|a| (a, st.src)))
+            }
             Ok(None) => Ok(None),
             Err(MpiError::Truncated { .. }) => {
                 let _ = comm.discard(ANY_SOURCE, TAG);
@@ -387,6 +389,18 @@ where
             }
             Err(e) => Err(e.into()),
         }
+    }
+
+    /// Write scheduler jobs `job..job + batch` into the recycled buffer and
+    /// send it to `slave`, recorded under its first wire job.
+    fn dispatch(&mut self, job: usize, slave: usize, batch: usize) -> Result<(), FarmError> {
+        let (comm, mut buf) = (self.farm.comm, std::mem::take(&mut self.buf));
+        buf.clear();
+        (self.write)(job, batch, &self.outcomes, &mut buf)?;
+        comm.set_job(Some(self.farm.wires(job, batch).start));
+        let sent = comm.send(buf, slave as i32, TAG);
+        comm.set_job(None);
+        Ok(sent?)
     }
 
     /// Execute an action batch in order. A dispatch the scheduler can
@@ -401,7 +415,7 @@ where
         while let Some(a) = work.pop_front() {
             match a {
                 Action::Dispatch { job, slave, batch } => {
-                    let undelivered = match (self.send)(job, slave, batch, &self.outcomes) {
+                    let undelivered = match self.dispatch(job, slave, batch) {
                         Ok(()) => {
                             mark(
                                 EventKind::Dispatch,
@@ -507,10 +521,9 @@ mod tests {
                 resident: false,
                 strategy: Transmission::SerializedLoad,
             };
-            let mut scratch = Vec::new();
-            Some(drive(&farm, SchedConfig::plain(4, 1), |job, rank, n, _| {
+            Some(drive(&farm, SchedConfig::plain(4, 1), |job, n, _, buf| {
                 let members = (job..job + n).map(|j| (j, paths[j].as_path()));
-                farm.send_frame(rank, members, &mut scratch)
+                farm.write_frame(members, buf)
             }))
         });
         let report = (ran.into_iter().next().flatten())

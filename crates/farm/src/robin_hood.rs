@@ -208,8 +208,8 @@ pub(crate) fn run_flat(
     .expect("master produces the report")
 }
 
-/// Fig. 4's `else` branch: [`driver::drive`] makes every decision and
-/// owns shutdown; this function only says how a dispatch becomes bytes,
+/// Fig. 4's `else` branch: [`driver::drive`] makes every decision, sends
+/// and owns shutdown; this function only says how a dispatch becomes bytes,
 /// and that a portfolio left unpriced by the death of every slave is an
 /// error.
 fn master(
@@ -218,7 +218,6 @@ fn master(
     cfg: &FarmConfig,
     patch: Option<&StagedPatch>,
 ) -> Result<FarmReport, FarmError> {
-    let mut frame = Vec::new();
     let farm = Farm {
         comm,
         base: 0,
@@ -228,15 +227,14 @@ fn master(
         strategy: cfg.strategy,
     };
     let sched = cfg.sched_config(files.len());
-    let report = driver::drive(&farm, sched, |job, rank, batch, outcomes| {
+    let report = driver::drive(&farm, sched, |job, batch, outcomes, buf| {
         // Staged workloads rewrite a round-dependent job's problem file
         // from earlier answers just before its dispatch.
         if let Some(p) = patch {
             p.apply(job, outcomes, files)?;
         }
         let members = (job..job + batch).map(|idx| (idx, files[idx].as_path()));
-        farm.send_frame(rank, members, &mut frame)?;
-        Ok(())
+        farm.write_frame(members, buf)
     })?;
     let (completed, failed) = (report.completed(), report.failed_jobs.len());
     match files.len() - completed - failed {

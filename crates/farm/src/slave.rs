@@ -59,8 +59,6 @@ pub fn serve_jobs(comm: &Comm, patience: Option<&SupervisorConfig>) {
     let store = DirStore::new();
     // `Ok(true)`: the stop sentinel; `Ok(false)`: the idle window ran out.
     let serve = || -> Result<bool, FarmError> {
-        // The reply's bytes, the allocation recycled from frame to frame.
-        let mut reply = Vec::new();
         loop {
             let frame = match patience {
                 None => comm.recv(0, TAG)?.0,
@@ -86,10 +84,12 @@ pub fn serve_jobs(comm: &Comm, patience: Option<&SupervisorConfig>) {
             let price = |(idx, body)| price_one(comm, idx, || recover_member(comm, &store, body));
             let answers: Vec<Answer> = members.into_iter().map(price).collect();
             comm.set_job(None);
+            // The reply is written into the frame just priced and moves
+            // back to the master, so a warmed link allocates no message.
             let t0 = instrument::t0(comm);
-            reply = encode_reply(&answers, std::mem::take(&mut reply));
+            let reply = encode_reply(&answers, frame);
             instrument::span(comm, EventKind::Serialize, t0, reply.len() as u64);
-            comm.send(&reply, 0, TAG)?;
+            comm.send(reply, 0, TAG)?;
         }
     };
     match serve() {

@@ -15,8 +15,8 @@
 /// `Comm::recv_into` refuses to overflow the buffer (MPI truncation
 /// semantics) — sizing it from a prior `probe` is the caller's job, exactly
 /// as in MPI. The capacity is a limit, not an allocation: a buffer holds
-/// only the bytes a receive delivered, so a script's size cannot reserve
-/// memory it never fills.
+/// the received message's own allocation, moved in by the receive, so a
+/// script's size cannot reserve memory it never fills.
 #[derive(Debug, Clone)]
 pub struct MpiBuf {
     data: Vec<u8>,
@@ -59,10 +59,9 @@ impl MpiBuf {
         &self.data
     }
 
-    pub(crate) fn fill(&mut self, bytes: &[u8]) {
+    pub(crate) fn fill(&mut self, bytes: Vec<u8>) {
         debug_assert!(bytes.len() <= self.capacity);
-        self.data.clear();
-        self.data.extend_from_slice(bytes);
+        self.data = bytes;
     }
 }
 
@@ -83,7 +82,7 @@ mod tests {
         let mut b = MpiBuf::with_capacity(usize::MAX);
         assert_eq!(b.capacity(), usize::MAX);
         assert_eq!(b.data.capacity(), 0);
-        b.fill(&[1, 2, 3]);
+        b.fill(vec![1, 2, 3]);
         assert_eq!(b.bytes(), &[1, 2, 3]);
         assert!(b.data.capacity() < 1024);
     }
@@ -91,9 +90,9 @@ mod tests {
     #[test]
     fn fill_replaces_contents() {
         let mut b = MpiBuf::with_capacity(8);
-        b.fill(&[1, 2, 3]);
+        b.fill(vec![1, 2, 3]);
         assert_eq!(b.bytes(), &[1, 2, 3]);
-        b.fill(&[9]);
+        b.fill(vec![9]);
         assert_eq!(b.bytes(), &[9]);
         assert_eq!(b.capacity(), 8);
     }

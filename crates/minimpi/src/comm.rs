@@ -253,10 +253,12 @@ impl Comm {
 
     // ----- point to point ---------------------------------------------------
 
-    /// `MPI_Send`: send raw bytes to `dest` with `tag`.
-    pub fn send(&self, bytes: &[u8], dest: i32, tag: i32) -> Result<(), MpiError> {
+    /// `MPI_Send`: send raw bytes to `dest` with `tag`. A `Vec<u8>` moves
+    /// into the message, its allocation handed to the receiver; a slice or
+    /// an array is copied once.
+    pub fn send(&self, bytes: impl Into<Vec<u8>>, dest: i32, tag: i32) -> Result<(), MpiError> {
         Self::check_tag(tag)?;
-        self.send_internal(Payload::Owned(bytes.to_vec()), dest, tag)
+        self.send_internal(Payload::Owned(bytes.into()), dest, tag)
     }
 
     /// The shared send path. The frame is queued quietly: a parked
@@ -350,8 +352,8 @@ impl Comm {
     }
 
     /// Blocking `MPI_Recv` into a pre-sized buffer (the Fig. 4 pattern:
-    /// probe → `mpibuf_create` → recv). Errors with `Truncated` if the
-    /// matched message exceeds the buffer capacity.
+    /// probe → `mpibuf_create` → recv), moving the message's bytes in.
+    /// Errors with `Truncated` if the message exceeds the buffer capacity.
     pub fn recv_into(&self, buf: &mut MpiBuf, src: i32, tag: i32) -> Result<Status, MpiError> {
         // Peek first so a too-small buffer does not destroy the message.
         let status = self.probe(src, tag)?;
@@ -364,8 +366,8 @@ impl Comm {
         let t0 = self.obs_start();
         let msg = self.recv_message(status.src as i32, status.tag)?;
         let status = status_of(&msg);
-        buf.fill(msg.payload.as_slice());
         self.obs_span(EventKind::Recv, t0, msg.payload.len());
+        buf.fill(msg.payload.into_vec());
         Ok(status)
     }
 
@@ -566,7 +568,7 @@ mod tests {
                 seen.sort();
                 seen
             } else {
-                c.send(&[c.rank() as u8], 0, c.rank() as i32).unwrap();
+                c.send([c.rank() as u8], 0, c.rank() as i32).unwrap();
                 Vec::new()
             }
         });
@@ -578,8 +580,8 @@ mod tests {
         // Send tag 1 then tag 2; receiver asks for tag 2 first.
         let out = World::run(2, |c| {
             if c.rank() == 0 {
-                c.send(&[1], 1, 1).unwrap();
-                c.send(&[2], 1, 2).unwrap();
+                c.send([1], 1, 1).unwrap();
+                c.send([2], 1, 2).unwrap();
                 (0, 0)
             } else {
                 let (b2, _) = c.recv(0, 2).unwrap();
@@ -594,7 +596,7 @@ mod tests {
     fn probe_then_sized_recv_like_fig4() {
         let out = World::run(2, |c| {
             if c.rank() == 0 {
-                c.send(&[7; 100], 1, 5).unwrap();
+                c.send([7; 100], 1, 5).unwrap();
                 0
             } else {
                 let st = c.probe(ANY_SOURCE, ANY_TAG).unwrap();
@@ -611,7 +613,7 @@ mod tests {
     fn probe_does_not_consume() {
         let out = World::run(2, |c| {
             if c.rank() == 0 {
-                c.send(&[1, 2, 3], 1, 0).unwrap();
+                c.send([1, 2, 3], 1, 0).unwrap();
                 true
             } else {
                 let s1 = c.probe(0, 0).unwrap();
@@ -628,7 +630,7 @@ mod tests {
     fn truncated_recv_is_error_and_preserves_message() {
         let out = World::run(2, |c| {
             if c.rank() == 0 {
-                c.send(&[9; 32], 1, 0).unwrap();
+                c.send([9; 32], 1, 0).unwrap();
                 true
             } else {
                 let mut small = MpiBuf::with_capacity(8);
@@ -653,7 +655,7 @@ mod tests {
             if c.rank() == 0 {
                 // Nothing pending yet for us.
                 let none = c.iprobe(ANY_SOURCE, ANY_TAG).unwrap();
-                c.send(&[1], 1, 0).unwrap();
+                c.send([1], 1, 0).unwrap();
                 none.is_none()
             } else {
                 let (_, _) = c.recv(0, 0).unwrap();
@@ -739,12 +741,9 @@ mod tests {
     fn invalid_rank_and_tag_rejected() {
         World::run(2, |c| {
             if c.rank() == 0 {
-                assert!(matches!(c.send(&[1], 5, 0), Err(MpiError::InvalidRank(5))));
-                assert!(matches!(
-                    c.send(&[1], -2, 0),
-                    Err(MpiError::InvalidRank(-2))
-                ));
-                assert!(matches!(c.send(&[1], 1, -3), Err(MpiError::InvalidTag(-3))));
+                assert!(matches!(c.send([1], 5, 0), Err(MpiError::InvalidRank(5))));
+                assert!(matches!(c.send([1], -2, 0), Err(MpiError::InvalidRank(-2))));
+                assert!(matches!(c.send([1], 1, -3), Err(MpiError::InvalidTag(-3))));
             }
         });
     }
@@ -789,7 +788,7 @@ mod tests {
         let out = World::run(3, |c| {
             if c.rank() == 0 {
                 c.barrier(); // wait until rank 2 is severed
-                match c.send(&[1, 2, 3], 2, 0) {
+                match c.send([1, 2, 3], 2, 0) {
                     Err(MpiError::Poisoned(2)) => true,
                     other => panic!("expected Poisoned(2), got {other:?}"),
                 }
@@ -842,7 +841,7 @@ mod tests {
                 // Keep trying until the kill has landed; a send must then
                 // fail fast instead of queueing forever.
                 loop {
-                    match c.send(&[42], 1, 0) {
+                    match c.send([42], 1, 0) {
                         Ok(()) => std::thread::sleep(Duration::from_millis(1)),
                         Err(MpiError::Poisoned(1)) => return true,
                         Err(other) => panic!("unexpected {other:?}"),
@@ -863,7 +862,7 @@ mod tests {
         let plan = Arc::new(FaultPlan::new(1).force_send(0, 0, SendFault::Truncate(4)));
         let out = World::run_instrumented(2, Some(plan), None, |c| {
             if c.rank() == 0 {
-                c.send(&[7u8; 32], 1, 3).unwrap();
+                c.send([7u8; 32], 1, 3).unwrap();
                 true
             } else {
                 // Probe still advertises the full length.
@@ -897,7 +896,7 @@ mod tests {
         let plan = Arc::new(FaultPlan::new(2).force_send(0, 0, SendFault::Delay(by)));
         let out = World::run_instrumented(2, Some(plan), None, |c| {
             if c.rank() == 0 {
-                c.send(&[1], 1, 0).unwrap();
+                c.send([1], 1, 0).unwrap();
                 c.barrier();
                 Duration::ZERO
             } else {
@@ -918,7 +917,7 @@ mod tests {
         let plan = Arc::new(FaultPlan::new(3).force_send(0, 0, SendFault::Drop));
         let out = World::run_instrumented(2, Some(plan), None, |c| {
             if c.rank() == 0 {
-                c.send(&[9; 8], 1, 1).unwrap(); // silently lost
+                c.send([9; 8], 1, 1).unwrap(); // silently lost
                 true
             } else {
                 let got = c.recv_timeout(0, 1, Duration::from_millis(50)).unwrap();
@@ -932,7 +931,7 @@ mod tests {
     fn recv_timeout_returns_message_when_present() {
         let out = World::run(2, |c| {
             if c.rank() == 0 {
-                c.send(&[5, 6], 1, 2).unwrap();
+                c.send([5, 6], 1, 2).unwrap();
                 Vec::new()
             } else {
                 let (bytes, st) = c
@@ -953,7 +952,7 @@ mod tests {
         let out = World::run(2, |c| {
             if c.rank() == 0 {
                 std::thread::sleep(Duration::from_millis(50));
-                c.send(&[5, 6], 1, 1).unwrap();
+                c.send([5, 6], 1, 1).unwrap();
                 c.send_obj(&Value::scalar(3.0), 1, 2).unwrap();
                 return None;
             }
@@ -987,7 +986,7 @@ mod tests {
         let out = World::run_instrumented(2, Some(plan), None, |c| {
             if c.rank() == 0 {
                 for i in 0..20u8 {
-                    c.send(&[i], 1, 0).unwrap();
+                    c.send([i], 1, 0).unwrap();
                 }
                 Vec::new()
             } else {
@@ -1047,7 +1046,7 @@ mod tests {
         let sender = comms.pop().unwrap();
         let receiver = std::thread::spawn(move || receiver.recv(0, 0).unwrap().0);
         until_parked(&group, 1);
-        sender.send(&[42], 1, 0).unwrap();
+        sender.send([42], 1, 0).unwrap();
         assert_eq!(group.notifies(1), 0, "the send left the wake owed");
         then(&sender);
         let got = receiver.join().unwrap();
@@ -1074,7 +1073,7 @@ mod tests {
             let receiver = std::thread::spawn(move || receiver.recv(0, 0).unwrap().0);
             until_parked(&group, 1);
             // The rank's whole body: one send, then it returns.
-            let rank0 = move |c: Comm| c.send(&[7], 1, 0).unwrap();
+            let rank0 = move |c: Comm| c.send([7], 1, 0).unwrap();
             rank0(sender);
             (receiver.join().unwrap(), group.notifies(1))
         });
@@ -1101,7 +1100,7 @@ mod tests {
         assert_eq!(got, (vec![42], 1));
         let got = hang_guard("kill at a joined send", move || {
             owed_then(kill(), |c| {
-                assert!(matches!(c.send(&[43], 1, 0), Err(MpiError::Poisoned(0))));
+                assert!(matches!(c.send([43], 1, 0), Err(MpiError::Poisoned(0))));
             })
         });
         assert_eq!(got, (vec![42], 1));
@@ -1119,7 +1118,7 @@ mod tests {
                 got
             });
             until_parked(&group, 1);
-            sender.send(&[9], 1, 0).unwrap();
+            sender.send([9], 1, 0).unwrap();
             // The rank it waits for is the one its send left asleep.
             sender.barrier();
             receiver.join().unwrap()

@@ -245,7 +245,7 @@ mod tests {
             } else {
                 // Peer finds out via the fast-fail send and still returns.
                 loop {
-                    match c.send(&[1], 0, 0) {
+                    match c.send([1], 0, 0) {
                         Err(MpiError::Poisoned(0)) => return true,
                         Ok(()) => std::thread::sleep(std::time::Duration::from_millis(1)),
                         Err(e) => panic!("unexpected {e:?}"),
@@ -298,7 +298,7 @@ mod tests {
         assert_eq!(master.rank(), 0);
         assert_eq!(master.size(), 4);
         for child in 1..=3 {
-            master.send(&[], child, 1).unwrap();
+            master.send([], child, 1).unwrap();
         }
         let mut got = Vec::new();
         for _ in 0..3 {
@@ -325,7 +325,7 @@ mod tests {
                 }
             }
             for child in 1..=3 {
-                spawned.comm().send(&[], child, 1).unwrap();
+                spawned.comm().send([], child, 1).unwrap();
             }
             spawned.join();
             let _ = tx.send(());

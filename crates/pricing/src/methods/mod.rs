@@ -10,7 +10,6 @@ pub mod bond;
 pub mod bsde;
 pub mod closed_form;
 pub(crate) mod heston_cf;
-pub mod implied;
 pub mod lsm;
 pub mod montecarlo;
 pub mod pde;

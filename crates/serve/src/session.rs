@@ -577,7 +577,7 @@ fn front_loop(
     // Stop the resident slaves with the farm link's sentinel, the empty
     // message. Sends to already-dead ranks fail with Poisoned: goodbye.
     for s in 1..=cfg.slaves {
-        let _ = comm.send(&[], s as i32, TAG);
+        let _ = comm.send([], s as i32, TAG);
     }
     report.memo = front.memo.stats();
     report
@@ -864,11 +864,10 @@ fn run_batch(
     let sc = SchedConfig::plain(frames.len(), cfg.slaves).policy(DispatchPolicy::Priority {
         class: frames.iter().map(|f| f.class).collect(),
     });
-    let ran = drive(&farm, sc, |frame, rank, _, _| {
-        comm.set_job(Some(base + offsets[frame]));
-        let sent = comm.send(&wires[frame], rank as i32, TAG);
-        comm.set_job(None);
-        Ok(sent?)
+    // Every dispatch of a frame, a retry too, copies its retained bytes.
+    let ran = drive(&farm, sc, |frame, _, _, buf| {
+        buf.extend_from_slice(&wires[frame]);
+        Ok(())
     });
 
     let slot = |wire: usize| order[wire - base];

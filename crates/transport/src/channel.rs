@@ -1,7 +1,7 @@
 //! The in-process backend: one mailbox per rank behind an `Arc`,
 //! preserving the historical `minimpi` thread-world semantics bit for
-//! bit — including zero-copy [`crate::Payload::Shared`] fan-out and the
-//! group-state barrier that even severed ranks can pass.
+//! bit — including the group-state barrier that even severed ranks can
+//! pass — and moving each frame's payload to its receiver uncopied.
 
 use crate::error::TransportError;
 use crate::frame::Frame;
@@ -144,10 +144,6 @@ impl Transport for ChannelTransport {
                 self.group.barrier_cond.wait(&mut st);
             }
         }
-    }
-
-    fn shares_memory(&self) -> bool {
-        true
     }
 }
 

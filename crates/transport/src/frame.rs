@@ -1,27 +1,22 @@
 //! The unit of transmission: a tagged byte frame.
 
-use std::sync::Arc;
 use std::time::Instant;
 
-/// Frame payload storage. Plain sends own their bytes; shared sends
-/// (broadcast fan-out on an in-process backend) put one allocation behind
-/// an `Arc` so every destination queues the *same* bytes instead of a
-/// per-destination clone.
+/// Frame payload storage: the bytes a send moved in, which a receive
+/// moves out. One variant: the benchmark harness (`perf/`, built outside
+/// the workspace) names `Payload::Owned`; once it builds with the
+/// workspace this can be a plain `Vec<u8>`.
 #[derive(Debug, Clone)]
 pub enum Payload {
     /// A payload owned by this frame.
     Owned(Vec<u8>),
-    /// A payload shared with other in-flight frames (zero-copy fan-out).
-    Shared(Arc<Vec<u8>>),
 }
 
 impl Payload {
     /// The payload bytes.
     pub fn as_slice(&self) -> &[u8] {
-        match self {
-            Payload::Owned(v) => v,
-            Payload::Shared(a) => a,
-        }
+        let Payload::Owned(v) = self;
+        v
     }
 
     /// Number of bytes actually present (may be less than the advertised
@@ -35,26 +30,16 @@ impl Payload {
         self.as_slice().is_empty()
     }
 
-    /// Shrink to `keep` bytes (fault-injected truncation). A shared
-    /// payload degrades to an owned copy so the other destinations keep
-    /// their intact bytes.
+    /// Shrink to `keep` bytes (fault-injected truncation).
     pub fn truncate(&mut self, keep: usize) {
-        match self {
-            Payload::Owned(v) => v.truncate(keep),
-            Payload::Shared(a) => {
-                *self = Payload::Owned(a[..keep.min(a.len())].to_vec());
-            }
-        }
+        let Payload::Owned(v) = self;
+        v.truncate(keep);
     }
 
-    /// Surrender the bytes. Owned payloads move for free; a shared
-    /// payload is reclaimed without a copy when this was the last
-    /// reference (the common case for the final broadcast receiver).
+    /// Surrender the bytes, without a copy.
     pub fn into_vec(self) -> Vec<u8> {
-        match self {
-            Payload::Owned(v) => v,
-            Payload::Shared(a) => Arc::try_unwrap(a).unwrap_or_else(|a| (*a).clone()),
-        }
+        let Payload::Owned(v) = self;
+        v
     }
 }
 

@@ -25,8 +25,8 @@
 //!
 //! * [`ChannelTransport`] — the in-process backend: every rank is a thread,
 //!   every mailbox a condvar-guarded deque shared through an `Arc`. This
-//!   preserves the historical `minimpi` semantics bit for bit, including
-//!   zero-copy [`Payload::Shared`] fan-out.
+//!   preserves the historical `minimpi` semantics bit for bit, and a
+//!   frame's [`Payload`] moves from sender to receiver without a copy.
 //! * [`UdsTransport`] — the multi-process backend: ranks are OS processes
 //!   connected by a full mesh of Unix-domain sockets exchanging
 //!   length-prefixed big-endian (XDR-style) frames. Delivery feeds the
@@ -147,13 +147,6 @@ pub trait Transport: Send + Sync {
 
     /// Block until every rank of the group has arrived. Reusable.
     fn barrier(&self);
-
-    /// Whether a [`Payload::Shared`] send reaches the destination without
-    /// copying the bytes (true only for in-process backends). Callers use
-    /// this to account copy savings honestly.
-    fn shares_memory(&self) -> bool {
-        false
-    }
 }
 
 /// `true` when `msg_src`/`msg_tag` match a `(src, tag)` selector with

@@ -252,36 +252,6 @@ fn large_frames_roundtrip_bit_for_bit() {
 }
 
 #[test]
-fn shared_payload_fanout_copies_only_off_process() {
-    for (name, t) in backends(3, "shared") {
-        let blob = Arc::new(vec![0x42u8; 4096]);
-        for dest in [1usize, 2] {
-            t[0].send(
-                dest,
-                Frame::new(0, 8, Payload::Shared(Arc::clone(&blob))),
-            )
-            .expect("fan-out send");
-        }
-        for dest in [1usize, 2] {
-            let f = t[dest]
-                .match_deadline(0, 8, Some(Instant::now() + Duration::from_secs(5)), true)
-                .expect("recv")
-                .expect("fan-out frame");
-            assert_eq!(f.payload.as_slice(), &blob[..], "{name}");
-        }
-        // The channel backend must declare (and deliver) zero-copy
-        // semantics; the wire backend must not pretend to.
-        if name == "channel" {
-            assert!(t[0].shares_memory(), "{name}");
-            // 1 live ref here + 2 consumed receivers dropped theirs.
-            assert_eq!(Arc::strong_count(&blob), 1, "{name}: fan-out copied");
-        } else {
-            assert!(!t[0].shares_memory(), "{name}");
-        }
-    }
-}
-
-#[test]
 fn many_producers_one_wildcard_consumer_never_hangs() {
     // Lost-wake-up stress on the channel backend: three producers send
     // into one mailbox whose owner alternates between parked and busy,
