@@ -47,7 +47,7 @@ fn makespan(jobs: &[SimJob], slaves: usize, strategy: Transmission, cfg: &SimCon
         strategy,
         cfg,
         recorder: None,
-        faults: &[],
+        plan: None,
         topology: Topology::Flat(sched),
     };
     let out = simulate(&spec, &mut SimCaches::new()).expect("at least one slave");

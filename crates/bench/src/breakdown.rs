@@ -103,7 +103,7 @@ pub fn breakdown_report(
                     strategy,
                     cfg,
                     recorder: Some(&rec),
-                    faults: &[],
+                    plan: None,
                     topology: Topology::Flat(sched),
                 };
                 let out = simulate(&spec, caches)

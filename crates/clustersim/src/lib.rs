@@ -18,11 +18,13 @@
 //!   across consecutive sweep runs — exactly the §4.2 caching bias) are
 //!   served from memory;
 //! * **slaves** — one resource each, paying unpack/unserialize overheads
-//!   and the job's compute cost, drawn per §4.3 class from a calibrated
-//!   [`farm::calibrate::CostModel`].
+//!   and the job's compute cost, [`SimJob::compute`], which the caller
+//!   sets (the tables draw it per §4.3 class from
+//!   `JobClass::paper_cost_seconds` or Table I's class range).
 //!
 //! [`simulate`] is the one entry point: a [`SimSpec`] names the jobs,
-//! the strategy, the model, an optional recorder and scripted faults,
+//! the strategy, the model, an optional recorder, an optional fault plan
+//! (a live `farm::FarmConfig`'s, by the one op rule of `docs/FAULTS.md`)
 //! and the [`Topology`] — one master under the live scheduler's own
 //! [`SchedConfig`], or sharded peer masters. `tables` assembles it into
 //! the generators for Tables I, II and III. A whole simulated cluster
@@ -40,9 +42,7 @@ pub use params::{
     MasterCosts, NetworkParams, NfsParams, SimConfig, SlaveCosts, StoreParams, TransportParams,
 };
 pub use sched::{DispatchPolicy, SchedConfig, SchedError, Supervision, Trace};
-pub use sim::{
-    simulate, NfsCache, SimCaches, SimError, SimFault, SimJob, SimOutcome, SimSpec, Topology,
-};
+pub use sim::{simulate, NfsCache, SimCaches, SimError, SimJob, SimOutcome, SimSpec, Topology};
 pub use tables::{
     format_table, speedup_ratio, table1_rows, table1_sim_jobs, table2_rows, table2_sim_jobs,
     table3_rows, table3_sim_jobs, TableRow, TABLE1_CPUS, TABLE1_T2, TABLE2_CPUS,

@@ -8,7 +8,7 @@
 use crate::params::SimConfig;
 use crate::world::World;
 use farm::driver::{drive, Farm};
-use farm::minimpi::Comm;
+use farm::minimpi::{Comm, FaultPlan};
 use farm::strategy::Transmission;
 use farm::{FarmError, JobClass, SupervisorConfig};
 use obs::Recorder;
@@ -90,23 +90,6 @@ pub struct SimOutcome {
     steals: usize,
 }
 
-/// A scripted slave death for a supervised [`Topology::Flat`] run: the
-/// simulated counterpart of `minimpi`'s `FaultPlan::kill_rank_at_op`.
-/// The slave computes its fatal job in full but dies *sending the
-/// result* — the answer never reaches the master, whose liveness sweep
-/// notices the death `detect_delay_s` simulated seconds later.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimFault {
-    /// Slave index, `0..slaves` (MPI rank `slave + 1`).
-    pub slave: usize,
-    /// Dies answering the `fatal_dispatch`-th dispatch it receives
-    /// (0-based count of dispatches to this slave).
-    pub fatal_dispatch: usize,
-    /// Simulated master-side detection latency after the fatal send
-    /// began (the live analogue is one supervisor poll interval).
-    pub detect_delay_s: f64,
-}
-
 /// Everything one simulated run depends on but its caches: the input of
 /// [`simulate`].
 #[derive(Debug, Clone)]
@@ -120,8 +103,9 @@ pub struct SimSpec<'a> {
     /// Receives every phase in the live farm's [`obs::EventKind`] schema
     /// (rank 0 the master, slave *s* rank `s + 1`). Flat runs only.
     pub recorder: Option<&'a Recorder>,
-    /// Scripted slave deaths; supervised flat runs only.
-    pub faults: &'a [SimFault],
+    /// Faults to inject, the value `farm::FarmConfig::fault_plan` takes,
+    /// by the same op rule (`docs/FAULTS.md`). Supervised flat runs only.
+    pub plan: Option<Arc<FaultPlan>>,
     /// Who dispatches the jobs.
     pub topology: Topology,
 }
@@ -158,9 +142,11 @@ pub enum SimError {
     /// The scheduler refused the flat config (zero slaves per shard is
     /// [`SchedError::NoSlaves`] too).
     Sched(SchedError),
-    /// Scripted deaths need a supervised flat master: a plain one would
-    /// wait forever for the dead slave's answer.
+    /// A fault plan needs a supervised flat master, as on a live farm: a
+    /// plain one would wait forever for a lost answer.
     FaultsNeedSupervision,
+    /// A fault killed the master, ending its run: the driver's error.
+    Aborted(String),
     /// A sharded topology with no shards.
     NoShards,
     /// A recorder on a sharded run, whose rounds have no one timeline.
@@ -187,6 +173,7 @@ impl fmt::Display for SimError {
             SimError::FaultsNeedSupervision => f.write_str("faults need a supervised flat run"),
             SimError::NoShards => f.write_str("a sharded run needs at least one shard"),
             SimError::ShardedRecorder => f.write_str("a sharded run cannot be recorded"),
+            SimError::Aborted(why) => write!(f, "a fault ended the run: {why}"),
             SimError::JobCount { sched, jobs } => {
                 write!(f, "scheduler config for {sched} jobs, spec holds {jobs}")
             }
@@ -227,7 +214,7 @@ pub fn simulate_farm_recorded(
         strategy,
         cfg,
         recorder,
-        faults: &[],
+        plan: None,
         topology: Topology::Flat(sched),
     };
     let mut caches = SimCaches {
@@ -260,11 +247,11 @@ fn flat(
             jobs,
         });
     }
-    if !spec.faults.is_empty() && sched.supervision.is_none() {
+    if spec.plan.is_some() && sched.supervision.is_none() {
         return Err(SimError::FaultsNeedSupervision);
     }
     let world = Arc::new(World::new(spec, sched, std::mem::take(caches)));
-    let comm = Comm::over(world.clone());
+    let comm = Comm::over(world.clone(), spec.plan.clone());
     let supervisor = sched.supervision.map(|s| SupervisorConfig {
         job_deadline: Duration::from_nanos(s.deadline_ns),
         max_attempts: s.max_attempts as usize,
@@ -291,7 +278,7 @@ fn flat(
     let report = match ran {
         Ok(report) => report,
         Err(FarmError::Sched(e)) => return Err(e.into()),
-        Err(e) => unreachable!("the virtual world answers every dispatch: {e}"),
+        Err(e) => return Err(SimError::Aborted(e.to_string())),
     };
     let makespan = model.makespan;
     let busy = model.master.busy_total();
@@ -323,7 +310,7 @@ fn sharded(
     if spec.recorder.is_some() {
         return Err(SimError::ShardedRecorder);
     }
-    if !spec.faults.is_empty() {
+    if spec.plan.is_some() {
         return Err(SimError::FaultsNeedSupervision);
     }
     let jobs = spec.jobs;
@@ -369,6 +356,7 @@ fn sharded(
             &SimSpec {
                 jobs: &round,
                 topology,
+                plan: None,
                 ..*spec
             },
             caches,
@@ -390,6 +378,7 @@ fn sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use farm::minimpi::{FaultEvent, SendFault};
     use obs::{EventKind, NO_JOB};
     use sched::Supervision;
 
@@ -437,7 +426,7 @@ mod tests {
             strategy,
             cfg,
             recorder: None,
-            faults: &[],
+            plan: None,
             topology,
         }
     }
@@ -791,14 +780,11 @@ mod tests {
             backoff_base_ns: 0,
         };
         let sched = SchedConfig::farm(10, 2, DispatchPolicy::Fifo, Some(supervision), None);
-        let faults = [SimFault {
-            slave: 1,
-            fatal_dispatch: 0,
-            detect_delay_s: 0.02,
-        }];
+        // Rank 2 dies at op 1, sending its first answer.
+        let plan = FaultPlan::new(0).kill_rank_at_op(2, 1);
         let config = cfg();
         let spec = SimSpec {
-            faults: &faults,
+            plan: Some(Arc::new(plan)),
             ..spec(
                 &jobs,
                 Transmission::SerializedLoad,
@@ -830,14 +816,11 @@ mod tests {
             backoff_base_ns: 0,
         };
         let sched = SchedConfig::farm(2044, 511, DispatchPolicy::Fifo, Some(supervision), None);
-        let faults = [SimFault {
-            slave: 100,
-            fatal_dispatch: 1,
-            detect_delay_s: 0.05,
-        }];
+        // Op 3 is rank 101's second reply.
+        let plan = FaultPlan::new(0).kill_rank_at_op(101, 3);
         let config = cfg();
         let spec = SimSpec {
-            faults: &faults,
+            plan: Some(Arc::new(plan)),
             ..spec(
                 &jobs,
                 Transmission::SerializedLoad,
@@ -867,6 +850,82 @@ mod tests {
             text[at..].contains(&format!(" dispatch({job}->")),
             "requeued job {job} never dispatched again:\n{}",
             &text[at..]
+        );
+    }
+
+    /// A supervised flat farm of `jobs` under `plan`, traced.
+    fn supervised_run(
+        jobs: &[SimJob],
+        slaves: usize,
+        plan: Option<Arc<FaultPlan>>,
+    ) -> Result<SimOutcome, SimError> {
+        let supervision = Supervision {
+            deadline_ns: 1_000_000_000,
+            max_attempts: 4,
+            backoff_base_ns: 0,
+        };
+        let sched = SchedConfig::farm(
+            jobs.len(),
+            slaves,
+            DispatchPolicy::Fifo,
+            Some(supervision),
+            None,
+        );
+        let config = cfg();
+        let spec = SimSpec {
+            plan,
+            ..spec(
+                jobs,
+                Transmission::SerializedLoad,
+                &config,
+                Topology::Flat(sched.record_trace()),
+            )
+        };
+        simulate(&spec, &mut SimCaches::new())
+    }
+
+    #[test]
+    fn an_inert_plan_counts_ops_and_changes_no_bit() {
+        let jobs = cheap_jobs(40, 3e-3);
+        let inert = supervised_run(&jobs, 3, Some(Arc::new(FaultPlan::new(9)))).unwrap();
+        let none = supervised_run(&jobs, 3, None).unwrap();
+        assert_eq!(inert.makespan.to_bits(), none.makespan.to_bits());
+        assert_eq!(inert, none);
+    }
+
+    #[test]
+    fn a_truncated_reply_is_discarded_and_its_job_expires_and_returns() {
+        // Rank 1's first reply (its send 0, 96 modelled bytes) arrives
+        // cut to 10: the master's receive refuses it, the driver
+        // discards it, and the deadline sends job 0 out again.
+        let jobs = cheap_jobs(6, 2e-3);
+        let plan = Arc::new(FaultPlan::new(0).force_send(1, 0, SendFault::Truncate(10)));
+        let out = supervised_run(&jobs, 2, Some(Arc::clone(&plan))).unwrap();
+        assert_eq!(out.per_slave.iter().sum::<usize>(), 6);
+        let text = out.trace.unwrap().render();
+        assert!(
+            text.contains("deadline -> expire(0,1) requeue(0) dispatch(0->1)\n"),
+            "{text}"
+        );
+        assert_eq!(text.matches("accept(0,").count(), 1, "{text}");
+        let cut = FaultEvent::Truncated {
+            rank: 1,
+            send: 0,
+            kept: 10,
+            full: 96,
+        };
+        assert_eq!(plan.events(), [cut]);
+    }
+
+    #[test]
+    fn a_plan_that_kills_the_master_ends_the_run_with_a_typed_error() {
+        // Rank 0's ops: a send to each slave, then its first poll.
+        let jobs = cheap_jobs(8, 1e-3);
+        let master = FaultPlan::new(0).kill_rank_at_op(0, 2);
+        let got = supervised_run(&jobs, 2, Some(Arc::new(master)));
+        assert!(
+            matches!(&got, Err(SimError::Aborted(why)) if why.contains("dead")),
+            "{got:?}"
         );
     }
 
@@ -1007,23 +1066,19 @@ mod tests {
         let jobs = cheap_jobs(4, 1e-3);
         let config = cfg();
         let rec = Recorder::new(3);
-        let faults = [SimFault {
-            slave: 0,
-            fatal_dispatch: 0,
-            detect_delay_s: 0.1,
-        }];
+        let plan = Arc::new(FaultPlan::new(0).kill_rank_at_op(1, 1));
         let base = |topology| spec(&jobs, Transmission::SerializedLoad, &config, topology);
         let cases = [
             (
                 SimSpec {
-                    faults: &faults,
+                    plan: Some(plan.clone()),
                     ..base(farm(4, 2))
                 },
                 SimError::FaultsNeedSupervision,
             ),
             (
                 SimSpec {
-                    faults: &faults,
+                    plan: Some(plan.clone()),
                     ..base(shards(2, 2, 0, false))
                 },
                 SimError::FaultsNeedSupervision,

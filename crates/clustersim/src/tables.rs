@@ -209,7 +209,7 @@ fn sweep(
             strategy,
             cfg,
             recorder: None,
-            faults: &[],
+            plan: None,
             topology: Topology::Flat(sched::SchedConfig::plain(jobs.len(), n - 1)),
         };
         let out = simulate(&spec, &mut caches).expect("tables start at 2 CPUs");

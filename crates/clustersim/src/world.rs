@@ -11,11 +11,14 @@
 //! rank `s + 1`), as the live ranks record it: per member under its job,
 //! a message's send under its first job, a frame's receive and reply
 //! under no job.
+//!
+//! A fault plan faults the master through its own `Comm`, and each
+//! modelled slave's `Comm` operations by the one rule of `docs/FAULTS.md`.
 
 use crate::params::SimConfig;
 use crate::resource::Resource;
-use crate::sim::{SimCaches, SimFault, SimJob, SimSpec};
-use farm::minimpi::{Frame, Payload, Transport, TransportError};
+use crate::sim::{SimCaches, SimJob, SimSpec};
+use farm::minimpi::{Cursor, FaultPlan, Frame, Payload, SendFault, Transport, TransportError};
 use farm::slave::TAG;
 use farm::strategy::Transmission;
 use farm::wire::{self, Answer, Body, JobFrame};
@@ -24,17 +27,18 @@ use sched::{Batch, SchedConfig};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::Range;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// What is in flight, `(time, slave, what, first member, end)`: an
-/// answer on its way to the master, a death it has yet to notice, or a
-/// slave turning to the next member of an NFS frame. A time is a
-/// non-negative `f64`, ordered by its bits; the slave index breaks ties.
+/// What is in flight, `(time, slave, what, a, b)`: an answer on its way
+/// to the master or a slave turning to the next member of an NFS frame
+/// (jobs `a..b`), a truncated reply (full and kept bytes), or a death. A
+/// time is a non-negative `f64`, ordered by its bits; the slave breaks ties.
 type Entry = (u64, usize, u8, usize, usize);
 const ANSWER: u8 = 0;
-const DEAD: u8 = 1;
+const KILL: u8 = 1;
 const MEMBER: u8 = 2;
+const TRUNCATED: u8 = 3;
 
 /// The job index of an event under no job (a frame's receive and reply,
 /// the master's gather): no job has it.
@@ -61,14 +65,16 @@ pub(crate) struct Model {
     cfg: SimConfig,
     /// Job frames rather than Fig. 4's per-job protocol.
     framed: bool,
-    faults: Vec<SimFault>,
+    plan: Option<Arc<FaultPlan>>,
+    /// Per slave: its place in `plan`, and whether the plan killed it.
+    at: Vec<(Cursor, bool)>,
     pub(crate) caches: SimCaches,
     pub(crate) master: Resource,
     nfs: Resource,
     slaves: Vec<Resource>,
     queue: BinaryHeap<Reverse<Entry>>,
-    /// Per slave: dispatches so far and the jobs of the latest one.
-    sent: Vec<(usize, Range<usize>)>,
+    /// Per slave: the jobs of its latest dispatch.
+    sent: Vec<Range<usize>>,
     /// Dead ranks, rank 0 the master.
     dead: Vec<bool>,
     /// The instant virtual time 0 stands for, and virtual seconds since.
@@ -88,19 +94,20 @@ impl World {
     /// A world for `spec`'s jobs on `sched`'s slaves, carrying `caches`.
     pub(crate) fn new(spec: &SimSpec, sched: &SchedConfig, caches: SimCaches) -> World {
         let slaves = sched.slaves;
-        World(Mutex::new(Model {
+        let mut model = Model {
             jobs: spec.jobs.to_vec(),
             strategy: spec.strategy,
             loaded: spec.strategy != Transmission::Nfs,
             cfg: *spec.cfg,
             framed: sched.batch == Batch::Guided,
-            faults: spec.faults.to_vec(),
+            plan: spec.plan.clone(),
+            at: vec![(Cursor::default(), false); slaves],
             caches,
             master: Resource::new(),
             nfs: Resource::new(),
             slaves: vec![Resource::new(); slaves],
             queue: BinaryHeap::new(),
-            sent: vec![(0, 0..0); slaves],
+            sent: vec![0..0; slaves],
             dead: vec![false; slaves + 1],
             epoch: Instant::now(),
             now: 0.0,
@@ -108,7 +115,12 @@ impl World {
             spare: Vec::new(),
             makespan: 0.0,
             events: spec.recorder.map(|_| Vec::new()),
-        }))
+        };
+        // Every slave starts waiting for its first frame.
+        for s in 0..slaves {
+            model.op(s, 0.0, None);
+        }
+        World(Mutex::new(model))
     }
 
     pub(crate) fn model(&self) -> MutexGuard<'_, Model> {
@@ -226,12 +238,28 @@ impl Model {
         self.departed = (sent, wire);
     }
 
+    /// Slave `s` makes its next `Comm` operation at `t`, a reply of `len`
+    /// bytes when `reply` is `Some(len)`: `None` if it dies there, its
+    /// rank dead from `t`. With no plan nothing is counted.
+    fn op(&mut self, s: usize, t: f64, reply: Option<usize>) -> Option<SendFault> {
+        let Some(plan) = &self.plan else {
+            return Some(SendFault::Deliver);
+        };
+        let (at, doomed) = &mut self.at[s];
+        let verdict = plan.verdict(s + 1, at, reply);
+        if verdict.is_none() {
+            *doomed = true;
+            self.push(t, s, KILL, 0..0);
+        }
+        verdict
+    }
+
     /// Slave `s` takes the message that just left, carrying `members`,
     /// and prices them; the reads of an NFS frame's members queue at the
     /// server with other slaves' reads, each taken in time order.
     fn arrive(&mut self, s: usize, members: Range<usize>) {
         let (sent, wire) = self.departed;
-        self.sent[s] = (self.sent[s].0 + 1, members.clone());
+        self.sent[s] = members.clone();
         let mut t = self.slaves[s].acquire(sent, 0.0);
         if self.framed {
             self.emit(EventKind::Recv, s + 1, FRAME, t, 0.0, wire);
@@ -292,27 +320,35 @@ impl Model {
     }
 
     /// Slave `s` has priced `members`, its reply prepared by `done`, and
-    /// answers — or dies sending the answer, if a fault says so, and the
-    /// master notices `detect_delay_s` after the send began.
+    /// sends it as the plan says (unless it dies there), then waits.
     fn answer(&mut self, members: Range<usize>, s: usize, done: f64) {
         // A per-job reply is its job's; a frame's is no one job's.
         let j = if self.framed { FRAME } else { members.start };
         let (cfg, bytes) = (self.cfg, reply_bytes(members.len()));
         let prep = cfg.slave.result_prep;
         self.emit(EventKind::Serialize, s + 1, j, done - prep, prep, bytes);
+        let Some(fault) = self.op(s, done, Some(bytes)) else {
+            return;
+        };
         let wire = cfg.network.transfer_time(bytes) + cfg.transport.cost(bytes);
         self.emit(EventKind::Send, s + 1, j, done, wire, bytes);
-        let nth = self.sent[s].0 - 1;
-        let fatal = |f: &&SimFault| (f.slave, f.fatal_dispatch) == (s, nth);
-        match self.faults.iter().find(fatal) {
-            Some(f) => self.push(done + f.detect_delay_s, s, DEAD, members),
-            None => self.push(done + wire, s, ANSWER, members),
+        let landed = done + wire;
+        match fault {
+            SendFault::Deliver => self.push(landed, s, ANSWER, members),
+            SendFault::Drop => {}
+            SendFault::Delay(by) => self.push(landed + by.as_secs_f64(), s, ANSWER, members),
+            SendFault::Truncate(kept) => {
+                let entry = (landed.to_bits(), s, TRUNCATED, bytes, kept);
+                self.queue.push(Reverse(entry));
+            }
         }
+        self.op(s, done, None);
     }
 
     /// Run the slaves up to the next answer the master takes, no later
     /// than `until` (virtual seconds): its reply, or `None` when `until`
-    /// or a slave's death comes first. With nothing in flight and no
+    /// comes first; a truncated reply fails the receive once, and is gone
+    /// by the time `drive` discards it. With nothing in flight and no
     /// deadline the master would wait forever: that is a disconnection.
     fn next_reply(&mut self, until: Option<f64>) -> Result<Option<Frame>, TransportError> {
         loop {
@@ -331,12 +367,18 @@ impl Model {
                 }
                 MEMBER => {
                     let done = self.price(job, s, t, self.cfg.slave.result_prep);
-                    self.answer(self.sent[s].1.clone(), s, done);
+                    self.answer(self.sent[s].clone(), s, done);
                 }
-                DEAD => {
+                KILL => {
                     self.dead[s + 1] = true;
+                    self.emit(EventKind::SlaveDeath, s + 1, FRAME, t, 0.0, 0);
+                }
+                TRUNCATED => {
                     self.now = self.now.max(t);
-                    return Ok(None);
+                    return Err(TransportError::Truncated {
+                        needed: job,
+                        capacity: end,
+                    });
                 }
                 _ => {
                     // Under no job, as the live master's ANY_SOURCE receive.
@@ -380,14 +422,29 @@ impl Transport for World {
         model.epoch + Duration::from_secs_f64(model.now)
     }
 
-    /// A job frame reaches its slave as [`World::dispatch`] left it; a
+    /// A job frame reaches its slave as [`World::dispatch`] left it and
+    /// the master's plan delayed or cut it, unless the slave is doomed; a
     /// stop costs nothing.
     fn send(&self, dest: usize, frame: Frame) -> Result<(), TransportError> {
         let mut model = self.model();
         if model.dead[dest] {
             return Err(TransportError::Dead(dest));
         }
-        if !frame.payload.is_empty() {
+        if model.at[dest - 1].1 {
+            return Ok(());
+        }
+        if let Some(visible) = frame.visible_at {
+            let by = visible.saturating_duration_since(model.epoch).as_secs_f64() - model.now;
+            model.departed.0 += by.max(0.0);
+        }
+        if frame.payload.len() < frame.full_len {
+            // Discarded (one more op); the deadline requeues what it held.
+            let (s, sent) = (dest - 1, model.departed.0);
+            let t = model.slaves[s].acquire(sent, 0.0);
+            if model.op(s, t, None).is_some() {
+                model.op(s, t, None);
+            }
+        } else if !frame.payload.is_empty() {
             let ids = wire::decode_frame(frame.payload.as_slice())
                 .map_err(|e| TransportError::Io(e.to_string()))?;
             model.arrive(dest - 1, ids[0].0..ids[ids.len() - 1].0 + 1);
@@ -436,7 +493,6 @@ impl Transport for World {
 mod tests {
     use super::*;
     use farm::minimpi::{Comm, MpiError, ANY_SOURCE};
-    use std::sync::Arc;
 
     #[test]
     fn a_timed_receive_ends_at_the_virtual_deadline_without_a_wall_clock_wait() {
@@ -446,11 +502,11 @@ mod tests {
             strategy: Transmission::SerializedLoad,
             cfg: &cfg,
             recorder: None,
-            faults: &[],
+            plan: None,
             topology: crate::sim::Topology::Flat(sched.clone()),
         };
         let world = World::new(&spec, &sched, SimCaches::new());
-        let comm = Comm::over(Arc::new(world));
+        let comm = Comm::over(Arc::new(world), None);
         let wall = Instant::now();
         let hour = Duration::from_secs(3600);
         assert!(comm.recv_timeout(ANY_SOURCE, TAG, hour).unwrap().is_none());

@@ -333,8 +333,8 @@ mod tests {
         let strategy = Transmission::SerializedLoad;
         let bad = SchedConfig {
             batch: sched::Batch::Guided,
-            ..SchedConfig::plain(4, 2).policy(DispatchPolicy::Priority {
-                class: vec![0, 1, 0, 1],
+            ..SchedConfig::plain(4, 2).policy(DispatchPolicy::Lpt {
+                costs: vec![1.0, 2.0, 1.0, 2.0],
             })
         };
         let ran = minimpi::World::run(3, |comm| {

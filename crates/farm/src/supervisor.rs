@@ -8,9 +8,9 @@
 //! slaves: a lost message stalls the refeed loop forever and a dead
 //! slave strands its job. The supervised farm instead
 //!
-//! * gives every dispatched job a **deadline** (calibrated from the
-//!   [`crate::calibrate`] cost model via
-//!   [`SupervisorConfig::from_cost_model`]), after which the job is
+//! * gives every dispatched job a **deadline**
+//!   ([`SupervisorConfig::job_deadline`]: the default's or the caller's;
+//!   no run derives one from a cost model), after which the job is
 //!   requeued with exponential backoff and a bounded retry budget;
 //! * detects **dead slaves** — both eagerly, when a send fails fast with
 //!   [`minimpi::MpiError::Poisoned`], and by polling rank liveness — and

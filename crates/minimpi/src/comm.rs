@@ -19,7 +19,7 @@
 
 use crate::buf::MpiBuf;
 use crate::error::MpiError;
-use crate::fault::{FaultEvent, FaultPlan, SendFault};
+use crate::fault::{Cursor, FaultPlan, SendFault};
 use nspval::Value;
 use obs::{Event, EventKind, Recorder, NO_JOB};
 use std::cell::Cell;
@@ -76,11 +76,8 @@ pub struct Comm {
     /// Fault-injection plan consulted on every operation; `None` (the
     /// [`crate::World::run`] default) short-circuits to the fast path.
     plan: Option<Arc<FaultPlan>>,
-    /// Per-rank operation counter: every send/recv/probe increments it and
-    /// is compared against the fault plan's kill schedule.
-    ops: Cell<u64>,
-    /// Per-rank send counter indexing the deterministic send-fault schedule.
-    sends: Cell<u64>,
+    /// This rank's place in `plan` ([`FaultPlan::verdict`]).
+    at: Cell<Cursor>,
     /// Optional phase-event sink ([`World::run_instrumented`]); `None`
     /// (the default) makes every instrumentation site a no-op that takes
     /// no timestamps.
@@ -105,18 +102,17 @@ impl Comm {
             transport,
             rank,
             plan,
-            ops: Cell::new(0),
-            sends: Cell::new(0),
+            at: Cell::new(Cursor::default()),
             recorder,
             job: Cell::new(NO_JOB),
             owed: Cell::new(None),
         }
     }
 
-    /// A communicator, with no fault plan or recorder, over a transport
-    /// the caller built: rank `transport.rank()` of its group.
-    pub fn over(transport: Arc<dyn Transport>) -> Self {
-        Comm::new(transport, None, None)
+    /// A communicator, faulted by `plan` and with no recorder, over a
+    /// transport the caller built: rank `transport.rank()` of its group.
+    pub fn over(transport: Arc<dyn Transport>, plan: Option<Arc<FaultPlan>>) -> Self {
+        Comm::new(transport, plan, None)
     }
 
     /// The instant `timeout` from now on the transport's clock — or no
@@ -174,33 +170,37 @@ impl Comm {
     }
 
     /// Start one operation: issue the wake the last send left owed —
-    /// unless this op is a send to the same rank (`send_to`), which joins
-    /// it, so that receiver wakes once to find both frames — then count
-    /// the op against the fault plan. Returns `Err(Poisoned(self.rank))`
-    /// if this rank is already dead or the plan kills it at this op
-    /// boundary; a joined wake is issued then too.
-    fn pre_op(&self, send_to: Option<usize>) -> Result<(), MpiError> {
+    /// unless this op is a send (`(dest, len)`) to the same rank, which
+    /// joins it, so that receiver wakes once to find both frames — then
+    /// count the op against the fault plan: what it does to a send, or
+    /// `Err(Poisoned(self.rank))` if this rank is already dead or the plan
+    /// kills it at this op boundary; a joined wake is issued then too.
+    fn pre_op(&self, send: Option<(usize, usize)>) -> Result<SendFault, MpiError> {
         match self.owed.take() {
-            Some((to, wake)) if Some(to) == send_to => self.owed.set(Some((to, wake))),
+            Some((to, wake)) if Some(to) == send.map(|(dest, _)| dest) => {
+                self.owed.set(Some((to, wake)))
+            }
             Some((_, wake)) => wake.issue(),
             None => {}
         }
-        self.count_op().inspect_err(|_| self.settle())
+        self.count_op(send.map(|(_, len)| len))
+            .inspect_err(|_| self.settle())
     }
 
     /// Count one operation against the fault plan (see [`Comm::pre_op`]).
-    fn count_op(&self) -> Result<(), MpiError> {
-        let op = self.ops.get();
-        self.ops.set(op + 1);
+    fn count_op(&self, send: Option<usize>) -> Result<SendFault, MpiError> {
         if self.transport.is_dead(self.rank) {
             return Err(MpiError::Poisoned(self.rank));
         }
-        if let Some(plan) = &self.plan {
-            if plan.should_kill(self.rank, op) {
-                plan.record(FaultEvent::Killed {
-                    rank: self.rank,
-                    op,
-                });
+        let Some(plan) = &self.plan else {
+            return Ok(SendFault::Deliver);
+        };
+        let mut at = self.at.get();
+        let verdict = plan.verdict(self.rank, &mut at, send);
+        self.at.set(at);
+        match verdict {
+            Some(fault) => Ok(fault),
+            None => {
                 // Group-wide: peers' sends to us must fail fast.
                 self.transport.kill(self.rank);
                 // Fault path: a self-observed death is an event too.
@@ -214,10 +214,9 @@ impl Comm {
                         bytes: 0,
                     });
                 }
-                return Err(MpiError::Poisoned(self.rank));
+                Err(MpiError::Poisoned(self.rank))
             }
         }
-        Ok(())
     }
 
     /// `MPI_Comm_rank`.
@@ -266,43 +265,18 @@ impl Comm {
     fn send_internal(&self, mut payload: Payload, dest: i32, tag: i32) -> Result<(), MpiError> {
         let dest = self.check_dest(dest)?;
         let t0 = self.obs_start();
-        self.pre_op(Some(dest))?;
         let full_len = payload.len();
         let mut visible_at = None;
-        if let Some(plan) = &self.plan {
-            let send = self.sends.get();
-            self.sends.set(send + 1);
-            match plan.decide_send(self.rank, send, full_len) {
-                SendFault::Deliver => {}
-                SendFault::Drop => {
-                    plan.record(FaultEvent::Dropped {
-                        rank: self.rank,
-                        send,
-                    });
-                    // Silently lost in flight: the send itself succeeds
-                    // (and still cost the sender its time).
-                    self.obs_span(EventKind::Send, t0, full_len);
-                    return Ok(());
-                }
-                SendFault::Delay(by) => {
-                    plan.record(FaultEvent::Delayed {
-                        rank: self.rank,
-                        send,
-                        by,
-                    });
-                    visible_at = Some(self.transport.now() + by);
-                }
-                SendFault::Truncate(keep) => {
-                    let keep = keep.min(full_len);
-                    plan.record(FaultEvent::Truncated {
-                        rank: self.rank,
-                        send,
-                        kept: keep,
-                        full: full_len,
-                    });
-                    payload.truncate(keep);
-                }
+        match self.pre_op(Some((dest, full_len)))? {
+            SendFault::Deliver => {}
+            SendFault::Drop => {
+                // Silently lost in flight: the send itself succeeds
+                // (and still cost the sender its time).
+                self.obs_span(EventKind::Send, t0, full_len);
+                return Ok(());
             }
+            SendFault::Delay(by) => visible_at = Some(self.transport.now() + by),
+            SendFault::Truncate(keep) => payload.truncate(keep),
         }
         let frame = Frame {
             src: self.rank,
@@ -491,7 +465,7 @@ impl Drop for Comm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{World, ANY_SOURCE, ANY_TAG};
+    use crate::{FaultEvent, World, ANY_SOURCE, ANY_TAG};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use transport::ChannelGroup;
 

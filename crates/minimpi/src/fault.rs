@@ -21,8 +21,9 @@
 //! flake. [`FaultPlan::send_schedule`] exposes the decision table
 //! directly so tests can assert schedule equality across runs.
 //!
-//! Triggered injections are recorded in an internal log
-//! ([`FaultPlan::events`]) for observability and assertions.
+//! [`FaultPlan::verdict`] is the one place a decision is taken and
+//! logged ([`FaultPlan::events`]); [`crate::Comm`] and a simulated world
+//! both call it, each rank on its own [`Cursor`].
 
 use std::sync::Mutex;
 use std::time::Duration;
@@ -82,6 +83,13 @@ pub enum FaultEvent {
     },
 }
 
+/// One rank's place in a plan: its operation and send indices.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Cursor {
+    op: u64,
+    send: u64,
+}
+
 /// Deterministic, seed-driven fault schedule. See the module docs.
 #[derive(Debug)]
 pub struct FaultPlan {
@@ -96,22 +104,6 @@ pub struct FaultPlan {
     /// Explicit per-`(rank, send index)` verdicts, overriding the rates.
     forced: Vec<(usize, u64, SendFault)>,
     events: Mutex<Vec<FaultEvent>>,
-}
-
-impl Clone for FaultPlan {
-    fn clone(&self) -> Self {
-        FaultPlan {
-            seed: self.seed,
-            drop_rate: self.drop_rate,
-            delay_rate: self.delay_rate,
-            delay_lo: self.delay_lo,
-            delay_hi: self.delay_hi,
-            truncate_rate: self.truncate_rate,
-            kills: self.kills.clone(),
-            forced: self.forced.clone(),
-            events: Mutex::new(self.events.lock().expect("fault log").clone()),
-        }
-    }
 }
 
 /// SplitMix64-style avalanche over the decision coordinates.
@@ -199,9 +191,39 @@ impl FaultPlan {
             && self.forced.is_empty()
     }
 
+    /// Count `rank`'s next operation on `at`, a send of `len` bytes when
+    /// `send` is `Some(len)`, and log what the plan injects there: `None`
+    /// if the rank dies (no send counted), else the fault a send meets.
+    pub fn verdict(&self, rank: usize, at: &mut Cursor, send: Option<usize>) -> Option<SendFault> {
+        let op = at.op;
+        at.op += 1;
+        if self.should_kill(rank, op) {
+            self.record(FaultEvent::Killed { rank, op });
+            return None;
+        }
+        let Some(full) = send else {
+            return Some(SendFault::Deliver);
+        };
+        let send = at.send;
+        at.send += 1;
+        let fault = self.decide_send(rank, send, full);
+        match fault {
+            SendFault::Deliver => {}
+            SendFault::Drop => self.record(FaultEvent::Dropped { rank, send }),
+            SendFault::Delay(by) => self.record(FaultEvent::Delayed { rank, send, by }),
+            SendFault::Truncate(kept) => self.record(FaultEvent::Truncated {
+                rank,
+                send,
+                kept,
+                full,
+            }),
+        }
+        Some(fault)
+    }
+
     /// Pure decision function: the verdict for `rank`'s `send`-th
     /// outgoing message of `payload_len` bytes.
-    pub(crate) fn decide_send(&self, rank: usize, send: u64, payload_len: usize) -> SendFault {
+    fn decide_send(&self, rank: usize, send: u64, payload_len: usize) -> SendFault {
         if let Some(&(_, _, fault)) = self
             .forced
             .iter()
@@ -231,7 +253,7 @@ impl FaultPlan {
 
     /// Pure decision function: does `rank` die at per-rank operation
     /// index `op`?
-    pub(crate) fn should_kill(&self, rank: usize, op: u64) -> bool {
+    fn should_kill(&self, rank: usize, op: u64) -> bool {
         self.kills.iter().any(|&(r, at)| r == rank && op >= at)
     }
 
@@ -250,7 +272,7 @@ impl FaultPlan {
         self.events.lock().expect("fault log").clone()
     }
 
-    pub(crate) fn record(&self, ev: FaultEvent) {
+    fn record(&self, ev: FaultEvent) {
         self.events.lock().expect("fault log").push(ev);
     }
 }
@@ -349,15 +371,50 @@ mod tests {
 
     #[test]
     fn event_log_records_in_order() {
-        let p = FaultPlan::new(0);
-        p.record(FaultEvent::Dropped { rank: 1, send: 0 });
-        p.record(FaultEvent::Killed { rank: 2, op: 7 });
+        let p = FaultPlan::new(0)
+            .force_send(1, 0, SendFault::Drop)
+            .kill_rank_at_op(2, 1);
+        let (mut one, mut two) = (Cursor::default(), Cursor::default());
+        assert_eq!(p.verdict(1, &mut one, Some(8)), Some(SendFault::Drop));
+        assert_eq!(p.verdict(2, &mut two, None), Some(SendFault::Deliver));
+        assert_eq!(p.verdict(2, &mut two, Some(8)), None);
         assert_eq!(
             p.events(),
             vec![
                 FaultEvent::Dropped { rank: 1, send: 0 },
-                FaultEvent::Killed { rank: 2, op: 7 },
+                FaultEvent::Killed { rank: 2, op: 1 },
             ]
+        );
+    }
+
+    #[test]
+    fn a_kill_counts_no_send_and_a_fault_still_advances_the_send_index() {
+        // Rank 0's op 0 is a receive, op 1 a dropped send (send 0), op 2
+        // a truncated one (send 1); rank 1 dies at its op 1, a send.
+        let p = FaultPlan::new(4)
+            .force_send(0, 0, SendFault::Drop)
+            .force_send(0, 1, SendFault::Truncate(100))
+            .kill_rank_at_op(1, 1);
+        let mut at = Cursor::default();
+        assert_eq!(p.verdict(0, &mut at, None), Some(SendFault::Deliver));
+        assert_eq!(p.verdict(0, &mut at, Some(10)), Some(SendFault::Drop));
+        assert_eq!(
+            p.verdict(0, &mut at, Some(10)),
+            Some(SendFault::Truncate(10))
+        );
+        assert_eq!(at, Cursor { op: 3, send: 2 });
+        let mut at = Cursor::default();
+        p.verdict(1, &mut at, None);
+        assert_eq!(p.verdict(1, &mut at, Some(10)), None);
+        assert_eq!(at, Cursor { op: 2, send: 0 });
+        assert_eq!(
+            p.events()[1],
+            FaultEvent::Truncated {
+                rank: 0,
+                send: 1,
+                kept: 10,
+                full: 10
+            }
         );
     }
 }

@@ -62,7 +62,7 @@ mod world;
 pub use buf::MpiBuf;
 pub use comm::{Comm, Status};
 pub use error::MpiError;
-pub use fault::{FaultEvent, FaultPlan, SendFault};
+pub use fault::{Cursor, FaultEvent, FaultPlan, SendFault};
 pub use transport::{Frame, Payload, Transport, TransportError};
 pub use world::{SpawnedWorld, World};
 

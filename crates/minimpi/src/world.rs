@@ -29,7 +29,7 @@ impl World {
         F: Fn(Comm) -> T + Send + Sync,
         T: Send,
     {
-        Self::run_inner(size, None, None, f)
+        Self::run_instrumented(size, None, None, f)
     }
 
     /// The fully general entry point: [`World::run`] plus an optional
@@ -45,19 +45,6 @@ impl World {
     /// Pass the plan as an `Arc` to keep a handle for
     /// [`FaultPlan::events`] after the world finishes.
     pub fn run_instrumented<T, F>(
-        size: usize,
-        plan: Option<Arc<FaultPlan>>,
-        recorder: Option<Arc<Recorder>>,
-        f: F,
-    ) -> Vec<T>
-    where
-        F: Fn(Comm) -> T + Send + Sync,
-        T: Send,
-    {
-        Self::run_inner(size, plan, recorder, f)
-    }
-
-    fn run_inner<T, F>(
         size: usize,
         plan: Option<Arc<FaultPlan>>,
         recorder: Option<Arc<Recorder>>,

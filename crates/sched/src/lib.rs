@@ -24,7 +24,7 @@
 //! backoff, first-answer dedup, dead-slave burial, all-slaves-dead
 //! abort) are lifted verbatim from the former `farm::supervisor`
 //! master; dispatch *order* is a pluggable [`DispatchPolicy`] (FIFO, or
-//! cost-model longest-processing-time).
+//! longest-processing-time first on costs the caller supplies).
 
 #![warn(missing_docs)]
 
@@ -149,21 +149,12 @@ pub enum DispatchPolicy {
     Fifo,
     /// Longest-processing-time-first: jobs are ordered by descending
     /// predicted cost (ties keep index order), the classic makespan
-    /// heuristic for the end-of-run straggler tail. Costs come from a
-    /// calibrated `farm::calibrate::CostModel`.
+    /// heuristic for the straggler tail, on the caller's costs (exact
+    /// ones from `table2 --order lpt`, `perf`'s own).
     Lpt {
         /// Predicted cost per job, indexed by job id; must have exactly
         /// `jobs` entries.
         costs: Vec<f64>,
-    },
-    /// Priority classes: jobs go out in ascending class (0 = most
-    /// urgent), stable index order within a class. This is the serving
-    /// session's per-priority dispatch order — a batch mixing urgent
-    /// and background requests drains the urgent jobs first.
-    Priority {
-        /// Priority class per job, indexed by job id; must have exactly
-        /// `jobs` entries.
-        class: Vec<u8>,
     },
 }
 
@@ -309,13 +300,6 @@ pub enum SchedError {
         /// Jobs in the run.
         jobs: usize,
     },
-    /// A priority class vector whose length does not match `jobs`.
-    PriorityLen {
-        /// Provided class entries.
-        classes: usize,
-        /// Jobs in the run.
-        jobs: usize,
-    },
     /// `max_attempts == 0` can never dispatch anything.
     ZeroAttempts,
     /// A rounds vector whose length does not match `jobs`.
@@ -342,12 +326,6 @@ impl fmt::Display for SchedError {
             }
             SchedError::LptLen { costs, jobs } => {
                 write!(f, "LPT cost vector has {costs} entries for {jobs} jobs")
-            }
-            SchedError::PriorityLen { classes, jobs } => {
-                write!(
-                    f,
-                    "priority class vector has {classes} entries for {jobs} jobs"
-                )
             }
             SchedError::ZeroAttempts => write!(f, "max_attempts must be at least 1"),
             SchedError::RoundsLen { rounds, jobs } => {
@@ -578,18 +556,6 @@ impl Scheduler {
                         .partial_cmp(&costs[a])
                         .unwrap_or(std::cmp::Ordering::Equal)
                 });
-                idx
-            }
-            DispatchPolicy::Priority { class } => {
-                if class.len() != cfg.jobs {
-                    return Err(SchedError::PriorityLen {
-                        classes: class.len(),
-                        jobs: cfg.jobs,
-                    });
-                }
-                let mut idx: Vec<usize> = (0..cfg.jobs).collect();
-                // Ascending class; stable, so FIFO within a class.
-                idx.sort_by_key(|&j| class[j]);
                 idx
             }
         };
@@ -1332,69 +1298,6 @@ mod tests {
         }
         assert_eq!(order, vec![1, 2, 3, 0]);
         assert!(s.finished());
-    }
-
-    #[test]
-    fn priority_orders_by_ascending_class_fifo_within() {
-        let cfg = SchedConfig::plain(5, 1).policy(DispatchPolicy::Priority {
-            class: vec![2, 0, 1, 0, 2],
-        });
-        let mut s = Scheduler::new(cfg).unwrap();
-        let mut order = Vec::new();
-        let mut acts = prime(&mut s, 1);
-        loop {
-            let mut answered = None;
-            for a in &acts {
-                if let Action::Dispatch { job, slave, .. } = *a {
-                    order.push(job);
-                    answered = Some((job, slave));
-                }
-            }
-            match answered {
-                Some((job, slave)) => acts = s.on(Event::Answer { job, slave }, 0),
-                None => break,
-            }
-        }
-        // Class 0 jobs first in index order, then class 1, then class 2.
-        assert_eq!(order, vec![1, 3, 2, 0, 4]);
-        assert!(s.finished());
-    }
-
-    #[test]
-    fn priority_uniform_classes_match_fifo() {
-        for jobs in [0usize, 1, 4, 7] {
-            let fifo = SchedConfig::plain(jobs, 2);
-            let prio = SchedConfig::plain(jobs, 2).policy(DispatchPolicy::Priority {
-                class: vec![3; jobs],
-            });
-            let mut a = Scheduler::new(fifo).unwrap();
-            let mut b = Scheduler::new(prio).unwrap();
-            for slave in 1..=2 {
-                assert_eq!(
-                    a.on(Event::SlaveReady { slave }, 0),
-                    b.on(Event::SlaveReady { slave }, 0)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn priority_class_length_is_validated() {
-        assert_eq!(
-            Scheduler::new(
-                SchedConfig::plain(3, 1).policy(DispatchPolicy::Priority { class: vec![0] })
-            )
-            .unwrap_err(),
-            SchedError::PriorityLen {
-                classes: 1,
-                jobs: 3
-            }
-        );
-        assert_eq!(
-            Scheduler::new(guided(2, 1).policy(DispatchPolicy::Priority { class: vec![0, 1] }))
-                .unwrap_err(),
-            SchedError::BatchNeedsFifo
-        );
     }
 
     #[test]

@@ -45,7 +45,7 @@ use farm::Transmission;
 use minimpi::{Comm, World};
 use obs::{Event, EventKind, Recorder, NO_JOB};
 use pricing::{MethodSpec, PremiaProblem};
-use sched::{DispatchPolicy, SchedConfig};
+use sched::SchedConfig;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -729,8 +729,8 @@ struct Frame {
     bytes: usize,
 }
 
-/// Decide which slots travel together, in arrival order (the scheduler's
-/// priority policy orders the frames by class, FIFO within).
+/// Decide which slots travel together, in arrival order ([`run_batch`]
+/// hands them to the driver by class, arrival order within).
 ///
 /// The rule reads a property of the problem, never a setting:
 /// closed-form problems of one priority class share frames — split
@@ -833,7 +833,7 @@ fn run_batch(
     report: &mut SessionReport,
 ) {
     let alive = (1..=cfg.slaves).filter(|&s| comm.rank_alive(s)).count();
-    let frames = pack_frames(slots, alive);
+    let mut frames = pack_frames(slots, alive);
     let base = *next_wire;
     *next_wire += slots.len();
     if stays_on_front(&frames) {
@@ -851,6 +851,9 @@ fn run_batch(
         comm.set_job(None);
         return;
     }
+    // Urgent classes first, arrival order within one (a stable sort),
+    // dispatched FIFO; a requeued frame goes to the back, any class.
+    frames.sort_by_key(|f| f.class);
     let (order, offsets, wires) = encode_frames(slots, &frames, base);
 
     let farm = Farm {
@@ -861,9 +864,7 @@ fn run_batch(
         resident: true,
         strategy: Transmission::SerializedLoad,
     };
-    let sc = SchedConfig::plain(frames.len(), cfg.slaves).policy(DispatchPolicy::Priority {
-        class: frames.iter().map(|f| f.class).collect(),
-    });
+    let sc = SchedConfig::plain(frames.len(), cfg.slaves);
     // Every dispatch of a frame, a retry too, copies its retained bytes.
     let ran = drive(&farm, sc, |frame, _, _, buf| {
         buf.extend_from_slice(&wires[frame]);
@@ -1114,6 +1115,50 @@ mod tests {
         // Closed-form problems beside an iterative one make two frames.
         let mixed = [slot(100, true, 1), slot(100, false, 1)];
         assert!(!stays_on_front(&pack_frames(&mixed, 1)));
+    }
+
+    #[test]
+    fn a_mixed_class_batch_dispatches_class_0_first_in_arrival_order_within_a_class() {
+        // Five iterative problems, each a frame of its own, arriving in
+        // classes 2, 0, 1, 0, 2, over one slave that records the strike
+        // of each problem it is sent: the dispatch order.
+        let classes = [2u8, 0, 1, 0, 2];
+        let cfg = ServeConfig::new(1);
+        let sent = World::run(2, |comm| {
+            if comm.rank() == 1 {
+                let mut strikes = Vec::new();
+                loop {
+                    let (frame, _) = comm.recv(0, TAG).unwrap();
+                    if frame.is_empty() {
+                        return strikes;
+                    }
+                    let mut answers = Vec::new();
+                    for (wire, body) in decode_frame(&frame).unwrap() {
+                        let Body::Serial { bytes, .. } = body else {
+                            panic!("a session ships problems");
+                        };
+                        let problem = PremiaProblem::from_xdr_bytes(bytes).unwrap();
+                        if let pricing::OptionSpec::Call { strike, .. } = problem.option {
+                            strikes.push(strike);
+                        }
+                        answers.push(price_one(&comm, wire, || Ok(problem)));
+                    }
+                    comm.send(farm::wire::encode_reply(&answers, frame), 0, TAG)
+                        .unwrap();
+                }
+            }
+            let mut slots: Vec<Slot> = (classes.iter().enumerate())
+                .map(|(k, &class)| slot_of(vanilla(90.0 + k as f64, false), class))
+                .collect();
+            let mut report = SessionReport::default();
+            run_batch(&comm, &cfg, &mut slots, &mut 0, &mut report);
+            assert!(slots.iter().all(|s| matches!(s.outcome, Some(Ok(_)))));
+            comm.send([], 1, TAG).unwrap();
+            Vec::new()
+        });
+        // Class 0 (slots 1, 3), then class 1 (slot 2), then class 2
+        // (slots 0, 4): arrival order within each class.
+        assert_eq!(sent[1], [91.0, 93.0, 92.0, 90.0, 94.0]);
     }
 
     /// Answers its first two frames with replies no honest slave sends,

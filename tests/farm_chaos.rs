@@ -14,19 +14,30 @@
 //! * total collapse (every slave dead) aborts cleanly with
 //!   [`farm::FarmError::AllSlavesDead`] instead of hanging;
 //! * arbitrary `(jobs, slaves, seed)` combinations account for every
-//!   job exactly once across `outcomes ∪ failed_jobs`.
+//!   job exactly once across `outcomes ∪ failed_jobs`;
+//! * at the paper's 512 cores, in the simulator's virtual time, one
+//!   seeded plan of drops, delays, truncations and kills leaves every
+//!   job accepted once or abandoned within its budget, and buries
+//!   exactly the slaves it killed.
 //!
-//! Kill indices are derived, not guessed: a supervised slave's cycle is
-//! `recv` its frame of one (op 2k) and `send` the reply (op 2k + 1),
-//! so `kill_rank_at_op(r, 2k + 1)` is the simulator's `SimFault { slave:
-//! r - 1, fatal_dispatch: k }` — the slave computes its (k + 1)-th job
-//! and dies sending the answer — and op 2k kills it idle, after k
-//! answers, as it waits for the next frame (`docs/FAULTS.md`).
+//! Kill indices are derived, not guessed, and one rule holds on the live
+//! channels and in `clustersim`'s world alike: a supervised slave's
+//! cycle is `recv` its frame of one (op 2k) and `send` the reply (op
+//! 2k + 1), and a truncated frame costs one more op, its `discard`. So
+//! `kill_rank_at_op(r, 2k + 1)` has the slave compute its (k + 1)-th job
+//! and die sending the answer, and op 2k kills it idle, after k answers,
+//! as it waits for the next frame (`docs/FAULTS.md`).
 
+use clustersim::{
+    simulate, DispatchPolicy, SchedConfig, SimCaches, SimConfig, SimJob, SimSpec, Supervision,
+    Topology,
+};
 use farm::portfolio::{save_portfolio, toy_portfolio};
 use farm::supervisor::SupervisorConfig;
-use farm::{run, FarmConfig, FarmError, FarmReport, Transmission};
-use minimpi::{FaultPlan, SendFault};
+use farm::{run, FarmConfig, FarmError, FarmReport, JobClass, Transmission};
+use minimpi::{FaultEvent, FaultPlan, SendFault};
+use sched::Action;
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -469,4 +480,114 @@ proptest! {
             Err(other) => prop_assert!(false, "unexpected farm error: {other}"),
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Scenario: chaos at the paper's scale, in virtual time
+// ---------------------------------------------------------------------------
+
+#[test]
+fn chaos_at_512_slaves_in_virtual_time_accounts_for_every_job() {
+    // The paper's 256 nodes / 512 cores: 512 supervised slaves and
+    // 10 000 jobs, driven by the farm's own `drive` over the simulator's
+    // world. One plan drops, delays and truncates messages of every rank
+    // at rates, and kills every sixteenth slave at an op spread over its
+    // ~40 (idle at an even op, sending at an odd one, at its very first
+    // receive for op 0).
+    const SEED: u64 = 0x5120_C4A0;
+    const SLAVES: usize = 512;
+    const JOBS: usize = 10_000;
+    const MAX_ATTEMPTS: u32 = 4;
+    let mut plan = FaultPlan::new(SEED)
+        .with_drop_rate(0.02)
+        .with_delay_rate(0.02, Duration::from_millis(1), Duration::from_millis(50))
+        .with_truncate_rate(0.01);
+    for rank in (1..=SLAVES).step_by(16) {
+        plan = plan.kill_rank_at_op(rank, (rank as u64 * 7) % 40);
+    }
+    let plan = Arc::new(plan);
+    let jobs: Vec<SimJob> = (0..JOBS)
+        .map(|id| SimJob {
+            id,
+            class: JobClass::VanillaClosedForm,
+            bytes: 600,
+            compute: 5e-3 + (id % 11) as f64 * 1e-3,
+        })
+        .collect();
+    let supervision = Supervision {
+        deadline_ns: 1_000_000_000,
+        max_attempts: MAX_ATTEMPTS,
+        backoff_base_ns: 1_000_000,
+    };
+    let sched = SchedConfig::farm(JOBS, SLAVES, DispatchPolicy::Fifo, Some(supervision), None);
+    let spec = SimSpec {
+        jobs: &jobs,
+        strategy: Transmission::SerializedLoad,
+        cfg: &SimConfig::default(),
+        recorder: None,
+        plan: Some(Arc::clone(&plan)),
+        topology: Topology::Flat(sched.record_trace()),
+    };
+    let out = simulate(&spec, &mut SimCaches::new())
+        .unwrap_or_else(|e| panic!("seed {SEED:#x}: the run failed: {e}"));
+    let trace = out.trace.expect("record_trace was set");
+
+    // Per job: accepts, and dispatches net of those the scheduler took
+    // back because the slave was already gone (not an attempt).
+    let (mut accepted, mut attempts) = (vec![0u32; JOBS], vec![0u32; JOBS]);
+    let mut buried = BTreeSet::new();
+    for entry in &trace.entries {
+        if let sched::Event::SendFailed { job, .. } = entry.event {
+            attempts[job] -= 1;
+        }
+        for action in &entry.actions {
+            match *action {
+                Action::Accept { job, .. } => accepted[job] += 1,
+                Action::Dispatch { job, .. } => attempts[job] += 1,
+                Action::Bury { slave } => {
+                    buried.insert(slave);
+                }
+                _ => {}
+            }
+        }
+    }
+    for job in 0..JOBS {
+        let (n, tries) = (accepted[job], attempts[job]);
+        assert!(
+            n == 1 || (n == 0 && tries == MAX_ATTEMPTS),
+            "seed {SEED:#x}: job {job} accepted {n} times after {tries} attempts"
+        );
+        assert!(
+            tries <= MAX_ATTEMPTS,
+            "seed {SEED:#x}: job {job} dispatched {tries} times"
+        );
+    }
+    assert_eq!(
+        out.per_slave.iter().sum::<usize>(),
+        accepted.iter().sum::<u32>() as usize,
+        "seed {SEED:#x}"
+    );
+
+    // The buried slaves are exactly the ones the plan killed, and the
+    // plan did fault every kind of message it was asked to.
+    let events = plan.events();
+    let killed: BTreeSet<usize> = (events.iter())
+        .filter_map(|e| match *e {
+            FaultEvent::Killed { rank, .. } => Some(rank),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        !killed.is_empty() && killed.len() < SLAVES / 2,
+        "seed {SEED:#x}: {} slaves killed",
+        killed.len()
+    );
+    assert_eq!(buried, killed, "seed {SEED:#x}: buried vs killed");
+    let saw = |kind: fn(&FaultEvent) -> bool| events.iter().any(kind);
+    assert!(
+        saw(|e| matches!(e, FaultEvent::Dropped { .. }))
+            && saw(|e| matches!(e, FaultEvent::Delayed { .. }))
+            && saw(|e| matches!(e, FaultEvent::Truncated { .. })),
+        "seed {SEED:#x}: a fault kind never fired"
+    );
 }

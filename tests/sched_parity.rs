@@ -28,9 +28,11 @@
 //!   answers it must come after;
 //! * the seeded fault kills slave 4 at its first result send, after it
 //!   has computed the 20-grain job — the burial and the requeue of job 3
-//!   do not depend on when the master notices.
+//!   do not depend on when the master notices. Both worlds take the one
+//!   plan: the live farm's `FarmConfig::fault_plan` and the simulator's
+//!   `SimSpec::plan` hold the same `Arc`.
 
-use riskbench::clustersim::{simulate, SimCaches, SimConfig, SimFault, SimJob, SimSpec, Topology};
+use riskbench::clustersim::{simulate, SimCaches, SimConfig, SimJob, SimSpec, Topology};
 use riskbench::prelude::*;
 use riskbench::pricing::models::BlackScholes;
 use riskbench::sched::{Action, DispatchPolicy, SchedConfig, Scheduler, Supervision, Trace};
@@ -109,13 +111,13 @@ fn assert_same(what: &str, left: &Trace, right: &Trace) {
     }
 }
 
-fn sim_trace(jobs: &[SimJob], sched: SchedConfig, faults: &[SimFault]) -> Trace {
+fn sim_trace(jobs: &[SimJob], sched: SchedConfig, plan: Option<Arc<FaultPlan>>) -> Trace {
     let spec = SimSpec {
         jobs,
         strategy: Transmission::SerializedLoad,
         cfg: &SimConfig::default(),
         recorder: None,
-        faults,
+        plan,
         topology: Topology::Flat(sched),
     };
     let out = simulate(&spec, &mut SimCaches::new()).unwrap();
@@ -202,7 +204,7 @@ fn fault_free_live_and_sim_traces_are_byte_identical() {
     let sim = sim_trace(
         &sim_jobs,
         SchedConfig::farm(sim_jobs.len(), 1, DispatchPolicy::Fifo, None, None).record_trace(),
-        &[],
+        None,
     );
     assert_same("one-slave decision traces diverged", &live, &sim);
     // Frames of 8, 4, 2, 1, 1: what both sides agreed on.
@@ -266,7 +268,7 @@ fn staged_rounds_live_and_sim_traces_are_byte_identical() {
         &sim_jobs,
         SchedConfig::farm(sim_jobs.len(), 1, DispatchPolicy::Fifo, None, Some(rounds))
             .record_trace(),
-        &[],
+        None,
     );
     assert_same("one-slave staged traces diverged", &live, &sim);
     std::fs::remove_dir_all(&dir).ok();
@@ -329,7 +331,7 @@ fn staged_bsde_picard_live_and_sim_traces_are_byte_identical() {
         strategy: Transmission::SerializedLoad,
         cfg: &SimConfig::default(),
         recorder: None,
-        faults: &[],
+        plan: None,
         topology: Topology::Flat(
             SchedConfig::farm(sim_jobs.len(), SLAVES, DispatchPolicy::Fifo, None, rounds)
                 .record_trace(),
@@ -368,12 +370,11 @@ fn seeded_fault_live_and_sim_traces_are_byte_identical() {
     let (files, sim_jobs) = matched_workload(&dir, paths_per_grain());
 
     // A slave's cycle is `recv` frame (op 2k), `send` reply (op 2k + 1),
-    // so `kill_rank_at_op(r, 2k + 1)` is `SimFault { slave: r - 1,
-    // fatal_dispatch: k }` (docs/FAULTS.md). Slave rank 4 (primed with
-    // the 20-grain job 3) dies at op 1 — its first reply, i.e. *after*
-    // computing. Generous deadlines and timeouts keep the deadline/idle
-    // machinery out of the trace; a zero backoff makes the requeued job
-    // eligible at the next answer.
+    // live and simulated alike (docs/FAULTS.md). Slave rank 4 (primed
+    // with the 20-grain job 3) dies at op 1 — its first reply, i.e.
+    // *after* computing. Generous deadlines and timeouts keep the
+    // deadline/idle machinery out of the trace; a zero backoff makes the
+    // requeued job eligible at the next answer.
     let sup = SupervisorConfig {
         job_deadline: Duration::from_secs(60),
         max_attempts: 4,
@@ -392,7 +393,7 @@ fn seeded_fault_live_and_sim_traces_are_byte_identical() {
         &files,
         &FarmConfig::new(SLAVES, Transmission::SerializedLoad)
             .supervisor(sup)
-            .fault_plan(plan)
+            .fault_plan(Arc::clone(&plan))
             .record_trace(true),
     )
     .unwrap();
@@ -403,8 +404,8 @@ fn seeded_fault_live_and_sim_traces_are_byte_identical() {
     let live = live.trace.expect("record_trace was set");
     let live_trace = live.render();
 
-    // Simulated twin, by that mapping: 0-based slave 3 dies answering
-    // its first dispatch, detected half a (simulated) grain later.
+    // The same plan in virtual time: rank 4 dies at its op 1 there too,
+    // and the master's liveness sweep finds it at its next poll.
     let sched = SchedConfig::farm(
         sim_jobs.len(),
         SLAVES,
@@ -412,15 +413,7 @@ fn seeded_fault_live_and_sim_traces_are_byte_identical() {
         Some(supervision),
         None,
     );
-    let sim = sim_trace(
-        &sim_jobs,
-        sched.record_trace(),
-        &[SimFault {
-            slave: 3,
-            fatal_dispatch: 0,
-            detect_delay_s: 0.5,
-        }],
-    );
+    let sim = sim_trace(&sim_jobs, sched.record_trace(), Some(plan));
 
     // The burial must appear, verbatim, in both traces...
     for (world, trace) in [("live", &live_trace), ("sim", &sim.render())] {

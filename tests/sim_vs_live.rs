@@ -23,7 +23,7 @@ fn sim_farm(
         strategy,
         cfg,
         recorder,
-        faults: &[],
+        plan: None,
         topology: Topology::Flat(sched),
     };
     simulate(&spec, &mut SimCaches::new()).unwrap().makespan
