@@ -581,7 +581,9 @@ pub fn mixed_portfolio(scale: PortfolioScale, groups: usize) -> Vec<PortfolioJob
         jobs.push((
             JobClass::AmericanBasketLsm,
             PremiaProblem::new(
-                ModelSpec::MultiBlackScholes(MultiBlackScholes::new(7, SPOT, SIGMA, 0.3, RATE, 0.0)),
+                ModelSpec::MultiBlackScholes(MultiBlackScholes::new(
+                    7, SPOT, SIGMA, 0.3, RATE, 0.0,
+                )),
                 OptionSpec::AmericanBasketPut {
                     strike: tweak(SPOT),
                     maturity: 1.0,
@@ -597,7 +599,9 @@ pub fn mixed_portfolio(scale: PortfolioScale, groups: usize) -> Vec<PortfolioJob
         jobs.push((
             JobClass::BermudanMaxLsm,
             PremiaProblem::new(
-                ModelSpec::MultiBlackScholes(MultiBlackScholes::new(3, SPOT, SIGMA, 0.3, RATE, 0.1)),
+                ModelSpec::MultiBlackScholes(MultiBlackScholes::new(
+                    3, SPOT, SIGMA, 0.3, RATE, 0.1,
+                )),
                 OptionSpec::BermudanMaxCall {
                     strike: tweak(SPOT),
                     maturity: 1.0,

@@ -103,9 +103,7 @@ impl Workload {
                 }
             })
             .collect();
-        let preds = (0..picard_rounds)
-            .map(|r| r.checked_sub(1))
-            .collect();
+        let preds = (0..picard_rounds).map(|r| r.checked_sub(1)).collect();
         Ok(Workload {
             jobs,
             rounds: Some((0..picard_rounds).collect()),
@@ -382,15 +380,11 @@ mod tests {
         let dir = std::env::temp_dir().join("farm_workload_flat");
         let _ = std::fs::remove_dir_all(&dir);
         let w = Workload::batch(jobs.clone());
-        let via_workload = run_workload(
-            &w,
-            &dir,
-            &FarmConfig::new(2, Transmission::SerializedLoad),
-        )
-        .unwrap();
+        let via_workload =
+            run_workload(&w, &dir, &FarmConfig::new(2, Transmission::SerializedLoad)).unwrap();
         let files = save_portfolio(&jobs, &dir).unwrap();
-        let plain = crate::config::run(&files, &FarmConfig::new(2, Transmission::SerializedLoad))
-            .unwrap();
+        let plain =
+            crate::config::run(&files, &FarmConfig::new(2, Transmission::SerializedLoad)).unwrap();
         let key = |r: &FarmReport| {
             let mut v: Vec<(usize, u64)> = r
                 .outcomes

@@ -58,9 +58,7 @@ fn map_err(e: TransportError) -> MpiError {
     match e {
         TransportError::Dead(rank) => MpiError::Poisoned(rank),
         TransportError::Disconnected => MpiError::Disconnected,
-        TransportError::Truncated { needed, capacity } => {
-            MpiError::Truncated { needed, capacity }
-        }
+        TransportError::Truncated { needed, capacity } => MpiError::Truncated { needed, capacity },
         TransportError::Io(msg) => MpiError::Transport(msg),
     }
 }

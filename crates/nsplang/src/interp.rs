@@ -650,7 +650,12 @@ impl Interp {
         }
     }
 
-    pub(crate) fn call_user(&mut self, f: &FuncDef, args: Vec<NValue>, want: usize) -> R<Vec<NValue>> {
+    pub(crate) fn call_user(
+        &mut self,
+        f: &FuncDef,
+        args: Vec<NValue>,
+        want: usize,
+    ) -> R<Vec<NValue>> {
         if args.len() > f.params.len() {
             return err(format!(
                 "{} takes {} arguments, got {}",
@@ -1508,7 +1513,9 @@ pub(crate) fn for_items_of(v: NValue) -> R<Vec<NValue>> {
                 Ok(cols)
             }
         }
-        NValue::V(Value::Str(s)) => Ok(s.data().iter().map(|x| NValue::string(x.clone())).collect()),
+        NValue::V(Value::Str(s)) => {
+            Ok(s.data().iter().map(|x| NValue::string(x.clone())).collect())
+        }
         other => err(format!("cannot iterate over {}", other.type_name())),
     }
 }
@@ -1785,10 +1792,7 @@ fn tune_method(mut spec: MethodSpec, kw: &[(String, NValue)]) -> R<MethodSpec> {
             (Xva { hazard, .. }, "hazard") => *hazard = x,
             (Xva { lgd, .. }, "lgd") => *lgd = x,
             (
-                MonteCarlo { seed, .. }
-                | Lsm { seed, .. }
-                | Bsde { seed, .. }
-                | Xva { seed, .. },
+                MonteCarlo { seed, .. } | Lsm { seed, .. } | Bsde { seed, .. } | Xva { seed, .. },
                 "seed",
             ) => *seed = x as u64,
             _ => {

@@ -308,10 +308,7 @@ impl Lowerer {
                 self.expr_at(iter, t);
                 self.emit(Op::ForPrep { iter: t });
                 let start = self.ops.len();
-                let fnext = self.emit(Op::ForNext {
-                    var: slot,
-                    end: 0,
-                });
+                let fnext = self.emit(Op::ForNext { var: slot, end: 0 });
                 self.loops.push(LoopCtx {
                     is_for: true,
                     start,
@@ -761,14 +758,7 @@ impl Lowerer {
     }
 
     /// Compile a bracket-method call; returns `false` if lowering trapped.
-    fn method_call(
-        &mut self,
-        base: &Expr,
-        name: &str,
-        args: &[Arg],
-        dst: Reg,
-        want: u16,
-    ) -> bool {
+    fn method_call(&mut self, base: &Expr, name: &str, args: &[Arg], dst: Reg, want: u16) -> bool {
         // `L.add_last[x]` on a plain variable appends in `L`'s slot: the VM
         // takes the receiver from `wb` after the arguments, so no operand
         // register (and no copy of the list) is made for it here.

@@ -48,20 +48,35 @@ pub(crate) enum Op {
     /// Read an identifier that has no local slot in this chunk.
     LoadDyn { dst: Reg, name: u32 },
     /// Multi-value read of a bare identifier (multi-assignment RHS).
-    IdentMulti { dst: Reg, slot: Reg, name: u32, want: u16 },
+    IdentMulti {
+        dst: Reg,
+        slot: Reg,
+        name: u32,
+        want: u16,
+    },
     /// Binary operator over two registers.
     Bin { op: BinOp, dst: Reg, a: Reg, b: Reg },
     /// Unary operator.
     Un { op: UnOp, dst: Reg, src: Reg },
     /// `lo:hi` / `lo:step:hi` range (step == `NO_REG` → 1.0).
-    Range { dst: Reg, lo: Reg, hi: Reg, step: Reg },
+    Range {
+        dst: Reg,
+        lo: Reg,
+        hi: Reg,
+        step: Reg,
+    },
     /// Matrix literal: entries are in `base..`, row widths in
     /// `shapes[shape]`.
     Matrix { dst: Reg, shape: u16, base: Reg },
     /// Postfix transpose.
     Transpose { dst: Reg, src: Reg },
     /// Index the value in `base` with `n` index registers at `idx..`.
-    Index { dst: Reg, base: Reg, idx: Reg, n: u16 },
+    Index {
+        dst: Reg,
+        base: Reg,
+        idx: Reg,
+        n: u16,
+    },
     /// Field read `base.name`.
     Field { dst: Reg, base: Reg, name: u32 },
     /// `name(args)` — resolved at runtime to variable indexing or a call
@@ -95,9 +110,20 @@ pub(crate) enum Op {
         wb: Reg,
     },
     /// `name(idx...) = src` write indexing into local `slot`.
-    IndexAsg { slot: Reg, name: u32, idx: Reg, n: u16, src: Reg },
+    IndexAsg {
+        slot: Reg,
+        name: u32,
+        idx: Reg,
+        n: u16,
+        src: Reg,
+    },
     /// `name.field = src` with hash auto-create, into local `slot`.
-    FieldAsg { slot: Reg, name: u32, field: u32, src: Reg },
+    FieldAsg {
+        slot: Reg,
+        name: u32,
+        field: u32,
+        src: Reg,
+    },
     /// Define `defs[def]` as a user function (`interp.funcs`).
     DefFunc { def: u16 },
     /// Unconditional jump.

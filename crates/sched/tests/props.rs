@@ -437,9 +437,9 @@ fn replay_makespan(policy: DispatchPolicy, costs: &[f64], slaves: usize) -> f64 
     let mut free_at: Vec<u64> = vec![0; slaves + 1];
     let mut now: u64 = 0;
     let apply = |actions: Vec<Action>,
-                     running: &mut Vec<Option<usize>>,
-                     free_at: &mut Vec<u64>,
-                     now: u64| {
+                 running: &mut Vec<Option<usize>>,
+                 free_at: &mut Vec<u64>,
+                 now: u64| {
         for a in actions {
             if let Action::Dispatch { job, slave, .. } = a {
                 running[slave] = Some(job);

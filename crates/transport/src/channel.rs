@@ -159,7 +159,8 @@ mod tests {
         let a = group.endpoint(0);
         let b = group.endpoint(1);
         for i in 0..10u8 {
-            a.send(1, Frame::new(0, 3, Payload::Owned(vec![i]))).unwrap();
+            a.send(1, Frame::new(0, 3, Payload::Owned(vec![i])))
+                .unwrap();
         }
         for i in 0..10u8 {
             let m = b.match_deadline(0, 3, None, true).unwrap().unwrap();
@@ -172,7 +173,12 @@ mod tests {
         let group = ChannelGroup::new(1);
         let t = group.endpoint(0);
         let got = t
-            .match_deadline(-1, -1, Some(Instant::now() + Duration::from_millis(20)), true)
+            .match_deadline(
+                -1,
+                -1,
+                Some(Instant::now() + Duration::from_millis(20)),
+                true,
+            )
             .unwrap();
         assert!(got.is_none());
     }

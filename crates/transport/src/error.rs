@@ -31,7 +31,10 @@ impl fmt::Display for TransportError {
             TransportError::Dead(rank) => write!(f, "rank {rank} is dead"),
             TransportError::Disconnected => write!(f, "transport torn down"),
             TransportError::Truncated { needed, capacity } => {
-                write!(f, "frame truncated: {needed} bytes advertised, {capacity} delivered")
+                write!(
+                    f,
+                    "frame truncated: {needed} bytes advertised, {capacity} delivered"
+                )
             }
             TransportError::Io(msg) => write!(f, "transport i/o error: {msg}"),
         }

@@ -282,7 +282,10 @@ mod tests {
         }
         assert_eq!(mb.notifies(), 0);
         // Nothing was lost for want of a notification.
-        assert_eq!((0..10).map(|_| recv(&mb, 1)).collect::<Vec<_>>(), (0..10).collect::<Vec<_>>());
+        assert_eq!(
+            (0..10).map(|_| recv(&mb, 1)).collect::<Vec<_>>(),
+            (0..10).collect::<Vec<_>>()
+        );
         assert_eq!(mb.notifies(), 0);
     }
 

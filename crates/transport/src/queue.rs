@@ -274,7 +274,10 @@ mod tests {
         for i in 0..5 {
             tx.send(i).unwrap();
         }
-        assert_eq!((0..5).map(|_| rx.recv().unwrap()).collect::<Vec<_>>(), vec![0, 1, 2, 3, 4]);
+        assert_eq!(
+            (0..5).map(|_| rx.recv().unwrap()).collect::<Vec<_>>(),
+            vec![0, 1, 2, 3, 4]
+        );
     }
 
     #[test]

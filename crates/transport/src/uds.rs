@@ -75,9 +75,7 @@ struct Inner {
 
 impl Inner {
     fn write_frame(&self, dest: usize, bytes: &[u8]) -> Result<(), TransportError> {
-        let stream = self.peers[dest]
-            .as_ref()
-            .expect("no stream to self");
+        let stream = self.peers[dest].as_ref().expect("no stream to self");
         let mut s = stream.lock();
         if let Err(e) = s.write_all(bytes) {
             drop(s);
@@ -519,7 +517,10 @@ mod tests {
         // The broadcast reaches rank 1 asynchronously.
         let start = Instant::now();
         while !t[1].is_dead(2) {
-            assert!(start.elapsed() < Duration::from_secs(5), "kill never arrived");
+            assert!(
+                start.elapsed() < Duration::from_secs(5),
+                "kill never arrived"
+            );
             std::thread::sleep(Duration::from_millis(1));
         }
         // The victim's own waits fail.

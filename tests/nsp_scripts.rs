@@ -353,9 +353,7 @@ mod engine_equivalence {
     fn lists_nested_and_writeback() {
         assert_agree("L = list(1, 'two', %t)\nx = L(2)\nn = length(L)");
         assert_agree("L = list(list(1, 2), list(3))\nx = L(1)(2)\ny = L(2)(1)");
-        assert_agree(
-            "L = list()\nfor k = 1:5 do\n  L.add_last[k*k]\nend\ns = L(5)\nn = length(L)",
-        );
+        assert_agree("L = list()\nfor k = 1:5 do\n  L.add_last[k*k]\nend\ns = L(5)\nn = length(L)");
         assert_agree("L = list(1,2,3,4,5)\nL(2) = 'x'\nL(4) = []\nn = length(L)");
         assert_agree("L = list(1,2,3,4,5)\nk = 2\nL(1:k) = []\nn = length(L)\nh = L(1)");
     }
@@ -383,7 +381,9 @@ mod engine_equivalence {
         );
         assert_agree("t = 0\nfor v = [5, 6; 7, 8] do\n  t = t + v(1)\nend");
         assert_agree("t = ''\nfor v = list('a', 'b') do\n  t = t + v\nend");
-        assert_agree("x = 1\nif x > 2 then y = 'big'\nelseif x > 0 then y = 'small'\nelse y = 'neg'\nend");
+        assert_agree(
+            "x = 1\nif x > 2 then y = 'big'\nelseif x > 0 then y = 'small'\nelse y = 'neg'\nend",
+        );
     }
 
     #[test]
@@ -403,7 +403,9 @@ mod engine_equivalence {
         // Dynamic scoping: function bodies read caller bindings.
         assert_agree("g = 42\nfunction [r] = f()\n  r = g + 1\nendfunction\nx = f()");
         // ...but cannot mutate them (assignments are call-local).
-        assert_agree("g = 1\nfunction [r] = f()\n  g = 99\n  r = g\nendfunction\nx = f()\nok = g == 1");
+        assert_agree(
+            "g = 1\nfunction [r] = f()\n  g = 99\n  r = g\nendfunction\nx = f()\nok = g == 1",
+        );
         assert_agree(
             "function [a, b] = two()\n  a = 1\n  b = 2\nendfunction\n[p, q] = two()\ns = two()",
         );
@@ -942,9 +944,7 @@ fn rank_parallel_send_recv_agrees_across_engines() {
                 interp
                     .run("MCW = mpicomm_create('WORLD')\nB = MPI_Recv_Obj(0, 3, MCW)")
                     .unwrap();
-                riskbench::xdrser::serialize_to_bytes(
-                    &interp.get_value("B").unwrap(),
-                )
+                riskbench::xdrser::serialize_to_bytes(&interp.get_value("B").unwrap())
             }
         });
         outputs[1].clone()
@@ -952,5 +952,8 @@ fn rank_parallel_send_recv_agrees_across_engines() {
     let tree_bytes = run_with(Engine::Tree);
     let vm_bytes = run_with(Engine::Vm);
     assert!(!tree_bytes.is_empty());
-    assert_eq!(tree_bytes, vm_bytes, "cross-rank payloads must be bit-identical");
+    assert_eq!(
+        tree_bytes, vm_bytes,
+        "cross-rank payloads must be bit-identical"
+    );
 }

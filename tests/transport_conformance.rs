@@ -71,7 +71,10 @@ fn watchdog<T: Send + 'static>(
     let worker = thread::spawn(f);
     let t0 = Instant::now();
     while !worker.is_finished() {
-        assert!(t0.elapsed() < limit, "{what}: still blocked after {limit:?}");
+        assert!(
+            t0.elapsed() < limit,
+            "{what}: still blocked after {limit:?}"
+        );
         thread::sleep(Duration::from_millis(2));
     }
     worker.join().expect(what)
@@ -161,16 +164,17 @@ fn truncated_frames_surface_identically_and_can_be_discarded() {
         f.payload.truncate(8);
         assert!(f.truncated());
         t[1].send(0, f).expect("send truncated");
-        t[1].send(0, owned(1, 4, vec![1, 2, 3])).expect("send intact");
+        t[1].send(0, owned(1, 4, vec![1, 2, 3]))
+            .expect("send intact");
 
         // A consuming match refuses the damaged frame but leaves it
         // queued: a probe still sees it first.
-        let err = match t[0].match_deadline(1, 4, Some(Instant::now() + Duration::from_secs(5)), true)
-        {
-            Err(e) => e,
-            Ok(Some(f)) => panic!("{name}: consumed a truncated frame: {f:?}"),
-            Ok(None) => panic!("{name}: truncated frame never arrived"),
-        };
+        let err =
+            match t[0].match_deadline(1, 4, Some(Instant::now() + Duration::from_secs(5)), true) {
+                Err(e) => e,
+                Ok(Some(f)) => panic!("{name}: consumed a truncated frame: {f:?}"),
+                Ok(None) => panic!("{name}: truncated frame never arrived"),
+            };
         match err {
             TransportError::Truncated { needed, capacity } => {
                 assert_eq!((needed, capacity), (64, 8), "{name}");
@@ -178,7 +182,10 @@ fn truncated_frames_surface_identically_and_can_be_discarded() {
             other => panic!("{name}: expected Truncated, got {other}"),
         }
         let probe = t[0].try_match(1, 4).expect("probe").expect("still queued");
-        assert_eq!(probe.full_len, 64, "{name}: probe must see the damaged frame");
+        assert_eq!(
+            probe.full_len, 64,
+            "{name}: probe must see the damaged frame"
+        );
 
         // Discard removes it; the intact frame behind it is received.
         assert!(t[0].discard(1, 4).expect("discard"), "{name}");
@@ -238,7 +245,8 @@ fn large_frames_roundtrip_bit_for_bit() {
                 .expect("echo recv")
                 .expect("echo frame");
             assert!(!f.truncated());
-            echo.send(0, Frame::new(1, 6, f.payload)).expect("echo send");
+            echo.send(0, Frame::new(1, 6, f.payload))
+                .expect("echo send");
         });
         t[0].send(1, owned(0, 6, pattern.clone())).expect("send");
         let back = t[0]
@@ -246,7 +254,11 @@ fn large_frames_roundtrip_bit_for_bit() {
             .expect("recv")
             .expect("round trip");
         assert_eq!(back.full_len, LEN, "{name}");
-        assert_eq!(back.payload.as_slice(), &pattern[..], "{name}: bytes differ");
+        assert_eq!(
+            back.payload.as_slice(),
+            &pattern[..],
+            "{name}: bytes differ"
+        );
         bouncer.join().unwrap();
     }
 }
