@@ -59,6 +59,12 @@ impl MpiBuf {
         &self.data
     }
 
+    /// The held bytes, moved out (what `MPI_Send` sends of a buffer
+    /// nothing else holds).
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.data
+    }
+
     pub(crate) fn fill(&mut self, bytes: Vec<u8>) {
         debug_assert!(bytes.len() <= self.capacity);
         self.data = bytes;
@@ -95,6 +101,15 @@ mod tests {
         b.fill(vec![9]);
         assert_eq!(b.bytes(), &[9]);
         assert_eq!(b.capacity(), 8);
+    }
+
+    #[test]
+    fn into_bytes_hands_over_the_allocation() {
+        let data = vec![7; 10];
+        let at = data.as_ptr();
+        let out = MpiBuf::from_bytes(data).into_bytes();
+        assert_eq!(out.as_ptr(), at);
+        assert_eq!(out, vec![7; 10]);
     }
 
     #[test]

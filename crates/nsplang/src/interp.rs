@@ -4,7 +4,7 @@ use crate::ast::{Arg, BinOp, Expr, FuncDef, Spanned, Stmt, Target, UnOp};
 use crate::lexer::Pos;
 use crate::parser::parse_program;
 use crate::toolbox::PremiaObj;
-use minimpi::{Comm, MpiBuf};
+use minimpi::{Comm, MpiBuf, Status};
 use nspval::{BoolMatrix, Hash, List, Matrix, Serial, StrMatrix, Value, MAX_DEPTH};
 use pricing::{MethodSpec, ModelSpec, OptionSpec, PremiaProblem};
 use std::borrow::Cow;
@@ -90,6 +90,11 @@ pub enum NValue {
     Premia(Rc<RefCell<PremiaObj>>),
     /// An MPI receive buffer (`mpibuf_create`).
     Buf(Rc<RefCell<MpiBuf>>),
+    /// What `MPI_Probe` and `MPI_Recv` return: source, tag and byte
+    /// count, held inline. A script sees the hash `src`/`tag`/`count` it
+    /// stands for; it becomes that hash only where a plain value is
+    /// needed (serialize, save, a list item, `disp`, a field assignment).
+    Status(Status),
 }
 
 impl NValue {
@@ -109,7 +114,7 @@ impl NValue {
     }
 
     /// The scalar content, if this is a 1×1 real value.
-    fn as_scalar(&self) -> Option<f64> {
+    pub(crate) fn as_scalar(&self) -> Option<f64> {
         match self {
             NValue::V(v) => v.as_scalar(),
             _ => None,
@@ -125,7 +130,8 @@ impl NValue {
     }
 
     /// Convert to a plain `Value` for serialization / MPI transmission.
-    /// Premia objects encode as their `PremiaModel` hash.
+    /// Premia objects encode as their `PremiaModel` hash, a status as its
+    /// `src`/`tag`/`count` hash.
     pub fn to_value(&self) -> R<Value> {
         match self {
             NValue::V(v) => Ok(v.clone()),
@@ -134,6 +140,7 @@ impl NValue {
                 Ok(problem.to_value())
             }
             NValue::Buf(_) => err("mpibuf objects cannot be serialized"),
+            NValue::Status(st) => Ok(status_hash(st)),
         }
     }
 
@@ -169,22 +176,40 @@ impl NValue {
     pub(crate) fn truthy(&self) -> R<bool> {
         match self {
             NValue::V(v) => Ok(v.truthy()),
+            // A hash is never true.
+            NValue::Status(_) => Ok(false),
             _ => err("object is not a condition"),
         }
     }
 
     pub(crate) fn type_name(&self) -> &'static str {
         match self {
-            NValue::V(Value::Real(_)) => "real matrix",
-            NValue::V(Value::Bool(_)) => "boolean",
-            NValue::V(Value::Str(_)) => "string",
-            NValue::V(Value::List(_)) => "list",
-            NValue::V(Value::Hash(_)) => "hash",
-            NValue::V(Value::Serial(_)) => "serial",
-            NValue::V(Value::None) => "none",
+            NValue::V(v) => value_type_name(v),
             NValue::Premia(_) => "PremiaModel",
             NValue::Buf(_) => "mpibuf",
+            NValue::Status(_) => "hash",
         }
+    }
+
+    /// How `disp` shows the value.
+    fn shown(&self) -> String {
+        match self {
+            NValue::V(v) => format!("{v}"),
+            NValue::Status(st) => format!("{}", status_hash(st)),
+            other => format!("<{}>", other.type_name()),
+        }
+    }
+}
+
+fn value_type_name(v: &Value) -> &'static str {
+    match v {
+        Value::Real(_) => "real matrix",
+        Value::Bool(_) => "boolean",
+        Value::Str(_) => "string",
+        Value::List(_) => "list",
+        Value::Hash(_) => "hash",
+        Value::Serial(_) => "serial",
+        Value::None => "none",
     }
 }
 
@@ -589,7 +614,7 @@ impl Interp {
             }
             Expr::Transpose(inner) => {
                 let v = self.eval(inner)?;
-                Ok(vec![transpose_value(&v)?])
+                Ok(vec![transpose_value(v)?])
             }
         }
     }
@@ -782,7 +807,7 @@ impl Interp {
             B::String => {
                 let [v] = args(name, pos)?;
                 let s = match v.num() {
-                    Some(x) if x.fract() == 0.0 && x.abs() < 1e15 => format!("{}", x as i64),
+                    Some(x) if x.fract() == 0.0 && x.abs() < 1e15 => (x as i64).to_string(),
                     Some(x) => format!("{x}"),
                     None => match v.value() {
                         NValue::V(Value::Str(s)) => {
@@ -796,10 +821,7 @@ impl Interp {
             B::Disp | B::Print => {
                 let text = pos
                     .iter_mut()
-                    .map(|v| match v.value() {
-                        NValue::V(val) => format!("{val}"),
-                        other => format!("<{}>", other.type_name()),
-                    })
+                    .map(|v| v.value().shown())
                     .collect::<Vec<_>>()
                     .join(" ");
                 if self.echo {
@@ -882,28 +904,29 @@ impl Interp {
             B::MpiSendObj => {
                 let [v, dest, tag] = args(name, pos)?;
                 let v = plain(v)?;
-                let dest = need_scalar(dest, "destination")? as i32;
-                let tag = need_scalar(tag, "tag")? as i32;
+                let dest = need_int(dest, "destination")?;
+                let tag = need_int(tag, "tag")?;
                 self.comm()?.send_obj(&v, dest, tag).map_err(mpi_err)?;
                 none()
             }
             B::MpiRecvObj => {
                 let [src, tag] = args(name, pos)?;
-                let src = need_scalar(src, "source")? as i32;
-                let tag = need_scalar(tag, "tag")? as i32;
+                let src = need_int(src, "source")?;
+                let tag = need_int(tag, "tag")?;
                 let (v, _st) = self.comm()?.recv_obj(src, tag).map_err(mpi_err)?;
                 Ok(Ret::One(NValue::wrap(v)))
             }
             B::MpiProbe => {
                 let [src, tag] = args(name, pos)?;
-                let src = need_scalar(src, "source")? as i32;
-                let tag = need_scalar(tag, "tag")? as i32;
+                let src = need_int(src, "source")?;
+                let tag = need_int(tag, "tag")?;
                 let st = self.comm()?.probe(src, tag).map_err(mpi_err)?;
-                Ok(Ret::One(status_value(st)))
+                Ok(Ret::One(NValue::Status(st)))
             }
             B::MpiGetCount | B::MpiGetElements => {
                 let [stat] = args(name, pos)?;
                 match stat.value() {
+                    NValue::Status(st) => Ok(Ret::Num(st.count() as f64)),
                     NValue::V(Value::Hash(h)) => {
                         let count = h
                             .get("count")
@@ -932,13 +955,13 @@ impl Interp {
                 let NValue::Buf(buf) = buf.value() else {
                     return err("MPI_Recv needs an mpibuf");
                 };
-                let src = need_scalar(src, "source")? as i32;
-                let tag = need_scalar(tag, "tag")? as i32;
+                let src = need_int(src, "source")?;
+                let tag = need_int(tag, "tag")?;
                 let st = self
                     .comm()?
                     .recv_into(&mut buf.borrow_mut(), src, tag)
                     .map_err(mpi_err)?;
-                Ok(Ret::One(status_value(st)))
+                Ok(Ret::One(NValue::Status(st)))
             }
             B::MpiUnpack => {
                 let [buf] = args(name, pos)?;
@@ -957,14 +980,21 @@ impl Interp {
             }
             B::MpiSend => {
                 let [buf, dest, tag] = args(name, pos)?;
-                let NValue::Buf(buf) = buf.value() else {
+                if !matches!(buf.value(), NValue::Buf(_)) {
                     return err("MPI_Send needs an mpibuf (use MPI_Pack first)");
+                }
+                let dest = need_int(dest, "destination")?;
+                let tag = need_int(tag, "tag")?;
+                // A buffer nothing else holds is sent as it is; one a
+                // variable still holds is copied.
+                let NValue::Buf(buf) = buf.take_value() else {
+                    unreachable!("checked above")
                 };
-                let dest = need_scalar(dest, "destination")? as i32;
-                let tag = need_scalar(tag, "tag")? as i32;
-                self.comm()?
-                    .send(buf.borrow().bytes(), dest, tag)
-                    .map_err(mpi_err)?;
+                let bytes = match Rc::try_unwrap(buf) {
+                    Ok(only) => only.into_inner().into_bytes(),
+                    Err(shared) => shared.borrow().bytes().to_vec(),
+                };
+                self.comm()?.send(bytes, dest, tag).map_err(mpi_err)?;
                 none()
             }
             B::MpiBarrier => {
@@ -1036,13 +1066,7 @@ impl Interp {
                 add_last_value(&mut list, pos, 0)?;
                 one(list)
             }
-            (NValue::V(_), "equal") => {
-                let other = pos
-                    .first()
-                    .ok_or_else(|| NspError::new("equal needs a value"))?;
-                Ok(Ret::Bool(base.to_value()?.equal(&other.to_value()?)))
-            }
-            (NValue::Premia(_), "equal") => {
+            (NValue::V(_) | NValue::Premia(_) | NValue::Status(_), "equal") => {
                 let other = pos
                     .first()
                     .ok_or_else(|| NspError::new("equal needs a value"))?;
@@ -1098,7 +1122,7 @@ pub(crate) fn binary_value(op: BinOp, a: &NValue, b: &NValue) -> R<NValue> {
     // String concatenation and comparison.
     if let (Some(x), Some(y)) = (a.as_str(), b.as_str()) {
         return match op {
-            Add => Ok(NValue::string(format!("{x}{y}"))),
+            Add => Ok(NValue::string([x, y].concat())),
             Eq => Ok(NValue::boolean(x == y)),
             Ne => Ok(NValue::boolean(x != y)),
             _ => err(format!("cannot apply {op:?} to strings")),
@@ -1137,7 +1161,7 @@ pub(crate) fn binary_value(op: BinOp, a: &NValue, b: &NValue) -> R<NValue> {
 }
 
 /// Postfix transpose.
-pub(crate) fn transpose_value(v: &NValue) -> R<NValue> {
+pub(crate) fn transpose_value(v: NValue) -> R<NValue> {
     match v {
         NValue::V(Value::Real(m)) => {
             let mut t = Matrix::zeros(m.cols(), m.rows());
@@ -1150,7 +1174,7 @@ pub(crate) fn transpose_value(v: &NValue) -> R<NValue> {
         }
         // Transposing a list is the identity — Fig. 4 iterates
         // `Lpb(1:k)'`.
-        NValue::V(Value::List(l)) => Ok(NValue::V(Value::List(l.clone()))),
+        list @ NValue::V(Value::List(_)) => Ok(list),
         other => err(format!("cannot transpose {}", other.type_name())),
     }
 }
@@ -1158,16 +1182,33 @@ pub(crate) fn transpose_value(v: &NValue) -> R<NValue> {
 /// `base(idx...)` read indexing (lists, matrices, hashes).
 pub(crate) fn index_value<A: CallArg>(base: &NValue, idx: &mut [A]) -> R<NValue> {
     match base {
-        NValue::V(Value::List(l)) => {
+        NValue::V(v) => index_plain(v, idx),
+        NValue::Status(st) => index_plain(&status_hash(st), idx),
+        other => err(format!("cannot index {}", other.type_name())),
+    }
+}
+
+/// The item `L(i)` reads, borrowed: `Some` when `base` is a list and
+/// `idx` one scalar, `None` for any other indexing.
+pub(crate) fn list_item<'a, A: CallArg>(base: &'a Value, idx: &[A]) -> Option<R<&'a Value>> {
+    let Value::List(l) = base else { return None };
+    let [i] = idx else { return None };
+    let i = i.num()? as usize;
+    if i < 1 || i > l.len() {
+        return Some(err(format!("list index {i} out of bounds ({})", l.len())));
+    }
+    Some(Ok(l.get(i - 1).expect("bounds checked")))
+}
+
+/// [`index_value`] of plain data.
+pub(crate) fn index_plain<A: CallArg>(base: &Value, idx: &mut [A]) -> R<NValue> {
+    if let Some(item) = list_item(base, idx) {
+        return item.map(|v| NValue::wrap(v.clone()));
+    }
+    match base {
+        Value::List(l) => {
             if idx.len() != 1 {
                 return err("lists take one index");
-            }
-            if let Some(x) = idx[0].num() {
-                let i = x as usize;
-                if i < 1 || i > l.len() {
-                    return err(format!("list index {i} out of bounds ({})", l.len()));
-                }
-                return Ok(NValue::wrap(l.get(i - 1).expect("bounds checked").clone()));
             }
             match idx[0].value() {
                 NValue::V(Value::Real(m)) => {
@@ -1185,7 +1226,7 @@ pub(crate) fn index_value<A: CallArg>(base: &NValue, idx: &mut [A]) -> R<NValue>
                 other => err(format!("bad list index: {}", other.type_name())),
             }
         }
-        NValue::V(Value::Real(m)) => match idx.len() {
+        Value::Real(m) => match idx.len() {
             1 if idx[0].num().is_some() => {
                 let i = idx[0].num().expect("checked") as usize;
                 if i < 1 || i > m.len() {
@@ -1223,7 +1264,7 @@ pub(crate) fn index_value<A: CallArg>(base: &NValue, idx: &mut [A]) -> R<NValue>
             }
             _ => err("matrices take 1 or 2 indices"),
         },
-        NValue::V(Value::Hash(h)) => {
+        Value::Hash(h) => {
             if idx.len() == 1 {
                 if let Some(key) = idx[0].text() {
                     return match h.get(key) {
@@ -1234,7 +1275,7 @@ pub(crate) fn index_value<A: CallArg>(base: &NValue, idx: &mut [A]) -> R<NValue>
             }
             err("hash indices are strings")
         }
-        other => err(format!("cannot index {}", other.type_name())),
+        other => err(format!("cannot index {}", value_type_name(other))),
     }
 }
 
@@ -1336,8 +1377,15 @@ pub(crate) fn index_assign_value(current: &mut NValue, idx: &[NValue], v: NValue
     }
 }
 
-/// `base.field = v` in place; `base` is left untouched on error.
+/// `base.field = v` in place; `base` is left untouched on error. A status
+/// becomes the hash it stands for.
 pub(crate) fn field_assign_value(base: &mut NValue, field: &str, v: NValue) -> R<()> {
+    if let NValue::Status(st) = base {
+        let mut hash = NValue::V(status_hash(st));
+        field_assign_value(&mut hash, field, v)?;
+        *base = hash;
+        return Ok(());
+    }
     match base {
         NValue::V(Value::Hash(h)) => {
             h.set(field, item(v)?);
@@ -1350,11 +1398,11 @@ pub(crate) fn field_assign_value(base: &mut NValue, field: &str, v: NValue) -> R
 /// `list.add_last[x]` in place; `list` is left untouched on error. The
 /// call's value is the grown list: a caller that reads it (`want > 0`) gets
 /// the one copy, the statement form (`want == 0`) none.
-pub(crate) fn add_last_value(list: &mut NValue, pos: &mut [NValue], want: usize) -> R<Ret> {
+pub(crate) fn add_last_value<A: CallArg>(list: &mut NValue, pos: &mut [A], want: usize) -> R<Ret> {
     match list {
         NValue::V(Value::List(l)) => {
             let [v] = args("add_last", pos)?;
-            l.add_last(item(v.take())?);
+            l.add_last(item(v.take_value())?);
             Ok(if want == 0 {
                 Ret::Many(Vec::new())
             } else {
@@ -1439,6 +1487,22 @@ fn need_scalar(v: &impl CallArg, what: &str) -> R<f64> {
         .ok_or_else(|| NspError::new(format!("{what} must be a scalar")))
 }
 
+/// A rank or tag: an integer, refused rather than truncated into one (a
+/// destination of 1.5 must not reach rank 1). -1 passes, where the call
+/// reads it as `ANY_SOURCE` or `ANY_TAG`.
+fn need_int(v: &impl CallArg, what: &str) -> R<i32> {
+    let x = need_scalar(v, what)?;
+    // The cast saturates and sends NaN to 0: only an i32 comes back as x.
+    let n = x as i32;
+    if f64::from(n) == x {
+        return Ok(n);
+    }
+    if x.fract() != 0.0 {
+        return err(format!("{what} must be an integer, got {x}"));
+    }
+    err(format!("{what} {x} is out of range"))
+}
+
 fn need_str<'a>(v: &'a impl CallArg, what: &str) -> R<&'a str> {
     v.text()
         .ok_or_else(|| NspError::new(format!("{what} must be a string")))
@@ -1483,15 +1547,18 @@ pub(crate) fn read_exec_source<A: CallArg>(pos: &mut [A]) -> R<String> {
 
 /// `base.name` field read.
 pub(crate) fn field_value(base: &NValue, name: &str) -> R<NValue> {
-    field_ref(base, name).map(|v| NValue::wrap(v.clone()))
+    field_ref(base, name).map(|v| NValue::wrap(v.into_owned()))
 }
 
-/// The value `base.name` reads, borrowed.
-pub(crate) fn field_ref<'a>(base: &'a NValue, name: &str) -> R<&'a Value> {
+/// The value `base.name` reads: a hash's entry borrowed, a status's
+/// field built (a scalar, so nothing is allocated).
+pub(crate) fn field_ref<'a>(base: &'a NValue, name: &str) -> R<Cow<'a, Value>> {
     match base {
         NValue::V(Value::Hash(h)) => h
             .get(name)
+            .map(Cow::Borrowed)
             .ok_or_else(|| NspError::new(format!("hash has no field {name}"))),
+        NValue::Status(st) => status_field(st, name).map(|x| Cow::Owned(Value::scalar(x))),
         other => err(format!("{} has no fields", other.type_name())),
     }
 }
@@ -1806,12 +1873,23 @@ fn tune_method(mut spec: MethodSpec, kw: &[(String, NValue)]) -> R<MethodSpec> {
     Ok(spec)
 }
 
-fn status_value(st: minimpi::Status) -> NValue {
+/// The hash a status stands for.
+fn status_hash(st: &Status) -> Value {
     let mut h = Hash::new();
     h.set("src", Value::scalar(st.src as f64));
     h.set("tag", Value::scalar(st.tag as f64));
     h.set("count", Value::scalar(st.count() as f64));
-    NValue::V(Value::Hash(h))
+    Value::Hash(h)
+}
+
+/// The field `name` of a status, read as its hash reads it.
+fn status_field(st: &Status, name: &str) -> R<f64> {
+    match name {
+        "src" => Ok(st.src as f64),
+        "tag" => Ok(st.tag as f64),
+        "count" => Ok(st.count() as f64),
+        _ => err(format!("hash has no field {name}")),
+    }
 }
 
 fn numeric_binop(op: BinOp, a: &Matrix, b: &Matrix) -> R<NValue> {

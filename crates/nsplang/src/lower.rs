@@ -13,10 +13,10 @@
 //! field assignment) compile to `Op::Trap` at the position the
 //! tree-walker would raise them, so both engines report identical errors.
 
-use crate::ast::{Arg, Expr, FuncDef, Spanned, Stmt, Target};
+use crate::ast::{Arg, Expr, FuncDef, Spanned, Stmt, Target, UnOp};
 use crate::interp::{builtin_id, Builtin, NValue, BUILTIN_EXEC};
 use crate::lexer::Pos;
-use crate::opcodes::{Chunk, Op, Proto, Reg, NO_REG, NO_TABLE};
+use crate::opcodes::{Chunk, Const, Lend, Op, Proto, Reg, NO_REG, NO_TABLE};
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -38,6 +38,7 @@ pub(crate) fn lower_function(f: &Rc<FuncDef>) -> Proto {
     let mut lw = Lowerer::new(&[], 0, true);
     let param_slots: Vec<Reg> = f.params.iter().map(|p| lw.local(p)).collect();
     let out_slots: Vec<Reg> = f.outs.iter().map(|o| lw.local(o)).collect();
+    lw.outs.clone_from(&out_slots);
     let chunk = lw.lower(&f.body);
     Proto {
         def: f.clone(),
@@ -65,7 +66,7 @@ struct LoopCtx {
 struct Lowerer {
     ops: Vec<Op>,
     spans: Vec<Pos>,
-    consts: Vec<NValue>,
+    consts: Vec<Const>,
     const_map: HashMap<CKey, u16>,
     names: Vec<Rc<str>>,
     name_map: HashMap<String, u32>,
@@ -76,7 +77,7 @@ struct Lowerer {
     next_reg: Reg,
     max_reg: Reg,
     kw_tables: Vec<Vec<(u16, u32)>>,
-    lends: Vec<Vec<(u16, Reg)>>,
+    lends: Vec<Vec<Lend>>,
     shapes: Vec<Vec<u16>>,
     msgs: Vec<String>,
     msg_map: HashMap<String, u16>,
@@ -84,6 +85,11 @@ struct Lowerer {
     loops: Vec<LoopCtx>,
     pending_end: Vec<usize>,
     in_function: bool,
+    /// The slots of a function's outputs: read after its body ends.
+    outs: Vec<Reg>,
+    /// The call being lowered is the whole of a function body's last
+    /// statement: what it lends is not read again ([`Lend::last`]).
+    last_call: bool,
     cur_pos: Pos,
 }
 
@@ -111,6 +117,8 @@ impl Lowerer {
             loops: Vec::new(),
             pending_end: Vec::new(),
             in_function,
+            outs: Vec::new(),
+            last_call: false,
             cur_pos: Pos::NONE,
         };
         for (name, slot) in seeds {
@@ -127,7 +135,12 @@ impl Lowerer {
         self.first_temp = self.next_local;
         self.next_reg = self.first_temp;
         self.max_reg = self.max_reg.max(self.first_temp);
-        for s in stmts {
+        for (k, s) in stmts.iter().enumerate() {
+            // A function body's last call statement: nothing after it
+            // reads what it lends.
+            self.last_call = self.in_function
+                && k + 1 == stmts.len()
+                && matches!(&s.kind, Stmt::Expr(Expr::Apply(callee, _)) if matches!(**callee, Expr::Ident(_)));
             self.stmt(s);
         }
         let end = self.ops.len();
@@ -179,7 +192,7 @@ impl Lowerer {
         self.local_map.get(name).copied()
     }
 
-    fn konst(&mut self, key: CKey, make: impl FnOnce() -> NValue) -> u16 {
+    fn konst(&mut self, key: CKey, make: impl FnOnce() -> Const) -> u16 {
         if let Some(&idx) = self.const_map.get(&key) {
             return idx;
         }
@@ -551,15 +564,17 @@ impl Lowerer {
     fn expr_inner(&mut self, e: &Expr, dst: Reg) {
         match e {
             Expr::Num(v) => {
-                let idx = self.konst(CKey::Num(v.to_bits()), || NValue::scalar(*v));
+                let idx = self.konst(CKey::Num(v.to_bits()), || Const::Num(*v));
                 self.emit(Op::Const { dst, idx });
             }
             Expr::Str(s) => {
-                let idx = self.konst(CKey::Str(s.clone()), || NValue::string(s.clone()));
+                let idx = self.konst(CKey::Str(s.clone()), || {
+                    Const::Str(Rc::new(NValue::string(s.clone())))
+                });
                 self.emit(Op::Const { dst, idx });
             }
             Expr::Bool(b) => {
-                let idx = self.konst(CKey::Bool(*b), || NValue::boolean(*b));
+                let idx = self.konst(CKey::Bool(*b), || Const::Bool(*b));
                 self.emit(Op::Const { dst, idx });
             }
             Expr::Ident(name) => match self.slot_of(name) {
@@ -609,6 +624,14 @@ impl Lowerer {
                     step: tstep,
                 });
             }
+            // A negative literal is a constant (`MPI_Probe(-1, -1, MCW)`).
+            Expr::Unary(UnOp::Neg, inner) if matches!(**inner, Expr::Num(_)) => {
+                let Expr::Num(v) = **inner else {
+                    unreachable!("matched above")
+                };
+                let idx = self.konst(CKey::Num((-v).to_bits()), || Const::Num(-v));
+                self.emit(Op::Const { dst, idx });
+            }
             Expr::Unary(op, inner) => {
                 let t = self.alloc();
                 self.expr_at(inner, t);
@@ -619,10 +642,31 @@ impl Lowerer {
                 });
             }
             Expr::Binary(op, a, b) => {
-                let ta = self.alloc();
-                self.expr_at(a, ta);
-                let tb = self.alloc();
-                self.expr_at(b, tb);
+                // A local operand is read in place, not copied (`name ==
+                // ''` copies no string). `a` is read when the op runs, so
+                // only when evaluating `b` runs nothing: `b` is a literal
+                // or a local read in place too.
+                let local = |e: &Expr| match e {
+                    Expr::Ident(v) => self.slot_of(v),
+                    _ => None,
+                };
+                let (la, lb) = (local(a), local(b));
+                let ta = match la {
+                    Some(slot) if lb.is_some() || is_literal(b) => slot,
+                    _ => {
+                        let t = self.alloc();
+                        self.expr_at(a, t);
+                        t
+                    }
+                };
+                let tb = match lb {
+                    Some(slot) => slot,
+                    None => {
+                        let t = self.alloc();
+                        self.expr_at(b, t);
+                        t
+                    }
+                };
                 self.emit(Op::Bin {
                     op: *op,
                     dst,
@@ -668,27 +712,20 @@ impl Lowerer {
 
     /// Compile arguments (keywords allowed) into contiguous registers in
     /// source order; returns `(base, argc, kw table, lend table)`. With
-    /// `lend` set (the callee's own slot, or `NO_REG`), a positional
-    /// argument that is a local is lent instead of copied: each local
-    /// once, never the callee itself, in the first 64 positions (the VM
-    /// tracks lent arguments in a `u64`).
+    /// `lend` set (the callee's own slot, or `NO_REG`), the locals of the
+    /// list's quiet tail ([`Lowerer::quiet_tail`]) are lent instead of
+    /// copied: no op evaluates them, and the call reads each where it is
+    /// when it runs.
     fn call_args(&mut self, args: &[Arg], lend: Option<Reg>) -> (Reg, u16, u16, u16) {
+        let last = std::mem::take(&mut self.last_call);
+        let lent = lend.map_or(Vec::new(), |callee| self.quiet_tail(args, callee, last));
         let base = self.next_reg;
         let mut kw = Vec::new();
-        let mut lent: Vec<(u16, Reg)> = Vec::new();
         for (i, a) in args.iter().enumerate() {
             let t = self.alloc();
             match a {
-                Arg::Pos(e) => match (lend, e) {
-                    (Some(callee), Expr::Ident(v)) if i < 64 => match self.slot_of(v) {
-                        Some(src) if src != callee && lent.iter().all(|&(_, s)| s != src) => {
-                            self.emit(Op::Ref { dst: t, src });
-                            lent.push((i as u16, src));
-                        }
-                        _ => self.expr_at(e, t),
-                    },
-                    _ => self.expr_at(e, t),
-                },
+                Arg::Pos(_) if lent.iter().any(|l| usize::from(l.pos) == i) => {}
+                Arg::Pos(e) => self.expr_at(e, t),
                 Arg::Kw(name, e) => {
                     let id = self.name(name);
                     kw.push((i as u16, id));
@@ -701,18 +738,46 @@ impl Lowerer {
         (base, args.len() as u16, kwt, lent)
     }
 
+    /// The locals a call lends: those of the arguments' quiet tail, the
+    /// literals and locals after which nothing but literals and such
+    /// locals follow. Nothing runs between such an argument and the call,
+    /// so reading it when the call runs (and resolving it then, in
+    /// argument order, when it is unbound) is what evaluating it in place
+    /// would do. Each local once, never the callee itself, in the first
+    /// 64 positions (the VM tracks lent arguments in a `u64`).
+    fn quiet_tail(&self, args: &[Arg], callee: Reg, last: bool) -> Vec<Lend> {
+        let mut lent: Vec<Lend> = Vec::new();
+        for (i, a) in args.iter().enumerate().rev() {
+            let Arg::Pos(e) = a else { break };
+            if is_literal(e) {
+                continue;
+            }
+            let slot = match e {
+                Expr::Ident(v) if i < 64 => self.slot_of(v),
+                _ => None,
+            };
+            match slot {
+                Some(slot) if slot != callee && lent.iter().all(|l| l.slot != slot) => {
+                    lent.push(Lend {
+                        pos: i as u16,
+                        slot,
+                        last: last && !self.outs.contains(&slot),
+                    })
+                }
+                _ => break,
+            }
+        }
+        lent.reverse();
+        lent
+    }
+
     fn apply_ident(&mut self, name: &str, args: &[Arg], dst: Reg, want: u16) {
         let slot = self.slot_of(name).unwrap_or(NO_REG);
         let builtin = builtin_id(name).unwrap_or(NO_TABLE);
-        // A lent local is read when the call runs, not when its argument
-        // is evaluated: no other argument may rebind a local in between
-        // (`add_last`, `exec`), and no keyword argument or keeping builtin
-        // may take it.
+        // No keyword argument or keeping builtin may take a lent local.
         let lend = (builtin == NO_TABLE
             || (builtin != BUILTIN_EXEC && !Builtin::from_id(builtin).keeps_args()))
-            && args
-                .iter()
-                .all(|a| matches!(a, Arg::Pos(e) if !may_rebind(e)));
+            && args.iter().all(|a| matches!(a, Arg::Pos(_)));
         let (base, argc, kwt, lent) = self.call_args(args, lend.then_some(slot));
         let name_id = self.name(name);
         self.emit(Op::Apply {
@@ -731,6 +796,9 @@ impl Lowerer {
     /// Index the value of an arbitrary callee expression. Returns `false`
     /// when a keyword argument forced a trap (stream ends there).
     fn index_expr(&mut self, callee: &Expr, args: &[Arg], dst: Reg) -> bool {
+        if self.index_twice(callee, args, dst) {
+            return true;
+        }
         let tb = self.alloc();
         self.expr_at(callee, tb);
         let idx = self.next_reg;
@@ -753,6 +821,47 @@ impl Lowerer {
             base: tb,
             idx,
             n,
+        });
+        true
+    }
+
+    /// `L(i...)(j...)` on a local `L` as one [`Op::IndexTwice`], when that
+    /// runs what the two ops would, in their order: no argument is a
+    /// keyword or may rebind a local, and the `j`s are literals (they are
+    /// evaluated before `L(i...)` runs, not after). Returns whether it
+    /// emitted the op.
+    fn index_twice(&mut self, callee: &Expr, args: &[Arg], dst: Reg) -> bool {
+        let Expr::Apply(inner, first) = callee else {
+            return false;
+        };
+        let Some((name, slot)) = (match inner.as_ref() {
+            Expr::Ident(v) => self.slot_of(v).map(|slot| (v, slot)),
+            _ => None,
+        }) else {
+            return false;
+        };
+        let plain = |a: &Arg| matches!(a, Arg::Pos(e) if !may_rebind(e));
+        let literal = |a: &Arg| matches!(a, Arg::Pos(e) if is_literal(e));
+        if !first.iter().all(plain) || !args.iter().all(literal) {
+            return false;
+        }
+        let idx = self.next_reg;
+        for a in first.iter().chain(args) {
+            let Arg::Pos(e) = a else {
+                unreachable!("checked positional")
+            };
+            let t = self.alloc();
+            self.expr_at(e, t);
+        }
+        let name_id = self.name(name);
+        self.emit(Op::IndexTwice {
+            dst,
+            name: name_id,
+            slot,
+            builtin: builtin_id(name).unwrap_or(NO_TABLE),
+            idx,
+            n1: first.len() as u16,
+            n2: args.len() as u16,
         });
         true
     }
@@ -796,6 +905,16 @@ fn push_table<T>(tables: &mut Vec<Vec<T>>, t: Vec<T>) -> u16 {
 }
 
 // ---- local scan -------------------------------------------------------------
+
+/// Is `e` a literal (a negative number included): evaluating it runs
+/// nothing?
+fn is_literal(e: &Expr) -> bool {
+    match e {
+        Expr::Num(_) | Expr::Str(_) | Expr::Bool(_) => true,
+        Expr::Unary(UnOp::Neg, inner) => matches!(**inner, Expr::Num(_)),
+        _ => false,
+    }
+}
 
 /// Can evaluating `e` bind a local of the running frame? Only a method
 /// call (`L.add_last[x]`) or an `exec` can.

@@ -8,12 +8,15 @@
 //! The calling convention is register-based and contiguous (Lua-style):
 //! every expression operand is evaluated into a frame register; call ops name
 //! a base register and an argument count, and multi-value results are written
-//! to `dst..dst+want`. An argument that is a plain local is *lent*: its
-//! register in the call's window stays empty ([`Op::Ref`]) and the callee
-//! reads the variable's own slot, so passing a string, a hash or a serial
-//! copies nothing. Named locals occupy dedicated slots resolved at lower
-//! time, so executing an op never hashes a name (counted by the tests in
-//! `vm.rs`).
+//! to `dst..dst+want`. A local among the trailing arguments that run
+//! nothing is *lent* ([`Lend`]): no op evaluates it, its register in the
+//! call's window stays empty and the callee reads the variable's own
+//! slot, so passing a string, a hash or a serial copies nothing. A local
+//! the last statement of a function body lends to a builtin is not read
+//! again ([`Lend::last`]): the builtin gets it to keep. An operand of
+//! [`Op::Bin`] that is a local is read in place too.
+//! Named locals occupy dedicated slots resolved at lower time, so
+//! executing an op never hashes a name (counted by the tests in `vm.rs`).
 
 use crate::ast::{BinOp, FuncDef, UnOp};
 use crate::interp::NValue;
@@ -34,17 +37,14 @@ pub(crate) const NO_TABLE: u16 = u16::MAX;
 #[derive(Debug, Clone, Copy)]
 #[allow(missing_docs)] // field names follow one scheme: dst/src/base/argc/…
 pub(crate) enum Op {
-    /// `regs[dst] = consts[idx].clone()`.
+    /// `regs[dst] = consts[idx]`: a scalar as an immediate, a string
+    /// shared with the pool.
     Const { dst: Reg, idx: u16 },
     /// `regs[dst] = regs[src].clone()`; an unbound `src` slot falls back to
     /// the dynamic scope chain (outer frames, globals, bare builtin call).
     Copy { dst: Reg, src: Reg },
     /// `regs[dst] = regs[src].take()` — move a bound temporary.
     Take { dst: Reg, src: Reg },
-    /// A lent call argument: `regs[dst]` is left empty while local `src`
-    /// is bound (the call reads `src` in place); an unbound `src` resolves
-    /// into `regs[dst]` like [`Op::Copy`].
-    Ref { dst: Reg, src: Reg },
     /// Read an identifier that has no local slot in this chunk.
     LoadDyn { dst: Reg, name: u32 },
     /// Multi-value read of a bare identifier (multi-assignment RHS).
@@ -54,7 +54,9 @@ pub(crate) enum Op {
         name: u32,
         want: u16,
     },
-    /// Binary operator over two registers.
+    /// Binary operator over two registers. An operand in a named slot is
+    /// a local, read in place (an unbound one resolves like [`Op::Copy`]);
+    /// a temporary is consumed.
     Bin { op: BinOp, dst: Reg, a: Reg, b: Reg },
     /// Unary operator.
     Un { op: UnOp, dst: Reg, src: Reg },
@@ -79,6 +81,19 @@ pub(crate) enum Op {
     },
     /// Field read `base.name`.
     Field { dst: Reg, base: Reg, name: u32 },
+    /// `name(i...)(j...)` on local `slot`, the `i`s in `idx..idx+n1` and
+    /// the `j`s after them: a list item is indexed where it lies, not
+    /// copied out first. Anything else runs as the [`Op::Apply`] of
+    /// `name(i...)` (`builtin` as there) followed by an [`Op::Index`].
+    IndexTwice {
+        dst: Reg,
+        name: u32,
+        slot: Reg,
+        builtin: u16,
+        idx: Reg,
+        n1: u16,
+        n2: u16,
+    },
     /// `name(args)` — resolved at runtime to variable indexing or a call
     /// (user function first, then the builtin table), exactly like the
     /// tree-walker. Arguments are in `base..base+argc` in source order;
@@ -149,7 +164,7 @@ pub struct Chunk {
     /// Source position per op (parallel to `ops`; `Pos::NONE` = no span).
     pub(crate) spans: Vec<Pos>,
     /// Interned constant pool (deduplicated literals).
-    pub(crate) consts: Vec<NValue>,
+    pub(crate) consts: Vec<Const>,
     /// Interned identifier names.
     pub(crate) names: Vec<Rc<str>>,
     /// Named local slots introduced by this chunk: `(slot, name index)`.
@@ -158,15 +173,39 @@ pub struct Chunk {
     pub(crate) nregs: u16,
     /// Keyword-argument tables: `(argument position, name index)` pairs.
     pub(crate) kw_tables: Vec<Vec<(u16, u32)>>,
-    /// Lent-argument tables: `(argument position, local slot)` pairs, in
-    /// position order.
-    pub(crate) lends: Vec<Vec<(u16, Reg)>>,
+    /// Lent-argument tables, in position order.
+    pub(crate) lends: Vec<Vec<Lend>>,
     /// Matrix literal shapes: entry count per row.
     pub(crate) shapes: Vec<Vec<u16>>,
     /// Trap messages.
     pub(crate) msgs: Vec<String>,
     /// Function definitions appearing in this chunk.
     pub(crate) defs: Vec<Rc<FuncDef>>,
+}
+
+/// A literal of the constant pool.
+#[derive(Debug, Clone)]
+pub(crate) enum Const {
+    Num(f64),
+    Bool(bool),
+    /// A string, shared by every register that loads it.
+    Str(Rc<NValue>),
+}
+
+/// A call argument that is a local, lent to the call: when the call runs,
+/// its register is left empty while the local is bound (the callee reads
+/// the local in place); an unbound local resolves into it like
+/// [`Op::Copy`], in argument order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Lend {
+    /// The argument's position.
+    pub(crate) pos: u16,
+    /// The local's slot.
+    pub(crate) slot: Reg,
+    /// Nothing reads the local after the call: it is the last statement
+    /// of a function body, and the local is not an output. A builtin
+    /// gets it to keep; any other callee has it lent.
+    pub(crate) last: bool,
 }
 
 /// A compiled user function: the definition (for arity/outs and identity)

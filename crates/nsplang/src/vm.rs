@@ -7,14 +7,15 @@
 //! RNG, so variable bindings, draw sequences, and error messages are
 //! bit-identical (asserted by `tests/nsp_scripts.rs`).
 //!
-//! Registers hold an [`RVal`]: either a boxed [`NValue`] or an **unboxed**
-//! scalar (`f64` / `bool`). Every nspval scalar is a heap-allocated 1×1
-//! matrix, so the tree-walker pays one allocation per arithmetic node; the
-//! VM keeps scalars as immediates and materialises the 1×1 matrix only
-//! where a value needs its boxed form (containers, scope flush, a builtin
-//! that inspects the matrix). Materialisation is loss-free — `RVal::F(x)`
-//! round-trips to exactly `NValue::scalar(x)` — so unboxing is invisible to
-//! scripts and to the equivalence battery.
+//! Registers hold an [`RVal`]: a boxed [`NValue`], one shared by several
+//! registers, or an **unboxed** scalar (`f64` / `bool`). The VM keeps
+//! scalars as immediates and materialises the 1×1 matrix (inline, so
+//! allocation-free) only where a value needs its boxed form (containers,
+//! scope flush, a builtin that inspects the matrix). Materialisation is
+//! loss-free — `RVal::F(x)` round-trips to exactly `NValue::scalar(x)` — so
+//! unboxing is invisible to scripts and to the equivalence battery. A
+//! string literal, and a local lent to a user function, is shared rather
+//! than copied: a register that changes it gets its own copy first.
 //!
 //! Hot-path discipline: executing an op, calls included, hashes no name
 //! and compares no string. Every name is interned once per chunk into a
@@ -30,11 +31,12 @@
 use crate::ast::{BinOp, FuncDef, UnOp};
 use crate::interp::{
     add_last_value, binary_value, build_matrix, builtin_id, field_assign_value, field_ref,
-    for_items_of, index_assign_value, index_value, range_value, read_exec_source, transpose_value,
-    unary_value, Builtin, CallArg, Interp, NValue, NspError, Ret, BUILTIN_EXEC,
+    for_items_of, index_assign_value, index_plain, index_value, list_item, range_value,
+    read_exec_source, transpose_value, unary_value, Builtin, CallArg, Interp, NValue, NspError,
+    Ret, BUILTIN_EXEC,
 };
 use crate::lower::{lower_function, lower_program, lower_seeded};
-use crate::opcodes::{Chunk, Op, Proto, Reg, NO_REG, NO_TABLE};
+use crate::opcodes::{Chunk, Const, Lend, Op, Proto, Reg, NO_REG, NO_TABLE};
 use crate::parser::parse_program;
 use nspval::{Hash, Value};
 use std::collections::HashMap;
@@ -45,7 +47,8 @@ type R<T> = Result<T, NspError>;
 fn err<T>(msg: impl Into<String>) -> R<T> {
     Err(NspError::new(msg))
 }
-/// A register value: a boxed [`NValue`] or an unboxed scalar immediate.
+/// A register value: a boxed [`NValue`], a shared one, or an unboxed
+/// scalar immediate.
 ///
 /// The scalar variants carry exactly the information of a 1×1 real/bool
 /// matrix, so converting back ([`RVal::nv`]) reconstructs a bit-identical
@@ -56,6 +59,9 @@ fn err<T>(msg: impl Into<String>) -> R<T> {
 enum RVal {
     /// A boxed value (matrices, strings, lists, objects, …).
     N(NValue),
+    /// A boxed value several registers (or the constant pool) hold: read
+    /// in place, copied out only by a register that takes it to change.
+    S(Rc<NValue>),
     /// An unboxed 1×1 real.
     F(f64),
     /// An unboxed 1×1 boolean.
@@ -78,9 +84,31 @@ impl RVal {
     fn nv(self) -> NValue {
         match self {
             RVal::N(v) => v,
+            RVal::S(v) => Rc::try_unwrap(v).unwrap_or_else(|v| (*v).clone()),
             RVal::F(x) => NValue::scalar(x),
             RVal::B(b) => NValue::boolean(b),
         }
+    }
+
+    /// The boxed value, read in place; `None` for an immediate.
+    #[inline]
+    fn boxed(&self) -> Option<&NValue> {
+        match self {
+            RVal::N(v) => Some(v),
+            RVal::S(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// A copy of the value in `reg` for a callee to hold: plain data is
+    /// shared from then on (the register itself turns shared), so a
+    /// string or a list reaches a user function without a deep copy.
+    fn share(reg: &mut Option<RVal>) -> RVal {
+        if let Some(RVal::N(v @ NValue::V(_))) = reg {
+            let v = std::mem::replace(v, NValue::V(Value::None));
+            *reg = Some(RVal::S(Rc::new(v)));
+        }
+        reg.clone().expect("lent local bound")
     }
 
     /// Unbox a boxed 1×1 again (a lent local that a builtin boxed in
@@ -98,6 +126,7 @@ impl RVal {
     fn to_nv(&self) -> NValue {
         match self {
             RVal::N(v) => v.clone(),
+            RVal::S(v) => (**v).clone(),
             RVal::F(x) => NValue::scalar(*x),
             RVal::B(b) => NValue::boolean(*b),
         }
@@ -108,8 +137,8 @@ impl RVal {
     fn as_num(&self) -> Option<f64> {
         match self {
             RVal::F(x) => Some(*x),
-            RVal::N(NValue::V(Value::Real(m))) if m.is_scalar() => Some(m.get(0, 0)),
-            _ => None,
+            RVal::B(_) => None,
+            boxed => boxed.boxed().and_then(NValue::as_scalar),
         }
     }
 
@@ -118,9 +147,19 @@ impl RVal {
     fn as_bool(&self) -> Option<bool> {
         match self {
             RVal::B(b) => Some(*b),
-            RVal::N(NValue::V(Value::Bool(m))) if m.is_scalar() => Some(m.get(0, 0)),
-            _ => None,
+            RVal::F(_) => None,
+            boxed => match boxed.boxed() {
+                Some(NValue::V(v)) => v.as_bool(),
+                _ => None,
+            },
         }
+    }
+
+    /// An Rc handle (an mpibuf, a Premia object): one more holder costs
+    /// no copy.
+    #[inline]
+    fn is_handle(&self) -> bool {
+        matches!(self, RVal::N(NValue::Buf(_) | NValue::Premia(_)))
     }
 }
 
@@ -151,21 +190,15 @@ impl CallArg for Option<RVal> {
     }
 
     fn text(&self) -> Option<&str> {
-        match self {
-            Some(RVal::N(v)) => v.as_str(),
-            _ => None,
-        }
+        self.as_ref()?.boxed()?.as_str()
     }
 
     fn value(&mut self) -> &NValue {
-        if !matches!(self, Some(RVal::N(_))) {
+        if !matches!(self, Some(RVal::N(_) | RVal::S(_))) {
             let v = self.take().expect("argument register bound").nv();
             *self = Some(RVal::N(v));
         }
-        match self {
-            Some(RVal::N(v)) => v,
-            _ => unreachable!("boxed above"),
-        }
+        self.as_ref().and_then(RVal::boxed).expect("boxed above")
     }
 
     fn take_value(&mut self) -> NValue {
@@ -185,6 +218,9 @@ struct NameInfo {
     name: Rc<str>,
     /// The builtin of that name, or `NO_TABLE`.
     builtin: u16,
+    /// Some linked chunk gives the name a slot: unless it does, no frame
+    /// binds it.
+    slotted: bool,
     epoch: u64,
     /// Some interpreter scope binds the name.
     global: bool,
@@ -237,6 +273,7 @@ impl VmState {
         self.info.push(NameInfo {
             name: name.clone(),
             builtin: builtin_id(name).unwrap_or(NO_TABLE),
+            slotted: false,
             epoch: u64::MAX,
             global: false,
             func: None,
@@ -249,7 +286,9 @@ impl VmState {
         let gids: Vec<u32> = chunk.names.iter().map(|n| self.intern(n)).collect();
         let mut names = vec![NO_NAME; chunk.nregs as usize];
         for &(slot, name) in &chunk.locals {
-            names[slot as usize] = gids[name as usize];
+            let g = gids[name as usize];
+            names[slot as usize] = g;
+            self.info[g as usize].slotted = true;
         }
         (gids, names)
     }
@@ -390,264 +429,219 @@ fn run_frame(
     // Active `for` iterators, innermost last.
     let mut iters: Vec<ForIter> = Vec::new();
     while pc < ops.len() {
-        let step: R<usize> = match ops[pc] {
-            Op::Const { dst, idx } => {
-                frame.regs[dst as usize] = Some(load_const(&chunk.consts[idx as usize]));
-                Ok(pc + 1)
-            }
-            Op::Copy { dst, src } => {
-                let v = match frame.regs[src as usize] {
-                    Some(ref v) => Ok(v.clone()),
-                    None => load_slow(interp, frame, chain, frame.names[src as usize])
-                        .map(RVal::from_nv),
-                };
-                v.map(|v| {
+        let step: R<usize> =
+            match ops[pc] {
+                Op::Const { dst, idx } => {
+                    frame.regs[dst as usize] = Some(load_const(&chunk.consts[idx as usize]));
+                    Ok(pc + 1)
+                }
+                Op::Copy { dst, src } => {
+                    let v = match frame.regs[src as usize] {
+                        Some(ref v) => Ok(v.clone()),
+                        None => load_slow(interp, frame, chain, frame.names[src as usize])
+                            .map(RVal::from_nv),
+                    };
+                    v.map(|v| {
+                        frame.regs[dst as usize] = Some(v);
+                        pc + 1
+                    })
+                }
+                Op::Take { dst, src } => {
+                    frame.regs[dst as usize] = frame.regs[src as usize].take();
+                    Ok(pc + 1)
+                }
+                Op::LoadDyn { dst, name } => load_slow(interp, frame, chain, gids[name as usize])
+                    .map(|v| {
+                        frame.regs[dst as usize] = Some(RVal::from_nv(v));
+                        pc + 1
+                    }),
+                Op::IdentMulti {
+                    dst,
+                    slot,
+                    name,
+                    want,
+                } => ident_multi(interp, gids, frame, chain, dst, slot, name, want).map(|_| pc + 1),
+                Op::Bin { op, dst, a, b } => bin_op(interp, frame, chain, op, a, b).map(|v| {
                     frame.regs[dst as usize] = Some(v);
                     pc + 1
-                })
-            }
-            Op::Take { dst, src } => {
-                frame.regs[dst as usize] = frame.regs[src as usize].take();
-                Ok(pc + 1)
-            }
-            Op::Ref { dst, src } => {
-                if frame.regs[src as usize].is_some() {
-                    frame.regs[dst as usize] = None;
-                    Ok(pc + 1)
-                } else {
-                    load_slow(interp, frame, chain, frame.names[src as usize]).map(|v| {
+                }),
+                Op::Un { op, dst, src } => {
+                    let fast = frame.regs[src as usize].as_ref().and_then(|v| match op {
+                        UnOp::Neg => v.as_num().map(|x| RVal::F(-x)),
+                        UnOp::Not => v.as_bool().map(|b| RVal::B(!b)),
+                    });
+                    let res = match fast {
+                        Some(v) => Ok(v),
+                        None => {
+                            let v = take_nv(frame, src);
+                            unary_value(op, &v).map(RVal::from_nv)
+                        }
+                    };
+                    res.map(|v| {
+                        frame.regs[dst as usize] = Some(v);
+                        pc + 1
+                    })
+                }
+                Op::Range { dst, lo, hi, step } => {
+                    let vlo = take_nv(frame, lo);
+                    let vhi = take_nv(frame, hi);
+                    let vstep = if step == NO_REG {
+                        None
+                    } else {
+                        Some(take_nv(frame, step))
+                    };
+                    range_value(&vlo, &vhi, vstep.as_ref()).map(|v| {
+                        frame.regs[dst as usize] = Some(RVal::N(v));
+                        pc + 1
+                    })
+                }
+                Op::Matrix { dst, shape, base } => {
+                    let mut rows = Vec::with_capacity(chunk.shapes[shape as usize].len());
+                    let mut at = base;
+                    for &width in &chunk.shapes[shape as usize] {
+                        let mut row = Vec::with_capacity(width as usize);
+                        for _ in 0..width {
+                            row.push(take_nv(frame, at));
+                            at += 1;
+                        }
+                        rows.push(row);
+                    }
+                    build_matrix(&rows).map(|v| {
                         frame.regs[dst as usize] = Some(RVal::from_nv(v));
                         pc + 1
                     })
                 }
-            }
-            Op::LoadDyn { dst, name } => {
-                load_slow(interp, frame, chain, gids[name as usize]).map(|v| {
-                    frame.regs[dst as usize] = Some(RVal::from_nv(v));
-                    pc + 1
-                })
-            }
-            Op::IdentMulti {
-                dst,
-                slot,
-                name,
-                want,
-            } => ident_multi(interp, gids, frame, chain, dst, slot, name, want).map(|_| pc + 1),
-            Op::Bin { op, dst, a, b } => {
-                // Scalar fast path: both operands are immediates (or boxed
-                // 1×1s) — pure register arithmetic, no allocation.
-                let fast = match (&frame.regs[a as usize], &frame.regs[b as usize]) {
-                    (Some(x), Some(y)) => match (x.as_num(), y.as_num()) {
-                        (Some(x), Some(y)) => Some(scalar_bin(op, x, y)),
-                        _ => match (x.as_bool(), y.as_bool()) {
-                            (Some(x), Some(y))
-                                if matches!(op, BinOp::And | BinOp::Or | BinOp::Eq | BinOp::Ne) =>
-                            {
-                                Some(Ok(RVal::B(match op {
-                                    BinOp::And => x && y,
-                                    BinOp::Or => x || y,
-                                    BinOp::Eq => x == y,
-                                    _ => x != y,
-                                })))
-                            }
-                            _ => None,
-                        },
-                    },
-                    _ => None,
-                };
-                let res = match fast {
-                    Some(r) => r,
-                    None => {
-                        let va = take_nv(frame, a);
-                        let vb = take_nv(frame, b);
-                        binary_value(op, &va, &vb).map(RVal::from_nv)
-                    }
-                };
-                res.map(|v| {
-                    frame.regs[dst as usize] = Some(v);
-                    pc + 1
-                })
-            }
-            Op::Un { op, dst, src } => {
-                let fast = frame.regs[src as usize].as_ref().and_then(|v| match op {
-                    UnOp::Neg => v.as_num().map(|x| RVal::F(-x)),
-                    UnOp::Not => v.as_bool().map(|b| RVal::B(!b)),
-                });
-                let res = match fast {
-                    Some(v) => Ok(v),
-                    None => {
-                        let v = take_nv(frame, src);
-                        unary_value(op, &v).map(RVal::from_nv)
-                    }
-                };
-                res.map(|v| {
-                    frame.regs[dst as usize] = Some(v);
-                    pc + 1
-                })
-            }
-            Op::Range { dst, lo, hi, step } => {
-                let vlo = take_nv(frame, lo);
-                let vhi = take_nv(frame, hi);
-                let vstep = if step == NO_REG {
-                    None
-                } else {
-                    Some(take_nv(frame, step))
-                };
-                range_value(&vlo, &vhi, vstep.as_ref()).map(|v| {
-                    frame.regs[dst as usize] = Some(RVal::N(v));
-                    pc + 1
-                })
-            }
-            Op::Matrix { dst, shape, base } => {
-                let mut rows = Vec::with_capacity(chunk.shapes[shape as usize].len());
-                let mut at = base;
-                for &width in &chunk.shapes[shape as usize] {
-                    let mut row = Vec::with_capacity(width as usize);
-                    for _ in 0..width {
-                        row.push(take_nv(frame, at));
-                        at += 1;
-                    }
-                    rows.push(row);
+                Op::Transpose { dst, src } => {
+                    let v = take_nv(frame, src);
+                    transpose_value(v).map(|v| {
+                        frame.regs[dst as usize] = Some(RVal::from_nv(v));
+                        pc + 1
+                    })
                 }
-                build_matrix(&rows).map(|v| {
-                    frame.regs[dst as usize] = Some(RVal::from_nv(v));
-                    pc + 1
-                })
-            }
-            Op::Transpose { dst, src } => {
-                let v = take_nv(frame, src);
-                transpose_value(&v).map(|v| {
-                    frame.regs[dst as usize] = Some(RVal::from_nv(v));
-                    pc + 1
-                })
-            }
-            Op::Index { dst, base, idx, n } => {
-                let b = take_nv(frame, base);
-                let idx = &mut frame.regs[idx as usize..(idx + n) as usize];
-                let res = index_value(&b, idx);
-                idx.fill(None);
-                res.map(|v| {
-                    frame.regs[dst as usize] = Some(RVal::from_nv(v));
-                    pc + 1
-                })
-            }
-            Op::Field { dst, base, name } => {
-                // A named base is a local read in place; a temporary is
-                // consumed.
-                let field = &chunk.names[name as usize];
-                let res = if frame.names[base as usize] == NO_NAME {
-                    field_rval(
-                        &frame.regs[base as usize].take().expect("operand bound"),
-                        field,
-                    )
-                } else {
-                    match &frame.regs[base as usize] {
-                        Some(b) => field_rval(b, field),
-                        None => load_slow(interp, frame, chain, frame.names[base as usize])
-                            .and_then(|b| field_rval(&RVal::N(b), field)),
-                    }
-                };
-                res.map(|v| {
-                    frame.regs[dst as usize] = Some(v);
-                    pc + 1
-                })
-            }
-            Op::Apply {
-                dst,
-                name,
-                slot,
-                builtin,
-                base,
-                argc,
-                kwt,
-                lent,
-                want,
-            } => {
-                let call = Call {
+                Op::Index { dst, base, idx, n } => {
+                    let b = take_nv(frame, base);
+                    let idx = &mut frame.regs[idx as usize..(idx + n) as usize];
+                    let res = index_value(&b, idx);
+                    idx.fill(None);
+                    res.map(|v| {
+                        frame.regs[dst as usize] = Some(RVal::from_nv(v));
+                        pc + 1
+                    })
+                }
+                Op::Field { dst, base, name } => {
+                    let field = &chunk.names[name as usize];
+                    field_op(interp, frame, chain, base, field).map(|v| {
+                        frame.regs[dst as usize] = Some(v);
+                        pc + 1
+                    })
+                }
+                Op::IndexTwice {
                     dst,
+                    name,
+                    slot,
+                    builtin,
+                    idx,
+                    n1,
+                    n2,
+                } => index_twice(
+                    interp, chunk, gids, frame, chain, dst, name, slot, builtin, idx, n1, n2,
+                )
+                .map(|_| pc + 1),
+                Op::Apply {
+                    dst,
+                    name,
+                    slot,
+                    builtin,
                     base,
                     argc,
                     kwt,
                     lent,
                     want,
-                };
-                apply_op(interp, chunk, gids, frame, chain, name, slot, builtin, call)
-                    .map(|_| pc + 1)
-            }
-            Op::Method {
-                dst,
-                name,
-                obj,
-                base,
-                argc,
-                kwt,
-                want,
-                wb,
-            } => method_op(
-                interp, chunk, frame, chain, dst, name, obj, base, argc, kwt, want, wb,
-            )
-            .map(|_| pc + 1),
-            Op::IndexAsg {
-                slot,
-                name,
-                idx,
-                n,
-                src,
-            } => index_asg(interp, chunk, gids, frame, chain, slot, name, idx, n, src)
+                } => {
+                    let call = Call {
+                        dst,
+                        base,
+                        argc,
+                        kwt,
+                        lent,
+                        want,
+                    };
+                    apply_op(interp, chunk, gids, frame, chain, name, slot, builtin, call)
+                        .map(|_| pc + 1)
+                }
+                Op::Method {
+                    dst,
+                    name,
+                    obj,
+                    base,
+                    argc,
+                    kwt,
+                    want,
+                    wb,
+                } => method_op(
+                    interp, chunk, frame, chain, dst, name, obj, base, argc, kwt, want, wb,
+                )
                 .map(|_| pc + 1),
-            Op::FieldAsg {
-                slot,
-                name,
-                field,
-                src,
-            } => {
-                field_asg(interp, chunk, gids, frame, chain, slot, name, field, src).map(|_| pc + 1)
-            }
-            Op::DefFunc { def } => {
-                interp.define(chunk.defs[def as usize].clone());
-                Ok(pc + 1)
-            }
-            Op::Jump { to } => Ok(to as usize),
-            Op::JumpIfFalse { cond, to } => {
-                // Scalar conditions branch on the immediate; `truthy` on a
-                // 1×1 real is `x != 0.0`, on a 1×1 bool the bool itself.
-                match frame.regs[cond as usize] {
-                    Some(RVal::B(b)) => Ok(if b { pc + 1 } else { to as usize }),
-                    Some(RVal::F(x)) => Ok(if x != 0.0 { pc + 1 } else { to as usize }),
-                    _ => {
-                        let c = take_nv(frame, cond);
-                        c.truthy().map(|t| if t { pc + 1 } else { to as usize })
+                Op::IndexAsg {
+                    slot,
+                    name,
+                    idx,
+                    n,
+                    src,
+                } => index_asg(interp, chunk, gids, frame, chain, slot, name, idx, n, src)
+                    .map(|_| pc + 1),
+                Op::FieldAsg {
+                    slot,
+                    name,
+                    field,
+                    src,
+                } => field_asg(interp, chunk, gids, frame, chain, slot, name, field, src)
+                    .map(|_| pc + 1),
+                Op::DefFunc { def } => {
+                    interp.define(chunk.defs[def as usize].clone());
+                    Ok(pc + 1)
+                }
+                Op::Jump { to } => Ok(to as usize),
+                Op::JumpIfFalse { cond, to } => {
+                    // Scalar conditions branch on the immediate; `truthy` on a
+                    // 1×1 real is `x != 0.0`, on a 1×1 bool the bool itself.
+                    match frame.regs[cond as usize] {
+                        Some(RVal::B(b)) => Ok(if b { pc + 1 } else { to as usize }),
+                        Some(RVal::F(x)) => Ok(if x != 0.0 { pc + 1 } else { to as usize }),
+                        _ => {
+                            let c = take_nv(frame, cond);
+                            c.truthy().map(|t| if t { pc + 1 } else { to as usize })
+                        }
                     }
                 }
-            }
-            Op::ForPrep { iter } => ForIter::new(take_nv(frame, iter)).map(|it| {
-                iters.push(it);
-                pc + 1
-            }),
-            Op::ForNext { var, end } => {
-                let item = match iters.last_mut().expect("ForNext inside a loop") {
-                    ForIter::Reals(xs) => xs.pop().map(RVal::F),
-                    ForIter::Items(items) => items.pop().map(RVal::from_nv),
-                };
-                match item {
-                    Some(item) => {
-                        frame.regs[var as usize] = Some(item);
-                        Ok(pc + 1)
+                Op::ForPrep { iter } => ForIter::new(take_nv(frame, iter)).map(|it| {
+                    iters.push(it);
+                    pc + 1
+                }),
+                Op::ForNext { var, end } => {
+                    let item = match iters.last_mut().expect("ForNext inside a loop") {
+                        ForIter::Reals(xs) => xs.pop().map(RVal::F),
+                        ForIter::Items(items) => items.pop().map(RVal::from_nv),
+                    };
+                    match item {
+                        Some(item) => {
+                            frame.regs[var as usize] = Some(item);
+                            Ok(pc + 1)
+                        }
+                        None => {
+                            iters.pop();
+                            Ok(end as usize)
+                        }
                     }
-                    None => {
+                }
+                Op::ExitLoop { drop, to } => {
+                    for _ in 0..drop {
                         iters.pop();
-                        Ok(end as usize)
                     }
+                    Ok(to as usize)
                 }
-            }
-            Op::ExitLoop { drop, to } => {
-                for _ in 0..drop {
-                    iters.pop();
-                }
-                Ok(to as usize)
-            }
-            Op::Trap { msg } => err(chunk.msgs[msg as usize].clone()),
-        };
+                Op::Trap { msg } => err(chunk.msgs[msg as usize].clone()),
+            };
         match step {
             Ok(next) => pc = next,
             Err(e) => return Err(e.with_span(chunk.spans[pc])),
@@ -680,15 +674,99 @@ impl ForIter {
     }
 }
 
-/// Load a constant, unboxing scalar literals so hot loops never clone a
-/// heap matrix for `1` or `0.0`.
+/// Load a constant: a scalar as an immediate, a string shared with the
+/// pool. Nothing is copied.
 #[inline]
-fn load_const(c: &NValue) -> RVal {
+fn load_const(c: &Const) -> RVal {
     match c {
-        NValue::V(Value::Real(m)) if m.is_scalar() => RVal::F(m.get(0, 0)),
-        NValue::V(Value::Bool(b)) if b.is_scalar() => RVal::B(b.get(0, 0)),
-        c => RVal::N(c.clone()),
+        Const::Num(x) => RVal::F(*x),
+        Const::Bool(b) => RVal::B(*b),
+        Const::Str(s) => RVal::S(s.clone()),
     }
+}
+
+/// Operand `r` of an op that reads its operands: a temporary is taken
+/// (`Some`), a bound local is read in place where it is (`None`), and an
+/// unbound local resolves through the dynamic chain (`Some`).
+fn operand(
+    interp: &mut Interp,
+    frame: &mut Frame,
+    chain: Option<&Chain>,
+    r: Reg,
+) -> R<Option<RVal>> {
+    let g = frame.names[r as usize];
+    if g == NO_NAME {
+        let v = frame.regs[r as usize].take();
+        return Ok(Some(v.expect("operand register bound")));
+    }
+    if frame.regs[r as usize].is_some() {
+        return Ok(None);
+    }
+    load_slow(interp, frame, chain, g).map(|v| Some(RVal::from_nv(v)))
+}
+
+/// `a op b` on operand registers `a` and `b` (see [`operand`]).
+fn bin_op(
+    interp: &mut Interp,
+    frame: &mut Frame,
+    chain: Option<&Chain>,
+    op: BinOp,
+    a: Reg,
+    b: Reg,
+) -> R<RVal> {
+    let x = operand(interp, frame, chain, a)?;
+    let y = operand(interp, frame, chain, b)?;
+    let x = x.as_ref().or(frame.regs[a as usize].as_ref());
+    let y = y.as_ref().or(frame.regs[b as usize].as_ref());
+    bin_rval(op, x.expect("operand bound"), y.expect("operand bound"))
+}
+
+/// `base.name` on operand register `base` (see [`operand`]).
+fn field_op(
+    interp: &mut Interp,
+    frame: &mut Frame,
+    chain: Option<&Chain>,
+    base: Reg,
+    name: &str,
+) -> R<RVal> {
+    let own = operand(interp, frame, chain, base)?;
+    let b = own.as_ref().or(frame.regs[base as usize].as_ref());
+    field_rval(b.expect("operand bound"), name)
+}
+
+/// `x op y` on register values. Scalar fast path: both operands are
+/// immediates (or boxed 1×1s) — pure register arithmetic. Anything else
+/// goes to the shared `binary_value`, on the values where they are.
+fn bin_rval(op: BinOp, x: &RVal, y: &RVal) -> R<RVal> {
+    if let (Some(x), Some(y)) = (x.as_num(), y.as_num()) {
+        return scalar_bin(op, x, y);
+    }
+    if let (Some(x), Some(y)) = (x.as_bool(), y.as_bool()) {
+        if matches!(op, BinOp::And | BinOp::Or | BinOp::Eq | BinOp::Ne) {
+            return Ok(RVal::B(match op {
+                BinOp::And => x && y,
+                BinOp::Or => x || y,
+                BinOp::Eq => x == y,
+                _ => x != y,
+            }));
+        }
+    }
+    let (bx, by);
+    let x = match x.boxed() {
+        Some(v) => v,
+        None => {
+            bx = x.to_nv();
+            &bx
+        }
+    };
+    let y = match y.boxed() {
+        Some(v) => v,
+        None => {
+            by = y.to_nv();
+            &by
+        }
+    };
+    binary_value(op, x, y).map(RVal::from_nv)
 }
 
 /// Take a bound operand register and materialise it (temporaries are always
@@ -702,20 +780,21 @@ fn take_nv(frame: &mut Frame, r: Reg) -> NValue {
 }
 
 /// `base.name` as a register value: a scalar field is read unboxed, without
-/// copying it out of the hash.
+/// copying it out of the hash (or the status).
 fn field_rval(base: &RVal, name: &str) -> R<RVal> {
     let boxed;
-    let base = match base {
-        RVal::N(v) => v,
-        imm => {
-            boxed = imm.to_nv();
+    let base = match base.boxed() {
+        Some(v) => v,
+        None => {
+            boxed = base.to_nv();
             &boxed
         }
     };
-    Ok(match field_ref(base, name)? {
+    let v = field_ref(base, name)?;
+    Ok(match &*v {
         Value::Real(m) if m.is_scalar() => RVal::F(m.get(0, 0)),
         Value::Bool(b) if b.is_scalar() => RVal::B(b.get(0, 0)),
-        v => RVal::N(NValue::wrap(v.clone())),
+        _ => RVal::N(NValue::wrap(v.into_owned())),
     })
 }
 
@@ -726,15 +805,17 @@ fn field_rval(base: &RVal, name: &str) -> R<RVal> {
 /// Every caller asks about a name whose own slot, if the chunk has one, is
 /// empty; so unless the frame has grown, this frame does not bind it.
 fn find_var(interp: &mut Interp, frame: &Frame, chain: Option<&Chain>, g: u32) -> Option<NValue> {
-    if let Some(v) = frame.grown.then(|| frame.lookup(g)).flatten() {
-        return Some(v.to_nv());
-    }
-    let mut link = chain;
-    while let Some(c) = link {
-        if let Some(v) = c.frame.lookup(g) {
+    if interp.vm.info[g as usize].slotted {
+        if let Some(v) = frame.grown.then(|| frame.lookup(g)).flatten() {
             return Some(v.to_nv());
         }
-        link = c.up;
+        let mut link = chain;
+        while let Some(c) = link {
+            if let Some(v) = c.frame.lookup(g) {
+                return Some(v.to_nv());
+            }
+            link = c.up;
+        }
     }
     let info = info(interp, g);
     if !info.global {
@@ -827,23 +908,57 @@ fn gather_args(
     (pos, kw)
 }
 
-/// The lent locals of `call`: `(argument position, slot)` pairs.
-fn lends(chunk: &Chunk, call: Call) -> &[(u16, Reg)] {
+/// The lent locals of `call`.
+fn lends(chunk: &Chunk, call: Call) -> &[Lend] {
     match call.lent {
         NO_TABLE => &[],
         t => &chunk.lends[t as usize],
     }
 }
 
-/// Move each lent local into its (empty) argument register for the
-/// call; returns which were moved.
-fn lend(chunk: &Chunk, frame: &mut Frame, call: Call) -> u64 {
+/// Ready the register of each lent local as its argument stood: empty
+/// while the local is bound, its resolved value when it is not. Nothing
+/// ran between the arguments and the call, so resolving now, in argument
+/// order, is resolving where each argument stands.
+fn bind_lent(
+    interp: &mut Interp,
+    chunk: &Chunk,
+    frame: &mut Frame,
+    chain: Option<&Chain>,
+    call: Call,
+) -> R<()> {
+    for l in lends(chunk, call) {
+        let v = match frame.regs[l.slot as usize] {
+            Some(_) => None,
+            None => {
+                let g = frame.names[l.slot as usize];
+                Some(RVal::from_nv(load_slow(interp, frame, chain, g)?))
+            }
+        };
+        frame.regs[(call.base + l.pos) as usize] = v;
+    }
+    Ok(())
+}
+
+/// Put each lent local into its (empty) argument register for the call;
+/// returns which must go back. A local is moved there, except an Rc
+/// handle, which is shared: the callee then sees it held elsewhere. With
+/// `keep`, a [`Lend::last`] local is moved and stays with the callee, so
+/// a buffer held by nothing else is the callee's to consume.
+fn lend(chunk: &Chunk, frame: &mut Frame, call: Call, keep: bool) -> u64 {
     let mut moved = 0u64;
-    for &(i, s) in lends(chunk, call) {
-        let arg = (call.base + i) as usize;
+    for l in lends(chunk, call) {
+        let arg = (call.base + l.pos) as usize;
         if frame.regs[arg].is_none() {
-            frame.regs[arg] = frame.regs[s as usize].take();
-            moved |= 1 << i;
+            let local = &mut frame.regs[l.slot as usize];
+            frame.regs[arg] = if keep && l.last {
+                local.take()
+            } else if local.as_ref().is_some_and(RVal::is_handle) {
+                local.clone()
+            } else {
+                moved |= 1 << l.pos;
+                local.take()
+            };
         }
     }
     moved
@@ -852,10 +967,12 @@ fn lend(chunk: &Chunk, frame: &mut Frame, call: Call) -> u64 {
 /// After the call: move the lent locals back (unboxed again, should the
 /// callee have boxed one) and clear the argument registers.
 fn give_back(chunk: &Chunk, frame: &mut Frame, call: Call, moved: u64) {
-    for &(i, s) in lends(chunk, call) {
-        if moved & (1 << i) != 0 {
-            let arg = (call.base + i) as usize;
-            frame.regs[s as usize] = frame.regs[arg].take().map(RVal::unbox);
+    if moved != 0 {
+        for l in lends(chunk, call) {
+            if moved & (1 << l.pos) != 0 {
+                let arg = (call.base + l.pos) as usize;
+                frame.regs[l.slot as usize] = frame.regs[arg].take().map(RVal::unbox);
+            }
         }
     }
     for r in &mut frame.regs[call.base as usize..(call.base + call.argc) as usize] {
@@ -912,6 +1029,7 @@ fn apply_op(
     builtin: u16,
     call: Call,
 ) -> R<()> {
+    bind_lent(interp, chunk, frame, chain, call)?;
     // Runtime var-vs-call split, like the tree-walker's `Expr::Apply`: a
     // bound local, a variable further out, a user function, a builtin.
     // A bound local indexes in place — no clone of the container, matching
@@ -936,7 +1054,7 @@ fn apply_op(
     }
     let b = Builtin::from_id(builtin);
     let ret = if call.kwt == NO_TABLE {
-        let moved = lend(chunk, frame, call);
+        let moved = lend(chunk, frame, call, true);
         let args = &mut frame.regs[call.base as usize..(call.base + call.argc) as usize];
         let ret = interp.call_builtin(b, args, Vec::new());
         give_back(chunk, frame, call, moved);
@@ -960,23 +1078,26 @@ fn index_call(
     if call.kwt != NO_TABLE {
         return err("unexpected keyword argument");
     }
-    let moved = lend(chunk, frame, call);
+    let moved = lend(chunk, frame, call, false);
     // The variable is a local (below the argument registers) or `outer`.
     let (locals, above) = frame.regs.split_at_mut(call.base as usize);
     let args = &mut above[..call.argc as usize];
     let res = match &outer {
         Some(v) => index_value(v, args),
-        None => match locals[slot as usize].as_ref().expect("bound local") {
-            RVal::N(v) => index_value(v, args),
-            imm => index_value(&imm.to_nv(), args),
-        },
+        None => {
+            let local = locals[slot as usize].as_ref().expect("bound local");
+            match local.boxed() {
+                Some(v) => index_value(v, args),
+                None => index_value(&local.to_nv(), args),
+            }
+        }
     };
     give_back(chunk, frame, call, moved);
     write_one(frame, call.dst, call.want, RVal::from_nv(res?))
 }
 
 /// Call user function `f` on a pooled frame. Arguments move from their
-/// registers into the parameter slots; a lent local is copied, since the
+/// registers into the parameter slots; a lent local is shared, since the
 /// caller keeps it.
 fn call_user(
     interp: &mut Interp,
@@ -1006,11 +1127,11 @@ fn call_user(
             let v = match frame.regs[(call.base + i) as usize].take() {
                 Some(v) => v,
                 None => {
-                    let &(_, s) = lends
+                    let l = lends
                         .iter()
-                        .find(|&&(p, _)| p == i)
+                        .find(|l| l.pos == i)
                         .expect("an empty argument register is a lent local");
-                    frame.regs[s as usize].clone().expect("lent local bound")
+                    RVal::share(&mut frame.regs[l.slot as usize])
                 }
             };
             child.regs[params[i as usize] as usize] = Some(v);
@@ -1117,13 +1238,13 @@ fn update_slot<T>(
     frame: &mut Frame,
     slot: Reg,
     outer: impl FnOnce(&Frame) -> R<NValue>,
-    f: impl FnOnce(&mut NValue) -> R<T>,
+    f: impl FnOnce(&mut Frame, &mut NValue) -> R<T>,
 ) -> R<T> {
     let (mut v, own) = match frame.regs[slot as usize].take() {
         Some(v) => (v.nv(), true),
         None => (outer(frame)?, false),
     };
-    let out = f(&mut v);
+    let out = f(frame, &mut v);
     if own || out.is_ok() {
         frame.regs[slot as usize] = Some(RVal::from_nv(v));
     }
@@ -1147,13 +1268,22 @@ fn method_op(
 ) -> R<()> {
     let ret = if wb != NO_REG {
         // `L.add_last[x]` on a plain variable: append in slot `wb`, after the
-        // arguments (which may read `L`).
-        let (mut pos, _kw) = gather_args(chunk, frame, base, argc, kwt);
+        // arguments (which may read `L`), taken from their registers (a
+        // keyword argument is dropped first).
+        let mut kw_free = (kwt != NO_TABLE).then(|| gather_args(chunk, frame, base, argc, kwt).0);
+        let args = base as usize..(base + argc) as usize;
         update_slot(
             frame,
             wb,
             |frame| load_slow(interp, frame, chain, frame.names[wb as usize]),
-            |list| add_last_value(list, &mut pos, want as usize),
+            |frame, list| {
+                let out = match &mut kw_free {
+                    Some(pos) => add_last_value(list, pos, want as usize),
+                    None => add_last_value(list, &mut frame.regs[args.clone()], want as usize),
+                };
+                frame.regs[args].fill(None);
+                out
+            },
         )?
     } else {
         let b = take_nv(frame, obj);
@@ -1161,6 +1291,62 @@ fn method_op(
         interp.method(b, &chunk.names[name as usize], &mut pos, kw)?
     };
     write_ret(frame, dst, want, ret)
+}
+
+/// `name(i...)(j...)` ([`Op::IndexTwice`]): on a bound local list, the
+/// item `name(i)` is indexed in place; anything else is the two ops it
+/// stands for, an [`Op::Apply`] into `dst` and an [`Op::Index`] of it.
+#[allow(clippy::too_many_arguments)]
+fn index_twice(
+    interp: &mut Interp,
+    chunk: &Chunk,
+    gids: &[u32],
+    frame: &mut Frame,
+    chain: Option<&Chain>,
+    dst: Reg,
+    name: u32,
+    slot: Reg,
+    builtin: u16,
+    idx: Reg,
+    n1: u16,
+    n2: u16,
+) -> R<()> {
+    let (locals, above) = frame.regs.split_at_mut(idx as usize);
+    let (first, rest) = above.split_at_mut(n1 as usize);
+    let second = &mut rest[..n2 as usize];
+    let base = locals[slot as usize].as_ref().and_then(RVal::boxed);
+    // A hash item may come out as a Premia object (`NValue::wrap`), so
+    // only other items are indexed in place.
+    let fast = match base {
+        Some(NValue::V(base)) => match list_item(base, first) {
+            Some(Ok(item)) if !matches!(item, Value::Hash(_)) => Some(index_plain(item, second)),
+            Some(Err(e)) => Some(Err(e)),
+            _ => None,
+        },
+        _ => None,
+    };
+    let res = match fast {
+        Some(res) => {
+            first.fill(None);
+            res
+        }
+        None => {
+            let call = Call {
+                dst,
+                base: idx,
+                argc: n1,
+                kwt: NO_TABLE,
+                lent: NO_TABLE,
+                want: 1,
+            };
+            apply_op(interp, chunk, gids, frame, chain, name, slot, builtin, call)?;
+            let item = take_nv(frame, dst);
+            let second = &mut frame.regs[(idx + n1) as usize..(idx + n1 + n2) as usize];
+            index_value(&item, second)
+        }
+    };
+    frame.regs[(idx + n1) as usize..(idx + n1 + n2) as usize].fill(None);
+    res.map(|v| frame.regs[dst as usize] = Some(RVal::from_nv(v)))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1212,7 +1398,7 @@ fn index_asg(
                 NspError::new(format!("undefined variable {}", chunk.names[name as usize]))
             })
         },
-        |current| index_assign_value(current, &iv, v),
+        |_, current| index_assign_value(current, &iv, v),
     )
 }
 
@@ -1237,7 +1423,7 @@ fn field_asg(
             Ok(find_var(interp, frame, chain, gids[name as usize])
                 .unwrap_or(NValue::V(Value::Hash(Hash::new()))))
         },
-        |hash| field_assign_value(hash, &chunk.names[field as usize], v),
+        |_, hash| field_assign_value(hash, &chunk.names[field as usize], v),
     )
 }
 
@@ -1350,6 +1536,27 @@ mod tests {
             "[r, c] = size(k)",
         ] {
             assert_eq!(per_turn(stmt).1, 0.0, "name lookups per turn of `{stmt}`");
+        }
+    }
+
+    #[test]
+    fn strings_and_items_are_read_where_they_are() {
+        // A string compared, a string constant and a lent string passed
+        // on, and a list item indexed where it lies, copy nothing: each
+        // statement below costs what building `P` alone costs.
+        let build = "P = list(list('Price', 0, 3.5))";
+        let base = per_turn(build).0;
+        for stmt in [
+            "s = MCW == ''",
+            "s = '' == MCW",
+            "s = isempty('')",
+            "s = f(MCW, 'x', k, 3)",
+            "s = P(1)(3)",
+            "s = -1",
+        ] {
+            let (allocs, lookups) = per_turn(&format!("{build}\n  {stmt}"));
+            assert_eq!(allocs - base, 0.0, "allocations per turn of `{stmt}`");
+            assert_eq!(lookups, 0.0, "name lookups per turn of `{stmt}`");
         }
     }
 

@@ -181,9 +181,25 @@ fn read_value(w: &mut Walker<'_>) -> Result<Value, XdrError> {
     }
 }
 
+/// The room to reserve for `v`'s bytes: exactly what a leaf encodes to,
+/// so its buffer never grows (packing a serial copies its bytes once);
+/// 64 to start a list or a hash with.
+fn capacity_for(v: &Value) -> usize {
+    let opaque = |n: usize| 4 + n.next_multiple_of(4);
+    let body = match v {
+        Value::Real(m) => 12 + 8 * m.len(),
+        Value::Bool(b) => 12 + opaque(b.data().len()),
+        Value::Str(s) => 12 + s.data().iter().map(|x| opaque(x.len())).sum::<usize>(),
+        Value::Serial(s) => 8 + opaque(s.len()),
+        Value::None => 4,
+        Value::List(_) | Value::Hash(_) => return 64,
+    };
+    8 + body
+}
+
 /// Serialize a value to raw bytes (magic + version + encoded tree).
 pub fn serialize_to_bytes(v: &Value) -> Vec<u8> {
-    let mut w = XdrWriter::with_capacity(64);
+    let mut w = XdrWriter::with_capacity(capacity_for(v));
     put_header(&mut w);
     encode_value(&mut w, v);
     w.into_bytes()
@@ -335,6 +351,17 @@ mod tests {
             let s = serialize(&v);
             let back = unserialize(&s).unwrap();
             assert!(v.equal(&back), "round trip failed for {v:?}");
+        }
+    }
+
+    #[test]
+    fn a_leaf_is_written_into_a_buffer_of_its_exact_size() {
+        let serial = Value::Serial(serialize(&Value::string("odd")));
+        let leaves = sample_values().into_iter().chain([serial]);
+        for v in leaves.filter(|v| !matches!(v, Value::List(_) | Value::Hash(_))) {
+            let bytes = serialize_to_bytes(&v);
+            assert_eq!(bytes.len(), capacity_for(&v), "{v:?}");
+            assert_eq!(bytes.capacity(), bytes.len(), "{v:?} grew its buffer");
         }
     }
 

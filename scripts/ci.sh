@@ -5,7 +5,9 @@
 #      in-repo path crates, and the shim directories must be exactly the
 #      ones documented in shims/README.md (the build environment has no
 #      registry access)
-#   2. release build of the whole workspace, then a run, each under a
+#   2. formatting: `cargo fmt --all -- --check` (the workspace's own
+#      rustfmt; perf/ is a workspace of its own and is not covered)
+#   3. release build of the whole workspace, then a run, each under a
 #      timeout, of the two examples that drive a minimpi world by hand
 #      (spawn_slaves ends on stop sends followed by SpawnedWorld::join,
 #      the shape a lost wake-up hangs; nsp_script runs Fig. 4 as a
@@ -14,17 +16,17 @@
 #      --workspace` never compiles) plus its `check` subcommand
 #      (BENCHMARK.json <-> metric tables) and its own unit tests —
 #      build, check and test only, no timed run
-#   3. full test suite (quiet), run once: a red test fails the gate. The
+#   4. full test suite (quiet), run once: a red test fails the gate. The
 #      table binaries' self-checks and the committed breakdown goldens
 #      (crates/bench/tests/goldens) are tests here, not separate runs
-#   4. clippy over the workspace with warnings denied; clippy.toml
+#   5. clippy over the workspace with warnings denied; clippy.toml
 #      (root, crates/transport, crates/pricing) carries the raw-mpsc
 #      quarantine and the no-thread-spawn-in-pricing rule, and the root
 #      Cargo.toml's [workspace.lints] the unreachable_pub lint every
 #      crate under crates/ inherits
-#   5. rustdoc over the workspace with warnings denied: public docs may
+#   6. rustdoc over the workspace with warnings denied: public docs may
 #      not link to a private item (or to nothing)
-#   6. the work tree is as the run found it
+#   7. the work tree is as the run found it
 #
 # Usage: ./scripts/ci.sh [extra cargo-test args]
 
@@ -37,7 +39,7 @@ run() {
     "$@"
 }
 
-# What `git status` said before anything ran (step 6 compares).
+# What `git status` said before anything ran (step 7 compares).
 tree_before=$(git status --porcelain 2>/dev/null)
 
 echo "==> dependency allowlist (shims/README.md)"
@@ -84,6 +86,10 @@ if [ -n "$anysrc" ]; then
     echo "$anysrc"
     exit 1
 fi
+
+# A tree rustfmt would rewrite makes every contributor who formats
+# their own edits reformat unrelated code.
+run cargo fmt --all -- --check || exit 1
 
 run cargo build --workspace --release || exit 1
 

@@ -801,6 +801,262 @@ mod engine_equivalence {
         assert_eq!(r, Err("value nested deeper than 128".to_string()));
         assert_eq!(k, Some(128.0));
     }
+
+    #[test]
+    fn operands_and_arguments_read_in_place_keep_value_semantics() {
+        // A local operand of a binary operator is read where it is; a
+        // string lent to a user function is shared, not copied. None of
+        // that may show.
+        let id = "function [r] = id(s)\n  r = s\nendfunction\n";
+        let i = agree_ok(&format!(
+            "{id}function [r] = grow(s)\n  s = s + 'x'\n  r = s\nendfunction\n\
+             name = 'ab'\ny = grow(name)\nz = name\nw = id(name)\nname = name + 'c'\n\
+             e = name == ''\nf = name == name\ng = '' == name"
+        ));
+        assert_eq!(i.get_value("y").unwrap().as_str(), Some("abx"));
+        assert_eq!(i.get_value("z").unwrap().as_str(), Some("ab"));
+        assert_eq!(i.get_value("w").unwrap().as_str(), Some("ab"));
+        assert_eq!(i.get_bool("e"), Some(false));
+        assert_eq!(i.get_bool("f"), Some(true));
+        // A list shared with a callee that appends to its own copy.
+        let i = agree_ok(
+            "function [r] = g(a)\n  a.add_last[3]\n  r = length(a)\nendfunction\n\
+             L = list(1, 2)\nn = g(L)\nm = length(L)\nM = L\nk = g(M)",
+        );
+        assert_eq!(scalars(&i, ["n", "m", "k"]), [3.0, 2.0, 3.0]);
+        for src in [
+            // An operand not bound yet: an error, or a zero-argument call
+            // that runs where the operand stands, before `h()`.
+            "y = q + 1\nq = 2",
+            "function [r] = g()\n  disp('g')\n  r = 1\nendfunction\n\
+             function [r] = h()\n  disp('h')\n  r = 2\nendfunction\n\
+             y = g + 1\nz = g + h()\nw = h() + g\ng = 5",
+            "x = 3\nx = x + x\ny = x == 6\ns = 'a'\nt = s + s",
+            "L = list(1)\nn = length(L) + length(L.add_last[2])",
+            // A lent argument stands after the others: it is read (or
+            // resolved) when the call runs, after them, and before the
+            // callee is looked up.
+            "y = nosuch(q, 1)\nq = 2",
+            "function [r] = g()\n  disp('g')\n  r = 1\nendfunction\n\
+             function [r] = h()\n  disp('h')\n  r = 2\nendfunction\n\
+             y = min(h(), g)\nz = min(g, -1)\ng = 5",
+            "function [r] = g(a, b)\n  r = length(a) + 10 * length(b)\nendfunction\n\
+             L = list(1)\ny = g(L.add_last[2], L)",
+        ] {
+            assert_agree(src);
+        }
+    }
+
+    #[test]
+    fn an_item_of_a_local_list_is_indexed_in_place() {
+        // `L(i)(j)` reads the item where it lies, and errs as the copy
+        // did; anything else takes the two steps it always took.
+        let i = agree_ok(
+            "L = list(list('Price', 0, 3.5), 7, list(1, 2))\np = L(1)(3)\ns = L(1)(1)\n\
+             q = L(2)(1)\nr = L(3)(1:2)\nH = list(hash_create(a = 4))\nh = H(1)('a')\n\
+             function [r] = G(i)\n  r = list(i, i + 1)\nendfunction\ng = G(1)(2)\nG = 5",
+        );
+        assert_eq!(scalars(&i, ["p", "q", "h", "g"]), [3.5, 7.0, 4.0, 2.0]);
+        assert_eq!(i.get_value("s").unwrap().as_str(), Some("Price"));
+        for (src, msg) in [
+            (
+                "L = list(list(1))\np = L(2)(1)",
+                "list index 2 out of bounds (1)",
+            ),
+            (
+                "L = list(list(1))\np = L(1)(2)",
+                "list index 2 out of bounds (1)",
+            ),
+            (
+                "L = list(list(1))\np = L(0.5)(1)",
+                "list index 0 out of bounds (1)",
+            ),
+            ("L = list('s')\np = L(1)(1)", "cannot index string"),
+            ("L = list(list(1))\np = L(1)()", "lists take one index"),
+            ("L = list(list(1))\np = L()(1)", "lists take one index"),
+            ("p = L(1)(1)\nL = 2", "unknown function L"),
+        ] {
+            let (_, r) = agree(src);
+            assert_eq!(r.unwrap_err().message, msg, "{src}");
+        }
+    }
+
+    /// What one rank of a two-rank world left: its rendered error, its
+    /// bindings and its `disp` output.
+    type RankRun = (Result<(), String>, BTreeMap<String, String>, Vec<String>);
+
+    /// `srcs[r]` on rank `r` of a two-rank world, `MCW` bound first.
+    fn on_two_ranks(engine: Engine, srcs: [&str; 2]) -> Vec<RankRun> {
+        minimpi::World::run(2, |comm| {
+            let rank = comm.rank();
+            let mut i = Interp::with_comm(std::rc::Rc::new(comm));
+            i.set_engine(engine);
+            let src = format!("MCW = mpicomm_create('WORLD')\n{}", srcs[rank]);
+            let r = i.run(&src).map_err(|e| e.to_string());
+            (r, snapshot(&i), i.output.clone())
+        })
+    }
+
+    /// [`on_two_ranks`] on both engines, which must agree.
+    #[track_caller]
+    fn agree_on_two_ranks(srcs: [&str; 2]) -> Vec<RankRun> {
+        let tree = on_two_ranks(Engine::Tree, srcs);
+        assert_eq!(tree, on_two_ranks(Engine::Vm, srcs), "on {srcs:?}");
+        tree
+    }
+
+    /// The XDR bytes `src` binds to `name` on a one-rank interpreter.
+    fn bytes_of(src: &str, name: &str) -> String {
+        let (i, r) = agree(src);
+        r.unwrap();
+        snapshot(&i).remove(name).expect("bound")
+    }
+
+    #[test]
+    fn mpi_ranks_and_tags_are_integers_or_refused() {
+        // A rank or a tag that is not an integer is refused, not truncated
+        // into one (a destination of 1.5 reached rank 1, NaN rank 0, a
+        // source of 0.9 received from rank 0, tag 7.9 was tag 7).
+        let idle = "ok = 1";
+        let send = "MPI_Send_Obj(45, 1, 7, MCW)";
+        let packed = "b = MPI_Pack(46, MCW)\nMPI_Send(b, 1, 7, MCW)";
+        for (srcs, rank, msg) in [
+            (
+                ["MPI_Send_Obj(42, 1.5, 7, MCW)", idle],
+                0,
+                "destination must be an integer, got 1.5",
+            ),
+            (
+                ["MPI_Send_Obj(43, 0/0, 7, MCW)", idle],
+                0,
+                "destination must be an integer, got NaN",
+            ),
+            (
+                ["MPI_Send_Obj(44, 1, 7.9, MCW)", idle],
+                0,
+                "tag must be an integer, got 7.9",
+            ),
+            (
+                ["MPI_Send_Obj(44, 1e10, 7, MCW)", idle],
+                0,
+                "destination 10000000000 is out of range",
+            ),
+            (
+                ["b = MPI_Pack(46, MCW)\nMPI_Send(b, 1.25, 7, MCW)", idle],
+                0,
+                "destination must be an integer, got 1.25",
+            ),
+            (
+                [send, "x = MPI_Recv_Obj(0.9, 7, MCW)"],
+                1,
+                "source must be an integer, got 0.9",
+            ),
+            (
+                [send, "st = MPI_Probe(0, 7.5, MCW)"],
+                1,
+                "tag must be an integer, got 7.5",
+            ),
+            (
+                [
+                    packed,
+                    "b = mpibuf_create(100)\nst = MPI_Recv(b, -0.5, 7, MCW)",
+                ],
+                1,
+                "source must be an integer, got -0.5",
+            ),
+        ] {
+            let runs = agree_on_two_ranks(srcs);
+            let err = runs[rank].0.clone().expect_err("refused");
+            assert!(err.ends_with(msg), "{err} on {srcs:?}");
+            assert_eq!(runs[1 - rank].0, Ok(()), "{srcs:?}");
+        }
+        // -1 stays ANY_SOURCE and ANY_TAG.
+        let runs = agree_on_two_ranks([
+            send,
+            "st = MPI_Probe(-1, -1, MCW)\nx = MPI_Recv_Obj(-1, -1, MCW)",
+        ]);
+        assert_eq!(runs[1].0, Ok(()));
+        assert_eq!(runs[1].1["x"], bytes_of("x = 45", "x"));
+    }
+
+    #[test]
+    fn a_status_reads_as_the_hash_it_stands_for() {
+        // What `MPI_Probe` and `MPI_Recv` return is read, shown, stored
+        // and sent as the hash `src`/`tag`/`count`, on both engines.
+        let send = "MPI_Send_Obj('hello', 1, 5, MCW)\nb = MPI_Pack(list(1, 2), MCW)\nMPI_Send(b, 1, 6, MCW)";
+        let reads = "st = MPI_Probe(0, 5, MCW)\nn = MPI_Get_count(st)\n\
+                     h = hash_create(src = 0, tag = 5, count = n)\n\
+                     s = st.src\nt = st.tag\nc = st.count\ne = MPI_Get_elements(st, '')\n\
+                     disp(st)\ndisp(h)\nS = serialize(st)\nU = unserialize(S)\nL = list(st)\n\
+                     ok = U.equal[h] && L(1).equal[h] && st.equal[h] && st == h && S.equal[serialize(h)]\n\
+                     x = MPI_Recv_Obj(0, 5, MCW)\n\
+                     buf = mpibuf_create(MPI_Get_elements(MPI_Probe(0, 6, MCW), ''))\n\
+                     r = MPI_Recv(buf, 0, 6, MCW)\nrt = r.tag\nrc = MPI_Get_count(r)\n\
+                     moved = r\nr.src = 3\nset = r.equal[hash_create(src = 3, tag = 6, count = rc)]";
+        let runs = agree_on_two_ranks([send, reads]);
+        assert_eq!(runs[1].0, Ok(()));
+        let (got, out) = (&runs[1].1, &runs[1].2);
+        // The byte counts of the two messages.
+        use riskbench::nspval::Value;
+        let len = |v: Value| riskbench::xdrser::serialize_to_bytes(&v).len();
+        let hello = len(Value::string("hello"));
+        let pair = len(Value::list(vec![Value::scalar(1.0), Value::scalar(2.0)]));
+        for (name, want) in [
+            ("s", "0".to_string()),
+            ("t", "5".to_string()),
+            ("n", hello.to_string()),
+            ("c", hello.to_string()),
+            ("e", hello.to_string()),
+            ("rt", "6".to_string()),
+            ("rc", pair.to_string()),
+            ("ok", "%t".to_string()),
+            ("set", "%t".to_string()),
+        ] {
+            assert_eq!(got[name], bytes_of(&format!("v = {want}"), "v"), "{name}");
+        }
+        assert_eq!(out[0], out[1], "disp(st) shows disp(h)");
+        // A status binding is its hash; the assigned one is a hash.
+        assert_eq!(got["st"], got["h"]);
+        let moved = format!("v = hash_create(src = 0, tag = 6, count = {pair})");
+        assert_eq!(got["moved"], bytes_of(&moved, "v"));
+        for (stmt, msg) in [
+            ("z = st.nosuch", "hash has no field nosuch"),
+            ("z = h.nosuch", "hash has no field nosuch"),
+            ("z = st + 1", "cannot apply Add to hash and real matrix"),
+            ("z = size(st)", "size of hash"),
+            ("for z = st do\nend", "cannot iterate over hash"),
+            ("if st then\n z = 1\nend\nz = st('count')", ""),
+        ] {
+            let src = format!(
+                "st = MPI_Probe(0, 5, MCW)\nh = hash_create(src = 0, tag = 5, count = 20)\n{stmt}"
+            );
+            let runs = agree_on_two_ranks(["MPI_Send_Obj('hello', 1, 5, MCW)", &src]);
+            match runs[1].0.as_ref() {
+                Err(e) => assert!(!msg.is_empty() && e.ends_with(msg), "{e} on {stmt}"),
+                Ok(()) => assert!(msg.is_empty(), "{stmt} ran"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_sent_buffer_is_moved_only_when_nothing_else_holds_it() {
+        // `MPI_Send` of the last statement of a function consumes the
+        // buffer its local held alone; a buffer still bound elsewhere is
+        // copied, so each later send and unpack sees all of its bytes.
+        let sends = "function f(v)\n  b = MPI_Pack(v, MCW)\n  MPI_Send(b, 1, 7, MCW)\nendfunction\n\
+                     function g(v)\n  b = MPI_Pack(v, MCW)\n  keep = b\n  MPI_Send(b, 1, 8, MCW)\n  MPI_Send(keep, 1, 9, MCW)\nendfunction\n\
+                     function [b] = h(v)\n  b = MPI_Pack(v, MCW)\n  MPI_Send(b, 1, 10, MCW)\nendfunction\n\
+                     c = MPI_Pack('top', MCW)\nMPI_Send(c, 1, 11, MCW)\nMPI_Send(c, 1, 12, MCW)\n\
+                     f('one')\ng('two')\nd = h('three')\nMPI_Send(d, 1, 13, MCW)\nback = MPI_Unpack(c, MCW)";
+        let recvs = "function [v] = take(tag)\n  st = MPI_Probe(0, tag, MCW)\n  buf = mpibuf_create(MPI_Get_count(st))\n\
+                     st = MPI_Recv(buf, 0, tag, MCW)\n  v = MPI_Unpack(buf, MCW)\nendfunction\n\
+                     a = list(take(11), take(12), take(7), take(8), take(9), take(10), take(13))";
+        let runs = agree_on_two_ranks([sends, recvs]);
+        assert_eq!((&runs[0].0, &runs[1].0), (&Ok(()), &Ok(())));
+        assert_eq!(runs[0].1["back"], bytes_of("v = 'top'", "v"));
+        let want = "a = list('top', 'top', 'one', 'two', 'two', 'three', 'three')";
+        assert_eq!(runs[1].1["a"], bytes_of(want, "a"));
+    }
 }
 
 // ---- explicit span rendering ------------------------------------------------
