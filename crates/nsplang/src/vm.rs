@@ -461,10 +461,20 @@ fn run_frame(
                     name,
                     want,
                 } => ident_multi(interp, gids, frame, chain, dst, slot, name, want).map(|_| pc + 1),
-                Op::Bin { op, dst, a, b } => bin_op(interp, frame, chain, op, a, b).map(|v| {
-                    frame.regs[dst as usize] = Some(v);
-                    pc + 1
-                }),
+                Op::Bin { op, dst, a, b } => {
+                    // Scalar fast path on the registers as they are: a
+                    // temporary left behind is an immediate, overwritten
+                    // before it is read again.
+                    let fast = match (&frame.regs[a as usize], &frame.regs[b as usize]) {
+                        (Some(x), Some(y)) => scalar_rval(op, x, y),
+                        _ => None,
+                    };
+                    let res = fast.unwrap_or_else(|| bin_op(interp, frame, chain, op, a, b));
+                    res.map(|v| {
+                        frame.regs[dst as usize] = Some(v);
+                        pc + 1
+                    })
+                }
                 Op::Un { op, dst, src } => {
                     let fast = frame.regs[src as usize].as_ref().and_then(|v| match op {
                         UnOp::Neg => v.as_num().map(|x| RVal::F(-x)),
@@ -734,22 +744,31 @@ fn field_op(
     field_rval(b.expect("operand bound"), name)
 }
 
-/// `x op y` on register values. Scalar fast path: both operands are
-/// immediates (or boxed 1×1s) — pure register arithmetic. Anything else
-/// goes to the shared `binary_value`, on the values where they are.
-fn bin_rval(op: BinOp, x: &RVal, y: &RVal) -> R<RVal> {
+/// The scalar fast path of `x op y`: both operands are immediates (or
+/// boxed 1×1s) — pure register arithmetic; `None` for anything else.
+#[inline]
+fn scalar_rval(op: BinOp, x: &RVal, y: &RVal) -> Option<R<RVal>> {
     if let (Some(x), Some(y)) = (x.as_num(), y.as_num()) {
-        return scalar_bin(op, x, y);
+        return Some(scalar_bin(op, x, y));
     }
-    if let (Some(x), Some(y)) = (x.as_bool(), y.as_bool()) {
-        if matches!(op, BinOp::And | BinOp::Or | BinOp::Eq | BinOp::Ne) {
-            return Ok(RVal::B(match op {
+    match (x.as_bool(), y.as_bool()) {
+        (Some(x), Some(y)) if matches!(op, BinOp::And | BinOp::Or | BinOp::Eq | BinOp::Ne) => {
+            Some(Ok(RVal::B(match op {
                 BinOp::And => x && y,
                 BinOp::Or => x || y,
                 BinOp::Eq => x == y,
                 _ => x != y,
-            }));
+            })))
         }
+        _ => None,
+    }
+}
+
+/// `x op y` on register values: the scalar fast path, else the shared
+/// `binary_value` on the values where they are.
+fn bin_rval(op: BinOp, x: &RVal, y: &RVal) -> R<RVal> {
+    if let Some(v) = scalar_rval(op, x, y) {
+        return v;
     }
     let (bx, by);
     let x = match x.boxed() {
