@@ -432,7 +432,10 @@ fn run_frame(
         let step: R<usize> =
             match ops[pc] {
                 Op::Const { dst, idx } => {
-                    frame.regs[dst as usize] = Some(load_const(&chunk.consts[idx as usize]));
+                    put(
+                        &mut frame.regs[dst as usize],
+                        load_const(&chunk.consts[idx as usize]),
+                    );
                     Ok(pc + 1)
                 }
                 Op::Copy { dst, src } => {
@@ -442,7 +445,7 @@ fn run_frame(
                             .map(RVal::from_nv),
                     };
                     v.map(|v| {
-                        frame.regs[dst as usize] = Some(v);
+                        put(&mut frame.regs[dst as usize], v);
                         pc + 1
                     })
                 }
@@ -471,7 +474,7 @@ fn run_frame(
                     };
                     let res = fast.unwrap_or_else(|| bin_op(interp, frame, chain, op, a, b));
                     res.map(|v| {
-                        frame.regs[dst as usize] = Some(v);
+                        put(&mut frame.regs[dst as usize], v);
                         pc + 1
                     })
                 }
@@ -488,7 +491,7 @@ fn run_frame(
                         }
                     };
                     res.map(|v| {
-                        frame.regs[dst as usize] = Some(v);
+                        put(&mut frame.regs[dst as usize], v);
                         pc + 1
                     })
                 }
@@ -635,7 +638,7 @@ fn run_frame(
                     };
                     match item {
                         Some(item) => {
-                            frame.regs[var as usize] = Some(item);
+                            put(&mut frame.regs[var as usize], item);
                             Ok(pc + 1)
                         }
                         None => {
@@ -681,6 +684,18 @@ impl ForIter {
                 ForIter::Items(items)
             }
         })
+    }
+}
+
+/// Write `v` into a register. The value it replaces is dropped only
+/// when it holds something to drop: the drop glue of a boxed value is
+/// not inlined into the dispatch loop, and a scalar loop overwrites
+/// immediates.
+#[inline(always)]
+fn put(reg: &mut Option<RVal>, v: RVal) {
+    let old = reg.replace(v);
+    if matches!(old, None | Some(RVal::F(_) | RVal::B(_))) {
+        std::mem::forget(old);
     }
 }
 
@@ -746,7 +761,7 @@ fn field_op(
 
 /// The scalar fast path of `x op y`: both operands are immediates (or
 /// boxed 1×1s) — pure register arithmetic; `None` for anything else.
-#[inline]
+#[inline(always)]
 fn scalar_rval(op: BinOp, x: &RVal, y: &RVal) -> Option<R<RVal>> {
     if let (Some(x), Some(y)) = (x.as_num(), y.as_num()) {
         return Some(scalar_bin(op, x, y));
