@@ -1426,7 +1426,8 @@ pub(crate) fn args<'a, A, const N: usize>(name: &str, pos: &'a mut [A]) -> R<&'a
 
 /// A call argument as a builtin reads it, in place: the tree-walker's
 /// evaluated [`NValue`]s, or the VM's registers, where a scalar is an
-/// unboxed immediate and a variable may be lent rather than copied.
+/// unboxed immediate and a variable's value may be shared rather than
+/// copied.
 pub(crate) trait CallArg {
     /// The content of a 1×1 real.
     fn num(&self) -> Option<f64>;
@@ -1788,13 +1789,6 @@ impl Builtin {
     /// The script name.
     pub(crate) fn name(self) -> &'static str {
         BUILTINS[self as usize].0
-    }
-
-    /// Does the builtin keep (move out) one of its positional arguments?
-    /// The VM lends a variable to any other builtin in place; an argument
-    /// this builtin would keep is copied into its register first.
-    pub(crate) fn keeps_args(self) -> bool {
-        self == Builtin::List
     }
 }
 

@@ -14,9 +14,9 @@
 //! tree-walker would raise them, so both engines report identical errors.
 
 use crate::ast::{Arg, Expr, FuncDef, Spanned, Stmt, Target, UnOp};
-use crate::interp::{builtin_id, Builtin, NValue, BUILTIN_EXEC};
+use crate::interp::{builtin_id, NValue};
 use crate::lexer::Pos;
-use crate::opcodes::{Chunk, Const, Lend, Op, Proto, Reg, NO_REG, NO_TABLE};
+use crate::opcodes::{Chunk, Const, Op, Proto, Reg, NO_REG, NO_TABLE};
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -38,7 +38,6 @@ pub(crate) fn lower_function(f: &Rc<FuncDef>) -> Proto {
     let mut lw = Lowerer::new(&[], 0, true);
     let param_slots: Vec<Reg> = f.params.iter().map(|p| lw.local(p)).collect();
     let out_slots: Vec<Reg> = f.outs.iter().map(|o| lw.local(o)).collect();
-    lw.outs.clone_from(&out_slots);
     let chunk = lw.lower(&f.body);
     Proto {
         def: f.clone(),
@@ -77,7 +76,6 @@ struct Lowerer {
     next_reg: Reg,
     max_reg: Reg,
     kw_tables: Vec<Vec<(u16, u32)>>,
-    lends: Vec<Vec<Lend>>,
     shapes: Vec<Vec<u16>>,
     msgs: Vec<String>,
     msg_map: HashMap<String, u16>,
@@ -85,11 +83,6 @@ struct Lowerer {
     loops: Vec<LoopCtx>,
     pending_end: Vec<usize>,
     in_function: bool,
-    /// The slots of a function's outputs: read after its body ends.
-    outs: Vec<Reg>,
-    /// The call being lowered is the whole of a function body's last
-    /// statement: what it lends is not read again ([`Lend::last`]).
-    last_call: bool,
     cur_pos: Pos,
 }
 
@@ -109,7 +102,6 @@ impl Lowerer {
             next_reg: base,
             max_reg: base,
             kw_tables: Vec::new(),
-            lends: Vec::new(),
             shapes: Vec::new(),
             msgs: Vec::new(),
             msg_map: HashMap::new(),
@@ -117,8 +109,6 @@ impl Lowerer {
             loops: Vec::new(),
             pending_end: Vec::new(),
             in_function,
-            outs: Vec::new(),
-            last_call: false,
             cur_pos: Pos::NONE,
         };
         for (name, slot) in seeds {
@@ -135,14 +125,7 @@ impl Lowerer {
         self.first_temp = self.next_local;
         self.next_reg = self.first_temp;
         self.max_reg = self.max_reg.max(self.first_temp);
-        for (k, s) in stmts.iter().enumerate() {
-            // A function body's last call statement: nothing after it
-            // reads what it lends.
-            self.last_call = self.in_function
-                && k + 1 == stmts.len()
-                && matches!(&s.kind, Stmt::Expr(Expr::Apply(callee, _)) if matches!(**callee, Expr::Ident(_)));
-            self.stmt(s);
-        }
+        self.block(stmts);
         let end = self.ops.len();
         for at in std::mem::take(&mut self.pending_end) {
             self.patch(at, end);
@@ -155,7 +138,6 @@ impl Lowerer {
             locals: self.locals,
             nregs: self.max_reg,
             kw_tables: self.kw_tables,
-            lends: self.lends,
             shapes: self.shapes,
             msgs: self.msgs,
             defs: self.defs,
@@ -711,20 +693,13 @@ impl Lowerer {
     }
 
     /// Compile arguments (keywords allowed) into contiguous registers in
-    /// source order; returns `(base, argc, kw table, lend table)`. With
-    /// `lend` set (the callee's own slot, or `NO_REG`), the locals of the
-    /// list's quiet tail ([`Lowerer::quiet_tail`]) are lent instead of
-    /// copied: no op evaluates them, and the call reads each where it is
-    /// when it runs.
-    fn call_args(&mut self, args: &[Arg], lend: Option<Reg>) -> (Reg, u16, u16, u16) {
-        let last = std::mem::take(&mut self.last_call);
-        let lent = lend.map_or(Vec::new(), |callee| self.quiet_tail(args, callee, last));
+    /// source order; returns `(base, argc, kw table)`.
+    fn call_args(&mut self, args: &[Arg]) -> (Reg, u16, u16) {
         let base = self.next_reg;
         let mut kw = Vec::new();
         for (i, a) in args.iter().enumerate() {
             let t = self.alloc();
             match a {
-                Arg::Pos(_) if lent.iter().any(|l| usize::from(l.pos) == i) => {}
                 Arg::Pos(e) => self.expr_at(e, t),
                 Arg::Kw(name, e) => {
                     let id = self.name(name);
@@ -733,52 +708,19 @@ impl Lowerer {
                 }
             }
         }
-        let kwt = push_table(&mut self.kw_tables, kw);
-        let lent = push_table(&mut self.lends, lent);
-        (base, args.len() as u16, kwt, lent)
-    }
-
-    /// The locals a call lends: those of the arguments' quiet tail, the
-    /// literals and locals after which nothing but literals and such
-    /// locals follow. Nothing runs between such an argument and the call,
-    /// so reading it when the call runs (and resolving it then, in
-    /// argument order, when it is unbound) is what evaluating it in place
-    /// would do. Each local once, never the callee itself, in the first
-    /// 64 positions (the VM tracks lent arguments in a `u64`).
-    fn quiet_tail(&self, args: &[Arg], callee: Reg, last: bool) -> Vec<Lend> {
-        let mut lent: Vec<Lend> = Vec::new();
-        for (i, a) in args.iter().enumerate().rev() {
-            let Arg::Pos(e) = a else { break };
-            if is_literal(e) {
-                continue;
-            }
-            let slot = match e {
-                Expr::Ident(v) if i < 64 => self.slot_of(v),
-                _ => None,
-            };
-            match slot {
-                Some(slot) if slot != callee && lent.iter().all(|l| l.slot != slot) => {
-                    lent.push(Lend {
-                        pos: i as u16,
-                        slot,
-                        last: last && !self.outs.contains(&slot),
-                    })
-                }
-                _ => break,
-            }
-        }
-        lent.reverse();
-        lent
+        let kwt = if kw.is_empty() {
+            NO_TABLE
+        } else {
+            self.kw_tables.push(kw);
+            self.kw_tables.len() as u16 - 1
+        };
+        (base, args.len() as u16, kwt)
     }
 
     fn apply_ident(&mut self, name: &str, args: &[Arg], dst: Reg, want: u16) {
         let slot = self.slot_of(name).unwrap_or(NO_REG);
         let builtin = builtin_id(name).unwrap_or(NO_TABLE);
-        // No keyword argument or keeping builtin may take a lent local.
-        let lend = (builtin == NO_TABLE
-            || (builtin != BUILTIN_EXEC && !Builtin::from_id(builtin).keeps_args()))
-            && args.iter().all(|a| matches!(a, Arg::Pos(_)));
-        let (base, argc, kwt, lent) = self.call_args(args, lend.then_some(slot));
+        let (base, argc, kwt) = self.call_args(args);
         let name_id = self.name(name);
         self.emit(Op::Apply {
             dst,
@@ -788,7 +730,6 @@ impl Lowerer {
             base,
             argc,
             kwt,
-            lent,
             want,
         });
     }
@@ -879,7 +820,7 @@ impl Lowerer {
                 (tb, NO_REG)
             }
         };
-        let (abase, argc, kwt, _) = self.call_args(args, None);
+        let (abase, argc, kwt) = self.call_args(args);
         let name_id = self.name(name);
         self.emit(Op::Method {
             dst,
@@ -893,15 +834,6 @@ impl Lowerer {
         });
         true
     }
-}
-
-/// Add a non-empty side table; its index, or `NO_TABLE` for none.
-fn push_table<T>(tables: &mut Vec<Vec<T>>, t: Vec<T>) -> u16 {
-    if t.is_empty() {
-        return NO_TABLE;
-    }
-    tables.push(t);
-    tables.len() as u16 - 1
 }
 
 // ---- local scan -------------------------------------------------------------

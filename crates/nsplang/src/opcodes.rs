@@ -8,13 +8,10 @@
 //! The calling convention is register-based and contiguous (Lua-style):
 //! every expression operand is evaluated into a frame register; call ops name
 //! a base register and an argument count, and multi-value results are written
-//! to `dst..dst+want`. A local among the trailing arguments that run
-//! nothing is *lent* ([`Lend`]): no op evaluates it, its register in the
-//! call's window stays empty and the callee reads the variable's own
-//! slot, so passing a string, a hash or a serial copies nothing. A local
-//! the last statement of a function body lends to a builtin is not read
-//! again ([`Lend::last`]): the builtin gets it to keep. An operand of
-//! [`Op::Bin`] that is a local is read in place too.
+//! to `dst..dst+want`. An argument that is a local is an [`Op::Copy`] like
+//! any other read of it, and a copy shares the value rather than cloning
+//! it, so passing a string, a hash or a serial copies nothing. An operand
+//! of [`Op::Bin`] or [`Op::Field`] that is a local is read in place.
 //! Named locals occupy dedicated slots resolved at lower time, so
 //! executing an op never hashes a name (counted by the tests in `vm.rs`).
 
@@ -40,8 +37,10 @@ pub(crate) enum Op {
     /// `regs[dst] = consts[idx]`: a scalar as an immediate, a string
     /// shared with the pool.
     Const { dst: Reg, idx: u16 },
-    /// `regs[dst] = regs[src].clone()`; an unbound `src` slot falls back to
-    /// the dynamic scope chain (outer frames, globals, bare builtin call).
+    /// `regs[dst] = regs[src]`, shared: a boxed plain value turns shared
+    /// in `src` and both registers hold it (an immediate, a status or a
+    /// handle is cloned). An unbound `src` slot falls back to the dynamic
+    /// scope chain (outer frames, globals, bare builtin call).
     Copy { dst: Reg, src: Reg },
     /// `regs[dst] = regs[src].take()` — move a bound temporary.
     Take { dst: Reg, src: Reg },
@@ -97,9 +96,8 @@ pub(crate) enum Op {
     /// `name(args)` — resolved at runtime to variable indexing or a call
     /// (user function first, then the builtin table), exactly like the
     /// tree-walker. Arguments are in `base..base+argc` in source order;
-    /// `kwt` marks which are keywords, `lent` which are lent locals
-    /// ([`Chunk::lends`]). `slot`/`builtin` are compile-time resolutions
-    /// (`NO_REG`/`NO_TABLE` when absent).
+    /// `kwt` marks which are keywords. `slot`/`builtin` are compile-time
+    /// resolutions (`NO_REG`/`NO_TABLE` when absent).
     Apply {
         dst: Reg,
         name: u32,
@@ -108,7 +106,6 @@ pub(crate) enum Op {
         base: Reg,
         argc: u16,
         kwt: u16,
-        lent: u16,
         want: u16,
     },
     /// `obj.name[args]` bracket-method call. `wb != NO_REG` is `L.add_last[x]`
@@ -173,8 +170,6 @@ pub struct Chunk {
     pub(crate) nregs: u16,
     /// Keyword-argument tables: `(argument position, name index)` pairs.
     pub(crate) kw_tables: Vec<Vec<(u16, u32)>>,
-    /// Lent-argument tables, in position order.
-    pub(crate) lends: Vec<Vec<Lend>>,
     /// Matrix literal shapes: entry count per row.
     pub(crate) shapes: Vec<Vec<u16>>,
     /// Trap messages.
@@ -190,22 +185,6 @@ pub(crate) enum Const {
     Bool(bool),
     /// A string, shared by every register that loads it.
     Str(Rc<NValue>),
-}
-
-/// A call argument that is a local, lent to the call: when the call runs,
-/// its register is left empty while the local is bound (the callee reads
-/// the local in place); an unbound local resolves into it like
-/// [`Op::Copy`], in argument order.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Lend {
-    /// The argument's position.
-    pub(crate) pos: u16,
-    /// The local's slot.
-    pub(crate) slot: Reg,
-    /// Nothing reads the local after the call: it is the last statement
-    /// of a function body, and the local is not an output. A builtin
-    /// gets it to keep; any other callee has it lent.
-    pub(crate) last: bool,
 }
 
 /// A compiled user function: the definition (for arity/outs and identity)

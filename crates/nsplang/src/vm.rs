@@ -14,8 +14,9 @@
 //! scope flush, a builtin that inspects the matrix). Materialisation is
 //! loss-free — `RVal::F(x)` round-trips to exactly `NValue::scalar(x)` — so
 //! unboxing is invisible to scripts and to the equivalence battery. A
-//! string literal, and a local lent to a user function, is shared rather
-//! than copied: a register that changes it gets its own copy first.
+//! string literal, and a boxed local that an [`Op::Copy`] reads, is
+//! shared rather than copied: a register that changes it gets its own
+//! copy first, unless it holds the only reference.
 //!
 //! Hot-path discipline: executing an op, calls included, hashes no name
 //! and compares no string. Every name is interned once per chunk into a
@@ -24,9 +25,9 @@
 //! what the interpreter's own scopes and function table say about a name
 //! is cached per id and trusted while the interpreter's binding epoch has
 //! not moved. A builtin runs by id on its argument registers in place
-//! (lent locals included) and returns one value; a user function runs on
-//! a pooled frame. The unit tests at the bottom count name lookups and
-//! allocations per dispatched op.
+//! and returns one value; a user function runs on a pooled frame. The
+//! unit tests at the bottom count name lookups and allocations per
+//! dispatched op.
 
 use crate::ast::{BinOp, FuncDef, UnOp};
 use crate::interp::{
@@ -36,7 +37,7 @@ use crate::interp::{
     Ret, BUILTIN_EXEC,
 };
 use crate::lower::{lower_function, lower_program, lower_seeded};
-use crate::opcodes::{Chunk, Const, Lend, Op, Proto, Reg, NO_REG, NO_TABLE};
+use crate::opcodes::{Chunk, Const, Op, Proto, Reg, NO_REG, NO_TABLE};
 use crate::parser::parse_program;
 use nspval::{Hash, Value};
 use std::collections::HashMap;
@@ -100,25 +101,16 @@ impl RVal {
         }
     }
 
-    /// A copy of the value in `reg` for a callee to hold: plain data is
-    /// shared from then on (the register itself turns shared), so a
-    /// string or a list reaches a user function without a deep copy.
-    fn share(reg: &mut Option<RVal>) -> RVal {
-        if let Some(RVal::N(v @ NValue::V(_))) = reg {
-            let v = std::mem::replace(v, NValue::V(Value::None));
-            *reg = Some(RVal::S(Rc::new(v)));
-        }
-        reg.clone().expect("lent local bound")
-    }
-
-    /// Unbox a boxed 1×1 again (a lent local that a builtin boxed in
-    /// place goes back to its slot as an immediate).
+    /// A copy of the bound value in `reg`: plain data is shared from then
+    /// on (the register itself turns shared), so a string or a list
+    /// reaches another register, or a callee, without a deep copy.
     #[inline]
-    fn unbox(self) -> RVal {
-        match self {
-            RVal::N(v) => RVal::from_nv(v),
-            imm => imm,
+    fn share(reg: &mut RVal) -> RVal {
+        if let RVal::N(v @ NValue::V(_)) = reg {
+            let v = std::mem::replace(v, NValue::V(Value::None));
+            *reg = RVal::S(Rc::new(v));
         }
+        reg.clone()
     }
 
     /// Materialise a clone.
@@ -153,13 +145,6 @@ impl RVal {
                 _ => None,
             },
         }
-    }
-
-    /// An Rc handle (an mpibuf, a Premia object): one more holder costs
-    /// no copy.
-    #[inline]
-    fn is_handle(&self) -> bool {
-        matches!(self, RVal::N(NValue::Buf(_) | NValue::Premia(_)))
     }
 }
 
@@ -440,7 +425,7 @@ fn run_frame(
                 }
                 Op::Copy { dst, src } => {
                     let v = match frame.regs[src as usize] {
-                        Some(ref v) => Ok(v.clone()),
+                        Some(ref mut v) => Ok(RVal::share(v)),
                         None => load_slow(interp, frame, chain, frame.names[src as usize])
                             .map(RVal::from_nv),
                     };
@@ -568,7 +553,6 @@ fn run_frame(
                     base,
                     argc,
                     kwt,
-                    lent,
                     want,
                 } => {
                     let call = Call {
@@ -576,7 +560,6 @@ fn run_frame(
                         base,
                         argc,
                         kwt,
-                        lent,
                         want,
                     };
                     apply_op(interp, chunk, gids, frame, chain, name, slot, builtin, call)
@@ -912,7 +895,6 @@ struct Call {
     base: Reg,
     argc: u16,
     kwt: u16,
-    lent: u16,
     want: u16,
 }
 
@@ -942,76 +924,10 @@ fn gather_args(
     (pos, kw)
 }
 
-/// The lent locals of `call`.
-fn lends(chunk: &Chunk, call: Call) -> &[Lend] {
-    match call.lent {
-        NO_TABLE => &[],
-        t => &chunk.lends[t as usize],
-    }
-}
-
-/// Ready the register of each lent local as its argument stood: empty
-/// while the local is bound, its resolved value when it is not. Nothing
-/// ran between the arguments and the call, so resolving now, in argument
-/// order, is resolving where each argument stands.
-fn bind_lent(
-    interp: &mut Interp,
-    chunk: &Chunk,
-    frame: &mut Frame,
-    chain: Option<&Chain>,
-    call: Call,
-) -> R<()> {
-    for l in lends(chunk, call) {
-        let v = match frame.regs[l.slot as usize] {
-            Some(_) => None,
-            None => {
-                let g = frame.names[l.slot as usize];
-                Some(RVal::from_nv(load_slow(interp, frame, chain, g)?))
-            }
-        };
-        frame.regs[(call.base + l.pos) as usize] = v;
-    }
-    Ok(())
-}
-
-/// Put each lent local into its (empty) argument register for the call;
-/// returns which must go back. A local is moved there, except an Rc
-/// handle, which is shared: the callee then sees it held elsewhere. With
-/// `keep`, a [`Lend::last`] local is moved and stays with the callee, so
-/// a buffer held by nothing else is the callee's to consume.
-fn lend(chunk: &Chunk, frame: &mut Frame, call: Call, keep: bool) -> u64 {
-    let mut moved = 0u64;
-    for l in lends(chunk, call) {
-        let arg = (call.base + l.pos) as usize;
-        if frame.regs[arg].is_none() {
-            let local = &mut frame.regs[l.slot as usize];
-            frame.regs[arg] = if keep && l.last {
-                local.take()
-            } else if local.as_ref().is_some_and(RVal::is_handle) {
-                local.clone()
-            } else {
-                moved |= 1 << l.pos;
-                local.take()
-            };
-        }
-    }
-    moved
-}
-
-/// After the call: move the lent locals back (unboxed again, should the
-/// callee have boxed one) and clear the argument registers.
-fn give_back(chunk: &Chunk, frame: &mut Frame, call: Call, moved: u64) {
-    if moved != 0 {
-        for l in lends(chunk, call) {
-            if moved & (1 << l.pos) != 0 {
-                let arg = (call.base + l.pos) as usize;
-                frame.regs[l.slot as usize] = frame.regs[arg].take().map(RVal::unbox);
-            }
-        }
-    }
-    for r in &mut frame.regs[call.base as usize..(call.base + call.argc) as usize] {
-        *r = None;
-    }
+/// Clear a call's argument registers: what they share, the caller's
+/// locals hold alone again.
+fn clear_args(frame: &mut Frame, call: Call) {
+    frame.regs[call.base as usize..(call.base + call.argc) as usize].fill(None);
 }
 
 /// Write a call's results to `dst..dst+want`, enforcing the multi-assignment
@@ -1063,17 +979,16 @@ fn apply_op(
     builtin: u16,
     call: Call,
 ) -> R<()> {
-    bind_lent(interp, chunk, frame, chain, call)?;
     // Runtime var-vs-call split, like the tree-walker's `Expr::Apply`: a
     // bound local, a variable further out, a user function, a builtin.
     // A bound local indexes in place — no clone of the container, matching
     // the tree-walker's by-reference `index_value(base, &idx)`.
     if slot != NO_REG && frame.regs[slot as usize].is_some() {
-        return index_call(chunk, frame, None, slot, call);
+        return index_call(frame, None, slot, call);
     }
     let g = gids[name as usize];
     if let Some(v) = find_var(interp, frame, chain, g) {
-        return index_call(chunk, frame, Some(v), slot, call);
+        return index_call(frame, Some(v), slot, call);
     }
     if let Some(f) = info(interp, g).func.clone() {
         return call_user(interp, chunk, frame, chain, &f, call);
@@ -1088,10 +1003,9 @@ fn apply_op(
     }
     let b = Builtin::from_id(builtin);
     let ret = if call.kwt == NO_TABLE {
-        let moved = lend(chunk, frame, call, true);
         let args = &mut frame.regs[call.base as usize..(call.base + call.argc) as usize];
         let ret = interp.call_builtin(b, args, Vec::new());
-        give_back(chunk, frame, call, moved);
+        clear_args(frame, call);
         ret
     } else {
         let (mut pos, kw) = gather_args(chunk, frame, call.base, call.argc, call.kwt);
@@ -1102,17 +1016,10 @@ fn apply_op(
 
 /// `x(args)` where `x` is a variable: the bound local `slot`, or `outer`,
 /// a value found further out.
-fn index_call(
-    chunk: &Chunk,
-    frame: &mut Frame,
-    outer: Option<NValue>,
-    slot: Reg,
-    call: Call,
-) -> R<()> {
+fn index_call(frame: &mut Frame, outer: Option<NValue>, slot: Reg, call: Call) -> R<()> {
     if call.kwt != NO_TABLE {
         return err("unexpected keyword argument");
     }
-    let moved = lend(chunk, frame, call, false);
     // The variable is a local (below the argument registers) or `outer`.
     let (locals, above) = frame.regs.split_at_mut(call.base as usize);
     let args = &mut above[..call.argc as usize];
@@ -1126,13 +1033,12 @@ fn index_call(
             }
         }
     };
-    give_back(chunk, frame, call, moved);
+    clear_args(frame, call);
     write_one(frame, call.dst, call.want, RVal::from_nv(res?))
 }
 
 /// Call user function `f` on a pooled frame. Arguments move from their
-/// registers into the parameter slots; a lent local is shared, since the
-/// caller keeps it.
+/// registers into the parameter slots.
 fn call_user(
     interp: &mut Interp,
     chunk: &Chunk,
@@ -1155,20 +1061,10 @@ fn call_user(
     let params = &f.proto.param_slots;
     let child = if call.kwt == NO_TABLE {
         arity(call.argc as usize)?;
-        let lends = lends(chunk, call);
         let mut child = interp.vm.frame(f);
         for i in 0..call.argc {
-            let v = match frame.regs[(call.base + i) as usize].take() {
-                Some(v) => v,
-                None => {
-                    let l = lends
-                        .iter()
-                        .find(|l| l.pos == i)
-                        .expect("an empty argument register is a lent local");
-                    RVal::share(&mut frame.regs[l.slot as usize])
-                }
-            };
-            child.regs[params[i as usize] as usize] = Some(v);
+            let arg = frame.regs[(call.base + i) as usize].take();
+            child.regs[params[i as usize] as usize] = arg;
         }
         child
     } else {
@@ -1370,7 +1266,6 @@ fn index_twice(
                 base: idx,
                 argc: n1,
                 kwt: NO_TABLE,
-                lent: NO_TABLE,
                 want: 1,
             };
             apply_op(interp, chunk, gids, frame, chain, name, slot, builtin, call)?;
@@ -1545,12 +1440,16 @@ mod tests {
     #[test]
     fn calls_allocate_nothing_per_turn() {
         // A builtin on two immediates, a 4-argument user function (its
-        // frame comes from the pool) and a hash field (read in place).
+        // frame comes from the pool), a hash field (read in place) and a
+        // copy of a list or a hash (shared: the first copy boxes it once,
+        // every turn after hands out one more reference).
         for (stmt, allocs) in [
             ("s = min(k, 3)", 0.0),
             ("s = f(k, 1, 2, 3)", 0.0),
             ("s = h.src", 0.0),
             ("s = isempty(MCW)", 0.0),
+            ("M = L", 0.0),
+            ("M = h", 0.0),
         ] {
             assert_eq!(per_turn(stmt).0, allocs, "allocations per turn of `{stmt}`");
         }
@@ -1575,7 +1474,7 @@ mod tests {
 
     #[test]
     fn strings_and_items_are_read_where_they_are() {
-        // A string compared, a string constant and a lent string passed
+        // A string compared, a string constant and a string local passed
         // on, and a list item indexed where it lies, copy nothing: each
         // statement below costs what building `P` alone costs.
         let build = "P = list(list('Price', 0, 3.5))";

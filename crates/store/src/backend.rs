@@ -167,7 +167,7 @@ impl<S: ProblemStore + ?Sized> ProblemStore for Arc<S> {
 
 /// The base backend: problems live as XDR files in a shared directory
 /// (the paper's NFS export). Every fetch is a real disk read through
-/// [`xdrser::sload`] — header-validated, unmaterialised — and a frame's
+/// [`xdrser::sload_into`] — header-validated, unmaterialised — and a frame's
 /// reads open each file relative to its directory (`docs/STORE.md`,
 /// "Read path"). The store itself holds nothing open.
 #[derive(Debug, Default)]
@@ -182,7 +182,11 @@ impl DirStore {
 
 impl ProblemStore for DirStore {
     fn fetch(&self, path: &Path) -> Result<Fetched, XdrError> {
-        Ok(Fetched::uncached(xdrser::sload(path)?))
+        let mut bytes = Vec::new();
+        xdrser::sload_into(std::fs::File::open(path)?, &mut bytes)?;
+        // A cached serial holds no more than it is budgeted for.
+        bytes.shrink_to_fit();
+        Ok(Fetched::uncached(Serial::new(bytes)))
     }
 
     fn reader(&self) -> Box<dyn FrameReader + '_> {

@@ -254,8 +254,6 @@ pub fn load<P: AsRef<Path>>(path: P) -> Result<Value, XdrError> {
 pub fn sload<P: AsRef<Path>>(path: P) -> Result<Serial, XdrError> {
     let mut bytes = Vec::new();
     sload_into(File::open(path)?, &mut bytes)?;
-    // A cached serial holds no more than it is budgeted for.
-    bytes.shrink_to_fit();
     Ok(Serial::new(bytes))
 }
 

@@ -5,8 +5,9 @@
 #      in-repo path crates, and the shim directories must be exactly the
 #      ones documented in shims/README.md (the build environment has no
 #      registry access)
-#   2. formatting: `cargo fmt --all -- --check` (the workspace's own
-#      rustfmt; perf/ is a workspace of its own and is not covered)
+#   2. formatting: `cargo fmt --all -- --check` over the workspace, then
+#      `cargo fmt --manifest-path perf/Cargo.toml -- --check` over the
+#      benchmark harness (a workspace of its own that the first misses)
 #   3. release build of the whole workspace, then a run, each under a
 #      timeout, of the two examples that drive a minimpi world by hand
 #      (spawn_slaves ends on stop sends followed by SpawnedWorld::join,
@@ -90,6 +91,7 @@ fi
 # A tree rustfmt would rewrite makes every contributor who formats
 # their own edits reformat unrelated code.
 run cargo fmt --all -- --check || exit 1
+run cargo fmt --manifest-path perf/Cargo.toml -- --check || exit 1
 
 run cargo build --workspace --release || exit 1
 

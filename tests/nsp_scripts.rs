@@ -482,8 +482,8 @@ mod engine_equivalence {
 
     #[test]
     fn lent_arguments_keep_value_semantics() {
-        // A plain local passed to a call is lent, not copied: the callee
-        // reads the caller's slot in place. None of that may show.
+        // A plain local passed to a call is shared, not copied: the callee
+        // reads the caller's value in place. None of that may show.
         let f2 = "function [r] = f(a, b)\n  r = a + b\nendfunction\n";
         for src in [
             "x = 5\nx = min(x, 3)".to_string(),
@@ -495,9 +495,9 @@ mod engine_equivalence {
             "s = 'a'\ny = min(s, 1)".to_string(),
             "h = hash_create(a = 1)\ny = MPI_Get_count(h)".to_string(),
             "L = list(1, 2)\nn = length(L)\nM = list(L, n)\nok = M(1).equal[L]".to_string(),
-            // The callee reads the lent variable through the dynamic chain.
+            // The callee reads the passed variable through the dynamic chain.
             "function [r] = g(a)\n  r = a + x\nendfunction\nx = 1\ny = g(x)".to_string(),
-            // Another argument appends to the lent list: it is copied first.
+            // Another argument appends to the passed list: it is copied first.
             "function [r] = g(a, b)\n  r = length(a) + length(b)\nendfunction\nL = list(1)\ny = g(L, L.add_last[2])".to_string(),
             // A local not bound yet resolves where its argument stands: the
             // zero-argument calls run in source order.
@@ -564,6 +564,41 @@ mod engine_equivalence {
         let i =
             agree_ok("L = list(list(1))\nx = L(1).add_last[2]\nnx = length(x)\nn1 = length(L(1))");
         assert_eq!(scalars(&i, ["nx", "n1"]), [2.0, 1.0]);
+        // A copy shares its value until one of the names is written: the
+        // writer copies first, the other name keeps what it had.
+        let i = agree_ok(
+            "L = list(1, 2)\na = L\na(1) = 9\nl1 = L(1)\na1 = a(1)\n\
+             H = hash_create(y = 2)\nH2 = H\nH2.x = 1\nsame = H.equal[hash_create(y = 2)]\nh2x = H2.x",
+        );
+        assert_eq!(scalars(&i, ["l1", "a1", "h2x"]), [1.0, 9.0, 1.0]);
+        assert_eq!(i.get_bool("same"), Some(true));
+        // `add_last`, as a statement and as an expression, on either name.
+        let i = agree_ok(
+            "L = list(1)\nM = L\nL.add_last[2]\nm1 = length(M)\nl1 = length(L)\n\
+             N = L\nX = L.add_last[3]\nn2 = length(N)\nl2 = length(L)\nx2 = length(X)\n\
+             K = L\nK.add_last[4]\nl3 = length(L)\nk3 = length(K)",
+        );
+        assert_eq!(
+            scalars(&i, ["m1", "l1", "n2", "l2", "x2", "l3", "k3"]),
+            [1.0, 2.0, 2.0, 3.0, 3.0, 3.0, 4.0]
+        );
+        // A callee that changes its parameter changes its own copy.
+        let i = agree_ok(
+            "function [r] = g(a, h)\n  a(1) = 9\n  h.x = 5\n  r = a(1) + h.x\nendfunction\n\
+             L = list(1, 2)\nH = hash_create(x = 1)\ny = g(L, H)\nl1 = L(1)\nhx = H.x",
+        );
+        assert_eq!(scalars(&i, ["y", "l1", "hx"]), [14.0, 1.0, 1.0]);
+        // Two items built from one list, then the list changes.
+        let i = agree_ok(
+            "x = list(1)\nM = list(x, x)\nx.add_last[2]\nx(1) = 7\n\
+             m1 = length(M(1))\nm2 = length(M(2))\nf = M(1)(1)\nnx = length(x)",
+        );
+        assert_eq!(scalars(&i, ["m1", "m2", "f", "nx"]), [1.0, 1.0, 1.0, 2.0]);
+        // A string compared after its source is reassigned.
+        let i =
+            agree_ok("s = 'ab'\nt = s\ns = 'cd'\ne = t == 'ab'\nu = s\ns = s + 'x'\nf = u == 'cd'");
+        assert_eq!((i.get_bool("e"), i.get_bool("f")), (Some(true), Some(true)));
+        assert_eq!(i.get_value("s").unwrap().as_str(), Some("cdx"));
     }
 
     #[test]
@@ -805,7 +840,7 @@ mod engine_equivalence {
     #[test]
     fn operands_and_arguments_read_in_place_keep_value_semantics() {
         // A local operand of a binary operator is read where it is; a
-        // string lent to a user function is shared, not copied. None of
+        // string passed to a user function is shared, not copied. None of
         // that may show.
         let id = "function [r] = id(s)\n  r = s\nendfunction\n";
         let i = agree_ok(&format!(
@@ -833,9 +868,9 @@ mod engine_equivalence {
              y = g + 1\nz = g + h()\nw = h() + g\ng = 5",
             "x = 3\nx = x + x\ny = x == 6\ns = 'a'\nt = s + s",
             "L = list(1)\nn = length(L) + length(L.add_last[2])",
-            // A lent argument stands after the others: it is read (or
-            // resolved) when the call runs, after them, and before the
-            // callee is looked up.
+            // A local argument after the others is read (or resolved) in
+            // argument order, after them, and before the callee is looked
+            // up.
             "y = nosuch(q, 1)\nq = 2",
             "function [r] = g()\n  disp('g')\n  r = 1\nendfunction\n\
              function [r] = h()\n  disp('h')\n  r = 2\nendfunction\n\
@@ -845,6 +880,25 @@ mod engine_equivalence {
         ] {
             assert_agree(src);
         }
+    }
+
+    #[test]
+    fn a_copy_of_a_handle_is_the_same_object() {
+        // A Premia object copied and set up through the copy is priced
+        // through the original name.
+        let i = agree_ok(
+            "P = premia_create()\nQ = P\nQ.set_asset[str=\"equity\"]\nQ.set_model[str=\"BlackScholes1dim\"]\n\
+             Q.set_option[str=\"CallEuro\"]\nQ.set_method[str=\"CF\"]\nP.compute[]\n\
+             L = P.get_method_results[]\nprice = L(1)(3)",
+        );
+        assert!(i.get_scalar("price").is_some_and(|p| p > 0.0));
+        // A receive into a copy of an mpibuf fills the original.
+        let runs = agree_on_two_ranks([
+            "b = MPI_Pack('hello', MCW)\nMPI_Send(b, 1, 7, MCW)",
+            "buf = mpibuf_create(100)\nb2 = buf\nst = MPI_Recv(b2, 0, 7, MCW)\nv = MPI_Unpack(buf, MCW)",
+        ]);
+        assert_eq!(runs[1].0, Ok(()));
+        assert_eq!(runs[1].1["v"], bytes_of("v = 'hello'", "v"));
     }
 
     #[test]
