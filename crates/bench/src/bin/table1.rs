@@ -7,7 +7,6 @@
 //! end to end.
 
 use bench::breakdown::run_breakdown;
-use bench::calibrate::run_calibrate_classes;
 use bench::{parse_args, render_comparison, Mode, Table, PAPER_TABLE1};
 use clustersim::{table1_rows, table1_sim_jobs, SimConfig, TABLE1_CPUS};
 use farm::portfolio::{regression_portfolio, save_portfolio, PortfolioScale};
@@ -24,7 +23,6 @@ fn main() {
                 &opts,
             )
         }
-        Mode::Calibrate { measured } => return run_calibrate_classes(measured),
     };
     let cfg = SimConfig::default();
     let rows = table1_rows(&TABLE1_CPUS, &cfg);

@@ -8,7 +8,6 @@
 //! reproducing the caching bias the paper calls out.
 
 use bench::breakdown::run_breakdown;
-use bench::calibrate::run_calibrate_classes;
 use bench::{parse_args, render_three_strategy, Mode, Table, PAPER_TABLE2};
 use clustersim::{table2_rows, table2_sim_jobs, SimConfig, TABLE2_CPUS};
 
@@ -23,7 +22,6 @@ fn main() {
                 &opts,
             )
         }
-        Mode::Calibrate { measured } => return run_calibrate_classes(measured),
     }
     let cfg = SimConfig::default();
     let all = table2_rows(&TABLE2_CPUS, &cfg);

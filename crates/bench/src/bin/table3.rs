@@ -7,7 +7,6 @@
 //! (§4.3).
 
 use bench::breakdown::run_breakdown;
-use bench::calibrate::run_calibrate_classes;
 use bench::{parse_args, render_three_strategy, Mode, Table, PAPER_TABLE3};
 use clustersim::{table3_rows, table3_sim_jobs, SimConfig, TABLE3_CPUS};
 
@@ -22,7 +21,6 @@ fn main() {
                 &opts,
             )
         }
-        Mode::Calibrate { measured } => return run_calibrate_classes(measured),
     }
     let cfg = SimConfig::default();
     let all = table3_rows(&TABLE3_CPUS, &cfg);

@@ -132,10 +132,10 @@ pub fn breakdown_report(
         }
         if opts.order_lpt {
             // LPT run from cold caches, fed with the jobs' own (here:
-            // exact) costs, where a caller would feed a calibrated
-            // CostModel estimate. Any order but FIFO goes out one job a
-            // message, so its baseline is FIFO on that protocol: the only
-            // variable between the two rows is the queue order.
+            // exact) costs, where a caller would feed estimates such as
+            // `JobClass::paper_cost_seconds`. Any order but FIFO goes out
+            // one job a message, so its baseline is FIFO on that protocol:
+            // the only variable between the two rows is the queue order.
             report.runs.push(one_run(
                 format!("{} (fifo, per job)", strategy.label()),
                 &cfg,
@@ -357,16 +357,13 @@ mod tests {
             Mode::parse(["--live"], Table::I),
             Ok(Mode::Table { live: true })
         );
-        assert_eq!(
-            Mode::parse(["--calibrate-classes", "--measured"], Table::III),
-            Ok(Mode::Calibrate { measured: true })
-        );
         // A flag the chosen mode or table does not use is rejected, not
         // accepted and dropped.
         for (args, t) in [
             (&["--breakdown", "--jobs", "500"][..], Table::I),
             (&["--breakdown", "--jobs", "500"], Table::III),
             (&["--breakdown", "--live"], Table::I),
+            (&["--calibrate-classes"], Table::II),
             (&["--calibrate-classes", "--measurd"], Table::II),
             (&["--calibrate-classes", "--breakdown"], Table::II),
             (&["--calibrate-classes", "--warm"], Table::II),

@@ -8,7 +8,6 @@ use breakdown::BreakdownOpts;
 use clustersim::TableRow;
 
 pub mod breakdown;
-pub mod calibrate;
 
 /// The table a binary regenerates. It decides the table-specific flags:
 /// only Table I takes `--live`, and only Table II's portfolio scales
@@ -29,15 +28,12 @@ pub enum Mode {
     Table { live: bool },
     /// `--breakdown`: the per-phase decomposition of one cluster size.
     Breakdown(BreakdownOpts),
-    /// `--calibrate-classes`: the per-class grain costs; `measured`
-    /// (`--measured`) adds this machine's.
-    Calibrate { measured: bool },
 }
 
 impl Mode {
     /// Parse `args` (without the program name) for `table`'s binary. A
-    /// typo, a flag the chosen mode does not use on this table, or a
-    /// second mode flag is an error, so nothing is accepted and ignored.
+    /// typo or a flag the chosen mode does not use on this table is an
+    /// error, so nothing is accepted and ignored.
     fn parse<I, S>(args: I, table: Table) -> Result<Mode, String>
     where
         I: IntoIterator<Item = S>,
@@ -45,16 +41,14 @@ impl Mode {
     {
         let args: Vec<S> = args.into_iter().collect();
         let has = |flag: &str| args.iter().any(|a| a.as_ref() == flag);
-        let (breakdown, calibrate) = (has("--breakdown"), has("--calibrate-classes"));
+        let breakdown = has("--breakdown");
         let mut opts = BreakdownOpts::default();
-        let (mut live, mut measured) = (false, false);
+        let mut live = false;
         let mut it = args.iter().map(AsRef::as_ref);
         while let Some(arg) = it.next() {
             match arg {
-                "--breakdown" if !calibrate => {}
-                "--calibrate-classes" if !breakdown => {}
-                "--measured" if calibrate => measured = true,
-                "--live" if table == Table::I && !breakdown && !calibrate => live = true,
+                "--breakdown" => {}
+                "--live" if table == Table::I && !breakdown => live = true,
                 "--jobs" if breakdown && table == Table::II => {
                     opts.jobs = Some(count(arg, it.next(), 1)?)
                 }
@@ -73,8 +67,6 @@ impl Mode {
         }
         Ok(if breakdown {
             Mode::Breakdown(opts)
-        } else if calibrate {
-            Mode::Calibrate { measured }
         } else {
             Mode::Table { live }
         })
@@ -103,7 +95,7 @@ pub fn parse_args(table: Table) -> Mode {
         eprintln!("error: {e}");
         eprintln!(
             "usage: {name} [--breakdown{jobs} [--cpus N] [--order fifo|lpt] [--warm] \
-             [--compress] | --calibrate-classes [--measured]{live}]"
+             [--compress]{live}]"
         );
         std::process::exit(2);
     })

@@ -33,8 +33,6 @@
 //!   per-job deadlines, bounded retries with exponential backoff,
 //!   dead-slave detection and graceful degradation, exercised against
 //!   `minimpi`'s deterministic fault injection.
-//! * [`calibrate`] — single-problem cost measurements feeding the
-//!   `clustersim` cost model.
 //! * [`risk`] — the §1 risk-evaluation scenario: bump-and-revalue
 //!   parameter sweeps (delta/gamma/vega/rho per claim) that multiply the
 //!   portfolio into the paper's "around 10⁶ atomic computations".
@@ -58,7 +56,6 @@
 
 #![warn(missing_docs)]
 mod batching;
-pub mod calibrate;
 pub mod config;
 pub mod driver;
 mod instrument;

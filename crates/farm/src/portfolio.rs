@@ -367,12 +367,11 @@ pub fn toy_portfolio(count: usize) -> Vec<PortfolioJob> {
         .collect()
 }
 
-/// One ready-to-price representative problem of `class` at `scale` — the
-/// calibration grain. The §4.3 classes use the same specs as
-/// [`realistic_portfolio`]; the extension classes (Bermudan max-call,
-/// BSDE Picard sweep, netted CVA book) have no slot in the paper
-/// composition, so this is *the* canonical problem the cost model and the
-/// `--calibrate-classes` table path measure.
+/// One ready-to-price representative problem of `class` at `scale`. The
+/// §4.3 classes use the same specs as [`realistic_portfolio`]; the
+/// extension classes (Bermudan max-call, BSDE Picard sweep, netted CVA
+/// book) have no slot in the paper composition, so this is *the*
+/// canonical problem of each class that the `perf` pricing layer times.
 pub fn representative_problem(class: JobClass, scale: PortfolioScale) -> PortfolioJob {
     let p = scale.params();
     let problem = match class {
@@ -844,6 +843,13 @@ mod tests {
         assert!(
             JobClass::BarrierPde.paper_cost_seconds().0
                 > JobClass::VanillaClosedForm.paper_cost_seconds().1
+        );
+        // One BSDE Picard round regresses *and* simulates: it costs more
+        // than any vanilla European Monte-Carlo grain, or the staged
+        // rounds would be scheduling noise.
+        assert!(
+            JobClass::BsdePicardMc.paper_cost_seconds().0
+                > JobClass::LocalVolMc.paper_cost_seconds().1
         );
     }
 }

@@ -9,9 +9,9 @@
 //! slave strands its job. The supervised farm instead
 //!
 //! * gives every dispatched job a **deadline**
-//!   ([`SupervisorConfig::job_deadline`]: the default's or the caller's;
-//!   no run derives one from a cost model), after which the job is
-//!   requeued with exponential backoff and a bounded retry budget;
+//!   ([`SupervisorConfig::job_deadline`]: the default's or the caller's),
+//!   after which the job is requeued with exponential backoff and a
+//!   bounded retry budget;
 //! * detects **dead slaves** — both eagerly, when a send fails fast with
 //!   [`minimpi::MpiError::Poisoned`], and by polling rank liveness — and
 //!   immediately requeues their in-flight jobs;
@@ -27,16 +27,13 @@
 //! portfolio to exactly the same values as the plain one — the zero-fault
 //! equivalence checked by `tests/sim_vs_live.rs` and `tests/farm_chaos.rs`.
 
-use crate::calibrate::CostModel;
-use crate::portfolio::JobClass;
 use exec::ConfigIssues;
 use sched::Supervision;
 use std::time::Duration;
 
 /// Tuning knobs of the supervised master. Start from
-/// [`SupervisorConfig::default`] (test-scale timings) or
-/// [`SupervisorConfig::from_cost_model`] (calibrated for a real
-/// portfolio) and override fields as needed.
+/// [`SupervisorConfig::default`] (test-scale timings) and override
+/// fields as needed.
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
     /// Per-dispatch deadline: a job unanswered for this long is presumed
@@ -67,27 +64,6 @@ impl Default for SupervisorConfig {
             backoff_base: Duration::from_millis(5),
             poll: Duration::from_millis(20),
             slave_idle_timeout: Duration::from_secs(2),
-        }
-    }
-}
-
-impl SupervisorConfig {
-    /// Calibrate deadlines from a [`CostModel`]: the job deadline is
-    /// `safety ×` the *worst-case* single-job cost across all job
-    /// classes (floored at 50 ms so message latency never triggers a
-    /// spurious retry), and the slave idle timeout is sized so a slave
-    /// outlives a full master poll cycle plus one worst-case job.
-    pub fn from_cost_model(model: &CostModel, safety: f64) -> Self {
-        assert!(safety >= 1.0, "safety factor must be >= 1");
-        let worst = JobClass::ALL
-            .iter()
-            .map(|&c| model.cost_range(c).1)
-            .fold(0.0f64, f64::max);
-        let deadline = Duration::from_secs_f64((worst * safety).max(0.05));
-        SupervisorConfig {
-            job_deadline: deadline,
-            slave_idle_timeout: deadline * 4,
-            ..SupervisorConfig::default()
         }
     }
 }
@@ -190,21 +166,5 @@ mod tests {
             ),
             Err(FarmError::NoSlaves)
         ));
-    }
-
-    #[test]
-    fn config_from_cost_model_calibrates_deadline() {
-        let cfg = SupervisorConfig::from_cost_model(&crate::calibrate::paper_costs(), 3.0);
-        // Paper costs top out above 60 s (American MC), so the deadline
-        // is far above the floor and scaled by the safety factor.
-        assert!(cfg.job_deadline >= Duration::from_secs(60));
-        assert!(cfg.slave_idle_timeout > cfg.job_deadline);
-    }
-
-    #[test]
-    fn deadline_floor_protects_fast_jobs() {
-        let cfg =
-            SupervisorConfig::from_cost_model(&crate::calibrate::paper_costs().scaled(1e-9), 1.0);
-        assert!(cfg.job_deadline >= Duration::from_millis(50));
     }
 }

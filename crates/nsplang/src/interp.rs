@@ -67,10 +67,10 @@ impl From<crate::parser::ParseError> for NspError {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// The original AST tree-walker.
-    #[default]
     Tree,
     /// The register bytecode VM (`lower` + `vm` modules): slot-resolved
     /// locals, interned constants, no hash lookups in the dispatch loop.
+    #[default]
     Vm,
 }
 
@@ -248,7 +248,8 @@ impl Default for Interp {
 }
 
 impl Interp {
-    /// A fresh interpreter with no MPI binding.
+    /// A fresh interpreter with no MPI binding, on the default engine
+    /// (the VM).
     pub fn new() -> Self {
         Interp {
             scopes: vec![HashMap::new()],
@@ -257,7 +258,7 @@ impl Interp {
             output: Vec::new(),
             echo: false,
             rng_state: 0x5EED0F55,
-            engine: Engine::Tree,
+            engine: Engine::default(),
             epoch: 0,
             vm: Default::default(),
         }
@@ -1975,10 +1976,11 @@ impl Interp {
 mod tests {
     use super::*;
 
-    /// Parse and run a script in a fresh interpreter (no MPI binding);
-    /// returns the interpreter for inspecting variables.
+    /// Parse and run a script on the tree-walker this module implements,
+    /// in a fresh interpreter (no MPI binding); returns the interpreter
+    /// for inspecting variables.
     pub(super) fn run_script(src: &str) -> Result<Interp, NspError> {
-        let mut interp = Interp::new();
+        let mut interp = Interp::with_engine(Engine::Tree);
         interp.run(src)?;
         Ok(interp)
     }

@@ -24,9 +24,10 @@
 //! portfolio pricer *as a script* on every rank of a `minimpi` world.
 //!
 //! Scripts execute on one of two engines behind [`Interp::with_engine`]:
-//! the original AST tree-walker, or a register bytecode VM
-//! ([`lower`] + `vm`, see `docs/VM.md`) that resolves locals to slots at
-//! compile time and dispatches over a flat opcode stream. Both engines are
+//! a register bytecode VM, the default ([`lower`] + `vm`, see
+//! `docs/VM.md`), that resolves locals to slots at compile time and
+//! dispatches over a flat opcode stream, or the original AST
+//! tree-walker. Both engines are
 //! proven bit-identical (bindings, RNG streams, error messages) by the
 //! script battery in `tests/nsp_scripts.rs`.
 

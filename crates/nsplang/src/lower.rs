@@ -769,7 +769,8 @@ impl Lowerer {
     /// `L(i...)(j...)` on a local `L` as one [`Op::IndexTwice`], when that
     /// runs what the two ops would, in their order: no argument is a
     /// keyword or may rebind a local, and the `j`s are literals (they are
-    /// evaluated before `L(i...)` runs, not after). Returns whether it
+    /// evaluated before `L(i...)` runs, not after). There is at least one
+    /// `i`: the VM holds `L(i...)` in its register. Returns whether it
     /// emitted the op.
     fn index_twice(&mut self, callee: &Expr, args: &[Arg], dst: Reg) -> bool {
         let Expr::Apply(inner, first) = callee else {
@@ -783,7 +784,7 @@ impl Lowerer {
         };
         let plain = |a: &Arg| matches!(a, Arg::Pos(e) if !may_rebind(e));
         let literal = |a: &Arg| matches!(a, Arg::Pos(e) if is_literal(e));
-        if !first.iter().all(plain) || !args.iter().all(literal) {
+        if first.is_empty() || !first.iter().all(plain) || !args.iter().all(literal) {
             return false;
         }
         let idx = self.next_reg;

@@ -1225,7 +1225,8 @@ fn method_op(
 
 /// `name(i...)(j...)` ([`Op::IndexTwice`]): on a bound local list, the
 /// item `name(i)` is indexed in place; anything else is the two ops it
-/// stands for, an [`Op::Apply`] into `dst` and an [`Op::Index`] of it.
+/// stands for, an [`Op::Apply`] and an [`Op::Index`] of its result. Either
+/// way `dst` is written only when both succeed.
 #[allow(clippy::too_many_arguments)]
 fn index_twice(
     interp: &mut Interp,
@@ -1261,15 +1262,17 @@ fn index_twice(
             res
         }
         None => {
+            // `name(i...)` lands in the first `i` register, which the
+            // call frees, so `dst` keeps its value until the result exists.
             let call = Call {
-                dst,
+                dst: idx,
                 base: idx,
                 argc: n1,
                 kwt: NO_TABLE,
                 want: 1,
             };
             apply_op(interp, chunk, gids, frame, chain, name, slot, builtin, call)?;
-            let item = take_nv(frame, dst);
+            let item = take_nv(frame, idx);
             let second = &mut frame.regs[(idx + n1) as usize..(idx + n1 + n2) as usize];
             index_value(&item, second)
         }

@@ -12,9 +12,10 @@
 #      timeout, of the two examples that drive a minimpi world by hand
 #      (spawn_slaves ends on stop sends followed by SpawnedWorld::join,
 #      the shape a lost wake-up hangs; nsp_script runs Fig. 4 as a
-#      script on every rank), then a build of the benchmark harness
-#      under perf/ (a workspace of its own that `cargo test
-#      --workspace` never compiles) plus its `check` subcommand
+#      script on every rank on the default engine, the VM, which is
+#      the engine the fig4_script benchmark times), then a build of
+#      the benchmark harness under perf/ (a workspace of its own that
+#      `cargo test --workspace` never compiles) plus its `check` subcommand
 #      (BENCHMARK.json <-> metric tables) and its own unit tests —
 #      build, check and test only, no timed run
 #   4. full test suite (quiet), run once: a red test fails the gate. The

@@ -286,7 +286,7 @@ mod engine_equivalence {
     }
 
     fn run_both(src: &str) -> (Interp, Result<(), NspError>, Interp, Result<(), NspError>) {
-        let mut t = Interp::new();
+        let mut t = Interp::with_engine(Engine::Tree);
         let rt = t.run(src);
         let mut v = Interp::with_engine(Engine::Vm);
         let rv = v.run(src);
@@ -353,6 +353,9 @@ mod engine_equivalence {
     fn lists_nested_and_writeback() {
         assert_agree("L = list(1, 'two', %t)\nx = L(2)\nn = length(L)");
         assert_agree("L = list(list(1, 2), list(3))\nx = L(1)(2)\ny = L(2)(1)");
+        // No first index, and a hash item read into its own list's name.
+        assert_agree("L = list(list(1, 2))\nx = L()(1)");
+        assert_agree("x = list(1, hash_create(y = 2))\nx = x(2)('y')");
         assert_agree("L = list()\nfor k = 1:5 do\n  L.add_last[k*k]\nend\ns = L(5)\nn = length(L)");
         assert_agree("L = list(1,2,3,4,5)\nL(2) = 'x'\nL(4) = []\nn = length(L)");
         assert_agree("L = list(1,2,3,4,5)\nk = 2\nL(1:k) = []\nn = length(L)\nh = L(1)");
@@ -632,6 +635,10 @@ mod engine_equivalence {
                 "D = list(); for k = 1:127 do D = list(D) end; L = list(1)\nL.add_last[D]",
                 "L",
             ),
+            // The second index fails on the hash item `x(2)`, also when the
+            // result would go to `x` itself.
+            ("M = 5\nx = list(1, hash_create(y = 2)); M = x(2)(1)", "M"),
+            ("x = list(1, hash_create(y = 2))\nx = x(2)(1)", "x"),
         ] {
             let intact = src.lines().next().unwrap();
             let mut want = Interp::new();
@@ -772,7 +779,7 @@ mod engine_equivalence {
         // engines plus the tree-engine check below pins both.
         let src = "y = 0\nfor k = 1:3 do\n  P = premia_create()\n  P.set_asset[str=\"equity\"]\n  P.set_model[str=\"BlackScholes1dim\"]\n  P.set_option[str=\"CallEuro\"]\n  P.set_method[str=\"MC_BSDE_LabartLelong\", paths=2048, time_steps=12, picard_rounds=1, y_prev=y]\n  P.compute[]\n  L = P.get_method_results[]\n  y = L(1)(3)\nend\nQ = premia_create()\nQ.set_asset[str=\"equity\"]\nQ.set_model[str=\"BlackScholes1dim\"]\nQ.set_option[str=\"CallEuro\"]\nQ.set_method[str=\"MC_BSDE_LabartLelong\", paths=2048, time_steps=12, picard_rounds=3]\nQ.compute[]\nM = Q.get_method_results[]\nok = y == M(1)(3)";
         assert_agree(src);
-        let mut i = Interp::new();
+        let mut i = Interp::with_engine(Engine::Tree);
         i.run(src).unwrap();
         assert_eq!(i.get_bool("ok"), Some(true), "sweeps must equal one-shot");
     }

@@ -177,7 +177,13 @@ fn zero_fault_supervision_is_free() {
     let (files, _) = matched_workload(&dir);
 
     let plain = run_plain_farm(&files, 2, Transmission::SerializedLoad).unwrap();
-    let cfg = SupervisorConfig::from_cost_model(&riskbench::farm::calibrate::paper_costs(), 2.0);
+    // Deadlines far above any job here: twice the worst §4.3 class's
+    // upper cost (150 s), and an idle patience of four deadlines.
+    let cfg = SupervisorConfig {
+        job_deadline: std::time::Duration::from_secs(300),
+        slave_idle_timeout: std::time::Duration::from_secs(1_200),
+        ..SupervisorConfig::default()
+    };
     let inert = Arc::new(FaultPlan::new(2024));
     let supervised = run_supervised(
         &files,
