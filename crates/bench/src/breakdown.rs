@@ -9,9 +9,7 @@
 //! serialized load pays the least problem-acquisition time), and prints
 //! both the fixed-width table and the machine-readable JSON form.
 
-use clustersim::{
-    simulate, DispatchPolicy, SchedConfig, SimCaches, SimConfig, SimJob, SimSpec, Topology,
-};
+use clustersim::{simulate, DispatchPolicy, SchedConfig, SimCaches, SimConfig, SimJob, SimSpec};
 use farm::Transmission;
 use obs::{Breakdown, BreakdownReport, EventKind, Recorder, StrategyBreakdown};
 
@@ -104,7 +102,7 @@ pub fn breakdown_report(
                     cfg,
                     recorder: Some(&rec),
                     plan: None,
-                    topology: Topology::Flat(sched),
+                    sched,
                 };
                 let out = simulate(&spec, caches)
                     .expect("breakdown scheduling options are always self-consistent");

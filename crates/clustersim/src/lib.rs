@@ -25,10 +25,10 @@
 //! [`simulate`] is the one entry point: a [`SimSpec`] names the jobs,
 //! the strategy, the model, an optional recorder, an optional fault plan
 //! (a live `farm::FarmConfig`'s, by the one op rule of `docs/FAULTS.md`)
-//! and the [`Topology`] — one master under the live scheduler's own
-//! [`SchedConfig`], or sharded peer masters. `tables` assembles it into
-//! the generators for Tables I, II and III. A whole simulated cluster
-//! runs on the calling thread (`clippy.toml` forbids spawning one).
+//! and the live scheduler's own [`SchedConfig`] its one master drives.
+//! `tables` assembles it into the generators for Tables I, II and III. A
+//! whole simulated cluster runs on the calling thread (`clippy.toml`
+//! forbids spawning one).
 
 #![warn(missing_docs)]
 
@@ -42,7 +42,7 @@ pub use params::{
     MasterCosts, NetworkParams, NfsParams, SimConfig, SlaveCosts, StoreParams, TransportParams,
 };
 pub use sched::{DispatchPolicy, SchedConfig, SchedError, Supervision, Trace};
-pub use sim::{simulate, NfsCache, SimCaches, SimError, SimJob, SimOutcome, SimSpec, Topology};
+pub use sim::{simulate, NfsCache, SimCaches, SimError, SimJob, SimOutcome, SimSpec};
 pub use tables::{
     format_table, speedup_ratio, table1_rows, table1_sim_jobs, table2_rows, table2_sim_jobs,
     table3_rows, table3_sim_jobs, TableRow, TABLE1_CPUS, TABLE1_T2, TABLE2_CPUS,

@@ -1,6 +1,6 @@
 //! The Robin-Hood replay: Fig. 4's protocol over the `params`
 //! performance model. The simulator holds **no master of its own**: a
-//! flat run is `farm::driver::drive`, the loop every live master runs,
+//! run is `farm::driver::drive`, the loop every live master runs,
 //! over a virtual-time world (`crate::world`) that models the rest.
 //! Live and simulated runs render byte-identical decision [`Trace`]s
 //! wherever they see the same answers (`tests/sched_parity.rs`).
@@ -13,7 +13,7 @@ use farm::strategy::Transmission;
 use farm::{FarmError, JobClass, SupervisorConfig};
 use obs::Recorder;
 use sched::{DispatchPolicy, SchedConfig, SchedError, Trace};
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
@@ -78,16 +78,13 @@ impl SimCaches {
 pub struct SimOutcome {
     /// Wall-clock makespan in (simulated) seconds.
     pub makespan: f64,
-    /// Jobs completed per slave (a sharded run lists shard 0's slaves
-    /// first, then shard 1's, and so on).
+    /// Jobs completed per slave.
     pub per_slave: Vec<usize>,
     /// Fraction of the run the master spent busy (the §4.2/§5 bottleneck
-    /// diagnostic); a sharded run's is the mean over its masters.
+    /// diagnostic).
     master_utilisation: f64,
-    /// The decision trace, when the flat config set `record_trace`.
+    /// The decision trace, when the config set `record_trace`.
     pub trace: Option<Trace>,
-    /// Steal rounds a sharded run performed.
-    steals: usize,
 }
 
 /// Everything one simulated run depends on but its caches: the input of
@@ -101,57 +98,29 @@ pub struct SimSpec<'a> {
     /// The performance model.
     pub cfg: &'a SimConfig,
     /// Receives every phase in the live farm's [`obs::EventKind`] schema
-    /// (rank 0 the master, slave *s* rank `s + 1`). Flat runs only.
+    /// (rank 0 the master, slave *s* rank `s + 1`).
     pub recorder: Option<&'a Recorder>,
     /// Faults to inject, the value `farm::FarmConfig::fault_plan` takes,
-    /// by the same op rule (`docs/FAULTS.md`). Supervised flat runs only.
+    /// by the same op rule (`docs/FAULTS.md`). Supervised runs only.
     pub plan: Option<Arc<FaultPlan>>,
-    /// Who dispatches the jobs.
-    pub topology: Topology,
-}
-
-/// The masters of a simulated run and how they dispatch.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Topology {
-    /// One master under the scheduler config the live front-end being
-    /// modelled drives: [`SchedConfig::farm`], as `farm::run` builds it,
-    /// or [`SchedConfig::plain`], Fig. 4's per-job protocol the paper's
+    /// The scheduler config the live front-end being modelled drives:
+    /// [`SchedConfig::farm`], as `farm::run` builds it, or
+    /// [`SchedConfig::plain`], Fig. 4's per-job protocol the paper's
     /// tables time. Its `jobs` must be the spec's job count.
-    Flat(SchedConfig),
-    /// Peer masters, each over a contiguous pool and a private farm: the
-    /// paper's §5 outlook, simulated only. The earliest-free master (lowest index on
-    /// ties) leases its next round from its pool's front or, once dry,
-    /// the richest peer's back; each round is a [`SchedConfig::plain`]
-    /// flat run on that master's clock, through the one `caches`.
-    Sharded {
-        /// Number of peer masters.
-        shards: usize,
-        /// Compute slaves per shard.
-        slaves_per_shard: usize,
-        /// Jobs a master leases per round; `0` leases the whole pool at
-        /// once (which also leaves nothing to steal).
-        lease: usize,
-        /// Steal from the richest peer pool when the own pool drains.
-        steal: bool,
-    },
+    pub sched: SchedConfig,
 }
 
 /// Why [`simulate`] refused a spec.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
-    /// The scheduler refused the flat config (zero slaves per shard is
-    /// [`SchedError::NoSlaves`] too).
+    /// The scheduler refused the config.
     Sched(SchedError),
-    /// A fault plan needs a supervised flat master, as on a live farm: a
+    /// A fault plan needs a supervised master, as on a live farm: a
     /// plain one would wait forever for a lost answer.
     FaultsNeedSupervision,
     /// A fault killed the master, ending its run: the driver's error.
     Aborted(String),
-    /// A sharded topology with no shards.
-    NoShards,
-    /// A recorder on a sharded run, whose rounds have no one timeline.
-    ShardedRecorder,
-    /// A flat config sized for another number of jobs than the spec's.
+    /// A config sized for another number of jobs than the spec's.
     JobCount {
         /// The config's `jobs`.
         sched: usize,
@@ -170,9 +139,7 @@ impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimError::Sched(e) => e.fmt(f),
-            SimError::FaultsNeedSupervision => f.write_str("faults need a supervised flat run"),
-            SimError::NoShards => f.write_str("a sharded run needs at least one shard"),
-            SimError::ShardedRecorder => f.write_str("a sharded run cannot be recorded"),
+            SimError::FaultsNeedSupervision => f.write_str("faults need a supervised run"),
             SimError::Aborted(why) => write!(f, "a fault ended the run: {why}"),
             SimError::JobCount { sched, jobs } => {
                 write!(f, "scheduler config for {sched} jobs, spec holds {jobs}")
@@ -183,64 +150,19 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Replay `spec` against the performance model. `caches` persist across
-/// calls: pass the same value again to model a warm re-run, a fresh one
-/// for a cold run.
+/// Replay `spec` against the performance model: one master —
+/// `farm::driver::drive`, the live farm's own loop — on rank 0 of a
+/// virtual-time world (`crate::world`) that models everything else. A
+/// [`sched::Batch::Guided`] config speaks the job-frame protocol; a
+/// [`sched::Batch::One`] config speaks Fig. 4's per-job one (name
+/// message, packed payload, answer), as the paper's tables and
+/// `scripts/fig4_farm.nsp` do. `caches` persist across calls: pass the
+/// same value again to model a warm re-run, a fresh one for a cold run.
+/// With `SimConfig::store`'s client cache on, every fetch goes through
+/// them (a simulated ablation: the live farm has none); supervision
+/// polls at [`SupervisorConfig::default`]'s interval, in virtual time.
 pub fn simulate(spec: &SimSpec, caches: &mut SimCaches) -> Result<SimOutcome, SimError> {
-    match &spec.topology {
-        Topology::Flat(sched) => flat(spec, sched, caches),
-        &Topology::Sharded {
-            shards,
-            slaves_per_shard,
-            lease,
-            steal,
-        } => sharded(spec, shards, slaves_per_shard, lease, steal, caches),
-    }
-}
-
-/// [`simulate`] on the flat farm `farm::run` drives, from a cold client
-/// cache: kept only because `perf/src/layers.rs` calls this signature.
-pub fn simulate_farm_recorded(
-    jobs: &[SimJob],
-    slaves: usize,
-    strategy: Transmission,
-    cfg: &SimConfig,
-    cache: &mut NfsCache,
-    recorder: Option<&Recorder>,
-) -> SimOutcome {
-    let sched = SchedConfig::farm(jobs.len(), slaves, DispatchPolicy::Fifo, None, None);
-    let spec = SimSpec {
-        jobs,
-        strategy,
-        cfg,
-        recorder,
-        plan: None,
-        topology: Topology::Flat(sched),
-    };
-    let mut caches = SimCaches {
-        nfs: std::mem::take(cache),
-        ..SimCaches::new()
-    };
-    let out = simulate(&spec, &mut caches).expect("needs at least one slave");
-    *cache = caches.nfs;
-    out
-}
-
-/// One master — `farm::driver::drive`, the live farm's own loop — on
-/// rank 0 of a virtual-time [`World`] that models everything else. A
-/// [`sched::Batch::Guided`] run speaks the job-frame protocol; a
-/// [`sched::Batch::One`] run speaks Fig. 4's per-job one (name message,
-/// packed payload, answer), as the paper's tables and
-/// `scripts/fig4_farm.nsp` do. With `SimConfig::store`'s client cache
-/// on, every fetch goes through `caches` (a simulated ablation: the live
-/// farm has none); supervision polls at [`SupervisorConfig::default`]'s
-/// interval, in virtual time.
-fn flat(
-    spec: &SimSpec,
-    sched: &SchedConfig,
-    caches: &mut SimCaches,
-) -> Result<SimOutcome, SimError> {
-    let jobs = spec.jobs.len();
+    let (jobs, sched) = (spec.jobs.len(), &spec.sched);
     if sched.jobs != jobs {
         return Err(SimError::JobCount {
             sched: sched.jobs,
@@ -250,7 +172,7 @@ fn flat(
     if spec.plan.is_some() && sched.supervision.is_none() {
         return Err(SimError::FaultsNeedSupervision);
     }
-    let world = Arc::new(World::new(spec, sched, std::mem::take(caches)));
+    let world = Arc::new(World::new(spec, std::mem::take(caches)));
     let comm = Comm::over(world.clone(), spec.plan.clone());
     let supervisor = sched.supervision.map(|s| SupervisorConfig {
         job_deadline: Duration::from_nanos(s.deadline_ns),
@@ -287,92 +209,34 @@ fn flat(
         per_slave: report.per_slave[1..].to_vec(),
         master_utilisation: if makespan > 0.0 { busy / makespan } else { 0.0 },
         trace: report.trace,
-        steals: 0,
     })
 }
 
-/// Peer masters over contiguous pools (remainder spread over the first
-/// shards), each advancing on its own clock; see [`Topology::Sharded`].
-fn sharded(
-    spec: &SimSpec,
-    shards: usize,
-    slaves_per_shard: usize,
-    lease: usize,
-    steal: bool,
-    caches: &mut SimCaches,
-) -> Result<SimOutcome, SimError> {
-    if shards == 0 {
-        return Err(SimError::NoShards);
-    }
-    if slaves_per_shard == 0 {
-        return Err(SchedError::NoSlaves.into());
-    }
-    if spec.recorder.is_some() {
-        return Err(SimError::ShardedRecorder);
-    }
-    if spec.plan.is_some() {
-        return Err(SimError::FaultsNeedSupervision);
-    }
-    let jobs = spec.jobs;
-    let (base, rem) = (jobs.len() / shards, jobs.len() % shards);
-    let start = |s: usize| s * base + s.min(rem);
-    let mut pools: Vec<VecDeque<usize>> = (0..shards)
-        .map(|s| (start(s)..start(s + 1)).collect())
-        .collect();
-
-    let mut t = vec![0.0f64; shards];
-    let mut busy = 0.0;
-    let mut out = SimOutcome {
-        makespan: 0.0,
-        per_slave: vec![0; shards * slaves_per_shard],
-        master_utilisation: 0.0,
-        trace: None,
-        steals: 0,
+/// [`simulate`] on the flat farm `farm::run` drives, from a cold client
+/// cache: kept only because `perf/src/layers.rs` calls this signature.
+pub fn simulate_farm_recorded(
+    jobs: &[SimJob],
+    slaves: usize,
+    strategy: Transmission,
+    cfg: &SimConfig,
+    cache: &mut NfsCache,
+    recorder: Option<&Recorder>,
+) -> SimOutcome {
+    let spec = SimSpec {
+        jobs,
+        strategy,
+        cfg,
+        recorder,
+        plan: None,
+        sched: SchedConfig::farm(jobs.len(), slaves, DispatchPolicy::Fifo, None, None),
     };
-    let want = |pool_len: usize| if lease == 0 { pool_len } else { lease };
-    loop {
-        // The earliest-free master that can still obtain work leases the
-        // next round (lowest index on clock ties).
-        let next = (0..shards)
-            .filter(|&s| !pools[s].is_empty() || (steal && pools.iter().any(|p| !p.is_empty())))
-            .min_by(|&a, &b| t[a].total_cmp(&t[b]).then(a.cmp(&b)));
-        let Some(s) = next else { break };
-        let round: Vec<SimJob> = if !pools[s].is_empty() {
-            let n = want(pools[s].len()).min(pools[s].len());
-            pools[s].drain(..n).map(|i| jobs[i]).collect()
-        } else {
-            let victim = (0..shards)
-                .filter(|&p| p != s && !pools[p].is_empty())
-                .max_by(|&a, &b| pools[a].len().cmp(&pools[b].len()).then(b.cmp(&a)))
-                .expect("steal filter guarantees a victim");
-            let n = want(pools[victim].len()).min(pools[victim].len());
-            let at = pools[victim].len() - n;
-            out.steals += 1;
-            pools[victim].drain(at..).map(|i| jobs[i]).collect()
-        };
-        // A shard's lease round is a per-job farm.
-        let topology = Topology::Flat(SchedConfig::plain(round.len(), slaves_per_shard));
-        let run = simulate(
-            &SimSpec {
-                jobs: &round,
-                topology,
-                plan: None,
-                ..*spec
-            },
-            caches,
-        )?;
-        t[s] += run.makespan;
-        busy += run.master_utilisation * run.makespan;
-        let first = s * slaves_per_shard;
-        for (i, k) in run.per_slave.into_iter().enumerate() {
-            out.per_slave[first + i] += k;
-        }
-        out.makespan = out.makespan.max(t[s]);
-    }
-    if out.makespan > 0.0 {
-        out.master_utilisation = busy / (shards as f64 * out.makespan);
-    }
-    Ok(out)
+    let mut caches = SimCaches {
+        nfs: std::mem::take(cache),
+        ..SimCaches::new()
+    };
+    let out = simulate(&spec, &mut caches).expect("needs at least one slave");
+    *cache = caches.nfs;
+    out
 }
 
 #[cfg(test)]
@@ -404,22 +268,16 @@ mod tests {
         SimConfig::default()
     }
 
-    /// The flat farm `farm::run` drives: FIFO guided frames.
-    fn farm(jobs: usize, slaves: usize) -> Topology {
-        Topology::Flat(SchedConfig::farm(
-            jobs,
-            slaves,
-            DispatchPolicy::Fifo,
-            None,
-            None,
-        ))
+    /// The farm `farm::run` drives: FIFO guided frames.
+    fn farm(jobs: usize, slaves: usize) -> SchedConfig {
+        SchedConfig::farm(jobs, slaves, DispatchPolicy::Fifo, None, None)
     }
 
     fn spec<'a>(
         jobs: &'a [SimJob],
         strategy: Transmission,
         cfg: &'a SimConfig,
-        topology: Topology,
+        sched: SchedConfig,
     ) -> SimSpec<'a> {
         SimSpec {
             jobs,
@@ -427,7 +285,7 @@ mod tests {
             cfg,
             recorder: None,
             plan: None,
-            topology,
+            sched,
         }
     }
 
@@ -456,12 +314,6 @@ mod tests {
             ..spec(jobs, strategy, cfg, farm(jobs.len(), slaves))
         };
         simulate(&spec, caches).unwrap()
-    }
-
-    /// A serialized-load sharded run from cold caches.
-    fn sharded_run(jobs: &[SimJob], topology: Topology, cfg: &SimConfig) -> SimOutcome {
-        let spec = spec(jobs, Transmission::SerializedLoad, cfg, topology);
-        simulate(&spec, &mut SimCaches::new()).unwrap()
     }
 
     #[test]
@@ -672,6 +524,46 @@ mod tests {
     }
 
     #[test]
+    fn frames_save_messages_not_reads() {
+        // Fig. 4's one job a message against the guided frames
+        // `farm::run` ships: a frame shares its send, never a file read.
+        let jobs = cheap_jobs(400, 0.5e-3);
+        let config = cfg();
+        let record = |sched| {
+            let rec = Recorder::with_capacity(5, 1 << 14);
+            let spec = SimSpec {
+                recorder: Some(&rec),
+                ..spec(&jobs, Transmission::SerializedLoad, &config, sched)
+            };
+            let out = simulate(&spec, &mut SimCaches::new()).unwrap();
+            assert_eq!(rec.dropped(), 0);
+            (out.makespan, rec.events())
+        };
+        let (plain_s, plain) = record(SchedConfig::plain(jobs.len(), 4));
+        let (framed_s, framed) = record(farm(jobs.len(), 4));
+        // Every member's file read and name on the master, whichever
+        // message carries it: a frame's Sload span holds its member's
+        // name, a per-job message names its job in a Serialize of its own.
+        let reads = |events: &[obs::Event]| {
+            let master = |kind| events.iter().filter(move |e| e.rank == 0 && e.kind == kind);
+            let spans = master(EventKind::Sload).chain(master(EventKind::Serialize));
+            let ns: u64 = spans.map(|e| e.dur_ns).sum();
+            (master(EventKind::Sload).count(), ns)
+        };
+        assert_eq!(reads(&framed), reads(&plain));
+        assert_eq!(reads(&plain).0, jobs.len());
+        let sends =
+            |events: &[obs::Event]| events.iter().filter(|e| e.kind == EventKind::Send).count();
+        assert!(
+            sends(&framed) < sends(&plain),
+            "frames sent {} messages, jobs {}",
+            sends(&framed),
+            sends(&plain)
+        );
+        assert!(framed_s <= plain_s, "frames {framed_s} > jobs {plain_s}");
+    }
+
+    #[test]
     fn store_knobs_off_is_bit_identical_to_base_model() {
         // With the client cache off, a cache already holding every file
         // changes nothing: no fetch reads it.
@@ -789,7 +681,7 @@ mod tests {
                 &jobs,
                 Transmission::SerializedLoad,
                 &config,
-                Topology::Flat(sched.record_trace()),
+                sched.record_trace(),
             )
         };
         let out = simulate(&spec, &mut SimCaches::new()).unwrap();
@@ -825,7 +717,7 @@ mod tests {
                 &jobs,
                 Transmission::SerializedLoad,
                 &config,
-                Topology::Flat(sched.record_trace()),
+                sched.record_trace(),
             )
         };
         let out = simulate(&spec, &mut SimCaches::new()).unwrap();
@@ -853,7 +745,7 @@ mod tests {
         );
     }
 
-    /// A supervised flat farm of `jobs` under `plan`, traced.
+    /// A supervised farm of `jobs` under `plan`, traced.
     fn supervised_run(
         jobs: &[SimJob],
         slaves: usize,
@@ -878,7 +770,7 @@ mod tests {
                 jobs,
                 Transmission::SerializedLoad,
                 &config,
-                Topology::Flat(sched.record_trace()),
+                sched.record_trace(),
             )
         };
         simulate(&spec, &mut SimCaches::new())
@@ -940,7 +832,7 @@ mod tests {
             &jobs,
             Transmission::SerializedLoad,
             &config,
-            Topology::Flat(sched.record_trace()),
+            sched.record_trace(),
         );
         let lpt = simulate(&spec, &mut SimCaches::new()).unwrap();
         let text = lpt.trace.clone().unwrap().render();
@@ -963,88 +855,6 @@ mod tests {
         assert_eq!(out.makespan, 0.0);
     }
 
-    // -- sharded peer masters ------------------------------------------------
-
-    fn shards(shards: usize, slaves_per_shard: usize, lease: usize, steal: bool) -> Topology {
-        Topology::Sharded {
-            shards,
-            slaves_per_shard,
-            lease,
-            steal,
-        }
-    }
-
-    #[test]
-    fn one_shard_whole_lease_is_bit_identical_to_the_plain_farm() {
-        let jobs = cheap_jobs(200, 2e-3);
-        // Plain as in `SchedConfig::plain`: the flat farm dispatches
-        // frames, a shard's lease round does not.
-        let plain = Topology::Flat(SchedConfig::plain(jobs.len(), 4));
-        let plain = sharded_run(&jobs, plain, &cfg());
-        let sharded = sharded_run(&jobs, shards(1, 4, 0, false), &cfg());
-        assert_eq!(sharded.makespan.to_bits(), plain.makespan.to_bits());
-        assert_eq!(sharded.per_slave.iter().sum::<usize>(), 200);
-        assert_eq!(sharded.steals, 0);
-    }
-
-    #[test]
-    fn stealing_rebalances_a_heavy_tailed_split() {
-        // All the heavy jobs land in shard 0's contiguous chunk: without
-        // stealing shard 1 idles; with stealing it takes over the tail.
-        let mut jobs = cheap_jobs(64, 1e-3);
-        for j in jobs.iter_mut().take(32) {
-            j.compute = 0.25;
-        }
-        let no_steal = sharded_run(&jobs, shards(2, 2, 4, false), &cfg());
-        let steal = sharded_run(&jobs, shards(2, 2, 4, true), &cfg());
-        assert_eq!(no_steal.steals, 0);
-        assert!(steal.steals > 0, "heavy tail must trigger steals");
-        assert!(
-            steal.makespan < no_steal.makespan,
-            "stealing must shorten the run: {} !< {}",
-            steal.makespan,
-            no_steal.makespan
-        );
-        assert_eq!(steal.per_slave.iter().sum::<usize>(), 64);
-    }
-
-    #[test]
-    fn more_shards_never_slow_the_sharded_model() {
-        let mut jobs = cheap_jobs(256, 5e-3);
-        for (i, j) in jobs.iter_mut().enumerate() {
-            if i % 7 == 0 {
-                j.compute = 0.1;
-            }
-        }
-        let mut prev = f64::INFINITY;
-        for n in [1usize, 2, 4, 8] {
-            let out = sharded_run(&jobs, shards(n, 4, 8, true), &cfg());
-            assert!(
-                out.makespan <= prev,
-                "{n} shards slower: {} > {prev}",
-                out.makespan
-            );
-            prev = out.makespan;
-        }
-    }
-
-    #[test]
-    fn sharded_512_core_run_completes_and_transport_cost_shows() {
-        // The paper's 512-core scale as 64 peer masters × 8 slaves.
-        let jobs = cheap_jobs(4096, 10e-3);
-        let free = sharded_run(&jobs, shards(64, 8, 16, true), &cfg());
-        assert_eq!(free.per_slave.iter().sum::<usize>(), 4096);
-        let mut socket = cfg();
-        socket.transport = crate::params::TransportParams::socket();
-        let priced = sharded_run(&jobs, shards(64, 8, 16, true), &socket);
-        assert!(
-            priced.makespan > free.makespan,
-            "socket transport overhead must surface: {} !> {}",
-            priced.makespan,
-            free.makespan
-        );
-    }
-
     #[test]
     fn transport_params_zero_keeps_the_flat_model_bit_identical() {
         let jobs = cheap_jobs(300, 1e-3);
@@ -1065,42 +875,22 @@ mod tests {
     fn invalid_specs_are_typed_errors_not_panics() {
         let jobs = cheap_jobs(4, 1e-3);
         let config = cfg();
-        let rec = Recorder::new(3);
         let plan = Arc::new(FaultPlan::new(0).kill_rank_at_op(1, 1));
-        let base = |topology| spec(&jobs, Transmission::SerializedLoad, &config, topology);
+        let base = |sched| spec(&jobs, Transmission::SerializedLoad, &config, sched);
         let cases = [
             (
                 SimSpec {
-                    plan: Some(plan.clone()),
+                    plan: Some(plan),
                     ..base(farm(4, 2))
                 },
                 SimError::FaultsNeedSupervision,
             ),
-            (
-                SimSpec {
-                    plan: Some(plan.clone()),
-                    ..base(shards(2, 2, 0, false))
-                },
-                SimError::FaultsNeedSupervision,
-            ),
-            (base(shards(0, 2, 0, false)), SimError::NoShards),
-            (
-                base(shards(2, 0, 0, false)),
-                SimError::Sched(SchedError::NoSlaves),
-            ),
             (base(farm(4, 0)), SimError::Sched(SchedError::NoSlaves)),
-            (
-                SimSpec {
-                    recorder: Some(&rec),
-                    ..base(shards(2, 2, 0, false))
-                },
-                SimError::ShardedRecorder,
-            ),
             (base(farm(5, 2)), SimError::JobCount { sched: 5, jobs: 4 }),
         ];
         for (spec, want) in cases {
             let got = simulate(&spec, &mut SimCaches::new());
-            assert_eq!(got, Err(want), "{:?}", spec.topology);
+            assert_eq!(got, Err(want), "{:?}", spec.sched);
         }
     }
 }

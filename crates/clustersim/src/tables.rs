@@ -7,7 +7,7 @@
 //! simulator.
 
 use crate::params::SimConfig;
-use crate::sim::{simulate, NfsCache, SimCaches, SimJob, SimSpec, Topology};
+use crate::sim::{simulate, NfsCache, SimCaches, SimJob, SimSpec};
 use farm::portfolio::{
     realistic_portfolio, regression_portfolio, toy_portfolio, PortfolioJob, PortfolioScale,
 };
@@ -210,7 +210,7 @@ fn sweep(
             cfg,
             recorder: None,
             plan: None,
-            topology: Topology::Flat(sched::SchedConfig::plain(jobs.len(), n - 1)),
+            sched: sched::SchedConfig::plain(jobs.len(), n - 1),
         };
         let out = simulate(&spec, &mut caches).expect("tables start at 2 CPUs");
         cache = caches.nfs;

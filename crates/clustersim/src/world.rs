@@ -1,4 +1,4 @@
-//! The virtual-time world a simulated flat run is driven over: a third
+//! The virtual-time world a simulated run is driven over: a third
 //! [`Transport`] backend, beside `transport`'s channels and sockets, in
 //! which only rank 0 — `farm::driver::drive` — is real. `drive`'s writer
 //! charges the master's side of a dispatch ([`World::dispatch`]) and
@@ -23,7 +23,7 @@ use farm::slave::TAG;
 use farm::strategy::Transmission;
 use farm::wire::{self, Answer, Body, JobFrame};
 use obs::{Event, EventKind, NO_JOB};
-use sched::{Batch, SchedConfig};
+use sched::Batch;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::Range;
@@ -91,15 +91,15 @@ pub(crate) struct Model {
 }
 
 impl World {
-    /// A world for `spec`'s jobs on `sched`'s slaves, carrying `caches`.
-    pub(crate) fn new(spec: &SimSpec, sched: &SchedConfig, caches: SimCaches) -> World {
-        let slaves = sched.slaves;
+    /// A world for `spec`'s jobs on its config's slaves, carrying `caches`.
+    pub(crate) fn new(spec: &SimSpec, caches: SimCaches) -> World {
+        let slaves = spec.sched.slaves;
         let mut model = Model {
             jobs: spec.jobs.to_vec(),
             strategy: spec.strategy,
             loaded: spec.strategy != Transmission::Nfs,
             cfg: *spec.cfg,
-            framed: sched.batch == Batch::Guided,
+            framed: spec.sched.batch == Batch::Guided,
             plan: spec.plan.clone(),
             at: vec![(Cursor::default(), false); slaves],
             caches,
@@ -493,19 +493,20 @@ impl Transport for World {
 mod tests {
     use super::*;
     use farm::minimpi::{Comm, MpiError, ANY_SOURCE};
+    use sched::SchedConfig;
 
     #[test]
     fn a_timed_receive_ends_at_the_virtual_deadline_without_a_wall_clock_wait() {
-        let (cfg, sched) = (SimConfig::default(), SchedConfig::plain(0, 1));
+        let cfg = SimConfig::default();
         let spec = SimSpec {
             jobs: &[],
             strategy: Transmission::SerializedLoad,
             cfg: &cfg,
             recorder: None,
             plan: None,
-            topology: crate::sim::Topology::Flat(sched.clone()),
+            sched: SchedConfig::plain(0, 1),
         };
-        let world = World::new(&spec, &sched, SimCaches::new());
+        let world = World::new(&spec, SimCaches::new());
         let comm = Comm::over(Arc::new(world), None);
         let wall = Instant::now();
         let hour = Duration::from_secs(3600);

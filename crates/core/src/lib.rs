@@ -39,8 +39,8 @@
 //! * [`farm`] — portfolio generators (§4.1–§4.3 workloads), the three
 //!   transmission strategies, and the Robin-Hood farm: one slave loop and
 //!   one master driver behind the plain / batched / supervised farm
-//!   (`farm::run`) and `serve`'s sessions. The §5 sub-masters and
-//!   sharded masters are simulator topologies (`clustersim`).
+//!   (`farm::run`) and `serve`'s sessions. The §5 sub-masters are
+//!   simulated only (`ablation`, over `clustersim`).
 //! * [`serve`] — the long-lived pricing service: a resident `Session`
 //!   over the same scheduler, with request coalescing, result
 //!   memoisation, priority backpressure and p50/p99 SLO reporting.

@@ -15,8 +15,7 @@
 //!   flat farm behind [`run`], plain or supervised as its [`FarmConfig`]
 //!   says, and the report / error types it shares with `serve`
 //!   ([`FarmReport`], [`FarmError`], re-exported here). The paper's §5
-//!   sub-masters and any sharding of the portfolio are priced on the
-//!   simulator only (`clustersim::Topology::Sharded`, `ablation`).
+//!   sub-masters are priced on the simulator only (`ablation`).
 //! * [`slave`] and [`driver`] — Fig. 4's two branches, once each, for
 //!   both masters in the workspace, each rank 0 of its own world: the
 //!   one slave loop (every job is answered, priced or failed —

@@ -13,7 +13,8 @@
 #      (spawn_slaves ends on stop sends followed by SpawnedWorld::join,
 #      the shape a lost wake-up hangs; nsp_script runs Fig. 4 as a
 #      script on every rank on the default engine, the VM, which is
-#      the engine the fig4_script benchmark times), then a build of
+#      the engine the fig4_script benchmark times) and of the `ablation`
+#      binary (the only producer of the §5 ablation rows), then a build of
 #      the benchmark harness under perf/ (a workspace of its own that
 #      `cargo test --workspace` never compiles) plus its `check` subcommand
 #      (BENCHMARK.json <-> metric tables) and its own unit tests —
@@ -105,6 +106,13 @@ for example in spawn_slaves nsp_script; do
         exit 1
     fi
 done
+# The §5 ablation rows of EXPERIMENTS.md: no test runs this binary or
+# the `expect`s in it.
+echo "==> bench ablation (release, 120 s timeout)"
+if ! timeout 120 cargo run --release --offline --quiet -p bench --bin ablation >/dev/null; then
+    echo "error: ablation failed or hung"
+    exit 1
+fi
 
 # The benchmark harness is a package outside the workspace, built only
 # by the BENCHMARK.json command: compile it here so a public-API change

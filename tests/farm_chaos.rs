@@ -30,7 +30,6 @@
 
 use clustersim::{
     simulate, DispatchPolicy, SchedConfig, SimCaches, SimConfig, SimJob, SimSpec, Supervision,
-    Topology,
 };
 use farm::portfolio::{save_portfolio, toy_portfolio};
 use farm::supervisor::SupervisorConfig;
@@ -526,7 +525,7 @@ fn chaos_at_512_slaves_in_virtual_time_accounts_for_every_job() {
         cfg: &SimConfig::default(),
         recorder: None,
         plan: Some(Arc::clone(&plan)),
-        topology: Topology::Flat(sched.record_trace()),
+        sched: sched.record_trace(),
     };
     let out = simulate(&spec, &mut SimCaches::new())
         .unwrap_or_else(|e| panic!("seed {SEED:#x}: the run failed: {e}"));

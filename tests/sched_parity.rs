@@ -32,7 +32,7 @@
 //!   plan: the live farm's `FarmConfig::fault_plan` and the simulator's
 //!   `SimSpec::plan` hold the same `Arc`.
 
-use riskbench::clustersim::{simulate, SimCaches, SimConfig, SimJob, SimSpec, Topology};
+use riskbench::clustersim::{simulate, SimCaches, SimConfig, SimJob, SimSpec};
 use riskbench::prelude::*;
 use riskbench::pricing::models::BlackScholes;
 use riskbench::sched::{Action, DispatchPolicy, SchedConfig, Scheduler, Supervision, Trace};
@@ -118,7 +118,7 @@ fn sim_trace(jobs: &[SimJob], sched: SchedConfig, plan: Option<Arc<FaultPlan>>) 
         cfg: &SimConfig::default(),
         recorder: None,
         plan,
-        topology: Topology::Flat(sched),
+        sched,
     };
     let out = simulate(&spec, &mut SimCaches::new()).unwrap();
     assert_eq!(out.per_slave.iter().sum::<usize>(), COSTS.len());
@@ -332,10 +332,8 @@ fn staged_bsde_picard_live_and_sim_traces_are_byte_identical() {
         cfg: &SimConfig::default(),
         recorder: None,
         plan: None,
-        topology: Topology::Flat(
-            SchedConfig::farm(sim_jobs.len(), SLAVES, DispatchPolicy::Fifo, None, rounds)
-                .record_trace(),
-        ),
+        sched: SchedConfig::farm(sim_jobs.len(), SLAVES, DispatchPolicy::Fifo, None, rounds)
+            .record_trace(),
     };
     let out = simulate(&spec, &mut SimCaches::new()).unwrap();
     assert_eq!(out.per_slave.iter().sum::<usize>(), picard_rounds);

@@ -4,7 +4,7 @@
 //! band, and both must show the same qualitative scaling.
 
 use riskbench::clustersim::{
-    simulate, DispatchPolicy, SchedConfig, SimCaches, SimConfig, SimJob, SimSpec, Topology,
+    simulate, DispatchPolicy, SchedConfig, SimCaches, SimConfig, SimJob, SimSpec,
 };
 use riskbench::prelude::*;
 
@@ -24,7 +24,7 @@ fn sim_farm(
         cfg,
         recorder,
         plan: None,
-        topology: Topology::Flat(sched),
+        sched,
     };
     simulate(&spec, &mut SimCaches::new()).unwrap().makespan
 }
