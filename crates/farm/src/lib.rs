@@ -75,6 +75,8 @@ pub use portfolio::{
     toy_portfolio, JobClass, PortfolioJob, PortfolioScale,
 };
 pub use robin_hood::{FarmError, FarmReport, JobOutcome};
+/// The problem store every farm read goes through.
+pub use store;
 pub use strategy::Transmission;
 pub use supervisor::SupervisorConfig;
 pub use workload::{class_indices, class_name, per_class_compute, run_workload, Workload};

@@ -4,6 +4,7 @@ use crate::ast::{Arg, BinOp, Expr, FuncDef, Spanned, Stmt, Target, UnOp};
 use crate::lexer::Pos;
 use crate::parser::parse_program;
 use crate::toolbox::PremiaObj;
+use farm::store::{DirStore, FrameReader, ProblemStore};
 use minimpi::{Comm, MpiBuf, Status};
 use nspval::{BoolMatrix, Hash, List, Matrix, Serial, StrMatrix, Value, MAX_DEPTH};
 use pricing::{MethodSpec, ModelSpec, OptionSpec, PremiaProblem};
@@ -11,6 +12,7 @@ use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
+use std::path::Path;
 use std::rc::Rc;
 
 /// Interpreter runtime error.
@@ -239,6 +241,12 @@ pub struct Interp {
     pub(crate) epoch: u64,
     /// The VM's name table, compiled functions and frame pool.
     pub(crate) vm: crate::vm::VmState,
+    /// What `sload` reads through: the farm's directory reader, which
+    /// opens each file relative to a held handle on its directory. Taken
+    /// at a run's first `sload` and dropped when the run ends, so no
+    /// handle outlives the run (the next may start in another working
+    /// directory).
+    files: Option<Box<dyn FrameReader>>,
 }
 
 impl Default for Interp {
@@ -261,6 +269,7 @@ impl Interp {
             engine: Engine::default(),
             epoch: 0,
             vm: Default::default(),
+            files: None,
         }
     }
 
@@ -285,10 +294,12 @@ impl Interp {
 
     /// Parse and execute a script on the selected engine.
     pub fn run(&mut self, src: &str) -> R<()> {
-        match self.engine {
+        let ran = match self.engine {
             Engine::Tree => self.run_tree(src),
             Engine::Vm => crate::vm::run_vm(self, src),
-        }
+        };
+        self.files = None;
+        ran
     }
 
     fn run_tree(&mut self, src: &str) -> R<()> {
@@ -885,8 +896,13 @@ impl Interp {
             }
             B::Sload => {
                 let [path] = args(name, pos)?;
-                let s = xdrser::sload(need_str(path, "sload path")?).map_err(xdr_err)?;
-                Ok(Ret::One(NValue::V(Value::Serial(s))))
+                let path = Path::new(need_str(path, "sload path")?);
+                // The farm master's read: the same bytes and errors as
+                // `xdrser::sload`, without walking the whole path per file.
+                let files = self.files.get_or_insert_with(|| DirStore.reader());
+                let mut bytes = Vec::new();
+                files.fetch_into(path, &mut bytes).map_err(xdr_err)?;
+                Ok(Ret::One(NValue::V(Value::Serial(Serial::new(bytes)))))
             }
             // ---- Premia toolbox (§3.3) ---------------------------------------
             B::PremiaCreate => Ok(Ret::One(NValue::Premia(Rc::new(RefCell::new(

@@ -13,7 +13,7 @@
 //! `farm::slave::serve_jobs`, with a patience that never runs out.
 //!
 //! What travels is a *frame*, not a problem: the batch's unique
-//! problems are packed into job frames (`pack_frames`), the scheduler
+//! problems are packed into job frames (`Frames::pack`), the scheduler
 //! schedules frames, and a slave answers once per frame. Closed-form
 //! problems — whose compute is far below one transport round trip —
 //! share frames; every iterative method travels alone, so balancing,
@@ -477,12 +477,14 @@ struct Front {
     /// a current problem.
     next_wire: usize,
     report: SessionReport,
-    /// The batch being served: its requests, its slots and their
-    /// coalescing index. Kept from batch to batch and cleared, never
-    /// rebuilt, so that a batch allocates only what it hands out.
+    /// The batch being served: its requests, its slots, their
+    /// coalescing index and its job frames. Kept from batch to batch and
+    /// cleared, never rebuilt, so that a batch allocates only what it
+    /// hands out.
     requests: Vec<Open>,
     slots: Vec<Slot>,
     index: store::MemoMap<usize>,
+    frames: Frames,
     /// The wakes the batch's answers owe their parked clients, issued
     /// (dropped) once every ticket of the batch is answered — or as the
     /// front loop unwinds, should it panic first.
@@ -498,6 +500,7 @@ impl Front {
             requests: Vec::new(),
             slots: Vec::new(),
             index: store::MemoMap::default(),
+            frames: Frames::default(),
             wakes: Vec::new(),
         }
     }
@@ -626,6 +629,7 @@ fn serve_batch(comm: &Comm, cfg: &ServeConfig, admission: &Admission, front: &mu
         requests,
         slots,
         index,
+        frames,
         wakes,
     } = front;
     for (ri, Open { sub: s, answers }) in requests.iter_mut().enumerate() {
@@ -668,7 +672,7 @@ fn serve_batch(comm: &Comm, cfg: &ServeConfig, admission: &Admission, front: &mu
     index.clear();
 
     if !slots.is_empty() {
-        run_batch(comm, cfg, slots, next_wire, report);
+        run_batch(comm, cfg, slots, frames, next_wire, report);
         for slot in slots.drain(..) {
             let outcome = slot.outcome.expect("run_batch answers every slot");
             if let Ok(value) = outcome {
@@ -729,54 +733,78 @@ struct Frame {
     bytes: usize,
 }
 
-/// Decide which slots travel together, in arrival order ([`run_batch`]
-/// hands them to the driver by class, arrival order within).
-///
-/// The rule reads a property of the problem, never a setting:
-/// closed-form problems of one priority class share frames — split
-/// evenly over the `slaves` alive, each frame capped at
-/// [`FRAME_CAP_BYTES`] — and every iterative problem is a frame of its
-/// own.
-fn pack_frames(slots: &[Slot], slaves: usize) -> Vec<Frame> {
-    let classes = slots
-        .iter()
-        .map(|s| s.class as usize + 1)
-        .max()
-        .unwrap_or(0);
-    // By class: closed-form members per frame (the even split), and the
-    // frame still taking members.
-    let mut by_class: Vec<(usize, Option<usize>)> = vec![(0, None); classes];
-    for slot in slots.iter().filter(|s| s.closed_form()) {
-        by_class[slot.class as usize].0 += 1;
-    }
-    for (n, _) in &mut by_class {
-        *n = n.div_ceil(slaves.max(1));
-    }
-    let mut frames: Vec<Frame> = Vec::new();
-    for (i, slot) in slots.iter().enumerate() {
-        let (share, open) = &mut by_class[slot.class as usize];
-        let cost = MEMBER_HEADER_BYTES + slot.serial_len().next_multiple_of(4);
-        if slot.closed_form() {
-            if let Some(frame) = open.map(|f| &mut frames[f]) {
-                if frame.members.len() < *share && frame.bytes + cost <= FRAME_CAP_BYTES {
-                    frame.members.push(i);
-                    frame.bytes += cost;
-                    continue;
-                }
-            }
-            *open = Some(frames.len());
+/// A batch's job frames and the room to pack them in, kept in [`Front`]
+/// from batch to batch: a frame's member list is reused by a frame of a
+/// later batch, so packing allocates only while the batches grow.
+#[derive(Default)]
+struct Frames {
+    frames: Vec<Frame>,
+    /// Emptied member lists of the last batch's frames.
+    spare: Vec<Vec<usize>>,
+    /// By class: closed-form members per frame (the even split), and the
+    /// frame still taking members.
+    by_class: Vec<(usize, Option<usize>)>,
+}
+
+impl Frames {
+    /// Decide which slots travel together, in arrival order
+    /// ([`run_batch`] hands them to the driver by class, arrival order
+    /// within), replacing the last batch's frames.
+    ///
+    /// The rule reads a property of the problem, never a setting:
+    /// closed-form problems of one priority class share frames — split
+    /// evenly over the `slaves` alive, each frame capped at
+    /// [`FRAME_CAP_BYTES`] — and every iterative problem is a frame of
+    /// its own.
+    fn pack(&mut self, slots: &[Slot], slaves: usize) -> &mut [Frame] {
+        let Frames {
+            frames,
+            spare,
+            by_class,
+        } = self;
+        spare.extend(frames.drain(..).map(|mut f| {
+            f.members.clear();
+            f.members
+        }));
+        let classes = slots
+            .iter()
+            .map(|s| s.class as usize + 1)
+            .max()
+            .unwrap_or(0);
+        by_class.clear();
+        by_class.resize(classes, (0, None));
+        for slot in slots.iter().filter(|s| s.closed_form()) {
+            by_class[slot.class as usize].0 += 1;
         }
-        // Room for the frame's share up front: a batch allocates per
-        // frame, not per member.
-        let mut members = Vec::with_capacity(if slot.closed_form() { *share } else { 1 });
-        members.push(i);
-        frames.push(Frame {
-            class: slot.class,
-            members,
-            bytes: FRAME_HEADER_BYTES + cost,
-        });
+        for (n, _) in by_class.iter_mut() {
+            *n = n.div_ceil(slaves.max(1));
+        }
+        for (i, slot) in slots.iter().enumerate() {
+            let (share, open) = &mut by_class[slot.class as usize];
+            let cost = MEMBER_HEADER_BYTES + slot.serial_len().next_multiple_of(4);
+            if slot.closed_form() {
+                if let Some(frame) = open.map(|f| &mut frames[f]) {
+                    if frame.members.len() < *share && frame.bytes + cost <= FRAME_CAP_BYTES {
+                        frame.members.push(i);
+                        frame.bytes += cost;
+                        continue;
+                    }
+                }
+                *open = Some(frames.len());
+            }
+            // Room for the frame's share up front: a batch that outgrows
+            // the lists it reuses allocates per frame, not per member.
+            let mut members = spare.pop().unwrap_or_default();
+            members.reserve(if slot.closed_form() { *share } else { 1 });
+            members.push(i);
+            frames.push(Frame {
+                class: slot.class,
+                members,
+                bytes: FRAME_HEADER_BYTES + cost,
+            });
+        }
+        frames
     }
-    frames
 }
 
 /// Who prices a batch (`docs/SERVICE.md`, "Who prices a batch"): one
@@ -829,14 +857,15 @@ fn run_batch(
     comm: &Comm,
     cfg: &ServeConfig,
     slots: &mut [Slot],
+    frames: &mut Frames,
     next_wire: &mut usize,
     report: &mut SessionReport,
 ) {
     let alive = (1..=cfg.slaves).filter(|&s| comm.rank_alive(s)).count();
-    let mut frames = pack_frames(slots, alive);
+    let frames = frames.pack(slots, alive);
     let base = *next_wire;
     *next_wire += slots.len();
-    if stays_on_front(&frames) {
+    if stays_on_front(frames) {
         // Nothing travels, so nothing can be lost: no deadline, no retry,
         // and a slave fault cannot touch these prices.
         for (k, &s) in frames[0].members.iter().enumerate() {
@@ -854,7 +883,7 @@ fn run_batch(
     // Urgent classes first, arrival order within one (a stable sort),
     // dispatched FIFO; a requeued frame goes to the back, any class.
     frames.sort_by_key(|f| f.class);
-    let (order, offsets, wires) = encode_frames(slots, &frames, base);
+    let (order, offsets, wires) = encode_frames(slots, frames, base);
 
     let farm = Farm {
         comm,
@@ -948,6 +977,13 @@ mod tests {
         frames.iter().map(|f| f.members.clone()).collect()
     }
 
+    /// The frames of `slots` packed by a fresh [`Frames`].
+    fn pack_frames(slots: &[Slot], slaves: usize) -> Vec<Frame> {
+        let mut packed = Frames::default();
+        packed.pack(slots, slaves);
+        packed.frames
+    }
+
     #[test]
     fn depth_refused_request_reserves_no_bytes() {
         let adm = Admission::new(2, 1000);
@@ -1029,6 +1065,34 @@ mod tests {
         // No slave alive is packed like one (the scheduler aborts the
         // batch anyway).
         assert_eq!(pack_frames(&slots, 0).len(), 2);
+    }
+
+    #[test]
+    fn reused_frames_pack_every_batch_as_fresh_ones_would() {
+        // Batches that grow, shrink and change class and method, packed
+        // in turn by one kept `Frames`.
+        let batches: Vec<Vec<Slot>> = vec![
+            (0..10).map(|i| slot(100, i != 4, 1)).collect(),
+            (0..3).map(|i| slot(100, true, 2 - i as u8)).collect(),
+            (0..40)
+                .map(|i| slot(600, i % 7 != 0, (i % 3) as u8))
+                .collect(),
+            vec![slot(100, false, 0)],
+            Vec::new(),
+            (0..16).map(|_| slot(100, true, 1)).collect(),
+        ];
+        let mut kept = Frames::default();
+        for slaves in [1, 3] {
+            for slots in &batches {
+                let fresh = pack_frames(slots, slaves);
+                let reused = kept.pack(slots, slaves);
+                assert_eq!(members(reused), members(&fresh));
+                let head = |f: &[Frame]| f.iter().map(|f| (f.class, f.bytes)).collect::<Vec<_>>();
+                assert_eq!(head(reused), head(&fresh));
+                // As `run_batch` leaves them.
+                reused.sort_by_key(|f| f.class);
+            }
+        }
     }
 
     #[test]
@@ -1151,7 +1215,14 @@ mod tests {
                 .map(|(k, &class)| slot_of(vanilla(90.0 + k as f64, false), class))
                 .collect();
             let mut report = SessionReport::default();
-            run_batch(&comm, &cfg, &mut slots, &mut 0, &mut report);
+            run_batch(
+                &comm,
+                &cfg,
+                &mut slots,
+                &mut Frames::default(),
+                &mut 0,
+                &mut report,
+            );
             assert!(slots.iter().all(|s| matches!(s.outcome, Some(Ok(_)))));
             comm.send([], 1, TAG).unwrap();
             Vec::new()

@@ -20,56 +20,17 @@ use pricing::methods::xva::{xva_cva, TradeSoA, XvaConfig};
 use pricing::models::{BlackScholes, Heston, LocalVol, MultiBlackScholes, Vasicek};
 use pricing::options::{Barrier, BasketOption, MaxCall, Vanilla};
 use pricing::MethodSpec;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
 #[path = "common/registry.rs"]
 mod registry;
 
-/// The system allocator, counting the allocations of each thread.
-struct CountingAlloc;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count_one() {
-    // A thread being torn down has no counter left; its allocations are
-    // not any test's.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a statistic and guards nothing.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
 /// Allocations the calling thread makes while `f` runs.
 fn allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.with(Cell::get);
+    let before = counting_alloc::now();
     f();
-    ALLOCATIONS.with(Cell::get) - before
+    (counting_alloc::now() - before).thread.allocations
 }
 
 /// A kernel priced at a given size: paths, or time steps for a PDE.

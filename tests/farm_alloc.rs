@@ -12,46 +12,10 @@
 //! growing) cancels out.
 
 use riskbench::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The system allocator, counting every allocation of the process.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-fn count(bytes: usize) {
-    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-    BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counters are statistics and guard nothing.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
 
 /// The jobs of the small and the large counted run.
 const SMALL: usize = 1_000;
@@ -70,17 +34,11 @@ const PLAIN_BYTES_CEILING: f64 = 722.0 - 436.0;
 /// The allocations and bytes the process made while `cfg` priced
 /// `files`, checking every job was priced.
 fn counted(files: &[PathBuf], cfg: &FarmConfig) -> (u64, u64) {
-    let (a0, b0) = (
-        ALLOCATIONS.load(Ordering::SeqCst),
-        BYTES.load(Ordering::SeqCst),
-    );
+    let before = counting_alloc::now();
     let report = run(files, cfg).expect("the farm prices the portfolio");
-    let (a1, b1) = (
-        ALLOCATIONS.load(Ordering::SeqCst),
-        BYTES.load(Ordering::SeqCst),
-    );
+    let made = (counting_alloc::now() - before).process;
     assert_eq!(report.completed(), files.len());
-    (a1 - a0, b1 - b0)
+    (made.allocations, made.bytes)
 }
 
 /// Allocations and bytes per job of `cfg`, marginal from [`SMALL`] to

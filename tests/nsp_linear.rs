@@ -6,34 +6,9 @@
 
 use nsplang::{Engine, Interp, NValue};
 use nspval::{Hash, Value};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The system allocator, counting every byte it hands out.
-struct CountingAlloc;
-
-static ALLOCATED: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a statistic and guards nothing.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATED.fetch_add(new_size as u64, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
 
 /// A loop of `n` turns over a container of size `n`.
 struct Case {
@@ -86,9 +61,9 @@ fn bytes_allocated(case: &Case, engine: Engine, n: usize) -> u64 {
     let mut interp = Interp::with_engine(engine);
     (case.setup)(&mut interp, n);
     let src = (case.script)(n);
-    let before = ALLOCATED.load(Ordering::Relaxed);
+    let before = counting_alloc::now();
     interp.run(&src).expect("script runs");
-    ALLOCATED.load(Ordering::Relaxed) - before
+    (counting_alloc::now() - before).process.bytes
 }
 
 #[test]

@@ -484,6 +484,31 @@ mod engine_equivalence {
     }
 
     #[test]
+    fn sload_fails_with_the_text_of_a_plain_sload() {
+        // `sload` reads through the farm's directory reader; a missing
+        // file or directory and a file without the serialized header
+        // fail as `xdrser::sload` fails, on both engines.
+        let dir = std::env::temp_dir().join(format!("nsp_sload_errors_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let junk = dir.join("junk.bin");
+        std::fs::write(&junk, b"definitely not XDR").unwrap();
+        let missing = "I/O error: No such file or directory (os error 2)";
+        for (path, want) in [
+            (dir.join("missing.bin"), missing),
+            (dir.join("no_such_dir").join("a.bin"), missing),
+            (junk, "bad magic: not a serialized Nsp value"),
+        ] {
+            assert_eq!(xdrser::sload(&path).unwrap_err().to_string(), want);
+            let (_, r) = agree(&format!("x = 1\nS = sload('{}')", path.display()));
+            assert_eq!(
+                r.unwrap_err().to_string(),
+                format!("nsp error at 2:1: {want}")
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn lent_arguments_keep_value_semantics() {
         // A plain local passed to a call is shared, not copied: the callee
         // reads the caller's value in place. None of that may show.

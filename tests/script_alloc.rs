@@ -14,41 +14,11 @@
 use minimpi::World;
 use nsplang::{Engine, Interp, NValue};
 use riskbench::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::Path;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The system allocator, counting every allocation of the process.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a statistic and guards nothing.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
 
 /// The jobs of the small and the large counted run.
 const SMALL: usize = 1_000;
@@ -64,20 +34,20 @@ const FIG4: &str = include_str!("../scripts/fig4_farm.nsp");
 /// The allocations the process made while the script priced the first
 /// `n_jobs` problems under `dir`, checking every job came back.
 fn counted(script: &str, dir: &Path, n_jobs: usize) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = counting_alloc::now();
     let ran = World::run(2, |comm| {
         let mut interp = Interp::with_comm(Rc::new(comm));
         interp.set_engine(Engine::Vm);
         interp.set("n_jobs", NValue::scalar(n_jobs as f64));
         interp.run(script).map_err(|e| e.to_string())
     });
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let made = (counting_alloc::now() - before).process;
     for rank in ran {
         rank.expect("the script runs on every rank");
     }
     let res = load(dir.join("pb-res.bin")).expect("the master saved its results");
     assert_eq!(res.as_list().map(|l| l.len()), Some(n_jobs));
-    after - before
+    made.allocations
 }
 
 #[test]

@@ -7,53 +7,21 @@
 //! is process-wide, and this binary holds this one test so that nothing
 //! else allocates while it counts. What a request allocates: on the
 //! submitting thread its prepared problem list, its one-shot reply and
-//! the queued message; on the front loop its response's result list and
-//! the frame the batch packs into. The command queue adds one block per
+//! the queued message; on the front loop its response's result list,
+//! and nothing else: the batch's slots, coalescing index and job frames
+//! are kept from batch to batch. The command queue adds one block per
 //! 31 messages, amortized.
 
 use riskbench::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The system allocator, counting every allocation of the process.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-fn count(bytes: usize) {
-    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-    BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counters are statistics and guard nothing.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
 
 /// Most allocations an all-miss request may make, whatever its size.
-const CEILING: f64 = 8.0;
+/// It made 7.03 while each batch packed its job frames into new vectors
+/// (the class table, the frame list and a member list per frame), and
+/// makes 4.03 with them kept.
+const CEILING: f64 = 5.0;
 
 /// Requests per counted run.
 const REQUESTS: usize = 310;
@@ -82,10 +50,7 @@ impl Fresh {
 /// the process made meanwhile. The problems are built before counting.
 fn closed_loop(session: &Session, fresh: &mut Fresh, size: usize, requests: usize) -> (f64, f64) {
     let batch: Vec<Vec<PremiaProblem>> = (0..requests).map(|_| fresh.request(size)).collect();
-    let (a0, b0) = (
-        ALLOCATIONS.load(Ordering::SeqCst),
-        BYTES.load(Ordering::SeqCst),
-    );
+    let before = counting_alloc::now();
     for problems in batch {
         let response = session
             .submit(Request::new(problems))
@@ -95,12 +60,9 @@ fn closed_loop(session: &Session, fresh: &mut Fresh, size: usize, requests: usiz
         assert!(response.all_priced());
         assert_eq!(response.memoised_count(), 0, "every problem is a miss");
     }
-    let (a1, b1) = (
-        ALLOCATIONS.load(Ordering::SeqCst),
-        BYTES.load(Ordering::SeqCst),
-    );
+    let made = (counting_alloc::now() - before).process;
     let per = |n: u64| n as f64 / requests as f64;
-    (per(a1 - a0), per(b1 - b0))
+    (per(made.allocations), per(made.bytes))
 }
 
 #[test]
