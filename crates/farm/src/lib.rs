@@ -79,4 +79,4 @@ pub use robin_hood::{FarmError, FarmReport, JobOutcome};
 pub use store;
 pub use strategy::Transmission;
 pub use supervisor::SupervisorConfig;
-pub use workload::{class_indices, class_name, per_class_compute, run_workload, Workload};
+pub use workload::{class_indices, per_class_compute, run_workload, Workload};

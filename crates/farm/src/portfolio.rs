@@ -11,6 +11,15 @@
 //! | 1025 | local-vol calls, strikes 80–120 % (41), maturities 0.2–5 y (25) | Monte-Carlo |
 //! | 1952 | American puts, same grid as vanillas | PDE |
 //! | 525  | 7-dim American basket puts, maturities 0.2–5 y, strikes 90–110 % | Longstaff–Schwartz |
+//!
+//! Each class's problem is written once, in the private
+//! `JobClass::problem` recipe: a (model, product, method) at a strike,
+//! a maturity and a seed. Every generator lays that recipe over its own
+//! points — the §4.3 grid of each class, the §4.2 vanilla grid cycled,
+//! the 12-job block of [`mixed_portfolio`] — and
+//! [`representative_problem`] is the recipe at the money with a one-year
+//! maturity, so the problem the `perf` pricing layer times and the
+//! problems the tables run come from the same spelling.
 
 use pricing::models::{BlackScholes, LocalVol, MultiBlackScholes};
 use pricing::{MethodSpec, ModelSpec, OptionSpec, PremiaProblem};
@@ -47,7 +56,7 @@ pub enum JobClass {
 }
 
 impl JobClass {
-    /// Every variant, in canonical order.
+    /// Every variant, in canonical order: `ALL[i] as usize == i`.
     pub const ALL: [JobClass; 9] = [
         JobClass::VanillaClosedForm,
         JobClass::BarrierPde,
@@ -59,6 +68,21 @@ impl JobClass {
         JobClass::BsdePicardMc,
         JobClass::XvaCvaMc,
     ];
+
+    /// Stable display name of the class (the per-class breakdown key).
+    pub fn name(self) -> &'static str {
+        match self {
+            JobClass::VanillaClosedForm => "vanilla_cf",
+            JobClass::BarrierPde => "barrier_pde",
+            JobClass::BasketMc => "basket_mc",
+            JobClass::LocalVolMc => "localvol_mc",
+            JobClass::AmericanPde => "american_pde",
+            JobClass::AmericanBasketLsm => "american_lsm",
+            JobClass::BermudanMaxLsm => "bermudan_max_lsm",
+            JobClass::BsdePicardMc => "bsde_picard_mc",
+            JobClass::XvaCvaMc => "xva_cva_mc",
+        }
+    }
 
     /// The §4.3 paragraph-stated computation cost of one problem of this
     /// class on a 2009 cluster node, in seconds ("the pricing of plain
@@ -82,6 +106,144 @@ impl JobClass {
             JobClass::BermudanMaxLsm => (60.0, 150.0),
             JobClass::BsdePicardMc => (40.0, 90.0),
             JobClass::XvaCvaMc => (10.0, 40.0),
+        }
+    }
+
+    /// The class's one problem recipe at `strike`, `maturity` and `seed`
+    /// (a closed form or PDE ignores the seed, the CVA book the strike).
+    /// The barrier sits at 85 % of the lower of strike and spot, and its
+    /// PDE takes the thinner of "one time step every 2 days" (§4.3) and
+    /// the plain PDE grid.
+    fn problem(self, p: &MethodParams, strike: f64, maturity: f64, seed: u64) -> PremiaProblem {
+        let bs = || ModelSpec::BlackScholes(BlackScholes::new(SPOT, SIGMA, RATE, 0.0));
+        let basket = |dim, dividend| {
+            ModelSpec::MultiBlackScholes(MultiBlackScholes::new(
+                dim, SPOT, SIGMA, 0.3, RATE, dividend,
+            ))
+        };
+        let mc = MethodSpec::MonteCarlo {
+            paths: p.mc_paths,
+            time_steps: p.mc_steps,
+            antithetic: true,
+            seed,
+        };
+        let lsm = |basis_degree| MethodSpec::Lsm {
+            paths: p.lsm_paths,
+            exercise_dates: p.lsm_dates,
+            basis_degree,
+            seed,
+        };
+        let (model, option, method) = match self {
+            JobClass::VanillaClosedForm => (
+                bs(),
+                OptionSpec::Call { strike, maturity },
+                MethodSpec::ClosedForm,
+            ),
+            JobClass::BarrierPde => (
+                bs(),
+                OptionSpec::DownOutCall {
+                    strike,
+                    barrier: 0.85 * strike.min(SPOT),
+                    maturity,
+                },
+                MethodSpec::Pde {
+                    time_steps: ((maturity * p.barrier_t_per_year as f64).ceil() as usize)
+                        .max(p.pde_t),
+                    space_steps: p.pde_x,
+                },
+            ),
+            JobClass::BasketMc => (
+                basket(40, 0.0),
+                OptionSpec::BasketPut { strike, maturity },
+                mc,
+            ),
+            JobClass::LocalVolMc => (
+                ModelSpec::LocalVol(LocalVol::standard(SPOT, SIGMA, RATE, 0.0)),
+                OptionSpec::Call { strike, maturity },
+                mc,
+            ),
+            JobClass::AmericanPde => (
+                bs(),
+                OptionSpec::AmericanPut { strike, maturity },
+                MethodSpec::Pde {
+                    time_steps: p.pde_t,
+                    space_steps: p.pde_x,
+                },
+            ),
+            JobClass::AmericanBasketLsm => (
+                basket(7, 0.0),
+                OptionSpec::AmericanBasketPut { strike, maturity },
+                lsm(3),
+            ),
+            JobClass::BermudanMaxLsm => (
+                basket(3, 0.1),
+                OptionSpec::BermudanMaxCall { strike, maturity },
+                lsm(2),
+            ),
+            JobClass::BsdePicardMc => (
+                bs(),
+                OptionSpec::Call { strike, maturity },
+                MethodSpec::Bsde {
+                    paths: p.bsde_paths,
+                    time_steps: p.bsde_steps,
+                    rate_spread: 0.05,
+                    picard_rounds: 3,
+                    y_prev: 0.0,
+                    seed,
+                },
+            ),
+            JobClass::XvaCvaMc => (
+                bs(),
+                OptionSpec::NettingSet {
+                    trades: 64,
+                    maturity,
+                },
+                MethodSpec::Xva {
+                    paths: p.xva_paths,
+                    time_steps: p.xva_dates,
+                    hazard: 0.02,
+                    lgd: 0.6,
+                    seed,
+                },
+            ),
+        };
+        PremiaProblem::new(model, option, method)
+    }
+
+    /// The §4.3 (strike, maturity) grid of a paper class, maturities
+    /// outer and strikes inner in steps of 1 % of spot: maturities
+    /// quarterly from 4 months (32) with strikes 70–130 % for the vanilla,
+    /// barrier and American puts; maturities 0.2–5 y step 0.2 (25) with
+    /// strikes 90–110 % for the baskets and 80–120 % for local vol. Empty
+    /// for the extension classes, which have no slot in the paper.
+    fn grid(self) -> impl Iterator<Item = (f64, f64)> + Clone {
+        let quarterly: fn(usize) -> f64 = |q| 4.0 / 12.0 + 0.25 * q as f64;
+        let fifths: fn(usize) -> f64 = |m| 0.2 * m as f64;
+        let (dates, maturity_of, low, strikes) = match self {
+            JobClass::VanillaClosedForm | JobClass::BarrierPde | JobClass::AmericanPde => {
+                (0..32, quarterly, 0.70, 61)
+            }
+            JobClass::BasketMc | JobClass::AmericanBasketLsm => (1..26, fifths, 0.90, 21),
+            JobClass::LocalVolMc => (1..26, fifths, 0.80, 41),
+            _ => (0..0, quarterly, 0.0, 0),
+        };
+        dates.flat_map(move |d| {
+            let maturity = maturity_of(d);
+            (0..strikes).map(move |s| (SPOT * (low + 0.01 * s as f64), maturity))
+        })
+    }
+
+    /// The seed of the class's first problem in a portfolio (a class
+    /// whose method draws no random numbers takes 0).
+    fn first_seed(self) -> u64 {
+        match self {
+            JobClass::BasketMc => 42,
+            JobClass::LocalVolMc => 137,
+            JobClass::AmericanBasketLsm => 271,
+            JobClass::BermudanMaxLsm => 314,
+            JobClass::BsdePicardMc => 577,
+            JobClass::XvaCvaMc => 733,
+            _ => 0,
         }
     }
 }
@@ -163,49 +325,12 @@ const SPOT: f64 = 100.0;
 const RATE: f64 = 0.05;
 const SIGMA: f64 = 0.2;
 
-fn bs() -> ModelSpec {
-    ModelSpec::BlackScholes(BlackScholes::new(SPOT, SIGMA, RATE, 0.0))
-}
-
-/// §4.3 vanilla grid: strikes 70–130 % step 1 %, maturities quarterly from
-/// 4 months to (4 months + 31 quarters).
-fn vanilla_grid() -> Vec<(f64, f64)> {
-    let mut grid = Vec::with_capacity(1952);
-    for q in 0..32 {
-        let maturity = 4.0 / 12.0 + 0.25 * q as f64;
-        for s in 0..61 {
-            let strike = SPOT * (0.70 + 0.01 * s as f64);
-            grid.push((strike, maturity));
-        }
-    }
-    grid
-}
-
-/// §4.3 basket/American-basket grid: maturities 0.2–5 y step 0.2, strikes
-/// 90–110 % step 1 %.
-fn basket_grid() -> Vec<(f64, f64)> {
-    let mut grid = Vec::with_capacity(525);
-    for m in 1..=25 {
-        let maturity = 0.2 * m as f64;
-        for s in 0..21 {
-            let strike = SPOT * (0.90 + 0.01 * s as f64);
-            grid.push((strike, maturity));
-        }
-    }
-    grid
-}
-
-/// §4.3 local-vol grid: strikes 80–120 % step 1 %, maturities 0.2–5 y.
-fn local_vol_grid() -> Vec<(f64, f64)> {
-    let mut grid = Vec::with_capacity(1025);
-    for m in 1..=25 {
-        let maturity = 0.2 * m as f64;
-        for s in 0..41 {
-            let strike = SPOT * (0.80 + 0.01 * s as f64);
-            grid.push((strike, maturity));
-        }
-    }
-    grid
+/// Number classed problems in order: the job ids of a portfolio.
+fn numbered(jobs: impl IntoIterator<Item = (JobClass, PremiaProblem)>) -> Vec<PortfolioJob> {
+    jobs.into_iter()
+        .enumerate()
+        .map(|(id, (class, problem))| PortfolioJob { id, class, problem })
+        .collect()
 }
 
 /// The §4.3 realistic portfolio: 7 931 claims with the paper's exact
@@ -214,284 +339,47 @@ fn local_vol_grid() -> Vec<(f64, f64)> {
 /// scaled-down test runs.
 pub fn realistic_portfolio(scale: PortfolioScale, stride: usize) -> Vec<PortfolioJob> {
     assert!(stride >= 1, "stride must be at least 1");
-    let p = scale.params();
-    let mut jobs = Vec::new();
-    let mut id = 0;
-    let mut push = |jobs: &mut Vec<PortfolioJob>, class, problem| {
-        jobs.push(PortfolioJob { id, class, problem });
-        id += 1;
-    };
-
-    // 1952 vanilla calls, closed form.
-    for (i, &(strike, maturity)) in vanilla_grid().iter().enumerate() {
-        if i % stride != 0 {
-            continue;
-        }
-        push(
-            &mut jobs,
-            JobClass::VanillaClosedForm,
-            PremiaProblem::new(
-                bs(),
-                OptionSpec::Call { strike, maturity },
-                MethodSpec::ClosedForm,
-            ),
-        );
-    }
-    // 1952 down-and-out calls, PDE with barrier-thin time steps.
-    for (i, &(strike, maturity)) in vanilla_grid().iter().enumerate() {
-        if i % stride != 0 {
-            continue;
-        }
-        let time_steps = ((maturity * p.barrier_t_per_year as f64).ceil() as usize).max(p.pde_t);
-        push(
-            &mut jobs,
-            JobClass::BarrierPde,
-            PremiaProblem::new(
-                bs(),
-                OptionSpec::DownOutCall {
-                    strike,
-                    barrier: 0.85 * strike.min(SPOT),
-                    maturity,
-                },
-                MethodSpec::Pde {
-                    time_steps,
-                    space_steps: p.pde_x,
-                },
-            ),
-        );
-    }
-    // 525 basket-40 puts, Monte-Carlo.
-    let basket40 =
-        ModelSpec::MultiBlackScholes(MultiBlackScholes::new(40, SPOT, SIGMA, 0.3, RATE, 0.0));
-    for (i, &(strike, maturity)) in basket_grid().iter().enumerate() {
-        if i % stride != 0 {
-            continue;
-        }
-        push(
-            &mut jobs,
-            JobClass::BasketMc,
-            PremiaProblem::new(
-                basket40.clone(),
-                OptionSpec::BasketPut { strike, maturity },
-                MethodSpec::MonteCarlo {
-                    paths: p.mc_paths,
-                    time_steps: p.mc_steps,
-                    antithetic: true,
-                    seed: 42 + i as u64,
-                },
-            ),
-        );
-    }
-    // 1025 local-vol calls, Monte-Carlo.
-    let lv = ModelSpec::LocalVol(LocalVol::standard(SPOT, SIGMA, RATE, 0.0));
-    for (i, &(strike, maturity)) in local_vol_grid().iter().enumerate() {
-        if i % stride != 0 {
-            continue;
-        }
-        push(
-            &mut jobs,
-            JobClass::LocalVolMc,
-            PremiaProblem::new(
-                lv.clone(),
-                OptionSpec::Call { strike, maturity },
-                MethodSpec::MonteCarlo {
-                    paths: p.mc_paths,
-                    time_steps: p.mc_steps,
-                    antithetic: true,
-                    seed: 137 + i as u64,
-                },
-            ),
-        );
-    }
-    // 1952 American puts, PDE.
-    for (i, &(strike, maturity)) in vanilla_grid().iter().enumerate() {
-        if i % stride != 0 {
-            continue;
-        }
-        push(
-            &mut jobs,
-            JobClass::AmericanPde,
-            PremiaProblem::new(
-                bs(),
-                OptionSpec::AmericanPut { strike, maturity },
-                MethodSpec::Pde {
-                    time_steps: p.pde_t,
-                    space_steps: p.pde_x,
-                },
-            ),
-        );
-    }
-    // 525 American basket-7 puts, LSM.
-    let basket7 =
-        ModelSpec::MultiBlackScholes(MultiBlackScholes::new(7, SPOT, SIGMA, 0.3, RATE, 0.0));
-    for (i, &(strike, maturity)) in basket_grid().iter().enumerate() {
-        if i % stride != 0 {
-            continue;
-        }
-        push(
-            &mut jobs,
-            JobClass::AmericanBasketLsm,
-            PremiaProblem::new(
-                basket7.clone(),
-                OptionSpec::AmericanBasketPut { strike, maturity },
-                MethodSpec::Lsm {
-                    paths: p.lsm_paths,
-                    exercise_dates: p.lsm_dates,
-                    basis_degree: 3,
-                    seed: 271 + i as u64,
-                },
-            ),
-        );
-    }
-    jobs
+    let p = &scale.params();
+    numbered(JobClass::ALL[..6].iter().flat_map(|&class| {
+        let seed = class.first_seed();
+        class
+            .grid()
+            .enumerate()
+            .step_by(stride)
+            .map(move |(i, (strike, maturity))| {
+                (class, class.problem(p, strike, maturity, seed + i as u64))
+            })
+    }))
 }
 
 /// The §4.2 toy portfolio: `count` closed-form vanilla calls (the paper
-/// uses 10 000), strikes cycling over 70–130 %, maturities cycling
-/// quarterly — "a single price computation is then very fast and the time
-/// spent in communication is easily highlighted".
+/// uses 10 000), the §4.3 vanilla grid cycled — "a single price
+/// computation is then very fast and the time spent in communication is
+/// easily highlighted".
 pub fn toy_portfolio(count: usize) -> Vec<PortfolioJob> {
-    (0..count)
-        .map(|i| PortfolioJob {
-            id: i,
-            class: JobClass::VanillaClosedForm,
-            problem: PremiaProblem::new(
-                bs(),
-                OptionSpec::Call {
-                    strike: SPOT * (0.70 + 0.01 * (i % 61) as f64),
-                    maturity: 4.0 / 12.0 + 0.25 * ((i / 61) % 32) as f64,
-                },
-                MethodSpec::ClosedForm,
-            ),
-        })
-        .collect()
+    let class = JobClass::VanillaClosedForm;
+    // A closed form reads no method sizes: either scale's will do.
+    let p = &PortfolioScale::Quick.params();
+    numbered(
+        class
+            .grid()
+            .cycle()
+            .take(count)
+            .map(|(strike, maturity)| (class, class.problem(p, strike, maturity, 0))),
+    )
 }
 
-/// One ready-to-price representative problem of `class` at `scale`. The
-/// §4.3 classes use the same specs as [`realistic_portfolio`]; the
-/// extension classes (Bermudan max-call, BSDE Picard sweep, netted CVA
-/// book) have no slot in the paper composition, so this is *the*
-/// canonical problem of each class that the `perf` pricing layer times.
+/// One ready-to-price representative problem of `class` at `scale`: the
+/// class's recipe at the money, with a one-year maturity and the class's
+/// first seed. For the extension classes (Bermudan max-call, BSDE Picard
+/// sweep, netted CVA book), which have no slot in the paper composition,
+/// this is *the* canonical problem of each class that the `perf` pricing
+/// layer times.
 pub fn representative_problem(class: JobClass, scale: PortfolioScale) -> PortfolioJob {
-    let p = scale.params();
-    let problem = match class {
-        JobClass::VanillaClosedForm => PremiaProblem::new(
-            bs(),
-            OptionSpec::Call {
-                strike: SPOT,
-                maturity: 1.0,
-            },
-            MethodSpec::ClosedForm,
-        ),
-        JobClass::BarrierPde => PremiaProblem::new(
-            bs(),
-            OptionSpec::DownOutCall {
-                strike: SPOT,
-                barrier: 0.85 * SPOT,
-                maturity: 1.0,
-            },
-            MethodSpec::Pde {
-                time_steps: p.barrier_t_per_year.max(p.pde_t),
-                space_steps: p.pde_x,
-            },
-        ),
-        JobClass::BasketMc => PremiaProblem::new(
-            ModelSpec::MultiBlackScholes(MultiBlackScholes::new(40, SPOT, SIGMA, 0.3, RATE, 0.0)),
-            OptionSpec::BasketPut {
-                strike: SPOT,
-                maturity: 1.0,
-            },
-            MethodSpec::MonteCarlo {
-                paths: p.mc_paths,
-                time_steps: p.mc_steps,
-                antithetic: true,
-                seed: 42,
-            },
-        ),
-        JobClass::LocalVolMc => PremiaProblem::new(
-            ModelSpec::LocalVol(LocalVol::standard(SPOT, SIGMA, RATE, 0.0)),
-            OptionSpec::Call {
-                strike: SPOT,
-                maturity: 1.0,
-            },
-            MethodSpec::MonteCarlo {
-                paths: p.mc_paths,
-                time_steps: p.mc_steps,
-                antithetic: true,
-                seed: 137,
-            },
-        ),
-        JobClass::AmericanPde => PremiaProblem::new(
-            bs(),
-            OptionSpec::AmericanPut {
-                strike: SPOT,
-                maturity: 1.0,
-            },
-            MethodSpec::Pde {
-                time_steps: p.pde_t,
-                space_steps: p.pde_x,
-            },
-        ),
-        JobClass::AmericanBasketLsm => PremiaProblem::new(
-            ModelSpec::MultiBlackScholes(MultiBlackScholes::new(7, SPOT, SIGMA, 0.3, RATE, 0.0)),
-            OptionSpec::AmericanBasketPut {
-                strike: SPOT,
-                maturity: 1.0,
-            },
-            MethodSpec::Lsm {
-                paths: p.lsm_paths,
-                exercise_dates: p.lsm_dates,
-                basis_degree: 3,
-                seed: 271,
-            },
-        ),
-        JobClass::BermudanMaxLsm => PremiaProblem::new(
-            ModelSpec::MultiBlackScholes(MultiBlackScholes::new(3, SPOT, SIGMA, 0.3, RATE, 0.1)),
-            OptionSpec::BermudanMaxCall {
-                strike: SPOT,
-                maturity: 1.0,
-            },
-            MethodSpec::Lsm {
-                paths: p.lsm_paths,
-                exercise_dates: p.lsm_dates,
-                basis_degree: 2,
-                seed: 314,
-            },
-        ),
-        JobClass::BsdePicardMc => PremiaProblem::new(
-            bs(),
-            OptionSpec::Call {
-                strike: SPOT,
-                maturity: 1.0,
-            },
-            MethodSpec::Bsde {
-                paths: p.bsde_paths,
-                time_steps: p.bsde_steps,
-                rate_spread: 0.05,
-                picard_rounds: 3,
-                y_prev: 0.0,
-                seed: 577,
-            },
-        ),
-        JobClass::XvaCvaMc => PremiaProblem::new(
-            bs(),
-            OptionSpec::NettingSet {
-                trades: 64,
-                maturity: 1.0,
-            },
-            MethodSpec::Xva {
-                paths: p.xva_paths,
-                time_steps: p.xva_dates,
-                hazard: 0.02,
-                lgd: 0.6,
-                seed: 733,
-            },
-        ),
-    };
     PortfolioJob {
         id: 0,
         class,
-        problem,
+        problem: class.problem(&scale.params(), SPOT, 1.0, class.first_seed()),
     }
 }
 
@@ -502,122 +390,38 @@ pub fn representative_problem(class: JobClass, scale: PortfolioScale) -> Portfol
 /// simulator — a FIFO master can strand a 100× grain on the last
 /// dispatch while LPT front-loads it.
 pub fn mixed_portfolio(scale: PortfolioScale, groups: usize) -> Vec<PortfolioJob> {
-    let p = scale.params();
-    let mut jobs = Vec::with_capacity(12 * groups);
-    for g in 0..groups {
-        let tweak = |base: f64| base * (0.95 + 0.01 * (g % 10) as f64);
+    let p = &scale.params();
+    numbered((0..groups).flat_map(|g| {
+        let tweak = move |base: f64| base * (0.95 + 0.01 * (g % 10) as f64);
         let seed = 1000 * g as u64;
-        // Six near-free vanillas...
-        for s in 0..6 {
-            jobs.push((
-                JobClass::VanillaClosedForm,
-                PremiaProblem::new(
-                    bs(),
-                    OptionSpec::Call {
-                        strike: tweak(SPOT * (0.9 + 0.02 * s as f64)),
-                        maturity: 1.0,
-                    },
-                    MethodSpec::ClosedForm,
-                ),
-            ));
-        }
-        // ...a mid-weight European tier...
-        for s in 0..2 {
-            jobs.push((
-                JobClass::LocalVolMc,
-                PremiaProblem::new(
-                    ModelSpec::LocalVol(LocalVol::standard(SPOT, SIGMA, RATE, 0.0)),
-                    OptionSpec::Call {
-                        strike: tweak(SPOT),
-                        maturity: 1.0,
-                    },
-                    MethodSpec::MonteCarlo {
-                        paths: p.mc_paths,
-                        time_steps: p.mc_steps,
-                        antithetic: true,
-                        seed: seed + s,
-                    },
-                ),
-            ));
-        }
-        jobs.push((
-            JobClass::XvaCvaMc,
-            PremiaProblem::new(
-                bs(),
-                OptionSpec::NettingSet {
-                    trades: 48 + 8 * (g % 3),
-                    maturity: 1.0,
-                },
-                MethodSpec::Xva {
-                    paths: p.xva_paths,
-                    time_steps: p.xva_dates,
-                    hazard: 0.02,
-                    lgd: 0.6,
-                    seed: seed + 7,
-                },
-            ),
-        ));
-        jobs.push((
-            JobClass::BsdePicardMc,
-            PremiaProblem::new(
-                bs(),
-                OptionSpec::Call {
-                    strike: tweak(SPOT),
-                    maturity: 1.0,
-                },
-                MethodSpec::Bsde {
-                    paths: p.bsde_paths,
-                    time_steps: p.bsde_steps,
-                    rate_spread: 0.05,
-                    picard_rounds: 2,
-                    y_prev: 0.0,
-                    seed: seed + 8,
-                },
-            ),
-        ));
-        // ...and the heavy tail: American/Bermudan claims whose grains
-        // dominate the block.
-        jobs.push((
-            JobClass::AmericanBasketLsm,
-            PremiaProblem::new(
-                ModelSpec::MultiBlackScholes(MultiBlackScholes::new(
-                    7, SPOT, SIGMA, 0.3, RATE, 0.0,
-                )),
-                OptionSpec::AmericanBasketPut {
-                    strike: tweak(SPOT),
-                    maturity: 1.0,
-                },
-                MethodSpec::Lsm {
-                    paths: p.lsm_paths,
-                    exercise_dates: p.lsm_dates,
-                    basis_degree: 3,
-                    seed: seed + 9,
-                },
-            ),
-        ));
-        jobs.push((
-            JobClass::BermudanMaxLsm,
-            PremiaProblem::new(
-                ModelSpec::MultiBlackScholes(MultiBlackScholes::new(
-                    3, SPOT, SIGMA, 0.3, RATE, 0.1,
-                )),
-                OptionSpec::BermudanMaxCall {
-                    strike: tweak(SPOT),
-                    maturity: 1.0,
-                },
-                MethodSpec::Lsm {
-                    paths: p.lsm_paths,
-                    exercise_dates: p.lsm_dates,
-                    basis_degree: 2,
-                    seed: seed + 10,
-                },
-            ),
-        ));
-    }
-    jobs.into_iter()
-        .enumerate()
-        .map(|(id, (class, problem))| PortfolioJob { id, class, problem })
-        .collect()
+        // Six near-free vanillas, a mid-weight European tier, and the
+        // heavy tail: American/Bermudan claims whose grains dominate the
+        // block. Every job but the vanillas sits at the tweaked money.
+        let vanillas = (0..6).map(move |s| {
+            let strike = tweak(SPOT * (0.9 + 0.02 * s as f64));
+            (JobClass::VanillaClosedForm, strike, 0)
+        });
+        let rest = [
+            (JobClass::LocalVolMc, seed),
+            (JobClass::LocalVolMc, seed + 1),
+            (JobClass::XvaCvaMc, seed + 7),
+            (JobClass::BsdePicardMc, seed + 8),
+            (JobClass::AmericanBasketLsm, seed + 9),
+            (JobClass::BermudanMaxLsm, seed + 10),
+        ]
+        .map(|(class, seed)| (class, tweak(SPOT), seed));
+        vanillas.chain(rest).map(move |(class, strike, seed)| {
+            let mut problem = class.problem(p, strike, 1.0, seed);
+            // The block's own book sizes and a two-sweep BSDE.
+            if let OptionSpec::NettingSet { trades, .. } = &mut problem.option {
+                *trades = 48 + 8 * (g % 3);
+            }
+            if let MethodSpec::Bsde { picard_rounds, .. } = &mut problem.method {
+                *picard_rounds = 2;
+            }
+            (class, problem)
+        })
+    }))
 }
 
 /// The §4.1 workload: the non-regression suite wrapped as portfolio jobs.
@@ -626,34 +430,33 @@ pub fn regression_portfolio(scale: PortfolioScale) -> Vec<PortfolioJob> {
         PortfolioScale::Quick => pricing::regression::SuiteScale::Quick,
         PortfolioScale::Full => pricing::regression::SuiteScale::Full,
     };
-    pricing::regression::regression_suite(suite_scale)
-        .into_iter()
-        .enumerate()
-        .map(|(i, problem)| {
-            // Classify by method for the cost model.
-            let class = match (&problem.method, &problem.option) {
-                (MethodSpec::ClosedForm, _) => JobClass::VanillaClosedForm,
-                (MethodSpec::Pde { .. }, OptionSpec::AmericanPut { .. }) => JobClass::AmericanPde,
-                (MethodSpec::Pde { .. }, _) => JobClass::BarrierPde,
-                (MethodSpec::Tree { .. }, _) => JobClass::BarrierPde,
-                (MethodSpec::Lsm { .. }, OptionSpec::BermudanMaxCall { .. }) => {
-                    JobClass::BermudanMaxLsm
-                }
-                (MethodSpec::Lsm { .. }, _) => JobClass::AmericanBasketLsm,
-                (MethodSpec::MonteCarlo { .. }, OptionSpec::BasketPut { .. }) => JobClass::BasketMc,
-                (MethodSpec::MonteCarlo { .. }, _) | (MethodSpec::QuasiMonteCarlo { .. }, _) => {
-                    JobClass::LocalVolMc
-                }
-                (MethodSpec::Bsde { .. }, _) => JobClass::BsdePicardMc,
-                (MethodSpec::Xva { .. }, _) => JobClass::XvaCvaMc,
-            };
-            PortfolioJob {
-                id: i,
-                class,
-                problem,
-            }
-        })
-        .collect()
+    numbered(
+        pricing::regression::regression_suite(suite_scale)
+            .into_iter()
+            .map(|problem| {
+                // Classify by method for the cost model.
+                let class = match (&problem.method, &problem.option) {
+                    (MethodSpec::ClosedForm, _) => JobClass::VanillaClosedForm,
+                    (MethodSpec::Pde { .. }, OptionSpec::AmericanPut { .. }) => {
+                        JobClass::AmericanPde
+                    }
+                    (MethodSpec::Pde { .. }, _) => JobClass::BarrierPde,
+                    (MethodSpec::Tree { .. }, _) => JobClass::BarrierPde,
+                    (MethodSpec::Lsm { .. }, OptionSpec::BermudanMaxCall { .. }) => {
+                        JobClass::BermudanMaxLsm
+                    }
+                    (MethodSpec::Lsm { .. }, _) => JobClass::AmericanBasketLsm,
+                    (MethodSpec::MonteCarlo { .. }, OptionSpec::BasketPut { .. }) => {
+                        JobClass::BasketMc
+                    }
+                    (MethodSpec::MonteCarlo { .. }, _)
+                    | (MethodSpec::QuasiMonteCarlo { .. }, _) => JobClass::LocalVolMc,
+                    (MethodSpec::Bsde { .. }, _) => JobClass::BsdePicardMc,
+                    (MethodSpec::Xva { .. }, _) => JobClass::XvaCvaMc,
+                };
+                (class, problem)
+            }),
+    )
 }
 
 /// Save every job of a portfolio into `dir` as XDR files
@@ -721,6 +524,13 @@ mod tests {
             );
         }
         assert!(jobs.len() < 7931 / 32, "stride barely reduced the size");
+    }
+
+    #[test]
+    fn a_class_is_its_index_in_all() {
+        for (i, class) in JobClass::ALL.into_iter().enumerate() {
+            assert_eq!(class as usize, i, "{class:?}");
+        }
     }
 
     #[test]
@@ -826,6 +636,135 @@ mod tests {
             assert_eq!(p, job.problem);
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Job count and 64-bit FNV-1a digest of each job's id, class and
+    /// XDR-encoded problem, in order.
+    fn digest(jobs: &[PortfolioJob]) -> (usize, u64) {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for j in jobs {
+            let class = format!("{:?}", j.class);
+            for part in [
+                &j.id.to_le_bytes()[..],
+                class.as_bytes(),
+                &j.problem.to_xdr_bytes(),
+            ] {
+                for &b in part {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        (jobs.len(), h)
+    }
+
+    /// Every generator's output, byte for byte: a change to how the
+    /// generators are written must not change one problem they write.
+    #[test]
+    fn every_generator_writes_the_pinned_bytes() {
+        use PortfolioScale::{Full, Quick};
+        let mut got = Vec::new();
+        for scale in [Quick, Full] {
+            for stride in [1, 4, 97] {
+                let jobs = realistic_portfolio(scale, stride);
+                got.push((format!("realistic({scale:?}, {stride})"), digest(&jobs)));
+            }
+            for groups in [1, 3, 11] {
+                let jobs = mixed_portfolio(scale, groups);
+                got.push((format!("mixed({scale:?}, {groups})"), digest(&jobs)));
+            }
+            for class in JobClass::ALL {
+                let job = representative_problem(class, scale);
+                got.push((
+                    format!("representative({class:?}, {scale:?})"),
+                    digest(&[job]),
+                ));
+            }
+            let jobs = regression_portfolio(scale);
+            got.push((format!("regression({scale:?})"), digest(&jobs)));
+        }
+        got.push(("toy(2000)".into(), digest(&toy_portfolio(2000))));
+        let pinned: [(&str, (usize, u64)); 33] = [
+            ("realistic(Quick, 1)", (7931, 9537902123375134173)),
+            ("realistic(Quick, 4)", (1985, 13810969427981023895)),
+            ("realistic(Quick, 97)", (86, 1917517820278513142)),
+            ("mixed(Quick, 1)", (12, 6968065704662335042)),
+            ("mixed(Quick, 3)", (36, 17001200726479301744)),
+            ("mixed(Quick, 11)", (132, 14690718010271221359)),
+            (
+                "representative(VanillaClosedForm, Quick)",
+                (1, 8307046704351272872),
+            ),
+            (
+                "representative(BarrierPde, Quick)",
+                (1, 15628983093342818396),
+            ),
+            ("representative(BasketMc, Quick)", (1, 12886819953504631837)),
+            (
+                "representative(LocalVolMc, Quick)",
+                (1, 14637728522385297284),
+            ),
+            (
+                "representative(AmericanPde, Quick)",
+                (1, 13248799656677786444),
+            ),
+            (
+                "representative(AmericanBasketLsm, Quick)",
+                (1, 16583409971504517317),
+            ),
+            (
+                "representative(BermudanMaxLsm, Quick)",
+                (1, 13210703478578070604),
+            ),
+            (
+                "representative(BsdePicardMc, Quick)",
+                (1, 11522642523931243253),
+            ),
+            ("representative(XvaCvaMc, Quick)", (1, 7443745511756523903)),
+            ("regression(Quick)", (84, 2869428467323591199)),
+            ("realistic(Full, 1)", (7931, 2856799558015918130)),
+            ("realistic(Full, 4)", (1985, 16602902661108931638)),
+            ("realistic(Full, 97)", (86, 14269208768221794264)),
+            ("mixed(Full, 1)", (12, 11365638388187705762)),
+            ("mixed(Full, 3)", (36, 16926100295155224424)),
+            ("mixed(Full, 11)", (132, 7224096923654937511)),
+            (
+                "representative(VanillaClosedForm, Full)",
+                (1, 8307046704351272872),
+            ),
+            (
+                "representative(BarrierPde, Full)",
+                (1, 14295488913990683976),
+            ),
+            ("representative(BasketMc, Full)", (1, 16910191336213221300)),
+            (
+                "representative(LocalVolMc, Full)",
+                (1, 11481702829439128269),
+            ),
+            (
+                "representative(AmericanPde, Full)",
+                (1, 12644279481057133592),
+            ),
+            (
+                "representative(AmericanBasketLsm, Full)",
+                (1, 6488013111650676169),
+            ),
+            (
+                "representative(BermudanMaxLsm, Full)",
+                (1, 8702671746296360288),
+            ),
+            (
+                "representative(BsdePicardMc, Full)",
+                (1, 18288994246721741448),
+            ),
+            ("representative(XvaCvaMc, Full)", (1, 3859615070321719610)),
+            ("regression(Full)", (84, 14659198778651404989)),
+            ("toy(2000)", (2000, 16079577704650675874)),
+        ];
+        assert_eq!(got.len(), pinned.len());
+        for ((name, d), (pin_name, pin)) in got.iter().zip(pinned) {
+            assert_eq!(name, pin_name);
+            assert_eq!(*d, pin, "{name}: (len, digest) moved");
+        }
     }
 
     #[test]

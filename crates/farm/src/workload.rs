@@ -129,13 +129,13 @@ impl Workload {
         }
     }
 
-    /// Job count per class, in [`JobClass::ALL`] order (absent classes
+    /// Job count per class, keyed by [`JobClass::name`] (absent classes
     /// omitted) — the mixed-request accounting `serve` and the benches
     /// report.
     pub fn class_mix(&self) -> BTreeMap<&'static str, usize> {
         let mut mix = BTreeMap::new();
         for j in &self.jobs {
-            *mix.entry(class_name(j.class)).or_insert(0) += 1;
+            *mix.entry(j.class.name()).or_insert(0) += 1;
         }
         mix
     }
@@ -146,14 +146,7 @@ impl Workload {
 /// recorder-instrumented mixed run buckets compute seconds by each job's
 /// *real* class rather than a `job % k` heuristic.
 pub fn class_indices(jobs: &[PortfolioJob]) -> Vec<u64> {
-    jobs.iter()
-        .map(|j| {
-            JobClass::ALL
-                .iter()
-                .position(|&c| c == j.class)
-                .expect("every JobClass appears in ALL") as u64
-        })
-        .collect()
+    jobs.iter().map(|j| j.class as u64).collect()
 }
 
 /// Per-class compute rollup of a recorded run: class name →
@@ -166,23 +159,8 @@ pub fn per_class_compute(
     let b = obs::Breakdown::from_events_by_class(events, &class_indices(jobs));
     b.by_class
         .iter()
-        .map(|(&ci, &v)| (class_name(JobClass::ALL[ci as usize]), v))
+        .map(|(&ci, &v)| (JobClass::ALL[ci as usize].name(), v))
         .collect()
-}
-
-/// Stable display name of a class (the per-class breakdown key).
-pub fn class_name(class: JobClass) -> &'static str {
-    match class {
-        JobClass::VanillaClosedForm => "vanilla_cf",
-        JobClass::BarrierPde => "barrier_pde",
-        JobClass::BasketMc => "basket_mc",
-        JobClass::LocalVolMc => "localvol_mc",
-        JobClass::AmericanPde => "american_pde",
-        JobClass::AmericanBasketLsm => "american_lsm",
-        JobClass::BermudanMaxLsm => "bermudan_max_lsm",
-        JobClass::BsdePicardMc => "bsde_picard_mc",
-        JobClass::XvaCvaMc => "xva_cva_mc",
-    }
 }
 
 /// The master-side cross-round data flow of a staged workload: for each

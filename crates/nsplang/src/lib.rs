@@ -43,5 +43,10 @@ mod parser;
 mod toolbox;
 mod vm;
 
+/// The workspace's one counting allocator, which the VM's tests read.
+#[cfg(test)]
+#[path = "../../../tests/common/counting_alloc.rs"]
+mod counting_alloc;
+
 pub use interp::{Engine, Interp, NValue, NspError};
 pub use parser::parse_program;

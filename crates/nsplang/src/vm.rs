@@ -1362,53 +1362,15 @@ fn field_asg(
 #[cfg(test)]
 mod tests {
     //! What one dispatched op costs, counted rather than timed: heap
-    //! allocations (a per-thread counting allocator) and name lookups
-    //! ([`name_lookup`]). Each statement runs in a loop at two lengths and
-    //! against an empty loop body, so what a script pays once (parsing,
-    //! lowering, interning, the first call's frame) cancels out and what is
-    //! left is the cost of one turn.
+    //! allocations (the calling thread's counts of the shared counting
+    //! allocator) and name lookups ([`name_lookup`]). Each statement runs
+    //! in a loop at two lengths and against an empty loop body, so what a
+    //! script pays once (parsing, lowering, interning, the first call's
+    //! frame) cancels out and what is left is the cost of one turn.
     use super::NAME_LOOKUPS;
+    use crate::counting_alloc;
     use crate::{Engine, Interp};
-    use std::alloc::{GlobalAlloc, Layout, System};
     use std::cell::Cell;
-
-    /// The system allocator, counting the allocations each thread asks for.
-    struct CountingAlloc;
-
-    thread_local! {
-        static ALLOCS: Cell<u64> = const { Cell::new(0) };
-    }
-
-    fn count_one() {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-    }
-
-    // SAFETY: every call is forwarded unchanged to `System`, which upholds
-    // the `GlobalAlloc` contract; the counter is a statistic and guards
-    // nothing.
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            count_one();
-            System.alloc(layout)
-        }
-
-        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            count_one();
-            System.alloc_zeroed(layout)
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout)
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            count_one();
-            System.realloc(ptr, layout, new_size)
-        }
-    }
-
-    #[global_allocator]
-    static GLOBAL: CountingAlloc = CountingAlloc;
 
     const SETUP: &str = "function y = f(a, b, c, d)\n  y = a\nendfunction\n\
                          h = hash_create(src=1, tag=2, count=3)\n\
@@ -1419,12 +1381,10 @@ mod tests {
     fn counts(body: &str, n: usize) -> (u64, u64) {
         let src = format!("{SETUP}\nfor k = 1:{n} do\n  {body}\nend");
         let mut interp = Interp::with_engine(Engine::Vm);
-        let (a0, l0) = (ALLOCS.with(Cell::get), NAME_LOOKUPS.with(Cell::get));
+        let allocations = || counting_alloc::now().thread.allocations;
+        let (a0, l0) = (allocations(), NAME_LOOKUPS.with(Cell::get));
         interp.run(&src).expect("script runs");
-        (
-            ALLOCS.with(Cell::get) - a0,
-            NAME_LOOKUPS.with(Cell::get) - l0,
-        )
+        (allocations() - a0, NAME_LOOKUPS.with(Cell::get) - l0)
     }
 
     /// (allocations, name lookups) `stmt` adds to one loop turn.

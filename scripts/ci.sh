@@ -9,11 +9,14 @@
 #      `cargo fmt --manifest-path perf/Cargo.toml -- --check` over the
 #      benchmark harness (a workspace of its own that the first misses)
 #   3. release build of the whole workspace, then a run, each under a
-#      timeout, of the two examples that drive a minimpi world by hand
-#      (spawn_slaves ends on stop sends followed by SpawnedWorld::join,
-#      the shape a lost wake-up hangs; nsp_script runs Fig. 4 as a
-#      script on every rank on the default engine, the VM, which is
-#      the engine the fig4_script benchmark times) and of the `ablation`
+#      timeout, of every example in examples/ (no test runs them: among
+#      them spawn_slaves ends on stop sends followed by
+#      SpawnedWorld::join, the shape a lost wake-up hangs; nsp_script runs
+#      Fig. 4 as a script on every rank on the default engine, the VM,
+#      which is the engine the fig4_script benchmark times;
+#      portfolio_valuation and risk_evaluation drive the realistic
+#      portfolio through the live farm; cluster_benchmark prints the
+#      simulated tables) and of the `ablation`
 #      binary (the only producer of the §5 ablation rows), then a build of
 #      the benchmark harness under perf/ (a workspace of its own that
 #      `cargo test --workspace` never compiles) plus its `check` subcommand
@@ -97,9 +100,11 @@ run cargo fmt --manifest-path perf/Cargo.toml -- --check || exit 1
 
 run cargo build --workspace --release || exit 1
 
-# The only examples that use `Comm`: compiled by the build above but
-# never run by a test. A hang is a failure, not a stuck job.
-for example in spawn_slaves nsp_script; do
+# Every example: compiled by the build above but never run by a test.
+# Each writes only under the system temp directory. A hang is a failure,
+# not a stuck job.
+for path in examples/*.rs; do
+    example=$(basename "$path" .rs)
     echo "==> example $example (release, 120 s timeout)"
     if ! timeout 120 cargo run --release --offline --quiet --example "$example" >/dev/null; then
         echo "error: example $example failed or hung"

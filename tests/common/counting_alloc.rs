@@ -1,8 +1,12 @@
 //! The system allocator, counting: the one global allocator of the
-//! allocation tests (`#[path = "common/counting_alloc.rs"] mod
-//! counting_alloc;` installs it). Every allocation, zeroed allocation and
-//! reallocation counts once, with the bytes it asks for, both for the
-//! whole process and for the thread that makes it. Frees count nothing.
+//! allocation tests. The test binaries `alloc_free`, `farm_alloc`,
+//! `script_alloc`, `serve_alloc` and `nsp_linear` install it with
+//! `#[path = "common/counting_alloc.rs"] mod counting_alloc;`, and
+//! `nsplang`'s library tests (the VM's per-turn counts) with a
+//! `#[cfg(test)]` `#[path]` module in `crates/nsplang/src/lib.rs`. Every
+//! allocation, zeroed allocation and reallocation counts once, with the
+//! bytes it asks for, both for the whole process and for the thread that
+//! makes it. Frees count nothing.
 //!
 //! A binary whose work runs on other threads (a farm's ranks, a
 //! session's front loop) reads the process counts, and then holds one
